@@ -16,6 +16,7 @@
 use chroma_mini::campaign::{run_campaign, CampaignConfig};
 use chroma_mini::checkpoint;
 use qdp_comm::FaultPlan;
+use qdp_core::QdpConfig;
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -25,6 +26,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn main() {
+    let env = QdpConfig::from_env();
     let mut cfg = CampaignConfig::new([4, 4, 4, 4], [2, 1, 1, 2], scratch("clean"));
     cfg.n_traj = 2;
     cfg.n_steps = 2;
@@ -34,13 +36,12 @@ fn main() {
     let clean = run_campaign(&cfg, &FaultPlan::new()).expect("clean campaign failed");
 
     // kill rank 2 mid-trajectory unless QDP_FAULT says otherwise
-    let env_plan = FaultPlan::from_env();
-    let plan = if env_plan.is_empty() {
+    let plan = if env.fault.is_empty() {
         FaultPlan::new().kill_after_messages(2, 40)
     } else {
-        env_plan
+        env.fault.clone()
     };
-    let fault_dir = checkpoint::dir_from_env(&scratch("faulted"));
+    let fault_dir = checkpoint::dir_from(&env, &scratch("faulted"));
     let mut faulted_cfg = cfg.clone();
     faulted_cfg.checkpoint_dir = fault_dir.clone();
     let faulted = run_campaign(&faulted_cfg, &plan).expect("faulted campaign failed");

@@ -82,12 +82,6 @@ where
 
 fn main() {
     println!("Figure 6 — Wilson dslash on 2× K20m, overlap on/off (GFLOPS)");
-    let schedule = if std::env::var("QDP_STREAM_OVERLAP").map(|v| v != "0").unwrap_or(true) {
-        "two-stream engine (comm + compute streams; QDP_STREAM_OVERLAP=0 for legacy)"
-    } else {
-        "legacy single-clock hand model (QDP_STREAM_OVERLAP=0)"
-    };
-    println!("overlap schedule: {schedule}");
     println!(
         "{:>4} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8}",
         "L", "SP overlap", "SP no-ovl", "gain", "DP overlap", "DP no-ovl", "gain"

@@ -22,13 +22,13 @@ use std::time::Instant;
 fn main() {
     let tel = Arc::new(Telemetry::new());
     tel.enable();
-    let ctx = QdpContext::with_telemetry(
-        DeviceConfig::k20x_ecc_off(),
-        Geometry::symmetric(8),
-        LayoutKind::SoA,
-        Arc::clone(&tel),
-    );
-    ctx.set_opt_level(Some(OptLevel::Default));
+    let config = QdpConfig::from_env();
+    let cache_dir = config.store.dir.clone();
+    let ctx = QdpContext::builder(Geometry::symmetric(8))
+        .config(config)
+        .opt_level(OptLevel::Default)
+        .telemetry(Arc::clone(&tel))
+        .build();
     ctx.set_payload_execution(false);
 
     let mut rng = StdRng::seed_from_u64(23);
@@ -71,7 +71,7 @@ fn main() {
 
     println!(
         "cache_dir {}",
-        std::env::var("QDP_CACHE_DIR").unwrap_or_else(|_| "(unset)".into())
+        cache_dir.map_or("(unset)".into(), |d| d.display().to_string())
     );
     println!("wall_first_eval_us {:.1}", first * 1e6);
     println!("wall_total_us {:.1}", total * 1e6);

@@ -119,9 +119,10 @@ fn bench_cg_iteration(c: &mut Harness) {
     });
 }
 
-/// Graph-level fusion before/after: a 10-iteration CG on 4⁴ run twice on
-/// fresh contexts, once with the fusion planner on and once with
-/// `QDP_FUSE=0` semantics. Both metrics come from the deterministic
+/// Graph-level fusion before/after: the same 10-iteration CG body on 4⁴
+/// run twice on fresh contexts, once at the full group budget and once
+/// with `QDP_FUSE=0` semantics (budget 1: one launch per recorded
+/// statement). Both metrics come from the deterministic
 /// simulation — the simulated-time ratio `cg_10_iterations_fused_vs_unfused`
 /// (< 1 means fusion wins; lower is better) and the launch-count saving
 /// `fuse_launches_saved_pct` (higher is better) — so the `--compare` gate
@@ -131,13 +132,10 @@ fn bench_fusion(c: &mut Harness) {
     fn run(fuse: bool) -> (f64, f64) {
         let tel = Arc::new(Telemetry::new());
         tel.enable();
-        let ctx = QdpContext::with_telemetry(
-            DeviceConfig::k20x_ecc_off(),
-            Geometry::symmetric(4),
-            LayoutKind::SoA,
-            Arc::clone(&tel),
-        );
-        ctx.set_fuse(Some(fuse));
+        let ctx = QdpContext::builder(Geometry::symmetric(4))
+            .fuse(fuse)
+            .telemetry(Arc::clone(&tel))
+            .build();
         let mut rng = StdRng::seed_from_u64(5);
         let g = chroma_mini::gauge::GaugeField::warm(&ctx, &mut rng, 0.25);
         let m = chroma_mini::fermion::WilsonDirac::new(&g, 0.3, None);
@@ -288,17 +286,13 @@ fn bench_persist(c: &mut Harness) {
 }
 
 /// §V overlap schedule: the two-rank boundary-split derivative evaluated
-/// under the legacy single-clock hand model and under the two-stream
-/// engine (gather/exchange on the comm stream, inner kernel on the
-/// compute stream). Records the modelled trajectory times side by side —
-/// `overlap_traj_time_ms_legacy` / `overlap_traj_time_ms_stream` — plus
+/// without overlap (exchange, then one full-lattice kernel) and under the
+/// stream schedule (gather/exchange on the comm streams, inner kernel on
+/// the compute stream). Records the modelled trajectory times side by side
+/// — `overlap_traj_time_ms_none` / `overlap_traj_time_ms_stream` — plus
 /// the gain, so the results JSON carries the comparison.
 fn bench_overlap(c: &mut Harness) {
-    // Compute-critical split (small faces): the schedules differ by where
-    // the inner kernel starts — at the fork (stream) vs after the sends
-    // are issued (legacy). Comm-bound splits tie the two schedules (both
-    // end on the halo-arrival → face-kernel chain).
-    fn trajectory_ms(streamed: bool) -> f64 {
+    fn trajectory_ms(overlap: bool) -> f64 {
         let global = [8usize, 4, 4, 4];
         let results = qdp_comm::run_cluster(
             2,
@@ -317,9 +311,8 @@ fn bench_overlap(c: &mut Harness) {
                     decomp,
                     handle,
                     false,
-                    true,
+                    overlap,
                 );
-                mr.set_stream_schedule(streamed);
                 let mut rng = StdRng::seed_from_u64(11 + rank as u64);
                 let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |_| {
                     PScalar(random_su3(&mut rng))
@@ -346,11 +339,11 @@ fn bench_overlap(c: &mut Harness) {
         );
         results.into_iter().fold(0.0f64, f64::max) * 1e3
     }
-    let legacy = trajectory_ms(false);
+    let none = trajectory_ms(false);
     let streamed = trajectory_ms(true);
-    c.record_value("overlap_traj_time_ms_legacy", legacy);
+    c.record_value("overlap_traj_time_ms_none", none);
     c.record_value("overlap_traj_time_ms_stream", streamed);
-    c.record_value("overlap_stream_gain_pct", 100.0 * (legacy / streamed - 1.0));
+    c.record_value("overlap_gain_pct", 100.0 * (none / streamed - 1.0));
 }
 
 /// Fig. 7/8-style strong scaling through the discrete-event cluster

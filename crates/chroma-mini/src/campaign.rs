@@ -57,7 +57,7 @@ pub struct CampaignConfig {
     /// stream all derive from it.
     pub seed: u64,
     /// Where per-rank checkpoints live (`QDP_CHECKPOINT_DIR` overrides
-    /// via [`checkpoint::dir_from_env`] if the caller routes through it).
+    /// via [`checkpoint::dir_from`] if the caller routes through it).
     pub checkpoint_dir: PathBuf,
     /// Interconnect model for the simulated cluster.
     pub link: LinkModel,

@@ -46,13 +46,6 @@ pub fn dir_from(cfg: &qdp_core::QdpConfig, default: &Path) -> PathBuf {
         .unwrap_or_else(|| default.to_path_buf())
 }
 
-/// The campaign checkpoint directory: `QDP_CHECKPOINT_DIR` when set and
-/// non-empty, else `default` (shorthand for [`dir_from`] over
-/// `QdpConfig::from_env()`).
-pub fn dir_from_env(default: &Path) -> PathBuf {
-    dir_from(&qdp_core::QdpConfig::from_env(), default)
-}
-
 /// Borrowed view of the state a rank checkpoints at trajectory start
 /// (momenta already refreshed, RNG states already advanced past the
 /// refresh, Metropolis draw not yet taken).

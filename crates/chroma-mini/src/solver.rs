@@ -21,30 +21,14 @@ pub struct CgReport {
 
 /// Conjugate gradient on the normal equations: solves `M†M x = b`.
 ///
-/// With fusion enabled (`QDP_FUSE` unset or `1`, the default) the inner
-/// loop is recorded through a deferred [`qdp_core::FusionScope`]: the two
-/// axpy updates and the residual-norm temporary collapse into one fused
-/// kernel, and the `M†` apply fuses with the `⟨p, Ap⟩` temporary. With
-/// `QDP_FUSE=0` the original per-expression launch sequence is issued
-/// verbatim — results are bit-identical either way.
+/// The loop is recorded through a deferred [`qdp_core::FusionScope`] and
+/// flushed at each reduction, letting the planner batch the independent
+/// vector updates per iteration: the two axpy updates and the
+/// residual-norm temporary collapse into one fused kernel, and the `M†`
+/// apply fuses with the `⟨p, Ap⟩` temporary. With fusion off
+/// (`QdpConfig::fuse = false`, `QDP_FUSE=0`) the same body launches one
+/// kernel per recorded statement — results are bit-identical either way.
 pub fn cg_solve(
-    m: &WilsonDirac,
-    x: &LatticeFermion<f64>,
-    b: &LatticeFermion<f64>,
-    tol: f64,
-    max_iters: usize,
-) -> Result<CgReport, CoreError> {
-    if m.context().fuse_enabled() {
-        cg_solve_fused(m, x, b, tol, max_iters)
-    } else {
-        cg_solve_immediate(m, x, b, tol, max_iters)
-    }
-}
-
-/// The deferred-API CG body: expressions are recorded into a
-/// [`FusionScope`] and flushed at each reduction, letting the planner
-/// batch the independent vector updates per iteration.
-fn cg_solve_fused(
     m: &WilsonDirac,
     x: &LatticeFermion<f64>,
     b: &LatticeFermion<f64>,
@@ -101,64 +85,6 @@ fn cg_solve_fused(
         iters += 1;
     }
     scope.flush()?;
-    ctx.telemetry().count("solver.cg_iters", iters as u64);
-    span.end_with_sim(ctx.device().now());
-    Ok(CgReport {
-        iters,
-        rel_resid: (r2 / b2).sqrt(),
-        converged: r2 <= target,
-    })
-}
-
-/// The original per-expression CG body (`QDP_FUSE=0`): every assign and
-/// reduction launches immediately, exactly as before fusion existed.
-fn cg_solve_immediate(
-    m: &WilsonDirac,
-    x: &LatticeFermion<f64>,
-    b: &LatticeFermion<f64>,
-    tol: f64,
-    max_iters: usize,
-) -> Result<CgReport, CoreError> {
-    let ctx = m.context();
-    let span = ctx
-        .telemetry()
-        .span("solver", "cg")
-        .with_sim(ctx.device().now());
-    let r = LatticeFermion::<f64>::new(ctx);
-    let p = LatticeFermion::<f64>::new(ctx);
-    let ap = LatticeFermion::<f64>::new(ctx);
-    let tmp = LatticeFermion::<f64>::new(ctx);
-
-    // r = b − A x ; p = r
-    m.apply_normal(&ap, &tmp, x)?;
-    r.assign(b.q() - ap.q())?;
-    p.assign(r.q())?;
-
-    let b2 = b.norm2()?;
-    if b2 == 0.0 {
-        x.assign(0.0 * b.q())?;
-        return Ok(CgReport {
-            iters: 0,
-            rel_resid: 0.0,
-            converged: true,
-        });
-    }
-    let mut r2 = r.norm2()?;
-    let target = tol * tol * b2;
-
-    let mut iters = 0;
-    while r2 > target && iters < max_iters {
-        m.apply_normal(&ap, &tmp, &p)?;
-        let pap = reduce_inner_product(ctx, &p.q(), &ap.q(), Subset::All)?.re;
-        let alpha = r2 / pap;
-        x.assign(x.q() + alpha * p.q())?;
-        r.assign(r.q() - alpha * ap.q())?;
-        let r2_new = r.norm2()?;
-        let beta = r2_new / r2;
-        p.assign(r.q() + beta * p.q())?;
-        r2 = r2_new;
-        iters += 1;
-    }
     ctx.telemetry().count("solver.cg_iters", iters as u64);
     span.end_with_sim(ctx.device().now());
     Ok(CgReport {
@@ -471,20 +397,28 @@ mod tests {
 
     #[test]
     fn fused_cg_matches_unfused_bit_exactly() {
-        let run = |fuse: bool| {
-            let ctx = QdpContext::k20x(Geometry::symmetric(4));
-            ctx.set_fuse(Some(fuse));
+        let run = |fuse: bool, tol: f64, max_iters: usize| {
+            let tel = Arc::new(qdp_telemetry::Telemetry::new());
+            tel.enable();
+            let ctx = QdpContext::builder(Geometry::symmetric(4))
+                .fuse(fuse)
+                .telemetry(tel)
+                .build();
             let mut rng = StdRng::seed_from_u64(7);
             let g = GaugeField::warm(&ctx, &mut rng, 0.25);
             let m = WilsonDirac::new(&g, 0.3, None);
             let b = gaussian_fermion(&ctx, &mut rng);
             let x = LatticeFermion::<f64>::new(&ctx);
-            let rep = cg_solve(&m, &x, &b, 1e-8, 500).unwrap();
+            let launches = || -> u64 {
+                ctx.profile_report().kernels.iter().map(|k| k.launches).sum()
+            };
+            let l0 = launches();
+            let rep = cg_solve(&m, &x, &b, tol, max_iters).unwrap();
             let bytes = ctx.cache().with_host(x.id(), |h| h.to_vec());
-            (rep, bytes)
+            (rep, bytes, launches() - l0)
         };
-        let (rep_fused, x_fused) = run(true);
-        let (rep_plain, x_plain) = run(false);
+        let (rep_fused, x_fused, _) = run(true, 1e-8, 500);
+        let (rep_plain, x_plain, _) = run(false, 1e-8, 500);
         assert_eq!(rep_fused.iters, rep_plain.iters);
         assert_eq!(
             rep_fused.rel_resid.to_bits(),
@@ -493,8 +427,15 @@ mod tests {
         );
         assert_eq!(
             x_fused, x_plain,
-            "fused CG must be bit-identical to per-expression CG"
+            "fused CG must be bit-identical to budget-1 CG"
         );
+
+        // Budget 1 is one launch per recorded statement: 4 set-up assigns +
+        // the ‖b‖² and ‖r‖² temporaries, then per iteration 2 applies, the
+        // ⟨p,Ap⟩ temporary, x, r, the ‖r‖² temporary and p.
+        let (rep10, _, launches10) = run(false, 1e-30, 10);
+        assert_eq!(rep10.iters, 10);
+        assert_eq!(launches10, 6 + 10 * 7);
     }
 
     #[test]

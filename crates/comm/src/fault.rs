@@ -89,8 +89,8 @@ impl FaultPlan {
         self
     }
 
-    /// Override the per-message receive deadline (wall clock). Without an
-    /// override the deadline comes from `QDP_COMM_TIMEOUT_MS` (default 5000).
+    /// Override the per-message receive deadline (wall clock; default
+    /// 5000 ms).
     pub fn deadline_ms(mut self, ms: u64) -> FaultPlan {
         self.deadline_ms = Some(ms);
         self
@@ -110,18 +110,10 @@ impl FaultPlan {
         &self.kills
     }
 
-    /// Parse the `QDP_FAULT` env knob: a `;`-separated list of
-    /// `kill:<rank>@t=<seconds>` or `kill:<rank>@msgs=<count>` specs, e.g.
-    /// `QDP_FAULT="kill:1@msgs=40;kill:3@t=0.02"`. Malformed specs are
+    /// Parse a fault spec string (the `QDP_FAULT` format): a `;`-separated
+    /// list of `kill:<rank>@t=<seconds>` or `kill:<rank>@msgs=<count>`
+    /// specs, e.g. `"kill:1@msgs=40;kill:3@t=0.02"`. Malformed specs are
     /// ignored (an env typo must not take down a campaign).
-    pub fn from_env() -> FaultPlan {
-        match std::env::var("QDP_FAULT") {
-            Ok(s) => FaultPlan::parse(&s),
-            Err(_) => FaultPlan::new(),
-        }
-    }
-
-    /// Parse a fault spec string (the `QDP_FAULT` format).
     pub fn parse(spec: &str) -> FaultPlan {
         let mut plan = FaultPlan::new();
         for part in spec.split(';').map(str::trim).filter(|p| !p.is_empty()) {
@@ -148,15 +140,9 @@ impl FaultPlan {
     }
 
     /// Resolve the effective receive deadline: explicit override, else
-    /// `QDP_COMM_TIMEOUT_MS`, else 5000 ms.
+    /// 5000 ms.
     pub fn effective_deadline_ms(&self) -> u64 {
-        self.deadline_ms
-            .or_else(|| {
-                std::env::var("QDP_COMM_TIMEOUT_MS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(5000)
+        self.deadline_ms.unwrap_or(5000)
     }
 }
 

@@ -1,5 +1,7 @@
-//! Graph-level kernel fusion: deferred evaluation scopes, the legality
-//! planner, and multi-statement kernel launch.
+//! Graph-level kernel fusion: deferred evaluation scopes and the legality
+//! planner. Groups launch through the one statement→kernel path,
+//! [`crate::eval`]'s `eval_statements` — an immediate [`crate::eval`] is a
+//! group of one.
 //!
 //! The paper's framework compiles *one kernel per expression* (§III), which
 //! leaves solvers issuing long chains of small axpy/norm launches — the
@@ -37,33 +39,35 @@
 //! kernel, and their tree-reduction passes are accounted as a single
 //! combined pass.
 //!
-//! Fusion is on by default; `QDP_FUSE=0` (or
-//! [`crate::QdpContext::set_fuse`]) turns every deferred call back into an
-//! immediate per-expression [`crate::eval`] — bit-exactly the pre-fusion
-//! behaviour, same kernels, same launch sequence.
+//! Fusion is on by default; `QDP_FUSE=0` ([`crate::QdpConfig::fuse`] =
+//! false) is a group budget of 1 on the same planner: every statement and
+//! every reduction temporary launches alone — the per-expression kernels
+//! and launch counts, bit-exactly — and no bailout is ever counted.
 
-use crate::codegen::backend::Backend;
-use crate::codegen::cse::CseBackend;
-use crate::codegen::ptx_backend::{FusedStmtMeta, KernelEnv, PtxGen};
-use crate::codegen::value::{gen_expr, store_val, GenCtx};
 use crate::context::QdpContext;
-use crate::eval::{self, plan_codegen_at, CoreError, EvalParams};
+use crate::eval::{
+    eval_statements, plan_statements, reduce_batch, render_statements, CoreError, EvalParams,
+};
 use crate::field::{Lattice, QExpr, SiteElem, SiteReal};
-use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
-use qdp_gpu_sim::{KernelShape, StreamId};
-use qdp_jit::{launch_tuned_on, CompileRequest, LaunchArg};
-use qdp_layout::{FieldLayout, LayoutKind, Subset};
-use qdp_ptx::emit::emit_module;
-use qdp_ptx::module::Module;
-use qdp_ptx::opt::OptLevel;
-use qdp_types::{Complex, ElemKind, FloatType, Real, TypeShape};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use qdp_expr::{BinaryOp, Expr, FieldRef, UnaryOp};
+use qdp_gpu_sim::StreamId;
+use qdp_layout::Subset;
+use qdp_types::{Complex, ElemKind, FloatType, Real};
 use std::sync::Arc;
 
 /// Most statements a single fused kernel may hold (register pressure and
 /// parameter-space guard; a split on this budget is not a bailout).
 const MAX_GROUP: usize = 8;
+
+/// The group budget in effect on `ctx`: [`MAX_GROUP`], or 1 with fusion
+/// off. It bounds statement groups and reduction batches alike.
+fn group_budget(ctx: &QdpContext) -> usize {
+    if ctx.config().fuse {
+        MAX_GROUP
+    } else {
+        1
+    }
+}
 
 /// Site coverage of one recorded statement.
 #[derive(Debug, Clone)]
@@ -132,7 +136,10 @@ impl GroupState {
         }
     }
 
-    fn try_join(&mut self, s: &Stmt) -> Result<(), Split> {
+    fn try_join(&mut self, s: &Stmt, budget: usize) -> Result<(), Split> {
+        if self.len >= budget {
+            return Err(Split::Budget);
+        }
         let subset = match &s.sites {
             StmtSites::Subset(sub) => *sub,
             StmtSites::List(_) => return Err(Split::Bailout("site-list")),
@@ -159,9 +166,6 @@ impl GroupState {
         if self.targets.contains(&s.target.id) {
             return Err(Split::Bailout("aliased-target"));
         }
-        if self.len >= MAX_GROUP {
-            return Err(Split::Budget);
-        }
         self.targets.push(s.target.id);
         for r in &shifted {
             if !self.hazards.contains(&r.id) {
@@ -178,13 +182,14 @@ impl GroupState {
 /// order.
 fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> {
     let tel = ctx.telemetry();
+    let budget = group_budget(ctx);
     let mut groups = Vec::new();
     let mut start = 0usize;
     let mut state: Option<GroupState> = None;
     for (i, s) in stmts.iter().enumerate() {
         match state.as_mut() {
             None => state = Some(GroupState::open(s)),
-            Some(g) => match g.try_join(s) {
+            Some(g) => match g.try_join(s, budget) {
                 Ok(()) => {}
                 Err(split) => {
                     if let Split::Bailout(reason) = split {
@@ -204,131 +209,11 @@ fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> 
     groups
 }
 
-/// The codegen-facing description of one fused group: shared environment,
-/// union leaf/shift tables, per-statement metadata and the composite key.
-struct FusedPlan {
-    env: KernelEnv,
-    union_leaves: Vec<FieldRef>,
-    union_shifts: Vec<(usize, ShiftDir)>,
-    metas: Vec<FusedStmtMeta>,
-    /// Per-statement scalar complexity flags (launch marshalling).
-    per_flags: Vec<Vec<bool>>,
-    ft: FloatType,
-    key: String,
-    name: String,
-    opt: OptLevel,
-}
-
-/// Build the fused plan for a group of `(target, expr)` statements over one
-/// subset. The composite key concatenates the per-statement structural keys
-/// (each already covering expression structure, geometry, layout, subset
-/// mapping, target type and optimizer level), so the fused kernel's JIT and
-/// persist-cache identity is exactly as stable as its parts.
-fn plan_fused(
-    ctx: &QdpContext,
-    stmts: &[(FieldRef, &Expr)],
-    subset_mapped: bool,
-    opt: OptLevel,
-) -> Result<FusedPlan, CoreError> {
-    assert!(stmts.len() >= 2, "fused plan needs at least two statements");
-    let mut union_leaves: Vec<FieldRef> = Vec::new();
-    let mut union_shifts: Vec<(usize, ShiftDir)> = Vec::new();
-    let mut metas = Vec::new();
-    let mut per_flags = Vec::new();
-    let mut scalar_complex = Vec::new();
-    let mut keys = Vec::new();
-    let mut ft = FloatType::F32;
-    for &(target, expr) in stmts {
-        let p = plan_codegen_at(ctx, target, expr, subset_mapped, false, opt)?;
-        for l in &p.leaves {
-            if !union_leaves.iter().any(|x| x.id == l.id) {
-                union_leaves.push(*l);
-            }
-        }
-        for sh in &p.shifts {
-            if !union_shifts.contains(sh) {
-                union_shifts.push(*sh);
-            }
-        }
-        metas.push(FusedStmtMeta {
-            target_ft: target.ft,
-            target_shape: TypeShape::of(target.kind),
-            n_scalars: p.flags.len(),
-        });
-        scalar_complex.extend_from_slice(&p.flags);
-        per_flags.push(p.flags);
-        keys.push(p.key);
-        ft = if p.ft == FloatType::F64 { FloatType::F64 } else { ft };
-    }
-    let vol = ctx.geometry().vol();
-    let dims = ctx.geometry().dims();
-    let env = KernelEnv {
-        n_sites: vol,
-        layout: ctx.layout(),
-        ft,
-        subset_mapped,
-        remote_shifts: false,
-        face_vols: std::array::from_fn(|mu| vol / dims[mu]),
-        shifts: union_shifts.clone(),
-        scalar_complex,
-        target_ft: stmts[0].0.ft,
-        target_shape: TypeShape::of(stmts[0].0.kind),
-    };
-    let key = format!("fused[{}]", keys.join(" ; "));
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    let name = format!("qdpf_{:016x}", h.finish());
-    Ok(FusedPlan {
-        env,
-        union_leaves,
-        union_shifts,
-        metas,
-        per_flags,
-        ft,
-        key,
-        name,
-        opt,
-    })
-}
-
-/// Unparse a fused group into one PTX module under `plan`, with an explicit
-/// kernel name. Each statement's walk runs with a **fresh** CSE scope (a
-/// store invalidates memoised loads of the stored field — the per-statement
-/// reset keeps producer→consumer loads exact) over the shared union leaf
-/// table; the backend's `begin_stmt` switches the destination and scalar
-/// window between statements.
-fn render_fused_ptx(
-    plan: &FusedPlan,
-    exprs: &[&Expr],
-    kernel_name: &str,
-) -> Result<String, CoreError> {
-    let mut g = PtxGen::new_fused(kernel_name, &plan.env, &plan.union_leaves, &plan.metas);
-    for (i, expr) in exprs.iter().enumerate() {
-        g.begin_stmt(i);
-        let mut cx = GenCtx::new(&plan.union_leaves);
-        if plan.opt.dag_cse() {
-            let mut b = CseBackend::new(g);
-            let v = gen_expr(expr, &mut b, &mut cx);
-            store_val(&mut b, &v);
-            if let Some(f) = b.fault() {
-                return Err(CoreError::Codegen(f.to_string()));
-            }
-            g = b.into_inner();
-        } else {
-            let v = gen_expr(expr, &mut g, &mut cx);
-            store_val(&mut g, &v);
-            if let Some(f) = g.fault() {
-                return Err(CoreError::Codegen(f.to_string()));
-            }
-        }
-    }
-    Ok(emit_module(&Module::with_kernel(g.finish())))
-}
-
 /// Generate the PTX text the fusion pipeline would run for a group of
 /// statements over `subset`, under a caller-chosen kernel name. Pure
-/// codegen (nothing is compiled, cached or launched) — the fused twin of
-/// [`crate::codegen_ptx`], used by the golden-snapshot tests.
+/// codegen (nothing is compiled, cached or launched) — the
+/// multi-statement twin of [`crate::codegen_ptx`], used by the
+/// golden-snapshot tests.
 pub fn codegen_fused_ptx(
     ctx: &QdpContext,
     stmts: &[(FieldRef, Expr)],
@@ -336,125 +221,13 @@ pub fn codegen_fused_ptx(
     kernel_name: &str,
 ) -> Result<String, CoreError> {
     let refs: Vec<(FieldRef, &Expr)> = stmts.iter().map(|(t, e)| (*t, e)).collect();
-    let plan = plan_fused(ctx, &refs, subset != Subset::All, ctx.opt_level())?;
+    let plan = plan_statements(ctx, &refs, subset != Subset::All, false, ctx.opt_level())?;
     let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| e).collect();
-    render_fused_ptx(&plan, &exprs, kernel_name)
+    render_statements(&plan, &exprs, kernel_name)
 }
 
-/// Launch one fused group (≥ 2 statements, uniform subset/stream by
-/// construction). Mirrors the single-expression launch path: structural PTX
-/// cache → JIT cache → page-in → marshal → tuned launch → dirty marks.
-fn launch_group(ctx: &QdpContext, stmts: &[Stmt]) -> Result<(), CoreError> {
-    let (subset, stream) = match (&stmts[0].sites, stmts[0].stream) {
-        (StmtSites::Subset(s), st) => (*s, st),
-        (StmtSites::List(_), _) => unreachable!("site-list statements never group"),
-    };
-    let refs: Vec<(FieldRef, &Expr)> = stmts.iter().map(|s| (s.target, &s.expr)).collect();
-    let opt = ctx.opt_level();
-    let plan = plan_fused(ctx, &refs, subset != Subset::All, opt)?;
-
-    let tel = ctx.telemetry();
-    let span = tel
-        .span("eval", "eval_fused")
-        .with_sim(ctx.device().stream_now(stream));
-
-    let exprs: Vec<&Expr> = stmts.iter().map(|s| &s.expr).collect();
-    let ptx = ctx.try_ptx_for_key(&plan.key, || {
-        let _cg = tel.span("eval", "codegen");
-        render_fused_ptx(&plan, &exprs, &plan.name)
-    })?;
-    let kernel = ctx
-        .kernels()
-        .compile(CompileRequest::new(&ptx).opt_level(plan.opt).name(&plan.name))?;
-
-    // Page in the working set: every target, then the union leaves.
-    let mut ids: Vec<u64> = stmts.iter().map(|s| s.target.id).collect();
-    ids.extend(plan.union_leaves.iter().map(|l| l.id));
-    let ptrs = ctx.cache().assure_on_device(&ids)?;
-
-    let (site_tbl, n_threads) = ctx.subset_table(subset);
-    if n_threads == 0 {
-        return Ok(());
-    }
-
-    // Marshal in declaration order: dst0..dstK-1, union leaves, each
-    // statement's scalars, n, site table, union neighbour tables.
-    let mut args: Vec<LaunchArg> = ptrs.iter().map(|p| LaunchArg::Ptr(*p)).collect();
-    for (s, flags) in stmts.iter().zip(plan.per_flags.iter()) {
-        for ((re, im), cplx) in s.expr.scalar_values().iter().zip(flags.iter()) {
-            match plan.ft {
-                FloatType::F32 => {
-                    args.push(LaunchArg::F32(*re as f32));
-                    if *cplx {
-                        args.push(LaunchArg::F32(*im as f32));
-                    }
-                }
-                FloatType::F64 => {
-                    args.push(LaunchArg::F64(*re));
-                    if *cplx {
-                        args.push(LaunchArg::F64(*im));
-                    }
-                }
-            }
-        }
-    }
-    args.push(LaunchArg::U32(n_threads as u32));
-    if let Some(t) = site_tbl {
-        args.push(LaunchArg::Ptr(t));
-    }
-    for &(mu, dir) in &plan.union_shifts {
-        args.push(LaunchArg::Ptr(ctx.neighbor_table(mu, dir, false)));
-    }
-
-    let site_stride = match ctx.layout() {
-        LayoutKind::SoA => 1,
-        LayoutKind::AoS => plan
-            .metas
-            .iter()
-            .map(|m| m.target_shape.n_reals())
-            .max()
-            .unwrap_or(1),
-    };
-    launch_tuned_on(
-        ctx.device(),
-        ctx.tuner(),
-        &kernel,
-        &args,
-        n_threads,
-        site_stride,
-        ctx.payload_execution(),
-        stream,
-    )?;
-    for s in stmts {
-        ctx.cache().mark_device_dirty(s.target.id)?;
-    }
-    span.end_with_sim(ctx.device().stream_now(stream));
-    Ok(())
-}
-
-/// Launch one statement exactly as the per-expression path would.
-fn launch_single(ctx: &QdpContext, s: &Stmt) -> Result<(), CoreError> {
-    match &s.sites {
-        StmtSites::Subset(sub) => {
-            eval::eval(
-                ctx,
-                s.target,
-                &s.expr,
-                &EvalParams::new().subset(*sub).stream(s.stream),
-            )?;
-        }
-        StmtSites::List(v) => {
-            eval::eval(
-                ctx,
-                s.target,
-                &s.expr,
-                &EvalParams::new().sites(v).stream(s.stream),
-            )?;
-        }
-    }
-    Ok(())
-}
-
+/// Plan `stmts` into groups and launch each group as one kernel, in record
+/// order (groups are uniform in sites and stream by construction).
 fn flush_stmts(ctx: &QdpContext, stmts: &[Stmt]) -> Result<(), CoreError> {
     let tel = ctx.telemetry();
     for g in plan_groups(ctx, stmts) {
@@ -462,10 +235,14 @@ fn flush_stmts(ctx: &QdpContext, stmts: &[Stmt]) -> Result<(), CoreError> {
         if group.len() >= 2 {
             tel.count("fuse.groups", 1);
             tel.count("fuse.launches_saved", (group.len() - 1) as u64);
-            launch_group(ctx, group)?;
-        } else {
-            launch_single(ctx, &group[0])?;
         }
+        let refs: Vec<(FieldRef, &Expr)> = group.iter().map(|s| (s.target, &s.expr)).collect();
+        let params = EvalParams::new().stream(group[0].stream);
+        let params = match &group[0].sites {
+            StmtSites::Subset(sub) => params.subset(*sub),
+            StmtSites::List(v) => params.sites(v),
+        };
+        eval_statements(ctx, &refs, &params)?;
     }
     Ok(())
 }
@@ -473,10 +250,10 @@ fn flush_stmts(ctx: &QdpContext, stmts: &[Stmt]) -> Result<(), CoreError> {
 /// Evaluate a sequence of raw `target ← expr` statements (full lattice,
 /// default stream) through the fusion planner, exactly as a
 /// [`FusionScope`] flush would — groups that pass the legality rules
-/// launch as fused kernels, the rest fall back to per-expression
-/// evaluation. The untyped entry point for the conformance `--fuse-diff`
-/// harness, which needs to drive the planner from generated [`FieldRef`]
-/// sequences rather than typed [`Lattice`] handles.
+/// launch as fused kernels, the rest launch alone. The untyped entry point
+/// for the conformance `--fuse-diff` harness, which needs to drive the
+/// planner from generated [`FieldRef`] sequences rather than typed
+/// [`Lattice`] handles.
 pub fn eval_fused_sequence(
     ctx: &QdpContext,
     stmts: &[(FieldRef, Expr)],
@@ -493,78 +270,23 @@ pub fn eval_fused_sequence(
     flush_stmts(ctx, &stmts)
 }
 
-/// Account one combined tree-reduction pass over `temps` (the fused twin of
-/// the per-temporary pass), then host-sum each temporary in the same
-/// per-component site order as the unbatched reduction — values are
-/// bit-identical, only the accounting is merged.
-fn reduce_batch(
-    ctx: &QdpContext,
-    temps: &[(FieldRef, usize)],
-) -> Result<Vec<Vec<f64>>, CoreError> {
-    let vol = ctx.geometry().vol();
-    let ids: Vec<u64> = temps.iter().map(|(t, _)| t.id).collect();
-    let ptrs = ctx.cache().assure_on_device(&ids)?;
-    let (t0, n0) = temps[0];
-    let layout0 = FieldLayout::new(ctx.layout(), vol, n0);
-    let shape = KernelShape {
-        threads: vol,
-        read_bytes_per_thread: temps
-            .iter()
-            .map(|(t, n)| n * t.ft.size_bytes())
-            .sum(),
-        write_bytes_per_thread: 0,
-        flops_per_thread: temps.iter().map(|(_, n)| n).sum(),
-        regs_per_thread: 16,
-        access_bytes: t0.ft.size_bytes(),
-        site_stride: layout0.site_stride(),
-        double_precision: temps.iter().any(|(t, _)| t.ft == FloatType::F64),
-    };
-    ctx.device()
-        .account_launch(&shape, 128)
-        .map_err(CoreError::Launch)?;
-
-    let mem = ctx.device().memory();
-    let mut out = Vec::with_capacity(temps.len());
-    for ((t, n_comp), ptr) in temps.iter().zip(ptrs.iter()) {
-        let esize = t.ft.size_bytes();
-        let layout = FieldLayout::new(ctx.layout(), vol, *n_comp);
-        let mut sums = vec![0.0f64; *n_comp];
-        for (comp, s) in sums.iter_mut().enumerate() {
-            let mut acc = 0.0f64;
-            for site in 0..vol {
-                let idx = layout.real_index(site, comp) * esize;
-                acc += match t.ft {
-                    FloatType::F32 => mem.read_f32(ptr + idx as u64) as f64,
-                    FloatType::F64 => mem.read_f64(ptr + idx as u64),
-                };
-            }
-            *s = acc;
-        }
-        out.push(sums);
-    }
-    Ok(out)
-}
-
 /// A deferred-evaluation scope (see [`crate::QdpContext::deferred`]):
 /// assignments and reductions issued through it are recorded, then fused
 /// and launched on flush — a reduction, an explicit
-/// [`FusionScope::flush`], or scope drop. With fusion disabled
-/// (`QDP_FUSE=0` or [`crate::QdpContext::set_fuse`]) every call passes
-/// straight through to the per-expression path, bit-exactly.
+/// [`FusionScope::flush`], or scope drop. With fusion off
+/// ([`crate::QdpConfig::fuse`] = false) the same flush launches every
+/// statement alone.
 pub struct FusionScope {
     ctx: Arc<QdpContext>,
     pending: Vec<Stmt>,
-    enabled: bool,
 }
 
 impl FusionScope {
-    /// Open a scope on `ctx` (fusion enablement is sampled here).
+    /// Open a scope on `ctx`.
     pub fn new(ctx: Arc<QdpContext>) -> FusionScope {
-        let enabled = ctx.fuse_enabled();
         FusionScope {
             ctx,
             pending: Vec::new(),
-            enabled,
         }
     }
 
@@ -573,29 +295,13 @@ impl FusionScope {
         &self.ctx
     }
 
-    /// Whether this scope actually fuses (false ⇒ pure passthrough).
-    pub fn fusing(&self) -> bool {
-        self.enabled
-    }
-
-    fn record(
-        &mut self,
-        target: FieldRef,
-        expr: Expr,
-        sites: StmtSites,
-        stream: StreamId,
-    ) -> Result<(), CoreError> {
-        let s = Stmt {
+    fn record(&mut self, target: FieldRef, expr: Expr, sites: StmtSites, stream: StreamId) {
+        self.pending.push(Stmt {
             target,
             expr,
             sites,
             stream,
-        };
-        if !self.enabled {
-            return launch_single(&self.ctx, &s);
-        }
-        self.pending.push(s);
-        Ok(())
+        });
     }
 
     /// Deferred `target = rhs` over the whole lattice.
@@ -609,7 +315,8 @@ impl FusionScope {
             rhs.0,
             StmtSites::Subset(Subset::All),
             StreamId::DEFAULT,
-        )
+        );
+        Ok(())
     }
 
     /// Deferred `target[subset] = rhs`.
@@ -624,7 +331,8 @@ impl FusionScope {
             rhs.0,
             StmtSites::Subset(subset),
             StreamId::DEFAULT,
-        )
+        );
+        Ok(())
     }
 
     /// Deferred stream-ordered assignment (statements on different streams
@@ -635,7 +343,8 @@ impl FusionScope {
         rhs: QExpr<E>,
         stream: StreamId,
     ) -> Result<(), CoreError> {
-        self.record(target.fref(), rhs.0, StmtSites::Subset(Subset::All), stream)
+        self.record(target.fref(), rhs.0, StmtSites::Subset(Subset::All), stream);
+        Ok(())
     }
 
     /// Deferred assignment over an explicit site list (never fused — the
@@ -651,12 +360,13 @@ impl FusionScope {
             rhs.0,
             StmtSites::List(sites.to_vec()),
             StreamId::DEFAULT,
-        )
+        );
+        Ok(())
     }
 
     /// Record reduction temporaries for `exprs`, flush (fusing the temp
     /// evaluations with any pending producers), run one combined reduction
-    /// pass, free the temporaries.
+    /// pass per budget-sized batch, free the temporaries.
     fn reduce_recorded(
         &mut self,
         exprs: &[(Expr, ElemKind)],
@@ -691,10 +401,14 @@ impl FusionScope {
                     e.clone(),
                     StmtSites::Subset(Subset::All),
                     StreamId::DEFAULT,
-                )?;
+                );
             }
             self.flush()?;
-            reduce_batch(&self.ctx, &temps)
+            let mut sums = Vec::with_capacity(temps.len());
+            for batch in temps.chunks(group_budget(&self.ctx)) {
+                sums.extend(reduce_batch(&self.ctx, batch, StreamId::DEFAULT)?);
+            }
+            Ok(sums)
         })();
         for (t, _) in &temps {
             self.ctx.cache().unregister(t.id);
@@ -705,9 +419,6 @@ impl FusionScope {
     /// `‖expr‖²` as a deferred reduction: the local-norm temporary fuses
     /// with pending producers, then one reduction pass runs.
     pub fn norm2_of<E: SiteElem>(&mut self, q: &QExpr<E>) -> Result<f64, CoreError> {
-        if !self.enabled {
-            return eval::norm2(&self.ctx, q.raw(), Subset::All);
-        }
         let n2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(q.raw().clone()));
         Ok(self.reduce_recorded(&[(n2, ElemKind::Real)])?[0][0])
     }
@@ -723,9 +434,6 @@ impl FusionScope {
         &mut self,
         fs: &[&Lattice<E>],
     ) -> Result<Vec<f64>, CoreError> {
-        if !self.enabled {
-            return fs.iter().map(|f| f.norm2()).collect();
-        }
         let exprs: Vec<(Expr, ElemKind)> = fs
             .iter()
             .map(|f| {
@@ -748,10 +456,6 @@ impl FusionScope {
         a: &QExpr<E>,
         b: &QExpr<E>,
     ) -> Result<Complex<f64>, CoreError> {
-        if !self.enabled {
-            let (re, im) = eval::inner_product(&self.ctx, a.raw(), b.raw(), Subset::All)?;
-            return Ok(Complex::new(re, im));
-        }
         let ip = Expr::Binary(
             BinaryOp::LocalInnerProduct,
             Box::new(a.raw().clone()),
@@ -769,9 +473,6 @@ impl FusionScope {
     where
         SiteReal<R>: SiteElem,
     {
-        if !self.enabled {
-            return eval::sum_real(&self.ctx, q.raw(), Subset::All);
-        }
         Ok(self.reduce_recorded(&[(q.raw().clone(), ElemKind::Real)])?[0][0])
     }
 

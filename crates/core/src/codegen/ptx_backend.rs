@@ -30,12 +30,11 @@ pub struct KernelEnv {
     pub face_vols: [usize; 4],
     /// Shift pairs used by the expression, in [`qdp_expr::Expr::shifts`] order.
     pub shifts: Vec<(usize, ShiftDir)>,
-    /// For each scalar parameter: is it complex?
+    /// For each scalar parameter: is it complex? (All statements'
+    /// scalars, concatenated in statement order.)
     pub scalar_complex: Vec<bool>,
-    /// Target field precision (store converts when it differs).
-    pub target_ft: FloatType,
-    /// Target element shape.
-    pub target_shape: TypeShape,
+    /// The statements the kernel evaluates per site, in order (K ≥ 1).
+    pub stmts: Vec<StmtMeta>,
 }
 
 fn ptx_of(ft: FloatType) -> PtxType {
@@ -61,11 +60,11 @@ struct PathSite {
     remote: Option<(Reg, usize, ShiftDir)>,
 }
 
-/// Per-statement metadata of a fused multi-statement kernel (see
-/// [`PtxGen::new_fused`]): the target's storage precision and shape, and
-/// how many scalar parameters the statement's expression consumes.
-#[derive(Debug, Clone, Copy)]
-pub struct FusedStmtMeta {
+/// Per-statement metadata of a kernel: the target's storage precision and
+/// shape, and how many scalar parameters the statement's expression
+/// consumes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StmtMeta {
     /// Target field precision (stores convert when it differs).
     pub target_ft: FloatType,
     /// Target element shape.
@@ -74,8 +73,8 @@ pub struct FusedStmtMeta {
     pub n_scalars: usize,
 }
 
-/// Resolved per-statement destination state of a fused kernel.
-struct FusedDst {
+/// Resolved per-statement destination state.
+struct StmtDst {
     base: Reg,
     ft: FloatType,
     shape: TypeShape,
@@ -94,32 +93,49 @@ pub struct PtxGen<'a> {
     path: Vec<(usize, ShiftDir)>,
     site_cache: HashMap<Vec<(usize, ShiftDir)>, PathSite>,
     leaf_bases: Vec<Reg>,
-    dst_base: Reg,
     base_site: Reg,
     scalar_regs: Vec<(Reg, Option<Reg>)>,
     table_bases: HashMap<(usize, ShiftDir), Reg>,
     recv_bases: HashMap<(usize, ShiftDir, usize), Reg>,
     exit_label: String,
     const_cache: HashMap<u64, Reg>,
-    /// Fused mode: one destination per statement (empty ⇒ the classic
-    /// single-statement kernel driven through `dst_base`).
-    fused: Vec<FusedDst>,
-    /// Index of the statement currently being generated (fused mode).
+    /// One destination per statement of `env.stmts`.
+    dsts: Vec<StmtDst>,
+    /// Index of the statement currently being generated.
     cur_stmt: usize,
     /// First structural fault seen during the walk (malformed DAG).
     fault: Option<&'static str>,
 }
 
 impl<'a> PtxGen<'a> {
-    /// Start a kernel: declares the parameter list (the marshalling
-    /// contract shared with the launcher), computes the thread's site index
-    /// and emits the bounds guard.
+    /// Start a kernel over the K ≥ 1 statements of `env.stmts`: declares
+    /// the parameter list (the marshalling contract shared with the
+    /// launcher), computes the thread's site index and emits the bounds
+    /// guard. Parameters: one destination per statement (`dst` for K = 1,
+    /// `dst0..dstK-1` otherwise), one shared leaf table, the statements'
+    /// scalars concatenated in statement order (`env.scalar_complex` is
+    /// that concatenation; `env.stmts[i].n_scalars` partitions it), `n`,
+    /// the site table, the neighbour tables and — K = 1 only, the planner
+    /// never groups remote shifts — the receive buffers.
+    /// [`PtxGen::begin_stmt`] switches the destination and scalar window
+    /// between statements.
     pub fn new(name: &str, env: &'a KernelEnv, leaves: &'a [FieldRef]) -> PtxGen<'a> {
+        assert!(!env.stmts.is_empty(), "a kernel needs at least one statement");
+        assert!(
+            env.stmts.len() == 1 || !env.remote_shifts,
+            "multi-statement kernels must not carry remote shifts"
+        );
         let mut kb = KernelBuilder::new(name);
         let ty = ptx_of(env.ft);
 
         // --- parameter declaration (order = marshalling contract) ---
-        let p_dst = kb.param("dst", PtxType::U64);
+        let p_dsts: Vec<String> = if env.stmts.len() == 1 {
+            vec![kb.param("dst", PtxType::U64)]
+        } else {
+            (0..env.stmts.len())
+                .map(|i| kb.param(format!("dst{i}"), PtxType::U64))
+                .collect()
+        };
         let p_leaves: Vec<String> = (0..leaves.len())
             .map(|i| kb.param(format!("l{i}"), PtxType::U64))
             .collect();
@@ -179,7 +195,21 @@ impl<'a> PtxGen<'a> {
         };
 
         // --- base pointers ---
-        let dst_base = kb.ld_param(&p_dst, PtxType::U64);
+        let mut scalar_base = 0usize;
+        let dsts: Vec<StmtDst> = p_dsts
+            .iter()
+            .zip(env.stmts.iter())
+            .map(|(p, m)| {
+                let d = StmtDst {
+                    base: kb.ld_param(p, PtxType::U64),
+                    ft: m.target_ft,
+                    shape: m.target_shape,
+                    scalar_base,
+                };
+                scalar_base += m.n_scalars;
+                d
+            })
+            .collect();
         let leaf_bases: Vec<Reg> = p_leaves
             .iter()
             .map(|p| kb.ld_param(p, PtxType::U64))
@@ -218,159 +248,23 @@ impl<'a> PtxGen<'a> {
             path: Vec::new(),
             site_cache,
             leaf_bases,
-            dst_base,
             base_site,
             scalar_regs,
             table_bases,
             recv_bases,
             exit_label,
             const_cache: HashMap::new(),
-            fused: Vec::new(),
+            dsts,
             cur_stmt: 0,
             fault: None,
         }
     }
 
-    /// Start a fused multi-statement kernel: `stmts.len()` destination
-    /// parameters (`dst0..dstK-1`), one shared leaf table, the statements'
-    /// scalar parameters concatenated in statement order
-    /// (`env.scalar_complex` is that concatenation; `stmts[i].n_scalars`
-    /// partitions it). The prologue (thread id, guard, site indirection) is
-    /// identical to [`PtxGen::new`]; [`PtxGen::begin_stmt`] switches the
-    /// destination and scalar window between statements. Fused kernels
-    /// never carry remote shifts (the planner refuses to group them).
-    pub fn new_fused(
-        name: &str,
-        env: &'a KernelEnv,
-        leaves: &'a [FieldRef],
-        stmts: &[FusedStmtMeta],
-    ) -> PtxGen<'a> {
-        assert!(
-            !env.remote_shifts,
-            "fused kernels must not carry remote shifts"
-        );
-        let mut kb = KernelBuilder::new(name);
-        let ty = ptx_of(env.ft);
-
-        // --- parameter declaration (order = marshalling contract) ---
-        let p_dsts: Vec<String> = (0..stmts.len())
-            .map(|i| kb.param(format!("dst{i}"), PtxType::U64))
-            .collect();
-        let p_leaves: Vec<String> = (0..leaves.len())
-            .map(|i| kb.param(format!("l{i}"), PtxType::U64))
-            .collect();
-        let mut p_scalars = Vec::new();
-        for (j, &cplx) in env.scalar_complex.iter().enumerate() {
-            let re = kb.param(format!("s{j}_re"), ty);
-            let im = cplx.then(|| kb.param(format!("s{j}_im"), ty));
-            p_scalars.push((re, im));
-        }
-        let p_n = kb.param("n", PtxType::U32);
-        let p_sites = env.subset_mapped.then(|| kb.param("sites", PtxType::U64));
-        let mut p_tables = Vec::new();
-        for &(mu, dir) in &env.shifts {
-            p_tables.push((
-                (mu, dir),
-                kb.param(format!("tbl_{mu}_{}", dir_tag(dir)), PtxType::U64),
-            ));
-        }
-
-        // --- prologue: thread id, guard, site index ---
-        let tid = kb.global_tid();
-        let n = kb.ld_param(&p_n, PtxType::U32);
-        let exit_label = kb.guard(tid, n);
-
-        let base_site = if let Some(ps) = &p_sites {
-            let sites_base = kb.ld_param(ps, PtxType::U64);
-            let boff = kb.fresh(RegClass::B64);
-            kb.push(Inst::MulWide {
-                src_ty: PtxType::U32,
-                dst: boff,
-                a: tid,
-                b: Operand::ImmI(4),
-            });
-            let addr = kb.bin(BinOp::Add, PtxType::U64, sites_base.into(), boff.into());
-            let site = kb.fresh(RegClass::B32);
-            kb.push(Inst::LdGlobal {
-                ty: PtxType::U32,
-                dst: site,
-                addr,
-                offset: 0,
-            });
-            site
-        } else {
-            tid
-        };
-
-        // --- base pointers ---
-        let mut scalar_base = 0usize;
-        let fused: Vec<FusedDst> = p_dsts
-            .iter()
-            .zip(stmts.iter())
-            .map(|(p, m)| {
-                let d = FusedDst {
-                    base: kb.ld_param(p, PtxType::U64),
-                    ft: m.target_ft,
-                    shape: m.target_shape,
-                    scalar_base,
-                };
-                scalar_base += m.n_scalars;
-                d
-            })
-            .collect();
-        let dst_base = fused[0].base;
-        let leaf_bases: Vec<Reg> = p_leaves
-            .iter()
-            .map(|p| kb.ld_param(p, PtxType::U64))
-            .collect();
-        let scalar_regs: Vec<(Reg, Option<Reg>)> = p_scalars
-            .iter()
-            .map(|(re, im)| {
-                let r = kb.ld_param(re, ty);
-                let i = im.as_ref().map(|p| kb.ld_param(p, ty));
-                (r, i)
-            })
-            .collect();
-        let table_bases: HashMap<(usize, ShiftDir), Reg> = p_tables
-            .iter()
-            .map(|(k, p)| (*k, kb.ld_param(p, PtxType::U64)))
-            .collect();
-
-        let mut site_cache = HashMap::new();
-        site_cache.insert(
-            Vec::new(),
-            PathSite {
-                off: base_site,
-                remote: None,
-            },
-        );
-
-        PtxGen {
-            kb,
-            env,
-            leaves,
-            ty,
-            path: Vec::new(),
-            site_cache,
-            leaf_bases,
-            dst_base,
-            base_site,
-            scalar_regs,
-            table_bases,
-            recv_bases: HashMap::new(),
-            exit_label,
-            const_cache: HashMap::new(),
-            fused,
-            cur_stmt: 0,
-            fault: None,
-        }
-    }
-
-    /// Fused mode: select statement `i` — its destination pointer and its
+    /// Select statement `i` — its destination pointer and its
     /// scalar-parameter window — for the stores and `scalar()` reads of the
-    /// walk that follows.
+    /// walk that follows (statement 0 is selected at construction).
     pub fn begin_stmt(&mut self, i: usize) {
-        assert!(i < self.fused.len(), "begin_stmt outside fused statements");
+        assert!(i < self.dsts.len(), "begin_stmt outside the kernel's statements");
         self.cur_stmt = i;
     }
 
@@ -593,15 +487,10 @@ impl<'a> Backend for PtxGen<'a> {
     }
 
     fn scalar(&mut self, idx: usize, imag: bool) -> Reg {
-        // Fused mode: each statement's walk numbers its scalars from zero;
-        // the kernel parameter list concatenates them, so shift into the
-        // current statement's window.
-        let idx = if self.fused.is_empty() {
-            idx
-        } else {
-            self.fused[self.cur_stmt].scalar_base + idx
-        };
-        let (re, im) = self.scalar_regs[idx];
+        // Each statement's walk numbers its scalars from zero; the kernel
+        // parameter list concatenates them, so shift into the current
+        // statement's window.
+        let (re, im) = self.scalar_regs[self.dsts[self.cur_stmt].scalar_base + idx];
         if imag {
             im.expect("imaginary part of a real scalar")
         } else {
@@ -628,12 +517,8 @@ impl<'a> Backend for PtxGen<'a> {
     }
 
     fn store(&mut self, comp: usize, v: &Reg) {
-        let (tft, tshape, base) = if self.fused.is_empty() {
-            (self.env.target_ft, self.env.target_shape, self.dst_base)
-        } else {
-            let d = &self.fused[self.cur_stmt];
-            (d.ft, d.shape, d.base)
-        };
+        let d = &self.dsts[self.cur_stmt];
+        let (tft, tshape, base) = (d.ft, d.shape, d.base);
         let tty = ptx_of(tft);
         let esize = tft.size_bytes();
         let n_comp = tshape.n_reals();

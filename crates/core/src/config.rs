@@ -1,18 +1,16 @@
 //! Typed runtime configuration: every `QDP_*` knob in one place.
 //!
-//! Historically each subsystem read its own environment variables at the
-//! point of use (`QDP_OPT` in the optimizer, `QDP_FUSE` in the fusion
-//! scopes, `QDP_CACHE_DIR` in the persistent store, …). [`QdpConfig`] is
-//! the consolidated, typed form: capture the environment **once** with
-//! [`QdpConfig::from_env`], or build a config programmatically — embedders
-//! like `qdp-serve` take a `QdpConfig` and never touch raw env vars. A
-//! context is then brought up through [`QdpContext::builder`].
+//! [`QdpConfig::from_env`] is the only code in the workspace's libraries
+//! that reads a `QDP_*` runtime variable (`ci.sh` enforces it): capture
+//! the environment **once** at `main`, or build a config programmatically
+//! — the subsystems (`qdp-ptx`, `qdp-jit`, `qdp-telemetry`, `qdp-comm`,
+//! embedders like `qdp-serve`) take typed values and never touch raw env
+//! vars. A context is then brought up through [`QdpContext::builder`].
 //!
 //! | env var                | field / knob                         |
 //! |------------------------|--------------------------------------|
 //! | `QDP_OPT`              | [`QdpConfig::opt_level`]             |
-//! | `QDP_FUSE`             | [`QdpConfig::fuse`]                  |
-//! | `QDP_STREAM_OVERLAP`   | [`QdpConfig::stream_overlap`]        |
+//! | `QDP_FUSE`             | [`QdpConfig::fuse`] (`0` = group budget 1) |
 //! | `QDP_STREAM_DSLASH`    | [`QdpConfig::stream_dslash`]         |
 //! | `QDP_COMM_TIMEOUT_MS`  | [`QdpConfig::comm_timeout_ms`]       |
 //! | `QDP_FAULT`            | [`QdpConfig::fault`]                 |
@@ -36,11 +34,10 @@ use std::sync::Arc;
 pub struct QdpConfig {
     /// Kernel optimizer level (`QDP_OPT`; default on).
     pub opt_level: OptLevel,
-    /// Whether `ctx.deferred()` scopes fuse (`QDP_FUSE`; default on).
+    /// Whether `ctx.deferred()` scopes fuse (`QDP_FUSE`; default on). Off
+    /// is a group budget of 1 on the same planner: one launch per recorded
+    /// statement and per reduction temporary.
     pub fuse: bool,
-    /// Multi-rank two-stream comm/compute overlap schedule
-    /// (`QDP_STREAM_OVERLAP`; default on).
-    pub stream_overlap: bool,
     /// Checkerboarded two-stream dslash in `chroma-mini`
     /// (`QDP_STREAM_DSLASH`; default on).
     pub stream_dslash: bool,
@@ -64,7 +61,6 @@ impl Default for QdpConfig {
         QdpConfig {
             opt_level: OptLevel::Default,
             fuse: true,
-            stream_overlap: true,
             stream_dslash: true,
             comm_timeout_ms: 5000,
             fault: FaultPlan::new(),
@@ -85,25 +81,35 @@ impl QdpConfig {
     /// Processes that want env-driven behaviour call this at startup and
     /// pass the result around; nothing else reads the environment.
     pub fn from_env() -> QdpConfig {
-        fn on_unless_zero(var: &str) -> bool {
-            std::env::var(var).map(|v| v != "0").unwrap_or(true)
-        }
+        let var = |name: &str| std::env::var(name).ok();
+        let on_unless_zero = |name: &str| var(name).map_or(true, |v| v != "0");
+        let truthy =
+            |name: &str| matches!(var(name).as_deref(), Some("1" | "true" | "yes" | "on"));
+        let falsy =
+            |name: &str| matches!(var(name).as_deref(), Some("0" | "false" | "no" | "off"));
+        let path = |name: &str| var(name).filter(|p| !p.is_empty()).map(PathBuf::from);
         QdpConfig {
-            opt_level: OptLevel::from_env(),
+            opt_level: var("QDP_OPT").map_or(OptLevel::Default, |v| OptLevel::parse(&v)),
             fuse: on_unless_zero("QDP_FUSE"),
-            stream_overlap: on_unless_zero("QDP_STREAM_OVERLAP"),
             stream_dslash: on_unless_zero("QDP_STREAM_DSLASH"),
-            comm_timeout_ms: std::env::var("QDP_COMM_TIMEOUT_MS")
-                .ok()
+            comm_timeout_ms: var("QDP_COMM_TIMEOUT_MS")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(5000),
-            fault: FaultPlan::from_env(),
-            checkpoint_dir: std::env::var("QDP_CHECKPOINT_DIR")
-                .ok()
-                .filter(|d| !d.is_empty())
-                .map(PathBuf::from),
-            store: StoreConfig::from_env(),
-            telemetry: TelemetryConfig::from_env(),
+            fault: var("QDP_FAULT").map_or_else(FaultPlan::new, |s| FaultPlan::parse(&s)),
+            checkpoint_dir: path("QDP_CHECKPOINT_DIR"),
+            store: StoreConfig {
+                disabled: falsy("QDP_CACHE"),
+                dir: path("QDP_CACHE_DIR"),
+                clear: truthy("QDP_CACHE_CLEAR"),
+            },
+            telemetry: TelemetryConfig {
+                profile: truthy("QDP_PROFILE"),
+                roofline: truthy("QDP_ROOFLINE"),
+                trace_path: path("QDP_TRACE"),
+                flight: !falsy("QDP_FLIGHT"),
+                flight_cap: var("QDP_FLIGHT_CAP").and_then(|v| v.parse().ok()),
+                flight_dir: path("QDP_FLIGHT_DIR"),
+            },
         }
     }
 
@@ -186,12 +192,6 @@ impl QdpContextBuilder {
         self
     }
 
-    /// Enable/disable the multi-rank comm/compute overlap schedule.
-    pub fn stream_overlap(mut self, on: bool) -> Self {
-        self.config.stream_overlap = on;
-        self
-    }
-
     /// Enable/disable the checkerboarded two-stream dslash.
     pub fn stream_dslash(mut self, on: bool) -> Self {
         self.config.stream_dslash = on;
@@ -263,7 +263,6 @@ mod tests {
         let cfg = QdpConfig::new();
         assert_eq!(cfg.opt_level, OptLevel::Default);
         assert!(cfg.fuse);
-        assert!(cfg.stream_overlap);
         assert!(cfg.stream_dslash);
         assert_eq!(cfg.comm_timeout_ms, 5000);
         assert!(cfg.fault.is_empty());
@@ -284,13 +283,11 @@ mod tests {
         let ctx = QdpContext::builder(Geometry::symmetric(2))
             .opt_level(OptLevel::None)
             .fuse(false)
-            .stream_overlap(false)
             .stream_dslash(false)
             .comm_timeout_ms(77)
             .build();
         assert_eq!(ctx.opt_level(), OptLevel::None);
-        assert!(!ctx.fuse_enabled());
-        assert!(!ctx.config().stream_overlap);
+        assert!(!ctx.config().fuse);
         assert!(!ctx.config().stream_dslash);
         assert_eq!(ctx.config().comm_timeout_ms, 77);
         assert!(ctx.kernel_store().is_none());
@@ -312,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn per_context_overrides_still_win_over_config() {
+    fn opt_level_override_still_wins_over_config() {
         let ctx = QdpContext::builder(Geometry::symmetric(2))
             .opt_level(OptLevel::Aggressive)
             .build();
@@ -320,9 +317,5 @@ mod tests {
         assert_eq!(ctx.opt_level(), OptLevel::None);
         ctx.set_opt_level(None);
         assert_eq!(ctx.opt_level(), OptLevel::Aggressive);
-        ctx.set_fuse(Some(false));
-        assert!(!ctx.fuse_enabled());
-        ctx.set_fuse(None);
-        assert!(ctx.fuse_enabled());
     }
 }

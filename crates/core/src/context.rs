@@ -29,7 +29,6 @@ pub struct QdpContext {
     ptx_texts: Mutex<HashMap<String, Arc<str>>>,
     execute_payload: AtomicBool,
     opt_override: Mutex<Option<OptLevel>>,
-    fuse_override: Mutex<Option<bool>>,
     store: Option<Arc<KernelStore>>,
 }
 
@@ -119,7 +118,6 @@ impl QdpContext {
             ptx_texts: Mutex::new(HashMap::new()),
             execute_payload: AtomicBool::new(true),
             opt_override: Mutex::new(None),
-            fuse_override: Mutex::new(None),
             store,
         })
     }
@@ -218,26 +216,12 @@ impl QdpContext {
         *self.opt_override.lock() = level;
     }
 
-    /// Whether [`QdpContext::deferred`] scopes actually fuse: a per-context
-    /// override if one was set, otherwise the configured setting (default
-    /// on; `QDP_FUSE=0` on the env-driven paths restores per-expression
-    /// launches bit-exactly — every deferred call becomes an immediate
-    /// [`crate::eval`]).
-    pub fn fuse_enabled(&self) -> bool {
-        self.fuse_override.lock().unwrap_or(self.config.fuse)
-    }
-
-    /// Pin (`Some`) or unpin (`None`) fusion for this context, overriding
-    /// the configured setting. Used by differential tests that run the same
-    /// statement sequence fused and unfused inside one process.
-    pub fn set_fuse(&self, on: Option<bool>) {
-        *self.fuse_override.lock() = on;
-    }
-
     /// Open a deferred-evaluation scope: assignments and reductions issued
     /// through the returned [`crate::FusionScope`] are recorded and fused
     /// into multi-statement kernels on flush (reduction, explicit
-    /// [`crate::FusionScope::flush`], or scope drop).
+    /// [`crate::FusionScope::flush`], or scope drop). With
+    /// [`QdpConfig::fuse`] off (`QDP_FUSE=0` on the env-driven paths) the
+    /// same planner runs at a group budget of 1.
     pub fn deferred(self: &Arc<Self>) -> crate::FusionScope {
         crate::FusionScope::new(Arc::clone(self))
     }

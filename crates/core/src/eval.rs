@@ -10,7 +10,7 @@
 use crate::codegen::backend::Backend;
 use crate::codegen::cpu_backend::CpuGen;
 use crate::codegen::cse::CseBackend;
-use crate::codegen::ptx_backend::{KernelEnv, PtxGen};
+use crate::codegen::ptx_backend::{KernelEnv, PtxGen, StmtMeta};
 use crate::codegen::value::{gen_expr, store_val, GenCtx};
 use crate::context::QdpContext;
 use qdp_cache::CacheError;
@@ -283,24 +283,29 @@ impl<'a> EvalParams<'a> {
     }
 }
 
-/// The codegen-facing description of one evaluation: environment, leaves,
-/// shift list, scalar flags and the structural key. Shared by the launch
-/// path, the golden-PTX snapshot tests and the conformance fuzzer so that
-/// every consumer sees *exactly* the kernel the pipeline would run.
+/// The codegen-facing description of one kernel — a group of K ≥ 1
+/// statements evaluated per site: environment, leaves, shift list, scalar
+/// flags and the structural key. Shared by the launch path, the golden-PTX
+/// snapshot tests and the conformance fuzzer so that every consumer sees
+/// *exactly* the kernel the pipeline would run.
 pub struct CodegenPlan {
     /// Kernel environment handed to the PTX backend.
     pub env: KernelEnv,
-    /// Field leaves in visiting order (kernel parameter order).
+    /// Field leaves in visiting order (kernel parameter order; the
+    /// deduplicated union over all statements).
     pub leaves: Vec<FieldRef>,
-    /// Shift pairs used by the expression.
+    /// Shift pairs used by the statements (deduplicated union).
     pub shifts: Vec<(usize, ShiftDir)>,
-    /// Per-scalar complexity flags in traversal order.
+    /// Per-scalar complexity flags in traversal order, statements
+    /// concatenated.
     pub flags: Vec<bool>,
     /// Compute precision after promotion.
     pub ft: FloatType,
-    /// Structural cache key.
+    /// Structural cache key: one statement's own key, or the composite
+    /// `fused[k1 ; k2 ; …]` of a multi-statement group.
     pub key: String,
-    /// Derived kernel name (`qdp_<hash of key>`).
+    /// Derived kernel name (`qdp_<hash of key>`; `qdpf_<hash>` for a
+    /// multi-statement group).
     pub name: String,
     /// Optimizer level the kernel is planned for. Part of `key` (and of
     /// the JIT cache key downstream): kernels compiled under different
@@ -317,62 +322,97 @@ pub fn plan_codegen(
     subset_mapped: bool,
     remote_shifts: bool,
 ) -> Result<CodegenPlan, CoreError> {
-    plan_codegen_at(ctx, target, expr, subset_mapped, remote_shifts, ctx.opt_level())
+    plan_statements(
+        ctx,
+        &[(target, expr)],
+        subset_mapped,
+        remote_shifts,
+        ctx.opt_level(),
+    )
 }
 
-/// Build the codegen plan for evaluating `expr` into `target` at an
-/// explicit optimizer level (used by [`EvalParams::opt_level`] overrides).
-pub fn plan_codegen_at(
+/// Build the codegen plan for a group of `target ← expr` statements
+/// evaluated by one kernel. Each statement's structural key covers its
+/// expression structure, the codegen environment, the target type and the
+/// optimizer level; a multi-statement group's composite key concatenates
+/// them, so its JIT and persist-cache identity is exactly as stable as its
+/// parts.
+pub(crate) fn plan_statements(
     ctx: &QdpContext,
-    target: FieldRef,
-    expr: &Expr,
+    stmts: &[(FieldRef, &Expr)],
     subset_mapped: bool,
     remote_shifts: bool,
     opt: OptLevel,
 ) -> Result<CodegenPlan, CoreError> {
-    let kind = expr.kind()?;
-    if kind != target.kind {
-        return Err(CoreError::Msg(format!(
-            "cannot assign {kind:?} expression to {:?} field",
-            target.kind
-        )));
-    }
+    assert!(!stmts.is_empty(), "a kernel needs at least one statement");
     let vol = ctx.geometry().vol();
-    let ft = max_ft(expr.float_type(), target.ft);
-    let leaves = expr.leaves();
-    let shifts = expr.shifts();
-    let mut flags = Vec::new();
-    scalar_flags(expr, &mut flags);
     let dims = ctx.geometry().dims();
+    let layout = ctx.layout();
+    let mut leaves: Vec<FieldRef> = Vec::new();
+    let mut shifts: Vec<(usize, ShiftDir)> = Vec::new();
+    let mut flags = Vec::new();
+    let mut metas = Vec::new();
+    let mut keys = Vec::new();
+    let mut ft = FloatType::F32;
+    for &(target, expr) in stmts {
+        let kind = expr.kind()?;
+        if kind != target.kind {
+            return Err(CoreError::Msg(format!(
+                "cannot assign {kind:?} expression to {:?} field",
+                target.kind
+            )));
+        }
+        let stmt_ft = max_ft(expr.float_type(), target.ft);
+        ft = max_ft(ft, stmt_ft);
+        for l in expr.leaves() {
+            if !leaves.iter().any(|x| x.id == l.id) {
+                leaves.push(l);
+            }
+        }
+        for sh in expr.shifts() {
+            if !shifts.contains(&sh) {
+                shifts.push(sh);
+            }
+        }
+        let n_before = flags.len();
+        scalar_flags(expr, &mut flags);
+        metas.push(StmtMeta {
+            target_ft: target.ft,
+            target_shape: TypeShape::of(target.kind),
+            n_scalars: flags.len() - n_before,
+        });
+        keys.push(format!(
+            "{}|v{}|{:?}|{}|m{}|r{}|t{:?}{}|{}",
+            expr.kernel_key(),
+            vol,
+            layout,
+            stmt_ft,
+            subset_mapped,
+            remote_shifts,
+            target.kind,
+            target.ft.tag(),
+            opt.tag(),
+        ));
+    }
     let env = KernelEnv {
         n_sites: vol,
-        layout: ctx.layout(),
+        layout,
         ft,
         subset_mapped,
         remote_shifts,
         face_vols: std::array::from_fn(|mu| vol / dims[mu]),
         shifts: shifts.clone(),
         scalar_complex: flags.clone(),
-        target_ft: target.ft,
-        target_shape: TypeShape::of(target.kind),
+        stmts: metas,
     };
-    // Structural key: expression structure + the codegen environment +
-    // the optimizer configuration.
-    let key = format!(
-        "{}|v{}|{:?}|{}|m{}|r{}|t{:?}{}|{}",
-        expr.kernel_key(),
-        vol,
-        env.layout,
-        ft,
-        env.subset_mapped,
-        env.remote_shifts,
-        target.kind,
-        target.ft.tag(),
-        opt.tag(),
-    );
+    let (key, prefix) = if keys.len() == 1 {
+        (keys.remove(0), "qdp")
+    } else {
+        (format!("fused[{}]", keys.join(" ; ")), "qdpf")
+    };
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
-    let name = format!("qdp_{:016x}", h.finish());
+    let name = format!("{prefix}_{:016x}", h.finish());
     Ok(CodegenPlan {
         env,
         leaves,
@@ -389,32 +429,45 @@ pub fn plan_codegen_at(
 /// kernel name (the launch path uses the structural-hash name; snapshot
 /// tests pass stable human-chosen names since hash output is not guaranteed
 /// stable across toolchains).
-///
-/// When the plan's optimizer level enables it, the walk runs through the
-/// DAG-level CSE wrapper, so repeated subexpressions are loaded and
-/// computed once per site. Malformed DAGs (unbalanced shift pops) surface
-/// as [`CoreError::Codegen`] instead of panicking.
 pub fn render_ptx(plan: &CodegenPlan, expr: &Expr, kernel_name: &str) -> Result<String, CoreError> {
-    let g = PtxGen::new(kernel_name, &plan.env, &plan.leaves);
-    let mut cx = GenCtx::new(&plan.leaves);
-    let kernel = if plan.opt.dag_cse() {
-        let mut b = CseBackend::new(g);
-        let v = gen_expr(expr, &mut b, &mut cx);
-        store_val(&mut b, &v);
-        if let Some(f) = b.fault() {
-            return Err(CoreError::Codegen(f.to_string()));
+    render_statements(plan, &[expr], kernel_name)
+}
+
+/// Unparse the statements of `plan` into one PTX module. Each statement's
+/// walk runs over the shared leaf table; the backend's `begin_stmt`
+/// switches the destination and scalar window between statements.
+///
+/// When the plan's optimizer level enables it, the walks run through the
+/// DAG-level CSE wrapper, so repeated subexpressions are loaded and
+/// computed once per site — with a **fresh** CSE scope per statement (a
+/// store invalidates memoised loads of the stored field; the reset keeps
+/// producer→consumer loads exact). Malformed DAGs (unbalanced shift pops)
+/// surface as [`CoreError::Codegen`] instead of panicking.
+pub(crate) fn render_statements(
+    plan: &CodegenPlan,
+    exprs: &[&Expr],
+    kernel_name: &str,
+) -> Result<String, CoreError> {
+    fn walk<B: Backend>(b: &mut B, expr: &Expr, leaves: &[FieldRef]) -> Result<(), CoreError> {
+        let v = gen_expr(expr, b, &mut GenCtx::new(leaves));
+        store_val(b, &v);
+        match b.fault() {
+            Some(f) => Err(CoreError::Codegen(f.to_string())),
+            None => Ok(()),
         }
-        b.into_inner().finish()
-    } else {
-        let mut b = g;
-        let v = gen_expr(expr, &mut b, &mut cx);
-        store_val(&mut b, &v);
-        if let Some(f) = b.fault() {
-            return Err(CoreError::Codegen(f.to_string()));
+    }
+    let mut g = PtxGen::new(kernel_name, &plan.env, &plan.leaves);
+    for (i, expr) in exprs.iter().enumerate() {
+        g.begin_stmt(i);
+        if plan.opt.dag_cse() {
+            let mut b = CseBackend::new(g);
+            walk(&mut b, expr, &plan.leaves)?;
+            g = b.into_inner();
+        } else {
+            walk(&mut g, expr, &plan.leaves)?;
         }
-        b.finish()
-    };
-    Ok(emit_module(&Module::with_kernel(kernel)))
+    }
+    Ok(emit_module(&Module::with_kernel(g.finish())))
 }
 
 /// Generate the PTX text the pipeline would run for `expr` into `target`
@@ -434,17 +487,31 @@ pub fn codegen_ptx(
 /// Evaluate `expr` into `target` through the full QDP-JIT pipeline
 /// (generated kernel on the simulated device), as described by `params` —
 /// site selection, stream, optimizer level and remote environment. This is
-/// the one evaluation entry point; see [`EvalParams`] for the knobs.
+/// the one evaluation entry point; see [`EvalParams`] for the knobs. An
+/// immediate evaluation is a statement group of one.
 pub fn eval(
     ctx: &QdpContext,
     target: FieldRef,
     expr: &Expr,
     params: &EvalParams<'_>,
 ) -> Result<EvalReport, CoreError> {
+    eval_statements(ctx, &[(target, expr)], params)
+}
+
+/// Evaluate a group of statements with one kernel launch: resolve the site
+/// specification of `params` (uploading a host-side site list for the
+/// duration of the launch), then launch. The fusion planner guarantees a
+/// multi-statement group is legal to run per thread (see
+/// [`crate::codegen::fuse`]).
+pub(crate) fn eval_statements(
+    ctx: &QdpContext,
+    stmts: &[(FieldRef, &Expr)],
+    params: &EvalParams<'_>,
+) -> Result<EvalReport, CoreError> {
     match params.sites {
-        SiteSpec::Subset(s) => eval_with(ctx, target, expr, SiteSel::Subset(s), params),
+        SiteSpec::Subset(s) => launch_statements(ctx, stmts, SiteSel::Subset(s), params),
         SiteSpec::DeviceSites { ptr, len } => {
-            eval_with(ctx, target, expr, SiteSel::List { ptr, len }, params)
+            launch_statements(ctx, stmts, SiteSel::List { ptr, len }, params)
         }
         SiteSpec::Sites(sites) => {
             if sites.is_empty() {
@@ -462,10 +529,9 @@ pub fn eval(
                 .alloc(bytes.len())
                 .map_err(|e| CoreError::Msg(format!("site-list table alloc failed: {e}")))?;
             ctx.device().h2d_async(ptr, &bytes, params.stream);
-            let r = eval_with(
+            let r = launch_statements(
                 ctx,
-                target,
-                expr,
+                stmts,
                 SiteSel::List {
                     ptr,
                     len: sites.len(),
@@ -478,17 +544,17 @@ pub fn eval(
     }
 }
 
-/// The launch path shared by every [`eval`] route.
-fn eval_with(
+/// The one statement→kernel launch path: structural PTX-text cache → JIT
+/// cache → page-in → marshal → tuned launch → dirty marks.
+fn launch_statements(
     ctx: &QdpContext,
-    target: FieldRef,
-    expr: &Expr,
+    stmts: &[(FieldRef, &Expr)],
     sel: SiteSel,
     params: &EvalParams<'_>,
 ) -> Result<EvalReport, CoreError> {
     let remote = params.remote;
     let stream = params.stream;
-    if remote.is_some() && expr.has_nested_shift() {
+    if remote.is_some() && stmts.iter().any(|(_, e)| e.has_nested_shift()) {
         return Err(CoreError::Msg(
             "nested shifts must be materialised before multi-rank evaluation \
              (the paper executes inner shifts non-overlapping, §V)"
@@ -497,30 +563,26 @@ fn eval_with(
     }
     let subset_mapped = !matches!(sel, SiteSel::Subset(Subset::All));
     let opt = params.opt_level.unwrap_or_else(|| ctx.opt_level());
-    let plan = plan_codegen_at(ctx, target, expr, subset_mapped, remote.is_some(), opt)?;
-    let CodegenPlan {
-        ref leaves,
-        ref shifts,
-        ref flags,
-        ft,
-        ..
-    } = plan;
+    let plan = plan_statements(ctx, stmts, subset_mapped, remote.is_some(), opt)?;
     let tel = ctx.telemetry();
+    let span_name = if stmts.len() == 1 { "eval" } else { "eval_fused" };
     let span = tel
-        .span("eval", "eval")
+        .span("eval", span_name)
         .with_sim(ctx.device().stream_now(stream));
 
     let ptx = ctx.try_ptx_for_key(&plan.key, || {
         let _cg = tel.span("eval", "codegen");
-        render_ptx(&plan, expr, &plan.name)
+        let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| *e).collect();
+        render_statements(&plan, &exprs, &plan.name)
     })?;
     let kernel = ctx
         .kernels()
         .compile(CompileRequest::new(&ptx).opt_level(plan.opt).name(&plan.name))?;
 
-    // Page in the working set (target + all leaves) — the §IV walk.
-    let mut ids = vec![target.id];
-    ids.extend(leaves.iter().map(|l| l.id));
+    // Page in the working set (every target, then the leaves) — the §IV
+    // walk.
+    let mut ids: Vec<u64> = stmts.iter().map(|(t, _)| t.id).collect();
+    ids.extend(plan.leaves.iter().map(|l| l.id));
     let ptrs = ctx.cache().assure_on_device(&ids)?;
 
     let (site_tbl, n_threads) = match sel {
@@ -531,24 +593,23 @@ fn eval_with(
         return Ok(EvalReport::empty());
     }
 
-    // Marshal arguments in the declaration order of the generated kernel.
-    let mut args: Vec<LaunchArg> = Vec::new();
-    args.push(LaunchArg::Ptr(ptrs[0]));
-    for p in &ptrs[1..] {
-        args.push(LaunchArg::Ptr(*p));
-    }
-    for ((re, im), cplx) in expr.scalar_values().iter().zip(flags.iter()) {
-        match ft {
+    // Marshal arguments in the declaration order of the generated kernel:
+    // destinations, leaves, each statement's scalars, n, site table,
+    // neighbour tables, receive buffers.
+    let mut args: Vec<LaunchArg> = ptrs.iter().map(|p| LaunchArg::Ptr(*p)).collect();
+    let scalars = stmts.iter().flat_map(|(_, e)| e.scalar_values());
+    for ((re, im), cplx) in scalars.zip(plan.flags.iter()) {
+        match plan.ft {
             FloatType::F32 => {
-                args.push(LaunchArg::F32(*re as f32));
+                args.push(LaunchArg::F32(re as f32));
                 if *cplx {
-                    args.push(LaunchArg::F32(*im as f32));
+                    args.push(LaunchArg::F32(im as f32));
                 }
             }
             FloatType::F64 => {
-                args.push(LaunchArg::F64(*re));
+                args.push(LaunchArg::F64(re));
                 if *cplx {
-                    args.push(LaunchArg::F64(*im));
+                    args.push(LaunchArg::F64(im));
                 }
             }
         }
@@ -557,21 +618,21 @@ fn eval_with(
     if let Some(t) = site_tbl {
         args.push(LaunchArg::Ptr(t));
     }
-    for &(mu, dir) in shifts.iter() {
+    for &(mu, dir) in plan.shifts.iter() {
         let is_remote = remote.map(|r| r.split_dims[mu]).unwrap_or(false);
         args.push(LaunchArg::Ptr(ctx.neighbor_table(mu, dir, is_remote)));
     }
     if let Some(r) = remote {
-        for &(mu, dir) in shifts.iter() {
+        for &(mu, dir) in plan.shifts.iter() {
             match r.recv.get(&(mu, dir)) {
                 Some(bufs) => {
-                    debug_assert_eq!(bufs.len(), leaves.len());
+                    debug_assert_eq!(bufs.len(), plan.leaves.len());
                     for p in bufs {
                         args.push(LaunchArg::Ptr(*p));
                     }
                 }
                 None => {
-                    for _ in 0..leaves.len() {
+                    for _ in 0..plan.leaves.len() {
                         args.push(LaunchArg::Ptr(0));
                     }
                 }
@@ -581,7 +642,13 @@ fn eval_with(
 
     let site_stride = match ctx.layout() {
         LayoutKind::SoA => 1,
-        LayoutKind::AoS => plan.env.target_shape.n_reals(),
+        LayoutKind::AoS => plan
+            .env
+            .stmts
+            .iter()
+            .map(|m| m.target_shape.n_reals())
+            .max()
+            .unwrap_or(1),
     };
     let outcome = launch_tuned_on(
         ctx.device(),
@@ -593,7 +660,9 @@ fn eval_with(
         ctx.payload_execution(),
         stream,
     )?;
-    ctx.cache().mark_device_dirty(target.id)?;
+    for (t, _) in stmts {
+        ctx.cache().mark_device_dirty(t.id)?;
+    }
     span.end_with_sim(ctx.device().stream_now(stream));
 
     Ok(EvalReport {
@@ -743,49 +812,60 @@ pub fn eval_reference_sites(
 // Reductions
 // ---------------------------------------------------------------------------
 
-/// Account the runtime tree-reduction pass as a second kernel (see the
-/// substitution note in DESIGN.md) on `stream`, then sum the temporary on
-/// the host side of the simulator.
-fn reduce_device_sum(
+/// Account one combined runtime tree-reduction pass over `temps`
+/// (`(temporary, real components)` pairs) as a second kernel on `stream`
+/// (see the substitution note in DESIGN.md), then sum each temporary on
+/// the host side of the simulator in per-component site order — batching
+/// merges only the accounting, so values are bit-identical to reducing
+/// the temporaries one at a time.
+pub(crate) fn reduce_batch(
     ctx: &QdpContext,
-    temp: FieldRef,
-    n_comp: usize,
+    temps: &[(FieldRef, usize)],
     stream: StreamId,
-) -> Result<Vec<f64>, CoreError> {
+) -> Result<Vec<Vec<f64>>, CoreError> {
     let vol = ctx.geometry().vol();
-    let ptr = ctx.cache().assure_on_device(&[temp.id])?[0];
-    let esize = temp.ft.size_bytes();
-    let layout = FieldLayout::new(ctx.layout(), vol, n_comp);
-
-    // Timing: one streaming pass over the temporary.
+    let ids: Vec<u64> = temps.iter().map(|(t, _)| t.id).collect();
+    let ptrs = ctx.cache().assure_on_device(&ids)?;
+    let (t0, n0) = temps[0];
+    let layout0 = FieldLayout::new(ctx.layout(), vol, n0);
+    // Timing: one streaming pass over the temporaries.
     let shape = KernelShape {
         threads: vol,
-        read_bytes_per_thread: n_comp * esize,
+        read_bytes_per_thread: temps
+            .iter()
+            .map(|(t, n)| n * t.ft.size_bytes())
+            .sum(),
         write_bytes_per_thread: 0,
-        flops_per_thread: n_comp,
+        flops_per_thread: temps.iter().map(|(_, n)| n).sum(),
         regs_per_thread: 16,
-        access_bytes: esize,
-        site_stride: layout.site_stride(),
-        double_precision: temp.ft == FloatType::F64,
+        access_bytes: t0.ft.size_bytes(),
+        site_stride: layout0.site_stride(),
+        double_precision: temps.iter().any(|(t, _)| t.ft == FloatType::F64),
     };
     ctx.device()
         .account_launch_on(&shape, 128, stream)
         .map_err(CoreError::Launch)?;
 
     let mem = ctx.device().memory();
-    let mut sums = vec![0.0f64; n_comp];
-    for comp in 0..n_comp {
-        let mut acc = 0.0f64;
-        for site in 0..vol {
-            let idx = layout.real_index(site, comp) * esize;
-            acc += match temp.ft {
-                FloatType::F32 => mem.read_f32(ptr + idx as u64) as f64,
-                FloatType::F64 => mem.read_f64(ptr + idx as u64),
-            };
+    let mut out = Vec::with_capacity(temps.len());
+    for ((t, n_comp), ptr) in temps.iter().zip(ptrs.iter()) {
+        let esize = t.ft.size_bytes();
+        let layout = FieldLayout::new(ctx.layout(), vol, *n_comp);
+        let mut sums = vec![0.0f64; *n_comp];
+        for (comp, s) in sums.iter_mut().enumerate() {
+            let mut acc = 0.0f64;
+            for site in 0..vol {
+                let idx = layout.real_index(site, comp) * esize;
+                acc += match t.ft {
+                    FloatType::F32 => mem.read_f32(ptr + idx as u64) as f64,
+                    FloatType::F64 => mem.read_f64(ptr + idx as u64),
+                };
+            }
+            *s = acc;
         }
-        sums[comp] = acc;
+        out.push(sums);
     }
-    Ok(sums)
+    Ok(out)
 }
 
 /// `Σ_x expr(x)` for a real-kind expression over a subset.
@@ -814,8 +894,8 @@ pub fn sum_real_with(
     };
     let r = (|| {
         eval(ctx, temp, expr, params)?;
-        let s = reduce_device_sum(ctx, temp, 1, params.stream)?;
-        Ok(s[0])
+        let s = reduce_batch(ctx, &[(temp, 1)], params.stream)?;
+        Ok(s[0][0])
     })();
     ctx.cache().unregister(id);
     r
@@ -850,8 +930,8 @@ pub fn sum_complex_with(
     };
     let r = (|| {
         eval(ctx, temp, expr, params)?;
-        let s = reduce_device_sum(ctx, temp, 2, params.stream)?;
-        Ok((s[0], s[1]))
+        let s = reduce_batch(ctx, &[(temp, 2)], params.stream)?;
+        Ok((s[0][0], s[0][1]))
     })();
     ctx.cache().unregister(id);
     r

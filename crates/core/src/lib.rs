@@ -32,7 +32,7 @@ pub use context::QdpContext;
 pub use qdp_gpu_sim::{Event, StreamId};
 pub use qdp_ptx::opt::OptLevel;
 pub use eval::{
-    codegen_ptx, eval, eval_reference, eval_reference_sites, plan_codegen, plan_codegen_at,
+    codegen_ptx, eval, eval_reference, eval_reference_sites, plan_codegen,
     render_ptx, CodegenPlan, CoreError, EvalParams, EvalReport, SiteSpec,
 };
 pub use field::{

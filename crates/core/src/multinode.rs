@@ -64,23 +64,17 @@ pub struct MultiRank {
     pub handle: RankHandle,
     /// CUDA-aware MPI: transfers go GPU↔GPU without host staging (§V).
     pub cuda_aware: bool,
-    /// Overlap communication with inner-site computation (§V). When false,
-    /// the whole lattice is evaluated after the exchange completes.
+    /// Overlap communication with inner-site computation (§V) on the
+    /// stream schedule: gathers + exchange on the per-face comm streams,
+    /// inner kernel on `compute_stream`, event-wait before the face
+    /// kernel. When false, the whole lattice is evaluated on the default
+    /// stream after the exchange completes.
     pub overlap: bool,
     /// Stream carrying the inner-site and face compute kernels.
     pub compute_stream: StreamId,
     /// Per-face comm streams: `face_streams[mu][dir]` carries the gather
     /// kernel, send and receive for halo face `(mu, dir)`.
     face_streams: [[StreamId; 2]; 4],
-    /// Schedule the overlap window on real streams (gathers + exchange on
-    /// the per-face comm streams, inner kernel on `compute_stream`,
-    /// event-wait before the face kernel) instead of the legacy
-    /// single-clock hand model. Defaults on; `QDP_STREAM_OVERLAP=0` or
-    /// [`set_stream_schedule`] selects the legacy model (kept for bench
-    /// comparison).
-    ///
-    /// [`set_stream_schedule`]: MultiRank::set_stream_schedule
-    stream_schedule: std::sync::atomic::AtomicBool,
     site_lists: Mutex<HashMap<String, (DevicePtr, usize)>>,
 }
 
@@ -109,7 +103,6 @@ impl MultiRank {
                 ctx.device().create_stream(&format!("comm-{axis}-")),
             ]
         });
-        let stream_schedule = ctx.config().stream_overlap;
         MultiRank {
             ctx,
             grid: RankGrid::new(decomp, rank),
@@ -119,7 +112,6 @@ impl MultiRank {
             overlap,
             compute_stream,
             face_streams,
-            stream_schedule: std::sync::atomic::AtomicBool::new(stream_schedule),
             site_lists: Mutex::new(HashMap::new()),
         }
     }
@@ -135,19 +127,6 @@ impl MultiRank {
             ShiftDir::Forward => 0,
             ShiftDir::Backward => 1,
         }]
-    }
-
-    /// Select between the stream-engine overlap schedule (true, the
-    /// default) and the legacy single-clock hand model (false).
-    pub fn set_stream_schedule(&self, on: bool) {
-        self.stream_schedule
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether the §V overlap window runs on the per-face stream schedule.
-    pub fn stream_schedule(&self) -> bool {
-        self.stream_schedule
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Upload (and cache) a site-list table; the upload is ordered on
@@ -291,7 +270,6 @@ impl MultiRank {
             return eval::eval(&self.ctx, target, expr, &EvalParams::new());
         }
 
-        let streamed = self.overlap && self.stream_schedule();
         let t_start = self.ctx.device().now();
         let geom = self.ctx.geometry().clone();
         let vol = geom.vol();
@@ -303,7 +281,7 @@ impl MultiRank {
         // synchronising default-stream §IV transfers are setup cost and the
         // fork event below covers the whole working set.
         let mut ids: Vec<u64> = leaves.iter().map(|l| l.id).collect();
-        if streamed {
+        if self.overlap {
             ids.push(target.id);
         }
         let ptrs = self.ctx.cache().assure_on_device(&ids)?;
@@ -312,7 +290,7 @@ impl MultiRank {
         // Fork: gathers + exchange go on the per-face comm streams, kernels
         // on the compute stream; none may start before the working set is
         // ready on the (synchronising) default stream.
-        if streamed {
+        if self.overlap {
             let ready = device.record_event(StreamId::DEFAULT);
             for &(mu, dir) in &split {
                 device.stream_wait_event(self.face_stream(mu, dir), ready);
@@ -330,7 +308,7 @@ impl MultiRank {
         // send my own low slab backward; symmetrically for Backward.
         let mut pending: Vec<((usize, ShiftDir), usize, usize)> = Vec::new(); // (key, recv_from, bytes)
         for &(mu, dir) in &split {
-            let xfer_stream = if streamed {
+            let xfer_stream = if self.overlap {
                 self.face_stream(mu, dir)
             } else {
                 StreamId::DEFAULT
@@ -478,22 +456,25 @@ impl MultiRank {
                 }
             };
 
-            let receive_all = |st: StreamId| -> Result<(), CoreError> {
-                for &((mu, dir), recv_from, _bytes) in &pending {
-                    let now = device.stream_now(st);
-                    let (data, arrival) = self.handle.recv(recv_from, now)?;
-                    device.advance_stream_to(st, arrival);
-                    if !self.cuda_aware {
-                        device.advance_stream(st, device.transfer_time(data.len()));
-                    }
-                    if self.ctx.payload_execution() {
-                        scatter(mu, dir, &data);
-                    }
+            // receive one face's halo, clocked on stream `st`
+            let receive_face = |st: StreamId,
+                                mu: usize,
+                                dir: ShiftDir,
+                                recv_from: usize|
+             -> Result<(), CoreError> {
+                let now = device.stream_now(st);
+                let (data, arrival) = self.handle.recv(recv_from, now)?;
+                device.advance_stream_to(st, arrival);
+                if !self.cuda_aware {
+                    device.advance_stream(st, device.transfer_time(data.len()));
+                }
+                if self.ctx.payload_execution() {
+                    scatter(mu, dir, &data);
                 }
                 Ok(())
             };
 
-            if streamed {
+            if self.overlap {
                 // The §V overlap window on real streams: the inner kernel
                 // runs on the compute stream while each face's exchange is
                 // in flight on its own comm stream; per-face halo_done
@@ -526,15 +507,7 @@ impl MultiRank {
                 let mut t_comm_end = t_start;
                 for &((mu, dir), recv_from, _bytes) in &pending {
                     let st = self.face_stream(mu, dir);
-                    let now = device.stream_now(st);
-                    let (data, arrival) = self.handle.recv(recv_from, now)?;
-                    device.advance_stream_to(st, arrival);
-                    if !self.cuda_aware {
-                        device.advance_stream(st, device.transfer_time(data.len()));
-                    }
-                    if self.ctx.payload_execution() {
-                        scatter(mu, dir, &data);
-                    }
+                    receive_face(st, mu, dir, recv_from)?;
                     let halo_done = device.record_event(st);
                     device.stream_wait_event(self.compute_stream, halo_done);
                     t_comm_end = t_comm_end.max(device.stream_now(st));
@@ -563,51 +536,12 @@ impl MultiRank {
                     bandwidth: inner_report.bandwidth,
                     flops_rate: face_report.flops_rate,
                 })
-            } else if self.overlap {
-                // Legacy hand model: inner kernel while data is in flight,
-                // all accounted on the single default-stream clock.
-                let overlap_span = self
-                    .ctx
-                    .telemetry()
-                    .span("comm", "overlap_window")
-                    .with_sim(device.now());
-                let key_inner = format!("inner{:?}", faces_for_inner);
-                let inner_sites = geom.inner_sites(&faces_for_inner);
-                let (ptr_i, len_i) =
-                    self.site_list(&key_inner, &inner_sites, StreamId::DEFAULT)?;
-                let inner_report = eval::eval(
-                    &self.ctx,
-                    target,
-                    expr,
-                    &EvalParams::new()
-                        .device_sites(ptr_i, len_i)
-                        .remote(&remote),
-                )?;
-                receive_all(StreamId::DEFAULT)?;
-                overlap_span.end_with_sim(device.now());
-                // face kernel after arrival
-                let key_face = format!("face{:?}", faces_for_inner);
-                let face_sites = geom.face_union(&faces_for_inner);
-                let (ptr_f, len_f) =
-                    self.site_list(&key_face, &face_sites, StreamId::DEFAULT)?;
-                let face_report = eval::eval(
-                    &self.ctx,
-                    target,
-                    expr,
-                    &EvalParams::new()
-                        .device_sites(ptr_f, len_f)
-                        .remote(&remote),
-                )?;
-                Ok(EvalReport {
-                    kernel_name: inner_report.kernel_name,
-                    block_size: inner_report.block_size,
-                    sim_time: device.now() - t_start,
-                    threads: len_i + len_f,
-                    bandwidth: inner_report.bandwidth,
-                    flops_rate: face_report.flops_rate,
-                })
             } else {
-                receive_all(StreamId::DEFAULT)?;
+                // No overlap: receive every face on the default stream,
+                // then evaluate the whole lattice.
+                for &((mu, dir), recv_from, _bytes) in &pending {
+                    receive_face(StreamId::DEFAULT, mu, dir, recv_from)?;
+                }
                 let full = eval::eval(
                     &self.ctx,
                     target,

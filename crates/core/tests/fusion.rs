@@ -1,7 +1,7 @@
 //! Fusion planner guarantees: the deferred API must (a) cut the launch
-//! count of a CG-shaped workload by a third or more, (b) reproduce the
-//! exact per-expression launch sequence and bit-identical results when
-//! fusion is disabled, and (c) split — never fuse — on every legality
+//! count of a CG-shaped workload by a third or more, (b) at a group budget
+//! of 1 (fusion off) reproduce the per-expression launch signature and
+//! bit-identical results, and (c) split — never fuse — on every legality
 //! hazard, with `fuse.bailouts` incremented and results unchanged.
 
 use qdp_core::prelude::*;
@@ -12,15 +12,13 @@ use qdp_types::su3::random_su3;
 use qdp_types::{ColorMatrix, Fermion, PScalar, PVector};
 use std::sync::Arc;
 
-fn profiled_ctx(l: usize) -> Arc<QdpContext> {
+fn profiled_ctx(l: usize, fuse: bool) -> Arc<QdpContext> {
     let tel = Arc::new(Telemetry::new());
     tel.enable();
-    QdpContext::with_telemetry(
-        DeviceConfig::k20x_ecc_off(),
-        Geometry::symmetric(l),
-        LayoutKind::SoA,
-        tel,
-    )
+    QdpContext::builder(Geometry::symmetric(l))
+        .fuse(fuse)
+        .telemetry(tel)
+        .build()
 }
 
 fn rand_cm(rng: &mut StdRng) -> ColorMatrix<f64> {
@@ -141,12 +139,11 @@ fn cg_immediate(ctx: &Arc<QdpContext>, f: &CgFields, iters: usize) -> f64 {
 /// kernel launches fused than per-expression, with 0-ULP identical results.
 #[test]
 fn fused_cg_saves_thirty_percent_of_launches_bit_exactly() {
-    let fused_ctx = profiled_ctx(8);
-    fused_ctx.set_fuse(Some(true));
+    let fused_ctx = profiled_ctx(8, true);
     let ff = cg_fields(&fused_ctx, 0xC6);
     let fused_r2 = cg_deferred(&fused_ctx, &ff, 10);
 
-    let base_ctx = profiled_ctx(8);
+    let base_ctx = profiled_ctx(8, true);
     let bf = cg_fields(&base_ctx, 0xC6);
     let base_r2 = cg_immediate(&base_ctx, &bf, 10);
 
@@ -187,17 +184,16 @@ fn fused_cg_saves_thirty_percent_of_launches_bit_exactly() {
     );
 }
 
-/// `QDP_FUSE=0` (here: the context override) must reproduce the exact
-/// per-expression launch sequence — same kernels, same launch counts, same
-/// bits.
+/// `QDP_FUSE=0` (here: `builder().fuse(false)`, a group budget of 1) must
+/// reproduce the per-expression launch signature — same kernels, same
+/// launch counts, same bits — with no group and no bailout counted.
 #[test]
 fn fuse_disabled_reproduces_per_expression_launch_sequence() {
-    let off_ctx = profiled_ctx(4);
-    off_ctx.set_fuse(Some(false));
+    let off_ctx = profiled_ctx(4, false);
     let of = cg_fields(&off_ctx, 0xD7);
     let off_r2 = cg_deferred(&off_ctx, &of, 4);
 
-    let base_ctx = profiled_ctx(4);
+    let base_ctx = profiled_ctx(4, true);
     let bf = cg_fields(&base_ctx, 0xD7);
     let base_r2 = cg_immediate(&base_ctx, &bf, 4);
 
@@ -240,8 +236,7 @@ fn pair(ctx: &Arc<QdpContext>, seed: u64) -> Pair {
 
 #[test]
 fn bailout_aliased_target() {
-    let ctx = profiled_ctx(4);
-    ctx.set_fuse(Some(true));
+    let ctx = profiled_ctx(4, true);
     let f = pair(&ctx, 1);
     let mut scope = ctx.deferred();
     scope.assign(&f.a, f.u.q() * f.v.q()).unwrap();
@@ -250,7 +245,7 @@ fn bailout_aliased_target() {
     assert_eq!(ctx.profile_report().counter("fuse.bailouts"), 1);
     assert_eq!(ctx.profile_report().counter("fuse.groups"), 0);
 
-    let ref_ctx = profiled_ctx(4);
+    let ref_ctx = profiled_ctx(4, true);
     let g = pair(&ref_ctx, 1);
     g.a.assign(g.u.q() * g.v.q()).unwrap();
     g.a.assign(g.a.q() * g.v.q()).unwrap();
@@ -262,8 +257,7 @@ fn bailout_aliased_target() {
 
 #[test]
 fn bailout_subset_mismatch() {
-    let ctx = profiled_ctx(4);
-    ctx.set_fuse(Some(true));
+    let ctx = profiled_ctx(4, true);
     let f = pair(&ctx, 2);
     let mut scope = ctx.deferred();
     scope.assign_on(Subset::Even, &f.a, f.u.q() * f.v.q()).unwrap();
@@ -272,7 +266,7 @@ fn bailout_subset_mismatch() {
     assert_eq!(ctx.profile_report().counter("fuse.bailouts"), 1);
     assert_eq!(ctx.profile_report().counter("fuse.groups"), 0);
 
-    let ref_ctx = profiled_ctx(4);
+    let ref_ctx = profiled_ctx(4, true);
     let g = pair(&ref_ctx, 2);
     g.a.assign_on(Subset::Even, g.u.q() * g.v.q()).unwrap();
     g.c.assign_on(Subset::Odd, g.u.q() * g.v.q()).unwrap();
@@ -285,8 +279,7 @@ fn bailout_subset_mismatch() {
 /// values if fused. The planner must split.
 #[test]
 fn bailout_shift_across_fusion_boundary() {
-    let ctx = profiled_ctx(4);
-    ctx.set_fuse(Some(true));
+    let ctx = profiled_ctx(4, true);
     let f = pair(&ctx, 3);
     let mut scope = ctx.deferred();
     scope.assign(&f.a, f.u.q() * f.v.q()).unwrap();
@@ -297,7 +290,7 @@ fn bailout_shift_across_fusion_boundary() {
     assert_eq!(ctx.profile_report().counter("fuse.bailouts"), 1);
     assert_eq!(ctx.profile_report().counter("fuse.groups"), 0);
 
-    let ref_ctx = profiled_ctx(4);
+    let ref_ctx = profiled_ctx(4, true);
     let g = pair(&ref_ctx, 3);
     g.a.assign(g.u.q() * g.v.q()).unwrap();
     g.c.assign(shift(g.a.q(), 0, ShiftDir::Forward) * g.v.q())
@@ -307,8 +300,7 @@ fn bailout_shift_across_fusion_boundary() {
 
 #[test]
 fn bailout_cross_stream_dependency() {
-    let ctx = profiled_ctx(4);
-    ctx.set_fuse(Some(true));
+    let ctx = profiled_ctx(4, true);
     let s2 = ctx.device().create_stream("fusion-test");
     let f = pair(&ctx, 4);
     let mut scope = ctx.deferred();
@@ -321,7 +313,7 @@ fn bailout_cross_stream_dependency() {
     assert_eq!(ctx.profile_report().counter("fuse.bailouts"), 1);
     assert_eq!(ctx.profile_report().counter("fuse.groups"), 0);
 
-    let ref_ctx = profiled_ctx(4);
+    let ref_ctx = profiled_ctx(4, true);
     let r2 = ref_ctx.device().create_stream("fusion-test");
     let g = pair(&ref_ctx, 4);
     g.a.assign(g.u.q() * g.v.q()).unwrap();
@@ -335,8 +327,7 @@ fn bailout_cross_stream_dependency() {
 #[test]
 fn bailout_site_list_eval() {
     let sites: Vec<u32> = (0..8).collect();
-    let ctx = profiled_ctx(4);
-    ctx.set_fuse(Some(true));
+    let ctx = profiled_ctx(4, true);
     let f = pair(&ctx, 5);
     let mut scope = ctx.deferred();
     scope.assign(&f.a, f.u.q() * f.v.q()).unwrap();
@@ -345,7 +336,7 @@ fn bailout_site_list_eval() {
     assert!(ctx.profile_report().counter("fuse.bailouts") >= 1);
     assert_eq!(ctx.profile_report().counter("fuse.groups"), 0);
 
-    let ref_ctx = profiled_ctx(4);
+    let ref_ctx = profiled_ctx(4, true);
     let g = pair(&ref_ctx, 5);
     g.a.assign(g.u.q() * g.v.q()).unwrap();
     g.c.assign_with(&EvalParams::new().sites(&sites), g.u.q() * g.v.q())
@@ -358,8 +349,7 @@ fn bailout_site_list_eval() {
 /// counters tally, and the reduction value matches the immediate path.
 #[test]
 fn fused_chain_and_batched_reduction_match_immediate() {
-    let ctx = profiled_ctx(4);
-    ctx.set_fuse(Some(true));
+    let ctx = profiled_ctx(4, true);
     let f = pair(&ctx, 6);
     let mut scope = ctx.deferred();
     scope.assign(&f.a, f.u.q() * f.v.q()).unwrap();
@@ -375,10 +365,36 @@ fn fused_chain_and_batched_reduction_match_immediate() {
         "separate flushes never see each other — no legality split"
     );
 
-    let ref_ctx = profiled_ctx(4);
+    let ref_ctx = profiled_ctx(4, true);
     let g = pair(&ref_ctx, 6);
     g.a.assign(g.u.q() * g.v.q()).unwrap();
     assert_eq!(n2.to_bits(), g.a.norm2().unwrap().to_bits());
     assert_eq!(pair_n2[0].to_bits(), g.u.norm2().unwrap().to_bits());
     assert_eq!(pair_n2[1].to_bits(), g.v.norm2().unwrap().to_bits());
+}
+
+/// Reductions ride the same budget: at budget 1 `norm2_batch` and
+/// `inner_product` launch one temporary kernel each — the kernels, launch
+/// counts and bits of the immediate `Lattice::norm2` /
+/// `reduce_inner_product`.
+#[test]
+fn budget_one_reductions_match_immediate() {
+    let ctx = profiled_ctx(4, false);
+    let f = pair(&ctx, 7);
+    let mut scope = ctx.deferred();
+    let n2 = scope.norm2_batch(&[&f.u, &f.v]).unwrap();
+    let ip = scope.inner_product(&f.u.q(), &f.v.q()).unwrap();
+    drop(scope);
+    let rep = ctx.profile_report();
+    assert_eq!(rep.counter("fuse.groups"), 0);
+    assert_eq!(rep.counter("fuse.bailouts"), 0);
+
+    let ref_ctx = profiled_ctx(4, true);
+    let g = pair(&ref_ctx, 7);
+    assert_eq!(n2[0].to_bits(), g.u.norm2().unwrap().to_bits());
+    assert_eq!(n2[1].to_bits(), g.v.norm2().unwrap().to_bits());
+    let ip_ref = reduce_inner_product(&ref_ctx, &g.u.q(), &g.v.q(), Subset::All).unwrap();
+    assert_eq!(ip.re.to_bits(), ip_ref.re.to_bits());
+    assert_eq!(ip.im.to_bits(), ip_ref.im.to_bits());
+    assert_eq!(launch_signature(&ctx), launch_signature(&ref_ctx));
 }

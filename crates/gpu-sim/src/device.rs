@@ -46,10 +46,10 @@ pub struct Device {
 }
 
 impl Device {
-    /// Bring up a device with the given configuration; telemetry is taken
-    /// from the environment (`QDP_PROFILE` / `QDP_TRACE`).
+    /// Bring up a device with the given configuration and its own
+    /// (disabled) telemetry registry.
     pub fn new(cfg: DeviceConfig) -> Device {
-        Device::with_telemetry(cfg, Arc::new(Telemetry::from_env()))
+        Device::with_telemetry(cfg, Arc::new(Telemetry::new()))
     }
 
     /// Bring up a device recording into an existing telemetry registry

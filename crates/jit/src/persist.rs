@@ -60,8 +60,8 @@ struct Inner {
 
 /// Declarative persistent-store configuration — the typed form of the
 /// `QDP_CACHE` / `QDP_CACHE_DIR` / `QDP_CACHE_CLEAR` knobs. Build one
-/// programmatically and pass it to [`KernelStore::from_config`], or capture
-/// the environment once with [`StoreConfig::from_env`].
+/// programmatically and pass it to [`KernelStore::from_config`];
+/// `QdpConfig::from_env` in `qdp-core` is what reads the variables.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreConfig {
     /// Master switch: `false` means no persistence regardless of `dir`
@@ -87,26 +87,6 @@ impl StoreConfig {
             ..StoreConfig::default()
         }
     }
-
-    /// Capture the `QDP_CACHE` / `QDP_CACHE_DIR` / `QDP_CACHE_CLEAR`
-    /// environment into a config. This is the only place those variables
-    /// are read.
-    pub fn from_env() -> StoreConfig {
-        StoreConfig {
-            disabled: matches!(
-                std::env::var("QDP_CACHE").as_deref(),
-                Ok("0") | Ok("off") | Ok("false") | Ok("no")
-            ),
-            dir: std::env::var("QDP_CACHE_DIR")
-                .ok()
-                .filter(|d| !d.is_empty())
-                .map(PathBuf::from),
-            clear: matches!(
-                std::env::var("QDP_CACHE_CLEAR").as_deref(),
-                Ok("1") | Ok("true") | Ok("yes") | Ok("on")
-            ),
-        }
-    }
 }
 
 /// Handle on the persistent kernel store, bound to one device fingerprint.
@@ -119,21 +99,9 @@ pub struct KernelStore {
 }
 
 impl KernelStore {
-    /// Open the store configured by the environment, if any:
-    ///
-    /// * `QDP_CACHE_DIR=<dir>` — enables persistence, file lives in `<dir>`;
-    /// * `QDP_CACHE=0` — disables persistence even with a directory set;
-    /// * `QDP_CACHE_CLEAR=1` — removes the store file before loading.
-    ///
-    /// Without `QDP_CACHE_DIR` there is no persistence (per-process JIT
-    /// cache only), keeping test runs hermetic by default.
-    pub fn from_env(device_fp: &str, telemetry: &Arc<Telemetry>) -> Option<Arc<KernelStore>> {
-        KernelStore::from_config(&StoreConfig::from_env(), device_fp, telemetry)
-    }
-
-    /// Open the store described by a typed [`StoreConfig`] — the
-    /// environment-free construction path used by `QdpConfig`. Returns
-    /// `None` (no persistence) when disabled or no directory is set.
+    /// Open the store described by a typed [`StoreConfig`]. Returns `None`
+    /// (no persistence — per-process JIT cache only, which keeps test runs
+    /// hermetic by default) when disabled or no directory is set.
     pub fn from_config(
         cfg: &StoreConfig,
         device_fp: &str,
@@ -628,15 +596,5 @@ mod tests {
         let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
         assert_eq!(s.lookup_kernel("aaaa", "o1").as_deref(), Some(ptx));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn from_env_requires_cache_dir_and_honours_disable() {
-        // No QDP_CACHE_DIR in the test environment → no store. (Env-var
-        // mutation is process-global, so only the unset path is exercised
-        // here; the env-driven paths are covered end-to-end by ci.sh.)
-        if std::env::var("QDP_CACHE_DIR").is_err() {
-            assert!(KernelStore::from_env("dev", &tel()).is_none());
-        }
     }
 }

@@ -45,7 +45,7 @@ use crate::module::{Kernel, Module};
 use crate::types::{PtxType, Reg, RegClass};
 use std::collections::HashMap;
 
-/// Optimizer configuration, selected by the `QDP_OPT` environment variable.
+/// Optimizer configuration (the `QDP_OPT` knob of `QdpConfig::from_env`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OptLevel {
     /// `QDP_OPT=0` — the optimizer is bypassed entirely (both the DAG-level
@@ -62,12 +62,12 @@ pub enum OptLevel {
 }
 
 impl OptLevel {
-    /// Read the level from `QDP_OPT` (`0` → off, `2` → aggressive,
-    /// anything else or unset → default-on).
-    pub fn from_env() -> OptLevel {
-        match std::env::var("QDP_OPT") {
-            Ok(v) if v == "0" => OptLevel::None,
-            Ok(v) if v == "2" => OptLevel::Aggressive,
+    /// Parse a `QDP_OPT` value (`0` → off, `2` → aggressive, anything
+    /// else → default-on).
+    pub fn parse(v: &str) -> OptLevel {
+        match v {
+            "0" => OptLevel::None,
+            "2" => OptLevel::Aggressive,
             _ => OptLevel::Default,
         }
     }

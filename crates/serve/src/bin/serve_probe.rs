@@ -80,10 +80,10 @@ fn main() {
         qdp.telemetry.trace_path = Some(trace_path.clone());
     }
     // Cold JIT compiles make the first wave of jobs slow; unless the user
-    // pinned a deadline, give the mesh enough headroom that slow responses
-    // are distinguishable from a real hang (a deadlock never finishes, so
-    // `deadlock=0` stays meaningful).
-    if std::env::var("QDP_COMM_TIMEOUT_MS").is_err() {
+    // moved the deadline off its default, give the mesh enough headroom
+    // that slow responses are distinguishable from a real hang (a deadlock
+    // never finishes, so `deadlock=0` stays meaningful).
+    if qdp.comm_timeout_ms == QdpConfig::new().comm_timeout_ms {
         qdp.comm_timeout_ms = 120_000;
     }
     let trace_path = qdp.telemetry.trace_path.clone().expect("set above");

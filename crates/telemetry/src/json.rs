@@ -105,6 +105,7 @@ impl std::error::Error for ParseError {}
 /// Parse a complete JSON document (one value, surrounded by whitespace).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -118,6 +119,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -226,12 +228,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, which never occurs inside a multi-byte scalar,
+                    // so the run starts and ends on char boundaries.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.input[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -326,5 +332,39 @@ mod tests {
             let s = number(v);
             assert!(parse(&s).is_ok(), "'{s}' must parse");
         }
+    }
+
+    /// A kernel store is a few MB of long PTX strings; parsing must be
+    /// linear in the document, not quadratic in it.
+    #[test]
+    fn long_strings_parse_in_linear_time_and_roundtrip() {
+        let unit = "ld.global αβγ \"quoted\" back\\slash\n\ttab 日本語 \u{1} ";
+        let long: String = unit.repeat(64 * 1024 / unit.len());
+        let n = 2 * 1024 * 1024 / long.len() + 1;
+        let doc = format!(
+            "[{}]",
+            vec![format!("\"{}\"", escape(&long)); n].join(",")
+        );
+        assert!(doc.len() >= 2 * 1024 * 1024);
+        let t0 = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed.as_secs_f64() < 2.0,
+            "parsing {} bytes took {elapsed:?}",
+            doc.len()
+        );
+        let items = v.as_array().unwrap();
+        assert_eq!(items.len(), n);
+        assert!(items.iter().all(|s| s.as_str() == Some(long.as_str())));
+        let rewritten = format!(
+            "[{}]",
+            items
+                .iter()
+                .map(|s| format!("\"{}\"", escape(s.as_str().unwrap())))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        assert_eq!(rewritten, doc);
     }
 }

@@ -291,9 +291,8 @@ struct Inner {
 
 /// Declarative telemetry configuration — the typed form of the
 /// `QDP_PROFILE` / `QDP_ROOFLINE` / `QDP_TRACE` / `QDP_FLIGHT*` knobs.
-/// Build one programmatically (no environment involved) and pass it to
-/// [`Telemetry::with_config`], or capture the environment once with
-/// [`TelemetryConfig::from_env`].
+/// Build one programmatically and pass it to [`Telemetry::with_config`];
+/// `QdpConfig::from_env` in `qdp-core` is what reads the variables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryConfig {
     /// Record counters, histograms, spans and per-kernel profiles
@@ -330,39 +329,11 @@ impl TelemetryConfig {
     pub fn new() -> TelemetryConfig {
         TelemetryConfig::default()
     }
-
-    /// Capture the `QDP_PROFILE` / `QDP_ROOFLINE` / `QDP_TRACE` /
-    /// `QDP_FLIGHT` / `QDP_FLIGHT_CAP` / `QDP_FLIGHT_DIR` environment
-    /// into a config. This is the only place those variables are read.
-    pub fn from_env() -> TelemetryConfig {
-        fn truthy(v: Result<String, std::env::VarError>) -> bool {
-            matches!(v.as_deref(), Ok("1") | Ok("true") | Ok("yes") | Ok("on"))
-        }
-        TelemetryConfig {
-            profile: truthy(std::env::var("QDP_PROFILE")),
-            roofline: truthy(std::env::var("QDP_ROOFLINE")),
-            trace_path: std::env::var("QDP_TRACE")
-                .ok()
-                .filter(|p| !p.is_empty())
-                .map(PathBuf::from),
-            flight: !matches!(
-                std::env::var("QDP_FLIGHT").as_deref(),
-                Ok("0") | Ok("false") | Ok("no") | Ok("off")
-            ),
-            flight_cap: std::env::var("QDP_FLIGHT_CAP")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok()),
-            flight_dir: std::env::var("QDP_FLIGHT_DIR")
-                .ok()
-                .filter(|d| !d.is_empty())
-                .map(PathBuf::from),
-        }
-    }
 }
 
 /// The telemetry registry. One instance is shared by a `QdpContext` and
 /// everything beneath it (device, software cache, kernel cache, tuner);
-/// standalone devices create their own from the environment.
+/// standalone devices create their own disabled one.
 pub struct Telemetry {
     profile: AtomicBool,
     tracing: AtomicBool,
@@ -397,13 +368,6 @@ impl Telemetry {
             inner: Mutex::new(Inner::default()),
             flight: Mutex::new(FlightRing::new(DEFAULT_FLIGHT_CAP)),
         }
-    }
-
-    /// Registry configured from the environment — shorthand for
-    /// `Telemetry::with_config(&TelemetryConfig::from_env())`. See
-    /// [`TelemetryConfig::from_env`] for the variables consulted.
-    pub fn from_env() -> Telemetry {
-        Telemetry::with_config(&TelemetryConfig::from_env())
     }
 
     /// Registry configured from a typed [`TelemetryConfig`] — the
