@@ -86,6 +86,30 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: no twin statement path, fusion override or second overlap model"
 
+# ---- Guard: one stream model --------------------------------------------------
+# Work runs on the issuing thread's bound stream. The stream-confined job
+# twins, the explicit-stream scope entry, the single-clock Device wrappers,
+# the dslash knob and the extra context constructors stay deleted.
+twins="plaquette_""on|cg_solve_""on|hmc_trajectory_""on|CgJob""Report|HmcJob""Report|assign_""stream"
+twins="$twins|launch_""tuned\\(|advance_""clock|account_""launch\\(|set_streamed_""dslash"
+twins="$twins|QDP_STREAM_""DSLASH|QdpContext::""with_"
+stale=$(grep -rnE "$twins" crates src examples README.md DESIGN.md || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: a deleted stream twin, single-clock wrapper or its knob is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+# Application and planner code never name stream 0: they run wherever the
+# caller stands.
+named=$(grep -rn 'StreamId::DEFAULT' crates/chroma-mini/src crates/serve/src \
+    crates/core/src/codegen || true)
+if [ -n "$named" ]; then
+    echo "FAIL: application/planner code names the default stream:" >&2
+    echo "$named" >&2
+    exit 1
+fi
+echo "ok: one stream model (no stream twins, no single-clock wrappers, no stream 0 in application code)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

@@ -4,8 +4,8 @@
 //! Usage: `flight_probe <dump-dir>` — prints the dump path on success so
 //! the caller can hand it to `trace_check --flight`.
 
-use qdp_gpu_sim::{Device, DeviceConfig};
-use qdp_jit::{launch_tuned, AutoTuner, CompileRequest, KernelCache, LaunchArg};
+use qdp_gpu_sim::{Device, DeviceConfig, StreamId};
+use qdp_jit::{launch_tuned_on, AutoTuner, CompileRequest, KernelCache, LaunchArg};
 use qdp_ptx::emit::emit_module;
 use qdp_ptx::inst::{BinOp, Inst, Operand};
 use qdp_ptx::module::{KernelBuilder, Module};
@@ -74,11 +74,11 @@ fn main() {
         LaunchArg::U32(n as u32),
     ];
     for _ in 0..4 {
-        launch_tuned(&device, &tuner, &k, &args, n, 1, true).unwrap();
+        launch_tuned_on(&device, &tuner, &k, &args, n, 1, true, StreamId::DEFAULT).unwrap();
     }
     // The forced failure: an empty grid is rejected by the launch model,
     // which dumps the flight ring before returning the error.
-    let err = launch_tuned(&device, &tuner, &k, &args, 0, 1, false);
+    let err = launch_tuned_on(&device, &tuner, &k, &args, 0, 1, false, StreamId::DEFAULT);
     assert!(err.is_err(), "zero-thread launch must fail");
 
     let path = dir.join(format!("qdp-flight-{}.json", std::process::id()));

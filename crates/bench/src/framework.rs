@@ -205,7 +205,6 @@ fn bench_optimizer(c: &mut Harness) {
 /// PTX, no optimizer pass, seeded block size). Payload execution is off so
 /// the rows isolate the compilation pipeline.
 fn bench_persist(c: &mut Harness) {
-    use qdp_core::OptLevel;
     use qdp_jit::KernelStore;
     use qdp_telemetry::Telemetry;
 
@@ -236,14 +235,11 @@ fn bench_persist(c: &mut Harness) {
         let tel = Arc::new(Telemetry::new());
         let cfg = DeviceConfig::k20x_ecc_off();
         let store = KernelStore::open(dir, &cfg.fingerprint(), Arc::clone(&tel));
-        let ctx = QdpContext::with_kernel_store(
-            cfg,
-            Geometry::symmetric(8),
-            LayoutKind::SoA,
-            tel,
-            Some(store),
-        );
-        ctx.set_opt_level(Some(OptLevel::Default));
+        let ctx = QdpContext::builder(Geometry::symmetric(8))
+            .device(cfg)
+            .telemetry(tel)
+            .kernel_store(Some(store))
+            .build();
         ctx.set_payload_execution(false);
         ctx
     };

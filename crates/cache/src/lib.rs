@@ -13,10 +13,13 @@
 //! copies of all lattice fields, tracks device residency and dirtiness, and
 //! performs page-in/page-out/spill traffic through the simulated device's
 //! copy engine (so the Amdahl cost of transfers shows up on the simulated
-//! clock, as it does in the paper's "CPU+QUDA" configuration).
+//! clock, as it does in the paper's "CPU+QUDA" configuration). Paging
+//! copies are issued on the synchronising default stream whatever stream
+//! the issuing thread has bound: a page-in must complete before any
+//! stream's kernel reads the field.
 
 use qdp_gpu_sim::sync::Mutex;
-use qdp_gpu_sim::{Device, DeviceError, DevicePtr};
+use qdp_gpu_sim::{Device, DeviceError, DevicePtr, StreamId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -181,7 +184,7 @@ impl MemoryCache {
     ) {
         if let Some(ptr) = e.device.take() {
             if e.state == Residency::DeviceDirty {
-                device.d2h(ptr, &mut e.host);
+                device.d2h_async(ptr, &mut e.host, StreamId::DEFAULT);
             }
             device.free(ptr);
             e.state = Residency::HostOnly;
@@ -261,7 +264,7 @@ impl MemoryCache {
                 }
             };
             let e = fields.get_mut(&id).unwrap();
-            self.device.h2d(ptr, &e.host);
+            self.device.h2d_async(ptr, &e.host, StreamId::DEFAULT);
             e.device = Some(ptr);
             e.state = Residency::Synced;
             stats.page_ins += 1;

@@ -234,7 +234,6 @@ pub struct WilsonDirac {
     /// Streams carrying the even/odd checkerboard halves of `apply`.
     even_stream: StreamId,
     odd_stream: StreamId,
-    streamed_dslash: std::sync::atomic::AtomicBool,
 }
 
 impl WilsonDirac {
@@ -246,9 +245,10 @@ impl WilsonDirac {
             l
         });
         let ctx = Arc::clone(g.context());
-        let even_stream = ctx.device().create_stream("dslash-even");
-        let odd_stream = ctx.device().create_stream("dslash-odd");
-        let streamed = ctx.config().stream_dslash;
+        // one checkerboard pair per device, shared by every operator:
+        // operators are built per solve and streams are never freed
+        let even_stream = ctx.device().named_stream("dslash-even");
+        let odd_stream = ctx.device().named_stream("dslash-odd");
         WilsonDirac {
             u,
             mass,
@@ -256,7 +256,6 @@ impl WilsonDirac {
             ctx,
             even_stream,
             odd_stream,
-            streamed_dslash: std::sync::atomic::AtomicBool::new(streamed),
         }
     }
 
@@ -265,26 +264,13 @@ impl WilsonDirac {
         &self.ctx
     }
 
-    /// Toggle issuing `apply`/`apply_dag` as two checkerboard kernels on
-    /// separate streams (on by default; `QDP_STREAM_DSLASH=0` or this
-    /// setter selects the single full-lattice kernel). Both checkerboards
-    /// share one subset-mapped kernel, so the solver's kernel set stays
-    /// stable either way, and results are bit-identical: the per-site
-    /// arithmetic does not depend on the site partition.
-    pub fn set_streamed_dslash(&self, on: bool) {
-        self.streamed_dslash
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether `apply` runs as two overlapped checkerboard launches.
-    pub fn streamed_dslash(&self) -> bool {
-        self.streamed_dslash
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     /// Evaluate `rhs` into `out` as two checkerboard halves, the even one
-    /// on `even_stream`, the odd one on `odd_stream`, joined by a device
-    /// sync — the two launches overlap on the simulated timelines.
+    /// on `even_stream`, the odd one on `odd_stream`, forked off the issuing
+    /// thread's stream and joined by a device sync — the two launches
+    /// overlap on the simulated timelines. Both checkerboards share one
+    /// subset-mapped kernel, and results are bit-identical to the
+    /// full-lattice statement: the per-site arithmetic does not depend on
+    /// the site partition.
     fn assign_checkerboarded(
         &self,
         out: &LatticeFermion<f64>,
@@ -292,7 +278,7 @@ impl WilsonDirac {
     ) -> Result<EvalReport, CoreError> {
         let device = self.ctx.device();
         let t_start = device.now();
-        let ready = device.record_event(StreamId::DEFAULT);
+        let ready = device.record_event(device.current_stream());
         device.stream_wait_event(self.even_stream, ready);
         device.stream_wait_event(self.odd_stream, ready);
         let even = out.assign_with(
@@ -332,32 +318,22 @@ impl WilsonDirac {
         gamma(15) * self.apply_expr(gamma(15) * psi)
     }
 
-    /// `out = M ψ`.
+    /// `out = M ψ`, as two overlapped checkerboard launches.
     pub fn apply(
         &self,
         out: &LatticeFermion<f64>,
         psi: &LatticeFermion<f64>,
     ) -> Result<EvalReport, CoreError> {
-        let e = self.apply_expr(psi.q());
-        if self.streamed_dslash() {
-            self.assign_checkerboarded(out, e)
-        } else {
-            out.assign(e)
-        }
+        self.assign_checkerboarded(out, self.apply_expr(psi.q()))
     }
 
-    /// `out = M† ψ`.
+    /// `out = M† ψ`, as two overlapped checkerboard launches.
     pub fn apply_dag(
         &self,
         out: &LatticeFermion<f64>,
         psi: &LatticeFermion<f64>,
     ) -> Result<EvalReport, CoreError> {
-        let e = self.apply_dag_expr(psi.q());
-        if self.streamed_dslash() {
-            self.assign_checkerboarded(out, e)
-        } else {
-            out.assign(e)
-        }
+        self.assign_checkerboarded(out, self.apply_dag_expr(psi.q()))
     }
 
     /// `out = M†M ψ` (through a temporary).
@@ -491,15 +467,11 @@ mod tests {
         let psi = gaussian_fermion(&ctx, &mut rng);
         let serial = LatticeFermion::<f64>::new(&ctx);
         let streamed = LatticeFermion::<f64>::new(&ctx);
-        // warm up both modes so the timed applies are pure launch time
-        m.set_streamed_dslash(false);
-        m.apply(&serial, &psi).unwrap();
-        m.set_streamed_dslash(true);
+        // warm up both forms so the timed applies are pure launch time
+        serial.assign(m.apply_expr(psi.q())).unwrap();
         m.apply(&streamed, &psi).unwrap();
 
-        m.set_streamed_dslash(false);
-        let r_serial = m.apply(&serial, &psi).unwrap();
-        m.set_streamed_dslash(true);
+        let r_serial = serial.assign(m.apply_expr(psi.q())).unwrap();
         let r_streamed = m.apply(&streamed, &psi).unwrap();
 
         let a = serial.to_vec();
@@ -518,6 +490,21 @@ mod tests {
             r_streamed.sim_time,
             r_serial.sim_time
         );
+    }
+
+    #[test]
+    fn operator_construction_allocates_no_stream_after_the_first() {
+        let (ctx, g, _) = setup();
+        let first = WilsonDirac::new(&g, 0.1, None);
+        let streams = ctx.device().stream_count();
+        for k in 0..10 {
+            let m = WilsonDirac::new(&g, 0.1 * k as f64, None);
+            assert_eq!(
+                (m.even_stream, m.odd_stream),
+                (first.even_stream, first.odd_stream)
+            );
+        }
+        assert_eq!(ctx.device().stream_count(), streams);
     }
 
     #[test]

@@ -23,7 +23,6 @@ pub mod fermion;
 pub mod force;
 pub mod gauge;
 pub mod hmc;
-pub mod jobs;
 pub mod solver;
 pub mod trace;
 pub mod zolotarev;
@@ -31,5 +30,4 @@ pub mod zolotarev;
 pub use fermion::{CloverTerm, WilsonDirac};
 pub use gauge::GaugeField;
 pub use hmc::{Hmc, HmcReport, Integrator};
-pub use jobs::{cg_solve_on, hmc_trajectory_on, plaquette_on, CgJobReport, HmcJobReport};
 pub use solver::{cg_solve, CgReport};

@@ -248,7 +248,7 @@ fn flush_stmts(ctx: &QdpContext, stmts: &[Stmt]) -> Result<(), CoreError> {
 }
 
 /// Evaluate a sequence of raw `target ← expr` statements (full lattice,
-/// default stream) through the fusion planner, exactly as a
+/// the issuing thread's stream) through the fusion planner, exactly as a
 /// [`FusionScope`] flush would — groups that pass the legality rules
 /// launch as fused kernels, the rest launch alone. The untyped entry point
 /// for the conformance `--fuse-diff` harness, which needs to drive the
@@ -258,13 +258,14 @@ pub fn eval_fused_sequence(
     ctx: &QdpContext,
     stmts: &[(FieldRef, Expr)],
 ) -> Result<(), CoreError> {
+    let stream = ctx.device().current_stream();
     let stmts: Vec<Stmt> = stmts
         .iter()
         .map(|(target, expr)| Stmt {
             target: *target,
             expr: expr.clone(),
             sites: StmtSites::Subset(Subset::All),
-            stream: StreamId::DEFAULT,
+            stream,
         })
         .collect();
     flush_stmts(ctx, &stmts)
@@ -273,7 +274,9 @@ pub fn eval_fused_sequence(
 /// A deferred-evaluation scope (see [`crate::QdpContext::deferred`]):
 /// assignments and reductions issued through it are recorded, then fused
 /// and launched on flush — a reduction, an explicit
-/// [`FusionScope::flush`], or scope drop. With fusion off
+/// [`FusionScope::flush`], or scope drop. A statement runs on the stream
+/// the recording thread had bound when it was recorded (statements on
+/// different streams never fuse with each other). With fusion off
 /// ([`crate::QdpConfig::fuse`] = false) the same flush launches every
 /// statement alone.
 pub struct FusionScope {
@@ -295,12 +298,12 @@ impl FusionScope {
         &self.ctx
     }
 
-    fn record(&mut self, target: FieldRef, expr: Expr, sites: StmtSites, stream: StreamId) {
+    fn record(&mut self, target: FieldRef, expr: Expr, sites: StmtSites) {
         self.pending.push(Stmt {
             target,
             expr,
             sites,
-            stream,
+            stream: self.ctx.device().current_stream(),
         });
     }
 
@@ -310,12 +313,7 @@ impl FusionScope {
         target: &Lattice<E>,
         rhs: QExpr<E>,
     ) -> Result<(), CoreError> {
-        self.record(
-            target.fref(),
-            rhs.0,
-            StmtSites::Subset(Subset::All),
-            StreamId::DEFAULT,
-        );
+        self.record(target.fref(), rhs.0, StmtSites::Subset(Subset::All));
         Ok(())
     }
 
@@ -326,24 +324,7 @@ impl FusionScope {
         target: &Lattice<E>,
         rhs: QExpr<E>,
     ) -> Result<(), CoreError> {
-        self.record(
-            target.fref(),
-            rhs.0,
-            StmtSites::Subset(subset),
-            StreamId::DEFAULT,
-        );
-        Ok(())
-    }
-
-    /// Deferred stream-ordered assignment (statements on different streams
-    /// never fuse with each other).
-    pub fn assign_stream<E: SiteElem>(
-        &mut self,
-        target: &Lattice<E>,
-        rhs: QExpr<E>,
-        stream: StreamId,
-    ) -> Result<(), CoreError> {
-        self.record(target.fref(), rhs.0, StmtSites::Subset(Subset::All), stream);
+        self.record(target.fref(), rhs.0, StmtSites::Subset(subset));
         Ok(())
     }
 
@@ -355,12 +336,7 @@ impl FusionScope {
         rhs: QExpr<E>,
         sites: &[u32],
     ) -> Result<(), CoreError> {
-        self.record(
-            target.fref(),
-            rhs.0,
-            StmtSites::List(sites.to_vec()),
-            StreamId::DEFAULT,
-        );
+        self.record(target.fref(), rhs.0, StmtSites::List(sites.to_vec()));
         Ok(())
     }
 
@@ -396,17 +372,12 @@ impl FusionScope {
         }
         let r = (|| {
             for ((e, _), (t, _)) in exprs.iter().zip(temps.iter()) {
-                self.record(
-                    *t,
-                    e.clone(),
-                    StmtSites::Subset(Subset::All),
-                    StreamId::DEFAULT,
-                );
+                self.record(*t, e.clone(), StmtSites::Subset(Subset::All));
             }
             self.flush()?;
             let mut sums = Vec::with_capacity(temps.len());
             for batch in temps.chunks(group_budget(&self.ctx)) {
-                sums.extend(reduce_batch(&self.ctx, batch, StreamId::DEFAULT)?);
+                sums.extend(reduce_batch(&self.ctx, batch)?);
             }
             Ok(sums)
         })();

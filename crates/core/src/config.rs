@@ -11,7 +11,6 @@
 //! |------------------------|--------------------------------------|
 //! | `QDP_OPT`              | [`QdpConfig::opt_level`]             |
 //! | `QDP_FUSE`             | [`QdpConfig::fuse`] (`0` = group budget 1) |
-//! | `QDP_STREAM_DSLASH`    | [`QdpConfig::stream_dslash`]         |
 //! | `QDP_COMM_TIMEOUT_MS`  | [`QdpConfig::comm_timeout_ms`]       |
 //! | `QDP_FAULT`            | [`QdpConfig::fault`]                 |
 //! | `QDP_CHECKPOINT_DIR`   | [`QdpConfig::checkpoint_dir`]        |
@@ -38,9 +37,6 @@ pub struct QdpConfig {
     /// is a group budget of 1 on the same planner: one launch per recorded
     /// statement and per reduction temporary.
     pub fuse: bool,
-    /// Checkerboarded two-stream dslash in `chroma-mini`
-    /// (`QDP_STREAM_DSLASH`; default on).
-    pub stream_dslash: bool,
     /// Per-message receive deadline for the virtual cluster
     /// (`QDP_COMM_TIMEOUT_MS`; default 5000).
     pub comm_timeout_ms: u64,
@@ -61,7 +57,6 @@ impl Default for QdpConfig {
         QdpConfig {
             opt_level: OptLevel::Default,
             fuse: true,
-            stream_dslash: true,
             comm_timeout_ms: 5000,
             fault: FaultPlan::new(),
             checkpoint_dir: None,
@@ -91,7 +86,6 @@ impl QdpConfig {
         QdpConfig {
             opt_level: var("QDP_OPT").map_or(OptLevel::Default, |v| OptLevel::parse(&v)),
             fuse: on_unless_zero("QDP_FUSE"),
-            stream_dslash: on_unless_zero("QDP_STREAM_DSLASH"),
             comm_timeout_ms: var("QDP_COMM_TIMEOUT_MS")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(5000),
@@ -192,12 +186,6 @@ impl QdpContextBuilder {
         self
     }
 
-    /// Enable/disable the checkerboarded two-stream dslash.
-    pub fn stream_dslash(mut self, on: bool) -> Self {
-        self.config.stream_dslash = on;
-        self
-    }
-
     /// Per-message receive deadline for cluster communication.
     pub fn comm_timeout_ms(mut self, ms: u64) -> Self {
         self.config.comm_timeout_ms = ms;
@@ -263,7 +251,6 @@ mod tests {
         let cfg = QdpConfig::new();
         assert_eq!(cfg.opt_level, OptLevel::Default);
         assert!(cfg.fuse);
-        assert!(cfg.stream_dslash);
         assert_eq!(cfg.comm_timeout_ms, 5000);
         assert!(cfg.fault.is_empty());
         assert!(cfg.checkpoint_dir.is_none());
@@ -283,12 +270,10 @@ mod tests {
         let ctx = QdpContext::builder(Geometry::symmetric(2))
             .opt_level(OptLevel::None)
             .fuse(false)
-            .stream_dslash(false)
             .comm_timeout_ms(77)
             .build();
         assert_eq!(ctx.opt_level(), OptLevel::None);
         assert!(!ctx.config().fuse);
-        assert!(!ctx.config().stream_dslash);
         assert_eq!(ctx.config().comm_timeout_ms, 77);
         assert!(ctx.kernel_store().is_none());
     }

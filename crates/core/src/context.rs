@@ -6,7 +6,7 @@ use crate::config::{QdpConfig, QdpContextBuilder};
 use qdp_gpu_sim::sync::Mutex;
 use qdp_cache::MemoryCache;
 use qdp_expr::ShiftDir;
-use qdp_gpu_sim::{Device, DeviceConfig, DevicePtr};
+use qdp_gpu_sim::{Device, DeviceConfig, DevicePtr, StreamId};
 use qdp_jit::{AutoTuner, KernelCache, KernelStore};
 use qdp_layout::{Dir, Geometry, LayoutKind, Subset};
 use qdp_ptx::opt::OptLevel;
@@ -49,44 +49,6 @@ impl QdpContext {
             .device(cfg)
             .layout(layout)
             .config(QdpConfig::from_env())
-            .build()
-    }
-
-    /// Bring up an environment-configured context whose whole stack
-    /// (device, software cache, JIT cache, launcher) records into an
-    /// injected `telemetry` registry (e.g. in tests).
-    pub fn with_telemetry(
-        cfg: DeviceConfig,
-        geom: Geometry,
-        layout: LayoutKind,
-        telemetry: Arc<Telemetry>,
-    ) -> Arc<QdpContext> {
-        QdpContext::builder(geom)
-            .device(cfg)
-            .layout(layout)
-            .config(QdpConfig::from_env())
-            .telemetry(telemetry)
-            .build()
-    }
-
-    /// Bring up an environment-configured context backed by an explicit
-    /// persistent kernel store (`None` disables persistence regardless of
-    /// the environment). The store's device fingerprint should be
-    /// `cfg.fingerprint()` — a store opened for a different device simply
-    /// never hits.
-    pub fn with_kernel_store(
-        cfg: DeviceConfig,
-        geom: Geometry,
-        layout: LayoutKind,
-        telemetry: Arc<Telemetry>,
-        store: Option<Arc<KernelStore>>,
-    ) -> Arc<QdpContext> {
-        QdpContext::builder(geom)
-            .device(cfg)
-            .layout(layout)
-            .config(QdpConfig::from_env())
-            .telemetry(telemetry)
-            .kernel_store(store)
             .build()
     }
 
@@ -278,7 +240,7 @@ impl QdpContext {
         };
         let bytes: Vec<u8> = tbl.iter().flat_map(|e| e.0.to_le_bytes()).collect();
         let ptr = self.alloc_table(&format!("neighbour table (mu={mu}, {dir:?}, remote={remote})"), bytes.len());
-        self.device.h2d(ptr, &bytes);
+        self.device.h2d_async(ptr, &bytes, StreamId::DEFAULT);
         map.insert((mu, dir, remote), ptr);
         ptr
     }
@@ -318,7 +280,7 @@ impl QdpContext {
         let sites = subset.sites(&self.geom);
         let bytes: Vec<u8> = sites.iter().flat_map(|s| s.to_le_bytes()).collect();
         let ptr = self.alloc_table(&format!("subset table ({subset:?})"), bytes.len());
-        self.device.h2d(ptr, &bytes);
+        self.device.h2d_async(ptr, &bytes, StreamId::DEFAULT);
         map.insert(subset, (ptr, sites.len()));
         (Some(ptr), sites.len())
     }

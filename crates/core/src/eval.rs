@@ -216,12 +216,13 @@ pub enum SiteSpec<'a> {
 /// eval(&ctx, target, &expr, &EvalParams::new().stream(compute))?;        // stream-ordered
 /// ```
 ///
-/// Defaults: all sites, the default stream, the context's optimizer level,
-/// no remote environment.
+/// Defaults: all sites, the issuing thread's bound stream
+/// ([`qdp_gpu_sim::Device::current_stream`], resolved when the evaluation
+/// is issued), the context's optimizer level, no remote environment.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalParams<'a> {
     sites: SiteSpec<'a>,
-    stream: StreamId,
+    stream: Option<StreamId>,
     opt_level: Option<OptLevel>,
     remote: Option<&'a RemoteEnv>,
 }
@@ -233,11 +234,12 @@ impl Default for EvalParams<'_> {
 }
 
 impl<'a> EvalParams<'a> {
-    /// Default parameters: every site, default stream, context opt level.
+    /// Default parameters: every site, the issuing thread's stream, context
+    /// opt level.
     pub fn new() -> EvalParams<'a> {
         EvalParams {
             sites: SiteSpec::Subset(Subset::All),
-            stream: StreamId::DEFAULT,
+            stream: None,
             opt_level: None,
             remote: None,
         }
@@ -263,10 +265,15 @@ impl<'a> EvalParams<'a> {
     }
 
     /// Order the launch (and any site-table upload) on `stream` instead of
-    /// the default stream, so independent evaluations overlap.
+    /// the issuing thread's stream, so independent evaluations overlap.
     pub fn stream(mut self, s: StreamId) -> EvalParams<'a> {
-        self.stream = s;
+        self.stream = Some(s);
         self
+    }
+
+    /// The stream an evaluation issued now on `ctx` runs on.
+    fn stream_on(&self, ctx: &QdpContext) -> StreamId {
+        self.stream.unwrap_or_else(|| ctx.device().current_stream())
     }
 
     /// Override the kernel optimizer level for this evaluation (instead of
@@ -528,7 +535,7 @@ pub(crate) fn eval_statements(
                 .device()
                 .alloc(bytes.len())
                 .map_err(|e| CoreError::Msg(format!("site-list table alloc failed: {e}")))?;
-            ctx.device().h2d_async(ptr, &bytes, params.stream);
+            ctx.device().h2d_async(ptr, &bytes, params.stream_on(ctx));
             let r = launch_statements(
                 ctx,
                 stmts,
@@ -553,7 +560,7 @@ fn launch_statements(
     params: &EvalParams<'_>,
 ) -> Result<EvalReport, CoreError> {
     let remote = params.remote;
-    let stream = params.stream;
+    let stream = params.stream_on(ctx);
     if remote.is_some() && stmts.iter().any(|(_, e)| e.has_nested_shift()) {
         return Err(CoreError::Msg(
             "nested shifts must be materialised before multi-rank evaluation \
@@ -813,15 +820,14 @@ pub fn eval_reference_sites(
 // ---------------------------------------------------------------------------
 
 /// Account one combined runtime tree-reduction pass over `temps`
-/// (`(temporary, real components)` pairs) as a second kernel on `stream`
-/// (see the substitution note in DESIGN.md), then sum each temporary on
-/// the host side of the simulator in per-component site order — batching
-/// merges only the accounting, so values are bit-identical to reducing
-/// the temporaries one at a time.
+/// (`(temporary, real components)` pairs) as a second kernel on the issuing
+/// thread's stream (see the substitution note in DESIGN.md), then sum each
+/// temporary on the host side of the simulator in per-component site order
+/// — batching merges only the accounting, so values are bit-identical to
+/// reducing the temporaries one at a time.
 pub(crate) fn reduce_batch(
     ctx: &QdpContext,
     temps: &[(FieldRef, usize)],
-    stream: StreamId,
 ) -> Result<Vec<Vec<f64>>, CoreError> {
     let vol = ctx.geometry().vol();
     let ids: Vec<u64> = temps.iter().map(|(t, _)| t.id).collect();
@@ -843,7 +849,7 @@ pub(crate) fn reduce_batch(
         double_precision: temps.iter().any(|(t, _)| t.ft == FloatType::F64),
     };
     ctx.device()
-        .account_launch_on(&shape, 128, stream)
+        .account_launch_on(&shape, 128, ctx.device().current_stream())
         .map_err(CoreError::Launch)?;
 
     let mem = ctx.device().memory();
@@ -868,37 +874,37 @@ pub(crate) fn reduce_batch(
     Ok(out)
 }
 
-/// `Σ_x expr(x)` for a real-kind expression over a subset.
-pub fn sum_real(ctx: &QdpContext, expr: &Expr, subset: Subset) -> Result<f64, CoreError> {
-    sum_real_with(ctx, expr, &EvalParams::new().subset(subset))
-}
-
-/// [`sum_real`] under full [`EvalParams`] control: the payload evaluation
-/// *and* the reduction pass run on `params`' stream, so concurrent jobs
-/// reduce without synchronising each other's timelines.
-pub fn sum_real_with(
+/// Evaluate `expr` over `subset` into a site-local temporary of `n_comp`
+/// real components, reduce it, free it. Payload and reduction pass both run
+/// on the issuing thread's stream.
+fn sum_components(
     ctx: &QdpContext,
     expr: &Expr,
-    params: &EvalParams<'_>,
-) -> Result<f64, CoreError> {
-    if expr.kind()? != ElemKind::Real {
-        return Err(CoreError::Msg("sum_real of non-real expression".into()));
+    subset: Subset,
+    kind: ElemKind,
+    n_comp: usize,
+) -> Result<Vec<f64>, CoreError> {
+    let found = expr.kind()?;
+    if found != kind {
+        return Err(CoreError::Msg(format!(
+            "{kind:?} sum of {found:?} expression"
+        )));
     }
     let ft = expr.float_type();
     let vol = ctx.geometry().vol();
-    let id = ctx.cache().register(vol * ft.size_bytes());
-    let temp = FieldRef {
-        id,
-        kind: ElemKind::Real,
-        ft,
-    };
+    let id = ctx.cache().register(vol * n_comp * ft.size_bytes());
+    let temp = FieldRef { id, kind, ft };
     let r = (|| {
-        eval(ctx, temp, expr, params)?;
-        let s = reduce_batch(ctx, &[(temp, 1)], params.stream)?;
-        Ok(s[0][0])
+        eval(ctx, temp, expr, &EvalParams::new().subset(subset))?;
+        Ok(reduce_batch(ctx, &[(temp, n_comp)])?.remove(0))
     })();
     ctx.cache().unregister(id);
     r
+}
+
+/// `Σ_x expr(x)` for a real-kind expression over a subset.
+pub fn sum_real(ctx: &QdpContext, expr: &Expr, subset: Subset) -> Result<f64, CoreError> {
+    Ok(sum_components(ctx, expr, subset, ElemKind::Real, 1)?[0])
 }
 
 /// `Σ_x expr(x)` for a complex-kind expression over a subset.
@@ -907,49 +913,14 @@ pub fn sum_complex(
     expr: &Expr,
     subset: Subset,
 ) -> Result<(f64, f64), CoreError> {
-    sum_complex_with(ctx, expr, &EvalParams::new().subset(subset))
-}
-
-/// [`sum_complex`] under full [`EvalParams`] control (see
-/// [`sum_real_with`]).
-pub fn sum_complex_with(
-    ctx: &QdpContext,
-    expr: &Expr,
-    params: &EvalParams<'_>,
-) -> Result<(f64, f64), CoreError> {
-    if expr.kind()? != ElemKind::Complex {
-        return Err(CoreError::Msg("sum_complex of non-complex expression".into()));
-    }
-    let ft = expr.float_type();
-    let vol = ctx.geometry().vol();
-    let id = ctx.cache().register(vol * 2 * ft.size_bytes());
-    let temp = FieldRef {
-        id,
-        kind: ElemKind::Complex,
-        ft,
-    };
-    let r = (|| {
-        eval(ctx, temp, expr, params)?;
-        let s = reduce_batch(ctx, &[(temp, 2)], params.stream)?;
-        Ok((s[0][0], s[0][1]))
-    })();
-    ctx.cache().unregister(id);
-    r
+    let s = sum_components(ctx, expr, subset, ElemKind::Complex, 2)?;
+    Ok((s[0], s[1]))
 }
 
 /// `‖expr‖² = Σ_x Σ_comp |comp|²`.
 pub fn norm2(ctx: &QdpContext, expr: &Expr, subset: Subset) -> Result<f64, CoreError> {
-    norm2_with(ctx, expr, &EvalParams::new().subset(subset))
-}
-
-/// [`norm2`] under full [`EvalParams`] control (see [`sum_real_with`]).
-pub fn norm2_with(
-    ctx: &QdpContext,
-    expr: &Expr,
-    params: &EvalParams<'_>,
-) -> Result<f64, CoreError> {
     let n2 = Expr::Unary(qdp_expr::UnaryOp::LocalNorm2, Box::new(expr.clone()));
-    sum_real_with(ctx, &n2, params)
+    sum_real(ctx, &n2, subset)
 }
 
 /// `⟨a, b⟩ = Σ_x Σ_comp conj(a)·b`.
@@ -959,21 +930,10 @@ pub fn inner_product(
     b: &Expr,
     subset: Subset,
 ) -> Result<(f64, f64), CoreError> {
-    inner_product_with(ctx, a, b, &EvalParams::new().subset(subset))
-}
-
-/// [`inner_product`] under full [`EvalParams`] control (see
-/// [`sum_real_with`]).
-pub fn inner_product_with(
-    ctx: &QdpContext,
-    a: &Expr,
-    b: &Expr,
-    params: &EvalParams<'_>,
-) -> Result<(f64, f64), CoreError> {
     let ip = Expr::Binary(
         qdp_expr::BinaryOp::LocalInnerProduct,
         Box::new(a.clone()),
         Box::new(b.clone()),
     );
-    sum_complex_with(ctx, &ip, params)
+    sum_complex(ctx, &ip, subset)
 }

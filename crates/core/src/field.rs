@@ -8,7 +8,7 @@
 //! the C++ templates provide: `Fermion * Fermion` does not compile.
 
 use crate::context::QdpContext;
-use crate::eval::{self, CoreError, EvalParams, EvalReport};
+use crate::eval::{self, CoreError, EvalReport};
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
 use qdp_layout::{FieldLayout, Subset};
 use qdp_types::{
@@ -605,45 +605,5 @@ pub fn reduce_sum_complex<R: Real>(
     subset: Subset,
 ) -> Result<Complex<f64>, CoreError> {
     let (re, im) = eval::sum_complex(ctx, &q.0, subset)?;
-    Ok(Complex::new(re, im))
-}
-
-/// [`reduce_norm2`] under full [`EvalParams`] control — payload and
-/// reduction pass both run on the params' stream.
-pub fn reduce_norm2_with<E: SiteElem>(
-    ctx: &QdpContext,
-    q: &QExpr<E>,
-    params: &EvalParams<'_>,
-) -> Result<f64, CoreError> {
-    eval::norm2_with(ctx, &q.0, params)
-}
-
-/// [`reduce_inner_product`] under full [`EvalParams`] control.
-pub fn reduce_inner_product_with<E: SiteElem>(
-    ctx: &QdpContext,
-    a: &QExpr<E>,
-    b: &QExpr<E>,
-    params: &EvalParams<'_>,
-) -> Result<Complex<f64>, CoreError> {
-    let (re, im) = eval::inner_product_with(ctx, &a.0, &b.0, params)?;
-    Ok(Complex::new(re, im))
-}
-
-/// [`reduce_sum_real`] under full [`EvalParams`] control.
-pub fn reduce_sum_real_with<R: Real>(
-    ctx: &QdpContext,
-    q: &QExpr<SiteReal<R>>,
-    params: &EvalParams<'_>,
-) -> Result<f64, CoreError> {
-    eval::sum_real_with(ctx, &q.0, params)
-}
-
-/// [`reduce_sum_complex`] under full [`EvalParams`] control.
-pub fn reduce_sum_complex_with<R: Real>(
-    ctx: &QdpContext,
-    q: &QExpr<SiteComplex<R>>,
-    params: &EvalParams<'_>,
-) -> Result<Complex<f64>, CoreError> {
-    let (re, im) = eval::sum_complex_with(ctx, &q.0, params)?;
     Ok(Complex::new(re, im))
 }

@@ -37,9 +37,8 @@ pub use eval::{
 };
 pub use field::{
     adj, clover_mul, conj, cscale, diag_fill, expm, gamma, gamma_mu, imag, outer_color, real,
-    reduce_inner_product, reduce_inner_product_with,
-    reduce_norm2, reduce_norm2_with, reduce_sum_complex, reduce_sum_complex_with,
-    reduce_sum_real, reduce_sum_real_with, shift, times_i, times_minus_i, trace,
+    reduce_inner_product, reduce_norm2, reduce_sum_complex, reduce_sum_real, shift, times_i,
+    times_minus_i, trace,
     trace_spin, transpose, GammaFactor, Lattice, LatticeCloverDiag, LatticeCloverTriang,
     LatticeColorMatrix, LatticeComplex, LatticeFermion, LatticeReal, LatticeSpinMatrix, MatrixLike,
     Multi1d, QExpr, SiteComplex, SiteElem, SiteReal,

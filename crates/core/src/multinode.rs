@@ -564,40 +564,31 @@ impl MultiRank {
     /// Global `‖expr‖²`: local reduction + all-reduce across ranks.
     pub fn norm2(&self, expr: &Expr) -> Result<f64, CoreError> {
         let local = eval::norm2(&self.ctx, expr, Subset::All)?;
-        let (sum, t) = self
-            .handle
-            .allreduce_sum(&[local], self.ctx.device().now())?;
-        self.ctx.device().advance_clock_to(t);
-        Ok(sum[0])
+        Ok(self.allreduce(&[local])?[0])
     }
 
     /// Global `⟨a, b⟩`.
     pub fn inner_product(&self, a: &Expr, b: &Expr) -> Result<(f64, f64), CoreError> {
         let (re, im) = eval::inner_product(&self.ctx, a, b, Subset::All)?;
-        let (sum, t) = self
-            .handle
-            .allreduce_sum(&[re, im], self.ctx.device().now())?;
-        self.ctx.device().advance_clock_to(t);
+        let sum = self.allreduce(&[re, im])?;
         Ok((sum[0], sum[1]))
     }
 
     /// Global `Σ expr` for a real expression.
     pub fn sum_real(&self, expr: &Expr) -> Result<f64, CoreError> {
         let local = eval::sum_real(&self.ctx, expr, Subset::All)?;
-        let (sum, t) = self
-            .handle
-            .allreduce_sum(&[local], self.ctx.device().now())?;
-        self.ctx.device().advance_clock_to(t);
-        Ok(sum[0])
+        Ok(self.allreduce(&[local])?[0])
     }
 
     /// All-reduce a raw vector of partial sums across the rank grid,
-    /// advancing the local device clock to the reduction's completion.
+    /// advancing the local device clock (the synchronising default stream)
+    /// to the reduction's completion.
     pub fn allreduce(&self, values: &[f64]) -> Result<Vec<f64>, CoreError> {
+        let device = self.ctx.device();
         let (sum, t) = self
             .handle
-            .allreduce_sum(values, self.ctx.device().now())?;
-        self.ctx.device().advance_clock_to(t);
+            .allreduce_sum(values, device.stream_now(StreamId::DEFAULT))?;
+        device.advance_stream_to(StreamId::DEFAULT, t);
         Ok(sum)
     }
 }

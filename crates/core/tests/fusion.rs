@@ -304,11 +304,17 @@ fn bailout_cross_stream_dependency() {
     let s2 = ctx.device().create_stream("fusion-test");
     let f = pair(&ctx, 4);
     let mut scope = ctx.deferred();
-    scope
-        .assign_stream(&f.a, f.u.q() * f.v.q(), StreamId::DEFAULT)
-        .unwrap();
-    scope.assign_stream(&f.c, f.u.q() * f.u.q(), s2).unwrap();
+    scope.assign(&f.a, f.u.q() * f.v.q()).unwrap();
+    {
+        // a statement runs on the stream bound when it was recorded
+        let _bound = ctx.device().bind_stream(s2);
+        scope.assign(&f.c, f.u.q() * f.u.q()).unwrap();
+    }
     scope.flush().unwrap();
+    assert!(
+        ctx.device().stream_now(s2) > ctx.device().stream_now(StreamId::DEFAULT),
+        "the statement recorded under the binding launched on the bound stream"
+    );
     ctx.device().sync();
     assert_eq!(ctx.profile_report().counter("fuse.bailouts"), 1);
     assert_eq!(ctx.profile_report().counter("fuse.groups"), 0);

@@ -31,14 +31,11 @@ fn ctx_on(dir: &Path, cfg: DeviceConfig) -> (Arc<QdpContext>, Arc<Telemetry>) {
     let tel = Arc::new(Telemetry::new());
     tel.enable();
     let store = KernelStore::open(dir, &cfg.fingerprint(), Arc::clone(&tel));
-    let ctx = QdpContext::with_kernel_store(
-        cfg,
-        Geometry::symmetric(4),
-        LayoutKind::SoA,
-        Arc::clone(&tel),
-        Some(store),
-    );
-    ctx.set_opt_level(Some(OptLevel::Default));
+    let ctx = QdpContext::builder(Geometry::symmetric(4))
+        .device(cfg)
+        .telemetry(Arc::clone(&tel))
+        .kernel_store(Some(store))
+        .build();
     (ctx, tel)
 }
 

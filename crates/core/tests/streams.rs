@@ -214,12 +214,9 @@ fn multi_stream_trace_has_per_stream_tracks() {
     ));
     let tel = Arc::new(Telemetry::new());
     tel.enable_trace(&path);
-    let ctx = QdpContext::with_telemetry(
-        DeviceConfig::k20x_ecc_off(),
-        Geometry::symmetric(8),
-        LayoutKind::SoA,
-        Arc::clone(&tel),
-    );
+    let ctx = QdpContext::builder(Geometry::symmetric(8))
+        .telemetry(Arc::clone(&tel))
+        .build();
     let (u, psi) = fields(&ctx);
     let a = LatticeFermion::<f64>::new(&ctx);
     let b = LatticeFermion::<f64>::new(&ctx);

@@ -5,7 +5,7 @@
 
 use qdp_core::prelude::*;
 use qdp_gpu_sim::Device;
-use qdp_jit::{launch_tuned, AutoTuner, KernelCache, LaunchArg};
+use qdp_jit::{launch_tuned_on, AutoTuner, KernelCache, LaunchArg};
 use qdp_ptx::emit::emit_module;
 use qdp_ptx::inst::{BinOp, Inst, Operand};
 use qdp_ptx::module::{KernelBuilder, Module};
@@ -19,12 +19,9 @@ use std::sync::Arc;
 fn profiled_ctx() -> (Arc<QdpContext>, Arc<Telemetry>) {
     let tel = Arc::new(Telemetry::new());
     tel.enable();
-    let ctx = QdpContext::with_telemetry(
-        DeviceConfig::k20x_ecc_off(),
-        Geometry::symmetric(4),
-        LayoutKind::SoA,
-        Arc::clone(&tel),
-    );
+    let ctx = QdpContext::builder(Geometry::symmetric(4))
+        .telemetry(Arc::clone(&tel))
+        .build();
     (ctx, tel)
 }
 
@@ -159,7 +156,7 @@ fn launch_failure_halving_is_visible_in_report() {
     let n = 4096usize;
     let p_in = device.alloc(n * 8).unwrap();
     let p_out = device.alloc(n * 8).unwrap();
-    let out = launch_tuned(
+    let out = launch_tuned_on(
         &device,
         &tuner,
         &k,
@@ -171,6 +168,7 @@ fn launch_failure_halving_is_visible_in_report() {
         n,
         1,
         false,
+        StreamId::DEFAULT,
     )
     .unwrap();
     assert!(out.failed_attempts >= 1);
@@ -196,12 +194,9 @@ fn chrome_trace_contains_kernel_and_span_events() {
     tel.enable();
     let path = std::env::temp_dir().join(format!("qdp_core_trace_{}.json", std::process::id()));
     tel.enable_trace(&path);
-    let ctx = QdpContext::with_telemetry(
-        DeviceConfig::k20x_ecc_off(),
-        Geometry::symmetric(4),
-        LayoutKind::SoA,
-        Arc::clone(&tel),
-    );
+    let ctx = QdpContext::builder(Geometry::symmetric(4))
+        .telemetry(Arc::clone(&tel))
+        .build();
     run_settling_workload(&ctx);
     tel.flush_trace().expect("trace should be written once");
 

@@ -8,7 +8,46 @@ use crate::stream::{Event, StreamId, StreamTable};
 use crate::sync::Mutex;
 use crate::DeviceError;
 use qdp_telemetry::{Telemetry, Track};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of [`Device::id`] values.
+static NEXT_DEVICE_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's stream bindings: at most one `(device id, stream)`
+    /// entry per device (see [`Device::bind_stream`]).
+    static BOUND: RefCell<Vec<(u64, StreamId)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Set (`Some`) or clear (`None`) this thread's binding for `device`;
+/// returns the binding it replaces.
+fn swap_binding(device: u64, stream: Option<StreamId>) -> Option<StreamId> {
+    BOUND.with_borrow_mut(|b| {
+        let at = b.iter().position(|&(d, _)| d == device);
+        let prev = at.map(|i| b.swap_remove(i).1);
+        b.extend(stream.map(|s| (device, s)));
+        prev
+    })
+}
+
+/// Scope of a [`Device::bind_stream`] call: while it lives, the issuing
+/// thread's work on the device runs on the bound stream; dropping it
+/// restores the binding it replaced. Tied to the binding thread.
+#[must_use = "the binding ends when the guard is dropped"]
+pub struct StreamBinding<'a> {
+    device: &'a Device,
+    prev: Option<StreamId>,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl Drop for StreamBinding<'_> {
+    fn drop(&mut self) {
+        swap_binding(self.device.id, self.prev);
+    }
+}
 
 /// Cumulative device statistics (reported by benchmark harnesses and the
 /// cache ablation).
@@ -33,11 +72,13 @@ pub struct DeviceStats {
 /// A simulated CUDA device.
 ///
 /// Time lives in a table of per-stream fronts (see [`crate::stream`]).
-/// The legacy single-clock API (`now` / `advance_clock` / `h2d` /
-/// `account_launch`) operates on the default stream, whose legacy-sync
-/// semantics make it arithmetically identical to the old global clock when
-/// no other stream carries work.
+/// Work that names no stream runs on the issuing thread's bound stream
+/// ([`Device::bind_stream`], CUDA's per-thread default stream); a thread
+/// that binds nothing is on the default stream, whose legacy-sync
+/// semantics make it arithmetically identical to one global clock when no
+/// other stream carries work.
 pub struct Device {
+    id: u64,
     cfg: DeviceConfig,
     mem: DeviceMemory,
     streams: Mutex<StreamTable>,
@@ -58,6 +99,7 @@ impl Device {
         let mem = DeviceMemory::new(cfg.memory_bytes);
         telemetry.set_sim_thread_name(Track::Device, 0, "stream0 (default)");
         Device {
+            id: NEXT_DEVICE_ID.fetch_add(1, Ordering::Relaxed),
             cfg,
             mem,
             streams: Mutex::new(StreamTable::new()),
@@ -88,10 +130,49 @@ impl Device {
     /// `QDP_TRACE` output.
     pub fn create_stream(&self, name: &str) -> StreamId {
         let id = self.streams.lock().create(name);
+        self.stream_created(id, name)
+    }
+
+    fn stream_created(&self, id: StreamId, name: &str) -> StreamId {
         self.telemetry
             .set_sim_thread_name(Track::Device, id.0, name);
         self.telemetry.count("stream.created", 1);
         id
+    }
+
+    /// The stream named `name`, created on first use — for streams that
+    /// live as long as the device (one per role, not one per user).
+    pub fn named_stream(&self, name: &str) -> StreamId {
+        let mut table = self.streams.lock();
+        if let Some(id) = table.find(name) {
+            return id;
+        }
+        let id = table.create(name);
+        drop(table);
+        self.stream_created(id, name)
+    }
+
+    /// Bind the calling thread to stream `s` on this device until the
+    /// returned guard drops: every evaluation, reduction and clock read
+    /// that names no stream then uses `s`. Bindings nest (the guard
+    /// restores the one it replaced) and are invisible to other threads
+    /// and other devices.
+    pub fn bind_stream(&self, s: StreamId) -> StreamBinding<'_> {
+        StreamBinding {
+            device: self,
+            prev: swap_binding(self.id, Some(s)),
+            _this_thread: PhantomData,
+        }
+    }
+
+    /// The calling thread's bound stream on this device, or
+    /// [`StreamId::DEFAULT`] when it has bound none.
+    pub fn current_stream(&self) -> StreamId {
+        BOUND.with_borrow(|b| {
+            b.iter()
+                .find(|&&(d, _)| d == self.id)
+                .map_or(StreamId::DEFAULT, |&(_, s)| s)
+        })
     }
 
     /// Number of streams on this device (including the default stream).
@@ -143,22 +224,10 @@ impl Device {
         self.streams.lock().sync()
     }
 
-    // --- legacy single-clock API (default stream) --------------------------
-
-    /// Current simulated time in seconds (the default stream's front).
+    /// Current simulated time in seconds: the front of the issuing thread's
+    /// stream ([`Device::current_stream`]).
     pub fn now(&self) -> f64 {
-        self.streams.lock().front(StreamId::DEFAULT)
-    }
-
-    /// Advance the simulated clock by `dt` seconds and return the new time.
-    /// Equivalent to accounting `dt` of work on the default stream.
-    pub fn advance_clock(&self, dt: f64) -> f64 {
-        self.advance_stream(StreamId::DEFAULT, dt)
-    }
-
-    /// Advance the clock to at least `t` (stream-join semantics).
-    pub fn advance_clock_to(&self, t: f64) -> f64 {
-        self.advance_stream_to(StreamId::DEFAULT, t)
+        self.stream_now(self.current_stream())
     }
 
     /// Snapshot of the statistics.
@@ -179,16 +248,6 @@ impl Device {
     /// PCIe transfer cost for `bytes`.
     pub fn transfer_time(&self, bytes: usize) -> f64 {
         self.cfg.pcie_latency + bytes as f64 / self.cfg.pcie_bandwidth
-    }
-
-    /// Copy host → device on the default stream.
-    pub fn h2d(&self, dst: DevicePtr, src: &[u8]) -> f64 {
-        self.h2d_async(dst, src, StreamId::DEFAULT)
-    }
-
-    /// Copy device → host on the default stream.
-    pub fn d2h(&self, src: DevicePtr, dst: &mut [u8]) -> f64 {
-        self.d2h_async(src, dst, StreamId::DEFAULT)
     }
 
     /// Stream-ordered host → device copy: the data lands immediately (the
@@ -271,15 +330,6 @@ impl Device {
         after
     }
 
-    /// Account a kernel launch on the default stream.
-    pub fn account_launch(
-        &self,
-        shape: &KernelShape,
-        block_size: u32,
-    ) -> Result<LaunchTiming, LaunchError> {
-        self.account_launch_on(shape, block_size, StreamId::DEFAULT)
-    }
-
     /// Account a kernel launch on stream `s`: computes the simulated
     /// execution time for `shape` at `block_size`, advances that stream's
     /// front, updates statistics. The *functional* execution is performed
@@ -312,12 +362,12 @@ mod tests {
     fn clock_advances_monotonically() {
         let d = Device::new(DeviceConfig::tiny(1 << 20));
         assert_eq!(d.now(), 0.0);
-        let t1 = d.advance_clock(1e-3);
-        let t2 = d.advance_clock(0.0);
+        let t1 = d.advance_stream(StreamId::DEFAULT, 1e-3);
+        let t2 = d.advance_stream(StreamId::DEFAULT, 0.0);
         assert_eq!(t1, t2);
-        let t3 = d.advance_clock_to(0.5e-3); // in the past: no-op
+        let t3 = d.advance_stream_to(StreamId::DEFAULT, 0.5e-3); // in the past: no-op
         assert_eq!(t3, t1);
-        let t4 = d.advance_clock_to(2e-3);
+        let t4 = d.advance_stream_to(StreamId::DEFAULT, 2e-3);
         assert_eq!(t4, 2e-3);
     }
 
@@ -326,10 +376,10 @@ mod tests {
         let d = Device::new(DeviceConfig::tiny(1 << 20));
         let p = d.alloc(1024).unwrap();
         let data = vec![7u8; 1024];
-        let t_after = d.h2d(p, &data);
+        let t_after = d.h2d_async(p, &data, StreamId::DEFAULT);
         assert!(t_after > 0.0);
         let mut back = vec![0u8; 1024];
-        d.d2h(p, &mut back);
+        d.d2h_async(p, &mut back, StreamId::DEFAULT);
         assert_eq!(back, data);
         let s = d.stats();
         assert_eq!(s.h2d_copies, 1);
@@ -338,42 +388,107 @@ mod tests {
         assert!(s.transfer_time > 0.0);
     }
 
-    #[test]
-    fn launch_accounting() {
-        let d = Device::new(DeviceConfig::k20x_ecc_off());
-        let shape = KernelShape {
+    fn shape(regs_per_thread: u32, double_precision: bool) -> KernelShape {
+        KernelShape {
             threads: 4096,
             read_bytes_per_thread: 96,
             write_bytes_per_thread: 96,
             flops_per_thread: 100,
-            regs_per_thread: 32,
-            access_bytes: 4,
+            regs_per_thread,
+            access_bytes: if double_precision { 8 } else { 4 },
             site_stride: 1,
-            double_precision: false,
-        };
+            double_precision,
+        }
+    }
+
+    #[test]
+    fn launch_accounting() {
+        let d = Device::new(DeviceConfig::k20x_ecc_off());
         let before = d.now();
-        let t = d.account_launch(&shape, 128).unwrap();
+        let t = d
+            .account_launch_on(&shape(32, false), 128, StreamId::DEFAULT)
+            .unwrap();
         assert!(d.now() > before);
         assert!(t.time > 0.0);
         assert_eq!(d.stats().launches, 1);
     }
 
     #[test]
-    fn launch_failure_does_not_advance_clock() {
+    fn launch_failure_leaves_the_clock_alone() {
         let d = Device::new(DeviceConfig::k20x_ecc_off());
-        let shape = KernelShape {
-            threads: 4096,
-            read_bytes_per_thread: 96,
-            write_bytes_per_thread: 96,
-            flops_per_thread: 100,
-            regs_per_thread: 128,
-            access_bytes: 8,
-            site_stride: 1,
-            double_precision: true,
-        };
-        assert!(d.account_launch(&shape, 1024).is_err());
+        assert!(d
+            .account_launch_on(&shape(128, true), 1024, StreamId::DEFAULT)
+            .is_err());
         assert_eq!(d.now(), 0.0);
         assert_eq!(d.stats().launches, 0);
+    }
+
+    #[test]
+    fn unbound_thread_is_on_the_default_stream() {
+        let d = Device::new(DeviceConfig::tiny(1 << 20));
+        assert_eq!(d.current_stream(), StreamId::DEFAULT);
+        let s = d.create_stream("s");
+        d.advance_stream(s, 3e-3);
+        assert_eq!(d.now(), 0.0, "unbound: the clock is the default front");
+        let _b = d.bind_stream(s);
+        assert_eq!(d.current_stream(), s);
+        assert_eq!(d.now(), 3e-3, "bound: the clock is the bound front");
+    }
+
+    #[test]
+    fn nested_bindings_restore_in_lifo_order_even_on_unwind() {
+        let d = Device::new(DeviceConfig::tiny(1 << 20));
+        let a = d.create_stream("a");
+        let b = d.create_stream("b");
+        {
+            let _outer = d.bind_stream(a);
+            {
+                let _inner = d.bind_stream(b);
+                assert_eq!(d.current_stream(), b);
+            }
+            assert_eq!(d.current_stream(), a);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _inner = d.bind_stream(b);
+                panic!("job failed under a binding");
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(
+                d.current_stream(),
+                a,
+                "unwinding restored the outer binding"
+            );
+        }
+        assert_eq!(d.current_stream(), StreamId::DEFAULT);
+    }
+
+    #[test]
+    fn binding_is_per_device_and_per_thread() {
+        let d1 = Device::new(DeviceConfig::tiny(1 << 20));
+        let d2 = Device::new(DeviceConfig::tiny(1 << 20));
+        let s1 = d1.create_stream("s");
+        let s2 = d2.create_stream("s");
+        assert_eq!(
+            s1, s2,
+            "same id on both devices: only the device tells them apart"
+        );
+        let _b = d1.bind_stream(s1);
+        assert_eq!(d2.current_stream(), StreamId::DEFAULT);
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| assert_eq!(d1.current_stream(), StreamId::DEFAULT))
+                .join()
+                .unwrap();
+        });
+        assert_eq!(d1.current_stream(), s1);
+    }
+
+    #[test]
+    fn named_stream_is_created_once() {
+        let d = Device::new(DeviceConfig::tiny(1 << 20));
+        let a = d.named_stream("role");
+        assert_eq!(d.named_stream("role"), a);
+        assert_eq!(d.stream_count(), 2);
+        assert_ne!(d.create_stream("role"), a, "create_stream always creates");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * **simulated stream timelines**: kernel launches and copies advance
 //!   simulated time on a per-stream front according to the performance
 //!   model (stream 0 is the legacy-synchronising default stream, so
-//!   single-stream code sees one global clock), letting independent work
-//!   overlap the way CUDA streams do; benchmark harnesses report `GB/s`
+//!   single-stream code sees one global clock; a thread may bind another
+//!   stream as its default for a scope), letting independent work overlap
+//!   the way CUDA streams do; benchmark harnesses report `GB/s`
 //!   and `GFLOPS` figures with the same *shape* as the paper's Figures 4–6;
 //! * a **performance model** built from the published GK110 machine
 //!   parameters: occupancy from register pressure and block size,
@@ -33,7 +34,7 @@ pub mod stream;
 pub mod sync;
 
 pub use config::DeviceConfig;
-pub use device::{Device, DeviceStats};
+pub use device::{Device, DeviceStats, StreamBinding};
 pub use memory::{DeviceMemory, DevicePtr};
 pub use perf::{KernelShape, LaunchError, LaunchTiming};
 pub use pool::{StreamLease, StreamPool};

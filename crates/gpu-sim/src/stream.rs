@@ -13,9 +13,9 @@
 //! * **Stream 0 is the legacy default stream.** Work on it synchronises with
 //!   every other stream: it starts at the max of all fronts and joins all
 //!   fronts to its completion time. On a device where no other stream was
-//!   ever created this degenerates to exactly the old single-clock
-//!   `advance_clock` arithmetic, so pre-stream modelled times are
-//!   reproduced bit-for-bit.
+//!   ever created this degenerates to exactly single-clock arithmetic
+//!   (`clock += dt`), so pre-stream modelled times are reproduced
+//!   bit-for-bit.
 //! * **Events** capture a stream's front at record time;
 //!   `stream_wait_event` raises the waiting stream's front to at least the
 //!   captured time (a no-op if the waiter is already past it).
@@ -84,6 +84,12 @@ impl StreamTable {
         StreamId(id)
     }
 
+    /// The first stream named `name`, if any.
+    pub(crate) fn find(&self, name: &str) -> Option<StreamId> {
+        let at = self.names.iter().position(|n| n == name)?;
+        Some(StreamId(at as u32))
+    }
+
     pub(crate) fn front(&self, s: StreamId) -> f64 {
         self.fronts[s.0 as usize]
     }
@@ -121,8 +127,8 @@ impl StreamTable {
     }
 
     /// Raise stream `s`'s front to at least `t`. On the default stream this
-    /// raises every front (legacy-sync join), matching the pre-stream
-    /// `advance_clock_to`.
+    /// raises every front (legacy-sync join), matching a single clock's
+    /// `clock = clock.max(t)`.
     pub(crate) fn advance_to(&mut self, s: StreamId, t: f64) -> f64 {
         if s.is_default() {
             for f in &mut self.fronts {

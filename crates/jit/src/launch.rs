@@ -34,35 +34,11 @@ pub fn kernel_shape(kernel: &CompiledKernel, threads: usize, site_stride: usize)
 }
 
 /// Launch `kernel` over `threads` payload threads with auto-tuned block
-/// size on the default stream. When `execute` is set, the payload is
-/// computed functionally in device memory; the simulated clock advances
-/// either way.
-pub fn launch_tuned(
-    device: &Device,
-    tuner: &AutoTuner,
-    kernel: &CompiledKernel,
-    args: &[LaunchArg],
-    threads: usize,
-    site_stride: usize,
-    execute: bool,
-) -> Result<LaunchOutcome, LaunchError> {
-    launch_tuned_on(
-        device,
-        tuner,
-        kernel,
-        args,
-        threads,
-        site_stride,
-        execute,
-        StreamId::DEFAULT,
-    )
-}
-
-/// Stream-ordered tuned launch: like [`launch_tuned`], but the simulated
-/// execution time is accounted on `stream`'s timeline, so launches on
-/// different streams overlap. The functional payload work still happens
-/// immediately (the simulation is functional-first); only *time* is
-/// stream-ordered.
+/// size. The simulated execution time is accounted on `stream`'s timeline,
+/// so launches on different streams overlap. When `execute` is set, the
+/// payload is computed functionally in device memory, immediately (the
+/// simulation is functional-first; only *time* is stream-ordered); the
+/// simulated clock advances either way.
 #[allow(clippy::too_many_arguments)]
 pub fn launch_tuned_on(
     device: &Device,
@@ -212,7 +188,7 @@ mod tests {
         for i in 0..n {
             device.memory().write_f64(p_in + 8 * i as u64, i as f64);
         }
-        let out = launch_tuned(
+        let out = launch_tuned_on(
             &device,
             &tuner,
             &k,
@@ -224,6 +200,7 @@ mod tests {
             n,
             1,
             true,
+            StreamId::DEFAULT,
         )
         .unwrap();
         assert!(out.timing.time > 0.0);
@@ -244,7 +221,7 @@ mod tests {
         let n = 4096usize;
         let p_in = device.alloc(n * 8).unwrap();
         let p_out = device.alloc(n * 8).unwrap();
-        let out = launch_tuned(
+        let out = launch_tuned_on(
             &device,
             &tuner,
             &k,
@@ -256,6 +233,7 @@ mod tests {
             n,
             1,
             false,
+            StreamId::DEFAULT,
         )
         .unwrap();
         assert!(out.failed_attempts >= 1, "expected at least one halving");
@@ -277,7 +255,7 @@ mod tests {
             LaunchArg::U32(n as u32),
         ];
         for _ in 0..12 {
-            launch_tuned(&device, &tuner, &k, &args, n, 1, false).unwrap();
+            launch_tuned_on(&device, &tuner, &k, &args, n, 1, false, StreamId::DEFAULT).unwrap();
             if tuner.is_settled(&k.name) {
                 break;
             }

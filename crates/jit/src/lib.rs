@@ -35,7 +35,7 @@ pub mod persist;
 pub use autotune::AutoTuner;
 pub use cache::{CompileRequest, KernelCache, KernelCacheStats};
 pub use exec::{run_grid, LaunchArg};
-pub use launch::{launch_tuned, launch_tuned_on, LaunchOutcome};
+pub use launch::{launch_tuned_on, LaunchOutcome};
 pub use lower::{
     compile_ptx, compile_ptx_opt, compile_ptx_opt_emit, lower_kernel, CompiledKernel, JitError,
 };

@@ -1,6 +1,6 @@
 //! Job and tenant descriptions — the serving API's request vocabulary.
 
-use chroma_mini::jobs::{CgJobReport, HmcJobReport};
+use chroma_mini::{CgReport, HmcReport};
 
 /// A tenant: an independent client with its own small lattice state.
 /// Tenants share the server's context (JIT cache, persistent kernel store,
@@ -81,7 +81,7 @@ pub enum JobResult {
     /// Average plaquette.
     Plaquette(f64),
     /// CG solve outcome.
-    CgSolve(CgJobReport),
+    CgSolve(CgReport),
     /// Trajectory outcome.
-    Hmc(HmcJobReport),
+    Hmc(HmcReport),
 }

@@ -10,11 +10,13 @@
 //!
 //! Architecture:
 //!
-//! * **one simulated stream per in-flight job** — workers check streams
-//!   out of a [`qdp_gpu_sim::StreamPool`]; job kernels and reductions all
-//!   land on the leased stream (via `chroma_mini::jobs`), so concurrent
-//!   jobs interleave on the device timelines and show up as separate
-//!   Perfetto tracks;
+//! * **one simulated stream per in-flight job** — a worker checks a
+//!   stream out of a [`qdp_gpu_sim::StreamPool`] and binds it as its
+//!   thread's stream (`Device::bind_stream`) around the job; the job is
+//!   the `chroma-mini` library call itself (`GaugeField::plaquette`,
+//!   `cg_solve`, `Hmc::trajectory`), whose kernels and reductions all land
+//!   on the bound stream, so concurrent jobs interleave on the device
+//!   timelines and show up as separate Perfetto tracks;
 //! * **fair scheduling** — deficit round-robin across per-tenant FIFOs
 //!   with per-kind cost weights ([`JobSpec::cost`]);
 //! * **admission control** — a global bounded queue plus per-tenant

@@ -3,9 +3,10 @@
 //! One [`QdpContext`] is shared by every tenant — generated kernels,
 //! auto-tuned block sizes and persistent-store entries are warm for tenant
 //! N+1 the moment tenant N has run the same expression shape. Each
-//! in-flight job checks a simulated stream out of a [`StreamPool`], so up
-//! to `workers` jobs interleave on the device exactly like concurrent CUDA
-//! clients sharing a GPU.
+//! worker checks a simulated stream out of a [`StreamPool`] and binds it
+//! as its thread's stream around the job, so up to `workers` jobs — plain
+//! `chroma-mini` library calls — interleave on the device exactly like
+//! concurrent CUDA clients sharing a GPU.
 //!
 //! Scheduling is deficit round-robin over per-tenant FIFOs with
 //! [`JobSpec::cost`] weights: a tenant streaming expensive trajectories
@@ -16,8 +17,8 @@
 
 use crate::error::{RejectReason, ServeError};
 use crate::job::{JobResult, JobSpec, TenantSpec};
-use chroma_mini::jobs::{cg_solve_on, hmc_trajectory_on, plaquette_on};
-use chroma_mini::GaugeField;
+use chroma_mini::gauge::gaussian_fermion;
+use chroma_mini::{cg_solve, GaugeField, Hmc, WilsonDirac};
 use qdp_core::prelude::*;
 use qdp_gpu_sim::StreamPool;
 use qdp_rng::{SeedableRng, StdRng};
@@ -432,8 +433,9 @@ fn worker_loop(core: Arc<Core>) {
         let tel = core.ctx.telemetry();
         let result = {
             let _span = tel.span("serve", job.spec.kind());
+            let _bound = core.ctx.device().bind_stream(lease.id());
             let mut st = lock(&core.tenants[tenant].state);
-            run_job(&job.spec, &mut st, lease.id())
+            run_job(&job.spec, &mut st)
         };
         drop(lease);
         let latency_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
@@ -459,35 +461,29 @@ fn worker_loop(core: Arc<Core>) {
     }
 }
 
-fn run_job(
-    spec: &JobSpec,
-    st: &mut TenantState,
-    stream: StreamId,
-) -> Result<JobResult, ServeError> {
-    let map = |e: CoreError| ServeError::Job(format!("{e:?}"));
+/// A job is the library entry point itself, run on whatever stream the
+/// calling worker has bound.
+fn run_job(spec: &JobSpec, st: &mut TenantState) -> Result<JobResult, ServeError> {
+    let g = &st.gauge;
     match spec {
-        JobSpec::Plaquette => Ok(JobResult::Plaquette(
-            plaquette_on(&st.gauge, stream).map_err(map)?,
-        )),
+        JobSpec::Plaquette => g.plaquette().map(JobResult::Plaquette),
         JobSpec::CgSolve {
             mass,
             seed,
             tol,
             max_iters,
-        } => Ok(JobResult::CgSolve(
-            cg_solve_on(&st.gauge, *mass, *seed, *tol, *max_iters as usize, stream)
-                .map_err(map)?,
-        )),
-        JobSpec::HmcTrajectory { beta, dt, n_steps } => Ok(JobResult::Hmc(
-            hmc_trajectory_on(
-                &st.gauge,
-                *beta,
-                *dt,
-                *n_steps as usize,
-                &mut st.rng,
-                stream,
-            )
-            .map_err(map)?,
-        )),
+        } => {
+            let ctx = g.context();
+            let m = WilsonDirac::new(g, *mass, None);
+            let b = gaussian_fermion(ctx, &mut StdRng::seed_from_u64(*seed));
+            let x = LatticeFermion::<f64>::new(ctx);
+            cg_solve(&m, &x, &b, *tol, *max_iters as usize).map(JobResult::CgSolve)
+        }
+        JobSpec::HmcTrajectory { beta, dt, n_steps } => {
+            Hmc::pure_gauge(*beta, *dt, *n_steps as usize)
+                .trajectory(g, &mut st.rng)
+                .map(JobResult::Hmc)
+        }
     }
+    .map_err(|e| ServeError::Job(format!("{e:?}")))
 }

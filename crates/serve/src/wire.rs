@@ -4,7 +4,7 @@
 
 use crate::error::{RejectReason, ServeError};
 use crate::job::{JobResult, JobSpec};
-use chroma_mini::jobs::{CgJobReport, HmcJobReport};
+use chroma_mini::{CgReport, HmcReport};
 
 /// A client→server frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,7 +171,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 JobResult::CgSolve(r) => {
                     out.push(1);
                     out.extend_from_slice(&(r.iters as u32).to_le_bytes());
-                    out.extend_from_slice(&r.residual.to_le_bytes());
+                    out.extend_from_slice(&r.rel_resid.to_le_bytes());
                     out.push(r.converged as u8);
                 }
                 JobResult::Hmc(r) => {
@@ -179,6 +179,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                     out.extend_from_slice(&r.delta_h.to_le_bytes());
                     out.push(r.accepted as u8);
                     out.extend_from_slice(&r.plaquette.to_le_bytes());
+                    out.extend_from_slice(&r.kinetic_start.to_le_bytes());
                 }
             }
         }
@@ -215,15 +216,16 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, WireError> {
     let resp = match r.u8()? {
         0x00 => Response::Ok(match r.u8()? {
             0 => JobResult::Plaquette(r.f64()?),
-            1 => JobResult::CgSolve(CgJobReport {
+            1 => JobResult::CgSolve(CgReport {
                 iters: r.u32()? as usize,
-                residual: r.f64()?,
+                rel_resid: r.f64()?,
                 converged: r.u8()? != 0,
             }),
-            2 => JobResult::Hmc(HmcJobReport {
+            2 => JobResult::Hmc(HmcReport {
                 delta_h: r.f64()?,
                 accepted: r.u8()? != 0,
                 plaquette: r.f64()?,
+                kinetic_start: r.f64()?,
             }),
             t => return Err(WireError(format!("unknown result tag {t}"))),
         }),
@@ -276,15 +278,16 @@ mod tests {
     fn responses_round_trip() {
         for resp in [
             Response::Ok(JobResult::Plaquette(0.984_375)),
-            Response::Ok(JobResult::CgSolve(CgJobReport {
+            Response::Ok(JobResult::CgSolve(CgReport {
                 iters: 42,
-                residual: 3.2e-9,
+                rel_resid: 3.2e-9,
                 converged: true,
             })),
-            Response::Ok(JobResult::Hmc(HmcJobReport {
+            Response::Ok(JobResult::Hmc(HmcReport {
                 delta_h: -0.002,
                 accepted: true,
                 plaquette: 0.97,
+                kinetic_start: 1031.25,
             })),
             Response::Err(ServeError::Rejected(RejectReason::QueueFull { cap: 64 })),
             Response::Err(ServeError::Rejected(RejectReason::TenantBusy { cap: 4 })),

@@ -1,8 +1,12 @@
-//! Scheduler edge cases: saturation, fairness, warm starts.
+//! Scheduler edge cases: saturation, fairness, warm starts — and the
+//! served-job oracle: a job's answer is the library call's answer.
 
+use chroma_mini::gauge::gaussian_fermion;
+use chroma_mini::{cg_solve, GaugeField, Hmc, WilsonDirac};
 use qdp_core::prelude::*;
+use qdp_rng::{SeedableRng, StdRng};
 use qdp_serve::{
-    JobSpec, MeshOutcome, RejectReason, ServeConfig, ServeError, Server, TenantSpec,
+    JobResult, JobSpec, MeshOutcome, RejectReason, ServeConfig, ServeError, Server, TenantSpec,
 };
 
 fn tenants(n: usize) -> Vec<TenantSpec> {
@@ -22,6 +26,53 @@ const SLOW_HMC: JobSpec = JobSpec::HmcTrajectory {
     dt: 0.01,
     n_steps: 6,
 };
+
+/// A served job runs the library entry point under a leased stream, so its
+/// result must be bit-identical to calling the library directly, unbound,
+/// on a fresh context with the same tenant seed.
+#[test]
+fn served_results_equal_direct_library_calls() {
+    let mut cfg = small_cfg();
+    cfg.workers = 2;
+    let tenant = TenantSpec::new("oracle", 4242);
+    let cg = JobSpec::CgSolve {
+        mass: 0.4,
+        seed: 7,
+        tol: 1e-8,
+        max_iters: 200,
+    };
+    let server = Server::start(&cfg, std::slice::from_ref(&tenant));
+    let served: Vec<JobResult> = [JobSpec::Plaquette, cg, SLOW_HMC, JobSpec::Plaquette]
+        .into_iter()
+        .map(|spec| server.submit_wait(0, spec).expect("job served"))
+        .collect();
+    server.shutdown();
+
+    let ctx = QdpContext::builder(cfg.geometry.clone())
+        .device(cfg.device.clone())
+        .config(cfg.qdp.clone())
+        .build();
+    let mut rng = StdRng::seed_from_u64(tenant.seed);
+    let g = GaugeField::warm(&ctx, &mut rng, tenant.warm_eps);
+    let plaquette_before = g.plaquette().unwrap();
+    let m = WilsonDirac::new(&g, 0.4, None);
+    let b = gaussian_fermion(&ctx, &mut StdRng::seed_from_u64(7));
+    let x = LatticeFermion::<f64>::new(&ctx);
+    let solve = cg_solve(&m, &x, &b, 1e-8, 200).unwrap();
+    assert!(solve.converged);
+    let trajectory = Hmc::pure_gauge(5.5, 0.01, 6)
+        .trajectory(&g, &mut rng)
+        .unwrap();
+    assert_eq!(
+        served,
+        [
+            JobResult::Plaquette(plaquette_before),
+            JobResult::CgSolve(solve),
+            JobResult::Hmc(trajectory),
+            JobResult::Plaquette(g.plaquette().unwrap()),
+        ]
+    );
+}
 
 #[test]
 fn saturation_rejects_cleanly_and_completes_accepted_jobs() {

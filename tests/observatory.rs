@@ -5,7 +5,7 @@
 //! and `Telemetry::snapshot()` must serialize the whole story.
 
 use qdp_gpu_sim::Device;
-use qdp_jit::{launch_tuned, AutoTuner, CompileRequest, KernelCache, LaunchArg};
+use qdp_jit::{launch_tuned_on, AutoTuner, CompileRequest, KernelCache, LaunchArg};
 use qdp_jit_rs::prelude::*;
 use qdp_core::{adj, gamma_mu, shift};
 use qdp_ptx::emit::emit_module;
@@ -41,12 +41,9 @@ fn sp_hopping_expr(
 fn roofline_ctx(l: usize) -> (Arc<QdpContext>, Arc<Telemetry>) {
     let tel = Arc::new(Telemetry::new());
     tel.enable_roofline();
-    let ctx = QdpContext::with_telemetry(
-        DeviceConfig::k20x_ecc_off(),
-        Geometry::symmetric(l),
-        LayoutKind::SoA,
-        Arc::clone(&tel),
-    );
+    let ctx = QdpContext::builder(Geometry::symmetric(l))
+        .telemetry(Arc::clone(&tel))
+        .build();
     (ctx, tel)
 }
 
@@ -182,11 +179,11 @@ fn launch_failure_dumps_a_parseable_flight_black_box() {
     ];
     // A few healthy launches first, so the black box has history.
     for _ in 0..3 {
-        launch_tuned(&device, &tuner, &k, &args, n, 1, false).unwrap();
+        launch_tuned_on(&device, &tuner, &k, &args, n, 1, false, StreamId::DEFAULT).unwrap();
     }
     // Then the failure: an empty grid is rejected by the launch model and
     // must trip the dump.
-    let err = launch_tuned(&device, &tuner, &k, &args, 0, 1, false);
+    let err = launch_tuned_on(&device, &tuner, &k, &args, 0, 1, false, StreamId::DEFAULT);
     assert!(err.is_err(), "zero-thread launch must fail");
 
     let path = dir.join(format!("qdp-flight-{}.json", std::process::id()));
