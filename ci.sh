@@ -110,6 +110,33 @@ if [ -n "$named" ]; then
 fi
 echo "ok: one stream model (no stream twins, no single-clock wrappers, no stream 0 in application code)"
 
+# ---- Guard: one application path at any rank count --------------------------
+# The rank grid attaches to the context: `Lattice::assign` exchanges halos
+# and reductions allreduce, so the distributed HMC twin, MultiRank's own
+# reduction family, the unused corner exchange and the fermion keep-alive
+# shims stay deleted. (Spelled in pieces, as above.)
+twins="dist_""action|dist_""force|dist_""kinetic|exchange_""corner|corner_""neighbor"
+twins="$twins|_keep_""transpose|_keep_""times_minus_i|contains_""shift"
+stale=$(grep -rnE "$twins" crates src examples README.md DESIGN.md || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: a deleted N-rank twin or dead helper is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+# Application code never names a rank: only the campaign driver (which owns
+# the cluster) attaches one, and nobody evaluates *through* a MultiRank
+# (its `eval` takes a target FieldRef, hence the pattern).
+named=$(grep -rnE 'MultiRank|multinode::' crates/chroma-mini/src \
+    | grep -v '^crates/chroma-mini/src/campaign.rs:' || true)
+through=$(grep -rnE '\.eval\([a-z_.]*fref\(\)' crates/chroma-mini/src crates/bench/src \
+    examples || true)
+if [ -n "$named$through" ]; then
+    echo "FAIL: application code names a rank or evaluates through one:" >&2
+    echo "$named$through" >&2
+    exit 1
+fi
+echo "ok: one application path (no dist_* twin, no MultiRank reductions, ranks named only by the campaign driver)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
@@ -126,9 +153,10 @@ echo "ok: stream-engine semantics + schedule tests"
 # halo exchange, inside an allreduce) must surface structured errors on
 # every rank, site-list device allocations must be freed on MultiRank
 # drop, and the HMC campaign driver must restore a killed cluster from
-# checkpoints bit-identically.
+# checkpoints bit-identically. `attached_rank` pins the N-rank trajectory
+# to the single-rank one (and a one-rank grid to no change at all).
 cargo test -q --release --offline -p qdp-core --test faults
-cargo test -q --release --offline -p chroma-mini --test checkpoint
+cargo test -q --release --offline -p chroma-mini --test checkpoint --test attached_rank
 echo "ok: failure-injection matrix + checkpoint/restart tests"
 
 # ---- Telemetry smoke: profile + roofline + Chrome trace on a real workload -

@@ -302,7 +302,7 @@ fn bench_overlap(c: &mut Harness) {
                     LayoutKind::SoA,
                 );
                 ctx.set_payload_execution(false);
-                let mr = qdp_core::multinode::MultiRank::new(
+                let _rank = qdp_core::multinode::MultiRank::new(
                     Arc::clone(&ctx),
                     decomp,
                     handle,
@@ -323,12 +323,12 @@ fn bench_overlap(c: &mut Harness) {
                     + shift(adj(u.q()) * psi.q(), 0, ShiftDir::Backward);
                 // warm up: compile, pin site lists, page the target
                 for _ in 0..2 {
-                    mr.eval(out.fref(), &e.0).unwrap();
+                    out.assign(e.clone()).unwrap();
                 }
                 let t0 = ctx.device().now();
                 let reps = 5;
                 for _ in 0..reps {
-                    mr.eval(out.fref(), &e.0).unwrap();
+                    out.assign(e.clone()).unwrap();
                 }
                 (ctx.device().now() - t0) / reps as f64
             },
@@ -363,7 +363,7 @@ fn bench_strong_scaling(c: &mut Harness) {
                     LayoutKind::SoA,
                 );
                 ctx.set_payload_execution(false);
-                let mr = qdp_core::multinode::MultiRank::new(
+                let _rank = qdp_core::multinode::MultiRank::new(
                     Arc::clone(&ctx),
                     decomp,
                     handle,
@@ -388,9 +388,9 @@ fn bench_strong_scaling(c: &mut Harness) {
                         + shift(adj(u.q()) * psi.q(), mu, ShiftDir::Backward);
                 }
                 // warm up: compile, pin site lists
-                mr.eval(out.fref(), &e.0).unwrap();
+                out.assign(e.clone()).unwrap();
                 let t0 = ctx.device().now();
-                mr.eval(out.fref(), &e.0).unwrap();
+                out.assign(e.clone()).unwrap();
                 ctx.device().now() - t0
             },
         );

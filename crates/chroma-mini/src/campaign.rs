@@ -1,12 +1,14 @@
 //! Fault-tolerant distributed HMC campaigns.
 //!
-//! Runs pure-gauge HMC with every observable reduced across an N-rank 4D
-//! decomposition ([`MultiRank`]), checkpoints each trajectory, and — when
-//! a rank is lost mid-trajectory (injected via [`FaultPlan`] or a real
-//! peer hangup) — restarts the cluster from the last checkpoint. The
-//! restart is *bit-exact*: a campaign that dies and restores produces the
-//! same plaquette history and Metropolis decisions as one that never
-//! failed.
+//! Runs pure-gauge HMC over an N-rank 4D decomposition, checkpoints each
+//! trajectory, and — when a rank is lost mid-trajectory (injected via
+//! [`FaultPlan`] or a real peer hangup) — restarts the cluster from the
+//! last checkpoint. The physics is the ordinary library ([`Hmc::evolve`],
+//! [`GaugeField::plaquette`]): each rank attaches a [`MultiRank`] to its
+//! context and from there on shifts exchange halos and reductions are
+//! global. The restart is *bit-exact*: a campaign that dies and restores
+//! produces the same plaquette history and Metropolis decisions as one
+//! that never failed.
 //!
 //! Why replay is exact:
 //!
@@ -17,24 +19,19 @@
 //! * ranks barrier after every trajectory before checkpointing the next,
 //!   so no surviving rank can slip a trajectory ahead of the victim and
 //!   leave checkpoints disagreeing on the trajectory index;
-//! * `ΔH` is assembled from [`MultiRank::allreduce`] sums whose reduction
-//!   order is fixed, and the Metropolis draw comes from a dedicated RNG
-//!   stream advanced identically on every rank, so accept/reject is a
-//!   global bitwise-identical decision.
-//!
-//! Shift-bearing expressions (plaquette, staples) are evaluated through
-//! `MultiRank::eval` into temporaries first — halo exchange — and only
-//! shift-free expressions are reduced locally before the allreduce.
+//! * `ΔH` is assembled from allreduced sums whose reduction order is fixed
+//!   and which carry rank 0's bits everywhere, and the Metropolis draw
+//!   comes from a dedicated RNG stream advanced identically on every rank,
+//!   so accept/reject is a global bitwise-identical decision.
 
 use crate::checkpoint::{self, CheckpointView};
-use crate::force::axpy_forces;
-use crate::gauge::{kinetic_energy, refresh_momenta, taproj, GaugeField};
+use crate::gauge::{refresh_momenta, GaugeField};
+use crate::hmc::Hmc;
 use qdp_comm::{try_run_cluster, CommError, FaultPlan, LinkModel, RankHandle};
 use qdp_core::multinode::MultiRank;
 use qdp_core::prelude::*;
-use qdp_core::{expm, real, reduce_sum_real, trace};
 use qdp_layout::Decomposition;
-use qdp_rng::{Rng, SeedableRng, StdRng};
+use qdp_rng::{SeedableRng, StdRng};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -106,74 +103,17 @@ pub struct CampaignReport {
     pub restores: usize,
 }
 
-/// Average plaquette reduced over the full rank grid. Plaquette loops
-/// cross rank boundaries, so each plane is `MultiRank::eval`'d (halo
-/// exchange) into a temporary before the local trace-sum; one allreduce
-/// combines the per-rank partial sums.
-pub fn dist_plaquette(mr: &MultiRank, g: &GaugeField) -> Result<f64, CoreError> {
-    let ctx = g.context();
-    let tmp = LatticeColorMatrix::<f64>::new(ctx);
-    let mut local = 0.0;
-    for mu in 0..4 {
-        for nu in (mu + 1)..4 {
-            mr.eval(tmp.fref(), &g.plaquette_expr(mu, nu).0)?;
-            local += reduce_sum_real(ctx, &real(trace(tmp.q())), Subset::All)?;
-        }
-    }
-    let gvol: usize = mr.decomp().global_dims().iter().product();
-    let total = mr.allreduce(&[local])?;
-    Ok(total[0] / (3.0 * 6.0 * gvol as f64))
+/// `g.plaquette()` — global because `mr` is attached to `g`'s context.
+/// A named function only because the frozen `crates/benchmark` calls it.
+pub fn dist_plaquette(_mr: &MultiRank, g: &GaugeField) -> Result<f64, CoreError> {
+    g.plaquette()
 }
 
-/// Wilson action over the global lattice.
-pub fn dist_action(mr: &MultiRank, g: &GaugeField, beta: f64) -> Result<f64, CoreError> {
-    let gvol: usize = mr.decomp().global_dims().iter().product();
-    let plaq = dist_plaquette(mr, g)?;
-    Ok(beta * 6.0 * gvol as f64 * (1.0 - plaq))
-}
-
-/// Gauge force with halo exchange: the staple expression reaches one site
-/// into every neighbouring rank (and, nested, across corners — the inner
-/// shifted products are materialised by `eval` before the outer shift).
-pub fn dist_force(
-    mr: &MultiRank,
-    g: &GaugeField,
-    beta: f64,
-) -> Result<Multi1d<LatticeColorMatrix<f64>>, CoreError> {
-    let ctx = g.context();
-    let out = Multi1d::from_fn(4, |_| LatticeColorMatrix::<f64>::new(ctx));
-    for mu in 0..4 {
-        let e = (-beta / 3.0) * taproj(g.u[mu].q() * g.staple_expr(mu));
-        mr.eval(out[mu].fref(), &e.0)?;
-    }
-    Ok(out)
-}
-
-/// Global kinetic energy `½ Σ ‖P‖²`: local batched norms, one allreduce.
-pub fn dist_kinetic(
-    mr: &MultiRank,
-    p: &Multi1d<LatticeColorMatrix<f64>>,
-) -> Result<f64, CoreError> {
-    let local = kinetic_energy(p)?;
-    Ok(mr.allreduce(&[local])?[0])
-}
-
-fn update_links(
-    g: &GaugeField,
-    p: &Multi1d<LatticeColorMatrix<f64>>,
-    dt: f64,
-) -> Result<(), CoreError> {
-    for mu in 0..4 {
-        g.u[mu].assign(expm(dt * p[mu].q()) * g.u[mu].q())?;
-    }
-    Ok(())
-}
-
-/// One leapfrog trajectory with a globally agreed Metropolis step.
-/// `p` are the pre-refreshed (or checkpoint-restored) momenta;
-/// `metro_rng` must be in the same state on every rank.
+/// `Hmc::pure_gauge(beta, dt, n_steps).evolve(g, p, metro_rng)` as
+/// `(plaquette, accepted)`. A named function only because the frozen
+/// `crates/benchmark` calls it.
 pub fn dist_trajectory(
-    mr: &MultiRank,
+    _mr: &MultiRank,
     g: &GaugeField,
     p: &Multi1d<LatticeColorMatrix<f64>>,
     beta: f64,
@@ -181,34 +121,8 @@ pub fn dist_trajectory(
     n_steps: usize,
     metro_rng: &mut StdRng,
 ) -> Result<(f64, bool), CoreError> {
-    let t0 = dist_kinetic(mr, p)?;
-    let h0 = t0 + dist_action(mr, g, beta)?;
-    let backup = g.clone_config();
-
-    let f = dist_force(mr, g, beta)?;
-    axpy_forces(p, 0.5 * dt, &f)?;
-    for step in 0..n_steps {
-        update_links(g, p, dt)?;
-        let f = dist_force(mr, g, beta)?;
-        let w = if step + 1 == n_steps { 0.5 * dt } else { dt };
-        axpy_forces(p, w, &f)?;
-    }
-    let h1 = dist_kinetic(mr, p)? + dist_action(mr, g, beta)?;
-    let dh = h1 - h0;
-
-    // dh is bitwise identical on every rank (allreduce returns rank 0's
-    // bits everywhere) and metro_rng is a shared stream, so every rank
-    // takes the same branch and consumes the same draws.
-    let accept = dh <= 0.0 || metro_rng.random::<f64>() < (-dh).exp();
-    if !accept {
-        for mu in 0..4 {
-            g.u[mu].assign(backup.u[mu].q())?;
-        }
-    } else {
-        g.reunitarize();
-    }
-    let plaq = dist_plaquette(mr, g)?;
-    Ok((plaq, accept))
+    let rep = Hmc::pure_gauge(beta, dt, n_steps).evolve(g, p, metro_rng)?;
+    Ok((rep.plaquette, rep.accepted))
 }
 
 /// Deterministic warm-start link keyed on the *global* coordinate, so
@@ -291,6 +205,7 @@ fn rank_main(
         )));
     }
 
+    let mut hmc = Hmc::pure_gauge(cfg.beta, cfg.dt, cfg.n_steps);
     while next_traj < cfg.n_traj {
         // Momenta refresh is local; the checkpoint lands before the
         // trajectory's first comm op, so an injected kill can only strike
@@ -316,10 +231,9 @@ fn rank_main(
         )
         .map_err(|e| CoreError::Msg(format!("checkpoint write failed: {e}")))?;
 
-        let (plaq, acc) =
-            dist_trajectory(&mr, &g, &p, cfg.beta, cfg.dt, cfg.n_steps, &mut metro_rng)?;
-        plaqs.push(plaq);
-        accs.push(acc);
+        let rep = hmc.evolve(&g, &p, &mut metro_rng)?;
+        plaqs.push(rep.plaquette);
+        accs.push(rep.accepted);
         next_traj += 1;
         // No rank may checkpoint trajectory T+1 until every rank finished
         // trajectory T — this is what keeps on-disk indices aligned when

@@ -4,7 +4,7 @@
 
 use crate::gauge::GaugeField;
 use qdp_core::prelude::*;
-use qdp_core::{adj, clover_mul, gamma, gamma_mu, shift, times_minus_i, trace, transpose};
+use qdp_core::{adj, clover_mul, gamma, gamma_mu, shift, trace};
 use qdp_types::clover_block::CloverBlockPacked;
 use qdp_types::{CloverDiag, CloverTriang, Complex, Fermion, Gamma};
 use std::sync::Arc;
@@ -369,18 +369,6 @@ pub fn one_minus_gamma(mu: usize, e: QExpr<Fermion<f64>>) -> QExpr<Fermion<f64>>
 /// See [`one_minus_gamma`].
 pub fn one_plus_gamma(mu: usize, e: QExpr<Fermion<f64>>) -> QExpr<Fermion<f64>> {
     e.clone() + gamma_mu(mu) * e
-}
-
-/// Sanity helper for tests: transpose is currently unused elsewhere.
-#[doc(hidden)]
-pub fn _keep_transpose(q: QExpr<qdp_types::ColorMatrix<f64>>) -> QExpr<qdp_types::ColorMatrix<f64>> {
-    transpose(q)
-}
-
-/// Times −i helper re-export.
-#[doc(hidden)]
-pub fn _keep_times_minus_i(q: QExpr<qdp_types::ColorMatrix<f64>>) -> QExpr<qdp_types::ColorMatrix<f64>> {
-    times_minus_i(q)
 }
 
 #[cfg(test)]

@@ -104,9 +104,9 @@ impl GaugeField {
     }
 
     /// Average plaquette `⟨(1/3) Re tr P_{µν}⟩` over all sites and planes
-    /// (1.0 on a cold configuration).
+    /// of the whole lattice (1.0 on a cold configuration).
     pub fn plaquette(&self) -> Result<f64, CoreError> {
-        let vol = self.ctx.geometry().vol() as f64;
+        let vol = self.ctx.global_vol() as f64;
         let mut total = 0.0;
         for mu in 0..4 {
             for nu in (mu + 1)..4 {
@@ -122,7 +122,7 @@ impl GaugeField {
 
     /// Wilson gauge action `S_g = β Σ_x Σ_{µ<ν} (1 − (1/3) Re tr P_{µν})`.
     pub fn wilson_action(&self, beta: f64) -> Result<f64, CoreError> {
-        let vol = self.ctx.geometry().vol() as f64;
+        let vol = self.ctx.global_vol() as f64;
         let plaq = self.plaquette()?;
         Ok(beta * 6.0 * vol * (1.0 - plaq))
     }

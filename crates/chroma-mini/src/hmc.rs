@@ -506,7 +506,9 @@ impl Hmc {
         Ok(())
     }
 
-    /// One full HMC trajectory with Metropolis accept/reject.
+    /// One full HMC trajectory: pseudofermion and momentum refresh from
+    /// `rng`, then [`Hmc::evolve`] with the same stream deciding the
+    /// Metropolis step.
     pub fn trajectory(
         &mut self,
         g: &GaugeField,
@@ -519,15 +521,34 @@ impl Hmc {
             t.refresh(g, rng)?;
         }
         let p = refresh_momenta(g.context(), rng);
-        let t0 = kinetic_energy(&p)?;
+        let report = self.evolve(g, &p, rng)?;
+        traj_span.end_with_sim(device.now());
+        Ok(report)
+    }
+
+    /// The trajectory after the refresh: MD integration of `g` and the
+    /// already-drawn momenta `p` (in place), then Metropolis accept/reject
+    /// drawing from `accept_rng`. Split from [`Hmc::trajectory`] so a
+    /// campaign can checkpoint between the (rank-local) refresh and the
+    /// first reduction; on a multi-rank context `accept_rng` must be in the
+    /// same state on every rank.
+    pub fn evolve(
+        &mut self,
+        g: &GaugeField,
+        p: &Multi1d<LatticeColorMatrix<f64>>,
+        accept_rng: &mut StdRng,
+    ) -> Result<HmcReport, CoreError> {
+        let t0 = kinetic_energy(p)?;
         let h0 = t0 + self.total_action(g)?;
 
         let backup = g.clone_config();
-        self.integrate(g, &p)?;
-        let h1 = kinetic_energy(&p)? + self.total_action(g)?;
+        self.integrate(g, p)?;
+        let h1 = kinetic_energy(p)? + self.total_action(g)?;
         let dh = h1 - h0;
 
-        let accept = dh <= 0.0 || rng.random::<f64>() < (-dh).exp();
+        // reductions return the same bits on every rank, so with a shared
+        // `accept_rng` every rank takes the same branch
+        let accept = dh <= 0.0 || accept_rng.random::<f64>() < (-dh).exp();
         if !accept {
             // restore
             for mu in 0..4 {
@@ -536,7 +557,6 @@ impl Hmc {
         } else {
             g.reunitarize();
         }
-        traj_span.end_with_sim(device.now());
         Ok(HmcReport {
             delta_h: dh,
             accepted: accept,

@@ -18,6 +18,9 @@
 //! hold; otherwise the group is closed (`fuse.bailouts`) and the statement
 //! starts a new one:
 //!
+//! - neither it nor the group shifts along a rank-split dimension of an
+//!   attached context (`halo`: such a statement runs the §V halo schedule,
+//!   and only single-statement kernels carry receive buffers);
 //! - same subset and same stream as the group (a fused kernel is one
 //!   launch: one site list, one stream);
 //! - not a site-list evaluation (explicit site lists never fuse);
@@ -112,11 +115,13 @@ struct GroupState {
     targets: Vec<u64>,
     /// Fields read under a shift by any group statement.
     hazards: Vec<u64>,
+    /// The group is one halo-exchanging statement (never joinable).
+    halo: bool,
     len: usize,
 }
 
 impl GroupState {
-    fn open(s: &Stmt) -> GroupState {
+    fn open(s: &Stmt, halo: bool) -> GroupState {
         let subset = match &s.sites {
             StmtSites::Subset(sub) => Some(*sub),
             StmtSites::List(_) => None,
@@ -132,13 +137,17 @@ impl GroupState {
                 .iter()
                 .map(|r| r.id)
                 .collect(),
+            halo,
             len: 1,
         }
     }
 
-    fn try_join(&mut self, s: &Stmt, budget: usize) -> Result<(), Split> {
+    fn try_join(&mut self, s: &Stmt, halo: bool, budget: usize) -> Result<(), Split> {
         if self.len >= budget {
             return Err(Split::Budget);
+        }
+        if halo || self.halo {
+            return Err(Split::Bailout("halo"));
         }
         let subset = match &s.sites {
             StmtSites::Subset(sub) => *sub,
@@ -183,13 +192,15 @@ impl GroupState {
 fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> {
     let tel = ctx.telemetry();
     let budget = group_budget(ctx);
+    let rank = ctx.attached_rank();
     let mut groups = Vec::new();
     let mut start = 0usize;
     let mut state: Option<GroupState> = None;
     for (i, s) in stmts.iter().enumerate() {
+        let halo = rank.as_ref().is_some_and(|mr| mr.crosses_ranks(&s.expr));
         match state.as_mut() {
-            None => state = Some(GroupState::open(s)),
-            Some(g) => match g.try_join(s, budget) {
+            None => state = Some(GroupState::open(s, halo)),
+            Some(g) => match g.try_join(s, halo, budget) {
                 Ok(()) => {}
                 Err(split) => {
                     if let Split::Bailout(reason) = split {
@@ -198,7 +209,7 @@ fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> 
                     }
                     groups.push(start..i);
                     start = i;
-                    state = Some(GroupState::open(s));
+                    state = Some(GroupState::open(s, halo));
                 }
             },
         }

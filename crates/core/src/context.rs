@@ -3,6 +3,7 @@
 //! subset site lists).
 
 use crate::config::{QdpConfig, QdpContextBuilder};
+use crate::multinode::MultiRank;
 use qdp_gpu_sim::sync::Mutex;
 use qdp_cache::MemoryCache;
 use qdp_expr::ShiftDir;
@@ -13,7 +14,7 @@ use qdp_ptx::opt::OptLevel;
 use qdp_telemetry::{ProfileReport, Telemetry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// The runtime context: one per (simulated) GPU.
 pub struct QdpContext {
@@ -30,6 +31,9 @@ pub struct QdpContext {
     execute_payload: AtomicBool,
     opt_override: Mutex<Option<OptLevel>>,
     store: Option<Arc<KernelStore>>,
+    /// The rank this context is in a multi-rank run (dangling when it is
+    /// the whole machine).
+    rank: Mutex<Weak<MultiRank>>,
 }
 
 impl QdpContext {
@@ -81,6 +85,7 @@ impl QdpContext {
             execute_payload: AtomicBool::new(true),
             opt_override: Mutex::new(None),
             store,
+            rank: Mutex::new(Weak::new()),
         })
     }
 
@@ -142,6 +147,34 @@ impl QdpContext {
     /// Sub-grid geometry of this rank.
     pub fn geometry(&self) -> &Geometry {
         &self.geom
+    }
+
+    /// The rank attached to this context by [`MultiRank::new`], if any.
+    /// With one attached, statements that shift along a split dimension
+    /// exchange halos and every reduction is summed over all ranks.
+    pub fn attached_rank(&self) -> Option<Arc<MultiRank>> {
+        self.rank.lock().upgrade()
+    }
+
+    pub(crate) fn attach_rank(&self, mr: &Arc<MultiRank>) {
+        *self.rank.lock() = Arc::downgrade(mr);
+    }
+
+    /// Detach `mr` (being dropped) unless a newer rank replaced it.
+    pub(crate) fn detach_rank(&self, mr: &MultiRank) {
+        let mut slot = self.rank.lock();
+        if std::ptr::eq(slot.as_ptr(), mr) {
+            *slot = Weak::new();
+        }
+    }
+
+    /// Sites of the whole lattice: the attached rank grid's global volume,
+    /// or the local volume of an unattached context.
+    pub fn global_vol(&self) -> usize {
+        match self.attached_rank() {
+            Some(mr) => mr.decomp().global_dims().iter().product(),
+            None => self.geom.vol(),
+        }
     }
 
     /// Data layout in effect.

@@ -509,12 +509,37 @@ pub fn eval(
 /// specification of `params` (uploading a host-side site list for the
 /// duration of the launch), then launch. The fusion planner guarantees a
 /// multi-statement group is legal to run per thread (see
-/// [`crate::codegen::fuse`]).
+/// [`crate::codegen::fuse`]). On a context with an attached rank
+/// ([`QdpContext::attached_rank`]) a statement that shifts along a split
+/// dimension runs the §V halo schedule instead of one launch; with a
+/// subset, a site list or a non-default stream that is an error.
 pub(crate) fn eval_statements(
     ctx: &QdpContext,
     stmts: &[(FieldRef, &Expr)],
     params: &EvalParams<'_>,
 ) -> Result<EvalReport, CoreError> {
+    // The rank belongs to the context: a statement that shifts along a
+    // split dimension runs the §V halo schedule, whose own launches carry a
+    // remote environment and so do not come back here.
+    if params.remote.is_none() {
+        if let Some(mr) = ctx.attached_rank() {
+            if stmts.iter().any(|(_, e)| mr.crosses_ranks(e)) {
+                return match (stmts, params.sites) {
+                    (&[(target, expr)], SiteSpec::Subset(Subset::All))
+                        if params.stream_on(ctx) == StreamId::DEFAULT =>
+                    {
+                        mr.eval_halo(target, expr)
+                    }
+                    _ => Err(CoreError::Msg(
+                        "a shift along a rank-split dimension needs halo exchange, which \
+                         covers single full-lattice statements on the default stream: not a \
+                         subset, a site list or another stream"
+                            .into(),
+                    )),
+                };
+            }
+        }
+    }
     match params.sites {
         SiteSpec::Subset(s) => launch_statements(ctx, stmts, SiteSel::Subset(s), params),
         SiteSpec::DeviceSites { ptr, len } => {
@@ -824,7 +849,9 @@ pub fn eval_reference_sites(
 /// thread's stream (see the substitution note in DESIGN.md), then sum each
 /// temporary on the host side of the simulator in per-component site order
 /// — batching merges only the accounting, so values are bit-identical to
-/// reducing the temporaries one at a time.
+/// reducing the temporaries one at a time. On a context with an attached
+/// rank the sums are then allreduced (once per batch): every rank returns
+/// the global sums, bit-identical across ranks.
 pub(crate) fn reduce_batch(
     ctx: &QdpContext,
     temps: &[(FieldRef, usize)],
@@ -870,6 +897,15 @@ pub(crate) fn reduce_batch(
             *s = acc;
         }
         out.push(sums);
+    }
+    // On an attached context the batch's partial sums become global sums
+    // with one allreduce.
+    if let Some(mr) = ctx.attached_rank() {
+        let local: Vec<f64> = out.iter().flatten().copied().collect();
+        let mut global = mr.allreduce(&local)?.into_iter();
+        for s in out.iter_mut().flatten() {
+            *s = global.next().expect("allreduce preserves length");
+        }
     }
     Ok(out)
 }

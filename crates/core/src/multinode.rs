@@ -13,9 +13,13 @@
 //! also why plain face exchange suffices for correctness on a grid split in
 //! several dimensions: every single-hop shift only reads the neighbour's
 //! face slab (which includes the slab's corner sites, owned by the direct
-//! neighbour), and multi-hop displacements go through temporaries. The
-//! diagonal-rank [`exchange_corner`](MultiRank::exchange_corner) helper
-//! exists for algorithms that want true corner traffic.
+//! neighbour), and multi-hop displacements go through temporaries.
+//!
+//! The rank belongs to the context: [`MultiRank::new`] attaches itself to
+//! its [`QdpContext`], and from then on the ordinary entry points —
+//! `Lattice::assign`, a `FusionScope` flush, every reduction — run this
+//! schedule for a statement that shifts along a split dimension and
+//! allreduce their sums. Application code never names a rank.
 //!
 //! Each split face `(mu, dir)` gets its **own comm stream** feeding the
 //! fork/halo_done event schedule, so one slow face does not serialise the
@@ -29,7 +33,7 @@ use qdp_comm::cluster::RankHandle;
 use qdp_expr::{Expr, FieldRef, ShiftDir};
 use qdp_gpu_sim::sync::Mutex;
 use qdp_gpu_sim::{DevicePtr, StreamId};
-use qdp_layout::{Decomposition, Dir, FieldLayout, RankGrid, Subset};
+use qdp_layout::{Decomposition, Dir, FieldLayout, RankGrid};
 use qdp_types::TypeShape;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -41,37 +45,24 @@ fn to_dir(d: ShiftDir) -> Dir {
     }
 }
 
-fn contains_shift(e: &Expr) -> bool {
-    match e {
-        Expr::Shift { .. } => true,
-        Expr::Unary(_, c) => contains_shift(c),
-        Expr::Binary(_, a, b) => contains_shift(a) || contains_shift(b),
-        Expr::GammaMul { child, .. } => contains_shift(child),
-        Expr::CloverApply { child, .. } => contains_shift(child),
-        Expr::Field(_) | Expr::Scalar { .. } => false,
-    }
-}
-
-/// One rank of a multi-rank QDP-JIT run.
+/// One rank of a multi-rank QDP-JIT run: the rank grid, comm handle and
+/// halo streams attached to a rank-local context.
 pub struct MultiRank {
-    /// The rank-local context (own simulated device, own sub-grid).
-    pub ctx: Arc<QdpContext>,
-    /// This rank's view of the 4D rank grid (face + corner neighbours).
-    pub grid: RankGrid,
-    /// This rank.
-    pub rank: usize,
-    /// Communication handle.
+    ctx: Arc<QdpContext>,
+    grid: RankGrid,
+    /// Communication handle (public only because the frozen
+    /// `crates/benchmark` barriers through it).
     pub handle: RankHandle,
     /// CUDA-aware MPI: transfers go GPU↔GPU without host staging (§V).
-    pub cuda_aware: bool,
+    cuda_aware: bool,
     /// Overlap communication with inner-site computation (§V) on the
     /// stream schedule: gathers + exchange on the per-face comm streams,
     /// inner kernel on `compute_stream`, event-wait before the face
     /// kernel. When false, the whole lattice is evaluated on the default
     /// stream after the exchange completes.
-    pub overlap: bool,
+    overlap: bool,
     /// Stream carrying the inner-site and face compute kernels.
-    pub compute_stream: StreamId,
+    compute_stream: StreamId,
     /// Per-face comm streams: `face_streams[mu][dir]` carries the gather
     /// kernel, send and receive for halo face `(mu, dir)`.
     face_streams: [[StreamId; 2]; 4],
@@ -79,16 +70,19 @@ pub struct MultiRank {
 }
 
 impl MultiRank {
-    /// Wrap a context + handle into a rank. The handle records comm
-    /// traffic into the context's telemetry registry.
+    /// Make `ctx` (a context over `decomp.local_geometry()`) rank
+    /// `handle.rank` of the grid: the returned rank is attached to the
+    /// context until it is dropped, and the handle records comm traffic
+    /// into the context's telemetry registry. The five-argument shape is
+    /// what the frozen `crates/benchmark` calls.
+    #[must_use = "the rank detaches from its context when dropped"]
     pub fn new(
         ctx: Arc<QdpContext>,
         decomp: Decomposition,
         mut handle: RankHandle,
         cuda_aware: bool,
         overlap: bool,
-    ) -> MultiRank {
-        let rank = handle.rank;
+    ) -> Arc<MultiRank> {
         assert_eq!(
             handle.n_ranks,
             decomp.n_ranks(),
@@ -103,17 +97,18 @@ impl MultiRank {
                 ctx.device().create_stream(&format!("comm-{axis}-")),
             ]
         });
-        MultiRank {
+        let mr = Arc::new(MultiRank {
+            grid: RankGrid::new(decomp, handle.rank),
             ctx,
-            grid: RankGrid::new(decomp, rank),
-            rank,
             handle,
             cuda_aware,
             overlap,
             compute_stream,
             face_streams,
             site_lists: Mutex::new(HashMap::new()),
-        }
+        });
+        mr.ctx.attach_rank(&mr);
+        mr
     }
 
     /// Global decomposition backing the rank grid.
@@ -121,8 +116,16 @@ impl MultiRank {
         self.grid.decomp()
     }
 
+    /// Does `expr` shift along a dimension split across ranks — i.e. does
+    /// evaluating it need the halo schedule?
+    pub(crate) fn crosses_ranks(&self, expr: &Expr) -> bool {
+        expr.shifts()
+            .iter()
+            .any(|&(mu, _)| self.decomp().is_split(mu))
+    }
+
     /// The comm stream dedicated to halo face `(mu, dir)`.
-    pub fn face_stream(&self, mu: usize, dir: ShiftDir) -> StreamId {
+    fn face_stream(&self, mu: usize, dir: ShiftDir) -> StreamId {
         self.face_streams[mu][match dir {
             ShiftDir::Forward => 0,
             ShiftDir::Backward => 1,
@@ -158,41 +161,6 @@ impl MultiRank {
         Ok((ptr, sites.len()))
     }
 
-    /// Exchange a payload with the diagonal (edge/corner) neighbour reached
-    /// by stepping once in each of `steps`: send `data` to that rank and
-    /// receive the matching payload arriving from the opposite diagonal.
-    /// SPMD-collective over all ranks. With every stepped dimension unsplit
-    /// this is the identity.
-    pub fn exchange_corner(
-        &self,
-        steps: &[(usize, Dir)],
-        data: Vec<u8>,
-        now: f64,
-    ) -> Result<(Vec<u8>, f64), CoreError> {
-        let to = self.grid.corner_neighbor(steps);
-        let opposite: Vec<(usize, Dir)> = steps
-            .iter()
-            .map(|&(mu, d)| {
-                (
-                    mu,
-                    match d {
-                        Dir::Forward => Dir::Backward,
-                        Dir::Backward => Dir::Forward,
-                    },
-                )
-            })
-            .collect();
-        let from = self.grid.corner_neighbor(&opposite);
-        if to == self.rank {
-            debug_assert_eq!(from, self.rank);
-            return Ok((data, now));
-        }
-        // send-then-recv is safe even when to == from (channels buffer)
-        let t = self.handle.send(to, data, now)?;
-        let (buf, arrival) = self.handle.recv(from, t)?;
-        Ok((buf, arrival))
-    }
-
     /// Materialise nested shifts into temporaries (returns rewritten
     /// expression and the temp field ids to free afterwards).
     fn materialize_nested(
@@ -203,7 +171,7 @@ impl MultiRank {
         Ok(match e {
             Expr::Shift { mu, dir, child } => {
                 let c = self.materialize_nested(child, temps)?;
-                let c = if contains_shift(&c) {
+                let c = if !c.shifts().is_empty() {
                     // evaluate the shifted subexpression into a temporary
                     let kind = c.kind()?;
                     let ft = c.float_type();
@@ -213,7 +181,7 @@ impl MultiRank {
                     let id = self.ctx.cache().register(bytes);
                     temps.push(id);
                     let tref = FieldRef { id, kind, ft };
-                    self.eval(tref, &c)?;
+                    self.eval_halo(tref, &c)?;
                     Expr::Field(tref)
                 } else {
                     c
@@ -245,11 +213,24 @@ impl MultiRank {
         })
     }
 
-    /// Evaluate `expr` into `target` with halo exchange along split
-    /// dimensions, overlapping communication with inner-site computation
-    /// when enabled. SPMD: every rank must call this with the structurally
-    /// identical expression.
+    /// `target ← expr` on this rank's context: exactly
+    /// [`eval::eval`] with default parameters (which reaches the halo
+    /// schedule by itself). Kept only because the frozen `crates/benchmark`
+    /// calls it — applications assign through `Lattice::assign`.
     pub fn eval(&self, target: FieldRef, expr: &Expr) -> Result<EvalReport, CoreError> {
+        eval::eval(&self.ctx, target, expr, &EvalParams::new())
+    }
+
+    /// The §V schedule for one full-lattice statement that shifts along a
+    /// split dimension: halo exchange, overlapping communication with
+    /// inner-site computation when enabled. Reached from
+    /// `eval::eval_statements`; SPMD — every rank must issue the
+    /// structurally identical statement.
+    pub(crate) fn eval_halo(
+        &self,
+        target: FieldRef,
+        expr: &Expr,
+    ) -> Result<EvalReport, CoreError> {
         let mut temps = Vec::new();
         let expr = self.materialize_nested(expr, &mut temps)?;
         let result = self.eval_flat(target, &expr);
@@ -528,13 +509,17 @@ impl MultiRank {
                         .stream(self.compute_stream),
                 )?;
                 device.sync();
+                // rates describe both launches, weighted like `threads`
+                let weighted = |inner: f64, face: f64| {
+                    (inner * len_i as f64 + face * len_f as f64) / (len_i + len_f) as f64
+                };
                 Ok(EvalReport {
                     kernel_name: inner_report.kernel_name,
                     block_size: inner_report.block_size,
                     sim_time: device.now() - t_start,
                     threads: len_i + len_f,
-                    bandwidth: inner_report.bandwidth,
-                    flops_rate: face_report.flops_rate,
+                    bandwidth: weighted(inner_report.bandwidth, face_report.bandwidth),
+                    flops_rate: weighted(inner_report.flops_rate, face_report.flops_rate),
                 })
             } else {
                 // No overlap: receive every face on the default stream,
@@ -561,25 +546,6 @@ impl MultiRank {
         result
     }
 
-    /// Global `‖expr‖²`: local reduction + all-reduce across ranks.
-    pub fn norm2(&self, expr: &Expr) -> Result<f64, CoreError> {
-        let local = eval::norm2(&self.ctx, expr, Subset::All)?;
-        Ok(self.allreduce(&[local])?[0])
-    }
-
-    /// Global `⟨a, b⟩`.
-    pub fn inner_product(&self, a: &Expr, b: &Expr) -> Result<(f64, f64), CoreError> {
-        let (re, im) = eval::inner_product(&self.ctx, a, b, Subset::All)?;
-        let sum = self.allreduce(&[re, im])?;
-        Ok((sum[0], sum[1]))
-    }
-
-    /// Global `Σ expr` for a real expression.
-    pub fn sum_real(&self, expr: &Expr) -> Result<f64, CoreError> {
-        let local = eval::sum_real(&self.ctx, expr, Subset::All)?;
-        Ok(self.allreduce(&[local])?[0])
-    }
-
     /// All-reduce a raw vector of partial sums across the rank grid,
     /// advancing the local device clock (the synchronising default stream)
     /// to the reduction's completion.
@@ -595,8 +561,9 @@ impl MultiRank {
 
 impl Drop for MultiRank {
     fn drop(&mut self) {
-        // release the pinned site-list tables — N-rank sweeps construct
-        // hundreds of MultiRanks against long-lived contexts
+        // detach, and release the pinned site-list tables — N-rank sweeps
+        // construct hundreds of MultiRanks against long-lived contexts
+        self.ctx.detach_rank(self);
         let mut map = self.site_lists.lock();
         for (_, (ptr, _)) in map.drain() {
             self.ctx.device().free(ptr);

@@ -1,5 +1,5 @@
-//! Rank-failure injection against the distributed evaluator: a rank
-//! killed before the fork, during the halo exchange, or inside an
+//! Rank-failure injection against evaluation on a rank-attached context:
+//! a rank killed before the fork, during the halo exchange, or inside an
 //! allreduce must surface as a structured [`CommError`] on every rank —
 //! never a panic, never a deadlock — and the site-list device
 //! allocations a `MultiRank` caches must be returned on drop.
@@ -37,7 +37,7 @@ fn to_comm(e: CoreError) -> CommError {
     }
 }
 
-/// One halo-bearing eval on a 2x1x1x2 grid followed by a global norm —
+/// One halo-bearing assignment on a 2x1x1x2 grid followed by a norm —
 /// per rank: 4 halo ops (one face per shifted split dim, send + recv
 /// each), then the 4 ops of a 4-rank butterfly allreduce.
 fn eval_then_reduce(handle: qdp_comm::RankHandle) -> Result<f64, CommError> {
@@ -48,7 +48,7 @@ fn eval_then_reduce(handle: qdp_comm::RankHandle) -> Result<f64, CommError> {
         decomp.local_geometry(),
         LayoutKind::SoA,
     );
-    let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
+    let _rank = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
     let u =
         LatticeColorMatrix::<f64>::from_fn(&ctx, |s| cm_at(decomp.global_coord(rank, s)));
     let psi =
@@ -56,8 +56,8 @@ fn eval_then_reduce(handle: qdp_comm::RankHandle) -> Result<f64, CommError> {
     let out = LatticeFermion::<f64>::new(&ctx);
     let e = u.q() * shift(psi.q(), 0, ShiftDir::Forward)
         + shift(adj(u.q()) * psi.q(), 3, ShiftDir::Backward);
-    mr.eval(out.fref(), &e.0).map_err(to_comm)?;
-    mr.norm2(&psi.q().0).map_err(to_comm)
+    out.assign(e).map_err(to_comm)?;
+    psi.norm2().map_err(to_comm)
 }
 
 /// Kill rank `victim` after `k` messages and assert the failure surfaces
@@ -162,7 +162,7 @@ fn site_list_allocations_are_freed_on_drop() {
                 true,
             );
             let e = u.q() * shift(psi.q(), 0, ShiftDir::Forward);
-            mr.eval(out.fref(), &e.0).unwrap();
+            out.assign(e).unwrap();
             if let Some(b) = base {
                 assert!(
                     ctx.device().memory().used() > b,

@@ -404,3 +404,56 @@ fn budget_one_reductions_match_immediate() {
     assert_eq!(ip.im.to_bits(), ip_ref.im.to_bits());
     assert_eq!(launch_signature(&ctx), launch_signature(&ref_ctx));
 }
+
+/// The one legality rule a rank grid adds: a statement that shifts along a
+/// split dimension runs the halo schedule, so it is a group of one — here
+/// next to an independent statement it would otherwise fuse with. On an
+/// unattached context the same two statements still fuse into one launch.
+#[test]
+fn bailout_halo_on_a_split_grid() {
+    use qdp_core::multinode::MultiRank;
+    use qdp_layout::Decomposition;
+    let record = |ctx: &Arc<QdpContext>, f: &Pair| {
+        let mut scope = ctx.deferred();
+        scope.assign(&f.a, f.u.q() * f.v.q()).unwrap();
+        scope
+            .assign(&f.c, shift(f.u.q(), 0, ShiftDir::Forward) * f.v.q())
+            .unwrap();
+        scope.flush().unwrap();
+    };
+
+    qdp_comm::run_cluster(2, qdp_comm::LinkModel::infiniband_qdr(), |handle| {
+        let decomp = Decomposition::new([8, 4, 4, 4], [2, 1, 1, 1]);
+        let seed = 8 + handle.rank as u64;
+        let ctx = profiled_ctx(4, true);
+        let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, true);
+        let f = pair(&ctx, seed);
+        record(&ctx, &f);
+        let rep = ctx.profile_report();
+        assert_eq!(rep.counter("fuse.bailout.halo"), 1);
+        assert_eq!(rep.counter("fuse.bailouts"), 1);
+        assert_eq!(rep.counter("fuse.groups"), 0);
+        assert!(
+            rep.kernels.iter().all(|k| !k.name.starts_with("qdpf_")),
+            "the halo statement launched alone"
+        );
+
+        // the immediate path on the same attached context, bit for bit
+        let g = pair(&ctx, seed);
+        g.a.assign(g.u.q() * g.v.q()).unwrap();
+        g.c.assign(shift(g.u.q(), 0, ShiftDir::Forward) * g.v.q())
+            .unwrap();
+        assert_eq!(field_bytes(&ctx, f.a.id()), field_bytes(&ctx, g.a.id()));
+        assert_eq!(field_bytes(&ctx, f.c.id()), field_bytes(&ctx, g.c.id()));
+    });
+
+    let ctx = profiled_ctx(4, true);
+    record(&ctx, &pair(&ctx, 8));
+    let rep = ctx.profile_report();
+    assert_eq!(rep.counter("fuse.bailout.halo"), 0);
+    assert_eq!(rep.counter("fuse.bailouts"), 0);
+    assert_eq!(rep.counter("fuse.groups"), 1);
+    let signature = launch_signature(&ctx);
+    assert_eq!(signature.len(), 1, "one fused kernel: {signature:?}");
+    assert!(signature[0].0.starts_with("qdpf_") && signature[0].1 == 1);
+}

@@ -1,10 +1,10 @@
-//! Multi-rank validation: halo exchange must reproduce the single-rank
+//! Multi-rank validation: on a context with an attached rank, plain
+//! `Lattice::assign` / `norm2` must reproduce the single-rank
 //! (global-lattice) result exactly, with and without overlap (§V).
 
 use qdp_core::multinode::MultiRank;
 use qdp_core::prelude::*;
 use qdp_core::{adj, shift};
-use qdp_expr::Expr;
 use qdp_layout::Decomposition;
 use qdp_types::su3::random_su3;
 use qdp_types::{ColorMatrix, Complex, Fermion, PScalar, PVector};
@@ -41,7 +41,6 @@ fn derivative(
 
 fn run_two_ranks(overlap: bool, cuda_aware: bool) -> (Vec<Fermion<f64>>, f64) {
     let global = [8usize, 4, 4, 4];
-    let decomp = Decomposition::new(global, [2, 1, 1, 1]);
     let results = qdp_comm::run_cluster(
         2,
         qdp_comm::LinkModel::infiniband_qdr(),
@@ -53,7 +52,8 @@ fn run_two_ranks(overlap: bool, cuda_aware: bool) -> (Vec<Fermion<f64>>, f64) {
                 decomp.local_geometry(),
                 LayoutKind::SoA,
             );
-            let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, cuda_aware, overlap);
+            let _rank =
+                MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, cuda_aware, overlap);
             let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| {
                 cm_at(decomp.global_coord(rank, s))
             });
@@ -63,25 +63,15 @@ fn run_two_ranks(overlap: bool, cuda_aware: bool) -> (Vec<Fermion<f64>>, f64) {
             let out = LatticeFermion::<f64>::new(&ctx);
             // shift along the split dimension AND an unsplit one
             let e = derivative(&u, &psi, 0) + derivative(&u, &psi, 2);
-            mr.eval(out.fref(), &e.0).unwrap();
+            out.assign(e).unwrap();
             (out.to_vec(), ctx.device().now())
         },
     );
-    // reassemble the global field in global lexicographic order
-    let gg = Geometry::new(global);
-    let lg = decomp.local_geometry();
-    let mut out = vec![Fermion::<f64>::default(); gg.vol()];
-    for (rank, (local, _)) in results.iter().enumerate() {
-        for (s, v) in local.iter().enumerate() {
-            let c = decomp.global_coord(rank, s);
-            out[gg.index_of(c)] = *v;
-        }
-    }
+    let out = reassemble(global, [2, 1, 1, 1], results.iter().map(|(local, _)| local));
     let max_clock = results
         .iter()
         .map(|(_, t)| *t)
         .fold(0.0f64, f64::max);
-    let _ = lg;
     (out, max_clock)
 }
 
@@ -110,6 +100,24 @@ fn assert_same(a: &[Fermion<f64>], b: &[Fermion<f64>], what: &str) {
             }
         }
     }
+}
+
+/// Reassemble per-rank local fields into the global field in global
+/// lexicographic order.
+fn reassemble<'a>(
+    global: [usize; 4],
+    rank_dims: [usize; 4],
+    locals: impl Iterator<Item = &'a Vec<Fermion<f64>>>,
+) -> Vec<Fermion<f64>> {
+    let decomp = Decomposition::new(global, rank_dims);
+    let gg = Geometry::new(global);
+    let mut out = vec![Fermion::<f64>::default(); gg.vol()];
+    for (rank, local) in locals.enumerate() {
+        for (s, v) in local.iter().enumerate() {
+            out[gg.index_of(decomp.global_coord(rank, s))] = *v;
+        }
+    }
+    out
 }
 
 #[test]
@@ -172,11 +180,11 @@ fn global_norm2_matches_single_rank() {
                 decomp.local_geometry(),
                 LayoutKind::SoA,
             );
-            let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
             let psi = LatticeFermion::<f64>::from_fn(&ctx, |s| {
                 fermion_at(decomp.global_coord(rank, s))
             });
-            mr.norm2(&psi.q().0).unwrap()
+            psi.norm2().unwrap()
         },
     );
     for r in &results {
@@ -220,21 +228,17 @@ fn nested_shift_across_boundary_is_materialised() {
                 decomp.local_geometry(),
                 LayoutKind::SoA,
             );
-            let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
             let psi = LatticeFermion::<f64>::from_fn(&ctx, |s| {
                 fermion_at(decomp.global_coord(rank, s))
             });
             let out = LatticeFermion::<f64>::new(&ctx);
-            let e = Expr::Shift {
-                mu: 0,
-                dir: qdp_expr::ShiftDir::Forward,
-                child: Box::new(Expr::Shift {
-                    mu: 0,
-                    dir: qdp_expr::ShiftDir::Forward,
-                    child: Box::new(psi.q().0),
-                }),
-            };
-            mr.eval(out.fref(), &e).unwrap();
+            out.assign(shift(
+                shift(psi.q(), 0, ShiftDir::Forward),
+                0,
+                ShiftDir::Forward,
+            ))
+            .unwrap();
             (rank, out.to_vec())
         },
     );
@@ -296,7 +300,7 @@ fn run_grid(global: [usize; 4], rank_dims: [usize; 4]) -> Vec<Fermion<f64>> {
                 decomp.local_geometry(),
                 LayoutKind::SoA,
             );
-            let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
             let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| {
                 cm_at(decomp.global_coord(rank, s))
             });
@@ -304,19 +308,11 @@ fn run_grid(global: [usize; 4], rank_dims: [usize; 4]) -> Vec<Fermion<f64>> {
                 fermion_at(decomp.global_coord(rank, s))
             });
             let out = LatticeFermion::<f64>::new(&ctx);
-            mr.eval(out.fref(), &all_dir_expr(&u, &psi).0).unwrap();
+            out.assign(all_dir_expr(&u, &psi)).unwrap();
             out.to_vec()
         },
     );
-    let decomp = Decomposition::new(global, rank_dims);
-    let gg = Geometry::new(global);
-    let mut out = vec![Fermion::<f64>::default(); gg.vol()];
-    for (rank, local) in results.iter().enumerate() {
-        for (s, v) in local.iter().enumerate() {
-            out[gg.index_of(decomp.global_coord(rank, s))] = *v;
-        }
-    }
-    out
+    reassemble(global, rank_dims, results.iter())
 }
 
 #[test]
@@ -367,37 +363,119 @@ fn non_power_of_two_rank_grid_matches_single_rank() {
 }
 
 #[test]
-fn corner_exchange_reaches_diagonal_ranks() {
+fn split_shift_on_a_subset_is_an_error_unsplit_is_exact() {
+    // Halo exchange covers full-lattice statements: a subset assignment
+    // that shifts along the split dimension must fail loudly instead of
+    // wrapping inside the sub-grid; along an unsplit dimension it is the
+    // ordinary local kernel.
     let global = [8usize, 4, 4, 4];
-    let rank_dims = [2usize, 1, 1, 2];
-    let n: usize = rank_dims.iter().product();
+    let reference = {
+        let ctx = QdpContext::new(
+            DeviceConfig::k20m_ecc_on(),
+            Geometry::new(global),
+            LayoutKind::SoA,
+        );
+        let g = ctx.geometry().clone();
+        let psi = LatticeFermion::<f64>::from_fn(&ctx, |s| fermion_at(g.coord_of(s)));
+        let out = LatticeFermion::<f64>::new(&ctx);
+        out.assign_on(Subset::Even, shift(psi.q(), 2, ShiftDir::Forward))
+            .unwrap();
+        out.to_vec()
+    };
     let results = qdp_comm::run_cluster(
-        n,
+        2,
         qdp_comm::LinkModel::infiniband_qdr(),
         move |handle| {
-            let decomp = Decomposition::new(global, rank_dims);
+            let decomp = Decomposition::new(global, [2, 1, 1, 1]);
             let rank = handle.rank;
             let ctx = QdpContext::new(
                 DeviceConfig::k20m_ecc_on(),
                 decomp.local_geometry(),
                 LayoutKind::SoA,
             );
-            let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
-            use qdp_layout::Dir;
-            let steps = [(0usize, Dir::Forward), (3usize, Dir::Forward)];
-            let payload = vec![rank as u8; 4];
-            let (got, _) = mr
-                .exchange_corner(&steps, payload, ctx.device().now())
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
+            let psi = LatticeFermion::<f64>::from_fn(&ctx, |s| {
+                fermion_at(decomp.global_coord(rank, s))
+            });
+            let out = LatticeFermion::<f64>::new(&ctx);
+            let split = out.assign_on(Subset::Even, shift(psi.q(), 0, ShiftDir::Forward));
+            assert!(
+                matches!(&split, Err(CoreError::Msg(m)) if m.contains("rank-split")),
+                "split shift on a subset must be refused, got {split:?}"
+            );
+            out.assign_on(Subset::Even, shift(psi.q(), 2, ShiftDir::Forward))
                 .unwrap();
-            (rank, got)
+            out.to_vec()
         },
     );
-    let decomp = Decomposition::new(global, rank_dims);
+    let out = reassemble(global, [2, 1, 1, 1], results.iter());
+    assert_same(&out, &reference, "unsplit shift on the even subset");
+}
+
+#[test]
+fn overlap_report_rates_describe_both_launches() {
+    // The overlapped evaluation is an inner and a face launch of one
+    // kernel; its reported bandwidth and flop rate must both lie between
+    // the inner-only and face-only values (thread-weighted mean), not pair
+    // one launch's bandwidth with the other's flop rate.
+    use qdp_core::eval::{EvalParams, RemoteEnv};
     use qdp_layout::Dir;
-    for (rank, got) in &results {
-        // data arrives from the opposite diagonal
-        let grid = qdp_layout::RankGrid::new(decomp.clone(), *rank);
-        let from = grid.corner_neighbor(&[(0, Dir::Backward), (3, Dir::Backward)]);
-        assert_eq!(got, &vec![from as u8; 4], "rank {rank}");
-    }
+    let global = [8usize, 4, 4, 4];
+    qdp_comm::run_cluster(2, qdp_comm::LinkModel::infiniband_qdr(), move |handle| {
+        let decomp = Decomposition::new(global, [2, 1, 1, 1]);
+        let ctx = QdpContext::new(
+            DeviceConfig::k20m_ecc_on(),
+            decomp.local_geometry(),
+            LayoutKind::SoA,
+        );
+        ctx.set_payload_execution(false);
+        let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, true);
+        let u = LatticeColorMatrix::<f64>::new(&ctx);
+        let psi = LatticeFermion::<f64>::new(&ctx);
+        let out = LatticeFermion::<f64>::new(&ctx);
+        let e = u.q() * shift(psi.q(), 0, ShiftDir::Forward);
+        // settle the auto-tuner so every launch below uses one block size
+        for _ in 0..12 {
+            out.assign(e.clone()).unwrap();
+        }
+        let both = out.assign(e.clone()).unwrap();
+
+        // the same kernel over the inner and the face sites alone
+        let geom = ctx.geometry().clone();
+        let faces = [(0usize, Dir::Forward)];
+        let halo = ctx
+            .device()
+            .alloc(geom.face_vol(0) * 24 * 8)
+            .unwrap();
+        let remote = RemoteEnv {
+            split_dims: [true, false, false, false],
+            recv: [((0, ShiftDir::Forward), vec![0, halo])].into_iter().collect(),
+        };
+        let alone = |sites: Vec<u32>| {
+            out.assign_with(&EvalParams::new().sites(&sites).remote(&remote), e.clone())
+                .unwrap()
+        };
+        let inner = alone(geom.inner_sites(&faces));
+        let face = alone(geom.face_union(&faces));
+        ctx.device().free(halo);
+
+        assert_eq!(both.threads, inner.threads + face.threads);
+        assert_eq!(both.kernel_name, inner.kernel_name);
+        // strictly between the two launches' values, at the same
+        // (thread-weighted) point for both rates
+        let check = |what: &str, got: f64, inner_v: f64, face_v: f64| {
+            assert!(
+                got > inner_v.min(face_v) && got < inner_v.max(face_v),
+                "{what} {got} not between inner {inner_v} and face {face_v}"
+            );
+            let mean = (inner_v * inner.threads as f64 + face_v * face.threads as f64)
+                / both.threads as f64;
+            assert!(
+                (got - mean).abs() <= 1e-12 * mean,
+                "{what} {got} is not the thread-weighted mean {mean}"
+            );
+        };
+        check("bandwidth", both.bandwidth, inner.bandwidth, face.bandwidth);
+        check("flop rate", both.flops_rate, inner.flops_rate, face.flops_rate);
+    });
 }

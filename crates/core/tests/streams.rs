@@ -166,7 +166,7 @@ fn overlap_trajectory_time(overlap: bool, iters: usize) -> f64 {
                 decomp.local_geometry(),
                 LayoutKind::SoA,
             );
-            let mr = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, false, overlap);
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, false, overlap);
             let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| {
                 cm_at(decomp.global_coord(rank, s))
             });
@@ -177,10 +177,10 @@ fn overlap_trajectory_time(overlap: bool, iters: usize) -> f64 {
             let e = u.q() * shift(psi.q(), 0, ShiftDir::Forward)
                 + shift(adj(u.q()) * psi.q(), 0, ShiftDir::Backward);
             // warm-up: compile kernels, pin site lists, page the target
-            mr.eval(out.fref(), &e.0).unwrap();
+            out.assign(e.clone()).unwrap();
             let t0 = ctx.device().now();
             for _ in 0..iters {
-                mr.eval(out.fref(), &e.0).unwrap();
+                out.assign(e.clone()).unwrap();
             }
             ctx.device().now() - t0
         },

@@ -113,10 +113,8 @@ impl Decomposition {
 }
 
 /// One rank's view of an N-rank 4D decomposition: its coordinate in the
-/// rank grid plus precomputed neighbour tables — the per-face neighbours
-/// that halo exchange talks to every `eval`, and diagonal (edge/corner)
-/// neighbours for exchanges whose displacement steps more than one split
-/// dimension at once.
+/// rank grid plus the precomputed per-face neighbours that halo exchange
+/// talks to every `eval`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankGrid {
     decomp: Decomposition,
@@ -174,22 +172,6 @@ impl RankGrid {
     /// Number of split dimensions (0 = single-rank in every direction).
     pub fn n_split(&self) -> usize {
         self.split_dims().iter().filter(|&&s| s).count()
-    }
-
-    /// Diagonal neighbour: the rank displaced by one step in *each* of
-    /// `steps` (periodic wrap per dimension). Two steps in distinct
-    /// dimensions name an edge neighbour, three or four a corner — the
-    /// ranks a true corner exchange talks to.
-    pub fn corner_neighbor(&self, steps: &[(usize, Dir)]) -> usize {
-        let mut c = self.coord;
-        for &(mu, dir) in steps {
-            let l = self.decomp.rank_dims()[mu];
-            c[mu] = match dir {
-                Dir::Forward => (c[mu] + 1) % l,
-                Dir::Backward => (c[mu] + l - 1) % l,
-            };
-        }
-        self.decomp.rank_of_coord(c)
     }
 }
 
@@ -259,32 +241,6 @@ mod tests {
             }
         }
         assert_eq!(RankGrid::new(d, 0).n_split(), 4);
-    }
-
-    #[test]
-    fn corner_neighbor_commutes_and_inverts() {
-        let d = Decomposition::new([8, 4, 8, 8], [2, 1, 2, 2]);
-        for r in 0..d.n_ranks() {
-            let g = RankGrid::new(d.clone(), r);
-            // stepping order must not matter
-            let a = g.corner_neighbor(&[(0, Dir::Forward), (3, Dir::Backward)]);
-            let b = g.corner_neighbor(&[(3, Dir::Backward), (0, Dir::Forward)]);
-            assert_eq!(a, b);
-            // the inverse walk from the corner neighbour comes back
-            let back = RankGrid::new(d.clone(), a)
-                .corner_neighbor(&[(0, Dir::Backward), (3, Dir::Forward)]);
-            assert_eq!(back, r);
-            // a corner step in an unsplit dimension is a no-op
-            assert_eq!(
-                g.corner_neighbor(&[(1, Dir::Forward)]),
-                r,
-                "unsplit dim corner step must stay on-rank"
-            );
-            // 3-step corner on a 2x1x2x2 grid: full diagonal is an involution
-            let diag = [(0, Dir::Forward), (2, Dir::Forward), (3, Dir::Forward)];
-            let far = g.corner_neighbor(&diag);
-            assert_eq!(RankGrid::new(d.clone(), far).corner_neighbor(&diag), r);
-        }
     }
 
     #[test]
