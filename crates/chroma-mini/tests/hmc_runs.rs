@@ -242,9 +242,9 @@ fn trajectory_uses_a_bounded_kernel_set() {
         ],
     };
     hmc.trajectory(&g, &mut rng).unwrap();
-    let k1 = ctx.n_generated_kernels();
+    let k1 = ctx.kernels().len();
     hmc.trajectory(&g, &mut rng).unwrap();
-    let k2 = ctx.n_generated_kernels();
+    let k2 = ctx.kernels().len();
     assert_eq!(k1, k2, "second trajectory must reuse all kernels");
     assert!(k1 < 250, "kernel count {k1} out of the expected range");
     // JIT overhead estimate, as the paper does: ~0.05–0.22 s per kernel

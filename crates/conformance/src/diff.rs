@@ -1,7 +1,7 @@
 //! The differential executor: JIT pipeline vs CPU reference, ULP-compared.
 
 use crate::fixture::Fixture;
-use crate::gen::{gen_stmt_sequence, gen_typed_expr, random_target_kind};
+use crate::gen::{gen_stmt_sequence, gen_typed_expr, random_target_kind, subst_fields};
 use qdp_core::OptLevel;
 use qdp_expr::{Expr, FieldRef};
 use qdp_layout::Subset;
@@ -176,38 +176,6 @@ pub fn opt_diff_case(fx: &Fixture, expr: &Expr, sites: &SiteSel) -> Result<u64, 
     result
 }
 
-/// Rebuild `e` with every field leaf remapped through `map` (by id) —
-/// used to instantiate one generated statement sequence against a second,
-/// disjoint set of target fields so the fused and per-expression runs
-/// never read each other's outputs.
-fn subst_fields(e: &Expr, map: &HashMap<u64, FieldRef>) -> Expr {
-    let sub = |f: &FieldRef| map.get(&f.id).copied().unwrap_or(*f);
-    match e {
-        Expr::Field(f) => Expr::Field(sub(f)),
-        Expr::Scalar { .. } => e.clone(),
-        Expr::Unary(op, c) => Expr::Unary(*op, Box::new(subst_fields(c, map))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(subst_fields(a, map)),
-            Box::new(subst_fields(b, map)),
-        ),
-        Expr::Shift { mu, dir, child } => Expr::Shift {
-            mu: *mu,
-            dir: *dir,
-            child: Box::new(subst_fields(child, map)),
-        },
-        Expr::GammaMul { gamma, child } => Expr::GammaMul {
-            gamma: *gamma,
-            child: Box::new(subst_fields(child, map)),
-        },
-        Expr::CloverApply { diag, tri, child } => Expr::CloverApply {
-            diag: sub(diag),
-            tri: sub(tri),
-            child: Box::new(subst_fields(child, map)),
-        },
-    }
-}
-
 /// Run one statement *sequence* through the fusion planner and, against a
 /// disjoint set of targets, through plain per-expression evaluation in
 /// recording order. Returns the worst ULP distance across all target
@@ -258,7 +226,8 @@ pub fn fuse_diff_case(fx: &Fixture, stmts: &[(FieldRef, Expr)]) -> Result<u64, S
 
 /// Run a fused-vs-per-expression differential sweep: `cfg.cases` random
 /// statement sequences (shared leaves, producer→consumer chains, shifted
-/// reads and write-after-write hazards), each executed once through
+/// reads and write-after-write hazards), each — and then its aliasing
+/// twin, see [`gen_stmt_sequence`] — executed once through
 /// [`qdp_core::eval_fused_sequence`] and once statement-by-statement,
 /// required to agree **bit-for-bit** (0 ULP).
 pub fn fuse_differential_sweep(cfg: &SweepConfig) {
@@ -274,22 +243,26 @@ pub fn fuse_differential_sweep(cfg: &SweepConfig) {
             if cfg.pressure {
                 fx.churn();
             }
-            let stmts = gen_stmt_sequence(g, &fx, cfg.max_depth);
-            let result = fuse_diff_case(&fx, &stmts);
+            let (stmts, twin) = gen_stmt_sequence(g, &fx, cfg.max_depth);
+            // The sequence, then its aliasing twin, back to back on the
+            // shared context (the twin writes the same targets).
+            let result = [Some(&stmts), twin.as_ref()]
+                .into_iter()
+                .flatten()
+                .try_for_each(|seq| match fuse_diff_case(&fx, seq)? {
+                    0 => Ok(()),
+                    max_ulp => Err(format!(
+                        "fused and per-expression evaluation disagree by {max_ulp} ULPs \
+                         (must be bit-identical) on sequence: {seq:?}"
+                    )),
+                });
             let mut seen = HashSet::new();
             for (t, _) in &stmts {
                 if seen.insert(t.id) {
                     fx.release(*t);
                 }
             }
-            let max_ulp = result.map_err(CaseError::fail)?;
-            if max_ulp > 0 {
-                return Err(CaseError::fail(format!(
-                    "fused and per-expression evaluation disagree by {max_ulp} ULPs \
-                     (must be bit-identical) on sequence: {stmts:?}"
-                )));
-            }
-            Ok(())
+            result.map_err(CaseError::fail)
         },
     );
 }

@@ -11,6 +11,7 @@ use crate::fixture::Fixture;
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
 use qdp_proptest::Gen;
 use qdp_types::{ElemKind, Gamma};
+use std::collections::HashMap;
 
 /// Pick a target kind for one differential case. Matrix and fermion
 /// expressions carry the most codegen surface, so they get extra weight.
@@ -42,11 +43,19 @@ pub fn gen_typed_expr(g: &mut Gen, fx: &Fixture, kind: ElemKind, depth: usize) -
 /// and occasionally rewrite an earlier target (a write-after-write the
 /// planner must split on). Targets are freshly registered zeroed scratch
 /// fields; the caller releases them.
+///
+/// Whenever the sequence allows one, an *aliasing twin* comes with it: the
+/// same statements onto the same targets, except that one later statement
+/// has its `u[0]`↔`u[1]` (or `psi[0]`↔`psi[1]`) leaves swapped, where an
+/// earlier statement already reads one of the two. Statement by statement
+/// the twin has the original's structure — only *which* earlier leaf the
+/// later statement shares differs — so back to back on one context the pair
+/// catches a kernel identity that forgets cross-statement leaf sharing.
 pub fn gen_stmt_sequence(
     g: &mut Gen,
     fx: &Fixture,
     max_depth: usize,
-) -> Vec<(FieldRef, Expr)> {
+) -> (Vec<(FieldRef, Expr)>, Option<Vec<(FieldRef, Expr)>>) {
     let n = g.usize_in(2..5);
     let mut out: Vec<(FieldRef, Expr)> = Vec::new();
     for _ in 0..n {
@@ -79,7 +88,64 @@ pub fn gen_stmt_sequence(
         };
         out.push((target, expr));
     }
-    out
+    let twin = aliasing_twin(g, fx, &out);
+    (out, twin)
+}
+
+fn aliasing_twin(
+    g: &mut Gen,
+    fx: &Fixture,
+    stmts: &[(FieldRef, Expr)],
+) -> Option<Vec<(FieldRef, Expr)>> {
+    let reads = |e: &Expr, pair: &[FieldRef; 2]| e.leaves().iter().any(|l| pair.contains(l));
+    let mut candidates = Vec::new();
+    for i in 1..stmts.len() {
+        for pair in [fx.u, fx.psi] {
+            if reads(&stmts[i].1, &pair) && stmts[..i].iter().any(|(_, e)| reads(e, &pair)) {
+                candidates.push((i, pair));
+            }
+        }
+    }
+    if candidates.is_empty() {
+        return None;
+    }
+    let (i, [x, y]) = candidates[g.usize_in(0..candidates.len())];
+    let swap = HashMap::from([(x.id, y), (y.id, x)]);
+    let mut twin = stmts.to_vec();
+    twin[i].1 = subst_fields(&twin[i].1, &swap);
+    Some(twin)
+}
+
+/// Rebuild `e` with every field leaf remapped through `map` (by id) —
+/// used to instantiate one generated statement sequence against a second,
+/// disjoint set of target fields (so the fused and per-expression runs
+/// never read each other's outputs) and to build aliasing twins.
+pub fn subst_fields(e: &Expr, map: &HashMap<u64, FieldRef>) -> Expr {
+    let sub = |f: &FieldRef| map.get(&f.id).copied().unwrap_or(*f);
+    match e {
+        Expr::Field(f) => Expr::Field(sub(f)),
+        Expr::Scalar { .. } => e.clone(),
+        Expr::Unary(op, c) => Expr::Unary(*op, Box::new(subst_fields(c, map))),
+        Expr::Binary(op, a, b) => Expr::Binary(
+            *op,
+            Box::new(subst_fields(a, map)),
+            Box::new(subst_fields(b, map)),
+        ),
+        Expr::Shift { mu, dir, child } => Expr::Shift {
+            mu: *mu,
+            dir: *dir,
+            child: Box::new(subst_fields(child, map)),
+        },
+        Expr::GammaMul { gamma, child } => Expr::GammaMul {
+            gamma: *gamma,
+            child: Box::new(subst_fields(child, map)),
+        },
+        Expr::CloverApply { diag, tri, child } => Expr::CloverApply {
+            diag: sub(diag),
+            tri: sub(tri),
+            child: Box::new(subst_fields(child, map)),
+        },
+    }
 }
 
 fn shift(g: &mut Gen, child: Expr) -> Expr {

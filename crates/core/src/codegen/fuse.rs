@@ -49,13 +49,13 @@
 
 use crate::context::QdpContext;
 use crate::eval::{
-    eval_statements, plan_statements, reduce_batch, render_statements, CoreError, EvalParams,
+    eval_statements, max_ft, reduce_batch, render_statements, CoreError, EvalParams, KeyedGroup,
 };
 use crate::field::{Lattice, QExpr, SiteElem, SiteReal};
 use qdp_expr::{BinaryOp, Expr, FieldRef, UnaryOp};
 use qdp_gpu_sim::StreamId;
 use qdp_layout::Subset;
-use qdp_types::{Complex, ElemKind, FloatType, Real};
+use qdp_types::{Complex, ElemKind, FloatType, Real, TypeShape};
 use std::sync::Arc;
 
 /// Most statements a single fused kernel may hold (register pressure and
@@ -74,7 +74,7 @@ fn group_budget(ctx: &QdpContext) -> usize {
 
 /// Site coverage of one recorded statement.
 #[derive(Debug, Clone)]
-enum StmtSites {
+pub(crate) enum StmtSites {
     Subset(Subset),
     List(Vec<u32>),
 }
@@ -82,7 +82,7 @@ enum StmtSites {
 /// One recorded deferred statement: `target ← expr` over `sites` on
 /// `stream`.
 #[derive(Debug, Clone)]
-struct Stmt {
+pub(crate) struct Stmt {
     target: FieldRef,
     expr: Expr,
     sites: StmtSites,
@@ -90,11 +90,7 @@ struct Stmt {
 }
 
 fn compute_ft(s: &Stmt) -> FloatType {
-    if s.expr.float_type() == FloatType::F64 || s.target.ft == FloatType::F64 {
-        FloatType::F64
-    } else {
-        FloatType::F32
-    }
+    max_ft(s.expr.float_type(), s.target.ft)
 }
 
 /// Why a statement could not join the open group.
@@ -232,7 +228,8 @@ pub fn codegen_fused_ptx(
     kernel_name: &str,
 ) -> Result<String, CoreError> {
     let refs: Vec<(FieldRef, &Expr)> = stmts.iter().map(|(t, e)| (*t, e)).collect();
-    let plan = plan_statements(ctx, &refs, subset != Subset::All, false, ctx.opt_level())?;
+    let plan = KeyedGroup::new(ctx, &refs, subset != Subset::All, false, ctx.opt_level())
+        .plan(ctx, &refs)?;
     let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| e).collect();
     render_statements(&plan, &exprs, kernel_name)
 }
@@ -280,6 +277,48 @@ pub fn eval_fused_sequence(
         })
         .collect();
     flush_stmts(ctx, &stmts)
+}
+
+/// The one reduction body: record a site-local temporary per expression
+/// behind `pending`, flush (the temp evaluations fuse with any pending
+/// producers), run one combined reduction pass per budget-sized batch,
+/// free the temporaries. An immediate reduction is a scope of one: nothing
+/// pending, one expression.
+pub(crate) fn reduce_recorded(
+    ctx: &QdpContext,
+    mut pending: Vec<Stmt>,
+    exprs: Vec<(Expr, ElemKind)>,
+    subset: Subset,
+) -> Result<Vec<Vec<f64>>, CoreError> {
+    let vol = ctx.geometry().vol();
+    let stream = ctx.device().current_stream();
+    let mut temps: Vec<(FieldRef, usize)> = Vec::with_capacity(exprs.len());
+    for (expr, kind) in exprs {
+        debug_assert!(matches!(kind, ElemKind::Real | ElemKind::Complex));
+        let n_comp = TypeShape::of(kind).n_reals();
+        let ft = expr.float_type();
+        let id = ctx.cache().register(vol * n_comp * ft.size_bytes());
+        let target = FieldRef { id, kind, ft };
+        temps.push((target, n_comp));
+        pending.push(Stmt {
+            target,
+            expr,
+            sites: StmtSites::Subset(subset),
+            stream,
+        });
+    }
+    let r = (|| {
+        flush_stmts(ctx, &pending)?;
+        let mut sums = Vec::with_capacity(temps.len());
+        for batch in temps.chunks(group_budget(ctx)) {
+            sums.extend(reduce_batch(ctx, batch)?);
+        }
+        Ok(sums)
+    })();
+    for (t, _) in &temps {
+        ctx.cache().unregister(t.id);
+    }
+    r
 }
 
 /// A deferred-evaluation scope (see [`crate::QdpContext::deferred`]):
@@ -351,58 +390,18 @@ impl FusionScope {
         Ok(())
     }
 
-    /// Record reduction temporaries for `exprs`, flush (fusing the temp
-    /// evaluations with any pending producers), run one combined reduction
-    /// pass per budget-sized batch, free the temporaries.
-    fn reduce_recorded(
-        &mut self,
-        exprs: &[(Expr, ElemKind)],
-    ) -> Result<Vec<Vec<f64>>, CoreError> {
-        let vol = self.ctx.geometry().vol();
-        let mut temps: Vec<(FieldRef, usize)> = Vec::with_capacity(exprs.len());
-        for (e, kind) in exprs {
-            let n_comp = match kind {
-                ElemKind::Real => 1,
-                ElemKind::Complex => 2,
-                k => {
-                    return Err(CoreError::Msg(format!(
-                        "cannot reduce {k:?} expression"
-                    )))
-                }
-            };
-            let ft = e.float_type();
-            let id = self.ctx.cache().register(vol * n_comp * ft.size_bytes());
-            temps.push((
-                FieldRef {
-                    id,
-                    kind: *kind,
-                    ft,
-                },
-                n_comp,
-            ));
-        }
-        let r = (|| {
-            for ((e, _), (t, _)) in exprs.iter().zip(temps.iter()) {
-                self.record(*t, e.clone(), StmtSites::Subset(Subset::All));
-            }
-            self.flush()?;
-            let mut sums = Vec::with_capacity(temps.len());
-            for batch in temps.chunks(group_budget(&self.ctx)) {
-                sums.extend(reduce_batch(&self.ctx, batch)?);
-            }
-            Ok(sums)
-        })();
-        for (t, _) in &temps {
-            self.ctx.cache().unregister(t.id);
-        }
-        r
+    /// [`reduce_recorded`] behind everything recorded so far, over the
+    /// whole lattice.
+    fn reduce(&mut self, exprs: Vec<(Expr, ElemKind)>) -> Result<Vec<Vec<f64>>, CoreError> {
+        let pending = std::mem::take(&mut self.pending);
+        reduce_recorded(&self.ctx, pending, exprs, Subset::All)
     }
 
     /// `‖expr‖²` as a deferred reduction: the local-norm temporary fuses
     /// with pending producers, then one reduction pass runs.
     pub fn norm2_of<E: SiteElem>(&mut self, q: &QExpr<E>) -> Result<f64, CoreError> {
         let n2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(q.raw().clone()));
-        Ok(self.reduce_recorded(&[(n2, ElemKind::Real)])?[0][0])
+        Ok(self.reduce(vec![(n2, ElemKind::Real)])?[0][0])
     }
 
     /// `‖field‖²` as a deferred reduction.
@@ -426,7 +425,7 @@ impl FusionScope {
             })
             .collect();
         Ok(self
-            .reduce_recorded(&exprs)?
+            .reduce(exprs)?
             .into_iter()
             .map(|v| v[0])
             .collect())
@@ -443,7 +442,7 @@ impl FusionScope {
             Box::new(a.raw().clone()),
             Box::new(b.raw().clone()),
         );
-        let s = self.reduce_recorded(&[(ip, ElemKind::Complex)])?;
+        let s = self.reduce(vec![(ip, ElemKind::Complex)])?;
         Ok(Complex::new(s[0][0], s[0][1]))
     }
 
@@ -455,7 +454,7 @@ impl FusionScope {
     where
         SiteReal<R>: SiteElem,
     {
-        Ok(self.reduce_recorded(&[(q.raw().clone(), ElemKind::Real)])?[0][0])
+        Ok(self.reduce(vec![(q.raw().clone(), ElemKind::Real)])?[0][0])
     }
 
     /// Plan, fuse and launch everything recorded so far (a barrier in the

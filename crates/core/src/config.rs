@@ -14,7 +14,7 @@
 //! | `QDP_COMM_TIMEOUT_MS`  | [`QdpConfig::comm_timeout_ms`]       |
 //! | `QDP_FAULT`            | [`QdpConfig::fault`]                 |
 //! | `QDP_CHECKPOINT_DIR`   | [`QdpConfig::checkpoint_dir`]        |
-//! | `QDP_CACHE*`           | [`QdpConfig::store`]                 |
+//! | `QDP_CACHE_DIR`/`_CLEAR`| [`QdpConfig::store`]                |
 //! | `QDP_PROFILE` & friends| [`QdpConfig::telemetry`]             |
 
 use crate::context::QdpContext;
@@ -44,8 +44,8 @@ pub struct QdpConfig {
     pub fault: FaultPlan,
     /// Trajectory checkpoint directory (`QDP_CHECKPOINT_DIR`).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Persistent kernel store (`QDP_CACHE` / `QDP_CACHE_DIR` /
-    /// `QDP_CACHE_CLEAR`; default: no persistence).
+    /// Persistent kernel store (`QDP_CACHE_DIR` / `QDP_CACHE_CLEAR`;
+    /// default: no persistence).
     pub store: StoreConfig,
     /// Telemetry switches (`QDP_PROFILE` / `QDP_ROOFLINE` / `QDP_TRACE` /
     /// `QDP_FLIGHT*`; default: flight recorder only).
@@ -92,7 +92,6 @@ impl QdpConfig {
             fault: var("QDP_FAULT").map_or_else(FaultPlan::new, |s| FaultPlan::parse(&s)),
             checkpoint_dir: path("QDP_CHECKPOINT_DIR"),
             store: StoreConfig {
-                disabled: falsy("QDP_CACHE"),
                 dir: path("QDP_CACHE_DIR"),
                 clear: truthy("QDP_CACHE_CLEAR"),
             },
@@ -182,7 +181,6 @@ impl QdpContextBuilder {
     /// Persist compiled kernels + tuner state into `dir`.
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.config.store.dir = Some(dir.into());
-        self.config.store.disabled = false;
         self
     }
 

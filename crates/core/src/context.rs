@@ -27,7 +27,6 @@ pub struct QdpContext {
     config: QdpConfig,
     nbr_tables: Mutex<HashMap<(usize, ShiftDir, bool), DevicePtr>>,
     subset_tables: Mutex<HashMap<Subset, (DevicePtr, usize)>>,
-    ptx_texts: Mutex<HashMap<String, Arc<str>>>,
     execute_payload: AtomicBool,
     opt_override: Mutex<Option<OptLevel>>,
     store: Option<Arc<KernelStore>>,
@@ -81,7 +80,6 @@ impl QdpContext {
             config,
             nbr_tables: Mutex::new(HashMap::new()),
             subset_tables: Mutex::new(HashMap::new()),
-            ptx_texts: Mutex::new(HashMap::new()),
             execute_payload: AtomicBool::new(true),
             opt_override: Mutex::new(None),
             store,
@@ -219,39 +217,6 @@ impl QdpContext {
     /// same planner runs at a group budget of 1.
     pub fn deferred(self: &Arc<Self>) -> crate::FusionScope {
         crate::FusionScope::new(Arc::clone(self))
-    }
-
-    /// Cache a generated PTX text under its structural key.
-    pub fn ptx_for_key(
-        &self,
-        key: &str,
-        generate: impl FnOnce() -> String,
-    ) -> Arc<str> {
-        match self.try_ptx_for_key(key, || Ok::<_, std::convert::Infallible>(generate())) {
-            Ok(t) => t,
-            Err(e) => match e {},
-        }
-    }
-
-    /// Fallible variant of [`QdpContext::ptx_for_key`]: a generator error
-    /// is propagated and nothing is cached.
-    pub fn try_ptx_for_key<E>(
-        &self,
-        key: &str,
-        generate: impl FnOnce() -> Result<String, E>,
-    ) -> Result<Arc<str>, E> {
-        let mut map = self.ptx_texts.lock();
-        if let Some(t) = map.get(key) {
-            return Ok(Arc::clone(t));
-        }
-        let text: Arc<str> = generate()?.into();
-        map.insert(key.to_string(), Arc::clone(&text));
-        Ok(text)
-    }
-
-    /// Number of distinct generated PTX programs.
-    pub fn n_generated_kernels(&self) -> usize {
-        self.ptx_texts.lock().len()
     }
 
     /// Device pointer of the neighbour table for `(mu, dir)`. Built lazily

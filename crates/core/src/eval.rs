@@ -10,11 +10,12 @@
 use crate::codegen::backend::Backend;
 use crate::codegen::cpu_backend::CpuGen;
 use crate::codegen::cse::CseBackend;
+use crate::codegen::fuse::reduce_recorded;
 use crate::codegen::ptx_backend::{KernelEnv, PtxGen, StmtMeta};
 use crate::codegen::value::{gen_expr, store_val, GenCtx};
 use crate::context::QdpContext;
 use qdp_cache::CacheError;
-use qdp_expr::{Expr, FieldRef, ShiftDir, TypeError};
+use qdp_expr::{Expr, FieldRef, KernelSignature, TypeError};
 use qdp_gpu_sim::{KernelShape, LaunchError, StreamId};
 use qdp_jit::{launch_tuned_on, CompileRequest, JitError, LaunchArg};
 use qdp_layout::{FieldLayout, LayoutKind, Subset};
@@ -24,6 +25,7 @@ use qdp_ptx::opt::OptLevel;
 use qdp_types::{ElemKind, FloatType, Real, TypeShape};
 use qdp_gpu_sim::par::parallel_map;
 use std::collections::hash_map::DefaultHasher;
+use std::fmt::Write;
 use std::hash::{Hash, Hasher};
 
 /// Errors from expression evaluation.
@@ -136,24 +138,7 @@ impl EvalReport {
     }
 }
 
-/// Scalar complexity flags in the same traversal order as
-/// [`Expr::scalar_values`].
-fn scalar_flags(e: &Expr, out: &mut Vec<bool>) {
-    match e {
-        Expr::Scalar { complex, .. } => out.push(*complex),
-        Expr::Unary(_, c) => scalar_flags(c, out),
-        Expr::Binary(_, a, b) => {
-            scalar_flags(a, out);
-            scalar_flags(b, out);
-        }
-        Expr::Shift { child, .. } => scalar_flags(child, out),
-        Expr::GammaMul { child, .. } => scalar_flags(child, out),
-        Expr::CloverApply { child, .. } => scalar_flags(child, out),
-        Expr::Field(_) => {}
-    }
-}
-
-fn max_ft(a: FloatType, b: FloatType) -> FloatType {
+pub(crate) fn max_ft(a: FloatType, b: FloatType) -> FloatType {
     if a == FloatType::F64 || b == FloatType::F64 {
         FloatType::F64
     } else {
@@ -291,32 +276,22 @@ impl<'a> EvalParams<'a> {
 }
 
 /// The codegen-facing description of one kernel — a group of K ≥ 1
-/// statements evaluated per site: environment, leaves, shift list, scalar
-/// flags and the structural key. Shared by the launch path, the golden-PTX
-/// snapshot tests and the conformance fuzzer so that every consumer sees
-/// *exactly* the kernel the pipeline would run.
+/// statements evaluated per site: environment, leaf table, key and name.
+/// Built on a kernel-cache miss, and by the golden-PTX snapshot tests and
+/// the conformance fuzzer so that every consumer sees *exactly* the kernel
+/// the pipeline would run.
 pub struct CodegenPlan {
     /// Kernel environment handed to the PTX backend.
     pub env: KernelEnv,
     /// Field leaves in visiting order (kernel parameter order; the
     /// deduplicated union over all statements).
     pub leaves: Vec<FieldRef>,
-    /// Shift pairs used by the statements (deduplicated union).
-    pub shifts: Vec<(usize, ShiftDir)>,
-    /// Per-scalar complexity flags in traversal order, statements
-    /// concatenated.
-    pub flags: Vec<bool>,
-    /// Compute precision after promotion.
-    pub ft: FloatType,
-    /// Structural cache key: one statement's own key, or the composite
-    /// `fused[k1 ; k2 ; …]` of a multi-statement group.
+    /// The kernel's identity: the structural key of its statement group.
     pub key: String,
-    /// Derived kernel name (`qdp_<hash of key>`; `qdpf_<hash>` for a
+    /// Kernel name derived from `key` (`qdp_<hash>`; `qdpf_<hash>` for a
     /// multi-statement group).
     pub name: String,
-    /// Optimizer level the kernel is planned for. Part of `key` (and of
-    /// the JIT cache key downstream): kernels compiled under different
-    /// optimizer configurations must never be confused.
+    /// Optimizer level the kernel is planned for (part of `key`).
     pub opt: OptLevel,
 }
 
@@ -329,107 +304,117 @@ pub fn plan_codegen(
     subset_mapped: bool,
     remote_shifts: bool,
 ) -> Result<CodegenPlan, CoreError> {
-    plan_statements(
-        ctx,
-        &[(target, expr)],
-        subset_mapped,
-        remote_shifts,
-        ctx.opt_level(),
-    )
+    let stmts = [(target, expr)];
+    KeyedGroup::new(ctx, &stmts, subset_mapped, remote_shifts, ctx.opt_level()).plan(ctx, &stmts)
 }
 
-/// Build the codegen plan for a group of `target ← expr` statements
-/// evaluated by one kernel. Each statement's structural key covers its
-/// expression structure, the codegen environment, the target type and the
-/// optimizer level; a multi-statement group's composite key concatenates
-/// them, so its JIT and persist-cache identity is exactly as stable as its
-/// parts.
-pub(crate) fn plan_statements(
-    ctx: &QdpContext,
-    stmts: &[(FieldRef, &Expr)],
+/// One statement group, walked once and keyed once — all a warm launch
+/// needs, and the input of [`KeyedGroup::plan`] on a cold one.
+pub(crate) struct KeyedGroup {
+    /// The walk's output: leaf table, shift list, scalars.
+    sig: KernelSignature,
+    /// The kernel's identity. Per statement: the expression structure with
+    /// leaves numbered in the group's leaf table, the codegen environment,
+    /// the statement's compute precision, the target type and the optimizer
+    /// level; K ≥ 2 statements are wrapped as `fused[k1 ; k2 ; …]`.
+    key: String,
+    /// Compute precision after promotion over every statement and target.
+    ft: FloatType,
+    metas: Vec<StmtMeta>,
     subset_mapped: bool,
     remote_shifts: bool,
     opt: OptLevel,
-) -> Result<CodegenPlan, CoreError> {
-    assert!(!stmts.is_empty(), "a kernel needs at least one statement");
-    let vol = ctx.geometry().vol();
-    let dims = ctx.geometry().dims();
-    let layout = ctx.layout();
-    let mut leaves: Vec<FieldRef> = Vec::new();
-    let mut shifts: Vec<(usize, ShiftDir)> = Vec::new();
-    let mut flags = Vec::new();
-    let mut metas = Vec::new();
-    let mut keys = Vec::new();
-    let mut ft = FloatType::F32;
-    for &(target, expr) in stmts {
-        let kind = expr.kind()?;
-        if kind != target.kind {
-            return Err(CoreError::Msg(format!(
-                "cannot assign {kind:?} expression to {:?} field",
-                target.kind
-            )));
-        }
-        let stmt_ft = max_ft(expr.float_type(), target.ft);
-        ft = max_ft(ft, stmt_ft);
-        for l in expr.leaves() {
-            if !leaves.iter().any(|x| x.id == l.id) {
-                leaves.push(l);
+}
+
+impl KeyedGroup {
+    pub(crate) fn new(
+        ctx: &QdpContext,
+        stmts: &[(FieldRef, &Expr)],
+        subset_mapped: bool,
+        remote_shifts: bool,
+        opt: OptLevel,
+    ) -> KeyedGroup {
+        assert!(!stmts.is_empty(), "a kernel needs at least one statement");
+        let (vol, layout) = (ctx.geometry().vol(), ctx.layout());
+        let fused = stmts.len() > 1;
+        let mut sig = KernelSignature::default();
+        let mut key = String::from(if fused { "fused[" } else { "" });
+        let mut ft = FloatType::F32;
+        let mut metas = Vec::with_capacity(stmts.len());
+        for (i, &(target, expr)) in stmts.iter().enumerate() {
+            if i > 0 {
+                key.push_str(" ; ");
             }
+            let n_before = sig.scalars.len();
+            let stmt_ft = max_ft(sig.push(expr, &mut key), target.ft);
+            ft = max_ft(ft, stmt_ft);
+            // Writing to a `String` cannot fail.
+            let _ = write!(
+                key,
+                "|v{vol}|{layout:?}|{stmt_ft}|m{subset_mapped}|r{remote_shifts}|t{:?}{}|{}",
+                target.kind,
+                target.ft.tag(),
+                opt.tag(),
+            );
+            metas.push(StmtMeta {
+                target_ft: target.ft,
+                target_shape: TypeShape::of(target.kind),
+                n_scalars: sig.scalars.len() - n_before,
+            });
         }
-        for sh in expr.shifts() {
-            if !shifts.contains(&sh) {
-                shifts.push(sh);
-            }
+        if fused {
+            key.push(']');
         }
-        let n_before = flags.len();
-        scalar_flags(expr, &mut flags);
-        metas.push(StmtMeta {
-            target_ft: target.ft,
-            target_shape: TypeShape::of(target.kind),
-            n_scalars: flags.len() - n_before,
-        });
-        keys.push(format!(
-            "{}|v{}|{:?}|{}|m{}|r{}|t{:?}{}|{}",
-            expr.kernel_key(),
-            vol,
-            layout,
-            stmt_ft,
+        KeyedGroup {
+            sig,
+            key,
+            ft,
+            metas,
             subset_mapped,
             remote_shifts,
-            target.kind,
-            target.ft.tag(),
-            opt.tag(),
-        ));
+            opt,
+        }
     }
-    let env = KernelEnv {
-        n_sites: vol,
-        layout,
-        ft,
-        subset_mapped,
-        remote_shifts,
-        face_vols: std::array::from_fn(|mu| vol / dims[mu]),
-        shifts: shifts.clone(),
-        scalar_complex: flags.clone(),
-        stmts: metas,
-    };
-    let (key, prefix) = if keys.len() == 1 {
-        (keys.remove(0), "qdp")
-    } else {
-        (format!("fused[{}]", keys.join(" ; ")), "qdpf")
-    };
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    let name = format!("{prefix}_{:016x}", h.finish());
-    Ok(CodegenPlan {
-        env,
-        leaves,
-        shifts,
-        flags,
-        ft,
-        key,
-        name,
-        opt,
-    })
+
+    /// The cold half: type-check the statements, name the kernel after its
+    /// key and assemble the codegen environment.
+    pub(crate) fn plan(
+        &self,
+        ctx: &QdpContext,
+        stmts: &[(FieldRef, &Expr)],
+    ) -> Result<CodegenPlan, CoreError> {
+        for &(target, expr) in stmts {
+            let kind = expr.kind()?;
+            if kind != target.kind {
+                return Err(CoreError::Msg(format!(
+                    "cannot assign {kind:?} expression to {:?} field",
+                    target.kind
+                )));
+            }
+        }
+        let vol = ctx.geometry().vol();
+        let dims = ctx.geometry().dims();
+        let mut h = DefaultHasher::new();
+        self.key.hash(&mut h);
+        let prefix = if stmts.len() == 1 { "qdp" } else { "qdpf" };
+        Ok(CodegenPlan {
+            env: KernelEnv {
+                n_sites: vol,
+                layout: ctx.layout(),
+                ft: self.ft,
+                subset_mapped: self.subset_mapped,
+                remote_shifts: self.remote_shifts,
+                face_vols: std::array::from_fn(|mu| vol / dims[mu]),
+                shifts: self.sig.shifts.clone(),
+                scalar_complex: self.sig.scalar_complex.clone(),
+                stmts: self.metas.clone(),
+            },
+            leaves: self.sig.leaves.clone(),
+            key: self.key.clone(),
+            name: format!("{prefix}_{:016x}", h.finish()),
+            opt: self.opt,
+        })
+    }
 }
 
 /// Unparse `expr` into a complete PTX module under `plan`, with an explicit
@@ -576,8 +561,10 @@ pub(crate) fn eval_statements(
     }
 }
 
-/// The one statement→kernel launch path: structural PTX-text cache → JIT
-/// cache → page-in → marshal → tuned launch → dirty marks.
+/// The one statement→kernel launch path: walk and key the group once →
+/// keyed kernel lookup → page-in → marshal → tuned launch → dirty marks.
+/// A warm key goes from the map probe straight to marshalling; planning,
+/// naming, PTX generation and the text-keyed JIT cache run on a miss only.
 fn launch_statements(
     ctx: &QdpContext,
     stmts: &[(FieldRef, &Expr)],
@@ -595,26 +582,29 @@ fn launch_statements(
     }
     let subset_mapped = !matches!(sel, SiteSel::Subset(Subset::All));
     let opt = params.opt_level.unwrap_or_else(|| ctx.opt_level());
-    let plan = plan_statements(ctx, stmts, subset_mapped, remote.is_some(), opt)?;
+    let group = KeyedGroup::new(ctx, stmts, subset_mapped, remote.is_some(), opt);
+    let sig = &group.sig;
     let tel = ctx.telemetry();
     let span_name = if stmts.len() == 1 { "eval" } else { "eval_fused" };
     let span = tel
         .span("eval", span_name)
         .with_sim(ctx.device().stream_now(stream));
 
-    let ptx = ctx.try_ptx_for_key(&plan.key, || {
-        let _cg = tel.span("eval", "codegen");
-        let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| *e).collect();
-        render_statements(&plan, &exprs, &plan.name)
+    let kernel = ctx.kernels().compile_keyed(&group.key, || {
+        let plan = group.plan(ctx, stmts)?;
+        let ptx = {
+            let _cg = tel.span("eval", "codegen");
+            let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| *e).collect();
+            render_statements(&plan, &exprs, &plan.name)?
+        };
+        let req = CompileRequest::new(&ptx).opt_level(opt).name(&plan.name);
+        Ok::<_, CoreError>(ctx.kernels().compile(req)?)
     })?;
-    let kernel = ctx
-        .kernels()
-        .compile(CompileRequest::new(&ptx).opt_level(plan.opt).name(&plan.name))?;
 
     // Page in the working set (every target, then the leaves) — the §IV
     // walk.
     let mut ids: Vec<u64> = stmts.iter().map(|(t, _)| t.id).collect();
-    ids.extend(plan.leaves.iter().map(|l| l.id));
+    ids.extend(sig.leaves.iter().map(|l| l.id));
     let ptrs = ctx.cache().assure_on_device(&ids)?;
 
     let (site_tbl, n_threads) = match sel {
@@ -629,9 +619,8 @@ fn launch_statements(
     // destinations, leaves, each statement's scalars, n, site table,
     // neighbour tables, receive buffers.
     let mut args: Vec<LaunchArg> = ptrs.iter().map(|p| LaunchArg::Ptr(*p)).collect();
-    let scalars = stmts.iter().flat_map(|(_, e)| e.scalar_values());
-    for ((re, im), cplx) in scalars.zip(plan.flags.iter()) {
-        match plan.ft {
+    for (&(re, im), cplx) in sig.scalars.iter().zip(sig.scalar_complex.iter()) {
+        match group.ft {
             FloatType::F32 => {
                 args.push(LaunchArg::F32(re as f32));
                 if *cplx {
@@ -650,21 +639,21 @@ fn launch_statements(
     if let Some(t) = site_tbl {
         args.push(LaunchArg::Ptr(t));
     }
-    for &(mu, dir) in plan.shifts.iter() {
+    for &(mu, dir) in sig.shifts.iter() {
         let is_remote = remote.map(|r| r.split_dims[mu]).unwrap_or(false);
         args.push(LaunchArg::Ptr(ctx.neighbor_table(mu, dir, is_remote)));
     }
     if let Some(r) = remote {
-        for &(mu, dir) in plan.shifts.iter() {
+        for &(mu, dir) in sig.shifts.iter() {
             match r.recv.get(&(mu, dir)) {
                 Some(bufs) => {
-                    debug_assert_eq!(bufs.len(), plan.leaves.len());
+                    debug_assert_eq!(bufs.len(), sig.leaves.len());
                     for p in bufs {
                         args.push(LaunchArg::Ptr(*p));
                     }
                 }
                 None => {
-                    for _ in 0..plan.leaves.len() {
+                    for _ in 0..sig.leaves.len() {
                         args.push(LaunchArg::Ptr(0));
                     }
                 }
@@ -674,9 +663,8 @@ fn launch_statements(
 
     let site_stride = match ctx.layout() {
         LayoutKind::SoA => 1,
-        LayoutKind::AoS => plan
-            .env
-            .stmts
+        LayoutKind::AoS => group
+            .metas
             .iter()
             .map(|m| m.target_shape.n_reals())
             .max()
@@ -751,12 +739,11 @@ fn eval_reference_typed<R: Real>(
 ) -> Result<(), CoreError> {
     let geom = ctx.geometry().clone();
     let vol = geom.vol();
-    let leaves = expr.leaves();
+    let KernelSignature { leaves, scalars, .. } = KernelSignature::of(expr);
     let data: Vec<Vec<R>> = leaves
         .iter()
         .map(|l| snapshot_leaf::<R>(ctx, l))
         .collect::<Result<_, _>>()?;
-    let scalars = expr.scalar_values();
 
     // The reference path runs through the same DAG-CSE wrapper as the
     // generated kernel. Merged subexpressions are identical deterministic
@@ -910,37 +897,20 @@ pub(crate) fn reduce_batch(
     Ok(out)
 }
 
-/// Evaluate `expr` over `subset` into a site-local temporary of `n_comp`
-/// real components, reduce it, free it. Payload and reduction pass both run
-/// on the issuing thread's stream.
-fn sum_components(
+/// An immediate reduction of one `kind`-valued expression over `subset`:
+/// the deferred reduction body with nothing pending — a group of one.
+fn reduce_one(
     ctx: &QdpContext,
-    expr: &Expr,
-    subset: Subset,
+    expr: Expr,
     kind: ElemKind,
-    n_comp: usize,
+    subset: Subset,
 ) -> Result<Vec<f64>, CoreError> {
-    let found = expr.kind()?;
-    if found != kind {
-        return Err(CoreError::Msg(format!(
-            "{kind:?} sum of {found:?} expression"
-        )));
-    }
-    let ft = expr.float_type();
-    let vol = ctx.geometry().vol();
-    let id = ctx.cache().register(vol * n_comp * ft.size_bytes());
-    let temp = FieldRef { id, kind, ft };
-    let r = (|| {
-        eval(ctx, temp, expr, &EvalParams::new().subset(subset))?;
-        Ok(reduce_batch(ctx, &[(temp, n_comp)])?.remove(0))
-    })();
-    ctx.cache().unregister(id);
-    r
+    Ok(reduce_recorded(ctx, Vec::new(), vec![(expr, kind)], subset)?.remove(0))
 }
 
 /// `Σ_x expr(x)` for a real-kind expression over a subset.
 pub fn sum_real(ctx: &QdpContext, expr: &Expr, subset: Subset) -> Result<f64, CoreError> {
-    Ok(sum_components(ctx, expr, subset, ElemKind::Real, 1)?[0])
+    Ok(reduce_one(ctx, expr.clone(), ElemKind::Real, subset)?[0])
 }
 
 /// `Σ_x expr(x)` for a complex-kind expression over a subset.
@@ -949,14 +919,14 @@ pub fn sum_complex(
     expr: &Expr,
     subset: Subset,
 ) -> Result<(f64, f64), CoreError> {
-    let s = sum_components(ctx, expr, subset, ElemKind::Complex, 2)?;
+    let s = reduce_one(ctx, expr.clone(), ElemKind::Complex, subset)?;
     Ok((s[0], s[1]))
 }
 
 /// `‖expr‖² = Σ_x Σ_comp |comp|²`.
 pub fn norm2(ctx: &QdpContext, expr: &Expr, subset: Subset) -> Result<f64, CoreError> {
     let n2 = Expr::Unary(qdp_expr::UnaryOp::LocalNorm2, Box::new(expr.clone()));
-    sum_real(ctx, &n2, subset)
+    Ok(reduce_one(ctx, n2, ElemKind::Real, subset)?[0])
 }
 
 /// `⟨a, b⟩ = Σ_x Σ_comp conj(a)·b`.
@@ -971,5 +941,6 @@ pub fn inner_product(
         Box::new(a.clone()),
         Box::new(b.clone()),
     );
-    sum_complex(ctx, &ip, subset)
+    let s = reduce_one(ctx, ip, ElemKind::Complex, subset)?;
+    Ok((s[0], s[1]))
 }

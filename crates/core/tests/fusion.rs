@@ -457,3 +457,52 @@ fn bailout_halo_on_a_split_grid() {
     assert_eq!(signature.len(), 1, "one fused kernel: {signature:?}");
     assert!(signature[0].0.starts_with("qdpf_") && signature[0].1 == 1);
 }
+
+/// A fused group's key numbers leaves in the *group's* leaf table: two
+/// groups whose statements match one by one but read different fields
+/// across statements are different kernels. `{a = u+v; c = 2u}` then
+/// `{a = u+v; c = 2v}` on one context must not hand the second group the
+/// first group's kernel.
+#[test]
+fn groups_differing_only_in_cross_statement_leaves_get_their_own_kernels() {
+    let ctx = profiled_ctx(4, true);
+    let f = pair(&ctx, 9);
+    let mut scope = ctx.deferred();
+    scope.assign(&f.a, f.u.q() + f.v.q()).unwrap();
+    scope.assign(&f.c, 2.0 * f.u.q()).unwrap();
+    scope.flush().unwrap();
+    scope.assign(&f.a, f.u.q() + f.v.q()).unwrap();
+    scope.assign(&f.c, 2.0 * f.v.q()).unwrap();
+    scope.flush().unwrap();
+    drop(scope);
+    let fused: Vec<(String, u64)> = launch_signature(&ctx)
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("qdpf_"))
+        .collect();
+    assert_eq!(fused.len(), 2, "two distinct fused kernels: {fused:?}");
+    assert!(fused.iter().all(|(_, launches)| *launches == 1));
+
+    let want = LatticeColorMatrix::<f64>::new(&ctx);
+    want.assign(2.0 * f.v.q()).unwrap();
+    assert_eq!(field_bytes(&ctx, f.c.id()), field_bytes(&ctx, want.id()));
+}
+
+/// Same identity rule through the batched reduction: `[u, v]`, `[v, u]`
+/// and `[u, u]` have two, two and one leaves — the last is a different
+/// kernel, not a panic on the first one's argument count.
+#[test]
+fn norm2_batch_over_aliased_fields_matches_immediate() {
+    let ctx = profiled_ctx(4, true);
+    let f = pair(&ctx, 10);
+    let (nu, nv) = (f.u.norm2().unwrap(), f.v.norm2().unwrap());
+    let mut scope = ctx.deferred();
+    for (fields, want) in [
+        ([&f.u, &f.v], [nu, nv]),
+        ([&f.v, &f.u], [nv, nu]),
+        ([&f.u, &f.u], [nu, nu]),
+    ] {
+        let got = scope.norm2_batch(&fields).unwrap();
+        assert_eq!(got[0].to_bits(), want[0].to_bits());
+        assert_eq!(got[1].to_bits(), want[1].to_bits());
+    }
+}

@@ -19,10 +19,14 @@
 //! * **structural keys** ([`Expr::kernel_key`]) — two expressions with the
 //!   same structure share one generated kernel (scalar values are kernel
 //!   *parameters*, so CG iterations with changing α, β reuse kernels);
+//! * all of the above from **one traversal** ([`KernelSignature`]) — a
+//!   kernel's statement group is walked once, and the walk yields the key
+//!   together with the leaf table, shift list and scalars of the launch;
 //! * **type inference** ([`Expr::shape`]) — result kinds follow the QDP++
 //!   multiplication rules for the nested spin ⊗ color ⊗ complex types.
 
 use qdp_types::{ElemKind, FloatType, Gamma, TypeShape};
+use std::fmt::Write;
 
 /// Reference to a lattice field stored in the memory cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -283,44 +287,48 @@ impl Expr {
     /// Computation precision: F64 if any leaf is F64 (the paper's implicit
     /// type promotion, §III-D), else F32. Scalars don't force promotion.
     pub fn float_type(&self) -> FloatType {
-        let mut ft = FloatType::F32;
-        self.visit_fields(&mut |f| {
-            if f.ft == FloatType::F64 {
-                ft = FloatType::F64;
-            }
-        });
-        ft
-    }
-
-    /// Visit every field leaf (including clover fields).
-    pub fn visit_fields(&self, f: &mut impl FnMut(&FieldRef)) {
-        match self {
-            Expr::Field(r) => f(r),
-            Expr::Scalar { .. } => {}
-            Expr::Unary(_, c) => c.visit_fields(f),
-            Expr::Binary(_, a, b) => {
-                a.visit_fields(f);
-                b.visit_fields(f);
-            }
-            Expr::Shift { child, .. } => child.visit_fields(f),
-            Expr::GammaMul { child, .. } => child.visit_fields(f),
-            Expr::CloverApply { diag, tri, child } => {
-                f(diag);
-                f(tri);
-                child.visit_fields(f);
-            }
-        }
+        KernelSignature::default().push(self, &mut String::new())
     }
 
     /// All referenced fields in visiting order, deduplicated — what the
     /// memory cache pages in before the launch (§IV).
     pub fn leaves(&self) -> Vec<FieldRef> {
-        let mut out: Vec<FieldRef> = Vec::new();
-        self.visit_fields(&mut |r| {
-            if !out.iter().any(|x| x.id == r.id) {
-                out.push(*r);
+        KernelSignature::of(self).leaves
+    }
+
+    /// The field leaves read under a shift that `pick` selects —
+    /// deduplicated, in visiting order.
+    fn leaves_under(&self, pick: &dyn Fn(usize, ShiftDir) -> bool) -> Vec<FieldRef> {
+        fn walk(
+            e: &Expr,
+            under: bool,
+            pick: &dyn Fn(usize, ShiftDir) -> bool,
+            out: &mut Vec<FieldRef>,
+        ) {
+            let mut read = |r: &FieldRef| {
+                if under && !out.iter().any(|x| x.id == r.id) {
+                    out.push(*r);
+                }
+            };
+            match e {
+                Expr::Field(r) => read(r),
+                Expr::Scalar { .. } => {}
+                Expr::Unary(_, c) => walk(c, under, pick, out),
+                Expr::Binary(_, a, b) => {
+                    walk(a, under, pick, out);
+                    walk(b, under, pick, out);
+                }
+                Expr::Shift { mu, dir, child } => walk(child, under || pick(*mu, *dir), pick, out),
+                Expr::GammaMul { child, .. } => walk(child, under, pick, out),
+                Expr::CloverApply { diag, tri, child } => {
+                    read(diag);
+                    read(tri);
+                    walk(child, under, pick, out);
+                }
             }
-        });
+        }
+        let mut out = Vec::new();
+        walk(self, false, pick, &mut out);
         out
     }
 
@@ -328,35 +336,7 @@ impl Expr {
     /// data a halo exchange for that shift must move (§V). Deduplicated, in
     /// visiting order.
     pub fn leaves_under_shift(&self, mu: usize, dir: ShiftDir) -> Vec<FieldRef> {
-        let mut out: Vec<FieldRef> = Vec::new();
-        fn walk(e: &Expr, mu: usize, dir: ShiftDir, out: &mut Vec<FieldRef>) {
-            match e {
-                Expr::Shift {
-                    mu: m,
-                    dir: d,
-                    child,
-                } => {
-                    if *m == mu && *d == dir {
-                        child.visit_fields(&mut |r| {
-                            if !out.iter().any(|x| x.id == r.id) {
-                                out.push(*r);
-                            }
-                        });
-                    }
-                    walk(child, mu, dir, out);
-                }
-                Expr::Unary(_, c) => walk(c, mu, dir, out),
-                Expr::Binary(_, a, b) => {
-                    walk(a, mu, dir, out);
-                    walk(b, mu, dir, out);
-                }
-                Expr::GammaMul { child, .. } => walk(child, mu, dir, out),
-                Expr::CloverApply { child, .. } => walk(child, mu, dir, out),
-                Expr::Field(_) | Expr::Scalar { .. } => {}
-            }
-        }
-        walk(self, mu, dir, &mut out);
-        out
+        self.leaves_under(&|m, d| m == mu && d == dir)
     }
 
     /// The field leaves read under *any* shift, whatever its direction —
@@ -365,111 +345,33 @@ impl Expr {
     /// field written earlier in the same fused kernel (another thread may
     /// not have produced that site yet).
     pub fn leaves_under_any_shift(&self) -> Vec<FieldRef> {
-        let mut out: Vec<FieldRef> = Vec::new();
-        fn walk(e: &Expr, depth: usize, out: &mut Vec<FieldRef>) {
-            match e {
-                Expr::Field(r) => {
-                    if depth > 0 && !out.iter().any(|x| x.id == r.id) {
-                        out.push(*r);
-                    }
-                }
-                Expr::Scalar { .. } => {}
-                Expr::Unary(_, c) => walk(c, depth, out),
-                Expr::Binary(_, a, b) => {
-                    walk(a, depth, out);
-                    walk(b, depth, out);
-                }
-                Expr::Shift { child, .. } => walk(child, depth + 1, out),
-                Expr::GammaMul { child, .. } => walk(child, depth, out),
-                Expr::CloverApply { diag, tri, child } => {
-                    if depth > 0 {
-                        for r in [diag, tri] {
-                            if !out.iter().any(|x| x.id == r.id) {
-                                out.push(*r);
-                            }
-                        }
-                    }
-                    walk(child, depth, out);
-                }
-            }
-        }
-        walk(self, 0, &mut out);
-        out
+        self.leaves_under(&|_, _| true)
     }
 
     /// All shift `(mu, dir)` pairs in the expression, deduplicated — what
     /// the communication layer exchanges (§V).
     pub fn shifts(&self) -> Vec<(usize, ShiftDir)> {
-        let mut out: Vec<(usize, ShiftDir)> = Vec::new();
-        fn walk(e: &Expr, out: &mut Vec<(usize, ShiftDir)>) {
-            match e {
-                Expr::Shift { mu, dir, child } => {
-                    if !out.contains(&(*mu, *dir)) {
-                        out.push((*mu, *dir));
-                    }
-                    walk(child, out);
-                }
-                Expr::Unary(_, c) => walk(c, out),
-                Expr::Binary(_, a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                Expr::GammaMul { child, .. } => walk(child, out),
-                Expr::CloverApply { child, .. } => walk(child, out),
-                Expr::Field(_) | Expr::Scalar { .. } => {}
-            }
-        }
-        walk(self, &mut out);
-        out
+        KernelSignature::of(self).shifts
     }
 
     /// Does the expression contain a shift of a shift ("next-to-nearest
     /// neighbour")? The paper's overlap implementation excludes these
     /// (§V: inner-most shifts execute non-overlapping).
     pub fn has_nested_shift(&self) -> bool {
-        fn inner_has_shift(e: &Expr) -> bool {
-            match e {
-                Expr::Shift { .. } => true,
-                Expr::Unary(_, c) => inner_has_shift(c),
-                Expr::Binary(_, a, b) => inner_has_shift(a) || inner_has_shift(b),
-                Expr::GammaMul { child, .. } => inner_has_shift(child),
-                Expr::CloverApply { child, .. } => inner_has_shift(child),
-                Expr::Field(_) | Expr::Scalar { .. } => false,
-            }
+        match self {
+            Expr::Shift { child, .. } => !child.shifts().is_empty(),
+            Expr::Unary(_, c) => c.has_nested_shift(),
+            Expr::Binary(_, a, b) => a.has_nested_shift() || b.has_nested_shift(),
+            Expr::GammaMul { child, .. } => child.has_nested_shift(),
+            Expr::CloverApply { child, .. } => child.has_nested_shift(),
+            Expr::Field(_) | Expr::Scalar { .. } => false,
         }
-        fn walk(e: &Expr) -> bool {
-            match e {
-                Expr::Shift { child, .. } => inner_has_shift(child) || walk(child),
-                Expr::Unary(_, c) => walk(c),
-                Expr::Binary(_, a, b) => walk(a) || walk(b),
-                Expr::GammaMul { child, .. } => walk(child),
-                Expr::CloverApply { child, .. } => walk(child),
-                Expr::Field(_) | Expr::Scalar { .. } => false,
-            }
-        }
-        walk(self)
     }
 
     /// Scalar parameter values in traversal order — passed as kernel
     /// arguments so the kernel text is independent of their values.
     pub fn scalar_values(&self) -> Vec<(f64, f64)> {
-        let mut out = Vec::new();
-        fn walk(e: &Expr, out: &mut Vec<(f64, f64)>) {
-            match e {
-                Expr::Scalar { re, im, .. } => out.push((*re, *im)),
-                Expr::Unary(_, c) => walk(c, out),
-                Expr::Binary(_, a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                Expr::Shift { child, .. } => walk(child, out),
-                Expr::GammaMul { child, .. } => walk(child, out),
-                Expr::CloverApply { child, .. } => walk(child, out),
-                Expr::Field(_) => {}
-            }
-        }
-        walk(self, &mut out);
-        out
+        KernelSignature::of(self).scalars
     }
 
     /// Structural key: identical keys ⇒ identical generated kernels. Field
@@ -477,48 +379,106 @@ impl Expr {
     /// values are elided (they are parameters), so e.g. every CG iteration's
     /// `r = r - alpha*v` maps to one kernel.
     pub fn kernel_key(&self) -> String {
-        let leaves = self.leaves();
-        let slot = |id: u64| leaves.iter().position(|l| l.id == id).unwrap();
-        fn walk(e: &Expr, slot: &dyn Fn(u64) -> usize, out: &mut String) {
-            match e {
-                Expr::Field(r) => {
-                    out.push_str(&format!("f{}:{:?}:{}", slot(r.id), r.kind, r.ft.tag()));
+        let mut key = String::new();
+        KernelSignature::default().push(self, &mut key);
+        key
+    }
+}
+
+/// What one kernel's statement group contributes to the kernel's identity
+/// and to its launch, derived by **one** traversal per statement: push the
+/// statements in order and the walk writes each structural key while it
+/// fills the group's leaf table, shift list and scalar list. Field leaves
+/// are numbered by their slot in the *group's* leaf table, so two groups
+/// share a key only when every statement reads the same slots —
+/// `{r = a+b; t = 2*a}` and `{r = a+b; t = 2*b}` differ. The per-expression
+/// walkers of [`Expr`] are views of a group of one.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KernelSignature {
+    /// Field leaves in first-visit order over all statements, deduplicated
+    /// — the kernel's leaf parameters, paged in before the launch (§IV).
+    pub leaves: Vec<FieldRef>,
+    /// Shift `(mu, dir)` pairs in first-visit order, deduplicated — the
+    /// kernel's neighbour tables, the faces a rank exchanges (§V).
+    pub shifts: Vec<(usize, ShiftDir)>,
+    /// Scalar parameter values in traversal order, statements concatenated.
+    pub scalars: Vec<(f64, f64)>,
+    /// For each entry of `scalars`: is it complex?
+    pub scalar_complex: Vec<bool>,
+}
+
+impl KernelSignature {
+    /// The signature of the single statement `expr`.
+    pub fn of(expr: &Expr) -> KernelSignature {
+        let mut sig = KernelSignature::default();
+        sig.push(expr, &mut String::new());
+        sig
+    }
+
+    /// Walk the next statement of the group: append its structural key to
+    /// `key`, extend the tables, and return the precision its leaves
+    /// promote to (F64 if any is F64, §III-D; scalars don't promote).
+    pub fn push(&mut self, expr: &Expr, key: &mut String) -> FloatType {
+        let mut ft = FloatType::F32;
+        self.walk(expr, key, &mut ft);
+        ft
+    }
+
+    fn slot(&mut self, r: &FieldRef, ft: &mut FloatType) -> usize {
+        if r.ft == FloatType::F64 {
+            *ft = FloatType::F64;
+        }
+        let known = self.leaves.iter().position(|l| l.id == r.id);
+        known.unwrap_or_else(|| {
+            self.leaves.push(*r);
+            self.leaves.len() - 1
+        })
+    }
+
+    fn walk(&mut self, e: &Expr, key: &mut String, ft: &mut FloatType) {
+        // Writing to a `String` cannot fail.
+        match e {
+            Expr::Field(r) => {
+                let s = self.slot(r, ft);
+                let _ = write!(key, "f{s}:{:?}:{}", r.kind, r.ft.tag());
+            }
+            Expr::Scalar { re, im, complex } => {
+                self.scalars.push((*re, *im));
+                self.scalar_complex.push(*complex);
+                key.push_str(if *complex { "sc" } else { "sr" });
+            }
+            Expr::Unary(op, c) => {
+                let _ = write!(key, "{op:?}(");
+                self.walk(c, key, ft);
+                key.push(')');
+            }
+            Expr::Binary(op, a, b) => {
+                let _ = write!(key, "{op:?}(");
+                self.walk(a, key, ft);
+                key.push(',');
+                self.walk(b, key, ft);
+                key.push(')');
+            }
+            Expr::Shift { mu, dir, child } => {
+                if !self.shifts.contains(&(*mu, *dir)) {
+                    self.shifts.push((*mu, *dir));
                 }
-                Expr::Scalar { complex, .. } => {
-                    out.push_str(if *complex { "sc" } else { "sr" });
-                }
-                Expr::Unary(op, c) => {
-                    out.push_str(&format!("{op:?}("));
-                    walk(c, slot, out);
-                    out.push(')');
-                }
-                Expr::Binary(op, a, b) => {
-                    out.push_str(&format!("{op:?}("));
-                    walk(a, slot, out);
-                    out.push(',');
-                    walk(b, slot, out);
-                    out.push(')');
-                }
-                Expr::Shift { mu, dir, child } => {
-                    out.push_str(&format!("Shift{mu}{:?}(", dir));
-                    walk(child, slot, out);
-                    out.push(')');
-                }
-                Expr::GammaMul { gamma, child } => {
-                    out.push_str(&format!("G{:?}{:?}(", gamma.col, gamma.phase));
-                    walk(child, slot, out);
-                    out.push(')');
-                }
-                Expr::CloverApply { diag, tri, child } => {
-                    out.push_str(&format!("Clov(f{},f{},", slot(diag.id), slot(tri.id)));
-                    walk(child, slot, out);
-                    out.push(')');
-                }
+                let _ = write!(key, "Shift{mu}{dir:?}(");
+                self.walk(child, key, ft);
+                key.push(')');
+            }
+            Expr::GammaMul { gamma, child } => {
+                let _ = write!(key, "G{:?}{:?}(", gamma.col, gamma.phase);
+                self.walk(child, key, ft);
+                key.push(')');
+            }
+            Expr::CloverApply { diag, tri, child } => {
+                let (d, t) = (self.slot(diag, ft), self.slot(tri, ft));
+                let _ = write!(key, "Clov(f{d},f{t},");
+                self.walk(child, key, ft);
+                key.push(')');
             }
         }
-        let mut s = String::new();
-        walk(self, &slot, &mut s);
-        s
     }
 }
 

@@ -3,7 +3,13 @@
 //! Each distinct PTX program is JIT-translated once per process — exactly
 //! the behaviour the paper relies on when it estimates the translation
 //! overhead of an HMC trajectory as "number of distinct kernels × 0.05–0.22
-//! seconds" (§III-D, §VIII-D). The cache key is a hash of the PTX text.
+//! seconds" (§III-D, §VIII-D).
+//!
+//! A kernel has one identity, the structural key of its statement group:
+//! [`KernelCache::compile_keyed`] is the front door the launch path uses,
+//! and a warm key is one map probe. The paper's cache "keyed on PTX text"
+//! ([`KernelCache::compile`]) is the miss path behind it: it runs once per
+//! key, deduplicates identical programs and feeds the persistent store.
 
 use crate::lower::{compile_ptx_opt, compile_ptx_opt_emit, CompiledKernel, JitError};
 use crate::persist::KernelStore;
@@ -106,7 +112,10 @@ pub struct KernelCache {
 
 #[derive(Default)]
 struct Inner {
+    /// Hash of (PTX text, opt level) → kernel.
     map: HashMap<u64, Arc<CompiledKernel>>,
+    /// Structural key → kernel (the front door over `map`).
+    keyed: HashMap<String, Arc<CompiledKernel>>,
     stats: KernelCacheStats,
 }
 
@@ -145,8 +154,35 @@ impl KernelCache {
         self.store.as_ref()
     }
 
-    /// Translate (or fetch) the single kernel described by `req` — the one
-    /// compile entry point (see [`CompileRequest`]).
+    /// The kernel cached under the structural `key`, or — the first time a
+    /// key is seen — the one `miss` produces, normally by generating the
+    /// PTX and handing it to [`KernelCache::compile`]. A hit is one map
+    /// probe and counts in [`KernelCacheStats::hits`] like a text-keyed
+    /// hit; `miss` does its own counting. A failed `miss` caches nothing.
+    /// The key must determine the program and its optimizer level.
+    pub fn compile_keyed<E>(
+        &self,
+        key: &str,
+        miss: impl FnOnce() -> Result<Arc<CompiledKernel>, E>,
+    ) -> Result<Arc<CompiledKernel>, E> {
+        let mut inner = self.inner.lock();
+        if let Some(k) = inner.keyed.get(key).cloned() {
+            inner.stats.hits += 1;
+            drop(inner);
+            self.telemetry.record_compile(&k.name, true, 0.0, 0.0);
+            return Ok(k);
+        }
+        drop(inner);
+        let kernel = miss()?;
+        self.inner
+            .lock()
+            .keyed
+            .insert(key.to_string(), Arc::clone(&kernel));
+        Ok(kernel)
+    }
+
+    /// Translate (or fetch) the single kernel described by `req` — the
+    /// text-keyed compile entry point (see [`CompileRequest`]).
     ///
     /// The text must contain exactly one `.entry` — the code generator
     /// emits one module per expression, like the paper's. The cache key
@@ -306,6 +342,32 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn keyed_hit_is_a_probe_and_a_failed_miss_caches_nothing() {
+        let cache = KernelCache::new();
+        let text = tiny_ptx("k_keyed");
+        let mut misses = 0;
+        let mut get = |key: &str| {
+            cache.compile_keyed(key, || {
+                misses += 1;
+                cache.compile(CompileRequest::new(&text))
+            })
+        };
+        let a = get("key-a").unwrap();
+        assert!(Arc::ptr_eq(&a, &get("key-a").unwrap()));
+        // A second key for the same program runs its miss path; the
+        // text-keyed cache behind it dedups.
+        assert!(Arc::ptr_eq(&a, &get("key-b").unwrap()));
+        assert_eq!(misses, 2);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, cache.len()), (1, 2, 1));
+
+        let bad = || cache.compile_keyed("key-c", || cache.compile(CompileRequest::new("nonsense")));
+        assert!(bad().is_err());
+        assert!(bad().is_err(), "the failure was not cached");
+        assert_eq!(cache.stats().compile_errors, 2);
     }
 
     #[test]

@@ -59,14 +59,12 @@ struct Inner {
 }
 
 /// Declarative persistent-store configuration — the typed form of the
-/// `QDP_CACHE` / `QDP_CACHE_DIR` / `QDP_CACHE_CLEAR` knobs. Build one
+/// `QDP_CACHE_DIR` / `QDP_CACHE_CLEAR` knobs: persistence is on exactly
+/// when a directory is given. Build one
 /// programmatically and pass it to [`KernelStore::from_config`];
 /// `QdpConfig::from_env` in `qdp-core` is what reads the variables.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreConfig {
-    /// Master switch: `false` means no persistence regardless of `dir`
-    /// (`QDP_CACHE=0`). With no `dir` the switch is moot.
-    pub disabled: bool,
     /// Directory holding the store file; `None` disables persistence
     /// (`QDP_CACHE_DIR=<dir>`).
     pub dir: Option<PathBuf>,
@@ -101,15 +99,12 @@ pub struct KernelStore {
 impl KernelStore {
     /// Open the store described by a typed [`StoreConfig`]. Returns `None`
     /// (no persistence — per-process JIT cache only, which keeps test runs
-    /// hermetic by default) when disabled or no directory is set.
+    /// hermetic by default) when no directory is set.
     pub fn from_config(
         cfg: &StoreConfig,
         device_fp: &str,
         telemetry: &Arc<Telemetry>,
     ) -> Option<Arc<KernelStore>> {
-        if cfg.disabled {
-            return None;
-        }
         let dir = cfg.dir.as_ref()?;
         if cfg.clear {
             let _ = std::fs::remove_file(dir.join(STORE_FILE));

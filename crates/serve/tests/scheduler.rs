@@ -217,7 +217,6 @@ fn second_server_warm_starts_from_shared_kernel_store() {
     let mut cfg = small_cfg();
     cfg.workers = 2;
     cfg.qdp.store.dir = Some(dir.clone());
-    cfg.qdp.store.disabled = false;
 
     let cold = Server::start(&cfg, &tenants(2));
     for t in 0..2 {
