@@ -151,6 +151,20 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one kernel identity (no key -> text map, no second traversal, no persistence master switch)"
 
+# ---- Guard: one executor ------------------------------------------------------
+# Kernels run in lane tiles over live-range-allocated register columns: the
+# thread-at-a-time interpreter and its runaway-loop step limit stay deleted
+# (lowering admits no branch but an exit, so nothing can loop). (Spelled in
+# pieces, as above.)
+twins="fn run_""thread|exceeded step ""limit"
+stale=$(grep -rnE "$twins" crates src examples README.md DESIGN.md || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: the thread-at-a-time interpreter or its step limit is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: one executor (no thread-at-a-time interpreter, no step limit)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

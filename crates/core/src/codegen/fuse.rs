@@ -25,6 +25,8 @@
 //!   launch: one site list, one stream);
 //! - not a site-list evaluation (explicit site lists never fuse);
 //! - same compute precision (one fused kernel body has one compute type);
+//! - neither it nor the group reads its own target under a shift
+//!   (`self-shift`: such a statement runs alone, through a temporary);
 //! - it does not read any group target **under a shift** (the fused kernel
 //!   runs all statements per thread — a shifted read of a freshly written
 //!   field would observe a mix of old and new neighbour values);
@@ -113,6 +115,9 @@ struct GroupState {
     hazards: Vec<u64>,
     /// The group is one halo-exchanging statement (never joinable).
     halo: bool,
+    /// The group is one statement that reads its own target under a shift
+    /// (never joinable).
+    self_shift: bool,
     len: usize,
 }
 
@@ -122,17 +127,19 @@ impl GroupState {
             StmtSites::Subset(sub) => Some(*sub),
             StmtSites::List(_) => None,
         };
+        let hazards: Vec<u64> = s
+            .expr
+            .leaves_under_any_shift()
+            .iter()
+            .map(|r| r.id)
+            .collect();
         GroupState {
             subset,
             stream: s.stream,
             ft: compute_ft(s),
             targets: vec![s.target.id],
-            hazards: s
-                .expr
-                .leaves_under_any_shift()
-                .iter()
-                .map(|r| r.id)
-                .collect(),
+            self_shift: hazards.contains(&s.target.id),
+            hazards,
             halo,
             len: 1,
         }
@@ -162,6 +169,9 @@ impl GroupState {
             return Err(Split::Bailout("float-type"));
         }
         let shifted = s.expr.leaves_under_any_shift();
+        if self.self_shift || shifted.iter().any(|r| r.id == s.target.id) {
+            return Err(Split::Bailout("self-shift"));
+        }
         if shifted.iter().any(|r| self.targets.contains(&r.id)) {
             return Err(Split::Bailout("shift-of-group-target"));
         }

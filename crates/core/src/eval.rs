@@ -498,11 +498,32 @@ pub fn eval(
 /// ([`QdpContext::attached_rank`]) a statement that shifts along a split
 /// dimension runs the §V halo schedule instead of one launch; with a
 /// subset, a site list or a non-default stream that is an error.
+///
+/// A statement that reads its own target under a shift gets QDP++'s
+/// semantics — the right-hand side is evaluated in full before the
+/// assignment — by evaluating into a temporary and copying that into the
+/// target: in one kernel, threads would overwrite sites other threads still
+/// read. (The fusion planner never groups such a statement.)
 pub(crate) fn eval_statements(
     ctx: &QdpContext,
     stmts: &[(FieldRef, &Expr)],
     params: &EvalParams<'_>,
 ) -> Result<EvalReport, CoreError> {
+    if let &[(target, expr)] = stmts {
+        if expr.leaves_under_any_shift().iter().any(|l| l.id == target.id) {
+            let temp = FieldRef {
+                id: ctx.cache().register(ctx.cache().field_bytes(target.id)?),
+                ..target
+            };
+            let r = eval_statements(ctx, &[(temp, expr)], params).and_then(|mut report| {
+                let copy = eval_statements(ctx, &[(target, &Expr::Field(temp))], params)?;
+                report.sim_time += copy.sim_time;
+                Ok(report)
+            });
+            ctx.cache().unregister(temp.id);
+            return r;
+        }
+    }
     // The rank belongs to the context: a statement that shifts along a
     // split dimension runs the §V halo schedule, whose own launches carry a
     // remote environment and so do not come back here.

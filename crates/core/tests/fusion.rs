@@ -298,6 +298,29 @@ fn bailout_shift_across_fusion_boundary() {
     assert_eq!(field_bytes(&ctx, f.c.id()), field_bytes(&ref_ctx, g.c.id()));
 }
 
+/// A statement reading its own target under a shift races with itself in
+/// any kernel; it launches alone (through a temporary) and equals the
+/// reference.
+#[test]
+fn bailout_self_shift() {
+    let ctx = profiled_ctx(4, true);
+    let f = pair(&ctx, 5);
+    let mut scope = ctx.deferred();
+    scope.assign(&f.a, f.u.q() * f.v.q()).unwrap();
+    scope.assign(&f.u, shift(f.u.q(), 3, ShiftDir::Backward)).unwrap();
+    scope.flush().unwrap();
+    assert_eq!(ctx.profile_report().counter("fuse.bailouts"), 1);
+    assert_eq!(ctx.profile_report().counter("fuse.groups"), 0);
+
+    let ref_ctx = profiled_ctx(4, true);
+    let g = pair(&ref_ctx, 5);
+    g.a.assign(g.u.q() * g.v.q()).unwrap();
+    g.u.assign_reference(shift(g.u.q(), 3, ShiftDir::Backward))
+        .unwrap();
+    assert_eq!(field_bytes(&ctx, f.a.id()), field_bytes(&ref_ctx, g.a.id()));
+    assert_eq!(field_bytes(&ctx, f.u.id()), field_bytes(&ref_ctx, g.u.id()));
+}
+
 #[test]
 fn bailout_cross_stream_dependency() {
     let ctx = profiled_ctx(4, true);

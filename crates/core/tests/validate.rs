@@ -157,6 +157,34 @@ fn shift_is_a_permutation() {
     assert_fermions_equal(&back, &phi, "shift roundtrip");
 }
 
+/// `x = shift(x, mu, dir)` has QDP++'s semantics: the right-hand side is
+/// evaluated in full before the assignment, whatever order the kernel's
+/// threads run in.
+#[test]
+fn self_shift_assignment_matches_reference() {
+    let ctx = ctx4();
+    let mut rng = StdRng::seed_from_u64(21);
+    let vol = ctx.geometry().vol();
+    let psi: Vec<Fermion<f64>> = (0..vol).map(|_| rand_fermion(&mut rng)).collect();
+    let u: Vec<ColorMatrix<f64>> = (0..vol).map(|_| rand_cm(&mut rng)).collect();
+    for mu in 0..4 {
+        for dir in [ShiftDir::Forward, ShiftDir::Backward] {
+            let what = format!("x = shift(x, {mu}, {dir:?})");
+            let jit = LatticeFermion::<f64>::from_fn(&ctx, |s| psi[s]);
+            let refr = LatticeFermion::<f64>::from_fn(&ctx, |s| psi[s]);
+            jit.assign(shift(jit.q(), mu, dir)).unwrap();
+            refr.assign_reference(shift(refr.q(), mu, dir)).unwrap();
+            assert_fermions_equal(&jit, &refr, &what);
+
+            let jit = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| u[s]);
+            let refr = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| u[s]);
+            jit.assign(shift(jit.q(), mu, dir)).unwrap();
+            refr.assign_reference(shift(refr.q(), mu, dir)).unwrap();
+            assert_cm_equal(&jit, &refr, &what);
+        }
+    }
+}
+
 #[test]
 fn gamma_kernel_matches_reference_and_host_algebra() {
     let ctx = ctx4();

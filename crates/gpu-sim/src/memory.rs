@@ -3,11 +3,16 @@
 //!
 //! # Safety model
 //!
-//! Kernel execution is parallel over thread blocks ([`crate::par`]), and blocks of a
-//! streaming kernel write *disjoint* sites — the code generator assigns each
-//! thread exactly its own output elements, like on real hardware. Reads of
-//! input fields may happen concurrently (no writers exist for them during a
-//! launch: the runtime is single-threaded around launches, mirroring the
+//! Kernel execution is parallel over thread blocks ([`crate::par`]); within
+//! a block, the executor runs each op across a tile of lanes. A streaming
+//! kernel's threads write *disjoint* sites — the code generator assigns
+//! each thread exactly its own output elements, like on real hardware —
+//! and no lane reads a site that another lane of the same launch writes
+//! (the fusion planner keeps shifted reads of group targets out of fused
+//! kernels; `eval` runs a statement that reads its own target under a
+//! shift through a temporary). So concurrent accesses are either to
+//! disjoint addresses (writes) or to data no one writes during the launch
+//! (reads; the runtime is single-threaded around launches, mirroring the
 //! CUDA stream-ordering guarantee). All accesses are bounds-checked so a
 //! codegen bug panics instead of corrupting unrelated memory.
 

@@ -23,19 +23,23 @@ fn workers_for(n: usize) -> usize {
     hw.min(n)
 }
 
-/// Run `f(i)` for every `i in 0..n`, in parallel across the host CPUs.
+/// Run `f(&mut state, i)` for every `i in 0..n`, in parallel across the
+/// host CPUs. Each worker builds its `state` (scratch such as a register
+/// file) once with `init` and reuses it for every index it claims.
 ///
 /// Calls may run in any order and concurrently; `f` must be `Sync`. If any
 /// invocation panics the panic propagates to the caller after the scope
 /// joins (remaining indices may or may not have run).
-pub fn parallel_for<F>(n: usize, f: F)
+pub fn parallel_for<S, I, F>(n: usize, init: I, f: F)
 where
-    F: Fn(usize) + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) + Sync,
 {
     let workers = workers_for(n);
     if workers <= 1 {
+        let mut state = init();
         for i in 0..n {
-            f(i);
+            f(&mut state, i);
         }
         return;
     }
@@ -45,13 +49,16 @@ where
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    return;
-                }
-                for i in start..(start + chunk).min(n) {
-                    f(i);
+            s.spawn(|| {
+                let mut state = init();
+                loop {
+                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= n {
+                        return;
+                    }
+                    for i in start..(start + chunk).min(n) {
+                        f(&mut state, i);
+                    }
                 }
             });
         }
@@ -98,7 +105,7 @@ mod tests {
     fn for_visits_every_index_exactly_once() {
         for n in [0, 1, 2, 7, 64, 1000] {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for(n, |i| {
+            parallel_for(n, || (), |_, i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -120,7 +127,7 @@ mod tests {
     fn work_completes_before_return() {
         // all side effects of the region must be visible afterwards
         let sum = AtomicU64::new(0);
-        parallel_for(10_000, |i| {
+        parallel_for(10_000, || (), |_, i| {
             sum.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 9_999 * 10_000 / 2);
@@ -129,7 +136,7 @@ mod tests {
     #[test]
     fn panics_propagate_from_for() {
         let r = std::panic::catch_unwind(|| {
-            parallel_for(100, |i| {
+            parallel_for(100, || (), |_, i| {
                 if i == 37 {
                     panic!("block failed");
                 }

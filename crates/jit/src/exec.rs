@@ -1,16 +1,31 @@
 //! Functional execution of compiled kernels over a thread grid.
 //!
 //! Thread blocks run in parallel on the host thread pool (blocks map to SMs
-//! on real hardware); threads within a block run sequentially, which is
-//! legal for the generated streaming kernels — they have "no thread block
-//! communication" (paper §VII). All arithmetic follows PTX semantics for
-//! the emitted subset (IEEE-754, wrapping integer ops).
+//! on real hardware). Within a block, threads run in tiles of [`TILE`]
+//! lanes — SIMT over sites executed as SIMD over lanes: each lowered op
+//! runs across the tile's active lanes in one loop, with op and type
+//! dispatch outside that loop, over a register file of one `TILE`-lane
+//! column per live-range-allocated register ([`crate::lower`]). Exits
+//! shrink a prefix of active lanes; a tile whose exits leave any other
+//! lane set re-runs one lane at a time.
+//!
+//! Each lane runs the same scalar operations in the same order as a thread
+//! run alone; only the interleaving between lanes changes. That is
+//! unobservable as long as **no lane reads a site that another lane of the
+//! same launch writes** — the one invariant this executor relies on, and
+//! the generated streaming kernels keep it ("no thread block
+//! communication", paper §VII): the fusion planner refuses a group whose
+//! statement reads an earlier target under a shift, and `eval` runs a
+//! single statement that reads its own target under a shift through a
+//! temporary. All arithmetic follows PTX semantics for the emitted subset
+//! (IEEE-754, wrapping integer ops).
 
 use crate::lower::{AVal, COp, CompiledKernel};
+use qdp_gpu_sim::par::parallel_for;
 use qdp_gpu_sim::DeviceMemory;
 use qdp_ptx::inst::{BinOp, CmpOp, SpecialReg, UnOp};
 use qdp_ptx::types::PtxType;
-use qdp_gpu_sim::par::parallel_for;
+use std::cell::Cell;
 
 /// A kernel launch argument.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,14 +55,6 @@ impl LaunchArg {
             LaunchArg::F32(v) => v.to_bits() as u64,
             LaunchArg::F64(v) => v.to_bits(),
         }
-    }
-}
-
-#[inline]
-fn get(regs: &[u64], v: AVal) -> u64 {
-    match v {
-        AVal::Slot(s) => regs[s as usize],
-        AVal::Imm(bits) => bits,
     }
 }
 
@@ -300,46 +307,165 @@ fn unary(op: UnOp, ty: PtxType, bits: u64) -> u64 {
     }
 }
 
-/// Execute one thread. `block`/`thread` are the CUDA coordinates.
-#[allow(clippy::too_many_arguments)]
-fn run_thread(
-    k: &CompiledKernel,
-    args: &[u64],
-    mem: &DeviceMemory,
-    regs: &mut [u64],
-    block: u32,
-    thread: u32,
-    block_size: u32,
+/// Lanes per tile: a block's threads run `TILE` at a time, each op across
+/// all of the tile's active lanes in one loop.
+pub const TILE: usize = 64;
+
+/// One launch: kernel, argument bits, memory and grid shape.
+struct Grid<'a> {
+    k: &'a CompiledKernel,
+    args: &'a [u64],
+    mem: &'a DeviceMemory,
     n_blocks: u32,
-) {
-    regs.fill(0);
-    let mut pc = 0usize;
-    let mut steps = 0u64;
-    let code = &k.code;
-    while pc < code.len() {
-        steps += 1;
-        assert!(
-            steps < 100_000_000,
-            "kernel {} exceeded step limit (runaway loop?)",
-            k.name
-        );
-        match &code[pc] {
-            COp::LdArg { dst, arg, .. } => {
-                regs[*dst as usize] = args[*arg as usize];
+    block_size: u32,
+}
+
+/// A tile's register file (column `c` holds lanes `c * TILE ..`), viewed
+/// at its `n` active lanes.
+#[derive(Clone, Copy)]
+struct Lanes<'a> {
+    regs: &'a [Cell<u64>],
+    n: usize,
+}
+
+impl<'a> Lanes<'a> {
+    fn col(self, c: u32) -> &'a [Cell<u64>] {
+        &self.regs[c as usize * TILE..][..self.n]
+    }
+
+    fn src(self, v: AVal) -> Src<'a> {
+        match v {
+            AVal::Slot(c) => Src::Col(self.col(c)),
+            AVal::Imm(bits) => Src::Imm(bits),
+        }
+    }
+}
+
+/// One operand across the active lanes.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    /// A register column.
+    Col(&'a [Cell<u64>]),
+    /// An immediate, the same in every lane.
+    Imm(u64),
+}
+
+impl Src<'_> {
+    #[inline]
+    fn at(self, lane: usize) -> u64 {
+        match self {
+            Src::Col(c) => c[lane].get(),
+            Src::Imm(v) => v,
+        }
+    }
+}
+
+fn fill(d: &[Cell<u64>], v: u64) {
+    for d in d {
+        d.set(v);
+    }
+}
+
+/// `d[l] = f(a[l])` for every lane `l` of `d`.
+#[inline(always)]
+fn map1(d: &[Cell<u64>], a: Src<'_>, f: impl Fn(u64) -> u64) {
+    match a {
+        Src::Col(a) => {
+            for (d, a) in d.iter().zip(a) {
+                d.set(f(a.get()));
             }
+        }
+        Src::Imm(a) => fill(d, f(a)),
+    }
+}
+
+/// `d[l] = f(a[l], b[l])`; an immediate operand folds into the closure.
+#[inline(always)]
+fn map2(d: &[Cell<u64>], a: Src<'_>, b: Src<'_>, f: impl Fn(u64, u64) -> u64) {
+    match (a, b) {
+        (Src::Col(a), Src::Col(b)) => {
+            for ((d, a), b) in d.iter().zip(a).zip(b) {
+                d.set(f(a.get(), b.get()));
+            }
+        }
+        (a, Src::Imm(b)) => map1(d, a, |a| f(a, b)),
+        (Src::Imm(a), b) => map1(d, b, |b| f(a, b)),
+    }
+}
+
+/// `d[l] = f(a[l], b[l], c[l])`; an immediate operand folds into the closure.
+#[inline(always)]
+fn map3(d: &[Cell<u64>], a: Src<'_>, b: Src<'_>, c: Src<'_>, f: impl Fn(u64, u64, u64) -> u64) {
+    match (a, b, c) {
+        (Src::Col(a), Src::Col(b), Src::Col(c)) => {
+            for (((d, a), b), c) in d.iter().zip(a).zip(b).zip(c) {
+                d.set(f(a.get(), b.get(), c.get()));
+            }
+        }
+        (a, b, Src::Imm(c)) => map2(d, a, b, |a, b| f(a, b, c)),
+        (a, Src::Imm(b), c) => map2(d, a, c, |a, c| f(a, b, c)),
+        (Src::Imm(a), b, c) => map2(d, b, c, |b, c| f(a, b, c)),
+    }
+}
+
+/// [`map3`] for a closure built on `mul_add`, compiled with the host's FMA
+/// unit where it has one: `mul_add` is then one instruction per lane
+/// instead of a call into the runtime's `fma` — which itself dispatches to
+/// that same instruction on such a host, so the bits are the same (IEEE
+/// fused multiply-add is exactly rounded either way).
+fn map3_fused(
+    d: &[Cell<u64>],
+    a: Src<'_>,
+    b: Src<'_>,
+    c: Src<'_>,
+    f: impl Fn(u64, u64, u64) -> u64,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        #[target_feature(enable = "fma")]
+        fn with_fma(
+            d: &[Cell<u64>],
+            a: Src<'_>,
+            b: Src<'_>,
+            c: Src<'_>,
+            f: impl Fn(u64, u64, u64) -> u64,
+        ) {
+            map3(d, a, b, c, f)
+        }
+        // SAFETY: `with_fma` enables only FMA, which the host CPU was just
+        // detected to support.
+        return unsafe { with_fma(d, a, b, c, f) };
+    }
+    map3(d, a, b, c, f)
+}
+
+/// Run threads `t0 .. t0 + lanes` of `block` as one tile. Returns false
+/// when an exit left a non-prefix set of lanes active: lowering admits
+/// exits only before the first store, so nothing has been written yet and
+/// the caller re-runs those threads one lane at a time, where every active
+/// set is a prefix.
+fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize) -> bool {
+    let mem = g.mem;
+    fill(&regs[..g.k.n_zeroed as usize * TILE], 0);
+    let mut n = lanes;
+    for op in &g.k.code {
+        let r = Lanes { regs, n };
+        match *op {
+            COp::LdArg { dst, arg, .. } => fill(r.col(dst), g.args[arg as usize]),
             COp::Ld {
                 ty,
                 dst,
                 addr,
                 offset,
             } => {
-                let a = (regs[*addr as usize] as i64 + offset) as u64;
-                regs[*dst as usize] = match ty {
-                    PtxType::F32 => mem.read_f32(a).to_bits() as u64,
-                    PtxType::F64 => mem.read_f64(a).to_bits(),
-                    PtxType::S32 | PtxType::U32 => mem.read_u32(a) as u64,
-                    _ => mem.read_u64(a),
-                };
+                let (d, a) = (r.col(dst), Src::Col(r.col(addr)));
+                let at = |a: u64| (a as i64 + offset) as u64;
+                match ty {
+                    PtxType::F32 => map1(d, a, |a| mem.read_f32(at(a)).to_bits() as u64),
+                    PtxType::F64 => map1(d, a, |a| mem.read_f64(at(a)).to_bits()),
+                    PtxType::S32 | PtxType::U32 => map1(d, a, |a| mem.read_u32(at(a)) as u64),
+                    _ => map1(d, a, |a| mem.read_u64(at(a))),
+                }
             }
             COp::St {
                 ty,
@@ -347,121 +473,157 @@ fn run_thread(
                 offset,
                 src,
             } => {
-                let a = (regs[*addr as usize] as i64 + offset) as u64;
-                let v = get(regs, *src);
+                let (a, v) = (r.col(addr), r.src(src));
+                let at = |a: &Cell<u64>| (a.get() as i64 + offset) as u64;
                 match ty {
-                    PtxType::F32 | PtxType::S32 | PtxType::U32 => mem.write_u32(a, v as u32),
-                    _ => mem.write_u64(a, v),
+                    PtxType::F32 | PtxType::S32 | PtxType::U32 => {
+                        for (l, a) in a.iter().enumerate() {
+                            mem.write_u32(at(a), v.at(l) as u32);
+                        }
+                    }
+                    _ => {
+                        for (l, a) in a.iter().enumerate() {
+                            mem.write_u64(at(a), v.at(l));
+                        }
+                    }
                 }
             }
-            COp::Mov { dst, src, .. } => {
-                regs[*dst as usize] = get(regs, *src);
-            }
+            COp::Mov { dst, src, .. } => map1(r.col(dst), r.src(src), |v| v),
             COp::Special { dst, sreg } => {
-                regs[*dst as usize] = match sreg {
-                    SpecialReg::TidX => thread as u64,
-                    SpecialReg::NtidX => block_size as u64,
-                    SpecialReg::CtaidX => block as u64,
-                    SpecialReg::NctaidX => n_blocks as u64,
-                };
+                let d = r.col(dst);
+                match sreg {
+                    SpecialReg::TidX => {
+                        for (l, d) in d.iter().enumerate() {
+                            d.set(t0 as u64 + l as u64);
+                        }
+                    }
+                    SpecialReg::NtidX => fill(d, g.block_size as u64),
+                    SpecialReg::CtaidX => fill(d, block as u64),
+                    SpecialReg::NctaidX => fill(d, g.n_blocks as u64),
+                }
             }
             COp::Cvt {
                 dst_ty,
                 src_ty,
                 dst,
                 src,
-            } => {
-                regs[*dst as usize] = convert(*dst_ty, *src_ty, regs[*src as usize]);
-            }
+            } => map1(r.col(dst), Src::Col(r.col(src)), |v| {
+                convert(dst_ty, src_ty, v)
+            }),
             COp::Un { op, ty, dst, src } => {
-                regs[*dst as usize] = unary(*op, *ty, get(regs, *src));
-            }
-            COp::Bin { op, ty, dst, a, b } => {
-                let (av, bv) = (get(regs, *a), get(regs, *b));
-                regs[*dst as usize] = match ty {
-                    PtxType::F32 => bin_f32(*op, f32_of(av), f32_of(bv)).to_bits() as u64,
-                    PtxType::F64 => bin_f64(*op, f64_of(av), f64_of(bv)).to_bits(),
-                    _ => bin_int(*op, *ty, av, bv),
-                };
-            }
-            COp::MulWide { src_ty, dst, a, b } => {
-                let av = regs[*a as usize];
-                let bv = get(regs, *b);
-                regs[*dst as usize] = if *src_ty == PtxType::S32 {
-                    ((av as u32 as i32 as i64) * (bv as u32 as i32 as i64)) as u64
-                } else {
-                    (av as u32 as u64) * (bv as u32 as u64)
-                };
-            }
-            COp::MadLo { ty, dst, a, b, c } => {
-                let prod = bin_int(BinOp::Mul, *ty, get(regs, *a), get(regs, *b));
-                regs[*dst as usize] = bin_int(BinOp::Add, *ty, prod, get(regs, *c));
-            }
-            COp::Fma { ty, dst, a, b, c } => {
-                let (av, bv, cv) = (get(regs, *a), get(regs, *b), get(regs, *c));
-                regs[*dst as usize] = match ty {
-                    PtxType::F32 => f32_of(av)
-                        .mul_add(f32_of(bv), f32_of(cv))
-                        .to_bits() as u64,
-                    _ => f64_of(av).mul_add(f64_of(bv), f64_of(cv)).to_bits(),
-                };
-            }
-            COp::Setp { cmp, ty, dst, a, b } => {
-                regs[*dst as usize] = u64::from(cmp_values(*cmp, *ty, get(regs, *a), get(regs, *b)));
-            }
-            COp::Selp {
-                dst, a, b, pred, ..
-            } => {
-                regs[*dst as usize] = if regs[*pred as usize] != 0 {
-                    get(regs, *a)
-                } else {
-                    get(regs, *b)
-                };
-            }
-            COp::Bra { target, pred } => {
-                let taken = match pred {
-                    None => true,
-                    Some((p, negated)) => (regs[*p as usize] != 0) != *negated,
-                };
-                if taken {
-                    pc = *target as usize;
-                    continue;
+                let (d, a) = (r.col(dst), r.src(src));
+                match (ty, op) {
+                    (PtxType::F64, UnOp::Neg) => map1(d, a, |v| (-f64_of(v)).to_bits()),
+                    _ => map1(d, a, |v| unary(op, ty, v)),
                 }
             }
-            COp::Call { func, ty, dst, args: a } => {
-                let x = regs[a[0] as usize];
-                let (xv, yv) = match ty {
-                    PtxType::F32 => (
-                        f32_of(x) as f64,
-                        if func.arity() == 2 {
-                            f32_of(regs[a[1] as usize]) as f64
-                        } else {
-                            0.0
-                        },
-                    ),
-                    _ => (
-                        f64_of(x),
-                        if func.arity() == 2 {
-                            f64_of(regs[a[1] as usize])
-                        } else {
-                            0.0
-                        },
-                    ),
-                };
-                let r = func.eval(xv, yv);
-                regs[*dst as usize] = match ty {
-                    PtxType::F32 => (r as f32).to_bits() as u64,
-                    _ => r.to_bits(),
-                };
+            COp::Bin { op, ty, dst, a, b } => {
+                let (d, a, b) = (r.col(dst), r.src(a), r.src(b));
+                match (ty, op) {
+                    (PtxType::F64, BinOp::Add) => {
+                        map2(d, a, b, |a, b| (f64_of(a) + f64_of(b)).to_bits())
+                    }
+                    (PtxType::F64, BinOp::Sub) => {
+                        map2(d, a, b, |a, b| (f64_of(a) - f64_of(b)).to_bits())
+                    }
+                    (PtxType::F64, BinOp::Mul) => {
+                        map2(d, a, b, |a, b| (f64_of(a) * f64_of(b)).to_bits())
+                    }
+                    (PtxType::U32 | PtxType::S32, BinOp::Add) => {
+                        map2(d, a, b, |a, b| (a as u32).wrapping_add(b as u32) as u64)
+                    }
+                    (PtxType::U64 | PtxType::S64, BinOp::Add) => map2(d, a, b, u64::wrapping_add),
+                    (PtxType::F32, _) => map2(d, a, b, |a, b| {
+                        bin_f32(op, f32_of(a), f32_of(b)).to_bits() as u64
+                    }),
+                    (PtxType::F64, _) => {
+                        map2(d, a, b, |a, b| bin_f64(op, f64_of(a), f64_of(b)).to_bits())
+                    }
+                    _ => map2(d, a, b, |a, b| bin_int(op, ty, a, b)),
+                }
             }
-            COp::Ret => return,
+            COp::MulWide { src_ty, dst, a, b } => {
+                let (d, a, b) = (r.col(dst), Src::Col(r.col(a)), r.src(b));
+                if src_ty == PtxType::S32 {
+                    map2(d, a, b, |a, b| {
+                        ((a as u32 as i32 as i64) * (b as u32 as i32 as i64)) as u64
+                    })
+                } else {
+                    map2(d, a, b, |a, b| (a as u32 as u64) * (b as u32 as u64))
+                }
+            }
+            COp::MadLo { ty, dst, a, b, c } => {
+                map3(r.col(dst), r.src(a), r.src(b), r.src(c), |a, b, c| {
+                    bin_int(BinOp::Add, ty, bin_int(BinOp::Mul, ty, a, b), c)
+                })
+            }
+            COp::Fma { ty, dst, a, b, c } => {
+                let (d, a, b, c) = (r.col(dst), r.src(a), r.src(b), r.src(c));
+                match ty {
+                    PtxType::F32 => map3_fused(d, a, b, c, |a, b, c| {
+                        f32_of(a).mul_add(f32_of(b), f32_of(c)).to_bits() as u64
+                    }),
+                    _ => map3_fused(d, a, b, c, |a, b, c| {
+                        f64_of(a).mul_add(f64_of(b), f64_of(c)).to_bits()
+                    }),
+                }
+            }
+            COp::Setp { cmp, ty, dst, a, b } => map2(r.col(dst), r.src(a), r.src(b), |a, b| {
+                u64::from(cmp_values(cmp, ty, a, b))
+            }),
+            COp::Selp {
+                dst, a, b, pred, ..
+            } => map3(
+                r.col(dst),
+                r.src(a),
+                r.src(b),
+                Src::Col(r.col(pred)),
+                |a, b, p| if p != 0 { a } else { b },
+            ),
+            COp::Bra { pred: None, .. } | COp::Ret => return true,
+            COp::Bra {
+                pred: Some((p, negated)),
+                ..
+            } => {
+                let exits = |p: &Cell<u64>| (p.get() != 0) != negated;
+                let p = r.col(p);
+                let stay = p.iter().take_while(|p| !exits(p)).count();
+                if !p[stay..].iter().all(exits) {
+                    return false;
+                }
+                if stay == 0 {
+                    return true;
+                }
+                n = stay;
+            }
+            COp::Call {
+                func,
+                ty,
+                dst,
+                args,
+            } => {
+                let binary = func.arity() == 2;
+                let (d, x) = (r.col(dst), Src::Col(r.col(args[0])));
+                let y = Src::Col(r.col(args[1]));
+                match ty {
+                    PtxType::F32 => map2(d, x, y, |x, y| {
+                        let y = if binary { f32_of(y) as f64 } else { 0.0 };
+                        (func.eval(f32_of(x) as f64, y) as f32).to_bits() as u64
+                    }),
+                    _ => map2(d, x, y, |x, y| {
+                        let y = if binary { f64_of(y) } else { 0.0 };
+                        func.eval(f64_of(x), y).to_bits()
+                    }),
+                }
+            }
         }
-        pc += 1;
     }
+    true
 }
 
-/// Execute a full grid. Blocks run in parallel, threads within a block
-/// sequentially. Arguments are type-checked against the kernel signature.
+/// Execute a full grid. Blocks run in parallel, each block's threads in
+/// tiles of [`TILE`] lanes over one register file per worker. The argument
+/// count is checked against the kernel signature.
 pub fn run_grid(
     k: &CompiledKernel,
     args: &[LaunchArg],
@@ -478,15 +640,29 @@ pub fn run_grid(
         args.len()
     );
     let bits: Vec<u64> = args.iter().map(|a| a.bits()).collect();
-    parallel_for(n_blocks as usize, |block| {
-        let block = block as u32;
-        let mut regs = vec![0u64; k.n_slots as usize];
-        for thread in 0..block_size {
-            run_thread(
-                k, &bits, mem, &mut regs, block, thread, block_size, n_blocks,
-            );
-        }
-    });
+    let g = Grid {
+        k,
+        args: &bits,
+        mem,
+        n_blocks,
+        block_size,
+    };
+    parallel_for(
+        n_blocks as usize,
+        || vec![0u64; k.n_cols as usize * TILE],
+        |regs, block| {
+            let regs = Cell::from_mut(regs.as_mut_slice()).as_slice_of_cells();
+            let block = block as u32;
+            for t0 in (0..block_size).step_by(TILE) {
+                let lanes = (block_size - t0).min(TILE as u32) as usize;
+                if !run_tile(&g, regs, block, t0, lanes) {
+                    for t in t0..t0 + lanes as u32 {
+                        run_tile(&g, regs, block, t, 1);
+                    }
+                }
+            }
+        },
+    );
 }
 
 #[cfg(test)]
@@ -495,7 +671,8 @@ mod tests {
     use crate::lower::lower_kernel;
     use qdp_ptx::inst::{Inst, Operand};
     use qdp_ptx::module::KernelBuilder;
-    use qdp_ptx::types::RegClass;
+    use qdp_ptx::types::{Reg, RegClass};
+    use qdp_rng::{Rng, SeedableRng, StdRng};
 
     /// Build `out[i] = a[i] * s + b[i]` (f64 saxpy) and run it.
     #[test]
@@ -621,36 +798,242 @@ mod tests {
         }
     }
 
+    /// The golden kernels' lattice is 4·2·2·4; every field they touch fits
+    /// in 32 reals per site.
+    const VOL: usize = 64;
+    const BUF: usize = VOL * 32 * 8;
+
+    /// Device memory holding seeded inputs for `kernel` over `n` threads —
+    /// a buffer per pointer parameter — and the launch arguments.
+    fn golden_inputs(
+        kernel: &qdp_ptx::module::Kernel,
+        n: u32,
+    ) -> (DeviceMemory, Vec<u64>, Vec<LaunchArg>) {
+        let mut rng = StdRng::seed_from_u64(u64::from(n));
+        let unit = |rng: &mut StdRng| rng.random::<f32>() * 2.0 - 1.0;
+        let mem = DeviceMemory::new(1 << 20);
+        let mut bufs = Vec::new();
+        let mut args = Vec::new();
+        for p in &kernel.params {
+            let arg = match p.ty {
+                PtxType::U64 => {
+                    let ptr = mem.alloc(BUF).unwrap();
+                    bufs.push(ptr);
+                    if p.name == "sites" {
+                        // a permutation: no two lanes store to one site
+                        let mut perm: Vec<u32> = (0..VOL as u32).collect();
+                        for i in (1..VOL).rev() {
+                            perm.swap(i, rng.random_range(0..i as u64 + 1) as usize);
+                        }
+                        for (i, s) in perm.into_iter().enumerate() {
+                            mem.write_u32(ptr + 4 * i as u64, s);
+                        }
+                    } else if p.name.starts_with("tbl_") {
+                        for i in 0..VOL as u64 {
+                            mem.write_u32(ptr + 4 * i, rng.random_range(0..VOL as u64) as u32);
+                        }
+                    } else {
+                        for i in 0..(BUF / 4) as u64 {
+                            mem.write_f32(ptr + 4 * i, unit(&mut rng));
+                        }
+                    }
+                    LaunchArg::Ptr(ptr)
+                }
+                PtxType::U32 => LaunchArg::U32(n),
+                PtxType::F64 => LaunchArg::F64(unit(&mut rng).into()),
+                PtxType::F32 => LaunchArg::F32(unit(&mut rng)),
+                ty => panic!("{}: parameter type {ty:?}", kernel.name),
+            };
+            args.push(arg);
+        }
+        (mem, bufs, args)
+    }
+
+    /// Every golden kernel leaves byte-identical device memory at every
+    /// block size, from the same seeded inputs: block 1 runs one-lane tiles
+    /// (a thread at a time); the others cover partial tiles, tile edges and
+    /// the guard falling mid-tile.
+    #[test]
+    fn golden_kernels_leave_the_same_bytes_at_every_block_size() {
+        for (name, text) in crate::lower::GOLDEN_PTX {
+            let kernel = qdp_ptx::parse::parse_module(text).unwrap().kernels.remove(0);
+            let k = lower_kernel(&kernel).unwrap();
+            for n in [61u32, 64] {
+                // Device memory after a launch at `block` (or none).
+                let run = |block: Option<u32>| {
+                    let (mem, bufs, args) = golden_inputs(&kernel, n);
+                    if let Some(block) = block {
+                        run_grid(&k, &args, &mem, n.div_ceil(block), block);
+                    }
+                    let mut out = vec![0u8; BUF * bufs.len()];
+                    for (chunk, &p) in out.chunks_mut(BUF).zip(&bufs) {
+                        mem.copy_to_host(p, chunk);
+                    }
+                    out
+                };
+                let one_lane = run(Some(1));
+                assert!(one_lane != run(None), "{name}: the kernel stored nothing");
+                for block in [7, 63, 64, 65, 128, 1000] {
+                    assert!(
+                        run(Some(block)) == one_lane,
+                        "{name}, n = {n}: block {block} differs from one-lane tiles"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Lanes that exit on odd `tid` leave a non-prefix active set: the tile
+    /// re-runs lane by lane, and exactly the even threads store.
+    #[test]
+    fn ragged_exit_stores_exactly_the_staying_lanes() {
+        let mut b = KernelBuilder::new("odd_exit");
+        let p_out = b.param("out", PtxType::U64);
+        let tid = b.global_tid();
+        let odd = b.bin(BinOp::And, PtxType::U32, tid.into(), Operand::ImmI(1));
+        let p = b.fresh(RegClass::Pred);
+        b.push(Inst::Setp {
+            cmp: CmpOp::Ne,
+            ty: PtxType::U32,
+            dst: p,
+            a: odd.into(),
+            b: Operand::ImmI(0),
+        });
+        let exit = b.label("exit");
+        b.push(Inst::Bra {
+            target: exit.clone(),
+            pred: Some((p, false)),
+        });
+        let off = b.fresh(RegClass::B64);
+        b.push(Inst::MulWide {
+            src_ty: PtxType::U32,
+            dst: off,
+            a: tid,
+            b: Operand::ImmI(4),
+        });
+        let base = b.ld_param(&p_out, PtxType::U64);
+        let addr = b.bin(BinOp::Add, PtxType::U64, base.into(), off.into());
+        b.push(Inst::StGlobal {
+            ty: PtxType::U32,
+            addr,
+            offset: 0,
+            src: tid.into(),
+        });
+        b.bind_label(&exit);
+        let k = lower_kernel(&b.finish()).unwrap();
+
+        let mem = DeviceMemory::new(1 << 16);
+        let po = mem.alloc(300 * 4).unwrap();
+        // blocks of 100: a full tile and a partial one each
+        run_grid(&k, &[LaunchArg::Ptr(po)], &mem, 3, 100);
+        for i in 0..300u32 {
+            let want = if i % 2 == 0 { i } else { 0 };
+            assert_eq!(mem.read_u32(po + 4 * u64::from(i)), want, "thread {i}");
+        }
+    }
+
+    /// Run `out[l] = emit(a[l], b[l])` with lane `l` taking `pairs[l]`, as
+    /// one tile. Operands load as `ty`; the result register's raw 64 bits
+    /// are stored, so junk a lane op leaves above a 32-bit result shows.
+    fn run_lanes(
+        ty: PtxType,
+        pairs: &[(u64, u64)],
+        emit: impl FnOnce(&mut KernelBuilder, Reg, Reg) -> Reg,
+    ) -> Vec<u64> {
+        let mut b = KernelBuilder::new("lanes");
+        let params = ["out", "a", "b"].map(|p| b.param(p, PtxType::U64));
+        let tid = b.global_tid();
+        let off = b.fresh(RegClass::B64);
+        b.push(Inst::MulWide {
+            src_ty: PtxType::U32,
+            dst: off,
+            a: tid,
+            b: Operand::ImmI(8),
+        });
+        let [ao, aa, ab] = params.map(|p| {
+            let base = b.ld_param(&p, PtxType::U64);
+            b.bin(BinOp::Add, PtxType::U64, base.into(), off.into())
+        });
+        let [va, vb] = [aa, ab].map(|addr| {
+            let dst = b.fresh_for(ty);
+            b.push(Inst::LdGlobal {
+                ty,
+                dst,
+                addr,
+                offset: 0,
+            });
+            dst
+        });
+        let r = emit(&mut b, va, vb);
+        b.push(Inst::StGlobal {
+            ty: PtxType::U64,
+            addr: ao,
+            offset: 0,
+            src: r.into(),
+        });
+        let k = lower_kernel(&b.finish()).unwrap();
+
+        let n = pairs.len();
+        let mem = DeviceMemory::new(1 << 16);
+        let [po, pa, pb] = [(); 3].map(|_| mem.alloc(8 * n).unwrap());
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            mem.write_u64(pa + 8 * i as u64, a);
+            mem.write_u64(pb + 8 * i as u64, b);
+        }
+        let args = [po, pa, pb].map(LaunchArg::Ptr);
+        run_grid(&k, &args, &mem, 1, n as u32);
+        (0..n).map(|i| mem.read_u64(po + 8 * i as u64)).collect()
+    }
+
     #[test]
     fn int_semantics() {
-        assert_eq!(bin_int(BinOp::Add, PtxType::U32, 0xFFFF_FFFF, 1), 0);
-        assert_eq!(
-            bin_int(BinOp::Shr, PtxType::S32, (-8i32) as u32 as u64, 1),
-            (-4i32) as u32 as u64
-        );
-        assert_eq!(bin_int(BinOp::Shr, PtxType::U32, 0x8000_0000, 1), 0x4000_0000);
-        assert_eq!(
-            bin_int(BinOp::Div, PtxType::S32, (-7i32) as u32 as u64, 2),
-            (-3i32) as u32 as u64
-        );
-        assert_eq!(bin_int(BinOp::Min, PtxType::S32, (-1i32) as u32 as u64, 1), (-1i32) as u32 as u64);
-        assert_eq!(bin_int(BinOp::Min, PtxType::U32, (-1i32) as u32 as u64, 1), 1);
+        let neg = |v: i32| v as u32 as u64;
+        for (op, ty, a, b, want) in [
+            (BinOp::Add, PtxType::U32, 0xFFFF_FFFF, 1, 0),
+            (BinOp::Add, PtxType::U64, u64::MAX, 2, 1),
+            (BinOp::Shr, PtxType::S32, neg(-8), 1, neg(-4)),
+            (BinOp::Shr, PtxType::U32, 0x8000_0000, 1, 0x4000_0000),
+            (BinOp::Div, PtxType::S32, neg(-7), 2, neg(-3)),
+            (BinOp::Min, PtxType::S32, neg(-1), 1, neg(-1)),
+            (BinOp::Min, PtxType::U32, neg(-1), 1, 1),
+        ] {
+            assert_eq!(bin_int(op, ty, a, b), want, "{op:?}.{ty:?}");
+            // In a tile: the case in lane 0, its operands swapped in lane 1.
+            let lanes = run_lanes(ty, &[(a, b), (b, a)], |k, x, y| {
+                k.bin(op, ty, x.into(), y.into())
+            });
+            assert_eq!(lanes, [want, bin_int(op, ty, b, a)], "{op:?}.{ty:?} in a tile");
+        }
     }
 
     #[test]
     fn conversions() {
-        // f64 -> f32 rounding
-        let b = convert(PtxType::F32, PtxType::F64, (1.0f64 / 3.0).to_bits());
-        assert_eq!(f32_of(b), (1.0f64 / 3.0) as f32);
-        // s32 -> f64 exact
-        let b = convert(PtxType::F64, PtxType::S32, (-5i32) as u32 as u64);
-        assert_eq!(f64_of(b), -5.0);
-        // f32 -> s32 truncation toward zero
-        let b = convert(PtxType::S32, PtxType::F32, (( -2.7f32).to_bits()) as u64);
-        assert_eq!(b as u32 as i32, -2);
-        // u32 widening
-        let b = convert(PtxType::U64, PtxType::U32, 0xFFFF_FFFF);
-        assert_eq!(b, 0xFFFF_FFFF);
+        for (dst_ty, src_ty, x, want) in [
+            // f64 -> f32 rounding
+            (
+                PtxType::F32,
+                PtxType::F64,
+                (1.0f64 / 3.0).to_bits(),
+                (((1.0f64 / 3.0) as f32).to_bits()) as u64,
+            ),
+            // s32 -> f64 exact
+            (PtxType::F64, PtxType::S32, (-5i32) as u32 as u64, (-5.0f64).to_bits()),
+            // f32 -> s32 truncation toward zero
+            (PtxType::S32, PtxType::F32, (-2.7f32).to_bits() as u64, (-2i32) as u32 as u64),
+            // u32 widening
+            (PtxType::U64, PtxType::U32, 0xFFFF_FFFF, 0xFFFF_FFFF),
+        ] {
+            assert_eq!(convert(dst_ty, src_ty, x), want, "{src_ty:?} -> {dst_ty:?}");
+            let other = 7;
+            let lanes = run_lanes(src_ty, &[(x, 0), (other, 0)], |k, v, _| {
+                k.cvt(dst_ty, src_ty, v)
+            });
+            assert_eq!(
+                lanes,
+                [want, convert(dst_ty, src_ty, other)],
+                "{src_ty:?} -> {dst_ty:?} in a tile"
+            );
+        }
     }
 
     #[test]
@@ -659,6 +1042,26 @@ mod tests {
         let one = 1.0f64.to_bits();
         for cmp in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
             assert!(!cmp_values(cmp, PtxType::F64, nan, one), "{cmp:?}");
+            let lanes = run_lanes(PtxType::F64, &[(nan, one), (one, nan), (nan, nan)], |k, x, y| {
+                let p = k.fresh(RegClass::Pred);
+                k.push(Inst::Setp {
+                    cmp,
+                    ty: PtxType::F64,
+                    dst: p,
+                    a: x.into(),
+                    b: y.into(),
+                });
+                let r = k.fresh(RegClass::B32);
+                k.push(Inst::Selp {
+                    ty: PtxType::U32,
+                    dst: r,
+                    a: Operand::ImmI(1),
+                    b: Operand::ImmI(0),
+                    pred: p,
+                });
+                r
+            });
+            assert_eq!(lanes, [0, 0, 0], "{cmp:?} in a tile");
         }
     }
 }

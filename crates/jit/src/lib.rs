@@ -5,12 +5,14 @@
 //! that role for the simulated device:
 //!
 //! * [`lower`] parses **PTX text** (via `qdp-ptx`'s parser) and lowers it to
-//!   a compact register-machine program ([`CompiledKernel`]) with resolved
-//!   register slots, branch targets and parameter indices — the "GPU code"
-//!   stage;
+//!   a compact register-machine program ([`CompiledKernel`]) with registers
+//!   allocated by live range onto columns, resolved exit branches and
+//!   parameter indices — the "GPU code" stage;
 //! * [`exec`] executes a compiled kernel over a grid of thread blocks
-//!   (parallel across blocks via `qdp_gpu_sim::par`, like blocks across SMs), reading and
-//!   writing simulated device memory bit-exactly;
+//!   (parallel across blocks via `qdp_gpu_sim::par`, like blocks across
+//!   SMs; within a block, each op runs across a tile of [`exec::TILE`]
+//!   lanes in one loop), reading and writing simulated device memory
+//!   bit-exactly;
 //! * [`cache`] is the compiled-kernel cache: each distinct PTX program is
 //!   translated once (the paper measures 0.05–0.22 s per kernel, §III-D,
 //!   and ~200 kernels ≈ 10–30 s per HMC trajectory, §VIII-D);

@@ -1,11 +1,20 @@
 //! Lowering parsed PTX to the register-machine program executed by the
 //! simulated device ("GPU code" in the paper's Fig. 2).
 //!
-//! The lowering resolves virtual registers to slots in a flat per-thread
-//! register file, branch labels to instruction indices, parameter names to
-//! argument indices, and pre-encodes immediates in the operation's type.
-//! It also extracts the static resource/traffic statistics the performance
-//! model and the occupancy calculation need.
+//! The lowering resolves branch labels to instruction indices, parameter
+//! names to argument indices, and pre-encodes immediates in the operation's
+//! type. Like the driver JIT, it allocates registers by live range: the
+//! generator's SSA-like virtual registers (thousands in a dslash) map onto
+//! a compact set of *columns* — one [`crate::exec::TILE`]-lane vector each
+//! in the executor's register file. It also extracts the static
+//! resource/traffic statistics the performance model and the occupancy
+//! calculation need.
+//!
+//! Control flow is limited to what the generator emits: forward exits
+//! (`@p bra` to a `ret`, or `ret` itself), and conditional exits only
+//! before the first store — so a tile whose exits leave a ragged lane set
+//! can be re-run lane by lane without repeating a side effect. Anything
+//! else is a [`JitError::Lower`].
 
 use qdp_ptx::inst::{BinOp, CmpOp, Inst, MathFn, Operand, SpecialReg, UnOp};
 use qdp_ptx::module::Kernel;
@@ -40,16 +49,17 @@ impl std::fmt::Display for JitError {
 
 impl std::error::Error for JitError {}
 
-/// A resolved operand: register slot or pre-encoded immediate bits.
+/// A resolved operand: register column or pre-encoded immediate bits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AVal {
-    /// Register-file slot.
+    /// Register-file column.
     Slot(u32),
     /// Immediate, already encoded in the operation type's bit layout.
     Imm(u64),
 }
 
-/// Lowered instructions. Registers are flat slots; labels are gone.
+/// Lowered instructions. Registers are live-range-allocated columns (the
+/// `dst`/`addr`/… "slots" below); labels are gone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum COp {
     /// Load a kernel argument.
@@ -197,7 +207,7 @@ pub enum COp {
         /// Predicate slot.
         pred: u32,
     },
-    /// Branch to an instruction index.
+    /// Exit branch: the target is a later `Ret`, and no store precedes it.
     Bra {
         /// Target instruction index.
         target: u32,
@@ -227,8 +237,11 @@ pub struct CompiledKernel {
     pub name: String,
     /// Lowered program.
     pub code: Vec<COp>,
-    /// Per-thread register-file size in slots.
-    pub n_slots: u32,
+    /// Register-file columns (live-range allocated).
+    pub n_cols: u32,
+    /// Leading columns of registers read before any write; the executor
+    /// zeroes them per tile, so such a read yields 0.
+    pub n_zeroed: u32,
     /// Number of kernel arguments with their declared types.
     pub param_types: Vec<PtxType>,
     /// 32-bit register equivalents per thread (occupancy input).
@@ -307,6 +320,8 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
     let mut code = Vec::with_capacity(kernel.body.len());
     let mut access_bytes = 4usize;
     let mut double_precision = false;
+    let mut stored = false;
+    let mut exit_targets = Vec::new();
     for inst in &kernel.body {
         let lowered = match inst {
             Inst::Label { .. } => continue,
@@ -334,12 +349,15 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
                 addr,
                 offset,
                 src,
-            } => COp::St {
-                ty: *ty,
-                addr: slot(addr),
-                offset: *offset,
-                src: aval(*ty, src)?,
-            },
+            } => {
+                stored = true;
+                COp::St {
+                    ty: *ty,
+                    addr: slot(addr),
+                    offset: *offset,
+                    src: aval(*ty, src)?,
+                }
+            }
             Inst::Mov { ty, dst, src } => COp::Mov {
                 ty: *ty,
                 dst: slot(dst),
@@ -413,12 +431,25 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
                 b: aval(*ty, b)?,
                 pred: slot(pred),
             },
-            Inst::Bra { target, pred } => COp::Bra {
-                target: *labels
+            Inst::Bra { target, pred } => {
+                let pc = code.len() as u32;
+                let index = *labels
                     .get(target.as_str())
-                    .ok_or_else(|| JitError::Lower(format!("undefined label {target}")))?,
-                pred: pred.map(|(r, n)| (slot(&r), n)),
-            },
+                    .ok_or_else(|| JitError::Lower(format!("undefined label {target}")))?;
+                if index <= pc {
+                    return Err(JitError::Lower(format!("backward branch to {target}")));
+                }
+                if stored {
+                    return Err(JitError::Lower(format!(
+                        "branch to {target} after a store (exits must precede the first store)"
+                    )));
+                }
+                exit_targets.push(index);
+                COp::Bra {
+                    target: index,
+                    pred: pred.map(|(r, n)| (slot(&r), n)),
+                }
+            }
             Inst::Call { func, ty, dst, args } => {
                 let mut a = [0u32; 2];
                 for (i, r) in args.iter().enumerate().take(2) {
@@ -446,35 +477,33 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
         code.push(lowered);
     }
 
-    // Register allocation: the virtual registers are SSA-like (every value
-    // gets a fresh one), but the driver JIT allocates physical registers by
-    // live range. Estimate the per-thread register footprint as the peak
-    // number of simultaneously live 32-bit equivalents.
-    let slot_width = |slot: u32| -> u32 {
-        // find the bank containing this slot
-        let mut w = 1u32;
-        for (i, c) in classes.iter().enumerate() {
-            let lo = bank_base[i];
-            let hi = lo + kernel.reg_counts[i];
-            if slot >= lo && slot < hi {
-                w = match c.width_bytes() {
-                    8 => 2,
-                    _ => 1,
-                };
-                break;
-            }
-        }
-        w
-    };
-    let allocated_regs = estimate_register_pressure(&code, total, &slot_width);
+    if let Some(t) = exit_targets
+        .iter()
+        .find(|&&t| code.get(t as usize) != Some(&COp::Ret))
+    {
+        return Err(JitError::Lower(format!(
+            "branch to instruction {t}, which is not ret (only exits are supported)"
+        )));
+    }
+
+    // 32-bit register equivalents of each slot, bank by bank.
+    let widths: Vec<u32> = classes
+        .iter()
+        .zip(kernel.reg_counts)
+        .flat_map(|(c, count)| {
+            std::iter::repeat_n(if c.width_bytes() == 8 { 2 } else { 1 }, count as usize)
+        })
+        .collect();
+    let regs = allocate_registers(&mut code, &widths);
 
     let (read_bytes, write_bytes) = kernel.thread_bytes();
     Ok(CompiledKernel {
         name: kernel.name.clone(),
         code,
-        n_slots: total,
+        n_cols: regs.cols,
+        n_zeroed: regs.zeroed,
         param_types: kernel.params.iter().map(|p| p.ty).collect(),
-        regs_per_thread: allocated_regs,
+        regs_per_thread: regs.per_thread,
         read_bytes,
         write_bytes,
         flops: kernel.thread_flops(),
@@ -483,124 +512,162 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
     })
 }
 
-/// Slots mentioned by one lowered instruction (defs and uses together —
-/// live ranges span from first to last mention).
-fn aval_into(v: &AVal, out: &mut Vec<u32>) {
+fn use_aval(v: &mut AVal, f: &mut impl FnMut(&mut u32, bool)) {
     if let AVal::Slot(s) = v {
-        out.push(*s);
+        f(s, false);
     }
 }
 
-fn mentioned_slots(op: &COp, out: &mut Vec<u32>) {
+/// Visit every register slot one lowered instruction mentions — uses
+/// first, then the definition (flagged `true`). Live ranges span from the
+/// first to the last mention, defs and uses alike.
+fn visit_slots(op: &mut COp, f: &mut impl FnMut(&mut u32, bool)) {
     match op {
-        COp::LdArg { dst, .. } => out.push(*dst),
-        COp::Ld { dst, addr, .. } => {
-            out.push(*dst);
-            out.push(*addr);
+        COp::LdArg { dst, .. } | COp::Special { dst, .. } => f(dst, true),
+        COp::Ld { dst, addr: src, .. } | COp::Cvt { dst, src, .. } => {
+            f(src, false);
+            f(dst, true);
         }
         COp::St { addr, src, .. } => {
-            out.push(*addr);
-            aval_into(src, out);
+            f(addr, false);
+            use_aval(src, f);
         }
-        COp::Mov { dst, src, .. } => {
-            out.push(*dst);
-            aval_into(src, out);
+        COp::Mov { dst, src, .. } | COp::Un { dst, src, .. } => {
+            use_aval(src, f);
+            f(dst, true);
         }
-        COp::Special { dst, .. } => out.push(*dst),
-        COp::Cvt { dst, src, .. } => {
-            out.push(*dst);
-            out.push(*src);
-        }
-        COp::Un { dst, src, .. } => {
-            out.push(*dst);
-            aval_into(src, out);
-        }
-        COp::Bin { dst, a, b, .. } => {
-            out.push(*dst);
-            aval_into(a, out);
-            aval_into(b, out);
+        COp::Bin { dst, a, b, .. } | COp::Setp { dst, a, b, .. } => {
+            use_aval(a, f);
+            use_aval(b, f);
+            f(dst, true);
         }
         COp::MulWide { dst, a, b, .. } => {
-            out.push(*dst);
-            out.push(*a);
-            aval_into(b, out);
+            f(a, false);
+            use_aval(b, f);
+            f(dst, true);
         }
         COp::MadLo { dst, a, b, c, .. } | COp::Fma { dst, a, b, c, .. } => {
-            out.push(*dst);
-            aval_into(a, out);
-            aval_into(b, out);
-            aval_into(c, out);
-        }
-        COp::Setp { dst, a, b, .. } => {
-            out.push(*dst);
-            aval_into(a, out);
-            aval_into(b, out);
+            use_aval(a, f);
+            use_aval(b, f);
+            use_aval(c, f);
+            f(dst, true);
         }
         COp::Selp {
             dst, a, b, pred, ..
         } => {
-            out.push(*dst);
-            aval_into(a, out);
-            aval_into(b, out);
-            out.push(*pred);
+            use_aval(a, f);
+            use_aval(b, f);
+            f(pred, false);
+            f(dst, true);
         }
         COp::Bra { pred, .. } => {
             if let Some((p, _)) = pred {
-                out.push(*p);
+                f(p, false);
             }
         }
         COp::Call { dst, args, .. } => {
-            out.push(*dst);
-            out.push(args[0]);
-            out.push(args[1]);
+            // Both argument slots, as the occupancy estimate has always
+            // counted them (a unary call's second one is slot 0).
+            for a in args {
+                f(a, false);
+            }
+            f(dst, true);
         }
         COp::Ret => {}
     }
 }
 
-/// Peak register pressure: maximum simultaneously live 32-bit register
-/// equivalents, with live ranges approximated as first-to-last mention
-/// (exact for the straight-line streaming kernels the generator emits).
-fn estimate_register_pressure(
-    code: &[COp],
-    n_slots: u32,
-    slot_width: &dyn Fn(u32) -> u32,
-) -> u32 {
-    let n = n_slots as usize;
-    let mut first = vec![usize::MAX; n];
-    let mut last = vec![0usize; n];
-    let mut mentions = Vec::with_capacity(8);
-    for (i, op) in code.iter().enumerate() {
-        mentions.clear();
-        mentioned_slots(op, &mut mentions);
-        for &s in &mentions {
-            let s = s as usize;
-            if first[s] == usize::MAX {
-                first[s] = i;
-            }
-            last[s] = i;
-        }
-    }
-    // sweep: +width at first mention, -width after last mention
+/// A kernel's register allocation.
+struct Registers {
+    /// Peak simultaneously live 32-bit equivalents (occupancy input).
+    per_thread: u32,
+    /// Columns the program's slots were rewritten to.
+    cols: u32,
+    /// Leading columns read before any write.
+    zeroed: u32,
+}
+
+/// Allocate registers by live range, approximated as first to last mention
+/// (exact for the straight-line streaming kernels the generator emits,
+/// whose only branches are exits). One walk over the program finds the
+/// ranges, whose sweep gives the occupancy estimate — peak simultaneously
+/// live 32-bit equivalents (`widths`, per slot); a second rewrites the
+/// slots to columns in place, a column per register, free again after its
+/// last mention. A register read before any write keeps a column of its own
+/// among the leading zeroed ones, so the read sees 0 as in a fresh register
+/// file.
+fn allocate_registers(code: &mut [COp], widths: &[u32]) -> Registers {
+    const NONE: u32 = u32::MAX;
+    let n = widths.len();
+    let mut first = vec![NONE; n];
+    let mut last = vec![0u32; n];
+    let mut zeroed: Vec<u32> = Vec::new();
+    // +width at first mention, -width after last mention
     let mut delta = vec![0i64; code.len() + 1];
-    for s in 0..n {
-        if first[s] == usize::MAX {
-            continue;
-        }
-        let w = slot_width(s as u32) as i64;
-        delta[first[s]] += w;
-        delta[last[s] + 1] -= w;
+    for (i, op) in code.iter_mut().enumerate() {
+        visit_slots(op, &mut |s, def| {
+            let s = *s as usize;
+            if first[s] == NONE {
+                first[s] = i as u32;
+                delta[i] += i64::from(widths[s]);
+                if !def {
+                    zeroed.push(s as u32);
+                }
+            }
+            last[s] = i as u32;
+        });
     }
-    let mut live = 0i64;
-    let mut peak = 0i64;
+    for s in 0..n {
+        if first[s] != NONE {
+            delta[last[s] as usize + 1] -= i64::from(widths[s]);
+        }
+    }
+    let (mut live, mut peak) = (0i64, 0i64);
     for d in delta {
         live += d;
         peak = peak.max(live);
     }
-    // A floor of 16 mirrors the ABI/reserved registers of real kernels; a
-    // ceiling of 255 mirrors the hardware limit (the driver spills to
-    // local memory beyond it).
-    (peak as u32).clamp(16, 255)
+
+    let mut col = vec![NONE; n];
+    for (c, &s) in zeroed.iter().enumerate() {
+        col[s as usize] = c as u32;
+    }
+    let n_zeroed = zeroed.len() as u32;
+    let mut n_cols = n_zeroed;
+    let mut free = Vec::new();
+    let mut dying = Vec::new();
+    for (i, op) in code.iter_mut().enumerate() {
+        visit_slots(op, &mut |s, _| {
+            let (c, end) = (&mut col[*s as usize], &mut last[*s as usize]);
+            if *c == NONE {
+                *c = free.pop().unwrap_or_else(|| {
+                    n_cols += 1;
+                    n_cols - 1
+                });
+            }
+            if *end == i as u32 {
+                *end = NONE; // once, however often this op mentions it
+                dying.push(*c);
+            }
+            *s = *c;
+        });
+        // Freed after the op, so its destination never takes a column one
+        // of its own operands dies in.
+        for &c in &dying {
+            if c >= n_zeroed {
+                free.push(c);
+            }
+        }
+        dying.clear();
+    }
+    Registers {
+        // A floor of 16 mirrors the ABI/reserved registers of real kernels;
+        // a ceiling of 255 mirrors the hardware limit (the driver spills to
+        // local memory beyond it).
+        per_thread: (peak as u32).clamp(16, 255),
+        cols: n_cols,
+        zeroed: n_zeroed,
+    }
 }
 
 /// Parse PTX text and lower every kernel. This is the "driver JIT" entry
@@ -659,6 +726,19 @@ pub fn compile_ptx_opt_emit(
         .collect::<Result<_, _>>()?;
     Ok((kernels, stats, optimized_text))
 }
+
+/// The code generator's golden kernels, pinned by `qdp-core`'s snapshot
+/// tests — the lowering and executor tests run them.
+#[cfg(test)]
+pub(crate) const GOLDEN_PTX: [(&str, &str); 7] = [
+    ("axpy_fermion_dp", include_str!("../../core/tests/snapshots/axpy_fermion_dp.ptx")),
+    ("fused_axpy_norm2_dp", include_str!("../../core/tests/snapshots/fused_axpy_norm2_dp.ptx")),
+    ("fused_force_accum_dp", include_str!("../../core/tests/snapshots/fused_force_accum_dp.ptx")),
+    ("shift_cm_even_dp", include_str!("../../core/tests/snapshots/shift_cm_even_dp.ptx")),
+    ("su3_mul_dp", include_str!("../../core/tests/snapshots/su3_mul_dp.ptx")),
+    ("wilson_dslash_dp", include_str!("../../core/tests/snapshots/wilson_dslash_dp.ptx")),
+    ("wilson_dslash_sp", include_str!("../../core/tests/snapshots/wilson_dslash_sp.ptx")),
+];
 
 #[cfg(test)]
 mod tests {
@@ -750,12 +830,123 @@ mod tests {
         assert!(compile_ptx("garbage").is_err());
     }
 
+    fn parse_golden(text: &str) -> Kernel {
+        qdp_ptx::parse::parse_module(text).unwrap().kernels.remove(0)
+    }
+
+    /// Checked against the registers' live ranges in the PTX itself: every
+    /// register keeps one column, and a column's registers never overlap.
     #[test]
-    fn slots_are_disjoint_across_banks() {
-        let k = build_simple();
-        let c = lower_kernel(&k).unwrap();
-        // n_slots equals the sum of all declared registers
-        let sum: u32 = k.reg_counts.iter().sum();
-        assert_eq!(c.n_slots, sum);
+    fn live_registers_never_share_a_column() {
+        for (name, text) in GOLDEN_PTX {
+            let kernel = parse_golden(text);
+            let c = lower_kernel(&kernel).unwrap();
+            assert_eq!(c.n_zeroed, 0, "{name}: generated code writes before it reads");
+            let body: Vec<&Inst> = kernel
+                .body
+                .iter()
+                .filter(|i| !matches!(i, Inst::Label { .. }))
+                .collect();
+            assert_eq!(body.len(), c.code.len(), "{name}");
+            let mut ranges: HashMap<Reg, (usize, usize)> = HashMap::new();
+            let mut cols: HashMap<Reg, u32> = HashMap::new();
+            let mut regs = Vec::new();
+            for (i, (inst, op)) in body.iter().zip(&c.code).enumerate() {
+                regs.clear();
+                inst.use_regs(&mut regs);
+                regs.extend(inst.def_reg());
+                for r in &regs {
+                    ranges.entry(*r).or_insert((i, i)).1 = i;
+                }
+                if let Some(r) = inst.def_reg() {
+                    let mut def_col = None;
+                    visit_slots(&mut op.clone(), &mut |s, def| {
+                        if def {
+                            def_col = Some(*s);
+                        }
+                    });
+                    let col = def_col.unwrap();
+                    assert_eq!(*cols.entry(r).or_insert(col), col, "{name}: {r} moved");
+                }
+            }
+            let mut by_col: HashMap<u32, Vec<(usize, usize)>> = HashMap::new();
+            for (r, range) in &ranges {
+                by_col.entry(cols[r]).or_default().push(*range);
+            }
+            assert_eq!(by_col.len() as u32, c.n_cols, "{name}");
+            for (col, mut rs) in by_col {
+                rs.sort_unstable();
+                for w in rs.windows(2) {
+                    assert!(w[0].1 < w[1].0, "{name}: column {col} holds {w:?} at once");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dslash_compacts_to_a_hundred_odd_columns() {
+        for (name, text) in GOLDEN_PTX.iter().filter(|(n, _)| n.starts_with("wilson_dslash")) {
+            let kernel = parse_golden(text);
+            let declared: u32 = kernel.reg_counts.iter().sum();
+            let c = lower_kernel(&kernel).unwrap();
+            assert_eq!(declared, 3543, "{name}");
+            assert!(c.n_cols <= 110, "{name}: {} columns of {declared} declared", c.n_cols);
+        }
+    }
+
+    /// The occupancy input (and so the simulated clock) is what it was
+    /// when every declared register had its own slot.
+    #[test]
+    fn regs_per_thread_is_pinned() {
+        let pinned = [105, 109, 89, 43, 87, 209, 113];
+        for ((name, text), want) in GOLDEN_PTX.iter().zip(pinned) {
+            let c = lower_kernel(&parse_golden(text)).unwrap();
+            assert_eq!(c.regs_per_thread, want, "{name}");
+        }
+    }
+
+    #[test]
+    fn control_flow_other_than_exits_is_rejected() {
+        // A `@p bra $l`, the label `$l` and one store, in the given order,
+        // followed by the final `ret`.
+        let build = |order: [&str; 3]| {
+            let mut b = KernelBuilder::new("cf");
+            let p_x = b.param("x", PtxType::U64);
+            let base = b.ld_param(&p_x, PtxType::U64);
+            let tid = b.global_tid();
+            let p = b.fresh(RegClass::Pred);
+            b.push(Inst::Setp {
+                cmp: CmpOp::Eq,
+                ty: PtxType::U32,
+                dst: p,
+                a: tid.into(),
+                b: Operand::ImmI(0),
+            });
+            for step in order {
+                match step {
+                    "bra" => b.push(Inst::Bra {
+                        target: "$l".into(),
+                        pred: Some((p, false)),
+                    }),
+                    "label" => b.bind_label("$l"),
+                    _ => b.push(Inst::StGlobal {
+                        ty: PtxType::U32,
+                        addr: base,
+                        offset: 0,
+                        src: Operand::ImmI(1),
+                    }),
+                }
+            }
+            b.finish()
+        };
+        assert!(lower_kernel(&build(["bra", "store", "label"])).is_ok(), "an exit lowers");
+        for (what, order) in [
+            ("backward branch", ["label", "bra", "store"]),
+            ("branch to a non-ret", ["bra", "label", "store"]),
+            ("exit after a store", ["store", "bra", "label"]),
+        ] {
+            let r = lower_kernel(&build(order));
+            assert!(matches!(r, Err(JitError::Lower(_))), "{what}: {r:?}");
+        }
     }
 }
