@@ -7,6 +7,9 @@
 # enforces that policy, then runs the tier-1 gate fully offline.
 set -euo pipefail
 cd "$(dirname "$0")"
+# Snapshot of the working tree; the last stage checks ci.sh changed nothing.
+git_state() { git status --porcelain 2>/dev/null || true; }
+tree_before=$(git_state)
 
 # ---- Guard: no registry dependencies in any manifest -----------------------
 # A registry dependency is any dependency entry that carries a version
@@ -62,11 +65,11 @@ echo "ok: no panic-on-hangup comm paths"
 
 # ---- Guard: only QdpConfig::from_env reads QDP_* runtime knobs -------------
 # Libraries and binaries take typed config; the one reader of the runtime
-# environment is crates/core/src/config.rs. Harness-only variables (bench
-# budget, proptest seeds, snapshot regeneration) are not runtime knobs.
+# environment is crates/core/src/config.rs. Harness-only variables
+# (proptest seeds, snapshot regeneration) are not runtime knobs.
 env_reads=$(grep -rnE 'env::var(_os)?\("QDP_' --include='*.rs' crates/*/src \
     | grep -v '^crates/core/src/config.rs:' \
-    | grep -vE 'QDP_BENCH_|QDP_PROPTEST_|QDP_UPDATE_SNAPSHOTS' || true)
+    | grep -vE 'QDP_PROPTEST_|QDP_UPDATE_SNAPSHOTS' || true)
 if [ -n "$env_reads" ]; then
     echo "FAIL: QDP_* read outside QdpConfig::from_env:" >&2
     echo "$env_reads" >&2
@@ -165,14 +168,31 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one executor (no thread-at-a-time interpreter, no step limit)"
 
+# ---- Guard: one benchmark referee ----------------------------------------------
+# `qdp-benchmark compare` (parent vs change, alternating on one host) is the
+# only performance referee: the stored-baseline perf gate, its timing
+# harness, its committed results file, its env knobs and the runtime
+# optimizer override it needed stay deleted. crates/benchmark is frozen and
+# its README still names the old file, so it is skipped. (Spelled in
+# pieces, as above.)
+twins="BENCH_""framework|QDP_""BENCH_|qdp_bench::""gate|timing::""Harness|set_""opt_level"
+stale=$(grep -rnE --exclude-dir=benchmark "$twins" crates src examples tests \
+    README.md DESIGN.md EXPERIMENTS.md || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: the stored-baseline perf gate or the opt-level override is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: one benchmark referee (no stored-baseline gate, no timing harness, no opt-level override)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
 # ---- Stream engine: semantics + schedule tests ------------------------------
 # Default-stream equivalence with the pre-stream clock model (bit-exact),
-# event ordering, two-stream determinism, and the §V stream schedule beating
-# exchange-then-full-kernel.
+# event ordering, two-stream determinism, the §V stream schedule beating
+# exchange-then-full-kernel, and 16 ranks beating 4 on one global lattice.
 cargo test -q --offline -p qdp-core --test streams --test multirank
 echo "ok: stream-engine semantics + schedule tests"
 
@@ -254,7 +274,8 @@ echo "ok: optimizer conformance (QDP_OPT=0, opt-diff)"
 # results. (3) Budget 1 (QDP_FUSE=0, builder().fuse(false)) reproduces the
 # per-statement launch signature on the same planner — the guard tests
 # cover both, and the chroma-mini solver test pins fused-vs-budget-1 CG
-# bit-exactness and one launch per recorded statement end to end.
+# bit-exactness, one launch per recorded statement end to end, and the fused
+# 10-iteration CG at 43 launches and less simulated time than budget 1.
 cargo run --release --offline -p qdp-conformance --bin conformance -- \
     sweep --cases 200 --ft both --fuse-diff
 cargo test -q --release --offline -p qdp-core --test fusion
@@ -338,46 +359,13 @@ echo "ok: serving front-end ($(serve_val tenants) tenants, $(serve_val stream_tr
 $(serve_val jobs_per_sec) jobs/s, p99 $(serve_val p99_ms) ms; saturation rejected $(serve_val sat_rejected) without deadlock)"
 rm -f "$serve_out" "$serve_trace"
 
-# ---- Bench regression gate against the committed baseline -------------------
-# Re-run the framework suite (short budget — the noisy-row floor absorbs
-# the extra variance) and judge every row of the committed
-# BENCH_framework.json. This stage must run BEFORE the bench stage below,
-# which regenerates the baseline file in place. Then the self-test: a
-# synthetic 20% regression injected into the same fresh numbers must fail
-# the gate, or the gate is vacuous.
-gate_run=$(mktemp)
-QDP_BENCH_WARMUP_MS=30 QDP_BENCH_SAMPLE_MS=150 QDP_BENCH_SAMPLES=8 \
-    cargo run --release --offline -p qdp-bench -- \
-    --compare BENCH_framework.json --save-current "$gate_run"
-if cargo run --release --offline -p qdp-bench -- \
-    --compare BENCH_framework.json --current "$gate_run" --inject 20 >/dev/null; then
-    echo "FAIL: perf gate passed an injected 20% regression" >&2
+# ---- The run left the working tree as it found it ---------------------------
+tree_after=$(git_state)
+if [ "$tree_before" != "$tree_after" ]; then
+    echo "FAIL: ci.sh modified the working tree:" >&2
+    diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
     exit 1
 fi
-rm -f "$gate_run"
-echo "ok: perf-regression gate (clean pass + injected-regression self-test)"
+echo "ok: working tree unchanged by ci.sh"
 
-# ---- Framework bench: optimizer before/after -------------------------------
-# The framework bench records the simulated dslash bandwidth with the
-# optimizer off and on; both rows must land in BENCH_framework.json (the
-# file the perf-trajectory tracking consumes across commits). Cargo runs
-# bench binaries from the package dir, so pin the output to the repo root.
-QDP_BENCH_JSON="$PWD/BENCH_framework.json" \
-    cargo bench --offline -p qdp-bench --bench framework
-test -s BENCH_framework.json
-grep -q '"dslash_sim_bandwidth_gbps_opt_off"' BENCH_framework.json
-grep -q '"dslash_sim_bandwidth_gbps_opt_on"' BENCH_framework.json
-grep -q '"dslash_eval_opt_on_cold"' BENCH_framework.json
-grep -q '"dslash_eval_opt_on_warm"' BENCH_framework.json
-grep -q '"overlap_traj_time_ms_none"' BENCH_framework.json
-grep -q '"overlap_traj_time_ms_stream"' BENCH_framework.json
-grep -q '"cg_10_iterations_fused_vs_unfused"' BENCH_framework.json
-grep -q '"fuse_launches_saved_pct"' BENCH_framework.json
-grep -q '"nrank_eval_time_ms_n4"' BENCH_framework.json
-grep -q '"nrank_eval_time_ms_n256"' BENCH_framework.json
-grep -q '"nrank_scaling_efficiency_gain_pct"' BENCH_framework.json
-grep -q '"serve_jobs_per_sec"' BENCH_framework.json
-grep -q '"serve_p99_latency_ms"' BENCH_framework.json
-echo "ok: framework bench recorded optimizer before/after, cold/warm persist, overlap none-vs-stream, fusion before/after, N-rank strong-scaling + serving rows"
-
-echo "ci.sh: all green (offline build + workspace tests + stream engine + observability smoke + conformance + optimizer + fusion + persist + perf gate + bench)"
+echo "ci.sh: all green (offline build + workspace tests + stream engine + observability smoke + conformance + optimizer + fusion + persist + campaign + serving + clean tree)"

@@ -412,13 +412,17 @@ mod tests {
             let launches = || -> u64 {
                 ctx.profile_report().kernels.iter().map(|k| k.launches).sum()
             };
+            // warm solve: compile every kernel and settle the tuner
+            cg_solve(&m, &LatticeFermion::<f64>::new(&ctx), &b, tol, max_iters).unwrap();
             let l0 = launches();
+            let t0 = ctx.device().now();
             let rep = cg_solve(&m, &x, &b, tol, max_iters).unwrap();
+            let sim = ctx.device().now() - t0;
             let bytes = ctx.cache().with_host(x.id(), |h| h.to_vec());
-            (rep, bytes, launches() - l0)
+            (rep, bytes, launches() - l0, sim)
         };
-        let (rep_fused, x_fused, _) = run(true, 1e-8, 500);
-        let (rep_plain, x_plain, _) = run(false, 1e-8, 500);
+        let (rep_fused, x_fused, _, _) = run(true, 1e-8, 500);
+        let (rep_plain, x_plain, _, _) = run(false, 1e-8, 500);
         assert_eq!(rep_fused.iters, rep_plain.iters);
         assert_eq!(
             rep_fused.rel_resid.to_bits(),
@@ -433,9 +437,19 @@ mod tests {
         // Budget 1 is one launch per recorded statement: 4 set-up assigns +
         // the ‖b‖² and ‖r‖² temporaries, then per iteration 2 applies, the
         // ⟨p,Ap⟩ temporary, x, r, the ‖r‖² temporary and p.
-        let (rep10, _, launches10) = run(false, 1e-30, 10);
+        let (rep10, _, launches10, sim10) = run(false, 1e-30, 10);
         assert_eq!(rep10.iters, 10);
         assert_eq!(launches10, 6 + 10 * 7);
+        // Fused, the same 10 iterations take 3 set-up launches and 4 per
+        // iteration: 43 of budget 1's 76 (43 % fewer), and less simulated
+        // time.
+        let (rep10, _, fused10, fused_sim10) = run(true, 1e-30, 10);
+        assert_eq!(rep10.iters, 10);
+        assert_eq!(fused10, 3 + 10 * 4);
+        assert!(
+            fused_sim10 < sim10,
+            "fused CG ({fused_sim10:e} s) must beat budget 1 ({sim10:e} s) on the simulated clock"
+        );
     }
 
     #[test]

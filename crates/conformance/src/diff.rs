@@ -170,7 +170,6 @@ pub fn opt_diff_case(fx: &Fixture, expr: &Expr, sites: &SiteSel) -> Result<u64, 
                 .map_err(|e| format!("plain target readback: {e}"))?;
             Ok(max_ulp_distance(fx.ft, &a, &b))
         });
-    fx.ctx.set_opt_level(None);
     fx.release(opt_t);
     fx.release(plain_t);
     result

@@ -292,13 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn opt_level_override_still_wins_over_config() {
+    fn opt_level_knob_still_wins_over_config() {
+        let mut cfg = QdpConfig::new();
+        cfg.opt_level = OptLevel::Aggressive;
         let ctx = QdpContext::builder(Geometry::symmetric(2))
-            .opt_level(OptLevel::Aggressive)
+            .config(cfg)
+            .opt_level(OptLevel::None)
             .build();
-        ctx.set_opt_level(Some(OptLevel::None));
         assert_eq!(ctx.opt_level(), OptLevel::None);
-        ctx.set_opt_level(None);
-        assert_eq!(ctx.opt_level(), OptLevel::Aggressive);
     }
 }

@@ -28,7 +28,6 @@ pub struct QdpContext {
     nbr_tables: Mutex<HashMap<(usize, ShiftDir, bool), DevicePtr>>,
     subset_tables: Mutex<HashMap<Subset, (DevicePtr, usize)>>,
     execute_payload: AtomicBool,
-    opt_override: Mutex<Option<OptLevel>>,
     store: Option<Arc<KernelStore>>,
     /// The rank this context is in a multi-rank run (dangling when it is
     /// the whole machine).
@@ -81,7 +80,6 @@ impl QdpContext {
             nbr_tables: Mutex::new(HashMap::new()),
             subset_tables: Mutex::new(HashMap::new()),
             execute_payload: AtomicBool::new(true),
-            opt_override: Mutex::new(None),
             store,
             rank: Mutex::new(Weak::new()),
         })
@@ -193,20 +191,12 @@ impl QdpContext {
     }
 
     /// Optimizer level in effect for expressions evaluated on this context:
-    /// a per-context override if one was set, otherwise the configured
-    /// level (`QDP_OPT` captured at construction via `QdpConfig::from_env`
-    /// on the env-driven paths — the JIT cache keys on the level, never
-    /// serving a kernel compiled under the other setting).
+    /// the configured level (`QDP_OPT` captured at construction via
+    /// `QdpConfig::from_env` on the env-driven paths). One eval can pick
+    /// another with [`crate::EvalParams::opt_level`] — the JIT cache keys on
+    /// the level, never serving a kernel compiled under the other setting.
     pub fn opt_level(&self) -> OptLevel {
-        self.opt_override.lock().unwrap_or(self.config.opt_level)
-    }
-
-    /// Pin (`Some`) or unpin (`None`) the optimizer level for this context,
-    /// overriding the configured level. Used by differential tests that
-    /// evaluate the same expression optimized and unoptimized inside one
-    /// process.
-    pub fn set_opt_level(&self, level: Option<OptLevel>) {
-        *self.opt_override.lock() = level;
+        self.config.opt_level
     }
 
     /// Open a deferred-evaluation scope: assignments and reductions issued

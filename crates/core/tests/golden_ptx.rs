@@ -12,10 +12,9 @@
 //!
 //! then commit the updated `.ptx` files with the change that caused them.
 
-use qdp_core::{codegen_fused_ptx, codegen_ptx, OptLevel, QdpContext};
+use qdp_core::{codegen_fused_ptx, codegen_ptx, OptLevel, QdpConfig, QdpContext};
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
-use qdp_gpu_sim::DeviceConfig;
-use qdp_layout::{Geometry, LayoutKind, Subset};
+use qdp_layout::{Geometry, Subset};
 use qdp_types::{ElemKind, FloatType, Gamma, TypeShape};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -33,14 +32,12 @@ struct Env {
 /// Deterministic registration order — snapshot parameter layout depends
 /// only on this function, not on test execution order.
 fn env(ft: FloatType) -> Env {
-    let ctx = QdpContext::new(
-        DeviceConfig::k20x_ecc_off(),
-        Geometry::new([4, 2, 2, 4]),
-        LayoutKind::SoA,
-    );
     // Snapshots pin the *default-optimized* output; a stray QDP_OPT in the
     // environment must not change what these tests compare against.
-    ctx.set_opt_level(Some(OptLevel::Default));
+    let ctx = QdpContext::builder(Geometry::new([4, 2, 2, 4]))
+        .config(QdpConfig::from_env())
+        .opt_level(OptLevel::Default)
+        .build();
     let vol = ctx.geometry().vol();
     let reg = |kind: ElemKind| {
         let bytes = vol * TypeShape::of(kind).n_reals() * ft.size_bytes();

@@ -348,6 +348,53 @@ fn sixteen_rank_2x2x2x2_matches_single_rank() {
     );
 }
 
+/// Simulated time of one warm all-direction derivative on `rank_dims`
+/// (slowest rank), payload off: only the modelled clock runs.
+fn grid_eval_sim_time(global: [usize; 4], rank_dims: [usize; 4]) -> f64 {
+    let n: usize = rank_dims.iter().product();
+    let results = qdp_comm::run_cluster(
+        n,
+        qdp_comm::LinkModel::infiniband_qdr(),
+        move |handle| {
+            let decomp = Decomposition::new(global, rank_dims);
+            let ctx = QdpContext::new(
+                DeviceConfig::k20m_ecc_on(),
+                decomp.local_geometry(),
+                LayoutKind::SoA,
+            );
+            ctx.set_payload_execution(false);
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, true);
+            let u = LatticeColorMatrix::<f64>::new(&ctx);
+            let psi = LatticeFermion::<f64>::new(&ctx);
+            let out = LatticeFermion::<f64>::new(&ctx);
+            // warm up: compile, pin site lists
+            out.assign(all_dir_expr(&u, &psi)).unwrap();
+            let t0 = ctx.device().now();
+            out.assign(all_dir_expr(&u, &psi)).unwrap();
+            ctx.device().now() - t0
+        },
+    );
+    results.into_iter().fold(0.0f64, f64::max)
+}
+
+#[test]
+fn strong_scaling_16_ranks_beat_4_deterministically() {
+    // 8⁴ over 4 and 16 ranks: local volumes 4·8·8·4 and 4⁴, the same as
+    // 16⁴ over 64 and 256 ranks.
+    let global = [8usize; 4];
+    let t4 = grid_eval_sim_time(global, [2, 1, 1, 2]);
+    let t16 = grid_eval_sim_time(global, [2, 2, 2, 2]);
+    assert!(
+        t16 < t4,
+        "16 ranks ({t16:e} s) must beat 4 ranks ({t4:e} s) on the same global lattice"
+    );
+    assert_eq!(
+        grid_eval_sim_time(global, [2, 2, 2, 2]).to_bits(),
+        t16.to_bits(),
+        "modelled eval time must be deterministic"
+    );
+}
+
 #[test]
 fn non_power_of_two_rank_grid_matches_single_rank() {
     // 3 ranks along y: exercises the binomial allreduce path's siblings —

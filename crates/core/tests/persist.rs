@@ -57,7 +57,7 @@ fn work(ctx: &Arc<QdpContext>) -> Work {
     Work { u, psi, out }
 }
 
-/// The benchmarked Wilson hopping term (same shape as the framework bench).
+/// The full 4-direction Wilson hopping term (same shape as `persist_probe`).
 fn dslash(w: &Work) -> qdp_core::QExpr<qdp_types::Fermion<f64>> {
     let mut acc = None;
     for mu in 0..4 {

@@ -31,7 +31,9 @@ pub mod par;
 pub mod perf;
 pub mod pool;
 pub mod stream;
-pub mod sync;
+/// The workspace's one non-poisoning `Mutex` (it lives in the bottom-most
+/// crate, telemetry, so every layer can use it).
+pub use qdp_telemetry::sync;
 
 pub use config::DeviceConfig;
 pub use device::{Device, DeviceStats, StreamBinding};

@@ -189,9 +189,8 @@ pub(crate) struct KernelProfile {
 }
 
 /// One successful kernel launch with the full hardware-counter model
-/// attached; consumed by [`Telemetry::record_launch_full`]. The legacy
-/// [`Telemetry::record_launch`] wraps this with the counters zeroed.
-#[derive(Debug, Clone)]
+/// attached; consumed by [`Telemetry::record_launch_full`].
+#[derive(Debug, Clone, Default)]
 pub struct LaunchRecord<'a> {
     /// Kernel name.
     pub kernel: &'a str,
@@ -663,46 +662,6 @@ impl Telemetry {
         self.count("jit.compile_errors", 1);
     }
 
-    /// Record one successful kernel launch. `trial` marks launches made
-    /// while the auto-tuner was still probing; `settled` is the tuner state
-    /// after this launch; `sim_t0`/`sim_dur` are simulated-clock seconds;
-    /// `stream` is the device stream the launch was ordered on (trace
-    /// thread id on the device timeline — 0 for the default stream).
-    /// Thin wrapper over [`Telemetry::record_launch_full`] with the
-    /// hardware-counter model zeroed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_launch(
-        &self,
-        kernel: &str,
-        block: u32,
-        trial: bool,
-        settled: bool,
-        sim_t0: f64,
-        sim_dur: f64,
-        bytes: u64,
-        flops: u64,
-        stream: u32,
-    ) {
-        self.record_launch_full(&LaunchRecord {
-            kernel,
-            block,
-            trial,
-            settled,
-            sim_t0,
-            sim_dur,
-            read_bytes: bytes,
-            write_bytes: 0,
-            flops,
-            stream,
-            ld_transactions: 0,
-            st_transactions: 0,
-            occupancy: 0.0,
-            waves: 0,
-            overhead: 0.0,
-            double_precision: false,
-        });
-    }
-
     /// Record one successful kernel launch with the full hardware-counter
     /// model (load/store transactions, occupancy, waves, launch-overhead
     /// share). Also appends a `launch` flight event.
@@ -1068,7 +1027,15 @@ mod tests {
         assert!(!t.enabled());
         t.count("x", 5);
         t.observe("h", 1.0);
-        t.record_launch("k", 128, false, true, 0.0, 1e-3, 100, 10, 0);
+        t.record_launch_full(&LaunchRecord {
+            kernel: "k",
+            block: 128,
+            settled: true,
+            sim_dur: 1e-3,
+            read_bytes: 100,
+            flops: 10,
+            ..Default::default()
+        });
         {
             let _s = t.span("cat", "name");
         }
@@ -1106,9 +1073,36 @@ mod tests {
         t.record_compile("k1", false, 1e-4, 0.05);
         t.record_compile("k1", true, 0.0, 0.0);
         t.record_compile("k1", true, 0.0, 0.0);
-        t.record_launch("k1", 1024, true, false, 0.0, 1e-3, 1000, 500, 0);
-        t.record_launch("k1", 512, true, true, 1e-3, 0.5e-3, 1000, 500, 0);
-        t.record_launch("k1", 512, false, true, 1.5e-3, 0.5e-3, 1000, 500, 0);
+        t.record_launch_full(&LaunchRecord {
+            kernel: "k1",
+            block: 1024,
+            trial: true,
+            sim_dur: 1e-3,
+            read_bytes: 1000,
+            flops: 500,
+            ..Default::default()
+        });
+        t.record_launch_full(&LaunchRecord {
+            kernel: "k1",
+            block: 512,
+            trial: true,
+            settled: true,
+            sim_t0: 1e-3,
+            sim_dur: 0.5e-3,
+            read_bytes: 1000,
+            flops: 500,
+            ..Default::default()
+        });
+        t.record_launch_full(&LaunchRecord {
+            kernel: "k1",
+            block: 512,
+            settled: true,
+            sim_t0: 1.5e-3,
+            sim_dur: 0.5e-3,
+            read_bytes: 1000,
+            flops: 500,
+            ..Default::default()
+        });
         t.record_launch_failure("k1", 1024);
         let r = t.profile_report();
         let k = r.kernel("k1").expect("kernel row");
@@ -1259,7 +1253,16 @@ mod tests {
         ));
         t.enable_trace(&path);
         assert!(t.is_tracing());
-        t.record_launch("k", 128, false, true, 0.0, 1e-3, 4096, 128, 1);
+        t.record_launch_full(&LaunchRecord {
+            kernel: "k",
+            block: 128,
+            settled: true,
+            sim_dur: 1e-3,
+            read_bytes: 4096,
+            flops: 128,
+            stream: 1,
+            ..Default::default()
+        });
         t.record_sim_event(Track::Comm, "comm", "send", 0.0, 1e-6, &[("bytes", 9.0)]);
         {
             let _s = t.span("eval", "eval");

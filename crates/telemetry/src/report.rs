@@ -412,14 +412,22 @@ pub(crate) fn build(inner: &crate::Inner) -> ProfileReport {
 
 #[cfg(test)]
 mod tests {
-    use crate::Telemetry;
+    use crate::{LaunchRecord, Telemetry};
 
     #[test]
     fn display_renders_all_sections() {
         let t = Telemetry::new();
         t.enable();
         t.record_compile("qdp_abc", false, 1e-3, 0.2);
-        t.record_launch("qdp_abc", 256, false, true, 0.0, 2e-3, 1_000_000, 10, 0);
+        t.record_launch_full(&LaunchRecord {
+            kernel: "qdp_abc",
+            block: 256,
+            settled: true,
+            sim_dur: 2e-3,
+            read_bytes: 1_000_000,
+            flops: 10,
+            ..Default::default()
+        });
         t.count("cache.spill_bytes", 4096);
         t.gauge("device.mem_used", 1e6);
         t.observe("comm.send_s", 2e-6);

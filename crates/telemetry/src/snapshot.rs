@@ -181,7 +181,7 @@ impl MetricsSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::{json, Telemetry};
+    use crate::{json, LaunchRecord, Telemetry};
 
     #[test]
     fn snapshot_round_trips_through_in_tree_json() {
@@ -191,7 +191,15 @@ mod tests {
         t.gauge("device.mem_used", 1.5e9);
         t.observe("comm.recv_wait_s", 2e-6);
         t.record_compile("qdp_k", false, 1e-3, 0.05);
-        t.record_launch("qdp_k", 128, false, true, 0.0, 1e-3, 1024, 512, 0);
+        t.record_launch_full(&LaunchRecord {
+            kernel: "qdp_k",
+            block: 128,
+            settled: true,
+            sim_dur: 1e-3,
+            read_bytes: 1024,
+            flops: 512,
+            ..Default::default()
+        });
         t.record_persist_hit("qdp_k");
         t.record_tuner_seeded("qdp_k");
         let snap = t.snapshot();
@@ -224,7 +232,16 @@ mod tests {
         let t = Telemetry::new();
         t.enable();
         t.count("x", 7);
-        t.record_launch("k", 64, true, false, 0.0, 5e-4, 256, 128, 1);
+        t.record_launch_full(&LaunchRecord {
+            kernel: "k",
+            block: 64,
+            trial: true,
+            sim_dur: 5e-4,
+            read_bytes: 256,
+            flops: 128,
+            stream: 1,
+            ..Default::default()
+        });
         let mut a = t.snapshot();
         let mut b = t.snapshot();
         // wall_us is the only clock-dependent field

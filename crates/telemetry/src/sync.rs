@@ -1,8 +1,8 @@
-//! Non-poisoning mutex, same contract as `qdp_gpu_sim::sync::Mutex`.
-//!
-//! Duplicated here (rather than imported) because `qdp-gpu-sim` depends on
-//! this crate: telemetry sits at the very bottom of the workspace graph so
-//! every layer can record into it.
+//! The workspace's one non-poisoning mutex (re-exported as
+//! `qdp_gpu_sim::sync`): `lock()` returns the guard directly, and a
+//! panicked holder does not poison the lock for other host threads. It
+//! lives here because telemetry sits at the very bottom of the workspace
+//! graph, so every layer can use it.
 
 use std::sync::PoisonError;
 
@@ -29,5 +29,25 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, ignoring poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn poisoned_lock_still_usable() {
+        let m = Arc::new(Mutex::new(0u32));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison the std mutex underneath");
+        })
+        .join();
+        // parking_lot semantics: the lock is still usable after a panic
+        *m.lock() = 7;
+        assert_eq!(*m.lock(), 7);
     }
 }

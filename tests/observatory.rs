@@ -92,11 +92,11 @@ fn sp_wilson_dslash_rides_the_memory_bound_plateau() {
 
 #[test]
 fn compute_heavy_dag_classifies_compute_bound() {
+    // The builder's default optimizer level has CSE on, so the
+    // repeated-squaring DAG is computed, not re-loaded: one field read, 14
+    // chained matrix products.
     let (ctx, _tel) = roofline_ctx(4);
     ctx.set_payload_execution(false);
-    // CSE must be on so the repeated-squaring DAG is computed, not
-    // re-loaded: one field read, 14 chained matrix products.
-    ctx.set_opt_level(Some(OptLevel::Default));
     let mut rng = StdRng::seed_from_u64(6);
     let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |_| PScalar(random_su3::<f64>(&mut rng)));
     let out = LatticeColorMatrix::<f64>::new(&ctx);
