@@ -168,6 +168,23 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one executor (no thread-at-a-time interpreter, no step limit)"
 
+# ---- Guard: one execution pool ----------------------------------------------
+# A launch's lane tiles run on one persistent pool: no region spawns scoped
+# threads, the unused parallel map stays deleted, and the host's CPU count
+# is queried in one place (once per thread), never per launch. (Spelled in
+# pieces, as above.)
+spawned=$(grep -rnE "thread::""scope|parallel_""map" crates/gpu-sim/src crates/jit/src || true)
+query="available_""parallelism("
+sim_queries=$({ grep -rnF "$query" crates/gpu-sim/src || true; } | wc -l)
+jit_queries=$({ grep -rnF "$query" crates/jit/src || true; } | wc -l)
+if [ -n "$spawned" ] || [ "$sim_queries" -ne 1 ] || [ "$jit_queries" -ne 0 ]; then
+    echo "FAIL: a second execution path or a per-launch parallelism query is back:" >&2
+    [ -z "$spawned" ] || echo "$spawned" >&2
+    echo "parallelism queries: gpu-sim $sim_queries (want 1), jit $jit_queries (want 0)" >&2
+    exit 1
+fi
+echo "ok: one execution pool (no scoped spawning, no parallel map, one parallelism query)"
+
 # ---- Guard: one benchmark referee ----------------------------------------------
 # `qdp-benchmark compare` (parent vs change, alternating on one host) is the
 # only performance referee: the stored-baseline perf gate, its timing

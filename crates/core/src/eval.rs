@@ -23,7 +23,6 @@ use qdp_ptx::emit::emit_module;
 use qdp_ptx::module::Module;
 use qdp_ptx::opt::OptLevel;
 use qdp_types::{ElemKind, FloatType, Real, TypeShape};
-use qdp_gpu_sim::par::parallel_map;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write;
 use std::hash::{Hash, Hasher};
@@ -770,22 +769,20 @@ fn eval_reference_typed<R: Real>(
     // generated kernel. Merged subexpressions are identical deterministic
     // FP ops, so this is value-preserving in every rounding mode — results
     // stay bit-identical whether either side has CSE on or off.
-    let results: Vec<Result<(u32, Vec<(usize, R)>), String>> = parallel_map(sites.len(), |i| {
-        let s = sites[i];
-        let cpu = CpuGen::<R>::new(&data, &scalars, &geom, s as usize);
-        let mut b = CseBackend::new(cpu);
-        let mut cx = GenCtx::new(&leaves);
-        let v = gen_expr(expr, &mut b, &mut cx);
-        store_val(&mut b, &v);
-        if let Some(f) = b.fault() {
-            return Err(f.to_string());
-        }
-        Ok((s, b.into_inner().out))
-    });
-    let results: Vec<(u32, Vec<(usize, R)>)> = results
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .map_err(CoreError::Codegen)?;
+    let results: Vec<(u32, Vec<(usize, R)>)> = sites
+        .iter()
+        .map(|&s| {
+            let cpu = CpuGen::<R>::new(&data, &scalars, &geom, s as usize);
+            let mut b = CseBackend::new(cpu);
+            let mut cx = GenCtx::new(&leaves);
+            let v = gen_expr(expr, &mut b, &mut cx);
+            store_val(&mut b, &v);
+            if let Some(f) = b.fault() {
+                return Err(CoreError::Codegen(f.to_string()));
+            }
+            Ok((s, b.into_inner().out))
+        })
+        .collect::<Result<_, _>>()?;
 
     let shape = TypeShape::of(target.kind);
     let layout = FieldLayout::new(ctx.layout(), vol, shape.n_reals());

@@ -463,7 +463,7 @@ mod tests {
 
     #[test]
     fn binding_is_per_device_and_per_thread() {
-        let d1 = Device::new(DeviceConfig::tiny(1 << 20));
+        let d1 = Arc::new(Device::new(DeviceConfig::tiny(1 << 20)));
         let d2 = Device::new(DeviceConfig::tiny(1 << 20));
         let s1 = d1.create_stream("s");
         let s2 = d2.create_stream("s");
@@ -473,12 +473,10 @@ mod tests {
         );
         let _b = d1.bind_stream(s1);
         assert_eq!(d2.current_stream(), StreamId::DEFAULT);
-        std::thread::scope(|scope| {
-            scope
-                .spawn(|| assert_eq!(d1.current_stream(), StreamId::DEFAULT))
-                .join()
-                .unwrap();
-        });
+        let other = Arc::clone(&d1);
+        std::thread::spawn(move || assert_eq!(other.current_stream(), StreamId::DEFAULT))
+            .join()
+            .unwrap();
         assert_eq!(d1.current_stream(), s1);
     }
 

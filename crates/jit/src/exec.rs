@@ -1,16 +1,18 @@
 //! Functional execution of compiled kernels over a thread grid.
 //!
-//! Thread blocks run in parallel on the host thread pool (blocks map to SMs
-//! on real hardware). Within a block, threads run in tiles of [`TILE`]
-//! lanes — SIMT over sites executed as SIMD over lanes: each lowered op
-//! runs across the tile's active lanes in one loop, with op and type
-//! dispatch outside that loop, over a register file of one `TILE`-lane
-//! column per live-range-allocated register ([`crate::lower`]). Exits
-//! shrink a prefix of active lanes; a tile whose exits leave any other
-//! lane set re-runs one lane at a time.
+//! A block's threads run in tiles of [`TILE`] lanes, and a launch's tiles
+//! run in parallel on the host's persistent execution pool
+//! (`qdp_gpu_sim::par`) the way blocks run across SMs on real hardware.
+//! Within a tile — SIMT over sites executed as SIMD over lanes — each
+//! lowered op runs across the tile's active lanes in one loop, with op and
+//! type dispatch outside that loop, over a register file of one
+//! `TILE`-lane column per live-range-allocated register
+//! ([`crate::lower`]). Exits shrink a prefix of active lanes; a tile whose
+//! exits leave any other lane set re-runs one lane at a time.
 //!
 //! Each lane runs the same scalar operations in the same order as a thread
-//! run alone; only the interleaving between lanes changes. That is
+//! run alone; only the interleaving between lanes (and between tiles,
+//! which may run on different host threads) changes. That is
 //! unobservable as long as **no lane reads a site that another lane of the
 //! same launch writes** — the one invariant this executor relies on, and
 //! the generated streaming kernels keep it ("no thread block
@@ -621,9 +623,12 @@ fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize)
     true
 }
 
-/// Execute a full grid. Blocks run in parallel, each block's threads in
-/// tiles of [`TILE`] lanes over one register file per worker. The argument
-/// count is checked against the kernel signature.
+/// Execute a full grid. Each block's threads run in tiles of [`TILE`]
+/// lanes, and the launch's `n_blocks × ⌈block_size / TILE⌉` tiles run on
+/// the persistent execution pool (`qdp_gpu_sim::par`): the calling thread
+/// takes part, a busy pool runs them inline, and each participating thread
+/// keeps one register file. The argument count is checked against the
+/// kernel signature.
 pub fn run_grid(
     k: &CompiledKernel,
     args: &[LaunchArg],
@@ -647,18 +652,18 @@ pub fn run_grid(
         n_blocks,
         block_size,
     };
+    let tiles = (block_size as usize).div_ceil(TILE);
     parallel_for(
-        n_blocks as usize,
+        n_blocks as usize * tiles,
         || vec![0u64; k.n_cols as usize * TILE],
-        |regs, block| {
+        |regs, i| {
             let regs = Cell::from_mut(regs.as_mut_slice()).as_slice_of_cells();
-            let block = block as u32;
-            for t0 in (0..block_size).step_by(TILE) {
-                let lanes = (block_size - t0).min(TILE as u32) as usize;
-                if !run_tile(&g, regs, block, t0, lanes) {
-                    for t in t0..t0 + lanes as u32 {
-                        run_tile(&g, regs, block, t, 1);
-                    }
+            let block = (i / tiles) as u32;
+            let t0 = ((i % tiles) * TILE) as u32;
+            let lanes = (block_size - t0).min(TILE as u32) as usize;
+            if !run_tile(&g, regs, block, t0, lanes) {
+                for t in t0..t0 + lanes as u32 {
+                    run_tile(&g, regs, block, t, 1);
                 }
             }
         },
@@ -798,42 +803,65 @@ mod tests {
         }
     }
 
-    /// The golden kernels' lattice is 4·2·2·4; every field they touch fits
-    /// in 32 reals per site.
-    const VOL: usize = 64;
-    const BUF: usize = VOL * 32 * 8;
+    /// Bytes of a golden-kernel buffer over `vol` sites: every field the
+    /// golden kernels touch fits in 32 reals per site.
+    fn buf_bytes(vol: usize) -> usize {
+        vol * 32 * 8
+    }
 
-    /// Device memory holding seeded inputs for `kernel` over `n` threads —
-    /// a buffer per pointer parameter — and the launch arguments.
+    /// The golden kernels were generated on a 4·2·2·4 lattice and address
+    /// real `c` of site `s` at `c·64 + s` — the only place the volume
+    /// appears in them. Rescaling those offsets gives the same kernel over
+    /// `vol` sites.
+    fn on_lattice(mut kernel: qdp_ptx::module::Kernel, vol: usize) -> qdp_ptx::module::Kernel {
+        for inst in &mut kernel.body {
+            if let Inst::Binary {
+                op: BinOp::Add,
+                ty: PtxType::U32,
+                b: Operand::ImmI(k),
+                ..
+            } = inst
+            {
+                assert_eq!(*k % 64, 0, "{}: offset {k} is not a multiple of 64", kernel.name);
+                *k = *k / 64 * vol as i64;
+            }
+        }
+        kernel
+    }
+
+    /// Device memory holding seeded inputs for `kernel` over `n` threads on
+    /// `vol` sites — a buffer per pointer parameter — and the launch
+    /// arguments.
     fn golden_inputs(
         kernel: &qdp_ptx::module::Kernel,
         n: u32,
+        vol: usize,
     ) -> (DeviceMemory, Vec<u64>, Vec<LaunchArg>) {
         let mut rng = StdRng::seed_from_u64(u64::from(n));
         let unit = |rng: &mut StdRng| rng.random::<f32>() * 2.0 - 1.0;
-        let mem = DeviceMemory::new(1 << 20);
+        let mem = DeviceMemory::new(1 << 21);
         let mut bufs = Vec::new();
         let mut args = Vec::new();
         for p in &kernel.params {
             let arg = match p.ty {
                 PtxType::U64 => {
-                    let ptr = mem.alloc(BUF).unwrap();
+                    let ptr = mem.alloc(buf_bytes(vol)).unwrap();
                     bufs.push(ptr);
                     if p.name == "sites" {
                         // a permutation: no two lanes store to one site
-                        let mut perm: Vec<u32> = (0..VOL as u32).collect();
-                        for i in (1..VOL).rev() {
+                        let mut perm: Vec<u32> = (0..vol as u32).collect();
+                        for i in (1..vol).rev() {
                             perm.swap(i, rng.random_range(0..i as u64 + 1) as usize);
                         }
                         for (i, s) in perm.into_iter().enumerate() {
                             mem.write_u32(ptr + 4 * i as u64, s);
                         }
                     } else if p.name.starts_with("tbl_") {
-                        for i in 0..VOL as u64 {
-                            mem.write_u32(ptr + 4 * i, rng.random_range(0..VOL as u64) as u32);
+                        for i in 0..vol as u64 {
+                            mem.write_u32(ptr + 4 * i, rng.random_range(0..vol as u64) as u32);
                         }
                     } else {
-                        for i in 0..(BUF / 4) as u64 {
+                        for i in 0..(buf_bytes(vol) / 4) as u64 {
                             mem.write_f32(ptr + 4 * i, unit(&mut rng));
                         }
                     }
@@ -851,29 +879,32 @@ mod tests {
 
     /// Every golden kernel leaves byte-identical device memory at every
     /// block size, from the same seeded inputs: block 1 runs one-lane tiles
-    /// (a thread at a time); the others cover partial tiles, tile edges and
-    /// the guard falling mid-tile.
+    /// (a thread at a time); the others cover partial tiles, tile edges,
+    /// the guard falling mid-tile and (n = 300) blocks of several tiles,
+    /// whose tiles may run on different pool threads.
     #[test]
     fn golden_kernels_leave_the_same_bytes_at_every_block_size() {
         for (name, text) in crate::lower::GOLDEN_PTX {
-            let kernel = qdp_ptx::parse::parse_module(text).unwrap().kernels.remove(0);
-            let k = lower_kernel(&kernel).unwrap();
-            for n in [61u32, 64] {
+            let golden = qdp_ptx::parse::parse_module(text).unwrap().kernels.remove(0);
+            for (n, vol) in [(61u32, 64), (64, 64), (300, 320)] {
+                let kernel = on_lattice(golden.clone(), vol);
+                let k = lower_kernel(&kernel).unwrap();
+                let buf = buf_bytes(vol);
                 // Device memory after a launch at `block` (or none).
                 let run = |block: Option<u32>| {
-                    let (mem, bufs, args) = golden_inputs(&kernel, n);
+                    let (mem, bufs, args) = golden_inputs(&kernel, n, vol);
                     if let Some(block) = block {
                         run_grid(&k, &args, &mem, n.div_ceil(block), block);
                     }
-                    let mut out = vec![0u8; BUF * bufs.len()];
-                    for (chunk, &p) in out.chunks_mut(BUF).zip(&bufs) {
+                    let mut out = vec![0u8; buf * bufs.len()];
+                    for (chunk, &p) in out.chunks_mut(buf).zip(&bufs) {
                         mem.copy_to_host(p, chunk);
                     }
                     out
                 };
                 let one_lane = run(Some(1));
                 assert!(one_lane != run(None), "{name}: the kernel stored nothing");
-                for block in [7, 63, 64, 65, 128, 1000] {
+                for block in [7, 63, 64, 65, 128, 256, 1000, 1024] {
                     assert!(
                         run(Some(block)) == one_lane,
                         "{name}, n = {n}: block {block} differs from one-lane tiles"
@@ -883,8 +914,10 @@ mod tests {
         }
     }
 
-    /// Lanes that exit on odd `tid` leave a non-prefix active set: the tile
-    /// re-runs lane by lane, and exactly the even threads store.
+    /// Lanes that exit on odd `tid` leave a non-prefix active set: each
+    /// tile re-runs lane by lane, and exactly the even threads store — in
+    /// blocks of one full and one partial tile, and in blocks of several
+    /// tiles.
     #[test]
     fn ragged_exit_stores_exactly_the_staying_lanes() {
         let mut b = KernelBuilder::new("odd_exit");
@@ -922,13 +955,19 @@ mod tests {
         b.bind_label(&exit);
         let k = lower_kernel(&b.finish()).unwrap();
 
-        let mem = DeviceMemory::new(1 << 16);
-        let po = mem.alloc(300 * 4).unwrap();
-        // blocks of 100: a full tile and a partial one each
-        run_grid(&k, &[LaunchArg::Ptr(po)], &mem, 3, 100);
-        for i in 0..300u32 {
-            let want = if i % 2 == 0 { i } else { 0 };
-            assert_eq!(mem.read_u32(po + 4 * u64::from(i)), want, "thread {i}");
+        for (n_blocks, block) in [(3, 100), (2, 256), (1, 1000)] {
+            let n = n_blocks * block;
+            let mem = DeviceMemory::new(1 << 16);
+            let po = mem.alloc(n as usize * 4).unwrap();
+            run_grid(&k, &[LaunchArg::Ptr(po)], &mem, n_blocks, block);
+            for i in 0..n {
+                let want = if i % 2 == 0 { i } else { 0 };
+                assert_eq!(
+                    mem.read_u32(po + 4 * u64::from(i)),
+                    want,
+                    "block {block}, thread {i}"
+                );
+            }
         }
     }
 

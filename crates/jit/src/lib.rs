@@ -8,11 +8,13 @@
 //!   a compact register-machine program ([`CompiledKernel`]) with registers
 //!   allocated by live range onto columns, resolved exit branches and
 //!   parameter indices — the "GPU code" stage;
-//! * [`exec`] executes a compiled kernel over a grid of thread blocks
-//!   (parallel across blocks via `qdp_gpu_sim::par`, like blocks across
-//!   SMs; within a block, each op runs across a tile of [`exec::TILE`]
-//!   lanes in one loop), reading and writing simulated device memory
-//!   bit-exactly;
+//! * [`exec`] executes a compiled kernel over a grid of thread blocks,
+//!   reading and writing simulated device memory bit-exactly: a block's
+//!   threads run in tiles of [`exec::TILE`] lanes (each op across a tile's
+//!   lanes in one loop), and a launch's tiles run on `qdp_gpu_sim::par`'s
+//!   persistent pool like blocks across SMs — the calling thread takes
+//!   part, a busy pool runs them inline, and a thread's CPU set is read at
+//!   its first region;
 //! * [`cache`] is the compiled-kernel cache: each distinct PTX program is
 //!   translated once (the paper measures 0.05–0.22 s per kernel, §III-D,
 //!   and ~200 kernels ≈ 10–30 s per HMC trajectory, §VIII-D);
