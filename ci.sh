@@ -202,6 +202,23 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one benchmark referee (no stored-baseline gate, no timing harness, no opt-level override)"
 
+# ---- Guard: linear compile path ----------------------------------------------
+# The JIT miss path stays linear in the kernel: the optimizer's register
+# tables are flat vectors indexed by class offset + id (no hash map keyed on
+# a register or a register id — dead-code elimination is one worklist pass,
+# not a rebuilt map per round), and the parser borrows its lines and
+# operands instead of copying each into a String. (Spelled in pieces, as
+# above.)
+stale=$(grep -nE "HashMap<""Reg|HashMap<u32, ""u32>" crates/ptx/src/opt.rs || true)
+copied=$(grep -nF "Vec<""String>" crates/ptx/src/parse.rs || true)
+if [ -n "$stale$copied" ]; then
+    echo "FAIL: a hash-keyed register table or a per-line String copy is back in the compile path:" >&2
+    [ -z "$stale" ] || echo "$stale" >&2
+    [ -z "$copied" ] || echo "$copied" >&2
+    exit 1
+fi
+echo "ok: linear compile path (dense register tables in opt.rs, borrowed lines and operands in parse.rs)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

@@ -33,7 +33,9 @@ pub struct KernelCacheStats {
     /// Number of failed translations (bad PTX, lowering error). Failures
     /// are never cached, so each failing text counts on every attempt.
     pub compile_errors: u64,
-    /// Wall-clock seconds spent in translation (parse + lower).
+    /// Wall-clock seconds spent in fresh translations: parse, validate,
+    /// optimize, emit of the optimized text (only with a persistent store)
+    /// and lower.
     pub wall_compile_time: f64,
     /// *Modelled* translation seconds — the paper's 0.05–0.22 s per kernel
     /// figure, scaled by program size. Benchmark harnesses report this.

@@ -894,6 +894,35 @@ mod tests {
         }
     }
 
+    /// Printing inverts parsing on the golden kernels, and the optimizer's
+    /// output at both levels is pinned byte for byte by the FNV digest of
+    /// its emitted text — any change to what the PTX passes produce fails
+    /// here, not only in a conformance sweep.
+    #[test]
+    fn golden_kernels_reprint_and_optimize_to_pinned_bytes() {
+        let pinned = [
+            ("30080e8062858004", "f61af9e4fd2cc812"),
+            ("14d968c4be81b2a0", "8aafa5d9be484a82"),
+            ("86fbc370a06edb51", "2c8d366f69f4d6dc"),
+            ("71f596d956c9e4b3", "71f596d956c9e4b3"),
+            ("f74ca32216821b98", "24f753bc447ea83d"),
+            ("51b6ed6655b0b563", "18c6d21f976ce449"),
+            ("fb422f28abc4d42f", "f562329c0690435b"),
+        ];
+        for ((name, text), (o1, o2)) in GOLDEN_PTX.iter().zip(pinned) {
+            let module = qdp_ptx::parse::parse_module(text).unwrap();
+            assert!(
+                emit_module(&module) == *text,
+                "{name}: reprinted text differs"
+            );
+            for (level, want) in [(OptLevel::Default, o1), (OptLevel::Aggressive, o2)] {
+                let (_, _, optimized) = compile_ptx_opt_emit(text, level).unwrap();
+                let got = qdp_ptx::hash::stable_text_digest(&optimized);
+                assert_eq!(got, want, "{name} at {}", level.tag());
+            }
+        }
+    }
+
     /// The occupancy input (and so the simulated clock) is what it was
     /// when every declared register had its own slot.
     #[test]

@@ -1,26 +1,35 @@
 //! Textual PTX emission (paper Fig. 2: the generator's output is a PTX
 //! program handed to the driver JIT as text).
+//!
+//! Every piece is formatted straight into the one output `String`:
+//! operands through the `Opnd` display adaptor, kernels through
+//! `write_kernel`, with no intermediate string per operand, argument list
+//! or kernel.
 
 use crate::inst::{BinOp, Inst, Operand, UnOp};
 use crate::module::{Kernel, Module};
 use crate::types::{PtxType, RegClass};
 use std::collections::BTreeSet;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Render a float immediate in PTX bit notation (`0f` / `0d` + hex bits).
 pub fn float_imm(ty: PtxType, v: f64) -> String {
-    match ty {
-        PtxType::F32 => format!("0f{:08X}", (v as f32).to_bits()),
-        PtxType::F64 => format!("0d{:016X}", v.to_bits()),
-        _ => panic!("float immediate with non-float type"),
-    }
+    Opnd(ty, &Operand::ImmF(v)).to_string()
 }
 
-fn operand(ty: PtxType, op: &Operand) -> String {
-    match op {
-        Operand::Reg(r) => r.to_string(),
-        Operand::ImmF(v) => float_imm(ty, *v),
-        Operand::ImmI(v) => v.to_string(),
+/// An operand as it prints in an instruction of type `.0`: registers by
+/// name, float immediates in `0f`/`0d` bit notation, integers in decimal.
+struct Opnd<'a>(PtxType, &'a Operand);
+
+impl fmt::Display for Opnd<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (self.0, self.1) {
+            (_, Operand::Reg(r)) => r.fmt(f),
+            (PtxType::F32, Operand::ImmF(v)) => write!(f, "0f{:08X}", (*v as f32).to_bits()),
+            (PtxType::F64, Operand::ImmF(v)) => write!(f, "0d{:016X}", v.to_bits()),
+            (_, Operand::ImmF(_)) => panic!("float immediate with non-float type"),
+            (_, Operand::ImmI(v)) => v.fmt(f),
+        }
     }
 }
 
@@ -81,7 +90,7 @@ fn emit_inst(out: &mut String, inst: &Inst) {
             offset,
             src,
         } => {
-            let s = operand(*ty, src);
+            let s = Opnd(*ty, src);
             if *offset == 0 {
                 let _ = writeln!(out, "\tst.global.{} [{}], {};", ty.suffix(), addr, s);
             } else {
@@ -101,7 +110,7 @@ fn emit_inst(out: &mut String, inst: &Inst) {
                 "\tmov.{} {}, {};",
                 ty.suffix(),
                 dst,
-                operand(*ty, src)
+                Opnd(*ty, src)
             );
         }
         Inst::MovSpecial { dst, sreg } => {
@@ -135,7 +144,7 @@ fn emit_inst(out: &mut String, inst: &Inst) {
                 op.mnemonic(),
                 suffix,
                 dst,
-                operand(*ty, src)
+                Opnd(*ty, src)
             );
         }
         Inst::Binary { op, ty, dst, a, b } => {
@@ -155,8 +164,8 @@ fn emit_inst(out: &mut String, inst: &Inst) {
                 mnemonic,
                 suffix,
                 dst,
-                operand(*ty, a),
-                operand(*ty, b)
+                Opnd(*ty, a),
+                Opnd(*ty, b)
             );
         }
         Inst::MulWide { src_ty, dst, a, b } => {
@@ -166,7 +175,7 @@ fn emit_inst(out: &mut String, inst: &Inst) {
                 src_ty.suffix(),
                 dst,
                 a,
-                operand(*src_ty, b)
+                Opnd(*src_ty, b)
             );
         }
         Inst::MadLo { ty, dst, a, b, c } => {
@@ -175,9 +184,9 @@ fn emit_inst(out: &mut String, inst: &Inst) {
                 "\tmad.lo.{} {}, {}, {}, {};",
                 ty.suffix(),
                 dst,
-                operand(*ty, a),
-                operand(*ty, b),
-                operand(*ty, c)
+                Opnd(*ty, a),
+                Opnd(*ty, b),
+                Opnd(*ty, c)
             );
         }
         Inst::Fma { ty, dst, a, b, c } => {
@@ -186,9 +195,9 @@ fn emit_inst(out: &mut String, inst: &Inst) {
                 "\tfma.rn.{} {}, {}, {}, {};",
                 ty.suffix(),
                 dst,
-                operand(*ty, a),
-                operand(*ty, b),
-                operand(*ty, c)
+                Opnd(*ty, a),
+                Opnd(*ty, b),
+                Opnd(*ty, c)
             );
         }
         Inst::Setp { cmp, ty, dst, a, b } => {
@@ -198,8 +207,8 @@ fn emit_inst(out: &mut String, inst: &Inst) {
                 cmp.name(),
                 ty.suffix(),
                 dst,
-                operand(*ty, a),
-                operand(*ty, b)
+                Opnd(*ty, a),
+                Opnd(*ty, b)
             );
         }
         Inst::Selp {
@@ -214,8 +223,8 @@ fn emit_inst(out: &mut String, inst: &Inst) {
                 "\tselp.{} {}, {}, {}, {};",
                 ty.suffix(),
                 dst,
-                operand(*ty, a),
-                operand(*ty, b),
+                Opnd(*ty, a),
+                Opnd(*ty, b),
                 pred
             );
         }
@@ -233,14 +242,24 @@ fn emit_inst(out: &mut String, inst: &Inst) {
         Inst::Label { name } => {
             let _ = writeln!(out, "{}:", name);
         }
-        Inst::Call { func, ty, dst, args } => {
-            let sym = format!("{}_{}", func.symbol(), ty.suffix());
-            let arglist = args
-                .iter()
-                .map(|r| r.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = writeln!(out, "\tcall.uni ({}), {}, ({});", dst, sym, arglist);
+        Inst::Call {
+            func,
+            ty,
+            dst,
+            args,
+        } => {
+            let _ = write!(
+                out,
+                "\tcall.uni ({}), {}_{}, (",
+                dst,
+                func.symbol(),
+                ty.suffix()
+            );
+            for (i, a) in args.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ", " };
+                let _ = write!(out, "{sep}{a}");
+            }
+            out.push_str(");\n");
         }
         Inst::Ret => {
             let _ = writeln!(out, "\tret;");
@@ -266,6 +285,11 @@ fn math_calls(kernel: &Kernel) -> BTreeSet<(String, usize, PtxType)> {
 /// Emit one kernel body (without module directives).
 pub fn emit_kernel(kernel: &Kernel) -> String {
     let mut out = String::new();
+    write_kernel(&mut out, kernel);
+    out
+}
+
+fn write_kernel(out: &mut String, kernel: &Kernel) {
     let _ = write!(out, ".visible .entry {}(", kernel.name);
     for (i, p) in kernel.params.iter().enumerate() {
         let sep = if i == 0 { "\n" } else { ",\n" };
@@ -286,10 +310,9 @@ pub fn emit_kernel(kernel: &Kernel) -> String {
     }
     out.push('\n');
     for inst in &kernel.body {
-        emit_inst(&mut out, inst);
+        emit_inst(out, inst);
     }
     out.push_str("}\n");
-    out
 }
 
 /// Emit a full module as PTX text.
@@ -306,24 +329,19 @@ pub fn emit_module(module: &Module) -> String {
         decls.extend(math_calls(k));
     }
     for (sym, arity, ty) in &decls {
-        let params = (0..*arity)
-            .map(|i| format!(".param .{} x{}", ty.suffix(), i))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(
-            out,
-            ".extern .func (.param .{} ret) {} ({});",
-            ty.suffix(),
-            sym,
-            params
-        );
+        let _ = write!(out, ".extern .func (.param .{} ret) {} (", ty.suffix(), sym);
+        for i in 0..*arity {
+            let sep = if i == 0 { "" } else { ", " };
+            let _ = write!(out, "{sep}.param .{} x{i}", ty.suffix());
+        }
+        out.push_str(");\n");
     }
     if !decls.is_empty() {
         out.push('\n');
     }
 
     for k in &module.kernels {
-        out.push_str(&emit_kernel(k));
+        write_kernel(&mut out, k);
         out.push('\n');
     }
     out

@@ -23,27 +23,37 @@
 //!    in the same block fuses into one `fma.rn`. This changes rounding
 //!    (one rounding step instead of two), so the default level — which must
 //!    stay bit-identical to the CPU reference path — leaves it off.
-//! 5. **Dead-code elimination** to a fixpoint: any instruction defining a
+//! 5. **Dead-code elimination** in one pass: any instruction defining a
 //!    register with no remaining uses is removed (stores, branches, labels
-//!    and `ret` are always kept).
+//!    and `ret` are always kept). Uses are counted once; removing a def
+//!    decrements its operands' counts, and a count reaching zero queues
+//!    that register's def — so a dead chain of any depth goes in one walk.
 //! 6. **Register re-tightening**: surviving registers are renumbered
 //!    densely per class and the `.reg` declaration counts shrink to match,
 //!    which feeds straight into the occupancy model's registers-per-thread
 //!    input.
 //!
+//! Every pass is linear in the kernel's length: per-register tables are
+//! flat vectors indexed by class offset + id (`RegIndex`), and the two
+//! value-numbering tables hash with a multiply-rotate word hasher
+//! (`FxHasher`).
+//!
 //! Correctness precondition: the passes assume each register is defined at
-//! most once (SSA, which the in-tree generator guarantees) and that all
-//! branches are forward. Kernels violating either property — e.g. arbitrary
-//! parsed PTX from the mutation fuzzer — are left untouched and counted in
+//! most once (SSA, which the in-tree generator guarantees), that all
+//! branches are forward, and that every register lies within its class's
+//! declared count. Kernels violating any of these — e.g. arbitrary parsed
+//! PTX from the mutation fuzzer — are left untouched and counted in
 //! [`OptStats::skipped`]. As defense in depth, an optimized kernel that no
 //! longer validates is reverted to its original body and counted in
 //! [`OptStats::bailed`]; `optimize_module` therefore never turns a valid
 //! module into an invalid one.
 
 use crate::inst::{BinOp, CmpOp, Inst, MathFn, Operand, SpecialReg, UnOp};
-use crate::module::{Kernel, Module};
+use crate::module::{Kernel, Module, MAX_REGS_PER_CLASS};
 use crate::types::{PtxType, Reg, RegClass};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Optimizer configuration (the `QDP_OPT` knob of `QdpConfig::from_env`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -156,17 +166,17 @@ pub fn optimize_kernel(kernel: &mut Kernel, level: OptLevel) -> OptStats {
     if !level.ptx_passes() {
         return stats;
     }
-    if !is_ssa_forward(kernel) {
+    let Some(regs) = RegIndex::new(kernel.reg_counts).filter(|r| is_ssa_forward(kernel, r)) else {
         stats.skipped = 1;
         return stats;
-    }
+    };
     let original = kernel.clone();
-    lvn(kernel, &mut stats);
+    lvn(kernel, &regs, &mut stats);
     if level.fuse_fma() {
-        fuse_fma(kernel, &mut stats);
+        fuse_fma(kernel, &regs, &mut stats);
     }
-    dce(kernel, &mut stats);
-    retighten(kernel, &mut stats);
+    dce(kernel, &regs, &mut stats);
+    retighten(kernel, &regs, &mut stats);
     if kernel.validate().is_err() {
         *kernel = original;
         return OptStats {
@@ -177,18 +187,102 @@ pub fn optimize_kernel(kernel: &mut Kernel, level: OptLevel) -> OptStats {
     stats
 }
 
-/// The soundness precondition: every register defined at most once, every
-/// branch targeting a unique label that appears strictly later.
-fn is_ssa_forward(kernel: &Kernel) -> bool {
-    let mut defined: HashMap<Reg, u32> = HashMap::new();
+/// Sentinel for "no entry" in the `u32` tables below.
+const NONE: u32 = u32::MAX;
+
+/// Flat numbering of a kernel's registers — class offset + id over the
+/// declared `.reg` counts — so every per-register table is a `Vec`.
+struct RegIndex {
+    base: [usize; 5],
+    counts: [u32; 5],
+    len: usize,
+}
+
+impl RegIndex {
+    /// `None` when a count exceeds [`MAX_REGS_PER_CLASS`] (the tables would
+    /// be unboundedly large; such a kernel does not validate anyway).
+    fn new(counts: [u32; 5]) -> Option<RegIndex> {
+        let mut base = [0; 5];
+        let mut len = 0;
+        for (b, &n) in base.iter_mut().zip(&counts) {
+            if n > MAX_REGS_PER_CLASS {
+                return None;
+            }
+            *b = len;
+            len += n as usize;
+        }
+        Some(RegIndex { base, counts, len })
+    }
+
+    /// Slot of `r`, or `None` if its id is past its class's declared count.
+    fn get(&self, r: Reg) -> Option<usize> {
+        let c = r.class.index();
+        (r.id < self.counts[c]).then(|| self.base[c] + r.id as usize)
+    }
+
+    /// Slot of a register the precondition has checked.
+    fn at(&self, r: Reg) -> usize {
+        self.base[r.class.index()] + r.id as usize
+    }
+}
+
+/// FxHash's multiply-rotate word hasher, for the value-numbering tables:
+/// their keys are a few small integers, where SipHash's setup cost
+/// dominates. The keys come from the kernel being optimized, so a kernel
+/// crafted to collide them can only slow its own compile.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// The soundness precondition: every register declared and defined at most
+/// once, every branch targeting a unique label that appears strictly later.
+fn is_ssa_forward(kernel: &Kernel, regs: &RegIndex) -> bool {
+    let mut defined = vec![false; regs.len];
     let mut label_pos: HashMap<&str, usize> = HashMap::new();
+    let mut uses = Vec::new();
     for (i, inst) in kernel.body.iter().enumerate() {
         if let Some(d) = inst.def_reg() {
-            let n = defined.entry(d).or_insert(0);
-            *n += 1;
-            if *n > 1 {
-                return false;
+            match regs.get(d) {
+                Some(s) if !defined[s] => defined[s] = true,
+                _ => return false, // redefined, or past the declared count
             }
+        }
+        uses.clear();
+        inst.use_regs(&mut uses);
+        if uses.iter().any(|&u| regs.get(u).is_none()) {
+            return false;
         }
         if let Inst::Label { name } = inst {
             if label_pos.insert(name.as_str(), i).is_some() {
@@ -293,18 +387,21 @@ fn vkey(inst: &Inst) -> Option<VKey> {
 /// *availability* tables are block-local: they are cleared at every label,
 /// because a join point may be reached without executing the block that
 /// made the value available.
-fn lvn(kernel: &mut Kernel, stats: &mut OptStats) {
-    let mut subst: HashMap<Reg, Reg> = HashMap::new();
-    let mut avail: HashMap<(VKey, RegClass), Reg> = HashMap::new();
-    let mut loads: HashMap<(Reg, i64, PtxType), Reg> = HashMap::new();
+fn lvn(kernel: &mut Kernel, regs: &RegIndex, stats: &mut OptStats) {
+    // Removed register → its surviving equivalent. An entry is only made
+    // for a register with none yet, pointing at one with none at the time,
+    // so chains are acyclic.
+    let mut subst: Vec<Option<Reg>> = vec![None; regs.len];
+    // Sized for the whole body: a generated kernel is one block up to its
+    // exit label, and growing the table rehashes every entry.
+    let mut avail: FxMap<(VKey, RegClass), Reg> =
+        FxMap::with_capacity_and_hasher(kernel.body.len(), Default::default());
+    let mut loads: FxMap<(Reg, i64, PtxType), Reg> = FxMap::default();
     let mut out = Vec::with_capacity(kernel.body.len());
     for mut inst in kernel.body.drain(..) {
         inst.map_regs(&mut |r| {
-            while let Some(s) = subst.get(r) {
-                if s == r {
-                    break;
-                }
-                *r = *s;
+            while let Some(s) = subst[regs.at(*r)] {
+                *r = s;
             }
         });
         match &inst {
@@ -330,30 +427,30 @@ fn lvn(kernel: &mut Kernel, stats: &mut OptStats) {
                 // no-op: dropping it is enough, and a dst→dst entry would
                 // cycle the substitution resolution above.
                 if s != dst {
-                    subst.insert(*dst, *s);
+                    subst[regs.at(*dst)] = Some(*s);
                 }
                 stats.copies_propagated += 1;
             }
             Inst::LdGlobal {
                 ty, dst, addr, offset,
-            } => match loads.get(&(*addr, *offset, *ty)) {
-                Some(prev) => {
-                    subst.insert(*dst, *prev);
+            } => match loads.entry((*addr, *offset, *ty)) {
+                Entry::Occupied(prev) => {
+                    subst[regs.at(*dst)] = Some(*prev.get());
                     stats.loads_eliminated += 1;
                 }
-                None => {
-                    loads.insert((*addr, *offset, *ty), *dst);
+                Entry::Vacant(slot) => {
+                    slot.insert(*dst);
                     out.push(inst);
                 }
             },
             _ => match (vkey(&inst), inst.def_reg()) {
-                (Some(key), Some(dst)) => match avail.get(&(key.clone(), dst.class)) {
-                    Some(prev) => {
-                        subst.insert(dst, *prev);
+                (Some(key), Some(dst)) => match avail.entry((key, dst.class)) {
+                    Entry::Occupied(prev) => {
+                        subst[regs.at(dst)] = Some(*prev.get());
                         stats.values_reused += 1;
                     }
-                    None => {
-                        avail.insert((key, dst.class), dst);
+                    Entry::Vacant(slot) => {
+                        slot.insert(dst);
                         out.push(inst);
                     }
                 },
@@ -366,29 +463,20 @@ fn lvn(kernel: &mut Kernel, stats: &mut OptStats) {
 
 /// Fuse a float `mul` whose single use is one side of a float `add` in the
 /// same basic block into `fma.rn`. The orphaned `mul` is left for DCE.
-fn fuse_fma(kernel: &mut Kernel, stats: &mut OptStats) {
-    let mut use_count: HashMap<Reg, u32> = HashMap::new();
-    let mut uses = Vec::new();
-    for inst in &kernel.body {
-        uses.clear();
-        inst.use_regs(&mut uses);
-        for u in &uses {
-            *use_count.entry(*u).or_insert(0) += 1;
-        }
-    }
-    // Defs of single-use float muls, by destination register.
-    let mut mul_def: HashMap<Reg, (usize, PtxType, Operand, Operand)> = HashMap::new();
+fn fuse_fma(kernel: &mut Kernel, regs: &RegIndex, stats: &mut OptStats) {
+    let use_count = use_counts(&kernel.body, regs);
+    // Position of each single-use float mul, by destination register.
+    let mut mul_at = vec![NONE; regs.len];
     for (i, inst) in kernel.body.iter().enumerate() {
         if let Inst::Binary {
             op: BinOp::Mul,
             ty,
             dst,
-            a,
-            b,
+            ..
         } = inst
         {
-            if ty.is_float() && use_count.get(dst) == Some(&1) {
-                mul_def.insert(*dst, (i, *ty, *a, *b));
+            if ty.is_float() && use_count[regs.at(*dst)] == 1 {
+                mul_at[regs.at(*dst)] = i as u32;
             }
         }
     }
@@ -417,7 +505,20 @@ fn fuse_fma(kernel: &mut Kernel, stats: &mut OptStats) {
         // Try the left operand as the product, then the right.
         let fused = [(a, b), (b, a)].into_iter().find_map(|(prod, addend)| {
             let Operand::Reg(m) = prod else { return None };
-            let (i, mty, ma, mb) = *mul_def.get(&m)?;
+            let i = mul_at[regs.at(m)];
+            if i == NONE {
+                return None;
+            }
+            let i = i as usize;
+            let Inst::Binary {
+                ty: mty,
+                a: ma,
+                b: mb,
+                ..
+            } = kernel.body[i]
+            else {
+                unreachable!("mul_at holds only muls");
+            };
             // Same type, same basic block (a use reached through a label
             // may be on a path that skipped the mul).
             (mty == ty && i < j && block_start[j] <= i).then_some((m, ma, mb, addend))
@@ -430,54 +531,86 @@ fn fuse_fma(kernel: &mut Kernel, stats: &mut OptStats) {
                 b: mb,
                 c: addend,
             };
-            mul_def.remove(&m);
+            mul_at[regs.at(m)] = NONE;
             stats.fmas_fused += 1;
         }
     }
 }
 
-/// Remove instructions whose defined register is never used, to a fixpoint.
-/// Every def in this IR is pure (stores, branches, labels and `ret` define
-/// nothing), so an unused def is always removable.
-fn dce(kernel: &mut Kernel, stats: &mut OptStats) {
-    loop {
-        let mut use_count: HashMap<Reg, u32> = HashMap::new();
-        let mut uses = Vec::new();
-        for inst in &kernel.body {
-            uses.clear();
-            inst.use_regs(&mut uses);
-            for u in &uses {
-                *use_count.entry(*u).or_insert(0) += 1;
-            }
-        }
-        let before = kernel.body.len();
-        kernel.body.retain(|inst| match inst.def_reg() {
-            Some(d) => use_count.get(&d).copied().unwrap_or(0) > 0,
-            None => true,
-        });
-        let removed = before - kernel.body.len();
-        stats.dead_removed += removed as u32;
-        if removed == 0 {
-            return;
+/// How many times each register is read, over the whole body.
+fn use_counts(body: &[Inst], regs: &RegIndex) -> Vec<u32> {
+    let mut count = vec![0u32; regs.len];
+    let mut uses = Vec::new();
+    for inst in body {
+        uses.clear();
+        inst.use_regs(&mut uses);
+        for &u in &uses {
+            count[regs.at(u)] += 1;
         }
     }
+    count
 }
 
-/// Renumber surviving registers densely per class and shrink the `.reg`
-/// declaration counts to match.
-fn retighten(kernel: &mut Kernel, stats: &mut OptStats) {
-    let mut maps: [HashMap<u32, u32>; 5] = Default::default();
-    let classes = RegClass::all();
-    let idx = |c: RegClass| classes.iter().position(|x| *x == c).unwrap();
+/// Remove instructions whose defined register is never used, in one pass.
+/// Every def in this IR is pure (stores, branches, labels and `ret` define
+/// nothing), so an unused def is always removable, and removal is
+/// confluent: the worklist removes exactly what repeating "drop every
+/// unused def" until nothing changes would. Uses are counted over the whole
+/// body, so a use textually before its def still counts, and a def that
+/// feeds itself (directly or round a cycle) is never queued.
+fn dce(kernel: &mut Kernel, regs: &RegIndex, stats: &mut OptStats) {
+    let body = &kernel.body;
+    let mut count = use_counts(body, regs);
+    let mut def_at = vec![NONE; regs.len];
+    let mut work = Vec::new();
+    for (i, inst) in body.iter().enumerate() {
+        if let Some(d) = inst.def_reg() {
+            def_at[regs.at(d)] = i as u32;
+            if count[regs.at(d)] == 0 {
+                work.push(i);
+            }
+        }
+    }
+    // A def is queued only when its count reaches zero, which happens once.
+    let mut dead = vec![false; body.len()];
+    let mut uses = Vec::new();
+    while let Some(i) = work.pop() {
+        dead[i] = true;
+        uses.clear();
+        body[i].use_regs(&mut uses);
+        for &u in &uses {
+            let s = regs.at(u);
+            count[s] -= 1;
+            if count[s] == 0 && def_at[s] != NONE {
+                work.push(def_at[s] as usize);
+            }
+        }
+    }
+    let before = kernel.body.len();
+    let mut i = 0;
+    kernel.body.retain(|_| {
+        i += 1;
+        !dead[i - 1]
+    });
+    stats.dead_removed += (before - kernel.body.len()) as u32;
+}
+
+/// Renumber surviving registers densely per class, in order of first
+/// appearance, and shrink the `.reg` declaration counts to match.
+fn retighten(kernel: &mut Kernel, regs: &RegIndex, stats: &mut OptStats) {
+    let mut renamed = vec![NONE; regs.len];
+    let mut next = [0u32; 5];
     for inst in &mut kernel.body {
         inst.map_regs(&mut |r| {
-            let m = &mut maps[idx(r.class)];
-            let next = m.len() as u32;
-            r.id = *m.entry(r.id).or_insert(next);
+            let new = &mut renamed[regs.at(*r)];
+            if *new == NONE {
+                *new = next[r.class.index()];
+                next[r.class.index()] += 1;
+            }
+            r.id = *new;
         });
     }
-    for (i, m) in maps.iter().enumerate() {
-        let new = m.len() as u32;
+    for (i, new) in next.into_iter().enumerate() {
         stats.regs_freed += kernel.reg_counts[i].saturating_sub(new);
         kernel.reg_counts[i] = new;
     }
@@ -690,6 +823,108 @@ mod tests {
         assert_eq!(k.reg_counts[1], before_f64 - 2);
         k.validate().unwrap();
         assert_eq!(count_loads(&k), 1);
+    }
+
+    /// `x = ld; d1 = x + 1; d2 = d1 + 1; …` for `depth` links; returns the
+    /// builder, the address register, `x` and the chain's last register.
+    fn chain_kernel(depth: usize) -> (KernelBuilder, Reg, Reg, Reg) {
+        let mut kb = KernelBuilder::new("k");
+        kb.param("p", PtxType::U64);
+        let addr = kb.ld_param("p", PtxType::U64);
+        let x = ld(&mut kb, addr, 0);
+        let mut last = x;
+        for _ in 0..depth {
+            last = kb.bin(BinOp::Add, PtxType::F64, last.into(), Operand::ImmF(1.0));
+        }
+        (kb, addr, x, last)
+    }
+
+    fn count_adds(k: &Kernel) -> usize {
+        k.body
+            .iter()
+            .filter(|i| matches!(i, Inst::Binary { op: BinOp::Add, .. }))
+            .count()
+    }
+
+    #[test]
+    fn deep_dead_chain_goes_in_one_call() {
+        let (mut kb, addr, x, _) = chain_kernel(10_000);
+        st(&mut kb, addr, 8, x.into());
+        let mut k = kb.finish();
+        k.validate().unwrap();
+        let stats = optimize_kernel(&mut k, OptLevel::Default);
+        assert_eq!(stats.dead_removed, 10_000);
+        assert_eq!(count_adds(&k), 0);
+        assert_eq!(k.reg_counts[RegClass::F64.index()], 1);
+        k.validate().unwrap();
+    }
+
+    #[test]
+    fn chain_feeding_a_store_survives() {
+        let (mut kb, addr, _, last) = chain_kernel(100);
+        st(&mut kb, addr, 8, last.into());
+        let mut k = kb.finish();
+        let stats = optimize_kernel(&mut k, OptLevel::Default);
+        assert_eq!(stats.dead_removed, 0);
+        assert_eq!(count_adds(&k), 100);
+    }
+
+    /// Hand-placed defs that the generator never emits: each must keep its
+    /// instruction, as repeating "drop unused defs" to a fixpoint did.
+    #[test]
+    fn uses_before_defs_self_uses_and_cycles_are_kept() {
+        let add = |dst, a: Reg| Inst::Binary {
+            op: BinOp::Add,
+            ty: PtxType::F64,
+            dst,
+            a: a.into(),
+            b: Operand::ImmF(1.0),
+        };
+        let mut kb = KernelBuilder::new("k");
+        kb.param("p", PtxType::U64);
+        let addr = kb.ld_param("p", PtxType::U64);
+        let x = ld(&mut kb, addr, 0);
+        let [early, own, c1, c2] = [(); 4].map(|_| kb.fresh(RegClass::F64));
+        // `early` is stored before the add that defines it.
+        st(&mut kb, addr, 8, early.into());
+        kb.push(add(early, x));
+        // `own` feeds only itself.
+        kb.push(add(own, own));
+        // `c1` and `c2` feed only each other.
+        kb.push(add(c1, c2));
+        kb.push(add(c2, c1));
+        let mut k = kb.finish();
+        k.validate().unwrap();
+        let stats = optimize_kernel(&mut k, OptLevel::Default);
+        assert_eq!((stats.skipped, stats.dead_removed), (0, 0));
+        assert_eq!(count_adds(&k), 4);
+        k.validate().unwrap();
+    }
+
+    #[test]
+    fn undeclared_register_is_skipped() {
+        // A use past `%fd<1>`, and one in a class with no registers.
+        for undeclared in [Reg::new(RegClass::F64, 5), Reg::new(RegClass::F32, 0)] {
+            let mut kb = KernelBuilder::new("k");
+            kb.param("p", PtxType::U64);
+            let addr = kb.ld_param("p", PtxType::U64);
+            let x = ld(&mut kb, addr, 0);
+            st(&mut kb, addr, 8, x.into());
+            st(&mut kb, addr, 16, undeclared.into());
+            let mut k = kb.finish();
+            assert!(k.validate().is_err());
+            let before = k.clone();
+            let stats = optimize_kernel(&mut k, OptLevel::Aggressive);
+            assert_eq!(stats.skipped, 1, "{undeclared}");
+            assert_eq!(k, before);
+        }
+        // An undeclared def, and a count too large to index.
+        let (kb, _, _, _) = chain_kernel(3);
+        let mut k = kb.finish();
+        k.reg_counts[RegClass::F64.index()] = 2;
+        assert_eq!(optimize_kernel(&mut k, OptLevel::Default).skipped, 1);
+        k.reg_counts[RegClass::F64.index()] = u32::MAX;
+        assert_eq!(optimize_kernel(&mut k, OptLevel::Default).skipped, 1);
     }
 
     #[test]

@@ -5,6 +5,14 @@
 //! the full generate → print → parse → lower chain is exercised. The parser
 //! accepts the dialect the emitter produces (plus minor whitespace/comment
 //! freedom) and rejects malformed programs with line-accurate errors.
+//!
+//! It works on borrowed slices of the input: lines, opcode parts and
+//! operands are `&str`s into the text, so an instruction allocates only the
+//! strings and vectors its [`Inst`] owns (label, branch target, parameter
+//! name, call arguments). Splitting and trimming scan bytes: `str::split`
+//! and `str::trim` set up a searcher per call, which costs more than the
+//! few bytes of an opcode or operand. Whitespace keeps its Unicode meaning —
+//! a non-ASCII byte hands the scan to the `char`-based routine.
 
 use crate::inst::{BinOp, CmpOp, Inst, MathFn, Operand, SpecialReg, UnOp};
 use crate::module::{Kernel, Module, Param, MAX_REGS_PER_CLASS};
@@ -18,23 +26,76 @@ fn err(line: usize, msg: impl Into<String>) -> PtxError {
     }
 }
 
-/// Parse a register like `%fd12`.
-fn parse_reg(tok: &str, line: usize) -> Result<Reg, PtxError> {
-    let classes = [
-        ("%fd", RegClass::F64),
-        ("%rd", RegClass::B64),
-        ("%f", RegClass::F32),
-        ("%r", RegClass::B32),
-        ("%p", RegClass::Pred),
-    ];
-    for (prefix, class) in classes {
-        if let Some(rest) = tok.strip_prefix(prefix) {
-            if let Ok(id) = rest.parse::<u32>() {
-                return Ok(Reg::new(class, id));
-            }
+/// Is `b` an ASCII byte that `char::is_whitespace` accepts?
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// `s.trim()`. `trim_ascii` strips all ASCII whitespace but the vertical
+/// tab; an end it leaves at a non-ASCII byte or a vertical tab goes through
+/// `str::trim`.
+fn trim(s: &str) -> &str {
+    let t = s.trim_ascii();
+    let plain = |b: Option<&u8>| b.is_none_or(|&b| b.is_ascii() && !is_space(b));
+    if plain(t.as_bytes().first()) && plain(t.as_bytes().last()) {
+        t
+    } else {
+        t.trim()
+    }
+}
+
+/// `s.split_once(char::is_whitespace)`.
+fn split_space(s: &str) -> Option<(&str, &str)> {
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if is_space(b) {
+            return Some((&s[..i], &s[i + 1..]));
+        }
+        if !b.is_ascii() {
+            return s.split_once(char::is_whitespace);
         }
     }
-    Err(err(line, format!("bad register `{tok}`")))
+    None
+}
+
+/// `s.split_once(sep)` for an ASCII separator.
+fn split_once_byte(s: &str, sep: u8) -> Option<(&str, &str)> {
+    let i = s.bytes().position(|b| b == sep)?;
+    Some((&s[..i], &s[i + 1..]))
+}
+
+/// `s.split(sep)` for an ASCII separator.
+fn split_byte(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let r = rest?;
+        let (piece, tail) = split_once_byte(r, sep).map_or((r, None), |(p, t)| (p, Some(t)));
+        rest = tail;
+        Some(piece)
+    })
+}
+
+/// `l` up to its first `//`.
+fn cut_comment(l: &str) -> &str {
+    match l.as_bytes().windows(2).position(|w| w == b"//") {
+        Some(p) => &l[..p],
+        None => l,
+    }
+}
+
+/// Parse a register like `%fd12`.
+fn parse_reg(tok: &str, line: usize) -> Result<Reg, PtxError> {
+    // The two-letter prefixes win: `%fd1` is never `%f` + "d1".
+    let (class, id) = match tok.as_bytes() {
+        [b'%', b'f', b'd', ..] => (RegClass::F64, &tok[3..]),
+        [b'%', b'r', b'd', ..] => (RegClass::B64, &tok[3..]),
+        [b'%', b'f', ..] => (RegClass::F32, &tok[2..]),
+        [b'%', b'r', ..] => (RegClass::B32, &tok[2..]),
+        [b'%', b'p', ..] => (RegClass::Pred, &tok[2..]),
+        _ => return Err(err(line, format!("bad register `{tok}`"))),
+    };
+    id.parse::<u32>()
+        .map(|id| Reg::new(class, id))
+        .map_err(|_| err(line, format!("bad register `{tok}`")))
 }
 
 /// Parse an operand: register, `0f`/`0d` float-bit immediate, or integer.
@@ -59,28 +120,26 @@ fn parse_operand(tok: &str, line: usize) -> Result<Operand, PtxError> {
 
 /// Parse a memory operand `[name]` or `[%rd3]` or `[%rd3+16]`.
 /// Returns either a param name or (register, offset).
-enum MemRef {
-    Param(String),
+enum MemRef<'a> {
+    Param(&'a str),
     Addr(Reg, i64),
 }
 
-fn parse_memref(tok: &str, line: usize) -> Result<MemRef, PtxError> {
+fn parse_memref(tok: &str, line: usize) -> Result<MemRef<'_>, PtxError> {
     let inner = tok
         .strip_prefix('[')
         .and_then(|s| s.strip_suffix(']'))
         .ok_or_else(|| err(line, format!("bad memory operand `{tok}`")))?;
     if inner.starts_with('%') {
-        if let Some((r, off)) = inner.split_once('+') {
-            let reg = parse_reg(r.trim(), line)?;
-            let offset = off
-                .trim()
+        if let Some((r, off)) = split_once_byte(inner, b'+') {
+            let reg = parse_reg(trim(r), line)?;
+            let offset = trim(off)
                 .parse::<i64>()
                 .map_err(|_| err(line, format!("bad offset `{off}`")))?;
             Ok(MemRef::Addr(reg, offset))
-        } else if let Some((r, off)) = inner.split_once('-') {
-            let reg = parse_reg(r.trim(), line)?;
-            let offset = off
-                .trim()
+        } else if let Some((r, off)) = split_once_byte(inner, b'-') {
+            let reg = parse_reg(trim(r), line)?;
+            let offset = trim(off)
                 .parse::<i64>()
                 .map_err(|_| err(line, format!("bad offset `{off}`")))?;
             Ok(MemRef::Addr(reg, -offset))
@@ -88,24 +147,43 @@ fn parse_memref(tok: &str, line: usize) -> Result<MemRef, PtxError> {
             Ok(MemRef::Addr(parse_reg(inner, line)?, 0))
         }
     } else {
-        Ok(MemRef::Param(inner.to_string()))
+        Ok(MemRef::Param(inner))
     }
 }
 
-/// Split an instruction's operand text on top-level commas (no nesting in
-/// PTX operands except call argument lists, handled separately).
-fn split_operands(s: &str) -> Vec<String> {
-    s.split(',')
-        .map(|t| t.trim().to_string())
-        .filter(|t| !t.is_empty())
-        .collect()
+/// An instruction's operand text split on commas (no nesting in PTX
+/// operands except call argument lists, handled separately), trimmed, with
+/// empty pieces dropped.
+fn operands(s: &str) -> impl Iterator<Item = &str> {
+    split_byte(s, b',').map(trim).filter(|t| !t.is_empty())
 }
 
-fn type_from(parts: &[&str], idx: usize, line: usize) -> Result<PtxType, PtxError> {
-    parts
-        .get(idx)
-        .and_then(|s| PtxType::from_suffix(s))
-        .ok_or_else(|| err(line, format!("missing/bad type suffix in `{}`", parts.join("."))))
+/// `s` split on whitespace into exactly `N` words.
+fn words<const N: usize>(s: &str) -> Option<[&str; N]> {
+    let mut it = s.split_whitespace();
+    let mut out = [""; N];
+    for w in &mut out {
+        *w = it.next()?;
+    }
+    it.next().is_none().then_some(out)
+}
+
+/// Part `idx` of a dotted opcode (`ld.global.f64` → `ld`, `global`, `f64`).
+fn part(opcode: &str, idx: usize) -> Option<&str> {
+    split_byte(opcode, b'.').nth(idx)
+}
+
+fn type_from(opcode: &str, idx: usize, line: usize) -> Result<PtxType, PtxError> {
+    part(opcode, idx)
+        .and_then(PtxType::from_suffix)
+        .ok_or_else(|| err(line, format!("missing/bad type suffix in `{opcode}`")))
+}
+
+/// The first type suffix among an opcode's modifiers (`div.rn.f64`).
+fn any_type(opcode: &str) -> Option<PtxType> {
+    split_byte(opcode, b'.')
+        .skip(1)
+        .find_map(PtxType::from_suffix)
 }
 
 /// `b32`/`b64` suffixes map to unsigned types of that width.
@@ -120,33 +198,41 @@ fn type_from_bits(s: &str) -> Option<PtxType> {
 /// Parse one instruction line (already stripped, non-empty, without label
 /// or predicate prefix handling — those are done by the caller).
 fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
-    let text = text.trim_end_matches(';').trim();
-    let (opcode, rest) = match text.split_once(char::is_whitespace) {
-        Some((o, r)) => (o, r.trim()),
+    let text = trim(text.trim_end_matches(';'));
+    let (opcode, rest) = match split_space(text) {
+        Some((o, r)) => (o, trim(r)),
         None => (text, ""),
     };
-    let parts: Vec<&str> = opcode.split('.').collect();
-    let ops = split_operands(rest);
-
+    // No form reads past its fourth operand; an empty slot is a missing one.
+    let mut ops = [""; 4];
+    for (slot, tok) in ops.iter_mut().zip(operands(rest)) {
+        *slot = tok;
+    }
+    let tok = |i: usize| -> Option<&str> { Some(ops[i]).filter(|t| !t.is_empty()) };
     let reg0 = |i: usize| -> Result<Reg, PtxError> {
-        ops.get(i)
+        tok(i)
             .ok_or_else(|| err(line, "missing operand"))
             .and_then(|t| parse_reg(t, line))
     };
     let opnd = |i: usize| -> Result<Operand, PtxError> {
-        ops.get(i)
+        tok(i)
             .ok_or_else(|| err(line, "missing operand"))
             .and_then(|t| parse_operand(t, line))
     };
 
-    match parts[0] {
+    let head = part(opcode, 0).unwrap_or_default();
+    match head {
         "ld" => {
-            let space = *parts.get(1).ok_or_else(|| err(line, "ld needs space"))?;
-            let ty = type_from(&parts, 2, line)?;
+            let space = part(opcode, 1).ok_or_else(|| err(line, "ld needs space"))?;
+            let ty = type_from(opcode, 2, line)?;
             let dst = reg0(0)?;
-            let mem = parse_memref(ops.get(1).ok_or_else(|| err(line, "missing addr"))?, line)?;
+            let mem = parse_memref(tok(1).ok_or_else(|| err(line, "missing addr"))?, line)?;
             match (space, mem) {
-                ("param", MemRef::Param(p)) => Ok(Inst::LdParam { ty, dst, param: p }),
+                ("param", MemRef::Param(p)) => Ok(Inst::LdParam {
+                    ty,
+                    dst,
+                    param: p.to_string(),
+                }),
                 ("global", MemRef::Addr(addr, offset)) => Ok(Inst::LdGlobal {
                     ty,
                     dst,
@@ -157,11 +243,11 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             }
         }
         "st" => {
-            if parts.get(1) != Some(&"global") {
+            if part(opcode, 1) != Some("global") {
                 return Err(err(line, "only st.global supported"));
             }
-            let ty = type_from(&parts, 2, line)?;
-            let mem = parse_memref(ops.first().ok_or_else(|| err(line, "missing addr"))?, line)?;
+            let ty = type_from(opcode, 2, line)?;
+            let mem = parse_memref(tok(0).ok_or_else(|| err(line, "missing addr"))?, line)?;
             let src = opnd(1)?;
             match mem {
                 MemRef::Addr(addr, offset) => Ok(Inst::StGlobal {
@@ -174,9 +260,9 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             }
         }
         "mov" => {
-            let ty = type_from(&parts, 1, line)?;
+            let ty = type_from(opcode, 1, line)?;
             let dst = reg0(0)?;
-            let src_tok = ops.get(1).ok_or_else(|| err(line, "missing operand"))?;
+            let src_tok = tok(1).ok_or_else(|| err(line, "missing operand"))?;
             if let Some(sreg) = SpecialReg::from_name(src_tok) {
                 Ok(Inst::MovSpecial { dst, sreg })
             } else {
@@ -190,11 +276,11 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
         "cvt" => {
             // cvt[.rn|.rzi].<dst>.<src>
             let mut idx = 1;
-            while matches!(parts.get(idx), Some(&"rn") | Some(&"rzi") | Some(&"rz")) {
+            while matches!(part(opcode, idx), Some("rn" | "rzi" | "rz")) {
                 idx += 1;
             }
-            let dst_ty = type_from(&parts, idx, line)?;
-            let src_ty = type_from(&parts, idx + 1, line)?;
+            let dst_ty = type_from(opcode, idx, line)?;
+            let src_ty = type_from(opcode, idx + 1, line)?;
             Ok(Inst::Cvt {
                 dst_ty,
                 src_ty,
@@ -203,14 +289,13 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             })
         }
         "neg" | "abs" | "not" => {
-            let op = match parts[0] {
+            let op = match head {
                 "neg" => UnOp::Neg,
                 "abs" => UnOp::Abs,
                 _ => UnOp::Not,
             };
-            let ty = parts
-                .get(1)
-                .and_then(|s| type_from_bits(s))
+            let ty = part(opcode, 1)
+                .and_then(type_from_bits)
                 .ok_or_else(|| err(line, "bad unary type"))?;
             Ok(Inst::Unary {
                 op,
@@ -220,7 +305,7 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             })
         }
         "sqrt" | "rsqrt" | "sin" | "cos" | "lg2" | "ex2" | "rcp" => {
-            let op = match parts[0] {
+            let op = match head {
                 "sqrt" => UnOp::Sqrt,
                 "rsqrt" => UnOp::Rsqrt,
                 "sin" => UnOp::Sin,
@@ -230,11 +315,7 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
                 _ => UnOp::Rcp,
             };
             // skip .rn / .approx modifiers
-            let ty = parts
-                .iter()
-                .skip(1)
-                .find_map(|s| PtxType::from_suffix(s))
-                .ok_or_else(|| err(line, "bad special-fn type"))?;
+            let ty = any_type(opcode).ok_or_else(|| err(line, "bad special-fn type"))?;
             Ok(Inst::Unary {
                 op,
                 ty,
@@ -243,7 +324,7 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             })
         }
         "add" | "sub" | "min" | "max" | "rem" | "and" | "or" | "xor" | "shl" | "shr" => {
-            let op = match parts[0] {
+            let op = match head {
                 "add" => BinOp::Add,
                 "sub" => BinOp::Sub,
                 "min" => BinOp::Min,
@@ -255,9 +336,8 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
                 "shl" => BinOp::Shl,
                 _ => BinOp::Shr,
             };
-            let ty = parts
-                .get(1)
-                .and_then(|s| type_from_bits(s))
+            let ty = part(opcode, 1)
+                .and_then(type_from_bits)
                 .ok_or_else(|| err(line, "bad binary type"))?;
             Ok(Inst::Binary {
                 op,
@@ -267,9 +347,9 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
                 b: opnd(2)?,
             })
         }
-        "mul" => match parts.get(1) {
-            Some(&"wide") => {
-                let src_ty = type_from(&parts, 2, line)?;
+        "mul" => match part(opcode, 1) {
+            Some("wide") => {
+                let src_ty = type_from(opcode, 2, line)?;
                 Ok(Inst::MulWide {
                     src_ty,
                     dst: reg0(0)?,
@@ -277,8 +357,8 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
                     b: opnd(2)?,
                 })
             }
-            Some(&"lo") => {
-                let ty = type_from(&parts, 2, line)?;
+            Some("lo") => {
+                let ty = type_from(opcode, 2, line)?;
                 Ok(Inst::Binary {
                     op: BinOp::Mul,
                     ty,
@@ -288,7 +368,7 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
                 })
             }
             _ => {
-                let ty = type_from(&parts, 1, line)?;
+                let ty = type_from(opcode, 1, line)?;
                 Ok(Inst::Binary {
                     op: BinOp::Mul,
                     ty,
@@ -300,11 +380,7 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
         },
         "div" => {
             // div.rn.fNN or div.uNN
-            let ty = parts
-                .iter()
-                .skip(1)
-                .find_map(|s| PtxType::from_suffix(s))
-                .ok_or_else(|| err(line, "bad div type"))?;
+            let ty = any_type(opcode).ok_or_else(|| err(line, "bad div type"))?;
             Ok(Inst::Binary {
                 op: BinOp::Div,
                 ty,
@@ -314,10 +390,10 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             })
         }
         "mad" => {
-            if parts.get(1) != Some(&"lo") {
+            if part(opcode, 1) != Some("lo") {
                 return Err(err(line, "only mad.lo supported"));
             }
-            let ty = type_from(&parts, 2, line)?;
+            let ty = type_from(opcode, 2, line)?;
             Ok(Inst::MadLo {
                 ty,
                 dst: reg0(0)?,
@@ -327,11 +403,7 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             })
         }
         "fma" => {
-            let ty = parts
-                .iter()
-                .skip(1)
-                .find_map(|s| PtxType::from_suffix(s))
-                .ok_or_else(|| err(line, "bad fma type"))?;
+            let ty = any_type(opcode).ok_or_else(|| err(line, "bad fma type"))?;
             Ok(Inst::Fma {
                 ty,
                 dst: reg0(0)?,
@@ -341,11 +413,10 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             })
         }
         "setp" => {
-            let cmp = parts
-                .get(1)
-                .and_then(|s| CmpOp::from_name(s))
+            let cmp = part(opcode, 1)
+                .and_then(CmpOp::from_name)
                 .ok_or_else(|| err(line, "bad setp comparison"))?;
-            let ty = type_from(&parts, 2, line)?;
+            let ty = type_from(opcode, 2, line)?;
             Ok(Inst::Setp {
                 cmp,
                 ty,
@@ -355,9 +426,8 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             })
         }
         "selp" => {
-            let ty = parts
-                .get(1)
-                .and_then(|s| type_from_bits(s))
+            let ty = part(opcode, 1)
+                .and_then(type_from_bits)
                 .ok_or_else(|| err(line, "bad selp type"))?;
             Ok(Inst::Selp {
                 ty,
@@ -372,14 +442,14 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             pred: None,
         }),
         "call" => {
-            // call.uni (dst), sym, (args)
+            // call.uni (dst), sym, (args) — parentheses are dropped wherever
+            // they stand.
             let inner = rest.replace(['(', ')'], "");
-            let toks = split_operands(&inner);
-            if toks.len() < 2 {
+            let mut toks = operands(&inner);
+            let (Some(dst), Some(sym)) = (toks.next(), toks.next()) else {
                 return Err(err(line, "bad call"));
-            }
-            let dst = parse_reg(&toks[0], line)?;
-            let sym = &toks[1];
+            };
+            let dst = parse_reg(dst, line)?;
             let (base, ty) = if let Some(b) = sym.strip_suffix("_f64") {
                 (b, PtxType::F64)
             } else if let Some(b) = sym.strip_suffix("_f32") {
@@ -389,8 +459,7 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             };
             let func = MathFn::from_symbol(base)
                 .ok_or_else(|| err(line, format!("unknown subroutine `{sym}`")))?;
-            let args = toks[2..]
-                .iter()
+            let args = toks
                 .map(|t| parse_reg(t, line))
                 .collect::<Result<Vec<_>, _>>()?;
             if args.len() != func.arity() {
@@ -404,7 +473,7 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
 }
 
 fn parse_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
-    let text = text.trim();
+    let text = trim(text);
     // label?
     if let Some(name) = text.strip_suffix(':') {
         if !name.contains(char::is_whitespace) {
@@ -415,9 +484,8 @@ fn parse_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
     }
     // predicated branch?
     if let Some(rest) = text.strip_prefix('@') {
-        let (pred_tok, body) = rest
-            .split_once(char::is_whitespace)
-            .ok_or_else(|| err(line, "bad predicated instruction"))?;
+        let (pred_tok, body) =
+            split_space(rest).ok_or_else(|| err(line, "bad predicated instruction"))?;
         let (negated, reg_tok) = match pred_tok.strip_prefix('!') {
             Some(r) => (true, r),
             None => (false, pred_tok),
@@ -443,30 +511,24 @@ pub fn parse_module(text: &str) -> Result<Module, PtxError> {
     module.kernels.clear();
 
     // Strip comments; keep line numbers.
-    let lines: Vec<(usize, String)> = text
+    let lines: Vec<(usize, &str)> = text
         .lines()
         .enumerate()
-        .map(|(i, l)| {
-            let l = match l.find("//") {
-                Some(p) => &l[..p],
-                None => l,
-            };
-            (i + 1, l.trim().to_string())
-        })
+        .map(|(i, l)| (i + 1, trim(cut_comment(l))))
         .filter(|(_, l)| !l.is_empty())
         .collect();
 
     let mut i = 0usize;
     while i < lines.len() {
-        let (lineno, line) = (&lines[i].0, lines[i].1.as_str());
+        let (lineno, line) = lines[i];
         if let Some(v) = line.strip_prefix(".version") {
             let v = v.trim();
             let (maj, min) = v
                 .split_once('.')
-                .ok_or_else(|| err(*lineno, "bad .version"))?;
+                .ok_or_else(|| err(lineno, "bad .version"))?;
             module.version = (
-                maj.parse().map_err(|_| err(*lineno, "bad version"))?,
-                min.parse().map_err(|_| err(*lineno, "bad version"))?,
+                maj.parse().map_err(|_| err(lineno, "bad version"))?,
+                min.parse().map_err(|_| err(lineno, "bad version"))?,
             );
             i += 1;
         } else if let Some(t) = line.strip_prefix(".target") {
@@ -477,9 +539,9 @@ pub fn parse_module(text: &str) -> Result<Module, PtxError> {
         } else if line.starts_with(".visible .entry") || line.starts_with(".entry") {
             // Gather the header until the opening brace.
             let mut header = String::new();
-            let start_line = *lineno;
+            let start_line = lineno;
             while i < lines.len() {
-                let l = lines[i].1.as_str();
+                let l = lines[i].1;
                 if l == "{" {
                     i += 1;
                     break;
@@ -517,16 +579,15 @@ pub fn parse_module(text: &str) -> Result<Module, PtxError> {
                     continue;
                 }
                 // ".param .u64 name"
-                let toks: Vec<&str> = ptext.split_whitespace().collect();
-                if toks.len() != 3 || toks[0] != ".param" {
+                let Some([".param", ty, name]) = words(ptext) else {
                     return Err(err(start_line, format!("bad parameter `{ptext}`")));
-                }
-                let ty = toks[1]
+                };
+                let ty = ty
                     .strip_prefix('.')
                     .and_then(PtxType::from_suffix)
-                    .ok_or_else(|| err(start_line, format!("bad param type `{}`", toks[1])))?;
+                    .ok_or_else(|| err(start_line, format!("bad param type `{ty}`")))?;
                 params.push(Param {
-                    name: toks[2].to_string(),
+                    name: name.to_string(),
                     ty,
                 });
             }
@@ -536,7 +597,7 @@ pub fn parse_module(text: &str) -> Result<Module, PtxError> {
             let mut reg_counts = [0u32; 5];
             let mut closed = false;
             while i < lines.len() {
-                let (ln, l) = (lines[i].0, lines[i].1.as_str());
+                let (ln, l) = lines[i];
                 if l == "}" {
                     i += 1;
                     closed = true;
@@ -545,15 +606,14 @@ pub fn parse_module(text: &str) -> Result<Module, PtxError> {
                 if let Some(decl) = l.strip_prefix(".reg") {
                     // ".reg .f32 %f<3>;"
                     let decl = decl.trim().trim_end_matches(';');
-                    let toks: Vec<&str> = decl.split_whitespace().collect();
-                    if toks.len() != 2 {
+                    let Some([decl_type, count]) = words(decl) else {
                         return Err(err(ln, "bad .reg declaration"));
-                    }
+                    };
                     let class = RegClass::all()
                         .into_iter()
-                        .find(|c| c.decl_type() == toks[0])
-                        .ok_or_else(|| err(ln, format!("bad reg class `{}`", toks[0])))?;
-                    let count = toks[1]
+                        .find(|c| c.decl_type() == decl_type)
+                        .ok_or_else(|| err(ln, format!("bad reg class `{decl_type}`")))?;
+                    let count = count
                         .trim_start_matches(class.prefix())
                         .trim_start_matches('<')
                         .trim_end_matches('>')
@@ -565,8 +625,7 @@ pub fn parse_module(text: &str) -> Result<Module, PtxError> {
                             format!("reg count {count} exceeds limit {MAX_REGS_PER_CLASS}"),
                         ));
                     }
-                    let idx = RegClass::all().iter().position(|c| *c == class).unwrap();
-                    reg_counts[idx] = count;
+                    reg_counts[class.index()] = count;
                     i += 1;
                     continue;
                 }
@@ -583,7 +642,7 @@ pub fn parse_module(text: &str) -> Result<Module, PtxError> {
                 reg_counts,
             });
         } else {
-            return Err(err(*lineno, format!("unexpected line `{line}`")));
+            return Err(err(lineno, format!("unexpected line `{line}`")));
         }
     }
     Ok(module)
@@ -658,6 +717,46 @@ mod tests {
                 _ => panic!("not a float imm"),
             }
         }
+    }
+
+    /// The byte scanners accept exactly what the `str` routines they stand
+    /// in for do, Unicode and vertical-tab whitespace included.
+    #[test]
+    fn byte_scanners_match_std() {
+        let samples = [
+            "",
+            " ",
+            "\x0b",
+            "a",
+            " a\t",
+            "\x0ba\x0b",
+            "\u{a0}a\u{3000}",
+            "é b",
+            "a\u{2003}b c",
+            "\t%fd1, , %fd2 ",
+            "x//y",
+            "a/b//c",
+            "//",
+            "ld.global.f64",
+            "..a.",
+            ",,x,",
+        ];
+        for s in samples {
+            assert_eq!(trim(s), s.trim(), "{s:?}");
+            assert_eq!(split_space(s), s.split_once(char::is_whitespace), "{s:?}");
+            assert_eq!(cut_comment(s), s.find("//").map_or(s, |p| &s[..p]), "{s:?}");
+            for sep in [b',', b'.', b'+'] {
+                let std: Vec<&str> = s.split(sep as char).collect();
+                assert_eq!(split_byte(s, sep).collect::<Vec<_>>(), std, "{s:?}");
+                assert_eq!(split_once_byte(s, sep), s.split_once(sep as char), "{s:?}");
+            }
+        }
+        let text = emit_module(&vadd_module());
+        let spaced = text
+            .replace("\tadd.u64 ", "\x0badd.u64\u{a0}")
+            .replace(", ", ",\u{2003}");
+        assert!(spaced.contains("\x0badd.u64\u{a0}%rd"));
+        assert_eq!(parse_module(&spaced).unwrap(), vadd_module());
     }
 
     #[test]

@@ -131,6 +131,12 @@ impl RegClass {
         ]
     }
 
+    /// Position in [`RegClass::all`], which is also the class's slot in a
+    /// kernel's `reg_counts`.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Register width in bytes (predicates count as 1 for the resource
     /// model; the hardware stores them in a separate file).
     pub fn width_bytes(self) -> usize {
@@ -160,7 +166,10 @@ impl Reg {
 
 impl std::fmt::Display for Reg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}{}", self.class.prefix(), self.id)
+        // Two direct writes, not a nested `write!`: the emitter prints
+        // every register operand through here.
+        f.write_str(self.class.prefix())?;
+        self.id.fmt(f)
     }
 }
 
@@ -190,6 +199,9 @@ mod tests {
         assert_eq!(PtxType::U32.reg_class(), RegClass::B32);
         assert_eq!(PtxType::S64.reg_class(), RegClass::B64);
         assert_eq!(PtxType::Pred.reg_class(), RegClass::Pred);
+        for (i, c) in RegClass::all().into_iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
     }
 
     #[test]
