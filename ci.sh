@@ -219,6 +219,25 @@ if [ -n "$stale$copied" ]; then
 fi
 echo "ok: linear compile path (dense register tables in opt.rs, borrowed lines and operands in parse.rs)"
 
+# ---- Guard: one tenant transport ----------------------------------------------
+# A tenant reaches the server in process (`Server::submit` -> `JobTicket`):
+# the channel-mesh transport, its wire codec and the comm-deadline knob that
+# only the mesh read stay deleted, and qdp-serve does not depend on the
+# cluster crate. crates/benchmark is frozen and skipped. (Spelled in pieces,
+# as above.)
+twins="serve_over_""mesh|Client""Plan|Mesh""Outcome|Client""Report|encode_""request"
+twins="$twins|decode_""response|comm_timeout""_ms|QDP_COMM_""TIMEOUT|fn fault_""plan"
+stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples \
+    | grep -v '^crates/benchmark/' || true)
+dep=$(grep -n "qdp-""comm" crates/serve/Cargo.toml || true)
+if [ -n "$stale$dep" ]; then
+    echo "FAIL: a second tenant transport or the mesh-only comm deadline is back:" >&2
+    [ -z "$stale" ] || echo "$stale" >&2
+    [ -z "$dep" ] || echo "crates/serve/Cargo.toml: $dep" >&2
+    exit 1
+fi
+echo "ok: one tenant transport (no channel-mesh serving, no wire codec, no comm-deadline knob)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
@@ -367,12 +386,12 @@ done
 echo "ok: campaign kill -> checkpoint restore -> bit-identical history ($(probe_val restores "$campaign_out") restore)"
 
 # ---- Serving: multi-tenant front-end under and over the admission threshold -
-# Phase 1 (default knobs: 8 tenants x 6 mixed jobs over 8 pool streams,
-# windows within the caps): every job answered, zero rejections, and the
-# Perfetto trace must show >= 8 distinct `serve-<n>` device stream tracks —
-# the interleaving evidence. Phase 2 (tiny caps, aggressive windows):
-# rejections MUST happen and every request still gets an in-order
-# structured answer (deadlock=0 on both phases proves no hang).
+# One in-process client thread per tenant. Phase 1 (8 tenants x 6 mixed
+# jobs over 8 pool streams, windows within the caps): every job answered,
+# zero rejections, and the Perfetto trace must show >= 8 distinct
+# `serve-<n>` device stream tracks — the interleaving evidence. Phase 2
+# (tiny caps, aggressive windows): rejections MUST happen and every request
+# still gets a structured answer (deadlock=0 on both phases proves no hang).
 serve_out=/tmp/qdp_ci_serve_out.txt
 serve_trace=/tmp/qdp_ci_serve_trace.json
 rm -f "$serve_out" "$serve_trace"

@@ -11,7 +11,6 @@
 //! |------------------------|--------------------------------------|
 //! | `QDP_OPT`              | [`QdpConfig::opt_level`]             |
 //! | `QDP_FUSE`             | [`QdpConfig::fuse`] (`0` = group budget 1) |
-//! | `QDP_COMM_TIMEOUT_MS`  | [`QdpConfig::comm_timeout_ms`]       |
 //! | `QDP_FAULT`            | [`QdpConfig::fault`]                 |
 //! | `QDP_CHECKPOINT_DIR`   | [`QdpConfig::checkpoint_dir`]        |
 //! | `QDP_CACHE_DIR`/`_CLEAR`| [`QdpConfig::store`]                |
@@ -37,9 +36,6 @@ pub struct QdpConfig {
     /// is a group budget of 1 on the same planner: one launch per recorded
     /// statement and per reduction temporary.
     pub fuse: bool,
-    /// Per-message receive deadline for the virtual cluster
-    /// (`QDP_COMM_TIMEOUT_MS`; default 5000).
-    pub comm_timeout_ms: u64,
     /// Rank-failure injection plan (`QDP_FAULT`; default empty).
     pub fault: FaultPlan,
     /// Trajectory checkpoint directory (`QDP_CHECKPOINT_DIR`).
@@ -57,7 +53,6 @@ impl Default for QdpConfig {
         QdpConfig {
             opt_level: OptLevel::Default,
             fuse: true,
-            comm_timeout_ms: 5000,
             fault: FaultPlan::new(),
             checkpoint_dir: None,
             store: StoreConfig::new(),
@@ -86,9 +81,6 @@ impl QdpConfig {
         QdpConfig {
             opt_level: var("QDP_OPT").map_or(OptLevel::Default, |v| OptLevel::parse(&v)),
             fuse: on_unless_zero("QDP_FUSE"),
-            comm_timeout_ms: var("QDP_COMM_TIMEOUT_MS")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(5000),
             fault: var("QDP_FAULT").map_or_else(FaultPlan::new, |s| FaultPlan::parse(&s)),
             checkpoint_dir: path("QDP_CHECKPOINT_DIR"),
             store: StoreConfig {
@@ -104,12 +96,6 @@ impl QdpConfig {
                 flight_dir: path("QDP_FLIGHT_DIR"),
             },
         }
-    }
-
-    /// The fault plan with this config's comm deadline applied — what a
-    /// cluster run should be handed.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.fault.clone().deadline_ms(self.comm_timeout_ms)
     }
 }
 
@@ -184,12 +170,6 @@ impl QdpContextBuilder {
         self
     }
 
-    /// Per-message receive deadline for cluster communication.
-    pub fn comm_timeout_ms(mut self, ms: u64) -> Self {
-        self.config.comm_timeout_ms = ms;
-        self
-    }
-
     /// Trajectory checkpoint directory.
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.config.checkpoint_dir = Some(dir.into());
@@ -249,7 +229,6 @@ mod tests {
         let cfg = QdpConfig::new();
         assert_eq!(cfg.opt_level, OptLevel::Default);
         assert!(cfg.fuse);
-        assert_eq!(cfg.comm_timeout_ms, 5000);
         assert!(cfg.fault.is_empty());
         assert!(cfg.checkpoint_dir.is_none());
         assert_eq!(cfg.store, StoreConfig::new());
@@ -257,22 +236,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_carries_comm_deadline() {
-        let mut cfg = QdpConfig::new();
-        cfg.comm_timeout_ms = 123;
-        assert_eq!(cfg.fault_plan().effective_deadline_ms(), 123);
-    }
-
-    #[test]
     fn builder_knobs_land_in_context() {
         let ctx = QdpContext::builder(Geometry::symmetric(2))
             .opt_level(OptLevel::None)
             .fuse(false)
-            .comm_timeout_ms(77)
             .build();
         assert_eq!(ctx.opt_level(), OptLevel::None);
         assert!(!ctx.config().fuse);
-        assert_eq!(ctx.config().comm_timeout_ms, 77);
         assert!(ctx.kernel_store().is_none());
     }
 

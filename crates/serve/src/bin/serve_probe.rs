@@ -1,31 +1,38 @@
-//! serve_probe — drive the serving front-end with N synthetic tenants and
+//! serve_probe — drive the serving front-end with synthetic tenants and
 //! print machine-checkable `key=value` lines (the `serve` CI stage greps
 //! them).
 //!
+//! Every tenant is an in-process client thread: it pipelines up to a window
+//! of [`Server::submit`] calls and waits on its oldest [`JobTicket`] once
+//! the window is full, tallying each answer as ok, rejected or failed.
+//!
 //! Phase 1 ("offered load below the admission threshold"): every client's
-//! pipeline window fits its tenant cap and the global queue — zero
-//! rejections expected, ≥ min(workers, tenants) device stream tracks busy.
+//! window fits its tenant cap and the global queue — zero rejections
+//! expected, ≥ min(workers, tenants) device stream tracks busy.
 //! Phase 2 ("saturation"): tiny caps, aggressive windows — rejections are
-//! expected and every job still gets an in-order structured answer
-//! (`sat_deadlock=0` proves no hang).
+//! expected and every job still gets a structured answer (`sat_deadlock=0`
+//! proves no hang).
 //!
 //! This binary is the env-driven entry point: it captures `QDP_*` once via
 //! `QdpConfig::from_env()` and passes typed config down — the serving
 //! crate itself never reads the environment.
 //!
-//! Knobs: `SERVE_TENANTS` (default 8), `SERVE_JOBS` (per tenant, default
-//! 6), `SERVE_WORKERS` (default 8), `SERVE_TRACE` (Perfetto trace path,
-//! default `serve_probe_trace.json`; also counts its stream tracks).
+//! The load is fixed: [`TENANTS`] tenants submit [`JOBS`] jobs each to
+//! [`WORKERS`] workers. `SERVE_TRACE` sets the Perfetto trace path (default
+//! `serve_probe_trace.json`), whose stream tracks the probe also counts.
 
 use qdp_core::prelude::*;
-use qdp_serve::{serve_over_mesh, ClientPlan, JobSpec, MeshOutcome, ServeConfig, TenantSpec};
+use qdp_serve::{
+    JobResult, JobSpec, JobTicket, ServeConfig, ServeError, Server, ServerStats, TenantSpec,
+};
+use std::collections::VecDeque;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Tenants, one client thread each.
+const TENANTS: usize = 8;
+/// Jobs each tenant submits per phase.
+const JOBS: usize = 6;
+/// Phase-1 worker threads (and pool streams).
+const WORKERS: usize = 8;
 
 fn mixed_job(tenant: usize, j: usize) -> JobSpec {
     match (tenant + j) % 3 {
@@ -48,6 +55,83 @@ fn cheap_job(_tenant: usize, _j: usize) -> JobSpec {
     JobSpec::Plaquette
 }
 
+/// Answers received by one client, or summed over all of them.
+#[derive(Default)]
+struct Tally {
+    ok: u64,
+    rejected: u64,
+    failed: u64,
+}
+
+impl Tally {
+    fn record(&mut self, answer: Result<JobResult, ServeError>) {
+        match answer {
+            Ok(_) => self.ok += 1,
+            Err(ServeError::Rejected(_)) => self.rejected += 1,
+            Err(_) => self.failed += 1,
+        }
+    }
+
+    fn answered(&self) -> u64 {
+        self.ok + self.rejected + self.failed
+    }
+}
+
+/// One tenant's client: a rejected submission holds its window slot until
+/// it reaches the front, like an answer still in flight.
+fn run_client(
+    server: &Server,
+    tenant: usize,
+    window: usize,
+    job_for: fn(usize, usize) -> JobSpec,
+) -> Tally {
+    let mut tally = Tally::default();
+    let mut pending = VecDeque::new();
+    for j in 0..JOBS {
+        pending.push_back(server.submit(tenant, job_for(tenant, j)));
+        if pending.len() >= window {
+            let oldest = pending.pop_front().expect("window is full");
+            tally.record(oldest.and_then(JobTicket::wait));
+        }
+    }
+    for rest in pending {
+        tally.record(rest.and_then(JobTicket::wait));
+    }
+    tally
+}
+
+/// Serve one session: start a server, run every tenant's client to
+/// completion, drain, and return the server's statistics with the summed
+/// client tally. The server (and its trace) is dropped on return.
+fn session(
+    cfg: &ServeConfig,
+    tenants: &[TenantSpec],
+    window: usize,
+    job_for: fn(usize, usize) -> JobSpec,
+) -> (ServerStats, Tally) {
+    let server = Server::start(cfg, tenants);
+    let tally = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..tenants.len())
+            .map(|t| {
+                let server = &server;
+                s.spawn(move || run_client(server, t, window, job_for))
+            })
+            .collect();
+        let mut sum = Tally::default();
+        for c in clients {
+            let t = c.join().expect("client thread");
+            sum.ok += t.ok;
+            sum.rejected += t.rejected;
+            sum.failed += t.failed;
+        }
+        sum
+    });
+    server.drain();
+    let stats = server.stats();
+    server.shutdown();
+    (stats, tally)
+}
+
 /// Count distinct `serve-<n>` thread-name tracks in a Chrome trace file.
 fn count_stream_tracks(path: &std::path::Path) -> usize {
     let Ok(text) = std::fs::read_to_string(path) else {
@@ -68,9 +152,6 @@ fn count_stream_tracks(path: &std::path::Path) -> usize {
 }
 
 fn main() {
-    let tenants_n = env_usize("SERVE_TENANTS", 8);
-    let jobs = env_usize("SERVE_JOBS", 6);
-    let workers = env_usize("SERVE_WORKERS", 8);
     let trace_path = std::path::PathBuf::from(
         std::env::var("SERVE_TRACE").unwrap_or_else(|_| "serve_probe_trace.json".into()),
     );
@@ -79,49 +160,27 @@ fn main() {
     if qdp.telemetry.trace_path.is_none() {
         qdp.telemetry.trace_path = Some(trace_path.clone());
     }
-    // Cold JIT compiles make the first wave of jobs slow; unless the user
-    // moved the deadline off its default, give the mesh enough headroom
-    // that slow responses are distinguishable from a real hang (a deadlock
-    // never finishes, so `deadlock=0` stays meaningful).
-    if qdp.comm_timeout_ms == QdpConfig::new().comm_timeout_ms {
-        qdp.comm_timeout_ms = 120_000;
-    }
     let trace_path = qdp.telemetry.trace_path.clone().expect("set above");
     let _ = std::fs::remove_file(&trace_path);
 
-    let tenants: Vec<TenantSpec> = (0..tenants_n)
+    let tenants: Vec<TenantSpec> = (0..TENANTS)
         .map(|t| TenantSpec::new(format!("tenant{t}"), 0x5eed + t as u64))
         .collect();
+    let offered = (TENANTS * JOBS) as u64;
 
     // ---- phase 1: offered load under the admission threshold ------------
     let mut cfg = ServeConfig::new(qdp.clone());
-    cfg.workers = workers;
+    cfg.workers = WORKERS;
     cfg.tenant_cap = 4;
-    cfg.queue_cap = tenants_n * cfg.tenant_cap; // every window fits
-    let plan = ClientPlan {
-        jobs,
-        burst: cfg.tenant_cap, // never beyond the per-tenant cap
-        job_for: mixed_job,
-    };
-    let outcomes = serve_over_mesh(&cfg, &tenants, &plan);
-    let MeshOutcome::Server(stats) = &outcomes[0] else {
-        panic!("rank 0 must be the server");
-    };
-    let (mut ok, mut rejected, mut failed) = (0u64, 0u64, 0u64);
-    for o in &outcomes[1..] {
-        let MeshOutcome::Client(c) = o else {
-            panic!("ranks 1..N must be clients");
-        };
-        ok += c.ok;
-        rejected += c.rejected;
-        failed += c.failed;
-    }
-    println!("tenants={tenants_n}");
-    println!("jobs_per_tenant={jobs}");
-    println!("workers={workers}");
-    println!("ok={ok}");
-    println!("rejected={rejected}");
-    println!("failed={failed}");
+    // every window fits the global queue and none exceeds its tenant cap
+    cfg.queue_cap = TENANTS * cfg.tenant_cap;
+    let (stats, tally) = session(&cfg, &tenants, cfg.tenant_cap, mixed_job);
+    println!("tenants={TENANTS}");
+    println!("jobs_per_tenant={JOBS}");
+    println!("workers={WORKERS}");
+    println!("ok={}", tally.ok);
+    println!("rejected={}", tally.rejected);
+    println!("failed={}", tally.failed);
     println!("completed={}", stats.completed);
     println!(
         "min_tenant_completed={}",
@@ -132,8 +191,7 @@ fn main() {
     println!("p50_ms={:.3}", stats.p50_latency_ms);
     println!("p99_ms={:.3}", stats.p99_latency_ms);
     // every job answered: the session ran to completion without a hang
-    let deadlock = (ok + rejected + failed) != (tenants_n * jobs) as u64;
-    println!("deadlock={}", deadlock as u8);
+    println!("deadlock={}", (tally.answered() != offered) as u8);
 
     // ---- phase 2: saturation — rejections, never a hang ------------------
     let mut sat_qdp = qdp.clone();
@@ -142,30 +200,13 @@ fn main() {
     sat.workers = 1;
     sat.tenant_cap = 1;
     sat.queue_cap = 1;
-    let sat_plan = ClientPlan {
-        jobs,
-        burst: jobs.max(2), // slam the whole batch in at once
-        job_for: cheap_job,
-    };
-    let outcomes = serve_over_mesh(&sat, &tenants, &sat_plan);
-    let MeshOutcome::Server(sat_stats) = &outcomes[0] else {
-        panic!("rank 0 must be the server");
-    };
-    let (mut sat_ok, mut sat_rejected, mut sat_failed) = (0u64, 0u64, 0u64);
-    for o in &outcomes[1..] {
-        let MeshOutcome::Client(c) = o else {
-            panic!("ranks 1..N must be clients");
-        };
-        sat_ok += c.ok;
-        sat_rejected += c.rejected;
-        sat_failed += c.failed;
-    }
-    println!("sat_ok={sat_ok}");
-    println!("sat_rejected={sat_rejected}");
-    println!("sat_failed={sat_failed}");
+    // slam the whole batch in at once
+    let (sat_stats, sat_tally) = session(&sat, &tenants, JOBS, cheap_job);
+    println!("sat_ok={}", sat_tally.ok);
+    println!("sat_rejected={}", sat_tally.rejected);
+    println!("sat_failed={}", sat_tally.failed);
     println!("sat_completed={}", sat_stats.completed);
-    let sat_deadlock = (sat_ok + sat_rejected + sat_failed) != (tenants_n * jobs) as u64;
-    println!("sat_deadlock={}", sat_deadlock as u8);
+    println!("sat_deadlock={}", (sat_tally.answered() != offered) as u8);
 
     // the phase-1 trace is flushed when its telemetry registry drops
     println!("trace={}", trace_path.display());

@@ -23,9 +23,6 @@
 //!   outstanding caps; overload returns [`ServeError::Rejected`]
 //!   *(backpressure as a value: never a panic, an unbounded queue, or a
 //!   deadlock)*;
-//! * **transport** — in-process [`Server::submit`], or the channel mesh
-//!   ([`serve_over_mesh`]) with the explicit [`wire`] codec: rank 0
-//!   serves, every other rank is a tenant client with a pipelined window;
 //! * **observability** — per-tenant counters
 //!   (`serve.tenant.<name>.completed` / `.rejected`), a per-job span per
 //!   kind, and the `serve.job_latency_ms` histogram whose p50/p99 ride in
@@ -38,11 +35,8 @@
 
 pub mod error;
 pub mod job;
-pub mod mesh;
 pub mod server;
-pub mod wire;
 
 pub use error::{RejectReason, ServeError};
 pub use job::{JobResult, JobSpec, TenantSpec};
-pub use mesh::{serve_over_mesh, ClientPlan, ClientReport, MeshOutcome};
 pub use server::{JobTicket, ServeConfig, Server, ServerStats};

@@ -233,11 +233,6 @@ impl Server {
         &self.core.ctx
     }
 
-    /// Number of registered tenants.
-    pub fn n_tenants(&self) -> usize {
-        self.core.tenants.len()
-    }
-
     /// Submit a job for `tenant`. Returns a ticket immediately; admission
     /// control may turn the job away with [`ServeError::Rejected`].
     pub fn submit(&self, tenant: usize, spec: JobSpec) -> Result<JobTicket, ServeError> {
@@ -296,15 +291,6 @@ impl Server {
         }
     }
 
-    /// Completions per tenant so far, in registration order.
-    pub fn per_tenant_completed(&self) -> Vec<u64> {
-        self.core
-            .tenants
-            .iter()
-            .map(|t| t.completed.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// Tenant ids in the order their jobs completed (the fairness oracle:
     /// with one worker this is exactly the dispatch order).
     pub fn completion_order(&self) -> Vec<u32> {
@@ -335,7 +321,12 @@ impl Server {
         ServerStats {
             completed,
             rejected: self.core.rejected.load(Ordering::Relaxed),
-            per_tenant_completed: self.per_tenant_completed(),
+            per_tenant_completed: self
+                .core
+                .tenants
+                .iter()
+                .map(|t| t.completed.load(Ordering::Relaxed))
+                .collect(),
             jobs_per_sec,
             streams_used,
             p50_latency_ms: p50,

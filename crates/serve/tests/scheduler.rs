@@ -6,8 +6,9 @@ use chroma_mini::{cg_solve, GaugeField, Hmc, WilsonDirac};
 use qdp_core::prelude::*;
 use qdp_rng::{SeedableRng, StdRng};
 use qdp_serve::{
-    JobResult, JobSpec, MeshOutcome, RejectReason, ServeConfig, ServeError, Server, TenantSpec,
+    JobResult, JobSpec, JobTicket, RejectReason, ServeConfig, ServeError, Server, TenantSpec,
 };
+use std::collections::VecDeque;
 
 fn tenants(n: usize) -> Vec<TenantSpec> {
     (0..n)
@@ -241,24 +242,57 @@ fn second_server_warm_starts_from_shared_kernel_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Concurrent tenants on the mesh transport: all jobs answered, all pool
-/// streams exercised, zero rejections below the admission threshold.
+/// One in-process client thread per tenant, each pipelining up to `window`
+/// plaquette submissions and waiting on its oldest ticket once the window
+/// is full. Returns each tenant's `[ok, rejected, failed]` answer counts.
+fn run_clients(server: &Server, n_tenants: usize, jobs: usize, window: usize) -> Vec<[u64; 3]> {
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..n_tenants)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut tally = [0u64; 3];
+                    let mut record =
+                        |r: Result<JobTicket, ServeError>| match r.and_then(JobTicket::wait) {
+                            Ok(_) => tally[0] += 1,
+                            Err(ServeError::Rejected(_)) => tally[1] += 1,
+                            Err(_) => tally[2] += 1,
+                        };
+                    let mut pending = VecDeque::new();
+                    for _ in 0..jobs {
+                        pending.push_back(server.submit(t, JobSpec::Plaquette));
+                        if pending.len() >= window {
+                            record(pending.pop_front().expect("window is full"));
+                        }
+                    }
+                    pending.into_iter().for_each(record);
+                    tally
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .collect()
+    })
+}
+
+/// Many clients submit concurrently, each re-submitting the instant its
+/// oldest answer arrives: with every window within the tenant cap nothing
+/// may be rejected, which holds only because a worker settles a job's
+/// in-flight slot before it releases the reply.
 #[test]
-fn mesh_session_interleaves_eight_tenants_without_rejections() {
+fn concurrent_clients_interleave_eight_tenants_without_rejections() {
     let mut cfg = small_cfg();
     cfg.workers = 8;
     cfg.tenant_cap = 2;
     cfg.queue_cap = 16;
-    let specs = tenants(8);
-    let plan = qdp_serve::ClientPlan {
-        jobs: 3,
-        burst: 2, // within the tenant cap → nothing may be rejected
-        job_for: |_, _| JobSpec::Plaquette,
-    };
-    let outcomes = qdp_serve::serve_over_mesh(&cfg, &specs, &plan);
-    let MeshOutcome::Server(stats) = &outcomes[0] else {
-        panic!("rank 0 is the server");
-    };
+    let server = Server::start(&cfg, &tenants(8));
+    let tallies = run_clients(&server, 8, 3, cfg.tenant_cap);
+    server.drain();
+    let stats = server.stats();
+    server.shutdown();
+    // [ok, rejected, failed] per tenant
+    assert_eq!(tallies, vec![[3, 0, 0]; 8]);
     assert_eq!(stats.completed, 24);
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.per_tenant_completed, vec![3; 8]);
@@ -267,40 +301,23 @@ fn mesh_session_interleaves_eight_tenants_without_rejections() {
         "concurrent jobs must spread over the stream pool, used {}",
         stats.streams_used
     );
-    for o in &outcomes[1..] {
-        let MeshOutcome::Client(c) = o else {
-            panic!("ranks 1..N are clients");
-        };
-        assert_eq!(c.ok, 3);
-        assert_eq!(c.rejected, 0);
-        assert_eq!(c.failed, 0);
-    }
 }
 
-/// Saturated mesh session: rejections happen, every request is still
-/// answered in order (the run terminating at all proves no deadlock).
+/// Saturated concurrent clients: rejections happen and every request is
+/// still answered exactly once (the run terminating at all proves no
+/// deadlock).
 #[test]
-fn mesh_session_saturates_with_rejections_not_deadlock() {
+fn concurrent_clients_saturate_with_rejections_not_deadlock() {
     let mut cfg = small_cfg();
     cfg.workers = 1;
     cfg.tenant_cap = 1;
     cfg.queue_cap = 1;
-    let specs = tenants(4);
-    let plan = qdp_serve::ClientPlan {
-        jobs: 5,
-        burst: 5,
-        job_for: |_, _| JobSpec::Plaquette,
-    };
-    let outcomes = qdp_serve::serve_over_mesh(&cfg, &specs, &plan);
-    let (mut answered, mut rejected) = (0u64, 0u64);
-    for o in &outcomes[1..] {
-        let MeshOutcome::Client(c) = o else {
-            panic!("ranks 1..N are clients");
-        };
-        answered += c.ok + c.rejected + c.failed;
-        rejected += c.rejected;
-        assert_eq!(c.failed, 0);
-    }
+    let server = Server::start(&cfg, &tenants(4));
+    let tallies = run_clients(&server, 4, 5, 5);
+    server.shutdown();
+    let answered: u64 = tallies.iter().flatten().sum();
+    let rejected: u64 = tallies.iter().map(|t| t[1]).sum();
     assert_eq!(answered, 20, "every request gets exactly one answer");
     assert!(rejected > 0, "this load must overflow the caps");
+    assert!(tallies.iter().all(|t| t[2] == 0), "no request may fail");
 }
