@@ -238,6 +238,27 @@ if [ -n "$stale$dep" ]; then
 fi
 echo "ok: one tenant transport (no channel-mesh serving, no wire codec, no comm-deadline knob)"
 
+# ---- Guard: one telemetry surface ---------------------------------------------
+# `ProfileReport` (with `ctx.roofline_report()`) and the flight ring are the
+# one view of the registry: the JSON metrics exporter stays deleted, and so
+# do the switches that only ever took their default — the roofline switch
+# (the report prints under QDP_PROFILE), the flight on/off and capacity
+# knobs (the 256-event ring is always on), the store-wipe knob and the
+# store-config wrapper (QdpConfig::cache_dir is the one persistence
+# setting), and the builder's whole-telemetry-config setter.
+# crates/benchmark is frozen and skipped. (Spelled in pieces, as above.)
+twins="Metrics""Snapshot|SNAPSHOT_""VERSION|enable_""roofline|roofline_""enabled|QDP_""ROOFLINE"
+twins="$twins|QDP_""FLIGHT([^_]|\$)|QDP_FLIGHT_""CAP|flight_""cap|flight_""enabled"
+twins="$twins|QDP_CACHE_""CLEAR|Store""Config|telemetry_""config"
+stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
+    | grep -v '^crates/benchmark/' || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: a second telemetry exporter or a default-only telemetry/store switch is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: one telemetry surface (no JSON metrics exporter, no roofline/flight/store-wipe switches)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
@@ -261,8 +282,9 @@ cargo test -q --release --offline -p chroma-mini --test checkpoint --test attach
 echo "ok: failure-injection matrix + checkpoint/restart tests"
 
 # ---- Telemetry smoke: profile + roofline + Chrome trace on a real workload -
-# Run the Wilson-dslash example with the profiler, roofline analyzer and
-# tracer on, then verify the trace with the in-tree checker: the file must
+# Run the Wilson-dslash example with the profiler (which also prints the
+# roofline section) and the tracer on, then verify the trace with the
+# in-tree checker: the file must
 # exist, parse as Chrome trace JSON, contain at least one device kernel
 # event, and every kernel event must carry the hardware-counter args
 # (ld_tx/st_tx/occ). The residual check's apply_normal issues its two
@@ -274,7 +296,7 @@ echo "ok: failure-injection matrix + checkpoint/restart tests"
 trace=/tmp/qdp_ci_trace.json
 obs_out=/tmp/qdp_ci_obs_out.txt
 rm -f "$trace" "$obs_out"
-QDP_PROFILE=1 QDP_ROOFLINE=1 QDP_TRACE="$trace" \
+QDP_PROFILE=1 QDP_TRACE="$trace" \
     cargo run --release --offline --example wilson_dslash > "$obs_out"
 cargo run --release --offline -p qdp-telemetry --bin trace_check -- \
     "$trace" --min-kernel-events 1 --min-streams 3 --require-counters
@@ -285,7 +307,7 @@ echo "ok: telemetry profile + hardware counters + roofline + multi-stream trace 
 
 # ---- Flight recorder: forced launch failure dumps the black box -------------
 # The probe performs healthy launches then forces a launch failure; the
-# telemetry layer must drop an atomically-written qdp-flight-<pid>.json
+# telemetry layer must drop an atomically-written qdp-flight-<pid>-<n>.json
 # containing the failing event, and the checker must validate its schema.
 flight_dir=$(mktemp -d)
 flight_dump=$(cargo run --release --offline -p qdp-bench --bin flight_probe -- "$flight_dir")

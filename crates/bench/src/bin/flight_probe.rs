@@ -81,7 +81,22 @@ fn main() {
     let err = launch_tuned_on(&device, &tuner, &k, &args, 0, 1, false, StreamId::DEFAULT);
     assert!(err.is_err(), "zero-thread launch must fail");
 
-    let path = dir.join(format!("qdp-flight-{}.json", std::process::id()));
-    assert!(path.is_file(), "flight dump missing at {}", path.display());
-    println!("{}", path.display());
+    // This process's dumps are `qdp-flight-<pid>-<registry>.json`.
+    let prefix = format!("qdp-flight-{}-", std::process::id());
+    let dumps: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list dump dir")
+        .map(|e| e.expect("dump dir entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".json"))
+        })
+        .collect();
+    assert_eq!(
+        dumps.len(),
+        1,
+        "one flight dump expected in {}, got {dumps:?}",
+        dir.display()
+    );
+    println!("{}", dumps[0].display());
 }

@@ -23,7 +23,7 @@ fn main() {
     let tel = Arc::new(Telemetry::new());
     tel.enable();
     let config = QdpConfig::from_env();
-    let cache_dir = config.store.dir.clone();
+    let cache_dir = config.cache_dir.clone();
     let ctx = QdpContext::builder(Geometry::symmetric(8))
         .config(config)
         .opt_level(OptLevel::Default)

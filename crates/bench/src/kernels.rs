@@ -1,13 +1,11 @@
 //! The paper's Table II test functions and the single-GPU bandwidth sweep
 //! (Figures 4/5).
 
-use chroma_mini::gauge::GaugeField;
 use qdp_core::prelude::*;
 use qdp_core::{clover_mul, QExpr};
 use qdp_types::su3::random_su3;
 use qdp_types::{FloatType, PScalar, PVector};
 use qdp_rng::{SeedableRng, StdRng};
-use std::sync::Arc;
 
 /// The five benchmark test functions of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,16 +222,4 @@ pub fn intensity(report: &qdp_core::EvalReport) -> f64 {
     } else {
         report.flops_rate / report.bandwidth
     }
-}
-
-/// A fully assembled Wilson dslash expression over a fresh warm gauge
-/// configuration (for the Fig. 6 harness and the examples).
-pub fn dslash_setup(
-    ctx: &Arc<QdpContext>,
-    seed: u64,
-) -> (GaugeField, qdp_core::LatticeFermion<f64>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let g = GaugeField::warm(ctx, &mut rng, 0.3);
-    let psi = chroma_mini::gauge::gaussian_fermion(ctx, &mut rng);
-    (g, psi)
 }

@@ -315,17 +315,6 @@ impl MemoryCache {
         Self::page_out_locked(&self.device, &mut stats, e, false);
         Ok(f(&mut e.host))
     }
-
-    /// Device pointer of a resident field (None if paged out). Kernel
-    /// argument marshalling uses [`MemoryCache::assure_on_device`] instead;
-    /// this is for tests and the comm layer's gather buffers.
-    pub fn device_ptr(&self, id: FieldId) -> Result<Option<DevicePtr>, CacheError> {
-        self.fields
-            .lock()
-            .get(&id)
-            .map(|e| e.device)
-            .ok_or(CacheError::UnknownField(id))
-    }
 }
 
 #[cfg(test)]

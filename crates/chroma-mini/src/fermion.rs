@@ -4,7 +4,7 @@
 
 use crate::gauge::GaugeField;
 use qdp_core::prelude::*;
-use qdp_core::{adj, clover_mul, gamma, gamma_mu, shift, trace};
+use qdp_core::{adj, clover_mul, gamma, gamma_mu, shift};
 use qdp_types::clover_block::CloverBlockPacked;
 use qdp_types::{CloverDiag, CloverTriang, Complex, Fermion, Gamma};
 use std::sync::Arc;
@@ -347,15 +347,6 @@ impl WilsonDirac {
         self.apply_dag(out, tmp)?;
         Ok(())
     }
-}
-
-/// Free helper used by tests: `Re tr` of a color matrix expression summed
-/// over the lattice.
-pub fn sum_re_tr(
-    ctx: &Arc<QdpContext>,
-    q: QExpr<qdp_types::ColorMatrix<f64>>,
-) -> Result<f64, CoreError> {
-    qdp_core::reduce_sum_real(ctx, &qdp_core::real(trace(q)), Subset::All)
 }
 
 // re-export pieces used by force.rs

@@ -3,7 +3,7 @@
 use qdp_core::prelude::*;
 use qdp_core::{adj, diag_fill, real, reduce_sum_real, shift, trace};
 use qdp_types::su3::{random_algebra, random_su3, reunitarize};
-use qdp_types::{ColorMatrix, Fermion, PMatrix, PScalar, PVector};
+use qdp_types::{ColorMatrix, PMatrix, PScalar, PVector};
 use qdp_rng::Rng;
 use std::sync::Arc;
 
@@ -234,11 +234,6 @@ pub fn gaussian_fermion(
 fn gaussian_c(rng: &mut impl Rng) -> qdp_types::Complex<f64> {
     // unit-variance real and imaginary parts
     qdp_types::su3::gaussian_complex::<f64>(rng)
-}
-
-/// Helper: a zero fermion field.
-pub fn zero_fermion(ctx: &Arc<QdpContext>) -> LatticeFermion<f64> {
-    LatticeFermion::<f64>::from_fn(ctx, |_| Fermion::<f64>::default())
 }
 
 #[cfg(test)]

@@ -13,13 +13,13 @@
 //! | `QDP_FUSE`             | [`QdpConfig::fuse`] (`0` = group budget 1) |
 //! | `QDP_FAULT`            | [`QdpConfig::fault`]                 |
 //! | `QDP_CHECKPOINT_DIR`   | [`QdpConfig::checkpoint_dir`]        |
-//! | `QDP_CACHE_DIR`/`_CLEAR`| [`QdpConfig::store`]                |
-//! | `QDP_PROFILE` & friends| [`QdpConfig::telemetry`]             |
+//! | `QDP_CACHE_DIR`        | [`QdpConfig::cache_dir`]             |
+//! | `QDP_PROFILE`, `QDP_TRACE`, `QDP_FLIGHT_DIR` | [`QdpConfig::telemetry`] |
 
 use crate::context::QdpContext;
 use qdp_comm::FaultPlan;
 use qdp_gpu_sim::DeviceConfig;
-use qdp_jit::{KernelStore, StoreConfig};
+use qdp_jit::KernelStore;
 use qdp_layout::{Geometry, LayoutKind};
 use qdp_ptx::opt::OptLevel;
 use qdp_telemetry::{Telemetry, TelemetryConfig};
@@ -40,11 +40,11 @@ pub struct QdpConfig {
     pub fault: FaultPlan,
     /// Trajectory checkpoint directory (`QDP_CHECKPOINT_DIR`).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Persistent kernel store (`QDP_CACHE_DIR` / `QDP_CACHE_CLEAR`;
-    /// default: no persistence).
-    pub store: StoreConfig,
-    /// Telemetry switches (`QDP_PROFILE` / `QDP_ROOFLINE` / `QDP_TRACE` /
-    /// `QDP_FLIGHT*`; default: flight recorder only).
+    /// Persistent kernel store directory (`QDP_CACHE_DIR`; default: no
+    /// persistence). Persistence is on exactly when a directory is set.
+    pub cache_dir: Option<PathBuf>,
+    /// Telemetry switches (`QDP_PROFILE` / `QDP_TRACE` /
+    /// `QDP_FLIGHT_DIR`; default: flight recorder only).
     pub telemetry: TelemetryConfig,
 }
 
@@ -55,7 +55,7 @@ impl Default for QdpConfig {
             fuse: true,
             fault: FaultPlan::new(),
             checkpoint_dir: None,
-            store: StoreConfig::new(),
+            cache_dir: None,
             telemetry: TelemetryConfig::new(),
         }
     }
@@ -75,24 +75,16 @@ impl QdpConfig {
         let on_unless_zero = |name: &str| var(name).map_or(true, |v| v != "0");
         let truthy =
             |name: &str| matches!(var(name).as_deref(), Some("1" | "true" | "yes" | "on"));
-        let falsy =
-            |name: &str| matches!(var(name).as_deref(), Some("0" | "false" | "no" | "off"));
         let path = |name: &str| var(name).filter(|p| !p.is_empty()).map(PathBuf::from);
         QdpConfig {
             opt_level: var("QDP_OPT").map_or(OptLevel::Default, |v| OptLevel::parse(&v)),
             fuse: on_unless_zero("QDP_FUSE"),
             fault: var("QDP_FAULT").map_or_else(FaultPlan::new, |s| FaultPlan::parse(&s)),
             checkpoint_dir: path("QDP_CHECKPOINT_DIR"),
-            store: StoreConfig {
-                dir: path("QDP_CACHE_DIR"),
-                clear: truthy("QDP_CACHE_CLEAR"),
-            },
+            cache_dir: path("QDP_CACHE_DIR"),
             telemetry: TelemetryConfig {
                 profile: truthy("QDP_PROFILE"),
-                roofline: truthy("QDP_ROOFLINE"),
                 trace_path: path("QDP_TRACE"),
-                flight: !falsy("QDP_FLIGHT"),
-                flight_cap: var("QDP_FLIGHT_CAP").and_then(|v| v.parse().ok()),
                 flight_dir: path("QDP_FLIGHT_DIR"),
             },
         }
@@ -166,7 +158,7 @@ impl QdpContextBuilder {
 
     /// Persist compiled kernels + tuner state into `dir`.
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config.store.dir = Some(dir.into());
+        self.config.cache_dir = Some(dir.into());
         self
     }
 
@@ -176,14 +168,8 @@ impl QdpContextBuilder {
         self
     }
 
-    /// Telemetry switches (profiling, tracing, roofline, flight recorder).
-    pub fn telemetry_config(mut self, cfg: TelemetryConfig) -> Self {
-        self.config.telemetry = cfg;
-        self
-    }
-
     /// Inject an already-built telemetry registry (tests). Wins over
-    /// [`QdpContextBuilder::telemetry_config`].
+    /// [`QdpConfig::telemetry`].
     pub fn telemetry(mut self, tel: Arc<Telemetry>) -> Self {
         self.telemetry = Some(tel);
         self
@@ -203,11 +189,9 @@ impl QdpContextBuilder {
             .unwrap_or_else(|| Arc::new(Telemetry::with_config(&self.config.telemetry)));
         let store = match self.store {
             Some(explicit) => explicit,
-            None => KernelStore::from_config(
-                &self.config.store,
-                &self.device.fingerprint(),
-                &telemetry,
-            ),
+            None => self.config.cache_dir.as_ref().map(|dir| {
+                KernelStore::open(dir, &self.device.fingerprint(), Arc::clone(&telemetry))
+            }),
         };
         QdpContext::assemble(
             self.device,
@@ -231,7 +215,7 @@ mod tests {
         assert!(cfg.fuse);
         assert!(cfg.fault.is_empty());
         assert!(cfg.checkpoint_dir.is_none());
-        assert_eq!(cfg.store, StoreConfig::new());
+        assert!(cfg.cache_dir.is_none());
         assert_eq!(cfg.telemetry, TelemetryConfig::new());
     }
 
@@ -256,6 +240,7 @@ mod tests {
         let ctx = QdpContext::builder(Geometry::symmetric(2))
             .cache_dir(&dir)
             .build();
+        assert_eq!(ctx.config().cache_dir.as_deref(), Some(dir.as_path()));
         let store = ctx.kernel_store().expect("cache_dir must open a store");
         assert!(store.file_path().starts_with(&dir));
         std::fs::remove_dir_all(&dir).ok();

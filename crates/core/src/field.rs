@@ -258,11 +258,6 @@ impl<E: SiteElem> Lattice<E> {
         eval::eval_reference(&self.ctx, self.fref(), &rhs.0, Subset::All)
     }
 
-    /// Reference evaluation over a subset.
-    pub fn assign_reference_on(&self, subset: Subset, rhs: QExpr<E>) -> Result<(), CoreError> {
-        eval::eval_reference(&self.ctx, self.fref(), &rhs.0, subset)
-    }
-
     /// `‖ this ‖²` over a subset.
     pub fn norm2_on(&self, subset: Subset) -> Result<f64, CoreError> {
         eval::norm2(&self.ctx, &self.q().0, subset)
@@ -329,11 +324,6 @@ impl<T> IndexMut<usize> for Multi1d<T> {
 pub struct QExpr<E>(pub Expr, pub PhantomData<E>);
 
 impl<E: SiteElem> QExpr<E> {
-    /// Wrap a raw AST (caller asserts the type).
-    pub fn from_raw(e: Expr) -> QExpr<E> {
-        QExpr(e, PhantomData)
-    }
-
     /// The underlying AST.
     pub fn raw(&self) -> &Expr {
         &self.0

@@ -221,13 +221,7 @@ fn convert(dst_ty: PtxType, src_ty: PtxType, bits: u64) -> u64 {
     }
     match dst_ty {
         PtxType::F32 => (as_f64 as f32).to_bits() as u64,
-        PtxType::F64 => {
-            if src_ty.is_float() {
-                as_f64.to_bits()
-            } else {
-                as_f64.to_bits()
-            }
-        }
+        PtxType::F64 => as_f64.to_bits(),
         PtxType::S32 => {
             let v = if src_ty.is_float() { as_f64 as i32 } else { as_i64 as i32 };
             v as u32 as u64

@@ -73,26 +73,24 @@ pub fn launch_tuned_on(
                         &[("block", block as f64)],
                     );
                 }
-                if telemetry.enabled() || telemetry.flight_enabled() {
-                    telemetry.record_launch_full(&qdp_telemetry::LaunchRecord {
-                        kernel: &kernel.name,
-                        block,
-                        trial,
-                        settled,
-                        sim_t0: device.stream_now(stream) - timing.time,
-                        sim_dur: timing.time,
-                        read_bytes: (threads * kernel.read_bytes) as u64,
-                        write_bytes: (threads * kernel.write_bytes) as u64,
-                        flops: shape.total_flops() as u64,
-                        stream: stream.0,
-                        ld_transactions: timing.ld_transactions,
-                        st_transactions: timing.st_transactions,
-                        occupancy: timing.occupancy,
-                        waves: timing.waves as u64,
-                        overhead: timing.overhead,
-                        double_precision: kernel.double_precision,
-                    });
-                }
+                telemetry.record_launch_full(&qdp_telemetry::LaunchRecord {
+                    kernel: &kernel.name,
+                    block,
+                    trial,
+                    settled,
+                    sim_t0: device.stream_now(stream) - timing.time,
+                    sim_dur: timing.time,
+                    read_bytes: (threads * kernel.read_bytes) as u64,
+                    write_bytes: (threads * kernel.write_bytes) as u64,
+                    flops: shape.total_flops() as u64,
+                    stream: stream.0,
+                    ld_transactions: timing.ld_transactions,
+                    st_transactions: timing.st_transactions,
+                    occupancy: timing.occupancy,
+                    waves: timing.waves as u64,
+                    overhead: timing.overhead,
+                    double_precision: kernel.double_precision,
+                });
                 return Ok(LaunchOutcome {
                     block_size: block,
                     timing,

@@ -43,4 +43,4 @@ pub use launch::{launch_tuned_on, LaunchOutcome};
 pub use lower::{
     compile_ptx, compile_ptx_opt, compile_ptx_opt_emit, lower_kernel, CompiledKernel, JitError,
 };
-pub use persist::{KernelStore, StoreConfig, FORMAT_VERSION, STORE_FILE};
+pub use persist::{KernelStore, FORMAT_VERSION, STORE_FILE};

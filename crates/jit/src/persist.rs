@@ -58,35 +58,6 @@ struct Inner {
     tuned: BTreeMap<(String, String), TunedEntry>,
 }
 
-/// Declarative persistent-store configuration — the typed form of the
-/// `QDP_CACHE_DIR` / `QDP_CACHE_CLEAR` knobs: persistence is on exactly
-/// when a directory is given. Build one
-/// programmatically and pass it to [`KernelStore::from_config`];
-/// `QdpConfig::from_env` in `qdp-core` is what reads the variables.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StoreConfig {
-    /// Directory holding the store file; `None` disables persistence
-    /// (`QDP_CACHE_DIR=<dir>`).
-    pub dir: Option<PathBuf>,
-    /// Remove the store file before loading (`QDP_CACHE_CLEAR=1`).
-    pub clear: bool,
-}
-
-impl StoreConfig {
-    /// No persistence (the hermetic default).
-    pub fn new() -> StoreConfig {
-        StoreConfig::default()
-    }
-
-    /// Persist into `dir`.
-    pub fn in_dir(dir: impl Into<PathBuf>) -> StoreConfig {
-        StoreConfig {
-            dir: Some(dir.into()),
-            ..StoreConfig::default()
-        }
-    }
-}
-
 /// Handle on the persistent kernel store, bound to one device fingerprint.
 /// Shared (`Arc`) between a context's `KernelCache` and `AutoTuner`.
 pub struct KernelStore {
@@ -97,21 +68,6 @@ pub struct KernelStore {
 }
 
 impl KernelStore {
-    /// Open the store described by a typed [`StoreConfig`]. Returns `None`
-    /// (no persistence — per-process JIT cache only, which keeps test runs
-    /// hermetic by default) when no directory is set.
-    pub fn from_config(
-        cfg: &StoreConfig,
-        device_fp: &str,
-        telemetry: &Arc<Telemetry>,
-    ) -> Option<Arc<KernelStore>> {
-        let dir = cfg.dir.as_ref()?;
-        if cfg.clear {
-            let _ = std::fs::remove_file(dir.join(STORE_FILE));
-        }
-        Some(KernelStore::open(dir, device_fp, Arc::clone(telemetry)))
-    }
-
     /// Open (and load) the store file inside `dir`, scoped to `device_fp`.
     /// A missing file is a cold start; an unreadable one is corruption —
     /// both start empty, neither fails.
@@ -134,11 +90,6 @@ impl KernelStore {
     /// Path of the backing file.
     pub fn file_path(&self) -> &Path {
         &self.path
-    }
-
-    /// Device fingerprint this handle serves.
-    pub fn device_fingerprint(&self) -> &str {
-        &self.device_fp
     }
 
     /// Stored optimized PTX for `(src_digest, opt_tag)` on this device.

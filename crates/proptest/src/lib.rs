@@ -191,11 +191,6 @@ impl Gen {
         self.usize_in(0..cap + 1)
     }
 
-    /// Pick one element of a slice by reference.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.usize_in(0..items.len())]
-    }
-
     /// Build a `Vec` whose length is size-scaled within `len`.
     pub fn vec_of<T>(
         &mut self,

@@ -133,11 +133,6 @@ pub struct OptStats {
 }
 
 impl OptStats {
-    /// Total instructions removed by all passes.
-    pub fn insts_eliminated(&self) -> u32 {
-        self.loads_eliminated + self.values_reused + self.copies_propagated + self.dead_removed
-    }
-
     fn absorb(&mut self, o: OptStats) {
         self.loads_eliminated += o.loads_eliminated;
         self.values_reused += o.values_reused;

@@ -26,7 +26,7 @@
 //! * **observability** — per-tenant counters
 //!   (`serve.tenant.<name>.completed` / `.rejected`), a per-job span per
 //!   kind, and the `serve.job_latency_ms` histogram whose p50/p99 ride in
-//!   every [`qdp_telemetry::MetricsSnapshot`], plus the
+//!   every [`qdp_telemetry::ProfileReport`], plus the
 //!   `serve.jobs_per_sec` gauge.
 //!
 //! The server is configured with a [`qdp_core::QdpConfig`] — it never

@@ -127,7 +127,7 @@ struct Core {
 
 /// Aggregate serving statistics (also mirrored into telemetry: the
 /// `serve.job_latency_ms` histogram carries p50/p99 in every
-/// [`qdp_telemetry::MetricsSnapshot`], `serve.jobs_per_sec` is a gauge).
+/// [`qdp_telemetry::ProfileReport`], `serve.jobs_per_sec` is a gauge).
 #[derive(Debug, Clone)]
 pub struct ServerStats {
     /// Jobs completed (success or job-level error).
@@ -298,7 +298,7 @@ impl Server {
     }
 
     /// Aggregate statistics; also refreshes the `serve.jobs_per_sec` gauge
-    /// so the next [`qdp_telemetry::MetricsSnapshot`] carries it.
+    /// so the next [`qdp_telemetry::ProfileReport`] carries it.
     pub fn stats(&self) -> ServerStats {
         let completed = self.core.completed.load(Ordering::Relaxed);
         let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);

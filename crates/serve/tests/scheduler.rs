@@ -210,14 +210,14 @@ fn warm_tenants_reuse_the_shared_jit_cache() {
 }
 
 /// Two servers sharing a kernel-store directory (via the builder-backed
-/// `QdpConfig::store`, not env vars): the second starts warm from disk.
+/// `QdpConfig::cache_dir`, not env vars): the second starts warm from disk.
 #[test]
 fn second_server_warm_starts_from_shared_kernel_store() {
     let dir = std::env::temp_dir().join(format!("qdp_serve_store_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut cfg = small_cfg();
     cfg.workers = 2;
-    cfg.qdp.store.dir = Some(dir.clone());
+    cfg.qdp.cache_dir = Some(dir.clone());
 
     let cold = Server::start(&cfg, &tenants(2));
     for t in 0..2 {

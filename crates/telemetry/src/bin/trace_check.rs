@@ -15,7 +15,7 @@
 //! counter model round-trips through the in-tree JSON writer+parser.
 //!
 //! Flight mode:
-//! `trace_check --flight <qdp-flight-PID.json> [--require-kind KIND]`
+//! `trace_check --flight <qdp-flight-PID-N.json> [--require-kind KIND]`
 //!
 //! Validates a flight dump: version 1, a `reason`, a non-empty `events`
 //! array whose entries carry `seq`/`kind`/`wall_us`, monotonic sequence

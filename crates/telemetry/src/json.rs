@@ -28,13 +28,7 @@ pub fn escape(s: &str) -> String {
 pub fn number(v: f64) -> String {
     if v.is_finite() {
         // shortest round-trip repr Rust gives us; always valid JSON
-        let s = format!("{v}");
-        if s.contains('e') && !s.contains('.') {
-            // "1e-5" is valid JSON, keep as-is
-            s
-        } else {
-            s
-        }
+        format!("{v}")
     } else {
         "0".to_string()
     }

@@ -28,19 +28,17 @@
 pub mod json;
 pub mod report;
 pub mod roofline;
-pub mod snapshot;
 pub mod sync;
 pub mod trace;
 
 pub use report::{HistSnapshot, JitSummary, KernelRow, ProfileReport, SpanRow};
 pub use roofline::{DevicePeaks, RooflineReport, RooflineRow};
-pub use snapshot::MetricsSnapshot;
 pub use trace::TraceEvent;
 
 use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Once, Weak};
 use std::time::Instant;
 
@@ -63,6 +61,11 @@ static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 thread_local! {
     static TID: u32 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
 }
+
+/// Source of [`Telemetry`]'s per-registry serial, which names its flight
+/// dump: one process runs one context per rank thread, and each rank's
+/// black box needs its own file.
+static NEXT_REGISTRY: AtomicU64 = AtomicU64::new(1);
 
 /// Registries armed for dump-on-panic (see [`Telemetry::arm_panic_dump`]).
 static PANIC_TARGETS: Mutex<Vec<Weak<Telemetry>>> = Mutex::new(Vec::new());
@@ -233,7 +236,8 @@ pub(crate) struct SpanStat {
     sim: f64,
 }
 
-/// Default flight-recorder ring capacity (`QDP_FLIGHT_CAP` overrides).
+/// Flight-recorder ring capacity: the most recent events every registry
+/// keeps (fixed; older events are evicted).
 pub const DEFAULT_FLIGHT_CAP: usize = 256;
 
 /// One structured flight-recorder event: a recent launch / copy / comm op /
@@ -254,23 +258,12 @@ pub struct FlightEvent {
     pub args: Vec<(&'static str, f64)>,
 }
 
+#[derive(Default)]
 struct FlightRing {
-    cap: usize,
     next_seq: u64,
     events: std::collections::VecDeque<FlightEvent>,
     /// Dump directory; `None` = `std::env::temp_dir()`.
     dir: Option<PathBuf>,
-}
-
-impl FlightRing {
-    fn new(cap: usize) -> FlightRing {
-        FlightRing {
-            cap,
-            next_seq: 0,
-            events: std::collections::VecDeque::new(),
-            dir: None,
-        }
-    }
 }
 
 #[derive(Default)]
@@ -289,37 +282,18 @@ struct Inner {
 }
 
 /// Declarative telemetry configuration — the typed form of the
-/// `QDP_PROFILE` / `QDP_ROOFLINE` / `QDP_TRACE` / `QDP_FLIGHT*` knobs.
+/// `QDP_PROFILE` / `QDP_TRACE` / `QDP_FLIGHT_DIR` knobs.
 /// Build one programmatically and pass it to [`Telemetry::with_config`];
 /// `QdpConfig::from_env` in `qdp-core` is what reads the variables.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryConfig {
     /// Record counters, histograms, spans and per-kernel profiles
     /// (`QDP_PROFILE=1`).
     pub profile: bool,
-    /// Roofline analysis — implies `profile` (`QDP_ROOFLINE=1`).
-    pub roofline: bool,
     /// Write a Chrome trace to this path on flush (`QDP_TRACE=<path>`).
     pub trace_path: Option<PathBuf>,
-    /// Keep the always-on flight recorder (`QDP_FLIGHT=0` turns it off).
-    pub flight: bool,
-    /// Flight-ring capacity override (`QDP_FLIGHT_CAP=<n>`).
-    pub flight_cap: Option<usize>,
     /// Where crash dumps land (`QDP_FLIGHT_DIR=<dir>`).
     pub flight_dir: Option<PathBuf>,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            profile: false,
-            roofline: false,
-            trace_path: None,
-            flight: true,
-            flight_cap: None,
-            flight_dir: None,
-        }
-    }
 }
 
 impl TelemetryConfig {
@@ -336,9 +310,9 @@ impl TelemetryConfig {
 pub struct Telemetry {
     profile: AtomicBool,
     tracing: AtomicBool,
-    roofline: AtomicBool,
-    flight_on: AtomicBool,
     trace_written: AtomicBool,
+    /// Process-unique registry number; names this registry's flight dump.
+    serial: u64,
     epoch: Instant,
     trace_path: Mutex<Option<PathBuf>>,
     inner: Mutex<Inner>,
@@ -353,19 +327,18 @@ impl Default for Telemetry {
 
 impl Telemetry {
     /// A disabled registry (every recording call is a no-op). The flight
-    /// recorder is on by default — it is the post-mortem black box and
-    /// costs one bounded ring push per recorded event.
+    /// recorder is always on — it is the post-mortem black box and costs
+    /// one bounded ring push per recorded event.
     pub fn new() -> Telemetry {
         Telemetry {
             profile: AtomicBool::new(false),
             tracing: AtomicBool::new(false),
-            roofline: AtomicBool::new(false),
-            flight_on: AtomicBool::new(true),
             trace_written: AtomicBool::new(false),
+            serial: NEXT_REGISTRY.fetch_add(1, Ordering::Relaxed),
             epoch: Instant::now(),
             trace_path: Mutex::new(None),
             inner: Mutex::new(Inner::default()),
-            flight: Mutex::new(FlightRing::new(DEFAULT_FLIGHT_CAP)),
+            flight: Mutex::new(FlightRing::default()),
         }
     }
 
@@ -376,17 +349,8 @@ impl Telemetry {
         if cfg.profile {
             t.enable();
         }
-        if cfg.roofline {
-            t.enable_roofline();
-        }
         if let Some(path) = &cfg.trace_path {
             t.enable_trace(path.clone());
-        }
-        if !cfg.flight {
-            t.flight_on.store(false, Ordering::Relaxed);
-        }
-        if let Some(cap) = cfg.flight_cap {
-            t.flight.lock().cap = cap.max(1);
         }
         if let Some(dir) = &cfg.flight_dir {
             t.set_flight_dir(dir.clone());
@@ -406,20 +370,6 @@ impl Telemetry {
     pub fn enable_trace(&self, path: impl Into<PathBuf>) {
         *self.trace_path.lock() = Some(path.into());
         self.tracing.store(true, Ordering::Relaxed);
-    }
-
-    /// Turn on roofline analysis: implies profiling (the analyzer consumes
-    /// the per-kernel counter model) and marks the report for a roofline
-    /// section (`QDP_ROOFLINE=1`).
-    pub fn enable_roofline(&self) {
-        self.enable();
-        self.roofline.store(true, Ordering::Relaxed);
-    }
-
-    /// Is roofline analysis requested?
-    #[inline]
-    pub fn roofline_enabled(&self) -> bool {
-        self.roofline.load(Ordering::Relaxed)
     }
 
     /// Is any recording active?
@@ -487,12 +437,6 @@ impl Telemetry {
 
     // --- flight recorder ---------------------------------------------------
 
-    /// Is the flight recorder active?
-    #[inline]
-    pub fn flight_enabled(&self) -> bool {
-        self.flight_on.load(Ordering::Relaxed)
-    }
-
     /// Redirect flight dumps to `dir` (tests; `QDP_FLIGHT_DIR` is the
     /// process-wide knob). The default is the system temp directory.
     pub fn set_flight_dir(&self, dir: impl Into<PathBuf>) {
@@ -500,12 +444,9 @@ impl Telemetry {
     }
 
     /// Record one structured event into the bounded flight ring. Cheap and
-    /// always-on by default (`QDP_FLIGHT=0` disables): the ring is the
-    /// black box dumped on panic / launch failure / store corruption.
+    /// always on: the ring is the black box dumped on panic / launch
+    /// failure / store corruption.
     pub fn record_flight(&self, kind: &'static str, detail: &str, args: &[(&'static str, f64)]) {
-        if !self.flight_enabled() {
-            return;
-        }
         let wall_us = self.wall_us();
         let mut ring = self.flight.lock();
         ring.next_seq += 1;
@@ -516,7 +457,7 @@ impl Telemetry {
             detail: detail.to_string(),
             args: args.to_vec(),
         };
-        if ring.events.len() >= ring.cap {
+        if ring.events.len() >= DEFAULT_FLIGHT_CAP {
             ring.events.pop_front();
         }
         ring.events.push_back(ev);
@@ -530,15 +471,14 @@ impl Telemetry {
     }
 
     /// Dump the flight ring atomically (temp file + rename) to
-    /// `qdp-flight-<pid>.json` in the flight directory (`QDP_FLIGHT_DIR`,
-    /// default system temp dir). `reason` records why the dump happened
-    /// (`panic`, `launch_failure`, `persist_corrupt`). Returns the path on
-    /// success; errors are reported on stderr, never propagated — the dump
-    /// runs on failure paths that must not fail harder.
+    /// `qdp-flight-<pid>-<n>.json` in the flight directory
+    /// (`QDP_FLIGHT_DIR`, default system temp dir), where `n` is this
+    /// registry's process-unique serial, so registries sharing a process
+    /// never overwrite each other's dumps. `reason` records why the dump
+    /// happened (`panic`, `launch_failure`, `persist_corrupt`). Returns the
+    /// path on success; errors are reported on stderr, never propagated —
+    /// the dump runs on failure paths that must not fail harder.
     pub fn dump_flight(&self, reason: &str) -> Option<PathBuf> {
-        if !self.flight_enabled() {
-            return None;
-        }
         let wall_us = self.wall_us();
         let ring = self.flight.lock();
         let dir = ring
@@ -546,8 +486,9 @@ impl Telemetry {
             .clone()
             .unwrap_or_else(std::env::temp_dir);
         let pid = std::process::id();
-        let path = dir.join(format!("qdp-flight-{pid}.json"));
-        let tmp = dir.join(format!("qdp-flight-{pid}.json.tmp"));
+        let name = format!("qdp-flight-{pid}-{}.json", self.serial);
+        let path = dir.join(&name);
+        let tmp = dir.join(format!("{name}.tmp"));
         let mut out = String::with_capacity(4096);
         out.push_str(&format!(
             "{{\"version\":1,\"pid\":{pid},\"reason\":\"{}\",\"wall_us\":{},\"total_events\":{},\"events\":[",
@@ -666,19 +607,17 @@ impl Telemetry {
     /// model (load/store transactions, occupancy, waves, launch-overhead
     /// share). Also appends a `launch` flight event.
     pub fn record_launch_full(&self, rec: &LaunchRecord<'_>) {
-        if self.flight_enabled() {
-            self.record_flight(
-                "launch",
-                rec.kernel,
-                &[
-                    ("block", rec.block as f64),
-                    ("sim_t0", rec.sim_t0),
-                    ("sim_dur", rec.sim_dur),
-                    ("bytes", (rec.read_bytes + rec.write_bytes) as f64),
-                    ("stream", rec.stream as f64),
-                ],
-            );
-        }
+        self.record_flight(
+            "launch",
+            rec.kernel,
+            &[
+                ("block", rec.block as f64),
+                ("sim_t0", rec.sim_t0),
+                ("sim_dur", rec.sim_dur),
+                ("bytes", (rec.read_bytes + rec.write_bytes) as f64),
+                ("stream", rec.stream as f64),
+            ],
+        );
         if !self.enabled() {
             return;
         }
@@ -915,22 +854,6 @@ impl Telemetry {
         report::build(&inner)
     }
 
-    /// Structured, JSON-serializable metrics view: the profile report plus
-    /// the flight ring, with a schema version. This is the contract a
-    /// metrics front end (the future `qdp-serve`) polls — see
-    /// [`snapshot::MetricsSnapshot::to_json`].
-    pub fn snapshot(&self) -> snapshot::MetricsSnapshot {
-        let report = self.profile_report();
-        let (flight, flight_total) = self.flight_events();
-        snapshot::MetricsSnapshot {
-            version: snapshot::SNAPSHOT_VERSION,
-            wall_us: self.wall_us(),
-            report,
-            flight,
-            flight_total,
-        }
-    }
-
     /// Write the recorded events as Chrome trace-event JSON to `path`.
     pub fn write_chrome_trace(&self, path: &Path) -> std::io::Result<()> {
         let inner = self.inner.lock();
@@ -996,11 +919,6 @@ impl<'t> Span<'t> {
             a.sim_end = Some(sim_now);
         }
         // drop records
-    }
-
-    /// Does this guard record anything on drop?
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
     }
 }
 
@@ -1104,8 +1022,12 @@ mod tests {
             ..Default::default()
         });
         t.record_launch_failure("k1", 1024);
+        t.record_persist_hit("k1");
+        t.record_tuner_seeded("k1");
         let r = t.profile_report();
         let k = r.kernel("k1").expect("kernel row");
+        assert_eq!(k.persist_hits, 1);
+        assert!(k.tuner_seeded);
         assert_eq!(k.launches, 3);
         assert_eq!(k.trial_launches, 2);
         assert_eq!(k.launch_failures, 1);
@@ -1184,7 +1106,6 @@ mod tests {
     #[test]
     fn flight_ring_is_bounded_and_dumps() {
         let t = Telemetry::new();
-        assert!(t.flight_enabled(), "flight recorder defaults on");
         let dir = std::env::temp_dir().join(format!(
             "qdp_flight_unit_{}",
             std::process::id()
@@ -1203,7 +1124,7 @@ mod tests {
         let path = t.dump_flight("launch_failure").expect("dump written");
         assert_eq!(
             path.file_name().unwrap().to_str().unwrap(),
-            format!("qdp-flight-{}.json", std::process::id())
+            format!("qdp-flight-{}-{}.json", std::process::id(), t.serial)
         );
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = json::parse(&text).expect("flight dump must parse");
@@ -1218,14 +1139,41 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_can_be_disabled() {
-        let t = Telemetry::new();
-        t.flight_on.store(false, Ordering::Relaxed);
-        t.record_flight("launch", "k", &[]);
-        let (events, total) = t.flight_events();
-        assert!(events.is_empty());
-        assert_eq!(total, 0);
-        assert!(t.dump_flight("panic").is_none());
+    fn registries_in_one_process_dump_to_their_own_files() {
+        let dir = std::env::temp_dir().join(format!("qdp_flight_two_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let ranks = [Telemetry::new(), Telemetry::new()];
+        for (r, t) in ranks.iter().enumerate() {
+            t.set_flight_dir(&dir);
+            t.record_flight("launch", &format!("rank{r}"), &[]);
+        }
+        for t in &ranks {
+            t.dump_flight("panic").expect("dump written");
+        }
+        let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 2, "one dump per registry, got {files:?}");
+        let mut details: Vec<String> = files
+            .iter()
+            .map(|p| {
+                let doc = json::parse(&std::fs::read_to_string(p).unwrap())
+                    .expect("flight dump must parse");
+                let evs = doc.get("events").unwrap().as_array().unwrap();
+                assert_eq!(evs.len(), 1, "{} holds only its own ring", p.display());
+                evs[0]
+                    .get("detail")
+                    .and_then(|d| d.as_str())
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        details.sort();
+        assert_eq!(details, ["rank0", "rank1"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Roofline analyzer (`QDP_ROOFLINE=1`): classifies every profiled kernel
+//! Roofline analyzer (`QDP_PROFILE=1`): classifies every profiled kernel
 //! as memory- or compute-bound and reports attained-vs-peak bandwidth and
 //! FLOP rate, in the style of the paper's per-kernel bandwidth plots
 //! (arXiv:1408.5925, Figs. 4–6).

@@ -2,12 +2,11 @@
 //! gauge links are complex SU(3) matrices ascribed to lattice links).
 
 use crate::complex::Complex;
-use crate::inner::{PMatrix, PScalar, Ring};
+use crate::inner::{PMatrix, Ring};
 use crate::real::Real;
-use crate::ColorMatrix;
 use qdp_rng::Rng;
 
-/// A 3×3 complex matrix (the color level of a [`ColorMatrix`]).
+/// A 3×3 complex matrix (the color level of a [`ColorMatrix`](crate::ColorMatrix)).
 pub type Matrix3<R> = PMatrix<Complex<R>, 3>;
 
 /// Draw a standard normal via Box–Muller (keeps `rand_distr` out of the
@@ -161,11 +160,6 @@ pub fn su3_violation<R: Real>(u: &Matrix3<R>) -> f64 {
     let d = det3(u).to_c64();
     let det_err = (d - Complex::one()).norm_sqr();
     unitarity + det_err
-}
-
-/// Wrap a bare color matrix into the spin-scalar site element.
-pub fn to_site_elem<R: Real>(m: Matrix3<R>) -> ColorMatrix<R> {
-    PScalar(m)
 }
 
 #[cfg(test)]

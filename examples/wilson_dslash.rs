@@ -81,14 +81,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ctx.kernels().len()
     );
 
-    // With QDP_PROFILE=1, dump the full per-kernel telemetry table; with
-    // QDP_ROOFLINE=1, add the roofline attribution; with
-    // QDP_TRACE=out.json, flush the Chrome trace for Perfetto.
+    // With QDP_PROFILE=1, dump the full per-kernel telemetry table and its
+    // roofline attribution; with QDP_TRACE=out.json, flush the Chrome trace
+    // for Perfetto.
     if ctx.telemetry().profiling() {
         println!();
         println!("{}", ctx.profile_report());
-    }
-    if ctx.telemetry().roofline_enabled() {
         println!();
         println!("{}", ctx.roofline_report());
     }

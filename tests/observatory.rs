@@ -2,7 +2,7 @@
 //! classify the real SP Wilson dslash as memory-bound on the paper's
 //! ~79%-of-peak plateau and a compute-heavy DAG as compute-bound; a forced
 //! launch failure must leave a parseable flight-recorder black box on disk;
-//! and `Telemetry::snapshot()` must serialize the whole story.
+//! and the profile report plus the flight ring must tell the whole story.
 
 use qdp_gpu_sim::Device;
 use qdp_jit::{launch_tuned_on, AutoTuner, CompileRequest, KernelCache, LaunchArg};
@@ -40,7 +40,7 @@ fn sp_hopping_expr(
 
 fn roofline_ctx(l: usize) -> (Arc<QdpContext>, Arc<Telemetry>) {
     let tel = Arc::new(Telemetry::new());
-    tel.enable_roofline();
+    tel.enable();
     let ctx = QdpContext::builder(Geometry::symmetric(l))
         .telemetry(Arc::clone(&tel))
         .build();
@@ -186,8 +186,12 @@ fn launch_failure_dumps_a_parseable_flight_black_box() {
     let err = launch_tuned_on(&device, &tuner, &k, &args, 0, 1, false, StreamId::DEFAULT);
     assert!(err.is_err(), "zero-thread launch must fail");
 
-    let path = dir.join(format!("qdp-flight-{}.json", std::process::id()));
-    let text = std::fs::read_to_string(&path).expect("flight dump must exist");
+    let dumps: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(dumps.len(), 1, "one flight dump expected, got {dumps:?}");
+    let text = std::fs::read_to_string(&dumps[0]).expect("flight dump must exist");
     let v = qdp_telemetry::json::parse(&text).expect("flight dump must parse");
     assert_eq!(v.get("version").and_then(|x| x.as_f64()), Some(1.0));
     assert_eq!(
@@ -224,38 +228,20 @@ fn snapshot_serializes_the_full_stack_story() {
         out.assign(a.q() * b.q()).unwrap();
     }
 
-    let snap = tel.snapshot();
-    let v = qdp_telemetry::json::parse(&snap.to_json()).expect("snapshot must parse");
-    assert_eq!(v.get("version").and_then(|x| x.as_f64()), Some(1.0));
-    let kernels = v
-        .get("kernels")
-        .and_then(|k| k.as_array())
-        .expect("kernels array");
-    assert_eq!(kernels.len(), 1);
-    let row = &kernels[0];
-    assert_eq!(row.get("launches").and_then(|x| x.as_f64()), Some(4.0));
-    for field in [
-        "read_bytes",
-        "write_bytes",
-        "ld_transactions",
-        "st_transactions",
-        "occupancy",
-        "overhead_share",
-        "stream_bandwidth",
-        "persist_hits",
-        "tuner_seeded",
-    ] {
-        assert!(row.get(field).is_some(), "kernel row must carry {field}");
-    }
+    let report = tel.profile_report();
+    assert_eq!(report.kernels.len(), 1);
+    let row = &report.kernels[0];
+    assert_eq!(row.launches, 4);
+    assert!(row.read_bytes > 0 && row.write_bytes > 0);
+    assert!(row.ld_transactions > 0 && row.st_transactions > 0);
+    assert!(row.occupancy > 0.0);
+    assert!(
+        report.to_string().contains(&row.name),
+        "rendered table names the kernel"
+    );
     // The flight ring saw the same story: launches plus the page-in copies.
-    let flight = v
-        .get("flight")
-        .and_then(|f| f.as_array())
-        .expect("flight array");
-    let kinds: Vec<&str> = flight
-        .iter()
-        .filter_map(|e| e.get("kind").and_then(|k| k.as_str()))
-        .collect();
+    let (flight, _total) = tel.flight_events();
+    let kinds: Vec<&str> = flight.iter().map(|e| e.kind).collect();
     assert!(kinds.contains(&"launch"));
     assert!(kinds.contains(&"h2d"));
 }
