@@ -259,6 +259,22 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one telemetry surface (no JSON metrics exporter, no roofline/flight/store-wipe switches)"
 
+# ---- Guard: one bit-exact optimizer -------------------------------------------
+# The optimizer has two levels, off and on, and both store the same bytes:
+# the rounding-changing mul+add contraction level, its pass and its counter
+# stay deleted, and the JIT has one compile entry point, compile_ptx(text,
+# level). crates/benchmark is frozen and skipped. (Spelled in pieces, as
+# above.)
+twins="Aggress""ive|fuse_""fma|fmas_""fused|QDP_OPT""=2|compile_ptx""_opt"
+stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
+    | grep -v '^crates/benchmark/' || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: a non-bit-exact optimizer level or a second JIT compile entry point is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: one bit-exact optimizer (two levels, no fma contraction, one compile_ptx)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

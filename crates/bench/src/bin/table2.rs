@@ -19,7 +19,7 @@ fn main() {
         println!(
             "{:<8} {:>16.3} {:>16.3} {:>10}",
             func.name(),
-            b.flop_per_byte_measured(),
+            b.flop_per_byte,
             func.paper_flop_per_byte(),
             b.block_size
         );

@@ -74,13 +74,6 @@ pub struct KernelBench {
     pub kernel: String,
 }
 
-impl KernelBench {
-    /// Arithmetic intensity measured from the launch (flops_rate / bw).
-    pub fn flop_per_byte_measured(&self) -> f64 {
-        self.flop_per_byte
-    }
-}
-
 fn run_expr<E: qdp_core::SiteElem>(
     target: &qdp_core::Lattice<E>,
     expr: impl Fn() -> QExpr<E>,

@@ -102,11 +102,6 @@ impl TrajectorySpec {
         solves * (self.light_cg_iters + self.strange_cg_iters) * self.reductions_per_iter
     }
 
-    /// Total force-construction passes (gauge + fermion outer products).
-    pub fn total_force_passes(&self) -> usize {
-        self.md_steps * self.force_evals_per_step
-    }
-
     /// Non-solve lattice traffic per site per trajectory (bytes): the part
     /// of the computation that is *not* a linear solve — what the paper's
     /// whole-application port accelerates and the CPU+QUDA configuration
@@ -129,7 +124,6 @@ mod tests {
         assert_eq!(t.global_volume, 16_384_000);
         // tens of thousands of dslash applications per trajectory
         assert!(t.total_dslash() > 30_000);
-        assert!(t.total_linalg() > t.total_force_passes() * 100);
     }
 
     #[test]

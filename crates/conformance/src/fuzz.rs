@@ -173,10 +173,9 @@ fn check_mutant(text: &str) -> Result<bool, String> {
                     // The optimizer must never turn a valid module into an
                     // invalid one (it reverts any kernel its rewrite
                     // breaks), and the optimized module must still lower
-                    // without panicking. Aggressive is the superset of
-                    // passes.
+                    // without panicking.
                     let mut optimized = module.clone();
-                    qdp_ptx::opt::optimize_module(&mut optimized, qdp_ptx::opt::OptLevel::Aggressive);
+                    qdp_ptx::opt::optimize_module(&mut optimized, qdp_ptx::opt::OptLevel::Default);
                     if let Err(e) = optimized.validate() {
                         return Err(format!("optimizer invalidated a valid module: {e:?}"));
                     }

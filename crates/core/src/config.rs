@@ -9,7 +9,7 @@
 //!
 //! | env var                | field / knob                         |
 //! |------------------------|--------------------------------------|
-//! | `QDP_OPT`              | [`QdpConfig::opt_level`]             |
+//! | `QDP_OPT`              | [`QdpConfig::opt_level`] (`0` = off, else on) |
 //! | `QDP_FUSE`             | [`QdpConfig::fuse`] (`0` = group budget 1) |
 //! | `QDP_FAULT`            | [`QdpConfig::fault`]                 |
 //! | `QDP_CHECKPOINT_DIR`   | [`QdpConfig::checkpoint_dir`]        |
@@ -77,7 +77,11 @@ impl QdpConfig {
             |name: &str| matches!(var(name).as_deref(), Some("1" | "true" | "yes" | "on"));
         let path = |name: &str| var(name).filter(|p| !p.is_empty()).map(PathBuf::from);
         QdpConfig {
-            opt_level: var("QDP_OPT").map_or(OptLevel::Default, |v| OptLevel::parse(&v)),
+            opt_level: if on_unless_zero("QDP_OPT") {
+                OptLevel::Default
+            } else {
+                OptLevel::None
+            },
             fuse: on_unless_zero("QDP_FUSE"),
             fault: var("QDP_FAULT").map_or_else(FaultPlan::new, |s| FaultPlan::parse(&s)),
             checkpoint_dir: path("QDP_CHECKPOINT_DIR"),
@@ -99,10 +103,10 @@ impl QdpConfig {
 /// use qdp_core::prelude::*;
 ///
 /// let ctx = QdpContext::builder(Geometry::symmetric(4))
-///     .opt_level(OptLevel::Aggressive)
+///     .opt_level(OptLevel::None)
 ///     .fuse(false)
 ///     .build();
-/// assert_eq!(ctx.opt_level(), OptLevel::Aggressive);
+/// assert_eq!(ctx.opt_level(), OptLevel::None);
 /// ```
 pub struct QdpContextBuilder {
     geometry: Geometry,
@@ -249,11 +253,11 @@ mod tests {
     #[test]
     fn opt_level_knob_still_wins_over_config() {
         let mut cfg = QdpConfig::new();
-        cfg.opt_level = OptLevel::Aggressive;
+        cfg.opt_level = OptLevel::None;
         let ctx = QdpContext::builder(Geometry::symmetric(2))
             .config(cfg)
-            .opt_level(OptLevel::None)
+            .opt_level(OptLevel::Default)
             .build();
-        assert_eq!(ctx.opt_level(), OptLevel::None);
+        assert_eq!(ctx.opt_level(), OptLevel::Default);
     }
 }

@@ -450,7 +450,7 @@ pub(crate) fn render_statements(
     let mut g = PtxGen::new(kernel_name, &plan.env, &plan.leaves);
     for (i, expr) in exprs.iter().enumerate() {
         g.begin_stmt(i);
-        if plan.opt.dag_cse() {
+        if plan.opt != OptLevel::None {
             let mut b = CseBackend::new(g);
             walk(&mut b, expr, &plan.leaves)?;
             g = b.into_inner();

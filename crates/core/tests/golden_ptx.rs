@@ -132,7 +132,7 @@ fn snapshot_path(name: &str) -> PathBuf {
 /// when `QDP_UPDATE_SNAPSHOTS=1`), and require the text to make it through
 /// the driver JIT.
 fn check_snapshot(name: &str, ptx: &str) {
-    let kernels = qdp_jit::compile_ptx(ptx)
+    let (kernels, _, _) = qdp_jit::compile_ptx(ptx, OptLevel::None)
         .unwrap_or_else(|e| panic!("snapshot {name} does not compile: {e:?}"));
     assert!(!kernels.is_empty(), "snapshot {name}: no kernels");
 

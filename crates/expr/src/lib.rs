@@ -368,12 +368,6 @@ impl Expr {
         }
     }
 
-    /// Scalar parameter values in traversal order — passed as kernel
-    /// arguments so the kernel text is independent of their values.
-    pub fn scalar_values(&self) -> Vec<(f64, f64)> {
-        KernelSignature::of(self).scalars
-    }
-
     /// Structural key: identical keys ⇒ identical generated kernels. Field
     /// identities are replaced by their position in visiting order, scalar
     /// values are elided (they are parameters), so e.g. every CG iteration's
@@ -665,8 +659,6 @@ mod tests {
         // but a structurally different expression gets a new key
         let k3 = Expr::Binary(BinaryOp::Add, Box::new(psi(1)), Box::new(psi(2))).kernel_key();
         assert_ne!(k1, k3);
-        // and scalar values are recoverable as parameters
-        assert_eq!(make(0.5, 1, 2).scalar_values(), vec![(0.5, 0.0)]);
     }
 
     #[test]

@@ -234,21 +234,6 @@ impl DeviceMemory {
             std::ptr::copy_nonoverlapping(self.buf.ptr.add(src as usize), dst.as_mut_ptr(), dst.len());
         }
     }
-
-    /// Device-to-device copy (used by gather kernels' fallback path and the
-    /// cache's defragmentation).
-    pub fn copy_within(&self, src: DevicePtr, dst: DevicePtr, len: usize) {
-        self.check(src, len);
-        self.check(dst, len);
-        // SAFETY: bounds checked; may overlap, use memmove semantics.
-        unsafe {
-            std::ptr::copy(
-                self.buf.ptr.add(src as usize),
-                self.buf.ptr.add(dst as usize),
-                len,
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -326,10 +311,6 @@ mod tests {
         m.copy_from_host(p, &data);
         let mut back = vec![0u8; 256];
         m.copy_to_host(p, &mut back);
-        assert_eq!(back, data);
-        let q = m.alloc(256).unwrap();
-        m.copy_within(p, q, 256);
-        m.copy_to_host(q, &mut back);
         assert_eq!(back, data);
     }
 

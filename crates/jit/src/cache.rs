@@ -11,9 +11,10 @@
 //! ([`KernelCache::compile`]) is the miss path behind it: it runs once per
 //! key, deduplicates identical programs and feeds the persistent store.
 
-use crate::lower::{compile_ptx_opt, compile_ptx_opt_emit, CompiledKernel, JitError};
+use crate::lower::{compile_ptx, CompiledKernel, JitError};
 use crate::persist::KernelStore;
 use qdp_gpu_sim::sync::Mutex;
+use qdp_ptx::emit::emit_module;
 use qdp_ptx::hash::stable_text_digest;
 use qdp_ptx::opt::{OptLevel, OptStats};
 use qdp_telemetry::Telemetry;
@@ -56,9 +57,8 @@ pub fn modeled_compile_time(n_instructions: usize) -> f64 {
 }
 
 /// One compile request: PTX text plus how to translate it. Built with the
-/// builder methods and handed to [`KernelCache::compile`]; this is the
-/// single entry point the old `get_or_compile` / `get_or_compile_opt` pair
-/// collapsed into.
+/// builder methods and handed to [`KernelCache::compile`], the cache's one
+/// text-keyed entry point.
 ///
 /// ```ignore
 /// let k = cache.compile(CompileRequest::new(&ptx))?;                    // verbatim
@@ -224,8 +224,8 @@ impl KernelCache {
         let src_digest = self.store.as_ref().map(|_| stable_text_digest(req.ptx));
         if let (Some(store), Some(digest)) = (&self.store, &src_digest) {
             if let Some(stored) = store.lookup_kernel(digest, req.opt_level.tag()) {
-                match compile_ptx_opt(&stored, OptLevel::None) {
-                    Ok((mut kernels, _)) if kernels.len() == 1 => {
+                match compile_ptx(&stored, OptLevel::None) {
+                    Ok((mut kernels, _, _)) if kernels.len() == 1 => {
                         let kernel = Arc::new(kernels.remove(0));
                         check_name(&kernel)?;
                         inner.stats.persist_hits += 1;
@@ -241,12 +241,7 @@ impl KernelCache {
         }
 
         let t0 = Instant::now();
-        let compiled = if self.store.is_some() {
-            compile_ptx_opt_emit(req.ptx, req.opt_level).map(|(k, s, t)| (k, s, Some(t)))
-        } else {
-            compile_ptx_opt(req.ptx, req.opt_level).map(|(k, s)| (k, s, None))
-        };
-        let (mut kernels, opt_stats, optimized_text) = match compiled {
+        let (mut kernels, opt_stats, module) = match compile_ptx(req.ptx, req.opt_level) {
             Ok(r) => r,
             Err(e) => {
                 inner.stats.compile_errors += 1;
@@ -254,6 +249,12 @@ impl KernelCache {
                 return Err(e);
             }
         };
+        // Only a store reads the optimized text. At `OptLevel::None` it is
+        // the input verbatim: nothing is re-emitted or normalised.
+        let optimized_text = self.store.as_ref().map(|_| match req.opt_level {
+            OptLevel::None => req.ptx.to_string(),
+            OptLevel::Default => emit_module(&module),
+        });
         let wall = t0.elapsed().as_secs_f64();
         if kernels.len() != 1 {
             inner.stats.compile_errors += 1;
@@ -292,7 +293,6 @@ impl KernelCache {
             ("opt.loads_eliminated", s.loads_eliminated),
             ("opt.values_reused", s.values_reused),
             ("opt.copies_propagated", s.copies_propagated),
-            ("opt.fmas_fused", s.fmas_fused),
             ("opt.dead_removed", s.dead_removed),
             ("opt.regs_freed", s.regs_freed),
             ("opt.kernels_skipped", s.skipped),
@@ -323,7 +323,6 @@ impl KernelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdp_ptx::emit::emit_module;
     use qdp_ptx::module::{KernelBuilder, Module};
     use qdp_ptx::types::PtxType;
 
@@ -499,7 +498,7 @@ mod tests {
 
         let cache = KernelCache::new();
         let verbatim = cache.compile(CompileRequest::new(&text)).unwrap();
-        let (direct, _) = compile_ptx_opt(&text, OptLevel::None).unwrap();
+        let (direct, _, _) = compile_ptx(&text, OptLevel::None).unwrap();
         assert_eq!(verbatim.code.len(), direct[0].code.len());
         assert_eq!(verbatim.read_bytes, direct[0].read_bytes);
         let opt = cache

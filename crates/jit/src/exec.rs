@@ -670,6 +670,7 @@ mod tests {
     use crate::lower::lower_kernel;
     use qdp_ptx::inst::{Inst, Operand};
     use qdp_ptx::module::KernelBuilder;
+    use qdp_ptx::opt::{optimize_kernel, OptLevel};
     use qdp_ptx::types::{Reg, RegClass};
     use qdp_rng::{Rng, SeedableRng, StdRng};
 
@@ -875,20 +876,26 @@ mod tests {
     /// block size, from the same seeded inputs: block 1 runs one-lane tiles
     /// (a thread at a time); the others cover partial tiles, tile edges,
     /// the guard falling mid-tile and (n = 300) blocks of several tiles,
-    /// whose tiles may run on different pool threads.
+    /// whose tiles may run on different pool threads. The optimizer's form
+    /// of each kernel leaves the same bytes too, at every block size — the
+    /// 0-ULP contract of `OptLevel::Default`.
     #[test]
     fn golden_kernels_leave_the_same_bytes_at_every_block_size() {
+        let blocks = [1, 7, 63, 64, 65, 128, 256, 1000, 1024];
         for (name, text) in crate::lower::GOLDEN_PTX {
             let golden = qdp_ptx::parse::parse_module(text).unwrap().kernels.remove(0);
             for (n, vol) in [(61u32, 64), (64, 64), (300, 320)] {
                 let kernel = on_lattice(golden.clone(), vol);
-                let k = lower_kernel(&kernel).unwrap();
+                let mut optimized = kernel.clone();
+                let stats = optimize_kernel(&mut optimized, OptLevel::Default);
+                assert_eq!((stats.skipped, stats.bailed), (0, 0), "{name}: not optimized");
+                let [k, k_opt] = [&kernel, &optimized].map(|k| lower_kernel(k).unwrap());
                 let buf = buf_bytes(vol);
-                // Device memory after a launch at `block` (or none).
-                let run = |block: Option<u32>| {
+                // Device memory after a launch of `k` at `block` (or none).
+                let run = |k: &CompiledKernel, block: Option<u32>| {
                     let (mem, bufs, args) = golden_inputs(&kernel, n, vol);
                     if let Some(block) = block {
-                        run_grid(&k, &args, &mem, n.div_ceil(block), block);
+                        run_grid(k, &args, &mem, n.div_ceil(block), block);
                     }
                     let mut out = vec![0u8; buf * bufs.len()];
                     for (chunk, &p) in out.chunks_mut(buf).zip(&bufs) {
@@ -896,12 +903,18 @@ mod tests {
                     }
                     out
                 };
-                let one_lane = run(Some(1));
-                assert!(one_lane != run(None), "{name}: the kernel stored nothing");
-                for block in [7, 63, 64, 65, 128, 256, 1000, 1024] {
+                let one_lane = run(&k, Some(1));
+                assert!(one_lane != run(&k, None), "{name}: the kernel stored nothing");
+                for block in &blocks[1..] {
                     assert!(
-                        run(Some(block)) == one_lane,
+                        run(&k, Some(*block)) == one_lane,
                         "{name}, n = {n}: block {block} differs from one-lane tiles"
+                    );
+                }
+                for block in blocks {
+                    assert!(
+                        run(&k_opt, Some(block)) == one_lane,
+                        "{name}, n = {n}: optimized at block {block} differs from unoptimized"
                     );
                 }
             }

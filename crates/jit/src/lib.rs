@@ -40,7 +40,5 @@ pub use autotune::AutoTuner;
 pub use cache::{CompileRequest, KernelCache, KernelCacheStats};
 pub use exec::{run_grid, LaunchArg};
 pub use launch::{launch_tuned_on, LaunchOutcome};
-pub use lower::{
-    compile_ptx, compile_ptx_opt, compile_ptx_opt_emit, lower_kernel, CompiledKernel, JitError,
-};
+pub use lower::{compile_ptx, lower_kernel, CompiledKernel, JitError};
 pub use persist::{KernelStore, FORMAT_VERSION, STORE_FILE};

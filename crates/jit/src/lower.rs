@@ -17,7 +17,7 @@
 //! else is a [`JitError::Lower`].
 
 use qdp_ptx::inst::{BinOp, CmpOp, Inst, MathFn, Operand, SpecialReg, UnOp};
-use qdp_ptx::module::Kernel;
+use qdp_ptx::module::{Kernel, Module};
 use qdp_ptx::opt::{OptLevel, OptStats};
 use qdp_ptx::types::{PtxType, Reg, RegClass};
 use qdp_ptx::PtxError;
@@ -670,61 +670,30 @@ fn allocate_registers(code: &mut [COp], widths: &[u32]) -> Registers {
     }
 }
 
-/// Parse PTX text and lower every kernel. This is the "driver JIT" entry
-/// point used by [`crate::cache::KernelCache`].
-pub fn compile_ptx(text: &str) -> Result<Vec<CompiledKernel>, JitError> {
-    let module = qdp_ptx::parse::parse_module(text)?;
-    module.validate()?;
-    module.kernels.iter().map(lower_kernel).collect()
-}
-
-/// Like [`compile_ptx`], but runs the PTX peephole optimizer between
-/// validation and lowering (the slot the paper's driver JIT optimizes in,
-/// Fig. 2). Returns the per-pass statistics alongside the kernels.
+/// The "driver JIT" entry point used by [`crate::cache::KernelCache`]:
+/// parse PTX text, validate it, run the PTX optimizer at `level` (the slot
+/// the paper's driver JIT optimizes in, Fig. 2) and lower every kernel.
+/// Returns the kernels, the per-pass statistics and the optimized module —
+/// the program the persistent kernel store serializes, so a warm process
+/// can lower it verbatim without repeating any optimizer pass.
 ///
 /// `optimize_module` never produces an invalid module — kernels violating
 /// the optimizer's preconditions are skipped and post-optimization
 /// validation failures revert the kernel — so the result always lowers
 /// whenever the unoptimized text would.
-pub fn compile_ptx_opt(
+pub fn compile_ptx(
     text: &str,
     level: OptLevel,
-) -> Result<(Vec<CompiledKernel>, OptStats), JitError> {
+) -> Result<(Vec<CompiledKernel>, OptStats, Module), JitError> {
     let mut module = qdp_ptx::parse::parse_module(text)?;
     module.validate()?;
     let stats = qdp_ptx::opt::optimize_module(&mut module, level);
-    let kernels: Vec<CompiledKernel> = module
+    let kernels = module
         .kernels
         .iter()
         .map(lower_kernel)
         .collect::<Result<_, _>>()?;
-    Ok((kernels, stats))
-}
-
-/// Like [`compile_ptx_opt`], but also returns the PTX text of the module
-/// *after* the optimizer ran — the artifact the persistent kernel store
-/// serializes, so a warm process can lower the already-optimized program
-/// verbatim without repeating any optimizer pass. At [`OptLevel::None`]
-/// the input text is returned unchanged (verbatim contract: nothing is
-/// re-emitted or normalised).
-pub fn compile_ptx_opt_emit(
-    text: &str,
-    level: OptLevel,
-) -> Result<(Vec<CompiledKernel>, OptStats, String), JitError> {
-    let mut module = qdp_ptx::parse::parse_module(text)?;
-    module.validate()?;
-    let stats = qdp_ptx::opt::optimize_module(&mut module, level);
-    let optimized_text = if level == OptLevel::None {
-        text.to_string()
-    } else {
-        qdp_ptx::emit::emit_module(&module)
-    };
-    let kernels: Vec<CompiledKernel> = module
-        .kernels
-        .iter()
-        .map(lower_kernel)
-        .collect::<Result<_, _>>()?;
-    Ok((kernels, stats, optimized_text))
+    Ok((kernels, stats, module))
 }
 
 /// The code generator's golden kernels, pinned by `qdp-core`'s snapshot
@@ -744,7 +713,7 @@ pub(crate) const GOLDEN_PTX: [(&str, &str); 7] = [
 mod tests {
     use super::*;
     use qdp_ptx::emit::emit_module;
-    use qdp_ptx::module::{KernelBuilder, Module};
+    use qdp_ptx::module::KernelBuilder;
 
     fn build_simple() -> Kernel {
         let mut b = KernelBuilder::new("k");
@@ -809,7 +778,7 @@ mod tests {
     fn compile_from_text_roundtrip() {
         let module = Module::with_kernel(build_simple());
         let text = emit_module(&module);
-        let compiled = compile_ptx(&text).unwrap();
+        let (compiled, _, _) = compile_ptx(&text, OptLevel::None).unwrap();
         assert_eq!(compiled.len(), 1);
         assert_eq!(compiled[0], lower_kernel(&module.kernels[0]).unwrap());
     }
@@ -827,7 +796,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_ptx_text() {
-        assert!(compile_ptx("garbage").is_err());
+        assert!(compile_ptx("garbage", OptLevel::None).is_err());
     }
 
     fn parse_golden(text: &str) -> Kernel {
@@ -895,31 +864,29 @@ mod tests {
     }
 
     /// Printing inverts parsing on the golden kernels, and the optimizer's
-    /// output at both levels is pinned byte for byte by the FNV digest of
-    /// its emitted text — any change to what the PTX passes produce fails
-    /// here, not only in a conformance sweep.
+    /// output is pinned byte for byte by the FNV digest of its emitted text
+    /// — any change to what the PTX passes produce fails here, not only in
+    /// a conformance sweep.
     #[test]
     fn golden_kernels_reprint_and_optimize_to_pinned_bytes() {
         let pinned = [
-            ("30080e8062858004", "f61af9e4fd2cc812"),
-            ("14d968c4be81b2a0", "8aafa5d9be484a82"),
-            ("86fbc370a06edb51", "2c8d366f69f4d6dc"),
-            ("71f596d956c9e4b3", "71f596d956c9e4b3"),
-            ("f74ca32216821b98", "24f753bc447ea83d"),
-            ("51b6ed6655b0b563", "18c6d21f976ce449"),
-            ("fb422f28abc4d42f", "f562329c0690435b"),
+            "30080e8062858004",
+            "14d968c4be81b2a0",
+            "86fbc370a06edb51",
+            "71f596d956c9e4b3",
+            "f74ca32216821b98",
+            "51b6ed6655b0b563",
+            "fb422f28abc4d42f",
         ];
-        for ((name, text), (o1, o2)) in GOLDEN_PTX.iter().zip(pinned) {
+        for ((name, text), o1) in GOLDEN_PTX.iter().zip(pinned) {
             let module = qdp_ptx::parse::parse_module(text).unwrap();
             assert!(
                 emit_module(&module) == *text,
                 "{name}: reprinted text differs"
             );
-            for (level, want) in [(OptLevel::Default, o1), (OptLevel::Aggressive, o2)] {
-                let (_, _, optimized) = compile_ptx_opt_emit(text, level).unwrap();
-                let got = qdp_ptx::hash::stable_text_digest(&optimized);
-                assert_eq!(got, want, "{name} at {}", level.tag());
-            }
+            let (_, _, optimized) = compile_ptx(text, OptLevel::Default).unwrap();
+            let got = qdp_ptx::hash::stable_text_digest(&emit_module(&optimized));
+            assert_eq!(got, o1, "{name} at o1");
         }
     }
 

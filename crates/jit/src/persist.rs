@@ -201,11 +201,6 @@ impl KernelStore {
         self.inner.lock().kernels.len()
     }
 
-    /// Number of stored tuner entries (all devices).
-    pub fn n_tuned(&self) -> usize {
-        self.inner.lock().tuned.len()
-    }
-
     /// Write the current contents to disk (atomic temp-file + rename).
     /// `put_*` flush eagerly, so this is only needed as a final safety net
     /// (context shutdown).
@@ -526,7 +521,7 @@ mod tests {
         assert_eq!(t.profile_report().counter("persist.corrupt"), 1);
         // the poisoned entry is gone from disk too
         let s2 = KernelStore::open(&dir, "dev", tel());
-        assert_eq!(s2.n_tuned(), 0);
+        assert_eq!(s2.lookup_tuned("k", 2048), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

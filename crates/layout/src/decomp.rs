@@ -168,11 +168,6 @@ impl RankGrid {
     pub fn split_dims(&self) -> [bool; ND] {
         std::array::from_fn(|mu| self.decomp.is_split(mu))
     }
-
-    /// Number of split dimensions (0 = single-rank in every direction).
-    pub fn n_split(&self) -> usize {
-        self.split_dims().iter().filter(|&&s| s).count()
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +235,7 @@ mod tests {
                 assert_eq!(back, r);
             }
         }
-        assert_eq!(RankGrid::new(d, 0).n_split(), 4);
+        assert_eq!(RankGrid::new(d, 0).split_dims(), [true; ND]);
     }
 
     #[test]

@@ -18,20 +18,18 @@
 //!    in `psi = a*psi + chi`).
 //! 3. **Copy propagation** on register-to-register `mov`: uses of the copy
 //!    are rewritten to the source and the `mov` dropped.
-//! 4. **mul+add → `fma.rn` fusion** (only at [`OptLevel::Aggressive`]): a
-//!    float `mul` whose single use is the addend-free side of a float `add`
-//!    in the same block fuses into one `fma.rn`. This changes rounding
-//!    (one rounding step instead of two), so the default level — which must
-//!    stay bit-identical to the CPU reference path — leaves it off.
-//! 5. **Dead-code elimination** in one pass: any instruction defining a
+//! 4. **Dead-code elimination** in one pass: any instruction defining a
 //!    register with no remaining uses is removed (stores, branches, labels
 //!    and `ret` are always kept). Uses are counted once; removing a def
 //!    decrements its operands' counts, and a count reaching zero queues
 //!    that register's def — so a dead chain of any depth goes in one walk.
-//! 6. **Register re-tightening**: surviving registers are renumbered
+//! 5. **Register re-tightening**: surviving registers are renumbered
 //!    densely per class and the `.reg` declaration counts shrink to match,
 //!    which feeds straight into the occupancy model's registers-per-thread
 //!    input.
+//!
+//! Every pass preserves values bit for bit: an optimized kernel stores the
+//! same bytes as the unoptimized one, and so as the CPU reference path.
 //!
 //! Every pass is linear in the kernel's length: per-register tables are
 //! flat vectors indexed by class offset + id (`RegIndex`), and the two
@@ -61,49 +59,19 @@ pub enum OptLevel {
     /// `QDP_OPT=0` — the optimizer is bypassed entirely (both the DAG-level
     /// CSE in codegen and the PTX passes here).
     None,
-    /// Default — every value-preserving pass: DAG CSE, load elimination,
-    /// local value numbering, copy propagation, DCE, register re-tightening.
-    /// Results are bit-identical to unoptimized kernels.
+    /// Default — every pass: DAG CSE, load elimination, local value
+    /// numbering, copy propagation, DCE, register re-tightening. Results
+    /// are bit-identical to unoptimized kernels.
     Default,
-    /// `QDP_OPT=2` — additionally fuse mul+add into `fma.rn`. Fusion
-    /// rounds once instead of twice, so optimized kernels may differ from
-    /// the CPU reference in the last ULP (or more, under cancellation).
-    Aggressive,
 }
 
 impl OptLevel {
-    /// Parse a `QDP_OPT` value (`0` → off, `2` → aggressive, anything
-    /// else → default-on).
-    pub fn parse(v: &str) -> OptLevel {
-        match v {
-            "0" => OptLevel::None,
-            "2" => OptLevel::Aggressive,
-            _ => OptLevel::Default,
-        }
-    }
-
     /// Short tag for cache keys and kernel-name salts.
     pub fn tag(self) -> &'static str {
         match self {
             OptLevel::None => "o0",
             OptLevel::Default => "o1",
-            OptLevel::Aggressive => "o2",
         }
-    }
-
-    /// Does this level run the DAG-level CSE in expression codegen?
-    pub fn dag_cse(self) -> bool {
-        self != OptLevel::None
-    }
-
-    /// Does this level run the PTX passes in this module?
-    pub fn ptx_passes(self) -> bool {
-        self != OptLevel::None
-    }
-
-    /// Does this level fuse mul+add into `fma.rn`?
-    pub fn fuse_fma(self) -> bool {
-        self == OptLevel::Aggressive
     }
 }
 
@@ -117,8 +85,6 @@ pub struct OptStats {
     pub values_reused: u32,
     /// Register-to-register `mov`s propagated away.
     pub copies_propagated: u32,
-    /// mul+add pairs fused into `fma.rn` (aggressive level only).
-    pub fmas_fused: u32,
     /// Dead instructions removed (includes the defs orphaned by the
     /// passes above).
     pub dead_removed: u32,
@@ -137,7 +103,6 @@ impl OptStats {
         self.loads_eliminated += o.loads_eliminated;
         self.values_reused += o.values_reused;
         self.copies_propagated += o.copies_propagated;
-        self.fmas_fused += o.fmas_fused;
         self.dead_removed += o.dead_removed;
         self.regs_freed += o.regs_freed;
         self.skipped += o.skipped;
@@ -158,7 +123,7 @@ pub fn optimize_module(module: &mut Module, level: OptLevel) -> OptStats {
 /// violating kernels are left untouched (see module docs).
 pub fn optimize_kernel(kernel: &mut Kernel, level: OptLevel) -> OptStats {
     let mut stats = OptStats::default();
-    if !level.ptx_passes() {
+    if level == OptLevel::None {
         return stats;
     }
     let Some(regs) = RegIndex::new(kernel.reg_counts).filter(|r| is_ssa_forward(kernel, r)) else {
@@ -167,9 +132,6 @@ pub fn optimize_kernel(kernel: &mut Kernel, level: OptLevel) -> OptStats {
     };
     let original = kernel.clone();
     lvn(kernel, &regs, &mut stats);
-    if level.fuse_fma() {
-        fuse_fma(kernel, &regs, &mut stats);
-    }
     dce(kernel, &regs, &mut stats);
     retighten(kernel, &regs, &mut stats);
     if kernel.validate().is_err() {
@@ -456,96 +418,6 @@ fn lvn(kernel: &mut Kernel, regs: &RegIndex, stats: &mut OptStats) {
     kernel.body = out;
 }
 
-/// Fuse a float `mul` whose single use is one side of a float `add` in the
-/// same basic block into `fma.rn`. The orphaned `mul` is left for DCE.
-fn fuse_fma(kernel: &mut Kernel, regs: &RegIndex, stats: &mut OptStats) {
-    let use_count = use_counts(&kernel.body, regs);
-    // Position of each single-use float mul, by destination register.
-    let mut mul_at = vec![NONE; regs.len];
-    for (i, inst) in kernel.body.iter().enumerate() {
-        if let Inst::Binary {
-            op: BinOp::Mul,
-            ty,
-            dst,
-            ..
-        } = inst
-        {
-            if ty.is_float() && use_count[regs.at(*dst)] == 1 {
-                mul_at[regs.at(*dst)] = i as u32;
-            }
-        }
-    }
-    let mut block_start = vec![0usize; kernel.body.len()];
-    let mut start = 0usize;
-    for (i, inst) in kernel.body.iter().enumerate() {
-        if let Inst::Label { .. } = inst {
-            start = i;
-        }
-        block_start[i] = start;
-    }
-    for j in 0..kernel.body.len() {
-        let Inst::Binary {
-            op: BinOp::Add,
-            ty,
-            dst,
-            a,
-            b,
-        } = kernel.body[j]
-        else {
-            continue;
-        };
-        if !ty.is_float() {
-            continue;
-        }
-        // Try the left operand as the product, then the right.
-        let fused = [(a, b), (b, a)].into_iter().find_map(|(prod, addend)| {
-            let Operand::Reg(m) = prod else { return None };
-            let i = mul_at[regs.at(m)];
-            if i == NONE {
-                return None;
-            }
-            let i = i as usize;
-            let Inst::Binary {
-                ty: mty,
-                a: ma,
-                b: mb,
-                ..
-            } = kernel.body[i]
-            else {
-                unreachable!("mul_at holds only muls");
-            };
-            // Same type, same basic block (a use reached through a label
-            // may be on a path that skipped the mul).
-            (mty == ty && i < j && block_start[j] <= i).then_some((m, ma, mb, addend))
-        });
-        if let Some((m, ma, mb, addend)) = fused {
-            kernel.body[j] = Inst::Fma {
-                ty,
-                dst,
-                a: ma,
-                b: mb,
-                c: addend,
-            };
-            mul_at[regs.at(m)] = NONE;
-            stats.fmas_fused += 1;
-        }
-    }
-}
-
-/// How many times each register is read, over the whole body.
-fn use_counts(body: &[Inst], regs: &RegIndex) -> Vec<u32> {
-    let mut count = vec![0u32; regs.len];
-    let mut uses = Vec::new();
-    for inst in body {
-        uses.clear();
-        inst.use_regs(&mut uses);
-        for &u in &uses {
-            count[regs.at(u)] += 1;
-        }
-    }
-    count
-}
-
 /// Remove instructions whose defined register is never used, in one pass.
 /// Every def in this IR is pure (stores, branches, labels and `ret` define
 /// nothing), so an unused def is always removable, and removal is
@@ -555,7 +427,15 @@ fn use_counts(body: &[Inst], regs: &RegIndex) -> Vec<u32> {
 /// feeds itself (directly or round a cycle) is never queued.
 fn dce(kernel: &mut Kernel, regs: &RegIndex, stats: &mut OptStats) {
     let body = &kernel.body;
-    let mut count = use_counts(body, regs);
+    let mut count = vec![0u32; regs.len];
+    let mut uses = Vec::new();
+    for inst in body {
+        uses.clear();
+        inst.use_regs(&mut uses);
+        for &u in &uses {
+            count[regs.at(u)] += 1;
+        }
+    }
     let mut def_at = vec![NONE; regs.len];
     let mut work = Vec::new();
     for (i, inst) in body.iter().enumerate() {
@@ -568,7 +448,6 @@ fn dce(kernel: &mut Kernel, regs: &RegIndex, stats: &mut OptStats) {
     }
     // A def is queued only when its count reaches zero, which happens once.
     let mut dead = vec![false; body.len()];
-    let mut uses = Vec::new();
     while let Some(i) = work.pop() {
         dead[i] = true;
         uses.clear();
@@ -750,55 +629,6 @@ mod tests {
         k.validate().unwrap();
     }
 
-    fn mul_add_kernel() -> Kernel {
-        let mut kb = KernelBuilder::new("k");
-        kb.param("p", PtxType::U64);
-        let addr = kb.ld_param("p", PtxType::U64);
-        let x = ld(&mut kb, addr, 0);
-        let y = ld(&mut kb, addr, 8);
-        let m = kb.bin(BinOp::Mul, PtxType::F64, x.into(), y.into());
-        let s = kb.bin(BinOp::Add, PtxType::F64, m.into(), y.into());
-        st(&mut kb, addr, 16, s.into());
-        kb.finish()
-    }
-
-    #[test]
-    fn fma_fusion_only_at_aggressive() {
-        let mut k = mul_add_kernel();
-        k.validate().unwrap();
-        let stats = optimize_kernel(&mut k, OptLevel::Default);
-        assert_eq!(stats.fmas_fused, 0, "default level must stay bit-identical");
-        assert!(!k.body.iter().any(|i| matches!(i, Inst::Fma { .. })));
-
-        let mut k = mul_add_kernel();
-        let stats = optimize_kernel(&mut k, OptLevel::Aggressive);
-        assert_eq!(stats.fmas_fused, 1);
-        assert!(k.body.iter().any(|i| matches!(i, Inst::Fma { .. })));
-        assert!(
-            !k.body
-                .iter()
-                .any(|i| matches!(i, Inst::Binary { op: BinOp::Mul, .. })),
-            "orphaned mul must be DCE'd"
-        );
-        k.validate().unwrap();
-    }
-
-    #[test]
-    fn multi_use_mul_is_not_fused() {
-        let mut kb = KernelBuilder::new("k");
-        kb.param("p", PtxType::U64);
-        let addr = kb.ld_param("p", PtxType::U64);
-        let x = ld(&mut kb, addr, 0);
-        let m = kb.bin(BinOp::Mul, PtxType::F64, x.into(), x.into());
-        let s = kb.bin(BinOp::Add, PtxType::F64, m.into(), x.into());
-        st(&mut kb, addr, 8, s.into());
-        st(&mut kb, addr, 16, m.into()); // second use of the product
-        let mut k = kb.finish();
-        k.validate().unwrap();
-        let stats = optimize_kernel(&mut k, OptLevel::Aggressive);
-        assert_eq!(stats.fmas_fused, 0);
-    }
-
     #[test]
     fn dce_removes_unused_chain_and_retightens_regs() {
         let mut kb = KernelBuilder::new("k");
@@ -909,7 +739,7 @@ mod tests {
             let mut k = kb.finish();
             assert!(k.validate().is_err());
             let before = k.clone();
-            let stats = optimize_kernel(&mut k, OptLevel::Aggressive);
+            let stats = optimize_kernel(&mut k, OptLevel::Default);
             assert_eq!(stats.skipped, 1, "{undeclared}");
             assert_eq!(k, before);
         }
@@ -1008,10 +838,5 @@ mod tests {
     fn levels_from_tags() {
         assert_eq!(OptLevel::None.tag(), "o0");
         assert_eq!(OptLevel::Default.tag(), "o1");
-        assert_eq!(OptLevel::Aggressive.tag(), "o2");
-        assert!(OptLevel::Default.dag_cse());
-        assert!(!OptLevel::None.dag_cse());
-        assert!(OptLevel::Aggressive.fuse_fma());
-        assert!(!OptLevel::Default.fuse_fma());
     }
 }
