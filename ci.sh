@@ -275,6 +275,24 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one bit-exact optimizer (two levels, no fma contraction, one compile_ptx)"
 
+# ---- Guard: one PTX dialect ---------------------------------------------------
+# The parser, validation, optimizer, lowering and executor accept exactly
+# the instructions the code generator emits: the math-subroutine calls and
+# their declarations, the unary ops besides `neg`, the division and shift
+# ops, the signed types and the signed launch argument stay deleted, and so
+# does the BiCGStab solver nothing called. crates/benchmark is frozen and
+# skipped. (Spelled in pieces, as above.)
+twins="Math""Fn|call\\.""uni|\\.extern \\.""func|Un""Op::|BinOp::""Div|BinOp::""Shl"
+twins="$twins|PtxType::""S32|PtxType::""S64|LaunchArg::""S32|bicg""stab"
+stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
+    | grep -v '^crates/benchmark/' || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: an instruction outside the generator's dialect, or the unused BiCGStab solver, is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: one PTX dialect (no math calls, no non-neg unary ops, no div/shift ops, no signed types, no BiCGStab)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

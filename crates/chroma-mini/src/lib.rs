@@ -8,7 +8,7 @@
 //! * gauge fields, plaquette, Wilson gauge action and force ([`gauge`]);
 //! * the Wilson dslash / Dirac operator and the clover term built from
 //!   data-parallel expressions ([`fermion`]);
-//! * Krylov solvers: CG, BiCGStab, multi-shift CG ([`solver`]);
+//! * Krylov solvers: CG and multi-shift CG ([`solver`]);
 //! * the Zolotarev optimal rational approximation to `x^(-1/2)` for RHMC
 //!   ([`zolotarev`]);
 //! * molecular-dynamics forces with finite-difference validation

@@ -1,6 +1,5 @@
-//! Krylov solvers on the (simulated) device: CG on the normal equations,
-//! BiCGStab on `M` directly, and multi-shift CG for the RHMC rational
-//! kernels. Every vector operation is a data-parallel expression — CG's
+//! Krylov solvers on the (simulated) device: CG on the normal equations
+//! and multi-shift CG for the RHMC rational kernels. Every vector operation is a data-parallel expression — CG's
 //! axpy kernels are generated once and reused for every iteration (the
 //! scalar α, β are kernel *parameters*).
 
@@ -86,71 +85,6 @@ pub fn cg_solve(
     }
     scope.flush()?;
     ctx.telemetry().count("solver.cg_iters", iters as u64);
-    span.end_with_sim(ctx.device().now());
-    Ok(CgReport {
-        iters,
-        rel_resid: (r2 / b2).sqrt(),
-        converged: r2 <= target,
-    })
-}
-
-/// BiCGStab on `M x = b` directly (non-Hermitian).
-pub fn bicgstab_solve(
-    m: &WilsonDirac,
-    x: &LatticeFermion<f64>,
-    b: &LatticeFermion<f64>,
-    tol: f64,
-    max_iters: usize,
-) -> Result<CgReport, CoreError> {
-    let ctx = m.context();
-    let span = ctx
-        .telemetry()
-        .span("solver", "bicgstab")
-        .with_sim(ctx.device().now());
-    let r = LatticeFermion::<f64>::new(ctx);
-    let r0 = LatticeFermion::<f64>::new(ctx);
-    let p = LatticeFermion::<f64>::new(ctx);
-    let v = LatticeFermion::<f64>::new(ctx);
-    let s = LatticeFermion::<f64>::new(ctx);
-    let t = LatticeFermion::<f64>::new(ctx);
-
-    m.apply(&v, x)?;
-    r.assign(b.q() - v.q())?;
-    r0.assign(r.q())?;
-    p.assign(r.q())?;
-
-    let b2 = b.norm2()?;
-    if b2 == 0.0 {
-        x.assign(0.0 * b.q())?;
-        return Ok(CgReport {
-            iters: 0,
-            rel_resid: 0.0,
-            converged: true,
-        });
-    }
-    let target = tol * tol * b2;
-    let mut rho = reduce_inner_product(ctx, &r0.q(), &r.q(), Subset::All)?;
-    let mut iters = 0;
-    let mut r2 = r.norm2()?;
-    while r2 > target && iters < max_iters {
-        m.apply(&v, &p)?;
-        let r0v = reduce_inner_product(ctx, &r0.q(), &v.q(), Subset::All)?;
-        let alpha = rho / r0v;
-        s.assign(r.q() - cscale(alpha, v.q()))?;
-        m.apply(&t, &s)?;
-        let ts = reduce_inner_product(ctx, &t.q(), &s.q(), Subset::All)?;
-        let tt = t.norm2()?;
-        let omega = ts.scale(1.0 / tt);
-        x.assign(x.q() + cscale(alpha, p.q()) + cscale(omega, s.q()))?;
-        r.assign(s.q() - cscale(omega, t.q()))?;
-        let rho_new = reduce_inner_product(ctx, &r0.q(), &r.q(), Subset::All)?;
-        let beta = (rho_new / rho) * (alpha / omega);
-        p.assign(r.q() + cscale(beta, p.q() - cscale(omega, v.q())))?;
-        rho = rho_new;
-        r2 = r.norm2()?;
-        iters += 1;
-    }
-    ctx.telemetry().count("solver.bicgstab_iters", iters as u64);
     span.end_with_sim(ctx.device().now());
     Ok(CgReport {
         iters,
@@ -337,21 +271,6 @@ mod tests {
         let ax = LatticeFermion::<f64>::new(&ctx);
         let tmp = LatticeFermion::<f64>::new(&ctx);
         m.apply_normal(&ax, &tmp, &x).unwrap();
-        let d = LatticeFermion::<f64>::new(&ctx);
-        d.assign(b.q() - ax.q()).unwrap();
-        let rel = (d.norm2().unwrap() / b.norm2().unwrap()).sqrt();
-        assert!(rel < 1e-7, "true residual {rel}");
-    }
-
-    #[test]
-    fn bicgstab_solves_m_directly() {
-        let (ctx, m, mut rng) = setup();
-        let b = gaussian_fermion(&ctx, &mut rng);
-        let x = LatticeFermion::<f64>::new(&ctx);
-        let rep = bicgstab_solve(&m, &x, &b, 1e-8, 500).unwrap();
-        assert!(rep.converged, "BiCGStab did not converge: {rep:?}");
-        let ax = LatticeFermion::<f64>::new(&ctx);
-        m.apply(&ax, &x).unwrap();
         let d = LatticeFermion::<f64>::new(&ctx);
         d.assign(b.q() - ax.q()).unwrap();
         let rel = (d.norm2().unwrap() / b.norm2().unwrap()).sqrt();

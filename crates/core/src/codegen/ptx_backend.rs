@@ -176,7 +176,6 @@ impl<'a> PtxGen<'a> {
             let sites_base = kb.ld_param(ps, PtxType::U64);
             let boff = kb.fresh(RegClass::B64);
             kb.push(Inst::MulWide {
-                src_ty: PtxType::U32,
                 dst: boff,
                 a: tid,
                 b: Operand::ImmI(4),
@@ -308,7 +307,6 @@ impl<'a> PtxGen<'a> {
             // entry = tbl[parent_off]
             let boff = self.kb.fresh(RegClass::B64);
             self.kb.push(Inst::MulWide {
-                src_ty: PtxType::U32,
                 dst: boff,
                 a: parent_off,
                 b: Operand::ImmI(4),
@@ -381,7 +379,6 @@ impl<'a> PtxGen<'a> {
                 // elem = off*n_comp + comp
                 let dst = self.kb.fresh(RegClass::B32);
                 self.kb.push(Inst::MadLo {
-                    ty: PtxType::U32,
                     dst,
                     a: off.into(),
                     b: Operand::ImmI(n_comp as i64),
@@ -392,7 +389,6 @@ impl<'a> PtxGen<'a> {
         };
         let byte = self.kb.fresh(RegClass::B64);
         self.kb.push(Inst::MulWide {
-            src_ty: PtxType::U32,
             dst: byte,
             a: elem,
             b: Operand::ImmI(esize as i64),
@@ -429,8 +425,7 @@ impl<'a> Backend for PtxGen<'a> {
 
     fn neg(&mut self, a: &Reg) -> Reg {
         let dst = self.kb.fresh_for(self.ty);
-        self.kb.push(Inst::Unary {
-            op: qdp_ptx::inst::UnOp::Neg,
+        self.kb.push(Inst::Neg {
             ty: self.ty,
             dst,
             src: (*a).into(),

@@ -12,10 +12,13 @@
 //!
 //! then commit the updated `.ptx` files with the change that caused them.
 
-use qdp_core::{codegen_fused_ptx, codegen_ptx, OptLevel, QdpConfig, QdpContext};
+use qdp_core::{
+    codegen_fused_ptx, codegen_ptx, plan_codegen, render_ptx, OptLevel, QdpConfig, QdpContext,
+};
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
-use qdp_layout::{Geometry, Subset};
+use qdp_layout::{Geometry, LayoutKind, Subset};
 use qdp_types::{ElemKind, FloatType, Gamma, TypeShape};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -32,21 +35,18 @@ struct Env {
 /// Deterministic registration order — snapshot parameter layout depends
 /// only on this function, not on test execution order.
 fn env(ft: FloatType) -> Env {
+    env_in(LayoutKind::SoA, ft)
+}
+
+fn env_in(layout: LayoutKind, ft: FloatType) -> Env {
     // Snapshots pin the *default-optimized* output; a stray QDP_OPT in the
     // environment must not change what these tests compare against.
     let ctx = QdpContext::builder(Geometry::new([4, 2, 2, 4]))
         .config(QdpConfig::from_env())
         .opt_level(OptLevel::Default)
+        .layout(layout)
         .build();
-    let vol = ctx.geometry().vol();
-    let reg = |kind: ElemKind| {
-        let bytes = vol * TypeShape::of(kind).n_reals() * ft.size_bytes();
-        FieldRef {
-            id: ctx.cache().register(bytes),
-            kind,
-            ft,
-        }
-    };
+    let reg = |kind: ElemKind| field(&ctx, kind, ft);
     let u = [
         reg(ElemKind::ColorMatrix),
         reg(ElemKind::ColorMatrix),
@@ -62,6 +62,16 @@ fn env(ft: FloatType) -> Env {
         psi,
         chi,
         rho,
+    }
+}
+
+/// Register a field of `kind` and precision `ft` on `ctx`.
+fn field(ctx: &QdpContext, kind: ElemKind, ft: FloatType) -> FieldRef {
+    let bytes = ctx.geometry().vol() * TypeShape::of(kind).n_reals() * ft.size_bytes();
+    FieldRef {
+        id: ctx.cache().register(bytes),
+        kind,
+        ft,
     }
 }
 
@@ -237,4 +247,71 @@ fn golden_shift_cm_even() {
     let expr = shift(Expr::Field(e.u[0]), 0, ShiftDir::Forward);
     let ptx = codegen_ptx(&e.ctx, e.u[1], &expr, Subset::Even, "shift_cm_even_dp").unwrap();
     check_snapshot("shift_cm_even_dp", &ptx);
+}
+
+/// The code generator's dialect, one opcode spelling each: the forms the
+/// parser, validation, optimizer, lowering and executor accept.
+#[rustfmt::skip]
+const DIALECT: [&str; 34] = [
+    "ld.param.u32", "ld.param.u64", "ld.param.f32", "ld.param.f64",
+    "ld.global.u32", "ld.global.f32", "ld.global.f64", "st.global.f32", "st.global.f64",
+    "mov.u32", "mov.f32", "mov.f64", "cvt.f64.f32", "cvt.rn.f32.f64",
+    "add.f32", "add.f64", "add.u32", "add.u64", "sub.f32", "sub.f64",
+    "mul.f32", "mul.f64", "neg.f32", "neg.f64", "fma.rn.f32", "fma.rn.f64",
+    "and.b32", "mul.wide.u32", "mad.lo.u32",
+    "setp.ge.u32", "setp.ne.u32", "selp.u64", "bra", "ret",
+];
+
+/// The opcode spelling of each instruction of a module (a guard predicate
+/// dropped).
+fn opcodes(ptx: &str) -> impl Iterator<Item = &str> {
+    ptx.lines().filter_map(|line| {
+        let line = line.trim();
+        let line = match line.strip_prefix('@') {
+            Some(guarded) => guarded.split_once(' ')?.1,
+            None => line,
+        };
+        let op = line.split_whitespace().next()?.trim_end_matches(';');
+        let directive = op.starts_with(['.', '/', '$']) || matches!(op, "{" | "}" | ")");
+        (!directive).then_some(op)
+    })
+}
+
+/// Pins the dialect from the producer side: over SoA and AoS, both
+/// precisions, a checkerboard subset, a remote-shift plan, an f32 leaf in
+/// an f64 expression and a fused group, the generator emits exactly the
+/// dialect — a new form, or a kept form it no longer emits, fails here.
+#[test]
+fn generator_emits_exactly_the_dialect() {
+    let mut modules = Vec::new();
+    for layout in [LayoutKind::SoA, LayoutKind::AoS] {
+        for ft in [FloatType::F32, FloatType::F64] {
+            let e = env_in(layout, ft);
+            let dslash = wilson_dslash_expr(&e);
+            for subset in [Subset::All, Subset::Even] {
+                modules.push(codegen_ptx(&e.ctx, e.chi, &dslash, subset, "k").unwrap());
+            }
+            let remote = plan_codegen(&e.ctx, e.chi, &dslash, false, true).unwrap();
+            modules.push(render_ptx(&remote, &dslash, "k").unwrap());
+            let axpy = add(
+                Expr::Field(e.psi[0]),
+                mul(Expr::real(0.75), Expr::Field(e.psi[1])),
+            );
+            let n2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(Expr::Field(e.chi)));
+            let fused = [(e.chi, axpy), (e.rho, n2)];
+            modules.push(codegen_fused_ptx(&e.ctx, &fused, Subset::All, "k").unwrap());
+        }
+    }
+    // Mixed precision: f32 leaves promoted into an f64 expression, stored
+    // back into an f32 target.
+    let e = env(FloatType::F32);
+    let dp = field(&e.ctx, ElemKind::Fermion, FloatType::F64);
+    let mixed = add(
+        Expr::Field(e.psi[0]),
+        mul(Expr::Field(e.u[0]), Expr::Field(dp)),
+    );
+    modules.push(codegen_ptx(&e.ctx, e.chi, &mixed, Subset::All, "k").unwrap());
+
+    let seen: BTreeSet<&str> = modules.iter().flat_map(|m| opcodes(m)).collect();
+    assert_eq!(seen, BTreeSet::from(DIALECT));
 }

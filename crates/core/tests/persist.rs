@@ -201,3 +201,38 @@ fn corrupt_store_file_falls_back_to_clean_recompile() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A store is read back verbatim, so an instruction outside the
+/// generator's dialect written into it must be turned away by validation —
+/// counted as corruption and recompiled — not lowered and run into an
+/// executor panic.
+#[test]
+fn stored_kernel_outside_the_dialect_falls_back_to_recompile() {
+    let dir = tmpdir("dialect");
+    let (ctx1, _tel1) = ctx_on(&dir, DeviceConfig::k20x_ecc_off());
+    let w1 = work(&ctx1);
+    w1.out.assign(dslash(&w1)).unwrap();
+    let expect = w1.out.to_vec();
+    drop(ctx1);
+
+    // Just before the exit label, so every thread would run it. The store
+    // holds the PTX as one JSON string, newlines and tabs escaped.
+    let file = dir.join(qdp_jit::STORE_FILE);
+    let text = std::fs::read_to_string(&file).unwrap();
+    let exit = "\\n$exit_";
+    assert_eq!(text.matches(exit).count(), 1, "one kernel, one exit label");
+    let and_f64 = format!("\\n\\tand.f64 %fd0, %fd0, %fd0;{exit}");
+    std::fs::write(&file, text.replace(exit, &and_f64)).unwrap();
+
+    let (ctx2, tel2) = ctx_on(&dir, DeviceConfig::k20x_ecc_off());
+    let w2 = work(&ctx2);
+    w2.out.assign(dslash(&w2)).unwrap();
+    assert_eq!(w2.out.to_vec(), expect, "recompiled eval is bit-identical");
+    let r2 = tel2.profile_report();
+    assert_eq!(r2.counter("persist.corrupt"), 1);
+    assert_eq!(r2.counter("persist.hit"), 1, "the stored entry was read");
+    assert_eq!(r2.jit.misses, 1, "and recompiled from the source");
+    drop(ctx2);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

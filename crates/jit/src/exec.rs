@@ -19,13 +19,15 @@
 //! communication", paper §VII): the fusion planner refuses a group whose
 //! statement reads an earlier target under a shift, and `eval` runs a
 //! single statement that reads its own target under a shift through a
-//! temporary. All arithmetic follows PTX semantics for the emitted subset
-//! (IEEE-754, wrapping integer ops).
+//! temporary. All arithmetic follows PTX semantics for the generator's
+//! dialect (IEEE-754, wrapping integer ops), one closure per (op, type)
+//! pair. Lowering validates every kernel against that dialect, so in each
+//! match below the last arm's `_` stands for the one remaining legal type.
 
 use crate::lower::{AVal, COp, CompiledKernel};
 use qdp_gpu_sim::par::parallel_for;
 use qdp_gpu_sim::DeviceMemory;
-use qdp_ptx::inst::{BinOp, CmpOp, SpecialReg, UnOp};
+use qdp_ptx::inst::{BinOp, CmpOp, SpecialReg};
 use qdp_ptx::types::PtxType;
 use std::cell::Cell;
 
@@ -36,10 +38,6 @@ pub enum LaunchArg {
     Ptr(u64),
     /// 32-bit unsigned.
     U32(u32),
-    /// 64-bit unsigned.
-    U64(u64),
-    /// 32-bit signed.
-    S32(i32),
     /// Single-precision float.
     F32(f32),
     /// Double-precision float.
@@ -52,8 +50,6 @@ impl LaunchArg {
         match self {
             LaunchArg::Ptr(p) => p,
             LaunchArg::U32(v) => v as u64,
-            LaunchArg::U64(v) => v,
-            LaunchArg::S32(v) => v as i64 as u64,
             LaunchArg::F32(v) => v.to_bits() as u64,
             LaunchArg::F64(v) => v.to_bits(),
         }
@@ -68,239 +64,6 @@ fn f32_of(bits: u64) -> f32 {
 #[inline]
 fn f64_of(bits: u64) -> f64 {
     f64::from_bits(bits)
-}
-
-#[inline]
-fn bin_f32(op: BinOp, a: f32, b: f32) -> f32 {
-    match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
-        _ => panic!("illegal float op {op:?}"),
-    }
-}
-
-#[inline]
-fn bin_f64(op: BinOp, a: f64, b: f64) -> f64 {
-    match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
-        _ => panic!("illegal float op {op:?}"),
-    }
-}
-
-#[inline]
-fn bin_int(op: BinOp, ty: PtxType, a: u64, b: u64) -> u64 {
-    // Compute in 64-bit with the right signedness, then mask to width.
-    let signed = matches!(ty, PtxType::S32 | PtxType::S64);
-    let w32 = ty.size_bytes() == 4;
-    let (sa, sb) = if w32 {
-        ((a as u32 as i32) as i64, (b as u32 as i32) as i64)
-    } else {
-        (a as i64, b as i64)
-    };
-    let (ua, ub) = if w32 {
-        ((a as u32) as u64, (b as u32) as u64)
-    } else {
-        (a, b)
-    };
-    let r: u64 = match op {
-        BinOp::Add => ua.wrapping_add(ub),
-        BinOp::Sub => ua.wrapping_sub(ub),
-        BinOp::Mul => ua.wrapping_mul(ub),
-        BinOp::Div => {
-            if signed {
-                sa.wrapping_div(sb) as u64
-            } else {
-                ua / ub
-            }
-        }
-        BinOp::Rem => {
-            if signed {
-                sa.wrapping_rem(sb) as u64
-            } else {
-                ua % ub
-            }
-        }
-        BinOp::Min => {
-            if signed {
-                sa.min(sb) as u64
-            } else {
-                ua.min(ub)
-            }
-        }
-        BinOp::Max => {
-            if signed {
-                sa.max(sb) as u64
-            } else {
-                ua.max(ub)
-            }
-        }
-        BinOp::And => ua & ub,
-        BinOp::Or => ua | ub,
-        BinOp::Xor => ua ^ ub,
-        BinOp::Shl => {
-            let sh = (ub & 63) as u32;
-            ua.wrapping_shl(sh)
-        }
-        BinOp::Shr => {
-            let sh = (ub & 63) as u32;
-            if signed {
-                (sa >> sh.min(63)) as u64
-            } else {
-                ua >> sh.min(63)
-            }
-        }
-    };
-    if w32 {
-        r & 0xFFFF_FFFF
-    } else {
-        r
-    }
-}
-
-#[inline]
-fn cmp_values(cmp: CmpOp, ty: PtxType, a: u64, b: u64) -> bool {
-    use std::cmp::Ordering;
-    let ord = match ty {
-        PtxType::F32 => f32_of(a).partial_cmp(&f32_of(b)),
-        PtxType::F64 => f64_of(a).partial_cmp(&f64_of(b)),
-        PtxType::S32 => (a as u32 as i32).partial_cmp(&(b as u32 as i32)),
-        PtxType::S64 => (a as i64).partial_cmp(&(b as i64)),
-        PtxType::U32 => (a as u32).partial_cmp(&(b as u32)),
-        PtxType::U64 | PtxType::Pred => a.partial_cmp(&b),
-    };
-    match (cmp, ord) {
-        (_, None) => false, // unordered (NaN) compares false for these ops
-        (CmpOp::Eq, Some(o)) => o == Ordering::Equal,
-        (CmpOp::Ne, Some(o)) => o != Ordering::Equal,
-        (CmpOp::Lt, Some(o)) => o == Ordering::Less,
-        (CmpOp::Le, Some(o)) => o != Ordering::Greater,
-        (CmpOp::Gt, Some(o)) => o == Ordering::Greater,
-        (CmpOp::Ge, Some(o)) => o != Ordering::Less,
-    }
-}
-
-#[inline]
-fn convert(dst_ty: PtxType, src_ty: PtxType, bits: u64) -> u64 {
-    // Decode the source value to a canonical form, then encode.
-    let as_f64: f64;
-    let as_i64: i64;
-    match src_ty {
-        PtxType::F32 => {
-            as_f64 = f32_of(bits) as f64;
-            as_i64 = as_f64 as i64;
-        }
-        PtxType::F64 => {
-            as_f64 = f64_of(bits);
-            as_i64 = as_f64 as i64;
-        }
-        PtxType::S32 => {
-            as_i64 = bits as u32 as i32 as i64;
-            as_f64 = as_i64 as f64;
-        }
-        PtxType::S64 => {
-            as_i64 = bits as i64;
-            as_f64 = as_i64 as f64;
-        }
-        PtxType::U32 => {
-            as_i64 = (bits as u32) as i64;
-            as_f64 = as_i64 as f64;
-        }
-        PtxType::U64 | PtxType::Pred => {
-            as_i64 = bits as i64;
-            as_f64 = bits as f64;
-        }
-    }
-    match dst_ty {
-        PtxType::F32 => (as_f64 as f32).to_bits() as u64,
-        PtxType::F64 => as_f64.to_bits(),
-        PtxType::S32 => {
-            let v = if src_ty.is_float() { as_f64 as i32 } else { as_i64 as i32 };
-            v as u32 as u64
-        }
-        PtxType::U32 => {
-            let v = if src_ty.is_float() { as_f64 as u32 } else { as_i64 as u32 };
-            v as u64
-        }
-        PtxType::S64 => {
-            let v = if src_ty.is_float() { as_f64 as i64 } else { as_i64 };
-            v as u64
-        }
-        PtxType::U64 => {
-            if src_ty.is_float() {
-                as_f64 as u64
-            } else {
-                as_i64 as u64
-            }
-        }
-        PtxType::Pred => u64::from(bits != 0),
-    }
-}
-
-#[inline]
-fn unary(op: UnOp, ty: PtxType, bits: u64) -> u64 {
-    match ty {
-        PtxType::F32 => {
-            let v = f32_of(bits);
-            let r = match op {
-                UnOp::Neg => -v,
-                UnOp::Abs => v.abs(),
-                UnOp::Sqrt => v.sqrt(),
-                UnOp::Rsqrt => 1.0 / v.sqrt(),
-                UnOp::Sin => v.sin(),
-                UnOp::Cos => v.cos(),
-                UnOp::Lg2 => v.log2(),
-                UnOp::Ex2 => v.exp2(),
-                UnOp::Rcp => 1.0 / v,
-                UnOp::Not => panic!("not on float"),
-            };
-            r.to_bits() as u64
-        }
-        PtxType::F64 => {
-            let v = f64_of(bits);
-            let r = match op {
-                UnOp::Neg => -v,
-                UnOp::Abs => v.abs(),
-                UnOp::Sqrt => v.sqrt(),
-                UnOp::Rsqrt => 1.0 / v.sqrt(),
-                UnOp::Sin => v.sin(),
-                UnOp::Cos => v.cos(),
-                UnOp::Lg2 => v.log2(),
-                UnOp::Ex2 => v.exp2(),
-                UnOp::Rcp => 1.0 / v,
-                UnOp::Not => panic!("not on float"),
-            };
-            r.to_bits()
-        }
-        _ => {
-            let w32 = ty.size_bytes() == 4;
-            let r = match op {
-                UnOp::Neg => (bits as i64).wrapping_neg() as u64,
-                UnOp::Abs => {
-                    if w32 {
-                        (bits as u32 as i32).unsigned_abs() as u64
-                    } else {
-                        (bits as i64).unsigned_abs()
-                    }
-                }
-                UnOp::Not => !bits,
-                _ => panic!("float-only unary on int"),
-            };
-            if w32 {
-                r & 0xFFFF_FFFF
-            } else {
-                r
-            }
-        }
-    }
 }
 
 /// Lanes per tile: a block's threads run `TILE` at a time, each op across
@@ -457,9 +220,7 @@ fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize)
                 let (d, a) = (r.col(dst), Src::Col(r.col(addr)));
                 let at = |a: u64| (a as i64 + offset) as u64;
                 match ty {
-                    PtxType::F32 => map1(d, a, |a| mem.read_f32(at(a)).to_bits() as u64),
-                    PtxType::F64 => map1(d, a, |a| mem.read_f64(at(a)).to_bits()),
-                    PtxType::S32 | PtxType::U32 => map1(d, a, |a| mem.read_u32(at(a)) as u64),
+                    PtxType::F32 | PtxType::U32 => map1(d, a, |a| mem.read_u32(at(a)) as u64),
                     _ => map1(d, a, |a| mem.read_u64(at(a))),
                 }
             }
@@ -472,7 +233,7 @@ fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize)
                 let (a, v) = (r.col(addr), r.src(src));
                 let at = |a: &Cell<u64>| (a.get() as i64 + offset) as u64;
                 match ty {
-                    PtxType::F32 | PtxType::S32 | PtxType::U32 => {
+                    PtxType::F32 | PtxType::U32 => {
                         for (l, a) in a.iter().enumerate() {
                             mem.write_u32(at(a), v.at(l) as u32);
                         }
@@ -498,59 +259,50 @@ fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize)
                     SpecialReg::NctaidX => fill(d, g.n_blocks as u64),
                 }
             }
-            COp::Cvt {
-                dst_ty,
-                src_ty,
-                dst,
-                src,
-            } => map1(r.col(dst), Src::Col(r.col(src)), |v| {
-                convert(dst_ty, src_ty, v)
-            }),
-            COp::Un { op, ty, dst, src } => {
+            COp::Cvt { dst_ty, dst, src } => {
+                let (d, a) = (r.col(dst), Src::Col(r.col(src)));
+                match dst_ty {
+                    PtxType::F32 => map1(d, a, |v| (f64_of(v) as f32).to_bits() as u64),
+                    _ => map1(d, a, |v| (f32_of(v) as f64).to_bits()),
+                }
+            }
+            COp::Neg { ty, dst, src } => {
                 let (d, a) = (r.col(dst), r.src(src));
-                match (ty, op) {
-                    (PtxType::F64, UnOp::Neg) => map1(d, a, |v| (-f64_of(v)).to_bits()),
-                    _ => map1(d, a, |v| unary(op, ty, v)),
+                match ty {
+                    PtxType::F32 => map1(d, a, |v| (-f32_of(v)).to_bits() as u64),
+                    _ => map1(d, a, |v| (-f64_of(v)).to_bits()),
                 }
             }
             COp::Bin { op, ty, dst, a, b } => {
                 let (d, a, b) = (r.col(dst), r.src(a), r.src(b));
-                match (ty, op) {
-                    (PtxType::F64, BinOp::Add) => {
+                match (op, ty) {
+                    (BinOp::Add, PtxType::F32) => {
+                        map2(d, a, b, |a, b| (f32_of(a) + f32_of(b)).to_bits() as u64)
+                    }
+                    (BinOp::Add, PtxType::F64) => {
                         map2(d, a, b, |a, b| (f64_of(a) + f64_of(b)).to_bits())
                     }
-                    (PtxType::F64, BinOp::Sub) => {
-                        map2(d, a, b, |a, b| (f64_of(a) - f64_of(b)).to_bits())
-                    }
-                    (PtxType::F64, BinOp::Mul) => {
-                        map2(d, a, b, |a, b| (f64_of(a) * f64_of(b)).to_bits())
-                    }
-                    (PtxType::U32 | PtxType::S32, BinOp::Add) => {
+                    (BinOp::Add, PtxType::U32) => {
                         map2(d, a, b, |a, b| (a as u32).wrapping_add(b as u32) as u64)
                     }
-                    (PtxType::U64 | PtxType::S64, BinOp::Add) => map2(d, a, b, u64::wrapping_add),
-                    (PtxType::F32, _) => map2(d, a, b, |a, b| {
-                        bin_f32(op, f32_of(a), f32_of(b)).to_bits() as u64
-                    }),
-                    (PtxType::F64, _) => {
-                        map2(d, a, b, |a, b| bin_f64(op, f64_of(a), f64_of(b)).to_bits())
+                    (BinOp::Add, _) => map2(d, a, b, u64::wrapping_add),
+                    (BinOp::Sub, PtxType::F32) => {
+                        map2(d, a, b, |a, b| (f32_of(a) - f32_of(b)).to_bits() as u64)
                     }
-                    _ => map2(d, a, b, |a, b| bin_int(op, ty, a, b)),
+                    (BinOp::Sub, _) => map2(d, a, b, |a, b| (f64_of(a) - f64_of(b)).to_bits()),
+                    (BinOp::Mul, PtxType::F32) => {
+                        map2(d, a, b, |a, b| (f32_of(a) * f32_of(b)).to_bits() as u64)
+                    }
+                    (BinOp::Mul, _) => map2(d, a, b, |a, b| (f64_of(a) * f64_of(b)).to_bits()),
+                    (BinOp::And, _) => map2(d, a, b, |a, b| (a as u32 & b as u32) as u64),
                 }
             }
-            COp::MulWide { src_ty, dst, a, b } => {
-                let (d, a, b) = (r.col(dst), Src::Col(r.col(a)), r.src(b));
-                if src_ty == PtxType::S32 {
-                    map2(d, a, b, |a, b| {
-                        ((a as u32 as i32 as i64) * (b as u32 as i32 as i64)) as u64
-                    })
-                } else {
-                    map2(d, a, b, |a, b| (a as u32 as u64) * (b as u32 as u64))
-                }
-            }
-            COp::MadLo { ty, dst, a, b, c } => {
+            COp::MulWide { dst, a, b } => map2(r.col(dst), Src::Col(r.col(a)), r.src(b), |a, b| {
+                (a as u32 as u64) * (b as u32 as u64)
+            }),
+            COp::MadLo { dst, a, b, c } => {
                 map3(r.col(dst), r.src(a), r.src(b), r.src(c), |a, b, c| {
-                    bin_int(BinOp::Add, ty, bin_int(BinOp::Mul, ty, a, b), c)
+                    (a as u32).wrapping_mul(b as u32).wrapping_add(c as u32) as u64
                 })
             }
             COp::Fma { ty, dst, a, b, c } => {
@@ -564,9 +316,13 @@ fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize)
                     }),
                 }
             }
-            COp::Setp { cmp, ty, dst, a, b } => map2(r.col(dst), r.src(a), r.src(b), |a, b| {
-                u64::from(cmp_values(cmp, ty, a, b))
-            }),
+            COp::Setp { cmp, dst, a, b } => {
+                let (d, a, b) = (r.col(dst), r.src(a), r.src(b));
+                match cmp {
+                    CmpOp::Ge => map2(d, a, b, |a, b| u64::from(a as u32 >= b as u32)),
+                    CmpOp::Ne => map2(d, a, b, |a, b| u64::from(a as u32 != b as u32)),
+                }
+            }
             COp::Selp {
                 dst, a, b, pred, ..
             } => map3(
@@ -591,26 +347,6 @@ fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize)
                     return true;
                 }
                 n = stay;
-            }
-            COp::Call {
-                func,
-                ty,
-                dst,
-                args,
-            } => {
-                let binary = func.arity() == 2;
-                let (d, x) = (r.col(dst), Src::Col(r.col(args[0])));
-                let y = Src::Col(r.col(args[1]));
-                match ty {
-                    PtxType::F32 => map2(d, x, y, |x, y| {
-                        let y = if binary { f32_of(y) as f64 } else { 0.0 };
-                        (func.eval(f32_of(x) as f64, y) as f32).to_bits() as u64
-                    }),
-                    _ => map2(d, x, y, |x, y| {
-                        let y = if binary { f64_of(y) } else { 0.0 };
-                        func.eval(f64_of(x), y).to_bits()
-                    }),
-                }
             }
         }
     }
@@ -688,7 +424,6 @@ mod tests {
         let exit = b.guard(tid, n);
         let off = b.fresh(RegClass::B64);
         b.push(Inst::MulWide {
-            src_ty: PtxType::U32,
             dst: off,
             a: tid,
             b: Operand::ImmI(8),
@@ -760,7 +495,6 @@ mod tests {
         let exit = b.guard(tid, n);
         let off = b.fresh(RegClass::B64);
         b.push(Inst::MulWide {
-            src_ty: PtxType::U32,
             dst: off,
             a: tid,
             b: Operand::ImmI(4),
@@ -946,7 +680,6 @@ mod tests {
         });
         let off = b.fresh(RegClass::B64);
         b.push(Inst::MulWide {
-            src_ty: PtxType::U32,
             dst: off,
             a: tid,
             b: Operand::ImmI(4),
@@ -991,7 +724,6 @@ mod tests {
         let tid = b.global_tid();
         let off = b.fresh(RegClass::B64);
         b.push(Inst::MulWide {
-            src_ty: PtxType::U32,
             dst: off,
             a: tid,
             b: Operand::ImmI(8),
@@ -1033,81 +765,27 @@ mod tests {
 
     #[test]
     fn int_semantics() {
-        let neg = |v: i32| v as u32 as u64;
         for (op, ty, a, b, want) in [
             (BinOp::Add, PtxType::U32, 0xFFFF_FFFF, 1, 0),
             (BinOp::Add, PtxType::U64, u64::MAX, 2, 1),
-            (BinOp::Shr, PtxType::S32, neg(-8), 1, neg(-4)),
-            (BinOp::Shr, PtxType::U32, 0x8000_0000, 1, 0x4000_0000),
-            (BinOp::Div, PtxType::S32, neg(-7), 2, neg(-3)),
-            (BinOp::Min, PtxType::S32, neg(-1), 1, neg(-1)),
-            (BinOp::Min, PtxType::U32, neg(-1), 1, 1),
         ] {
-            assert_eq!(bin_int(op, ty, a, b), want, "{op:?}.{ty:?}");
-            // In a tile: the case in lane 0, its operands swapped in lane 1.
+            // In a tile: the case in lane 0, its operands swapped in lane 1
+            // (`add` commutes).
             let lanes = run_lanes(ty, &[(a, b), (b, a)], |k, x, y| {
                 k.bin(op, ty, x.into(), y.into())
             });
-            assert_eq!(lanes, [want, bin_int(op, ty, b, a)], "{op:?}.{ty:?} in a tile");
+            assert_eq!(lanes, [want, want], "{op:?}.{ty:?} in a tile");
         }
     }
 
     #[test]
     fn conversions() {
-        for (dst_ty, src_ty, x, want) in [
-            // f64 -> f32 rounding
-            (
-                PtxType::F32,
-                PtxType::F64,
-                (1.0f64 / 3.0).to_bits(),
-                (((1.0f64 / 3.0) as f32).to_bits()) as u64,
-            ),
-            // s32 -> f64 exact
-            (PtxType::F64, PtxType::S32, (-5i32) as u32 as u64, (-5.0f64).to_bits()),
-            // f32 -> s32 truncation toward zero
-            (PtxType::S32, PtxType::F32, (-2.7f32).to_bits() as u64, (-2i32) as u32 as u64),
-            // u32 widening
-            (PtxType::U64, PtxType::U32, 0xFFFF_FFFF, 0xFFFF_FFFF),
-        ] {
-            assert_eq!(convert(dst_ty, src_ty, x), want, "{src_ty:?} -> {dst_ty:?}");
-            let other = 7;
-            let lanes = run_lanes(src_ty, &[(x, 0), (other, 0)], |k, v, _| {
-                k.cvt(dst_ty, src_ty, v)
-            });
-            assert_eq!(
-                lanes,
-                [want, convert(dst_ty, src_ty, other)],
-                "{src_ty:?} -> {dst_ty:?} in a tile"
-            );
-        }
-    }
-
-    #[test]
-    fn nan_comparisons_are_false() {
-        let nan = f64::NAN.to_bits();
-        let one = 1.0f64.to_bits();
-        for cmp in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            assert!(!cmp_values(cmp, PtxType::F64, nan, one), "{cmp:?}");
-            let lanes = run_lanes(PtxType::F64, &[(nan, one), (one, nan), (nan, nan)], |k, x, y| {
-                let p = k.fresh(RegClass::Pred);
-                k.push(Inst::Setp {
-                    cmp,
-                    ty: PtxType::F64,
-                    dst: p,
-                    a: x.into(),
-                    b: y.into(),
-                });
-                let r = k.fresh(RegClass::B32);
-                k.push(Inst::Selp {
-                    ty: PtxType::U32,
-                    dst: r,
-                    a: Operand::ImmI(1),
-                    b: Operand::ImmI(0),
-                    pred: p,
-                });
-                r
-            });
-            assert_eq!(lanes, [0, 0, 0], "{cmp:?} in a tile");
-        }
+        // f64 -> f32 rounding in lane 0; lane 1 converts an f64 subnormal,
+        // which rounds to +0.0.
+        let x = 1.0f64 / 3.0;
+        let lanes = run_lanes(PtxType::F64, &[(x.to_bits(), 0), (7, 0)], |k, v, _| {
+            k.cvt(PtxType::F32, PtxType::F64, v)
+        });
+        assert_eq!(lanes, [(x as f32).to_bits() as u64, 0], "f64 -> f32 in a tile");
     }
 }

@@ -138,7 +138,6 @@ mod tests {
         let exit = b.guard(tid, n);
         let off = b.fresh(RegClass::B64);
         b.push(Inst::MulWide {
-            src_ty: PtxType::U32,
             dst: off,
             a: tid,
             b: Operand::ImmI(8),

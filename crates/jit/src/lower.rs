@@ -16,7 +16,7 @@
 //! can be re-run lane by lane without repeating a side effect. Anything
 //! else is a [`JitError::Lower`].
 
-use qdp_ptx::inst::{BinOp, CmpOp, Inst, MathFn, Operand, SpecialReg, UnOp};
+use qdp_ptx::inst::{BinOp, CmpOp, Inst, Operand, SpecialReg};
 use qdp_ptx::module::{Kernel, Module};
 use qdp_ptx::opt::{OptLevel, OptStats};
 use qdp_ptx::types::{PtxType, Reg, RegClass};
@@ -109,21 +109,17 @@ pub enum COp {
         /// Which special register.
         sreg: SpecialReg,
     },
-    /// Type conversion.
+    /// f32 ↔ f64 conversion.
     Cvt {
-        /// Destination type.
+        /// Destination type (the source is the other float type).
         dst_ty: PtxType,
-        /// Source type.
-        src_ty: PtxType,
         /// Destination slot.
         dst: u32,
         /// Source slot.
         src: u32,
     },
-    /// Unary operation.
-    Un {
-        /// Operation.
-        op: UnOp,
+    /// Float negation.
+    Neg {
         /// Value type.
         ty: PtxType,
         /// Destination slot.
@@ -144,10 +140,8 @@ pub enum COp {
         /// Right operand.
         b: AVal,
     },
-    /// Widening 32→64-bit multiply.
+    /// Widening u32 → u64 multiply.
     MulWide {
-        /// Source type (u32/s32).
-        src_ty: PtxType,
         /// 64-bit destination slot.
         dst: u32,
         /// 32-bit source slot.
@@ -155,10 +149,8 @@ pub enum COp {
         /// Right operand.
         b: AVal,
     },
-    /// Integer multiply-add (low half).
+    /// u32 multiply-add (low half).
     MadLo {
-        /// Value type.
-        ty: PtxType,
         /// Destination slot.
         dst: u32,
         /// Multiplicand.
@@ -181,12 +173,10 @@ pub enum COp {
         /// Addend.
         c: AVal,
     },
-    /// Set predicate from comparison.
+    /// Set predicate from a u32 comparison.
     Setp {
         /// Comparison.
         cmp: CmpOp,
-        /// Operand type.
-        ty: PtxType,
         /// Predicate destination slot.
         dst: u32,
         /// Left operand.
@@ -213,17 +203,6 @@ pub enum COp {
         target: u32,
         /// Optional predicate `(slot, negated)`.
         pred: Option<(u32, bool)>,
-    },
-    /// Math subroutine call.
-    Call {
-        /// The subroutine.
-        func: MathFn,
-        /// Precision.
-        ty: PtxType,
-        /// Destination slot.
-        dst: u32,
-        /// Argument slots (second used only for binary functions).
-        args: [u32; 2],
     },
     /// Return (thread exit).
     Ret,
@@ -368,18 +347,13 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
                 sreg: *sreg,
             },
             Inst::Cvt {
-                dst_ty,
-                src_ty,
-                dst,
-                src,
+                dst_ty, dst, src, ..
             } => COp::Cvt {
                 dst_ty: *dst_ty,
-                src_ty: *src_ty,
                 dst: slot(dst),
                 src: slot(src),
             },
-            Inst::Unary { op, ty, dst, src } => COp::Un {
-                op: *op,
+            Inst::Neg { ty, dst, src } => COp::Neg {
                 ty: *ty,
                 dst: slot(dst),
                 src: aval(*ty, src)?,
@@ -391,18 +365,16 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
                 a: aval(*ty, a)?,
                 b: aval(*ty, b)?,
             },
-            Inst::MulWide { src_ty, dst, a, b } => COp::MulWide {
-                src_ty: *src_ty,
+            Inst::MulWide { dst, a, b } => COp::MulWide {
                 dst: slot(dst),
                 a: slot(a),
-                b: aval(*src_ty, b)?,
+                b: aval(PtxType::U32, b)?,
             },
-            Inst::MadLo { ty, dst, a, b, c } => COp::MadLo {
-                ty: *ty,
+            Inst::MadLo { dst, a, b, c } => COp::MadLo {
                 dst: slot(dst),
-                a: aval(*ty, a)?,
-                b: aval(*ty, b)?,
-                c: aval(*ty, c)?,
+                a: aval(PtxType::U32, a)?,
+                b: aval(PtxType::U32, b)?,
+                c: aval(PtxType::U32, c)?,
             },
             Inst::Fma { ty, dst, a, b, c } => COp::Fma {
                 ty: *ty,
@@ -413,7 +385,6 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
             },
             Inst::Setp { cmp, ty, dst, a, b } => COp::Setp {
                 cmp: *cmp,
-                ty: *ty,
                 dst: slot(dst),
                 a: aval(*ty, a)?,
                 b: aval(*ty, b)?,
@@ -450,24 +421,12 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
                     pred: pred.map(|(r, n)| (slot(&r), n)),
                 }
             }
-            Inst::Call { func, ty, dst, args } => {
-                let mut a = [0u32; 2];
-                for (i, r) in args.iter().enumerate().take(2) {
-                    a[i] = slot(r);
-                }
-                COp::Call {
-                    func: *func,
-                    ty: *ty,
-                    dst: slot(dst),
-                    args: a,
-                }
-            }
             Inst::Ret => COp::Ret,
         };
         // Track DP usage from instruction types.
         if let Inst::Fma { ty, .. }
         | Inst::Binary { ty, .. }
-        | Inst::Unary { ty, .. }
+        | Inst::Neg { ty, .. }
         | Inst::LdGlobal { ty, .. } = inst
         {
             if *ty == PtxType::F64 {
@@ -532,7 +491,7 @@ fn visit_slots(op: &mut COp, f: &mut impl FnMut(&mut u32, bool)) {
             f(addr, false);
             use_aval(src, f);
         }
-        COp::Mov { dst, src, .. } | COp::Un { dst, src, .. } => {
+        COp::Mov { dst, src, .. } | COp::Neg { dst, src, .. } => {
             use_aval(src, f);
             f(dst, true);
         }
@@ -564,14 +523,6 @@ fn visit_slots(op: &mut COp, f: &mut impl FnMut(&mut u32, bool)) {
             if let Some((p, _)) = pred {
                 f(p, false);
             }
-        }
-        COp::Call { dst, args, .. } => {
-            // Both argument slots, as the occupancy estimate has always
-            // counted them (a unary call's second one is slot 0).
-            for a in args {
-                f(a, false);
-            }
-            f(dst, true);
         }
         COp::Ret => {}
     }
@@ -725,7 +676,6 @@ mod tests {
         let base = b.ld_param(&p, PtxType::U64);
         let off = b.fresh(RegClass::B64);
         b.push(Inst::MulWide {
-            src_ty: PtxType::U32,
             dst: off,
             a: tid,
             b: Operand::ImmI(8),
@@ -901,6 +851,63 @@ mod tests {
         }
     }
 
+    /// Forms outside the generator's dialect are errors, never a kernel for
+    /// the executor to trip over: well-formed ones parse and fail
+    /// validation, and removed spellings no longer parse.
+    #[test]
+    fn forms_outside_the_dialect_are_errors() {
+        let module = |directive: &str, line: &str| {
+            format!(
+                ".version 3.1\n.target sm_35\n{directive}\n\
+                 .visible .entry k(\n\t.param .u64 p\n)\n{{\n\
+                 \t.reg .f32 %f<2>;\n\t.reg .f64 %fd<2>;\n\t.reg .b32 %r<2>;\n\
+                 \t.reg .b64 %rd<2>;\n\t.reg .pred %p<1>;\n\
+                 \tld.param.u64 %rd0, [p];\n\tld.global.f64 %fd0, [%rd0];\n\
+                 \tld.global.u32 %r0, [%rd0];\n\t{line}\n\tret;\n}}\n"
+            )
+        };
+        for level in [OptLevel::None, OptLevel::Default] {
+            assert!(compile_ptx(&module("", ""), level).is_ok());
+        }
+        let invalid = [
+            "and.f64 %fd1, %fd0, %fd0;",
+            "neg.u32 %r1, %r0;",
+            "sub.u32 %r1, %r0, %r0;",
+            "cvt.u32.f64 %r1, %fd0;",
+            "setp.ge.f64 %p0, %fd0, %fd0;",
+            "ld.param.pred %p0, [p];",
+            // In the dialect, but into a register of the wrong class.
+            "mul.wide.u32 %r1, %r0, 8;",
+        ];
+        let unparsed = [
+            "cvt.rzi.u32.f64 %r1, %fd0;",
+            "setp.lt.f64 %p0, %fd0, %fd0;",
+            "rem.f64 %fd1, %fd0, %fd0;",
+            "not.f32 %f1, %f0;",
+            "sqrt.rn.u32 %r1, %r0;",
+            "shl.f64 %fd1, %fd0, 1;",
+            "mul.wide.s32 %rd1, %r0, 8;",
+            // Spelled in pieces, like the ci.sh guard that keeps them out.
+            concat!("call", ".uni (%fd1), qdpjit_sin_f64, (%fd0);"),
+        ];
+        let extern_decl = concat!(
+            ".extern",
+            " .func (.param .f64 ret) qdpjit_sin_f64 (.param .f64 x0);"
+        );
+        let mut cases: Vec<_> = invalid.iter().map(|l| (module("", l), true)).collect();
+        cases.extend(unparsed.iter().map(|l| (module("", l), false)));
+        cases.push((module(extern_decl, ""), false));
+        for (text, parses) in cases {
+            for level in [OptLevel::None, OptLevel::Default] {
+                match compile_ptx(&text, level) {
+                    Err(JitError::Ptx(PtxError::Invalid(_))) if parses => {}
+                    Err(JitError::Ptx(PtxError::Parse { .. })) if !parses => {}
+                    other => panic!("{text}\nat {level:?}: {:?}", other.map(|_| ())),
+                }
+            }
+        }
+    }
+
     #[test]
     fn control_flow_other_than_exits_is_rejected() {
         // A `@p bra $l`, the label `$l` and one store, in the given order,
@@ -912,7 +919,7 @@ mod tests {
             let tid = b.global_tid();
             let p = b.fresh(RegClass::Pred);
             b.push(Inst::Setp {
-                cmp: CmpOp::Eq,
+                cmp: CmpOp::Ne,
                 ty: PtxType::U32,
                 dst: p,
                 a: tid.into(),

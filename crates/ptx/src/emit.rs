@@ -6,10 +6,9 @@
 //! `write_kernel`, with no intermediate string per operand, argument list
 //! or kernel.
 
-use crate::inst::{BinOp, Inst, Operand, UnOp};
+use crate::inst::{BinOp, Inst, Operand};
 use crate::module::{Kernel, Module};
 use crate::types::{PtxType, RegClass};
-use std::collections::BTreeSet;
 use std::fmt::{self, Write};
 
 /// Render a float immediate in PTX bit notation (`0f` / `0d` + hex bits).
@@ -18,7 +17,8 @@ pub fn float_imm(ty: PtxType, v: f64) -> String {
 }
 
 /// An operand as it prints in an instruction of type `.0`: registers by
-/// name, float immediates in `0f`/`0d` bit notation, integers in decimal.
+/// name, float immediates in `0f` bit notation in an `f32` instruction and
+/// `0d` otherwise, integers in decimal.
 struct Opnd<'a>(PtxType, &'a Operand);
 
 impl fmt::Display for Opnd<'_> {
@@ -26,38 +26,37 @@ impl fmt::Display for Opnd<'_> {
         match (self.0, self.1) {
             (_, Operand::Reg(r)) => r.fmt(f),
             (PtxType::F32, Operand::ImmF(v)) => write!(f, "0f{:08X}", (*v as f32).to_bits()),
-            (PtxType::F64, Operand::ImmF(v)) => write!(f, "0d{:016X}", v.to_bits()),
-            (_, Operand::ImmF(_)) => panic!("float immediate with non-float type"),
+            (_, Operand::ImmF(v)) => write!(f, "0d{:016X}", v.to_bits()),
             (_, Operand::ImmI(v)) => v.fmt(f),
         }
     }
 }
 
-/// Bit-type suffix (`b32`/`b64`) for the width of `ty`.
+/// The type suffix of a bitwise op: `b32`/`b64` for the unsigned types,
+/// the plain suffix otherwise (the inverse of the parser's reading).
 fn bits_suffix(ty: PtxType) -> &'static str {
-    if ty.size_bytes() == 8 {
-        "b64"
-    } else {
-        "b32"
+    match ty {
+        PtxType::U32 => "b32",
+        PtxType::U64 => "b64",
+        other => other.suffix(),
     }
 }
 
-/// `cvt` modifier per PTX rules: narrowing float→float and int→float take
-/// `.rn`; float→int takes `.rzi`; everything else is plain.
+/// `cvt` modifier: a narrowing conversion rounds to nearest (`.rn`); a
+/// widening one is exact and plain.
 fn cvt_modifier(dst: PtxType, src: PtxType) -> &'static str {
-    if dst.is_float() && src.is_float() {
-        if dst.size_bytes() < src.size_bytes() {
-            ".rn"
-        } else {
-            ""
-        }
-    } else if dst.is_float() && src.is_int() {
+    if dst.size_bytes() < src.size_bytes() {
         ".rn"
-    } else if dst.is_int() && src.is_float() {
-        ".rzi"
     } else {
         ""
     }
+}
+
+/// One instruction's text without its indent or newline, for diagnostics.
+pub(crate) fn inst_text(inst: &Inst) -> String {
+    let mut out = String::new();
+    emit_inst(&mut out, inst);
+    out.trim().to_string()
 }
 
 fn emit_inst(out: &mut String, inst: &Inst) {
@@ -132,62 +131,31 @@ fn emit_inst(out: &mut String, inst: &Inst) {
                 src
             );
         }
-        Inst::Unary { op, ty, dst, src } => {
-            let suffix = if matches!(op, UnOp::Not) {
-                bits_suffix(*ty)
-            } else {
-                ty.suffix()
-            };
-            let _ = writeln!(
-                out,
-                "\t{}.{} {}, {};",
-                op.mnemonic(),
-                suffix,
-                dst,
-                Opnd(*ty, src)
-            );
+        Inst::Neg { ty, dst, src } => {
+            let _ = writeln!(out, "\tneg.{} {}, {};", ty.suffix(), dst, Opnd(*ty, src));
         }
         Inst::Binary { op, ty, dst, a, b } => {
-            let (mnemonic, suffix) = if ty.is_float() {
-                (op.mnemonic_float(), ty.suffix())
-            } else {
-                match op {
-                    BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl => {
-                        (op.mnemonic_int(), bits_suffix(*ty))
-                    }
-                    _ => (op.mnemonic_int(), ty.suffix()),
-                }
+            let suffix = match op {
+                BinOp::And => bits_suffix(*ty),
+                _ => ty.suffix(),
             };
             let _ = writeln!(
                 out,
                 "\t{}.{} {}, {}, {};",
-                mnemonic,
+                op.mnemonic(*ty),
                 suffix,
                 dst,
                 Opnd(*ty, a),
                 Opnd(*ty, b)
             );
         }
-        Inst::MulWide { src_ty, dst, a, b } => {
-            let _ = writeln!(
-                out,
-                "\tmul.wide.{} {}, {}, {};",
-                src_ty.suffix(),
-                dst,
-                a,
-                Opnd(*src_ty, b)
-            );
+        Inst::MulWide { dst, a, b } => {
+            let b = Opnd(PtxType::U32, b);
+            let _ = writeln!(out, "\tmul.wide.u32 {}, {}, {};", dst, a, b);
         }
-        Inst::MadLo { ty, dst, a, b, c } => {
-            let _ = writeln!(
-                out,
-                "\tmad.lo.{} {}, {}, {}, {};",
-                ty.suffix(),
-                dst,
-                Opnd(*ty, a),
-                Opnd(*ty, b),
-                Opnd(*ty, c)
-            );
+        Inst::MadLo { dst, a, b, c } => {
+            let [a, b, c] = [a, b, c].map(|o| Opnd(PtxType::U32, o));
+            let _ = writeln!(out, "\tmad.lo.u32 {}, {}, {}, {};", dst, a, b, c);
         }
         Inst::Fma { ty, dst, a, b, c } => {
             let _ = writeln!(
@@ -242,44 +210,10 @@ fn emit_inst(out: &mut String, inst: &Inst) {
         Inst::Label { name } => {
             let _ = writeln!(out, "{}:", name);
         }
-        Inst::Call {
-            func,
-            ty,
-            dst,
-            args,
-        } => {
-            let _ = write!(
-                out,
-                "\tcall.uni ({}), {}_{}, (",
-                dst,
-                func.symbol(),
-                ty.suffix()
-            );
-            for (i, a) in args.iter().enumerate() {
-                let sep = if i == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}{a}");
-            }
-            out.push_str(");\n");
-        }
         Inst::Ret => {
             let _ = writeln!(out, "\tret;");
         }
     }
-}
-
-/// Math subroutines referenced by a kernel, as `(fn, precision)` pairs.
-fn math_calls(kernel: &Kernel) -> BTreeSet<(String, usize, PtxType)> {
-    let mut set = BTreeSet::new();
-    for inst in &kernel.body {
-        if let Inst::Call { func, ty, args, .. } = inst {
-            set.insert((
-                format!("{}_{}", func.symbol(), ty.suffix()),
-                args.len(),
-                *ty,
-            ));
-        }
-    }
-    set
 }
 
 /// Emit one kernel body (without module directives).
@@ -322,24 +256,6 @@ pub fn emit_module(module: &Module) -> String {
     let _ = writeln!(out, ".version {}.{}", module.version.0, module.version.1);
     let _ = writeln!(out, ".target {}", module.target);
     out.push_str(".address_size 64\n\n");
-
-    // Declarations for the pre-generated math subroutines (§III-D).
-    let mut decls = BTreeSet::new();
-    for k in &module.kernels {
-        decls.extend(math_calls(k));
-    }
-    for (sym, arity, ty) in &decls {
-        let _ = write!(out, ".extern .func (.param .{} ret) {} (", ty.suffix(), sym);
-        for i in 0..*arity {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}.param .{} x{i}", ty.suffix());
-        }
-        out.push_str(");\n");
-    }
-    if !decls.is_empty() {
-        out.push('\n');
-    }
-
     for k in &module.kernels {
         write_kernel(&mut out, k);
         out.push('\n');
@@ -350,7 +266,7 @@ pub fn emit_module(module: &Module) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{CmpOp, MathFn, SpecialReg};
+    use crate::inst::{CmpOp, SpecialReg};
     use crate::module::KernelBuilder;
     use crate::types::Reg;
 
@@ -365,9 +281,6 @@ mod tests {
     fn cvt_modifiers() {
         assert_eq!(cvt_modifier(PtxType::F32, PtxType::F64), ".rn");
         assert_eq!(cvt_modifier(PtxType::F64, PtxType::F32), "");
-        assert_eq!(cvt_modifier(PtxType::F64, PtxType::S32), ".rn");
-        assert_eq!(cvt_modifier(PtxType::S32, PtxType::F32), ".rzi");
-        assert_eq!(cvt_modifier(PtxType::U64, PtxType::U32), "");
     }
 
     #[test]
@@ -400,28 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn call_emits_extern_decl() {
-        let mut b = KernelBuilder::new("mathy");
-        let x = b.fresh(RegClass::F64);
-        b.push(Inst::Mov {
-            ty: PtxType::F64,
-            dst: x,
-            src: Operand::ImmF(0.5),
-        });
-        let y = b.fresh(RegClass::F64);
-        b.push(Inst::Call {
-            func: MathFn::Sin,
-            ty: PtxType::F64,
-            dst: y,
-            args: vec![x],
-        });
-        let m = Module::with_kernel(b.finish());
-        let text = emit_module(&m);
-        assert!(text.contains(".extern .func (.param .f64 ret) qdpjit_sin_f64 (.param .f64 x0);"));
-        assert!(text.contains("call.uni (%fd1), qdpjit_sin_f64, (%fd0);"));
-    }
-
-    #[test]
     fn predicated_branch_forms() {
         let mut s = String::new();
         let p = Reg::new(RegClass::Pred, 2);
@@ -441,14 +332,14 @@ mod tests {
         emit_inst(
             &mut s,
             &Inst::Setp {
-                cmp: CmpOp::Lt,
-                ty: PtxType::S32,
+                cmp: CmpOp::Ge,
+                ty: PtxType::U32,
                 dst: Reg::new(RegClass::Pred, 0),
                 a: Reg::new(RegClass::B32, 1).into(),
                 b: Operand::ImmI(7),
             },
         );
-        assert_eq!(s, "\tsetp.lt.s32 %p0, %r1, 7;\n");
+        assert_eq!(s, "\tsetp.ge.u32 %p0, %r1, 7;\n");
         s.clear();
         emit_inst(
             &mut s,

@@ -56,107 +56,28 @@ impl SpecialReg {
     }
 }
 
-/// Unary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UnOp {
-    /// `neg`
-    Neg,
-    /// `abs`
-    Abs,
-    /// `not` (bitwise, integer only)
-    Not,
-    /// `sqrt.rn` (f32/f64)
-    Sqrt,
-    /// `rsqrt.approx` — fastmath
-    Rsqrt,
-    /// `sin.approx.f32` — fastmath (f32 only on hardware)
-    Sin,
-    /// `cos.approx.f32` — fastmath
-    Cos,
-    /// `lg2.approx.f32` — fastmath
-    Lg2,
-    /// `ex2.approx.f32` — fastmath
-    Ex2,
-    /// `rcp` reciprocal
-    Rcp,
-}
-
-impl UnOp {
-    /// PTX mnemonic (without type suffix).
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            UnOp::Neg => "neg",
-            UnOp::Abs => "abs",
-            UnOp::Not => "not",
-            UnOp::Sqrt => "sqrt.rn",
-            UnOp::Rsqrt => "rsqrt.approx",
-            UnOp::Sin => "sin.approx",
-            UnOp::Cos => "cos.approx",
-            UnOp::Lg2 => "lg2.approx",
-            UnOp::Ex2 => "ex2.approx",
-            UnOp::Rcp => "rcp.rn",
-        }
-    }
-}
-
 /// Binary operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
-    /// `add`
+    /// `add` (floats, `u32`, `u64`)
     Add,
-    /// `sub`
+    /// `sub` (floats)
     Sub,
-    /// `mul` (for floats; for ints this is `mul.lo`)
+    /// `mul` (floats; an integer type prints as `mul.lo`)
     Mul,
-    /// `div.rn` for floats, `div` for ints
-    Div,
-    /// `rem` (integer remainder)
-    Rem,
-    /// `min`
-    Min,
-    /// `max`
-    Max,
-    /// `and.bNN`
+    /// `and.b32`
     And,
-    /// `or.bNN`
-    Or,
-    /// `xor.bNN`
-    Xor,
-    /// `shl.bNN`
-    Shl,
-    /// `shr` (arithmetic for signed, logical for unsigned)
-    Shr,
 }
 
 impl BinOp {
-    /// PTX mnemonic for floating-point types.
-    pub fn mnemonic_float(self) -> &'static str {
+    /// PTX mnemonic for an operation of type `ty`.
+    pub fn mnemonic(self, ty: PtxType) -> &'static str {
         match self {
             BinOp::Add => "add",
             BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::Div => "div.rn",
-            BinOp::Min => "min",
-            BinOp::Max => "max",
-            _ => unreachable!("not a float op"),
-        }
-    }
-
-    /// PTX mnemonic for integer types.
-    pub fn mnemonic_int(self) -> &'static str {
-        match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
+            BinOp::Mul if ty.is_float() => "mul",
             BinOp::Mul => "mul.lo",
-            BinOp::Div => "div",
-            BinOp::Rem => "rem",
-            BinOp::Min => "min",
-            BinOp::Max => "max",
             BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::Shl => "shl",
-            BinOp::Shr => "shr",
         }
     }
 }
@@ -164,16 +85,8 @@ impl BinOp {
 /// Comparison operators for `setp`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
-    /// equal
-    Eq,
     /// not equal
     Ne,
-    /// less than
-    Lt,
-    /// less or equal
-    Le,
-    /// greater than
-    Gt,
     /// greater or equal
     Ge,
 }
@@ -182,11 +95,7 @@ impl CmpOp {
     /// PTX spelling.
     pub fn name(self) -> &'static str {
         match self {
-            CmpOp::Eq => "eq",
             CmpOp::Ne => "ne",
-            CmpOp::Lt => "lt",
-            CmpOp::Le => "le",
-            CmpOp::Gt => "gt",
             CmpOp::Ge => "ge",
         }
     }
@@ -194,110 +103,10 @@ impl CmpOp {
     /// Parse a PTX spelling.
     pub fn from_name(s: &str) -> Option<CmpOp> {
         Some(match s {
-            "eq" => CmpOp::Eq,
             "ne" => CmpOp::Ne,
-            "lt" => CmpOp::Lt,
-            "le" => CmpOp::Le,
-            "gt" => CmpOp::Gt,
             "ge" => CmpOp::Ge,
             _ => return None,
         })
-    }
-}
-
-/// Math subroutines the paper pre-generates with NVCC and pastes in as PTX
-/// functions (§III-D: "we manually created PTX subroutines for each of the
-/// functions"). The JIT interpreter implements these by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MathFn {
-    /// `sin` (DP; SP uses the fastmath `sin.approx.f32`)
-    Sin,
-    /// `cos`
-    Cos,
-    /// `exp`
-    Exp,
-    /// `log`
-    Log,
-    /// `tan`
-    Tan,
-    /// `atan`
-    Atan,
-    /// `asin`
-    Asin,
-    /// `acos`
-    Acos,
-    /// `sinh`
-    Sinh,
-    /// `cosh`
-    Cosh,
-    /// `tanh`
-    Tanh,
-    /// `pow` (binary)
-    Pow,
-}
-
-impl MathFn {
-    /// Subroutine symbol (precision suffix appended at emission).
-    pub fn symbol(self) -> &'static str {
-        match self {
-            MathFn::Sin => "qdpjit_sin",
-            MathFn::Cos => "qdpjit_cos",
-            MathFn::Exp => "qdpjit_exp",
-            MathFn::Log => "qdpjit_log",
-            MathFn::Tan => "qdpjit_tan",
-            MathFn::Atan => "qdpjit_atan",
-            MathFn::Asin => "qdpjit_asin",
-            MathFn::Acos => "qdpjit_acos",
-            MathFn::Sinh => "qdpjit_sinh",
-            MathFn::Cosh => "qdpjit_cosh",
-            MathFn::Tanh => "qdpjit_tanh",
-            MathFn::Pow => "qdpjit_pow",
-        }
-    }
-
-    /// Inverse of [`MathFn::symbol`].
-    pub fn from_symbol(s: &str) -> Option<MathFn> {
-        Some(match s {
-            "qdpjit_sin" => MathFn::Sin,
-            "qdpjit_cos" => MathFn::Cos,
-            "qdpjit_exp" => MathFn::Exp,
-            "qdpjit_log" => MathFn::Log,
-            "qdpjit_tan" => MathFn::Tan,
-            "qdpjit_atan" => MathFn::Atan,
-            "qdpjit_asin" => MathFn::Asin,
-            "qdpjit_acos" => MathFn::Acos,
-            "qdpjit_sinh" => MathFn::Sinh,
-            "qdpjit_cosh" => MathFn::Cosh,
-            "qdpjit_tanh" => MathFn::Tanh,
-            "qdpjit_pow" => MathFn::Pow,
-            _ => return None,
-        })
-    }
-
-    /// Number of arguments.
-    pub fn arity(self) -> usize {
-        match self {
-            MathFn::Pow => 2,
-            _ => 1,
-        }
-    }
-
-    /// Evaluate on f64 (used by the JIT interpreter; SP rounds the result).
-    pub fn eval(self, a: f64, b: f64) -> f64 {
-        match self {
-            MathFn::Sin => a.sin(),
-            MathFn::Cos => a.cos(),
-            MathFn::Exp => a.exp(),
-            MathFn::Log => a.ln(),
-            MathFn::Tan => a.tan(),
-            MathFn::Atan => a.atan(),
-            MathFn::Asin => a.asin(),
-            MathFn::Acos => a.acos(),
-            MathFn::Sinh => a.sinh(),
-            MathFn::Cosh => a.cosh(),
-            MathFn::Tanh => a.tanh(),
-            MathFn::Pow => a.powf(b),
-        }
     }
 }
 
@@ -351,7 +160,7 @@ pub enum Inst {
         /// Which special register.
         sreg: SpecialReg,
     },
-    /// `cvt[.rn].<dst_ty>.<src_ty> dst, src;`
+    /// `cvt[.rn].<dst_ty>.<src_ty> dst, src;` — f32 ↔ f64.
     Cvt {
         /// Destination type.
         dst_ty: PtxType,
@@ -362,10 +171,8 @@ pub enum Inst {
         /// Source register.
         src: Reg,
     },
-    /// Unary arithmetic (`neg`, `abs`, `sqrt.rn`, fastmath approximations).
-    Unary {
-        /// Operation.
-        op: UnOp,
+    /// `neg.<ty> dst, src;` (floats).
+    Neg {
         /// Value type.
         ty: PtxType,
         /// Destination.
@@ -373,7 +180,7 @@ pub enum Inst {
         /// Source.
         src: Operand,
     },
-    /// Binary arithmetic / bit manipulation.
+    /// Binary arithmetic and the `and.b32` mask.
     Binary {
         /// Operation.
         op: BinOp,
@@ -386,10 +193,8 @@ pub enum Inst {
         /// Right operand.
         b: Operand,
     },
-    /// `mul.wide.<u32|s32> dst(64-bit), a(32-bit), b;`
+    /// `mul.wide.u32 dst(64-bit), a(32-bit), b;`
     MulWide {
-        /// Source type (32-bit; destination is the widened 64-bit type).
-        src_ty: PtxType,
         /// 64-bit destination.
         dst: Reg,
         /// 32-bit left operand.
@@ -397,10 +202,8 @@ pub enum Inst {
         /// Right operand (32-bit register or immediate).
         b: Operand,
     },
-    /// `mad.lo.<ty> dst, a, b, c;` — `dst = a*b + c` (low half for ints).
+    /// `mad.lo.u32 dst, a, b, c;` — `dst = a*b + c`, low 32 bits.
     MadLo {
-        /// Value type.
-        ty: PtxType,
         /// Destination.
         dst: Reg,
         /// Multiplicand.
@@ -461,17 +264,6 @@ pub enum Inst {
         /// Label name.
         name: String,
     },
-    /// `call.uni (dst), func, (args...);` — math subroutine call (§III-D).
-    Call {
-        /// The subroutine.
-        func: MathFn,
-        /// Precision of the subroutine instance.
-        ty: PtxType,
-        /// Result register.
-        dst: Reg,
-        /// Argument registers.
-        args: Vec<Reg>,
-    },
     /// `ret;`
     Ret,
 }
@@ -485,14 +277,13 @@ impl Inst {
             | Inst::Mov { dst, .. }
             | Inst::MovSpecial { dst, .. }
             | Inst::Cvt { dst, .. }
-            | Inst::Unary { dst, .. }
+            | Inst::Neg { dst, .. }
             | Inst::Binary { dst, .. }
             | Inst::MulWide { dst, .. }
             | Inst::MadLo { dst, .. }
             | Inst::Fma { dst, .. }
             | Inst::Setp { dst, .. }
-            | Inst::Selp { dst, .. }
-            | Inst::Call { dst, .. } => Some(*dst),
+            | Inst::Selp { dst, .. } => Some(*dst),
             Inst::StGlobal { .. } | Inst::Bra { .. } | Inst::Label { .. } | Inst::Ret => None,
         }
     }
@@ -513,9 +304,8 @@ impl Inst {
                 out.push(*addr);
                 op(src, out);
             }
-            Inst::Mov { src, .. } => op(src, out),
+            Inst::Mov { src, .. } | Inst::Neg { src, .. } => op(src, out),
             Inst::Cvt { src, .. } => out.push(*src),
-            Inst::Unary { src, .. } => op(src, out),
             Inst::Binary { a, b, .. } => {
                 op(a, out);
                 op(b, out);
@@ -543,12 +333,11 @@ impl Inst {
                     out.push(*p)
                 }
             }
-            Inst::Call { args, .. } => out.extend(args.iter().copied()),
         }
     }
 
     /// Apply `f` to every register slot in this instruction — definitions,
-    /// uses, address registers, predicates and call arguments alike. Used by
+    /// uses, address registers and predicates alike. Used by
     /// the optimizer for substitution and register renumbering.
     pub fn map_regs(&mut self, f: &mut impl FnMut(&mut Reg)) {
         fn op(o: &mut Operand, f: &mut impl FnMut(&mut Reg)) {
@@ -567,7 +356,7 @@ impl Inst {
                 f(addr);
                 op(src, f);
             }
-            Inst::Mov { dst, src, .. } | Inst::Unary { dst, src, .. } => {
+            Inst::Mov { dst, src, .. } | Inst::Neg { dst, src, .. } => {
                 f(dst);
                 op(src, f);
             }
@@ -602,12 +391,6 @@ impl Inst {
                     f(p)
                 }
             }
-            Inst::Call { dst, args, .. } => {
-                f(dst);
-                for a in args {
-                    f(a)
-                }
-            }
         }
     }
 
@@ -625,10 +408,8 @@ impl Inst {
     /// model; FMA counts as 2).
     pub fn flops(&self) -> usize {
         match self {
-            Inst::Unary { ty, .. } if ty.is_float() => 1,
-            Inst::Binary { ty, .. } if ty.is_float() => 1,
+            Inst::Neg { ty, .. } | Inst::Binary { ty, .. } if ty.is_float() => 1,
             Inst::Fma { .. } => 2,
-            Inst::Call { .. } => 8, // nominal cost of a math subroutine
             _ => 0,
         }
     }
@@ -653,26 +434,9 @@ mod tests {
 
     #[test]
     fn cmp_roundtrip() {
-        for c in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+        for c in [CmpOp::Ne, CmpOp::Ge] {
             assert_eq!(CmpOp::from_name(c.name()), Some(c));
         }
-    }
-
-    #[test]
-    fn mathfn_roundtrip_and_eval() {
-        for f in [
-            MathFn::Sin,
-            MathFn::Cos,
-            MathFn::Exp,
-            MathFn::Log,
-            MathFn::Pow,
-        ] {
-            assert_eq!(MathFn::from_symbol(f.symbol()), Some(f));
-        }
-        assert_eq!(MathFn::Pow.arity(), 2);
-        assert_eq!(MathFn::Sin.arity(), 1);
-        assert!((MathFn::Exp.eval(0.0, 0.0) - 1.0).abs() < 1e-15);
-        assert!((MathFn::Pow.eval(2.0, 10.0) - 1024.0).abs() < 1e-9);
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //!
 //! This crate provides the corresponding pieces:
 //!
-//! * a typed register-based IR ([`inst::Inst`]) covering the arithmetic,
-//!   bit-manipulation and comparison operations the paper's generator
-//!   supports, plus `cvt` type-conversion instructions used for the
-//!   implicit type promotion of mixed-precision expressions (§III-D);
+//! * a typed register-based IR ([`inst::Inst`]) covering exactly the
+//!   instructions the code generator emits — float arithmetic (`add`,
+//!   `sub`, `mul`, `neg`, `fma.rn`), the unsigned index and address
+//!   arithmetic (`add`, `and.b32`, `mul.wide.u32`, `mad.lo.u32`), the
+//!   guard (`setp.{ge,ne}.u32`, `selp`, `bra`, `ret`), loads, stores,
+//!   moves, and the f32 ↔ f64 `cvt` of mixed-precision expressions
+//!   (§III-D). [`module::Kernel::validate`] holds every kernel to that
+//!   dialect;
 //! * a [`module::KernelBuilder`] used by the expression unparser to build
 //!   kernels (virtual register allocation, parameter declarations, special
 //!   registers, guard/label plumbing);
@@ -17,9 +21,7 @@
 //! * a parser ([`parse`]) playing the role of the driver front-end: the JIT
 //!   crate consumes PTX **text**, not this IR, so the full
 //!   generate → print → parse → lower chain is exercised exactly as in the
-//!   paper (Fig. 2);
-//! * "fastmath" special-function instructions and `call`s to pre-generated
-//!   math subroutines for the functions PTX lacks (§III-D).
+//!   paper (Fig. 2).
 
 pub mod emit;
 pub mod hash;
@@ -30,7 +32,7 @@ pub mod parse;
 pub mod types;
 
 pub use hash::{fnv1a, stable_module_digest, stable_text_digest};
-pub use inst::{BinOp, CmpOp, Inst, MathFn, Operand, SpecialReg, UnOp};
+pub use inst::{BinOp, CmpOp, Inst, Operand, SpecialReg};
 pub use module::{Kernel, KernelBuilder, Module, Param};
 pub use opt::{optimize_kernel, optimize_module, OptLevel, OptStats};
 pub use types::{PtxType, Reg, RegClass};
@@ -45,7 +47,8 @@ pub enum PtxError {
         /// Description of the problem.
         msg: String,
     },
-    /// Validation error (bad types, undefined register/label/param).
+    /// Validation error (a form outside the generator's dialect, bad
+    /// register class, undefined register/label/param).
     Invalid(String),
 }
 

@@ -1,5 +1,6 @@
 //! PTX kernels, modules and the builder used by the expression unparser.
 
+use crate::emit::inst_text;
 use crate::inst::{BinOp, CmpOp, Inst, Operand, SpecialReg};
 use crate::types::{PtxType, Reg, RegClass};
 use crate::PtxError;
@@ -73,8 +74,9 @@ impl Kernel {
     }
 
     /// Validate internal consistency: parameters unique, labels resolve,
-    /// registers within declared counts, register classes match the
-    /// instruction types that write them.
+    /// registers within declared counts, every instruction in the
+    /// generator's dialect (`in_dialect`) and every destination register
+    /// of the class its instruction writes.
     pub fn validate(&self) -> Result<(), PtxError> {
         let mut names = HashSet::new();
         for p in &self.params {
@@ -114,8 +116,20 @@ impl Kernel {
         };
         let mut uses = Vec::new();
         for inst in &self.body {
-            if let Some(d) = inst.def_reg() {
+            if !in_dialect(inst) {
+                return Err(PtxError::Invalid(format!(
+                    "`{}` is outside the generator's dialect",
+                    inst_text(inst)
+                )));
+            }
+            if let Some((d, ty)) = typed_def(inst) {
                 check_reg(&d)?;
+                if d.class != ty.reg_class() {
+                    return Err(PtxError::Invalid(format!(
+                        "register {d} cannot hold {}",
+                        ty.suffix()
+                    )));
+                }
             }
             uses.clear();
             inst.use_regs(&mut uses);
@@ -133,30 +147,70 @@ impl Kernel {
                         return Err(PtxError::Invalid(format!("undefined param {param}")));
                     }
                 }
-                Inst::Mov { ty, dst, .. }
-                | Inst::Unary { ty, dst, .. }
-                | Inst::Binary { ty, dst, .. }
-                | Inst::Fma { ty, dst, .. }
-                | Inst::MadLo { ty, dst, .. }
-                | Inst::Selp { ty, dst, .. }
-                | Inst::LdGlobal { ty, dst, .. } => {
-                    if dst.class != ty.reg_class() {
-                        return Err(PtxError::Invalid(format!(
-                            "register {dst} cannot hold {}",
-                            ty.suffix()
-                        )));
-                    }
-                }
-                Inst::Setp { dst, .. } => {
-                    if dst.class != RegClass::Pred {
-                        return Err(PtxError::Invalid("setp target must be a predicate".into()));
-                    }
-                }
                 _ => {}
             }
         }
         Ok(())
     }
+}
+
+/// Is `inst` one of the forms the code generator emits? The dialect:
+///
+/// * `ld.param`, `ld.global` and `st.global` of `f32`/`f64`/`u32`/`u64`
+///   (bit moves of either width); `mov` of any type, and `mov.u32` from a
+///   special register;
+/// * `cvt` between `f32` and `f64`;
+/// * `add` on `f32`/`f64`/`u32`/`u64`; `sub`, `mul`, `neg` and `fma.rn` on
+///   `f32`/`f64`;
+/// * `and.b32`, `mul.wide.u32`, `mad.lo.u32`;
+/// * `setp.{ge,ne}.u32`, `selp`, `bra`, `ret`.
+///
+/// The parser handles syntax only, so this is the one place a form outside
+/// the dialect — say `and.f64` in a stored kernel — is turned away, before
+/// the optimizer, lowering or executor sees it.
+fn in_dialect(inst: &Inst) -> bool {
+    match inst {
+        Inst::LdParam { ty, .. } | Inst::LdGlobal { ty, .. } | Inst::StGlobal { ty, .. } => {
+            *ty != PtxType::Pred
+        }
+        Inst::Cvt { dst_ty, src_ty, .. } => {
+            dst_ty.is_float() && src_ty.is_float() && dst_ty != src_ty
+        }
+        Inst::Neg { ty, .. } | Inst::Fma { ty, .. } => ty.is_float(),
+        Inst::Binary { op, ty, .. } => match op {
+            BinOp::Add => *ty != PtxType::Pred,
+            BinOp::Sub | BinOp::Mul => ty.is_float(),
+            BinOp::And => *ty == PtxType::U32,
+        },
+        Inst::Setp { ty, .. } => *ty == PtxType::U32,
+        Inst::Mov { .. }
+        | Inst::MovSpecial { .. }
+        | Inst::MulWide { .. }
+        | Inst::MadLo { .. }
+        | Inst::Selp { .. }
+        | Inst::Bra { .. }
+        | Inst::Label { .. }
+        | Inst::Ret => true,
+    }
+}
+
+/// The register an instruction writes and the type it writes there, which
+/// fixes the register's class.
+fn typed_def(inst: &Inst) -> Option<(Reg, PtxType)> {
+    Some(match *inst {
+        Inst::LdParam { ty, dst, .. }
+        | Inst::LdGlobal { ty, dst, .. }
+        | Inst::Mov { ty, dst, .. }
+        | Inst::Neg { ty, dst, .. }
+        | Inst::Binary { ty, dst, .. }
+        | Inst::Fma { ty, dst, .. }
+        | Inst::Selp { ty, dst, .. } => (dst, ty),
+        Inst::Cvt { dst_ty, dst, .. } => (dst, dst_ty),
+        Inst::MovSpecial { dst, .. } | Inst::MadLo { dst, .. } => (dst, PtxType::U32),
+        Inst::MulWide { dst, .. } => (dst, PtxType::U64),
+        Inst::Setp { dst, .. } => (dst, PtxType::Pred),
+        Inst::StGlobal { .. } | Inst::Bra { .. } | Inst::Label { .. } | Inst::Ret => return None,
+    })
 }
 
 /// A PTX module: version/target directives plus kernels (paper Fig. 2's
@@ -336,7 +390,6 @@ impl KernelBuilder {
         let tid = self.special(SpecialReg::TidX);
         let dst = self.fresh(RegClass::B32);
         self.push(Inst::MadLo {
-            ty: PtxType::U32,
             dst,
             a: ctaid.into(),
             b: ntid.into(),
@@ -406,7 +459,6 @@ mod tests {
 
         let byte_off = b.fresh(RegClass::B64);
         b.push(Inst::MulWide {
-            src_ty: PtxType::U32,
             dst: byte_off,
             a: tid,
             b: Operand::ImmI(4),

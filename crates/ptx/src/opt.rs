@@ -46,7 +46,7 @@
 //! [`OptStats::bailed`]; `optimize_module` therefore never turns a valid
 //! module into an invalid one.
 
-use crate::inst::{BinOp, CmpOp, Inst, MathFn, Operand, SpecialReg, UnOp};
+use crate::inst::{BinOp, CmpOp, Inst, Operand, SpecialReg};
 use crate::module::{Kernel, Module, MAX_REGS_PER_CLASS};
 use crate::types::{PtxType, Reg, RegClass};
 use std::collections::hash_map::Entry;
@@ -276,23 +276,23 @@ fn okey(o: &Operand) -> OKey {
 }
 
 /// Value-numbering key for a pure computation. The defining register's
-/// class is keyed alongside (parsed kernels may bind an unchecked dst
-/// class, e.g. `mul.wide`; reusing a register of another class would change
-/// which register file a use reads).
+/// class is keyed alongside (`optimize_kernel` may be handed a kernel that
+/// never passed validation, whose destination classes are unchecked;
+/// reusing a register of another class would change which register file a
+/// use reads).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum VKey {
     MovImm(PtxType, OKey),
     Special(SpecialReg),
     Param(PtxType, String),
-    Un(UnOp, PtxType, OKey),
+    Neg(PtxType, OKey),
     Bin(BinOp, PtxType, OKey, OKey),
-    MulWide(PtxType, OKey, OKey),
-    MadLo(PtxType, OKey, OKey, OKey),
+    MulWide(OKey, OKey),
+    MadLo(OKey, OKey, OKey),
     Fma(PtxType, OKey, OKey, OKey),
     Setp(CmpOp, PtxType, OKey, OKey),
     Selp(PtxType, OKey, OKey, OKey),
     Cvt(PtxType, PtxType, OKey),
-    Call(MathFn, PtxType, Vec<OKey>),
 }
 
 /// Key of a pure instruction, if it is one.
@@ -305,12 +305,10 @@ fn vkey(inst: &Inst) -> Option<VKey> {
         } => VKey::MovImm(*ty, okey(src)),
         Inst::MovSpecial { sreg, .. } => VKey::Special(*sreg),
         Inst::LdParam { ty, param, .. } => VKey::Param(*ty, param.clone()),
-        Inst::Unary { op, ty, src, .. } => VKey::Un(*op, *ty, okey(src)),
+        Inst::Neg { ty, src, .. } => VKey::Neg(*ty, okey(src)),
         Inst::Binary { op, ty, a, b, .. } => VKey::Bin(*op, *ty, okey(a), okey(b)),
-        Inst::MulWide { src_ty, a, b, .. } => {
-            VKey::MulWide(*src_ty, OKey::R(a.class, a.id), okey(b))
-        }
-        Inst::MadLo { ty, a, b, c, .. } => VKey::MadLo(*ty, okey(a), okey(b), okey(c)),
+        Inst::MulWide { a, b, .. } => VKey::MulWide(OKey::R(a.class, a.id), okey(b)),
+        Inst::MadLo { a, b, c, .. } => VKey::MadLo(okey(a), okey(b), okey(c)),
         Inst::Fma { ty, a, b, c, .. } => VKey::Fma(*ty, okey(a), okey(b), okey(c)),
         Inst::Setp { cmp, ty, a, b, .. } => VKey::Setp(*cmp, *ty, okey(a), okey(b)),
         Inst::Selp { ty, a, b, pred, .. } => VKey::Selp(
@@ -325,11 +323,6 @@ fn vkey(inst: &Inst) -> Option<VKey> {
             src,
             ..
         } => VKey::Cvt(*dst_ty, *src_ty, OKey::R(src.class, src.id)),
-        Inst::Call { func, ty, args, .. } => VKey::Call(
-            *func,
-            *ty,
-            args.iter().map(|r| OKey::R(r.class, r.id)).collect(),
-        ),
         _ => return None,
     })
 }

@@ -1,18 +1,16 @@
 //! PTX data types and virtual registers.
 
-/// PTX instruction data types (the subset the code generator emits).
+/// PTX instruction data types (the subset the code generator emits:
+/// floats for values, unsigned integers for indices and addresses,
+/// predicates for the guard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PtxType {
     /// `.f32`
     F32,
     /// `.f64`
     F64,
-    /// `.s32`
-    S32,
     /// `.u32`
     U32,
-    /// `.s64`
-    S64,
     /// `.u64`
     U64,
     /// `.pred`
@@ -25,9 +23,7 @@ impl PtxType {
         match self {
             PtxType::F32 => "f32",
             PtxType::F64 => "f64",
-            PtxType::S32 => "s32",
             PtxType::U32 => "u32",
-            PtxType::S64 => "s64",
             PtxType::U64 => "u64",
             PtxType::Pred => "pred",
         }
@@ -38,9 +34,7 @@ impl PtxType {
         Some(match s {
             "f32" => PtxType::F32,
             "f64" => PtxType::F64,
-            "s32" => PtxType::S32,
             "u32" => PtxType::U32,
-            "s64" => PtxType::S64,
             "u64" => PtxType::U64,
             "pred" => PtxType::Pred,
             _ => return None,
@@ -50,8 +44,8 @@ impl PtxType {
     /// Size in bytes of a memory access of this type.
     pub fn size_bytes(self) -> usize {
         match self {
-            PtxType::F32 | PtxType::S32 | PtxType::U32 => 4,
-            PtxType::F64 | PtxType::S64 | PtxType::U64 => 8,
+            PtxType::F32 | PtxType::U32 => 4,
+            PtxType::F64 | PtxType::U64 => 8,
             PtxType::Pred => 1,
         }
     }
@@ -61,21 +55,13 @@ impl PtxType {
         matches!(self, PtxType::F32 | PtxType::F64)
     }
 
-    /// Is this an integer type?
-    pub fn is_int(self) -> bool {
-        matches!(
-            self,
-            PtxType::S32 | PtxType::U32 | PtxType::S64 | PtxType::U64
-        )
-    }
-
     /// The register class that can hold a value of this type.
     pub fn reg_class(self) -> RegClass {
         match self {
             PtxType::F32 => RegClass::F32,
             PtxType::F64 => RegClass::F64,
-            PtxType::S32 | PtxType::U32 => RegClass::B32,
-            PtxType::S64 | PtxType::U64 => RegClass::B64,
+            PtxType::U32 => RegClass::B32,
+            PtxType::U64 => RegClass::B64,
             PtxType::Pred => RegClass::Pred,
         }
     }
@@ -182,22 +168,22 @@ mod tests {
         for t in [
             PtxType::F32,
             PtxType::F64,
-            PtxType::S32,
             PtxType::U32,
-            PtxType::S64,
             PtxType::U64,
             PtxType::Pred,
         ] {
             assert_eq!(PtxType::from_suffix(t.suffix()), Some(t));
         }
-        assert_eq!(PtxType::from_suffix("f16"), None);
+        for removed in ["f16", "s32", "s64"] {
+            assert_eq!(PtxType::from_suffix(removed), None);
+        }
     }
 
     #[test]
     fn class_mapping() {
         assert_eq!(PtxType::F64.reg_class(), RegClass::F64);
         assert_eq!(PtxType::U32.reg_class(), RegClass::B32);
-        assert_eq!(PtxType::S64.reg_class(), RegClass::B64);
+        assert_eq!(PtxType::U64.reg_class(), RegClass::B64);
         assert_eq!(PtxType::Pred.reg_class(), RegClass::Pred);
         for (i, c) in RegClass::all().into_iter().enumerate() {
             assert_eq!(c.index(), i);
@@ -215,7 +201,7 @@ mod tests {
         assert_eq!(PtxType::F32.size_bytes(), 4);
         assert_eq!(PtxType::U64.size_bytes(), 8);
         assert!(PtxType::F64.is_float());
-        assert!(PtxType::S32.is_int());
+        assert!(!PtxType::U32.is_float());
         assert!(!PtxType::Pred.is_float());
     }
 }

@@ -1,21 +1,21 @@
 //! Property tests: PTX emission and parsing are exact inverses for any
-//! kernel the builder can produce (the generate → print → parse chain the
+//! kernel of the generator's dialect (the generate → print → parse chain the
 //! JIT relies on must be lossless). Runs on the in-tree `qdp-proptest`
 //! harness: a failing kernel shrinks by re-deriving with fewer steps.
 
 use qdp_proptest::{check, prop_assert_eq, Config, Gen};
 use qdp_ptx::emit::emit_module;
-use qdp_ptx::inst::{BinOp, CmpOp, Inst, MathFn, Operand, UnOp};
+use qdp_ptx::inst::{BinOp, CmpOp, Inst, Operand};
 use qdp_ptx::module::{KernelBuilder, Module};
 use qdp_ptx::parse::parse_module;
 use qdp_ptx::types::{PtxType, RegClass};
 
-/// One random instruction appended through the builder, using only
-/// registers that already exist (tracked in `pools`).
+/// One random instruction of the generator's dialect appended through the
+/// builder, using only registers that already exist (tracked in `pools`).
 #[derive(Debug, Clone)]
 enum Step {
     FloatBin(u8, bool, u8, u8), // op, dp, a, b indices
-    FloatUn(u8, bool, u8),
+    Neg(bool, u8),
     IntBin(u8, u8, u8),
     Fma(bool, u8, u8, u8),
     Cvt(bool, u8),      // f32<->f64
@@ -24,22 +24,22 @@ enum Step {
     Setp(u8, u8, u8),
     Selp(bool, u8, u8),
     LoadStore(bool, u8, i8), // dp, value idx, offset16
-    Call(u8, bool, u8),
+    Address(u8, u8, u8),     // site idx, component, element size
 }
 
 fn gen_step(g: &mut Gen) -> Step {
     match g.usize_in(0..11) {
-        0 => Step::FloatBin(g.u8_in(0..5), g.any_bool(), g.any_u8(), g.any_u8()),
-        1 => Step::FloatUn(g.u8_in(0..4), g.any_bool(), g.any_u8()),
-        2 => Step::IntBin(g.u8_in(0..8), g.any_u8(), g.any_u8()),
+        0 => Step::FloatBin(g.u8_in(0..3), g.any_bool(), g.any_u8(), g.any_u8()),
+        1 => Step::Neg(g.any_bool(), g.any_u8()),
+        2 => Step::IntBin(g.u8_in(0..2), g.any_u8(), g.any_u8()),
         3 => Step::Fma(g.any_bool(), g.any_u8(), g.any_u8(), g.any_u8()),
         4 => Step::Cvt(g.any_bool(), g.any_u8()),
         5 => Step::MovImmF(g.any_bool(), g.i32_in(-1000..1000)),
         6 => Step::MovImmI(g.any_i64()),
-        7 => Step::Setp(g.u8_in(0..6), g.any_u8(), g.any_u8()),
+        7 => Step::Setp(g.u8_in(0..2), g.any_u8(), g.any_u8()),
         8 => Step::Selp(g.any_bool(), g.any_u8(), g.any_u8()),
         9 => Step::LoadStore(g.any_bool(), g.any_u8(), g.any_i64() as i8),
-        _ => Step::Call(g.u8_in(0..4), g.any_bool(), g.any_u8()),
+        _ => Step::Address(g.any_u8(), g.any_u8(), g.u8_in(0..2)),
     }
 }
 
@@ -66,8 +66,7 @@ fn build_kernel(steps: &[Step]) -> Module {
     for s in steps {
         match s {
             Step::FloatBin(o, dp, ai, bi) => {
-                let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Min]
-                    [*o as usize % 5];
+                let op = [BinOp::Add, BinOp::Sub, BinOp::Mul][*o as usize % 3];
                 let (ty, pool) = if *dp {
                     (PtxType::F64, &mut f64s)
                 } else {
@@ -78,8 +77,7 @@ fn build_kernel(steps: &[Step]) -> Module {
                 let r = b.bin(op, ty, a.into(), bb.into());
                 pool.push(r);
             }
-            Step::FloatUn(o, dp, ai) => {
-                let op = [UnOp::Neg, UnOp::Abs, UnOp::Sqrt, UnOp::Rcp][*o as usize % 4];
+            Step::Neg(dp, ai) => {
                 let (ty, pool) = if *dp {
                     (PtxType::F64, &mut f64s)
                 } else {
@@ -87,8 +85,7 @@ fn build_kernel(steps: &[Step]) -> Module {
                 };
                 let a = pool[*ai as usize % pool.len()];
                 let dst = b.fresh_for(ty);
-                b.push(Inst::Unary {
-                    op,
+                b.push(Inst::Neg {
                     ty,
                     dst,
                     src: a.into(),
@@ -96,16 +93,7 @@ fn build_kernel(steps: &[Step]) -> Module {
                 pool.push(dst);
             }
             Step::IntBin(o, ai, bi) => {
-                let op = [
-                    BinOp::Add,
-                    BinOp::Sub,
-                    BinOp::Mul,
-                    BinOp::And,
-                    BinOp::Or,
-                    BinOp::Xor,
-                    BinOp::Min,
-                    BinOp::Max,
-                ][*o as usize % 8];
+                let op = [BinOp::Add, BinOp::And][*o as usize % 2];
                 let a = pick(&i32s, *ai);
                 let bb = pick(&i32s, *bi);
                 let r = b.bin(op, PtxType::U32, a.into(), bb.into());
@@ -150,8 +138,7 @@ fn build_kernel(steps: &[Step]) -> Module {
                 i32s.push(r);
             }
             Step::Setp(c, ai, bi) => {
-                let cmp = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
-                    [*c as usize % 6];
+                let cmp = [CmpOp::Ne, CmpOp::Ge][*c as usize % 2];
                 let a = pick(&i32s, *ai);
                 let bb = pick(&i32s, *bi);
                 let dst = b.fresh(RegClass::Pred);
@@ -207,23 +194,25 @@ fn build_kernel(steps: &[Step]) -> Module {
                     f32s.push(dst)
                 }
             }
-            Step::Call(f, dp, ai) => {
-                let func = [MathFn::Sin, MathFn::Cos, MathFn::Exp, MathFn::Tanh]
-                    [*f as usize % 4];
-                let (ty, pool) = if *dp {
-                    (PtxType::F64, &mut f64s)
-                } else {
-                    (PtxType::F32, &mut f32s)
-                };
-                let a = pool[*ai as usize % pool.len()];
-                let dst = b.fresh_for(ty);
-                b.push(Inst::Call {
-                    func,
-                    ty,
-                    dst,
-                    args: vec![a],
+            Step::Address(si, comp, esize) => {
+                // The generator's address chain: `mad.lo.u32` (AoS element),
+                // `mul.wide.u32` (bytes) and `add.u64` (pointer).
+                let site = pick(&i32s, *si);
+                let elem = b.fresh(RegClass::B32);
+                b.push(Inst::MadLo {
+                    dst: elem,
+                    a: site.into(),
+                    b: Operand::ImmI(24),
+                    c: Operand::ImmI(i64::from(*comp)),
                 });
-                pool.push(dst);
+                let off = b.fresh(RegClass::B64);
+                b.push(Inst::MulWide {
+                    dst: off,
+                    a: elem,
+                    b: Operand::ImmI([4, 8][*esize as usize % 2]),
+                });
+                b.bin(BinOp::Add, PtxType::U64, base.into(), off.into());
+                i32s.push(elem);
             }
         }
     }

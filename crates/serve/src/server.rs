@@ -47,8 +47,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Max outstanding (queued + running) jobs per tenant.
     pub tenant_cap: usize,
-    /// Deficit-round-robin quantum added per top-up round.
-    pub quantum: u64,
 }
 
 impl ServeConfig {
@@ -62,7 +60,6 @@ impl ServeConfig {
             workers: 8,
             queue_cap: 64,
             tenant_cap: 4,
-            quantum: 8,
         }
     }
 }
@@ -116,7 +113,6 @@ struct Core {
     idle_cv: Condvar,
     queue_cap: usize,
     tenant_cap: usize,
-    quantum: u64,
     completed: AtomicU64,
     rejected: AtomicU64,
     // completion order of (tenant id) — the fairness tests' oracle
@@ -164,7 +160,6 @@ impl Server {
     pub fn start(cfg: &ServeConfig, tenants: &[TenantSpec]) -> Server {
         assert!(cfg.workers > 0, "need at least one worker");
         assert!(!tenants.is_empty(), "need at least one tenant");
-        assert!(cfg.quantum > 0, "zero quantum would never dispatch");
         let ctx = QdpContext::builder(cfg.geometry.clone())
             .device(cfg.device.clone())
             .config(cfg.qdp.clone())
@@ -206,7 +201,6 @@ impl Server {
             idle_cv: Condvar::new(),
             queue_cap: cfg.queue_cap,
             tenant_cap: cfg.tenant_cap,
-            quantum: cfg.quantum,
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             order: Mutex::new(Vec::new()),
@@ -364,11 +358,14 @@ impl Drop for Server {
     }
 }
 
+/// Deficit-round-robin quantum added per top-up round.
+const QUANTUM: u64 = 8;
+
 /// Deficit-round-robin pick: scan tenant queues from the cursor, dispatch
 /// the first whose deficit covers its head-of-line cost; if nobody can
-/// afford their head job, top every backlogged tenant up by the quantum
+/// afford their head job, top every backlogged tenant up by [`QUANTUM`]
 /// and rescan (terminates: costs are bounded, the quantum is positive).
-fn pick(core: &Core, s: &mut Sched) -> Option<QueuedJob> {
+fn pick(s: &mut Sched) -> Option<QueuedJob> {
     if s.queued_total == 0 {
         return None;
     }
@@ -396,7 +393,7 @@ fn pick(core: &Core, s: &mut Sched) -> Option<QueuedJob> {
         }
         for t in 0..n {
             if !s.queues[t].is_empty() {
-                s.deficit[t] += core.quantum;
+                s.deficit[t] += QUANTUM;
             }
         }
     }
@@ -407,7 +404,7 @@ fn worker_loop(core: Arc<Core>) {
         let job = {
             let mut s = lock(&core.sched);
             loop {
-                if let Some(job) = pick(&core, &mut s) {
+                if let Some(job) = pick(&mut s) {
                     break job;
                 }
                 if s.shutdown {

@@ -143,7 +143,6 @@ fn cheap_tenant_is_not_starved_by_expensive_tenant() {
     cfg.workers = 1;
     cfg.queue_cap = 64;
     cfg.tenant_cap = 8;
-    cfg.quantum = 8;
     let server = Server::start(&cfg, &tenants(2));
     // stall the single worker so the full backlog queues up first
     let stall = server.submit(0, SLOW_HMC).expect("stall job");
