@@ -293,6 +293,24 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one PTX dialect (no math calls, no non-neg unary ops, no div/shift ops, no signed types, no BiCGStab)"
 
+# ---- Guard: one serve state ---------------------------------------------------
+# Each serve worker owns its stream for its whole life, and every serving
+# statistic is settled under the scheduler lock: the stream checkout pool
+# stays deleted, the server keeps the caller's telemetry setting instead
+# of forcing profiling on, and server.rs keeps no atomic counters beside
+# the lock. (Spelled in pieces, as above.)
+pool=$(grep -rnE "Stream""Pool|Stream""Lease" crates || true)
+forced=$(grep -rnF "telemetry().""enable()" crates/serve/src || true)
+atomics=$(grep -nF "Atom""ic" crates/serve/src/server.rs || true)
+if [ -n "$pool$forced$atomics" ]; then
+    echo "FAIL: a second serve state (stream pool, forced profiling or atomic counters) is back:" >&2
+    [ -z "$pool" ] || echo "$pool" >&2
+    [ -z "$forced" ] || echo "$forced" >&2
+    [ -z "$atomics" ] || echo "crates/serve/src/server.rs: $atomics" >&2
+    exit 1
+fi
+echo "ok: one serve state (workers own their streams, no pool, caller's telemetry, no atomics in server.rs)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
@@ -443,7 +461,7 @@ echo "ok: campaign kill -> checkpoint restore -> bit-identical history ($(probe_
 
 # ---- Serving: multi-tenant front-end under and over the admission threshold -
 # One in-process client thread per tenant. Phase 1 (8 tenants x 6 mixed
-# jobs over 8 pool streams, windows within the caps): every job answered,
+# jobs over 8 workers, one stream each, windows within the caps): every job answered,
 # zero rejections, and the Perfetto trace must show >= 8 distinct
 # `serve-<n>` device stream tracks — the interleaving evidence. Phase 2
 # (tiny caps, aggressive windows): rejections MUST happen and every request

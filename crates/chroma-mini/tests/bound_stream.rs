@@ -1,6 +1,6 @@
 //! The library entry points run on the issuing thread's bound stream: the
 //! same `plaquette` / `cg_solve` / `Hmc::trajectory` a single-threaded
-//! program calls is what a server runs under a leased stream. Streams are
+//! program calls is what a server runs on a worker's stream. Streams are
 //! timing-only, so values must not depend on the binding; launches must all
 //! land on the bound stream; and an unbound thread is arithmetically on the
 //! default stream.

@@ -7,9 +7,11 @@
 //! unbounded hang. See [`crate::fault`] for the failure-injection API.
 
 use crate::fault::{CommError, FaultPlan, FaultState};
+use qdp_telemetry::sync::Mutex;
 use qdp_telemetry::{Telemetry, Track};
+use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Interconnect model (paper §VIII-C: MPI through PCIe + InfiniBand, with
@@ -88,7 +90,7 @@ impl FaultBarrier {
         faults: &FaultState,
         deadline: Duration,
     ) -> Result<(), CommError> {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.state.lock();
         st.0 += 1;
         let gen = st.1;
         if st.0 == self.n {
@@ -213,8 +215,9 @@ impl RankHandle {
         if let Some(t) = self.tel() {
             t.count("comm.sends", 1);
             t.count("comm.send_bytes", bytes as u64);
-            t.record_sim_event(
+            t.record_sim_event_on(
                 Track::Comm,
+                0,
                 "comm",
                 "send",
                 now,
@@ -232,10 +235,7 @@ impl RankHandle {
     /// liveness flags.
     pub fn recv(&self, from: usize, now: f64) -> Result<(Vec<u8>, f64), CommError> {
         self.fault_check(now)?;
-        let rx = self.mesh[from][self.rank]
-            .1
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let rx = self.mesh[from][self.rank].1.lock();
         let slice = Duration::from_millis(10).min(self.deadline);
         let start = Instant::now();
         let msg = loop {
@@ -300,8 +300,9 @@ impl RankHandle {
             t.count("comm.recv_bytes", msg.data.len() as u64);
             // wait window: receiver's clock to modelled arrival
             t.observe("comm.recv_wait_s", arrival - now);
-            t.record_sim_event(
+            t.record_sim_event_on(
                 Track::Comm,
+                0,
                 "comm",
                 "recv",
                 now,
@@ -419,48 +420,62 @@ fn build_mesh(n: usize) -> Arc<Mesh> {
     )
 }
 
-/// Run `f` on `n` rank threads, returning each rank's result in rank order.
-/// (The virtual-machine equivalent of `mpirun -np n`.) No fault plan: a
-/// rank panic propagates to the caller with its original payload.
-pub fn run_cluster<R: Send>(
+/// The one rank-thread harness: run `f` on `n` threads over a fresh mesh,
+/// barrier and fault state, and return each rank's outcome in rank order.
+/// A rank whose body panics is marked dead before its thread exits, so
+/// peers waiting on it fail fast with `PeerLost` instead of spending their
+/// deadline; its outcome is the original panic payload.
+fn spawn_ranks<R: Send>(
     n: usize,
     link: LinkModel,
+    plan: FaultPlan,
     f: impl Fn(RankHandle) -> R + Sync,
-) -> Vec<R> {
+) -> Vec<std::thread::Result<R>> {
     assert!(n >= 1);
     let mesh = build_mesh(n);
     let barrier = Arc::new(FaultBarrier::new(n));
-    let faults = Arc::new(FaultState::new(n, FaultPlan::new()));
-    let deadline = Duration::from_millis(FaultPlan::new().effective_deadline_ms());
+    let deadline = Duration::from_millis(plan.effective_deadline_ms());
+    let faults = Arc::new(FaultState::new(n, plan));
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..n)
             .map(|rank| {
-                let mesh = Arc::clone(&mesh);
-                let barrier = Arc::clone(&barrier);
-                let faults = Arc::clone(&faults);
-                let f = &f;
+                let handle = RankHandle {
+                    rank,
+                    n_ranks: n,
+                    link,
+                    mesh: Arc::clone(&mesh),
+                    barrier: Arc::clone(&barrier),
+                    faults: Arc::clone(&faults),
+                    deadline,
+                    telemetry: None,
+                };
+                let (f, faults) = (&f, &faults);
                 s.spawn(move || {
-                    f(RankHandle {
-                        rank,
-                        n_ranks: n,
-                        link,
-                        mesh,
-                        barrier,
-                        faults,
-                        deadline,
-                        telemetry: None,
-                    })
+                    std::panic::catch_unwind(AssertUnwindSafe(|| f(handle)))
+                        .inspect_err(|_| faults.mark_dead(rank))
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
+            .map(|h| h.join().and_then(|r| r))
             .collect()
     })
+}
+
+/// Run `f` on `n` rank threads, returning each rank's result in rank order.
+/// (The virtual-machine equivalent of `mpirun -np n`.) No fault plan: a
+/// rank panic propagates to the caller with its original payload, once
+/// every rank has finished.
+pub fn run_cluster<R: Send>(
+    n: usize,
+    link: LinkModel,
+    f: impl Fn(RankHandle) -> R + Sync,
+) -> Vec<R> {
+    spawn_ranks(n, link, FaultPlan::new(), f)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .collect()
 }
 
 /// Run `f` on `n` rank threads under a [`FaultPlan`]. Each rank's outcome
@@ -476,51 +491,11 @@ pub fn try_run_cluster<R: Send>(
     plan: FaultPlan,
     f: impl Fn(RankHandle) -> Result<R, CommError> + Sync,
 ) -> Vec<Result<R, CommError>> {
-    assert!(n >= 1);
-    let mesh = build_mesh(n);
-    let barrier = Arc::new(FaultBarrier::new(n));
-    let deadline = Duration::from_millis(plan.effective_deadline_ms());
-    let faults = Arc::new(FaultState::new(n, plan));
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|rank| {
-                let mesh = Arc::clone(&mesh);
-                let barrier = Arc::clone(&barrier);
-                let faults = Arc::clone(&faults);
-                let f = &f;
-                s.spawn(move || {
-                    let handle = RankHandle {
-                        rank,
-                        n_ranks: n,
-                        link,
-                        mesh,
-                        barrier,
-                        faults: Arc::clone(&faults),
-                        deadline,
-                        telemetry: None,
-                    };
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(handle)));
-                    match out {
-                        Ok(res) => res,
-                        Err(_) => {
-                            // mark dead so waiting peers fail fast instead
-                            // of spending their full deadline
-                            faults.mark_dead(rank);
-                            Err(CommError::RankPanicked { rank })
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| match h.join() {
-                Ok(res) => res,
-                Err(_) => Err(CommError::RankPanicked { rank }),
-            })
-            .collect()
-    })
+    spawn_ranks(n, link, plan, f)
+        .into_iter()
+        .enumerate()
+        .map(|(rank, r)| r.unwrap_or(Err(CommError::RankPanicked { rank })))
+        .collect()
 }
 
 #[cfg(test)]
@@ -688,6 +663,37 @@ mod tests {
             results[0],
             Err(CommError::PeerLost { rank: 0, peer: 1 }) | Err(CommError::Timeout { .. })
         ));
+    }
+
+    #[test]
+    fn run_cluster_peer_of_a_panicked_rank_fails_fast() {
+        // the plain harness marks a panicking rank dead too: its waiting
+        // peer gets PeerLost well inside the 5 s default deadline, and the
+        // caller still sees the rank's own panic
+        let seen = Mutex::new(None);
+        let start = Instant::now();
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_cluster(2, LinkModel::infiniband_qdr(), |h| {
+                if h.rank == 1 {
+                    panic!("synthetic rank crash");
+                }
+                *seen.lock() = Some(h.recv(1, 0.0).map(|_| ()));
+            })
+        }));
+        let payload = outcome.expect_err("the rank's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"synthetic rank crash")
+        );
+        assert_eq!(
+            *seen.lock(),
+            Some(Err(CommError::PeerLost { rank: 0, peer: 1 }))
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the peer waited {:?} on a dead rank",
+            start.elapsed()
+        );
     }
 
     #[test]

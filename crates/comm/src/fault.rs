@@ -24,8 +24,8 @@ pub enum CommError {
     /// This rank was killed by the fault plan; all of its subsequent comm
     /// operations fail with this error.
     RankKilled { rank: usize },
-    /// A rank thread panicked (converted from the join error by
-    /// `try_run_cluster` instead of propagating the panic).
+    /// A rank thread panicked (converted from the caught panic by
+    /// `try_run_cluster` instead of propagating it).
     RankPanicked { rank: usize },
 }
 
@@ -182,14 +182,10 @@ impl FaultState {
 
     /// Account one comm operation for `rank` at simulated time `now` and
     /// decide whether the rank lives through it. Returns `Err(RankKilled)`
-    /// the first time a trigger fires and on every operation afterwards.
-    pub fn check(&self, rank: usize, now: f64) -> Result<(), CommError> {
-        self.check_fired(rank, now).map_err(|(e, _)| e)
-    }
-
-    /// Like [`check`](Self::check), but the error also reports whether this
-    /// call was the firing transition (true exactly once per kill), so the
-    /// comm layer can emit the `rank_fail` flight event a single time.
+    /// the first time a trigger fires and on every operation afterwards;
+    /// the flag says whether this call was the firing transition (true
+    /// exactly once per kill), so the comm layer can emit the `rank_fail`
+    /// flight event a single time.
     pub fn check_fired(&self, rank: usize, now: f64) -> Result<(), (CommError, bool)> {
         if !self.is_alive(rank) {
             return Err((CommError::RankKilled { rank }, false));
@@ -239,20 +235,24 @@ mod tests {
     #[test]
     fn message_count_trigger_fires_once_then_sticks() {
         let st = FaultState::new(2, FaultPlan::new().kill_after_messages(1, 3));
-        assert!(st.check(1, 0.0).is_ok());
-        assert!(st.check(1, 0.0).is_ok());
-        assert_eq!(st.check(1, 0.0), Err(CommError::RankKilled { rank: 1 }));
-        assert_eq!(st.check(1, 0.0), Err(CommError::RankKilled { rank: 1 }));
+        let killed = |fired| Err((CommError::RankKilled { rank: 1 }, fired));
+        assert!(st.check_fired(1, 0.0).is_ok());
+        assert!(st.check_fired(1, 0.0).is_ok());
+        assert_eq!(st.check_fired(1, 0.0), killed(true));
+        assert_eq!(st.check_fired(1, 0.0), killed(false));
         assert_eq!(st.injected(), 1);
-        assert!(st.check(0, 0.0).is_ok(), "other ranks unaffected");
+        assert!(st.check_fired(0, 0.0).is_ok(), "other ranks unaffected");
         assert!(!st.is_alive(1));
     }
 
     #[test]
     fn sim_time_trigger() {
         let st = FaultState::new(1, FaultPlan::new().kill_at_time(0, 1.0));
-        assert!(st.check(0, 0.5).is_ok());
-        assert_eq!(st.check(0, 1.5), Err(CommError::RankKilled { rank: 0 }));
+        assert!(st.check_fired(0, 0.5).is_ok());
+        assert_eq!(
+            st.check_fired(0, 1.5),
+            Err((CommError::RankKilled { rank: 0 }, true))
+        );
     }
 
     #[test]

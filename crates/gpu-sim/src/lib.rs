@@ -29,7 +29,6 @@ pub mod device;
 pub mod memory;
 pub mod par;
 pub mod perf;
-pub mod pool;
 pub mod stream;
 /// The workspace's one non-poisoning `Mutex` (it lives in the bottom-most
 /// crate, telemetry, so every layer can use it).
@@ -39,7 +38,6 @@ pub use config::DeviceConfig;
 pub use device::{Device, DeviceStats, StreamBinding};
 pub use memory::{DeviceMemory, DevicePtr};
 pub use perf::{KernelShape, LaunchError, LaunchTiming};
-pub use pool::{StreamLease, StreamPool};
 pub use stream::{Event, StreamId};
 
 /// Errors from device operations.

@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 const TENANTS: usize = 8;
 /// Jobs each tenant submits per phase.
 const JOBS: usize = 6;
-/// Phase-1 worker threads (and pool streams).
+/// Phase-1 worker threads (one stream each).
 const WORKERS: usize = 8;
 
 fn mixed_job(tenant: usize, j: usize) -> JobSpec {

@@ -10,24 +10,29 @@
 //!
 //! Architecture:
 //!
-//! * **one simulated stream per in-flight job** — a worker checks a
-//!   stream out of a [`qdp_gpu_sim::StreamPool`] and binds it as its
-//!   thread's stream (`Device::bind_stream`) around the job; the job is
+//! * **one simulated stream per worker** — worker `i` owns stream
+//!   `serve-<i>` and keeps it bound as its thread's stream
+//!   (`Device::bind_stream`) for its whole life; a job is
 //!   the `chroma-mini` library call itself (`GaugeField::plaquette`,
 //!   `cg_solve`, `Hmc::trajectory`), whose kernels and reductions all land
 //!   on the bound stream, so concurrent jobs interleave on the device
 //!   timelines and show up as separate Perfetto tracks;
+//! * **one lock for serving state** — queues, admission accounting,
+//!   completion counts and order, and the latency histogram live under
+//!   the scheduler mutex, so [`ServerStats`] is exact with or without
+//!   profiling;
 //! * **fair scheduling** — deficit round-robin across per-tenant FIFOs
 //!   with per-kind cost weights ([`JobSpec::cost`]);
 //! * **admission control** — a global bounded queue plus per-tenant
 //!   outstanding caps; overload returns [`ServeError::Rejected`]
 //!   *(backpressure as a value: never a panic, an unbounded queue, or a
 //!   deadlock)*;
-//! * **observability** — per-tenant counters
-//!   (`serve.tenant.<name>.completed` / `.rejected`), a per-job span per
-//!   kind, and the `serve.job_latency_ms` histogram whose p50/p99 ride in
-//!   every [`qdp_telemetry::ProfileReport`], plus the
-//!   `serve.jobs_per_sec` gauge.
+//! * **observability** — when the configured telemetry records
+//!   (`QdpConfig::telemetry`; the server never switches it on itself):
+//!   per-tenant counters (`serve.tenant.<name>.completed` / `.rejected`),
+//!   a per-job span per kind, and the `serve.job_latency_ms` histogram
+//!   whose p50/p99 ride in every [`qdp_telemetry::ProfileReport`], plus
+//!   the `serve.jobs_per_sec` gauge.
 //!
 //! The server is configured with a [`qdp_core::QdpConfig`] — it never
 //! reads environment variables itself (the `serve_probe` binary captures

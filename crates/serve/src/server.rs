@@ -2,11 +2,11 @@
 //!
 //! One [`QdpContext`] is shared by every tenant — generated kernels,
 //! auto-tuned block sizes and persistent-store entries are warm for tenant
-//! N+1 the moment tenant N has run the same expression shape. Each
-//! worker checks a simulated stream out of a [`StreamPool`] and binds it
-//! as its thread's stream around the job, so up to `workers` jobs — plain
-//! `chroma-mini` library calls — interleave on the device exactly like
-//! concurrent CUDA clients sharing a GPU.
+//! N+1 the moment tenant N has run the same expression shape. Worker `i`
+//! owns simulated stream `serve-<i>` and keeps it bound as its thread's
+//! stream for its whole life, so up to `workers` jobs — plain `chroma-mini`
+//! library calls — interleave on the device exactly like concurrent CUDA
+//! clients sharing a GPU.
 //!
 //! Scheduling is deficit round-robin over per-tenant FIFOs with
 //! [`JobSpec::cost`] weights: a tenant streaming expensive trajectories
@@ -14,18 +14,22 @@
 //! is a global bounded queue plus a per-tenant outstanding cap; overload
 //! surfaces as [`ServeError::Rejected`] at submit time, never as a panic,
 //! an unbounded queue, or a deadlock.
+//!
+//! All shared serving state — queues, admission accounting and every
+//! statistic — sits in one `Sched` under one lock; the other sync objects
+//! are its two condvars, the per-tenant state locks and the reply channels.
 
 use crate::error::{RejectReason, ServeError};
 use crate::job::{JobResult, JobSpec, TenantSpec};
 use chroma_mini::gauge::gaussian_fermion;
 use chroma_mini::{cg_solve, GaugeField, Hmc, WilsonDirac};
 use qdp_core::prelude::*;
-use qdp_gpu_sim::StreamPool;
 use qdp_rng::{SeedableRng, StdRng};
+use qdp_telemetry::sync::Mutex;
+use qdp_telemetry::Hist;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -41,7 +45,8 @@ pub struct ServeConfig {
     pub geometry: Geometry,
     /// Simulated device model.
     pub device: DeviceConfig,
-    /// Worker threads == stream-pool size == max jobs in flight.
+    /// Worker threads == max jobs in flight; each worker owns one device
+    /// stream, `serve-<i>`.
     pub workers: usize,
     /// Global bounded-queue capacity (queued, not running, jobs).
     pub queue_cap: usize,
@@ -84,6 +89,8 @@ struct QueuedJob {
     reply: Sender<Result<JobResult, ServeError>>,
 }
 
+/// The one lock's contents: dispatch state, admission accounting and the
+/// serving statistics, all settled in the same critical sections.
 struct Sched {
     queues: Vec<VecDeque<QueuedJob>>,
     deficit: Vec<u64>,
@@ -91,6 +98,12 @@ struct Sched {
     queued_total: usize,
     cursor: usize,
     shutdown: bool,
+    workers: Vec<JoinHandle<()>>,
+    completed: Vec<u64>,
+    rejected: u64,
+    // completion order of (tenant id) — the fairness tests' oracle
+    order: Vec<u32>,
+    latency_ms: Hist,
 }
 
 struct TenantState {
@@ -101,28 +114,24 @@ struct TenantState {
 struct Tenant {
     name: String,
     state: Mutex<TenantState>,
-    completed: AtomicU64,
 }
 
 struct Core {
     ctx: Arc<QdpContext>,
-    pool: Arc<StreamPool>,
     tenants: Vec<Tenant>,
     sched: Mutex<Sched>,
     work_cv: Condvar,
     idle_cv: Condvar,
     queue_cap: usize,
     tenant_cap: usize,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    // completion order of (tenant id) — the fairness tests' oracle
-    order: Mutex<Vec<u32>>,
-    // pool streams' timeline fronts at startup, to count streams used
-    stream_baseline: Vec<(StreamId, f64)>,
+    // each worker's stream with its timeline front at startup, to count
+    // streams used
+    streams: Vec<(StreamId, f64)>,
 }
 
-/// Aggregate serving statistics (also mirrored into telemetry: the
-/// `serve.job_latency_ms` histogram carries p50/p99 in every
+/// Aggregate serving statistics. They are kept whether or not profiling
+/// is on; with profiling on, the telemetry registry mirrors them (the
+/// `serve.job_latency_ms` histogram carries the same p50/p99 in every
 /// [`qdp_telemetry::ProfileReport`], `serve.jobs_per_sec` is a gauge).
 #[derive(Debug, Clone)]
 pub struct ServerStats {
@@ -134,7 +143,7 @@ pub struct ServerStats {
     pub per_tenant_completed: Vec<u64>,
     /// Completed jobs per wall-clock second since the server started.
     pub jobs_per_sec: f64,
-    /// Pool streams whose simulated timeline advanced past its startup
+    /// Worker streams whose simulated timeline advanced past its startup
     /// front — the number of distinct device tracks jobs actually ran on.
     pub streams_used: usize,
     /// Median job latency (queue wait + execution), milliseconds.
@@ -146,17 +155,13 @@ pub struct ServerStats {
 /// The serving front-end. See the module docs for the architecture.
 pub struct Server {
     core: Arc<Core>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
     started: Instant,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Server {
     /// Bring up a server: build the shared context from `cfg.qdp`, warm
-    /// one gauge configuration per tenant, and start the worker pool.
+    /// one gauge configuration per tenant, and start the workers, each on
+    /// its own stream.
     pub fn start(cfg: &ServeConfig, tenants: &[TenantSpec]) -> Server {
         assert!(cfg.workers > 0, "need at least one worker");
         assert!(!tenants.is_empty(), "need at least one tenant");
@@ -164,9 +169,9 @@ impl Server {
             .device(cfg.device.clone())
             .config(cfg.qdp.clone())
             .build();
-        // the serving layer IS the metrics endpoint: record unconditionally
-        ctx.telemetry().enable();
-        let pool = StreamPool::new(Arc::clone(ctx.device()), "serve", cfg.workers);
+        let streams: Vec<StreamId> = (0..cfg.workers)
+            .map(|i| ctx.device().create_stream(&format!("serve-{i}")))
+            .collect();
         let tenants: Vec<Tenant> = tenants
             .iter()
             .map(|t| {
@@ -175,19 +180,17 @@ impl Server {
                 Tenant {
                     name: t.name.clone(),
                     state: Mutex::new(TenantState { gauge, rng }),
-                    completed: AtomicU64::new(0),
                 }
             })
             .collect();
         let n = tenants.len();
-        let stream_baseline = pool
-            .streams()
-            .iter()
-            .map(|&s| (s, pool.device().stream_now(s)))
+        // fronts read after the warm-up, so only served jobs count as use
+        let streams = streams
+            .into_iter()
+            .map(|s| (s, ctx.device().stream_now(s)))
             .collect();
         let core = Arc::new(Core {
             ctx,
-            pool,
             tenants,
             sched: Mutex::new(Sched {
                 queues: (0..n).map(|_| VecDeque::new()).collect(),
@@ -196,28 +199,33 @@ impl Server {
                 queued_total: 0,
                 cursor: 0,
                 shutdown: false,
+                workers: Vec::new(),
+                completed: vec![0; n],
+                rejected: 0,
+                order: Vec::new(),
+                latency_ms: Hist::new(),
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             queue_cap: cfg.queue_cap,
             tenant_cap: cfg.tenant_cap,
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            order: Mutex::new(Vec::new()),
-            stream_baseline,
+            streams,
         });
-        let workers = (0..cfg.workers)
-            .map(|i| {
+        let workers = core
+            .streams
+            .iter()
+            .enumerate()
+            .map(|(i, &(stream, _))| {
                 let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(core))
+                    .spawn(move || worker_loop(core, stream))
                     .expect("spawn worker")
             })
             .collect();
+        core.sched.lock().workers = workers;
         Server {
             core,
-            workers: Mutex::new(workers),
             started: Instant::now(),
         }
     }
@@ -234,15 +242,21 @@ impl Server {
         if tenant >= core.tenants.len() {
             return Err(ServeError::UnknownTenant(tenant));
         }
-        let mut s = lock(&core.sched);
+        let mut s = core.sched.lock();
         if s.shutdown {
-            return Err(self.reject(tenant, RejectReason::ShuttingDown));
+            return Err(core.reject(&mut s, tenant, RejectReason::ShuttingDown));
         }
         if s.queues[tenant].len() + s.inflight[tenant] >= core.tenant_cap {
-            return Err(self.reject(tenant, RejectReason::TenantBusy { cap: core.tenant_cap }));
+            let reason = RejectReason::TenantBusy {
+                cap: core.tenant_cap,
+            };
+            return Err(core.reject(&mut s, tenant, reason));
         }
         if s.queued_total >= core.queue_cap {
-            return Err(self.reject(tenant, RejectReason::QueueFull { cap: core.queue_cap }));
+            let reason = RejectReason::QueueFull {
+                cap: core.queue_cap,
+            };
+            return Err(core.reject(&mut s, tenant, reason));
         }
         let (tx, rx) = channel();
         s.queues[tenant].push_back(QueuedJob {
@@ -257,17 +271,6 @@ impl Server {
         Ok(JobTicket { rx })
     }
 
-    fn reject(&self, tenant: usize, reason: RejectReason) -> ServeError {
-        self.core.rejected.fetch_add(1, Ordering::Relaxed);
-        let tel = self.core.ctx.telemetry();
-        tel.count("serve.rejected", 1);
-        tel.count(
-            &format!("serve.tenant.{}.rejected", self.core.tenants[tenant].name),
-            1,
-        );
-        ServeError::Rejected(reason)
-    }
-
     /// Submit and block for the result.
     pub fn submit_wait(&self, tenant: usize, spec: JobSpec) -> Result<JobResult, ServeError> {
         self.submit(tenant, spec)?.wait()
@@ -275,7 +278,7 @@ impl Server {
 
     /// Block until every queued and in-flight job has completed.
     pub fn drain(&self) {
-        let mut s = lock(&self.core.sched);
+        let mut s = self.core.sched.lock();
         while s.queued_total > 0 || s.inflight.iter().sum::<usize>() > 0 {
             s = self
                 .core
@@ -288,52 +291,45 @@ impl Server {
     /// Tenant ids in the order their jobs completed (the fairness oracle:
     /// with one worker this is exactly the dispatch order).
     pub fn completion_order(&self) -> Vec<u32> {
-        lock(&self.core.order).clone()
+        self.core.sched.lock().order.clone()
     }
 
     /// Aggregate statistics; also refreshes the `serve.jobs_per_sec` gauge
-    /// so the next [`qdp_telemetry::ProfileReport`] carries it.
+    /// so the next profiled [`qdp_telemetry::ProfileReport`] carries it.
     pub fn stats(&self) -> ServerStats {
-        let completed = self.core.completed.load(Ordering::Relaxed);
-        let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
-        let jobs_per_sec = completed as f64 / elapsed;
-        let tel = self.core.ctx.telemetry();
-        tel.gauge("serve.jobs_per_sec", jobs_per_sec);
-        let report = tel.profile_report();
-        let (p50, p99) = report
-            .hists
-            .get("serve.job_latency_ms")
-            .map(|h| (h.p50, h.p99))
-            .unwrap_or((0.0, 0.0));
-        let device = self.core.pool.device();
+        let device = self.core.ctx.device();
         let streams_used = self
             .core
-            .stream_baseline
+            .streams
             .iter()
             .filter(|(s, t0)| device.stream_now(*s) > *t0)
             .count();
-        ServerStats {
+        let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
+        let s = self.core.sched.lock();
+        let completed: u64 = s.completed.iter().sum();
+        let stats = ServerStats {
             completed,
-            rejected: self.core.rejected.load(Ordering::Relaxed),
-            per_tenant_completed: self
-                .core
-                .tenants
-                .iter()
-                .map(|t| t.completed.load(Ordering::Relaxed))
-                .collect(),
-            jobs_per_sec,
+            rejected: s.rejected,
+            per_tenant_completed: s.completed.clone(),
+            jobs_per_sec: completed as f64 / elapsed,
             streams_used,
-            p50_latency_ms: p50,
-            p99_latency_ms: p99,
-        }
+            p50_latency_ms: s.latency_ms.quantile(0.50),
+            p99_latency_ms: s.latency_ms.quantile(0.99),
+        };
+        drop(s);
+        self.core
+            .ctx
+            .telemetry()
+            .gauge("serve.jobs_per_sec", stats.jobs_per_sec);
+        stats
     }
 
     /// Stop accepting work, bounce every still-queued job back to its
     /// submitter as `Rejected(ShuttingDown)`, finish in-flight jobs, and
     /// join the workers. Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut s = lock(&self.core.sched);
+        let handles = {
+            let mut s = self.core.sched.lock();
             s.shutdown = true;
             let bounced: Vec<QueuedJob> =
                 s.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
@@ -343,9 +339,9 @@ impl Server {
                     .reply
                     .send(Err(ServeError::Rejected(RejectReason::ShuttingDown)));
             }
-        }
+            std::mem::take(&mut s.workers)
+        };
         self.core.work_cv.notify_all();
-        let handles: Vec<_> = lock(&self.workers).drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
@@ -355,6 +351,23 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+impl Core {
+    /// Count a rejection (the caller holds the scheduler lock) and build
+    /// its error.
+    fn reject(&self, s: &mut Sched, tenant: usize, reason: RejectReason) -> ServeError {
+        s.rejected += 1;
+        let tel = self.ctx.telemetry();
+        if tel.enabled() {
+            tel.count("serve.rejected", 1);
+            tel.count(
+                &format!("serve.tenant.{}.rejected", self.tenants[tenant].name),
+                1,
+            );
+        }
+        ServeError::Rejected(reason)
     }
 }
 
@@ -399,10 +412,12 @@ fn pick(s: &mut Sched) -> Option<QueuedJob> {
     }
 }
 
-fn worker_loop(core: Arc<Core>) {
+fn worker_loop(core: Arc<Core>, stream: StreamId) {
+    let _bound = core.ctx.device().bind_stream(stream);
+    let tel = core.ctx.telemetry();
     loop {
         let job = {
-            let mut s = lock(&core.sched);
+            let mut s = core.sched.lock();
             loop {
                 if let Some(job) = pick(&mut s) {
                     break job;
@@ -417,40 +432,38 @@ fn worker_loop(core: Arc<Core>) {
             }
         };
         let tenant = job.tenant;
-        let lease = core.pool.checkout();
-        let tel = core.ctx.telemetry();
         let result = {
             let _span = tel.span("serve", job.spec.kind());
-            let _bound = core.ctx.device().bind_stream(lease.id());
-            let mut st = lock(&core.tenants[tenant].state);
+            let mut st = core.tenants[tenant].state.lock();
             run_job(&job.spec, &mut st)
         };
-        drop(lease);
         let latency_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-        tel.observe("serve.job_latency_ms", latency_ms);
-        tel.count("serve.completed", 1);
-        tel.count(
-            &format!("serve.tenant.{}.completed", core.tenants[tenant].name),
-            1,
-        );
-        core.tenants[tenant].completed.fetch_add(1, Ordering::Relaxed);
-        core.completed.fetch_add(1, Ordering::Relaxed);
-        lock(&core.order).push(tenant as u32);
+        if tel.enabled() {
+            tel.observe("serve.job_latency_ms", latency_ms);
+            tel.count("serve.completed", 1);
+            tel.count(
+                &format!("serve.tenant.{}.completed", core.tenants[tenant].name),
+                1,
+            );
+        }
         // settle the admission accounting BEFORE releasing the reply: a
         // client that pipelines a new request the instant it sees this
         // answer must not race a still-counted `inflight` slot into a
         // spurious TenantBusy rejection
         {
-            let mut s = lock(&core.sched);
+            let mut s = core.sched.lock();
             s.inflight[tenant] -= 1;
+            s.completed[tenant] += 1;
+            s.order.push(tenant as u32);
+            s.latency_ms.observe(latency_ms);
         }
         core.idle_cv.notify_all();
         let _ = job.reply.send(result);
     }
 }
 
-/// A job is the library entry point itself, run on whatever stream the
-/// calling worker has bound.
+/// A job is the library entry point itself, run on the calling worker's
+/// bound stream.
 fn run_job(spec: &JobSpec, st: &mut TenantState) -> Result<JobResult, ServeError> {
     let g = &st.gauge;
     match spec {

@@ -28,7 +28,7 @@ const SLOW_HMC: JobSpec = JobSpec::HmcTrajectory {
     n_steps: 6,
 };
 
-/// A served job runs the library entry point under a leased stream, so its
+/// A served job runs the library entry point on its worker's stream, so its
 /// result must be bit-identical to calling the library directly, unbound,
 /// on a fresh context with the same tenant seed.
 #[test]
@@ -190,6 +190,7 @@ fn cheap_tenant_is_not_starved_by_expensive_tenant() {
 fn warm_tenants_reuse_the_shared_jit_cache() {
     let mut cfg = small_cfg();
     cfg.workers = 2;
+    cfg.qdp.telemetry.profile = true;
     let server = Server::start(&cfg, &tenants(4));
     server
         .submit_wait(0, JobSpec::Plaquette)
@@ -217,6 +218,7 @@ fn second_server_warm_starts_from_shared_kernel_store() {
     let mut cfg = small_cfg();
     cfg.workers = 2;
     cfg.qdp.cache_dir = Some(dir.clone());
+    cfg.qdp.telemetry.profile = true;
 
     let cold = Server::start(&cfg, &tenants(2));
     for t in 0..2 {
@@ -239,6 +241,58 @@ fn second_server_warm_starts_from_shared_kernel_store() {
     );
     warm.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Serve a few mixed jobs from two tenants and wait for all of them.
+fn serve_mixed_jobs(cfg: &ServeConfig) -> Server {
+    let server = Server::start(cfg, &tenants(2));
+    let tickets: Vec<JobTicket> = [JobSpec::Plaquette, SLOW_HMC, JobSpec::Plaquette]
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| server.submit(i % 2, spec).expect("admitted"))
+        .collect();
+    for t in tickets {
+        assert!(t.wait().is_ok());
+    }
+    server.drain();
+    server
+}
+
+/// The server keeps the caller's telemetry setting (off by default, like
+/// every other embedder) and still reports its own latency quantiles.
+#[test]
+fn default_config_serves_unprofiled_with_latency_stats() {
+    let mut cfg = small_cfg();
+    cfg.workers = 2;
+    let server = serve_mixed_jobs(&cfg);
+    assert!(
+        !server.context().telemetry().profiling(),
+        "the server must not switch profiling on"
+    );
+    let stats = server.stats();
+    assert_eq!(stats.completed, 3);
+    assert!(stats.p50_latency_ms > 0.0 && stats.p99_latency_ms >= stats.p50_latency_ms);
+    server.shutdown();
+}
+
+/// With profiling on, the telemetry mirror and `ServerStats` are one
+/// histogram's worth of observations: the quantiles agree exactly.
+#[test]
+fn profiled_latency_mirror_matches_server_stats() {
+    let mut cfg = small_cfg();
+    cfg.workers = 2;
+    cfg.qdp.telemetry.profile = true;
+    let server = serve_mixed_jobs(&cfg);
+    let stats = server.stats();
+    let report = server.context().profile_report();
+    let hist = &report.hists["serve.job_latency_ms"];
+    assert_eq!(hist.count, 3);
+    assert_eq!(
+        (stats.p50_latency_ms, stats.p99_latency_ms),
+        (hist.p50, hist.p99)
+    );
+    assert!(stats.p50_latency_ms > 0.0);
+    server.shutdown();
 }
 
 /// One in-process client thread per tenant, each pipelining up to `window`

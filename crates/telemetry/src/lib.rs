@@ -87,8 +87,10 @@ const HIST_LOG2_MIN: f64 = -40.0;
 /// log-spaced buckets, so quantiles (p50/p99) come out with ~12% relative
 /// error and no per-series configuration. Memory is bounded: the bucket
 /// array is only materialised once a series sees its first observation.
+/// Public so a layer that keeps its own always-on statistics (the serving
+/// front-end's latency) reports the same quantiles as a profiled run.
 #[derive(Debug, Clone)]
-pub(crate) struct Hist {
+pub struct Hist {
     count: u64,
     sum: f64,
     min: f64,
@@ -114,7 +116,8 @@ impl Hist {
         log2.exp2()
     }
 
-    fn observe(&mut self, v: f64) {
+    /// Record one observation.
+    pub fn observe(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
@@ -130,7 +133,7 @@ impl Hist {
     /// bucket holding the `ceil(q*count)`-th observation, clamped to the
     /// exact observed [min, max] (so single-sample and constant series
     /// report exact quantiles). 0 when empty.
-    pub(crate) fn quantile(&self, q: f64) -> f64 {
+    pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -145,7 +148,8 @@ impl Hist {
         self.max
     }
 
-    fn new() -> Hist {
+    /// An empty series.
+    pub fn new() -> Hist {
         Hist {
             count: 0,
             sum: 0.0,
@@ -153,6 +157,12 @@ impl Hist {
             max: f64::NEG_INFINITY,
             buckets: Vec::new(),
         }
+    }
+}
+
+impl Default for Hist {
+    fn default() -> Hist {
+        Hist::new()
     }
 }
 
@@ -711,23 +721,10 @@ impl Telemetry {
     }
 
     /// Record an event on a simulated-clock timeline (`Track::Device` for
-    /// PCIe transfers, `Track::Comm` for MPI traffic). Times in simulated
-    /// seconds. Lands on trace thread 0 (the default stream's track).
-    pub fn record_sim_event(
-        &self,
-        track: Track,
-        cat: &'static str,
-        name: &str,
-        sim_t0: f64,
-        sim_dur: f64,
-        args: &[(&'static str, f64)],
-    ) {
-        self.record_sim_event_on(track, 0, cat, name, sim_t0, sim_dur, args)
-    }
-
-    /// Like [`Telemetry::record_sim_event`] but on an explicit trace thread
-    /// (`tid` = device stream id for `Track::Device` events), so each
-    /// stream renders as its own Perfetto track.
+    /// PCIe transfers, `Track::Comm` for MPI traffic) on trace thread `tid`
+    /// (the device stream id for `Track::Device` events, so each stream
+    /// renders as its own Perfetto track; 0 for the comm timeline). Times
+    /// in simulated seconds.
     #[allow(clippy::too_many_arguments)]
     pub fn record_sim_event_on(
         &self,
@@ -1211,7 +1208,7 @@ mod tests {
             stream: 1,
             ..Default::default()
         });
-        t.record_sim_event(Track::Comm, "comm", "send", 0.0, 1e-6, &[("bytes", 9.0)]);
+        t.record_sim_event_on(Track::Comm, 0, "comm", "send", 0.0, 1e-6, &[("bytes", 9.0)]);
         {
             let _s = t.span("eval", "eval");
         }
@@ -1256,7 +1253,7 @@ mod tests {
                 );
             }
         }
-        t.record_sim_event(Track::Device, "xfer", "h2d", 0.0, 1.0, &[]);
+        t.record_sim_event_on(Track::Device, 0, "xfer", "h2d", 0.0, 1.0, &[]);
         let r = t.profile_report();
         assert_eq!(r.trace_events, MAX_TRACE_EVENTS);
         assert_eq!(r.dropped_events, 1);
