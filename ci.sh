@@ -315,6 +315,32 @@ echo "ok: one serve state (workers own their streams, no pool, caller's telemetr
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# ---- Memory cache: write-only first touch + LRU spilling --------------------
+# The cache and the device arena hold the crate's unsafe code, so their
+# tests also run optimized. Then the §IV ablation: on the large device the
+# 12 host-written fields page in and the never-written output is a first
+# touch (zero-filled on the device, no transfer); on the tiny device the
+# deterministic LRU spills exactly 81 times.
+cargo test -q --release --offline -p qdp-cache -p qdp-gpu-sim
+abl_out=$(cargo run --release --offline -q -p qdp-bench --bin cache_ablation)
+# abl_val <device label> <counter>: the number after <counter> on that
+# device's counter line.
+abl_val() {
+    echo "$abl_out" | awk -v dev="$1" -v key="$2" '
+        $1 == dev { on = 1; next }
+        on && /page-ins/ { sub(".*" key " +", ""); print $1; exit }'
+}
+for check in "large page-ins 12" "large first touches 1" "tiny spills 81" "tiny first touches 1"; do
+    dev=${check%% *}; rest=${check#* }; key=${rest% *}; want=${rest##* }
+    got=$(abl_val "$dev" "$key")
+    if [ "$got" != "$want" ]; then
+        echo "FAIL: cache_ablation $dev device $key = $got (want $want)" >&2
+        echo "$abl_out" >&2
+        exit 1
+    fi
+done
+echo "ok: memory cache (release unit tests; ablation: 12 page-ins + 1 first touch, 81 spills under pressure)"
+
 # ---- Stream engine: semantics + schedule tests ------------------------------
 # Default-stream equivalence with the pre-stream clock model (bit-exact),
 # event ordering, two-stream determinism, the §V stream schedule beating

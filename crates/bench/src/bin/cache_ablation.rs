@@ -40,8 +40,9 @@ fn run(memory_bytes: usize, label: &str) {
     let d = ctx.device().stats();
     println!("{label}:");
     println!(
-        "  page-ins {:>4}  hits {:>4}  spills {:>4}  spilled {:>7.1} MB",
+        "  page-ins {:>4}  first touches {:>4}  hits {:>4}  spills {:>4}  spilled {:>7.1} MB",
         s.page_ins,
+        s.first_touches,
         s.hits,
         s.spills,
         s.spill_bytes as f64 / 1e6

@@ -17,6 +17,21 @@
 //! copies are issued on the synchronising default stream whatever stream
 //! the issuing thread has bound: a page-in must complete before any
 //! stream's kernel reads the field.
+//!
+//! A copy happens only when the other side holds the valid data:
+//!
+//! * **Page-in** (host → device) when a kernel needs a field whose host
+//!   copy is the valid one and was written — by host code or by an earlier
+//!   dirty page-out.
+//! * **Page-out** (device → host) when host code touches, or a spill
+//!   evicts, a field a kernel wrote ([`Residency::DeviceDirty`]). A clean
+//!   field's device copy is simply freed.
+//! * **Write-only first touch: no copy.** A registered field has no host
+//!   buffer until something writes it; by contract it holds zeros. The
+//!   first kernel reference allocates device memory and zero-fills it in
+//!   place ([`CacheStats::first_touches`]), so solver temporaries and
+//!   reduction scratch never move bytes over PCIe. Host access or a dirty
+//!   page-out creates the host buffer on demand.
 
 use qdp_gpu_sim::sync::Mutex;
 use qdp_gpu_sim::{Device, DeviceError, DevicePtr, StreamId};
@@ -30,11 +45,15 @@ pub type FieldId = u64;
 /// Residency state of one field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Residency {
-    /// Only the host copy is valid.
+    /// Only the host copy is valid (all zeros if nothing ever wrote the
+    /// field). A kernel reference pages it in — or, for a never-written
+    /// field, zero-fills a fresh device copy without a transfer.
     HostOnly,
-    /// Both copies exist and agree.
+    /// Both copies exist and agree. Host access or a spill frees the device
+    /// copy without a transfer.
     Synced,
-    /// The device copy is newer (a kernel wrote it).
+    /// The device copy is newer (a kernel wrote it). Host access or a spill
+    /// copies it back to the host first.
     DeviceDirty,
 }
 
@@ -45,6 +64,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Page-ins (host → device copies).
     pub page_ins: u64,
+    /// First touches: device copies of never-written fields, zero-filled
+    /// in place instead of paged in.
+    pub first_touches: u64,
     /// Page-outs due to host access.
     pub page_outs: u64,
     /// Spills: page-outs forced by allocation pressure (LRU victims).
@@ -54,10 +76,21 @@ pub struct CacheStats {
 }
 
 struct Entry {
-    host: Vec<u8>,
+    bytes: usize,
+    /// The host copy; `None` until something writes the field, which then
+    /// holds zeros.
+    host: Option<Vec<u8>>,
     device: Option<DevicePtr>,
     state: Residency,
     last_touch: u64,
+}
+
+impl Entry {
+    /// The host copy, created (zeros) on first need.
+    fn host_mut(&mut self) -> &mut [u8] {
+        let bytes = self.bytes;
+        self.host.get_or_insert_with(|| vec![0u8; bytes])
+    }
 }
 
 /// Errors from cache operations.
@@ -114,7 +147,8 @@ impl MemoryCache {
         &self.device
     }
 
-    /// Register a new field of `bytes` zero-initialised bytes; returns its id.
+    /// Register a new field of `bytes` zero-initialised bytes; returns its
+    /// id. No memory is allocated until the field is first touched.
     pub fn register(&self, bytes: usize) -> FieldId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let tel = self.device.telemetry();
@@ -125,7 +159,8 @@ impl MemoryCache {
         self.fields.lock().insert(
             id,
             Entry {
-                host: vec![0u8; bytes],
+                bytes,
+                host: None,
                 device: None,
                 state: Residency::HostOnly,
                 last_touch: 0,
@@ -148,7 +183,7 @@ impl MemoryCache {
         self.fields
             .lock()
             .get(&id)
-            .map(|e| e.host.len())
+            .map(|e| e.bytes)
             .ok_or(CacheError::UnknownField(id))
     }
 
@@ -184,24 +219,24 @@ impl MemoryCache {
     ) {
         if let Some(ptr) = e.device.take() {
             if e.state == Residency::DeviceDirty {
-                device.d2h_async(ptr, &mut e.host, StreamId::DEFAULT);
+                device.d2h_async(ptr, e.host_mut(), StreamId::DEFAULT);
             }
             device.free(ptr);
             e.state = Residency::HostOnly;
             let tel = device.telemetry();
             if spill {
                 stats.spills += 1;
-                stats.spill_bytes += e.host.len() as u64;
-                tel.record_flight("cache_spill", "", &[("bytes", e.host.len() as f64)]);
+                stats.spill_bytes += e.bytes as u64;
+                tel.record_flight("cache_spill", "", &[("bytes", e.bytes as f64)]);
                 if tel.enabled() {
                     tel.count("cache.spills", 1);
-                    tel.count("cache.spill_bytes", e.host.len() as u64);
+                    tel.count("cache.spill_bytes", e.bytes as u64);
                 }
             } else {
                 stats.page_outs += 1;
                 if tel.enabled() {
                     tel.count("cache.page_outs", 1);
-                    tel.count("cache.page_out_bytes", e.host.len() as u64);
+                    tel.count("cache.page_out_bytes", e.bytes as u64);
                 }
             }
         }
@@ -236,17 +271,20 @@ impl MemoryCache {
                 }
             }
             // Allocate, spilling LRU victims on failure.
-            let bytes = fields[&id].host.len();
+            let bytes = fields[&id].bytes;
             let ptr = loop {
                 match self.device.alloc(bytes) {
                     Ok(p) => break p,
                     Err(err) => {
                         // LRU victim: resident field with the oldest
                         // last-kernel-reference, excluding the working set.
+                        // Fields one kernel referenced share a stamp; the
+                        // lower id breaks the tie, so spilling does not
+                        // depend on the map's iteration order.
                         let victim = fields
                             .iter()
                             .filter(|(vid, e)| e.device.is_some() && !ids.contains(vid))
-                            .min_by_key(|(_, e)| e.last_touch)
+                            .min_by_key(|(vid, e)| (e.last_touch, **vid))
                             .map(|(vid, _)| *vid);
                         match victim {
                             Some(vid) => {
@@ -264,15 +302,30 @@ impl MemoryCache {
                 }
             };
             let e = fields.get_mut(&id).unwrap();
-            self.device.h2d_async(ptr, &e.host, StreamId::DEFAULT);
+            let tel = self.device.telemetry();
+            match &e.host {
+                Some(host) => {
+                    self.device.h2d_async(ptr, host, StreamId::DEFAULT);
+                    stats.page_ins += 1;
+                    if tel.enabled() {
+                        tel.count("cache.page_ins", 1);
+                        tel.count("cache.page_in_bytes", bytes as u64);
+                    }
+                }
+                None => {
+                    // Never written: the contents are zeros by contract.
+                    // QDP++ leaves new fields uninitialised, so this fill is
+                    // the simulator keeping our zero contract, not a
+                    // transfer — it adds no simulated time.
+                    self.device.memory().fill_zero(ptr, bytes);
+                    stats.first_touches += 1;
+                    if tel.enabled() {
+                        tel.count("cache.first_touches", 1);
+                    }
+                }
+            }
             e.device = Some(ptr);
             e.state = Residency::Synced;
-            stats.page_ins += 1;
-            let tel = self.device.telemetry();
-            if tel.enabled() {
-                tel.count("cache.page_ins", 1);
-                tel.count("cache.page_in_bytes", bytes as u64);
-            }
             out.push(ptr);
         }
         Ok(out)
@@ -299,7 +352,7 @@ impl MemoryCache {
         let mut stats = self.stats.lock();
         let e = fields.get_mut(&id).ok_or(CacheError::UnknownField(id))?;
         Self::page_out_locked(&self.device, &mut stats, e, false);
-        Ok(f(&e.host))
+        Ok(f(e.host_mut()))
     }
 
     /// Host write access: pages out, then lets the caller mutate the host
@@ -313,7 +366,7 @@ impl MemoryCache {
         let mut stats = self.stats.lock();
         let e = fields.get_mut(&id).ok_or(CacheError::UnknownField(id))?;
         Self::page_out_locked(&self.device, &mut stats, e, false);
-        Ok(f(&mut e.host))
+        Ok(f(e.host_mut()))
     }
 }
 
@@ -330,6 +383,7 @@ mod tests {
     fn page_in_and_hit() {
         let c = cache_with(1 << 20);
         let f = c.register(4096);
+        c.with_host_mut(f, |h| h.fill(3)).unwrap();
         assert_eq!(c.residency(f).unwrap(), Residency::HostOnly);
         let p1 = c.assure_on_device(&[f]).unwrap();
         assert_eq!(c.residency(f).unwrap(), Residency::Synced);
@@ -338,6 +392,61 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.page_ins, 1);
         assert_eq!(s.hits, 1);
+    }
+
+    #[test]
+    fn never_written_first_touch_zero_fills_without_a_transfer() {
+        let c = cache_with(1 << 20);
+        // Leave non-zero bytes behind in the arena for the next field.
+        let junk = c.device().alloc(4096).unwrap();
+        c.device().memory().copy_from_host(junk, &[0xab; 4096]);
+        c.device().free(junk);
+        let before = c.device().stats();
+
+        let f = c.register(4096);
+        assert_eq!(c.field_bytes(f).unwrap(), 4096);
+        let p = c.assure_on_device(&[f]).unwrap()[0];
+        assert_eq!(p, junk, "the field reuses the dirtied range");
+        assert_eq!(c.residency(f).unwrap(), Residency::Synced);
+        let after = c.device().stats();
+        assert_eq!(after.h2d_copies, before.h2d_copies);
+        assert_eq!(after.h2d_bytes, before.h2d_bytes);
+        assert_eq!(after.transfer_time, before.transfer_time);
+        let s = c.stats();
+        assert_eq!((s.page_ins, s.first_touches), (0, 1));
+        c.device()
+            .memory()
+            .with_f64s(p, 512, |v| assert!(v.iter().all(|x| x.to_bits() == 0)));
+        // A clean page-out moves nothing and the host still reads zeros.
+        assert!(c.with_host(f, |h| h.iter().all(|&b| b == 0)).unwrap());
+        assert_eq!(c.device().stats().d2h_copies, before.d2h_copies);
+    }
+
+    #[test]
+    fn field_bytes_before_any_host_access() {
+        let c = cache_with(1 << 16);
+        let f = c.register(1234);
+        assert_eq!(c.field_bytes(f).unwrap(), 1234);
+        assert_eq!(c.with_host(f, |h| h.len()).unwrap(), 1234);
+        assert_eq!(c.field_bytes(f).unwrap(), 1234);
+    }
+
+    #[test]
+    fn clean_never_written_spill_retouches_without_a_transfer() {
+        let c = cache_with(2 * 1024 + 512);
+        let a = c.register(900);
+        let b = c.register(900);
+        let d = c.register(900);
+        c.assure_on_device(&[a]).unwrap();
+        c.assure_on_device(&[b]).unwrap();
+        c.assure_on_device(&[d]).unwrap(); // spills clean a
+        c.assure_on_device(&[a]).unwrap(); // spills clean b
+        let s = c.stats();
+        assert_eq!((s.spills, s.spill_bytes), (2, 1800));
+        assert_eq!((s.page_ins, s.first_touches), (0, 4));
+        let d_stats = c.device().stats();
+        assert_eq!((d_stats.h2d_copies, d_stats.d2h_copies), (0, 0));
+        assert_eq!(d_stats.transfer_time, 0.0);
     }
 
     #[test]
@@ -391,6 +500,18 @@ mod tests {
     }
 
     #[test]
+    fn lru_ties_spill_the_lower_id() {
+        let c = cache_with(2 * 1024 + 512);
+        let a = c.register(900);
+        let b = c.register(900);
+        let d = c.register(900);
+        c.assure_on_device(&[b, a]).unwrap(); // one kernel: one stamp
+        c.assure_on_device(&[d]).unwrap();
+        assert_eq!(c.residency(a).unwrap(), Residency::HostOnly);
+        assert_eq!(c.residency(b).unwrap(), Residency::Synced);
+    }
+
+    #[test]
     fn spilled_dirty_field_keeps_its_data() {
         let c = cache_with(2 * 1024 + 512);
         let a = c.register(900);
@@ -408,6 +529,8 @@ mod tests {
         // and paging a back in restores the value on device
         let pa2 = c.assure_on_device(&[a]).unwrap()[0];
         assert_eq!(c.device().memory().read_f64(pa2), 7.25);
+        // The dirty spill gave a host copy, so that was a real page-in.
+        assert_eq!((c.stats().page_ins, c.stats().first_touches), (1, 3));
     }
 
     #[test]

@@ -853,10 +853,10 @@ pub fn eval_reference_sites(
 /// (`(temporary, real components)` pairs) as a second kernel on the issuing
 /// thread's stream (see the substitution note in DESIGN.md), then sum each
 /// temporary on the host side of the simulator in per-component site order
-/// — batching merges only the accounting, so values are bit-identical to
-/// reducing the temporaries one at a time. On a context with an attached
-/// rank the sums are then allreduced (once per batch): every rank returns
-/// the global sums, bit-identical across ranks.
+/// ([`site_order_sums`]) — batching merges only the accounting, so values
+/// are bit-identical to reducing the temporaries one at a time. On a
+/// context with an attached rank the sums are then allreduced (once per
+/// batch): every rank returns the global sums, bit-identical across ranks.
 pub(crate) fn reduce_batch(
     ctx: &QdpContext,
     temps: &[(FieldRef, usize)],
@@ -885,24 +885,19 @@ pub(crate) fn reduce_batch(
         .map_err(CoreError::Launch)?;
 
     let mem = ctx.device().memory();
-    let mut out = Vec::with_capacity(temps.len());
-    for ((t, n_comp), ptr) in temps.iter().zip(ptrs.iter()) {
-        let esize = t.ft.size_bytes();
-        let layout = FieldLayout::new(ctx.layout(), vol, *n_comp);
-        let mut sums = vec![0.0f64; *n_comp];
-        for (comp, s) in sums.iter_mut().enumerate() {
-            let mut acc = 0.0f64;
-            for site in 0..vol {
-                let idx = layout.real_index(site, comp) * esize;
-                acc += match t.ft {
-                    FloatType::F32 => mem.read_f32(ptr + idx as u64) as f64,
-                    FloatType::F64 => mem.read_f64(ptr + idx as u64),
-                };
+    let layout = ctx.layout();
+    let mut out: Vec<Vec<f64>> = temps
+        .iter()
+        .zip(&ptrs)
+        .map(|(&(t, n_comp), &ptr)| match t.ft {
+            FloatType::F32 => {
+                mem.with_f32s(ptr, vol * n_comp, |v| site_order_sums(v, n_comp, layout))
             }
-            *s = acc;
-        }
-        out.push(sums);
-    }
+            FloatType::F64 => {
+                mem.with_f64s(ptr, vol * n_comp, |v| site_order_sums(v, n_comp, layout))
+            }
+        })
+        .collect();
     // On an attached context the batch's partial sums become global sums
     // with one allreduce.
     if let Some(mr) = ctx.attached_rank() {
@@ -913,6 +908,30 @@ pub(crate) fn reduce_batch(
         }
     }
     Ok(out)
+}
+
+/// The per-component sums of one reduction temporary `v` (all its reals,
+/// stored in `layout`): each component starts from `+0.0` and adds its
+/// sites in site order, in `f64`. Temporaries are real (one chain) or
+/// complex (a re and an im chain advancing in the same site loop); the
+/// order of additions within each chain is the site order either way, so
+/// the bits do not depend on the layout or on the loop shape.
+fn site_order_sums<R: Copy + Into<f64>>(v: &[R], n_comp: usize, layout: LayoutKind) -> Vec<f64> {
+    fn complex_sums<R: Into<f64>>(sites: impl Iterator<Item = (R, R)>) -> Vec<f64> {
+        let (re, im) = sites.fold((0.0f64, 0.0f64), |(re, im), (r, i)| {
+            (re + r.into(), im + i.into())
+        });
+        vec![re, im]
+    }
+    match (n_comp, layout) {
+        (1, _) => vec![v.iter().fold(0.0f64, |acc, &x| acc + x.into())],
+        (2, LayoutKind::SoA) => {
+            let (re, im) = v.split_at(v.len() / 2);
+            complex_sums(re.iter().copied().zip(im.iter().copied()))
+        }
+        (2, LayoutKind::AoS) => complex_sums(v.chunks_exact(2).map(|site| (site[0], site[1]))),
+        _ => unreachable!("reduction temporaries are real or complex, not {n_comp} reals"),
+    }
 }
 
 /// An immediate reduction of one `kind`-valued expression over `subset`:

@@ -31,7 +31,9 @@ fn run_settling_workload(ctx: &Arc<QdpContext>) -> String {
     let mut rng = StdRng::seed_from_u64(41);
     let u2 = LatticeColorMatrix::<f64>::from_fn(ctx, |_| PScalar(random_su3::<f64>(&mut rng)));
     let u3 = LatticeColorMatrix::<f64>::from_fn(ctx, |_| PScalar(random_su3::<f64>(&mut rng)));
-    let out = LatticeColorMatrix::<f64>::new(ctx);
+    // Host-written, so its first kernel reference is a page-in (a
+    // never-written field would be zero-filled on the device instead).
+    let out = LatticeColorMatrix::<f64>::from_fn(ctx, |_| PScalar(random_su3::<f64>(&mut rng)));
     for _ in 0..16 {
         out.assign(u2.q() * u3.q()).unwrap();
     }

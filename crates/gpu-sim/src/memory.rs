@@ -30,8 +30,10 @@ pub const ALLOC_ALIGN: u64 = 256;
 struct ArenaBuf {
     ptr: *mut u8,
     len: usize,
-    // Keeps the allocation alive; accessed only through `ptr`.
-    _own: Box<[u8]>,
+    // Keeps the allocation alive; accessed only through `ptr`. Words, not
+    // bytes, so the base — and with it every `ALLOC_ALIGN`-aligned
+    // allocation — is aligned for the typed views.
+    _own: Box<[u64]>,
 }
 
 // SAFETY: see module-level safety model — concurrent accesses during kernel
@@ -62,8 +64,8 @@ fn align_up(v: u64, a: u64) -> u64 {
 impl DeviceMemory {
     /// Create an arena of the given capacity.
     pub fn new(capacity: usize) -> DeviceMemory {
-        let mut own = vec![0u8; capacity].into_boxed_slice();
-        let ptr = own.as_mut_ptr();
+        let mut own = vec![0u64; capacity.div_ceil(8)].into_boxed_slice();
+        let ptr = own.as_mut_ptr().cast::<u8>();
         DeviceMemory {
             buf: ArenaBuf {
                 ptr,
@@ -234,6 +236,57 @@ impl DeviceMemory {
             std::ptr::copy_nonoverlapping(self.buf.ptr.add(src as usize), dst.as_mut_ptr(), dst.len());
         }
     }
+
+    /// Zero `len` bytes at `dst` (the functional half of `cudaMemset(dst,
+    /// 0, len)`).
+    pub fn fill_zero(&self, dst: DevicePtr, len: usize) {
+        self.check(dst, len);
+        // SAFETY: bounds checked; single-threaded around launches (module
+        // safety model), so nothing else accesses the range meanwhile.
+        unsafe {
+            std::ptr::write_bytes(self.buf.ptr.add(dst as usize), 0, len);
+        }
+    }
+
+    /// Run `f` over the `n` `f32`s stored at `addr`.
+    pub fn with_f32s<T>(&self, addr: DevicePtr, n: usize, f: impl FnOnce(&[f32]) -> T) -> T {
+        // SAFETY: every bit pattern is a valid `f32`.
+        unsafe { self.with_view(addr, n, f) }
+    }
+
+    /// Run `f` over the `n` `f64`s stored at `addr`.
+    pub fn with_f64s<T>(&self, addr: DevicePtr, n: usize, f: impl FnOnce(&[f64]) -> T) -> T {
+        // SAFETY: every bit pattern is a valid `f64`.
+        unsafe { self.with_view(addr, n, f) }
+    }
+
+    /// Run `f` over a shared view of the `n` `E`s stored at `addr`. The
+    /// view cannot outlive the call: `f` gets it for one invocation and its
+    /// result cannot borrow from it.
+    ///
+    /// # Safety
+    ///
+    /// Every bit pattern must be a valid `E`.
+    unsafe fn with_view<E, T>(&self, addr: DevicePtr, n: usize, f: impl FnOnce(&[E]) -> T) -> T {
+        let len = n
+            .checked_mul(std::mem::size_of::<E>())
+            .expect("device view length overflows");
+        self.check(addr, len);
+        // SAFETY: `addr + len` is inside the arena (checked above).
+        let p = unsafe { self.buf.ptr.add(addr as usize) };
+        assert!(
+            (p as usize).is_multiple_of(std::mem::align_of::<E>()),
+            "misaligned device view: addr={addr:#x}"
+        );
+        // SAFETY: the range is in bounds and aligned (both checked above),
+        // the arena is initialised memory, and the caller guarantees any
+        // bits are a valid `E`. The runtime is single-threaded around
+        // launches (module safety model): while the host reads the view,
+        // no kernel or copy writes this range, so the shared slice is not
+        // mutated for as long as it lives — the duration of `f`.
+        let view = unsafe { std::slice::from_raw_parts(p.cast::<E>(), n) };
+        f(view)
+    }
 }
 
 #[cfg(test)]
@@ -312,6 +365,38 @@ mod tests {
         let mut back = vec![0u8; 256];
         m.copy_to_host(p, &mut back);
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn zero_fill_and_typed_views() {
+        let m = DeviceMemory::new(4096);
+        let p = m.alloc(64).unwrap();
+        m.copy_from_host(p, &[0xffu8; 64]);
+        m.fill_zero(p + 8, 16);
+        m.write_f64(p + 24, -0.0);
+        m.with_f64s(p, 4, |v| {
+            assert!(v[0].is_nan());
+            assert_eq!(v[1].to_bits(), 0);
+            assert_eq!(v[2].to_bits(), 0);
+            assert_eq!(v[3].to_bits(), (-0.0f64).to_bits());
+        });
+        let sum = m.with_f32s(p + 8, 4, |v| v.iter().sum::<f32>());
+        assert_eq!(sum, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn view_past_the_arena_panics() {
+        let m = DeviceMemory::new(1024);
+        m.with_f64s(1016, 2, |v| v.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "misaligned")]
+    fn misaligned_view_panics() {
+        let m = DeviceMemory::new(1024);
+        let p = m.alloc(64).unwrap();
+        m.with_f64s(p + 4, 2, |v| v.len());
     }
 
     #[test]

@@ -64,8 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // And the memory cache did all the host<->device traffic automatically:
     let cs = ctx.cache().stats();
     println!(
-        "memory cache: {} page-ins, {} hits, {} spills",
-        cs.page_ins, cs.hits, cs.spills
+        "memory cache: {} page-ins, {} first touches, {} hits, {} spills",
+        cs.page_ins, cs.first_touches, cs.hits, cs.spills
     );
     Ok(())
 }
