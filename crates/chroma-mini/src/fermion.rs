@@ -231,9 +231,6 @@ pub struct WilsonDirac {
     /// Optional clover term.
     pub clover: Option<CloverTerm>,
     ctx: Arc<QdpContext>,
-    /// Streams carrying the even/odd checkerboard halves of `apply`.
-    even_stream: StreamId,
-    odd_stream: StreamId,
 }
 
 impl WilsonDirac {
@@ -244,59 +241,17 @@ impl WilsonDirac {
             l.assign(g.u[mu].q()).unwrap();
             l
         });
-        let ctx = Arc::clone(g.context());
-        // one checkerboard pair per device, shared by every operator:
-        // operators are built per solve and streams are never freed
-        let even_stream = ctx.device().named_stream("dslash-even");
-        let odd_stream = ctx.device().named_stream("dslash-odd");
         WilsonDirac {
             u,
             mass,
             clover,
-            ctx,
-            even_stream,
-            odd_stream,
+            ctx: Arc::clone(g.context()),
         }
     }
 
     /// The owning context.
     pub fn context(&self) -> &Arc<QdpContext> {
         &self.ctx
-    }
-
-    /// Evaluate `rhs` into `out` as two checkerboard halves, the even one
-    /// on `even_stream`, the odd one on `odd_stream`, forked off the issuing
-    /// thread's stream and joined by a device sync — the two launches
-    /// overlap on the simulated timelines. Both checkerboards share one
-    /// subset-mapped kernel, and results are bit-identical to the
-    /// full-lattice statement: the per-site arithmetic does not depend on
-    /// the site partition.
-    fn assign_checkerboarded(
-        &self,
-        out: &LatticeFermion<f64>,
-        rhs: QExpr<qdp_types::Fermion<f64>>,
-    ) -> Result<EvalReport, CoreError> {
-        let device = self.ctx.device();
-        let t_start = device.now();
-        let ready = device.record_event(device.current_stream());
-        device.stream_wait_event(self.even_stream, ready);
-        device.stream_wait_event(self.odd_stream, ready);
-        let even = out.assign_with(
-            &EvalParams::new()
-                .subset(Subset::Even)
-                .stream(self.even_stream),
-            rhs.clone(),
-        )?;
-        let odd = out.assign_with(
-            &EvalParams::new().subset(Subset::Odd).stream(self.odd_stream),
-            rhs,
-        )?;
-        device.sync();
-        Ok(EvalReport {
-            sim_time: device.now() - t_start,
-            threads: even.threads + odd.threads,
-            ..even
-        })
     }
 
     /// `M ψ` as one expression.
@@ -318,22 +273,23 @@ impl WilsonDirac {
         gamma(15) * self.apply_expr(gamma(15) * psi)
     }
 
-    /// `out = M ψ`, as two overlapped checkerboard launches.
+    /// `out = M ψ`: one full-lattice statement on the issuing thread's
+    /// stream (on an attached rank, `assign` exchanges the halos).
     pub fn apply(
         &self,
         out: &LatticeFermion<f64>,
         psi: &LatticeFermion<f64>,
     ) -> Result<EvalReport, CoreError> {
-        self.assign_checkerboarded(out, self.apply_expr(psi.q()))
+        out.assign(self.apply_expr(psi.q()))
     }
 
-    /// `out = M† ψ`, as two overlapped checkerboard launches.
+    /// `out = M† ψ`, like [`WilsonDirac::apply`].
     pub fn apply_dag(
         &self,
         out: &LatticeFermion<f64>,
         psi: &LatticeFermion<f64>,
     ) -> Result<EvalReport, CoreError> {
-        self.assign_checkerboarded(out, self.apply_dag_expr(psi.q()))
+        out.assign(self.apply_dag_expr(psi.q()))
     }
 
     /// `out = M†M ψ` (through a temporary).
@@ -432,58 +388,6 @@ mod tests {
             (a.re - b.re).abs() < 1e-8 && (a.im - b.im).abs() < 1e-8,
             "⟨y,Mx⟩ = {a:?} vs ⟨M†y,x⟩ = {b:?}"
         );
-    }
-
-    #[test]
-    fn streamed_dslash_matches_serial_and_is_not_slower() {
-        // 8⁴, not the 4⁴ of setup(): at tiny volumes the kernel model is
-        // latency-dominated and halving the sites barely moves the time —
-        // the overlap win only shows once time scales with volume.
-        let ctx = QdpContext::k20x(Geometry::symmetric(8));
-        let mut rng = StdRng::seed_from_u64(42);
-        let g = GaugeField::warm(&ctx, &mut rng, 0.3);
-        let m = WilsonDirac::new(&g, 0.3, None);
-        let psi = gaussian_fermion(&ctx, &mut rng);
-        let serial = LatticeFermion::<f64>::new(&ctx);
-        let streamed = LatticeFermion::<f64>::new(&ctx);
-        // warm up both forms so the timed applies are pure launch time
-        serial.assign(m.apply_expr(psi.q())).unwrap();
-        m.apply(&streamed, &psi).unwrap();
-
-        let r_serial = serial.assign(m.apply_expr(psi.q())).unwrap();
-        let r_streamed = m.apply(&streamed, &psi).unwrap();
-
-        let a = serial.to_vec();
-        let b = streamed.to_vec();
-        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            for s in 0..4 {
-                for c in 0..3 {
-                    assert_eq!(x.0[s].0[c], y.0[s].0[c], "site {i}");
-                }
-            }
-        }
-        assert!(
-            r_streamed.sim_time < r_serial.sim_time,
-            "overlapped checkerboards must beat the full-lattice kernel: \
-             {} vs {}",
-            r_streamed.sim_time,
-            r_serial.sim_time
-        );
-    }
-
-    #[test]
-    fn operator_construction_allocates_no_stream_after_the_first() {
-        let (ctx, g, _) = setup();
-        let first = WilsonDirac::new(&g, 0.1, None);
-        let streams = ctx.device().stream_count();
-        for k in 0..10 {
-            let m = WilsonDirac::new(&g, 0.1 * k as f64, None);
-            assert_eq!(
-                (m.even_stream, m.odd_stream),
-                (first.even_stream, first.odd_stream)
-            );
-        }
-        assert_eq!(ctx.device().stream_count(), streams);
     }
 
     #[test]

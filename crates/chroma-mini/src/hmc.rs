@@ -80,7 +80,9 @@ pub struct TwoFlavorWilson {
     pub tol: f64,
     /// CG iteration cap.
     pub max_iters: usize,
-    phi: Option<LatticeFermion<f64>>,
+    /// The pseudofermion `φ`, drawn by `refresh` (or set by the caller
+    /// before `Hmc::evolve`).
+    pub phi: Option<LatticeFermion<f64>>,
     /// CG iterations spent (trajectory statistics).
     pub cg_iters: usize,
 }

@@ -5,14 +5,15 @@
 //! order.
 
 use chroma_mini::gauge::GaugeField;
-use chroma_mini::{Hmc, HmcReport};
+use chroma_mini::hmc::{GaugeAction, TwoFlavorWilson};
+use chroma_mini::{Hmc, HmcReport, Integrator, WilsonDirac};
 use qdp_comm::{run_cluster, LinkModel};
 use qdp_core::multinode::MultiRank;
 use qdp_core::prelude::*;
 use qdp_layout::Decomposition;
 use qdp_rng::{SeedableRng, StdRng};
-use qdp_types::su3::{expm, random_algebra};
-use qdp_types::{ColorMatrix, PMatrix, PScalar};
+use qdp_types::su3::{expm, gaussian_complex, random_algebra};
+use qdp_types::{ColorMatrix, PMatrix, PScalar, PVector};
 use std::sync::Arc;
 
 const GLOBAL: [usize; 4] = [4, 4, 4, 4];
@@ -23,7 +24,7 @@ fn site_rng(gc: [usize; 4], mu: usize, salt: u64) -> StdRng {
 }
 
 /// Warm links and Gaussian momenta keyed on the *global* coordinate, so
-/// every rank grid over `GLOBAL` holds the same fields.
+/// every rank grid over one global lattice holds the same fields.
 fn global_fields(
     ctx: &Arc<QdpContext>,
     decomp: &Decomposition,
@@ -145,4 +146,81 @@ fn four_rank_trajectory_is_the_single_rank_trajectory() {
         single.plaquette
     );
     assert!(close(multi.kinetic_start, single.kinetic_start));
+}
+
+/// Gauge + two-flavour Wilson `Hmc::evolve` on `rank_dims` over `global`,
+/// with `φ = M†η` built by `apply_dag` from a global-coordinate-keyed `η`:
+/// per rank, the report and the `solver.cg_iters` total.
+fn two_flavor_evolve(global: [usize; 4], rank_dims: [usize; 4]) -> Vec<(HmcReport, u64)> {
+    const MASS: f64 = 0.5;
+    run_cluster(
+        rank_dims.iter().product(),
+        LinkModel::infiniband_qdr(),
+        move |handle| {
+            let decomp = Decomposition::new(global, rank_dims);
+            let rank = handle.rank;
+            let ctx = QdpContext::builder(decomp.local_geometry()).build();
+            ctx.telemetry().enable();
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
+            let (g, p) = global_fields(&ctx, &decomp, rank);
+            let eta = LatticeFermion::<f64>::from_fn(&ctx, |s| {
+                let mut rng = site_rng(decomp.global_coord(rank, s), 0, 0xe7a);
+                PVector::from_fn(|_| PVector::from_fn(|_| gaussian_complex(&mut rng)))
+            });
+            let phi = LatticeFermion::<f64>::new(&ctx);
+            WilsonDirac::new(&g, MASS, None).apply_dag(&phi, &eta).unwrap();
+            let mut fermions = TwoFlavorWilson::new(MASS, 1e-8, 300);
+            fermions.phi = Some(phi);
+            let mut hmc = Hmc {
+                dt: 0.02,
+                n_steps: 3,
+                integrator: Integrator::Leapfrog,
+                terms: vec![Box::new(GaugeAction { beta: 5.5 }), Box::new(fermions)],
+            };
+            let mut metro = StdRng::seed_from_u64(7);
+            let report = hmc.evolve(&g, &p, &mut metro).unwrap();
+            (report, ctx.profile_report().counter("solver.cg_iters"))
+        },
+    )
+}
+
+#[test]
+fn two_flavor_trajectory_is_the_single_rank_trajectory() {
+    // The dynamical trajectory: `apply`/`apply_dag` and every CG solve
+    // exchange halos through plain `assign`. Ranks agree bit for bit;
+    // against one rank only the cross-rank summation order differs. ΔH is
+    // a small difference of two O(10³) energies, so it is held to an
+    // absolute bound rather than a relative one.
+    for (global, rank_dims) in [
+        ([4, 4, 4, 4], [2, 1, 1, 2]),
+        ([4, 4, 4, 4], [2, 2, 2, 2]),
+        ([4, 6, 4, 4], [1, 3, 1, 1]),
+    ] {
+        let (single, single_iters) = two_flavor_evolve(global, [1, 1, 1, 1]).remove(0);
+        assert!(single.accepted, "{global:?}: pick a trajectory that accepts");
+        assert!(single_iters > 0);
+        let ranks = two_flavor_evolve(global, rank_dims);
+        for (r, iters) in &ranks {
+            assert_eq!(
+                report_bits(r),
+                report_bits(&ranks[0].0),
+                "{rank_dims:?}: ranks must agree bit for bit"
+            );
+            assert_eq!(*iters, single_iters, "{rank_dims:?}: CG iteration totals");
+        }
+        let multi = ranks[0].0;
+        assert_eq!(multi.accepted, single.accepted);
+        assert!(
+            (multi.delta_h - single.delta_h).abs() <= 1e-9,
+            "{rank_dims:?}: ΔH {} vs single-rank {}",
+            multi.delta_h,
+            single.delta_h
+        );
+        assert!(
+            (multi.plaquette - single.plaquette).abs() <= 1e-10 * single.plaquette.abs(),
+            "{rank_dims:?}: plaquette {} vs single-rank {}",
+            multi.plaquette,
+            single.plaquette
+        );
+    }
 }

@@ -6,7 +6,8 @@
 //! default stream.
 
 use chroma_mini::gauge::{gaussian_fermion, GaugeField};
-use chroma_mini::{cg_solve, CgReport, Hmc, HmcReport, WilsonDirac};
+use chroma_mini::hmc::{GaugeAction, TwoFlavorWilson};
+use chroma_mini::{cg_solve, CgReport, Hmc, HmcReport, Integrator, WilsonDirac};
 use qdp_core::prelude::*;
 use qdp_rng::{SeedableRng, StdRng};
 use std::sync::Arc;
@@ -110,5 +111,23 @@ fn hmc_trajectory_runs_on_the_bound_stream() {
         let violation = g.max_su3_violation();
         assert!(violation < 1e-6);
         (report, violation)
+    });
+}
+
+#[test]
+fn two_flavor_trajectory_runs_on_the_bound_stream() {
+    // the pseudofermion heat bath and the force's `M x` go through
+    // `WilsonDirac::apply`/`apply_dag`, besides the CG solves
+    check(|_, g, rng| -> HmcReport {
+        let mut hmc = Hmc {
+            dt: 0.02,
+            n_steps: 3,
+            integrator: Integrator::Leapfrog,
+            terms: vec![
+                Box::new(GaugeAction { beta: 5.5 }),
+                Box::new(TwoFlavorWilson::new(0.5, 1e-8, 300)),
+            ],
+        };
+        hmc.trajectory(g, rng).unwrap()
     });
 }

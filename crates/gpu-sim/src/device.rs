@@ -130,26 +130,10 @@ impl Device {
     /// `QDP_TRACE` output.
     pub fn create_stream(&self, name: &str) -> StreamId {
         let id = self.streams.lock().create(name);
-        self.stream_created(id, name)
-    }
-
-    fn stream_created(&self, id: StreamId, name: &str) -> StreamId {
         self.telemetry
             .set_sim_thread_name(Track::Device, id.0, name);
         self.telemetry.count("stream.created", 1);
         id
-    }
-
-    /// The stream named `name`, created on first use — for streams that
-    /// live as long as the device (one per role, not one per user).
-    pub fn named_stream(&self, name: &str) -> StreamId {
-        let mut table = self.streams.lock();
-        if let Some(id) = table.find(name) {
-            return id;
-        }
-        let id = table.create(name);
-        drop(table);
-        self.stream_created(id, name)
     }
 
     /// Bind the calling thread to stream `s` on this device until the
@@ -478,15 +462,6 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(d1.current_stream(), s1);
-    }
-
-    #[test]
-    fn named_stream_is_created_once() {
-        let d = Device::new(DeviceConfig::tiny(1 << 20));
-        let a = d.named_stream("role");
-        assert_eq!(d.named_stream("role"), a);
-        assert_eq!(d.stream_count(), 2);
-        assert_ne!(d.create_stream("role"), a, "create_stream always creates");
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl StreamTable {
         StreamId(id)
     }
 
-    /// The first stream named `name`, if any.
-    pub(crate) fn find(&self, name: &str) -> Option<StreamId> {
-        let at = self.names.iter().position(|n| n == name)?;
-        Some(StreamId(at as u32))
-    }
-
     pub(crate) fn front(&self, s: StreamId) -> f64 {
         self.fronts[s.0 as usize]
     }
