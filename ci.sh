@@ -327,6 +327,24 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one Dirac apply (no checkerboard stream pair, no named-stream lookup)"
 
+# ---- Guard: one halo launch path ----------------------------------------------
+# The §V halo schedule launches its inner, face and no-overlap kernels
+# through the one launch function instead of re-entering eval with a remote
+# environment and a caller-managed site table; the context's one pinned-table
+# cache holds the neighbour, subset, inner and face tables; and deferred
+# scopes take no site lists. crates/benchmark is frozen and skipped.
+# (Spelled in pieces, as above.)
+twins="device_""sites|Device""Sites|assign_""sites|Stmt""Sites|site_""lists|fn site_""list\\b"
+twins="$twins|alloc_""table|nbr_""tables|subset_""tables|\\.re""mote\\("
+stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
+    | grep -v '^crates/benchmark/' || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: a second halo launch path, a second table cache or a deferred site list is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: one halo launch path (no eval re-entry, one pinned-table cache, no deferred site lists)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

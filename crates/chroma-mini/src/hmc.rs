@@ -254,16 +254,10 @@ impl ForceTerm for HasenbuschPair {
         let phi1 = LatticeFermion::<f64>::new(ctx);
         mh.apply_dag(&phi1, &eta1)?;
         self.phi1 = Some(phi1);
-        // φ2: S2 = ‖η2‖² requires Z = Mh†φ2 = M† η2 ⇒ φ2 = Mh^{−†} M† η2,
-        // i.e. solve Mh† φ2 = M† η2 (via CG on the heavy normal equations:
-        // φ2 = Mh (Mh†Mh)⁻¹ M† η2).
+        // φ2: (Mh†Mh) w = M†η2, then φ2 = Mh w.
         let eta2 = gaussian_fermion(ctx, rng);
         let target = LatticeFermion::<f64>::new(ctx);
         ml.apply_dag(&target, &eta2)?;
-        // solve (Mh†Mh) w = Mh target  ⇒ φ2 = ... simpler: solve
-        // Mh† φ2 = target by CG on Mh Mh†: φ2 = Mh u with (Mh†Mh) u =
-        // ... use: φ2 = Mh·w where (Mh†Mh)·w = ?  Mh†(Mh w) = target ⇒
-        // (Mh†Mh) w = target.
         let w = LatticeFermion::<f64>::new(ctx);
         let rep = cg_solve(&mh, &w, &target, self.tol, self.max_iters)?;
         self.cg_iters += rep.iters;

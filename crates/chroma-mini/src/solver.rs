@@ -5,7 +5,7 @@
 
 use crate::fermion::WilsonDirac;
 use qdp_core::prelude::*;
-use qdp_core::reduce_inner_product;
+use qdp_core::{cscale, reduce_inner_product};
 
 /// Solver outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,14 +112,6 @@ pub fn multishift_cg(
         .span("solver", "multishift_cg")
         .with_sim(ctx.device().now());
     let n = shifts.len();
-
-    // Shift everything relative to the smallest shift for stability.
-    let base = shifts
-        .iter()
-        .cloned()
-        .fold(f64::INFINITY, f64::min)
-        .min(0.0);
-    let _ = base;
 
     let r = LatticeFermion::<f64>::new(ctx);
     let p = LatticeFermion::<f64>::new(ctx);
@@ -240,9 +232,6 @@ pub fn apply_rational(
     }
     Ok(report)
 }
-
-/// Convenience import for cscale in this module.
-use qdp_core::cscale;
 
 #[cfg(test)]
 mod tests {

@@ -91,11 +91,14 @@ impl Fixture {
         // a mid-sweep table build.
         for mu in 0..4 {
             for dir in [ShiftDir::Forward, ShiftDir::Backward] {
-                ctx.neighbor_table(mu, dir, false);
+                ctx.neighbor_table(mu, dir, false)
+                    .expect("an empty device pins every neighbour table");
             }
         }
-        ctx.subset_table(Subset::Even);
-        ctx.subset_table(Subset::Odd);
+        for subset in [Subset::Even, Subset::Odd] {
+            ctx.subset_table(subset)
+                .expect("an empty device pins every subset table");
+        }
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut reg = |kind: ElemKind| register_filled(&ctx, kind, ft, &mut rng);

@@ -22,8 +22,7 @@
 //!   attached context (`halo`: such a statement runs the §V halo schedule,
 //!   and only single-statement kernels carry receive buffers);
 //! - same subset and same stream as the group (a fused kernel is one
-//!   launch: one site list, one stream);
-//! - not a site-list evaluation (explicit site lists never fuse);
+//!   launch: one subset, one stream);
 //! - same compute precision (one fused kernel body has one compute type);
 //! - neither it nor the group reads its own target under a shift
 //!   (`self-shift`: such a statement runs alone, through a temporary);
@@ -74,20 +73,13 @@ fn group_budget(ctx: &QdpContext) -> usize {
     }
 }
 
-/// Site coverage of one recorded statement.
-#[derive(Debug, Clone)]
-pub(crate) enum StmtSites {
-    Subset(Subset),
-    List(Vec<u32>),
-}
-
-/// One recorded deferred statement: `target ← expr` over `sites` on
+/// One recorded deferred statement: `target ← expr` over `subset` on
 /// `stream`.
 #[derive(Debug, Clone)]
 pub(crate) struct Stmt {
     target: FieldRef,
     expr: Expr,
-    sites: StmtSites,
+    subset: Subset,
     stream: StreamId,
 }
 
@@ -105,8 +97,7 @@ enum Split {
 
 /// The open group's accumulated legality state.
 struct GroupState {
-    /// `None` when the group is a site-list singleton (never joinable).
-    subset: Option<Subset>,
+    subset: Subset,
     stream: StreamId,
     ft: FloatType,
     /// Targets written by the group, in statement order.
@@ -123,10 +114,6 @@ struct GroupState {
 
 impl GroupState {
     fn open(s: &Stmt, halo: bool) -> GroupState {
-        let subset = match &s.sites {
-            StmtSites::Subset(sub) => Some(*sub),
-            StmtSites::List(_) => None,
-        };
         let hazards: Vec<u64> = s
             .expr
             .leaves_under_any_shift()
@@ -134,7 +121,7 @@ impl GroupState {
             .map(|r| r.id)
             .collect();
         GroupState {
-            subset,
+            subset: s.subset,
             stream: s.stream,
             ft: compute_ft(s),
             targets: vec![s.target.id],
@@ -152,14 +139,7 @@ impl GroupState {
         if halo || self.halo {
             return Err(Split::Bailout("halo"));
         }
-        let subset = match &s.sites {
-            StmtSites::Subset(sub) => *sub,
-            StmtSites::List(_) => return Err(Split::Bailout("site-list")),
-        };
-        let Some(g_subset) = self.subset else {
-            return Err(Split::Bailout("site-list"));
-        };
-        if subset != g_subset {
+        if s.subset != self.subset {
             return Err(Split::Bailout("subset"));
         }
         if s.stream != self.stream {
@@ -245,7 +225,7 @@ pub fn codegen_fused_ptx(
 }
 
 /// Plan `stmts` into groups and launch each group as one kernel, in record
-/// order (groups are uniform in sites and stream by construction).
+/// order (groups are uniform in subset and stream by construction).
 fn flush_stmts(ctx: &QdpContext, stmts: &[Stmt]) -> Result<(), CoreError> {
     let tel = ctx.telemetry();
     for g in plan_groups(ctx, stmts) {
@@ -255,11 +235,9 @@ fn flush_stmts(ctx: &QdpContext, stmts: &[Stmt]) -> Result<(), CoreError> {
             tel.count("fuse.launches_saved", (group.len() - 1) as u64);
         }
         let refs: Vec<(FieldRef, &Expr)> = group.iter().map(|s| (s.target, &s.expr)).collect();
-        let params = EvalParams::new().stream(group[0].stream);
-        let params = match &group[0].sites {
-            StmtSites::Subset(sub) => params.subset(*sub),
-            StmtSites::List(v) => params.sites(v),
-        };
+        let params = EvalParams::new()
+            .stream(group[0].stream)
+            .subset(group[0].subset);
         eval_statements(ctx, &refs, &params)?;
     }
     Ok(())
@@ -282,7 +260,7 @@ pub fn eval_fused_sequence(
         .map(|(target, expr)| Stmt {
             target: *target,
             expr: expr.clone(),
-            sites: StmtSites::Subset(Subset::All),
+            subset: Subset::All,
             stream,
         })
         .collect();
@@ -313,7 +291,7 @@ pub(crate) fn reduce_recorded(
         pending.push(Stmt {
             target,
             expr,
-            sites: StmtSites::Subset(subset),
+            subset,
             stream,
         });
     }
@@ -358,11 +336,11 @@ impl FusionScope {
         &self.ctx
     }
 
-    fn record(&mut self, target: FieldRef, expr: Expr, sites: StmtSites) {
+    fn record(&mut self, target: FieldRef, expr: Expr, subset: Subset) {
         self.pending.push(Stmt {
             target,
             expr,
-            sites,
+            subset,
             stream: self.ctx.device().current_stream(),
         });
     }
@@ -373,7 +351,7 @@ impl FusionScope {
         target: &Lattice<E>,
         rhs: QExpr<E>,
     ) -> Result<(), CoreError> {
-        self.record(target.fref(), rhs.0, StmtSites::Subset(Subset::All));
+        self.record(target.fref(), rhs.0, Subset::All);
         Ok(())
     }
 
@@ -384,19 +362,7 @@ impl FusionScope {
         target: &Lattice<E>,
         rhs: QExpr<E>,
     ) -> Result<(), CoreError> {
-        self.record(target.fref(), rhs.0, StmtSites::Subset(subset));
-        Ok(())
-    }
-
-    /// Deferred assignment over an explicit site list (never fused — the
-    /// planner launches it per-expression in sequence order).
-    pub fn assign_sites<E: SiteElem>(
-        &mut self,
-        target: &Lattice<E>,
-        rhs: QExpr<E>,
-        sites: &[u32],
-    ) -> Result<(), CoreError> {
-        self.record(target.fref(), rhs.0, StmtSites::List(sites.to_vec()));
+        self.record(target.fref(), rhs.0, subset);
         Ok(())
     }
 

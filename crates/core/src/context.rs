@@ -1,8 +1,9 @@
 //! The QDP-JIT runtime context: device, software cache, kernel cache,
-//! auto-tuner, geometry and the device-resident tables (neighbour tables,
-//! subset site lists).
+//! auto-tuner, geometry and the pinned device-resident tables (neighbour
+//! tables, subset site lists, the §V inner/face site lists).
 
 use crate::config::{QdpConfig, QdpContextBuilder};
+use crate::eval::CoreError;
 use crate::multinode::MultiRank;
 use qdp_gpu_sim::sync::Mutex;
 use qdp_cache::MemoryCache;
@@ -25,8 +26,8 @@ pub struct QdpContext {
     geom: Geometry,
     layout: LayoutKind,
     config: QdpConfig,
-    nbr_tables: Mutex<HashMap<(usize, ShiftDir, bool), DevicePtr>>,
-    subset_tables: Mutex<HashMap<Subset, (DevicePtr, usize)>>,
+    /// Every pinned table: device pointer and entry count.
+    tables: Mutex<HashMap<TableKey, (DevicePtr, usize)>>,
     execute_payload: AtomicBool,
     store: Option<Arc<KernelStore>>,
     /// The rank this context is in a multi-rank run (dangling when it is
@@ -77,8 +78,7 @@ impl QdpContext {
             geom,
             layout,
             config,
-            nbr_tables: Mutex::new(HashMap::new()),
-            subset_tables: Mutex::new(HashMap::new()),
+            tables: Mutex::new(HashMap::new()),
             execute_payload: AtomicBool::new(true),
             store,
             rank: Mutex::new(Weak::new()),
@@ -212,66 +212,98 @@ impl QdpContext {
     /// Device pointer of the neighbour table for `(mu, dir)`. Built lazily
     /// and pinned (never spilled). `remote` selects the multi-rank variant
     /// whose wrapped entries point into receive buffers.
-    pub fn neighbor_table(&self, mu: usize, dir: ShiftDir, remote: bool) -> DevicePtr {
-        let mut map = self.nbr_tables.lock();
-        if let Some(p) = map.get(&(mu, dir, remote)) {
-            return *p;
-        }
+    pub fn neighbor_table(
+        &self,
+        mu: usize,
+        dir: ShiftDir,
+        remote: bool,
+    ) -> Result<DevicePtr, CoreError> {
         let d = match dir {
             ShiftDir::Forward => Dir::Forward,
             ShiftDir::Backward => Dir::Backward,
         };
-        let tbl = if remote {
-            self.geom.neighbor_table_remote(mu, d)
-        } else {
-            self.geom.neighbor_table_local(mu, d)
-        };
-        let bytes: Vec<u8> = tbl.iter().flat_map(|e| e.0.to_le_bytes()).collect();
-        let ptr = self.alloc_table(&format!("neighbour table (mu={mu}, {dir:?}, remote={remote})"), bytes.len());
-        self.device.h2d_async(ptr, &bytes, StreamId::DEFAULT);
-        map.insert((mu, dir, remote), ptr);
-        ptr
-    }
-
-    /// Allocate a pinned device-resident table, recording it in the
-    /// telemetry allocator counters. Panics with a diagnostic (requested
-    /// bytes, device usage, table key) on device OOM — tables are pinned
-    /// infrastructure, not spillable fields, so OOM here is fatal.
-    fn alloc_table(&self, key: &str, bytes: usize) -> DevicePtr {
-        let tel = self.telemetry();
-        if tel.enabled() {
-            tel.count("table.allocs", 1);
-            tel.count("table.bytes", bytes as u64);
-        }
-        match self.device.alloc(bytes) {
-            Ok(p) => p,
-            Err(e) => panic!(
-                "device memory exhausted while pinning {key}: requested {bytes} bytes, \
-                 device using {} of {} bytes ({} free): {e}",
-                self.device.memory().used(),
-                self.device.config().memory_bytes,
-                self.device.memory().free(),
-            ),
-        }
+        let key = TableKey::Neighbor(mu, d, remote);
+        let (ptr, _) = self.pinned_table(key, StreamId::DEFAULT, || {
+            let tbl = if remote {
+                self.geom.neighbor_table_remote(mu, d)
+            } else {
+                self.geom.neighbor_table_local(mu, d)
+            };
+            tbl.iter().map(|e| e.0).collect()
+        })?;
+        Ok(ptr)
     }
 
     /// Device pointer and length of a subset's site list. `All` needs no
     /// table (threads map straight onto sites).
-    pub fn subset_table(&self, subset: Subset) -> (Option<DevicePtr>, usize) {
+    pub fn subset_table(&self, subset: Subset) -> Result<(Option<DevicePtr>, usize), CoreError> {
         if subset == Subset::All {
-            return (None, self.geom.vol());
+            return Ok((None, self.geom.vol()));
         }
-        let mut map = self.subset_tables.lock();
-        if let Some((p, n)) = map.get(&subset) {
-            return (Some(*p), *n);
-        }
-        let sites = subset.sites(&self.geom);
-        let bytes: Vec<u8> = sites.iter().flat_map(|s| s.to_le_bytes()).collect();
-        let ptr = self.alloc_table(&format!("subset table ({subset:?})"), bytes.len());
-        self.device.h2d_async(ptr, &bytes, StreamId::DEFAULT);
-        map.insert(subset, (ptr, sites.len()));
-        (Some(ptr), sites.len())
+        let (ptr, len) = self.pinned_table(TableKey::Subset(subset), StreamId::DEFAULT, || {
+            subset.sites(&self.geom)
+        })?;
+        Ok((Some(ptr), len))
     }
+
+    /// The pinned table for `key`: device pointer and entry count. On the
+    /// first request `entries` builds the table, which is uploaded on
+    /// `stream` and stays on the device (never spilled) for the context's
+    /// life.
+    pub(crate) fn pinned_table(
+        &self,
+        key: TableKey,
+        stream: StreamId,
+        entries: impl FnOnce() -> Vec<u32>,
+    ) -> Result<(DevicePtr, usize), CoreError> {
+        let mut map = self.tables.lock();
+        if let Some(&hit) = map.get(&key) {
+            return Ok(hit);
+        }
+        let entries = entries();
+        let bytes: Vec<u8> = entries.iter().flat_map(|e| e.to_le_bytes()).collect();
+        let ptr = self.alloc_or_oom(format_args!("{key:?} table"), bytes.len())?;
+        let tel = self.telemetry();
+        if tel.enabled() {
+            tel.count("table.allocs", 1);
+            tel.count("table.bytes", bytes.len() as u64);
+        }
+        self.device.h2d_async(ptr, &bytes, stream);
+        let table = (ptr, entries.len());
+        map.insert(key, table);
+        Ok(table)
+    }
+
+    /// Allocate `bytes` of raw (non-spillable) device memory for `what`;
+    /// device OOM is a [`CoreError::DeviceOom`] with the memory picture.
+    pub(crate) fn alloc_or_oom(
+        &self,
+        what: std::fmt::Arguments<'_>,
+        bytes: usize,
+    ) -> Result<DevicePtr, CoreError> {
+        self.device.alloc(bytes).map_err(|_| {
+            let mem = self.device.memory();
+            CoreError::DeviceOom {
+                what: what.to_string(),
+                requested: bytes,
+                used: mem.used(),
+                free: mem.free(),
+            }
+        })
+    }
+}
+
+/// What a pinned table holds (see [`QdpContext::pinned_table`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum TableKey {
+    /// Neighbour sites along `(mu, dir)`; `true` for the multi-rank variant.
+    Neighbor(usize, Dir, bool),
+    /// The site list of a subset other than `All`.
+    Subset(Subset),
+    /// The §V inner sites: no neighbour across any of these faces.
+    Inner(Vec<(usize, Dir)>),
+    /// The §V face sites: the union of these faces.
+    Face(Vec<(usize, Dir)>),
 }
 
 #[cfg(test)]
@@ -281,17 +313,17 @@ mod tests {
     #[test]
     fn tables_are_cached() {
         let ctx = QdpContext::k20x(Geometry::symmetric(4));
-        let p1 = ctx.neighbor_table(0, ShiftDir::Forward, false);
-        let p2 = ctx.neighbor_table(0, ShiftDir::Forward, false);
+        let p1 = ctx.neighbor_table(0, ShiftDir::Forward, false).unwrap();
+        let p2 = ctx.neighbor_table(0, ShiftDir::Forward, false).unwrap();
         assert_eq!(p1, p2);
-        let p3 = ctx.neighbor_table(0, ShiftDir::Backward, false);
+        let p3 = ctx.neighbor_table(0, ShiftDir::Backward, false).unwrap();
         assert_ne!(p1, p3);
-        let (t1, n1) = ctx.subset_table(Subset::Even);
-        let (t2, n2) = ctx.subset_table(Subset::Even);
+        let (t1, n1) = ctx.subset_table(Subset::Even).unwrap();
+        let (t2, n2) = ctx.subset_table(Subset::Even).unwrap();
         assert_eq!(t1, t2);
         assert_eq!(n1, 128);
         assert_eq!(n2, 128);
-        let (t_all, n_all) = ctx.subset_table(Subset::All);
+        let (t_all, n_all) = ctx.subset_table(Subset::All).unwrap();
         assert!(t_all.is_none());
         assert_eq!(n_all, 256);
     }
@@ -299,7 +331,7 @@ mod tests {
     #[test]
     fn neighbor_table_contents() {
         let ctx = QdpContext::k20x(Geometry::symmetric(4));
-        let p = ctx.neighbor_table(1, ShiftDir::Forward, false);
+        let p = ctx.neighbor_table(1, ShiftDir::Forward, false).unwrap();
         let mem = ctx.device().memory();
         let g = ctx.geometry();
         for s in 0..g.vol() {

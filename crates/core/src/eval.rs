@@ -147,11 +147,11 @@ pub(crate) fn max_ft(a: FloatType, b: FloatType) -> FloatType {
 
 /// Which sites a launch evaluates.
 #[derive(Debug, Clone, Copy)]
-pub enum SiteSel {
+pub(crate) enum SiteSel {
     /// A standard subset (All / Even / Odd).
     Subset(Subset),
-    /// An explicit device-resident site list (the inner/face partitions of
-    /// the overlap machinery, §V).
+    /// A device-resident site list: a per-call [`EvalParams::sites`] upload
+    /// or a pinned §V inner/face table.
     List {
         /// Device pointer to the u32 site list.
         ptr: qdp_gpu_sim::DevicePtr,
@@ -164,30 +164,23 @@ pub enum SiteSel {
 /// dimensions are split across ranks, and the receive buffers per
 /// `(mu, dir, leaf)`.
 #[derive(Debug, Clone)]
-pub struct RemoteEnv {
+pub(crate) struct RemoteEnv {
     /// Dimension `mu` is decomposed across ranks.
-    pub split_dims: [bool; 4],
+    pub(crate) split_dims: [bool; 4],
     /// `recv[&(mu, dir)][leaf_index]` = receive-buffer device pointer
     /// (0 for unsplit dimensions — never dereferenced).
-    pub recv: std::collections::HashMap<(usize, qdp_expr::ShiftDir), Vec<qdp_gpu_sim::DevicePtr>>,
+    pub(crate) recv:
+        std::collections::HashMap<(usize, qdp_expr::ShiftDir), Vec<qdp_gpu_sim::DevicePtr>>,
 }
 
 /// Which sites an [`EvalParams`] evaluation covers.
 #[derive(Debug, Clone, Copy)]
-pub enum SiteSpec<'a> {
+enum SiteSpec<'a> {
     /// A standard subset (All / Even / Odd).
     Subset(Subset),
     /// A host-side site list: uploaded as a device table for the launch and
     /// freed afterwards. The user-facing route to non-contiguous subsets.
     Sites(&'a [u32]),
-    /// A caller-managed device-resident site table (the inner/face
-    /// partitions of the overlap machinery, §V).
-    DeviceSites {
-        /// Device pointer to the u32 site list.
-        ptr: qdp_gpu_sim::DevicePtr,
-        /// Number of sites.
-        len: usize,
-    },
 }
 
 /// Parameters for one evaluation through [`eval`] — the single evaluation
@@ -202,13 +195,12 @@ pub enum SiteSpec<'a> {
 ///
 /// Defaults: all sites, the issuing thread's bound stream
 /// ([`qdp_gpu_sim::Device::current_stream`], resolved when the evaluation
-/// is issued), the context's optimizer level, no remote environment.
+/// is issued), the context's optimizer level.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalParams<'a> {
     sites: SiteSpec<'a>,
     stream: Option<StreamId>,
     opt_level: Option<OptLevel>,
-    remote: Option<&'a RemoteEnv>,
 }
 
 impl Default for EvalParams<'_> {
@@ -225,7 +217,6 @@ impl<'a> EvalParams<'a> {
             sites: SiteSpec::Subset(Subset::All),
             stream: None,
             opt_level: None,
-            remote: None,
         }
     }
 
@@ -239,12 +230,6 @@ impl<'a> EvalParams<'a> {
     /// table for the launch, freed afterwards).
     pub fn sites(mut self, sites: &'a [u32]) -> EvalParams<'a> {
         self.sites = SiteSpec::Sites(sites);
-        self
-    }
-
-    /// Evaluate over a caller-managed device-resident site table.
-    pub fn device_sites(mut self, ptr: qdp_gpu_sim::DevicePtr, len: usize) -> EvalParams<'a> {
-        self.sites = SiteSpec::DeviceSites { ptr, len };
         self
     }
 
@@ -264,12 +249,6 @@ impl<'a> EvalParams<'a> {
     /// the context's configured level).
     pub fn opt_level(mut self, level: OptLevel) -> EvalParams<'a> {
         self.opt_level = Some(level);
-        self
-    }
-
-    /// Attach the multi-rank remote-shift environment (§V overlap).
-    pub fn remote(mut self, r: &'a RemoteEnv) -> EvalParams<'a> {
-        self.remote = Some(r);
         self
     }
 }
@@ -477,7 +456,7 @@ pub fn codegen_ptx(
 
 /// Evaluate `expr` into `target` through the full QDP-JIT pipeline
 /// (generated kernel on the simulated device), as described by `params` —
-/// site selection, stream, optimizer level and remote environment. This is
+/// site selection, stream and optimizer level. This is
 /// the one evaluation entry point; see [`EvalParams`] for the knobs. An
 /// immediate evaluation is a statement group of one.
 pub fn eval(
@@ -524,31 +503,30 @@ pub(crate) fn eval_statements(
         }
     }
     // The rank belongs to the context: a statement that shifts along a
-    // split dimension runs the §V halo schedule, whose own launches carry a
-    // remote environment and so do not come back here.
-    if params.remote.is_none() {
-        if let Some(mr) = ctx.attached_rank() {
-            if stmts.iter().any(|(_, e)| mr.crosses_ranks(e)) {
-                return match (stmts, params.sites) {
-                    (&[(target, expr)], SiteSpec::Subset(Subset::All))
-                        if params.stream_on(ctx) == StreamId::DEFAULT =>
-                    {
-                        mr.eval_halo(target, expr)
-                    }
-                    _ => Err(CoreError::Msg(
-                        "a shift along a rank-split dimension needs halo exchange, which \
-                         covers single full-lattice statements on the default stream: not a \
-                         subset, a site list or another stream"
-                            .into(),
-                    )),
-                };
-            }
+    // split dimension runs the §V halo schedule, which launches through
+    // `launch_statements` itself.
+    if let Some(mr) = ctx.attached_rank() {
+        if stmts.iter().any(|(_, e)| mr.crosses_ranks(e)) {
+            return match (stmts, params.sites) {
+                (&[(target, expr)], SiteSpec::Subset(Subset::All))
+                    if params.stream_on(ctx) == StreamId::DEFAULT =>
+                {
+                    mr.eval_halo(target, expr)
+                }
+                _ => Err(CoreError::Msg(
+                    "a shift along a rank-split dimension needs halo exchange, which \
+                     covers single full-lattice statements on the default stream: not a \
+                     subset, a site list or another stream"
+                        .into(),
+                )),
+            };
         }
     }
+    let stream = params.stream_on(ctx);
+    let opt = params.opt_level.unwrap_or_else(|| ctx.opt_level());
     match params.sites {
-        SiteSpec::Subset(s) => launch_statements(ctx, stmts, SiteSel::Subset(s), params),
-        SiteSpec::DeviceSites { ptr, len } => {
-            launch_statements(ctx, stmts, SiteSel::List { ptr, len }, params)
+        SiteSpec::Subset(s) => {
+            launch_statements(ctx, stmts, SiteSel::Subset(s), stream, opt, None)
         }
         SiteSpec::Sites(sites) => {
             if sites.is_empty() {
@@ -561,20 +539,13 @@ pub(crate) fn eval_statements(
                 )));
             }
             let bytes: Vec<u8> = sites.iter().flat_map(|s| s.to_le_bytes()).collect();
-            let ptr = ctx
-                .device()
-                .alloc(bytes.len())
-                .map_err(|e| CoreError::Msg(format!("site-list table alloc failed: {e}")))?;
-            ctx.device().h2d_async(ptr, &bytes, params.stream_on(ctx));
-            let r = launch_statements(
-                ctx,
-                stmts,
-                SiteSel::List {
-                    ptr,
-                    len: sites.len(),
-                },
-                params,
-            );
+            let ptr = ctx.alloc_or_oom(format_args!("site-list table"), bytes.len())?;
+            ctx.device().h2d_async(ptr, &bytes, stream);
+            let sel = SiteSel::List {
+                ptr,
+                len: sites.len(),
+            };
+            let r = launch_statements(ctx, stmts, sel, stream, opt, None);
             ctx.device().free(ptr);
             r
         }
@@ -585,14 +556,15 @@ pub(crate) fn eval_statements(
 /// keyed kernel lookup → page-in → marshal → tuned launch → dirty marks.
 /// A warm key goes from the map probe straight to marshalling; planning,
 /// naming, PTX generation and the text-keyed JIT cache run on a miss only.
-fn launch_statements(
+/// `remote` carries the §V receive buffers of a halo-schedule launch.
+pub(crate) fn launch_statements(
     ctx: &QdpContext,
     stmts: &[(FieldRef, &Expr)],
     sel: SiteSel,
-    params: &EvalParams<'_>,
+    stream: StreamId,
+    opt: OptLevel,
+    remote: Option<&RemoteEnv>,
 ) -> Result<EvalReport, CoreError> {
-    let remote = params.remote;
-    let stream = params.stream_on(ctx);
     if remote.is_some() && stmts.iter().any(|(_, e)| e.has_nested_shift()) {
         return Err(CoreError::Msg(
             "nested shifts must be materialised before multi-rank evaluation \
@@ -601,7 +573,6 @@ fn launch_statements(
         ));
     }
     let subset_mapped = !matches!(sel, SiteSel::Subset(Subset::All));
-    let opt = params.opt_level.unwrap_or_else(|| ctx.opt_level());
     let group = KeyedGroup::new(ctx, stmts, subset_mapped, remote.is_some(), opt);
     let sig = &group.sig;
     let tel = ctx.telemetry();
@@ -628,7 +599,7 @@ fn launch_statements(
     let ptrs = ctx.cache().assure_on_device(&ids)?;
 
     let (site_tbl, n_threads) = match sel {
-        SiteSel::Subset(s) => ctx.subset_table(s),
+        SiteSel::Subset(s) => ctx.subset_table(s)?,
         SiteSel::List { ptr, len } => (Some(ptr), len),
     };
     if n_threads == 0 {
@@ -661,7 +632,7 @@ fn launch_statements(
     }
     for &(mu, dir) in sig.shifts.iter() {
         let is_remote = remote.map(|r| r.split_dims[mu]).unwrap_or(false);
-        args.push(LaunchArg::Ptr(ctx.neighbor_table(mu, dir, is_remote)));
+        args.push(LaunchArg::Ptr(ctx.neighbor_table(mu, dir, is_remote)?));
     }
     if let Some(r) = remote {
         for &(mu, dir) in sig.shifts.iter() {

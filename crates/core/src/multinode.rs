@@ -27,13 +27,12 @@
 //! the face kernel runs. All comm primitives return structured errors
 //! ([`CoreError::Comm`]) so an injected rank failure is recoverable.
 
-use crate::context::QdpContext;
-use crate::eval::{self, CoreError, EvalParams, EvalReport, RemoteEnv};
+use crate::context::{QdpContext, TableKey};
+use crate::eval::{self, CoreError, EvalParams, EvalReport, RemoteEnv, SiteSel};
 use qdp_comm::cluster::RankHandle;
 use qdp_expr::{Expr, FieldRef, ShiftDir};
-use qdp_gpu_sim::sync::Mutex;
 use qdp_gpu_sim::{DevicePtr, StreamId};
-use qdp_layout::{Decomposition, Dir, FieldLayout, RankGrid};
+use qdp_layout::{Decomposition, Dir, FieldLayout, RankGrid, Subset};
 use qdp_types::TypeShape;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -66,7 +65,6 @@ pub struct MultiRank {
     /// Per-face comm streams: `face_streams[mu][dir]` carries the gather
     /// kernel, send and receive for halo face `(mu, dir)`.
     face_streams: [[StreamId; 2]; 4],
-    site_lists: Mutex<HashMap<String, (DevicePtr, usize)>>,
 }
 
 impl MultiRank {
@@ -105,7 +103,6 @@ impl MultiRank {
             overlap,
             compute_stream,
             face_streams,
-            site_lists: Mutex::new(HashMap::new()),
         });
         mr.ctx.attach_rank(&mr);
         mr
@@ -130,35 +127,6 @@ impl MultiRank {
             ShiftDir::Forward => 0,
             ShiftDir::Backward => 1,
         }]
-    }
-
-    /// Upload (and cache) a site-list table; the upload is ordered on
-    /// `stream` (first call per key only — the table is pinned after that,
-    /// until the `MultiRank` is dropped).
-    fn site_list(
-        &self,
-        key: &str,
-        sites: &[u32],
-        stream: StreamId,
-    ) -> Result<(DevicePtr, usize), CoreError> {
-        let mut map = self.site_lists.lock();
-        if let Some(v) = map.get(key) {
-            return Ok(*v);
-        }
-        let bytes: Vec<u8> = sites.iter().flat_map(|s| s.to_le_bytes()).collect();
-        let requested = bytes.len().max(4);
-        let ptr = self.ctx.device().alloc(requested).map_err(|_| {
-            let mem = self.ctx.device().memory();
-            CoreError::DeviceOom {
-                what: format!("site list {key}"),
-                requested,
-                used: mem.used(),
-                free: mem.free(),
-            }
-        })?;
-        self.ctx.device().h2d_async(ptr, &bytes, stream);
-        map.insert(key.to_string(), (ptr, sites.len()));
-        Ok((ptr, sites.len()))
     }
 
     /// Materialise nested shifts into temporaries (returns rewritten
@@ -390,20 +358,15 @@ impl MultiRank {
                     continue;
                 }
                 let bytes = iv_r * leaf.shape().n_reals() * leaf.ft.size_bytes();
-                let p = match device.alloc(bytes) {
+                let what = format_args!("halo receive buffer ({mu},{dir:?})");
+                let p = match self.ctx.alloc_or_oom(what, bytes) {
                     Ok(p) => p,
-                    Err(_) => {
+                    Err(e) => {
                         // free what we grabbed so an OOM mid-setup leaks nothing
                         for q in allocations.drain(..) {
                             device.free(q);
                         }
-                        let mem = device.memory();
-                        return Err(CoreError::DeviceOom {
-                            what: format!("halo receive buffer ({mu},{dir:?})"),
-                            requested: bytes,
-                            used: mem.used(),
-                            free: mem.free(),
-                        });
+                        return Err(e);
                     }
                 };
                 allocations.push(p);
@@ -420,8 +383,9 @@ impl MultiRank {
         // the success and the error path (a comm failure mid-exchange must
         // not leak device memory), hence the immediately-run closure.
         let result = (|| -> Result<EvalReport, CoreError> {
-            let faces_for_inner: Vec<(usize, Dir)> =
-                split.iter().map(|&(mu, d)| (mu, to_dir(d))).collect();
+            let faces: Vec<(usize, Dir)> = split.iter().map(|&(mu, d)| (mu, to_dir(d))).collect();
+            let opt = self.ctx.opt_level();
+            let stmt = [(target, expr)];
 
             // scatter one face's arrived payload into its receive buffers
             let scatter = |mu: usize, dir: ShiftDir, data: &[u8]| {
@@ -467,18 +431,18 @@ impl MultiRank {
                     .telemetry()
                     .span("comm", "overlap_window")
                     .with_sim(t_start);
-                let key_inner = format!("inner{:?}", faces_for_inner);
-                let inner_sites = geom.inner_sites(&faces_for_inner);
-                let (ptr_i, len_i) =
-                    self.site_list(&key_inner, &inner_sites, self.compute_stream)?;
-                let inner_report = eval::eval(
+                let (ptr_i, len_i) = self.ctx.pinned_table(
+                    TableKey::Inner(faces.clone()),
+                    self.compute_stream,
+                    || geom.inner_sites(&faces),
+                )?;
+                let inner_report = eval::launch_statements(
                     &self.ctx,
-                    target,
-                    expr,
-                    &EvalParams::new()
-                        .device_sites(ptr_i, len_i)
-                        .remote(&remote)
-                        .stream(self.compute_stream),
+                    &stmt,
+                    SiteSel::List { ptr: ptr_i, len: len_i },
+                    self.compute_stream,
+                    opt,
+                    Some(&remote),
                 )?;
                 // Host-side receives stay in deterministic split order (the
                 // per-(from,to) channels are FIFO, so this keeps message
@@ -495,18 +459,18 @@ impl MultiRank {
                 }
                 overlap_span.end_with_sim(t_comm_end);
                 // face kernel after every halo has arrived
-                let key_face = format!("face{:?}", faces_for_inner);
-                let face_sites = geom.face_union(&faces_for_inner);
-                let (ptr_f, len_f) =
-                    self.site_list(&key_face, &face_sites, self.compute_stream)?;
-                let face_report = eval::eval(
+                let (ptr_f, len_f) = self.ctx.pinned_table(
+                    TableKey::Face(faces.clone()),
+                    self.compute_stream,
+                    || geom.face_union(&faces),
+                )?;
+                let face_report = eval::launch_statements(
                     &self.ctx,
-                    target,
-                    expr,
-                    &EvalParams::new()
-                        .device_sites(ptr_f, len_f)
-                        .remote(&remote)
-                        .stream(self.compute_stream),
+                    &stmt,
+                    SiteSel::List { ptr: ptr_f, len: len_f },
+                    self.compute_stream,
+                    opt,
+                    Some(&remote),
                 )?;
                 device.sync();
                 // rates describe both launches, weighted like `threads`
@@ -527,11 +491,13 @@ impl MultiRank {
                 for &((mu, dir), recv_from, _bytes) in &pending {
                     receive_face(StreamId::DEFAULT, mu, dir, recv_from)?;
                 }
-                let full = eval::eval(
+                let full = eval::launch_statements(
                     &self.ctx,
-                    target,
-                    expr,
-                    &EvalParams::new().remote(&remote),
+                    &stmt,
+                    SiteSel::Subset(Subset::All),
+                    StreamId::DEFAULT,
+                    opt,
+                    Some(&remote),
                 )?;
                 Ok(EvalReport {
                     sim_time: device.now() - t_start,
@@ -561,12 +527,88 @@ impl MultiRank {
 
 impl Drop for MultiRank {
     fn drop(&mut self) {
-        // detach, and release the pinned site-list tables — N-rank sweeps
-        // construct hundreds of MultiRanks against long-lived contexts
         self.ctx.detach_rank(self);
-        let mut map = self.site_lists.lock();
-        for (_, (ptr, _)) in map.drain() {
-            self.ctx.device().free(ptr);
-        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::field::{shift, LatticeColorMatrix, LatticeFermion};
+    use qdp_gpu_sim::DeviceConfig;
+    use qdp_layout::LayoutKind;
+
+    #[test]
+    fn overlap_report_rates_describe_both_launches() {
+        // The overlapped evaluation is an inner and a face launch of one
+        // kernel; its reported bandwidth and flop rate must both lie between
+        // the inner-only and face-only values (thread-weighted mean), not
+        // pair one launch's bandwidth with the other's flop rate.
+        let global = [8usize, 4, 4, 4];
+        qdp_comm::run_cluster(2, qdp_comm::LinkModel::infiniband_qdr(), move |handle| {
+            let decomp = Decomposition::new(global, [2, 1, 1, 1]);
+            let ctx = QdpContext::new(
+                DeviceConfig::k20m_ecc_on(),
+                decomp.local_geometry(),
+                LayoutKind::SoA,
+            );
+            ctx.set_payload_execution(false);
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, true);
+            let u = LatticeColorMatrix::<f64>::new(&ctx);
+            let psi = LatticeFermion::<f64>::new(&ctx);
+            let out = LatticeFermion::<f64>::new(&ctx);
+            let e = u.q() * shift(psi.q(), 0, ShiftDir::Forward);
+            // settle the auto-tuner so every launch below uses one block size
+            for _ in 0..12 {
+                out.assign(e.clone()).unwrap();
+            }
+            let both = out.assign(e.clone()).unwrap();
+
+            // the same kernel over the inner and the face sites alone
+            let geom = ctx.geometry().clone();
+            let faces = vec![(0usize, Dir::Forward)];
+            let halo = ctx
+                .device()
+                .alloc(geom.face_vol(0) * 24 * 8)
+                .unwrap();
+            let remote = RemoteEnv {
+                split_dims: [true, false, false, false],
+                recv: [((0, ShiftDir::Forward), vec![0, halo])].into_iter().collect(),
+            };
+            let alone = |key: TableKey, sites: Vec<u32>| {
+                let (ptr, len) = ctx.pinned_table(key, StreamId::DEFAULT, || sites).unwrap();
+                eval::launch_statements(
+                    &ctx,
+                    &[(out.fref(), e.raw())],
+                    SiteSel::List { ptr, len },
+                    StreamId::DEFAULT,
+                    ctx.opt_level(),
+                    Some(&remote),
+                )
+                .unwrap()
+            };
+            let inner = alone(TableKey::Inner(faces.clone()), geom.inner_sites(&faces));
+            let face = alone(TableKey::Face(faces.clone()), geom.face_union(&faces));
+            ctx.device().free(halo);
+
+            assert_eq!(both.threads, inner.threads + face.threads);
+            assert_eq!(both.kernel_name, inner.kernel_name);
+            // strictly between the two launches' values, at the same
+            // (thread-weighted) point for both rates
+            let check = |what: &str, got: f64, inner_v: f64, face_v: f64| {
+                assert!(
+                    got > inner_v.min(face_v) && got < inner_v.max(face_v),
+                    "{what} {got} not between inner {inner_v} and face {face_v}"
+                );
+                let mean = (inner_v * inner.threads as f64 + face_v * face.threads as f64)
+                    / both.threads as f64;
+                assert!(
+                    (got - mean).abs() <= 1e-12 * mean,
+                    "{what} {got} is not the thread-weighted mean {mean}"
+                );
+            };
+            check("bandwidth", both.bandwidth, inner.bandwidth, face.bandwidth);
+            check("flop rate", both.flops_rate, inner.flops_rate, face.flops_rate);
+        });
     }
 }

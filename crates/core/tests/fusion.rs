@@ -353,27 +353,6 @@ fn bailout_cross_stream_dependency() {
     assert_eq!(field_bytes(&ctx, f.c.id()), field_bytes(&ref_ctx, g.c.id()));
 }
 
-#[test]
-fn bailout_site_list_eval() {
-    let sites: Vec<u32> = (0..8).collect();
-    let ctx = profiled_ctx(4, true);
-    let f = pair(&ctx, 5);
-    let mut scope = ctx.deferred();
-    scope.assign(&f.a, f.u.q() * f.v.q()).unwrap();
-    scope.assign_sites(&f.c, f.u.q() * f.v.q(), &sites).unwrap();
-    scope.flush().unwrap();
-    assert!(ctx.profile_report().counter("fuse.bailouts") >= 1);
-    assert_eq!(ctx.profile_report().counter("fuse.groups"), 0);
-
-    let ref_ctx = profiled_ctx(4, true);
-    let g = pair(&ref_ctx, 5);
-    g.a.assign(g.u.q() * g.v.q()).unwrap();
-    g.c.assign_with(&EvalParams::new().sites(&sites), g.u.q() * g.v.q())
-        .unwrap();
-    assert_eq!(field_bytes(&ctx, f.a.id()), field_bytes(&ref_ctx, g.a.id()));
-    assert_eq!(field_bytes(&ctx, f.c.id()), field_bytes(&ref_ctx, g.c.id()));
-}
-
 /// Happy path: a producer→consumer chain plus a batched reduction fuses,
 /// counters tally, and the reduction value matches the immediate path.
 #[test]

@@ -458,71 +458,3 @@ fn split_shift_on_a_subset_is_an_error_unsplit_is_exact() {
     let out = reassemble(global, [2, 1, 1, 1], results.iter());
     assert_same(&out, &reference, "unsplit shift on the even subset");
 }
-
-#[test]
-fn overlap_report_rates_describe_both_launches() {
-    // The overlapped evaluation is an inner and a face launch of one
-    // kernel; its reported bandwidth and flop rate must both lie between
-    // the inner-only and face-only values (thread-weighted mean), not pair
-    // one launch's bandwidth with the other's flop rate.
-    use qdp_core::eval::{EvalParams, RemoteEnv};
-    use qdp_layout::Dir;
-    let global = [8usize, 4, 4, 4];
-    qdp_comm::run_cluster(2, qdp_comm::LinkModel::infiniband_qdr(), move |handle| {
-        let decomp = Decomposition::new(global, [2, 1, 1, 1]);
-        let ctx = QdpContext::new(
-            DeviceConfig::k20m_ecc_on(),
-            decomp.local_geometry(),
-            LayoutKind::SoA,
-        );
-        ctx.set_payload_execution(false);
-        let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, true);
-        let u = LatticeColorMatrix::<f64>::new(&ctx);
-        let psi = LatticeFermion::<f64>::new(&ctx);
-        let out = LatticeFermion::<f64>::new(&ctx);
-        let e = u.q() * shift(psi.q(), 0, ShiftDir::Forward);
-        // settle the auto-tuner so every launch below uses one block size
-        for _ in 0..12 {
-            out.assign(e.clone()).unwrap();
-        }
-        let both = out.assign(e.clone()).unwrap();
-
-        // the same kernel over the inner and the face sites alone
-        let geom = ctx.geometry().clone();
-        let faces = [(0usize, Dir::Forward)];
-        let halo = ctx
-            .device()
-            .alloc(geom.face_vol(0) * 24 * 8)
-            .unwrap();
-        let remote = RemoteEnv {
-            split_dims: [true, false, false, false],
-            recv: [((0, ShiftDir::Forward), vec![0, halo])].into_iter().collect(),
-        };
-        let alone = |sites: Vec<u32>| {
-            out.assign_with(&EvalParams::new().sites(&sites).remote(&remote), e.clone())
-                .unwrap()
-        };
-        let inner = alone(geom.inner_sites(&faces));
-        let face = alone(geom.face_union(&faces));
-        ctx.device().free(halo);
-
-        assert_eq!(both.threads, inner.threads + face.threads);
-        assert_eq!(both.kernel_name, inner.kernel_name);
-        // strictly between the two launches' values, at the same
-        // (thread-weighted) point for both rates
-        let check = |what: &str, got: f64, inner_v: f64, face_v: f64| {
-            assert!(
-                got > inner_v.min(face_v) && got < inner_v.max(face_v),
-                "{what} {got} not between inner {inner_v} and face {face_v}"
-            );
-            let mean = (inner_v * inner.threads as f64 + face_v * face.threads as f64)
-                / both.threads as f64;
-            assert!(
-                (got - mean).abs() <= 1e-12 * mean,
-                "{what} {got} is not the thread-weighted mean {mean}"
-            );
-        };
-        check("bandwidth", both.bandwidth, inner.bandwidth, face.bandwidth);
-        check("flop rate", both.flops_rate, inner.flops_rate, face.flops_rate);
-    });
-}

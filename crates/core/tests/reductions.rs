@@ -228,7 +228,7 @@ fn reductions_match_a_site_order_fold_bit_for_bit_f32() {
 #[test]
 fn subset_kernel_into_a_never_written_target_leaves_other_sites_zero() {
     let ctx = ctx(LayoutKind::SoA);
-    ctx.subset_table(Subset::Even);
+    ctx.subset_table(Subset::Even).unwrap();
     let x = LatticeReal::<f64>::from_fn(&ctx, |s| PScalar(PScalar(1.5 + s as f64)));
     let junk_ptr = {
         // Leave non-zero data on the device where the target will land.
