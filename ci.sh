@@ -38,7 +38,7 @@ echo "ok: no registry dependencies in any Cargo.toml"
 
 # ---- Guard: no deprecated items anywhere in the workspace ------------------
 # The transition shims (`get_or_compile*`, `eval_expr*`) are gone;
-# `compile(CompileRequest)`, `eval(…, &EvalParams)` and
+# `compile(CompileRequest)`, `eval(ctx, target, expr, subset)` and
 # `QdpContext::builder()` are the only supported entry points. Nothing in
 # the tree may reintroduce a `#[deprecated]` item — deprecation happens in
 # a PR that also migrates every caller, never as a parking lot.
@@ -344,6 +344,21 @@ if [ -n "$stale" ]; then
     exit 1
 fi
 echo "ok: one halo launch path (no eval re-entry, one pinned-table cache, no deferred site lists)"
+
+# ---- Guard: one statement surface ---------------------------------------------
+# A statement is `(target, expr, subset)` on the issuing thread's bound
+# stream at the context's optimizer level: the per-call parameter struct
+# (stream, optimizer-level and site-list knobs), its site-selection enum,
+# the per-call assignment and the site-list reference twin stay deleted.
+# (Spelled in pieces, as above.)
+twins="Eval""Params|assign_""with|eval_reference_""sites|Site""Spec"
+stale=$(grep -rnE "$twins" crates src examples README.md DESIGN.md || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: a second statement surface (per-call knobs or host site lists) is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: one statement surface (eval takes a subset; stream and optimizer level come from the context)"
 
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace

@@ -9,15 +9,6 @@ use qdp_proptest::{check, CaseError, Config, Gen};
 use qdp_types::FloatType;
 use std::collections::{HashMap, HashSet};
 
-/// Site selection for one differential case.
-#[derive(Debug, Clone)]
-pub enum SiteSel {
-    /// A named subset (all / even / odd).
-    Subset(Subset),
-    /// An explicit (possibly non-contiguous) site list.
-    List(Vec<u32>),
-}
-
 /// ULP tolerance per float type. Both paths execute the same operation
 /// sequence, so in practice they agree bit-for-bit; the tolerance is the
 /// conformance *contract*, leaving room for harmless reassociations in
@@ -90,29 +81,19 @@ pub fn max_ulp_distance(ft: FloatType, a: &[u8], b: &[u8]) -> u64 {
     worst
 }
 
-/// Run one expression through both paths over `sites` and return the worst
-/// ULP distance between the two target buffers. Both targets start zeroed
-/// and both paths write exactly the selected sites, so whole-buffer
+/// Run one expression through both paths over `subset` and return the
+/// worst ULP distance between the two target buffers. Both targets start
+/// zeroed and both paths write exactly the selected sites, so whole-buffer
 /// comparison also catches out-of-subset writes.
-pub fn diff_case(fx: &Fixture, expr: &Expr, sites: &SiteSel) -> Result<u64, String> {
+pub fn diff_case(fx: &Fixture, expr: &Expr, subset: Subset) -> Result<u64, String> {
     let kind = expr.kind().map_err(|e| format!("generated ill-typed DAG: {e}"))?;
     let jit_t = fx.fresh_target(kind);
     let ref_t = fx.fresh_target(kind);
     let run = || -> Result<(), String> {
-        match sites {
-            SiteSel::Subset(s) => {
-                qdp_core::eval(&fx.ctx, jit_t, expr, &qdp_core::EvalParams::new().subset(*s))
-                    .map_err(|e| format!("jit eval failed: {e:?}"))?;
-                qdp_core::eval_reference(&fx.ctx, ref_t, expr, *s)
-                    .map_err(|e| format!("reference eval failed: {e:?}"))?;
-            }
-            SiteSel::List(list) => {
-                qdp_core::eval(&fx.ctx, jit_t, expr, &qdp_core::EvalParams::new().sites(list))
-                    .map_err(|e| format!("jit site-list eval failed: {e:?}"))?;
-                qdp_core::eval_reference_sites(&fx.ctx, ref_t, expr, list)
-                    .map_err(|e| format!("reference site-list eval failed: {e:?}"))?;
-            }
-        }
+        qdp_core::eval(&fx.ctx, jit_t, expr, subset)
+            .map_err(|e| format!("jit eval failed: {e:?}"))?;
+        qdp_core::eval_reference(&fx.ctx, ref_t, expr, subset)
+            .map_err(|e| format!("reference eval failed: {e:?}"))?;
         Ok(())
     };
     let result = run().and_then(|()| {
@@ -133,46 +114,38 @@ pub fn diff_case(fx: &Fixture, expr: &Expr, sites: &SiteSel) -> Result<u64, Stri
     result
 }
 
-/// Run one expression through the JIT pipeline twice — once with the
-/// kernel optimizer at its default level, once with it off — and return
-/// the worst ULP distance between the two target buffers.
+/// Run one expression through the JIT pipeline on two fixtures built from
+/// the same seed and device — `opt` at the default optimizer level, `plain`
+/// with it off — and return the worst ULP distance between the two target
+/// buffers. The level is fixed per context, so each context evaluates the
+/// case once.
 ///
 /// The default optimizer configuration (DAG CSE + bit-preserving PTX
 /// passes) must be *value-preserving*, so the tolerance for this mode is
 /// exactly zero: any difference is an optimizer bug, not float slack.
-pub fn opt_diff_case(fx: &Fixture, expr: &Expr, sites: &SiteSel) -> Result<u64, String> {
+pub fn opt_diff_case(
+    opt: &Fixture,
+    plain: &Fixture,
+    expr: &Expr,
+    subset: Subset,
+) -> Result<u64, String> {
     let kind = expr.kind().map_err(|e| format!("generated ill-typed DAG: {e}"))?;
-    let opt_t = fx.fresh_target(kind);
-    let plain_t = fx.fresh_target(kind);
-    let eval = |target, level| -> Result<(), String> {
-        // per-eval optimizer override through the unified entry point — no
-        // context-level mutation needed
-        let params = match sites {
-            SiteSel::Subset(s) => qdp_core::EvalParams::new().subset(*s),
-            SiteSel::List(list) => qdp_core::EvalParams::new().sites(list),
-        };
-        qdp_core::eval(&fx.ctx, target, expr, &params.opt_level(level))
-            .map(|_| ())
+    let eval = |fx: &Fixture| -> Result<Vec<u8>, String> {
+        let level = fx.ctx.opt_level();
+        let t = fx.fresh_target(kind);
+        let bytes = qdp_core::eval(&fx.ctx, t, expr, subset)
             .map_err(|e| format!("{level:?} eval failed: {e:?}"))
+            .and_then(|_| {
+                fx.ctx
+                    .cache()
+                    .with_host(t.id, |h| h.to_vec())
+                    .map_err(|e| format!("{level:?} target readback: {e}"))
+            });
+        fx.release(t);
+        bytes
     };
-    let result = eval(opt_t, OptLevel::Default)
-        .and_then(|()| eval(plain_t, OptLevel::None))
-        .and_then(|()| {
-            let a = fx
-                .ctx
-                .cache()
-                .with_host(opt_t.id, |h| h.to_vec())
-                .map_err(|e| format!("optimized target readback: {e}"))?;
-            let b = fx
-                .ctx
-                .cache()
-                .with_host(plain_t.id, |h| h.to_vec())
-                .map_err(|e| format!("plain target readback: {e}"))?;
-            Ok(max_ulp_distance(fx.ft, &a, &b))
-        });
-    fx.release(opt_t);
-    fx.release(plain_t);
-    result
+    let (a, b) = (eval(opt)?, eval(plain)?);
+    Ok(max_ulp_distance(opt.ft, &a, &b))
 }
 
 /// Run one statement *sequence* through the fusion planner and, against a
@@ -192,13 +165,8 @@ pub fn fuse_diff_case(fx: &Fixture, stmts: &[(FieldRef, Expr)]) -> Result<u64, S
             .map_err(|e| format!("fused sequence eval failed: {e:?}"))?;
         for (t, e) in stmts {
             let plain = subst_fields(e, &map);
-            qdp_core::eval(
-                &fx.ctx,
-                map[&t.id],
-                &plain,
-                &qdp_core::EvalParams::new().subset(Subset::All),
-            )
-            .map_err(|e| format!("per-expression eval failed: {e:?}"))?;
+            qdp_core::eval(&fx.ctx, map[&t.id], &plain, Subset::All)
+                .map_err(|e| format!("per-expression eval failed: {e:?}"))?;
         }
         let mut worst = 0u64;
         for (fused_id, plain) in &map {
@@ -267,30 +235,32 @@ pub fn fuse_differential_sweep(cfg: &SweepConfig) {
 }
 
 /// Run an optimized-vs-unoptimized differential sweep: `cfg.cases` random
-/// typed DAGs, each evaluated through the JIT pipeline with the optimizer
-/// on and off, required to agree **bit-for-bit** (0 ULP).
+/// typed DAGs, each evaluated through the JIT pipeline on a context with
+/// the optimizer on and on one with it off, required to agree
+/// **bit-for-bit** (0 ULP).
 pub fn opt_differential_sweep(cfg: &SweepConfig) {
-    let fx = if cfg.pressure {
-        Fixture::pressure(cfg.ft, 0x0D1FF)
-    } else {
-        Fixture::normal(cfg.ft, 0x0D1FF)
-    };
+    let opt = Fixture::new(cfg.ft, 0x0D1FF, cfg.pressure, OptLevel::Default);
+    let plain = Fixture::new(cfg.ft, 0x0D1FF, cfg.pressure, OptLevel::None);
+    // Fresh caches register the fixture leaves in the same order, so one
+    // generated DAG names the same fields on both contexts.
+    assert_eq!(opt.leaves(), plain.leaves(), "the two fixtures' leaves differ");
     check(
         &format!("opt_{}", cfg.name),
         Config::cases(cfg.cases),
         |g| {
             if cfg.pressure {
-                fx.churn();
+                opt.churn();
+                plain.churn();
             }
             let kind = random_target_kind(g);
             let depth = g.depth(cfg.max_depth);
-            let expr = gen_typed_expr(g, &fx, kind, depth);
-            let sites = random_sites(g, cfg.pressure);
-            let max_ulp = opt_diff_case(&fx, &expr, &sites).map_err(CaseError::fail)?;
+            let expr = gen_typed_expr(g, &opt, kind, depth);
+            let subset = random_subset(g);
+            let max_ulp = opt_diff_case(&opt, &plain, &expr, subset).map_err(CaseError::fail)?;
             if max_ulp > 0 {
                 return Err(CaseError::fail(format!(
                     "optimized and unoptimized kernels disagree by {max_ulp} ULPs \
-                     (must be bit-identical) on {kind:?} target, sites {sites:?}, \
+                     (must be bit-identical) on {kind:?} target, subset {subset:?}, \
                      expr: {expr:?}"
                 )));
             }
@@ -331,26 +301,13 @@ impl SweepConfig {
     }
 }
 
-fn random_sites(g: &mut Gen, pressure: bool) -> SiteSel {
-    let vol = Fixture::geometry().vol();
-    match g.usize_in(0..if pressure { 3 } else { 4 }) {
-        0 => SiteSel::Subset(Subset::All),
-        1 => SiteSel::Subset(Subset::Even),
-        2 => SiteSel::Subset(Subset::Odd),
-        // Non-contiguous custom list: ~1/3 of the sites, scattered. Only
-        // offered off-pressure — the site-list table is a raw device
-        // allocation that the spiller cannot move.
-        _ => SiteSel::List(
-            (0..vol as u32)
-                .filter(|_| g.usize_in(0..3) == 0)
-                .collect(),
-        ),
-    }
+fn random_subset(g: &mut Gen) -> Subset {
+    [Subset::All, Subset::Even, Subset::Odd][g.usize_in(0..3)]
 }
 
 /// Run a differential sweep: `cfg.cases` random typed DAGs, each evaluated
-/// through the JIT pipeline and the reference path over a random site
-/// selection, compared within [`max_ulps`]. Panics (with the replayable
+/// through the JIT pipeline and the reference path over a random subset,
+/// compared within [`max_ulps`]. Panics (with the replayable
 /// proptest seed) on the first shrunk failure. In pressure mode, asserts
 /// that the sweep actually exercised the LRU spiller.
 pub fn differential_sweep(cfg: &SweepConfig) {
@@ -367,13 +324,13 @@ pub fn differential_sweep(cfg: &SweepConfig) {
         let kind = random_target_kind(g);
         let depth = g.depth(cfg.max_depth);
         let expr = gen_typed_expr(g, &fx, kind, depth);
-        let sites = random_sites(g, cfg.pressure);
-        let max_ulp = diff_case(&fx, &expr, &sites).map_err(CaseError::fail)?;
+        let subset = random_subset(g);
+        let max_ulp = diff_case(&fx, &expr, subset).map_err(CaseError::fail)?;
         let tol = max_ulps(fx.ft);
         if max_ulp > tol {
             return Err(CaseError::fail(format!(
                 "JIT and reference disagree by {max_ulp} ULPs (tolerance {tol}) \
-                 on {kind:?} target, sites {sites:?}, expr: {expr:?}"
+                 on {kind:?} target, subset {subset:?}, expr: {expr:?}"
             )));
         }
         Ok(())

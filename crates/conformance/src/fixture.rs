@@ -1,7 +1,7 @@
 //! The shared lattice-field environment differential sweeps run against.
 
 use qdp_cache::FieldId;
-use qdp_core::QdpContext;
+use qdp_core::{OptLevel, QdpConfig, QdpContext};
 use qdp_expr::{FieldRef, ShiftDir};
 use qdp_gpu_sim::DeviceConfig;
 use qdp_layout::{Geometry, LayoutKind, Subset};
@@ -60,9 +60,10 @@ impl Fixture {
         Self::geometry().vol() * TypeShape::of(kind).n_reals() * ft.size_bytes()
     }
 
-    /// Fixture on the paper's benchmark device (no memory pressure).
+    /// Fixture on the paper's benchmark device (no memory pressure), at the
+    /// environment's optimizer level.
     pub fn normal(ft: FloatType, seed: u64) -> Fixture {
-        Self::build(DeviceConfig::k20x_ecc_off(), ft, seed, 0)
+        Self::new(ft, seed, false, QdpConfig::from_env().opt_level)
     }
 
     /// Fixture on a device sized so that one eval's worst-case working set
@@ -72,6 +73,16 @@ impl Fixture {
     /// spills and page-ins mid-sweep — and results must still match the
     /// reference path.
     pub fn pressure(ft: FloatType, seed: u64) -> Fixture {
+        Self::new(ft, seed, true, QdpConfig::from_env().opt_level)
+    }
+
+    /// [`Fixture::normal`] or [`Fixture::pressure`] on a context built at
+    /// optimizer level `opt`. Fixtures from the same `ft` and `seed` hold
+    /// the same [`FieldRef`]s and values at every level.
+    pub(crate) fn new(ft: FloatType, seed: u64, pressure: bool, opt: OptLevel) -> Fixture {
+        if !pressure {
+            return Self::build(DeviceConfig::k20x_ecc_off(), ft, seed, 0, opt);
+        }
         let fixture_total: usize = FIXTURE_KINDS
             .iter()
             .map(|k| Self::field_bytes(*k, ft))
@@ -80,11 +91,22 @@ impl Fixture {
         let mem = fixture_total + 2 * unit + 16 * 1024;
         // Enough ballast that the rotation cannot stay resident.
         let ballast_n = mem / unit + 2;
-        Self::build(DeviceConfig::tiny(mem), ft, seed, ballast_n)
+        Self::build(DeviceConfig::tiny(mem), ft, seed, ballast_n, opt)
     }
 
-    fn build(cfg: DeviceConfig, ft: FloatType, seed: u64, ballast_n: usize) -> Fixture {
-        let ctx = QdpContext::new(cfg, Self::geometry(), LayoutKind::SoA);
+    fn build(
+        cfg: DeviceConfig,
+        ft: FloatType,
+        seed: u64,
+        ballast_n: usize,
+        opt: OptLevel,
+    ) -> Fixture {
+        let ctx = QdpContext::builder(Self::geometry())
+            .device(cfg)
+            .layout(LayoutKind::SoA)
+            .config(QdpConfig::from_env())
+            .opt_level(opt)
+            .build();
         // Pin every table the sweep can need while the device is still
         // empty: tables are raw (non-spillable) allocations, so grabbing
         // them up front keeps the pressure configuration from OOM-ing on
@@ -125,6 +147,14 @@ impl Fixture {
         }
     }
 
+    /// The leaf fields in registration order.
+    pub(crate) fn leaves(&self) -> [FieldRef; 8] {
+        [
+            self.u[0], self.u[1], self.psi[0], self.psi[1], self.zeta, self.rho, self.clov_diag,
+            self.clov_tri,
+        ]
+    }
+
     /// Pressure mode: rotate the ballast fields through the device, dirty,
     /// so the next eval's working set must spill them back out. No-op on a
     /// normal fixture.
@@ -158,10 +188,7 @@ impl Fixture {
 impl Drop for Fixture {
     fn drop(&mut self) {
         let cache = self.ctx.cache();
-        for f in [
-            self.u[0], self.u[1], self.psi[0], self.psi[1], self.zeta, self.rho, self.clov_diag,
-            self.clov_tri,
-        ] {
+        for f in self.leaves() {
             cache.unregister(f.id);
         }
         for &b in &self.ballast {

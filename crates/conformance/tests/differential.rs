@@ -2,10 +2,9 @@
 //!
 //! The CI sweep runs 200 cases per configuration via the `conformance`
 //! binary; these tests keep a smaller always-on version in `cargo test`,
-//! plus targeted coverage of subsets, site lists, and the seed-replay
-//! failure contract.
+//! plus targeted coverage of subsets and the seed-replay failure contract.
 
-use qdp_conformance::diff::{diff_case, max_ulps, SiteSel, SweepConfig};
+use qdp_conformance::diff::{diff_case, max_ulps, SweepConfig};
 use qdp_conformance::differential_sweep;
 use qdp_conformance::fixture::Fixture;
 use qdp_expr::{BinaryOp, Expr, ShiftDir, UnaryOp};
@@ -54,56 +53,23 @@ fn staple_like(fx: &Fixture) -> Expr {
     )
 }
 
-/// Subset-coverage satellite: the same expression must agree between the
-/// two paths on `all`, `even`, `odd`, and a non-contiguous custom site
-/// list. Targets start zeroed and the whole buffer is compared, so this
-/// also catches writes leaking outside the selected sites.
+/// Subset coverage: the same expression must agree between the two paths
+/// on `all`, `even` and `odd`. Targets start zeroed and the whole buffer is
+/// compared, so this also catches writes leaking outside the subset.
 #[test]
-fn subset_coverage_all_even_odd_and_custom_list() {
+fn subset_coverage_all_even_odd() {
     for ft in [FloatType::F32, FloatType::F64] {
         let fx = Fixture::normal(ft, 7);
         let expr = staple_like(&fx);
-        let vol = Fixture::geometry().vol() as u32;
-        // every third site plus an isolated tail site: non-contiguous,
-        // unaligned with the even/odd checkerboard
-        let custom: Vec<u32> = (0..vol).step_by(3).chain([vol - 1]).collect();
-        for sites in [
-            SiteSel::Subset(Subset::All),
-            SiteSel::Subset(Subset::Even),
-            SiteSel::Subset(Subset::Odd),
-            SiteSel::List(custom),
-        ] {
-            let ulp = diff_case(&fx, &expr, &sites).unwrap();
+        for subset in [Subset::All, Subset::Even, Subset::Odd] {
+            let ulp = diff_case(&fx, &expr, subset).unwrap();
             assert!(
                 ulp <= max_ulps(ft),
-                "{ft:?} {sites:?}: {ulp} ULPs (tolerance {})",
+                "{ft:?} {subset:?}: {ulp} ULPs (tolerance {})",
                 max_ulps(ft)
             );
         }
     }
-}
-
-/// An empty site list is legal and must write nothing on either path.
-#[test]
-fn empty_site_list_is_a_no_op() {
-    let fx = Fixture::normal(FloatType::F64, 11);
-    let expr = staple_like(&fx);
-    let ulp = diff_case(&fx, &expr, &SiteSel::List(Vec::new())).unwrap();
-    assert_eq!(ulp, 0);
-}
-
-/// Out-of-range sites must be a structured error on both paths, not a
-/// crash or an out-of-bounds write.
-#[test]
-fn out_of_range_site_is_rejected() {
-    let fx = Fixture::normal(FloatType::F64, 13);
-    let expr = staple_like(&fx);
-    let vol = Fixture::geometry().vol() as u32;
-    let err = diff_case(&fx, &expr, &SiteSel::List(vec![0, vol])).unwrap_err();
-    assert!(
-        err.contains("out of range"),
-        "expected a site-range error, got: {err}"
-    );
 }
 
 /// The failure contract: when a differential case fails, the harness must
@@ -142,7 +108,7 @@ fn pressure_fixture_spills_under_churn() {
     let before = fx.ctx.cache().stats();
     for _ in 0..4 {
         fx.churn();
-        let ulp = diff_case(&fx, &expr, &SiteSel::Subset(Subset::All)).unwrap();
+        let ulp = diff_case(&fx, &expr, Subset::All).unwrap();
         assert!(ulp <= max_ulps(FloatType::F64));
     }
     let after = fx.ctx.cache().stats();

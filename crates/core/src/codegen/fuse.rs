@@ -50,7 +50,7 @@
 
 use crate::context::QdpContext;
 use crate::eval::{
-    eval_statements, max_ft, reduce_batch, render_statements, CoreError, EvalParams, KeyedGroup,
+    eval_statements, max_ft, reduce_batch, render_statements, CoreError, KeyedGroup,
 };
 use crate::field::{Lattice, QExpr, SiteElem, SiteReal};
 use qdp_expr::{BinaryOp, Expr, FieldRef, UnaryOp};
@@ -190,8 +190,10 @@ fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> 
                 Ok(()) => {}
                 Err(split) => {
                     if let Split::Bailout(reason) = split {
-                        tel.count("fuse.bailouts", 1);
-                        tel.count(&format!("fuse.bailout.{reason}"), 1);
+                        if tel.enabled() {
+                            tel.count("fuse.bailouts", 1);
+                            tel.count(&format!("fuse.bailout.{reason}"), 1);
+                        }
                     }
                     groups.push(start..i);
                     start = i;
@@ -218,8 +220,7 @@ pub fn codegen_fused_ptx(
     kernel_name: &str,
 ) -> Result<String, CoreError> {
     let refs: Vec<(FieldRef, &Expr)> = stmts.iter().map(|(t, e)| (*t, e)).collect();
-    let plan = KeyedGroup::new(ctx, &refs, subset != Subset::All, false, ctx.opt_level())
-        .plan(ctx, &refs)?;
+    let plan = KeyedGroup::new(ctx, &refs, subset != Subset::All, false).plan(ctx, &refs)?;
     let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| e).collect();
     render_statements(&plan, &exprs, kernel_name)
 }
@@ -235,10 +236,7 @@ fn flush_stmts(ctx: &QdpContext, stmts: &[Stmt]) -> Result<(), CoreError> {
             tel.count("fuse.launches_saved", (group.len() - 1) as u64);
         }
         let refs: Vec<(FieldRef, &Expr)> = group.iter().map(|s| (s.target, &s.expr)).collect();
-        let params = EvalParams::new()
-            .stream(group[0].stream)
-            .subset(group[0].subset);
-        eval_statements(ctx, &refs, &params)?;
+        eval_statements(ctx, &refs, group[0].subset, group[0].stream)?;
     }
     Ok(())
 }

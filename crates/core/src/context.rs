@@ -192,9 +192,10 @@ impl QdpContext {
 
     /// Optimizer level in effect for expressions evaluated on this context:
     /// the configured level (`QDP_OPT` captured at construction via
-    /// `QdpConfig::from_env` on the env-driven paths). One eval can pick
-    /// another with [`crate::EvalParams::opt_level`] — the JIT cache keys on
-    /// the level, never serving a kernel compiled under the other setting.
+    /// `QdpConfig::from_env` on the env-driven paths), fixed for the
+    /// context's life; every statement is planned at it. The JIT cache keys
+    /// on the level, so two contexts at different levels never share a
+    /// kernel.
     pub fn opt_level(&self) -> OptLevel {
         self.config.opt_level
     }

@@ -10,7 +10,6 @@
 use crate::codegen::backend::Backend;
 use crate::codegen::cpu_backend::CpuGen;
 use crate::codegen::cse::CseBackend;
-use crate::codegen::fuse::reduce_recorded;
 use crate::codegen::ptx_backend::{KernelEnv, PtxGen, StmtMeta};
 use crate::codegen::value::{gen_expr, store_val, GenCtx};
 use crate::context::QdpContext;
@@ -22,7 +21,7 @@ use qdp_layout::{FieldLayout, LayoutKind, Subset};
 use qdp_ptx::emit::emit_module;
 use qdp_ptx::module::Module;
 use qdp_ptx::opt::OptLevel;
-use qdp_types::{ElemKind, FloatType, Real, TypeShape};
+use qdp_types::{FloatType, Real, TypeShape};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write;
 use std::hash::{Hash, Hasher};
@@ -150,8 +149,7 @@ pub(crate) fn max_ft(a: FloatType, b: FloatType) -> FloatType {
 pub(crate) enum SiteSel {
     /// A standard subset (All / Even / Odd).
     Subset(Subset),
-    /// A device-resident site list: a per-call [`EvalParams::sites`] upload
-    /// or a pinned §V inner/face table.
+    /// A device-resident site list: a pinned §V inner/face table.
     List {
         /// Device pointer to the u32 site list.
         ptr: qdp_gpu_sim::DevicePtr,
@@ -171,86 +169,6 @@ pub(crate) struct RemoteEnv {
     /// (0 for unsplit dimensions — never dereferenced).
     pub(crate) recv:
         std::collections::HashMap<(usize, qdp_expr::ShiftDir), Vec<qdp_gpu_sim::DevicePtr>>,
-}
-
-/// Which sites an [`EvalParams`] evaluation covers.
-#[derive(Debug, Clone, Copy)]
-enum SiteSpec<'a> {
-    /// A standard subset (All / Even / Odd).
-    Subset(Subset),
-    /// A host-side site list: uploaded as a device table for the launch and
-    /// freed afterwards. The user-facing route to non-contiguous subsets.
-    Sites(&'a [u32]),
-}
-
-/// Parameters for one evaluation through [`eval`] — the single evaluation
-/// entry point.
-///
-/// ```ignore
-/// eval(&ctx, target, &expr, &EvalParams::new())?;                        // all sites
-/// eval(&ctx, target, &expr, &EvalParams::new().subset(Subset::Even))?;   // subset
-/// eval(&ctx, target, &expr, &EvalParams::new().sites(&list))?;           // site list
-/// eval(&ctx, target, &expr, &EvalParams::new().stream(compute))?;        // stream-ordered
-/// ```
-///
-/// Defaults: all sites, the issuing thread's bound stream
-/// ([`qdp_gpu_sim::Device::current_stream`], resolved when the evaluation
-/// is issued), the context's optimizer level.
-#[derive(Debug, Clone, Copy)]
-pub struct EvalParams<'a> {
-    sites: SiteSpec<'a>,
-    stream: Option<StreamId>,
-    opt_level: Option<OptLevel>,
-}
-
-impl Default for EvalParams<'_> {
-    fn default() -> Self {
-        EvalParams::new()
-    }
-}
-
-impl<'a> EvalParams<'a> {
-    /// Default parameters: every site, the issuing thread's stream, context
-    /// opt level.
-    pub fn new() -> EvalParams<'a> {
-        EvalParams {
-            sites: SiteSpec::Subset(Subset::All),
-            stream: None,
-            opt_level: None,
-        }
-    }
-
-    /// Evaluate over a standard subset.
-    pub fn subset(mut self, s: Subset) -> EvalParams<'a> {
-        self.sites = SiteSpec::Subset(s);
-        self
-    }
-
-    /// Evaluate over an explicit host-side site list (uploaded as a device
-    /// table for the launch, freed afterwards).
-    pub fn sites(mut self, sites: &'a [u32]) -> EvalParams<'a> {
-        self.sites = SiteSpec::Sites(sites);
-        self
-    }
-
-    /// Order the launch (and any site-table upload) on `stream` instead of
-    /// the issuing thread's stream, so independent evaluations overlap.
-    pub fn stream(mut self, s: StreamId) -> EvalParams<'a> {
-        self.stream = Some(s);
-        self
-    }
-
-    /// The stream an evaluation issued now on `ctx` runs on.
-    fn stream_on(&self, ctx: &QdpContext) -> StreamId {
-        self.stream.unwrap_or_else(|| ctx.device().current_stream())
-    }
-
-    /// Override the kernel optimizer level for this evaluation (instead of
-    /// the context's configured level).
-    pub fn opt_level(mut self, level: OptLevel) -> EvalParams<'a> {
-        self.opt_level = Some(level);
-        self
-    }
 }
 
 /// The codegen-facing description of one kernel — a group of K ≥ 1
@@ -283,7 +201,7 @@ pub fn plan_codegen(
     remote_shifts: bool,
 ) -> Result<CodegenPlan, CoreError> {
     let stmts = [(target, expr)];
-    KeyedGroup::new(ctx, &stmts, subset_mapped, remote_shifts, ctx.opt_level()).plan(ctx, &stmts)
+    KeyedGroup::new(ctx, &stmts, subset_mapped, remote_shifts).plan(ctx, &stmts)
 }
 
 /// One statement group, walked once and keyed once — all a warm launch
@@ -310,10 +228,9 @@ impl KeyedGroup {
         stmts: &[(FieldRef, &Expr)],
         subset_mapped: bool,
         remote_shifts: bool,
-        opt: OptLevel,
     ) -> KeyedGroup {
         assert!(!stmts.is_empty(), "a kernel needs at least one statement");
-        let (vol, layout) = (ctx.geometry().vol(), ctx.layout());
+        let (vol, layout, opt) = (ctx.geometry().vol(), ctx.layout(), ctx.opt_level());
         let fused = stmts.len() > 1;
         let mut sig = KernelSignature::default();
         let mut key = String::from(if fused { "fused[" } else { "" });
@@ -454,28 +371,27 @@ pub fn codegen_ptx(
     render_ptx(&plan, expr, kernel_name)
 }
 
-/// Evaluate `expr` into `target` through the full QDP-JIT pipeline
-/// (generated kernel on the simulated device), as described by `params` —
-/// site selection, stream and optimizer level. This is
-/// the one evaluation entry point; see [`EvalParams`] for the knobs. An
-/// immediate evaluation is a statement group of one.
+/// Evaluate `expr` into `target` over `subset` through the full QDP-JIT
+/// pipeline (generated kernel on the simulated device) — QDP++'s
+/// `target[subset] = expr`. This is the one evaluation entry point: the
+/// launch runs on the issuing thread's bound stream
+/// ([`qdp_gpu_sim::Device::current_stream`]) at the context's optimizer
+/// level. An immediate evaluation is a statement group of one.
 pub fn eval(
     ctx: &QdpContext,
     target: FieldRef,
     expr: &Expr,
-    params: &EvalParams<'_>,
+    subset: Subset,
 ) -> Result<EvalReport, CoreError> {
-    eval_statements(ctx, &[(target, expr)], params)
+    eval_statements(ctx, &[(target, expr)], subset, ctx.device().current_stream())
 }
 
-/// Evaluate a group of statements with one kernel launch: resolve the site
-/// specification of `params` (uploading a host-side site list for the
-/// duration of the launch), then launch. The fusion planner guarantees a
-/// multi-statement group is legal to run per thread (see
-/// [`crate::codegen::fuse`]). On a context with an attached rank
-/// ([`QdpContext::attached_rank`]) a statement that shifts along a split
-/// dimension runs the §V halo schedule instead of one launch; with a
-/// subset, a site list or a non-default stream that is an error.
+/// Evaluate a group of statements over `subset` on `stream` with one kernel
+/// launch. The fusion planner guarantees a multi-statement group is legal
+/// to run per thread (see [`crate::codegen::fuse`]). On a context with an
+/// attached rank ([`QdpContext::attached_rank`]) a statement that shifts
+/// along a split dimension runs the §V halo schedule instead of one launch;
+/// with a subset or a non-default stream that is an error.
 ///
 /// A statement that reads its own target under a shift gets QDP++'s
 /// semantics — the right-hand side is evaluated in full before the
@@ -485,7 +401,8 @@ pub fn eval(
 pub(crate) fn eval_statements(
     ctx: &QdpContext,
     stmts: &[(FieldRef, &Expr)],
-    params: &EvalParams<'_>,
+    subset: Subset,
+    stream: StreamId,
 ) -> Result<EvalReport, CoreError> {
     if let &[(target, expr)] = stmts {
         if expr.leaves_under_any_shift().iter().any(|l| l.id == target.id) {
@@ -493,8 +410,8 @@ pub(crate) fn eval_statements(
                 id: ctx.cache().register(ctx.cache().field_bytes(target.id)?),
                 ..target
             };
-            let r = eval_statements(ctx, &[(temp, expr)], params).and_then(|mut report| {
-                let copy = eval_statements(ctx, &[(target, &Expr::Field(temp))], params)?;
+            let r = eval_statements(ctx, &[(temp, expr)], subset, stream).and_then(|mut report| {
+                let copy = eval_statements(ctx, &[(target, &Expr::Field(temp))], subset, stream)?;
                 report.sim_time += copy.sim_time;
                 Ok(report)
             });
@@ -507,62 +424,33 @@ pub(crate) fn eval_statements(
     // `launch_statements` itself.
     if let Some(mr) = ctx.attached_rank() {
         if stmts.iter().any(|(_, e)| mr.crosses_ranks(e)) {
-            return match (stmts, params.sites) {
-                (&[(target, expr)], SiteSpec::Subset(Subset::All))
-                    if params.stream_on(ctx) == StreamId::DEFAULT =>
-                {
+            return match (stmts, subset) {
+                (&[(target, expr)], Subset::All) if stream == StreamId::DEFAULT => {
                     mr.eval_halo(target, expr)
                 }
                 _ => Err(CoreError::Msg(
                     "a shift along a rank-split dimension needs halo exchange, which \
                      covers single full-lattice statements on the default stream: not a \
-                     subset, a site list or another stream"
+                     subset or another stream"
                         .into(),
                 )),
             };
         }
     }
-    let stream = params.stream_on(ctx);
-    let opt = params.opt_level.unwrap_or_else(|| ctx.opt_level());
-    match params.sites {
-        SiteSpec::Subset(s) => {
-            launch_statements(ctx, stmts, SiteSel::Subset(s), stream, opt, None)
-        }
-        SiteSpec::Sites(sites) => {
-            if sites.is_empty() {
-                return Ok(EvalReport::empty());
-            }
-            let vol = ctx.geometry().vol();
-            if let Some(bad) = sites.iter().find(|&&s| s as usize >= vol) {
-                return Err(CoreError::Msg(format!(
-                    "site {bad} out of range for volume {vol}"
-                )));
-            }
-            let bytes: Vec<u8> = sites.iter().flat_map(|s| s.to_le_bytes()).collect();
-            let ptr = ctx.alloc_or_oom(format_args!("site-list table"), bytes.len())?;
-            ctx.device().h2d_async(ptr, &bytes, stream);
-            let sel = SiteSel::List {
-                ptr,
-                len: sites.len(),
-            };
-            let r = launch_statements(ctx, stmts, sel, stream, opt, None);
-            ctx.device().free(ptr);
-            r
-        }
-    }
+    launch_statements(ctx, stmts, SiteSel::Subset(subset), stream, None)
 }
 
 /// The one statement→kernel launch path: walk and key the group once →
 /// keyed kernel lookup → page-in → marshal → tuned launch → dirty marks.
 /// A warm key goes from the map probe straight to marshalling; planning,
 /// naming, PTX generation and the text-keyed JIT cache run on a miss only.
-/// `remote` carries the §V receive buffers of a halo-schedule launch.
+/// The kernel is planned at the context's optimizer level; `remote` carries
+/// the §V receive buffers of a halo-schedule launch.
 pub(crate) fn launch_statements(
     ctx: &QdpContext,
     stmts: &[(FieldRef, &Expr)],
     sel: SiteSel,
     stream: StreamId,
-    opt: OptLevel,
     remote: Option<&RemoteEnv>,
 ) -> Result<EvalReport, CoreError> {
     if remote.is_some() && stmts.iter().any(|(_, e)| e.has_nested_shift()) {
@@ -573,7 +461,7 @@ pub(crate) fn launch_statements(
         ));
     }
     let subset_mapped = !matches!(sel, SiteSel::Subset(Subset::All));
-    let group = KeyedGroup::new(ctx, stmts, subset_mapped, remote.is_some(), opt);
+    let group = KeyedGroup::new(ctx, stmts, subset_mapped, remote.is_some());
     let sig = &group.sig;
     let tel = ctx.telemetry();
     let span_name = if stmts.len() == 1 { "eval" } else { "eval_fused" };
@@ -588,7 +476,7 @@ pub(crate) fn launch_statements(
             let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| *e).collect();
             render_statements(&plan, &exprs, &plan.name)?
         };
-        let req = CompileRequest::new(&ptx).opt_level(opt).name(&plan.name);
+        let req = CompileRequest::new(&ptx).opt_level(plan.opt).name(&plan.name);
         Ok::<_, CoreError>(ctx.kernels().compile(req)?)
     })?;
 
@@ -775,26 +663,14 @@ fn eval_reference_typed<R: Real>(
     Ok(())
 }
 
-/// Evaluate `expr` into `target` on the CPU reference path (the paper's
-/// "original implementation"). Same operation sequence as the generated
-/// kernel — results agree bit-for-bit in the same precision.
+/// Evaluate `expr` into `target` over `subset` on the CPU reference path
+/// (the paper's "original implementation"). Same operation sequence as the
+/// generated kernel — results agree bit-for-bit in the same precision.
 pub fn eval_reference(
     ctx: &QdpContext,
     target: FieldRef,
     expr: &Expr,
     subset: Subset,
-) -> Result<(), CoreError> {
-    let sites = subset.sites(ctx.geometry());
-    eval_reference_sites(ctx, target, expr, &sites)
-}
-
-/// Reference evaluation over an arbitrary site list — the CPU-side twin of
-/// [`eval`] with a site list. Sites outside the local volume are rejected.
-pub fn eval_reference_sites(
-    ctx: &QdpContext,
-    target: FieldRef,
-    expr: &Expr,
-    sites: &[u32],
 ) -> Result<(), CoreError> {
     let kind = expr.kind()?;
     if kind != target.kind {
@@ -803,16 +679,10 @@ pub fn eval_reference_sites(
             target.kind
         )));
     }
-    let vol = ctx.geometry().vol();
-    if let Some(&bad) = sites.iter().find(|&&s| s as usize >= vol) {
-        return Err(CoreError::Msg(format!(
-            "site list entry {bad} out of range (local volume {vol})"
-        )));
-    }
-    let ft = max_ft(expr.float_type(), target.ft);
-    match ft {
-        FloatType::F32 => eval_reference_typed::<f32>(ctx, target, expr, sites),
-        FloatType::F64 => eval_reference_typed::<f64>(ctx, target, expr, sites),
+    let sites = subset.sites(ctx.geometry());
+    match max_ft(expr.float_type(), target.ft) {
+        FloatType::F32 => eval_reference_typed::<f32>(ctx, target, expr, &sites),
+        FloatType::F64 => eval_reference_typed::<f64>(ctx, target, expr, &sites),
     }
 }
 
@@ -903,52 +773,4 @@ fn site_order_sums<R: Copy + Into<f64>>(v: &[R], n_comp: usize, layout: LayoutKi
         (2, LayoutKind::AoS) => complex_sums(v.chunks_exact(2).map(|site| (site[0], site[1]))),
         _ => unreachable!("reduction temporaries are real or complex, not {n_comp} reals"),
     }
-}
-
-/// An immediate reduction of one `kind`-valued expression over `subset`:
-/// the deferred reduction body with nothing pending — a group of one.
-fn reduce_one(
-    ctx: &QdpContext,
-    expr: Expr,
-    kind: ElemKind,
-    subset: Subset,
-) -> Result<Vec<f64>, CoreError> {
-    Ok(reduce_recorded(ctx, Vec::new(), vec![(expr, kind)], subset)?.remove(0))
-}
-
-/// `Σ_x expr(x)` for a real-kind expression over a subset.
-pub fn sum_real(ctx: &QdpContext, expr: &Expr, subset: Subset) -> Result<f64, CoreError> {
-    Ok(reduce_one(ctx, expr.clone(), ElemKind::Real, subset)?[0])
-}
-
-/// `Σ_x expr(x)` for a complex-kind expression over a subset.
-pub fn sum_complex(
-    ctx: &QdpContext,
-    expr: &Expr,
-    subset: Subset,
-) -> Result<(f64, f64), CoreError> {
-    let s = reduce_one(ctx, expr.clone(), ElemKind::Complex, subset)?;
-    Ok((s[0], s[1]))
-}
-
-/// `‖expr‖² = Σ_x Σ_comp |comp|²`.
-pub fn norm2(ctx: &QdpContext, expr: &Expr, subset: Subset) -> Result<f64, CoreError> {
-    let n2 = Expr::Unary(qdp_expr::UnaryOp::LocalNorm2, Box::new(expr.clone()));
-    Ok(reduce_one(ctx, n2, ElemKind::Real, subset)?[0])
-}
-
-/// `⟨a, b⟩ = Σ_x Σ_comp conj(a)·b`.
-pub fn inner_product(
-    ctx: &QdpContext,
-    a: &Expr,
-    b: &Expr,
-    subset: Subset,
-) -> Result<(f64, f64), CoreError> {
-    let ip = Expr::Binary(
-        qdp_expr::BinaryOp::LocalInnerProduct,
-        Box::new(a.clone()),
-        Box::new(b.clone()),
-    );
-    let s = reduce_one(ctx, ip, ElemKind::Complex, subset)?;
-    Ok((s[0], s[1]))
 }

@@ -7,6 +7,7 @@
 //! phantom type parameter on [`QExpr`] gives the same static type checking
 //! the C++ templates provide: `Fermion * Fermion` does not compile.
 
+use crate::codegen::fuse::reduce_recorded;
 use crate::context::QdpContext;
 use crate::eval::{self, CoreError, EvalReport};
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
@@ -229,28 +230,12 @@ impl<E: SiteElem> Lattice<E> {
     /// Evaluate an expression into this field over the whole lattice
     /// (the data-parallel assignment `lhs = rhs`).
     pub fn assign(&self, rhs: QExpr<E>) -> Result<EvalReport, CoreError> {
-        eval::eval(&self.ctx, self.fref(), &rhs.0, &eval::EvalParams::new())
+        self.assign_on(Subset::All, rhs)
     }
 
     /// Evaluate over a subset (`lhs[rb[cb]] = rhs`).
     pub fn assign_on(&self, subset: Subset, rhs: QExpr<E>) -> Result<EvalReport, CoreError> {
-        eval::eval(
-            &self.ctx,
-            self.fref(),
-            &rhs.0,
-            &eval::EvalParams::new().subset(subset),
-        )
-    }
-
-    /// Evaluate with explicit [`eval::EvalParams`] — site selection,
-    /// stream, optimizer level. The stream-ordered route: assignments on
-    /// different streams overlap on the simulated device.
-    pub fn assign_with(
-        &self,
-        params: &eval::EvalParams<'_>,
-        rhs: QExpr<E>,
-    ) -> Result<EvalReport, CoreError> {
-        eval::eval(&self.ctx, self.fref(), &rhs.0, params)
+        eval::eval(&self.ctx, self.fref(), &rhs.0, subset)
     }
 
     /// Evaluate on the CPU reference path ("original implementation").
@@ -260,7 +245,7 @@ impl<E: SiteElem> Lattice<E> {
 
     /// `‖ this ‖²` over a subset.
     pub fn norm2_on(&self, subset: Subset) -> Result<f64, CoreError> {
-        eval::norm2(&self.ctx, &self.q().0, subset)
+        reduce_norm2(&self.ctx, &self.q(), subset)
     }
 
     /// `‖ this ‖²` over the whole lattice.
@@ -559,13 +544,15 @@ pub fn clover_mul<R: Real>(
     )
 }
 
-/// `‖expr‖²` over a subset.
+/// `‖expr‖²` over a subset. Each `reduce_*` is an immediate reduction: the
+/// deferred reduction body with nothing pending.
 pub fn reduce_norm2<E: SiteElem>(
     ctx: &QdpContext,
     q: &QExpr<E>,
     subset: Subset,
 ) -> Result<f64, CoreError> {
-    eval::norm2(ctx, &q.0, subset)
+    let n2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(q.0.clone()));
+    Ok(reduce_recorded(ctx, Vec::new(), vec![(n2, ElemKind::Real)], subset)?[0][0])
 }
 
 /// `⟨a, b⟩` over a subset.
@@ -575,8 +562,13 @@ pub fn reduce_inner_product<E: SiteElem>(
     b: &QExpr<E>,
     subset: Subset,
 ) -> Result<Complex<f64>, CoreError> {
-    let (re, im) = eval::inner_product(ctx, &a.0, &b.0, subset)?;
-    Ok(Complex::new(re, im))
+    let ip = Expr::Binary(
+        BinaryOp::LocalInnerProduct,
+        Box::new(a.0.clone()),
+        Box::new(b.0.clone()),
+    );
+    let s = reduce_recorded(ctx, Vec::new(), vec![(ip, ElemKind::Complex)], subset)?;
+    Ok(Complex::new(s[0][0], s[0][1]))
 }
 
 /// `Σ_x expr(x)` for a real expression.
@@ -585,7 +577,7 @@ pub fn reduce_sum_real<R: Real>(
     q: &QExpr<SiteReal<R>>,
     subset: Subset,
 ) -> Result<f64, CoreError> {
-    eval::sum_real(ctx, &q.0, subset)
+    Ok(reduce_recorded(ctx, Vec::new(), vec![(q.0.clone(), ElemKind::Real)], subset)?[0][0])
 }
 
 /// `Σ_x expr(x)` for a complex expression.
@@ -594,6 +586,11 @@ pub fn reduce_sum_complex<R: Real>(
     q: &QExpr<SiteComplex<R>>,
     subset: Subset,
 ) -> Result<Complex<f64>, CoreError> {
-    let (re, im) = eval::sum_complex(ctx, &q.0, subset)?;
-    Ok(Complex::new(re, im))
+    let s = reduce_recorded(
+        ctx,
+        Vec::new(),
+        vec![(q.0.clone(), ElemKind::Complex)],
+        subset,
+    )?;
+    Ok(Complex::new(s[0][0], s[0][1]))
 }

@@ -32,8 +32,8 @@ pub use context::QdpContext;
 pub use qdp_gpu_sim::{Event, StreamId};
 pub use qdp_ptx::opt::OptLevel;
 pub use eval::{
-    codegen_ptx, eval, eval_reference, eval_reference_sites, plan_codegen,
-    render_ptx, CodegenPlan, CoreError, EvalParams, EvalReport,
+    codegen_ptx, eval, eval_reference, plan_codegen, render_ptx, CodegenPlan, CoreError,
+    EvalReport,
 };
 pub use field::{
     adj, clover_mul, conj, cscale, diag_fill, expm, gamma, gamma_mu, imag, outer_color, real,
@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::codegen::fuse::FusionScope;
     pub use crate::config::{QdpConfig, QdpContextBuilder};
     pub use crate::context::QdpContext;
-    pub use crate::eval::{CoreError, EvalParams, EvalReport};
+    pub use crate::eval::{CoreError, EvalReport};
     pub use crate::field::*;
     pub use qdp_expr::ShiftDir;
     pub use qdp_gpu_sim::{DeviceConfig, StreamId};

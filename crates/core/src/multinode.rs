@@ -28,7 +28,7 @@
 //! ([`CoreError::Comm`]) so an injected rank failure is recoverable.
 
 use crate::context::{QdpContext, TableKey};
-use crate::eval::{self, CoreError, EvalParams, EvalReport, RemoteEnv, SiteSel};
+use crate::eval::{self, CoreError, EvalReport, RemoteEnv, SiteSel};
 use qdp_comm::cluster::RankHandle;
 use qdp_expr::{Expr, FieldRef, ShiftDir};
 use qdp_gpu_sim::{DevicePtr, StreamId};
@@ -182,11 +182,11 @@ impl MultiRank {
     }
 
     /// `target ← expr` on this rank's context: exactly
-    /// [`eval::eval`] with default parameters (which reaches the halo
-    /// schedule by itself). Kept only because the frozen `crates/benchmark`
+    /// [`eval::eval`] over [`Subset::All`] (which reaches the halo schedule
+    /// by itself). Kept only because the frozen `crates/benchmark`
     /// calls it — applications assign through `Lattice::assign`.
     pub fn eval(&self, target: FieldRef, expr: &Expr) -> Result<EvalReport, CoreError> {
-        eval::eval(&self.ctx, target, expr, &EvalParams::new())
+        eval::eval(&self.ctx, target, expr, Subset::All)
     }
 
     /// The §V schedule for one full-lattice statement that shifts along a
@@ -216,7 +216,7 @@ impl MultiRank {
             .filter(|&(mu, _)| self.grid.decomp().is_split(mu))
             .collect();
         if split.is_empty() {
-            return eval::eval(&self.ctx, target, expr, &EvalParams::new());
+            return eval::eval(&self.ctx, target, expr, Subset::All);
         }
 
         let t_start = self.ctx.device().now();
@@ -384,7 +384,6 @@ impl MultiRank {
         // not leak device memory), hence the immediately-run closure.
         let result = (|| -> Result<EvalReport, CoreError> {
             let faces: Vec<(usize, Dir)> = split.iter().map(|&(mu, d)| (mu, to_dir(d))).collect();
-            let opt = self.ctx.opt_level();
             let stmt = [(target, expr)];
 
             // scatter one face's arrived payload into its receive buffers
@@ -441,7 +440,6 @@ impl MultiRank {
                     &stmt,
                     SiteSel::List { ptr: ptr_i, len: len_i },
                     self.compute_stream,
-                    opt,
                     Some(&remote),
                 )?;
                 // Host-side receives stay in deterministic split order (the
@@ -469,17 +467,23 @@ impl MultiRank {
                     &stmt,
                     SiteSel::List { ptr: ptr_f, len: len_f },
                     self.compute_stream,
-                    opt,
                     Some(&remote),
                 )?;
                 device.sync();
-                // rates describe both launches, weighted like `threads`
+                // rates describe both launches, weighted like `threads`;
+                // the kernel name and block size come from a launch that
+                // ran threads (an empty inner-site list launches nothing)
                 let weighted = |inner: f64, face: f64| {
                     (inner * len_i as f64 + face * len_f as f64) / (len_i + len_f) as f64
                 };
+                let ran = if len_i > 0 {
+                    &inner_report
+                } else {
+                    &face_report
+                };
                 Ok(EvalReport {
-                    kernel_name: inner_report.kernel_name,
-                    block_size: inner_report.block_size,
+                    kernel_name: ran.kernel_name.clone(),
+                    block_size: ran.block_size,
                     sim_time: device.now() - t_start,
                     threads: len_i + len_f,
                     bandwidth: weighted(inner_report.bandwidth, face_report.bandwidth),
@@ -496,7 +500,6 @@ impl MultiRank {
                     &stmt,
                     SiteSel::Subset(Subset::All),
                     StreamId::DEFAULT,
-                    opt,
                     Some(&remote),
                 )?;
                 Ok(EvalReport {
@@ -582,7 +585,6 @@ mod tests {
                     &[(out.fref(), e.raw())],
                     SiteSel::List { ptr, len },
                     StreamId::DEFAULT,
-                    ctx.opt_level(),
                     Some(&remote),
                 )
                 .unwrap()

@@ -346,8 +346,10 @@ fn bailout_cross_stream_dependency() {
     let r2 = ref_ctx.device().create_stream("fusion-test");
     let g = pair(&ref_ctx, 4);
     g.a.assign(g.u.q() * g.v.q()).unwrap();
-    g.c.assign_with(&EvalParams::new().stream(r2), g.u.q() * g.u.q())
-        .unwrap();
+    {
+        let _bound = ref_ctx.device().bind_stream(r2);
+        g.c.assign(g.u.q() * g.u.q()).unwrap();
+    }
     ref_ctx.device().sync();
     assert_eq!(field_bytes(&ctx, f.a.id()), field_bytes(&ref_ctx, g.a.id()));
     assert_eq!(field_bytes(&ctx, f.c.id()), field_bytes(&ref_ctx, g.c.id()));

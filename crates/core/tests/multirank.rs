@@ -410,6 +410,47 @@ fn non_power_of_two_rank_grid_matches_single_rank() {
 }
 
 #[test]
+fn overlapped_eval_with_no_inner_sites_reports_the_face_launch() {
+    // On a [2,1,1,1] grid over 4^4 the local x extent is 2, so every local
+    // site lies on an x face: a statement shifting both ways along x has no
+    // inner sites. Its report must name the kernel and block size of the
+    // face launch that ran the threads, not those of the empty inner call.
+    let global = [4usize; 4];
+    let reports = qdp_comm::run_cluster(
+        2,
+        qdp_comm::LinkModel::infiniband_qdr(),
+        move |handle| {
+            let decomp = Decomposition::new(global, [2, 1, 1, 1]);
+            let rank = handle.rank;
+            let ctx = QdpContext::new(
+                DeviceConfig::k20m_ecc_on(),
+                decomp.local_geometry(),
+                LayoutKind::SoA,
+            );
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, true);
+            let psi = LatticeFermion::<f64>::from_fn(&ctx, |s| {
+                fermion_at(decomp.global_coord(rank, s))
+            });
+            let out = LatticeFermion::<f64>::new(&ctx);
+            let both_ways =
+                shift(psi.q(), 0, ShiftDir::Forward) + shift(psi.q(), 0, ShiftDir::Backward);
+            let both = out.assign(both_ways).unwrap();
+            let forward = out.assign(shift(psi.q(), 0, ShiftDir::Forward)).unwrap();
+            (both, forward, ctx.geometry().vol())
+        },
+    );
+    for (both, forward, vol) in reports {
+        assert_eq!(both.threads, vol, "every local site is a face site");
+        for r in [&both, &forward] {
+            assert!(
+                r.kernel_name.starts_with("qdp_") && r.block_size > 0,
+                "report must describe a launch that ran: {r:?}"
+            );
+        }
+    }
+}
+
+#[test]
 fn split_shift_on_a_subset_is_an_error_unsplit_is_exact() {
     // Halo exchange covers full-lattice statements: a subset assignment
     // that shifts along the split dimension must fail loudly instead of

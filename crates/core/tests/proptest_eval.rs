@@ -222,8 +222,7 @@ fn compare(fx: &Fixture, expr: &Expr, kind: ElemKind, subset: Subset) {
         .register(fx.ctx.geometry().vol() * qdp_types::TypeShape::of(kind).n_reals() * 8);
     let jit_t = qdp_expr::FieldRef { id: jit_id, kind, ft };
     let ref_t = qdp_expr::FieldRef { id: ref_id, kind, ft };
-    qdp_core::eval::eval(&fx.ctx, jit_t, expr, &qdp_core::EvalParams::new().subset(subset))
-        .unwrap();
+    qdp_core::eval::eval(&fx.ctx, jit_t, expr, subset).unwrap();
     qdp_core::eval::eval_reference(&fx.ctx, ref_t, expr, subset).unwrap();
     // compare raw host bytes: bit-exact equality
     let a = fx.ctx.cache().with_host(jit_id, |h| h.to_vec()).unwrap();
@@ -276,7 +275,8 @@ fn random_norms_agree() {
         let seed = g.any_u64() % 1000;
         let fx = Fixture::new(seed);
         let expr = build_fermion(&node, &fx);
-        let device = qdp_core::eval::norm2(&fx.ctx, &expr, Subset::All).unwrap();
+        let q = QExpr::<qdp_types::Fermion<f64>>(expr.clone(), std::marker::PhantomData);
+        let device = reduce_norm2(&fx.ctx, &q, Subset::All).unwrap();
         // reference: evaluate into a field and sum on the host
         let out = LatticeFermion::<f64>::new(&fx.ctx);
         qdp_core::eval::eval_reference(&fx.ctx, out.fref(), &expr, Subset::All).unwrap();

@@ -39,41 +39,22 @@ fn fields(ctx: &Arc<QdpContext>) -> (LatticeColorMatrix<f64>, LatticeFermion<f64
 /// The dedicated default-stream acceptance test: a fixed evaluation
 /// sequence through the unified `eval` entry point must produce the exact
 /// modelled times of the pre-stream single-clock model (`clock += dt` on
-/// the legacy synchronising default stream), independent of how the
-/// default site selection is spelled in `EvalParams`.
+/// the legacy synchronising default stream), independent of whether the
+/// default stream is bound explicitly.
 #[test]
 fn default_stream_reproduces_prestream_clock_model() {
-    let run = |explicit_params: bool| -> (Vec<f64>, f64) {
+    let run = |explicit_binding: bool| -> (Vec<f64>, f64) {
         let ctx = QdpContext::k20x(Geometry::symmetric(4));
+        let _bound = explicit_binding.then(|| ctx.device().bind_stream(StreamId::DEFAULT));
         let (u, psi) = fields(&ctx);
         let out = LatticeFermion::<f64>::new(&ctx);
         let e = || u.q() * psi.q() + shift(psi.q(), 1, ShiftDir::Forward);
-        let list: Vec<u32> = (0..ctx.geometry().vol() as u32).step_by(3).collect();
         let mut times = Vec::new();
         for _ in 0..2 {
-            let r1 = if explicit_params {
-                qdp_core::eval(
-                    &ctx,
-                    out.fref(),
-                    &e().0,
-                    &EvalParams::new()
-                        .subset(Subset::All)
-                        .stream(StreamId::DEFAULT),
-                )
-                .unwrap()
-            } else {
-                qdp_core::eval(&ctx, out.fref(), &e().0, &EvalParams::new()).unwrap()
-            };
-            let r2 = qdp_core::eval(
-                &ctx,
-                out.fref(),
-                &e().0,
-                &EvalParams::new().subset(Subset::Even),
-            )
-            .unwrap();
-            let r3 = qdp_core::eval(&ctx, out.fref(), &e().0, &EvalParams::new().sites(&list))
-                .unwrap();
-            times.extend([r1.sim_time, r2.sim_time, r3.sim_time]);
+            for subset in [Subset::All, Subset::Even, Subset::Odd] {
+                let r = qdp_core::eval(&ctx, out.fref(), &e().0, subset).unwrap();
+                times.push(r.sim_time);
+            }
         }
         (times, ctx.device().now())
     };
@@ -117,8 +98,14 @@ fn independent_evals_on_distinct_streams_overlap() {
     device.stream_wait_event(s1, ready);
     device.stream_wait_event(s2, ready);
     let t1 = device.now();
-    a.assign_with(&EvalParams::new().stream(s1), ea()).unwrap();
-    b.assign_with(&EvalParams::new().stream(s2), eb()).unwrap();
+    {
+        let _bound = device.bind_stream(s1);
+        a.assign(ea()).unwrap();
+    }
+    {
+        let _bound = device.bind_stream(s2);
+        b.assign(eb()).unwrap();
+    }
     device.sync();
     let overlapped = device.now() - t1;
 
@@ -139,8 +126,10 @@ fn stream_ordered_eval_is_bit_identical() {
     let b = LatticeFermion::<f64>::new(&ctx);
     let s = ctx.device().create_stream("worker");
     a.assign(u.q() * psi.q()).unwrap();
-    b.assign_with(&EvalParams::new().stream(s), u.q() * psi.q())
-        .unwrap();
+    {
+        let _bound = ctx.device().bind_stream(s);
+        b.assign(u.q() * psi.q()).unwrap();
+    }
     ctx.device().sync();
     let va = a.to_vec();
     let vb = b.to_vec();
@@ -227,10 +216,14 @@ fn multi_stream_trace_has_per_stream_tracks() {
     let ready = ctx.device().record_event(StreamId::DEFAULT);
     ctx.device().stream_wait_event(s1, ready);
     ctx.device().stream_wait_event(s2, ready);
-    a.assign_with(&EvalParams::new().stream(s1), u.q() * psi.q())
-        .unwrap();
-    b.assign_with(&EvalParams::new().stream(s2), adj(u.q()) * psi.q())
-        .unwrap();
+    {
+        let _bound = ctx.device().bind_stream(s1);
+        a.assign(u.q() * psi.q()).unwrap();
+    }
+    {
+        let _bound = ctx.device().bind_stream(s2);
+        b.assign(adj(u.q()) * psi.q()).unwrap();
+    }
     ctx.device().sync();
     tel.flush_trace();
 

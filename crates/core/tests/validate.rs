@@ -462,11 +462,6 @@ fn illegal_assignment_is_a_type_error_at_runtime_layer() {
     let ctx = ctx4();
     let u = LatticeColorMatrix::<f64>::new(&ctx);
     let psi = LatticeFermion::<f64>::new(&ctx);
-    let r = qdp_core::eval::eval(
-        &ctx,
-        psi.fref(),
-        &u.q().0,
-        &qdp_core::EvalParams::new().subset(Subset::All),
-    );
+    let r = qdp_core::eval::eval(&ctx, psi.fref(), &u.q().0, Subset::All);
     assert!(r.is_err());
 }
