@@ -262,9 +262,8 @@ echo "ok: one telemetry surface (no JSON metrics exporter, no roofline/flight/st
 # ---- Guard: one bit-exact optimizer -------------------------------------------
 # The optimizer has two levels, off and on, and both store the same bytes:
 # the rounding-changing mul+add contraction level, its pass and its counter
-# stay deleted, and the JIT has one compile entry point, compile_ptx(text,
-# level). crates/benchmark is frozen and skipped. (Spelled in pieces, as
-# above.)
+# stay deleted, and the JIT has one compile entry point, compile_ptx(text).
+# crates/benchmark is frozen and skipped. (Spelled in pieces, as above.)
 twins="Aggress""ive|fuse_""fma|fmas_""fused|QDP_OPT""=2|compile_ptx""_opt"
 stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
     | grep -v '^crates/benchmark/' || true)
@@ -274,6 +273,24 @@ if [ -n "$stale" ]; then
     exit 1
 fi
 echo "ok: one bit-exact optimizer (two levels, no fma contraction, one compile_ptx)"
+
+# ---- Guard: generator prints the final kernel ----------------------------------
+# The code generator prints the program that runs: PTX value numbering,
+# redundant-load elimination and copy propagation stay folded into codegen
+# (no pass after the generator rewrites PTX), their counters and the JIT's
+# counter reporting stay deleted, the sweep needs no SSA precondition, and
+# the kernel store keeps digests, so it has no payload to evict.
+# crates/benchmark is frozen and skipped. (Spelled in pieces, as above.)
+twins="loads_""eliminated|copies_""propagated|values_""reused|record_opt""_stats"
+twins="$twins|is_ssa""_forward|evict""_kernel"
+stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
+    | grep -v '^crates/benchmark/' || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: a PTX rewrite after the generator, or a stored-program eviction path, is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: generator prints the final kernel (no PTX value numbering after codegen, no stored programs)"
 
 # ---- Guard: one PTX dialect ---------------------------------------------------
 # The parser, validation, optimizer, lowering and executor accept exactly
@@ -486,11 +503,15 @@ QDP_FUSE=0 cargo test -q --release --offline -p chroma-mini --lib solver
 echo "ok: kernel fusion (fuse-diff 0-ULP sweep + launch-count guard + budget-1 bit-exactness)"
 
 # ---- Persistent kernel cache: cold vs warm across processes ----------------
-# Two fresh processes share one QDP_CACHE_DIR. The first (cold) compiles,
-# optimizes and tunes the dslash kernel and persists the results; the
-# second (warm) must recompile nothing — zero JIT misses, zero optimizer
-# passes, zero tuner trials, >=1 persisted-kernel hit — and spend less
-# wall time in its first eval.
+# Two fresh processes share one QDP_CACHE_DIR. The first (cold) compiles
+# and tunes the dslash kernel and persists its digest and block size; the
+# second (warm) must miss nothing — zero JIT misses, zero `opt.*` counters
+# (nothing records one), zero tuner trials, >=1 persisted-kernel hit — and
+# pay less modelled translation time than the cold run: none, since the
+# store's saving is the driver-JIT cost on the simulated clock. The store
+# keeps digests, not programs, so a warm start still renders, parses and
+# lowers; its first-eval wall time is reported, not compared
+# (DESIGN.md "Persistent kernel cache").
 cache_dir=$(mktemp -d)
 cold_out=$(QDP_CACHE_DIR="$cache_dir" \
     cargo run --release --offline -p qdp-bench --bin persist_probe)
@@ -511,11 +532,13 @@ for check in "jit_misses 0" "opt_counters 0" "tuner_trials 0" "persist_corrupt 0
 done
 [ "$(probe_val persist_hits "$warm_out")" -ge 1 ]
 [ "$(probe_val tuner_seeded "$warm_out")" -ge 1 ]
-if ! awk -v c="$cold_wall" -v w="$warm_wall" 'BEGIN { exit !(w < c) }'; then
-    echo "FAIL: warm first eval (${warm_wall} us) not faster than cold (${cold_wall} us)" >&2
+cold_model=$(probe_val modeled_compile_ms "$cold_out")
+warm_model=$(probe_val modeled_compile_ms "$warm_out")
+if ! awk -v c="$cold_model" -v w="$warm_model" 'BEGIN { exit !(w == 0 && w < c) }'; then
+    echo "FAIL: warm modelled translation (${warm_model} ms) not zero and below cold (${cold_model} ms)" >&2
     exit 1
 fi
-echo "ok: persistent kernel cache warm start (cold ${cold_wall} us -> warm ${warm_wall} us, zero warm compiles/opt passes/tuner trials)"
+echo "ok: persistent kernel cache warm start (modelled translation cold ${cold_model} ms -> warm ${warm_model} ms; first eval cold ${cold_wall} us, warm ${warm_wall} us; zero warm misses/opt counters/tuner trials)"
 
 # ---- Campaign smoke: kill a rank mid-trajectory, restore, bit-identical ----
 # The probe runs the same distributed HMC campaign clean and with an

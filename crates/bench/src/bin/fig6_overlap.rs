@@ -9,33 +9,13 @@
 //!
 //! Run: `cargo run --release -p qdp-bench --bin fig6_overlap`
 
+use chroma_mini::fermion::wilson_hopping_expr;
 use qdp_core::multinode::MultiRank;
 use qdp_core::prelude::*;
-use qdp_core::{adj, gamma_mu, shift, Lattice, QExpr};
 use qdp_layout::Decomposition;
-use qdp_types::{ColorMatrix, Fermion, Real};
+use qdp_types::{ColorMatrix, Fermion};
+use quda_sim::perf::DSLASH_FLOPS;
 use std::sync::Arc;
-
-/// Standard Wilson dslash flop count per site.
-const DSLASH_FLOPS: f64 = 1320.0;
-
-/// The hopping term, generic over the precision.
-fn hopping<R: Real>(
-    u: &[Lattice<ColorMatrix<R>>],
-    psi: &Lattice<Fermion<R>>,
-) -> QExpr<Fermion<R>> {
-    let mut acc: Option<QExpr<Fermion<R>>> = None;
-    for mu in 0..4 {
-        let fwd = u[mu].q() * shift(psi.q(), mu, ShiftDir::Forward);
-        let bwd = shift(adj(u[mu].q()) * psi.q(), mu, ShiftDir::Backward);
-        let term = (fwd.clone() - gamma_mu(mu) * fwd) + (bwd.clone() + gamma_mu(mu) * bwd);
-        acc = Some(match acc {
-            None => term,
-            Some(a) => a + term,
-        });
-    }
-    acc.unwrap()
-}
 
 /// Measure the two-GPU dslash at global volume `L⁴`, returning GFLOPS.
 /// Timing-only (the overlap machinery is validated bit-exactly in the test
@@ -58,11 +38,10 @@ where
             );
             ctx.set_payload_execution(false);
             let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, overlap);
-            let u: Vec<Lattice<ColorMatrix<R>>> =
-                (0..4).map(|_| Lattice::new(&ctx)).collect();
+            let u: Multi1d<Lattice<ColorMatrix<R>>> = Multi1d::from_fn(4, |_| Lattice::new(&ctx));
             let psi: Lattice<Fermion<R>> = Lattice::new(&ctx);
             let out: Lattice<Fermion<R>> = Lattice::new(&ctx);
-            let expr = hopping(&u, &psi);
+            let expr = wilson_hopping_expr(&u, psi.q());
             // settle the auto-tuner, then measure
             for _ in 0..6 {
                 out.assign(expr.clone()).unwrap();

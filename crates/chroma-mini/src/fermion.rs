@@ -16,12 +16,12 @@ use std::sync::Arc;
 /// ```
 ///
 /// generated from its high-level representation — one expression, one
-/// kernel.
-pub fn wilson_hopping_expr(
-    u: &Multi1d<LatticeColorMatrix<f64>>,
-    psi: QExpr<Fermion<f64>>,
-) -> QExpr<Fermion<f64>> {
-    let mut acc: Option<QExpr<Fermion<f64>>> = None;
+/// kernel — at either precision.
+pub fn wilson_hopping_expr<R: Real>(
+    u: &Multi1d<LatticeColorMatrix<R>>,
+    psi: QExpr<Fermion<R>>,
+) -> QExpr<Fermion<R>> {
+    let mut acc: Option<QExpr<Fermion<R>>> = None;
     for mu in 0..4 {
         let fwd = u[mu].q() * shift(psi.clone(), mu, ShiftDir::Forward);
         let bwd = shift(adj(u[mu].q()) * psi.clone(), mu, ShiftDir::Backward);

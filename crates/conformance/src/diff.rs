@@ -120,9 +120,10 @@ pub fn diff_case(fx: &Fixture, expr: &Expr, subset: Subset) -> Result<u64, Strin
 /// buffers. The level is fixed per context, so each context evaluates the
 /// case once.
 ///
-/// The default optimizer configuration (DAG CSE + bit-preserving PTX
-/// passes) must be *value-preserving*, so the tolerance for this mode is
-/// exactly zero: any difference is an optimizer bug, not float slack.
+/// The default optimizer configuration (DAG CSE, address memo and sweep in
+/// the generator) must be *value-preserving*, so the tolerance for this
+/// mode is exactly zero: any difference is an optimizer bug, not float
+/// slack.
 pub fn opt_diff_case(
     opt: &Fixture,
     plain: &Fixture,

@@ -2,7 +2,6 @@
 //! (CI runs a longer time-boxed pass via the `conformance` binary).
 
 use qdp_conformance::fuzz::{mutate, replay_mutant, run_fuzz, seed_corpus};
-use qdp_ptx::opt::OptLevel;
 use qdp_rng::{SeedableRng, StdRng};
 use std::time::Duration;
 
@@ -13,7 +12,7 @@ fn seed_corpus_compiles_clean() {
     let corpus = seed_corpus();
     assert!(corpus.len() >= 5);
     for (i, ptx) in corpus.iter().enumerate() {
-        let (kernels, _, _) = qdp_jit::compile_ptx(ptx, OptLevel::None)
+        let kernels = qdp_jit::compile_ptx(ptx)
             .unwrap_or_else(|e| panic!("corpus entry {i} failed to compile: {e:?}"));
         assert!(!kernels.is_empty(), "corpus entry {i} has no kernels");
     }

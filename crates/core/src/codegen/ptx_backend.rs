@@ -2,12 +2,20 @@
 //! the kernel* — every algebra call appends PTX instructions, every leaf
 //! access emits the layout computation and a global load ("JIT data views",
 //! §III-B).
+//!
+//! Site paths, constants and parameter loads are computed once per kernel
+//! at every optimizer level; at `OptLevel::Default` so are the element
+//! index, byte offset and address of a leaf component, shared across
+//! leaves and statements ([`IntOp`]). With the DAG CSE wrapper and the
+//! sweep that follows the walk, the kernel it builds is the program the
+//! JIT lowers.
 
 use crate::codegen::backend::Backend;
 use qdp_expr::{FieldRef, ShiftDir};
 use qdp_layout::{LayoutKind, NeighborEntry};
 use qdp_ptx::inst::{BinOp, CmpOp, Inst, Operand};
 use qdp_ptx::module::KernelBuilder;
+use qdp_ptx::opt::OptLevel;
 use qdp_ptx::types::{PtxType, Reg, RegClass};
 use qdp_types::{FloatType, TypeShape};
 use std::collections::HashMap;
@@ -60,6 +68,22 @@ struct PathSite {
     remote: Option<(Reg, usize, ShiftDir)>,
 }
 
+/// One pure integer address computation, keyed on its opcode and operands.
+/// These values depend only on the thread's site, so unlike the CSE load
+/// memo (fresh per statement: a store may change what a load reads) the
+/// memo spans the whole kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum IntOp {
+    /// `add.u32 d, a, imm` — an SoA element index.
+    AddU32(Reg, i64),
+    /// `mad.lo.u32 d, a, b, c` — an AoS element index.
+    MadLo(Reg, i64, i64),
+    /// `mul.wide.u32 d, a, imm` — a byte offset.
+    MulWide(Reg, i64),
+    /// `add.u64 d, a, b` — an address.
+    AddU64(Reg, Reg),
+}
+
 /// Per-statement metadata of a kernel: the target's storage precision and
 /// shape, and how many scalar parameters the statement's expression
 /// consumes.
@@ -99,6 +123,9 @@ pub struct PtxGen<'a> {
     recv_bases: HashMap<(usize, ShiftDir, usize), Reg>,
     exit_label: String,
     const_cache: HashMap<u64, Reg>,
+    /// Address arithmetic already emitted; `None` at `OptLevel::None`,
+    /// which prints every computation where the walk asks for it.
+    int_memo: Option<HashMap<IntOp, Reg>>,
     /// One destination per statement of `env.stmts`.
     dsts: Vec<StmtDst>,
     /// Index of the statement currently being generated.
@@ -118,8 +145,14 @@ impl<'a> PtxGen<'a> {
     /// the site table, the neighbour tables and — K = 1 only, the planner
     /// never groups remote shifts — the receive buffers.
     /// [`PtxGen::begin_stmt`] switches the destination and scalar window
-    /// between statements.
-    pub fn new(name: &str, env: &'a KernelEnv, leaves: &'a [FieldRef]) -> PtxGen<'a> {
+    /// between statements. Above `OptLevel::None` address arithmetic is
+    /// memoised over the whole kernel.
+    pub fn new(
+        name: &str,
+        env: &'a KernelEnv,
+        leaves: &'a [FieldRef],
+        opt: OptLevel,
+    ) -> PtxGen<'a> {
         assert!(!env.stmts.is_empty(), "a kernel needs at least one statement");
         assert!(
             env.stmts.len() == 1 || !env.remote_shifts,
@@ -253,6 +286,7 @@ impl<'a> PtxGen<'a> {
             recv_bases,
             exit_label,
             const_cache: HashMap::new(),
+            int_memo: (opt != OptLevel::None).then(HashMap::new),
             dsts,
             cur_stmt: 0,
             fault: None,
@@ -305,15 +339,8 @@ impl<'a> PtxGen<'a> {
                 .get(&(mu, dir))
                 .expect("missing neighbour table param");
             // entry = tbl[parent_off]
-            let boff = self.kb.fresh(RegClass::B64);
-            self.kb.push(Inst::MulWide {
-                dst: boff,
-                a: parent_off,
-                b: Operand::ImmI(4),
-            });
-            let addr = self
-                .kb
-                .bin(BinOp::Add, PtxType::U64, tbl.into(), boff.into());
+            let boff = self.int_op(IntOp::MulWide(parent_off, 4));
+            let addr = self.int_op(IntOp::AddU64(tbl, boff));
             let entry = self.kb.fresh(RegClass::B32);
             self.kb.push(Inst::LdGlobal {
                 ty: PtxType::U32,
@@ -362,39 +389,50 @@ impl<'a> PtxGen<'a> {
     /// Byte address of `(base, off_site, comp)` under the layout.
     fn address(&mut self, base: Reg, off: Reg, comp: usize, iv: usize, esize: usize, n_comp: usize) -> Reg {
         let elem = match self.env.layout {
-            LayoutKind::SoA => {
-                // elem = comp*IV + off
-                if comp == 0 {
-                    off
-                } else {
-                    self.kb.bin(
-                        BinOp::Add,
-                        PtxType::U32,
-                        off.into(),
-                        Operand::ImmI((comp * iv) as i64),
-                    )
-                }
-            }
-            LayoutKind::AoS => {
-                // elem = off*n_comp + comp
-                let dst = self.kb.fresh(RegClass::B32);
-                self.kb.push(Inst::MadLo {
+            // elem = comp*IV + off
+            LayoutKind::SoA if comp == 0 => off,
+            LayoutKind::SoA => self.int_op(IntOp::AddU32(off, (comp * iv) as i64)),
+            // elem = off*n_comp + comp
+            LayoutKind::AoS => self.int_op(IntOp::MadLo(off, n_comp as i64, comp as i64)),
+        };
+        let byte = self.int_op(IntOp::MulWide(elem, esize as i64));
+        self.int_op(IntOp::AddU64(base, byte))
+    }
+
+    /// The register holding `op`'s value: emitted now, or — when the memo
+    /// is on — the one an earlier identical computation defined.
+    fn int_op(&mut self, op: IntOp) -> Reg {
+        if let Some(&r) = self.int_memo.as_ref().and_then(|m| m.get(&op)) {
+            return r;
+        }
+        let kb = &mut self.kb;
+        let dst = match op {
+            IntOp::AddU32(a, imm) => kb.bin(BinOp::Add, PtxType::U32, a.into(), Operand::ImmI(imm)),
+            IntOp::MadLo(a, b, c) => {
+                let dst = kb.fresh(RegClass::B32);
+                kb.push(Inst::MadLo {
                     dst,
-                    a: off.into(),
-                    b: Operand::ImmI(n_comp as i64),
-                    c: Operand::ImmI(comp as i64),
+                    a: a.into(),
+                    b: Operand::ImmI(b),
+                    c: Operand::ImmI(c),
                 });
                 dst
             }
+            IntOp::MulWide(a, imm) => {
+                let dst = kb.fresh(RegClass::B64);
+                kb.push(Inst::MulWide {
+                    dst,
+                    a,
+                    b: Operand::ImmI(imm),
+                });
+                dst
+            }
+            IntOp::AddU64(a, b) => kb.bin(BinOp::Add, PtxType::U64, a.into(), b.into()),
         };
-        let byte = self.kb.fresh(RegClass::B64);
-        self.kb.push(Inst::MulWide {
-            dst: byte,
-            a: elem,
-            b: Operand::ImmI(esize as i64),
-        });
-        self.kb
-            .bin(BinOp::Add, PtxType::U64, base.into(), byte.into())
+        if let Some(m) = &mut self.int_memo {
+            m.insert(op, dst);
+        }
+        dst
     }
 }
 

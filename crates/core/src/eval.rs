@@ -20,7 +20,7 @@ use qdp_jit::{launch_tuned_on, CompileRequest, JitError, LaunchArg};
 use qdp_layout::{FieldLayout, LayoutKind, Subset};
 use qdp_ptx::emit::emit_module;
 use qdp_ptx::module::Module;
-use qdp_ptx::opt::OptLevel;
+use qdp_ptx::opt::{optimize_kernel, OptLevel};
 use qdp_types::{FloatType, Real, TypeShape};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write;
@@ -328,8 +328,12 @@ pub fn render_ptx(plan: &CodegenPlan, expr: &Expr, kernel_name: &str) -> Result<
 /// DAG-level CSE wrapper, so repeated subexpressions are loaded and
 /// computed once per site — with a **fresh** CSE scope per statement (a
 /// store invalidates memoised loads of the stored field; the reset keeps
-/// producer→consumer loads exact). Malformed DAGs (unbalanced shift pops)
-/// surface as [`CoreError::Codegen`] instead of panicking.
+/// producer→consumer loads exact) — the backend computes each address
+/// once per kernel, and the built kernel is swept of dead defs and
+/// renumbered densely ([`optimize_kernel`]) before it is printed. The text
+/// is the program the JIT lowers; nothing downstream rewrites it.
+/// Malformed DAGs (unbalanced shift pops) surface as [`CoreError::Codegen`]
+/// instead of panicking.
 pub(crate) fn render_statements(
     plan: &CodegenPlan,
     exprs: &[&Expr],
@@ -343,7 +347,7 @@ pub(crate) fn render_statements(
             None => Ok(()),
         }
     }
-    let mut g = PtxGen::new(kernel_name, &plan.env, &plan.leaves);
+    let mut g = PtxGen::new(kernel_name, &plan.env, &plan.leaves, plan.opt);
     for (i, expr) in exprs.iter().enumerate() {
         g.begin_stmt(i);
         if plan.opt != OptLevel::None {
@@ -354,7 +358,9 @@ pub(crate) fn render_statements(
             walk(&mut g, expr, &plan.leaves)?;
         }
     }
-    Ok(emit_module(&Module::with_kernel(g.finish())))
+    let mut kernel = g.finish();
+    optimize_kernel(&mut kernel, plan.opt);
+    Ok(emit_module(&Module::with_kernel(kernel)))
 }
 
 /// Generate the PTX text the pipeline would run for `expr` into `target`
@@ -476,7 +482,7 @@ pub(crate) fn launch_statements(
             let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| *e).collect();
             render_statements(&plan, &exprs, &plan.name)?
         };
-        let req = CompileRequest::new(&ptx).opt_level(plan.opt).name(&plan.name);
+        let req = CompileRequest::new(&ptx).name(&plan.name);
         Ok::<_, CoreError>(ctx.kernels().compile(req)?)
     })?;
 

@@ -13,10 +13,12 @@
 //! then commit the updated `.ptx` files with the change that caused them.
 
 use qdp_core::{
-    codegen_fused_ptx, codegen_ptx, plan_codegen, render_ptx, OptLevel, QdpConfig, QdpContext,
+    codegen_fused_ptx, codegen_ptx, eval_fused_sequence, plan_codegen, render_ptx, OptLevel,
+    QdpConfig, QdpContext,
 };
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
 use qdp_layout::{Geometry, LayoutKind, Subset};
+use qdp_rng::{Rng, SeedableRng, StdRng};
 use qdp_types::{ElemKind, FloatType, Gamma, TypeShape};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -35,15 +37,15 @@ struct Env {
 /// Deterministic registration order — snapshot parameter layout depends
 /// only on this function, not on test execution order.
 fn env(ft: FloatType) -> Env {
-    env_in(LayoutKind::SoA, ft)
+    env_in(LayoutKind::SoA, ft, OptLevel::Default)
 }
 
-fn env_in(layout: LayoutKind, ft: FloatType) -> Env {
+fn env_in(layout: LayoutKind, ft: FloatType, level: OptLevel) -> Env {
     // Snapshots pin the *default-optimized* output; a stray QDP_OPT in the
     // environment must not change what these tests compare against.
     let ctx = QdpContext::builder(Geometry::new([4, 2, 2, 4]))
         .config(QdpConfig::from_env())
-        .opt_level(OptLevel::Default)
+        .opt_level(level)
         .layout(layout)
         .build();
     let reg = |kind: ElemKind| field(&ctx, kind, ft);
@@ -142,7 +144,7 @@ fn snapshot_path(name: &str) -> PathBuf {
 /// when `QDP_UPDATE_SNAPSHOTS=1`), and require the text to make it through
 /// the driver JIT.
 fn check_snapshot(name: &str, ptx: &str) {
-    let (kernels, _, _) = qdp_jit::compile_ptx(ptx, OptLevel::None)
+    let kernels = qdp_jit::compile_ptx(ptx)
         .unwrap_or_else(|e| panic!("snapshot {name} does not compile: {e:?}"));
     assert!(!kernels.is_empty(), "snapshot {name}: no kernels");
 
@@ -166,87 +168,154 @@ fn check_snapshot(name: &str, ptx: &str) {
     );
 }
 
+/// The seven golden kernels: snapshot name and precision.
+const GOLDENS: [(&str, FloatType); 7] = [
+    ("wilson_dslash_dp", FloatType::F64),
+    ("wilson_dslash_sp", FloatType::F32),
+    ("su3_mul_dp", FloatType::F64),
+    ("axpy_fermion_dp", FloatType::F64),
+    ("fused_axpy_norm2_dp", FloatType::F64),
+    ("fused_force_accum_dp", FloatType::F64),
+    ("shift_cm_even_dp", FloatType::F64),
+];
+
+/// The statements (one, or a fused group) and the subset of golden `name`
+/// on `e`.
+fn golden(e: &Env, name: &str) -> (Vec<(FieldRef, Expr)>, Subset) {
+    match name {
+        "wilson_dslash_dp" | "wilson_dslash_sp" => {
+            (vec![(e.psi[1], wilson_dslash_expr(e))], Subset::All)
+        }
+        "su3_mul_dp" => (
+            vec![(e.u[2], mul(Expr::Field(e.u[0]), Expr::Field(e.u[1])))],
+            Subset::All,
+        ),
+        "axpy_fermion_dp" => (
+            vec![(
+                e.psi[0],
+                add(Expr::Field(e.psi[0]), mul(Expr::real(0.75), Expr::Field(e.psi[1]))),
+            )],
+            Subset::All,
+        ),
+        // Fused producer→consumer group: an axpy writing `chi` and the
+        // local-norm temporary reading `chi` back **unshifted** in the same
+        // kernel — the canonical CG inner-loop fusion. Two `dst`
+        // parameters, one shared leaf set, stores interleaved per thread.
+        "fused_axpy_norm2_dp" => {
+            let axpy = add(
+                Expr::Field(e.psi[0]),
+                mul(Expr::real(0.75), Expr::Field(e.psi[1])),
+            );
+            let n2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(Expr::Field(e.chi)));
+            (vec![(e.chi, axpy), (e.rho, n2)], Subset::All)
+        }
+        // Fused independent-statement group: the HMC two-term force
+        // accumulation, `F_µ ← F_µ + ε·G_µ` for two directions in one
+        // kernel (distinct targets, no cross-statement reads, shared
+        // scalar).
+        "fused_force_accum_dp" => {
+            let accum = |f: FieldRef, g: FieldRef| {
+                (f, add(Expr::Field(f), mul(Expr::real(0.5), Expr::Field(g))))
+            };
+            (vec![accum(e.u[0], e.u[2]), accum(e.u[1], e.u[3])], Subset::All)
+        }
+        // Subset-mapped kernel: checkerboard evaluation routes sites
+        // through the subset table, a different indexing prologue from the
+        // dense case.
+        "shift_cm_even_dp" => (
+            vec![(e.u[1], shift(Expr::Field(e.u[0]), 0, ShiftDir::Forward))],
+            Subset::Even,
+        ),
+        other => panic!("no golden named {other}"),
+    }
+}
+
+/// Render golden `name` at its precision and compare it with its snapshot.
+fn check_golden(name: &str) {
+    let (_, ft) = GOLDENS.iter().find(|(n, _)| *n == name).unwrap();
+    let e = env(*ft);
+    let (stmts, subset) = golden(&e, name);
+    let ptx = match &stmts[..] {
+        [(target, expr)] => codegen_ptx(&e.ctx, *target, expr, subset, name),
+        group => codegen_fused_ptx(&e.ctx, group, subset, name),
+    };
+    check_snapshot(name, &ptx.unwrap());
+}
+
 #[test]
 fn golden_wilson_dslash_f64() {
-    let e = env(FloatType::F64);
-    let expr = wilson_dslash_expr(&e);
-    let target = e.psi[1];
-    let ptx = codegen_ptx(&e.ctx, target, &expr, Subset::All, "wilson_dslash_dp").unwrap();
-    check_snapshot("wilson_dslash_dp", &ptx);
+    check_golden("wilson_dslash_dp");
 }
 
 #[test]
 fn golden_wilson_dslash_f32() {
-    let e = env(FloatType::F32);
-    let expr = wilson_dslash_expr(&e);
-    let target = e.psi[1];
-    let ptx = codegen_ptx(&e.ctx, target, &expr, Subset::All, "wilson_dslash_sp").unwrap();
-    check_snapshot("wilson_dslash_sp", &ptx);
+    check_golden("wilson_dslash_sp");
 }
 
 #[test]
 fn golden_su3_mul() {
-    let e = env(FloatType::F64);
-    let expr = mul(Expr::Field(e.u[0]), Expr::Field(e.u[1]));
-    let ptx = codegen_ptx(&e.ctx, e.u[2], &expr, Subset::All, "su3_mul_dp").unwrap();
-    check_snapshot("su3_mul_dp", &ptx);
+    check_golden("su3_mul_dp");
 }
 
 #[test]
 fn golden_axpy_fermion() {
-    let e = env(FloatType::F64);
-    let expr = add(Expr::Field(e.psi[0]), mul(Expr::real(0.75), Expr::Field(e.psi[1])));
-    let target = e.psi[0];
-    let ptx = codegen_ptx(&e.ctx, target, &expr, Subset::All, "axpy_fermion_dp").unwrap();
-    check_snapshot("axpy_fermion_dp", &ptx);
+    check_golden("axpy_fermion_dp");
 }
 
-/// Fused producer→consumer group: an axpy writing `chi` and the
-/// local-norm temporary reading `chi` back **unshifted** in the same
-/// kernel — the canonical CG inner-loop fusion. Two `dst` parameters, one
-/// shared leaf set, stores interleaved per thread.
 #[test]
 fn golden_fused_axpy_norm2() {
-    let e = env(FloatType::F64);
-    let axpy = add(
-        Expr::Field(e.psi[0]),
-        mul(Expr::real(0.75), Expr::Field(e.psi[1])),
-    );
-    let n2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(Expr::Field(e.chi)));
-    let stmts = [(e.chi, axpy), (e.rho, n2)];
-    let ptx =
-        codegen_fused_ptx(&e.ctx, &stmts, Subset::All, "fused_axpy_norm2_dp").unwrap();
-    check_snapshot("fused_axpy_norm2_dp", &ptx);
+    check_golden("fused_axpy_norm2_dp");
 }
 
-/// Fused independent-statement group: the HMC two-term force
-/// accumulation, `F_µ ← F_µ + ε·G_µ` for two directions in one kernel
-/// (distinct targets, no cross-statement reads, shared scalar).
 #[test]
 fn golden_fused_force_accum() {
-    let e = env(FloatType::F64);
-    let s0 = add(
-        Expr::Field(e.u[0]),
-        mul(Expr::real(0.5), Expr::Field(e.u[2])),
-    );
-    let s1 = add(
-        Expr::Field(e.u[1]),
-        mul(Expr::real(0.5), Expr::Field(e.u[3])),
-    );
-    let stmts = [(e.u[0], s0), (e.u[1], s1)];
-    let ptx =
-        codegen_fused_ptx(&e.ctx, &stmts, Subset::All, "fused_force_accum_dp").unwrap();
-    check_snapshot("fused_force_accum_dp", &ptx);
+    check_golden("fused_force_accum_dp");
 }
 
-/// Subset-mapped kernel: checkerboard evaluation routes sites through the
-/// subset table, a different indexing prologue from the dense case.
 #[test]
 fn golden_shift_cm_even() {
-    let e = env(FloatType::F64);
-    let expr = shift(Expr::Field(e.u[0]), 0, ShiftDir::Forward);
-    let ptx = codegen_ptx(&e.ctx, e.u[1], &expr, Subset::Even, "shift_cm_even_dp").unwrap();
-    check_snapshot("shift_cm_even_dp", &ptx);
+    check_golden("shift_cm_even_dp");
+}
+
+/// Every golden statement leaves the same device bytes at `OptLevel::None`
+/// and at `OptLevel::Default` — the 0-ULP contract of the optimizer level,
+/// on the kernels the snapshots pin. Each level's context is filled with
+/// the same seeded values; the statements run through the pipeline, which
+/// renders them at the context's level.
+#[test]
+fn golden_kernels_store_the_same_bytes_at_both_levels() {
+    for (name, ft) in GOLDENS {
+        let [o0, o1] = [OptLevel::None, OptLevel::Default].map(|level| {
+            let e = env_in(LayoutKind::SoA, ft, level);
+            let fields: Vec<FieldRef> = [&e.u[..], &e.psi[..], &[e.chi, e.rho]].concat();
+            let mut rng = StdRng::seed_from_u64(5);
+            for f in &fields {
+                e.ctx
+                    .cache()
+                    .with_host_mut(f.id, |bytes| match ft {
+                        FloatType::F32 => bytes.chunks_exact_mut(4).for_each(|b| {
+                            b.copy_from_slice(&(rng.random::<f32>() * 2.0 - 1.0).to_le_bytes())
+                        }),
+                        FloatType::F64 => bytes.chunks_exact_mut(8).for_each(|b| {
+                            b.copy_from_slice(&(rng.random::<f64>() * 2.0 - 1.0).to_le_bytes())
+                        }),
+                    })
+                    .unwrap();
+            }
+            let read = |f: &FieldRef| e.ctx.cache().with_host(f.id, |h| h.to_vec()).unwrap();
+            let (stmts, subset) = golden(&e, name);
+            let before = read(&stmts[0].0);
+            match &stmts[..] {
+                [(target, expr)] => {
+                    qdp_core::eval(&e.ctx, *target, expr, subset).unwrap();
+                }
+                group => eval_fused_sequence(&e.ctx, group).unwrap(),
+            }
+            assert!(read(&stmts[0].0) != before, "{name} at {level:?}: nothing stored");
+            fields.iter().map(read).collect::<Vec<_>>()
+        });
+        assert!(o0 == o1, "{name}: o0 and o1 leave different bytes");
+    }
 }
 
 /// The code generator's dialect, one opcode spelling each: the forms the
@@ -286,7 +355,7 @@ fn generator_emits_exactly_the_dialect() {
     let mut modules = Vec::new();
     for layout in [LayoutKind::SoA, LayoutKind::AoS] {
         for ft in [FloatType::F32, FloatType::F64] {
-            let e = env_in(layout, ft);
+            let e = env_in(layout, ft, OptLevel::Default);
             let dslash = wilson_dslash_expr(&e);
             for subset in [Subset::All, Subset::Even] {
                 modules.push(codegen_ptx(&e.ctx, e.chi, &dslash, subset, "k").unwrap());

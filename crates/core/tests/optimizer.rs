@@ -130,8 +130,8 @@ fn dslash_sp_loads_drop_at_least_30_percent() {
     );
     // The arithmetic shrinks too, and both renderings still compile.
     assert!(opt.lines().count() < plain.lines().count());
-    qdp_jit::compile_ptx(&plain, OptLevel::None).unwrap();
-    qdp_jit::compile_ptx(&opt, OptLevel::None).unwrap();
+    qdp_jit::compile_ptx(&plain).unwrap();
+    qdp_jit::compile_ptx(&opt).unwrap();
 }
 
 #[test]
@@ -142,7 +142,7 @@ fn optimized_kernel_models_less_memory_traffic() {
         let e = env_at(FloatType::F32, level);
         let expr = wilson_dslash_expr(&e);
         let ptx = codegen_ptx(&e.ctx, e.psi[1], &expr, Subset::All, "dslash_traffic").unwrap();
-        qdp_jit::compile_ptx(&ptx, OptLevel::None).unwrap().0.remove(0)
+        qdp_jit::compile_ptx(&ptx).unwrap().remove(0)
     });
     assert!(
         k1.read_bytes < k0.read_bytes,
@@ -241,7 +241,7 @@ fn ptx_backend_unbalanced_pop_is_a_fault_not_a_panic() {
     let expr = Expr::Field(e.u[0]);
     let plan = qdp_core::plan_codegen(&e.ctx, e.u[1], &expr, false, false).unwrap();
     let leaves = [e.u[0]];
-    let mut b = PtxGen::new("k_fault", &plan.env, &leaves);
+    let mut b = PtxGen::new("k_fault", &plan.env, &leaves, plan.opt);
     b.pop_shift();
     let f = b.fault().expect("fault must be recorded");
     assert!(f.contains("unbalanced shift pop"), "got: {f}");

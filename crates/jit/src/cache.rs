@@ -10,13 +10,14 @@
 //! and a warm key is one map probe. The paper's cache "keyed on PTX text"
 //! ([`KernelCache::compile`]) is the miss path behind it: it runs once per
 //! key, deduplicates identical programs and feeds the persistent store.
+//! Every request is lowered from its own text as written: the code
+//! generator prints its final program, and nothing here rewrites it.
 
 use crate::lower::{compile_ptx, CompiledKernel, JitError};
 use crate::persist::KernelStore;
 use qdp_gpu_sim::sync::Mutex;
-use qdp_ptx::emit::emit_module;
 use qdp_ptx::hash::stable_text_digest;
-use qdp_ptx::opt::{OptLevel, OptStats};
+use qdp_ptx::opt::OptLevel;
 use qdp_telemetry::Telemetry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -34,16 +35,16 @@ pub struct KernelCacheStats {
     /// Number of failed translations (bad PTX, lowering error). Failures
     /// are never cached, so each failing text counts on every attempt.
     pub compile_errors: u64,
-    /// Wall-clock seconds spent in fresh translations: parse, validate,
-    /// optimize, emit of the optimized text (only with a persistent store)
-    /// and lower.
+    /// Wall-clock seconds spent in translations: parse, validate and
+    /// lower, for misses and persist hits alike.
     pub wall_compile_time: f64,
     /// *Modelled* translation seconds — the paper's 0.05–0.22 s per kernel
     /// figure, scaled by program size. Benchmark harnesses report this.
     pub modeled_compile_time: f64,
-    /// In-memory misses served from the persistent kernel store: the
-    /// already-optimized program was lowered verbatim — no optimizer pass,
-    /// no modelled translation cost, and no `misses` increment.
+    /// In-memory misses whose program the persistent kernel store records
+    /// as translated on this device before (the driver's binary cache):
+    /// the request's own text is lowered, with no modelled translation
+    /// cost and no `misses` increment.
     pub persist_hits: u64,
 }
 
@@ -56,42 +57,35 @@ pub fn modeled_compile_time(n_instructions: usize) -> f64 {
     t.min(0.22)
 }
 
-/// One compile request: PTX text plus how to translate it. Built with the
-/// builder methods and handed to [`KernelCache::compile`], the cache's one
-/// text-keyed entry point.
+/// One compile request: PTX text, optionally with the kernel name it must
+/// define. Built with the builder methods and handed to
+/// [`KernelCache::compile`], the cache's one text-keyed entry point.
 ///
 /// ```ignore
 /// let k = cache.compile(CompileRequest::new(&ptx))?;                    // verbatim
-/// let k = cache.compile(CompileRequest::new(&ptx).opt_level(level))?;   // optimized
 /// let k = cache.compile(CompileRequest::new(&ptx).name("my_kernel"))?;  // checked
 /// ```
 ///
-/// The default request translates the text **verbatim** (`OptLevel::None`):
-/// callers that hand-build kernels (tests, benchmarks, golden snapshots)
-/// get exactly the instructions they wrote. The expression pipeline opts in
-/// to the optimizer with [`CompileRequest::opt_level`].
+/// Every request translates its text **verbatim**: the code generator
+/// prints its final program at the context's optimizer level, and callers
+/// that hand-build kernels (tests, benchmarks) get exactly the
+/// instructions they wrote.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileRequest<'a> {
     ptx: &'a str,
-    opt_level: OptLevel,
     name: Option<&'a str>,
 }
 
 impl<'a> CompileRequest<'a> {
-    /// A verbatim (no-opt, unchecked-name) request for `ptx`.
+    /// A verbatim, unchecked-name request for `ptx`.
     pub fn new(ptx: &'a str) -> CompileRequest<'a> {
-        CompileRequest {
-            ptx,
-            opt_level: OptLevel::None,
-            name: None,
-        }
+        CompileRequest { ptx, name: None }
     }
 
-    /// Run the PTX optimizer at `level` before lowering. The cache key
-    /// covers the level: a process toggling `QDP_OPT` mid-run is never
-    /// served a kernel compiled under the other setting.
-    pub fn opt_level(mut self, level: OptLevel) -> CompileRequest<'a> {
-        self.opt_level = level;
+    /// No effect: the text already is the program at its optimizer level,
+    /// and every request compiles verbatim. Kept only because the frozen
+    /// benchmark crate calls it.
+    pub fn opt_level(self, _level: OptLevel) -> CompileRequest<'a> {
         self
     }
 
@@ -114,7 +108,7 @@ pub struct KernelCache {
 
 #[derive(Default)]
 struct Inner {
-    /// Hash of (PTX text, opt level) → kernel.
+    /// Hash of the PTX text → kernel.
     map: HashMap<u64, Arc<CompiledKernel>>,
     /// Structural key → kernel (the front door over `map`).
     keyed: HashMap<String, Arc<CompiledKernel>>,
@@ -137,9 +131,9 @@ impl KernelCache {
     }
 
     /// Like [`KernelCache::with_telemetry`], additionally backed by the
-    /// persistent kernel store: in-memory misses first consult `store` for
-    /// the already-optimized program (lowered verbatim — no optimizer
-    /// pass), and fresh translations write their optimized PTX back.
+    /// persistent kernel store: an in-memory miss whose text the store has
+    /// seen on this device costs no modelled translation, and fresh
+    /// translations record their text's digest.
     pub fn with_store(
         telemetry: Arc<Telemetry>,
         store: Option<Arc<KernelStore>>,
@@ -161,7 +155,7 @@ impl KernelCache {
     /// PTX and handing it to [`KernelCache::compile`]. A hit is one map
     /// probe and counts in [`KernelCacheStats::hits`] like a text-keyed
     /// hit; `miss` does its own counting. A failed `miss` caches nothing.
-    /// The key must determine the program and its optimizer level.
+    /// The key must determine the program (so its optimizer level too).
     pub fn compile_keyed<E>(
         &self,
         key: &str,
@@ -187,12 +181,10 @@ impl KernelCache {
     /// text-keyed compile entry point (see [`CompileRequest`]).
     ///
     /// The text must contain exactly one `.entry` — the code generator
-    /// emits one module per expression, like the paper's. The cache key
-    /// covers both the text and the optimizer configuration.
+    /// emits one module per expression, like the paper's.
     pub fn compile(&self, req: CompileRequest<'_>) -> Result<Arc<CompiledKernel>, JitError> {
         let mut h = DefaultHasher::new();
         req.ptx.hash(&mut h);
-        req.opt_level.tag().hash(&mut h);
         let key = h.finish();
 
         let check_name = |k: &CompiledKernel| -> Result<(), JitError> {
@@ -214,47 +206,22 @@ impl KernelCache {
             return Ok(k);
         }
 
-        // In-memory miss: consult the persistent store for the program an
-        // earlier process already pushed through the optimizer. A stored
-        // program is lowered **verbatim** — zero optimizer passes, no
-        // modelled translation cost (driver binary-cache semantics) — and
-        // counts as a hit, not a miss. A stored payload that no longer
-        // parses or lowers is evicted (`persist.corrupt`) and the request
-        // falls through to a clean recompile.
-        let src_digest = self.store.as_ref().map(|_| stable_text_digest(req.ptx));
-        if let (Some(store), Some(digest)) = (&self.store, &src_digest) {
-            if let Some(stored) = store.lookup_kernel(digest, req.opt_level.tag()) {
-                match compile_ptx(&stored, OptLevel::None) {
-                    Ok((mut kernels, _, _)) if kernels.len() == 1 => {
-                        let kernel = Arc::new(kernels.remove(0));
-                        check_name(&kernel)?;
-                        inner.stats.persist_hits += 1;
-                        inner.map.insert(key, Arc::clone(&kernel));
-                        drop(inner);
-                        self.telemetry.record_compile(&kernel.name, true, 0.0, 0.0);
-                        self.telemetry.record_persist_hit(&kernel.name);
-                        return Ok(kernel);
-                    }
-                    _ => store.evict_kernel(digest, req.opt_level.tag()),
-                }
-            }
-        }
+        // In-memory miss. A text whose digest the store holds was
+        // translated on this device by an earlier process: it is lowered
+        // like any other, but with no modelled translation cost (driver
+        // binary-cache semantics), and counts as a hit, not a miss.
+        let store = self.store.as_ref().map(|s| (s, stable_text_digest(req.ptx)));
+        let stored = store.as_ref().is_some_and(|(s, digest)| s.lookup_kernel(digest));
 
         let t0 = Instant::now();
-        let (mut kernels, opt_stats, module) = match compile_ptx(req.ptx, req.opt_level) {
-            Ok(r) => r,
+        let mut kernels = match compile_ptx(req.ptx) {
+            Ok(k) => k,
             Err(e) => {
                 inner.stats.compile_errors += 1;
                 self.telemetry.record_compile_error();
                 return Err(e);
             }
         };
-        // Only a store reads the optimized text. At `OptLevel::None` it is
-        // the input verbatim: nothing is re-emitted or normalised.
-        let optimized_text = self.store.as_ref().map(|_| match req.opt_level {
-            OptLevel::None => req.ptx.to_string(),
-            OptLevel::Default => emit_module(&module),
-        });
         let wall = t0.elapsed().as_secs_f64();
         if kernels.len() != 1 {
             inner.stats.compile_errors += 1;
@@ -266,42 +233,25 @@ impl KernelCache {
         }
         let kernel = Arc::new(kernels.remove(0));
         check_name(&kernel)?;
+        inner.map.insert(key, Arc::clone(&kernel));
+        inner.stats.wall_compile_time += wall;
+        if stored {
+            inner.stats.persist_hits += 1;
+            drop(inner);
+            self.telemetry.record_compile(&kernel.name, true, wall, 0.0);
+            self.telemetry.record_persist_hit(&kernel.name);
+            return Ok(kernel);
+        }
         let modeled = modeled_compile_time(kernel.code.len());
         inner.stats.misses += 1;
-        inner.stats.wall_compile_time += wall;
         inner.stats.modeled_compile_time += modeled;
-        inner.map.insert(key, Arc::clone(&kernel));
         drop(inner);
-        if let (Some(store), Some(digest), Some(text)) =
-            (&self.store, &src_digest, &optimized_text)
-        {
-            store.put_kernel(digest, req.opt_level.tag(), &kernel.name, text);
+        if let Some((s, digest)) = &store {
+            s.put_kernel(digest);
         }
         self.telemetry
             .record_compile(&kernel.name, false, wall, modeled);
-        self.record_opt_stats(&opt_stats);
         Ok(kernel)
-    }
-
-    /// Report the optimizer's per-pass counters as `opt.*` telemetry (the
-    /// lines `QDP_PROFILE=1` prints under "counters").
-    fn record_opt_stats(&self, s: &OptStats) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        for (name, n) in [
-            ("opt.loads_eliminated", s.loads_eliminated),
-            ("opt.values_reused", s.values_reused),
-            ("opt.copies_propagated", s.copies_propagated),
-            ("opt.dead_removed", s.dead_removed),
-            ("opt.regs_freed", s.regs_freed),
-            ("opt.kernels_skipped", s.skipped),
-            ("opt.kernels_bailed", s.bailed),
-        ] {
-            if n > 0 {
-                self.telemetry.count(name, n as u64);
-            }
-        }
     }
 
     /// Number of distinct kernels translated so far.
@@ -323,6 +273,7 @@ impl KernelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qdp_ptx::emit::emit_module;
     use qdp_ptx::module::{KernelBuilder, Module};
     use qdp_ptx::types::PtxType;
 
@@ -416,64 +367,10 @@ mod tests {
     }
 
     #[test]
-    fn opt_level_is_part_of_cache_key() {
-        // A kernel the optimizer actually changes: two loads from the same
-        // address. Compiling the same text at opt-off and opt-on must
-        // produce two distinct cache entries — otherwise a process toggling
-        // QDP_OPT mid-run would be served a stale kernel.
-        let mut b = KernelBuilder::new("k_optkey");
-        b.param("p", PtxType::U64);
-        let addr = b.ld_param("p", PtxType::U64);
-        let x = b.fresh_for(PtxType::F64);
-        let y = b.fresh_for(PtxType::F64);
-        for dst in [x, y] {
-            b.push(qdp_ptx::Inst::LdGlobal {
-                ty: PtxType::F64,
-                dst,
-                addr,
-                offset: 0,
-            });
-        }
-        let s = b.bin(qdp_ptx::BinOp::Add, PtxType::F64, x.into(), y.into());
-        b.push(qdp_ptx::Inst::StGlobal {
-            ty: PtxType::F64,
-            addr,
-            offset: 8,
-            src: s.into(),
-        });
-        let text = emit_module(&Module::with_kernel(b.finish()));
-
-        let cache = KernelCache::new();
-        let plain = cache.compile(CompileRequest::new(&text)).unwrap();
-        let opt = cache
-            .compile(CompileRequest::new(&text).opt_level(OptLevel::Default))
-            .unwrap();
-        assert_eq!(cache.len(), 2, "same text, different opt level, two entries");
-        assert_eq!(cache.stats().misses, 2);
-        assert!(!Arc::ptr_eq(&plain, &opt));
-        assert!(
-            opt.read_bytes < plain.read_bytes,
-            "optimized kernel reads less ({} vs {})",
-            opt.read_bytes,
-            plain.read_bytes
-        );
-        // Each level hits its own entry afterwards.
-        let again = cache
-            .compile(CompileRequest::new(&text).opt_level(OptLevel::Default))
-            .unwrap();
-        assert!(Arc::ptr_eq(&opt, &again));
-        assert_eq!(cache.stats().hits, 1);
-        // A default (opt-level-free) request routes to the opt-off entry.
-        let verbatim = cache.compile(CompileRequest::new(&text)).unwrap();
-        assert!(Arc::ptr_eq(&plain, &verbatim));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn verbatim_request_never_rewrites_hand_built_kernels() {
-        // Same two-load kernel the opt-key test uses: the optimizer *would*
-        // eliminate the second load, so a default (verbatim) request must
-        // come back identical to a direct no-opt translation.
+    fn every_request_compiles_verbatim() {
+        // Two loads from the same address: a rewriting JIT would merge
+        // them. Every request lowers the text as written, and the
+        // optimizer level of a request changes nothing.
         let mut b = KernelBuilder::new("k_verbatim");
         b.param("p", PtxType::U64);
         let addr = b.ld_param("p", PtxType::U64);
@@ -498,16 +395,14 @@ mod tests {
 
         let cache = KernelCache::new();
         let verbatim = cache.compile(CompileRequest::new(&text)).unwrap();
-        let (direct, _, _) = compile_ptx(&text, OptLevel::None).unwrap();
-        assert_eq!(verbatim.code.len(), direct[0].code.len());
-        assert_eq!(verbatim.read_bytes, direct[0].read_bytes);
-        let opt = cache
+        let direct = compile_ptx(&text).unwrap();
+        assert_eq!(*verbatim, direct[0]);
+        assert_eq!(verbatim.read_bytes, 16, "both loads kept");
+        let leveled = cache
             .compile(CompileRequest::new(&text).opt_level(OptLevel::Default))
             .unwrap();
-        assert!(
-            opt.read_bytes < verbatim.read_bytes,
-            "sanity: the optimizer does change this kernel"
-        );
+        assert!(Arc::ptr_eq(&verbatim, &leveled));
+        assert_eq!((cache.len(), cache.stats().hits), (1, 1));
     }
 
     #[test]

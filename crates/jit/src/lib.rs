@@ -4,8 +4,9 @@
 //! compiler inside the NVIDIA Linux kernel driver (Fig. 2). This crate plays
 //! that role for the simulated device:
 //!
-//! * [`lower`] parses **PTX text** (via `qdp-ptx`'s parser) and lowers it to
-//!   a compact register-machine program ([`CompiledKernel`]) with registers
+//! * [`lower`] parses **PTX text** (via `qdp-ptx`'s parser) and lowers it —
+//!   as written: the code generator prints its final program — to a
+//!   compact register-machine program ([`CompiledKernel`]) with registers
 //!   allocated by live range onto columns, resolved exit branches and
 //!   parameter indices — the "GPU code" stage;
 //! * [`exec`] executes a compiled kernel over a grid of thread blocks,
@@ -25,9 +26,9 @@
 //! * [`launch`] ties it together: tuned, accounted, functionally executed
 //!   kernel launches;
 //! * [`persist`] is the on-disk kernel store shared by the JIT cache and
-//!   the auto-tuner: optimized PTX and settled block sizes survive process
-//!   exit, so a warm start performs zero optimizer passes, zero
-//!   recompiles and zero tuner trials.
+//!   the auto-tuner: the digests of translated programs and the settled
+//!   block sizes survive process exit, so a warm start pays no modelled
+//!   translation cost, counts no cache miss and takes no tuner trial.
 
 pub mod autotune;
 pub mod cache;

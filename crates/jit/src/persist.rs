@@ -6,10 +6,12 @@
 //! and production QDP-JIT/Chroma deployments ship QUDA-style tunecaches.
 //! This module is the simulated equivalent: a single JSON file holding
 //!
-//! * the **optimized PTX** of every compiled program (post-`QDP_OPT`
-//!   pipeline), keyed by `(source-PTX digest, opt level, device
-//!   fingerprint)`, so a warm process lowers the already-optimized text
-//!   verbatim — zero optimizer passes, zero cache misses;
+//! * the **digest** of every program translated on a device, keyed by
+//!   `(device fingerprint, source-PTX digest)`, so a warm process pays no
+//!   modelled translation cost and counts no cache miss for it. The store
+//!   keeps no program text: a hit lowers the request's own text, so an
+//!   entry can never make a kernel run anything but what the generator
+//!   printed;
 //! * the **settled block size** of every tuned kernel, keyed by
 //!   `(kernel name, device fingerprint)`, so a warm process launches at
 //!   the tuned size immediately — zero trial launches.
@@ -25,22 +27,16 @@ use crate::autotune::MIN_BLOCK;
 use qdp_gpu_sim::sync::Mutex;
 use qdp_telemetry::json::{self, Value};
 use qdp_telemetry::Telemetry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// On-disk cache format version. Bump on any schema change: a mismatched
 /// file is ignored wholesale (clean recompile), never reinterpreted.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// File name inside `QDP_CACHE_DIR`.
 pub const STORE_FILE: &str = "qdp-kernel-store.json";
-
-#[derive(Debug, Clone, PartialEq)]
-struct KernelEntry {
-    name: String,
-    ptx: String,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct TunedEntry {
@@ -50,10 +46,10 @@ struct TunedEntry {
 
 #[derive(Default)]
 struct Inner {
-    /// (device fingerprint, source digest, opt tag) → optimized program.
+    /// (device fingerprint, source digest) of every translated program.
     /// Entries of *other* devices are kept and written back verbatim, so
     /// one store file serves heterogeneous contexts without clobbering.
-    kernels: BTreeMap<(String, String, String), KernelEntry>,
+    kernels: BTreeSet<(String, String)>,
     /// (device fingerprint, kernel name) → settled tuner state.
     tuned: BTreeMap<(String, String), TunedEntry>,
 }
@@ -92,61 +88,24 @@ impl KernelStore {
         &self.path
     }
 
-    /// Stored optimized PTX for `(src_digest, opt_tag)` on this device.
-    /// Counts `persist.hit` / `persist.miss`.
-    pub fn lookup_kernel(&self, src_digest: &str, opt_tag: &str) -> Option<String> {
-        let key = (
-            self.device_fp.clone(),
-            src_digest.to_string(),
-            opt_tag.to_string(),
-        );
-        let inner = self.inner.lock();
-        match inner.kernels.get(&key) {
-            Some(e) => {
-                self.telemetry.count("persist.hit", 1);
-                Some(e.ptx.clone())
-            }
-            None => {
-                self.telemetry.count("persist.miss", 1);
-                None
-            }
-        }
+    /// Was the program with source digest `src_digest` translated on this
+    /// device before? Counts `persist.hit` / `persist.miss`.
+    pub fn lookup_kernel(&self, src_digest: &str) -> bool {
+        let key = (self.device_fp.clone(), src_digest.to_string());
+        let hit = self.inner.lock().kernels.contains(&key);
+        self.telemetry
+            .count(if hit { "persist.hit" } else { "persist.miss" }, 1);
+        hit
     }
 
-    /// Record the optimized PTX compiled from `(src_digest, opt_tag)` and
-    /// flush to disk. Counts `persist.write` on a successful file write.
-    pub fn put_kernel(&self, src_digest: &str, opt_tag: &str, name: &str, optimized_ptx: &str) {
-        let key = (
-            self.device_fp.clone(),
-            src_digest.to_string(),
-            opt_tag.to_string(),
-        );
-        let entry = KernelEntry {
-            name: name.to_string(),
-            ptx: optimized_ptx.to_string(),
-        };
+    /// Record that the program with source digest `src_digest` was
+    /// translated on this device, and flush to disk. Counts
+    /// `persist.write` on a successful file write.
+    pub fn put_kernel(&self, src_digest: &str) {
+        let key = (self.device_fp.clone(), src_digest.to_string());
         let mut inner = self.inner.lock();
-        if inner.kernels.get(&key) == Some(&entry) {
-            return;
-        }
-        inner.kernels.insert(key, entry);
-        self.save(&inner);
-    }
-
-    /// Drop a stored kernel entry (used when a persisted program fails to
-    /// lower — stale or corrupted payload). Counts `persist.corrupt`.
-    pub fn evict_kernel(&self, src_digest: &str, opt_tag: &str) {
-        let key = (
-            self.device_fp.clone(),
-            src_digest.to_string(),
-            opt_tag.to_string(),
-        );
-        let mut inner = self.inner.lock();
-        if inner.kernels.remove(&key).is_some() {
-            self.telemetry.count("persist.corrupt", 1);
+        if inner.kernels.insert(key) {
             self.save(&inner);
-            drop(inner);
-            self.record_corruption("stored kernel failed to lower");
         }
     }
 
@@ -196,7 +155,7 @@ impl KernelStore {
         self.save(&inner);
     }
 
-    /// Number of stored kernel programs (all devices).
+    /// Number of stored kernel digests (all devices).
     pub fn n_kernels(&self) -> usize {
         self.inner.lock().kernels.len()
     }
@@ -215,18 +174,15 @@ impl KernelStore {
         let mut out = String::with_capacity(4096);
         out.push_str(&format!("{{\n  \"version\": {FORMAT_VERSION},\n  \"kernels\": ["));
         let mut first = true;
-        for ((dev, src, opt), e) in &inner.kernels {
+        for (dev, src) in &inner.kernels {
             if !first {
                 out.push(',');
             }
             first = false;
             out.push_str(&format!(
-                "\n    {{\"device\": \"{}\", \"src\": \"{}\", \"opt\": \"{}\", \"name\": \"{}\", \"ptx\": \"{}\"}}",
+                "\n    {{\"device\": \"{}\", \"src\": \"{}\"}}",
                 json::escape(dev),
                 json::escape(src),
-                json::escape(opt),
-                json::escape(&e.name),
-                json::escape(&e.ptx),
             ));
         }
         out.push_str("\n  ],\n  \"tuned\": [");
@@ -307,22 +263,11 @@ impl KernelStore {
             .and_then(Value::as_array)
             .unwrap_or(&[])
         {
-            let fields = (
-                e.get("device").and_then(Value::as_str),
-                e.get("src").and_then(Value::as_str),
-                e.get("opt").and_then(Value::as_str),
-                e.get("name").and_then(Value::as_str),
-                e.get("ptx").and_then(Value::as_str),
-            );
-            match fields {
-                (Some(dev), Some(src), Some(opt), Some(name), Some(ptx)) => {
-                    inner.kernels.insert(
-                        (dev.to_string(), src.to_string(), opt.to_string()),
-                        KernelEntry {
-                            name: name.to_string(),
-                            ptx: ptx.to_string(),
-                        },
-                    );
+            let dev = e.get("device").and_then(Value::as_str);
+            let src = e.get("src").and_then(Value::as_str);
+            match (dev, src) {
+                (Some(dev), Some(src)) => {
+                    inner.kernels.insert((dev.to_string(), src.to_string()));
                 }
                 _ => corrupt += 1,
             }
@@ -382,18 +327,17 @@ mod tests {
         let t = tel();
         {
             let s = KernelStore::open(&dir, "devA", Arc::clone(&t));
-            s.put_kernel("aaaa", "o1", "qdp_k", ".entry qdp_k { ret; }");
+            s.put_kernel("aaaa");
             s.put_tuned("qdp_k", 256, 1.5e-4);
         }
         let s2 = KernelStore::open(&dir, "devA", Arc::clone(&t));
-        assert_eq!(
-            s2.lookup_kernel("aaaa", "o1").as_deref(),
-            Some(".entry qdp_k { ret; }")
-        );
+        assert!(s2.lookup_kernel("aaaa"));
+        assert!(!s2.lookup_kernel("bbbb"));
         assert_eq!(s2.lookup_tuned("qdp_k", 1024), Some((256, 1.5e-4)));
         let r = t.profile_report();
         assert!(r.counter("persist.write") >= 2);
         assert_eq!(r.counter("persist.hit"), 1);
+        assert_eq!(r.counter("persist.miss"), 1);
         assert_eq!(r.counter("persist.tuner_seeded"), 1);
         assert_eq!(r.counter("persist.corrupt"), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -405,32 +349,20 @@ mod tests {
         let t = tel();
         {
             let a = KernelStore::open(&dir, "devA", Arc::clone(&t));
-            a.put_kernel("aaaa", "o1", "k", "ptx-for-A");
+            a.put_kernel("aaaa");
             a.put_tuned("k", 512, 1e-4);
         }
         {
             // A different device neither sees A's entries nor clobbers them.
             let b = KernelStore::open(&dir, "devB", Arc::clone(&t));
-            assert_eq!(b.lookup_kernel("aaaa", "o1"), None);
+            assert!(!b.lookup_kernel("aaaa"));
             assert_eq!(b.lookup_tuned("k", 1024), None);
-            b.put_kernel("aaaa", "o1", "k", "ptx-for-B");
+            b.put_kernel("aaaa");
         }
         let a2 = KernelStore::open(&dir, "devA", Arc::clone(&t));
-        assert_eq!(a2.lookup_kernel("aaaa", "o1").as_deref(), Some("ptx-for-A"));
+        assert!(a2.lookup_kernel("aaaa"));
         assert_eq!(a2.lookup_tuned("k", 1024), Some((512, 1e-4)));
-        assert_eq!(a2.n_kernels(), 2, "both devices' programs persisted");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn opt_level_scopes_entries() {
-        let dir = tmpdir("optscope");
-        let t = tel();
-        let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
-        s.put_kernel("aaaa", "o1", "k", "optimized");
-        assert_eq!(s.lookup_kernel("aaaa", "o0"), None);
-        assert_eq!(s.lookup_kernel("aaaa", "o2"), None);
-        assert_eq!(s.lookup_kernel("aaaa", "o1").as_deref(), Some("optimized"));
+        assert_eq!(a2.n_kernels(), 2, "both devices' digests persisted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -440,13 +372,13 @@ mod tests {
         let t = tel();
         {
             let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
-            s.put_kernel("aaaa", "o1", "k", "some ptx");
+            s.put_kernel("aaaa");
         }
         let path = dir.join(STORE_FILE);
         let full = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
-        assert_eq!(s.lookup_kernel("aaaa", "o1"), None);
+        assert!(!s.lookup_kernel("aaaa"));
         assert_eq!(t.profile_report().counter("persist.corrupt"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -460,9 +392,9 @@ mod tests {
         assert_eq!(s.n_kernels(), 0);
         assert_eq!(t.profile_report().counter("persist.corrupt"), 1);
         // the broken file is replaced wholesale on the next write
-        s.put_kernel("aaaa", "o1", "k", "fresh");
+        s.put_kernel("aaaa");
         let s2 = KernelStore::open(&dir, "dev", Arc::clone(&t));
-        assert_eq!(s2.lookup_kernel("aaaa", "o1").as_deref(), Some("fresh"));
+        assert!(s2.lookup_kernel("aaaa"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -472,11 +404,11 @@ mod tests {
         let t = tel();
         std::fs::write(
             dir.join(STORE_FILE),
-            r#"{"version": 99, "kernels": [{"device":"dev","src":"aaaa","opt":"o1","name":"k","ptx":"stale"}], "tuned": []}"#,
+            r#"{"version": 1, "kernels": [{"device":"dev","src":"aaaa","opt":"o1","name":"k","ptx":"stale"}], "tuned": []}"#,
         )
         .unwrap();
         let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
-        assert_eq!(s.lookup_kernel("aaaa", "o1"), None);
+        assert!(!s.lookup_kernel("aaaa"));
         assert_eq!(t.profile_report().counter("persist.corrupt"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -487,10 +419,10 @@ mod tests {
         let t = tel();
         std::fs::write(
             dir.join(STORE_FILE),
-            r#"{"version": 1,
+            r#"{"version": 2,
                 "kernels": [
-                  {"device":"dev","src":"good","opt":"o1","name":"k","ptx":"kept"},
-                  {"device":"dev","src":"missing-fields"}
+                  {"device":"dev","src":"good"},
+                  {"device":"dev"}
                 ],
                 "tuned": [
                   {"device":"dev","kernel":"k","block":256,"time":1e-4},
@@ -499,7 +431,7 @@ mod tests {
         )
         .unwrap();
         let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
-        assert_eq!(s.lookup_kernel("good", "o1").as_deref(), Some("kept"));
+        assert!(s.lookup_kernel("good"));
         assert_eq!(s.lookup_tuned("k", 1024), Some((256, 1e-4)));
         assert_eq!(s.lookup_tuned("bad", 1024), None);
         assert_eq!(t.profile_report().counter("persist.corrupt"), 2);
@@ -522,20 +454,6 @@ mod tests {
         // the poisoned entry is gone from disk too
         let s2 = KernelStore::open(&dir, "dev", tel());
         assert_eq!(s2.lookup_tuned("k", 2048), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn ptx_with_special_characters_roundtrips() {
-        let dir = tmpdir("escape");
-        let t = tel();
-        let ptx = ".entry k {\n\t// \"quoted\" \\ backslash\n\tret;\n}";
-        {
-            let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
-            s.put_kernel("aaaa", "o1", "k", ptx);
-        }
-        let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
-        assert_eq!(s.lookup_kernel("aaaa", "o1").as_deref(), Some(ptx));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

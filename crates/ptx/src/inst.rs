@@ -338,7 +338,7 @@ impl Inst {
 
     /// Apply `f` to every register slot in this instruction — definitions,
     /// uses, address registers and predicates alike. Used by
-    /// the optimizer for substitution and register renumbering.
+    /// the sweep for register renumbering.
     pub fn map_regs(&mut self, f: &mut impl FnMut(&mut Reg)) {
         fn op(o: &mut Operand, f: &mut impl FnMut(&mut Reg)) {
             if let Operand::Reg(r) = o {

@@ -17,11 +17,14 @@
 //! * a [`module::KernelBuilder`] used by the expression unparser to build
 //!   kernels (virtual register allocation, parameter declarations, special
 //!   registers, guard/label plumbing);
+//! * the generator's last step ([`opt`]): a dead-def sweep and dense
+//!   register renumbering on the built kernel, so the text printed is the
+//!   program that runs;
 //! * a textual emitter ([`emit`]) producing PTX ISA 3.x-styled programs;
 //! * a parser ([`parse`]) playing the role of the driver front-end: the JIT
 //!   crate consumes PTX **text**, not this IR, so the full
 //!   generate → print → parse → lower chain is exercised exactly as in the
-//!   paper (Fig. 2).
+//!   paper (Fig. 2). Nothing after the generator rewrites a program.
 
 pub mod emit;
 pub mod hash;
@@ -34,7 +37,7 @@ pub mod types;
 pub use hash::{fnv1a, stable_module_digest, stable_text_digest};
 pub use inst::{BinOp, CmpOp, Inst, Operand, SpecialReg};
 pub use module::{Kernel, KernelBuilder, Module, Param};
-pub use opt::{optimize_kernel, optimize_module, OptLevel, OptStats};
+pub use opt::{optimize_kernel, optimize_module, OptLevel};
 pub use types::{PtxType, Reg, RegClass};
 
 /// Errors produced while building, validating or parsing PTX.

@@ -166,8 +166,8 @@ impl Kernel {
 /// * `setp.{ge,ne}.u32`, `selp`, `bra`, `ret`.
 ///
 /// The parser handles syntax only, so this is the one place a form outside
-/// the dialect — say `and.f64` in a stored kernel — is turned away, before
-/// the optimizer, lowering or executor sees it.
+/// the dialect — say `and.f64` in a hand-written kernel — is turned away,
+/// before the sweep, lowering or executor sees it.
 fn in_dialect(inst: &Inst) -> bool {
     match inst {
         Inst::LdParam { ty, .. } | Inst::LdGlobal { ty, .. } | Inst::StGlobal { ty, .. } => {

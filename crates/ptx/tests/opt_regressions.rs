@@ -1,12 +1,12 @@
-//! Optimizer crash/hang regressions: minimised kernels that once broke the
-//! peephole or DCE passes. Each case must terminate and leave the module
-//! valid at every optimizer level.
+//! Sweep crash/hang regressions: minimised kernels that once broke an
+//! optimizer pass. Each case must terminate and leave the module valid at
+//! every optimizer level.
 
 use qdp_ptx::opt::{optimize_module, OptLevel};
 
-/// A self-copy (`mov.f64 %fd0, %fd0`) once sent copy-propagation chasing
-/// its own tail. The pass must treat it as a plain dead instruction: no
-/// hang, module stays valid.
+/// A self-copy (`mov.f64 %fd0, %fd0`) reads the register it defines (it
+/// once sent a copy-propagation pass chasing its own tail). The sweep must
+/// terminate, keep the module valid and keep the store that reads it.
 #[test]
 fn self_mov_does_not_hang() {
     let text = r#"

@@ -195,7 +195,7 @@ pub(crate) struct KernelProfile {
     jit_misses: u64,
     wall_compile_time: f64,
     modeled_compile_time: f64,
-    /// Persistent-store kernel hits (PTX served from disk, not recompiled).
+    /// Persistent-store kernel hits (lowered with no modelled cost).
     persist_hits: u64,
     /// Was this kernel's block size seeded from the persistent store?
     tuner_seeded: bool,
@@ -575,8 +575,9 @@ impl Telemetry {
 
     // --- JIT / launch recording -------------------------------------------
 
-    /// Record a kernel-cache lookup outcome for `kernel`: a hit, or a miss
-    /// with its wall and modelled translation times.
+    /// Record a kernel-cache lookup outcome for `kernel`: a hit or a miss,
+    /// with its wall and modelled translation times (a persist hit lowers
+    /// in wall time at no modelled cost; an in-memory hit costs neither).
     pub fn record_compile(&self, kernel: &str, hit: bool, wall: f64, modeled: f64) {
         if !self.enabled() {
             return;
@@ -589,9 +590,9 @@ impl Telemetry {
             k.jit_hits += 1;
         } else {
             k.jit_misses += 1;
-            k.wall_compile_time += wall;
-            k.modeled_compile_time += modeled;
         }
+        k.wall_compile_time += wall;
+        k.modeled_compile_time += modeled;
         if record_event {
             Self::push_event(
                 &mut inner,

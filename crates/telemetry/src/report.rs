@@ -49,11 +49,12 @@ pub struct KernelRow {
     pub jit_hits: u64,
     /// Kernel-cache misses (actual translations).
     pub jit_misses: u64,
-    /// Wall-clock seconds spent translating this kernel.
+    /// Wall-clock seconds spent translating this kernel (persist hits
+    /// included).
     pub wall_compile_time: f64,
     /// Modelled (simulated nvcc/ptxas) translation seconds.
     pub modeled_compile_time: f64,
-    /// Persistent-store hits (PTX served from disk, not recompiled).
+    /// Persistent-store hits (lowered with no modelled translation cost).
     pub persist_hits: u64,
     /// Was the tuned block size seeded from the persistent store?
     pub tuner_seeded: bool,
