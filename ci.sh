@@ -377,6 +377,23 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one statement surface (eval takes a subset; stream and optimizer level come from the context)"
 
+# ---- Guard: one face message ---------------------------------------------------
+# Each split face's halo is one message whose layout one function decides:
+# the gather packs it, one receive buffer holds it, and the halo kernel
+# reads it through one `recv_<mu>_<dir>` parameter. The per-leaf receive
+# parameters, the per-leaf receive-buffer vectors and their scatter stay
+# deleted. crates/benchmark is frozen and skipped. (Spelled in pieces, as
+# above.)
+twins="recv_\\{[^}]*\\}_\\{[^}]*\\}""_\\{|Vec<(qdp_gpu_sim::)?Device""Ptr>>|recv_""bufs|bufs\\[""li\\]"
+stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
+    | grep -v '^crates/benchmark/' || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: a per-leaf halo receive parameter or receive-buffer vector is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: one face message (one receive buffer and one kernel parameter per split face)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

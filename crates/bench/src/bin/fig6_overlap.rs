@@ -59,6 +59,21 @@ where
     vol * DSLASH_FLOPS / t / 1e9
 }
 
+/// Halo bytes per face site of the t-split dslash's t+ and t− messages, as
+/// the face-message layout packs them.
+fn halo_bytes_per_face_site<R: Real>() -> Vec<usize>
+where
+    ColorMatrix<R>: qdp_core::SiteElem<R = R>,
+    Fermion<R>: qdp_core::SiteElem<R = R>,
+{
+    let ctx = QdpContext::k20x(Geometry::symmetric(4));
+    let u: Multi1d<Lattice<ColorMatrix<R>>> = Multi1d::from_fn(4, |_| Lattice::new(&ctx));
+    let (psi, out) = (Lattice::<Fermion<R>>::new(&ctx), Lattice::<Fermion<R>>::new(&ctx));
+    let expr = wilson_hopping_expr(&u, psi.q());
+    let plan = qdp_core::plan_codegen(&ctx, out.fref(), expr.raw(), false, true).unwrap();
+    plan.env.faces.iter().filter(|f| f.mu == 3).map(|f| f.bytes / f.face_vol).collect()
+}
+
 fn main() {
     println!("Figure 6 — Wilson dslash on 2× K20m, overlap on/off (GFLOPS)");
     println!(
@@ -84,6 +99,11 @@ fn main() {
         );
         last = (sp_ov, sp_no, dp_ov, dp_no);
     }
+    println!(
+        "dslash halo bytes per face site (t+, t-): SP {:?}, DP {:?}",
+        halo_bytes_per_face_site::<f32>(),
+        halo_bytes_per_face_site::<f64>()
+    );
     println!();
     println!(
         "largest volume gains: SP {:+.1}% (paper ≈ +11%), DP {:+.1}% (paper ≈ +7%)",

@@ -220,7 +220,7 @@ pub fn codegen_fused_ptx(
     kernel_name: &str,
 ) -> Result<String, CoreError> {
     let refs: Vec<(FieldRef, &Expr)> = stmts.iter().map(|(t, e)| (*t, e)).collect();
-    let plan = KeyedGroup::new(ctx, &refs, subset != Subset::All, false).plan(ctx, &refs)?;
+    let plan = KeyedGroup::new(ctx, &refs, subset != Subset::All, [false; 4]).plan(ctx, &refs)?;
     let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| e).collect();
     render_statements(&plan, &exprs, kernel_name)
 }

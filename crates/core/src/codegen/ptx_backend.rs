@@ -11,6 +11,7 @@
 //! JIT lowers.
 
 use crate::codegen::backend::Backend;
+use crate::multinode::FaceMessage;
 use qdp_expr::{FieldRef, ShiftDir};
 use qdp_layout::{LayoutKind, NeighborEntry};
 use qdp_ptx::inst::{BinOp, CmpOp, Inst, Operand};
@@ -32,10 +33,10 @@ pub struct KernelEnv {
     pub ft: FloatType,
     /// Evaluate through a site-list indirection (subsets other than All).
     pub subset_mapped: bool,
-    /// Whether neighbour tables may contain remote (receive-buffer) entries.
-    pub remote_shifts: bool,
-    /// Face volume per dimension (`IV` of the receive buffers).
-    pub face_vols: [usize; 4],
+    /// The face messages the kernel reads, one per shift along a dimension
+    /// split across ranks (empty on one rank): that shift's neighbour table
+    /// flags off-rank entries, which read the message's slabs.
+    pub faces: Vec<FaceMessage>,
     /// Shift pairs used by the expression, in [`qdp_expr::Expr::shifts`] order.
     pub shifts: Vec<(usize, ShiftDir)>,
     /// For each scalar parameter: is it complex? (All statements'
@@ -63,9 +64,9 @@ fn dir_tag(d: ShiftDir) -> &'static str {
 struct PathSite {
     /// u32 register holding the site index (or receive-buffer slot).
     off: Reg,
-    /// Predicate set when the entry is remote (receive buffer), together
-    /// with the `(mu, dir)` of the final hop (selects the buffer's `IV`).
-    remote: Option<(Reg, usize, ShiftDir)>,
+    /// Predicate set when the entry is remote, together with the index in
+    /// `env.faces` of the final hop's message.
+    remote: Option<(Reg, usize)>,
 }
 
 /// One pure integer address computation, keyed on its opcode and operands.
@@ -120,7 +121,8 @@ pub struct PtxGen<'a> {
     base_site: Reg,
     scalar_regs: Vec<(Reg, Option<Reg>)>,
     table_bases: HashMap<(usize, ShiftDir), Reg>,
-    recv_bases: HashMap<(usize, ShiftDir, usize), Reg>,
+    /// Slab base per `(face index, leaf index)`.
+    slab_bases: HashMap<(usize, usize), Reg>,
     exit_label: String,
     const_cache: HashMap<u64, Reg>,
     /// Address arithmetic already emitted; `None` at `OptLevel::None`,
@@ -143,7 +145,8 @@ impl<'a> PtxGen<'a> {
     /// scalars concatenated in statement order (`env.scalar_complex` is
     /// that concatenation; `env.stmts[i].n_scalars` partitions it), `n`,
     /// the site table, the neighbour tables and — K = 1 only, the planner
-    /// never groups remote shifts — the receive buffers.
+    /// never groups halo statements — one receive buffer per face message,
+    /// `recv_{mu}_{f|b}`, whose slab bases the prologue forms once.
     /// [`PtxGen::begin_stmt`] switches the destination and scalar window
     /// between statements. Above `OptLevel::None` address arithmetic is
     /// memoised over the whole kernel.
@@ -155,8 +158,8 @@ impl<'a> PtxGen<'a> {
     ) -> PtxGen<'a> {
         assert!(!env.stmts.is_empty(), "a kernel needs at least one statement");
         assert!(
-            env.stmts.len() == 1 || !env.remote_shifts,
-            "multi-statement kernels must not carry remote shifts"
+            env.stmts.len() == 1 || env.faces.is_empty(),
+            "multi-statement kernels must not read face messages"
         );
         let mut kb = KernelBuilder::new(name);
         let ty = ptx_of(env.ft);
@@ -187,17 +190,11 @@ impl<'a> PtxGen<'a> {
                 kb.param(format!("tbl_{mu}_{}", dir_tag(dir)), PtxType::U64),
             ));
         }
-        let mut p_recv = Vec::new();
-        if env.remote_shifts {
-            for &(mu, dir) in &env.shifts {
-                for li in 0..leaves.len() {
-                    p_recv.push((
-                        (mu, dir, li),
-                        kb.param(format!("recv_{mu}_{}_{li}", dir_tag(dir)), PtxType::U64),
-                    ));
-                }
-            }
-        }
+        let p_recv: Vec<String> = env
+            .faces
+            .iter()
+            .map(|f| kb.param(format!("recv_{}_{}", f.mu, dir_tag(f.dir)), PtxType::U64))
+            .collect();
 
         // --- prologue: thread id, guard, site index ---
         let tid = kb.global_tid();
@@ -258,10 +255,21 @@ impl<'a> PtxGen<'a> {
             .iter()
             .map(|(k, p)| (*k, kb.ld_param(p, PtxType::U64)))
             .collect();
-        let recv_bases: HashMap<(usize, ShiftDir, usize), Reg> = p_recv
-            .iter()
-            .map(|(k, p)| (*k, kb.ld_param(p, PtxType::U64)))
-            .collect();
+        let mut slab_bases = HashMap::new();
+        for (fi, (face, p)) in env.faces.iter().zip(&p_recv).enumerate() {
+            let buf = kb.ld_param(p, PtxType::U64);
+            for (leaf, offset) in &face.slabs {
+                let li = leaves
+                    .iter()
+                    .position(|l| l.id == leaf.id)
+                    .expect("slab of a leaf outside the kernel");
+                let base = match *offset {
+                    0 => buf,
+                    off => kb.bin(BinOp::Add, PtxType::U64, buf.into(), Operand::ImmI(off as _)),
+                };
+                slab_bases.insert((fi, li), base);
+            }
+        }
 
         let mut site_cache = HashMap::new();
         site_cache.insert(
@@ -283,7 +291,7 @@ impl<'a> PtxGen<'a> {
             base_site,
             scalar_regs,
             table_bases,
-            recv_bases,
+            slab_bases,
             exit_label,
             const_cache: HashMap::new(),
             int_memo: (opt != OptLevel::None).then(HashMap::new),
@@ -309,7 +317,7 @@ impl<'a> PtxGen<'a> {
     }
 
     /// Resolve (and cache) the site register for the current shift path.
-    fn resolve_path(&mut self) -> (Reg, Option<(Reg, usize, ShiftDir)>) {
+    fn resolve_path(&mut self) -> (Reg, Option<(Reg, usize)>) {
         if let Some(ps) = self.site_cache.get(&self.path) {
             return (ps.off, ps.remote);
         }
@@ -348,7 +356,8 @@ impl<'a> PtxGen<'a> {
                 addr,
                 offset: 0,
             });
-            let ps = if self.env.remote_shifts {
+            let face = self.env.faces.iter().position(|f| (f.mu, f.dir) == (mu, dir));
+            let ps = if let Some(fi) = face {
                 // off = entry & 0x7FFFFFFF ; flag = entry >> 31
                 let off = self.kb.bin(
                     BinOp::And,
@@ -372,7 +381,7 @@ impl<'a> PtxGen<'a> {
                 });
                 PathSite {
                     off,
-                    remote: Some((pred, mu, dir)),
+                    remote: Some((pred, fi)),
                 }
             } else {
                 PathSite {
@@ -485,14 +494,14 @@ impl<'a> Backend for PtxGen<'a> {
         let base = self.leaf_bases[leaf];
         let addr = match remote {
             None => self.address(base, off, comp, self.env.n_sites, esize, n_comp),
-            Some((pred, mu, dir)) => {
+            Some((pred, fi)) => {
                 let local = self.address(base, off, comp, self.env.n_sites, esize, n_comp);
-                let rbase = *self
-                    .recv_bases
-                    .get(&(mu, dir, leaf))
-                    .expect("missing recv param");
-                let iv_r = self.env.face_vols[mu];
-                let remote_addr = self.address(rbase, off, comp, iv_r, esize, n_comp);
+                let slab = *self
+                    .slab_bases
+                    .get(&(fi, leaf))
+                    .expect("leaf missing from its face message");
+                let iv_r = self.env.faces[fi].face_vol;
+                let remote_addr = self.address(slab, off, comp, iv_r, esize, n_comp);
                 let dst = self.kb.fresh(RegClass::B64);
                 self.kb.push(Inst::Selp {
                     ty: PtxType::U64,

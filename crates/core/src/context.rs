@@ -4,7 +4,7 @@
 
 use crate::config::{QdpConfig, QdpContextBuilder};
 use crate::eval::CoreError;
-use crate::multinode::MultiRank;
+use crate::multinode::{to_dir, MultiRank};
 use qdp_gpu_sim::sync::Mutex;
 use qdp_cache::MemoryCache;
 use qdp_expr::ShiftDir;
@@ -219,10 +219,7 @@ impl QdpContext {
         dir: ShiftDir,
         remote: bool,
     ) -> Result<DevicePtr, CoreError> {
-        let d = match dir {
-            ShiftDir::Forward => Dir::Forward,
-            ShiftDir::Backward => Dir::Backward,
-        };
+        let d = to_dir(dir);
         let key = TableKey::Neighbor(mu, d, remote);
         let (ptr, _) = self.pinned_table(key, StreamId::DEFAULT, || {
             let tbl = if remote {

@@ -13,6 +13,7 @@ use crate::codegen::cse::CseBackend;
 use crate::codegen::ptx_backend::{KernelEnv, PtxGen, StmtMeta};
 use crate::codegen::value::{gen_expr, store_val, GenCtx};
 use crate::context::QdpContext;
+use crate::multinode::face_messages;
 use qdp_cache::CacheError;
 use qdp_expr::{Expr, FieldRef, KernelSignature, TypeError};
 use qdp_gpu_sim::{KernelShape, LaunchError, StreamId};
@@ -158,18 +159,10 @@ pub(crate) enum SiteSel {
     },
 }
 
-/// Remote-shift environment for multi-rank evaluation (§V): which
-/// dimensions are split across ranks, and the receive buffers per
-/// `(mu, dir, leaf)`.
-#[derive(Debug, Clone)]
-pub(crate) struct RemoteEnv {
-    /// Dimension `mu` is decomposed across ranks.
-    pub(crate) split_dims: [bool; 4],
-    /// `recv[&(mu, dir)][leaf_index]` = receive-buffer device pointer
-    /// (0 for unsplit dimensions — never dereferenced).
-    pub(crate) recv:
-        std::collections::HashMap<(usize, qdp_expr::ShiftDir), Vec<qdp_gpu_sim::DevicePtr>>,
-}
+/// The receive buffers of a halo-schedule launch (§V): one per split face
+/// `(mu, dir)`, holding that face's [`crate::multinode::FaceMessage`].
+pub(crate) type RemoteEnv =
+    std::collections::HashMap<(usize, qdp_expr::ShiftDir), qdp_gpu_sim::DevicePtr>;
 
 /// The codegen-facing description of one kernel — a group of K ≥ 1
 /// statements evaluated per site: environment, leaf table, key and name.
@@ -192,7 +185,9 @@ pub struct CodegenPlan {
 }
 
 /// Build the codegen plan for evaluating `expr` into `target` at the
-/// context's configured optimizer level.
+/// context's configured optimizer level. `remote_shifts` plans the halo
+/// kernel of a rank grid that splits every dimension; `false` is the
+/// single-rank kernel.
 pub fn plan_codegen(
     ctx: &QdpContext,
     target: FieldRef,
@@ -201,7 +196,7 @@ pub fn plan_codegen(
     remote_shifts: bool,
 ) -> Result<CodegenPlan, CoreError> {
     let stmts = [(target, expr)];
-    KeyedGroup::new(ctx, &stmts, subset_mapped, remote_shifts).plan(ctx, &stmts)
+    KeyedGroup::new(ctx, &stmts, subset_mapped, [remote_shifts; 4]).plan(ctx, &stmts)
 }
 
 /// One statement group, walked once and keyed once — all a warm launch
@@ -218,7 +213,9 @@ pub(crate) struct KeyedGroup {
     ft: FloatType,
     metas: Vec<StmtMeta>,
     subset_mapped: bool,
-    remote_shifts: bool,
+    /// The attached rank grid's split dimensions (none on one rank): a
+    /// shift along one of them reads its face message.
+    split: [bool; 4],
     opt: OptLevel,
 }
 
@@ -227,7 +224,7 @@ impl KeyedGroup {
         ctx: &QdpContext,
         stmts: &[(FieldRef, &Expr)],
         subset_mapped: bool,
-        remote_shifts: bool,
+        split: [bool; 4],
     ) -> KeyedGroup {
         assert!(!stmts.is_empty(), "a kernel needs at least one statement");
         let (vol, layout, opt) = (ctx.geometry().vol(), ctx.layout(), ctx.opt_level());
@@ -236,6 +233,7 @@ impl KeyedGroup {
         let mut key = String::from(if fused { "fused[" } else { "" });
         let mut ft = FloatType::F32;
         let mut metas = Vec::with_capacity(stmts.len());
+        let split_mask: u8 = (0..4).filter(|&mu| split[mu]).map(|mu| 1 << mu).sum();
         for (i, &(target, expr)) in stmts.iter().enumerate() {
             if i > 0 {
                 key.push_str(" ; ");
@@ -246,7 +244,7 @@ impl KeyedGroup {
             // Writing to a `String` cannot fail.
             let _ = write!(
                 key,
-                "|v{vol}|{layout:?}|{stmt_ft}|m{subset_mapped}|r{remote_shifts}|t{:?}{}|{}",
+                "|v{vol}|{layout:?}|{stmt_ft}|m{subset_mapped}|r{split_mask:x}|t{:?}{}|{}",
                 target.kind,
                 target.ft.tag(),
                 opt.tag(),
@@ -266,7 +264,7 @@ impl KeyedGroup {
             ft,
             metas,
             subset_mapped,
-            remote_shifts,
+            split,
             opt,
         }
     }
@@ -287,19 +285,19 @@ impl KeyedGroup {
                 )));
             }
         }
-        let vol = ctx.geometry().vol();
-        let dims = ctx.geometry().dims();
         let mut h = DefaultHasher::new();
         self.key.hash(&mut h);
         let prefix = if stmts.len() == 1 { "qdp" } else { "qdpf" };
         Ok(CodegenPlan {
             env: KernelEnv {
-                n_sites: vol,
+                n_sites: ctx.geometry().vol(),
                 layout: ctx.layout(),
                 ft: self.ft,
                 subset_mapped: self.subset_mapped,
-                remote_shifts: self.remote_shifts,
-                face_vols: std::array::from_fn(|mu| vol / dims[mu]),
+                faces: stmts
+                    .iter()
+                    .flat_map(|(_, e)| face_messages(e, self.split, ctx.geometry()))
+                    .collect(),
                 shifts: self.sig.shifts.clone(),
                 scalar_complex: self.sig.scalar_complex.clone(),
                 stmts: self.metas.clone(),
@@ -451,7 +449,9 @@ pub(crate) fn eval_statements(
 /// A warm key goes from the map probe straight to marshalling; planning,
 /// naming, PTX generation and the text-keyed JIT cache run on a miss only.
 /// The kernel is planned at the context's optimizer level; `remote` carries
-/// the §V receive buffers of a halo-schedule launch.
+/// the §V receive buffers of a halo-schedule launch, whose kernel reads a
+/// face message for each shift along a split dimension of the attached
+/// rank grid.
 pub(crate) fn launch_statements(
     ctx: &QdpContext,
     stmts: &[(FieldRef, &Expr)],
@@ -467,7 +467,10 @@ pub(crate) fn launch_statements(
         ));
     }
     let subset_mapped = !matches!(sel, SiteSel::Subset(Subset::All));
-    let group = KeyedGroup::new(ctx, stmts, subset_mapped, remote.is_some());
+    let split = remote
+        .and_then(|_| ctx.attached_rank())
+        .map_or([false; 4], |mr| mr.split_dims());
+    let group = KeyedGroup::new(ctx, stmts, subset_mapped, split);
     let sig = &group.sig;
     let tel = ctx.telemetry();
     let span_name = if stmts.len() == 1 { "eval" } else { "eval_fused" };
@@ -502,7 +505,7 @@ pub(crate) fn launch_statements(
 
     // Marshal arguments in the declaration order of the generated kernel:
     // destinations, leaves, each statement's scalars, n, site table,
-    // neighbour tables, receive buffers.
+    // neighbour tables, one receive buffer per split shift.
     let mut args: Vec<LaunchArg> = ptrs.iter().map(|p| LaunchArg::Ptr(*p)).collect();
     for (&(re, im), cplx) in sig.scalars.iter().zip(sig.scalar_complex.iter()) {
         match group.ft {
@@ -525,24 +528,11 @@ pub(crate) fn launch_statements(
         args.push(LaunchArg::Ptr(t));
     }
     for &(mu, dir) in sig.shifts.iter() {
-        let is_remote = remote.map(|r| r.split_dims[mu]).unwrap_or(false);
-        args.push(LaunchArg::Ptr(ctx.neighbor_table(mu, dir, is_remote)?));
+        args.push(LaunchArg::Ptr(ctx.neighbor_table(mu, dir, split[mu])?));
     }
-    if let Some(r) = remote {
-        for &(mu, dir) in sig.shifts.iter() {
-            match r.recv.get(&(mu, dir)) {
-                Some(bufs) => {
-                    debug_assert_eq!(bufs.len(), sig.leaves.len());
-                    for p in bufs {
-                        args.push(LaunchArg::Ptr(*p));
-                    }
-                }
-                None => {
-                    for _ in 0..sig.leaves.len() {
-                        args.push(LaunchArg::Ptr(0));
-                    }
-                }
-            }
+    if let Some(recv) = remote {
+        for &(mu, dir) in sig.shifts.iter().filter(|&&(mu, _)| split[mu]) {
+            args.push(LaunchArg::Ptr(recv[&(mu, dir)]));
         }
     }
 

@@ -4,10 +4,13 @@
 //! On distributed-memory systems the shift operations introduce data
 //! dependencies on off-node grid points. For an expression with shifts the
 //! local sub-grid is partitioned into **inner sites** and **face sites**:
-//! gather kernels pack the face data into contiguous GPU memory, it is sent
-//! (directly for CUDA-aware MPI, staged through the host otherwise), the
-//! compute kernel is launched on the inner sites while the transfer is in
-//! flight, and the face sites are evaluated once the data has arrived.
+//! per split face a gather kernel packs one message — a slab per leaf read
+//! under that shift, laid out by `face_messages` — into contiguous GPU
+//! memory, it is sent (directly for CUDA-aware MPI, staged through the host
+//! otherwise) into one receive buffer that the halo kernel reads in place,
+//! the compute kernel is launched on the inner sites while the transfer is
+//! in flight, and the face sites are evaluated once the data has arrived.
+//! Only shifts along split dimensions decode the remote flag.
 //! Nested shifts ("shifts of shifts") are materialised into temporaries
 //! first — the paper executes them non-overlapping. That materialisation is
 //! also why plain face exchange suffices for correctness on a grid split in
@@ -31,17 +34,68 @@ use crate::context::{QdpContext, TableKey};
 use crate::eval::{self, CoreError, EvalReport, RemoteEnv, SiteSel};
 use qdp_comm::cluster::RankHandle;
 use qdp_expr::{Expr, FieldRef, ShiftDir};
-use qdp_gpu_sim::{DevicePtr, StreamId};
-use qdp_layout::{Decomposition, Dir, FieldLayout, RankGrid, Subset};
-use qdp_types::TypeShape;
-use std::collections::HashMap;
+use qdp_gpu_sim::StreamId;
+use qdp_layout::{Decomposition, Dir, FieldLayout, Geometry, RankGrid, Subset};
+use qdp_types::{FloatType, TypeShape};
 use std::sync::Arc;
 
-fn to_dir(d: ShiftDir) -> Dir {
+pub(crate) fn to_dir(d: ShiftDir) -> Dir {
     match d {
         ShiftDir::Forward => Dir::Forward,
         ShiftDir::Backward => Dir::Backward,
     }
+}
+
+/// The halo message of one split face `(mu, dir)`: for every leaf read
+/// under that shift, a slab of `face_vol × n_reals` elements, component-major
+/// over the face sites, at a byte offset into one contiguous buffer. The
+/// gather packs it, the receive buffer holds it and the halo kernel reads
+/// it in place; [`face_messages`] is the one place its layout is decided.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaceMessage {
+    /// Dimension of the shift.
+    pub mu: usize,
+    /// Direction of the shift.
+    pub dir: ShiftDir,
+    /// Sites per slab: the face volume orthogonal to `mu`.
+    pub face_vol: usize,
+    /// `(leaf, byte offset of its slab)`, widest element first, so every
+    /// slab is naturally aligned without padding.
+    pub slabs: Vec<(FieldRef, usize)>,
+    /// Message size in bytes.
+    pub bytes: usize,
+}
+
+/// The halo messages of `expr`: one per shift along a dimension `split`
+/// marks, in [`Expr::shifts`] order.
+pub(crate) fn face_messages(expr: &Expr, split: [bool; 4], geom: &Geometry) -> Vec<FaceMessage> {
+    let message = |mu: usize, dir: ShiftDir| {
+        let mut leaves = expr.leaves_under_shift(mu, dir);
+        // stable: equal widths keep visiting order
+        leaves.sort_by_key(|l| std::cmp::Reverse(l.ft.size_bytes()));
+        let face_vol = geom.face_vol(mu);
+        let mut bytes = 0;
+        let slabs = leaves
+            .into_iter()
+            .map(|leaf| {
+                let offset = bytes;
+                bytes += face_vol * leaf.shape().n_reals() * leaf.ft.size_bytes();
+                (leaf, offset)
+            })
+            .collect();
+        FaceMessage {
+            mu,
+            dir,
+            face_vol,
+            slabs,
+            bytes,
+        }
+    };
+    expr.shifts()
+        .iter()
+        .filter(|&&(mu, _)| split[mu])
+        .map(|&(mu, dir)| message(mu, dir))
+        .collect()
 }
 
 /// One rank of a multi-rank QDP-JIT run: the rank grid, comm handle and
@@ -113,6 +167,11 @@ impl MultiRank {
         self.grid.decomp()
     }
 
+    /// Which dimensions the rank grid splits.
+    pub(crate) fn split_dims(&self) -> [bool; 4] {
+        self.grid.split_dims()
+    }
+
     /// Does `expr` shift along a dimension split across ranks — i.e. does
     /// evaluating it need the halo schedule?
     pub(crate) fn crosses_ranks(&self, expr: &Expr) -> bool {
@@ -123,10 +182,7 @@ impl MultiRank {
 
     /// The comm stream dedicated to halo face `(mu, dir)`.
     fn face_stream(&self, mu: usize, dir: ShiftDir) -> StreamId {
-        self.face_streams[mu][match dir {
-            ShiftDir::Forward => 0,
-            ShiftDir::Backward => 1,
-        }]
+        self.face_streams[mu][to_dir(dir).index()]
     }
 
     /// Materialise nested shifts into temporaries (returns rewritten
@@ -209,18 +265,14 @@ impl MultiRank {
     }
 
     fn eval_flat(&self, target: FieldRef, expr: &Expr) -> Result<EvalReport, CoreError> {
-        let shifts = expr.shifts();
-        let split: Vec<(usize, ShiftDir)> = shifts
-            .iter()
-            .copied()
-            .filter(|&(mu, _)| self.grid.decomp().is_split(mu))
-            .collect();
-        if split.is_empty() {
+        let stmt = [(target, expr)];
+        let geom = self.ctx.geometry().clone();
+        let messages = face_messages(expr, self.split_dims(), &geom);
+        if messages.is_empty() {
             return eval::eval(&self.ctx, target, expr, Subset::All);
         }
 
         let t_start = self.ctx.device().now();
-        let geom = self.ctx.geometry().clone();
         let vol = geom.vol();
         let leaves = expr.leaves();
         let device = self.ctx.device();
@@ -234,102 +286,77 @@ impl MultiRank {
             ids.push(target.id);
         }
         let ptrs = self.ctx.cache().assure_on_device(&ids)?;
-        let leaf_ptrs = &ptrs[..leaves.len()];
+        let leaf_ptr = |leaf: &FieldRef| {
+            let i = leaves.iter().position(|l| l.id == leaf.id);
+            ptrs[i.expect("a slab's leaf is one of the expression's leaves")]
+        };
 
         // Fork: gathers + exchange go on the per-face comm streams, kernels
         // on the compute stream; none may start before the working set is
         // ready on the (synchronising) default stream.
         if self.overlap {
             let ready = device.record_event(StreamId::DEFAULT);
-            for &(mu, dir) in &split {
-                device.stream_wait_event(self.face_stream(mu, dir), ready);
+            for m in &messages {
+                device.stream_wait_event(self.face_stream(m.mu, m.dir), ready);
             }
             device.stream_wait_event(self.compute_stream, ready);
         }
 
-        let mut split_dims = [false; 4];
-        for &(mu, _) in &split {
-            split_dims[mu] = true;
-        }
-
-        // --- gather + send per split (mu, dir) ---
+        // --- gather + send one message per split (mu, dir) ---
         // For a Forward shift I need my forward neighbour's low slab, so I
         // send my own low slab backward; symmetrically for Backward.
-        let mut pending: Vec<((usize, ShiftDir), usize, usize)> = Vec::new(); // (key, recv_from, bytes)
-        for &(mu, dir) in &split {
+        for m in &messages {
             let xfer_stream = if self.overlap {
-                self.face_stream(mu, dir)
+                self.face_stream(m.mu, m.dir)
             } else {
                 StreamId::DEFAULT
             };
-            let (send_face_dir, send_to, recv_from) = match dir {
-                ShiftDir::Forward => (
-                    Dir::Backward,
-                    self.grid.face_neighbor(mu, Dir::Backward),
-                    self.grid.face_neighbor(mu, Dir::Forward),
-                ),
-                ShiftDir::Backward => (
-                    Dir::Forward,
-                    self.grid.face_neighbor(mu, Dir::Forward),
-                    self.grid.face_neighbor(mu, Dir::Backward),
-                ),
-            };
-            let face = geom.face_sites(mu, send_face_dir);
-            let iv_r = face.len();
+            let send_dir = to_dir(m.dir).flip();
+            let send_to = self.grid.face_neighbor(m.mu, send_dir);
+            let face = geom.face_sites(m.mu, send_dir);
 
-            // Only the leaves referenced under this shift need their slabs
-            // moved (e.g. the dslash's forward term ships one spinor, not
-            // the whole gauge field).
-            let used = expr.leaves_under_shift(mu, dir);
-
-            // Gather each used leaf's slab into one contiguous message,
-            // laid out like the receive buffer: [leaf][comp*IVr + slot].
-            // In timing-only mode the payload is a placeholder of the right
-            // size (the clocks still see the full traffic).
-            let functional = self.ctx.payload_execution();
-            let mut payload = Vec::new();
-            let mut gather_bytes = 0usize;
-            for (li, leaf) in leaves.iter().enumerate() {
-                if !used.iter().any(|r| r.id == leaf.id) {
-                    continue;
-                }
-                let shape = leaf.shape();
-                let n_comp = shape.n_reals();
-                let esize = leaf.ft.size_bytes();
-                let layout = FieldLayout::new(self.ctx.layout(), vol, n_comp);
-                let base = leaf_ptrs[li];
+            // Pack each slab at its offset, component-major over the face
+            // sites. In timing-only mode the payload is a placeholder of the
+            // right size (the clocks still see the full traffic).
+            let mut payload = Vec::with_capacity(m.bytes);
+            if self.ctx.payload_execution() {
                 let mem = device.memory();
-                if functional {
+                for &(leaf, offset) in &m.slabs {
+                    debug_assert_eq!(payload.len(), offset);
+                    let n_comp = leaf.shape().n_reals();
+                    let layout = FieldLayout::new(self.ctx.layout(), vol, n_comp);
+                    let base = leaf_ptr(&leaf);
                     for comp in 0..n_comp {
-                        for &site in face.iter() {
-                            let src =
-                                base + (layout.real_index(site as usize, comp) * esize) as u64;
-                            let mut buf = [0u8; 8];
-                            match esize {
-                                4 => buf[..4]
-                                    .copy_from_slice(&mem.read_f32(src).to_le_bytes()),
-                                _ => buf[..8]
-                                    .copy_from_slice(&mem.read_f64(src).to_le_bytes()),
+                        for &site in &face {
+                            let src = base
+                                + (layout.real_index(site as usize, comp) * leaf.ft.size_bytes())
+                                    as u64;
+                            match leaf.ft {
+                                FloatType::F32 => payload
+                                    .extend_from_slice(&mem.read_f32(src).to_le_bytes()),
+                                FloatType::F64 => payload
+                                    .extend_from_slice(&mem.read_f64(src).to_le_bytes()),
                             }
-                            payload.extend_from_slice(&buf[..esize]);
                         }
                     }
-                } else {
-                    payload.resize(payload.len() + iv_r * n_comp * esize, 0u8);
                 }
-                gather_bytes += iv_r * n_comp * esize;
+            } else {
+                payload.resize(m.bytes, 0u8);
             }
 
-            // Account the gather kernel (one streaming pass over the face).
+            // Account the gather kernel: one streaming pass over the face at
+            // the message's element width, that of its first (widest) slab.
+            let width = m.slabs.first().map_or(4, |(leaf, _)| leaf.ft.size_bytes());
+            let iv_r = m.face_vol.max(1);
             let gather_shape = qdp_gpu_sim::KernelShape {
-                threads: iv_r.max(1),
-                read_bytes_per_thread: gather_bytes / iv_r.max(1),
-                write_bytes_per_thread: gather_bytes / iv_r.max(1),
+                threads: iv_r,
+                read_bytes_per_thread: m.bytes / iv_r,
+                write_bytes_per_thread: m.bytes / iv_r,
                 flops_per_thread: 0,
                 regs_per_thread: 24,
-                access_bytes: 4,
+                access_bytes: width,
                 site_stride: 1,
-                double_precision: false,
+                double_precision: width == 8,
             };
             device
                 .account_launch_on(&gather_shape, 128, xfer_stream)
@@ -342,78 +369,37 @@ impl MultiRank {
             let now = device.stream_now(xfer_stream);
             let t_after = self.handle.send(send_to, payload, now)?;
             device.advance_stream_to(xfer_stream, t_after);
-            pending.push(((mu, dir), recv_from, gather_bytes));
         }
 
-        // Build the remote environment: receive buffers per (mu,dir,leaf).
-        let mut recv_bufs: HashMap<(usize, ShiftDir), Vec<DevicePtr>> = HashMap::new();
-        let mut allocations: Vec<DevicePtr> = Vec::new();
-        for &(mu, dir) in &split {
-            let iv_r = geom.face_vol(mu);
-            let used = expr.leaves_under_shift(mu, dir);
-            let mut bufs = Vec::with_capacity(leaves.len());
-            for leaf in &leaves {
-                if !used.iter().any(|r| r.id == leaf.id) {
-                    bufs.push(0); // never dereferenced: leaf not read under this shift
-                    continue;
-                }
-                let bytes = iv_r * leaf.shape().n_reals() * leaf.ft.size_bytes();
-                let what = format_args!("halo receive buffer ({mu},{dir:?})");
-                let p = match self.ctx.alloc_or_oom(what, bytes) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        // free what we grabbed so an OOM mid-setup leaks nothing
-                        for q in allocations.drain(..) {
-                            device.free(q);
-                        }
-                        return Err(e);
-                    }
-                };
-                allocations.push(p);
-                bufs.push(p);
-            }
-            recv_bufs.insert((mu, dir), bufs);
+        // The receive buffers: one allocation per message, which the halo
+        // kernel reads in place.
+        let mut remote = RemoteEnv::new();
+        for m in &messages {
+            let what = format_args!("halo receive buffer ({},{:?})", m.mu, m.dir);
+            let p = self.ctx.alloc_or_oom(what, m.bytes).inspect_err(|_| {
+                // free what we grabbed so an OOM mid-setup leaks nothing
+                remote.values().for_each(|&p| device.free(p));
+            })?;
+            remote.insert((m.mu, m.dir), p);
         }
-        let remote = RemoteEnv {
-            split_dims,
-            recv: recv_bufs.clone(),
-        };
 
         // Everything past this point must free the receive buffers on both
         // the success and the error path (a comm failure mid-exchange must
         // not leak device memory), hence the immediately-run closure.
         let result = (|| -> Result<EvalReport, CoreError> {
-            let faces: Vec<(usize, Dir)> = split.iter().map(|&(mu, d)| (mu, to_dir(d))).collect();
-            let stmt = [(target, expr)];
+            let faces: Vec<(usize, Dir)> =
+                messages.iter().map(|m| (m.mu, to_dir(m.dir))).collect();
 
-            // scatter one face's arrived payload into its receive buffers
-            let scatter = |mu: usize, dir: ShiftDir, data: &[u8]| {
-                let bufs = &recv_bufs[&(mu, dir)];
-                let mut off = 0usize;
-                for (li, leaf) in leaves.iter().enumerate() {
-                    if bufs[li] == 0 {
-                        continue; // leaf not communicated for this shift
-                    }
-                    let n = geom.face_vol(mu) * leaf.shape().n_reals() * leaf.ft.size_bytes();
-                    device.memory().copy_from_host(bufs[li], &data[off..off + n]);
-                    off += n;
-                }
-            };
-
-            // receive one face's halo, clocked on stream `st`
-            let receive_face = |st: StreamId,
-                                mu: usize,
-                                dir: ShiftDir,
-                                recv_from: usize|
-             -> Result<(), CoreError> {
-                let now = device.stream_now(st);
-                let (data, arrival) = self.handle.recv(recv_from, now)?;
+            // receive one face's message into its buffer, clocked on `st`
+            let receive_face = |st: StreamId, m: &FaceMessage| -> Result<(), CoreError> {
+                let from = self.grid.face_neighbor(m.mu, to_dir(m.dir));
+                let (data, arrival) = self.handle.recv(from, device.stream_now(st))?;
                 device.advance_stream_to(st, arrival);
                 if !self.cuda_aware {
                     device.advance_stream(st, device.transfer_time(data.len()));
                 }
                 if self.ctx.payload_execution() {
-                    scatter(mu, dir, &data);
+                    device.memory().copy_from_host(remote[&(m.mu, m.dir)], &data);
                 }
                 Ok(())
             };
@@ -448,9 +434,9 @@ impl MultiRank {
                 // neighbour are the same rank), but each face's wait is
                 // clocked on its own stream.
                 let mut t_comm_end = t_start;
-                for &((mu, dir), recv_from, _bytes) in &pending {
-                    let st = self.face_stream(mu, dir);
-                    receive_face(st, mu, dir, recv_from)?;
+                for m in &messages {
+                    let st = self.face_stream(m.mu, m.dir);
+                    receive_face(st, m)?;
                     let halo_done = device.record_event(st);
                     device.stream_wait_event(self.compute_stream, halo_done);
                     t_comm_end = t_comm_end.max(device.stream_now(st));
@@ -492,8 +478,8 @@ impl MultiRank {
             } else {
                 // No overlap: receive every face on the default stream,
                 // then evaluate the whole lattice.
-                for &((mu, dir), recv_from, _bytes) in &pending {
-                    receive_face(StreamId::DEFAULT, mu, dir, recv_from)?;
+                for m in &messages {
+                    receive_face(StreamId::DEFAULT, m)?;
                 }
                 let full = eval::launch_statements(
                     &self.ctx,
@@ -509,7 +495,7 @@ impl MultiRank {
             }
         })();
 
-        for p in allocations {
+        for &p in remote.values() {
             device.free(p);
         }
         result
@@ -574,10 +560,7 @@ mod tests {
                 .device()
                 .alloc(geom.face_vol(0) * 24 * 8)
                 .unwrap();
-            let remote = RemoteEnv {
-                split_dims: [true, false, false, false],
-                recv: [((0, ShiftDir::Forward), vec![0, halo])].into_iter().collect(),
-            };
+            let remote: RemoteEnv = [((0, ShiftDir::Forward), halo)].into_iter().collect();
             let alone = |key: TableKey, sites: Vec<u32>| {
                 let (ptr, len) = ctx.pinned_table(key, StreamId::DEFAULT, || sites).unwrap();
                 eval::launch_statements(

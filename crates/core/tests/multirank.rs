@@ -499,3 +499,157 @@ fn split_shift_on_a_subset_is_an_error_unsplit_is_exact() {
     let out = reassemble(global, [2, 1, 1, 1], results.iter());
     assert_same(&out, &reference, "unsplit shift on the even subset");
 }
+
+#[test]
+fn halo_kernel_decodes_only_split_shifts_from_one_buffer_per_face() {
+    // On a [2,1,1,1] grid (local 2×4³, DP SoA) only the shifts along x read
+    // a face message: each such shift takes one receive-buffer parameter
+    // and one `selp` per component it loads, and every other shift
+    // compiles as it does on one rank.
+    let global = [4usize; 4];
+    let census = qdp_comm::run_cluster(
+        2,
+        qdp_comm::LinkModel::infiniband_qdr(),
+        move |handle| {
+            let decomp = Decomposition::new(global, [2, 1, 1, 1]);
+            let ctx = QdpContext::builder(decomp.local_geometry())
+                .device(DeviceConfig::k20m_ecc_on())
+                .layout(LayoutKind::SoA)
+                .opt_level(OptLevel::Default)
+                .build();
+            ctx.set_payload_execution(false);
+            // no overlap: the halo kernel runs once, over the whole lattice
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, false);
+            let u: Vec<LatticeColorMatrix<f64>> =
+                (0..4).map(|_| LatticeColorMatrix::new(&ctx)).collect();
+            let psi = LatticeFermion::<f64>::new(&ctx);
+            let staple = (0..4)
+                .filter(|&nu| nu != 1)
+                .map(|nu| {
+                    shift(u[nu].q(), 1, ShiftDir::Forward)
+                        * adj(shift(u[1].q(), nu, ShiftDir::Forward))
+                        * adj(u[nu].q())
+                })
+                .reduce(|a, b| a + b)
+                .unwrap();
+            let hopping = (0..4)
+                .map(|mu| {
+                    u[mu].q() * shift(psi.q(), mu, ShiftDir::Forward)
+                        + shift(adj(u[mu].q()) * psi.q(), mu, ShiftDir::Backward)
+                })
+                .reduce(|a, b| a + b)
+                .unwrap();
+            let staple_out = LatticeColorMatrix::<f64>::new(&ctx);
+            let hopping_out = LatticeFermion::<f64>::new(&ctx);
+            let staple_ran = staple_out.assign(staple.clone()).unwrap();
+            let hopping_ran = hopping_out.assign(hopping.clone()).unwrap();
+
+            // Re-render the launched kernel from a plan that keeps only the
+            // x faces; compiling that text must hit the kernel the launch
+            // compiled, and that kernel is what is counted.
+            let census = |target, e: &qdp_expr::Expr, name: &str| {
+                let mut plan = qdp_core::plan_codegen(&ctx, target, e, false, true).unwrap();
+                plan.env.faces.retain(|f| f.mu == 0);
+                let ptx = qdp_core::render_ptx(&plan, e, name).unwrap();
+                let misses = ctx.kernels().stats().misses;
+                let k = ctx
+                    .kernels()
+                    .compile(qdp_jit::CompileRequest::new(&ptx))
+                    .unwrap();
+                assert_eq!(ctx.kernels().stats().misses, misses, "{name} is not the launched kernel");
+                let selps = ptx.lines().filter(|l| l.trim_start().starts_with("selp")).count();
+                (k.param_types.len(), selps, k.code.len())
+            };
+            (
+                census(staple_out.fref(), staple.raw(), &staple_ran.kernel_name),
+                census(hopping_out.fref(), hopping.raw(), &hopping_ran.kernel_name),
+            )
+        },
+    );
+    for (staple, hopping) in census {
+        // params: dst, 4 links, n, 4 tables + recv_0_f
+        assert_eq!(staple.0, 11, "upper-staple params");
+        // selp: the 18 reals of U_1 read under (0, +)
+        assert_eq!(staple.1, 18, "upper-staple selp count");
+        assert!(staple.2 <= 1850, "upper-staple lowered ops {}", staple.2);
+        // params: dst, 4 links, psi, n, 8 tables + recv_0_f, recv_0_b
+        assert_eq!(hopping.0, 17, "hopping params");
+        // selp: psi (24) under (0, +); U_0 (18) and psi (24) under (0, -)
+        assert_eq!(hopping.1, 66, "hopping selp count");
+        assert!(hopping.2 <= 3250, "hopping lowered ops {}", hopping.2);
+    }
+}
+
+#[test]
+fn mixed_precision_message_on_an_odd_face_matches_single_rank() {
+    // Global [4,3,3,3] on [2,1,1,1]: an x face has 27 sites, so an f32
+    // slab is not a whole number of f64 elements. An f32 Real and an f64
+    // ColorMatrix read under the same split shift share one message; the
+    // f32 leaf comes first in visiting order, the f64 slab first in the
+    // message.
+    use qdp_expr::{BinaryOp, Expr};
+    let global = [4usize, 3, 3, 3];
+    let real_at = |c: [usize; 4]| PScalar(PScalar((c[0] * 27 + c[1] * 9 + c[2] * 3 + c[3]) as f32 * 0.37 - 5.0));
+    let expr = |r: &LatticeReal<f32>, u: &LatticeColorMatrix<f64>| {
+        let ru = || Expr::Binary(BinaryOp::Mul, Box::new(r.q().0), Box::new(u.q().0));
+        let sh = |e: Expr, dir| Expr::Shift { mu: 0, dir, child: Box::new(e) };
+        Expr::Binary(
+            BinaryOp::Add,
+            Box::new(sh(ru(), ShiftDir::Forward)),
+            Box::new(sh(ru(), ShiftDir::Backward)),
+        )
+    };
+    let reference = {
+        let ctx = QdpContext::new(
+            DeviceConfig::k20m_ecc_on(),
+            Geometry::new(global),
+            LayoutKind::SoA,
+        );
+        let g = ctx.geometry().clone();
+        let r = LatticeReal::<f32>::from_fn(&ctx, |s| real_at(g.coord_of(s)));
+        let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| cm_at(g.coord_of(s)));
+        let out = LatticeColorMatrix::<f64>::new(&ctx);
+        qdp_core::eval(&ctx, out.fref(), &expr(&r, &u), Subset::All).unwrap();
+        out.to_vec()
+    };
+    for overlap in [true, false] {
+        let results = qdp_comm::run_cluster(
+            2,
+            qdp_comm::LinkModel::infiniband_qdr(),
+            move |handle| {
+                let decomp = Decomposition::new(global, [2, 1, 1, 1]);
+                let rank = handle.rank;
+                let ctx = QdpContext::new(
+                    DeviceConfig::k20m_ecc_on(),
+                    decomp.local_geometry(),
+                    LayoutKind::SoA,
+                );
+                let _rank =
+                    MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, overlap);
+                let at = |s| decomp.global_coord(rank, s);
+                let r = LatticeReal::<f32>::from_fn(&ctx, |s| real_at(at(s)));
+                let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| cm_at(at(s)));
+                let out = LatticeColorMatrix::<f64>::new(&ctx);
+                let e = expr(&r, &u);
+                // every slab starts at a multiple of its element width
+                let plan = qdp_core::plan_codegen(&ctx, out.fref(), &e, false, true).unwrap();
+                for face in &plan.env.faces {
+                    assert_eq!(face.face_vol, 27);
+                    for (leaf, offset) in &face.slabs {
+                        assert_eq!(offset % leaf.ft.size_bytes(), 0, "slab of {leaf:?} at {offset}");
+                    }
+                }
+                qdp_core::eval(&ctx, out.fref(), &e, Subset::All).unwrap();
+                out.to_vec()
+            },
+        );
+        let decomp = Decomposition::new(global, [2, 1, 1, 1]);
+        let gg = Geometry::new(global);
+        for (rank, local) in results.iter().enumerate() {
+            for (s, v) in local.iter().enumerate() {
+                let want = &reference[gg.index_of(decomp.global_coord(rank, s))];
+                assert_eq!(v, want, "overlap {overlap}: rank {rank} site {s}");
+            }
+        }
+    }
+}

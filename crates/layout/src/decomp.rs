@@ -158,10 +158,7 @@ impl RankGrid {
     /// Precomputed face neighbour one step in `(mu, dir)` (self when `mu`
     /// is unsplit).
     pub fn face_neighbor(&self, mu: usize, dir: Dir) -> usize {
-        self.faces[mu][match dir {
-            Dir::Forward => 0,
-            Dir::Backward => 1,
-        }]
+        self.faces[mu][dir.index()]
     }
 
     /// Which dimensions are split across ranks.
