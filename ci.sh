@@ -394,6 +394,23 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one face message (one receive buffer and one kernel parameter per split face)"
 
+# ---- Guard: one halo schedule --------------------------------------------------
+# The §V schedule takes the fusion planner's statement group, so a program
+# plans the same groups at any rank count: the planner's rank-grid rule and
+# its counter, the single-statement limit on face messages and the
+# single-statement halo error stay deleted. crates/benchmark is frozen and
+# skipped. (Spelled in pieces, as above.)
+twins="Bailout\\(\"ha""lo\"\\)|fuse\\.bailout\\.ha""lo|must not read face ""messages"
+twins="$twins|single full-lattice ""statements"
+stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
+    | grep -v '^crates/benchmark/' || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: a halo rule or a single-statement limit on the halo schedule is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: one halo schedule (the planner's groups run the §V schedule as they are)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

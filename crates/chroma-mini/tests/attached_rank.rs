@@ -148,10 +148,19 @@ fn four_rank_trajectory_is_the_single_rank_trajectory() {
     assert!(close(multi.kinetic_start, single.kinetic_start));
 }
 
+/// Counters that must not depend on the rank grid: the CG iteration total
+/// and what the fusion planner did.
+const RANK_FREE_COUNTERS: [&str; 4] = [
+    "solver.cg_iters",
+    "fuse.groups",
+    "fuse.launches_saved",
+    "fuse.bailouts",
+];
+
 /// Gauge + two-flavour Wilson `Hmc::evolve` on `rank_dims` over `global`,
 /// with `φ = M†η` built by `apply_dag` from a global-coordinate-keyed `η`:
-/// per rank, the report and the `solver.cg_iters` total.
-fn two_flavor_evolve(global: [usize; 4], rank_dims: [usize; 4]) -> Vec<(HmcReport, u64)> {
+/// per rank, the report and the [`RANK_FREE_COUNTERS`].
+fn two_flavor_evolve(global: [usize; 4], rank_dims: [usize; 4]) -> Vec<(HmcReport, [u64; 4])> {
     const MASS: f64 = 0.5;
     run_cluster(
         rank_dims.iter().product(),
@@ -179,7 +188,8 @@ fn two_flavor_evolve(global: [usize; 4], rank_dims: [usize; 4]) -> Vec<(HmcRepor
             };
             let mut metro = StdRng::seed_from_u64(7);
             let report = hmc.evolve(&g, &p, &mut metro).unwrap();
-            (report, ctx.profile_report().counter("solver.cg_iters"))
+            let rep = ctx.profile_report();
+            (report, RANK_FREE_COUNTERS.map(|c| rep.counter(c)))
         },
     )
 }
@@ -188,25 +198,29 @@ fn two_flavor_evolve(global: [usize; 4], rank_dims: [usize; 4]) -> Vec<(HmcRepor
 fn two_flavor_trajectory_is_the_single_rank_trajectory() {
     // The dynamical trajectory: `apply`/`apply_dag` and every CG solve
     // exchange halos through plain `assign`. Ranks agree bit for bit;
-    // against one rank only the cross-rank summation order differs. ΔH is
-    // a small difference of two O(10³) energies, so it is held to an
-    // absolute bound rather than a relative one.
+    // against one rank only the cross-rank summation order differs. The
+    // fusion planner forms the same groups on every grid, halo statements
+    // included. ΔH is a small difference of two O(10³) energies, so it is
+    // held to an absolute bound rather than a relative one.
     for (global, rank_dims) in [
         ([4, 4, 4, 4], [2, 1, 1, 2]),
         ([4, 4, 4, 4], [2, 2, 2, 2]),
         ([4, 6, 4, 4], [1, 3, 1, 1]),
     ] {
-        let (single, single_iters) = two_flavor_evolve(global, [1, 1, 1, 1]).remove(0);
+        let (single, single_counts) = two_flavor_evolve(global, [1, 1, 1, 1]).remove(0);
         assert!(single.accepted, "{global:?}: pick a trajectory that accepts");
-        assert!(single_iters > 0);
+        assert!(single_counts[0] > 0 && single_counts[1] > 0);
         let ranks = two_flavor_evolve(global, rank_dims);
-        for (r, iters) in &ranks {
+        for (r, counts) in &ranks {
             assert_eq!(
                 report_bits(r),
                 report_bits(&ranks[0].0),
                 "{rank_dims:?}: ranks must agree bit for bit"
             );
-            assert_eq!(*iters, single_iters, "{rank_dims:?}: CG iteration totals");
+            assert_eq!(
+                *counts, single_counts,
+                "{rank_dims:?}: {RANK_FREE_COUNTERS:?} against one rank"
+            );
         }
         let multi = ranks[0].0;
         assert_eq!(multi.accepted, single.accepted);

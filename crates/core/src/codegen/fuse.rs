@@ -18,9 +18,6 @@
 //! hold; otherwise the group is closed (`fuse.bailouts`) and the statement
 //! starts a new one:
 //!
-//! - neither it nor the group shifts along a rank-split dimension of an
-//!   attached context (`halo`: such a statement runs the §V halo schedule,
-//!   and only single-statement kernels carry receive buffers);
 //! - same subset and same stream as the group (a fused kernel is one
 //!   launch: one subset, one stream);
 //! - same compute precision (one fused kernel body has one compute type);
@@ -37,6 +34,11 @@
 //! point: the consumer's load from its own site happens after the
 //! producer's store in the same thread, so `tmp = a+b; n2 = |tmp|²` fuses
 //! into one kernel with bit-identical results.
+//!
+//! The rules do not depend on the rank grid: a program plans the same
+//! groups on any number of ranks. On an attached context a group that
+//! shifts along a split dimension runs the §V halo schedule as a whole —
+//! one message per split face for the group, read by the one fused kernel.
 //!
 //! Independent reduction temporaries recorded back-to-back (e.g.
 //! [`FusionScope::norm2_batch`]) fuse the same way into one multi-output
@@ -104,8 +106,6 @@ struct GroupState {
     targets: Vec<u64>,
     /// Fields read under a shift by any group statement.
     hazards: Vec<u64>,
-    /// The group is one halo-exchanging statement (never joinable).
-    halo: bool,
     /// The group is one statement that reads its own target under a shift
     /// (never joinable).
     self_shift: bool,
@@ -113,7 +113,7 @@ struct GroupState {
 }
 
 impl GroupState {
-    fn open(s: &Stmt, halo: bool) -> GroupState {
+    fn open(s: &Stmt) -> GroupState {
         let hazards: Vec<u64> = s
             .expr
             .leaves_under_any_shift()
@@ -127,17 +127,13 @@ impl GroupState {
             targets: vec![s.target.id],
             self_shift: hazards.contains(&s.target.id),
             hazards,
-            halo,
             len: 1,
         }
     }
 
-    fn try_join(&mut self, s: &Stmt, halo: bool, budget: usize) -> Result<(), Split> {
+    fn try_join(&mut self, s: &Stmt, budget: usize) -> Result<(), Split> {
         if self.len >= budget {
             return Err(Split::Budget);
-        }
-        if halo || self.halo {
-            return Err(Split::Bailout("halo"));
         }
         if s.subset != self.subset {
             return Err(Split::Bailout("subset"));
@@ -178,15 +174,13 @@ impl GroupState {
 fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> {
     let tel = ctx.telemetry();
     let budget = group_budget(ctx);
-    let rank = ctx.attached_rank();
     let mut groups = Vec::new();
     let mut start = 0usize;
     let mut state: Option<GroupState> = None;
     for (i, s) in stmts.iter().enumerate() {
-        let halo = rank.as_ref().is_some_and(|mr| mr.crosses_ranks(&s.expr));
         match state.as_mut() {
-            None => state = Some(GroupState::open(s, halo)),
-            Some(g) => match g.try_join(s, halo, budget) {
+            None => state = Some(GroupState::open(s)),
+            Some(g) => match g.try_join(s, budget) {
                 Ok(()) => {}
                 Err(split) => {
                     if let Split::Bailout(reason) = split {
@@ -197,7 +191,7 @@ fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> 
                     }
                     groups.push(start..i);
                     start = i;
-                    state = Some(GroupState::open(s, halo));
+                    state = Some(GroupState::open(s));
                 }
             },
         }
@@ -209,10 +203,12 @@ fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> 
 }
 
 /// Generate the PTX text the fusion pipeline would run for a group of
-/// statements over `subset`, under a caller-chosen kernel name. Pure
-/// codegen (nothing is compiled, cached or launched) — the
-/// multi-statement twin of [`crate::codegen_ptx`], used by the
-/// golden-snapshot tests.
+/// statements over `subset`, under a caller-chosen kernel name — on an
+/// attached context, the §V halo kernel of a full-lattice group that
+/// shifts along a split dimension, as the schedule without overlap
+/// launches it over the whole lattice. Pure codegen (nothing is compiled,
+/// cached or launched) — the multi-statement twin of
+/// [`crate::codegen_ptx`], used by the golden-snapshot tests.
 pub fn codegen_fused_ptx(
     ctx: &QdpContext,
     stmts: &[(FieldRef, Expr)],
@@ -220,7 +216,11 @@ pub fn codegen_fused_ptx(
     kernel_name: &str,
 ) -> Result<String, CoreError> {
     let refs: Vec<(FieldRef, &Expr)> = stmts.iter().map(|(t, e)| (*t, e)).collect();
-    let plan = KeyedGroup::new(ctx, &refs, subset != Subset::All, [false; 4]).plan(ctx, &refs)?;
+    let split = ctx
+        .attached_rank()
+        .filter(|mr| subset == Subset::All && refs.iter().any(|(_, e)| mr.crosses_ranks(e)))
+        .map_or([false; 4], |mr| mr.split_dims());
+    let plan = KeyedGroup::new(ctx, &refs, subset != Subset::All, split).plan(ctx, &refs)?;
     let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| e).collect();
     render_statements(&plan, &exprs, kernel_name)
 }

@@ -33,11 +33,13 @@ pub struct KernelEnv {
     pub ft: FloatType,
     /// Evaluate through a site-list indirection (subsets other than All).
     pub subset_mapped: bool,
-    /// The face messages the kernel reads, one per shift along a dimension
-    /// split across ranks (empty on one rank): that shift's neighbour table
-    /// flags off-rank entries, which read the message's slabs.
+    /// The face messages the kernel reads, one per shift of the group along
+    /// a dimension split across ranks (empty on one rank): that shift's
+    /// neighbour table flags off-rank entries, which read the message's
+    /// slabs.
     pub faces: Vec<FaceMessage>,
-    /// Shift pairs used by the expression, in [`qdp_expr::Expr::shifts`] order.
+    /// Shift pairs used by the statements, in
+    /// [`qdp_expr::KernelSignature::shifts`] order.
     pub shifts: Vec<(usize, ShiftDir)>,
     /// For each scalar parameter: is it complex? (All statements'
     /// scalars, concatenated in statement order.)
@@ -144,9 +146,9 @@ impl<'a> PtxGen<'a> {
     /// `dst0..dstK-1` otherwise), one shared leaf table, the statements'
     /// scalars concatenated in statement order (`env.scalar_complex` is
     /// that concatenation; `env.stmts[i].n_scalars` partitions it), `n`,
-    /// the site table, the neighbour tables and — K = 1 only, the planner
-    /// never groups halo statements — one receive buffer per face message,
-    /// `recv_{mu}_{f|b}`, whose slab bases the prologue forms once.
+    /// the site table, the neighbour tables and one receive buffer per face
+    /// message of the group, `recv_{mu}_{f|b}`, whose slab bases the
+    /// prologue forms once.
     /// [`PtxGen::begin_stmt`] switches the destination and scalar window
     /// between statements. Above `OptLevel::None` address arithmetic is
     /// memoised over the whole kernel.
@@ -157,10 +159,6 @@ impl<'a> PtxGen<'a> {
         opt: OptLevel,
     ) -> PtxGen<'a> {
         assert!(!env.stmts.is_empty(), "a kernel needs at least one statement");
-        assert!(
-            env.stmts.len() == 1 || env.faces.is_empty(),
-            "multi-statement kernels must not read face messages"
-        );
         let mut kb = KernelBuilder::new(name);
         let ty = ptx_of(env.ft);
 

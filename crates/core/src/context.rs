@@ -219,16 +219,8 @@ impl QdpContext {
         dir: ShiftDir,
         remote: bool,
     ) -> Result<DevicePtr, CoreError> {
-        let d = to_dir(dir);
-        let key = TableKey::Neighbor(mu, d, remote);
-        let (ptr, _) = self.pinned_table(key, StreamId::DEFAULT, || {
-            let tbl = if remote {
-                self.geom.neighbor_table_remote(mu, d)
-            } else {
-                self.geom.neighbor_table_local(mu, d)
-            };
-            tbl.iter().map(|e| e.0).collect()
-        })?;
+        let key = TableKey::Neighbor(mu, to_dir(dir), remote);
+        let (ptr, _) = self.pinned_table(key, StreamId::DEFAULT)?;
         Ok(ptr)
     }
 
@@ -238,27 +230,23 @@ impl QdpContext {
         if subset == Subset::All {
             return Ok((None, self.geom.vol()));
         }
-        let (ptr, len) = self.pinned_table(TableKey::Subset(subset), StreamId::DEFAULT, || {
-            subset.sites(&self.geom)
-        })?;
+        let (ptr, len) = self.pinned_table(TableKey::Subset(subset), StreamId::DEFAULT)?;
         Ok((Some(ptr), len))
     }
 
     /// The pinned table for `key`: device pointer and entry count. On the
-    /// first request `entries` builds the table, which is uploaded on
-    /// `stream` and stays on the device (never spilled) for the context's
-    /// life.
+    /// first request the table is built, uploaded on `stream` and kept on
+    /// the device (never spilled) for the context's life.
     pub(crate) fn pinned_table(
         &self,
         key: TableKey,
         stream: StreamId,
-        entries: impl FnOnce() -> Vec<u32>,
     ) -> Result<(DevicePtr, usize), CoreError> {
         let mut map = self.tables.lock();
         if let Some(&hit) = map.get(&key) {
             return Ok(hit);
         }
-        let entries = entries();
+        let entries = key.entries(&self.geom);
         let bytes: Vec<u8> = entries.iter().flat_map(|e| e.to_le_bytes()).collect();
         let ptr = self.alloc_or_oom(format_args!("{key:?} table"), bytes.len())?;
         let tel = self.telemetry();
@@ -302,6 +290,25 @@ pub(crate) enum TableKey {
     Inner(Vec<(usize, Dir)>),
     /// The §V face sites: the union of these faces.
     Face(Vec<(usize, Dir)>),
+}
+
+impl TableKey {
+    /// The table's entries on `geom`.
+    fn entries(&self, geom: &Geometry) -> Vec<u32> {
+        match self {
+            TableKey::Neighbor(mu, d, remote) => {
+                let tbl = if *remote {
+                    geom.neighbor_table_remote(*mu, *d)
+                } else {
+                    geom.neighbor_table_local(*mu, *d)
+                };
+                tbl.iter().map(|e| e.0).collect()
+            }
+            TableKey::Subset(subset) => subset.sites(geom),
+            TableKey::Inner(faces) => geom.inner_sites(faces),
+            TableKey::Face(faces) => geom.face_union(faces),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -294,10 +294,7 @@ impl KeyedGroup {
                 layout: ctx.layout(),
                 ft: self.ft,
                 subset_mapped: self.subset_mapped,
-                faces: stmts
-                    .iter()
-                    .flat_map(|(_, e)| face_messages(e, self.split, ctx.geometry()))
-                    .collect(),
+                faces: face_messages(stmts, &self.sig.shifts, self.split, ctx.geometry()),
                 shifts: self.sig.shifts.clone(),
                 scalar_complex: self.sig.scalar_complex.clone(),
                 stmts: self.metas.clone(),
@@ -393,9 +390,9 @@ pub fn eval(
 /// Evaluate a group of statements over `subset` on `stream` with one kernel
 /// launch. The fusion planner guarantees a multi-statement group is legal
 /// to run per thread (see [`crate::codegen::fuse`]). On a context with an
-/// attached rank ([`QdpContext::attached_rank`]) a statement that shifts
-/// along a split dimension runs the §V halo schedule instead of one launch;
-/// with a subset or a non-default stream that is an error.
+/// attached rank ([`QdpContext::attached_rank`]) a group that shifts along
+/// a split dimension runs the §V halo schedule instead of one launch; with
+/// a subset or a non-default stream that is an error.
 ///
 /// A statement that reads its own target under a shift gets QDP++'s
 /// semantics — the right-hand side is evaluated in full before the
@@ -423,23 +420,19 @@ pub(crate) fn eval_statements(
             return r;
         }
     }
-    // The rank belongs to the context: a statement that shifts along a
-    // split dimension runs the §V halo schedule, which launches through
+    // The rank belongs to the context: a group that shifts along a split
+    // dimension runs the §V halo schedule, which launches through
     // `launch_statements` itself.
-    if let Some(mr) = ctx.attached_rank() {
-        if stmts.iter().any(|(_, e)| mr.crosses_ranks(e)) {
-            return match (stmts, subset) {
-                (&[(target, expr)], Subset::All) if stream == StreamId::DEFAULT => {
-                    mr.eval_halo(target, expr)
-                }
-                _ => Err(CoreError::Msg(
-                    "a shift along a rank-split dimension needs halo exchange, which \
-                     covers single full-lattice statements on the default stream: not a \
-                     subset or another stream"
-                        .into(),
-                )),
-            };
+    let halo = ctx.attached_rank().filter(|mr| stmts.iter().any(|(_, e)| mr.crosses_ranks(e)));
+    if let Some(mr) = halo {
+        if subset != Subset::All || stream != StreamId::DEFAULT {
+            return Err(CoreError::Msg(
+                "a shift along a rank-split dimension needs halo exchange, which covers \
+                 the full lattice on the default stream: not a subset or another stream"
+                    .into(),
+            ));
         }
+        return mr.eval_halo(stmts);
     }
     launch_statements(ctx, stmts, SiteSel::Subset(subset), stream, None)
 }
@@ -451,7 +444,8 @@ pub(crate) fn eval_statements(
 /// The kernel is planned at the context's optimizer level; `remote` carries
 /// the §V receive buffers of a halo-schedule launch, whose kernel reads a
 /// face message for each shift along a split dimension of the attached
-/// rank grid.
+/// rank grid (its group has no nested shifts: `MultiRank::eval_halo`
+/// materialises them first).
 pub(crate) fn launch_statements(
     ctx: &QdpContext,
     stmts: &[(FieldRef, &Expr)],
@@ -459,13 +453,6 @@ pub(crate) fn launch_statements(
     stream: StreamId,
     remote: Option<&RemoteEnv>,
 ) -> Result<EvalReport, CoreError> {
-    if remote.is_some() && stmts.iter().any(|(_, e)| e.has_nested_shift()) {
-        return Err(CoreError::Msg(
-            "nested shifts must be materialised before multi-rank evaluation \
-             (the paper executes inner shifts non-overlapping, §V)"
-                .into(),
-        ));
-    }
     let subset_mapped = !matches!(sel, SiteSel::Subset(Subset::All));
     let split = remote
         .and_then(|_| ctx.attached_rank())

@@ -2,14 +2,16 @@
 //! overlap (paper §V) over an arbitrary N-rank 4D decomposition.
 //!
 //! On distributed-memory systems the shift operations introduce data
-//! dependencies on off-node grid points. For an expression with shifts the
-//! local sub-grid is partitioned into **inner sites** and **face sites**:
-//! per split face a gather kernel packs one message — a slab per leaf read
-//! under that shift, laid out by `face_messages` — into contiguous GPU
-//! memory, it is sent (directly for CUDA-aware MPI, staged through the host
-//! otherwise) into one receive buffer that the halo kernel reads in place,
-//! the compute kernel is launched on the inner sites while the transfer is
-//! in flight, and the face sites are evaluated once the data has arrived.
+//! dependencies on off-node grid points. For a statement group with shifts
+//! — one statement, or a fused group of K ≥ 2 — the local sub-grid is
+//! partitioned into **inner sites** and **face sites**: per split face a
+//! gather kernel packs one message for the whole group — a slab per leaf
+//! any statement reads under that shift, laid out by `face_messages` —
+//! into contiguous GPU memory, it is sent (directly for CUDA-aware MPI,
+//! staged through the host otherwise) into one receive buffer that the
+//! group's kernel reads in place, the kernel is launched on the inner sites
+//! while the transfer is in flight, and on the face sites once the data has
+//! arrived.
 //! Only shifts along split dimensions decode the remote flag.
 //! Nested shifts ("shifts of shifts") are materialised into temporaries
 //! first — the paper executes them non-overlapping. That materialisation is
@@ -21,8 +23,9 @@
 //! The rank belongs to the context: [`MultiRank::new`] attaches itself to
 //! its [`QdpContext`], and from then on the ordinary entry points —
 //! `Lattice::assign`, a `FusionScope` flush, every reduction — run this
-//! schedule for a statement that shifts along a split dimension and
-//! allreduce their sums. Application code never names a rank.
+//! schedule for a statement group that shifts along a split dimension and
+//! allreduce their sums. The fusion planner groups statements as it does on
+//! one rank. Application code never names a rank.
 //!
 //! Each split face `(mu, dir)` gets its **own comm stream** feeding the
 //! fork/halo_done event schedule, so one slow face does not serialise the
@@ -33,7 +36,7 @@
 use crate::context::{QdpContext, TableKey};
 use crate::eval::{self, CoreError, EvalReport, RemoteEnv, SiteSel};
 use qdp_comm::cluster::RankHandle;
-use qdp_expr::{Expr, FieldRef, ShiftDir};
+use qdp_expr::{Expr, FieldRef, KernelSignature, ShiftDir};
 use qdp_gpu_sim::StreamId;
 use qdp_layout::{Decomposition, Dir, FieldLayout, Geometry, RankGrid, Subset};
 use qdp_types::{FloatType, TypeShape};
@@ -66,11 +69,23 @@ pub struct FaceMessage {
     pub bytes: usize,
 }
 
-/// The halo messages of `expr`: one per shift along a dimension `split`
-/// marks, in [`Expr::shifts`] order.
-pub(crate) fn face_messages(expr: &Expr, split: [bool; 4], geom: &Geometry) -> Vec<FaceMessage> {
+/// The halo messages of a statement group: one per shift of the group's
+/// shift list (`KernelSignature::shifts`) along a dimension `split` marks,
+/// in that order. Each leaf any statement reads under the shift has one
+/// slab.
+pub(crate) fn face_messages(
+    stmts: &[(FieldRef, &Expr)],
+    shifts: &[(usize, ShiftDir)],
+    split: [bool; 4],
+    geom: &Geometry,
+) -> Vec<FaceMessage> {
     let message = |mu: usize, dir: ShiftDir| {
-        let mut leaves = expr.leaves_under_shift(mu, dir);
+        let mut leaves: Vec<FieldRef> = Vec::new();
+        for leaf in stmts.iter().flat_map(|(_, e)| e.leaves_under_shift(mu, dir)) {
+            if !leaves.iter().any(|l| l.id == leaf.id) {
+                leaves.push(leaf);
+            }
+        }
         // stable: equal widths keep visiting order
         leaves.sort_by_key(|l| std::cmp::Reverse(l.ft.size_bytes()));
         let face_vol = geom.face_vol(mu);
@@ -91,7 +106,7 @@ pub(crate) fn face_messages(expr: &Expr, split: [bool; 4], geom: &Geometry) -> V
             bytes,
         }
     };
-    expr.shifts()
+    shifts
         .iter()
         .filter(|&&(mu, _)| split[mu])
         .map(|&(mu, dir)| message(mu, dir))
@@ -180,11 +195,6 @@ impl MultiRank {
             .any(|&(mu, _)| self.decomp().is_split(mu))
     }
 
-    /// The comm stream dedicated to halo face `(mu, dir)`.
-    fn face_stream(&self, mu: usize, dir: ShiftDir) -> StreamId {
-        self.face_streams[mu][to_dir(dir).index()]
-    }
-
     /// Materialise nested shifts into temporaries (returns rewritten
     /// expression and the temp field ids to free afterwards).
     fn materialize_nested(
@@ -205,7 +215,12 @@ impl MultiRank {
                     let id = self.ctx.cache().register(bytes);
                     temps.push(id);
                     let tref = FieldRef { id, kind, ft };
-                    self.eval_halo(tref, &c)?;
+                    eval::eval_statements(
+                        &self.ctx,
+                        &[(tref, &c)],
+                        Subset::All,
+                        StreamId::DEFAULT,
+                    )?;
                     Expr::Field(tref)
                 } else {
                     c
@@ -245,50 +260,75 @@ impl MultiRank {
         eval::eval(&self.ctx, target, expr, Subset::All)
     }
 
-    /// The §V schedule for one full-lattice statement that shifts along a
-    /// split dimension: halo exchange, overlapping communication with
-    /// inner-site computation when enabled. Reached from
-    /// `eval::eval_statements`; SPMD — every rank must issue the
-    /// structurally identical statement.
-    pub(crate) fn eval_halo(
-        &self,
-        target: FieldRef,
-        expr: &Expr,
-    ) -> Result<EvalReport, CoreError> {
+    /// The §V schedule for a full-lattice statement group — any group the
+    /// fusion planner forms — that shifts along a split dimension: halo
+    /// exchange, overlapping communication with inner-site computation when
+    /// enabled. Reached from `eval::eval_statements`; SPMD — every rank must
+    /// issue the structurally identical group. Nested shifts are
+    /// materialised into temporaries first and the rewritten group goes
+    /// back through `eval_statements`, which finds out whether it still
+    /// needs the halo schedule.
+    pub(crate) fn eval_halo(&self, stmts: &[(FieldRef, &Expr)]) -> Result<EvalReport, CoreError> {
+        if !stmts.iter().any(|(_, e)| e.has_nested_shift()) {
+            return self.eval_flat(stmts);
+        }
         let mut temps = Vec::new();
-        let expr = self.materialize_nested(expr, &mut temps)?;
-        let result = self.eval_flat(target, &expr);
+        let result = stmts
+            .iter()
+            .map(|(_, e)| self.materialize_nested(e, &mut temps))
+            .collect::<Result<Vec<Expr>, _>>()
+            .and_then(|exprs| {
+                let flat: Vec<(FieldRef, &Expr)> =
+                    stmts.iter().zip(&exprs).map(|(&(t, _), e)| (t, e)).collect();
+                eval::eval_statements(&self.ctx, &flat, Subset::All, StreamId::DEFAULT)
+            });
         for id in temps {
             self.ctx.cache().unregister(id);
         }
         result
     }
 
-    fn eval_flat(&self, target: FieldRef, expr: &Expr) -> Result<EvalReport, CoreError> {
-        let stmt = [(target, expr)];
+    /// The schedule proper, for a group without nested shifts: gather and
+    /// send one message per split face, then run the site plan around the
+    /// receives.
+    fn eval_flat(&self, stmts: &[(FieldRef, &Expr)]) -> Result<EvalReport, CoreError> {
         let geom = self.ctx.geometry().clone();
-        let messages = face_messages(expr, self.split_dims(), &geom);
-        if messages.is_empty() {
-            return eval::eval(&self.ctx, target, expr, Subset::All);
+        let mut sig = KernelSignature::default();
+        for (_, e) in stmts {
+            sig.push(e, &mut String::new());
         }
+        let messages = face_messages(stmts, &sig.shifts, self.split_dims(), &geom);
+        debug_assert!(
+            !messages.is_empty() && !stmts.iter().any(|(_, e)| e.has_nested_shift()),
+            "a flat halo group shifts along a split dimension and has no nested shift"
+        );
 
         let t_start = self.ctx.device().now();
         let vol = geom.vol();
-        let leaves = expr.leaves();
+        let leaves = &sig.leaves;
         let device = self.ctx.device();
+        // With overlap each face's gather, exchange and wait run on its own
+        // comm stream and the kernels on the compute stream; without, all
+        // of it runs on the default stream.
+        let (stream, xfer_stream) = if self.overlap {
+            (self.compute_stream, self.face_streams)
+        } else {
+            (StreamId::DEFAULT, [[StreamId::DEFAULT; 2]; 4])
+        };
+        let xfer_stream = |m: &FaceMessage| xfer_stream[m.mu][to_dir(m.dir).index()];
 
         // Make all leaves resident (the gather kernels read device data).
-        // Under the stream schedule the target is paged in here too, so the
+        // Under the stream schedule the targets are paged in here too, so the
         // synchronising default-stream §IV transfers are setup cost and the
         // fork event below covers the whole working set.
         let mut ids: Vec<u64> = leaves.iter().map(|l| l.id).collect();
         if self.overlap {
-            ids.push(target.id);
+            ids.extend(stmts.iter().map(|(t, _)| t.id));
         }
         let ptrs = self.ctx.cache().assure_on_device(&ids)?;
         let leaf_ptr = |leaf: &FieldRef| {
             let i = leaves.iter().position(|l| l.id == leaf.id);
-            ptrs[i.expect("a slab's leaf is one of the expression's leaves")]
+            ptrs[i.expect("a slab's leaf is one of the group's leaves")]
         };
 
         // Fork: gathers + exchange go on the per-face comm streams, kernels
@@ -297,7 +337,7 @@ impl MultiRank {
         if self.overlap {
             let ready = device.record_event(StreamId::DEFAULT);
             for m in &messages {
-                device.stream_wait_event(self.face_stream(m.mu, m.dir), ready);
+                device.stream_wait_event(xfer_stream(m), ready);
             }
             device.stream_wait_event(self.compute_stream, ready);
         }
@@ -306,11 +346,7 @@ impl MultiRank {
         // For a Forward shift I need my forward neighbour's low slab, so I
         // send my own low slab backward; symmetrically for Backward.
         for m in &messages {
-            let xfer_stream = if self.overlap {
-                self.face_stream(m.mu, m.dir)
-            } else {
-                StreamId::DEFAULT
-            };
+            let xfer_stream = xfer_stream(m);
             let send_dir = to_dir(m.dir).flip();
             let send_to = self.grid.face_neighbor(m.mu, send_dir);
             let face = geom.face_sites(m.mu, send_dir);
@@ -389,9 +425,38 @@ impl MultiRank {
         let result = (|| -> Result<EvalReport, CoreError> {
             let faces: Vec<(usize, Dir)> =
                 messages.iter().map(|m| (m.mu, to_dir(m.dir))).collect();
+            // launch the group over a pinned site table, or over the whole
+            // lattice
+            let launch = |sites: Option<TableKey>| -> Result<EvalReport, CoreError> {
+                let sel = match sites {
+                    Some(key) => {
+                        let (ptr, len) = self.ctx.pinned_table(key, stream)?;
+                        SiteSel::List { ptr, len }
+                    }
+                    None => SiteSel::Subset(Subset::All),
+                };
+                eval::launch_statements(&self.ctx, stmts, sel, stream, Some(&remote))
+            };
 
-            // receive one face's message into its buffer, clocked on `st`
-            let receive_face = |st: StreamId, m: &FaceMessage| -> Result<(), CoreError> {
+            // The site plan. With overlap, the inner sites run on the compute
+            // stream while every face's exchange is in flight on its own comm
+            // stream, and per-face halo_done events order the face sites
+            // after every arrival; `sync` joins the timelines, so the window
+            // costs max(compute, slowest face), not their sum. Without,
+            // nothing runs before the receives and the whole lattice runs on
+            // the default stream after them.
+            let tel = self.ctx.telemetry();
+            let window = || tel.span("comm", "overlap_window").with_sim(t_start);
+            let overlap_span = self.overlap.then(window);
+            let inner = self.overlap.then(|| launch(Some(TableKey::Inner(faces.clone()))));
+            let inner = inner.transpose()?;
+            // Host-side receives stay in deterministic split order (the
+            // per-(from,to) channels are FIFO, so this keeps message matching
+            // well-defined even when forward and backward neighbour are the
+            // same rank), but each face's wait is clocked on its own stream.
+            let mut t_comm_end = t_start;
+            for m in &messages {
+                let st = xfer_stream(m);
                 let from = self.grid.face_neighbor(m.mu, to_dir(m.dir));
                 let (data, arrival) = self.handle.recv(from, device.stream_now(st))?;
                 device.advance_stream_to(st, arrival);
@@ -401,98 +466,38 @@ impl MultiRank {
                 if self.ctx.payload_execution() {
                     device.memory().copy_from_host(remote[&(m.mu, m.dir)], &data);
                 }
-                Ok(())
-            };
-
-            if self.overlap {
-                // The §V overlap window on real streams: the inner kernel
-                // runs on the compute stream while each face's exchange is
-                // in flight on its own comm stream; per-face halo_done
-                // events order the face kernel after every arrival. `sync`
-                // joins the timelines — the window costs max(compute,
-                // slowest face), not their sum.
-                let overlap_span = self
-                    .ctx
-                    .telemetry()
-                    .span("comm", "overlap_window")
-                    .with_sim(t_start);
-                let (ptr_i, len_i) = self.ctx.pinned_table(
-                    TableKey::Inner(faces.clone()),
-                    self.compute_stream,
-                    || geom.inner_sites(&faces),
-                )?;
-                let inner_report = eval::launch_statements(
-                    &self.ctx,
-                    &stmt,
-                    SiteSel::List { ptr: ptr_i, len: len_i },
-                    self.compute_stream,
-                    Some(&remote),
-                )?;
-                // Host-side receives stay in deterministic split order (the
-                // per-(from,to) channels are FIFO, so this keeps message
-                // matching well-defined even when forward and backward
-                // neighbour are the same rank), but each face's wait is
-                // clocked on its own stream.
-                let mut t_comm_end = t_start;
-                for m in &messages {
-                    let st = self.face_stream(m.mu, m.dir);
-                    receive_face(st, m)?;
+                if self.overlap {
                     let halo_done = device.record_event(st);
-                    device.stream_wait_event(self.compute_stream, halo_done);
+                    device.stream_wait_event(stream, halo_done);
                     t_comm_end = t_comm_end.max(device.stream_now(st));
                 }
-                overlap_span.end_with_sim(t_comm_end);
-                // face kernel after every halo has arrived
-                let (ptr_f, len_f) = self.ctx.pinned_table(
-                    TableKey::Face(faces.clone()),
-                    self.compute_stream,
-                    || geom.face_union(&faces),
-                )?;
-                let face_report = eval::launch_statements(
-                    &self.ctx,
-                    &stmt,
-                    SiteSel::List { ptr: ptr_f, len: len_f },
-                    self.compute_stream,
-                    Some(&remote),
-                )?;
-                device.sync();
-                // rates describe both launches, weighted like `threads`;
-                // the kernel name and block size come from a launch that
-                // ran threads (an empty inner-site list launches nothing)
-                let weighted = |inner: f64, face: f64| {
-                    (inner * len_i as f64 + face * len_f as f64) / (len_i + len_f) as f64
-                };
-                let ran = if len_i > 0 {
-                    &inner_report
-                } else {
-                    &face_report
-                };
-                Ok(EvalReport {
-                    kernel_name: ran.kernel_name.clone(),
-                    block_size: ran.block_size,
-                    sim_time: device.now() - t_start,
-                    threads: len_i + len_f,
-                    bandwidth: weighted(inner_report.bandwidth, face_report.bandwidth),
-                    flops_rate: weighted(inner_report.flops_rate, face_report.flops_rate),
-                })
-            } else {
-                // No overlap: receive every face on the default stream,
-                // then evaluate the whole lattice.
-                for m in &messages {
-                    receive_face(StreamId::DEFAULT, m)?;
-                }
-                let full = eval::launch_statements(
-                    &self.ctx,
-                    &stmt,
-                    SiteSel::Subset(Subset::All),
-                    StreamId::DEFAULT,
-                    Some(&remote),
-                )?;
-                Ok(EvalReport {
-                    sim_time: device.now() - t_start,
-                    ..full
-                })
             }
+            if let Some(span) = overlap_span {
+                span.end_with_sim(t_comm_end);
+            }
+            let outer = launch(self.overlap.then_some(TableKey::Face(faces)))?;
+            let Some(inner) = inner else {
+                return Ok(EvalReport {
+                    sim_time: device.now() - t_start,
+                    ..outer
+                });
+            };
+            device.sync();
+            // rates describe both launches, weighted like `threads`; the
+            // kernel name and block size come from a launch that ran threads
+            // (an empty inner-site list launches nothing)
+            let (len_i, len_f) = (inner.threads, outer.threads);
+            let weighted = |inner: f64, face: f64| {
+                (inner * len_i as f64 + face * len_f as f64) / (len_i + len_f) as f64
+            };
+            let ran = if len_i > 0 { &inner } else { &outer };
+            Ok(EvalReport {
+                sim_time: device.now() - t_start,
+                threads: len_i + len_f,
+                bandwidth: weighted(inner.bandwidth, outer.bandwidth),
+                flops_rate: weighted(inner.flops_rate, outer.flops_rate),
+                ..ran.clone()
+            })
         })();
 
         for &p in remote.values() {
@@ -561,8 +566,8 @@ mod tests {
                 .alloc(geom.face_vol(0) * 24 * 8)
                 .unwrap();
             let remote: RemoteEnv = [((0, ShiftDir::Forward), halo)].into_iter().collect();
-            let alone = |key: TableKey, sites: Vec<u32>| {
-                let (ptr, len) = ctx.pinned_table(key, StreamId::DEFAULT, || sites).unwrap();
+            let alone = |key: TableKey| {
+                let (ptr, len) = ctx.pinned_table(key, StreamId::DEFAULT).unwrap();
                 eval::launch_statements(
                     &ctx,
                     &[(out.fref(), e.raw())],
@@ -572,8 +577,8 @@ mod tests {
                 )
                 .unwrap()
             };
-            let inner = alone(TableKey::Inner(faces.clone()), geom.inner_sites(&faces));
-            let face = alone(TableKey::Face(faces.clone()), geom.face_union(&faces));
+            let inner = alone(TableKey::Inner(faces.clone()));
+            let face = alone(TableKey::Face(faces));
             ctx.device().free(halo);
 
             assert_eq!(both.threads, inner.threads + face.threads);

@@ -409,12 +409,13 @@ fn budget_one_reductions_match_immediate() {
     assert_eq!(launch_signature(&ctx), launch_signature(&ref_ctx));
 }
 
-/// The one legality rule a rank grid adds: a statement that shifts along a
-/// split dimension runs the halo schedule, so it is a group of one — here
-/// next to an independent statement it would otherwise fuse with. On an
-/// unattached context the same two statements still fuse into one launch.
+/// The legality rules do not depend on the rank grid: on a split grid a
+/// statement that shifts along the split dimension fuses with an
+/// independent statement exactly as on an unattached context — one `qdpf_`
+/// kernel, no bailout — and the §V schedule runs the group as a whole,
+/// bit for bit like the immediate path.
 #[test]
-fn bailout_halo_on_a_split_grid() {
+fn split_grid_plans_like_one_rank() {
     use qdp_core::multinode::MultiRank;
     use qdp_layout::Decomposition;
     let record = |ctx: &Arc<QdpContext>, f: &Pair| {
@@ -425,6 +426,13 @@ fn bailout_halo_on_a_split_grid() {
             .unwrap();
         scope.flush().unwrap();
     };
+    let check_one_fused_group = |ctx: &QdpContext| {
+        let rep = ctx.profile_report();
+        assert_eq!(rep.counter("fuse.bailouts"), 0);
+        assert_eq!(rep.counter("fuse.groups"), 1);
+        let fused: Vec<_> = rep.kernels.iter().filter(|k| k.name.starts_with("qdpf_")).collect();
+        assert_eq!(fused.len(), 1, "one fused kernel: {:?}", launch_signature(ctx));
+    };
 
     qdp_comm::run_cluster(2, qdp_comm::LinkModel::infiniband_qdr(), |handle| {
         let decomp = Decomposition::new([8, 4, 4, 4], [2, 1, 1, 1]);
@@ -433,14 +441,7 @@ fn bailout_halo_on_a_split_grid() {
         let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, true);
         let f = pair(&ctx, seed);
         record(&ctx, &f);
-        let rep = ctx.profile_report();
-        assert_eq!(rep.counter("fuse.bailout.halo"), 1);
-        assert_eq!(rep.counter("fuse.bailouts"), 1);
-        assert_eq!(rep.counter("fuse.groups"), 0);
-        assert!(
-            rep.kernels.iter().all(|k| !k.name.starts_with("qdpf_")),
-            "the halo statement launched alone"
-        );
+        check_one_fused_group(&ctx);
 
         // the immediate path on the same attached context, bit for bit
         let g = pair(&ctx, seed);
@@ -453,13 +454,10 @@ fn bailout_halo_on_a_split_grid() {
 
     let ctx = profiled_ctx(4, true);
     record(&ctx, &pair(&ctx, 8));
-    let rep = ctx.profile_report();
-    assert_eq!(rep.counter("fuse.bailout.halo"), 0);
-    assert_eq!(rep.counter("fuse.bailouts"), 0);
-    assert_eq!(rep.counter("fuse.groups"), 1);
+    check_one_fused_group(&ctx);
     let signature = launch_signature(&ctx);
-    assert_eq!(signature.len(), 1, "one fused kernel: {signature:?}");
-    assert!(signature[0].0.starts_with("qdpf_") && signature[0].1 == 1);
+    assert_eq!(signature.len(), 1, "one fused launch: {signature:?}");
+    assert_eq!(signature[0].1, 1);
 }
 
 /// A fused group's key numbers leaves in the *group's* leaf table: two

@@ -586,18 +586,25 @@ fn mixed_precision_message_on_an_odd_face_matches_single_rank() {
     // slab is not a whole number of f64 elements. An f32 Real and an f64
     // ColorMatrix read under the same split shift share one message; the
     // f32 leaf comes first in visiting order, the f64 slab first in the
-    // message.
+    // message. The second input is a fused two-statement group whose
+    // statements both read the f64 leaf under (0, +), each beside its own
+    // f32 Real: one kernel and one message, holding the shared leaf once.
     use qdp_expr::{BinaryOp, Expr};
     let global = [4usize, 3, 3, 3];
     let real_at = |c: [usize; 4]| PScalar(PScalar((c[0] * 27 + c[1] * 9 + c[2] * 3 + c[3]) as f32 * 0.37 - 5.0));
-    let expr = |r: &LatticeReal<f32>, u: &LatticeColorMatrix<f64>| {
-        let ru = || Expr::Binary(BinaryOp::Mul, Box::new(r.q().0), Box::new(u.q().0));
-        let sh = |e: Expr, dir| Expr::Shift { mu: 0, dir, child: Box::new(e) };
+    let real2_at = |c: [usize; 4]| PScalar(PScalar((c[0] + 5 * c[1] + 7 * c[2] + 11 * c[3]) as f32 * -0.29 + 1.5));
+    let mul = |a: Expr, b: Expr| Expr::Binary(BinaryOp::Mul, Box::new(a), Box::new(b));
+    let sh = |e: Expr, dir| Expr::Shift { mu: 0, dir, child: Box::new(e) };
+    let expr = move |r: &LatticeReal<f32>, u: &LatticeColorMatrix<f64>| {
+        let ru = || mul(r.q().0, u.q().0);
         Expr::Binary(
             BinaryOp::Add,
             Box::new(sh(ru(), ShiftDir::Forward)),
             Box::new(sh(ru(), ShiftDir::Backward)),
         )
+    };
+    let group = move |outs: [&LatticeColorMatrix<f64>; 2], rs: [&LatticeReal<f32>; 2], u: &LatticeColorMatrix<f64>| {
+        [0, 1].map(|i| (outs[i].fref(), sh(mul(rs[i].q().0, u.q().0), ShiftDir::Forward)))
     };
     let reference = {
         let ctx = QdpContext::new(
@@ -607,10 +614,13 @@ fn mixed_precision_message_on_an_odd_face_matches_single_rank() {
         );
         let g = ctx.geometry().clone();
         let r = LatticeReal::<f32>::from_fn(&ctx, |s| real_at(g.coord_of(s)));
+        let r2 = LatticeReal::<f32>::from_fn(&ctx, |s| real2_at(g.coord_of(s)));
         let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| cm_at(g.coord_of(s)));
         let out = LatticeColorMatrix::<f64>::new(&ctx);
         qdp_core::eval(&ctx, out.fref(), &expr(&r, &u), Subset::All).unwrap();
-        out.to_vec()
+        let outs = [0, 1].map(|_| LatticeColorMatrix::<f64>::new(&ctx));
+        qdp_core::eval_fused_sequence(&ctx, &group([&outs[0], &outs[1]], [&r, &r2], &u)).unwrap();
+        [out.to_vec(), outs[0].to_vec(), outs[1].to_vec()]
     };
     for overlap in [true, false] {
         let results = qdp_comm::run_cluster(
@@ -624,10 +634,12 @@ fn mixed_precision_message_on_an_odd_face_matches_single_rank() {
                     decomp.local_geometry(),
                     LayoutKind::SoA,
                 );
+                ctx.telemetry().enable();
                 let _rank =
                     MultiRank::new(Arc::clone(&ctx), decomp.clone(), handle, true, overlap);
                 let at = |s| decomp.global_coord(rank, s);
                 let r = LatticeReal::<f32>::from_fn(&ctx, |s| real_at(at(s)));
+                let r2 = LatticeReal::<f32>::from_fn(&ctx, |s| real2_at(at(s)));
                 let u = LatticeColorMatrix::<f64>::from_fn(&ctx, |s| cm_at(at(s)));
                 let out = LatticeColorMatrix::<f64>::new(&ctx);
                 let e = expr(&r, &u);
@@ -640,15 +652,57 @@ fn mixed_precision_message_on_an_odd_face_matches_single_rank() {
                     }
                 }
                 qdp_core::eval(&ctx, out.fref(), &e, Subset::All).unwrap();
-                out.to_vec()
+
+                let outs = [0, 1].map(|_| LatticeColorMatrix::<f64>::new(&ctx));
+                let stmts = group([&outs[0], &outs[1]], [&r, &r2], &u);
+                let sent = |ctx: &QdpContext| ctx.profile_report().counter("comm.send_bytes");
+                let before = sent(&ctx);
+                qdp_core::eval_fused_sequence(&ctx, &stmts).unwrap();
+                // the union of the shifted leaves — u, r, r2 — not the sum
+                // of two per-statement messages of u and one real each
+                assert_eq!(sent(&ctx) - before, 27 * (18 * 8 + 4 + 4) as u64);
+                let fused: Vec<String> = ctx
+                    .profile_report()
+                    .kernels
+                    .iter()
+                    .map(|k| k.name.clone())
+                    .filter(|n| n.starts_with("qdpf_"))
+                    .collect();
+                assert_eq!(fused.len(), 1, "one fused kernel: {fused:?}");
+                // the rendered group — without overlap, the launched kernel
+                // itself — reads one receive buffer: u (f64) at 0, r and r2
+                // (f32) behind it
+                let ptx = qdp_core::codegen_fused_ptx(&ctx, &stmts, Subset::All, &fused[0]).unwrap();
+                if !overlap {
+                    let misses = ctx.kernels().stats().misses;
+                    ctx.kernels().compile(qdp_jit::CompileRequest::new(&ptx)).unwrap();
+                    assert_eq!(ctx.kernels().stats().misses, misses, "not the launched kernel");
+                }
+                let recv: Vec<&str> = ptx.lines().filter(|l| l.contains(".param .u64 recv_")).collect();
+                assert_eq!(recv.len(), 1, "{recv:?}");
+                assert!(recv[0].contains("recv_0_f"), "{recv:?}");
+                let buf = ptx
+                    .lines()
+                    .find_map(|l| l.trim().strip_prefix("ld.param.u64 ")?.strip_suffix(", [recv_0_f];"))
+                    .expect("the receive buffer is loaded");
+                let offsets: Vec<usize> = ptx
+                    .lines()
+                    .filter_map(|l| l.trim().strip_prefix("add.u64 "))
+                    .filter_map(|l| l.strip_suffix(';')?.split_once(&format!(", {buf}, "))?.1.parse().ok())
+                    .collect();
+                assert_eq!(offsets, [27 * 18 * 8, 27 * 18 * 8 + 27 * 4], "f32 slab offsets");
+                assert!(offsets.iter().all(|o| o % 4 == 0));
+                [out.to_vec(), outs[0].to_vec(), outs[1].to_vec()]
             },
         );
         let decomp = Decomposition::new(global, [2, 1, 1, 1]);
         let gg = Geometry::new(global);
-        for (rank, local) in results.iter().enumerate() {
-            for (s, v) in local.iter().enumerate() {
-                let want = &reference[gg.index_of(decomp.global_coord(rank, s))];
-                assert_eq!(v, want, "overlap {overlap}: rank {rank} site {s}");
+        for (rank, locals) in results.iter().enumerate() {
+            for (which, (local, whole)) in locals.iter().zip(&reference).enumerate() {
+                for (s, v) in local.iter().enumerate() {
+                    let want = &whole[gg.index_of(decomp.global_coord(rank, s))];
+                    assert_eq!(v, want, "overlap {overlap}: output {which}, rank {rank} site {s}");
+                }
             }
         }
     }
