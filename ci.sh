@@ -411,6 +411,26 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one halo schedule (the planner's groups run the §V schedule as they are)"
 
+# ---- Guard: one projector, one load form ---------------------------------------
+# M† is the hopping term with its projector signs flipped, not M wrapped in
+# two γ5 multiplies; and a lowered load or store has one addressed form
+# (`Addr`: base, scaled index, offset), never a second variant beside it or
+# a bare address register. crates/benchmark is frozen and skipped.
+# (Spelled in pieces, as above.)
+sandwich=$(grep -rnF "gamma(15) * self.""apply_expr(" crates/*/src crates/*/tests src tests examples \
+    | grep -v '^crates/benchmark/' || true)
+forms=$(grep -nE "^    (Ld|St)[A-Za-z0-9_]* \{" crates/jit/src/lower.rs \
+    | grep -vE "^[0-9]+:    (Ld|St|Ld""Arg) \{" || true)
+bare=$(grep -nE "^ +addr: ""u32,|Ld \{ ty, dst, addr: ""src" crates/jit/src/lower.rs || true)
+if [ -n "$sandwich$forms$bare" ]; then
+    echo "FAIL: the γ5 sandwich for M†, a second load/store variant or a bare address register is back:" >&2
+    [ -z "$sandwich" ] || echo "$sandwich" >&2
+    [ -z "$forms" ] || echo "crates/jit/src/lower.rs: $forms" >&2
+    [ -z "$bare" ] || echo "crates/jit/src/lower.rs: $bare" >&2
+    exit 1
+fi
+echo "ok: one projector, one load form (M† flips the projector signs; loads and stores take one Addr)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

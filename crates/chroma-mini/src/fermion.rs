@@ -4,7 +4,7 @@
 
 use crate::gauge::GaugeField;
 use qdp_core::prelude::*;
-use qdp_core::{adj, clover_mul, gamma, gamma_mu, shift};
+use qdp_core::{adj, clover_mul, gamma_mu, shift, spin_project, spin_reconstruct};
 use qdp_types::clover_block::CloverBlockPacked;
 use qdp_types::{CloverDiag, CloverTriang, Complex, Fermion, Gamma};
 use std::sync::Arc;
@@ -21,15 +21,34 @@ pub fn wilson_hopping_expr<R: Real>(
     u: &Multi1d<LatticeColorMatrix<R>>,
     psi: QExpr<Fermion<R>>,
 ) -> QExpr<Fermion<R>> {
+    hopping_expr(u, psi, ProjSign::Minus)
+}
+
+/// The hopping term in Chroma's spin-projected form: `(1 ± γ_µ)` has rank
+/// 2, so each term projects ψ to a half spinor, multiplies the link into
+/// its two spin rows and reconstructs into the sum —
+/// `reconstruct(U_µ·shift(project ψ))` forward and
+/// `reconstruct(shift(U_µ†·project ψ))` backward, 1 320 flops per site.
+/// `isign` is the forward projector's sign: `Minus` is `H`, `Plus` is
+/// `γ₅ H γ₅` (Chroma's `isign`).
+fn hopping_expr<R: Real>(
+    u: &Multi1d<LatticeColorMatrix<R>>,
+    psi: QExpr<Fermion<R>>,
+    isign: ProjSign,
+) -> QExpr<Fermion<R>> {
+    use ShiftDir::{Backward, Forward};
     let mut acc: Option<QExpr<Fermion<R>>> = None;
     for mu in 0..4 {
-        let fwd = u[mu].q() * shift(psi.clone(), mu, ShiftDir::Forward);
-        let bwd = shift(adj(u[mu].q()) * psi.clone(), mu, ShiftDir::Backward);
-        let term = (fwd.clone() - gamma_mu(mu) * fwd) + (bwd.clone() + gamma_mu(mu) * bwd);
-        acc = Some(match acc {
-            None => term,
-            Some(a) => a + term,
-        });
+        let (fs, bs) = (isign, isign.flip());
+        let fwd = u[mu].q() * shift(spin_project(psi.clone(), mu, fs), mu, Forward);
+        let bwd = shift(adj(u[mu].q()) * spin_project(psi.clone(), mu, bs), mu, Backward);
+        for (h, sign) in [(fwd, fs), (bwd, bs)] {
+            let term = spin_reconstruct(h, mu, sign);
+            acc = Some(match acc {
+                None => term,
+                Some(a) => a + term,
+            });
+        }
     }
     acc.expect("Nd > 0")
 }
@@ -256,7 +275,19 @@ impl WilsonDirac {
 
     /// `M ψ` as one expression.
     pub fn apply_expr(&self, psi: QExpr<Fermion<f64>>) -> QExpr<Fermion<f64>> {
-        let hopping = wilson_hopping_expr(&self.u, psi.clone());
+        self.apply_signed(psi, ProjSign::Minus)
+    }
+
+    /// `M† ψ = γ₅ M γ₅ ψ` as one expression: conjugating by γ₅ flips the
+    /// hopping term's projector signs (Chroma's `isign`), and the mass and
+    /// clover terms commute with γ₅.
+    pub fn apply_dag_expr(&self, psi: QExpr<Fermion<f64>>) -> QExpr<Fermion<f64>> {
+        self.apply_signed(psi, ProjSign::Plus)
+    }
+
+    /// `M` (`isign` = `Minus`) or `M†` (`Plus`).
+    fn apply_signed(&self, psi: QExpr<Fermion<f64>>, isign: ProjSign) -> QExpr<Fermion<f64>> {
+        let hopping = hopping_expr(&self.u, psi.clone(), isign);
         match &self.clover {
             None => (self.mass + 4.0) * psi + (-0.5) * hopping,
             Some(c) => {
@@ -266,11 +297,6 @@ impl WilsonDirac {
                     + (-0.5) * hopping
             }
         }
-    }
-
-    /// `M† ψ = γ₅ M (γ₅ ψ)` as one expression.
-    pub fn apply_dag_expr(&self, psi: QExpr<Fermion<f64>>) -> QExpr<Fermion<f64>> {
-        gamma(15) * self.apply_expr(gamma(15) * psi)
     }
 
     /// `out = M ψ`: one full-lattice statement on the issuing thread's
@@ -413,6 +439,42 @@ mod tests {
         let a = reduce_inner_product(&ctx, &y.q(), &mx.q(), Subset::All).unwrap();
         let b = reduce_inner_product(&ctx, &mdag_y.q(), &x.q(), Subset::All).unwrap();
         assert!((a.re - b.re).abs() < 1e-8 && (a.im - b.im).abs() < 1e-8);
+    }
+
+    /// The sign-flipped `M†` is `γ₅ M γ₅` rebuilt from `M`, site by site,
+    /// with and without the clover term.
+    #[test]
+    fn dagger_is_the_gamma5_sandwich_at_every_site() {
+        use qdp_core::gamma;
+        let (ctx, g, mut rng) = setup();
+        let psi = gaussian_fermion(&ctx, &mut rng);
+        let clover = CloverTerm::construct(&g, 1.2).unwrap();
+        for clover in [None, Some(clover)] {
+            let m = WilsonDirac::new(&g, 0.1, clover);
+            let dag = LatticeFermion::<f64>::new(&ctx);
+            m.apply_dag(&dag, &psi).unwrap();
+            let sandwich = LatticeFermion::<f64>::new(&ctx);
+            sandwich
+                .assign(gamma(15) * m.apply_expr(gamma(15) * psi.q()))
+                .unwrap();
+            for x in 0..ctx.geometry().vol() {
+                let (a, b) = (dag.get(x), sandwich.get(x));
+                let (mut diff, mut norm) = (0.0, 0.0);
+                for s in 0..4 {
+                    for c in 0..3 {
+                        diff += (a.0[s].0[c] - b.0[s].0[c]).norm_sqr();
+                        norm += b.0[s].0[c].norm_sqr();
+                    }
+                }
+                assert!(
+                    diff.sqrt() <= 1e-13 * norm.sqrt(),
+                    "clover {}: site {x}: |M†ψ − γ₅Mγ₅ψ| = {} of {}",
+                    m.clover.is_some(),
+                    diff.sqrt(),
+                    norm.sqrt()
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use qdp_conformance::{
     differential_sweep, fuse_differential_sweep, opt_differential_sweep, run_fuzz, SweepConfig,
+    SweepMode,
 };
 use qdp_types::FloatType;
 use std::process::ExitCode;
@@ -84,25 +85,22 @@ fn cmd_sweep(args: &Args) -> ExitCode {
     let cases: u32 = args.num("--cases", 200);
     let depth: usize = args.num("--depth", 4);
     let pressure = args.has("--pressure");
-    let opt_diff = args.has("--opt-diff");
-    let fuse_diff = args.has("--fuse-diff");
+    let mode = if args.has("--opt-diff") {
+        SweepMode::Opt
+    } else if args.has("--fuse-diff") {
+        SweepMode::Fuse
+    } else {
+        SweepMode::Reference
+    };
     for ft in parse_fts(args.get("--ft").unwrap_or("both")) {
         let mut cfg = SweepConfig::new(cases, ft, pressure);
         cfg.max_depth = depth;
-        let label = if opt_diff {
-            format!("opt_{}", cfg.name)
-        } else if fuse_diff {
-            format!("fuse_{}", cfg.name)
-        } else {
-            cfg.name.clone()
-        };
+        let label = mode.suite(&cfg);
         println!("conformance: sweep {label} ({cases} cases, depth ≤ {depth})");
-        if opt_diff {
-            opt_differential_sweep(&cfg);
-        } else if fuse_diff {
-            fuse_differential_sweep(&cfg);
-        } else {
-            differential_sweep(&cfg);
+        match mode {
+            SweepMode::Reference => differential_sweep(&cfg),
+            SweepMode::Opt => opt_differential_sweep(&cfg),
+            SweepMode::Fuse => fuse_differential_sweep(&cfg),
         }
         println!("conformance: sweep {label} OK");
     }

@@ -1,12 +1,12 @@
 //! The differential executor: JIT pipeline vs CPU reference, ULP-compared.
 
 use crate::fixture::Fixture;
-use crate::gen::{gen_stmt_sequence, gen_typed_expr, random_target_kind, subst_fields};
+use crate::gen::{gen_case, gen_stmt_sequence, subst_fields};
 use qdp_core::OptLevel;
 use qdp_expr::{Expr, FieldRef};
 use qdp_layout::Subset;
 use qdp_proptest::{check, CaseError, Config, Gen};
-use qdp_types::FloatType;
+use qdp_types::{ElemKind, FloatType};
 use std::collections::{HashMap, HashSet};
 
 /// ULP tolerance per float type. Both paths execute the same operation
@@ -199,40 +199,24 @@ pub fn fuse_diff_case(fx: &Fixture, stmts: &[(FieldRef, Expr)]) -> Result<u64, S
 /// [`qdp_core::eval_fused_sequence`] and once statement-by-statement,
 /// required to agree **bit-for-bit** (0 ULP).
 pub fn fuse_differential_sweep(cfg: &SweepConfig) {
-    let fx = if cfg.pressure {
-        Fixture::pressure(cfg.ft, 0xF05ED)
-    } else {
-        Fixture::normal(cfg.ft, 0xF05ED)
-    };
-    check(
-        &format!("fuse_{}", cfg.name),
-        Config::cases(cfg.cases),
-        |g| {
-            if cfg.pressure {
-                fx.churn();
-            }
-            let (stmts, twin) = gen_stmt_sequence(g, &fx, cfg.max_depth);
-            // The sequence, then its aliasing twin, back to back on the
-            // shared context (the twin writes the same targets).
-            let result = [Some(&stmts), twin.as_ref()]
-                .into_iter()
-                .flatten()
-                .try_for_each(|seq| match fuse_diff_case(&fx, seq)? {
-                    0 => Ok(()),
-                    max_ulp => Err(format!(
-                        "fused and per-expression evaluation disagree by {max_ulp} ULPs \
-                         (must be bit-identical) on sequence: {seq:?}"
-                    )),
-                });
-            let mut seen = HashSet::new();
-            for (t, _) in &stmts {
-                if seen.insert(t.id) {
-                    fx.release(*t);
-                }
-            }
-            result.map_err(CaseError::fail)
-        },
-    );
+    let fxs = SweepMode::Fuse.fixtures(cfg);
+    run_cases(cfg, SweepMode::Fuse, &fxs, |case| {
+        let Case::Sequence(stmts, twin) = case else {
+            unreachable!("the fusion sweep draws sequences")
+        };
+        // The sequence, then its aliasing twin, back to back on the
+        // shared context (the twin writes the same targets).
+        [Some(stmts), twin.as_ref()]
+            .into_iter()
+            .flatten()
+            .try_for_each(|seq| match fuse_diff_case(&fxs[0], seq)? {
+                0 => Ok(()),
+                max_ulp => Err(format!(
+                    "fused and per-expression evaluation disagree by {max_ulp} ULPs \
+                     (must be bit-identical) on sequence: {seq:?}"
+                )),
+            })
+    });
 }
 
 /// Run an optimized-vs-unoptimized differential sweep: `cfg.cases` random
@@ -240,34 +224,134 @@ pub fn fuse_differential_sweep(cfg: &SweepConfig) {
 /// the optimizer on and on one with it off, required to agree
 /// **bit-for-bit** (0 ULP).
 pub fn opt_differential_sweep(cfg: &SweepConfig) {
-    let opt = Fixture::new(cfg.ft, 0x0D1FF, cfg.pressure, OptLevel::Default);
-    let plain = Fixture::new(cfg.ft, 0x0D1FF, cfg.pressure, OptLevel::None);
+    let fxs = SweepMode::Opt.fixtures(cfg);
+    let [opt, plain] = [&fxs[0], &fxs[1]];
     // Fresh caches register the fixture leaves in the same order, so one
     // generated DAG names the same fields on both contexts.
     assert_eq!(opt.leaves(), plain.leaves(), "the two fixtures' leaves differ");
-    check(
-        &format!("opt_{}", cfg.name),
-        Config::cases(cfg.cases),
-        |g| {
-            if cfg.pressure {
-                opt.churn();
-                plain.churn();
+    run_cases(cfg, SweepMode::Opt, &fxs, |case| {
+        let Case::Expr { kind, expr, subset } = case else {
+            unreachable!("the optimizer sweep draws single expressions")
+        };
+        match opt_diff_case(opt, plain, expr, *subset)? {
+            0 => Ok(()),
+            max_ulp => Err(format!(
+                "optimized and unoptimized kernels disagree by {max_ulp} ULPs \
+                 (must be bit-identical) on {kind:?} target, subset {subset:?}, \
+                 expr: {expr:?}"
+            )),
+        }
+    });
+}
+
+/// What a sweep compares the JIT pipeline with. Each mode reads its own
+/// case stream: a suite name and fixture seed of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SweepMode {
+    /// The CPU reference, within [`max_ulps`] ([`differential_sweep`]).
+    Reference,
+    /// Itself with the optimizer off, bit for bit ([`opt_differential_sweep`]).
+    Opt,
+    /// Per-expression evaluation of a fused statement sequence, bit for
+    /// bit ([`fuse_differential_sweep`]).
+    Fuse,
+}
+
+impl SweepMode {
+    /// The proptest suite this mode's case seeds derive from.
+    pub fn suite(self, cfg: &SweepConfig) -> String {
+        match self {
+            SweepMode::Reference => cfg.name.clone(),
+            SweepMode::Opt => format!("opt_{}", cfg.name),
+            SweepMode::Fuse => format!("fuse_{}", cfg.name),
+        }
+    }
+
+    /// The fixtures a sweep of this mode runs on; its cases are drawn over
+    /// the first. [`SweepMode::Opt`] holds two from one seed: the default
+    /// optimizer level, then the optimizer off.
+    pub fn fixtures(self, cfg: &SweepConfig) -> Vec<Fixture> {
+        let fixture = |seed| match cfg.pressure {
+            true => Fixture::pressure(cfg.ft, seed),
+            false => Fixture::normal(cfg.ft, seed),
+        };
+        match self {
+            SweepMode::Reference => vec![fixture(0xC0FFEE)],
+            SweepMode::Opt => [OptLevel::Default, OptLevel::None]
+                .map(|level| Fixture::new(cfg.ft, 0x0D1FF, cfg.pressure, level))
+                .into(),
+            SweepMode::Fuse => vec![fixture(0xF05ED)],
+        }
+    }
+}
+
+/// One sweep case, as drawn from its seed.
+#[derive(Debug)]
+pub enum Case {
+    /// One expression of target kind `kind` over `subset` (the reference
+    /// and optimizer sweeps).
+    Expr {
+        /// Target kind.
+        kind: ElemKind,
+        /// The expression.
+        expr: Expr,
+        /// Sites written.
+        subset: Subset,
+    },
+    /// A statement sequence, then its aliasing twin (the fusion sweep).
+    Sequence(Vec<(FieldRef, Expr)>, Option<Vec<(FieldRef, Expr)>>),
+}
+
+impl Case {
+    /// Every expression the case evaluates.
+    pub fn exprs(&self) -> Vec<&Expr> {
+        match self {
+            Case::Expr { expr, .. } => vec![expr],
+            Case::Sequence(stmts, twin) => {
+                stmts.iter().chain(twin.iter().flatten()).map(|(_, e)| e).collect()
             }
-            let kind = random_target_kind(g);
-            let depth = g.depth(cfg.max_depth);
-            let expr = gen_typed_expr(g, &opt, kind, depth);
-            let subset = random_subset(g);
-            let max_ulp = opt_diff_case(&opt, &plain, &expr, subset).map_err(CaseError::fail)?;
-            if max_ulp > 0 {
-                return Err(CaseError::fail(format!(
-                    "optimized and unoptimized kernels disagree by {max_ulp} ULPs \
-                     (must be bit-identical) on {kind:?} target, subset {subset:?}, \
-                     expr: {expr:?}"
-                )));
+        }
+    }
+}
+
+/// Drive `cfg.cases` cases of sweep `mode` on `fxs` (its
+/// [`SweepMode::fixtures`]): per case, rotate the ballast of pressure
+/// fixtures, draw the case over `fxs[0]`, hand it to `run` and release the
+/// targets a sequence took. A failing case panics with its replayable seed.
+pub fn run_cases(
+    cfg: &SweepConfig,
+    mode: SweepMode,
+    fxs: &[Fixture],
+    run: impl Fn(&Case) -> Result<(), String>,
+) {
+    let fx = &fxs[0];
+    check(&mode.suite(cfg), Config::cases(cfg.cases), |g| {
+        if cfg.pressure {
+            fxs.iter().for_each(Fixture::churn);
+        }
+        let case = match mode {
+            SweepMode::Reference | SweepMode::Opt => {
+                let (kind, expr) = gen_case(g, fx, cfg.max_depth);
+                let subset = random_subset(g);
+                Case::Expr { kind, expr, subset }
             }
-            Ok(())
-        },
-    );
+            SweepMode::Fuse => {
+                let (stmts, twin) = gen_stmt_sequence(g, fx, cfg.max_depth);
+                Case::Sequence(stmts, twin)
+            }
+        };
+        let result = run(&case);
+        if let Case::Sequence(stmts, _) = &case {
+            // the twin writes the sequence's targets
+            let mut seen = HashSet::new();
+            for (t, _) in stmts {
+                if seen.insert(t.id) {
+                    fx.release(*t);
+                }
+            }
+        }
+        result.map_err(CaseError::fail)
+    });
 }
 
 /// One sweep's configuration.
@@ -312,27 +396,20 @@ fn random_subset(g: &mut Gen) -> Subset {
 /// proptest seed) on the first shrunk failure. In pressure mode, asserts
 /// that the sweep actually exercised the LRU spiller.
 pub fn differential_sweep(cfg: &SweepConfig) {
-    let fx = if cfg.pressure {
-        Fixture::pressure(cfg.ft, 0xC0FFEE)
-    } else {
-        Fixture::normal(cfg.ft, 0xC0FFEE)
-    };
+    let fxs = SweepMode::Reference.fixtures(cfg);
+    let fx = &fxs[0];
     let baseline = fx.ctx.cache().stats();
-    check(&cfg.name, Config::cases(cfg.cases), |g| {
-        if cfg.pressure {
-            fx.churn();
-        }
-        let kind = random_target_kind(g);
-        let depth = g.depth(cfg.max_depth);
-        let expr = gen_typed_expr(g, &fx, kind, depth);
-        let subset = random_subset(g);
-        let max_ulp = diff_case(&fx, &expr, subset).map_err(CaseError::fail)?;
+    run_cases(cfg, SweepMode::Reference, &fxs, |case| {
+        let Case::Expr { kind, expr, subset } = case else {
+            unreachable!("the reference sweep draws single expressions")
+        };
+        let max_ulp = diff_case(fx, expr, *subset)?;
         let tol = max_ulps(fx.ft);
         if max_ulp > tol {
-            return Err(CaseError::fail(format!(
+            return Err(format!(
                 "JIT and reference disagree by {max_ulp} ULPs (tolerance {tol}) \
                  on {kind:?} target, subset {subset:?}, expr: {expr:?}"
-            )));
+            ));
         }
         Ok(())
     });

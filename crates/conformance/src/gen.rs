@@ -10,18 +10,28 @@
 use crate::fixture::Fixture;
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
 use qdp_proptest::Gen;
-use qdp_types::{ElemKind, Gamma};
+use qdp_types::{ElemKind, Gamma, ProjSign, SpinProjector};
 use std::collections::HashMap;
 
 /// Pick a target kind for one differential case. Matrix and fermion
 /// expressions carry the most codegen surface, so they get extra weight.
 pub fn random_target_kind(g: &mut Gen) -> ElemKind {
-    match g.usize_in(0..6) {
+    match g.usize_in(0..7) {
         0 | 1 => ElemKind::ColorMatrix,
         2 | 3 => ElemKind::Fermion,
         4 => ElemKind::Complex,
+        5 => ElemKind::HalfFermion,
         _ => ElemKind::Real,
     }
+}
+
+/// One drawn expression: a target kind ([`random_target_kind`]), then an
+/// expression of that kind at depth `g.depth(max_depth)`. Every sweep and
+/// every statement of a sequence draws its expression through this.
+pub(crate) fn gen_case(g: &mut Gen, fx: &Fixture, max_depth: usize) -> (ElemKind, Expr) {
+    let kind = random_target_kind(g);
+    let depth = g.depth(max_depth);
+    (kind, gen_typed_expr(g, fx, kind, depth))
 }
 
 /// Generate a random expression of result kind `kind` with recursion
@@ -30,6 +40,7 @@ pub fn gen_typed_expr(g: &mut Gen, fx: &Fixture, kind: ElemKind, depth: usize) -
     match kind {
         ElemKind::ColorMatrix => gen_cm(g, fx, depth),
         ElemKind::Fermion => gen_fermion(g, fx, depth),
+        ElemKind::HalfFermion => gen_half(g, fx, depth),
         ElemKind::Complex => gen_complex(g, fx, depth),
         ElemKind::Real => gen_real(g, fx, depth),
         other => panic!("no generator for target kind {other:?}"),
@@ -59,9 +70,7 @@ pub fn gen_stmt_sequence(
     let n = g.usize_in(2..5);
     let mut out: Vec<(FieldRef, Expr)> = Vec::new();
     for _ in 0..n {
-        let kind = random_target_kind(g);
-        let depth = g.depth(max_depth);
-        let mut expr = gen_typed_expr(g, fx, kind, depth);
+        let (kind, mut expr) = gen_case(g, fx, max_depth);
         let peers: Vec<FieldRef> = out
             .iter()
             .map(|(t, _)| *t)
@@ -140,6 +149,14 @@ pub fn subst_fields(e: &Expr, map: &HashMap<u64, FieldRef>) -> Expr {
             gamma: *gamma,
             child: Box::new(subst_fields(child, map)),
         },
+        Expr::SpinProject { proj, child } => Expr::SpinProject {
+            proj: *proj,
+            child: Box::new(subst_fields(child, map)),
+        },
+        Expr::SpinReconstruct { proj, child } => Expr::SpinReconstruct {
+            proj: *proj,
+            child: Box::new(subst_fields(child, map)),
+        },
         Expr::CloverApply { diag, tri, child } => Expr::CloverApply {
             diag: sub(diag),
             tri: sub(tri),
@@ -157,6 +174,23 @@ fn shift(g: &mut Gen, child: Expr) -> Expr {
             ShiftDir::Backward
         },
         child: Box::new(child),
+    }
+}
+
+/// A Wilson projector `1 ± γ_µ` over every direction and both signs.
+fn projector(g: &mut Gen) -> SpinProjector {
+    let sign = if g.any_bool() {
+        ProjSign::Plus
+    } else {
+        ProjSign::Minus
+    };
+    SpinProjector::new(g.usize_in(0..4), sign)
+}
+
+fn reconstruct(g: &mut Gen, fx: &Fixture, depth: usize) -> Expr {
+    Expr::SpinReconstruct {
+        proj: projector(g),
+        child: Box::new(gen_half(g, fx, depth)),
     }
 }
 
@@ -220,7 +254,7 @@ fn gen_fermion(g: &mut Gen, fx: &Fixture, depth: usize) -> Expr {
         return Expr::Field(fx.psi[g.usize_in(0..2)]);
     }
     let d = depth - 1;
-    match g.usize_in(0..11) {
+    match g.usize_in(0..16) {
         0 => Expr::Field(fx.psi[g.usize_in(0..2)]),
         1 => bin(BinaryOp::Mul, gen_cm(g, fx, d), gen_fermion(g, fx, d)),
         2 => bin(BinaryOp::Add, gen_fermion(g, fx, d), gen_fermion(g, fx, d)),
@@ -247,11 +281,62 @@ fn gen_fermion(g: &mut Gen, fx: &Fixture, depth: usize) -> Expr {
             tri: fx.clov_tri,
             child: Box::new(gen_fermion(g, fx, d)),
         },
+        10 => reconstruct(g, fx, d),
+        // The hopping term's accumulate: the reconstruction folds into
+        // the add.
+        11 | 12 => bin(BinaryOp::Add, gen_fermion(g, fx, d), reconstruct(g, fx, d)),
+        // A hopping term: one projector on both sides of a link product
+        // moved under a shift, accumulated into a sum.
+        13 | 14 => {
+            let proj = projector(g);
+            let h = Expr::SpinProject {
+                proj,
+                child: Box::new(gen_fermion(g, fx, d)),
+            };
+            let uh = bin(BinaryOp::Mul, gen_cm(g, fx, d), h);
+            let h = shift(g, uh);
+            let term = Expr::SpinReconstruct {
+                proj,
+                child: Box::new(h),
+            };
+            bin(BinaryOp::Add, gen_fermion(g, fx, d), term)
+        }
         // Shared subtree in place and shifted (see `gen_cm`).
         _ => {
             let c = gen_fermion(g, fx, d);
             bin(BinaryOp::Add, c.clone(), shift(g, c))
         }
+    }
+}
+
+/// Half spinors: projections of every direction and sign, multiplied by
+/// links and moved under shifts as the hopping term does.
+fn gen_half(g: &mut Gen, fx: &Fixture, depth: usize) -> Expr {
+    let project = |g: &mut Gen, child: Expr| Expr::SpinProject {
+        proj: projector(g),
+        child: Box::new(child),
+    };
+    if depth == 0 {
+        let psi = Expr::Field(fx.psi[g.usize_in(0..2)]);
+        return project(g, psi);
+    }
+    let d = depth - 1;
+    match g.usize_in(0..7) {
+        0 | 1 => {
+            let psi = gen_fermion(g, fx, d);
+            project(g, psi)
+        }
+        2 => bin(BinaryOp::Mul, gen_cm(g, fx, d), gen_half(g, fx, d)),
+        3 => {
+            let child = gen_half(g, fx, d);
+            shift(g, child)
+        }
+        4 => bin(BinaryOp::Add, gen_half(g, fx, d), gen_half(g, fx, d)),
+        5 => {
+            let s = scalar_complex(g);
+            bin(BinaryOp::Mul, s, gen_half(g, fx, d))
+        }
+        _ => un(UnaryOp::Neg, gen_half(g, fx, d)),
     }
 }
 

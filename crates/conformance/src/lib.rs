@@ -29,7 +29,7 @@ pub mod gen;
 
 pub use diff::{
     differential_sweep, fuse_diff_case, fuse_differential_sweep, max_ulps, opt_diff_case,
-    opt_differential_sweep, SweepConfig,
+    opt_differential_sweep, run_cases, Case, SweepConfig, SweepMode,
 };
 pub use fixture::Fixture;
 pub use fuzz::{run_fuzz, FuzzOutcome};

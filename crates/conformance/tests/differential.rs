@@ -4,13 +4,15 @@
 //! binary; these tests keep a smaller always-on version in `cargo test`,
 //! plus targeted coverage of subsets and the seed-replay failure contract.
 
-use qdp_conformance::diff::{diff_case, max_ulps, SweepConfig};
+use qdp_conformance::diff::{diff_case, max_ulps, run_cases, SweepConfig, SweepMode};
 use qdp_conformance::differential_sweep;
 use qdp_conformance::fixture::Fixture;
 use qdp_expr::{BinaryOp, Expr, ShiftDir, UnaryOp};
 use qdp_layout::Subset;
 use qdp_proptest::{check, CaseError, Config};
-use qdp_types::FloatType;
+use qdp_types::{ElemKind, FloatType, ProjSign};
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[test]
@@ -116,4 +118,74 @@ fn pressure_fixture_spills_under_churn() {
         after.spills > before.spills && after.page_ins > before.page_ins,
         "no spill traffic: {after:?}"
     );
+}
+
+/// What a case stream's expressions reach of the spin-projector pair.
+#[derive(Default, Debug)]
+struct ProjectorCoverage {
+    project: HashSet<(usize, ProjSign)>,
+    reconstruct: HashSet<(usize, ProjSign)>,
+    /// A half spinor read under a shift.
+    shifted_half: bool,
+    /// `x + reconstruct(h)`: the accumulate the hopping term uses.
+    accumulate: bool,
+}
+
+impl ProjectorCoverage {
+    fn visit(&mut self, e: &Expr) {
+        match e {
+            Expr::Field(_) | Expr::Scalar { .. } => {}
+            Expr::Unary(_, c) => self.visit(c),
+            Expr::Binary(op, a, b) => {
+                self.accumulate |= *op == BinaryOp::Add
+                    && matches!(**b, Expr::SpinReconstruct { .. });
+                self.visit(a);
+                self.visit(b);
+            }
+            Expr::Shift { child, .. } => {
+                self.shifted_half |= child.kind() == Ok(ElemKind::HalfFermion);
+                self.visit(child);
+            }
+            Expr::SpinProject { proj, child } => {
+                self.project.insert((proj.mu, proj.sign));
+                self.visit(child);
+            }
+            Expr::SpinReconstruct { proj, child } => {
+                self.reconstruct.insert((proj.mu, proj.sign));
+                self.visit(child);
+            }
+            Expr::GammaMul { child, .. } | Expr::CloverApply { child, .. } => self.visit(child),
+        }
+    }
+
+    fn complete(&self) -> bool {
+        self.project.len() == 8 && self.reconstruct.len() == 8 && self.shifted_half && self.accumulate
+    }
+}
+
+/// Every CI sweep — plain and `QDP_OPT=0` (one case stream),
+/// `--pressure`, `--opt-diff` and `--fuse-diff` — at both precisions
+/// generates, over its 200 replayable cases, the projector pair for every
+/// direction and both signs, a half spinor under a shift and a
+/// reconstruction accumulated into a sum. The cases come from the sweeps'
+/// own driver, suites and fixtures; only their evaluation is skipped.
+#[test]
+fn every_sweep_covers_the_projector_pair() {
+    for ft in [FloatType::F32, FloatType::F64] {
+        for (pressure, mode) in [
+            (false, SweepMode::Reference),
+            (true, SweepMode::Reference),
+            (false, SweepMode::Opt),
+            (false, SweepMode::Fuse),
+        ] {
+            let cfg = SweepConfig::new(200, ft, pressure);
+            let cov = RefCell::new(ProjectorCoverage::default());
+            run_cases(&cfg, mode, &mode.fixtures(&cfg), |case| {
+                case.exprs().into_iter().for_each(|e| cov.borrow_mut().visit(e));
+                Ok(())
+            });
+            let cov = cov.into_inner();
+            assert!(cov.complete(), "{}: {cov:?}", mode.suite(&cfg));
+        }
+    }
 }

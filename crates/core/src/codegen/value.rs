@@ -10,7 +10,7 @@
 use crate::codegen::backend::Backend;
 use qdp_expr::{BinaryOp, Expr, FieldRef, UnaryOp};
 use qdp_types::clover_block::tri_index;
-use qdp_types::{ElemKind, Gamma, Phase, TypeShape};
+use qdp_types::{ElemKind, Gamma, Phase, SpinProjector, TypeShape};
 
 /// A complex value: a pair of backend scalars.
 #[derive(Debug, Clone)]
@@ -32,6 +32,8 @@ pub enum SVal<V> {
     ColorMatrix(Box<[[CV<V>; 3]; 3]>),
     /// Spin ⊗ color fermion `[spin][color]`.
     Fermion(Box<[[CV<V>; 3]; 4]>),
+    /// Spin-projected half fermion `[spin][color]`.
+    HalfFermion(Box<[[CV<V>; 3]; 2]>),
     /// 4×4 spin matrix `[row][col]`.
     SpinMatrix(Box<[[CV<V>; 4]; 4]>),
     /// Packed clover diagonal `[block][entry]`.
@@ -48,6 +50,7 @@ impl<V> SVal<V> {
             SVal::Complex(_) => ElemKind::Complex,
             SVal::ColorMatrix(_) => ElemKind::ColorMatrix,
             SVal::Fermion(_) => ElemKind::Fermion,
+            SVal::HalfFermion(_) => ElemKind::HalfFermion,
             SVal::SpinMatrix(_) => ElemKind::SpinMatrix,
             SVal::CloverDiag(_) => ElemKind::CloverDiag,
             SVal::CloverTriang(_) => ElemKind::CloverTriang,
@@ -142,6 +145,25 @@ fn cscale<B: Backend>(b: &mut B, s: &B::V, x: &CV<B::V>) -> CV<B::V> {
     }
 }
 
+/// `x + p·y`, the phase folded into the add: `x − y` for `−1`, and one
+/// add and one sub for `±i` — never a `neg`.
+fn cadd_phased<B: Backend>(b: &mut B, x: &CV<B::V>, p: Phase, y: &CV<B::V>) -> CV<B::V> {
+    match p {
+        Phase::One => cadd(b, x, y),
+        Phase::MinusOne => csub(b, x, y),
+        // i·y = (−y.im, y.re)
+        Phase::I => CV {
+            re: b.sub(&x.re, &y.im),
+            im: b.add(&x.im, &y.re),
+        },
+        // −i·y = (y.im, −y.re)
+        Phase::MinusI => CV {
+            re: b.add(&x.re, &y.im),
+            im: b.sub(&x.im, &y.re),
+        },
+    }
+}
+
 fn apply_phase<B: Backend>(b: &mut B, p: Phase, x: &CV<B::V>) -> CV<B::V> {
     match p {
         Phase::One => x.clone(),
@@ -183,21 +205,8 @@ pub fn load_leaf<B: Backend>(b: &mut B, leaf: usize, kind: ElemKind) -> SVal<B::
                 std::array::from_fn(|_| it.next().unwrap())
             })))
         }
-        ElemKind::Fermion => {
-            let mut m = Vec::with_capacity(12);
-            for s in 0..4 {
-                for c in 0..3 {
-                    m.push(CV {
-                        re: b.load(leaf, sh.comp_index(s, c, 0)),
-                        im: b.load(leaf, sh.comp_index(s, c, 1)),
-                    });
-                }
-            }
-            let mut it = m.into_iter();
-            SVal::Fermion(Box::new(std::array::from_fn(|_| {
-                std::array::from_fn(|_| it.next().unwrap())
-            })))
-        }
+        ElemKind::Fermion => SVal::Fermion(load_spinor(b, leaf, sh)),
+        ElemKind::HalfFermion => SVal::HalfFermion(load_spinor(b, leaf, sh)),
         ElemKind::SpinMatrix => {
             let mut m = Vec::with_capacity(16);
             for i in 0..4 {
@@ -243,6 +252,30 @@ pub fn load_leaf<B: Backend>(b: &mut B, leaf: usize, kind: ElemKind) -> SVal<B::
     }
 }
 
+/// Load a spinor leaf (`NS` spins ⊗ color ⊗ complex), spin by spin.
+fn load_spinor<B: Backend, const NS: usize>(
+    b: &mut B,
+    leaf: usize,
+    sh: TypeShape,
+) -> Box<[[CV<B::V>; 3]; NS]> {
+    Box::new(std::array::from_fn(|s| {
+        std::array::from_fn(|c| CV {
+            re: b.load(leaf, sh.comp_index(s, c, 0)),
+            im: b.load(leaf, sh.comp_index(s, c, 1)),
+        })
+    }))
+}
+
+/// Store a spinor (`f.len()` spins ⊗ color ⊗ complex), spin by spin.
+fn store_spinor<B: Backend>(b: &mut B, sh: TypeShape, f: &[[CV<B::V>; 3]]) {
+    for (s, row) in f.iter().enumerate() {
+        for (c, z) in row.iter().enumerate() {
+            b.store(sh.comp_index(s, c, 0), &z.re);
+            b.store(sh.comp_index(s, c, 1), &z.im);
+        }
+    }
+}
+
 /// Store a value into the target field at the current site.
 pub fn store_val<B: Backend>(b: &mut B, v: &SVal<B::V>) {
     let sh = TypeShape::of(v.kind());
@@ -260,14 +293,8 @@ pub fn store_val<B: Backend>(b: &mut B, v: &SVal<B::V>) {
                 }
             }
         }
-        SVal::Fermion(f) => {
-            for s in 0..4 {
-                for c in 0..3 {
-                    b.store(sh.comp_index(s, c, 0), &f[s][c].re);
-                    b.store(sh.comp_index(s, c, 1), &f[s][c].im);
-                }
-            }
-        }
+        SVal::Fermion(f) => store_spinor(b, sh, &f[..]),
+        SVal::HalfFermion(h) => store_spinor(b, sh, &h[..]),
         SVal::SpinMatrix(m) => {
             for i in 0..4 {
                 for j in 0..4 {
@@ -408,12 +435,28 @@ pub fn gen_expr<B: Backend>(e: &Expr, b: &mut B, cx: &mut GenCtx<'_>) -> SVal<B:
         }
         Expr::Binary(op, x, y) => {
             let vx = gen_expr(x, b, cx);
+            // `x + reconstruct(h)` accumulates the half spinor straight
+            // into `x`, the reconstruction's phases folded into the adds
+            // (Chroma's `spinReconstructDir` accumulate): no `neg`, no
+            // temporary fermion.
+            if let (BinaryOp::Add, Expr::SpinReconstruct { proj, child }) = (op, &**y) {
+                let h = gen_expr(child, b, cx);
+                return gen_reconstruct(proj, &h, Some(&vx), b);
+            }
             let vy = gen_expr(y, b, cx);
             gen_binary(*op, &vx, &vy, b)
         }
         Expr::GammaMul { gamma, child } => {
             let v = gen_expr(child, b, cx);
             gen_gamma(gamma, &v, b)
+        }
+        Expr::SpinProject { proj, child } => {
+            let v = gen_expr(child, b, cx);
+            gen_project(proj, &v, b)
+        }
+        Expr::SpinReconstruct { proj, child } => {
+            let h = gen_expr(child, b, cx);
+            gen_reconstruct(proj, &h, None, b)
         }
         Expr::CloverApply { diag, tri, child } => {
             let dslot = cx.leaf_slot(diag.id);
@@ -442,6 +485,9 @@ fn map2<B: Backend>(
         (SVal::Fermion(a), SVal::Fermion(c)) => SVal::Fermion(Box::new(std::array::from_fn(
             |s| std::array::from_fn(|cc| f(b, &a[s][cc], &c[s][cc])),
         ))),
+        (SVal::HalfFermion(a), SVal::HalfFermion(c)) => SVal::HalfFermion(Box::new(
+            std::array::from_fn(|s| std::array::from_fn(|cc| f(b, &a[s][cc], &c[s][cc]))),
+        )),
         (SVal::SpinMatrix(a), SVal::SpinMatrix(c)) => SVal::SpinMatrix(Box::new(
             std::array::from_fn(|i| std::array::from_fn(|j| f(b, &a[i][j], &c[i][j]))),
         )),
@@ -468,6 +514,9 @@ fn map1<B: Backend>(
             std::array::from_fn(|j| f(b, &a[i][j]))
         }))),
         SVal::Fermion(a) => SVal::Fermion(Box::new(std::array::from_fn(|s| {
+            std::array::from_fn(|c| f(b, &a[s][c]))
+        }))),
+        SVal::HalfFermion(a) => SVal::HalfFermion(Box::new(std::array::from_fn(|s| {
             std::array::from_fn(|c| f(b, &a[s][c]))
         }))),
         SVal::SpinMatrix(a) => SVal::SpinMatrix(Box::new(std::array::from_fn(|i| {
@@ -637,6 +686,9 @@ fn collect_scalars<V: Clone>(v: &SVal<V>) -> Vec<V> {
                 }
             }
         }
+        SVal::HalfFermion(h) => {
+            out.extend(h.iter().flatten().flat_map(|z| [z.re.clone(), z.im.clone()]));
+        }
         SVal::SpinMatrix(m) => {
             for row in m.iter() {
                 for z in row {
@@ -669,6 +721,7 @@ fn collect_complex<V: Clone>(v: &SVal<V>) -> Vec<CV<V>> {
         SVal::Complex(z) => vec![z.clone()],
         SVal::ColorMatrix(m) => m.iter().flatten().cloned().collect(),
         SVal::Fermion(f) => f.iter().flatten().cloned().collect(),
+        SVal::HalfFermion(h) => h.iter().flatten().cloned().collect(),
         SVal::SpinMatrix(m) => m.iter().flatten().cloned().collect(),
         SVal::CloverTriang(t) => t.iter().flatten().cloned().collect(),
         _ => panic!("not a complex container"),
@@ -756,25 +809,8 @@ fn gen_mul<B: Backend>(x: &SVal<B::V>, y: &SVal<B::V>, b: &mut B) -> SVal<B::V> 
         ),
         // color level
         (ColorMatrix(m), ColorMatrix(n)) => SVal::ColorMatrix(cm_mul(b, m, n)),
-        (ColorMatrix(m), Fermion(f)) => {
-            // per spin: 3×3 color matrix times color vector
-            let mut rows = Vec::with_capacity(4);
-            for s in 0..4 {
-                let mut row = Vec::with_capacity(3);
-                for i in 0..3 {
-                    let mut acc = cmul(b, &m[i][0], &f[s][0]);
-                    for k in 1..3 {
-                        acc = cfma(b, &m[i][k], &f[s][k], &acc);
-                    }
-                    row.push(acc);
-                }
-                rows.push(row);
-            }
-            let mut it = rows.into_iter().flatten();
-            SVal::Fermion(Box::new(std::array::from_fn(|_| {
-                std::array::from_fn(|_| it.next().unwrap())
-            })))
-        }
+        (ColorMatrix(m), Fermion(f)) => SVal::Fermion(cm_spinor(b, m, f)),
+        (ColorMatrix(m), HalfFermion(h)) => SVal::HalfFermion(cm_spinor(b, m, h)),
         // spin level
         (SpinMatrix(m), SpinMatrix(n)) => SVal::SpinMatrix(sm_mul(b, m, n)),
         (SpinMatrix(m), Fermion(f)) => {
@@ -797,6 +833,61 @@ fn gen_mul<B: Backend>(x: &SVal<B::V>, y: &SVal<B::V>, b: &mut B) -> SVal<B::V> 
         }
         _ => panic!("unsupported multiplication {:?} × {:?}", x.kind(), y.kind()),
     }
+}
+
+/// A 3×3 color matrix times each spin's color vector.
+fn cm_spinor<B: Backend, const NS: usize>(
+    b: &mut B,
+    m: &[[CV<B::V>; 3]; 3],
+    f: &[[CV<B::V>; 3]; NS],
+) -> Box<[[CV<B::V>; 3]; NS]> {
+    Box::new(std::array::from_fn(|s| {
+        std::array::from_fn(|i| {
+            let mut acc = cmul(b, &m[i][0], &f[s][0]);
+            for k in 1..3 {
+                acc = cfma(b, &m[i][k], &f[s][k], &acc);
+            }
+            acc
+        })
+    }))
+}
+
+/// `spinProjectDir`: rows 0 and 1 of `(1 ± γ_µ)ψ`, each `ψ_k + g_k·ψ_{c_k}`
+/// — 12 adds or subs, no `neg`.
+fn gen_project<B: Backend>(p: &SpinProjector, v: &SVal<B::V>, b: &mut B) -> SVal<B::V> {
+    let SVal::Fermion(f) = v else {
+        panic!("spinProject of non-fermion");
+    };
+    SVal::HalfFermion(Box::new(std::array::from_fn(|k| {
+        let (col, phase) = p.project_row(k);
+        std::array::from_fn(|c| cadd_phased(b, &f[k][c], phase, &f[col][c]))
+    })))
+}
+
+/// `spinReconstructDir`: `(1 ± γ_µ)ψ` from its half spinor — added into
+/// `acc` when there is one (the phases fold into the adds), alone
+/// otherwise.
+fn gen_reconstruct<B: Backend>(
+    p: &SpinProjector,
+    h: &SVal<B::V>,
+    acc: Option<&SVal<B::V>>,
+    b: &mut B,
+) -> SVal<B::V> {
+    let SVal::HalfFermion(h) = h else {
+        panic!("spinReconstruct of non-half-fermion");
+    };
+    let acc = match acc {
+        Some(SVal::Fermion(a)) => Some(a),
+        Some(_) => panic!("fermion plus spinReconstruct of non-fermion"),
+        None => None,
+    };
+    SVal::Fermion(Box::new(std::array::from_fn(|s| {
+        let (row, phase) = p.reconstruct_row(s);
+        std::array::from_fn(|c| match acc {
+            Some(a) => cadd_phased(b, &a[s][c], phase, &h[row][c]),
+            None => apply_phase(b, phase, &h[row][c]),
+        })
+    })))
 }
 
 fn gen_gamma<B: Backend>(g: &Gamma, v: &SVal<B::V>, b: &mut B) -> SVal<B::V> {

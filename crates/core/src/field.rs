@@ -14,7 +14,7 @@ use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
 use qdp_layout::{FieldLayout, Subset};
 use qdp_types::{
     CloverDiag, CloverTriang, ColorMatrix, Complex, ElemKind, Fermion, FloatType, Gamma,
-    LatticeElem, PScalar, Real, SpinMatrix, TypeShape,
+    HalfFermion, LatticeElem, PScalar, ProjSign, Real, SpinMatrix, SpinProjector, TypeShape,
 };
 use std::marker::PhantomData;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
@@ -55,6 +55,10 @@ impl_site_scalar!(f64);
 impl<R: Real> SiteElem for Fermion<R> {
     type R = R;
     const KIND: ElemKind = ElemKind::Fermion;
+}
+impl<R: Real> SiteElem for HalfFermion<R> {
+    type R = R;
+    const KIND: ElemKind = ElemKind::HalfFermion;
 }
 impl<R: Real> SiteElem for ColorMatrix<R> {
     type R = R;
@@ -401,6 +405,7 @@ macro_rules! impl_mul_concrete {
 
 impl_mul_generic!(ColorMatrix<R>, ColorMatrix<R>, ColorMatrix<R>);
 impl_mul_generic!(ColorMatrix<R>, Fermion<R>, Fermion<R>);
+impl_mul_generic!(ColorMatrix<R>, HalfFermion<R>, HalfFermion<R>);
 impl_mul_generic!(SpinMatrix<R>, SpinMatrix<R>, SpinMatrix<R>);
 impl_mul_generic!(SpinMatrix<R>, Fermion<R>, Fermion<R>);
 macro_rules! impl_scalar_muls {
@@ -513,6 +518,40 @@ impl<R: Real> Mul<QExpr<Fermion<R>>> for GammaFactor {
             PhantomData,
         )
     }
+}
+
+/// Chroma's `spinProjectDir`: the half spinor of `(1 ± γ_µ)·psi` (the
+/// projector's rows come from [`Gamma::gamma_mu`]).
+pub fn spin_project<R: Real>(
+    psi: QExpr<Fermion<R>>,
+    mu: usize,
+    sign: ProjSign,
+) -> QExpr<HalfFermion<R>> {
+    QExpr(
+        Expr::SpinProject {
+            proj: SpinProjector::new(mu, sign),
+            child: Box::new(psi.0),
+        },
+        PhantomData,
+    )
+}
+
+/// Chroma's `spinReconstructDir`: `(1 ± γ_µ)ψ` from the half spinor `h`
+/// that [`spin_project`] made with the same `mu` and `sign`. In
+/// `acc + spin_reconstruct(h, …)` the reconstruction accumulates into
+/// `acc` with no negations.
+pub fn spin_reconstruct<R: Real>(
+    h: QExpr<HalfFermion<R>>,
+    mu: usize,
+    sign: ProjSign,
+) -> QExpr<Fermion<R>> {
+    QExpr(
+        Expr::SpinReconstruct {
+            proj: SpinProjector::new(mu, sign),
+            child: Box::new(h.0),
+        },
+        PhantomData,
+    )
 }
 
 /// Spin-traced color outer product `A_ij = Σ_s x_{s,i}·conj(y_{s,j})`

@@ -37,7 +37,8 @@ pub use eval::{
 };
 pub use field::{
     adj, clover_mul, conj, cscale, diag_fill, expm, gamma, gamma_mu, imag, outer_color, real,
-    reduce_inner_product, reduce_norm2, reduce_sum_complex, reduce_sum_real, shift, times_i,
+    reduce_inner_product, reduce_norm2, reduce_sum_complex, reduce_sum_real, shift,
+    spin_project, spin_reconstruct, times_i,
     times_minus_i, trace,
     trace_spin, transpose, GammaFactor, Lattice, LatticeCloverDiag, LatticeCloverTriang,
     LatticeColorMatrix, LatticeComplex, LatticeFermion, LatticeReal, LatticeSpinMatrix, MatrixLike,
@@ -55,5 +56,5 @@ pub mod prelude {
     pub use qdp_gpu_sim::{DeviceConfig, StreamId};
     pub use qdp_layout::{Geometry, LayoutKind, Subset};
     pub use qdp_ptx::opt::OptLevel;
-    pub use qdp_types::{Complex, FloatType, Real};
+    pub use qdp_types::{Complex, FloatType, ProjSign, Real};
 }

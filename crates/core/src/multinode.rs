@@ -243,6 +243,14 @@ impl MultiRank {
                 gamma: *gamma,
                 child: Box::new(self.materialize_nested(child, temps)?),
             },
+            Expr::SpinProject { proj, child } => Expr::SpinProject {
+                proj: *proj,
+                child: Box::new(self.materialize_nested(child, temps)?),
+            },
+            Expr::SpinReconstruct { proj, child } => Expr::SpinReconstruct {
+                proj: *proj,
+                child: Box::new(self.materialize_nested(child, temps)?),
+            },
             Expr::CloverApply { diag, tri, child } => Expr::CloverApply {
                 diag: *diag,
                 tri: *tri,

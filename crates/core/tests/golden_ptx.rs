@@ -19,7 +19,7 @@ use qdp_core::{
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
 use qdp_layout::{Geometry, LayoutKind, Subset};
 use qdp_rng::{Rng, SeedableRng, StdRng};
-use qdp_types::{ElemKind, FloatType, Gamma, TypeShape};
+use qdp_types::{ElemKind, FloatType, ProjSign, SpinProjector, TypeShape};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -85,10 +85,6 @@ fn add(a: Expr, b: Expr) -> Expr {
     Expr::Binary(BinaryOp::Add, Box::new(a), Box::new(b))
 }
 
-fn sub(a: Expr, b: Expr) -> Expr {
-    Expr::Binary(BinaryOp::Sub, Box::new(a), Box::new(b))
-}
-
 fn adj(e: Expr) -> Expr {
     Expr::Unary(UnaryOp::Adj, Box::new(e))
 }
@@ -101,35 +97,44 @@ fn shift(e: Expr, mu: usize, dir: ShiftDir) -> Expr {
     }
 }
 
-fn gamma_mul(mu: usize, e: Expr) -> Expr {
-    Expr::GammaMul {
-        gamma: Gamma::gamma_mu(mu),
+fn project(e: Expr, mu: usize, sign: ProjSign) -> Expr {
+    Expr::SpinProject {
+        proj: SpinProjector::new(mu, sign),
+        child: Box::new(e),
+    }
+}
+
+fn reconstruct(e: Expr, mu: usize, sign: ProjSign) -> Expr {
+    Expr::SpinReconstruct {
+        proj: SpinProjector::new(mu, sign),
         child: Box::new(e),
     }
 }
 
 /// The Wilson hopping term (paper §VIII-C, the flagship kernel):
-/// `Σ_µ [(1 − γ_µ) U_µ ψ(x+µ̂) + (1 + γ_µ) U_µ†(x−µ̂) ψ(x−µ̂)]`.
+/// `Σ_µ [(1 − γ_µ) U_µ ψ(x+µ̂) + (1 + γ_µ) U_µ†(x−µ̂) ψ(x−µ̂)]`, spin-projected
+/// as `chroma_mini::fermion::wilson_hopping_expr` builds it.
 fn wilson_dslash_expr(e: &Env) -> Expr {
+    let psi = || Expr::Field(e.psi[0]);
     let mut acc: Option<Expr> = None;
     for mu in 0..4 {
+        let (fs, bs) = (ProjSign::Minus, ProjSign::Plus);
         let fwd = mul(
             Expr::Field(e.u[mu]),
-            shift(Expr::Field(e.psi[0]), mu, ShiftDir::Forward),
+            shift(project(psi(), mu, fs), mu, ShiftDir::Forward),
         );
         let bwd = shift(
-            mul(adj(Expr::Field(e.u[mu])), Expr::Field(e.psi[0])),
+            mul(adj(Expr::Field(e.u[mu])), project(psi(), mu, bs)),
             mu,
             ShiftDir::Backward,
         );
-        let term = add(
-            sub(fwd.clone(), gamma_mul(mu, fwd)),
-            add(bwd.clone(), gamma_mul(mu, bwd)),
-        );
-        acc = Some(match acc {
-            None => term,
-            Some(a) => add(a, term),
-        });
+        for (h, sign) in [(fwd, fs), (bwd, bs)] {
+            let term = reconstruct(h, mu, sign);
+            acc = Some(match acc {
+                None => term,
+                Some(a) => add(a, term),
+            });
+        }
     }
     acc.unwrap()
 }
@@ -250,6 +255,30 @@ fn golden_wilson_dslash_f64() {
 #[test]
 fn golden_wilson_dslash_f32() {
     check_golden("wilson_dslash_sp");
+}
+
+/// The flop census of the regenerated dslash goldens: float `mul`, `add`
+/// and `sub` count 1, `fma` 2 and `neg` 0 (a sign flip, not arithmetic).
+/// The kernel one site runs must do no more than the standard 1 320
+/// flops/site (plus a little slack) that `quda_sim::perf::DSLASH_FLOPS`
+/// and `chroma_mini::trace` credit it with.
+#[test]
+fn dslash_flop_census_matches_its_credit() {
+    for name in ["wilson_dslash_dp", "wilson_dslash_sp"] {
+        let (_, ft) = GOLDENS.iter().find(|(n, _)| *n == name).unwrap();
+        let e = env(*ft);
+        let (stmts, subset) = golden(&e, name);
+        let ptx = codegen_ptx(&e.ctx, stmts[0].0, &stmts[0].1, subset, name).unwrap();
+        let flops: usize = opcodes(&ptx)
+            .map(|op| match op.split('.').next() {
+                Some("mul" | "add" | "sub") if op.ends_with(".f32") || op.ends_with(".f64") => 1,
+                Some("fma") => 2,
+                _ => 0,
+            })
+            .sum();
+        assert!(flops <= 1400, "{name}: {flops} flops per site");
+        assert_eq!(flops, 1320, "{name}: the standard Wilson count");
+    }
 }
 
 #[test]

@@ -25,7 +25,7 @@
 //! * **type inference** ([`Expr::shape`]) — result kinds follow the QDP++
 //!   multiplication rules for the nested spin ⊗ color ⊗ complex types.
 
-use qdp_types::{ElemKind, FloatType, Gamma, TypeShape};
+use qdp_types::{ElemKind, FloatType, Gamma, SpinProjector, TypeShape};
 use std::fmt::Write;
 
 /// Reference to a lattice field stored in the memory cache.
@@ -138,6 +138,23 @@ pub enum Expr {
         /// The sparse gamma matrix.
         gamma: Gamma,
         /// Fermion subexpression.
+        child: Box<Expr>,
+    },
+    /// Chroma's `spinProjectDir`: the half spinor holding the two
+    /// independent spin rows of `(1 ± γ_µ)·child` (child must be fermion
+    /// kind).
+    SpinProject {
+        /// The projector, its rows derived from `γ_µ`.
+        proj: SpinProjector,
+        /// Fermion subexpression.
+        child: Box<Expr>,
+    },
+    /// Chroma's `spinReconstructDir`: the fermion `(1 ± γ_µ)ψ` rebuilt
+    /// from its half spinor (child must be half-fermion kind).
+    SpinReconstruct {
+        /// The projector the half spinor came from.
+        proj: SpinProjector,
+        /// Half-fermion subexpression.
         child: Box<Expr>,
     },
     /// The clover term `A·ψ` — the paper's custom user-defined function
@@ -267,6 +284,14 @@ impl Expr {
                     other => Err(err(format!("Gamma · {other:?}"))),
                 }
             }
+            Expr::SpinProject { child, .. } => match child.kind()? {
+                ElemKind::Fermion => Ok(ElemKind::HalfFermion),
+                other => Err(err(format!("spinProject of {other:?}"))),
+            },
+            Expr::SpinReconstruct { child, .. } => match child.kind()? {
+                ElemKind::HalfFermion => Ok(ElemKind::Fermion),
+                other => Err(err(format!("spinReconstruct of {other:?}"))),
+            },
             Expr::CloverApply { diag, tri, child } => {
                 if diag.kind != ElemKind::CloverDiag || tri.kind != ElemKind::CloverTriang {
                     return Err(err("clover fields have wrong kinds"));
@@ -319,7 +344,9 @@ impl Expr {
                     walk(b, under, pick, out);
                 }
                 Expr::Shift { mu, dir, child } => walk(child, under || pick(*mu, *dir), pick, out),
-                Expr::GammaMul { child, .. } => walk(child, under, pick, out),
+                Expr::GammaMul { child, .. }
+                | Expr::SpinProject { child, .. }
+                | Expr::SpinReconstruct { child, .. } => walk(child, under, pick, out),
                 Expr::CloverApply { diag, tri, child } => {
                     read(diag);
                     read(tri);
@@ -362,7 +389,9 @@ impl Expr {
             Expr::Shift { child, .. } => !child.shifts().is_empty(),
             Expr::Unary(_, c) => c.has_nested_shift(),
             Expr::Binary(_, a, b) => a.has_nested_shift() || b.has_nested_shift(),
-            Expr::GammaMul { child, .. } => child.has_nested_shift(),
+            Expr::GammaMul { child, .. }
+            | Expr::SpinProject { child, .. }
+            | Expr::SpinReconstruct { child, .. } => child.has_nested_shift(),
             Expr::CloverApply { child, .. } => child.has_nested_shift(),
             Expr::Field(_) | Expr::Scalar { .. } => false,
         }
@@ -466,6 +495,12 @@ impl KernelSignature {
                 self.walk(child, key, ft);
                 key.push(')');
             }
+            Expr::SpinProject { proj, child } | Expr::SpinReconstruct { proj, child } => {
+                let op = if matches!(e, Expr::SpinProject { .. }) { 'P' } else { 'R' };
+                let _ = write!(key, "{op}{}{:?}(", proj.mu, proj.sign);
+                self.walk(child, key, ft);
+                key.push(')');
+            }
             Expr::CloverApply { diag, tri, child } => {
                 let (d, t) = (self.slot(diag, ft), self.slot(tri, ft));
                 let _ = write!(key, "Clov(f{d},f{t},");
@@ -487,6 +522,7 @@ fn mul_kind(a: ElemKind, b: ElemKind) -> Result<ElemKind, TypeError> {
         // color-matrix level
         (ColorMatrix, ColorMatrix) => ColorMatrix,
         (ColorMatrix, Fermion) => Fermion,
+        (ColorMatrix, HalfFermion) => HalfFermion,
         // spin-matrix level
         (SpinMatrix, SpinMatrix) => SpinMatrix,
         (SpinMatrix, Fermion) => Fermion,
@@ -627,6 +663,46 @@ mod tests {
             child: Box::new(u(1)),
         };
         assert!(bad.kind().is_err());
+    }
+
+    #[test]
+    fn projector_pair_types_and_keys() {
+        use qdp_types::{ProjSign, SpinProjector};
+        let proj = |mu, sign, child| Expr::SpinProject {
+            proj: SpinProjector::new(mu, sign),
+            child: Box::new(child),
+        };
+        let recon = |mu, sign, child| Expr::SpinReconstruct {
+            proj: SpinProjector::new(mu, sign),
+            child: Box::new(child),
+        };
+        let h = proj(1, ProjSign::Minus, psi(1));
+        assert_eq!(h.kind().unwrap(), ElemKind::HalfFermion);
+        // U·h and a shifted half spinor stay half spinors
+        let uh = Expr::Binary(BinaryOp::Mul, Box::new(u(2)), Box::new(h.clone()));
+        assert_eq!(uh.kind().unwrap(), ElemKind::HalfFermion);
+        let shifted = Expr::Shift {
+            mu: 1,
+            dir: ShiftDir::Forward,
+            child: Box::new(uh),
+        };
+        let full = recon(1, ProjSign::Minus, shifted);
+        assert_eq!(full.kind().unwrap(), ElemKind::Fermion);
+        assert_eq!(full.leaves().len(), 2);
+        assert_eq!(full.shifts(), vec![(1, ShiftDir::Forward)]);
+        // the projector is part of the kernel's identity
+        assert_ne!(
+            recon(1, ProjSign::Plus, proj(1, ProjSign::Plus, psi(1))).kernel_key(),
+            recon(1, ProjSign::Minus, proj(1, ProjSign::Minus, psi(1))).kernel_key()
+        );
+        assert_ne!(
+            proj(0, ProjSign::Plus, psi(1)).kernel_key(),
+            proj(2, ProjSign::Plus, psi(1)).kernel_key()
+        );
+        // only fermions project, only half spinors reconstruct
+        assert!(proj(0, ProjSign::Plus, u(1)).kind().is_err());
+        assert!(proj(0, ProjSign::Plus, h).kind().is_err());
+        assert!(recon(0, ProjSign::Plus, psi(1)).kind().is_err());
     }
 
     #[test]

@@ -242,7 +242,7 @@ impl KernelCache {
             self.telemetry.record_persist_hit(&kernel.name);
             return Ok(kernel);
         }
-        let modeled = modeled_compile_time(kernel.code.len());
+        let modeled = modeled_compile_time(kernel.ptx_insts);
         inner.stats.misses += 1;
         inner.stats.modeled_compile_time += modeled;
         drop(inner);

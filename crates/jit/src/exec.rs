@@ -24,7 +24,7 @@
 //! pair. Lowering validates every kernel against that dialect, so in each
 //! match below the last arm's `_` stands for the one remaining legal type.
 
-use crate::lower::{AVal, COp, CompiledKernel};
+use crate::lower::{AVal, Addr, COp, CompiledKernel};
 use qdp_gpu_sim::par::parallel_for;
 use qdp_gpu_sim::DeviceMemory;
 use qdp_ptx::inst::{BinOp, CmpOp, SpecialReg};
@@ -198,6 +198,33 @@ fn map3_fused(
     map3(d, a, b, c, f)
 }
 
+/// `f(lane, byte address)` for every active lane — for a folded address,
+/// the value the `add.u32`/`mul.wide.u32`/`add.u64` chain would have
+/// produced — with the form's dispatch outside the lane loop.
+#[inline(always)]
+fn each_addr(r: Lanes<'_>, args: &[u64], a: Addr, mut f: impl FnMut(usize, u64)) {
+    match a {
+        Addr::Indexed {
+            arg,
+            site,
+            k,
+            scale,
+            offset,
+        } => {
+            let base = args[arg as usize].wrapping_add(offset as u64);
+            for (l, s) in r.col(site).iter().enumerate() {
+                let i = u64::from((s.get() as u32).wrapping_add(k));
+                f(l, base.wrapping_add(i * u64::from(scale)));
+            }
+        }
+        Addr::Reg { slot, offset } => {
+            for (l, a) in r.col(slot).iter().enumerate() {
+                f(l, a.get().wrapping_add(offset as u64));
+            }
+        }
+    }
+}
+
 /// Run threads `t0 .. t0 + lanes` of `block` as one tile. Returns false
 /// when an exit left a non-prefix set of lanes active: lowering admits
 /// exits only before the first store, so nothing has been written yet and
@@ -211,38 +238,22 @@ fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize)
         let r = Lanes { regs, n };
         match *op {
             COp::LdArg { dst, arg, .. } => fill(r.col(dst), g.args[arg as usize]),
-            COp::Ld {
-                ty,
-                dst,
-                addr,
-                offset,
-            } => {
-                let (d, a) = (r.col(dst), Src::Col(r.col(addr)));
-                let at = |a: u64| (a as i64 + offset) as u64;
-                match ty {
-                    PtxType::F32 | PtxType::U32 => map1(d, a, |a| mem.read_u32(at(a)) as u64),
-                    _ => map1(d, a, |a| mem.read_u64(at(a))),
-                }
-            }
-            COp::St {
-                ty,
-                addr,
-                offset,
-                src,
-            } => {
-                let (a, v) = (r.col(addr), r.src(src));
-                let at = |a: &Cell<u64>| (a.get() as i64 + offset) as u64;
+            COp::Ld { ty, dst, addr } => {
+                let d = r.col(dst);
                 match ty {
                     PtxType::F32 | PtxType::U32 => {
-                        for (l, a) in a.iter().enumerate() {
-                            mem.write_u32(at(a), v.at(l) as u32);
-                        }
+                        each_addr(r, g.args, addr, |l, a| d[l].set(mem.read_u32(a) as u64))
                     }
-                    _ => {
-                        for (l, a) in a.iter().enumerate() {
-                            mem.write_u64(at(a), v.at(l));
-                        }
+                    _ => each_addr(r, g.args, addr, |l, a| d[l].set(mem.read_u64(a))),
+                }
+            }
+            COp::St { ty, addr, src } => {
+                let v = r.src(src);
+                match ty {
+                    PtxType::F32 | PtxType::U32 => {
+                        each_addr(r, g.args, addr, |l, a| mem.write_u32(a, v.at(l) as u32))
                     }
+                    _ => each_addr(r, g.args, addr, |l, a| mem.write_u64(a, v.at(l))),
                 }
             }
             COp::Mov { dst, src, .. } => map1(r.col(dst), r.src(src), |v| v),
@@ -642,6 +653,104 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// An address chain whose `site + K` wraps in u32 — `(tid + 8) +
+    /// (2³² − 4)` is `tid + 4` — leaves the same bytes folded into its
+    /// load and stores as when a `selp` keeps it from folding and the
+    /// `add.u32`/`mul.wide.u32`/`add.u64` ops run one by one; a store of an
+    /// immediate value goes through the same form.
+    #[test]
+    fn folded_addresses_keep_the_u32_wrap() {
+        let build = |fold: bool| {
+            let mut b = KernelBuilder::new("wrap");
+            let [p_out, p_in] = ["out", "in"].map(|p| b.param(p, PtxType::U64));
+            let tid = b.global_tid();
+            let always = b.fresh(RegClass::Pred);
+            b.push(Inst::Setp {
+                cmp: CmpOp::Ge,
+                ty: PtxType::U32,
+                dst: always,
+                a: tid.into(),
+                b: Operand::ImmI(0),
+            });
+            let site = b.bin(BinOp::Add, PtxType::U32, tid.into(), Operand::ImmI(8));
+            let k = (1i64 << 32) - 4;
+            let idx = b.bin(BinOp::Add, PtxType::U32, site.into(), Operand::ImmI(k));
+            let off = b.fresh(RegClass::B64);
+            b.push(Inst::MulWide {
+                dst: off,
+                a: idx,
+                b: Operand::ImmI(8),
+            });
+            let addr = |b: &mut KernelBuilder, p: &str| {
+                let base = b.ld_param(p, PtxType::U64);
+                let a = b.bin(BinOp::Add, PtxType::U64, base.into(), off.into());
+                if fold {
+                    return a;
+                }
+                let kept = b.fresh(RegClass::B64);
+                b.push(Inst::Selp {
+                    ty: PtxType::U64,
+                    dst: kept,
+                    a: a.into(),
+                    b: a.into(),
+                    pred: always,
+                });
+                kept
+            };
+            let (a_in, a_out) = (addr(&mut b, &p_in), addr(&mut b, &p_out));
+            let v = b.fresh(RegClass::F64);
+            b.push(Inst::LdGlobal {
+                ty: PtxType::F64,
+                dst: v,
+                addr: a_in,
+                offset: 8,
+            });
+            b.push(Inst::StGlobal {
+                ty: PtxType::F64,
+                addr: a_out,
+                offset: 0,
+                src: v.into(),
+            });
+            b.push(Inst::StGlobal {
+                ty: PtxType::F64,
+                addr: a_out,
+                offset: 8 * 128,
+                src: Operand::ImmF(2.5),
+            });
+            lower_kernel(&b.finish()).unwrap()
+        };
+        let (folded, chain) = (build(true), build(false));
+        let wrapped = folded.code.iter().filter(|op| {
+            let (COp::Ld { addr, .. } | COp::St { addr, .. }) = op else {
+                return false;
+            };
+            matches!(addr, Addr::Indexed { k, scale: 8, .. } if *k == u32::MAX - 3)
+        });
+        assert_eq!(wrapped.count(), 3, "{:?}", folded.code);
+        assert!(!folded.code.iter().any(|op| matches!(op, COp::MulWide { .. })));
+        assert!(chain.code.iter().any(|op| matches!(op, COp::MulWide { .. })));
+
+        let n = 100usize;
+        let run = |k: &CompiledKernel| {
+            let mem = DeviceMemory::new(1 << 16);
+            let [po, pi] = [(); 2].map(|_| mem.alloc(8 * 512).unwrap());
+            for i in 0..512u64 {
+                mem.write_f64(pi + 8 * i, i as f64 * 0.5 - 7.0);
+            }
+            run_grid(k, &[LaunchArg::Ptr(po), LaunchArg::Ptr(pi)], &mem, 1, n as u32);
+            let mut out = vec![0u8; 8 * 512];
+            mem.copy_to_host(po, &mut out);
+            out
+        };
+        let (a, b) = (run(&folded), run(&chain));
+        assert!(a == b, "folded and unfolded chains leave different bytes");
+        let at = |i: usize| f64::from_le_bytes(a[8 * i..8 * i + 8].try_into().unwrap());
+        for t in 0..n {
+            assert_eq!(at(t + 4), (t + 5) as f64 * 0.5 - 7.0, "thread {t}");
+            assert_eq!(at(t + 4 + 128), 2.5, "thread {t}");
         }
     }
 

@@ -3,12 +3,16 @@
 //!
 //! The lowering resolves branch labels to instruction indices, parameter
 //! names to argument indices, and pre-encodes immediates in the operation's
-//! type. Like the driver JIT, it allocates registers by live range: the
-//! generator's SSA-like virtual registers (thousands in a dslash) map onto
-//! a compact set of *columns* — one [`crate::exec::TILE`]-lane vector each
-//! in the executor's register file. It also extracts the static
-//! resource/traffic statistics the performance model and the occupancy
-//! calculation need.
+//! type. Like ptxas, it folds each load's and store's address arithmetic
+//! into the access itself ([`Addr`]: one addressed form), and drops what
+//! the fold leaves unused. Like CUDA's JIT compiler, it allocates registers by
+//! live range: the generator's SSA-like virtual registers (thousands in a
+//! dslash) map onto a compact set of *columns* — one
+//! [`crate::exec::TILE`]-lane vector each in the executor's register file.
+//! It also extracts the static resource/traffic statistics the performance
+//! model and the occupancy calculation need; the register count is taken
+//! from the program as written, before the fold, so the occupancy model
+//! sees the kernel the generator printed.
 //!
 //! Control flow is limited to what the generator emits: forward exits
 //! (`@p bra` to a `ret`, or `ret` itself), and conditional exits only
@@ -57,8 +61,36 @@ pub enum AVal {
     Imm(u64),
 }
 
+/// The address of a load or store, in each lane. Wrapping u64 arithmetic,
+/// like the `add.u64` the folded form replaces.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Addr {
+    /// `[reg + offset]`: a register holding the address, as written.
+    Reg {
+        /// Slot holding the byte address.
+        slot: u32,
+        /// Constant byte offset.
+        offset: i64,
+    },
+    /// `arg + ((site +₃₂ k) as u64)·scale + offset`: the generator's
+    /// `add.u32` → `mul.wide.u32` → `add.u64` chain over a pointer
+    /// argument, folded into the access (u32 wrap of `site + k` kept).
+    Indexed {
+        /// Argument index of the pointer parameter.
+        arg: u32,
+        /// Slot holding the u32 element index (a site).
+        site: u32,
+        /// Addend, added modulo 2³² like `add.u32`.
+        k: u32,
+        /// Bytes per element, `mul.wide.u32`'s multiplier.
+        scale: u32,
+        /// Constant byte offset.
+        offset: i64,
+    },
+}
+
 /// Lowered instructions. Registers are live-range-allocated columns (the
-/// `dst`/`addr`/… "slots" below); labels are gone.
+/// `dst`/`src`/… "slots" below); labels are gone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum COp {
     /// Load a kernel argument.
@@ -76,19 +108,15 @@ pub enum COp {
         ty: PtxType,
         /// Destination slot.
         dst: u32,
-        /// Slot holding the byte address.
-        addr: u32,
-        /// Constant byte offset.
-        offset: i64,
+        /// Byte address.
+        addr: Addr,
     },
     /// Global store.
     St {
         /// Value type.
         ty: PtxType,
-        /// Slot holding the byte address.
-        addr: u32,
-        /// Constant byte offset.
-        offset: i64,
+        /// Byte address.
+        addr: Addr,
         /// Value to store.
         src: AVal,
     },
@@ -215,14 +243,19 @@ pub struct CompiledKernel {
     pub name: String,
     /// Lowered program.
     pub code: Vec<COp>,
-    /// Register-file columns (live-range allocated).
+    /// Instructions of the PTX program as written (labels aside): what the
+    /// modelled translation time scales with.
+    pub ptx_insts: usize,
+    /// Register-file columns (live-range allocated, after the address
+    /// fold).
     pub n_cols: u32,
     /// Leading columns of registers read before any write; the executor
     /// zeroes them per tile, so such a read yields 0.
     pub n_zeroed: u32,
     /// Number of kernel arguments with their declared types.
     pub param_types: Vec<PtxType>,
-    /// 32-bit register equivalents per thread (occupancy input).
+    /// 32-bit register equivalents per thread (occupancy input), counted
+    /// on the program as written, before the address fold.
     pub regs_per_thread: u32,
     /// Global-memory bytes read per thread.
     pub read_bytes: usize,
@@ -253,6 +286,45 @@ fn encode_imm(ty: PtxType, op: &Operand) -> Result<u64, JitError> {
 
 /// Translate one kernel into a [`CompiledKernel`].
 pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
+    let Translated {
+        mut code,
+        widths,
+        access_bytes,
+        double_precision,
+    } = translate(kernel)?;
+    let ptx_insts = code.len();
+    let regs_per_thread = peak_live_regs(&mut code, &widths);
+    fold_addresses(&mut code, widths.len());
+    let regs = allocate_registers(&mut code, widths.len());
+
+    let (read_bytes, write_bytes) = kernel.thread_bytes();
+    Ok(CompiledKernel {
+        name: kernel.name.clone(),
+        code,
+        ptx_insts,
+        n_cols: regs.cols,
+        n_zeroed: regs.zeroed,
+        param_types: kernel.params.iter().map(|p| p.ty).collect(),
+        regs_per_thread,
+        read_bytes,
+        write_bytes,
+        flops: kernel.thread_flops(),
+        access_bytes,
+        double_precision,
+    })
+}
+
+/// A kernel translated one instruction per instruction, over one slot per
+/// declared register (no fold, no allocation yet).
+struct Translated {
+    code: Vec<COp>,
+    /// 32-bit register equivalents of each slot.
+    widths: Vec<u32>,
+    access_bytes: usize,
+    double_precision: bool,
+}
+
+fn translate(kernel: &Kernel) -> Result<Translated, JitError> {
     kernel.validate()?;
 
     // Slot assignment: banks are laid out consecutively.
@@ -318,8 +390,10 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
                 COp::Ld {
                     ty: *ty,
                     dst: slot(dst),
-                    addr: slot(addr),
-                    offset: *offset,
+                    addr: Addr::Reg {
+                        slot: slot(addr),
+                        offset: *offset,
+                    },
                 }
             }
             Inst::StGlobal {
@@ -331,8 +405,10 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
                 stored = true;
                 COp::St {
                     ty: *ty,
-                    addr: slot(addr),
-                    offset: *offset,
+                    addr: Addr::Reg {
+                        slot: slot(addr),
+                        offset: *offset,
+                    },
                     src: aval(*ty, src)?,
                 }
             }
@@ -452,19 +528,9 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
             std::iter::repeat_n(if c.width_bytes() == 8 { 2 } else { 1 }, count as usize)
         })
         .collect();
-    let regs = allocate_registers(&mut code, &widths);
-
-    let (read_bytes, write_bytes) = kernel.thread_bytes();
-    Ok(CompiledKernel {
-        name: kernel.name.clone(),
+    Ok(Translated {
         code,
-        n_cols: regs.cols,
-        n_zeroed: regs.zeroed,
-        param_types: kernel.params.iter().map(|p| p.ty).collect(),
-        regs_per_thread: regs.per_thread,
-        read_bytes,
-        write_bytes,
-        flops: kernel.thread_flops(),
+        widths,
         access_bytes,
         double_precision,
     })
@@ -476,18 +542,28 @@ fn use_aval(v: &mut AVal, f: &mut impl FnMut(&mut u32, bool)) {
     }
 }
 
+fn use_addr(a: &mut Addr, f: &mut impl FnMut(&mut u32, bool)) {
+    match a {
+        Addr::Reg { slot, .. } | Addr::Indexed { site: slot, .. } => f(slot, false),
+    }
+}
+
 /// Visit every register slot one lowered instruction mentions — uses
 /// first, then the definition (flagged `true`). Live ranges span from the
 /// first to the last mention, defs and uses alike.
 fn visit_slots(op: &mut COp, f: &mut impl FnMut(&mut u32, bool)) {
     match op {
         COp::LdArg { dst, .. } | COp::Special { dst, .. } => f(dst, true),
-        COp::Ld { dst, addr: src, .. } | COp::Cvt { dst, src, .. } => {
+        COp::Ld { dst, addr, .. } => {
+            use_addr(addr, f);
+            f(dst, true);
+        }
+        COp::Cvt { dst, src, .. } => {
             f(src, false);
             f(dst, true);
         }
         COp::St { addr, src, .. } => {
-            f(addr, false);
+            use_addr(addr, f);
             use_aval(src, f);
         }
         COp::Mov { dst, src, .. } | COp::Neg { dst, src, .. } => {
@@ -527,39 +603,15 @@ fn visit_slots(op: &mut COp, f: &mut impl FnMut(&mut u32, bool)) {
     }
 }
 
-/// A kernel's register allocation.
-struct Registers {
-    /// Peak simultaneously live 32-bit equivalents (occupancy input).
-    per_thread: u32,
-    /// Columns the program's slots were rewritten to.
-    cols: u32,
-    /// Leading columns read before any write.
-    zeroed: u32,
-}
-
-/// Allocate registers by live range, approximated as first to last mention
-/// (exact for the straight-line streaming kernels the generator emits,
-/// whose only branches are exits). One walk over the program finds the
-/// ranges, whose sweep gives the occupancy estimate — peak simultaneously
-/// live 32-bit equivalents (`widths`, per slot); a second rewrites the
-/// slots to columns in place, a column per register, free again after its
-/// last mention. A register read before any write keeps a column of its own
-/// among the leading zeroed ones, so the read sees 0 as in a fresh register
-/// file.
-fn allocate_registers(code: &mut [COp], widths: &[u32]) -> Registers {
-    const NONE: u32 = u32::MAX;
-    let n = widths.len();
-    let mut first = vec![NONE; n];
-    let mut last = vec![0u32; n];
-    let mut zeroed: Vec<u32> = Vec::new();
-    // +width at first mention, -width after last mention
-    let mut delta = vec![0i64; code.len() + 1];
+/// First and last mention of each of `n` slots (`NONE` if never
+/// mentioned), and the slots read before any write, in first-mention order.
+fn live_ranges(code: &mut [COp], n: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let (mut first, mut last, mut zeroed) = (vec![NONE; n], vec![0u32; n], Vec::new());
     for (i, op) in code.iter_mut().enumerate() {
         visit_slots(op, &mut |s, def| {
             let s = *s as usize;
             if first[s] == NONE {
                 first[s] = i as u32;
-                delta[i] += i64::from(widths[s]);
                 if !def {
                     zeroed.push(s as u32);
                 }
@@ -567,9 +619,25 @@ fn allocate_registers(code: &mut [COp], widths: &[u32]) -> Registers {
             last[s] = i as u32;
         });
     }
-    for s in 0..n {
+    (first, last, zeroed)
+}
+
+const NONE: u32 = u32::MAX;
+
+/// The occupancy estimate: peak simultaneously live 32-bit equivalents
+/// (`widths`, per slot), a live range approximated as first to last
+/// mention (exact for the straight-line streaming kernels the generator
+/// emits, whose only branches are exits). A floor of 16 mirrors the
+/// ABI/reserved registers of real kernels; a ceiling of 255 mirrors the
+/// hardware limit (real kernels spill to local memory beyond it).
+fn peak_live_regs(code: &mut [COp], widths: &[u32]) -> u32 {
+    let (first, last, _) = live_ranges(code, widths.len());
+    // +width at first mention, -width after last mention
+    let mut delta = vec![0i64; code.len() + 1];
+    for (s, &w) in widths.iter().enumerate() {
         if first[s] != NONE {
-            delta[last[s] as usize + 1] -= i64::from(widths[s]);
+            delta[first[s] as usize] += i64::from(w);
+            delta[last[s] as usize + 1] -= i64::from(w);
         }
     }
     let (mut live, mut peak) = (0i64, 0i64);
@@ -577,7 +645,147 @@ fn allocate_registers(code: &mut [COp], widths: &[u32]) -> Registers {
         live += d;
         peak = peak.max(live);
     }
+    (peak as u32).clamp(16, 255)
+}
 
+/// Fold each load's and store's address chain into [`Addr::Indexed`],
+/// then drop every definition the fold left without a use — ptxas'
+/// `[reg+imm]` addressing, widened to the generator's whole chain:
+///
+/// ```text
+/// ld.param.u64 base, [p];  add.u32 idx, site, K;  mul.wide.u32 off, idx, W;
+/// add.u64 a, base, off;  ld [a+imm]   →   ld [p + ((site +₃₂ K) as u64)·W + imm]
+/// ```
+///
+/// The base is read from the argument array, so the sweep drops the
+/// pointer's `ld.param` too. The u32 wrap of `site + K` is kept, so the
+/// fold is exact at any volume. Only registers defined once, before the
+/// instruction that reads them, take part: each folded operand then holds
+/// at the access the value it held in the chain (the program is
+/// straight-line but for exits). Any other address — a `selp` of a remote
+/// and a local one, a hand-written `[reg+imm]` — stays [`Addr::Reg`].
+fn fold_addresses(code: &mut Vec<COp>, n: usize) {
+    let (mut defs, mut def_at) = (vec![0u32; n], vec![NONE; n]);
+    for (i, op) in code.iter_mut().enumerate() {
+        visit_slots(op, &mut |s, def| {
+            if def {
+                defs[*s as usize] += 1;
+                def_at[*s as usize] = i as u32;
+            }
+        });
+    }
+    // Defined once, before instruction `at`; its single definition.
+    let stable = |s: u32, at: usize| defs[s as usize] == 1 && (def_at[s as usize] as usize) < at;
+    let def = |s: u32, at: usize| {
+        let i = def_at[s as usize] as usize;
+        stable(s, at).then(|| (&code[i], i))
+    };
+    let fold = |a: Addr, at: usize| -> Option<Addr> {
+        let Addr::Reg { slot, offset } = a else {
+            return None;
+        };
+        let Some((&COp::Bin { op: BinOp::Add, ty: PtxType::U64, a, b, .. }, add_at)) =
+            def(slot, at)
+        else {
+            return None;
+        };
+        let (AVal::Slot(x), AVal::Slot(y)) = (a, b) else {
+            return None;
+        };
+        [(x, y), (y, x)].into_iter().find_map(|(base, off)| {
+            let (&COp::LdArg { arg, ty: PtxType::U64, .. }, _) = def(base, add_at)? else {
+                return None;
+            };
+            let (&COp::MulWide { a: idx, b: AVal::Imm(w), .. }, mul_at) = def(off, add_at)? else {
+                return None;
+            };
+            let (site, k) = match def(idx, mul_at) {
+                Some((
+                    &COp::Bin {
+                        op: BinOp::Add,
+                        ty: PtxType::U32,
+                        a: AVal::Slot(site),
+                        b: AVal::Imm(k),
+                        ..
+                    },
+                    idx_at,
+                )) if stable(site, idx_at) => (site, k as u32),
+                _ if stable(idx, mul_at) => (idx, 0),
+                _ => return None,
+            };
+            Some(Addr::Indexed {
+                arg,
+                site,
+                k,
+                scale: w as u32,
+                offset,
+            })
+        })
+    };
+    let folded: Vec<(usize, Addr)> = code
+        .iter()
+        .enumerate()
+        .filter_map(|(i, op)| match op {
+            COp::Ld { addr, .. } | COp::St { addr, .. } => Some((i, fold(*addr, i)?)),
+            _ => None,
+        })
+        .collect();
+    for (i, a) in folded {
+        if let COp::Ld { addr, .. } | COp::St { addr, .. } = &mut code[i] {
+            *addr = a;
+        }
+    }
+
+    // Dead-code sweep, last instruction first, so a chain dies link by link.
+    let mut uses = vec![0u32; n];
+    for op in code.iter_mut() {
+        visit_slots(op, &mut |s, def| uses[*s as usize] += u32::from(!def));
+    }
+    let mut keep = vec![true; code.len()];
+    for (i, op) in code.iter_mut().enumerate().rev() {
+        if matches!(op, COp::Ld { .. } | COp::St { .. } | COp::Bra { .. } | COp::Ret) {
+            continue;
+        }
+        let mut dead = false;
+        visit_slots(op, &mut |s, def| dead |= def && uses[*s as usize] == 0);
+        if dead {
+            keep[i] = false;
+            visit_slots(op, &mut |s, def| uses[*s as usize] -= u32::from(!def));
+        }
+    }
+    // Exit targets (always a kept `ret`) move down by the ops dropped before them.
+    let new_index: Vec<u32> = keep
+        .iter()
+        .scan(0u32, |kept, &k| {
+            let at = *kept;
+            *kept += u32::from(k);
+            Some(at)
+        })
+        .collect();
+    let mut kept = keep.into_iter();
+    code.retain_mut(|op| {
+        if let COp::Bra { target, .. } = op {
+            *target = new_index[*target as usize];
+        }
+        kept.next() == Some(true)
+    });
+}
+
+/// A kernel's register columns.
+struct Registers {
+    /// Columns the program's slots were rewritten to.
+    cols: u32,
+    /// Leading columns read before any write.
+    zeroed: u32,
+}
+
+/// Allocate `n` slots to columns by live range, approximated as first to
+/// last mention: a column per register, free again after its last
+/// mention. A register read before any write keeps a column of its own
+/// among the leading zeroed ones, so the read sees 0 as in a fresh register
+/// file.
+fn allocate_registers(code: &mut [COp], n: usize) -> Registers {
+    let (_, mut last, zeroed) = live_ranges(code, n);
     let mut col = vec![NONE; n];
     for (c, &s) in zeroed.iter().enumerate() {
         col[s as usize] = c as u32;
@@ -611,10 +819,6 @@ fn allocate_registers(code: &mut [COp], widths: &[u32]) -> Registers {
         dying.clear();
     }
     Registers {
-        // A floor of 16 mirrors the ABI/reserved registers of real kernels;
-        // a ceiling of 255 mirrors the hardware limit (the driver spills to
-        // local memory beyond it).
-        per_thread: (peak as u32).clamp(16, 255),
         cols: n_cols,
         zeroed: n_zeroed,
     }
@@ -736,61 +940,231 @@ mod tests {
         qdp_ptx::parse::parse_module(text).unwrap().kernels.remove(0)
     }
 
-    /// Checked against the registers' live ranges in the PTX itself: every
-    /// register keeps one column, and a column's registers never overlap.
+    /// Checked against the registers' live ranges in the PTX itself. The
+    /// unfolded lowering mentions exactly the registers each PTX instruction
+    /// reads and writes; each folded access is the address its PTX chain
+    /// computes, and it reads the chain's site register instead of the
+    /// address register. Over those PTX-derived ranges of the folded
+    /// program, every register keeps one column and a column's registers
+    /// never overlap. The goldens hold no `selp`, so a halo-shaped kernel
+    /// whose selected address stays `[reg+imm]` joins them.
     #[test]
     fn live_registers_never_share_a_column() {
         for (name, text) in GOLDEN_PTX {
-            let kernel = parse_golden(text);
-            let c = lower_kernel(&kernel).unwrap();
-            assert_eq!(c.n_zeroed, 0, "{name}: generated code writes before it reads");
-            let body: Vec<&Inst> = kernel
-                .body
-                .iter()
-                .filter(|i| !matches!(i, Inst::Label { .. }))
-                .collect();
-            assert_eq!(body.len(), c.code.len(), "{name}");
-            let mut ranges: HashMap<Reg, (usize, usize)> = HashMap::new();
-            let mut cols: HashMap<Reg, u32> = HashMap::new();
+            columns_follow_the_ptx(name, &parse_golden(text));
+        }
+        let select = build_select();
+        columns_follow_the_ptx("select", &select);
+        let folded: Vec<bool> = (lower_kernel(&select).unwrap().code.iter())
+            .filter_map(|op| match op {
+                COp::Ld { addr, .. } | COp::St { addr, .. } => {
+                    Some(matches!(addr, Addr::Indexed { .. }))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(folded, [false, true], "select: the load keeps its register");
+    }
+
+    /// A `selp` picks one of two addresses, as a halo kernel picks a
+    /// receive buffer or the local field: its predicate is live across
+    /// other definitions, the selected load keeps `[reg+imm]`, and the
+    /// store folds.
+    fn build_select() -> Kernel {
+        let mut b = KernelBuilder::new("select");
+        let [p_out, p_in] = ["out", "in"].map(|p| b.param(p, PtxType::U64));
+        let tid = b.global_tid();
+        let local = b.fresh(RegClass::Pred);
+        b.push(Inst::Setp {
+            cmp: CmpOp::Ne,
+            ty: PtxType::U32,
+            dst: local,
+            a: tid.into(),
+            b: Operand::ImmI(0),
+        });
+        let off = b.fresh(RegClass::B64);
+        b.push(Inst::MulWide {
+            dst: off,
+            a: tid,
+            b: Operand::ImmI(8),
+        });
+        let [a_in, a_out] = [p_in, p_out].map(|p| {
+            let base = b.ld_param(&p, PtxType::U64);
+            b.bin(BinOp::Add, PtxType::U64, base.into(), off.into())
+        });
+        let a = b.fresh(RegClass::B64);
+        b.push(Inst::Selp {
+            ty: PtxType::U64,
+            dst: a,
+            a: a_in.into(),
+            b: a_out.into(),
+            pred: local,
+        });
+        let v = b.fresh(RegClass::F64);
+        b.push(Inst::LdGlobal {
+            ty: PtxType::F64,
+            dst: v,
+            addr: a,
+            offset: 0,
+        });
+        b.push(Inst::StGlobal {
+            ty: PtxType::F64,
+            addr: a_out,
+            offset: 0,
+            src: v.into(),
+        });
+        b.finish()
+    }
+
+    fn columns_follow_the_ptx(name: &str, kernel: &Kernel) {
+        let body: Vec<&Inst> = kernel
+            .body
+            .iter()
+            .filter(|i| !matches!(i, Inst::Label { .. }))
+            .collect();
+        let slot = |r: &Reg| {
+            let bank = RegClass::all().iter().position(|c| *c == r.class).unwrap();
+            kernel.reg_counts[..bank].iter().sum::<u32>() + r.id
+        };
+        let mentions = |op: &COp| {
+            let mut slots = Vec::new();
+            visit_slots(&mut op.clone(), &mut |s, def| slots.push((*s, def)));
+            slots
+        };
+        let t = translate(kernel).unwrap();
+        assert_eq!(body.len(), t.code.len(), "{name}");
+        let mut defs: HashMap<Reg, &Inst> = HashMap::new();
+        for (inst, op) in body.iter().zip(&t.code) {
+            let mut uses = Vec::new();
+            inst.use_regs(&mut uses);
+            let mut uses: Vec<u32> = uses.iter().map(slot).collect();
+            uses.sort_unstable();
+            let def = inst.def_reg();
+            let got = mentions(op);
+            let got_def = got.iter().find(|(_, d)| *d).map(|(s, _)| *s);
+            let mut got: Vec<u32> = got.iter().filter(|(_, d)| !d).map(|(s, _)| *s).collect();
+            got.sort_unstable();
+            assert_eq!((got, got_def), (uses, def.map(|r| slot(&r))), "{name}: {inst:?}");
+            defs.extend(def.map(|r| (r, *inst)));
+        }
+
+        // What the PTX chain behind address register `a` computes, as
+        // the folded form and the register the chain starts from.
+        let chain = |a: Reg, offset: i64| -> (Addr, Reg) {
+            let Inst::Binary {
+                op: BinOp::Add,
+                ty: PtxType::U64,
+                a: Operand::Reg(x),
+                b: Operand::Reg(y),
+                ..
+            } = defs[&a]
+            else {
+                panic!("{name}: {a} is not an add.u64")
+            };
+            let (base, off) = if matches!(defs[x], Inst::LdParam { .. }) { (x, y) } else { (y, x) };
+            let (Inst::LdParam { param, .. }, Inst::MulWide { a: idx, b: Operand::ImmI(w), .. }) =
+                (defs[base], defs[off])
+            else {
+                panic!("{name}: {a} is not a pointer plus a scaled index")
+            };
+            let (site, k) = match defs.get(idx) {
+                Some(Inst::Binary {
+                    op: BinOp::Add,
+                    ty: PtxType::U32,
+                    a: Operand::Reg(site),
+                    b: Operand::ImmI(k),
+                    ..
+                }) => (*site, *k as u32),
+                _ => (*idx, 0),
+            };
+            let arg = kernel.params.iter().position(|p| p.name == *param).unwrap();
+            let addr = Addr::Indexed {
+                arg: arg as u32,
+                site: slot(&site),
+                k,
+                scale: *w as u32,
+                offset,
+            };
+            (addr, site)
+        };
+
+        let mut folded = t.code.clone();
+        fold_addresses(&mut folded, t.widths.len());
+        let mut code = folded.clone();
+        let regs = allocate_registers(&mut code, t.widths.len());
+        assert_eq!(code, lower_kernel(kernel).unwrap().code, "{name}");
+        assert_eq!(regs.zeroed, 0, "{name}: generated code writes before it reads");
+
+        // The fold keeps each op it does not drop, in order; only an
+        // access's address and an exit's target change.
+        let plain = |op: &COp| {
+            let mut op = op.clone();
+            match &mut op {
+                COp::Ld { addr, .. } | COp::St { addr, .. } => {
+                    *addr = Addr::Reg { slot: 0, offset: 0 }
+                }
+                COp::Bra { target, .. } => *target = 0,
+                _ => {}
+            }
+            op
+        };
+        let mut at = 0;
+        let mut ranges: HashMap<Reg, (usize, usize)> = HashMap::new();
+        for (j, op) in folded.iter().enumerate() {
+            while plain(&t.code[at]) != plain(op) {
+                at += 1;
+                assert!(at < t.code.len(), "{name}: op {j} is not in the unfolded program");
+            }
+            let inst = body[at];
+            at += 1;
             let mut regs = Vec::new();
-            for (i, (inst, op)) in body.iter().zip(&c.code).enumerate() {
-                regs.clear();
-                inst.use_regs(&mut regs);
-                regs.extend(inst.def_reg());
-                for r in &regs {
-                    ranges.entry(*r).or_insert((i, i)).1 = i;
-                }
-                if let Some(r) = inst.def_reg() {
-                    let mut def_col = None;
-                    visit_slots(&mut op.clone(), &mut |s, def| {
-                        if def {
-                            def_col = Some(*s);
-                        }
-                    });
-                    let col = def_col.unwrap();
-                    assert_eq!(*cols.entry(r).or_insert(col), col, "{name}: {r} moved");
-                }
+            inst.use_regs(&mut regs);
+            regs.extend(inst.def_reg());
+            if let COp::Ld { addr: addr @ Addr::Indexed { .. }, .. }
+            | COp::St { addr: addr @ Addr::Indexed { .. }, .. } = op
+            {
+                let (Inst::LdGlobal { addr: a, offset, .. } | Inst::StGlobal { addr: a, offset, .. }) =
+                    inst
+                else {
+                    panic!("{name}: op {j} folds {inst:?}")
+                };
+                let (want, site) = chain(*a, *offset);
+                assert_eq!(*addr, want, "{name}: op {j}");
+                regs.retain(|r| r != a);
+                regs.push(site);
             }
-            let mut by_col: HashMap<u32, Vec<(usize, usize)>> = HashMap::new();
-            for (r, range) in &ranges {
-                by_col.entry(cols[r]).or_default().push(*range);
+            for r in regs {
+                ranges.entry(r).or_insert((j, j)).1 = j;
             }
-            assert_eq!(by_col.len() as u32, c.n_cols, "{name}");
-            for (col, mut rs) in by_col {
-                rs.sort_unstable();
-                for w in rs.windows(2) {
-                    assert!(w[0].1 < w[1].0, "{name}: column {col} holds {w:?} at once");
-                }
+        }
+
+        let mut cols: HashMap<u32, u32> = HashMap::new();
+        for (before, after) in folded.iter().zip(&code) {
+            for ((s, _), (c, _)) in mentions(before).into_iter().zip(mentions(after)) {
+                assert_eq!(*cols.entry(s).or_insert(c), c, "{name}: slot {s} moved");
+            }
+        }
+        let mut by_col: HashMap<u32, Vec<(usize, usize)>> = HashMap::new();
+        for (r, range) in &ranges {
+            let col = cols.get(&slot(r));
+            let col = col.unwrap_or_else(|| panic!("{name}: {r} is live but has no column"));
+            by_col.entry(*col).or_default().push(*range);
+        }
+        assert_eq!(by_col.len() as u32, regs.cols, "{name}");
+        for (col, mut rs) in by_col {
+            rs.sort_unstable();
+            for w in rs.windows(2) {
+                assert!(w[0].1 < w[1].0, "{name}: column {col} holds {w:?} at once");
             }
         }
     }
 
     #[test]
-    fn dslash_compacts_to_a_hundred_odd_columns() {
+    fn dslash_compacts_to_a_few_dozen_columns() {
         for ((name, text), (want_declared, want_cols)) in GOLDEN_PTX
             .iter()
             .filter(|(n, _)| n.starts_with("wilson_dslash"))
-            .zip([(3256, 124), (3255, 123)])
+            .zip([(2278, 68), (2277, 68)])
         {
             let kernel = parse_golden(text);
             let declared: u32 = kernel.reg_counts.iter().sum();
@@ -813,8 +1187,8 @@ mod tests {
             "86fbc370a06edb51",
             "71f596d956c9e4b3",
             "f74ca32216821b98",
-            "51b6ed6655b0b563",
-            "fb422f28abc4d42f",
+            "c1db953840ff162b",
+            "971b6acd4e12fc17",
         ];
         for ((name, text), o1) in GOLDEN_PTX.iter().zip(pinned) {
             let module = qdp_ptx::parse::parse_module(text).unwrap();
@@ -832,10 +1206,30 @@ mod tests {
     /// register had its own slot.
     #[test]
     fn regs_per_thread_is_pinned() {
-        let pinned = [150, 154, 122, 43, 122, 247, 159];
+        let pinned = [150, 154, 122, 43, 122, 193, 135];
         for ((name, text), want) in GOLDEN_PTX.iter().zip(pinned) {
             let c = lower_kernel(&parse_golden(text)).unwrap();
             assert_eq!(c.regs_per_thread, want, "{name}");
+        }
+    }
+
+    /// Lowered ops per golden after the address fold: every address chain
+    /// folds into its load or store, and the pointer-parameter loads go.
+    #[test]
+    fn lowered_op_count_is_pinned() {
+        let pinned = [129, 179, 190, 46, 215, 1498, 1498];
+        let got: Vec<usize> = GOLDEN_PTX
+            .iter()
+            .map(|(_, text)| lower_kernel(&parse_golden(text)).unwrap().code.len())
+            .collect();
+        assert_eq!(got, pinned);
+        for (name, text) in GOLDEN_PTX {
+            let c = lower_kernel(&parse_golden(text)).unwrap();
+            let left = c.code.iter().filter(|op| {
+                matches!(op, COp::MulWide { .. } | COp::LdArg { ty: PtxType::U64, .. })
+                    || matches!(op, COp::Bin { ty: PtxType::U64, .. })
+            });
+            assert_eq!(left.count(), 0, "{name}: address arithmetic left after the fold");
         }
     }
 

@@ -17,7 +17,7 @@ use crate::clover_block::{CloverDiag, CloverTriang};
 use crate::complex::Complex;
 use crate::inner::{PMatrix, PScalar, PVector};
 use crate::real::{FloatType, Real};
-use crate::{ColorMatrix, Fermion, SpinMatrix};
+use crate::{ColorMatrix, Fermion, HalfFermion, SpinMatrix};
 
 /// Semantic kind of a site element, used by codegen to pick the right
 /// inner-level algebra.
@@ -29,6 +29,10 @@ pub enum ElemKind {
     Complex,
     /// Table I `LatticeFermion` — spin-vector ⊗ color-vector ⊗ complex.
     Fermion,
+    /// A spin-projected fermion (QDP++ `HalfFermion`): two spin components
+    /// ⊗ color-vector ⊗ complex, what the Wilson hopping term multiplies
+    /// by the link and shifts.
+    HalfFermion,
     /// Table I `LatticeColorMatrix` — spin-scalar ⊗ color-matrix ⊗ complex.
     ColorMatrix,
     /// Table I `LatticeSpinMatrix` — spin-matrix ⊗ color-scalar ⊗ complex.
@@ -61,6 +65,7 @@ impl TypeShape {
             ElemKind::Real => (1, 1, 1),
             ElemKind::Complex => (1, 1, 2),
             ElemKind::Fermion => (4, 3, 2),
+            ElemKind::HalfFermion => (2, 3, 2),
             ElemKind::ColorMatrix => (1, 9, 2),
             ElemKind::SpinMatrix => (16, 1, 2),
             ElemKind::CloverDiag => (2, 6, 1),
@@ -151,6 +156,35 @@ impl<R: Real> LatticeElem<R> for Fermion<R> {
     fn flatten(&self, out: &mut [R]) {
         let sh = Self::SHAPE;
         for s in 0..4 {
+            for c in 0..3 {
+                let z = self.0[s].0[c];
+                out[sh.comp_index(s, c, 0)] = z.re;
+                out[sh.comp_index(s, c, 1)] = z.im;
+            }
+        }
+    }
+    fn unflatten(data: &[R]) -> Self {
+        let sh = Self::SHAPE;
+        PVector::from_fn(|s| {
+            PVector::from_fn(|c| {
+                Complex::new(data[sh.comp_index(s, c, 0)], data[sh.comp_index(s, c, 1)])
+            })
+        })
+    }
+}
+
+// --- HalfFermion ---------------------------------------------------------------
+
+impl<R: Real> LatticeElem<R> for HalfFermion<R> {
+    const SHAPE: TypeShape = TypeShape {
+        kind: ElemKind::HalfFermion,
+        is: 2,
+        ic: 3,
+        ir: 2,
+    };
+    fn flatten(&self, out: &mut [R]) {
+        let sh = Self::SHAPE;
+        for s in 0..2 {
             for c in 0..3 {
                 let z = self.0[s].0[c];
                 out[sh.comp_index(s, c, 0)] = z.re;
@@ -290,6 +324,7 @@ mod tests {
     fn shapes_match_table_one() {
         // Table I: the five data types and their index-domain sizes.
         assert_eq!(TypeShape::of(ElemKind::Fermion).n_reals(), 24);
+        assert_eq!(TypeShape::of(ElemKind::HalfFermion).n_reals(), 12);
         assert_eq!(TypeShape::of(ElemKind::ColorMatrix).n_reals(), 18);
         assert_eq!(TypeShape::of(ElemKind::SpinMatrix).n_reals(), 32);
         assert_eq!(TypeShape::of(ElemKind::CloverDiag).n_reals(), 12);

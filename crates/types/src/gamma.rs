@@ -183,6 +183,78 @@ impl Gamma {
     }
 }
 
+/// The sign of a Wilson spin projector `1 ± γ_µ` (Chroma's `isign`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ProjSign {
+    /// `1 + γ_µ`.
+    Plus,
+    /// `1 − γ_µ`.
+    Minus,
+}
+
+impl ProjSign {
+    /// The other sign.
+    pub fn flip(self) -> ProjSign {
+        match self {
+            ProjSign::Plus => ProjSign::Minus,
+            ProjSign::Minus => ProjSign::Plus,
+        }
+    }
+}
+
+/// The Wilson spin projector `P = 1 ± γ_µ`, split like Chroma's
+/// `spinProjectDir`/`spinReconstructDir` pair.
+///
+/// In the chiral basis `γ_µ` maps spins {0, 1} onto {2, 3} and back, and
+/// `(±γ_µ)² = 1`, so `P` has rank 2: rows 0 and 1 of `Pψ`,
+/// `h_k = ψ_k + g_k·ψ_{c_k}`, carry all of it, and row `j ∈ {2, 3}` is
+/// `g_j·h_{c_j}` (`g_s`, `c_s`: phase and column of row `s` of `±γ_µ`).
+/// Both row sets are read off [`Gamma::gamma_mu`] when the projector is
+/// built; nothing is tabulated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SpinProjector {
+    /// Direction `µ ∈ 0..4`.
+    pub mu: usize,
+    /// The sign in `1 ± γ_µ`.
+    pub sign: ProjSign,
+    /// `±γ_µ`: row `s` holds `phase[s]` at column `col[s]`.
+    pub gamma: Gamma,
+}
+
+impl SpinProjector {
+    /// `1 ± γ_µ`. Panics unless `±γ_µ` squares to one and swaps the upper
+    /// and lower spin pairs — the two facts the half-spinor form rests on.
+    pub fn new(mu: usize, sign: ProjSign) -> SpinProjector {
+        let gamma = match sign {
+            ProjSign::Plus => Gamma::gamma_mu(mu),
+            ProjSign::Minus => Gamma::gamma_mu(mu).scaled(Phase::MinusOne),
+        };
+        assert_eq!(gamma.mul(gamma), Gamma::identity(), "(±γ_{mu})² ≠ 1");
+        assert!(
+            (0..4).all(|s| (gamma.col[s] < 2) != (s < 2)),
+            "γ_{mu} is not block off-diagonal in the spin pairs"
+        );
+        SpinProjector { mu, sign, gamma }
+    }
+
+    /// Row `k ∈ {0, 1}` of the half spinor: `h_k = ψ_k + phase·ψ_col`,
+    /// as `(col, phase)`.
+    pub fn project_row(&self, k: usize) -> (usize, Phase) {
+        debug_assert!(k < 2);
+        (self.gamma.col[k] as usize, self.gamma.phase[k])
+    }
+
+    /// Row `s ∈ 0..4` of `Pψ` from the half spinor: `phase·h_row`, as
+    /// `(row, phase)`.
+    pub fn reconstruct_row(&self, s: usize) -> (usize, Phase) {
+        if s < 2 {
+            (s, Phase::One)
+        } else {
+            (self.gamma.col[s] as usize, self.gamma.phase[s])
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,5 +359,32 @@ mod tests {
         assert_eq!(Phase::I.apply(z), z.mul_i());
         assert_eq!(Phase::MinusI.apply(z), z.mul_neg_i());
         assert_eq!(Phase::MinusOne.apply(z), -z);
+    }
+
+    #[test]
+    fn projector_pair_is_one_plus_minus_gamma() {
+        let psi: Fermion<f64> = PVector::from_fn(|s| {
+            PVector::from_fn(|c| Complex::new((s * 3 + c) as f64 - 2.5, 0.5 * s as f64 - c as f64))
+        });
+        for mu in 0..4 {
+            let g = Gamma::gamma_mu(mu).apply_fermion(&psi);
+            for (sign, want) in [
+                (ProjSign::Plus, psi + g),
+                (ProjSign::Minus, psi - g),
+            ] {
+                let p = SpinProjector::new(mu, sign);
+                let h: [[Complex<f64>; 3]; 2] = std::array::from_fn(|k| {
+                    let (col, phase) = p.project_row(k);
+                    std::array::from_fn(|c| psi.0[k].0[c] + phase.apply(psi.0[col].0[c]))
+                });
+                for s in 0..4 {
+                    let (row, phase) = p.reconstruct_row(s);
+                    for (c, &x) in h[row].iter().enumerate() {
+                        let got = phase.apply(x);
+                        assert_eq!(got, want.0[s].0[c], "mu {mu} {sign:?} s {s} c {c}");
+                    }
+                }
+            }
+        }
     }
 }

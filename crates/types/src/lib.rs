@@ -30,7 +30,7 @@ pub mod su3;
 pub use clover_block::{CloverBlockPacked, CloverDiag, CloverTriang};
 pub use complex::Complex;
 pub use elem::{LatticeElem, TypeShape};
-pub use gamma::{Gamma, Phase};
+pub use gamma::{Gamma, Phase, ProjSign, SpinProjector};
 pub use inner::{PMatrix, PScalar, PVector};
 pub use real::{FloatType, Real};
 pub use elem::ElemKind;
@@ -42,6 +42,10 @@ pub type ColorVector<R> = PVector<Complex<R>, 3>;
 /// A lattice fermion site element: spin-vector ⊗ color-vector ⊗ complex
 /// (Table I, `LatticeFermion`).
 pub type Fermion<R> = PVector<ColorVector<R>, 4>;
+
+/// A spin-projected fermion: the two independent spin components of
+/// `(1 ± γ_µ)ψ` (QDP++ `HalfFermion`).
+pub type HalfFermion<R> = PVector<ColorVector<R>, 2>;
 
 /// A gauge-link site element: spin-scalar ⊗ color-matrix ⊗ complex
 /// (Table I, `LatticeColorMatrix`).
