@@ -431,6 +431,22 @@ if [ -n "$sandwich$forms$bare" ]; then
 fi
 echo "ok: one projector, one load form (M† flips the projector signs; loads and stores take one Addr)"
 
+# ---- Guard: one reduction order -----------------------------------------------
+# A reduction temporary is summed in lane order (site s into partial s mod 8,
+# then a fixed eight-way tree), the shape of the device's grid-stride loop
+# and shared-memory tree: the serial site-order chain and the oracle that
+# pinned it stay deleted. crates/benchmark is frozen and skipped. (Spelled
+# in pieces, as above.)
+twins="site_order""_sums|site-order"" fold"
+stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
+    | grep -v '^crates/benchmark/' || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: the serial site-order reduction or its oracle is back:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+echo "ok: one reduction order (lane-order partials and a fixed tree, no serial site-order chain)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

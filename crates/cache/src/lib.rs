@@ -32,6 +32,11 @@
 //!   place ([`CacheStats::first_touches`]), so solver temporaries and
 //!   reduction scratch never move bytes over PCIe. Host access or a dirty
 //!   page-out creates the host buffer on demand.
+//! * **Scratch first touch: no copy, no fill.** A field registered with
+//!   [`MemoryCache::register_scratch`] is one whose first kernel writes
+//!   every byte before anything reads it (a full-lattice reduction
+//!   temporary). Its first touch allocates the device range and leaves
+//!   whatever the arena held there; it still counts as a first touch.
 
 use qdp_gpu_sim::sync::Mutex;
 use qdp_gpu_sim::{Device, DeviceError, DevicePtr, StreamId};
@@ -65,7 +70,7 @@ pub struct CacheStats {
     /// Page-ins (host → device copies).
     pub page_ins: u64,
     /// First touches: device copies of never-written fields, zero-filled
-    /// in place instead of paged in.
+    /// in place (or, for scratch fields, left unfilled) instead of paged in.
     pub first_touches: u64,
     /// Page-outs due to host access.
     pub page_outs: u64,
@@ -83,6 +88,8 @@ struct Entry {
     device: Option<DevicePtr>,
     state: Residency,
     last_touch: u64,
+    /// Written whole by its first kernel: a first touch skips the fill.
+    scratch: bool,
 }
 
 impl Entry {
@@ -150,6 +157,18 @@ impl MemoryCache {
     /// Register a new field of `bytes` zero-initialised bytes; returns its
     /// id. No memory is allocated until the field is first touched.
     pub fn register(&self, bytes: usize) -> FieldId {
+        self.insert(bytes, false)
+    }
+
+    /// Register a scratch field of `bytes` bytes that the caller's first
+    /// kernel overwrites whole before anything reads it; returns its id.
+    /// Its first touch allocates without zero-filling, so the device range
+    /// holds junk until that kernel runs.
+    pub fn register_scratch(&self, bytes: usize) -> FieldId {
+        self.insert(bytes, true)
+    }
+
+    fn insert(&self, bytes: usize, scratch: bool) -> FieldId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let tel = self.device.telemetry();
         if tel.enabled() {
@@ -164,6 +183,7 @@ impl MemoryCache {
                 device: None,
                 state: Residency::HostOnly,
                 last_touch: 0,
+                scratch,
             },
         );
         id
@@ -313,11 +333,14 @@ impl MemoryCache {
                     }
                 }
                 None => {
-                    // Never written: the contents are zeros by contract.
-                    // QDP++ leaves new fields uninitialised, so this fill is
-                    // the simulator keeping our zero contract, not a
-                    // transfer — it adds no simulated time.
-                    self.device.memory().fill_zero(ptr, bytes);
+                    // Never written: the contents are zeros by contract,
+                    // unless the field is scratch its first kernel writes
+                    // whole. QDP++ leaves new fields uninitialised, so this
+                    // fill is the simulator keeping our zero contract, not
+                    // a transfer — it adds no simulated time.
+                    if !e.scratch {
+                        self.device.memory().fill_zero(ptr, bytes);
+                    }
                     stats.first_touches += 1;
                     if tel.enabled() {
                         tel.count("cache.first_touches", 1);
@@ -420,6 +443,40 @@ mod tests {
         // A clean page-out moves nothing and the host still reads zeros.
         assert!(c.with_host(f, |h| h.iter().all(|&b| b == 0)).unwrap());
         assert_eq!(c.device().stats().d2h_copies, before.d2h_copies);
+    }
+
+    #[test]
+    fn scratch_first_touch_skips_the_fill_and_still_counts() {
+        let c = cache_with(1 << 20);
+        // Leave 0xab bytes behind in the arena for the next field.
+        let leave_junk = || {
+            let junk = c.device().alloc(4096).unwrap();
+            c.device().memory().copy_from_host(junk, &[0xab; 4096]);
+            c.device().free(junk);
+            junk
+        };
+        let bytes_at = |p| {
+            let mut host = vec![0u8; 4096];
+            c.device().memory().copy_to_host(p, &mut host);
+            host
+        };
+
+        let junk = leave_junk();
+        let s = c.register_scratch(4096);
+        let p = c.assure_on_device(&[s]).unwrap()[0];
+        assert_eq!(p, junk, "the scratch field reuses the dirtied range");
+        assert!(bytes_at(p).iter().all(|&b| b == 0xab), "no fill");
+        c.unregister(s);
+
+        let junk = leave_junk();
+        let f = c.register(4096);
+        let p = c.assure_on_device(&[f]).unwrap()[0];
+        assert_eq!(p, junk, "the plain field reuses the dirtied range");
+        assert!(bytes_at(p).iter().all(|&b| b == 0), "zero fill");
+
+        let st = c.stats();
+        assert_eq!((st.page_ins, st.first_touches), (0, 2));
+        assert_eq!(c.device().stats().h2d_copies, 0);
     }
 
     #[test]

@@ -266,7 +266,8 @@ pub fn eval_fused_sequence(
 }
 
 /// The one reduction body: record a site-local temporary per expression
-/// behind `pending`, flush (the temp evaluations fuse with any pending
+/// behind `pending` (scratch its kernel writes whole when `subset` is
+/// [`Subset::All`]), flush (the temp evaluations fuse with any pending
 /// producers), run one combined reduction pass per budget-sized batch,
 /// free the temporaries. An immediate reduction is a scope of one: nothing
 /// pending, one expression.
@@ -283,7 +284,14 @@ pub(crate) fn reduce_recorded(
         debug_assert!(matches!(kind, ElemKind::Real | ElemKind::Complex));
         let n_comp = TypeShape::of(kind).n_reals();
         let ft = expr.float_type();
-        let id = ctx.cache().register(vol * n_comp * ft.size_bytes());
+        let bytes = vol * n_comp * ft.size_bytes();
+        // A full-lattice temporary is written whole by its kernel before
+        // the sum reads it, so its first touch skips the zero fill; a
+        // subset's sum reads the zeros at the other sites.
+        let id = match subset {
+            Subset::All => ctx.cache().register_scratch(bytes),
+            Subset::Even | Subset::Odd => ctx.cache().register(bytes),
+        };
         let target = FieldRef { id, kind, ft };
         temps.push((target, n_comp));
         pending.push(Stmt {

@@ -676,8 +676,8 @@ pub fn eval_reference(
 /// Account one combined runtime tree-reduction pass over `temps`
 /// (`(temporary, real components)` pairs) as a second kernel on the issuing
 /// thread's stream (see the substitution note in DESIGN.md), then sum each
-/// temporary on the host side of the simulator in per-component site order
-/// ([`site_order_sums`]) — batching merges only the accounting, so values
+/// temporary on the host side of the simulator in per-component lane order
+/// ([`lane_order_sums`]) — batching merges only the accounting, so values
 /// are bit-identical to reducing the temporaries one at a time. On a
 /// context with an attached rank the sums are then allreduced (once per
 /// batch): every rank returns the global sums, bit-identical across ranks.
@@ -715,10 +715,10 @@ pub(crate) fn reduce_batch(
         .zip(&ptrs)
         .map(|(&(t, n_comp), &ptr)| match t.ft {
             FloatType::F32 => {
-                mem.with_f32s(ptr, vol * n_comp, |v| site_order_sums(v, n_comp, layout))
+                mem.with_f32s(ptr, vol * n_comp, |v| lane_order_sums(v, n_comp, layout))
             }
             FloatType::F64 => {
-                mem.with_f64s(ptr, vol * n_comp, |v| site_order_sums(v, n_comp, layout))
+                mem.with_f64s(ptr, vol * n_comp, |v| lane_order_sums(v, n_comp, layout))
             }
         })
         .collect();
@@ -734,26 +734,57 @@ pub(crate) fn reduce_batch(
     Ok(out)
 }
 
+/// Partial sums per component in [`lane_order_sums`]: the grid stride of
+/// the tree reduction it stands in for.
+const LANES: usize = 8;
+
 /// The per-component sums of one reduction temporary `v` (all its reals,
-/// stored in `layout`): each component starts from `+0.0` and adds its
-/// sites in site order, in `f64`. Temporaries are real (one chain) or
-/// complex (a re and an im chain advancing in the same site loop); the
-/// order of additions within each chain is the site order either way, so
-/// the bits do not depend on the layout or on the loop shape.
-fn site_order_sums<R: Copy + Into<f64>>(v: &[R], n_comp: usize, layout: LayoutKind) -> Vec<f64> {
-    fn complex_sums<R: Into<f64>>(sites: impl Iterator<Item = (R, R)>) -> Vec<f64> {
-        let (re, im) = sites.fold((0.0f64, 0.0f64), |(re, im), (r, i)| {
-            (re + r.into(), im + i.into())
-        });
-        vec![re, im]
-    }
+/// stored in `layout`) in lane order: site `s` adds into partial
+/// `p[s mod 8]`, each partial starts from `+0.0` and adds its sites in
+/// increasing `s` in `f64`, and the partials combine as
+/// `((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))` — a grid-stride loop followed by
+/// a shared-memory tree. Temporaries are real (one component) or complex
+/// (re and im: contiguous halves under SoA, interleaved under AoS). The
+/// order fixes the bits whatever the layout, block size or thread count,
+/// and each sum takes at most ⌈n/8⌉+3 roundings instead of n.
+fn lane_order_sums<R: Copy + Into<f64>>(v: &[R], n_comp: usize, layout: LayoutKind) -> Vec<f64> {
     match (n_comp, layout) {
-        (1, _) => vec![v.iter().fold(0.0f64, |acc, &x| acc + x.into())],
+        (1, _) => lane_sums::<R, 1>(v).to_vec(),
         (2, LayoutKind::SoA) => {
             let (re, im) = v.split_at(v.len() / 2);
-            complex_sums(re.iter().copied().zip(im.iter().copied()))
+            vec![lane_sums::<R, 1>(re)[0], lane_sums::<R, 1>(im)[0]]
         }
-        (2, LayoutKind::AoS) => complex_sums(v.chunks_exact(2).map(|site| (site[0], site[1]))),
+        (2, LayoutKind::AoS) => lane_sums::<R, 2>(v).to_vec(),
         _ => unreachable!("reduction temporaries are real or complex, not {n_comp} reals"),
     }
+}
+
+/// Lane-order sums of the `C` interleaved components of `v` (`C` reals per
+/// site), in one pass over the sites.
+fn lane_sums<R: Copy + Into<f64>, const C: usize>(v: &[R]) -> [f64; C] {
+    let mut p = [[0.0f64; C]; LANES];
+    let mut rows = v.chunks_exact(C * LANES);
+    for row in &mut rows {
+        for (lane, site) in p.iter_mut().zip(row.chunks_exact(C)) {
+            for (acc, &x) in lane.iter_mut().zip(site) {
+                *acc += x.into();
+            }
+        }
+    }
+    for (lane, site) in p.iter_mut().zip(rows.remainder().chunks_exact(C)) {
+        for (acc, &x) in lane.iter_mut().zip(site) {
+            *acc += x.into();
+        }
+    }
+    std::array::from_fn(|c| {
+        let sum = ((p[0][c] + p[1][c]) + (p[2][c] + p[3][c]))
+            + ((p[4][c] + p[5][c]) + (p[6][c] + p[7][c]));
+        // Which NaN an add of two NaNs returns is up to the compiled code,
+        // so a NaN sum is returned as the one canonical quiet NaN.
+        if sum.is_nan() {
+            f64::NAN
+        } else {
+            sum
+        }
+    })
 }

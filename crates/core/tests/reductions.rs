@@ -1,10 +1,13 @@
 //! Reductions are bit-exact: `norm2`, `inner_product` and `sum_*` — immediate
 //! and through a `FusionScope` — must equal, bit for bit, a fold written
 //! here from scratch: assign the site-local quantity into a persistent
-//! field, read it back on the host and add its sites in site order from
-//! `+0.0` in `f64`. Covered: both precisions, both layouts, real and
-//! complex inputs, subsets All/Even/Odd, and inputs holding −0.0,
-//! subnormals, ±inf and NaN.
+//! field, read it back on the host and add its sites in lane order — site
+//! `s` into partial `s mod 8`, each partial from `+0.0` in `f64`, the
+//! partials combined as `((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))`. Covered:
+//! both precisions, both layouts, real and complex inputs, subsets
+//! All/Even/Odd, and inputs holding −0.0, subnormals, ±inf and NaN. Further
+//! tests pin the order against the serial fold it replaced, bound its
+//! rounding error, and check that reduction scratch never reads junk.
 
 use qdp_core::prelude::*;
 use qdp_core::{real, reduce_inner_product, reduce_norm2, reduce_sum_complex, reduce_sum_real};
@@ -26,8 +29,24 @@ fn same_bits(what: &str, got: f64, want: f64) {
     assert_eq!(
         got.to_bits(),
         want.to_bits(),
-        "{what}: library {got:e} vs site-order fold {want:e}"
+        "{what}: library {got:e} vs lane-order fold {want:e}"
     );
+}
+
+/// The lane-order fold of per-site values given in site order. Which NaN
+/// an add of two NaNs returns is up to the compiled code, so a NaN sum is
+/// the canonical quiet NaN here as in the library.
+fn lane_fold(sites: impl Iterator<Item = f64>) -> f64 {
+    let mut p = [0.0f64; 8];
+    for (s, x) in sites.enumerate() {
+        p[s % 8] += x;
+    }
+    let sum = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
+    if sum.is_nan() {
+        f64::NAN
+    } else {
+        sum
+    }
 }
 
 /// Input values for field `field` at `site`: wide-range normals mixed with
@@ -80,7 +99,7 @@ where
 {
     let f = LatticeReal::<R>::new(ctx);
     f.assign_on(subset, q).unwrap();
-    f.to_vec().iter().fold(0.0, |acc, v| acc + v.0 .0.to_f64())
+    lane_fold(f.to_vec().iter().map(|v| v.0 .0.to_f64()))
 }
 
 /// The oracle for a complex-valued site quantity: a re and an im fold.
@@ -94,9 +113,11 @@ where
 {
     let f = LatticeComplex::<R>::new(ctx);
     f.assign_on(subset, q).unwrap();
-    f.to_vec().iter().fold((0.0, 0.0), |(re, im), v| {
-        (re + v.0 .0.re.to_f64(), im + v.0 .0.im.to_f64())
-    })
+    let v = f.to_vec();
+    (
+        lane_fold(v.iter().map(|z| z.0 .0.re.to_f64())),
+        lane_fold(v.iter().map(|z| z.0 .0.im.to_f64())),
+    )
 }
 
 /// Check every reduction of `a` (and of the pair `a`, `b`) against the fold.
@@ -212,12 +233,12 @@ where
 }
 
 #[test]
-fn reductions_match_a_site_order_fold_bit_for_bit_f64() {
+fn reductions_match_a_lane_order_fold_bit_for_bit_f64() {
     run_precision::<f64>(11);
 }
 
 #[test]
-fn reductions_match_a_site_order_fold_bit_for_bit_f32() {
+fn reductions_match_a_lane_order_fold_bit_for_bit_f32() {
     run_precision::<f32>(12);
 }
 
@@ -261,4 +282,163 @@ fn subset_kernel_into_a_never_written_target_leaves_other_sites_zero() {
             assert_eq!(got.to_bits(), 0, "odd site {s} must read +0.0");
         }
     }
+}
+
+/// The order is pinned, not just self-consistent: on this hand-built
+/// temporary the serial site-order chain, a four-partial tree and eight
+/// partials combined left to right all round `1 + 2⁻⁵²` back to `1`,
+/// while lane order keeps it (sites 4 and 5 meet in `p4 + p5` before
+/// they meet the `1` at site 0). The library returns the lane-order bits.
+#[test]
+fn the_library_sums_in_lane_order_not_site_order() {
+    let ctx = ctx(LayoutKind::SoA);
+    let half_ulp = f64::EPSILON / 2.0;
+    let site_value = |s: usize| match s {
+        0 => 1.0,
+        4 | 5 => half_ulp,
+        _ => 0.0,
+    };
+    let x = LatticeReal::<f64>::from_fn(&ctx, |s| PScalar(PScalar(site_value(s))));
+    let vol = ctx.geometry().vol();
+    let values: Vec<f64> = (0..vol).map(site_value).collect();
+
+    let serial = values.iter().fold(0.0f64, |acc, &v| acc + v);
+    let mut p4 = [0.0f64; 4];
+    let mut p8 = [0.0f64; 8];
+    for (s, &v) in values.iter().enumerate() {
+        p4[s % 4] += v;
+        p8[s % 8] += v;
+    }
+    let four_tree = (p4[0] + p4[1]) + (p4[2] + p4[3]);
+    let eight_left = p8.iter().fold(0.0f64, |acc, &v| acc + v);
+    let lane = lane_fold(values.iter().copied());
+    assert_eq!(lane, 1.0 + f64::EPSILON);
+    for (name, other) in [
+        ("serial", serial),
+        ("four-partial tree", four_tree),
+        ("left-to-right partials", eight_left),
+    ] {
+        assert_eq!(other, 1.0, "{name}");
+    }
+
+    let got = reduce_sum_real(&ctx, &x.q(), Subset::All).unwrap();
+    same_bits("sum_real of the pinning field", got, lane);
+    let mut scope = ctx.deferred();
+    same_bits(
+        "deferred sum_real of the pinning field",
+        scope.sum_real(&x.q()).unwrap(),
+        lane,
+    );
+}
+
+/// Neumaier-compensated sum: the accurate reference for the error bound.
+fn compensated_sum(values: &[f64]) -> f64 {
+    let (mut sum, mut c) = (0.0f64, 0.0f64);
+    for &x in values {
+        let t = sum + x;
+        c += if sum.abs() >= x.abs() {
+            (sum - t) + x
+        } else {
+            (x - t) + sum
+        };
+        sum = t;
+    }
+    sum + c
+}
+
+/// Each lane-order sum of `n` values takes at most ⌈n/8⌉+3 roundings, so
+/// on an 8⁴ lattice of wide-range values `norm2` and `sum` sit within
+/// (⌈n/8⌉+3)·2⁻⁵³·Σ|x| of a compensated reference.
+#[test]
+fn lane_order_error_is_within_its_rounding_bound() {
+    let ctx = QdpContext::builder(Geometry::symmetric(8)).build();
+    let mut rng = StdRng::seed_from_u64(40);
+    let x = LatticeReal::<f64>::from_fn(&ctx, |s| {
+        let scale = 10f64.powi((s % 13) as i32 - 6);
+        PScalar(PScalar((rng.random::<f64>() - 0.5) * scale))
+    });
+    let n = ctx.geometry().vol();
+    let bound = |abs_sum: f64| (n.div_ceil(8) + 3) as f64 * f64::EPSILON / 2.0 * abs_sum;
+
+    let sites: Vec<f64> = x.to_vec().iter().map(|v| v.0 .0).collect();
+    let got = reduce_sum_real(&ctx, &x.q(), Subset::All).unwrap();
+    let want = compensated_sum(&sites);
+    let abs_sum: f64 = sites.iter().map(|v| v.abs()).sum();
+    assert!(
+        (got - want).abs() <= bound(abs_sum),
+        "sum: {got:e} vs {want:e}, bound {:e}",
+        bound(abs_sum)
+    );
+
+    let squares = LatticeReal::<f64>::new(&ctx);
+    squares
+        .assign(local_norm2::<SiteReal<f64>, f64>(&x.q()))
+        .unwrap();
+    let squares: Vec<f64> = squares.to_vec().iter().map(|v| v.0 .0).collect();
+    let got = reduce_norm2(&ctx, &x.q(), Subset::All).unwrap();
+    let want = compensated_sum(&squares);
+    let abs_sum: f64 = squares.iter().sum();
+    assert!(
+        (got - want).abs() <= bound(abs_sum),
+        "norm2: {got:e} vs {want:e}, bound {:e}",
+        bound(abs_sum)
+    );
+}
+
+/// Leave a NaN-filled `f64` real field's worth of junk on the device and
+/// return the range it held, which the next field of that size lands on.
+fn leave_nan_junk(ctx: &Arc<QdpContext>) -> u64 {
+    let junk = LatticeReal::<f64>::from_fn(ctx, |_| PScalar(PScalar(f64::NAN)));
+    ctx.cache().assure_on_device(&[junk.id()]).unwrap()[0]
+}
+
+/// Full-lattice reduction scratch skips its zero fill: on a device range
+/// that held NaNs the sum still equals the oracle, because the kernel
+/// overwrites every site (the range then holds the per-site values). A
+/// subset reduction keeps the fill: an Even-subset sum over the same junk
+/// still reads `+0.0` at the Odd sites. Both temporaries are first touches.
+#[test]
+fn reduction_scratch_on_a_junk_range_reads_no_junk() {
+    let ctx = ctx(LayoutKind::SoA);
+    ctx.subset_table(Subset::Even).unwrap();
+    let x = LatticeReal::<f64>::from_fn(&ctx, |s| PScalar(PScalar(0.25 + s as f64)));
+    ctx.cache().assure_on_device(&[x.id()]).unwrap();
+    let vol = ctx.geometry().vol();
+    let read_range = |ptr: u64| ctx.device().memory().with_f64s(ptr, vol, |v| v.to_vec());
+
+    let want = fold_real(&ctx, local_norm2::<SiteReal<f64>, f64>(&x.q()), Subset::All);
+    let junk = leave_nan_junk(&ctx);
+    let touches = ctx.cache().stats().first_touches;
+    let got = reduce_norm2(&ctx, &x.q(), Subset::All).unwrap();
+    assert_eq!(ctx.cache().stats().first_touches, touches + 1);
+    let left: Vec<f64> = read_range(junk);
+    assert!(
+        left.iter()
+            .enumerate()
+            .all(|(s, &v)| v == (0.25 + s as f64) * (0.25 + s as f64)),
+        "the temporary landed on the junk range and its kernel wrote every site"
+    );
+    same_bits("norm2 All over junk", got, want);
+
+    let want = fold_real(
+        &ctx,
+        local_norm2::<SiteReal<f64>, f64>(&x.q()),
+        Subset::Even,
+    );
+    let junk = leave_nan_junk(&ctx);
+    let touches = ctx.cache().stats().first_touches;
+    let got = reduce_norm2(&ctx, &x.q(), Subset::Even).unwrap();
+    assert_eq!(ctx.cache().stats().first_touches, touches + 1);
+    let geom = ctx.geometry();
+    let left = read_range(junk);
+    for (s, &v) in left.iter().enumerate() {
+        if !Subset::Even.contains(geom, s) {
+            assert_eq!(
+                v.to_bits(),
+                0,
+                "odd site {s} of the Even temporary reads +0.0"
+            );
+        }
+    }
+    same_bits("norm2 Even over junk", got, want);
 }
