@@ -447,6 +447,26 @@ if [ -n "$stale" ]; then
 fi
 echo "ok: one reduction order (lane-order partials and a fixed tree, no serial site-order chain)"
 
+# ---- Guard: one ISA dispatch --------------------------------------------------
+# The interpreter's tile body is compiled once per host ISA and picked once
+# per tile, in `run_tile`, outside the op loop: no op carries its own
+# feature check (the per-op FMA wrapper stays deleted), and exec.rs detects
+# host features nowhere but in that one dispatch.
+fused=$(grep -rn "map3_fused" crates/*/src || true)
+detects=$(awk '
+    /^fn run_tile\(/ { inside = 1 }
+    /is_x86_feature_detected/ { if (inside) n++; else print FILENAME ":" FNR ": " $0 }
+    inside && /^}/ { inside = 0 }
+    END { if (n != 1) print FILENAME ": " n + 0 " feature-detecting dispatches in run_tile (want 1)" }
+' crates/jit/src/exec.rs)
+if [ -n "$fused$detects" ]; then
+    echo "FAIL: a per-op ISA check or a second ISA dispatch is back in the interpreter:" >&2
+    [ -z "$fused" ] || echo "$fused" >&2
+    [ -z "$detects" ] || echo "$detects" >&2
+    exit 1
+fi
+echo "ok: one ISA dispatch (the tile body is picked per tile in run_tile, no per-op feature check)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

@@ -36,7 +36,7 @@ pub use qdp_telemetry::sync;
 
 pub use config::DeviceConfig;
 pub use device::{Device, DeviceStats, StreamBinding};
-pub use memory::{DeviceMemory, DevicePtr};
+pub use memory::{Arena, DeviceMemory, DevicePtr};
 pub use perf::{KernelShape, LaunchError, LaunchTiming};
 pub use stream::{Event, StreamId};
 

@@ -15,10 +15,19 @@
 //! (reads; the runtime is single-threaded around launches, mirroring the
 //! CUDA stream-ordering guarantee). All accesses are bounds-checked so a
 //! codegen bug panics instead of corrupting unrelated memory.
+//!
+//! Every access goes through one check, [`Arena`]'s: an executor takes the
+//! by-value view once per tile, so the base pointer and length sit in
+//! registers and each lane's access costs one compare against them. The
+//! compare cannot wrap at the top of the address space, and a failed one
+//! calls a cold, never-inlined function that panics, so the hot loop
+//! carries neither the panic's arguments nor reloads of the arena's fields.
+//! [`DeviceMemory`]'s own accessors, copies and views use the same check.
 
 use crate::DeviceError;
 use crate::sync::Mutex;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
 /// A device pointer: byte offset into the arena. Offset 0 is reserved as
 /// the null pointer; allocations are 256-byte aligned like `cudaMalloc`.
@@ -140,35 +149,27 @@ impl DeviceMemory {
         self.inner.lock().live.len()
     }
 
+    /// The arena as a by-value view: its base pointer and length, copied
+    /// out once, so a loop over accesses keeps them in registers.
     #[inline]
-    fn check(&self, addr: u64, len: usize) {
-        assert!(
-            addr as usize + len <= self.buf.len && addr != 0,
-            "device access out of range: addr={addr:#x} len={len} cap={}",
-            self.buf.len
-        );
+    pub fn arena(&self) -> Arena<'_> {
+        Arena {
+            ptr: self.buf.ptr,
+            len: self.buf.len,
+            _mem: PhantomData,
+        }
     }
 
     /// Read a little-endian value of `N` bytes.
     #[inline]
     pub fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
-        self.check(addr, N);
-        // SAFETY: bounds checked above; see module safety model.
-        unsafe {
-            let mut out = [0u8; N];
-            std::ptr::copy_nonoverlapping(self.buf.ptr.add(addr as usize), out.as_mut_ptr(), N);
-            out
-        }
+        self.arena().read_bytes(addr)
     }
 
     /// Write a little-endian value of `N` bytes.
     #[inline]
     pub fn write_bytes<const N: usize>(&self, addr: u64, v: [u8; N]) {
-        self.check(addr, N);
-        // SAFETY: bounds checked above; see module safety model.
-        unsafe {
-            std::ptr::copy_nonoverlapping(v.as_ptr(), self.buf.ptr.add(addr as usize), N);
-        }
+        self.arena().write_bytes(addr, v)
     }
 
     /// Read an `f32` at a byte address.
@@ -221,30 +222,32 @@ impl DeviceMemory {
 
     /// Bulk copy host → device (the functional half of `cudaMemcpy`).
     pub fn copy_from_host(&self, dst: DevicePtr, src: &[u8]) {
-        self.check(dst, src.len());
-        // SAFETY: bounds checked; single-threaded around copies.
+        let p = self.arena().range(dst, src.len());
+        // SAFETY: `range` checked the bytes at `p`; single-threaded around
+        // copies.
         unsafe {
-            std::ptr::copy_nonoverlapping(src.as_ptr(), self.buf.ptr.add(dst as usize), src.len());
+            std::ptr::copy_nonoverlapping(src.as_ptr(), p, src.len());
         }
     }
 
     /// Bulk copy device → host.
     pub fn copy_to_host(&self, src: DevicePtr, dst: &mut [u8]) {
-        self.check(src, dst.len());
-        // SAFETY: bounds checked.
+        let p = self.arena().range(src, dst.len());
+        // SAFETY: `range` checked the bytes at `p`.
         unsafe {
-            std::ptr::copy_nonoverlapping(self.buf.ptr.add(src as usize), dst.as_mut_ptr(), dst.len());
+            std::ptr::copy_nonoverlapping(p, dst.as_mut_ptr(), dst.len());
         }
     }
 
     /// Zero `len` bytes at `dst` (the functional half of `cudaMemset(dst,
     /// 0, len)`).
     pub fn fill_zero(&self, dst: DevicePtr, len: usize) {
-        self.check(dst, len);
-        // SAFETY: bounds checked; single-threaded around launches (module
-        // safety model), so nothing else accesses the range meanwhile.
+        let p = self.arena().range(dst, len);
+        // SAFETY: `range` checked the bytes at `p`; single-threaded around
+        // launches (module safety model), so nothing else accesses the
+        // range meanwhile.
         unsafe {
-            std::ptr::write_bytes(self.buf.ptr.add(dst as usize), 0, len);
+            std::ptr::write_bytes(p, 0, len);
         }
     }
 
@@ -271,9 +274,7 @@ impl DeviceMemory {
         let len = n
             .checked_mul(std::mem::size_of::<E>())
             .expect("device view length overflows");
-        self.check(addr, len);
-        // SAFETY: `addr + len` is inside the arena (checked above).
-        let p = unsafe { self.buf.ptr.add(addr as usize) };
+        let p = self.arena().range(addr, len);
         assert!(
             (p as usize).is_multiple_of(std::mem::align_of::<E>()),
             "misaligned device view: addr={addr:#x}"
@@ -287,6 +288,83 @@ impl DeviceMemory {
         let view = unsafe { std::slice::from_raw_parts(p.cast::<E>(), n) };
         f(view)
     }
+}
+
+/// A by-value view of the device arena ([`DeviceMemory::arena`]): its base
+/// pointer and length, borrowed for `'a`. The view is `Copy`, so a loop
+/// that takes it once keeps both in registers, and each access checks its
+/// range against them with one compare.
+#[derive(Clone, Copy)]
+pub struct Arena<'a> {
+    ptr: *mut u8,
+    len: usize,
+    _mem: PhantomData<&'a DeviceMemory>,
+}
+
+impl Arena<'_> {
+    /// The `len` bytes at `addr`, bounds-checked: the range lies inside the
+    /// arena and does not start at the null pointer. Written so nothing
+    /// wraps: `addr + len` would, near `u64::MAX`.
+    #[inline(always)]
+    fn range(self, addr: u64, len: usize) -> *mut u8 {
+        let (cap, n) = (self.len as u64, len as u64);
+        if !(addr != 0 && n <= cap && addr <= cap - n) {
+            out_of_range(addr, len, self.len);
+        }
+        // SAFETY: `addr + len <= cap` (checked above), so the offset stays
+        // inside the arena's one allocation.
+        unsafe { self.ptr.add(addr as usize) }
+    }
+
+    #[inline(always)]
+    fn read_bytes<const N: usize>(self, addr: u64) -> [u8; N] {
+        let p = self.range(addr, N);
+        let mut out = [0u8; N];
+        // SAFETY: `range` checked the `N` bytes at `p`; see the module
+        // safety model for concurrent access.
+        unsafe { std::ptr::copy_nonoverlapping(p, out.as_mut_ptr(), N) };
+        out
+    }
+
+    #[inline(always)]
+    fn write_bytes<const N: usize>(self, addr: u64, v: [u8; N]) {
+        let p = self.range(addr, N);
+        // SAFETY: `range` checked the `N` bytes at `p`; see the module
+        // safety model for concurrent access.
+        unsafe { std::ptr::copy_nonoverlapping(v.as_ptr(), p, N) };
+    }
+
+    /// Read a `u32` at a byte address.
+    #[inline(always)]
+    pub fn read_u32(self, addr: u64) -> u32 {
+        u32::from_le_bytes(self.read_bytes(addr))
+    }
+
+    /// Read a `u64` at a byte address.
+    #[inline(always)]
+    pub fn read_u64(self, addr: u64) -> u64 {
+        u64::from_le_bytes(self.read_bytes(addr))
+    }
+
+    /// Write a `u32`.
+    #[inline(always)]
+    pub fn write_u32(self, addr: u64, v: u32) {
+        self.write_bytes(addr, v.to_le_bytes());
+    }
+
+    /// Write a `u64`.
+    #[inline(always)]
+    pub fn write_u64(self, addr: u64, v: u64) {
+        self.write_bytes(addr, v.to_le_bytes());
+    }
+}
+
+/// A failed bounds check. Out of line and cold, so a hot access loop
+/// carries only the compare and none of the panic's arguments.
+#[cold]
+#[inline(never)]
+fn out_of_range(addr: u64, len: usize, cap: usize) -> ! {
+    panic!("device access out of range: addr={addr:#x} len={len} cap={cap}")
 }
 
 #[cfg(test)]
@@ -404,6 +482,55 @@ mod tests {
     fn oob_read_panics() {
         let m = DeviceMemory::new(1024);
         m.read_f64(1020);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn read_at_the_top_of_the_address_space_panics() {
+        let m = DeviceMemory::new(1024);
+        m.read_u64(u64::MAX - 3);
+    }
+
+    /// The message `f` panics with, or `None` when it returns.
+    fn panic_of(f: impl FnOnce()) -> Option<String> {
+        let e = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(e.downcast_ref::<String>().cloned().unwrap_or_default())
+    }
+
+    /// Every u32/u64 accessor, through the view and through the arena,
+    /// takes the last `width` bytes of the arena and refuses the null
+    /// pointer, one byte past the end and the top of the address space.
+    #[test]
+    fn arena_checks_its_edges() {
+        let m = DeviceMemory::new(1024);
+        let a = m.arena();
+        let cap = m.capacity() as u64;
+        // (accessor, bytes it touches, the access at an address)
+        type Access<'a> = (&'a str, u64, &'a dyn Fn(u64));
+        let accesses: [Access<'_>; 8] = [
+            ("Arena::read_u32", 4, &|p| _ = a.read_u32(p)),
+            ("Arena::read_u64", 8, &|p| _ = a.read_u64(p)),
+            ("Arena::write_u32", 4, &|p| a.write_u32(p, 7)),
+            ("Arena::write_u64", 8, &|p| a.write_u64(p, 7)),
+            ("DeviceMemory::read_u32", 4, &|p| _ = m.read_u32(p)),
+            ("DeviceMemory::read_u64", 8, &|p| _ = m.read_u64(p)),
+            ("DeviceMemory::write_u32", 4, &|p| m.write_u32(p, 7)),
+            ("DeviceMemory::write_u64", 8, &|p| m.write_u64(p, 7)),
+        ];
+        for (name, width, access) in accesses {
+            assert_eq!(panic_of(|| access(cap - width)), None, "{name} at cap - len");
+            for addr in [0, cap - width + 1, u64::MAX - width + 1] {
+                let msg = panic_of(|| access(addr)).unwrap_or_default();
+                assert!(
+                    msg.starts_with(&format!("device access out of range: addr={addr:#x}")),
+                    "{name} at {addr:#x}: {msg:?}"
+                );
+            }
+        }
+        a.write_u64(cap - 8, u64::MAX - 1);
+        assert_eq!(m.read_u64(cap - 8), u64::MAX - 1);
+        m.write_u32(cap - 4, 0xDEADBEEF);
+        assert_eq!(a.read_u32(cap - 4), 0xDEADBEEF);
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! ([`crate::lower`]). Exits shrink a prefix of active lanes; a tile whose
 //! exits leave any other lane set re-runs one lane at a time.
 //!
+//! The per-lane cost is the loop body, so the tile keeps it small: it takes
+//! the device arena's by-value [`Arena`] view once, so each load or store
+//! checks its range with one compare against a base and length held in
+//! registers (a failed check calls a cold panic out of line), and its body
+//! is compiled twice — for x86-64 hosts with AVX2 and FMA, and for the
+//! baseline ISA — with one feature dispatch per tile, in [`run_tile`],
+//! outside the op loop.
+//!
 //! Each lane runs the same scalar operations in the same order as a thread
 //! run alone; only the interleaving between lanes (and between tiles,
 //! which may run on different host threads) changes. That is
@@ -26,7 +34,7 @@
 
 use crate::lower::{AVal, Addr, COp, CompiledKernel};
 use qdp_gpu_sim::par::parallel_for;
-use qdp_gpu_sim::DeviceMemory;
+use qdp_gpu_sim::{Arena, DeviceMemory};
 use qdp_ptx::inst::{BinOp, CmpOp, SpecialReg};
 use qdp_ptx::types::PtxType;
 use std::cell::Cell;
@@ -109,16 +117,6 @@ enum Src<'a> {
     Imm(u64),
 }
 
-impl Src<'_> {
-    #[inline]
-    fn at(self, lane: usize) -> u64 {
-        match self {
-            Src::Col(c) => c[lane].get(),
-            Src::Imm(v) => v,
-        }
-    }
-}
-
 fn fill(d: &[Cell<u64>], v: u64) {
     for d in d {
         d.set(v);
@@ -167,42 +165,12 @@ fn map3(d: &[Cell<u64>], a: Src<'_>, b: Src<'_>, c: Src<'_>, f: impl Fn(u64, u64
     }
 }
 
-/// [`map3`] for a closure built on `mul_add`, compiled with the host's FMA
-/// unit where it has one: `mul_add` is then one instruction per lane
-/// instead of a call into the runtime's `fma` — which itself dispatches to
-/// that same instruction on such a host, so the bits are the same (IEEE
-/// fused multiply-add is exactly rounded either way).
-fn map3_fused(
-    d: &[Cell<u64>],
-    a: Src<'_>,
-    b: Src<'_>,
-    c: Src<'_>,
-    f: impl Fn(u64, u64, u64) -> u64,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("fma") {
-        #[target_feature(enable = "fma")]
-        fn with_fma(
-            d: &[Cell<u64>],
-            a: Src<'_>,
-            b: Src<'_>,
-            c: Src<'_>,
-            f: impl Fn(u64, u64, u64) -> u64,
-        ) {
-            map3(d, a, b, c, f)
-        }
-        // SAFETY: `with_fma` enables only FMA, which the host CPU was just
-        // detected to support.
-        return unsafe { with_fma(d, a, b, c, f) };
-    }
-    map3(d, a, b, c, f)
-}
-
-/// `f(lane, byte address)` for every active lane — for a folded address,
-/// the value the `add.u32`/`mul.wide.u32`/`add.u64` chain would have
-/// produced — with the form's dispatch outside the lane loop.
+/// `f(x, byte address)` for every active lane, zipped with that lane's `x`
+/// in `col` — for a folded address, the value the
+/// `add.u32`/`mul.wide.u32`/`add.u64` chain would have produced — with the
+/// form's dispatch outside the lane loop.
 #[inline(always)]
-fn each_addr(r: Lanes<'_>, args: &[u64], a: Addr, mut f: impl FnMut(usize, u64)) {
+fn each_addr<T>(r: Lanes<'_>, args: &[u64], a: Addr, col: &[T], mut f: impl FnMut(&T, u64)) {
     match a {
         Addr::Indexed {
             arg,
@@ -212,14 +180,14 @@ fn each_addr(r: Lanes<'_>, args: &[u64], a: Addr, mut f: impl FnMut(usize, u64))
             offset,
         } => {
             let base = args[arg as usize].wrapping_add(offset as u64);
-            for (l, s) in r.col(site).iter().enumerate() {
+            for (x, s) in col.iter().zip(r.col(site)) {
                 let i = u64::from((s.get() as u32).wrapping_add(k));
-                f(l, base.wrapping_add(i * u64::from(scale)));
+                f(x, base.wrapping_add(i * u64::from(scale)));
             }
         }
         Addr::Reg { slot, offset } => {
-            for (l, a) in r.col(slot).iter().enumerate() {
-                f(l, a.get().wrapping_add(offset as u64));
+            for (x, a) in col.iter().zip(r.col(slot)) {
+                f(x, a.get().wrapping_add(offset as u64));
             }
         }
     }
@@ -230,8 +198,52 @@ fn each_addr(r: Lanes<'_>, args: &[u64], a: Addr, mut f: impl FnMut(usize, u64))
 /// exits only before the first store, so nothing has been written yet and
 /// the caller re-runs those threads one lane at a time, where every active
 /// set is a prefix.
+///
+/// The tile takes the arena's by-value view once, and its body is compiled
+/// twice: for x86-64 hosts with AVX2 and FMA — `mul_add` is then one
+/// instruction per lane — and for the baseline ISA. The host decides here,
+/// once per tile, outside the op loop. Both compile the same scalar IEEE
+/// operations per lane, so they leave the same bits (fused multiply-add is
+/// exactly rounded either way; only NaN payloads are not fixed).
 fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize) -> bool {
-    let mem = g.mem;
+    let mem = g.mem.arena();
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        #[target_feature(enable = "avx2,fma")]
+        fn avx2_fma(
+            g: &Grid<'_>,
+            mem: Arena<'_>,
+            regs: &[Cell<u64>],
+            block: u32,
+            t0: u32,
+            lanes: usize,
+        ) -> bool {
+            tile(g, mem, regs, block, t0, lanes)
+        }
+        // SAFETY: `avx2_fma` enables only AVX2 and FMA, which the host CPU
+        // was just detected to support.
+        return unsafe { avx2_fma(g, mem, regs, block, t0, lanes) };
+    }
+    tile(g, mem, regs, block, t0, lanes)
+}
+
+/// [`run_tile`] on the baseline ISA whatever the host has, so a test can
+/// hold the two compilations of [`tile`] against each other.
+#[cfg(test)]
+fn run_tile_baseline(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize) -> bool {
+    tile(g, g.mem.arena(), regs, block, t0, lanes)
+}
+
+/// The op loop of [`run_tile`], inlined into each of its ISA variants.
+#[inline(always)]
+fn tile(
+    g: &Grid<'_>,
+    mem: Arena<'_>,
+    regs: &[Cell<u64>],
+    block: u32,
+    t0: u32,
+    lanes: usize,
+) -> bool {
     fill(&regs[..g.k.n_zeroed as usize * TILE], 0);
     let mut n = lanes;
     for op in &g.k.code {
@@ -242,18 +254,24 @@ fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize)
                 let d = r.col(dst);
                 match ty {
                     PtxType::F32 | PtxType::U32 => {
-                        each_addr(r, g.args, addr, |l, a| d[l].set(mem.read_u32(a) as u64))
+                        each_addr(r, g.args, addr, d, |d, a| d.set(mem.read_u32(a) as u64))
                     }
-                    _ => each_addr(r, g.args, addr, |l, a| d[l].set(mem.read_u64(a))),
+                    _ => each_addr(r, g.args, addr, d, |d, a| d.set(mem.read_u64(a))),
                 }
             }
             COp::St { ty, addr, src } => {
-                let v = r.src(src);
-                match ty {
-                    PtxType::F32 | PtxType::U32 => {
-                        each_addr(r, g.args, addr, |l, a| mem.write_u32(a, v.at(l) as u32))
+                let narrow = matches!(ty, PtxType::F32 | PtxType::U32);
+                // An immediate zips with one `()` per active lane.
+                let lanes = &[(); TILE][..r.n];
+                match r.src(src) {
+                    Src::Col(v) if narrow => {
+                        each_addr(r, g.args, addr, v, |v, a| mem.write_u32(a, v.get() as u32))
                     }
-                    _ => each_addr(r, g.args, addr, |l, a| mem.write_u64(a, v.at(l))),
+                    Src::Col(v) => each_addr(r, g.args, addr, v, |v, a| mem.write_u64(a, v.get())),
+                    Src::Imm(v) if narrow => {
+                        each_addr(r, g.args, addr, lanes, |_, a| mem.write_u32(a, v as u32))
+                    }
+                    Src::Imm(v) => each_addr(r, g.args, addr, lanes, |_, a| mem.write_u64(a, v)),
                 }
             }
             COp::Mov { dst, src, .. } => map1(r.col(dst), r.src(src), |v| v),
@@ -319,10 +337,10 @@ fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize)
             COp::Fma { ty, dst, a, b, c } => {
                 let (d, a, b, c) = (r.col(dst), r.src(a), r.src(b), r.src(c));
                 match ty {
-                    PtxType::F32 => map3_fused(d, a, b, c, |a, b, c| {
+                    PtxType::F32 => map3(d, a, b, c, |a, b, c| {
                         f32_of(a).mul_add(f32_of(b), f32_of(c)).to_bits() as u64
                     }),
-                    _ => map3_fused(d, a, b, c, |a, b, c| {
+                    _ => map3(d, a, b, c, |a, b, c| {
                         f64_of(a).mul_add(f64_of(b), f64_of(c)).to_bits()
                     }),
                 }
@@ -376,6 +394,21 @@ pub fn run_grid(
     mem: &DeviceMemory,
     n_blocks: u32,
     block_size: u32,
+) {
+    launch(k, args, mem, n_blocks, block_size, run_tile)
+}
+
+/// A tile runner: [`run_tile`], or in tests the baseline-ISA one.
+type RunTile = fn(&Grid<'_>, &[Cell<u64>], u32, u32, usize) -> bool;
+
+/// [`run_grid`] with the tile runner as a parameter.
+fn launch(
+    k: &CompiledKernel,
+    args: &[LaunchArg],
+    mem: &DeviceMemory,
+    n_blocks: u32,
+    block_size: u32,
+    run_tile: RunTile,
 ) {
     assert_eq!(
         args.len(),
@@ -568,9 +601,32 @@ mod tests {
         kernel
     }
 
+    /// Whether `kernel` works in double precision (its reals are `f64`).
+    fn is_dp(kernel: &qdp_ptx::module::Kernel) -> bool {
+        let f64_load = |i: &Inst| matches!(i, Inst::LdGlobal { ty: PtxType::F64, .. });
+        kernel.body.iter().any(f64_load)
+    }
+
+    /// The special value, if any, that real `i` of a golden input buffer
+    /// holds instead of a random one, as `(f32, f64)`: every 29th a signed
+    /// zero or a subnormal, every 509th an infinity or a NaN — sparse
+    /// enough that most sites still compute finite results.
+    fn special_real(i: usize) -> Option<(f32, f64)> {
+        let finite = [(0.0, 0.0), (-0.0, -0.0), (1e-40, 1e-310), (-1e-40, -1e-310)];
+        let (inf, nan) = ((f32::INFINITY, f64::INFINITY), (f32::NAN, f64::NAN));
+        if i.is_multiple_of(509) {
+            Some([inf, (-inf.0, -inf.1), nan][i / 509 % 3])
+        } else if i.is_multiple_of(29) {
+            Some(finite[i / 29 % 4])
+        } else {
+            None
+        }
+    }
+
     /// Device memory holding seeded inputs for `kernel` over `n` threads on
-    /// `vol` sites — a buffer per pointer parameter — and the launch
-    /// arguments.
+    /// `vol` sites — a buffer per pointer parameter, reals among them
+    /// including [`special_real`]s at the kernel's precision — and the
+    /// launch arguments.
     fn golden_inputs(
         kernel: &qdp_ptx::module::Kernel,
         n: u32,
@@ -603,6 +659,19 @@ mod tests {
                         for i in 0..(buf_bytes(vol) / 4) as u64 {
                             mem.write_f32(ptr + 4 * i, unit(&mut rng));
                         }
+                        let dp = is_dp(kernel);
+                        let width = if dp { 8 } else { 4 };
+                        for i in 0..buf_bytes(vol) / width {
+                            let Some((sp_v, dp_v)) = special_real(i) else {
+                                continue;
+                            };
+                            let a = ptr + (width * i) as u64;
+                            if dp {
+                                mem.write_f64(a, dp_v);
+                            } else {
+                                mem.write_f32(a, sp_v);
+                            }
+                        }
                     }
                     LaunchArg::Ptr(ptr)
                 }
@@ -616,27 +685,44 @@ mod tests {
         (mem, bufs, args)
     }
 
-    /// Every golden kernel leaves byte-identical device memory at every
-    /// block size, from the same seeded inputs: block 1 runs one-lane tiles
-    /// (a thread at a time); the others cover partial tiles, tile edges,
-    /// the guard falling mid-tile and (n = 300) blocks of several tiles,
-    /// whose tiles may run on different pool threads. (That the goldens'
-    /// `OptLevel::None` renderings leave the same bytes is `qdp-core`'s
-    /// `golden_ptx` test.)
+    /// Whether two dumps of device memory hold the same reals of `width`
+    /// bytes bit for bit, except that a NaN need only meet a NaN: Rust
+    /// fixes no NaN payload, so two compilations of one operation may
+    /// differ there.
+    fn same_reals(a: &[u8], b: &[u8], width: usize) -> bool {
+        let is_nan = |c: &[u8]| match width {
+            8 => f64::from_le_bytes(c.try_into().unwrap()).is_nan(),
+            _ => f32::from_le_bytes(c.try_into().unwrap()).is_nan(),
+        };
+        let same = |(a, b): (&[u8], &[u8])| a == b || is_nan(a) && is_nan(b);
+        a.len() == b.len() && a.chunks(width).zip(b.chunks(width)).all(same)
+    }
+
+    /// Every golden kernel leaves the same device memory at every block
+    /// size and on both ISA paths of [`run_tile`], from the same seeded
+    /// inputs — signed zeros, subnormals, infinities and NaNs among them
+    /// ([`same_reals`]): block 1 runs one-lane tiles (a thread at a time);
+    /// the others cover partial tiles, tile edges, the guard falling
+    /// mid-tile and (n = 300) blocks of several tiles, whose tiles may run
+    /// on different pool threads. (That the goldens' `OptLevel::None`
+    /// renderings leave the same bytes is `qdp-core`'s `golden_ptx` test.)
     #[test]
     fn golden_kernels_leave_the_same_bytes_at_every_block_size() {
+        let paths: [(&str, RunTile); 2] = [("host", run_tile), ("baseline", run_tile_baseline)];
         let blocks = [1, 7, 63, 64, 65, 128, 256, 1000, 1024];
         for (name, text) in crate::lower::GOLDEN_PTX {
             let golden = qdp_ptx::parse::parse_module(text).unwrap().kernels.remove(0);
+            let width = if is_dp(&golden) { 8 } else { 4 };
             for (n, vol) in [(61u32, 64), (64, 64), (300, 320)] {
                 let kernel = on_lattice(golden.clone(), vol);
                 let k = lower_kernel(&kernel).unwrap();
                 let buf = buf_bytes(vol);
-                // Device memory after a launch of `k` at `block` (or none).
-                let run = |k: &CompiledKernel, block: Option<u32>| {
+                // Device memory after a launch of `k` at `block` (or none)
+                // through `run_tile`.
+                let run = |block: Option<u32>, run_tile: RunTile| {
                     let (mem, bufs, args) = golden_inputs(&kernel, n, vol);
                     if let Some(block) = block {
-                        run_grid(k, &args, &mem, n.div_ceil(block), block);
+                        launch(&k, &args, &mem, n.div_ceil(block), block, run_tile);
                     }
                     let mut out = vec![0u8; buf * bufs.len()];
                     for (chunk, &p) in out.chunks_mut(buf).zip(&bufs) {
@@ -644,13 +730,16 @@ mod tests {
                     }
                     out
                 };
-                let one_lane = run(&k, Some(1));
-                assert!(one_lane != run(&k, None), "{name}: the kernel stored nothing");
-                for block in &blocks[1..] {
-                    assert!(
-                        run(&k, Some(*block)) == one_lane,
-                        "{name}, n = {n}: block {block} differs from one-lane tiles"
-                    );
+                let one_lane = run(Some(1), run_tile);
+                assert!(one_lane != run(None, run_tile), "{name}: the kernel stored nothing");
+                for block in blocks {
+                    for (path, run_tile) in paths {
+                        assert!(
+                            same_reals(&run(Some(block), run_tile), &one_lane, width),
+                            "{name}, n = {n}: block {block} on the {path} path differs from \
+                             one-lane tiles on the host path"
+                        );
+                    }
                 }
             }
         }
