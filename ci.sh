@@ -467,6 +467,27 @@ if [ -n "$fused$detects" ]; then
 fi
 echo "ok: one ISA dispatch (the tile body is picked per tile in run_tile, no per-op feature check)"
 
+# ---- Guard: device memory is touched only in the arena -----------------------
+# Every load and store of device memory goes through `qdp_gpu_sim::Arena`,
+# whose checks (per access, or once for a consecutive run) live next to the
+# raw-pointer code in crates/gpu-sim/src/memory.rs. The interpreter holds no
+# raw-pointer access of its own: exec.rs says `unsafe` only inside
+# `run_tile`'s ISA dispatch, and nothing in crates/jit/src reads or writes
+# through a pointer.
+unsafe_outside=$(awk '
+    /^fn run_tile\(/ { inside = 1 }
+    /unsafe/ && !inside { print FILENAME ":" FNR ": " $0 }
+    inside && /^}/ { inside = 0 }
+' crates/jit/src/exec.rs)
+raw=$(grep -rnE 'read_unaligned|write_unaligned|ptr::' crates/jit/src || true)
+if [ -n "$unsafe_outside$raw" ]; then
+    echo "FAIL: the interpreter touches device memory outside the arena:" >&2
+    [ -z "$unsafe_outside" ] || echo "$unsafe_outside" >&2
+    [ -z "$raw" ] || echo "$raw" >&2
+    exit 1
+fi
+echo "ok: device memory is touched only in the arena (no raw-pointer access in crates/jit/src)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

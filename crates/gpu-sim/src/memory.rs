@@ -22,10 +22,17 @@
 //! compare cannot wrap at the top of the address space, and a failed one
 //! calls a cold, never-inlined function that panics, so the hot loop
 //! carries neither the panic's arguments nor reloads of the arena's fields.
-//! [`DeviceMemory`]'s own accessors, copies and views use the same check.
+//! [`DeviceMemory`]'s own accessors, copies and views use the same check. A
+//! run of accesses at a fixed stride ([`Arena::read_run_u64`] and its
+//! siblings) is checked once, from its first access to the end of its last
+//! (computed without wrapping), and then copied with no per-access check;
+//! a failed run panics with the message of its first access out of range,
+//! before it writes anything. Every raw-pointer access to device memory is
+//! in this module.
 
 use crate::DeviceError;
 use crate::sync::Mutex;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
@@ -302,13 +309,10 @@ pub struct Arena<'a> {
 }
 
 impl Arena<'_> {
-    /// The `len` bytes at `addr`, bounds-checked: the range lies inside the
-    /// arena and does not start at the null pointer. Written so nothing
-    /// wraps: `addr + len` would, near `u64::MAX`.
+    /// The `len` bytes at `addr`, bounds-checked by [`fits`].
     #[inline(always)]
     fn range(self, addr: u64, len: usize) -> *mut u8 {
-        let (cap, n) = (self.len as u64, len as u64);
-        if !(addr != 0 && n <= cap && addr <= cap - n) {
+        if !fits(addr, len as u64, self.len as u64) {
             out_of_range(addr, len, self.len);
         }
         // SAFETY: `addr + len <= cap` (checked above), so the offset stays
@@ -318,20 +322,16 @@ impl Arena<'_> {
 
     #[inline(always)]
     fn read_bytes<const N: usize>(self, addr: u64) -> [u8; N] {
-        let p = self.range(addr, N);
-        let mut out = [0u8; N];
-        // SAFETY: `range` checked the `N` bytes at `p`; see the module
-        // safety model for concurrent access.
-        unsafe { std::ptr::copy_nonoverlapping(p, out.as_mut_ptr(), N) };
-        out
+        // SAFETY: `range` checked the `N` bytes at the pointer; see the
+        // module safety model for concurrent access.
+        unsafe { read_at(self.range(addr, N)) }
     }
 
     #[inline(always)]
     fn write_bytes<const N: usize>(self, addr: u64, v: [u8; N]) {
-        let p = self.range(addr, N);
-        // SAFETY: `range` checked the `N` bytes at `p`; see the module
-        // safety model for concurrent access.
-        unsafe { std::ptr::copy_nonoverlapping(v.as_ptr(), p, N) };
+        // SAFETY: `range` checked the `N` bytes at the pointer; see the
+        // module safety model for concurrent access.
+        unsafe { write_at(self.range(addr, N), v) }
     }
 
     /// Read a `u32` at a byte address.
@@ -357,6 +357,144 @@ impl Arena<'_> {
     pub fn write_u64(self, addr: u64, v: u64) {
         self.write_bytes(addr, v.to_le_bytes());
     }
+
+    /// The pointer to `addr` for `n` accesses of `N` bytes, access `l` at
+    /// `addr + l·stride`, checked once as one range: from `addr`, not the
+    /// null pointer, to the end of the last access, computed without
+    /// wrapping. A failed check panics as the first failing access would.
+    #[inline(always)]
+    fn run<const N: usize>(self, addr: u64, stride: u64, n: usize) -> *mut u8 {
+        let end = (n as u64).checked_sub(1).map(|last| {
+            last.checked_mul(stride)
+                .and_then(|span| addr.checked_add(span))
+                .and_then(|at| at.checked_add(N as u64))
+        });
+        match end {
+            None => {} // no access
+            Some(Some(end)) if addr != 0 && end <= self.len as u64 => {}
+            Some(_) => run_out_of_range(addr, stride, n, N, self.len),
+        }
+        // An empty run never dereferences the pointer.
+        self.ptr.wrapping_add(addr as usize)
+    }
+
+    /// `dst[l] = f(the N bytes at addr + l·stride)` for every `l`, checked
+    /// once ([`Arena::run`]). A contiguous run is one pass over consecutive
+    /// bytes, which the compiler vectorizes.
+    #[inline(always)]
+    fn read_run<const N: usize>(
+        self,
+        addr: u64,
+        stride: u64,
+        dst: &[Cell<u64>],
+        f: impl Fn([u8; N]) -> u64,
+    ) {
+        let p = self.run::<N>(addr, stride, dst.len());
+        let read = |stride: usize| {
+            for (l, d) in dst.iter().enumerate() {
+                // SAFETY: `run` checked all `dst.len()` accesses, so access
+                // `l` lies inside the arena; see the module safety model for
+                // concurrent access.
+                d.set(f(unsafe { read_at(p.add(l * stride)) }));
+            }
+        };
+        if stride == N as u64 {
+            read(N)
+        } else {
+            read(stride as usize)
+        }
+    }
+
+    /// `N`-byte `vals[l]` to `addr + l·stride`, checked once before the
+    /// first write: a run out of range writes nothing.
+    #[inline(always)]
+    fn write_run<const N: usize>(
+        self,
+        addr: u64,
+        stride: u64,
+        vals: impl ExactSizeIterator<Item = [u8; N]>,
+    ) {
+        let n = vals.len();
+        let p = self.run::<N>(addr, stride, n);
+        for (l, v) in vals.take(n).enumerate() {
+            // SAFETY: `run` checked `n` accesses, and `take` stops there
+            // whatever `vals` reported; see the module safety model.
+            unsafe { write_at(p.add(l * stride as usize), v) };
+        }
+    }
+
+    /// Read the `u32`s at `addr + l·stride` into `dst[l]`, zero-extended:
+    /// one check for the run instead of one per access.
+    #[inline(always)]
+    pub fn read_run_u32(self, addr: u64, stride: u64, dst: &[Cell<u64>]) {
+        self.read_run(addr, stride, dst, |b| u32::from_le_bytes(b).into())
+    }
+
+    /// Read the `u64`s at `addr + l·stride` into `dst[l]`: one check for
+    /// the run instead of one per access.
+    #[inline(always)]
+    pub fn read_run_u64(self, addr: u64, stride: u64, dst: &[Cell<u64>]) {
+        self.read_run(addr, stride, dst, u64::from_le_bytes)
+    }
+
+    /// Write `vals[l]` as a `u32` at `addr + l·stride`, checked once before
+    /// the first write: a run out of range writes nothing.
+    #[inline(always)]
+    pub fn write_run_u32(self, addr: u64, stride: u64, vals: impl ExactSizeIterator<Item = u32>) {
+        self.write_run(addr, stride, vals.map(u32::to_le_bytes))
+    }
+
+    /// Write `vals[l]` as a `u64` at `addr + l·stride`, checked once before
+    /// the first write: a run out of range writes nothing.
+    #[inline(always)]
+    pub fn write_run_u64(self, addr: u64, stride: u64, vals: impl ExactSizeIterator<Item = u64>) {
+        self.write_run(addr, stride, vals.map(u64::to_le_bytes))
+    }
+}
+
+/// The `N` bytes at `p`.
+///
+/// # Safety
+///
+/// `p .. p + N` must lie inside the arena (checked by [`Arena::range`] or
+/// [`Arena::run`]).
+#[inline(always)]
+unsafe fn read_at<const N: usize>(p: *const u8) -> [u8; N] {
+    // SAFETY: the caller guarantees the `N` bytes at `p` are in the arena;
+    // `[u8; N]` has no alignment requirement beyond a byte.
+    unsafe { p.cast::<[u8; N]>().read_unaligned() }
+}
+
+/// Write `v` to the `N` bytes at `p`.
+///
+/// # Safety
+///
+/// As for [`read_at`].
+#[inline(always)]
+unsafe fn write_at<const N: usize>(p: *mut u8, v: [u8; N]) {
+    // SAFETY: the caller guarantees the `N` bytes at `p` are in the arena.
+    unsafe { p.cast::<[u8; N]>().write_unaligned(v) }
+}
+
+/// A failed run check ([`Arena::run`]): the panic of its first access out
+/// of range — or, for a run that wraps round the address space with every
+/// access in range, of its last.
+#[cold]
+#[inline(never)]
+fn run_out_of_range(addr: u64, stride: u64, n: usize, len: usize, cap: usize) -> ! {
+    let at = |l: u64| addr.wrapping_add(l.wrapping_mul(stride));
+    let bad = (0..n as u64)
+        .map(at)
+        .find(|&a| !fits(a, len as u64, cap as u64));
+    out_of_range(bad.unwrap_or_else(|| at(n as u64 - 1)), len, cap)
+}
+
+/// Whether the `len` bytes at `addr` lie in an arena of `cap` bytes and do
+/// not start at the null pointer. Written so nothing wraps: `addr + len`
+/// would, near `u64::MAX`.
+#[inline(always)]
+fn fits(addr: u64, len: u64, cap: u64) -> bool {
+    addr != 0 && len <= cap && addr <= cap - len
 }
 
 /// A failed bounds check. Out of line and cold, so a hot access loop
@@ -531,6 +669,89 @@ mod tests {
         assert_eq!(m.read_u64(cap - 8), u64::MAX - 1);
         m.write_u32(cap - 4, 0xDEADBEEF);
         assert_eq!(a.read_u32(cap - 4), 0xDEADBEEF);
+    }
+
+    /// A run of accesses checks its first and its last access once, with
+    /// the end computed without wrapping: every run reads and writes the
+    /// arena's last bytes, and a run from the null pointer, one element
+    /// past the end, or whose end overflows u64 panics with the message of
+    /// its first access out of range — the one that access alone panics
+    /// with — and a store run out of range writes nothing.
+    #[test]
+    fn arena_runs_check_their_ends() {
+        let m = DeviceMemory::new(1024);
+        let a = m.arena();
+        let cap = m.capacity() as u64;
+        // (accessor, bytes per access, a run of `n` accesses at `stride`)
+        type Run<'a> = (&'a str, u64, &'a dyn Fn(u64, u64, usize));
+        let runs: [Run<'_>; 4] = [
+            ("read_run_u32", 4, &|p, s, n| {
+                a.read_run_u32(p, s, &vec![Cell::new(0); n])
+            }),
+            ("read_run_u64", 8, &|p, s, n| {
+                a.read_run_u64(p, s, &vec![Cell::new(0); n])
+            }),
+            ("write_run_u32", 4, &|p, s, n| {
+                a.write_run_u32(p, s, (0..n).map(|_| 7))
+            }),
+            ("write_run_u64", 8, &|p, s, n| {
+                a.write_run_u64(p, s, (0..n).map(|_| 7))
+            }),
+        ];
+        for (name, width, run) in runs {
+            for (stride, n) in [(width, 16usize), (3 * width, 5), (0, 4), (width, 1)] {
+                let span = (n as u64 - 1) * stride;
+                let last = cap - width - span;
+                assert_eq!(
+                    panic_of(|| run(last, stride, n)),
+                    None,
+                    "{name}: a run ending at cap"
+                );
+                assert_eq!(panic_of(|| run(8, stride, 0)), None, "{name}: no access");
+                // (run start, its first access out of range): from the null
+                // pointer; one element further, which only the last access
+                // leaves; and ending past the top of the address space.
+                let (past, top) = (last + width, u64::MAX - span);
+                for (start, bad) in [(0, 0), (past, past + span), (top, top)] {
+                    let want = format!("device access out of range: addr={bad:#x} len={width}");
+                    let msg = panic_of(|| run(start, stride, n)).unwrap_or_default();
+                    assert!(
+                        msg.starts_with(&want),
+                        "{name} from {start:#x}: {msg:?} (want {want})"
+                    );
+                    let single = panic_of(|| match width {
+                        4 => _ = a.read_u32(bad),
+                        _ => _ = a.read_u64(bad),
+                    });
+                    assert_eq!(
+                        single.as_deref(),
+                        Some(msg.as_str()),
+                        "{name} from {start:#x}"
+                    );
+                }
+            }
+        }
+        // Runs read and write what single accesses do, contiguous or
+        // strided; a store run past the end writes none of its accesses.
+        let read = |width: u64, p, stride, n| {
+            let dst = vec![Cell::new(u64::MAX); n];
+            match width {
+                4 => a.read_run_u32(p, stride, &dst),
+                _ => a.read_run_u64(p, stride, &dst),
+            }
+            dst.into_iter().map(Cell::into_inner).collect::<Vec<_>>()
+        };
+        let p = cap - 8 * 4;
+        a.write_run_u64(p, 8, [1, 2, 3, 4].into_iter());
+        assert_eq!(read(8, p, 8, 4), [1, 2, 3, 4]);
+        assert!(panic_of(|| a.write_run_u64(p, 8, [5, 6, 7, 8, 9].into_iter())).is_some());
+        assert_eq!(read(8, p, 8, 4), [1, 2, 3, 4]);
+        a.write_run_u32(p + 4, 8, [0xAB, 0xCD].into_iter());
+        assert_eq!((m.read_u32(p + 4), m.read_u32(p + 12)), (0xAB, 0xCD));
+        assert_eq!(read(4, p, 4, 4), [1, 0xAB, 2, 0xCD]);
+        assert_eq!(read(4, p, 8, 3), [1, 2, 3]);
+        assert_eq!(read(8, p, 16, 2), [1 | 0xAB << 32, 3]);
+        assert_eq!(read(8, p + 16, 0, 3), [3, 3, 3]);
     }
 
     #[test]

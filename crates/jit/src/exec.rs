@@ -14,9 +14,23 @@
 //! the device arena's by-value [`Arena`] view once, so each load or store
 //! checks its range with one compare against a base and length held in
 //! registers (a failed check calls a cold panic out of line), and its body
-//! is compiled twice — for x86-64 hosts with AVX2 and FMA, and for the
-//! baseline ISA — with one feature dispatch per tile, in [`run_tile`],
-//! outside the op loop.
+//! is compiled three times — for x86-64 hosts with AVX2 and FMA, with FMA
+//! alone, and for the baseline ISA — with one feature dispatch per tile,
+//! in [`run_tile`], outside the op loop. A complex multiply-accumulate the
+//! lowering folded into one [`COp::MulAcc`] runs its three rounded steps in
+//! one lane loop.
+//!
+//! An [`Addr::Indexed`] access whose active lanes' sites are consecutive
+//! (SoA fields read at the thread id, or through a neighbour column that
+//! happens to be consecutive in this tile) is one coalesced run: its
+//! first and last access are checked once and the run is copied with no
+//! per-lane check ([`run`]). A site register's first access tests its
+//! column; its later accesses in the tile reuse the answer. Every other
+//! access checks lane by lane. The two differ only when an access is out
+//! of range: both panic with the first bad lane's message, but a store
+//! run panics before any lane writes, while lane by lane the lanes before
+//! the bad one have written. All raw-pointer access to device memory is
+//! in `qdp_gpu_sim`'s arena; this module has none.
 //!
 //! Each lane runs the same scalar operations in the same order as a thread
 //! run alone; only the interleaving between lanes (and between tiles,
@@ -32,7 +46,7 @@
 //! pair. Lowering validates every kernel against that dialect, so in each
 //! match below the last arm's `_` stands for the one remaining legal type.
 
-use crate::lower::{AVal, Addr, COp, CompiledKernel};
+use crate::lower::{AVal, Acc, Addr, COp, CompiledKernel};
 use qdp_gpu_sim::par::parallel_for;
 use qdp_gpu_sim::{Arena, DeviceMemory};
 use qdp_ptx::inst::{BinOp, CmpOp, SpecialReg};
@@ -78,17 +92,54 @@ fn f64_of(bits: u64) -> f64 {
 /// all of the tile's active lanes in one loop.
 pub const TILE: usize = 64;
 
-/// One launch: kernel, argument bits, memory and grid shape.
+/// One launch: kernel, argument bits, memory, grid shape, and how its
+/// tiles run.
 struct Grid<'a> {
     k: &'a CompiledKernel,
     args: &'a [u64],
     mem: &'a DeviceMemory,
     n_blocks: u32,
     block_size: u32,
+    mode: Mode,
 }
 
-/// A tile's register file (column `c` holds lanes `c * TILE ..`), viewed
-/// at its `n` active lanes.
+/// Compilations of the tile body, in the order a host prefers them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Isa {
+    /// The baseline ISA: `mul_add` is a runtime `fma` call per lane.
+    Baseline,
+    /// x86-64 with FMA: `mul_add` is one instruction.
+    Fma,
+    /// x86-64 with AVX2 and FMA.
+    Avx2Fma,
+}
+
+/// How a launch runs its tiles: the best tile-body compilation it may take
+/// where the host has it, and whether consecutive accesses go as one
+/// checked run ([`run`]). [`run_grid`] takes the best of both; tests pick
+/// less, to hold the paths against each other.
+#[derive(Debug, Clone, Copy)]
+struct Mode {
+    isa: Isa,
+    runs: bool,
+}
+
+impl Mode {
+    const BEST: Mode = Mode {
+        isa: Isa::Avx2Fma,
+        runs: true,
+    };
+}
+
+/// What a pool thread keeps for the tiles it runs: a register file (column
+/// `c` holds lanes `c * TILE ..`) and, per column, whether a site register
+/// in it holds a consecutive run ([`run`]).
+struct Scratch {
+    regs: Vec<u64>,
+    consecutive: Vec<bool>,
+}
+
+/// A tile's register file, viewed at its `n` active lanes.
 #[derive(Clone, Copy)]
 struct Lanes<'a> {
     regs: &'a [Cell<u64>],
@@ -165,6 +216,68 @@ fn map3(d: &[Cell<u64>], a: Src<'_>, b: Src<'_>, c: Src<'_>, f: impl Fn(u64, u64
     }
 }
 
+/// `d[l] = f(a[l], b[l], c[l], e[l])` over register columns.
+#[inline(always)]
+fn map4(d: &[Cell<u64>], [a, b, c, e]: [&[Cell<u64>]; 4], f: impl Fn(u64, u64, u64, u64) -> u64) {
+    for ((((d, a), b), c), e) in d.iter().zip(a).zip(b).zip(c).zip(e) {
+        d.set(f(a.get(), b.get(), c.get(), e.get()));
+    }
+}
+
+/// `d[l] = f(a[l], b[l], c[l], e[l], x[l])` over register columns.
+#[inline(always)]
+fn map5(
+    d: &[Cell<u64>],
+    [a, b, c, e, x]: [&[Cell<u64>]; 5],
+    f: impl Fn(u64, u64, u64, u64, u64) -> u64,
+) {
+    for (((((d, a), b), c), e), x) in d.iter().zip(a).zip(b).zip(c).zip(e).zip(x) {
+        d.set(f(a.get(), b.get(), c.get(), e.get(), x.get()));
+    }
+}
+
+/// The first lane's byte address and the stride, when the launch takes
+/// runs and `a` addresses one — an [`Addr::Indexed`] form whose active lanes' sites are
+/// consecutive (as u64s, so as u32s too), with `site +₃₂ k` not wrapping
+/// across them — so lane `l` accesses `a0 + l·scale`, the address
+/// [`each_addr`] computes for it. A site register's first access tests its
+/// column and notes the answer in `consecutive` (a flag per column), which
+/// the register's later accesses read: the register is defined once,
+/// before its first access, and an exit only shrinks the active lanes to a
+/// prefix.
+#[inline(always)]
+fn run(g: &Grid<'_>, r: Lanes<'_>, a: Addr, consecutive: &mut [bool]) -> Option<(u64, u64)> {
+    let (
+        true,
+        Addr::Indexed {
+            arg,
+            site,
+            k,
+            scale,
+            offset,
+            first,
+        },
+    ) = (g.mode.runs, a)
+    else {
+        return None;
+    };
+    let sites = r.col(site);
+    let s0 = sites.first()?.get();
+    if first {
+        consecutive[site as usize] = (sites.iter().zip(0u64..))
+            .fold(true, |ok, (s, l)| ok & (s.get().wrapping_sub(s0) == l));
+    }
+    let i0 = (s0 as u32).wrapping_add(k);
+    let fits = i0.checked_add(sites.len() as u32 - 1).is_some();
+    (consecutive[site as usize] && fits).then(|| {
+        let base = g.args[arg as usize].wrapping_add(offset as u64);
+        (
+            base.wrapping_add(u64::from(i0) * u64::from(scale)),
+            u64::from(scale),
+        )
+    })
+}
+
 /// `f(x, byte address)` for every active lane, zipped with that lane's `x`
 /// in `col` — for a folded address, the value the
 /// `add.u32`/`mul.wide.u32`/`add.u64` chain would have produced — with the
@@ -178,6 +291,7 @@ fn each_addr<T>(r: Lanes<'_>, args: &[u64], a: Addr, col: &[T], mut f: impl FnMu
             k,
             scale,
             offset,
+            ..
         } => {
             let base = args[arg as usize].wrapping_add(offset as u64);
             for (x, s) in col.iter().zip(r.col(site)) {
@@ -200,50 +314,64 @@ fn each_addr<T>(r: Lanes<'_>, args: &[u64], a: Addr, col: &[T], mut f: impl FnMu
 /// set is a prefix.
 ///
 /// The tile takes the arena's by-value view once, and its body is compiled
-/// twice: for x86-64 hosts with AVX2 and FMA — `mul_add` is then one
-/// instruction per lane — and for the baseline ISA. The host decides here,
-/// once per tile, outside the op loop. Both compile the same scalar IEEE
+/// three times: for x86-64 hosts with AVX2 and FMA, for those with FMA
+/// alone — `mul_add` is then one instruction per lane — and for the
+/// baseline ISA. The host decides here, once per tile, outside the op
+/// loop, up to the launch's [`Mode`]. All compile the same scalar IEEE
 /// operations per lane, so they leave the same bits (fused multiply-add is
 /// exactly rounded either way; only NaN payloads are not fixed).
-fn run_tile(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize) -> bool {
+fn run_tile(g: &Grid<'_>, s: &mut Scratch, block: u32, t0: u32, lanes: usize) -> bool {
     let mem = g.mem.arena();
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+    let (avx2, fma) = (is_x86_feature_detected!("avx2"), is_x86_feature_detected!("fma"));
+    #[cfg(target_arch = "x86_64")]
+    {
+        type Body = unsafe fn(&Grid<'_>, Arena<'_>, &mut Scratch, u32, u32, usize) -> bool;
         #[target_feature(enable = "avx2,fma")]
         fn avx2_fma(
             g: &Grid<'_>,
-            mem: Arena<'_>,
-            regs: &[Cell<u64>],
-            block: u32,
+            m: Arena<'_>,
+            s: &mut Scratch,
+            b: u32,
             t0: u32,
-            lanes: usize,
+            n: usize,
         ) -> bool {
-            tile(g, mem, regs, block, t0, lanes)
+            tile(g, m, s, b, t0, n)
         }
-        // SAFETY: `avx2_fma` enables only AVX2 and FMA, which the host CPU
-        // was just detected to support.
-        return unsafe { avx2_fma(g, mem, regs, block, t0, lanes) };
+        #[target_feature(enable = "fma")]
+        fn fma_only(
+            g: &Grid<'_>,
+            m: Arena<'_>,
+            s: &mut Scratch,
+            b: u32,
+            t0: u32,
+            n: usize,
+        ) -> bool {
+            tile(g, m, s, b, t0, n)
+        }
+        let host = match (avx2, fma) {
+            (true, true) => Isa::Avx2Fma,
+            (false, true) => Isa::Fma,
+            (_, false) => Isa::Baseline,
+        };
+        let body: Body = match host.min(g.mode.isa) {
+            Isa::Avx2Fma => avx2_fma,
+            Isa::Fma => fma_only,
+            Isa::Baseline => tile,
+        };
+        // SAFETY: `body` enables only features the host CPU was just
+        // detected to support.
+        unsafe { body(g, mem, s, block, t0, lanes) }
     }
-    tile(g, mem, regs, block, t0, lanes)
-}
-
-/// [`run_tile`] on the baseline ISA whatever the host has, so a test can
-/// hold the two compilations of [`tile`] against each other.
-#[cfg(test)]
-fn run_tile_baseline(g: &Grid<'_>, regs: &[Cell<u64>], block: u32, t0: u32, lanes: usize) -> bool {
-    tile(g, g.mem.arena(), regs, block, t0, lanes)
+    #[cfg(not(target_arch = "x86_64"))]
+    tile(g, mem, s, block, t0, lanes)
 }
 
 /// The op loop of [`run_tile`], inlined into each of its ISA variants.
 #[inline(always)]
-fn tile(
-    g: &Grid<'_>,
-    mem: Arena<'_>,
-    regs: &[Cell<u64>],
-    block: u32,
-    t0: u32,
-    lanes: usize,
-) -> bool {
+fn tile(g: &Grid<'_>, mem: Arena<'_>, s: &mut Scratch, block: u32, t0: u32, lanes: usize) -> bool {
+    let regs = Cell::from_mut(s.regs.as_mut_slice()).as_slice_of_cells();
+    let consecutive = s.consecutive.as_mut_slice();
     fill(&regs[..g.k.n_zeroed as usize * TILE], 0);
     let mut n = lanes;
     for op in &g.k.code {
@@ -252,15 +380,32 @@ fn tile(
             COp::LdArg { dst, arg, .. } => fill(r.col(dst), g.args[arg as usize]),
             COp::Ld { ty, dst, addr } => {
                 let d = r.col(dst);
-                match ty {
-                    PtxType::F32 | PtxType::U32 => {
+                let narrow = matches!(ty, PtxType::F32 | PtxType::U32);
+                match run(g, r, addr, consecutive) {
+                    Some((a0, stride)) if narrow => mem.read_run_u32(a0, stride, d),
+                    Some((a0, stride)) => mem.read_run_u64(a0, stride, d),
+                    None if narrow => {
                         each_addr(r, g.args, addr, d, |d, a| d.set(mem.read_u32(a) as u64))
                     }
-                    _ => each_addr(r, g.args, addr, d, |d, a| d.set(mem.read_u64(a))),
+                    None => each_addr(r, g.args, addr, d, |d, a| d.set(mem.read_u64(a))),
                 }
             }
             COp::St { ty, addr, src } => {
                 let narrow = matches!(ty, PtxType::F32 | PtxType::U32);
+                if let Some((a0, stride)) = run(g, r, addr, consecutive) {
+                    let n = r.n;
+                    match r.src(src) {
+                        Src::Col(v) if narrow => {
+                            mem.write_run_u32(a0, stride, v.iter().map(|v| v.get() as u32))
+                        }
+                        Src::Col(v) => mem.write_run_u64(a0, stride, v.iter().map(Cell::get)),
+                        Src::Imm(v) if narrow => {
+                            mem.write_run_u32(a0, stride, std::iter::repeat_n(v as u32, n))
+                        }
+                        Src::Imm(v) => mem.write_run_u64(a0, stride, std::iter::repeat_n(v, n)),
+                    }
+                    continue;
+                }
                 // An immediate zips with one `()` per active lane.
                 let lanes = &[(); TILE][..r.n];
                 match r.src(src) {
@@ -345,6 +490,55 @@ fn tile(
                     }),
                 }
             }
+            COp::MulAcc {
+                ty,
+                dst,
+                a,
+                b,
+                acc,
+                c,
+                d,
+            } => {
+                let (dst, a, b, c, d) = (r.col(dst), r.col(a), r.col(b), r.col(c), r.col(d));
+                match (ty, acc) {
+                    (PtxType::F32, Acc::Product) => map4(dst, [a, b, c, d], |a, b, c, d| {
+                        let w = f32_of(a) * f32_of(b);
+                        f32_of(c).mul_add(f32_of(d), w).to_bits() as u64
+                    }),
+                    (PtxType::F32, Acc::Negated) => map4(dst, [a, b, c, d], |a, b, c, d| {
+                        let w = -(f32_of(a) * f32_of(b));
+                        f32_of(c).mul_add(f32_of(d), w).to_bits() as u64
+                    }),
+                    (PtxType::F32, Acc::Add(e)) => {
+                        map5(dst, [a, b, c, d, r.col(e)], |a, b, c, d, e| {
+                            let w = f32_of(e) + f32_of(a) * f32_of(b);
+                            f32_of(c).mul_add(f32_of(d), w).to_bits() as u64
+                        })
+                    }
+                    (PtxType::F32, Acc::Sub(e)) => {
+                        map5(dst, [a, b, c, d, r.col(e)], |a, b, c, d, e| {
+                            let w = f32_of(e) - f32_of(a) * f32_of(b);
+                            f32_of(c).mul_add(f32_of(d), w).to_bits() as u64
+                        })
+                    }
+                    (_, Acc::Product) => map4(dst, [a, b, c, d], |a, b, c, d| {
+                        let w = f64_of(a) * f64_of(b);
+                        f64_of(c).mul_add(f64_of(d), w).to_bits()
+                    }),
+                    (_, Acc::Negated) => map4(dst, [a, b, c, d], |a, b, c, d| {
+                        let w = -(f64_of(a) * f64_of(b));
+                        f64_of(c).mul_add(f64_of(d), w).to_bits()
+                    }),
+                    (_, Acc::Add(e)) => map5(dst, [a, b, c, d, r.col(e)], |a, b, c, d, e| {
+                        let w = f64_of(e) + f64_of(a) * f64_of(b);
+                        f64_of(c).mul_add(f64_of(d), w).to_bits()
+                    }),
+                    (_, Acc::Sub(e)) => map5(dst, [a, b, c, d, r.col(e)], |a, b, c, d, e| {
+                        let w = f64_of(e) - f64_of(a) * f64_of(b);
+                        f64_of(c).mul_add(f64_of(d), w).to_bits()
+                    }),
+                }
+            }
             COp::Setp { cmp, dst, a, b } => {
                 let (d, a, b) = (r.col(dst), r.src(a), r.src(b));
                 match cmp {
@@ -395,20 +589,17 @@ pub fn run_grid(
     n_blocks: u32,
     block_size: u32,
 ) {
-    launch(k, args, mem, n_blocks, block_size, run_tile)
+    launch(k, args, mem, n_blocks, block_size, Mode::BEST)
 }
 
-/// A tile runner: [`run_tile`], or in tests the baseline-ISA one.
-type RunTile = fn(&Grid<'_>, &[Cell<u64>], u32, u32, usize) -> bool;
-
-/// [`run_grid`] with the tile runner as a parameter.
+/// [`run_grid`] with the tiles' [`Mode`] as a parameter.
 fn launch(
     k: &CompiledKernel,
     args: &[LaunchArg],
     mem: &DeviceMemory,
     n_blocks: u32,
     block_size: u32,
-    run_tile: RunTile,
+    mode: Mode,
 ) {
     assert_eq!(
         args.len(),
@@ -425,19 +616,22 @@ fn launch(
         mem,
         n_blocks,
         block_size,
+        mode,
     };
     let tiles = (block_size as usize).div_ceil(TILE);
     parallel_for(
         n_blocks as usize * tiles,
-        || vec![0u64; k.n_cols as usize * TILE],
-        |regs, i| {
-            let regs = Cell::from_mut(regs.as_mut_slice()).as_slice_of_cells();
+        || Scratch {
+            regs: vec![0u64; k.n_cols as usize * TILE],
+            consecutive: vec![false; k.n_cols as usize],
+        },
+        |s, i| {
             let block = (i / tiles) as u32;
             let t0 = ((i % tiles) * TILE) as u32;
             let lanes = (block_size - t0).min(TILE as u32) as usize;
-            if !run_tile(&g, regs, block, t0, lanes) {
+            if !run_tile(&g, s, block, t0, lanes) {
                 for t in t0..t0 + lanes as u32 {
-                    run_tile(&g, regs, block, t, 1);
+                    run_tile(&g, s, block, t, 1);
                 }
             }
         },
@@ -447,7 +641,7 @@ fn launch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_kernel;
+    use crate::lower::{lower_kernel, lower_kernel_unfolded};
     use qdp_ptx::inst::{Inst, Operand};
     use qdp_ptx::module::KernelBuilder;
     use qdp_ptx::types::{Reg, RegClass};
@@ -610,7 +804,9 @@ mod tests {
     /// The special value, if any, that real `i` of a golden input buffer
     /// holds instead of a random one, as `(f32, f64)`: every 29th a signed
     /// zero or a subnormal, every 509th an infinity or a NaN — sparse
-    /// enough that most sites still compute finite results.
+    /// enough that most sites still compute finite results. Not for
+    /// timing: arithmetic on subnormals takes microcode assists (in one
+    /// phase `su3_mul` read 98–115 µs with them and 42–54 µs without).
     fn special_real(i: usize) -> Option<(f32, f64)> {
         let finite = [(0.0, 0.0), (-0.0, -0.0), (1e-40, 1e-310), (-1e-40, -1e-310)];
         let (inf, nan) = ((f32::INFINITY, f64::INFINITY), (f32::NAN, f64::NAN));
@@ -625,12 +821,13 @@ mod tests {
 
     /// Device memory holding seeded inputs for `kernel` over `n` threads on
     /// `vol` sites — a buffer per pointer parameter, reals among them
-    /// including [`special_real`]s at the kernel's precision — and the
-    /// launch arguments.
+    /// including [`special_real`]s at the kernel's precision if `specials`
+    /// (leave them out to time a kernel) — and the launch arguments.
     fn golden_inputs(
         kernel: &qdp_ptx::module::Kernel,
         n: u32,
         vol: usize,
+        specials: bool,
     ) -> (DeviceMemory, Vec<u64>, Vec<LaunchArg>) {
         let mut rng = StdRng::seed_from_u64(u64::from(n));
         let unit = |rng: &mut StdRng| rng.random::<f32>() * 2.0 - 1.0;
@@ -661,7 +858,7 @@ mod tests {
                         }
                         let dp = is_dp(kernel);
                         let width = if dp { 8 } else { 4 };
-                        for i in 0..buf_bytes(vol) / width {
+                        for i in (0..buf_bytes(vol) / width).filter(|_| specials) {
                             let Some((sp_v, dp_v)) = special_real(i) else {
                                 continue;
                             };
@@ -699,30 +896,34 @@ mod tests {
     }
 
     /// Every golden kernel leaves the same device memory at every block
-    /// size and on both ISA paths of [`run_tile`], from the same seeded
-    /// inputs — signed zeros, subnormals, infinities and NaNs among them
-    /// ([`same_reals`]): block 1 runs one-lane tiles (a thread at a time);
-    /// the others cover partial tiles, tile edges, the guard falling
-    /// mid-tile and (n = 300) blocks of several tiles, whose tiles may run
-    /// on different pool threads. (That the goldens' `OptLevel::None`
-    /// renderings leave the same bytes is `qdp-core`'s `golden_ptx` test.)
+    /// size, on every ISA path of [`run_tile`], with coalesced runs and
+    /// lane by lane, and lowered with and without the product fold, from
+    /// the same seeded inputs — signed zeros, subnormals, infinities and
+    /// NaNs among them ([`same_reals`]): block 1 runs one-lane tiles (a
+    /// thread at a time); the others cover partial tiles, tile edges, the
+    /// guard falling mid-tile and (n = 300) blocks of several tiles, whose
+    /// tiles may run on different pool threads. (That the goldens'
+    /// `OptLevel::None` renderings leave the same bytes is `qdp-core`'s
+    /// `golden_ptx` test.)
     #[test]
     fn golden_kernels_leave_the_same_bytes_at_every_block_size() {
-        let paths: [(&str, RunTile); 2] = [("host", run_tile), ("baseline", run_tile_baseline)];
         let blocks = [1, 7, 63, 64, 65, 128, 256, 1000, 1024];
+        let isas = [Isa::Avx2Fma, Isa::Fma, Isa::Baseline];
         for (name, text) in crate::lower::GOLDEN_PTX {
             let golden = qdp_ptx::parse::parse_module(text).unwrap().kernels.remove(0);
             let width = if is_dp(&golden) { 8 } else { 4 };
             for (n, vol) in [(61u32, 64), (64, 64), (300, 320)] {
                 let kernel = on_lattice(golden.clone(), vol);
-                let k = lower_kernel(&kernel).unwrap();
+                let folded = lower_kernel(&kernel).unwrap();
+                let unfolded = lower_kernel_unfolded(&kernel).unwrap();
+                assert!(folded.code.len() <= unfolded.code.len(), "{name}");
                 let buf = buf_bytes(vol);
                 // Device memory after a launch of `k` at `block` (or none)
-                // through `run_tile`.
-                let run = |block: Option<u32>, run_tile: RunTile| {
-                    let (mem, bufs, args) = golden_inputs(&kernel, n, vol);
+                // in `mode`.
+                let run = |k: &CompiledKernel, block: Option<u32>, mode: Mode| {
+                    let (mem, bufs, args) = golden_inputs(&kernel, n, vol, true);
                     if let Some(block) = block {
-                        launch(&k, &args, &mem, n.div_ceil(block), block, run_tile);
+                        launch(k, &args, &mem, n.div_ceil(block), block, mode);
                     }
                     let mut out = vec![0u8; buf * bufs.len()];
                     for (chunk, &p) in out.chunks_mut(buf).zip(&bufs) {
@@ -730,17 +931,95 @@ mod tests {
                     }
                     out
                 };
-                let one_lane = run(Some(1), run_tile);
-                assert!(one_lane != run(None, run_tile), "{name}: the kernel stored nothing");
+                let plain = Mode {
+                    isa: Isa::Baseline,
+                    runs: false,
+                };
+                let one_lane = run(&unfolded, Some(1), plain);
+                assert!(
+                    one_lane != run(&unfolded, None, plain),
+                    "{name}: the kernel stored nothing"
+                );
                 for block in blocks {
-                    for (path, run_tile) in paths {
-                        assert!(
-                            same_reals(&run(Some(block), run_tile), &one_lane, width),
-                            "{name}, n = {n}: block {block} on the {path} path differs from \
-                             one-lane tiles on the host path"
-                        );
+                    for (fold, k) in [("folded", &folded), ("unfolded", &unfolded)] {
+                        for (isa, runs) in isas.into_iter().flat_map(|i| [(i, true), (i, false)]) {
+                            assert!(
+                                same_reals(
+                                    &run(k, Some(block), Mode { isa, runs }),
+                                    &one_lane,
+                                    width
+                                ),
+                                "{name}, n = {n}: {fold}, block {block} on the {isa:?} path \
+                                 (runs {runs}) differs from unfolded one-lane tiles"
+                            );
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    /// Interpreter time of each golden kernel on each path, p50 µs of a
+    /// 256-site launch, the paths interleaved round by round: lowered
+    /// without and with the product fold, accesses lane by lane and in
+    /// runs, and the tile body forced to each ISA. The inputs hold no
+    /// special reals: subnormals turn a timing into microcode assists.
+    /// `taskset -c 0 cargo test --release -p qdp-jit tile_paths_timing --
+    /// --ignored --nocapture` runs it on one thread (a pinned thread runs
+    /// every launch inline).
+    #[test]
+    #[ignore = "a timing, not a check"]
+    fn tile_paths_timing() {
+        let best = Mode::BEST;
+        let per_lane = Mode {
+            runs: false,
+            ..best
+        };
+        let paths = [
+            ("unfolded, per lane", false, per_lane),
+            ("folded, per lane", true, per_lane),
+            ("folded, runs", true, best),
+            (
+                "folded, runs, fma",
+                true,
+                Mode {
+                    isa: Isa::Fma,
+                    ..best
+                },
+            ),
+            (
+                "folded, runs, baseline",
+                true,
+                Mode {
+                    isa: Isa::Baseline,
+                    ..best
+                },
+            ),
+        ];
+        let vol = 256;
+        for (name, text) in crate::lower::GOLDEN_PTX {
+            let golden = qdp_ptx::parse::parse_module(text)
+                .unwrap()
+                .kernels
+                .remove(0);
+            let kernel = on_lattice(golden, vol);
+            let ks = [
+                lower_kernel_unfolded(&kernel).unwrap(),
+                lower_kernel(&kernel).unwrap(),
+            ];
+            let (mem, _, args) = golden_inputs(&kernel, vol as u32, vol, false);
+            let mut times = vec![Vec::new(); paths.len()];
+            for _ in 0..1000 {
+                for ((_, fold, mode), t) in paths.iter().zip(&mut times) {
+                    let start = std::time::Instant::now();
+                    launch(&ks[usize::from(*fold)], &args, &mem, 1, vol as u32, *mode);
+                    t.push(start.elapsed().as_secs_f64() * 1e6);
+                }
+            }
+            for ((path, ..), mut t) in paths.iter().zip(times) {
+                t.sort_by(f64::total_cmp);
+                let (min, p50) = (t[0], t[t.len() / 2]);
+                println!("{name:>20} {path:<24} p50 {p50:8.1} µs (min {min:.1})");
             }
         }
     }
@@ -840,6 +1119,321 @@ mod tests {
         for t in 0..n {
             assert_eq!(at(t + 4), (t + 5) as f64 * 0.5 - 7.0, "thread {t}");
             assert_eq!(at(t + 4 + 128), 2.5, "thread {t}");
+        }
+
+        // Inside a tile `tid +₃₂ (2³² − 5)` wraps at lane 5: lanes 0..5 read
+        // 4 GiB past the input and the others from its start, byte by byte
+        // (`mul.wide` by 1). That is no run, so the load goes lane by lane,
+        // and the bytes are those of per-lane accesses throughout.
+        let mut b = KernelBuilder::new("tile_wrap");
+        let [p_out, p_in] = ["out", "in"].map(|p| b.param(p, PtxType::U64));
+        let tid = b.global_tid();
+        let idx = b.bin(
+            BinOp::Add,
+            PtxType::U32,
+            tid.into(),
+            Operand::ImmI((1 << 32) - 5),
+        );
+        let a_in = index(&mut b, &p_in, idx, 1);
+        let v = b.fresh(RegClass::B32);
+        b.push(Inst::LdGlobal {
+            ty: PtxType::U32,
+            dst: v,
+            addr: a_in,
+            offset: 0,
+        });
+        let a_out = index(&mut b, &p_out, tid, 4);
+        b.push(Inst::StGlobal {
+            ty: PtxType::U32,
+            addr: a_out,
+            offset: 0,
+            src: v.into(),
+        });
+        let k = lower_kernel(&b.finish()).unwrap();
+        // Untouched pages of the arena cost no memory.
+        let mem = DeviceMemory::new((1 << 32) + (1 << 16));
+        let [po, pi] = [(); 2].map(|_| mem.alloc(4 * 64).unwrap());
+        for i in 0..4 * 64 {
+            mem.write_bytes(pi + i, [(i as u8).wrapping_add(1)]);
+        }
+        mem.write_u32(pi + (1 << 32) - 5, 0xDEAD_BEEF);
+        let run = |runs: bool| {
+            let args = [LaunchArg::Ptr(po), LaunchArg::Ptr(pi)];
+            launch(&k, &args, &mem, 1, 64, Mode { runs, ..Mode::BEST });
+            (0..64)
+                .map(|l| mem.read_u32(po + 4 * l))
+                .collect::<Vec<_>>()
+        };
+        let (runs, lanes) = (run(true), run(false));
+        assert_eq!(runs, lanes, "a wrapping column read as a run");
+        assert_eq!(runs[0], 0xDEAD_BEEF);
+        for l in 5..64u64 {
+            let want = u32::from_le_bytes([1, 2, 3, 4].map(|j| (l - 5 + j) as u8));
+            assert_eq!(runs[l as usize], want, "lane {l}");
+        }
+    }
+
+    /// The byte address `p + (idx as u64)·w`, as the generator writes it.
+    fn index(b: &mut KernelBuilder, p: &str, idx: Reg, w: i64) -> Reg {
+        let off = b.fresh(RegClass::B64);
+        b.push(Inst::MulWide {
+            dst: off,
+            a: idx,
+            b: Operand::ImmI(w),
+        });
+        let base = b.ld_param(p, PtxType::U64);
+        b.bin(BinOp::Add, PtxType::U64, base.into(), off.into())
+    }
+
+    /// `out[tid] = in[tbl[tid]]` and `out[tid + 192] = in[tbl[tid] + 7]`:
+    /// the table's column is consecutive in the first and last of three
+    /// tiles and not in the middle one, so the first load through it tests
+    /// it again in every tile and the second reuses the answer. The bytes
+    /// are those of per-lane accesses.
+    #[test]
+    fn runs_are_tested_tile_by_tile() {
+        let mut b = KernelBuilder::new("gather");
+        let [p_out, p_in, p_tbl] = ["out", "in", "tbl"].map(|p| b.param(p, PtxType::U64));
+        let tid = b.global_tid();
+        let a_tbl = index(&mut b, &p_tbl, tid, 4);
+        let site = b.fresh(RegClass::B32);
+        b.push(Inst::LdGlobal {
+            ty: PtxType::U32,
+            dst: site,
+            addr: a_tbl,
+            offset: 0,
+        });
+        let shifted = b.bin(BinOp::Add, PtxType::U32, site.into(), Operand::ImmI(7));
+        let out_hi = b.bin(BinOp::Add, PtxType::U32, tid.into(), Operand::ImmI(192));
+        for (idx, at) in [(site, tid), (shifted, out_hi)] {
+            let a_in = index(&mut b, &p_in, idx, 8);
+            let v = b.fresh(RegClass::F64);
+            b.push(Inst::LdGlobal {
+                ty: PtxType::F64,
+                dst: v,
+                addr: a_in,
+                offset: 0,
+            });
+            let a_out = index(&mut b, &p_out, at, 8);
+            b.push(Inst::StGlobal {
+                ty: PtxType::F64,
+                addr: a_out,
+                offset: 0,
+                src: v.into(),
+            });
+        }
+        let k = lower_kernel(&b.finish()).unwrap();
+        let firsts: Vec<bool> = (k.code.iter())
+            .filter_map(|op| match op {
+                COp::Ld {
+                    addr: Addr::Indexed { first, .. },
+                    ty: PtxType::F64,
+                    ..
+                } => Some(*first),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(firsts, [true, false], "{:?}", k.code);
+
+        let table: Vec<u32> = (100..164)
+            .chain((0..64).map(|l| (l * 37) % 64 + 300))
+            .chain(20..84)
+            .collect();
+        let run = |runs: bool| {
+            let mem = DeviceMemory::new(1 << 16);
+            let [po, pi, pt] = [8 * 384, 8 * 512, 4 * 192].map(|b| mem.alloc(b).unwrap());
+            for i in 0..512 {
+                mem.write_f64(pi + 8 * i, i as f64 + 0.25);
+            }
+            for (i, &t) in table.iter().enumerate() {
+                mem.write_u32(pt + 4 * i as u64, t);
+            }
+            let args = [po, pi, pt].map(LaunchArg::Ptr);
+            launch(&k, &args, &mem, 1, 192, Mode { runs, ..Mode::BEST });
+            (0..384)
+                .map(|i| mem.read_f64(po + 8 * i))
+                .collect::<Vec<_>>()
+        };
+        let (runs, lanes) = (run(true), run(false));
+        assert_eq!(runs, lanes);
+        for (t, &s) in table.iter().enumerate() {
+            assert_eq!(runs[t], f64::from(s) + 0.25, "thread {t}");
+            assert_eq!(runs[t + 192], f64::from(s + 7) + 0.25, "thread {t}");
+        }
+    }
+
+    /// A store run whose last lanes leave the arena panics before any lane
+    /// writes; lane by lane, the lanes before the first bad one have
+    /// written. Both panic with that lane's message.
+    #[test]
+    fn a_store_run_out_of_range_writes_nothing() {
+        let mut b = KernelBuilder::new("overrun");
+        let p_out = b.param("out", PtxType::U64);
+        let tid = b.global_tid();
+        let idx = b.bin(BinOp::Add, PtxType::U32, tid.into(), Operand::ImmI(440));
+        let a_out = index(&mut b, &p_out, idx, 8);
+        b.push(Inst::StGlobal {
+            ty: PtxType::F64,
+            addr: a_out,
+            offset: 0,
+            src: Operand::ImmF(1.5),
+        });
+        let k = lower_kernel(&b.finish()).unwrap();
+        for runs in [true, false] {
+            let mem = DeviceMemory::new(4096);
+            let po = mem.alloc(8).unwrap();
+            // Lane 40 stores at 4096, the end of the arena.
+            assert_eq!(po + 8 * 480, 4096);
+            let launched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                launch(
+                    &k,
+                    &[LaunchArg::Ptr(po)],
+                    &mem,
+                    1,
+                    64,
+                    Mode { runs, ..Mode::BEST },
+                )
+            }));
+            let msg = launched
+                .unwrap_err()
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                msg.starts_with("device access out of range: addr=0x1000 len=8"),
+                "{msg}"
+            );
+            let written = (0..40)
+                .filter(|l| mem.read_f64(po + 8 * (440 + l)) == 1.5)
+                .count();
+            assert_eq!(written, if runs { 0 } else { 40 }, "runs {runs}");
+        }
+    }
+
+    /// Each addend form the product fold takes — `a·b`, `−(a·b)`, `e + a·b`
+    /// in either operand order, `e − a·b` — lowers to one `MulAcc` in f32
+    /// and f64; a product with a second use, or an addend that is no
+    /// product, stays as written. Over inputs with signed zeros, subnormals,
+    /// infinities and NaNs, the folded lowering leaves the unfolded one's
+    /// reals on every ISA path.
+    #[test]
+    fn product_fold_keeps_the_bits() {
+        // (form, whether it folds, its addend from the product `p`, `e`
+        // and `a`); the reused product is also stored.
+        type Addend = fn(&mut KernelBuilder, PtxType, Reg, Reg, Reg) -> Reg;
+        let forms: [(&str, bool, Addend); 7] = [
+            ("a·b", true, |_, _, p, _, _| p),
+            ("−(a·b)", true, |b, ty, p, _, _| {
+                let dst = b.fresh_for(ty);
+                b.push(Inst::Neg {
+                    ty,
+                    dst,
+                    src: p.into(),
+                });
+                dst
+            }),
+            ("e + a·b", true, |b, ty, p, e, _| {
+                b.bin(BinOp::Add, ty, e.into(), p.into())
+            }),
+            ("a·b + e", true, |b, ty, p, e, _| {
+                b.bin(BinOp::Add, ty, p.into(), e.into())
+            }),
+            ("e − a·b", true, |b, ty, p, e, _| {
+                b.bin(BinOp::Sub, ty, e.into(), p.into())
+            }),
+            ("a·b, reused", false, |_, _, p, _, _| p),
+            ("e + a", false, |b, ty, _, e, a| {
+                b.bin(BinOp::Add, ty, e.into(), a.into())
+            }),
+        ];
+        let specials = [0.0, -0.0, 1e-40, -1e-310, f64::INFINITY, -f64::INFINITY, f64::NAN];
+        let n = 256usize;
+        let mut rng = StdRng::seed_from_u64(7);
+        let inputs: Vec<Vec<f64>> = (0..5)
+            .map(|_| {
+                (0..n)
+                    .map(|_| match rng.random_range(0..3u64) {
+                        0 => specials[rng.random_range(0..specials.len() as u64) as usize],
+                        _ => f64::from(rng.random::<f32>() * 4.0 - 2.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        for ty in [PtxType::F32, PtxType::F64] {
+            let w = ty.size_bytes();
+            for (form, folds, addend) in forms {
+                let mut b = KernelBuilder::new("chain");
+                let ps = ["out", "a", "b", "c", "d", "e"].map(|p| b.param(p, PtxType::U64));
+                let tid = b.global_tid();
+                let [va, vb, vc, vd, ve] = [1, 2, 3, 4, 5].map(|i| {
+                    let addr = index(&mut b, &ps[i], tid, w as i64);
+                    let dst = b.fresh_for(ty);
+                    b.push(Inst::LdGlobal {
+                        ty,
+                        dst,
+                        addr,
+                        offset: 0,
+                    });
+                    dst
+                });
+                let p = b.bin(BinOp::Mul, ty, va.into(), vb.into());
+                let addend = addend(&mut b, ty, p, ve, va);
+                let r = b.fma(ty, vc.into(), vd.into(), addend.into());
+                let a_out = index(&mut b, &ps[0], tid, w as i64);
+                b.push(Inst::StGlobal {
+                    ty,
+                    addr: a_out,
+                    offset: 0,
+                    src: r.into(),
+                });
+                if form == "a·b, reused" {
+                    b.push(Inst::StGlobal {
+                        ty,
+                        addr: a_out,
+                        offset: (w * n) as i64,
+                        src: p.into(),
+                    });
+                }
+                let kernel = b.finish();
+                let folded = lower_kernel(&kernel).unwrap();
+                let unfolded = lower_kernel_unfolded(&kernel).unwrap();
+                let mul_accs = (folded.code.iter()).filter(|op| matches!(op, COp::MulAcc { .. }));
+                assert_eq!(mul_accs.count(), usize::from(folds), "{form} {ty:?}");
+                // The fold drops the `mul` and the `neg`/`add`/`sub` it took.
+                let dropped = match form {
+                    "a·b" => 1,
+                    _ if folds => 2,
+                    _ => 0,
+                };
+                assert_eq!(folded.code.len() + dropped, unfolded.code.len(), "{form} {ty:?}");
+
+                let run = |k: &CompiledKernel, mode: Mode| {
+                    let mem = DeviceMemory::new(1 << 17);
+                    let bufs: Vec<u64> = (0..6).map(|_| mem.alloc(2 * w * n).unwrap()).collect();
+                    for (x, &p) in inputs.iter().zip(&bufs[1..]) {
+                        for (i, &v) in x.iter().enumerate() {
+                            match ty {
+                                PtxType::F32 => mem.write_f32(p + 4 * i as u64, v as f32),
+                                _ => mem.write_f64(p + 8 * i as u64, v),
+                            }
+                        }
+                    }
+                    let args: Vec<LaunchArg> = bufs.iter().map(|&p| LaunchArg::Ptr(p)).collect();
+                    launch(k, &args, &mem, 2, n as u32 / 2, mode);
+                    let mut out = vec![0u8; 2 * w * n];
+                    mem.copy_to_host(bufs[0], &mut out);
+                    out
+                };
+                let plain = Mode {
+                    isa: Isa::Baseline,
+                    runs: false,
+                };
+                let reference = run(&unfolded, plain);
+                for isa in [Isa::Avx2Fma, Isa::Fma, Isa::Baseline] {
+                    let got = run(&folded, Mode { isa, ..Mode::BEST });
+                    assert!(same_reals(&got, &reference, w), "{form} {ty:?} on {isa:?}");
+                }
+            }
         }
     }
 
