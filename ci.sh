@@ -488,6 +488,20 @@ if [ -n "$unsafe_outside$raw" ]; then
 fi
 echo "ok: device memory is touched only in the arena (no raw-pointer access in crates/jit/src)"
 
+# ---- Guard: one tuning record ------------------------------------------------
+# A compiled kernel holds its own §VII tuning record (`CompiledKernel::
+# tuning`), filled at its first launch: nothing looks a kernel's tuning
+# state up by name. The name-keyed tuner, its lookups and the context's
+# accessor for it stay deleted.
+named=$(grep -rnF -e 'AutoTuner' -e 'fn block_for' -e 'fn tuner(' -e 'HashMap<String, TuneState>' \
+    crates/*/src | grep -v '^crates/benchmark/' || true)
+if [ -n "$named" ]; then
+    echo "FAIL: a name-keyed tuning lookup is back:" >&2
+    echo "$named" >&2
+    exit 1
+fi
+echo "ok: one tuning record (each compiled kernel holds its own, no lookup by name)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

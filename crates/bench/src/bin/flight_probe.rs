@@ -5,7 +5,7 @@
 //! the caller can hand it to `trace_check --flight`.
 
 use qdp_gpu_sim::{Device, DeviceConfig, StreamId};
-use qdp_jit::{launch_tuned_on, AutoTuner, CompileRequest, KernelCache, LaunchArg};
+use qdp_jit::{launch_tuned_on, CompileRequest, KernelCache, LaunchArg};
 use qdp_ptx::emit::emit_module;
 use qdp_ptx::inst::{BinOp, Inst, Operand};
 use qdp_ptx::module::{KernelBuilder, Module};
@@ -60,7 +60,6 @@ fn main() {
     let tel = Arc::new(Telemetry::new());
     tel.set_flight_dir(&dir);
     let device = Device::with_telemetry(DeviceConfig::k20x_ecc_off(), Arc::clone(&tel));
-    let tuner = AutoTuner::new(device.config().max_threads_per_block);
     let cache = KernelCache::with_telemetry(Arc::clone(&tel));
     let k = cache.compile(CompileRequest::new(&double_kernel())).unwrap();
 
@@ -73,11 +72,11 @@ fn main() {
         LaunchArg::U32(n as u32),
     ];
     for _ in 0..4 {
-        launch_tuned_on(&device, &tuner, &k, &args, n, 1, true, StreamId::DEFAULT).unwrap();
+        launch_tuned_on(&device, None, &k, &args, n, 1, true, StreamId::DEFAULT).unwrap();
     }
     // The forced failure: an empty grid is rejected by the launch model,
     // which dumps the flight ring before returning the error.
-    let err = launch_tuned_on(&device, &tuner, &k, &args, 0, 1, false, StreamId::DEFAULT);
+    let err = launch_tuned_on(&device, None, &k, &args, 0, 1, false, StreamId::DEFAULT);
     assert!(err.is_err(), "zero-thread launch must fail");
 
     // This process's dumps are `qdp-flight-<pid>-<registry>.json`.

@@ -25,8 +25,9 @@ fn main() {
         );
     }
     println!();
-    println!("Notes: our generated kernels count every emitted floating-point");
-    println!("instruction (including fma contraction bookkeeping), so the");
-    println!("measured intensity sits slightly above the paper's hand counts");
-    println!("for some kernels; `clover` matches exactly (504 flop / 960 B).");
+    println!("Notes: our generated kernels count each emitted floating-point");
+    println!("add, sub and mul as 1 flop and each fma as 2 (a neg is a sign");
+    println!("flip, no flop): `lcm`, `upsi` and `clover` match the paper's");
+    println!("counts (`clover`: 504 flop / 960 B); `spmat` and `matvec` sit");
+    println!("above its hand counts.");
 }

@@ -1,6 +1,7 @@
-//! The QDP-JIT runtime context: device, software cache, kernel cache,
-//! auto-tuner, geometry and the pinned device-resident tables (neighbour
-//! tables, subset site lists, the §V inner/face site lists).
+//! The QDP-JIT runtime context: device, software cache, kernel cache (each
+//! compiled kernel carries its own §VII block-size tuning record), the
+//! persistent kernel store, geometry and the pinned device-resident tables
+//! (neighbour tables, subset site lists, the §V inner/face site lists).
 
 use crate::config::{QdpConfig, QdpContextBuilder};
 use crate::eval::CoreError;
@@ -9,7 +10,7 @@ use qdp_gpu_sim::sync::Mutex;
 use qdp_cache::MemoryCache;
 use qdp_expr::ShiftDir;
 use qdp_gpu_sim::{Device, DeviceConfig, DevicePtr, StreamId};
-use qdp_jit::{AutoTuner, KernelCache, KernelStore};
+use qdp_jit::{KernelCache, KernelStore};
 use qdp_layout::{Dir, Geometry, LayoutKind, Subset};
 use qdp_ptx::opt::OptLevel;
 use qdp_telemetry::{ProfileReport, Telemetry};
@@ -22,14 +23,12 @@ pub struct QdpContext {
     device: Arc<Device>,
     cache: MemoryCache,
     kernels: KernelCache,
-    tuner: AutoTuner,
     geom: Geometry,
     layout: LayoutKind,
     config: QdpConfig,
     /// Every pinned table: device pointer and entry count.
     tables: Mutex<HashMap<TableKey, (DevicePtr, usize)>>,
     execute_payload: AtomicBool,
-    store: Option<Arc<KernelStore>>,
     /// The rank this context is in a multi-rank run (dangling when it is
     /// the whole machine).
     rank: Mutex<Weak<MultiRank>>,
@@ -69,18 +68,15 @@ impl QdpContext {
         // the stack dumps the flight recorder's black box to disk.
         telemetry.arm_panic_dump();
         let device = Arc::new(Device::with_telemetry(cfg, Arc::clone(&telemetry)));
-        let max_block = device.config().max_threads_per_block;
         Arc::new(QdpContext {
             cache: MemoryCache::new(Arc::clone(&device)),
-            kernels: KernelCache::with_store(telemetry, store.clone()),
-            tuner: AutoTuner::with_store(max_block, store.clone()),
+            kernels: KernelCache::with_store(telemetry, store),
             device,
             geom,
             layout,
             config,
             tables: Mutex::new(HashMap::new()),
             execute_payload: AtomicBool::new(true),
-            store,
             rank: Mutex::new(Weak::new()),
         })
     }
@@ -129,15 +125,10 @@ impl QdpContext {
         &self.kernels
     }
 
-    /// The block-size auto-tuner (paper §VII).
-    pub fn tuner(&self) -> &AutoTuner {
-        &self.tuner
-    }
-
-    /// The persistent kernel store backing the JIT cache and auto-tuner,
-    /// if one is active for this context.
+    /// The persistent kernel store backing the JIT cache and the tuned
+    /// launches, if one is active for this context.
     pub fn kernel_store(&self) -> Option<&Arc<KernelStore>> {
-        self.store.as_ref()
+        self.kernels.store()
     }
 
     /// Sub-grid geometry of this rank.

@@ -534,7 +534,7 @@ pub(crate) fn launch_statements(
     };
     let outcome = launch_tuned_on(
         ctx.device(),
-        ctx.tuner(),
+        ctx.kernel_store().map(|s| &**s),
         &kernel,
         &args,
         n_threads,

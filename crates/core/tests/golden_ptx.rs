@@ -261,7 +261,9 @@ fn golden_wilson_dslash_f32() {
 /// and `sub` count 1, `fma` 2 and `neg` 0 (a sign flip, not arithmetic).
 /// The kernel one site runs must do no more than the standard 1 320
 /// flops/site (plus a little slack) that `quda_sim::perf::DSLASH_FLOPS`
-/// and `chroma_mini::trace` credit it with.
+/// and `chroma_mini::trace` credit it with — and the performance model,
+/// which reads the parsed kernel's `thread_flops` through the lowered
+/// kernel's `flops`, credits it with the same count.
 #[test]
 fn dslash_flop_census_matches_its_credit() {
     for name in ["wilson_dslash_dp", "wilson_dslash_sp"] {
@@ -278,6 +280,10 @@ fn dslash_flop_census_matches_its_credit() {
             .sum();
         assert!(flops <= 1400, "{name}: {flops} flops per site");
         assert_eq!(flops, 1320, "{name}: the standard Wilson count");
+        let parsed = qdp_ptx::parse::parse_module(&ptx).unwrap();
+        assert_eq!(parsed.kernels[0].thread_flops(), 1320, "{name}: Kernel::thread_flops");
+        let lowered = qdp_jit::compile_ptx(&ptx).unwrap();
+        assert_eq!(lowered[0].flops, 1320, "{name}: CompiledKernel::flops");
     }
 }
 

@@ -707,3 +707,50 @@ fn mixed_precision_message_on_an_odd_face_matches_single_rank() {
         }
     }
 }
+
+#[test]
+fn inner_and_face_launches_walk_one_tuning_record() {
+    // On an 8⁴ lattice split in t (local 8³×4) a statement shifting along
+    // t runs the §V schedule: an inner launch and a face launch of the
+    // group's one kernel per statement. Both walk that kernel's one tuning
+    // record, so every trial launch of either kind is one of its probes.
+    let global = [8usize; 4];
+    let results = qdp_comm::run_cluster(
+        2,
+        qdp_comm::LinkModel::infiniband_qdr(),
+        move |handle| {
+            let decomp = Decomposition::new(global, [1, 1, 1, 2]);
+            let tel = Arc::new(qdp_telemetry::Telemetry::new());
+            tel.enable();
+            let ctx = QdpContext::builder(decomp.local_geometry())
+                .device(DeviceConfig::k20m_ecc_on())
+                .telemetry(Arc::clone(&tel))
+                .build();
+            ctx.set_payload_execution(false);
+            let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, true);
+            let psi = LatticeFermion::<f64>::new(&ctx);
+            let out = LatticeFermion::<f64>::new(&ctx);
+            let e = shift(psi.q(), 3, ShiftDir::Forward);
+            let mut name = String::new();
+            for _ in 0..8 {
+                name = out.assign(e.clone()).unwrap().kernel_name;
+            }
+            // Re-render the launched kernel (over a site list, t faces
+            // only) and fetch it.
+            let mut plan = qdp_core::plan_codegen(&ctx, out.fref(), e.raw(), true, true).unwrap();
+            plan.env.faces.retain(|f| f.mu == 3);
+            let ptx = qdp_core::render_ptx(&plan, e.raw(), &name).unwrap();
+            let misses = ctx.kernels().stats().misses;
+            let k = ctx.kernels().compile(qdp_jit::CompileRequest::new(&ptx)).unwrap();
+            assert_eq!(ctx.kernels().stats().misses, misses, "{name} is not the launched kernel");
+            let st = k.tuning.lock().clone().expect("a launched kernel has a record");
+            let row = ctx.profile_report().kernel(&name).cloned().expect("kernel row");
+            (row.launches, row.trial_launches, st.probes as u64, st.settled)
+        },
+    );
+    for (launches, trials, probes, settled) in results {
+        assert_eq!(launches, 16, "an inner and a face launch per statement");
+        assert_eq!(trials, probes, "one record saw every trial launch");
+        assert!(settled);
+    }
+}

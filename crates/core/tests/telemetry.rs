@@ -4,8 +4,10 @@
 //! JIT hit ratio, cache traffic, eval spans — and in the Chrome trace.
 
 use qdp_core::prelude::*;
+use qdp_core::SiteElem;
 use qdp_gpu_sim::Device;
-use qdp_jit::{launch_tuned_on, AutoTuner, KernelCache, LaunchArg};
+use qdp_jit::autotune::TuneState;
+use qdp_jit::{launch_tuned_on, CompileRequest, CompiledKernel, KernelCache, LaunchArg};
 use qdp_ptx::emit::emit_module;
 use qdp_ptx::inst::{BinOp, Inst, Operand};
 use qdp_ptx::module::{KernelBuilder, Module};
@@ -26,26 +28,44 @@ fn profiled_ctx() -> (Arc<QdpContext>, Arc<Telemetry>) {
 }
 
 /// Drive one expression kernel until its tuner settles, then a few more
-/// launches at the settled block size.
-fn run_settling_workload(ctx: &Arc<QdpContext>) -> String {
+/// launches at the settled block size. Returns the kernel's name and the
+/// PTX text its launches ran (rendered, not compiled).
+fn run_settling_workload(ctx: &Arc<QdpContext>) -> (String, String) {
     let mut rng = StdRng::seed_from_u64(41);
     let u2 = LatticeColorMatrix::<f64>::from_fn(ctx, |_| PScalar(random_su3::<f64>(&mut rng)));
     let u3 = LatticeColorMatrix::<f64>::from_fn(ctx, |_| PScalar(random_su3::<f64>(&mut rng)));
     // Host-written, so its first kernel reference is a page-in (a
     // never-written field would be zero-filled on the device instead).
     let out = LatticeColorMatrix::<f64>::from_fn(ctx, |_| PScalar(random_su3::<f64>(&mut rng)));
+    let e = u2.q() * u3.q();
     for _ in 0..16 {
-        out.assign(u2.q() * u3.q()).unwrap();
+        out.assign(e.clone()).unwrap();
     }
     let report = ctx.profile_report();
     assert_eq!(report.kernels.len(), 1, "one expression → one kernel");
-    report.kernels[0].name.clone()
+    (report.kernels[0].name.clone(), launched_ptx(ctx, &out, &e))
+}
+
+/// The PTX text `target.assign(e)` launches (rendered, not compiled).
+fn launched_ptx<E: SiteElem>(ctx: &QdpContext, target: &Lattice<E>, e: &QExpr<E>) -> String {
+    let plan = qdp_core::plan_codegen(ctx, target.fref(), e.raw(), false, false).unwrap();
+    qdp_core::render_ptx(&plan, e.raw(), &plan.name).unwrap()
+}
+
+/// The kernel `ptx` names, fetched from the context's kernel cache.
+fn cached_kernel(ctx: &QdpContext, ptx: &str) -> Arc<CompiledKernel> {
+    ctx.kernels().compile(CompileRequest::new(ptx)).unwrap()
+}
+
+/// A launched kernel's tuning record.
+fn record(k: &CompiledKernel) -> TuneState {
+    k.tuning.lock().clone().expect("a launched kernel has a tuning record")
 }
 
 #[test]
 fn profile_report_shows_tuner_settling() {
     let (ctx, _tel) = profiled_ctx();
-    let name = run_settling_workload(&ctx);
+    let (name, ptx) = run_settling_workload(&ctx);
     let report = ctx.profile_report();
     let row = report.kernel(&name).expect("kernel row");
 
@@ -59,7 +79,7 @@ fn profile_report_shows_tuner_settling() {
     assert!(row.settled, "tuner should settle within 16 launches");
 
     // The report's block size is the tuner's settled choice, verbatim.
-    let st = ctx.tuner().state(&name).expect("tuner state");
+    let st = record(&cached_kernel(&ctx, &ptx));
     assert!(st.settled);
     assert_eq!(row.block_size, st.current);
     assert_eq!(row.trial_launches, st.probes as u64);
@@ -73,6 +93,52 @@ fn profile_report_shows_tuner_settling() {
     assert!(row.sim_time > 0.0);
     assert!(row.bytes > 0);
     assert!(row.bandwidth > 0.0);
+}
+
+/// A kernel launched through `Lattice::assign` and fetched again by its
+/// text is one kernel: the fetch is a cache hit, and its record is the one
+/// the launches settled.
+#[test]
+fn a_kernel_fetched_by_its_text_carries_its_launches_record() {
+    let (ctx, _tel) = profiled_ctx();
+    let (name, ptx) = run_settling_workload(&ctx);
+    let misses = ctx.kernels().stats().misses;
+    let k = cached_kernel(&ctx, &ptx);
+    assert_eq!(k.name, name);
+    assert_eq!(ctx.kernels().stats().misses, misses, "the fetch must hit");
+    let st = record(&k);
+    assert!(st.settled);
+    let report = ctx.profile_report();
+    let row = report.kernel(&name).expect("kernel row");
+    assert_eq!((row.block_size, row.trial_launches), (st.current, st.probes as u64));
+}
+
+/// Two threads launching one kernel on a shared context walk one record:
+/// every trial launch either of them made is one of its probes.
+#[test]
+fn threads_sharing_a_kernel_share_one_record() {
+    let (ctx, _tel) = profiled_ctx();
+    let mut rng = StdRng::seed_from_u64(43);
+    let u2 = LatticeColorMatrix::<f64>::from_fn(&ctx, |_| PScalar(random_su3::<f64>(&mut rng)));
+    let u3 = LatticeColorMatrix::<f64>::from_fn(&ctx, |_| PScalar(random_su3::<f64>(&mut rng)));
+    let outs = [LatticeColorMatrix::<f64>::new(&ctx), LatticeColorMatrix::<f64>::new(&ctx)];
+    std::thread::scope(|s| {
+        for out in &outs {
+            let e = u2.q() * u3.q();
+            s.spawn(move || {
+                for _ in 0..8 {
+                    out.assign(e.clone()).unwrap();
+                }
+            });
+        }
+    });
+    let report = ctx.profile_report();
+    assert_eq!(report.kernels.len(), 1, "one expression → one kernel");
+    let row = &report.kernels[0];
+    assert_eq!(row.launches, 16);
+    let st = record(&cached_kernel(&ctx, &launched_ptx(&ctx, &outs[0], &(u2.q() * u3.q()))));
+    assert!(st.settled, "the shared record settles within 16 launches");
+    assert_eq!(st.probes as u64, row.trial_launches);
 }
 
 #[test]
@@ -147,7 +213,6 @@ fn launch_failure_halving_is_visible_in_report() {
     let tel = Arc::new(Telemetry::new());
     tel.enable();
     let device = Device::with_telemetry(DeviceConfig::k20x_ecc_off(), Arc::clone(&tel));
-    let tuner = AutoTuner::new(device.config().max_threads_per_block);
     let cache = KernelCache::with_telemetry(Arc::clone(&tel));
     let k = cache
         .compile(qdp_jit::CompileRequest::new(&high_pressure_kernel()))
@@ -159,7 +224,7 @@ fn launch_failure_halving_is_visible_in_report() {
     let p_out = device.alloc(n * 8).unwrap();
     let out = launch_tuned_on(
         &device,
-        &tuner,
+        None,
         &k,
         &[
             LaunchArg::Ptr(p_out),
@@ -184,7 +249,7 @@ fn launch_failure_halving_is_visible_in_report() {
     );
     // Tuner state agrees with what telemetry reported. (st.current is
     // already halved again for the next probe, so compare the launch.)
-    let st = tuner.state("pressure_f64").unwrap();
+    let st = record(&k);
     assert_eq!(st.launch_failures, out.failed_attempts);
     assert_eq!(row.block_size, out.block_size);
 }

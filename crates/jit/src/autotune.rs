@@ -12,11 +12,12 @@
 //! Crucially, *"no kernels are launched solely for the purpose of tuning;
 //! kernel tuning is carried out on the payload compute launches"* — the
 //! tuner only chooses block sizes for launches that would happen anyway.
+//!
+//! Each compiled kernel carries its own [`TuneState`]
+//! ([`crate::CompiledKernel::tuning`]), filled at its first launch; the
+//! launch path ([`crate::launch`]) walks the ladder below through it.
 
 use crate::persist::KernelStore;
-use qdp_gpu_sim::sync::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Smallest block size worth probing (one warp).
 pub const MIN_BLOCK: u32 = 32;
@@ -40,73 +41,26 @@ pub struct TuneState {
 }
 
 impl TuneState {
-    fn new(max_block: u32) -> TuneState {
+    /// The state `kernel` starts with on a device whose maximum block size
+    /// is `max_block`: settled at the block an earlier process recorded in
+    /// `store` (the store evicts one larger than `max_block`, so the kernel
+    /// re-tunes instead of launch-failing), probing from `max_block`
+    /// otherwise.
+    pub fn first(kernel: &str, max_block: u32, store: Option<&KernelStore>) -> TuneState {
+        let seed = store.and_then(|s| s.lookup_tuned(kernel, max_block));
         TuneState {
-            current: max_block,
-            best: None,
-            settled: false,
+            current: seed.map_or(max_block, |(block, _)| block),
+            best: seed,
+            settled: seed.is_some(),
             launch_failures: 0,
             probes: 0,
         }
     }
-}
 
-/// The auto-tuner: a map from kernel name to tuning state.
-#[derive(Default)]
-pub struct AutoTuner {
-    states: Mutex<HashMap<String, TuneState>>,
-    max_block: u32,
-    store: Option<Arc<KernelStore>>,
-}
-
-impl AutoTuner {
-    /// Create a tuner for a device whose maximum block size is `max_block`.
-    pub fn new(max_block: u32) -> AutoTuner {
-        AutoTuner {
-            states: Mutex::new(HashMap::new()),
-            max_block,
-            store: None,
-        }
-    }
-
-    /// Like [`AutoTuner::new`], additionally backed by the persistent
-    /// kernel store: a kernel whose settled block size an earlier process
-    /// recorded starts out settled (zero trial launches), and every fresh
-    /// settle is written back.
-    pub fn with_store(max_block: u32, store: Option<Arc<KernelStore>>) -> AutoTuner {
-        AutoTuner {
-            states: Mutex::new(HashMap::new()),
-            max_block,
-            store,
-        }
-    }
-
-    /// First-touch state for `kernel`: seeded settled from the persistent
-    /// store when a valid entry exists (the store validates the stored
-    /// block against `max_block` — an oversized one is evicted so the
-    /// kernel re-tunes instead of launch-failing), fresh probing state
-    /// otherwise.
-    fn initial_state(&self, kernel: &str) -> TuneState {
-        if let Some(store) = &self.store {
-            if let Some((block, time)) = store.lookup_tuned(kernel, self.max_block) {
-                return TuneState {
-                    current: block,
-                    best: Some((block, time)),
-                    settled: true,
-                    launch_failures: 0,
-                    probes: 0,
-                };
-            }
-        }
-        TuneState::new(self.max_block)
-    }
-
-    /// Block size the next (payload) launch of `kernel` should use.
-    pub fn block_for(&self, kernel: &str) -> u32 {
-        let mut st = self.states.lock();
-        st.entry(kernel.to_string())
-            .or_insert_with(|| self.initial_state(kernel))
-            .current
+    /// Block size for the next payload launch, and whether that launch is
+    /// a trial (tuning not settled yet).
+    pub fn next(&self) -> (u32, bool) {
+        (self.current, !self.settled)
     }
 
     /// The launch at the current block size failed (resource exhaustion):
@@ -115,99 +69,57 @@ impl AutoTuner {
     /// that fails (possible only with a stale persisted seed — the model
     /// is deterministic, so a block that once succeeded keeps succeeding)
     /// is unsettled so the kernel re-tunes cleanly.
-    pub fn launch_failed(&self, kernel: &str) -> Option<u32> {
-        let mut st = self.states.lock();
-        let s = st
-            .entry(kernel.to_string())
-            .or_insert_with(|| self.initial_state(kernel));
-        s.launch_failures += 1;
-        if s.settled {
-            s.settled = false;
-            s.best = None;
+    pub fn failed(&mut self) -> Option<u32> {
+        self.launch_failures += 1;
+        if self.settled {
+            self.settled = false;
+            self.best = None;
         }
-        if s.current <= MIN_BLOCK {
+        if self.current <= MIN_BLOCK {
             return None;
         }
-        s.current /= 2;
-        Some(s.current)
+        self.current /= 2;
+        Some(self.current)
     }
 
-    /// Report the measured execution time of a successful payload launch.
-    pub fn report(&self, kernel: &str, block: u32, time: f64) {
-        let newly_settled = {
-            let mut st = self.states.lock();
-            let s = st
-                .entry(kernel.to_string())
-                .or_insert_with(|| self.initial_state(kernel));
-            if s.settled {
-                return;
+    /// Report the measured time of a successful trial launch at `block`.
+    /// Returns the winning `(block, time)` when this report settles the
+    /// kernel — what the persistent store keeps. A report that arrives
+    /// after another launch settled the kernel counts as a probe and moves
+    /// nothing else.
+    pub fn report(&mut self, block: u32, time: f64) -> Option<(u32, f64)> {
+        self.probes += 1;
+        if self.settled {
+            return None;
+        }
+        let probe_on = match self.best {
+            None => {
+                self.best = Some((block, time));
+                block > MIN_BLOCK
             }
-            s.probes += 1;
-            match s.best {
-                None => {
-                    s.best = Some((block, time));
-                    // begin probing downward
-                    if block > MIN_BLOCK {
-                        s.current = block / 2;
-                    } else {
-                        s.settled = true;
-                    }
+            Some((_, best_time)) => {
+                if time < best_time {
+                    self.best = Some((block, time));
                 }
-                Some((best_block, best_time)) => {
-                    if time < best_time {
-                        s.best = Some((block, time));
-                    }
-                    if time > best_time * SLOWDOWN_THRESHOLD || block <= MIN_BLOCK {
-                        // significant slowdown (or bottomed out): settle on best
-                        let (b, _) = s.best.unwrap();
-                        s.current = b;
-                        s.settled = true;
-                    } else {
-                        let _ = best_block;
-                        s.current = block / 2;
-                    }
-                }
-            }
-            if s.settled {
-                s.best.map(|(b, t)| (b, t))
-            } else {
-                None
+                // Stop at a significant slowdown or at the bottom.
+                !(time > best_time * SLOWDOWN_THRESHOLD || block <= MIN_BLOCK)
             }
         };
-        // Persist outside the states lock: the store does file IO.
-        if let (Some(store), Some((b, t))) = (&self.store, newly_settled) {
-            store.put_tuned(kernel, b, t);
+        if probe_on {
+            self.current = block / 2;
+            return None;
         }
-    }
-
-    /// Is tuning finished for this kernel?
-    pub fn is_settled(&self, kernel: &str) -> bool {
-        self.states
-            .lock()
-            .get(kernel)
-            .map(|s| s.settled)
-            .unwrap_or(false)
-    }
-
-    /// Snapshot of one kernel's tuning state.
-    pub fn state(&self, kernel: &str) -> Option<TuneState> {
-        self.states.lock().get(kernel).cloned()
-    }
-
-    /// Number of kernels with tuning state.
-    pub fn len(&self) -> usize {
-        self.states.lock().len()
-    }
-
-    /// Is the tuner empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.settled = true;
+        let best = self.best?;
+        self.current = best.0;
+        Some(best)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// Synthetic execution-time curve with a minimum at 128 threads.
     fn fake_time(block: u32) -> f64 {
@@ -222,63 +134,62 @@ mod tests {
         }
     }
 
+    /// Drive trial launches on the `fake_time` curve until `st` settles;
+    /// returns the number of trials and the settle's `(block, time)`.
+    fn settle(st: &mut TuneState) -> (u32, Option<(u32, f64)>) {
+        let mut trials = 0;
+        loop {
+            let (b, trial) = st.next();
+            if !trial {
+                return (trials, None);
+            }
+            trials += 1;
+            assert!(trials < 20, "tuner did not settle");
+            if let Some(won) = st.report(b, fake_time(b)) {
+                return (trials, Some(won));
+            }
+        }
+    }
+
     #[test]
     fn finds_the_minimum_and_settles() {
-        let tuner = AutoTuner::new(1024);
-        // Drive payload launches until settled.
-        let mut launches = 0;
-        while !tuner.is_settled("k") {
-            let b = tuner.block_for("k");
-            tuner.report("k", b, fake_time(b));
-            launches += 1;
-            assert!(launches < 20, "tuner did not settle");
-        }
+        let mut st = TuneState::first("k", 1024, None);
+        let (trials, won) = settle(&mut st);
         // 64 is 25% slower than 128 (not "significant"); 32 is 2x slower →
         // probing stops there and the best (128) wins.
-        assert_eq!(tuner.block_for("k"), 128);
-        let st = tuner.state("k").unwrap();
+        assert_eq!(won, Some((128, fake_time(128))));
+        assert_eq!(st.next(), (128, false));
         assert_eq!(st.best.unwrap().0, 128);
         // every probe was a payload launch; no extra launches
-        assert_eq!(st.probes, launches);
+        assert_eq!(st.probes, trials);
     }
 
     #[test]
     fn launch_failure_halves_until_fit() {
-        let tuner = AutoTuner::new(1024);
-        assert_eq!(tuner.block_for("big"), 1024);
-        assert_eq!(tuner.launch_failed("big"), Some(512));
-        assert_eq!(tuner.launch_failed("big"), Some(256));
-        assert_eq!(tuner.block_for("big"), 256);
-        let st = tuner.state("big").unwrap();
+        let mut st = TuneState::first("big", 1024, None);
+        assert_eq!(st.next(), (1024, true));
+        assert_eq!(st.failed(), Some(512));
+        assert_eq!(st.failed(), Some(256));
+        assert_eq!(st.next(), (256, true));
         assert_eq!(st.launch_failures, 2);
     }
 
     #[test]
     fn unlaunchable_kernel_reports_none() {
-        let tuner = AutoTuner::new(64);
-        assert_eq!(tuner.launch_failed("k"), Some(32));
-        assert_eq!(tuner.launch_failed("k"), None);
+        let mut st = TuneState::first("k", 64, None);
+        assert_eq!(st.failed(), Some(32));
+        assert_eq!(st.failed(), None);
     }
 
     #[test]
-    fn settled_kernel_ignores_reports() {
-        let tuner = AutoTuner::new(128);
-        while !tuner.is_settled("k") {
-            let b = tuner.block_for("k");
-            tuner.report("k", b, fake_time(b));
-        }
-        let before = tuner.state("k").unwrap();
-        tuner.report("k", 32, 1e-9); // bogus report after settling
-        assert_eq!(tuner.state("k").unwrap(), before);
-    }
-
-    #[test]
-    fn kernels_tune_independently() {
-        let tuner = AutoTuner::new(1024);
-        tuner.report("a", 1024, 1.0);
-        assert_eq!(tuner.block_for("a"), 512);
-        assert_eq!(tuner.block_for("b"), 1024);
-        assert_eq!(tuner.len(), 2);
+    fn settled_kernel_ignores_late_reports() {
+        let mut st = TuneState::first("k", 128, None);
+        settle(&mut st);
+        let before = st.clone();
+        // A trial report landing after the settle (another thread's
+        // launch) is a probe, and nothing else.
+        assert_eq!(st.report(32, 1e-9), None);
+        assert_eq!(st, TuneState { probes: before.probes + 1, ..before });
     }
 
     fn store_in(tag: &str) -> (std::path::PathBuf, Arc<KernelStore>) {
@@ -295,24 +206,16 @@ mod tests {
     }
 
     #[test]
-    fn settling_persists_and_seeds_the_next_tuner() {
+    fn a_stored_block_seeds_a_settled_state() {
         let (dir, store) = store_in("seed");
-        let tuner = AutoTuner::with_store(1024, Some(Arc::clone(&store)));
-        let mut trials = 0;
-        while !tuner.is_settled("k") {
-            let b = tuner.block_for("k");
-            tuner.report("k", b, fake_time(b));
-            trials += 1;
-        }
-        assert!(trials > 1);
-        assert_eq!(store.lookup_tuned("k", 1024), Some((128, fake_time(128))));
-
-        // A second tuner over the same store starts out settled at the
-        // winner: zero probes, zero trial launches.
-        let warm = AutoTuner::with_store(1024, Some(Arc::clone(&store)));
-        assert_eq!(warm.block_for("k"), 128);
-        assert!(warm.is_settled("k"));
-        assert_eq!(warm.state("k").unwrap().probes, 0);
+        store.put_tuned("k", 128, fake_time(128));
+        // Zero probes, zero trial launches: the first launch is at the
+        // winner.
+        let st = TuneState::first("k", 1024, Some(&store));
+        assert_eq!(st.next(), (128, false));
+        assert_eq!(st.probes, 0);
+        // A block the device cannot launch is no seed.
+        assert_eq!(TuneState::first("k", 64, Some(&store)).next(), (64, true));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -320,23 +223,15 @@ mod tests {
     fn stale_seed_that_fails_to_launch_re_tunes() {
         let (dir, store) = store_in("stale");
         store.put_tuned("k", 512, 1e-3);
-        let tuner = AutoTuner::with_store(1024, Some(Arc::clone(&store)));
-        assert_eq!(tuner.block_for("k"), 512);
-        assert!(tuner.is_settled("k"));
+        let mut st = TuneState::first("k", 1024, Some(&store));
+        assert_eq!(st.next(), (512, false));
         // The seeded block fails (e.g. the kernel grew registers): the
         // state unsettles and probing resumes from the halved size.
-        assert_eq!(tuner.launch_failed("k"), Some(256));
-        assert!(!tuner.is_settled("k"));
-        let mut guard = 0;
-        while !tuner.is_settled("k") {
-            let b = tuner.block_for("k");
-            tuner.report("k", b, fake_time(b));
-            guard += 1;
-            assert!(guard < 20, "re-tune did not settle");
-        }
-        assert_eq!(tuner.block_for("k"), 128);
-        // The re-settled winner overwrote the stale entry.
-        assert_eq!(store.lookup_tuned("k", 1024), Some((128, fake_time(128))));
+        assert_eq!(st.failed(), Some(256));
+        assert_eq!(st.next(), (256, true));
+        // The re-settle hands back the winner that replaces the stale entry.
+        assert_eq!(settle(&mut st).1, Some((128, fake_time(128))));
+        assert_eq!(st.next(), (128, false));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -396,7 +396,9 @@ mod tests {
         let cache = KernelCache::new();
         let verbatim = cache.compile(CompileRequest::new(&text)).unwrap();
         let direct = compile_ptx(&text).unwrap();
-        assert_eq!(*verbatim, direct[0]);
+        // Unlaunched, both hold an empty tuning record: their Debug forms
+        // compare every field.
+        assert_eq!(format!("{verbatim:?}"), format!("{:?}", direct[0]));
         assert_eq!(verbatim.read_bytes, 16, "both loads kept");
         let leveled = cache
             .compile(CompileRequest::new(&text).opt_level(OptLevel::Default))

@@ -22,7 +22,8 @@
 //! * [`autotune`] implements the paper's thread-block auto-tuner (§VII):
 //!   start at the architectural maximum block size, halve on launch
 //!   failure, then probe smaller sizes on payload launches until the
-//!   execution time degrades by ≥ 33 %, and keep the best;
+//!   execution time degrades by ≥ 33 %, and keep the best — one
+//!   [`autotune::TuneState`] per compiled kernel, held by the kernel;
 //! * [`launch`] ties it together: tuned, accounted, functionally executed
 //!   kernel launches;
 //! * [`persist`] is the on-disk kernel store shared by the JIT cache and
@@ -37,7 +38,6 @@ pub mod launch;
 pub mod lower;
 pub mod persist;
 
-pub use autotune::AutoTuner;
 pub use cache::{CompileRequest, KernelCache, KernelCacheStats};
 pub use exec::{run_grid, LaunchArg};
 pub use launch::{launch_tuned_on, LaunchOutcome};

@@ -20,6 +20,8 @@
 //! can be re-run lane by lane without repeating a side effect. Anything
 //! else is a [`JitError::Lower`].
 
+use crate::autotune::TuneState;
+use qdp_gpu_sim::sync::Mutex;
 use qdp_ptx::inst::{BinOp, CmpOp, Inst, Operand, SpecialReg};
 use qdp_ptx::module::Kernel;
 use qdp_ptx::types::{PtxType, Reg, RegClass};
@@ -283,9 +285,10 @@ impl Acc {
     }
 }
 
-/// A JIT-translated kernel: the executable program plus the static
-/// statistics the timing and occupancy models need.
-#[derive(Debug, Clone, PartialEq)]
+/// A JIT-translated kernel: the executable program, the static statistics
+/// the timing and occupancy models need, and the kernel's block-size
+/// tuning record.
+#[derive(Debug)]
 pub struct CompiledKernel {
     /// Kernel name.
     pub name: String,
@@ -315,6 +318,9 @@ pub struct CompiledKernel {
     pub access_bytes: usize,
     /// Whether the kernel performs double-precision arithmetic.
     pub double_precision: bool,
+    /// The §VII tuning record: empty until the kernel's first launch fills
+    /// it, then walked by every launch of this kernel.
+    pub tuning: Mutex<Option<TuneState>>,
 }
 
 fn encode_imm(ty: PtxType, op: &Operand) -> Result<u64, JitError> {
@@ -370,6 +376,7 @@ fn lower(kernel: &Kernel, products: bool) -> Result<CompiledKernel, JitError> {
         flops: kernel.thread_flops(),
         access_bytes,
         double_precision,
+        tuning: Mutex::new(None),
     })
 }
 
@@ -1054,12 +1061,11 @@ fn allocate_registers(code: &mut [COp], n: usize) -> Registers {
 }
 
 /// The "driver JIT" entry point used by [`crate::cache::KernelCache`]:
-/// parse PTX text, validate it and lower every kernel (Fig. 2). The text
-/// is lowered as written — the code generator prints its final program,
-/// so nothing here rewrites it.
+/// parse PTX text and lower every kernel (Fig. 2), which validates it
+/// first. The text is lowered as written — the code generator prints its
+/// final program, so nothing here rewrites it.
 pub fn compile_ptx(text: &str) -> Result<Vec<CompiledKernel>, JitError> {
     let module = qdp_ptx::parse::parse_module(text)?;
-    module.validate()?;
     module.kernels.iter().map(lower_kernel).collect()
 }
 
@@ -1147,7 +1153,10 @@ mod tests {
         let text = emit_module(&module);
         let compiled = compile_ptx(&text).unwrap();
         assert_eq!(compiled.len(), 1);
-        assert_eq!(compiled[0], lower_kernel(&module.kernels[0]).unwrap());
+        // Unlaunched, both hold an empty tuning record: their Debug forms
+        // compare every field.
+        let direct = lower_kernel(&module.kernels[0]).unwrap();
+        assert_eq!(format!("{:?}", compiled[0]), format!("{direct:?}"));
     }
 
     #[test]

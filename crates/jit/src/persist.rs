@@ -55,7 +55,7 @@ struct Inner {
 }
 
 /// Handle on the persistent kernel store, bound to one device fingerprint.
-/// Shared (`Arc`) between a context's `KernelCache` and `AutoTuner`.
+/// Shared (`Arc`) between a context's `KernelCache` and its tuned launches.
 pub struct KernelStore {
     path: PathBuf,
     device_fp: String,

@@ -405,10 +405,11 @@ impl Inst {
     }
 
     /// Floating-point operations performed (flop count for the performance
-    /// model; FMA counts as 2).
+    /// model): a float `add`, `sub` or `mul` counts 1, an `fma` 2, and a
+    /// `neg` — a sign flip, not arithmetic — nothing.
     pub fn flops(&self) -> usize {
         match self {
-            Inst::Neg { ty, .. } | Inst::Binary { ty, .. } if ty.is_float() => 1,
+            Inst::Binary { op: BinOp::Add | BinOp::Sub | BinOp::Mul, ty, .. } if ty.is_float() => 1,
             Inst::Fma { .. } => 2,
             _ => 0,
         }

@@ -5,7 +5,7 @@
 //! and the profile report plus the flight ring must tell the whole story.
 
 use qdp_gpu_sim::Device;
-use qdp_jit::{launch_tuned_on, AutoTuner, CompileRequest, KernelCache, LaunchArg};
+use qdp_jit::{launch_tuned_on, CompileRequest, KernelCache, LaunchArg};
 use qdp_jit_rs::prelude::*;
 use qdp_core::{adj, gamma_mu, shift};
 use qdp_ptx::emit::emit_module;
@@ -164,7 +164,6 @@ fn launch_failure_dumps_a_parseable_flight_black_box() {
     tel.set_flight_dir(&dir);
 
     let device = Device::with_telemetry(DeviceConfig::k20x_ecc_off(), Arc::clone(&tel));
-    let tuner = AutoTuner::new(device.config().max_threads_per_block);
     let cache = KernelCache::with_telemetry(Arc::clone(&tel));
     let k = cache.compile(CompileRequest::new(&double_kernel())).unwrap();
 
@@ -178,11 +177,11 @@ fn launch_failure_dumps_a_parseable_flight_black_box() {
     ];
     // A few healthy launches first, so the black box has history.
     for _ in 0..3 {
-        launch_tuned_on(&device, &tuner, &k, &args, n, 1, false, StreamId::DEFAULT).unwrap();
+        launch_tuned_on(&device, None, &k, &args, n, 1, false, StreamId::DEFAULT).unwrap();
     }
     // Then the failure: an empty grid is rejected by the launch model and
     // must trip the dump.
-    let err = launch_tuned_on(&device, &tuner, &k, &args, 0, 1, false, StreamId::DEFAULT);
+    let err = launch_tuned_on(&device, None, &k, &args, 0, 1, false, StreamId::DEFAULT);
     assert!(err.is_err(), "zero-thread launch must fail");
 
     let dumps: Vec<_> = std::fs::read_dir(&dir)
