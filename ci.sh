@@ -502,6 +502,31 @@ if [ -n "$named" ]; then
 fi
 echo "ok: one tuning record (each compiled kernel holds its own, no lookup by name)"
 
+# ---- Guard: one walk per statement ---------------------------------------------
+# A recorded statement is walked once for the fusion planner: its hazard
+# set and precision are computed where the `Stmt` is built (`impl Stmt`)
+# and every legality check reads those fields, so fuse.rs calls neither
+# walk anywhere else (its test module aside). The structural key is
+# written piece by piece: `KernelSignature`'s walk never goes through the
+# formatter. Comment lines are skipped.
+fuse=crates/core/src/codegen/fuse.rs
+rewalk=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /^impl Stmt \{/ { inside = 1 }
+    inside && /^\}/ { inside = 0; next }
+    !inside && !/^[[:space:]]*\/\// && /\.(float_type|leaves_under_any_shift)\(\)/ {
+        print FILENAME ":" FNR ": " $0 }' "$fuse")
+formatted=$(awk '/^impl KernelSignature \{/ { inside = 1 }
+    inside && /^\}/ { inside = 0 }
+    inside && !/^[[:space:]]*\/\// && /:\?|write!|format!/ {
+        print FILENAME ":" FNR ": " $0 }' crates/expr/src/lib.rs)
+if [ -n "$rewalk$formatted" ]; then
+    echo "FAIL: a statement is walked again by the planner, or the key walk formats:" >&2
+    [ -z "$rewalk" ] || echo "$rewalk" >&2
+    [ -z "$formatted" ] || echo "$formatted" >&2
+    exit 1
+fi
+echo "ok: one walk per statement (the planner reads each Stmt's summary, the key walk pushes fixed strings)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace

@@ -76,17 +76,34 @@ fn group_budget(ctx: &QdpContext) -> usize {
 }
 
 /// One recorded deferred statement: `target ← expr` over `subset` on
-/// `stream`.
+/// `stream`, with the planner's summary of it — walked once, when the
+/// statement is recorded, and read by every legality check after that.
 #[derive(Debug, Clone)]
 pub(crate) struct Stmt {
     target: FieldRef,
     expr: Expr,
     subset: Subset,
     stream: StreamId,
+    /// Ids of the fields `expr` reads under any shift, deduplicated — the
+    /// statement's hazard set.
+    shifted: Vec<u64>,
+    /// Compute precision: `expr`'s leaves promoted with the target's.
+    ft: FloatType,
 }
 
-fn compute_ft(s: &Stmt) -> FloatType {
-    max_ft(s.expr.float_type(), s.target.ft)
+impl Stmt {
+    fn new(target: FieldRef, expr: Expr, subset: Subset, stream: StreamId) -> Stmt {
+        let shifted = expr.leaves_under_any_shift().iter().map(|r| r.id).collect();
+        let ft = max_ft(expr.float_type(), target.ft);
+        Stmt {
+            target,
+            expr,
+            subset,
+            stream,
+            shifted,
+            ft,
+        }
+    }
 }
 
 /// Why a statement could not join the open group.
@@ -114,19 +131,13 @@ struct GroupState {
 
 impl GroupState {
     fn open(s: &Stmt) -> GroupState {
-        let hazards: Vec<u64> = s
-            .expr
-            .leaves_under_any_shift()
-            .iter()
-            .map(|r| r.id)
-            .collect();
         GroupState {
             subset: s.subset,
             stream: s.stream,
-            ft: compute_ft(s),
+            ft: s.ft,
             targets: vec![s.target.id],
-            self_shift: hazards.contains(&s.target.id),
-            hazards,
+            self_shift: s.shifted.contains(&s.target.id),
+            hazards: s.shifted.clone(),
             len: 1,
         }
     }
@@ -141,14 +152,13 @@ impl GroupState {
         if s.stream != self.stream {
             return Err(Split::Bailout("stream"));
         }
-        if compute_ft(s) != self.ft {
+        if s.ft != self.ft {
             return Err(Split::Bailout("float-type"));
         }
-        let shifted = s.expr.leaves_under_any_shift();
-        if self.self_shift || shifted.iter().any(|r| r.id == s.target.id) {
+        if self.self_shift || s.shifted.contains(&s.target.id) {
             return Err(Split::Bailout("self-shift"));
         }
-        if shifted.iter().any(|r| self.targets.contains(&r.id)) {
+        if s.shifted.iter().any(|id| self.targets.contains(id)) {
             return Err(Split::Bailout("shift-of-group-target"));
         }
         if self.hazards.contains(&s.target.id) {
@@ -158,9 +168,9 @@ impl GroupState {
             return Err(Split::Bailout("aliased-target"));
         }
         self.targets.push(s.target.id);
-        for r in &shifted {
-            if !self.hazards.contains(&r.id) {
-                self.hazards.push(r.id);
+        for id in &s.shifted {
+            if !self.hazards.contains(id) {
+                self.hazards.push(*id);
             }
         }
         self.len += 1;
@@ -255,12 +265,7 @@ pub fn eval_fused_sequence(
     let stream = ctx.device().current_stream();
     let stmts: Vec<Stmt> = stmts
         .iter()
-        .map(|(target, expr)| Stmt {
-            target: *target,
-            expr: expr.clone(),
-            subset: Subset::All,
-            stream,
-        })
+        .map(|(target, expr)| Stmt::new(*target, expr.clone(), Subset::All, stream))
         .collect();
     flush_stmts(ctx, &stmts)
 }
@@ -283,8 +288,17 @@ pub(crate) fn reduce_recorded(
     for (expr, kind) in exprs {
         debug_assert!(matches!(kind, ElemKind::Real | ElemKind::Complex));
         let n_comp = TypeShape::of(kind).n_reals();
-        let ft = expr.float_type();
-        let bytes = vol * n_comp * ft.size_bytes();
+        // The temporary is stored at the expression's own precision: an
+        // F32 placeholder target promotes nothing, so the summary's
+        // precision is the one to allocate, and the real target replaces
+        // the placeholder before anything reads it.
+        let placeholder = FieldRef {
+            id: 0,
+            kind,
+            ft: FloatType::F32,
+        };
+        let mut stmt = Stmt::new(placeholder, expr, subset, stream);
+        let bytes = vol * n_comp * stmt.ft.size_bytes();
         // A full-lattice temporary is written whole by its kernel before
         // the sum reads it, so its first touch skips the zero fill; a
         // subset's sum reads the zeros at the other sites.
@@ -292,14 +306,13 @@ pub(crate) fn reduce_recorded(
             Subset::All => ctx.cache().register_scratch(bytes),
             Subset::Even | Subset::Odd => ctx.cache().register(bytes),
         };
-        let target = FieldRef { id, kind, ft };
-        temps.push((target, n_comp));
-        pending.push(Stmt {
-            target,
-            expr,
-            subset,
-            stream,
-        });
+        stmt.target = FieldRef {
+            id,
+            kind,
+            ft: stmt.ft,
+        };
+        temps.push((stmt.target, n_comp));
+        pending.push(stmt);
     }
     let r = (|| {
         flush_stmts(ctx, &pending)?;
@@ -343,12 +356,8 @@ impl FusionScope {
     }
 
     fn record(&mut self, target: FieldRef, expr: Expr, subset: Subset) {
-        self.pending.push(Stmt {
-            target,
-            expr,
-            subset,
-            stream: self.ctx.device().current_stream(),
-        });
+        let stream = self.ctx.device().current_stream();
+        self.pending.push(Stmt::new(target, expr, subset, stream));
     }
 
     /// Deferred `target = rhs` over the whole lattice.
@@ -455,5 +464,193 @@ impl Drop for FusionScope {
         // Dropping the scope is the implicit barrier; errors here have
         // nowhere to surface, so callers who care flush explicitly.
         let _ = self.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qdp_expr::ShiftDir;
+    use qdp_layout::Geometry;
+    use qdp_telemetry::Telemetry;
+    use qdp_types::{ProjSign, SpinProjector};
+
+    const U: [u64; 4] = [1, 2, 3, 4];
+    const X: u64 = 10;
+    const R: u64 = 11;
+    const P: u64 = 12;
+    const AP: u64 = 13;
+    const TMP: u64 = 14;
+
+    fn fermion(id: u64) -> FieldRef {
+        FieldRef {
+            id,
+            kind: ElemKind::Fermion,
+            ft: FloatType::F64,
+        }
+    }
+
+    fn bin(op: BinaryOp, a: Expr, b: Expr) -> Expr {
+        Expr::Binary(op, Box::new(a), Box::new(b))
+    }
+
+    /// `(m+4)ψ − ½ Σ_µ [R(U_µ·shift(P ψ, +µ)) + R(shift(U_µ†·P ψ, −µ))]`
+    /// with the projector signs of M (`Minus`) or M† (`Plus`) — the Wilson
+    /// operator as the application layer records it.
+    fn wilson(psi: u64, isign: ProjSign) -> Expr {
+        let field = |id| Expr::Field(fermion(id));
+        let link = |mu: usize| Expr::field(U[mu], ElemKind::ColorMatrix, FloatType::F64);
+        let mut hop: Option<Expr> = None;
+        for mu in 0..4 {
+            for (dir, sign) in [
+                (ShiftDir::Forward, isign),
+                (ShiftDir::Backward, isign.flip()),
+            ] {
+                let proj = SpinProjector::new(mu, sign);
+                let half = Expr::SpinProject {
+                    proj,
+                    child: Box::new(field(psi)),
+                };
+                let moved = match dir {
+                    ShiftDir::Forward => bin(
+                        BinaryOp::Mul,
+                        link(mu),
+                        Expr::Shift {
+                            mu,
+                            dir,
+                            child: Box::new(half),
+                        },
+                    ),
+                    ShiftDir::Backward => Expr::Shift {
+                        mu,
+                        dir,
+                        child: Box::new(bin(
+                            BinaryOp::Mul,
+                            Expr::Unary(UnaryOp::Adj, Box::new(link(mu))),
+                            half,
+                        )),
+                    },
+                };
+                let term = Expr::SpinReconstruct {
+                    proj,
+                    child: Box::new(moved),
+                };
+                hop = Some(match hop {
+                    None => term,
+                    Some(acc) => bin(BinaryOp::Add, acc, term),
+                });
+            }
+        }
+        bin(
+            BinaryOp::Add,
+            bin(BinaryOp::Mul, Expr::real(4.3), field(psi)),
+            bin(BinaryOp::Mul, Expr::real(-0.5), hop.unwrap()),
+        )
+    }
+
+    /// A context recording telemetry, and the stream its statements run on.
+    fn profiled() -> (Arc<QdpContext>, StreamId) {
+        let tel = Arc::new(Telemetry::new());
+        tel.enable();
+        let ctx = QdpContext::builder(Geometry::symmetric(4))
+            .telemetry(tel)
+            .build();
+        let stream = ctx.device().current_stream();
+        (ctx, stream)
+    }
+
+    /// The flushes of a deferred CG iteration (the `cg_model` body):
+    /// `tmp = M p; ap = M† tmp; ⟨p, ap⟩ | x += αp; r −= α ap; ‖r‖² |`
+    /// with `p = r + βp` pending into the next iteration's first flush.
+    fn cg_flushes(stream: StreamId) -> Vec<Vec<Stmt>> {
+        let stmt = |target, expr| Stmt::new(target, expr, Subset::All, stream);
+        let f = |id| Expr::Field(fermion(id));
+        let temp = |id, kind| FieldRef {
+            id,
+            kind,
+            ft: FloatType::F64,
+        };
+        let axpy = |op, a, s: f64, b| bin(op, f(a), bin(BinaryOp::Mul, Expr::real(s), f(b)));
+        let solve = vec![
+            stmt(fermion(TMP), wilson(P, ProjSign::Minus)),
+            stmt(fermion(AP), wilson(TMP, ProjSign::Plus)),
+            stmt(
+                temp(20, ElemKind::Complex),
+                bin(BinaryOp::LocalInnerProduct, f(P), f(AP)),
+            ),
+        ];
+        let update = vec![
+            stmt(fermion(X), axpy(BinaryOp::Add, X, 0.1, P)),
+            stmt(fermion(R), axpy(BinaryOp::Sub, R, 0.1, AP)),
+            stmt(
+                temp(21, ElemKind::Real),
+                Expr::Unary(UnaryOp::LocalNorm2, Box::new(f(R))),
+            ),
+        ];
+        let mut next = vec![stmt(fermion(P), axpy(BinaryOp::Add, R, 0.7, P))];
+        next.extend(solve.iter().cloned());
+        let last = vec![stmt(fermion(P), axpy(BinaryOp::Add, R, 0.7, P))];
+        vec![solve, update, next, last]
+    }
+
+    #[test]
+    fn recorded_summary_is_the_walked_one() {
+        let mixed = FieldRef {
+            ft: FloatType::F32,
+            ..fermion(30)
+        };
+        let (_, stream) = profiled();
+        let stmt = |target, expr| Stmt::new(target, expr, Subset::All, stream);
+        let mut stmts: Vec<Stmt> = cg_flushes(stream).concat();
+        stmts.push(stmt(mixed, wilson(31, ProjSign::Minus)));
+        stmts.push(stmt(fermion(P), wilson(P, ProjSign::Plus)));
+        for s in &stmts {
+            let ids: Vec<u64> = s
+                .expr
+                .leaves_under_any_shift()
+                .iter()
+                .map(|r| r.id)
+                .collect();
+            assert_eq!(s.shifted, ids);
+            assert_eq!(s.ft, max_ft(s.expr.float_type(), s.target.ft));
+        }
+        assert_eq!(stmts[0].shifted, [P, U[0], U[1], U[2], U[3]]);
+        assert!(stmts.last().unwrap().shifted.contains(&P));
+    }
+
+    /// The planner's groups and bailouts over the CG body, pinned.
+    #[test]
+    fn cg_body_plans_pinned_groups() {
+        let (ctx, stream) = profiled();
+        let ranges: Vec<Vec<(usize, usize)>> = cg_flushes(stream)
+            .iter()
+            .map(|stmts| {
+                let groups = plan_groups(&ctx, stmts);
+                groups.iter().map(|g| (g.start, g.end)).collect()
+            })
+            .collect();
+        assert_eq!(
+            ranges,
+            [
+                vec![(0, 1), (1, 3)],
+                vec![(0, 3)],
+                vec![(0, 1), (1, 2), (2, 4)],
+                vec![(0, 1)]
+            ]
+        );
+        let report = ctx.profile_report();
+        let bailouts: Vec<(&str, u64)> = report
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("fuse.bailout"))
+            .map(|(name, &n)| (name.as_str(), n))
+            .collect();
+        assert_eq!(
+            bailouts,
+            [
+                ("fuse.bailout.shift-of-group-target", 3),
+                ("fuse.bailouts", 3)
+            ]
+        );
     }
 }

@@ -15,7 +15,7 @@ use crate::codegen::value::{gen_expr, store_val, GenCtx};
 use crate::context::QdpContext;
 use crate::multinode::face_messages;
 use qdp_cache::CacheError;
-use qdp_expr::{Expr, FieldRef, KernelSignature, TypeError};
+use qdp_expr::{Expr, FieldRef, KernelSignature, KeySink, TypeError};
 use qdp_gpu_sim::{KernelShape, LaunchError, StreamId};
 use qdp_jit::{launch_tuned_on, CompileRequest, JitError, LaunchArg};
 use qdp_layout::{FieldLayout, LayoutKind, Subset};
@@ -24,7 +24,6 @@ use qdp_ptx::module::Module;
 use qdp_ptx::opt::{optimize_kernel, OptLevel};
 use qdp_types::{FloatType, Real, TypeShape};
 use std::collections::hash_map::DefaultHasher;
-use std::fmt::Write;
 use std::hash::{Hash, Hasher};
 
 /// Errors from expression evaluation.
@@ -233,7 +232,7 @@ impl KeyedGroup {
         let mut key = String::from(if fused { "fused[" } else { "" });
         let mut ft = FloatType::F32;
         let mut metas = Vec::with_capacity(stmts.len());
-        let split_mask: u8 = (0..4).filter(|&mu| split[mu]).map(|mu| 1 << mu).sum();
+        let split_mask: usize = (0..4).filter(|&mu| split[mu]).map(|mu| 1 << mu).sum();
         for (i, &(target, expr)) in stmts.iter().enumerate() {
             if i > 0 {
                 key.push_str(" ; ");
@@ -241,14 +240,25 @@ impl KeyedGroup {
             let n_before = sig.scalars.len();
             let stmt_ft = max_ft(sig.push(expr, &mut key), target.ft);
             ft = max_ft(ft, stmt_ft);
-            // Writing to a `String` cannot fail.
-            let _ = write!(
-                key,
-                "|v{vol}|{layout:?}|{stmt_ft}|m{subset_mapped}|r{split_mask:x}|t{:?}{}|{}",
-                target.kind,
-                target.ft.tag(),
-                opt.tag(),
-            );
+            // `|v{vol}|{layout:?}|{stmt_ft}|m{subset_mapped}|r{split_mask:x}
+            // |t{target kind:?}{target tag}|{opt tag}`, piece by piece.
+            key.put("|v");
+            key.put_num(vol);
+            key.put(match layout {
+                LayoutKind::SoA => "|SoA|",
+                LayoutKind::AoS => "|AoS|",
+            });
+            key.put(stmt_ft.ptx_suffix());
+            key.put(match subset_mapped {
+                true => "|mtrue|r",
+                false => "|mfalse|r",
+            });
+            key.put(&"0123456789abcdef"[split_mask..=split_mask]);
+            key.put("|t");
+            key.put(target.kind.name());
+            key.put(target.ft.tag());
+            key.put("|");
+            key.put(opt.tag());
             metas.push(StmtMeta {
                 target_ft: target.ft,
                 target_shape: TypeShape::of(target.kind),
@@ -406,7 +416,7 @@ pub(crate) fn eval_statements(
     stream: StreamId,
 ) -> Result<EvalReport, CoreError> {
     if let &[(target, expr)] = stmts {
-        if expr.leaves_under_any_shift().iter().any(|l| l.id == target.id) {
+        if expr.reads_under_shift(target.id) {
             let temp = FieldRef {
                 id: ctx.cache().register(ctx.cache().field_bytes(target.id)?),
                 ..target

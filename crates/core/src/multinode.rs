@@ -190,9 +190,7 @@ impl MultiRank {
     /// Does `expr` shift along a dimension split across ranks — i.e. does
     /// evaluating it need the halo schedule?
     pub(crate) fn crosses_ranks(&self, expr: &Expr) -> bool {
-        expr.shifts()
-            .iter()
-            .any(|&(mu, _)| self.decomp().is_split(mu))
+        expr.has_shift(|mu, _| self.decomp().is_split(mu))
     }
 
     /// Materialise nested shifts into temporaries (returns rewritten
@@ -205,7 +203,7 @@ impl MultiRank {
         Ok(match e {
             Expr::Shift { mu, dir, child } => {
                 let c = self.materialize_nested(child, temps)?;
-                let c = if !c.shifts().is_empty() {
+                let c = if c.has_shift(|_, _| true) {
                     // evaluate the shifted subexpression into a temporary
                     let kind = c.kind()?;
                     let ft = c.float_type();
@@ -303,7 +301,7 @@ impl MultiRank {
         let geom = self.ctx.geometry().clone();
         let mut sig = KernelSignature::default();
         for (_, e) in stmts {
-            sig.push(e, &mut String::new());
+            sig.push(e, &mut ());
         }
         let messages = face_messages(stmts, &sig.shifts, self.split_dims(), &geom);
         debug_assert!(

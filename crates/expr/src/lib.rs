@@ -21,12 +21,17 @@
 //!   *parameters*, so CG iterations with changing α, β reuse kernels);
 //! * all of the above from **one traversal** ([`KernelSignature`]) — a
 //!   kernel's statement group is walked once, and the walk yields the key
-//!   together with the leaf table, shift list and scalars of the launch;
+//!   together with the leaf table, shift list and scalars of the launch.
+//!   The key goes to a [`KeySink`]: a `String` when keying, `()` when only
+//!   the tables are wanted, so a plain query builds no key;
+//! * short-circuiting **predicates** ([`Expr::float_type`],
+//!   [`Expr::has_shift`], [`Expr::reads_under_shift`],
+//!   [`Expr::has_nested_shift`]) — one walk each that allocates nothing and
+//!   stops at the first hit;
 //! * **type inference** ([`Expr::shape`]) — result kinds follow the QDP++
 //!   multiplication rules for the nested spin ⊗ color ⊗ complex types.
 
-use qdp_types::{ElemKind, FloatType, Gamma, SpinProjector, TypeShape};
-use std::fmt::Write;
+use qdp_types::{ElemKind, FloatType, Gamma, Phase, ProjSign, SpinProjector, TypeShape};
 
 /// Reference to a lattice field stored in the memory cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -312,13 +317,73 @@ impl Expr {
     /// Computation precision: F64 if any leaf is F64 (the paper's implicit
     /// type promotion, §III-D), else F32. Scalars don't force promotion.
     pub fn float_type(&self) -> FloatType {
-        KernelSignature::default().push(self, &mut String::new())
+        if self.any_node(&mut |e, _| e.reads().any(|r| r.ft == FloatType::F64)) {
+            FloatType::F64
+        } else {
+            FloatType::F32
+        }
     }
 
     /// All referenced fields in visiting order, deduplicated — what the
     /// memory cache pages in before the launch (§IV).
     pub fn leaves(&self) -> Vec<FieldRef> {
         KernelSignature::of(self).leaves
+    }
+
+    /// The node's subexpressions, in visiting order.
+    fn children(&self) -> [Option<&Expr>; 2] {
+        match self {
+            Expr::Field(_) | Expr::Scalar { .. } => [None, None],
+            Expr::Binary(_, a, b) => [Some(a), Some(b)],
+            Expr::Unary(_, child)
+            | Expr::Shift { child, .. }
+            | Expr::GammaMul { child, .. }
+            | Expr::SpinProject { child, .. }
+            | Expr::SpinReconstruct { child, .. }
+            | Expr::CloverApply { child, .. } => [Some(child), None],
+        }
+    }
+
+    /// The fields the node itself reads (not its subexpressions'), in
+    /// visiting order.
+    fn reads(&self) -> impl Iterator<Item = &FieldRef> {
+        let refs = match self {
+            Expr::Field(r) => [Some(r), None],
+            Expr::CloverApply { diag, tri, .. } => [Some(diag), Some(tri)],
+            _ => [None, None],
+        };
+        refs.into_iter().flatten()
+    }
+
+    /// Does `hit` hold at some node? Nodes are visited in key order, each
+    /// with the number of shift nodes above it, and the walk stops at the
+    /// first hit. Nothing is allocated.
+    fn any_node(&self, hit: &mut impl FnMut(&Expr, usize) -> bool) -> bool {
+        fn go(e: &Expr, shifts: usize, hit: &mut impl FnMut(&Expr, usize) -> bool) -> bool {
+            if hit(e, shifts) {
+                return true;
+            }
+            let below = shifts + usize::from(matches!(e, Expr::Shift { .. }));
+            e.children()
+                .into_iter()
+                .flatten()
+                .any(|c| go(c, below, hit))
+        }
+        go(self, 0, hit)
+    }
+
+    /// Does the expression contain a shift `(mu, dir)` that `pick` selects?
+    /// A short-circuiting [`Expr::shifts`] query: e.g. "does this statement
+    /// shift along a rank-split dimension".
+    pub fn has_shift(&self, pick: impl Fn(usize, ShiftDir) -> bool) -> bool {
+        self.any_node(&mut |e, _| matches!(e, Expr::Shift { mu, dir, .. } if pick(*mu, *dir)))
+    }
+
+    /// Does the expression read field `id` under a shift? A
+    /// short-circuiting [`Expr::leaves_under_any_shift`] query for one
+    /// field — e.g. a statement's own target, which then needs a temporary.
+    pub fn reads_under_shift(&self, id: u64) -> bool {
+        self.any_node(&mut |e, shifts| shifts > 0 && e.reads().any(|r| r.id == id))
     }
 
     /// The field leaves read under a shift that `pick` selects —
@@ -330,28 +395,16 @@ impl Expr {
             pick: &dyn Fn(usize, ShiftDir) -> bool,
             out: &mut Vec<FieldRef>,
         ) {
-            let mut read = |r: &FieldRef| {
-                if under && !out.iter().any(|x| x.id == r.id) {
-                    out.push(*r);
+            if under {
+                for r in e.reads() {
+                    if !out.iter().any(|x| x.id == r.id) {
+                        out.push(*r);
+                    }
                 }
-            };
-            match e {
-                Expr::Field(r) => read(r),
-                Expr::Scalar { .. } => {}
-                Expr::Unary(_, c) => walk(c, under, pick, out),
-                Expr::Binary(_, a, b) => {
-                    walk(a, under, pick, out);
-                    walk(b, under, pick, out);
-                }
-                Expr::Shift { mu, dir, child } => walk(child, under || pick(*mu, *dir), pick, out),
-                Expr::GammaMul { child, .. }
-                | Expr::SpinProject { child, .. }
-                | Expr::SpinReconstruct { child, .. } => walk(child, under, pick, out),
-                Expr::CloverApply { diag, tri, child } => {
-                    read(diag);
-                    read(tri);
-                    walk(child, under, pick, out);
-                }
+            }
+            let under = under || matches!(e, Expr::Shift { mu, dir, .. } if pick(*mu, *dir));
+            for c in e.children().into_iter().flatten() {
+                walk(c, under, pick, out);
             }
         }
         let mut out = Vec::new();
@@ -383,18 +436,10 @@ impl Expr {
 
     /// Does the expression contain a shift of a shift ("next-to-nearest
     /// neighbour")? The paper's overlap implementation excludes these
-    /// (§V: inner-most shifts execute non-overlapping).
+    /// (§V: inner-most shifts execute non-overlapping). One walk that
+    /// counts the shifts above each node.
     pub fn has_nested_shift(&self) -> bool {
-        match self {
-            Expr::Shift { child, .. } => !child.shifts().is_empty(),
-            Expr::Unary(_, c) => c.has_nested_shift(),
-            Expr::Binary(_, a, b) => a.has_nested_shift() || b.has_nested_shift(),
-            Expr::GammaMul { child, .. }
-            | Expr::SpinProject { child, .. }
-            | Expr::SpinReconstruct { child, .. } => child.has_nested_shift(),
-            Expr::CloverApply { child, .. } => child.has_nested_shift(),
-            Expr::Field(_) | Expr::Scalar { .. } => false,
-        }
+        self.any_node(&mut |e, shifts| shifts > 0 && matches!(e, Expr::Shift { .. }))
     }
 
     /// Structural key: identical keys ⇒ identical generated kernels. Field
@@ -431,17 +476,18 @@ pub struct KernelSignature {
 }
 
 impl KernelSignature {
-    /// The signature of the single statement `expr`.
+    /// The signature of the single statement `expr`, without its key.
     pub fn of(expr: &Expr) -> KernelSignature {
         let mut sig = KernelSignature::default();
-        sig.push(expr, &mut String::new());
+        sig.push(expr, &mut ());
         sig
     }
 
     /// Walk the next statement of the group: append its structural key to
-    /// `key`, extend the tables, and return the precision its leaves
-    /// promote to (F64 if any is F64, §III-D; scalars don't promote).
-    pub fn push(&mut self, expr: &Expr, key: &mut String) -> FloatType {
+    /// `key` (`&mut ()` for none), extend the tables, and return the
+    /// precision its leaves promote to (F64 if any is F64, §III-D; scalars
+    /// don't promote).
+    pub fn push(&mut self, expr: &Expr, key: &mut impl KeySink) -> FloatType {
         let mut ft = FloatType::F32;
         self.walk(expr, key, &mut ft);
         ft
@@ -458,57 +504,183 @@ impl KernelSignature {
         })
     }
 
-    fn walk(&mut self, e: &Expr, key: &mut String, ft: &mut FloatType) {
-        // Writing to a `String` cannot fail.
+    /// The one walker: every key piece is a fixed string or a decimal
+    /// number, written in the spelling `Debug` gives the node's parts (the
+    /// key bytes are what kernel names and persisted stores hang on).
+    fn walk(&mut self, e: &Expr, key: &mut impl KeySink, ft: &mut FloatType) {
         match e {
             Expr::Field(r) => {
                 let s = self.slot(r, ft);
-                let _ = write!(key, "f{s}:{:?}:{}", r.kind, r.ft.tag());
+                key.put("f");
+                key.put_num(s);
+                key.put(field_suffix(r.kind, r.ft));
             }
             Expr::Scalar { re, im, complex } => {
                 self.scalars.push((*re, *im));
                 self.scalar_complex.push(*complex);
-                key.push_str(if *complex { "sc" } else { "sr" });
+                key.put(if *complex { "sc" } else { "sr" });
             }
             Expr::Unary(op, c) => {
-                let _ = write!(key, "{op:?}(");
+                key.put(unary_name(*op));
                 self.walk(c, key, ft);
-                key.push(')');
+                key.put(")");
             }
             Expr::Binary(op, a, b) => {
-                let _ = write!(key, "{op:?}(");
+                key.put(binary_name(*op));
                 self.walk(a, key, ft);
-                key.push(',');
+                key.put(",");
                 self.walk(b, key, ft);
-                key.push(')');
+                key.put(")");
             }
             Expr::Shift { mu, dir, child } => {
                 if !self.shifts.contains(&(*mu, *dir)) {
                     self.shifts.push((*mu, *dir));
                 }
-                let _ = write!(key, "Shift{mu}{dir:?}(");
+                key.put("Shift");
+                key.put_num(*mu);
+                key.put(match dir {
+                    ShiftDir::Forward => "Forward(",
+                    ShiftDir::Backward => "Backward(",
+                });
                 self.walk(child, key, ft);
-                key.push(')');
+                key.put(")");
             }
             Expr::GammaMul { gamma, child } => {
-                let _ = write!(key, "G{:?}{:?}(", gamma.col, gamma.phase);
+                key.put("G");
+                put_gamma(key, gamma);
+                key.put("(");
                 self.walk(child, key, ft);
-                key.push(')');
+                key.put(")");
             }
             Expr::SpinProject { proj, child } | Expr::SpinReconstruct { proj, child } => {
-                let op = if matches!(e, Expr::SpinProject { .. }) { 'P' } else { 'R' };
-                let _ = write!(key, "{op}{}{:?}(", proj.mu, proj.sign);
+                key.put(match e {
+                    Expr::SpinProject { .. } => "P",
+                    _ => "R",
+                });
+                key.put_num(proj.mu);
+                key.put(match proj.sign {
+                    ProjSign::Plus => "Plus(",
+                    ProjSign::Minus => "Minus(",
+                });
                 self.walk(child, key, ft);
-                key.push(')');
+                key.put(")");
             }
             Expr::CloverApply { diag, tri, child } => {
                 let (d, t) = (self.slot(diag, ft), self.slot(tri, ft));
-                let _ = write!(key, "Clov(f{d},f{t},");
+                key.put("Clov(f");
+                key.put_num(d);
+                key.put(",f");
+                key.put_num(t);
+                key.put(",");
                 self.walk(child, key, ft);
-                key.push(')');
+                key.put(")");
             }
         }
     }
+}
+
+/// Where [`KernelSignature::push`] writes a statement's structural key: a
+/// `String` appends it, `()` drops it — so the one walker also serves the
+/// key-less queries ([`Expr::leaves`], [`Expr::shifts`]) without building
+/// a key.
+pub trait KeySink {
+    /// Append a fixed piece of the key.
+    fn put(&mut self, s: &'static str);
+    /// Append `n` in decimal.
+    fn put_num(&mut self, n: usize);
+}
+
+impl KeySink for String {
+    #[inline]
+    fn put(&mut self, s: &'static str) {
+        self.push_str(s);
+    }
+
+    fn put_num(&mut self, n: usize) {
+        const DIGITS: [&str; 10] = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9"];
+        if n >= 10 {
+            self.put_num(n / 10);
+        }
+        self.push_str(DIGITS[n % 10]);
+    }
+}
+
+impl KeySink for () {
+    #[inline]
+    fn put(&mut self, _: &'static str) {}
+
+    #[inline]
+    fn put_num(&mut self, _: usize) {}
+}
+
+/// `:{kind:?}:{precision tag}` — what follows a field leaf's slot.
+fn field_suffix(kind: ElemKind, ft: FloatType) -> &'static str {
+    match (kind, ft) {
+        (ElemKind::Real, FloatType::F32) => ":Real:sp",
+        (ElemKind::Real, FloatType::F64) => ":Real:dp",
+        (ElemKind::Complex, FloatType::F32) => ":Complex:sp",
+        (ElemKind::Complex, FloatType::F64) => ":Complex:dp",
+        (ElemKind::Fermion, FloatType::F32) => ":Fermion:sp",
+        (ElemKind::Fermion, FloatType::F64) => ":Fermion:dp",
+        (ElemKind::HalfFermion, FloatType::F32) => ":HalfFermion:sp",
+        (ElemKind::HalfFermion, FloatType::F64) => ":HalfFermion:dp",
+        (ElemKind::ColorMatrix, FloatType::F32) => ":ColorMatrix:sp",
+        (ElemKind::ColorMatrix, FloatType::F64) => ":ColorMatrix:dp",
+        (ElemKind::SpinMatrix, FloatType::F32) => ":SpinMatrix:sp",
+        (ElemKind::SpinMatrix, FloatType::F64) => ":SpinMatrix:dp",
+        (ElemKind::CloverDiag, FloatType::F32) => ":CloverDiag:sp",
+        (ElemKind::CloverDiag, FloatType::F64) => ":CloverDiag:dp",
+        (ElemKind::CloverTriang, FloatType::F32) => ":CloverTriang:sp",
+        (ElemKind::CloverTriang, FloatType::F64) => ":CloverTriang:dp",
+    }
+}
+
+/// The op's name, as `Debug` prints it, opening its operands.
+fn unary_name(op: UnaryOp) -> &'static str {
+    match op {
+        UnaryOp::Neg => "Neg(",
+        UnaryOp::Adj => "Adj(",
+        UnaryOp::Conj => "Conj(",
+        UnaryOp::Transpose => "Transpose(",
+        UnaryOp::Trace => "Trace(",
+        UnaryOp::RealPart => "RealPart(",
+        UnaryOp::ImagPart => "ImagPart(",
+        UnaryOp::TimesI => "TimesI(",
+        UnaryOp::TimesMinusI => "TimesMinusI(",
+        UnaryOp::LocalNorm2 => "LocalNorm2(",
+        UnaryOp::DiagFill => "DiagFill(",
+        UnaryOp::ExpM => "ExpM(",
+    }
+}
+
+/// The op's name, as `Debug` prints it, opening its operands.
+fn binary_name(op: BinaryOp) -> &'static str {
+    match op {
+        BinaryOp::Add => "Add(",
+        BinaryOp::Sub => "Sub(",
+        BinaryOp::Mul => "Mul(",
+        BinaryOp::LocalInnerProduct => "LocalInnerProduct(",
+        BinaryOp::ColorOuter => "ColorOuter(",
+    }
+}
+
+/// `[c0, c1, c2, c3][p0, p1, p2, p3]`: the gamma's columns and phases as
+/// their arrays print.
+fn put_gamma(key: &mut impl KeySink, gamma: &Gamma) {
+    for (i, &c) in gamma.col.iter().enumerate() {
+        key.put(if i == 0 { "[" } else { ", " });
+        key.put_num(usize::from(c));
+    }
+    for (i, p) in gamma.phase.iter().enumerate() {
+        key.put(if i == 0 { "][" } else { ", " });
+        key.put(match p {
+            Phase::One => "One",
+            Phase::I => "I",
+            Phase::MinusOne => "MinusOne",
+            Phase::MinusI => "MinusI",
+        });
+    }
+    key.put("]");
 }
 
 /// QDP++'s nested multiplication dispatch for the supported kinds.
@@ -767,6 +939,64 @@ mod tests {
         };
         assert!(nested.has_nested_shift());
         assert!(!derivative_expr().has_nested_shift());
+
+        let shifted = |mu, child: Expr| Expr::Shift {
+            mu,
+            dir: ShiftDir::Backward,
+            child: Box::new(child),
+        };
+        let clover = |child: Expr| Expr::CloverApply {
+            diag: FieldRef {
+                id: 10,
+                kind: ElemKind::CloverDiag,
+                ft: FloatType::F64,
+            },
+            tri: FieldRef {
+                id: 11,
+                kind: ElemKind::CloverTriang,
+                ft: FloatType::F64,
+            },
+            child: Box::new(child),
+        };
+        // A shift inside a clover apply nests only under an outer shift.
+        assert!(!clover(shifted(2, psi(1))).has_nested_shift());
+        assert!(shifted(3, clover(shifted(2, psi(1)))).has_nested_shift());
+        assert!(!shifted(3, clover(psi(1))).has_nested_shift());
+        // Shifts in both operands of a product are siblings, not nested —
+        // under a shift, a shift in either operand nests.
+        let product = |a, b| Expr::Binary(BinaryOp::Mul, Box::new(a), Box::new(b));
+        assert!(!product(shifted(0, u(2)), shifted(1, psi(1))).has_nested_shift());
+        assert!(shifted(3, product(u(2), shifted(1, psi(1)))).has_nested_shift());
+        assert!(shifted(3, product(shifted(0, u(2)), psi(1))).has_nested_shift());
+        assert!(!shifted(3, product(u(2), psi(1))).has_nested_shift());
+    }
+
+    #[test]
+    fn predicates_short_circuit_the_walks() {
+        let e = derivative_expr();
+        assert_eq!(e.float_type(), FloatType::F64);
+        assert!(e.has_shift(|mu, dir| mu == 0 && dir == ShiftDir::Backward));
+        assert!(!e.has_shift(|mu, _| mu == 1));
+        // psi and u are read under a shift; field 3 is not read at all.
+        assert!(e.reads_under_shift(2) && e.reads_under_shift(1));
+        assert!(!e.reads_under_shift(3));
+        let flat = Expr::Binary(BinaryOp::Mul, Box::new(u(1)), Box::new(psi(2)));
+        assert!(!flat.reads_under_shift(1) && !flat.has_shift(|_, _| true));
+        let sp = Expr::field(4, ElemKind::Fermion, FloatType::F32);
+        assert_eq!(sp.float_type(), FloatType::F32);
+    }
+
+    #[test]
+    fn key_numbers_are_decimal() {
+        let mut key = String::new();
+        for n in [0, 7, 10, 42, 1234] {
+            key.put_num(n);
+            key.put(",");
+        }
+        assert_eq!(key, "0,7,10,42,1234,");
+        let mut none = ();
+        none.put_num(12);
+        none.put("dropped");
     }
 
     #[test]

@@ -170,11 +170,12 @@ impl KernelCache {
         }
         drop(inner);
         let kernel = miss()?;
-        self.inner
-            .lock()
-            .keyed
-            .insert(key.to_string(), Arc::clone(&kernel));
-        Ok(kernel)
+        // Insert only if the key is still absent: threads that raced on a
+        // cold key all return the first one's kernel. Each already counted
+        // its own lookup in `miss`, so nothing more is counted here.
+        let mut inner = self.inner.lock();
+        let kept = inner.keyed.entry(key.to_string()).or_insert(kernel);
+        Ok(Arc::clone(kept))
     }
 
     /// Translate (or fetch) the single kernel described by `req` — the
@@ -205,49 +206,64 @@ impl KernelCache {
             self.telemetry.record_compile(&k.name, true, 0.0, 0.0);
             return Ok(k);
         }
+        drop(inner);
 
-        // In-memory miss. A text whose digest the store holds was
-        // translated on this device by an earlier process: it is lowered
-        // like any other, but with no modelled translation cost (driver
-        // binary-cache semantics), and counts as a hit, not a miss.
-        let store = self.store.as_ref().map(|s| (s, stable_text_digest(req.ptx)));
-        let stored = store.as_ref().is_some_and(|(s, digest)| s.lookup_kernel(digest));
-
+        // In-memory miss: translate outside the lock, so one thread's cold
+        // translation never blocks another thread's lookup.
         let t0 = Instant::now();
-        let mut kernels = match compile_ptx(req.ptx) {
-            Ok(k) => k,
+        let translated = compile_ptx(req.ptx).and_then(|mut kernels| match kernels.len() {
+            1 => Ok(kernels.remove(0)),
+            n => Err(JitError::Lower(format!(
+                "expected exactly one kernel per module, got {n}"
+            ))),
+        });
+        let kernel = match translated {
+            Ok(k) => Arc::new(k),
             Err(e) => {
-                inner.stats.compile_errors += 1;
+                self.inner.lock().stats.compile_errors += 1;
                 self.telemetry.record_compile_error();
                 return Err(e);
             }
         };
         let wall = t0.elapsed().as_secs_f64();
-        if kernels.len() != 1 {
-            inner.stats.compile_errors += 1;
-            self.telemetry.record_compile_error();
-            return Err(JitError::Lower(format!(
-                "expected exactly one kernel per module, got {}",
-                kernels.len()
-            )));
-        }
-        let kernel = Arc::new(kernels.remove(0));
         check_name(&kernel)?;
+
+        // Insert only if the text is still absent. A thread that lost the
+        // race to translate it returns the winner's kernel — one text, one
+        // `CompiledKernel`, one tuning record — and counts the hit it would
+        // have counted had it waited for the lock.
+        let mut inner = self.inner.lock();
+        if let Some(winner) = inner.map.get(&key).cloned() {
+            inner.stats.hits += 1;
+            drop(inner);
+            self.telemetry.record_compile(&winner.name, true, 0.0, 0.0);
+            return Ok(winner);
+        }
         inner.map.insert(key, Arc::clone(&kernel));
         inner.stats.wall_compile_time += wall;
-        if stored {
-            inner.stats.persist_hits += 1;
-            drop(inner);
+        drop(inner);
+
+        // A text whose digest the store holds was translated on this device
+        // by an earlier process: it was lowered like any other, but with no
+        // modelled translation cost (driver binary-cache semantics), and
+        // counts as a hit, not a miss.
+        let digest = self
+            .store
+            .as_ref()
+            .map(|s| (s, stable_text_digest(req.ptx)));
+        if digest.as_ref().is_some_and(|(s, d)| s.lookup_kernel(d)) {
+            self.inner.lock().stats.persist_hits += 1;
             self.telemetry.record_compile(&kernel.name, true, wall, 0.0);
             self.telemetry.record_persist_hit(&kernel.name);
             return Ok(kernel);
         }
         let modeled = modeled_compile_time(kernel.ptx_insts);
+        let mut inner = self.inner.lock();
         inner.stats.misses += 1;
         inner.stats.modeled_compile_time += modeled;
         drop(inner);
-        if let Some((s, digest)) = &store {
-            s.put_kernel(digest);
+        if let Some((s, d)) = &digest {
+            s.put_kernel(d);
         }
         self.telemetry
             .record_compile(&kernel.name, false, wall, modeled);
@@ -320,6 +336,45 @@ mod tests {
         assert!(bad().is_err());
         assert!(bad().is_err(), "the failure was not cached");
         assert_eq!(cache.stats().compile_errors, 2);
+    }
+
+    /// Four threads released together onto one cold text, then onto one
+    /// cold key: whichever translations overlap, every thread gets the one
+    /// kernel, and the counts are those of four serialized requests.
+    #[test]
+    fn racing_cold_requests_share_one_kernel() {
+        fn race(
+            get: impl Fn(&KernelCache) -> Arc<CompiledKernel> + Send + Sync + 'static,
+        ) -> (Vec<Arc<CompiledKernel>>, KernelCacheStats) {
+            let cache = Arc::new(KernelCache::new());
+            let barrier = Arc::new(std::sync::Barrier::new(4));
+            let get = Arc::new(get);
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    let (cache, barrier, get) =
+                        (Arc::clone(&cache), Arc::clone(&barrier), Arc::clone(&get));
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        get(&cache)
+                    })
+                })
+                .collect();
+            let kernels = threads.into_iter().map(|t| t.join().unwrap()).collect();
+            (kernels, cache.stats())
+        }
+        let text = Arc::new(tiny_ptx("k_race"));
+        let by_text = {
+            let text = Arc::clone(&text);
+            race(move |c| c.compile(CompileRequest::new(&text)).unwrap())
+        };
+        let by_key = race(move |c| {
+            c.compile_keyed("key-race", || c.compile(CompileRequest::new(&text)))
+                .unwrap()
+        });
+        for (kernels, stats) in [by_text, by_key] {
+            assert!(kernels.iter().all(|k| Arc::ptr_eq(k, &kernels[0])));
+            assert_eq!((stats.misses, stats.hits), (1, 3));
+        }
     }
 
     #[test]

@@ -43,6 +43,23 @@ pub enum ElemKind {
     CloverTriang,
 }
 
+impl ElemKind {
+    /// The variant's name, as `Debug` prints it — the spelling structural
+    /// kernel keys use, without going through the formatter.
+    pub fn name(self) -> &'static str {
+        match self {
+            ElemKind::Real => "Real",
+            ElemKind::Complex => "Complex",
+            ElemKind::Fermion => "Fermion",
+            ElemKind::HalfFermion => "HalfFermion",
+            ElemKind::ColorMatrix => "ColorMatrix",
+            ElemKind::SpinMatrix => "SpinMatrix",
+            ElemKind::CloverDiag => "CloverDiag",
+            ElemKind::CloverTriang => "CloverTriang",
+        }
+    }
+}
+
 /// Shape of a site element: its index-domain sizes and semantic kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TypeShape {
