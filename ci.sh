@@ -295,10 +295,11 @@ echo "ok: generator prints the final kernel (no PTX value numbering after codege
 # ---- Guard: one PTX dialect ---------------------------------------------------
 # The parser, validation, optimizer, lowering and executor accept exactly
 # the instructions the code generator emits: the math-subroutine calls and
-# their declarations, the unary ops besides `neg`, the division and shift
-# ops, the signed types and the signed launch argument stay deleted, and so
-# does the BiCGStab solver nothing called. crates/benchmark is frozen and
-# skipped. (Spelled in pieces, as above.)
+# their declarations, the unary ops besides `neg`, the division ops and the
+# shifts but the warp index's `shr.u32`, the signed types and the signed
+# launch argument stay deleted, and so does the BiCGStab solver nothing
+# called. crates/benchmark is frozen and skipped. (Spelled in pieces, as
+# above.)
 twins="Math""Fn|call\\.""uni|\\.extern \\.""func|Un""Op::|BinOp::""Div|BinOp::""Shl"
 twins="$twins|PtxType::""S32|PtxType::""S64|LaunchArg::""S32|bicg""stab"
 stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
@@ -308,7 +309,7 @@ if [ -n "$stale" ]; then
     echo "$stale" >&2
     exit 1
 fi
-echo "ok: one PTX dialect (no math calls, no non-neg unary ops, no div/shift ops, no signed types, no BiCGStab)"
+echo "ok: one PTX dialect (no math calls, no non-neg unary ops, no div ops, no shift but shr.u32, no signed types, no BiCGStab)"
 
 # ---- Guard: one serve state ---------------------------------------------------
 # Each serve worker owns its stream for its whole life, and every serving
@@ -432,20 +433,31 @@ fi
 echo "ok: one projector, one load form (M† flips the projector signs; loads and stores take one Addr)"
 
 # ---- Guard: one reduction order -----------------------------------------------
-# A reduction temporary is summed in lane order (site s into partial s mod 8,
-# then a fixed eight-way tree), the shape of the device's grid-stride loop
-# and shared-memory tree: the serial site-order chain and the oracle that
-# pinned it stay deleted. crates/benchmark is frozen and skipped. (Spelled
-# in pieces, as above.)
-twins="site_order""_sums|site-order"" fold"
+# A reduction reduces in its kernel: each warp sums its 32 threads with the
+# shfl.bfly butterfly, the one cross-lane read, which the generator emits
+# only in the reduction epilogue (`reduce_store`), and the second phase
+# combines the partials the launches wrote, in one pairwise order. So the
+# host-side lane-order sums over a full-lattice temporary stay deleted
+# (`reduce_batch` reads no `vol`-sized range), and so do the serial
+# site-order chain and its oracle. crates/benchmark is frozen and skipped.
+# (Spelled in pieces, as above.)
+twins="site_order""_sums|site-order"" fold|lane_order""_sums|lane""_sums|\\bLA""NES\\b"
 stale=$(grep -rnE "$twins" crates/*/src crates/*/tests src tests examples README.md DESIGN.md \
     | grep -v '^crates/benchmark/' || true)
-if [ -n "$stale" ]; then
-    echo "FAIL: the serial site-order reduction or its oracle is back:" >&2
-    echo "$stale" >&2
+# Butterfly emission outside the function that writes the epilogue.
+shfl=$(awk '/^ *(pub )?(\(crate\) )?fn /{f=$0} /Inst::Sh''fl|bfly_''f64\(/ && f !~ /fn reduce_store\(/ {print FILENAME ":" FNR ": " $0}' \
+    crates/core/src/codegen/ptx_backend.rs)
+# A second phase that reads a whole lattice's worth of values.
+full=$(awk '/^pub\(crate\) fn reduce_batch\(/{on=1} on && /\<vol\>|n_sites|geometry\(\)/{print FILENAME ":" FNR ": " $0} on && /^}/{on=0}' \
+    crates/core/src/eval.rs)
+if [ -n "$stale$shfl$full" ]; then
+    echo "FAIL: a second reduction order is back (host lane-order sums, a site-order chain, a shuffle outside the epilogue or a full-lattice second phase):" >&2
+    [ -z "$stale" ] || echo "$stale" >&2
+    [ -z "$shfl" ] || echo "$shfl" >&2
+    [ -z "$full" ] || echo "$full" >&2
     exit 1
 fi
-echo "ok: one reduction order (lane-order partials and a fixed tree, no serial site-order chain)"
+echo "ok: one reduction order (warp butterfly in the kernel, pairwise partials on the host, no lane-order or site-order sums)"
 
 # ---- Guard: one ISA dispatch --------------------------------------------------
 # The interpreter's tile body is compiled once per host ISA and picked once

@@ -1,7 +1,8 @@
 //! The code generator prints the program that runs: at `OptLevel::Default`
 //! its text is final. For the golden snapshots and for random DAGs from the
-//! conformance generator — single statements over random subsets and fused
-//! statement groups, in both layouts and both precisions — every kernel
+//! conformance generator — single statements over random subsets, fused
+//! statement groups, and those groups followed by a reduction over a random
+//! subset, in both layouts and both precisions — every kernel
 //!
 //! * comes back byte for byte from parse → `optimize_module` → emit, and
 //! * holds no two pure integer instructions with the same opcode, type and
@@ -9,6 +10,7 @@
 
 use qdp_conformance::{gen_stmt_sequence, gen_typed_expr, random_target_kind, Fixture};
 use qdp_core::{codegen_fused_ptx, codegen_ptx, OptLevel, QdpContext};
+use qdp_expr::{Expr, UnaryOp};
 use qdp_layout::{LayoutKind, Subset};
 use qdp_proptest::Gen;
 use qdp_ptx::emit::emit_module;
@@ -21,9 +23,9 @@ use std::collections::HashSet;
 const CASES: u64 = 200;
 
 /// The opcodes whose value is a pure function of integer operands.
-const PURE_INT: [&str; 9] = [
-    "add.u32", "add.u64", "and.b32", "mul.wide.u32", "mad.lo.u32", "setp.ge.u32",
-    "setp.ne.u32", "selp.u64", "mov.u32",
+const PURE_INT: [&str; 11] = [
+    "add.u32", "add.u64", "and.b32", "shr.u32", "mul.wide.u32", "mad.lo.u32", "setp.ge.u32",
+    "setp.ne.u32", "selp.u32", "selp.u64", "mov.u32",
 ];
 
 fn check_final(what: &str, ptx: &str) {
@@ -59,7 +61,7 @@ fn golden_snapshots_are_final() {
             n += 1;
         }
     }
-    assert_eq!(n, 7, "golden snapshots in {}", dir.display());
+    assert_eq!(n, 8, "golden snapshots in {}", dir.display());
 }
 
 #[test]
@@ -82,12 +84,16 @@ fn generated_kernels_are_final() {
             let subset = [Subset::All, Subset::Even, Subset::Odd][g.usize_in(0..3)];
             let target = fx.fresh_target(kind);
             let (stmts, _) = gen_stmt_sequence(&mut g, &fx, 4);
+            let norm2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(expr.clone()));
             for ctx in &contexts {
                 let what = format!("{ft:?} {:?} case {case}", ctx.layout());
                 let ptx = codegen_ptx(ctx, target, &expr, subset, "k").unwrap();
                 check_final(&what, &ptx);
-                let fused = codegen_fused_ptx(ctx, &stmts, Subset::All, "k").unwrap();
+                let fused = codegen_fused_ptx(ctx, &stmts, &[], Subset::All, "k").unwrap();
                 check_final(&format!("{what}, fused"), &fused);
+                let norm2 = std::slice::from_ref(&norm2);
+                let reduced = codegen_fused_ptx(ctx, &stmts, norm2, subset, "k");
+                check_final(&format!("{what}, reduced"), &reduced.unwrap());
             }
             fx.release(target);
             let mut released = HashSet::new();

@@ -40,16 +40,19 @@
 //! shifts along a split dimension runs the §V halo schedule as a whole —
 //! one message per split face for the group, read by the one fused kernel.
 //!
-//! Independent reduction temporaries recorded back-to-back (e.g.
+//! A reduction is a statement too: it fuses with the producers before it,
+//! and its kernel leaves one partial per warp instead of a value per site.
+//! Independent reductions recorded back-to-back (e.g.
 //! [`FusionScope::norm2_batch`]) fuse the same way into one multi-output
-//! kernel, and their tree-reduction passes are accounted as a single
-//! combined pass.
+//! kernel, and their second phases over the partials are accounted as a
+//! single combined pass.
 //!
 //! Fusion is on by default; `QDP_FUSE=0` ([`crate::QdpConfig::fuse`] =
 //! false) is a group budget of 1 on the same planner: every statement and
-//! every reduction temporary launches alone — the per-expression kernels
+//! every reduction launches alone — the per-expression kernels
 //! and launch counts, bit-exactly — and no bailout is ever counted.
 
+use crate::codegen::ptx_backend::WARP;
 use crate::context::QdpContext;
 use crate::eval::{
     eval_statements, max_ft, reduce_batch, render_statements, CoreError, KeyedGroup,
@@ -87,8 +90,11 @@ pub(crate) struct Stmt {
     /// Ids of the fields `expr` reads under any shift, deduplicated — the
     /// statement's hazard set.
     shifted: Vec<u64>,
-    /// Compute precision: `expr`'s leaves promoted with the target's.
+    /// Compute precision: `expr`'s leaves promoted with the target's (a
+    /// reduction's `f64` partials promote nothing).
     ft: FloatType,
+    /// A reduction into the partial buffer `target`.
+    reduce: bool,
 }
 
 impl Stmt {
@@ -102,6 +108,17 @@ impl Stmt {
             stream,
             shifted,
             ft,
+            reduce: false,
+        }
+    }
+
+    /// A reduction of `expr` into the partial buffer `target`.
+    fn reduction(target: FieldRef, expr: Expr, subset: Subset, stream: StreamId) -> Stmt {
+        let ft = expr.float_type();
+        Stmt {
+            ft,
+            reduce: true,
+            ..Stmt::new(target, expr, subset, stream)
         }
     }
 }
@@ -213,42 +230,62 @@ fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> 
 }
 
 /// Generate the PTX text the fusion pipeline would run for a group of
-/// statements over `subset`, under a caller-chosen kernel name — on an
-/// attached context, the §V halo kernel of a full-lattice group that
-/// shifts along a split dimension, as the schedule without overlap
-/// launches it over the whole lattice. Pure codegen (nothing is compiled,
-/// cached or launched) — the multi-statement twin of
-/// [`crate::codegen_ptx`], used by the golden-snapshot tests.
+/// statements over `subset` followed by the reductions of `reductions` (a
+/// real or complex expression each, as `norm2`, `inner_product` and `sum`
+/// record them), under a caller-chosen kernel name — on an attached
+/// context, the §V halo kernel of a full-lattice group that shifts along a
+/// split dimension, as the schedule without overlap launches it over the
+/// whole lattice. Pure codegen (nothing is compiled, cached or launched) —
+/// the multi-statement twin of [`crate::codegen_ptx`], used by the
+/// golden-snapshot tests.
 pub fn codegen_fused_ptx(
     ctx: &QdpContext,
     stmts: &[(FieldRef, Expr)],
+    reductions: &[Expr],
     subset: Subset,
     kernel_name: &str,
 ) -> Result<String, CoreError> {
-    let refs: Vec<(FieldRef, &Expr)> = stmts.iter().map(|(t, e)| (*t, e)).collect();
+    let mut refs: Vec<(FieldRef, &Expr)> = stmts.iter().map(|(t, e)| (*t, e)).collect();
+    for e in reductions {
+        // Nothing is launched, so the partial buffer needs no field.
+        let partials = FieldRef {
+            id: 0,
+            kind: e.kind()?,
+            ft: FloatType::F64,
+        };
+        refs.push((partials, e));
+    }
     let split = ctx
         .attached_rank()
         .filter(|mr| subset == Subset::All && refs.iter().any(|(_, e)| mr.crosses_ranks(e)))
         .map_or([false; 4], |mr| mr.split_dims());
-    let plan = KeyedGroup::new(ctx, &refs, subset != Subset::All, split).plan(ctx, &refs)?;
-    let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| e).collect();
+    let group = KeyedGroup::new(ctx, &refs, reductions.len(), subset != Subset::All, split);
+    let plan = group.plan(ctx, &refs)?;
+    let exprs: Vec<&Expr> = refs.iter().map(|(_, e)| *e).collect();
     render_statements(&plan, &exprs, kernel_name)
 }
 
 /// Plan `stmts` into groups and launch each group as one kernel, in record
-/// order (groups are uniform in subset and stream by construction).
-fn flush_stmts(ctx: &QdpContext, stmts: &[Stmt]) -> Result<(), CoreError> {
+/// order (groups are uniform in subset and stream by construction); returns,
+/// per statement, the partials it wrote (0 for an assignment). Reductions
+/// are recorded after the assignments they follow, so a group's reductions
+/// are its last statements.
+fn flush_stmts(ctx: &QdpContext, stmts: &[Stmt]) -> Result<Vec<usize>, CoreError> {
     let tel = ctx.telemetry();
+    let mut partials = vec![0; stmts.len()];
     for g in plan_groups(ctx, stmts) {
-        let group = &stmts[g];
+        let group = &stmts[g.clone()];
         if group.len() >= 2 {
             tel.count("fuse.groups", 1);
             tel.count("fuse.launches_saved", (group.len() - 1) as u64);
         }
+        let reduce = group.iter().filter(|s| s.reduce).count();
+        debug_assert!(group[group.len() - reduce..].iter().all(|s| s.reduce));
         let refs: Vec<(FieldRef, &Expr)> = group.iter().map(|s| (s.target, &s.expr)).collect();
-        eval_statements(ctx, &refs, group[0].subset, group[0].stream)?;
+        let report = eval_statements(ctx, &refs, reduce, group[0].subset, group[0].stream)?;
+        partials[g.end - reduce..g.end].fill(report.partials);
     }
-    Ok(())
+    Ok(partials)
 }
 
 /// Evaluate a sequence of raw `target ← expr` statements (full lattice,
@@ -267,57 +304,50 @@ pub fn eval_fused_sequence(
         .iter()
         .map(|(target, expr)| Stmt::new(*target, expr.clone(), Subset::All, stream))
         .collect();
-    flush_stmts(ctx, &stmts)
+    flush_stmts(ctx, &stmts).map(drop)
 }
 
-/// The one reduction body: record a site-local temporary per expression
-/// behind `pending` (scratch its kernel writes whole when `subset` is
-/// [`Subset::All`]), flush (the temp evaluations fuse with any pending
-/// producers), run one combined reduction pass per budget-sized batch,
-/// free the temporaries. An immediate reduction is a scope of one: nothing
-/// pending, one expression.
+/// The one reduction body: record a reduction statement per expression
+/// behind `pending`, each into a partial buffer of one `f64` per warp and
+/// component, flush (the reductions fuse with any pending producers), run
+/// one combined second phase per budget-sized batch over the partials the
+/// launches wrote, free the buffers. An immediate reduction is a scope of
+/// one: nothing pending, one expression.
 pub(crate) fn reduce_recorded(
     ctx: &QdpContext,
     mut pending: Vec<Stmt>,
     exprs: Vec<(Expr, ElemKind)>,
     subset: Subset,
 ) -> Result<Vec<Vec<f64>>, CoreError> {
-    let vol = ctx.geometry().vol();
     let stream = ctx.device().current_stream();
+    let (_, threads) = ctx.subset_table(subset)?;
+    // One partial per warp; on an attached rank the §V inner and face
+    // launches each round up to whole warps, which may take one slot more.
+    let slots = threads.div_ceil(WARP) + usize::from(ctx.attached_rank().is_some());
+    let first = pending.len();
     let mut temps: Vec<(FieldRef, usize)> = Vec::with_capacity(exprs.len());
     for (expr, kind) in exprs {
         debug_assert!(matches!(kind, ElemKind::Real | ElemKind::Complex));
         let n_comp = TypeShape::of(kind).n_reals();
-        // The temporary is stored at the expression's own precision: an
-        // F32 placeholder target promotes nothing, so the summary's
-        // precision is the one to allocate, and the real target replaces
-        // the placeholder before anything reads it.
-        let placeholder = FieldRef {
-            id: 0,
+        // Every partial is written by a launch before the second phase
+        // reads it, so the buffer's first touch skips the zero fill.
+        let target = FieldRef {
+            id: ctx.cache().register_scratch(slots * n_comp * 8),
             kind,
-            ft: FloatType::F32,
+            ft: FloatType::F64,
         };
-        let mut stmt = Stmt::new(placeholder, expr, subset, stream);
-        let bytes = vol * n_comp * stmt.ft.size_bytes();
-        // A full-lattice temporary is written whole by its kernel before
-        // the sum reads it, so its first touch skips the zero fill; a
-        // subset's sum reads the zeros at the other sites.
-        let id = match subset {
-            Subset::All => ctx.cache().register_scratch(bytes),
-            Subset::Even | Subset::Odd => ctx.cache().register(bytes),
-        };
-        stmt.target = FieldRef {
-            id,
-            kind,
-            ft: stmt.ft,
-        };
-        temps.push((stmt.target, n_comp));
-        pending.push(stmt);
+        temps.push((target, n_comp));
+        pending.push(Stmt::reduction(target, expr, subset, stream));
     }
     let r = (|| {
-        flush_stmts(ctx, &pending)?;
+        let written = flush_stmts(ctx, &pending)?;
+        let batch: Vec<(FieldRef, usize, usize)> = temps
+            .iter()
+            .zip(&written[first..])
+            .map(|(&(t, n_comp), &w)| (t, n_comp, w))
+            .collect();
         let mut sums = Vec::with_capacity(temps.len());
-        for batch in temps.chunks(group_budget(ctx)) {
+        for batch in batch.chunks(group_budget(ctx)) {
             sums.extend(reduce_batch(ctx, batch)?);
         }
         Ok(sums)
@@ -455,7 +485,7 @@ impl FusionScope {
             return Ok(());
         }
         let stmts = std::mem::take(&mut self.pending);
-        flush_stmts(&self.ctx, &stmts)
+        flush_stmts(&self.ctx, &stmts).map(drop)
     }
 }
 

@@ -88,8 +88,8 @@ enum IntOp {
 }
 
 /// Per-statement metadata of a kernel: the target's storage precision and
-/// shape, and how many scalar parameters the statement's expression
-/// consumes.
+/// shape, how many scalar parameters the statement's expression consumes,
+/// and whether the statement is a reduction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StmtMeta {
     /// Target field precision (stores convert when it differs).
@@ -98,6 +98,30 @@ pub struct StmtMeta {
     pub target_shape: TypeShape,
     /// Scalar parameters consumed by this statement's expression.
     pub n_scalars: usize,
+    /// A reduction: each warp sums the statement's value over its 32
+    /// threads in `f64` and stores the sum as one partial — component `c`
+    /// of warp `w` at `target[(partial_base + w)·n_comp + c]` — instead of
+    /// a value per site.
+    pub reduce: bool,
+}
+
+/// Threads per warp: a reduction kernel writes one partial per warp.
+pub const WARP: usize = 32;
+
+/// The lane masks of the warp butterfly, in order: after the last step
+/// every lane holds the pairwise sum of its warp's 32 values.
+const BUTTERFLY: [u32; 5] = [1, 2, 4, 8, 16];
+
+/// What a kernel with a reduction statement keeps for its epilogue.
+#[derive(Clone, Copy)]
+struct Warp {
+    /// Set for a lane past `n` in the last warp: it runs at thread `n − 1`
+    /// and adds `+0.0` to the butterfly.
+    past: Reg,
+    /// The thread index, clamped to `n − 1`.
+    tid: Reg,
+    /// `partial_base + tid / 32`, once the first reduction store asks.
+    index: Option<Reg>,
 }
 
 /// Resolved per-statement destination state.
@@ -136,6 +160,8 @@ pub struct PtxGen<'a> {
     cur_stmt: usize,
     /// First structural fault seen during the walk (malformed DAG).
     fault: Option<&'static str>,
+    /// Set when a statement reduces.
+    warp: Option<Warp>,
 }
 
 impl<'a> PtxGen<'a> {
@@ -146,9 +172,15 @@ impl<'a> PtxGen<'a> {
     /// `dst0..dstK-1` otherwise), one shared leaf table, the statements'
     /// scalars concatenated in statement order (`env.scalar_complex` is
     /// that concatenation; `env.stmts[i].n_scalars` partitions it), `n`,
-    /// the site table, the neighbour tables and one receive buffer per face
-    /// message of the group, `recv_{mu}_{f|b}`, whose slab bases the
-    /// prologue forms once.
+    /// `partial_base` when a statement reduces, the site table, the
+    /// neighbour tables and one receive buffer per face message of the
+    /// group, `recv_{mu}_{f|b}`, whose slab bases the prologue forms once.
+    ///
+    /// A kernel with a reduction statement exits whole warps only (a warp
+    /// whose first thread is at or past `n`); a thread past `n` in the
+    /// last warp runs at thread `n − 1` — its stores repeat that thread's
+    /// bits — and adds `+0.0` to each warp sum. Other kernels keep the
+    /// per-thread guard.
     /// [`PtxGen::begin_stmt`] switches the destination and scalar window
     /// between statements. Above `OptLevel::None` address arithmetic is
     /// memoised over the whole kernel.
@@ -180,6 +212,10 @@ impl<'a> PtxGen<'a> {
             p_scalars.push((re, im));
         }
         let p_n = kb.param("n", PtxType::U32);
+        let reduces = env.stmts.iter().any(|m| m.reduce);
+        if reduces {
+            kb.param("partial_base", PtxType::U32);
+        }
         let p_sites = env.subset_mapped.then(|| kb.param("sites", PtxType::U64));
         let mut p_tables = Vec::new();
         for &(mu, dir) in &env.shifts {
@@ -197,7 +233,34 @@ impl<'a> PtxGen<'a> {
         // --- prologue: thread id, guard, site index ---
         let tid = kb.global_tid();
         let n = kb.ld_param(&p_n, PtxType::U32);
-        let exit_label = kb.guard(tid, n);
+        let (exit_label, tid, warp) = if reduces {
+            let exit_label = kb.warp_guard(tid, n);
+            let past = kb.fresh(RegClass::Pred);
+            kb.push(Inst::Setp {
+                cmp: CmpOp::Ge,
+                ty: PtxType::U32,
+                dst: past,
+                a: tid.into(),
+                b: n.into(),
+            });
+            let last = kb.bin(BinOp::Add, PtxType::U32, n.into(), Operand::ImmI(-1));
+            let clamped = kb.fresh(RegClass::B32);
+            kb.push(Inst::Selp {
+                ty: PtxType::U32,
+                dst: clamped,
+                a: last.into(),
+                b: tid.into(),
+                pred: past,
+            });
+            let warp = Warp {
+                past,
+                tid: clamped,
+                index: None,
+            };
+            (exit_label, clamped, Some(warp))
+        } else {
+            (kb.guard(tid, n), tid, None)
+        };
 
         let base_site = if let Some(ps) = &p_sites {
             // site = sites[tid]
@@ -296,6 +359,7 @@ impl<'a> PtxGen<'a> {
             dsts,
             cur_stmt: 0,
             fault: None,
+            warp,
         }
     }
 
@@ -404,6 +468,58 @@ impl<'a> PtxGen<'a> {
         };
         let byte = self.int_op(IntOp::MulWide(elem, esize as i64));
         self.int_op(IntOp::AddU64(base, byte))
+    }
+
+    /// The reduction epilogue of component `comp`: `v` in `f64` (`+0.0` in
+    /// a lane past `n`), summed over the warp by the butterfly — every lane
+    /// ends with the same bits, their pairwise sum — and stored by every
+    /// lane into the warp's partial.
+    fn reduce_store(&mut self, base: Reg, n_comp: usize, comp: usize, v: Reg) {
+        let warp = self.warp.expect("a reduction kernel has a warp guard");
+        let v = match self.ty {
+            PtxType::F64 => v,
+            ty => self.kb.cvt(PtxType::F64, ty, v),
+        };
+        let mut sum = self.kb.fresh(RegClass::F64);
+        self.kb.push(Inst::Selp {
+            ty: PtxType::F64,
+            dst: sum,
+            a: Operand::ImmF(0.0),
+            b: v.into(),
+            pred: warp.past,
+        });
+        for lane_mask in BUTTERFLY {
+            let other = self.kb.bfly_f64(sum, lane_mask);
+            sum = self
+                .kb
+                .bin(BinOp::Add, PtxType::F64, sum.into(), other.into());
+        }
+        let index = match warp.index {
+            Some(index) => index,
+            None => {
+                let shift = Operand::ImmI(WARP.ilog2().into());
+                let w = self
+                    .kb
+                    .bin(BinOp::Shr, PtxType::U32, warp.tid.into(), shift);
+                let first = self.kb.ld_param("partial_base", PtxType::U32);
+                let index = self
+                    .kb
+                    .bin(BinOp::Add, PtxType::U32, first.into(), w.into());
+                self.warp = Some(Warp {
+                    index: Some(index),
+                    ..warp
+                });
+                index
+            }
+        };
+        let byte = self.int_op(IntOp::MulWide(index, (n_comp * 8) as i64));
+        let addr = self.int_op(IntOp::AddU64(base, byte));
+        self.kb.push(Inst::StGlobal {
+            ty: PtxType::F64,
+            addr,
+            offset: (comp * 8) as i64,
+            src: sum.into(),
+        });
     }
 
     /// The register holding `op`'s value: emitted now, or — when the memo
@@ -562,6 +678,9 @@ impl<'a> Backend for PtxGen<'a> {
         let tty = ptx_of(tft);
         let esize = tft.size_bytes();
         let n_comp = tshape.n_reals();
+        if self.env.stmts[self.cur_stmt].reduce {
+            return self.reduce_store(base, n_comp, comp, *v);
+        }
         let site = self.base_site;
         let addr = self.address(base, site, comp, self.env.n_sites, esize, n_comp);
         let val = if tty == self.ty {

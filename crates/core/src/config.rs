@@ -34,7 +34,7 @@ pub struct QdpConfig {
     pub opt_level: OptLevel,
     /// Whether `ctx.deferred()` scopes fuse (`QDP_FUSE`; default on). Off
     /// is a group budget of 1 on the same planner: one launch per recorded
-    /// statement and per reduction temporary.
+    /// statement and per reduction.
     pub fuse: bool,
     /// Rank-failure injection plan (`QDP_FAULT`; default empty).
     pub fault: FaultPlan,

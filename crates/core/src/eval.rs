@@ -10,7 +10,7 @@
 use crate::codegen::backend::Backend;
 use crate::codegen::cpu_backend::CpuGen;
 use crate::codegen::cse::CseBackend;
-use crate::codegen::ptx_backend::{KernelEnv, PtxGen, StmtMeta};
+use crate::codegen::ptx_backend::{KernelEnv, PtxGen, StmtMeta, WARP};
 use crate::codegen::value::{gen_expr, store_val, GenCtx};
 use crate::context::QdpContext;
 use crate::multinode::face_messages;
@@ -121,6 +121,9 @@ pub struct EvalReport {
     pub bandwidth: f64,
     /// Flop rate of the launch (flops/s, simulated).
     pub flops_rate: f64,
+    /// Partials each reduction statement of the group wrote: one per warp
+    /// of each launch, consecutive in launch order (0 without one).
+    pub(crate) partials: usize,
 }
 
 impl EvalReport {
@@ -132,6 +135,7 @@ impl EvalReport {
             threads: 0,
             bandwidth: 0.0,
             flops_rate: 0.0,
+            partials: 0,
         }
     }
 }
@@ -195,7 +199,7 @@ pub fn plan_codegen(
     remote_shifts: bool,
 ) -> Result<CodegenPlan, CoreError> {
     let stmts = [(target, expr)];
-    KeyedGroup::new(ctx, &stmts, subset_mapped, [remote_shifts; 4]).plan(ctx, &stmts)
+    KeyedGroup::new(ctx, &stmts, 0, subset_mapped, [remote_shifts; 4]).plan(ctx, &stmts)
 }
 
 /// One statement group, walked once and keyed once — all a warm launch
@@ -205,8 +209,9 @@ pub(crate) struct KeyedGroup {
     sig: KernelSignature,
     /// The kernel's identity. Per statement: the expression structure with
     /// leaves numbered in the group's leaf table, the codegen environment,
-    /// the statement's compute precision, the target type and the optimizer
-    /// level; K ≥ 2 statements are wrapped as `fused[k1 ; k2 ; …]`.
+    /// the statement's compute precision, the target type (`|t…`, or `|r…`
+    /// for a reduction's partials) and the optimizer level; K ≥ 2
+    /// statements are wrapped as `fused[k1 ; k2 ; …]`.
     key: String,
     /// Compute precision after promotion over every statement and target.
     ft: FloatType,
@@ -219,9 +224,13 @@ pub(crate) struct KeyedGroup {
 }
 
 impl KeyedGroup {
+    /// Walk and key `stmts`, whose last `reduce` statements are reductions
+    /// (see [`StmtMeta::reduce`]): a reduction computes at its expression's
+    /// own precision, whatever its `f64` partials.
     pub(crate) fn new(
         ctx: &QdpContext,
         stmts: &[(FieldRef, &Expr)],
+        reduce: usize,
         subset_mapped: bool,
         split: [bool; 4],
     ) -> KeyedGroup {
@@ -238,10 +247,16 @@ impl KeyedGroup {
                 key.push_str(" ; ");
             }
             let n_before = sig.scalars.len();
-            let stmt_ft = max_ft(sig.push(expr, &mut key), target.ft);
+            let reduces = i >= stmts.len() - reduce;
+            let expr_ft = sig.push(expr, &mut key);
+            let stmt_ft = if reduces {
+                expr_ft
+            } else {
+                max_ft(expr_ft, target.ft)
+            };
             ft = max_ft(ft, stmt_ft);
             // `|v{vol}|{layout:?}|{stmt_ft}|m{subset_mapped}|r{split_mask:x}
-            // |t{target kind:?}{target tag}|{opt tag}`, piece by piece.
+            // |{t|r}{target kind:?}{target tag}|{opt tag}`, piece by piece.
             key.put("|v");
             key.put_num(vol);
             key.put(match layout {
@@ -254,7 +269,7 @@ impl KeyedGroup {
                 false => "|mfalse|r",
             });
             key.put(&"0123456789abcdef"[split_mask..=split_mask]);
-            key.put("|t");
+            key.put(if reduces { "|r" } else { "|t" });
             key.put(target.kind.name());
             key.put(target.ft.tag());
             key.put("|");
@@ -263,6 +278,7 @@ impl KeyedGroup {
                 target_ft: target.ft,
                 target_shape: TypeShape::of(target.kind),
                 n_scalars: sig.scalars.len() - n_before,
+                reduce: reduces,
             });
         }
         if fused {
@@ -394,15 +410,22 @@ pub fn eval(
     expr: &Expr,
     subset: Subset,
 ) -> Result<EvalReport, CoreError> {
-    eval_statements(ctx, &[(target, expr)], subset, ctx.device().current_stream())
+    eval_statements(
+        ctx,
+        &[(target, expr)],
+        0,
+        subset,
+        ctx.device().current_stream(),
+    )
 }
 
 /// Evaluate a group of statements over `subset` on `stream` with one kernel
-/// launch. The fusion planner guarantees a multi-statement group is legal
-/// to run per thread (see [`crate::codegen::fuse`]). On a context with an
-/// attached rank ([`QdpContext::attached_rank`]) a group that shifts along
-/// a split dimension runs the §V halo schedule instead of one launch; with
-/// a subset or a non-default stream that is an error.
+/// launch; the last `reduce` of them are reductions into partial buffers
+/// ([`StmtMeta::reduce`]). The fusion planner guarantees a multi-statement
+/// group is legal to run per thread (see [`crate::codegen::fuse`]). On a
+/// context with an attached rank ([`QdpContext::attached_rank`]) a group
+/// that shifts along a split dimension runs the §V halo schedule instead of
+/// one launch; with a subset or a non-default stream that is an error.
 ///
 /// A statement that reads its own target under a shift gets QDP++'s
 /// semantics — the right-hand side is evaluated in full before the
@@ -412,6 +435,7 @@ pub fn eval(
 pub(crate) fn eval_statements(
     ctx: &QdpContext,
     stmts: &[(FieldRef, &Expr)],
+    reduce: usize,
     subset: Subset,
     stream: StreamId,
 ) -> Result<EvalReport, CoreError> {
@@ -421,11 +445,13 @@ pub(crate) fn eval_statements(
                 id: ctx.cache().register(ctx.cache().field_bytes(target.id)?),
                 ..target
             };
-            let r = eval_statements(ctx, &[(temp, expr)], subset, stream).and_then(|mut report| {
-                let copy = eval_statements(ctx, &[(target, &Expr::Field(temp))], subset, stream)?;
-                report.sim_time += copy.sim_time;
-                Ok(report)
-            });
+            let r =
+                eval_statements(ctx, &[(temp, expr)], 0, subset, stream).and_then(|mut report| {
+                    let copy =
+                        eval_statements(ctx, &[(target, &Expr::Field(temp))], 0, subset, stream)?;
+                    report.sim_time += copy.sim_time;
+                    Ok(report)
+                });
             ctx.cache().unregister(temp.id);
             return r;
         }
@@ -442,9 +468,9 @@ pub(crate) fn eval_statements(
                     .into(),
             ));
         }
-        return mr.eval_halo(stmts);
+        return mr.eval_halo(stmts, reduce);
     }
-    launch_statements(ctx, stmts, SiteSel::Subset(subset), stream, None)
+    launch_statements(ctx, stmts, reduce, SiteSel::Subset(subset), stream, None, 0)
 }
 
 /// The one statement→kernel launch path: walk and key the group once →
@@ -455,19 +481,22 @@ pub(crate) fn eval_statements(
 /// the §V receive buffers of a halo-schedule launch, whose kernel reads a
 /// face message for each shift along a split dimension of the attached
 /// rank grid (its group has no nested shifts: `MultiRank::eval_halo`
-/// materialises them first).
+/// materialises them first). The last `reduce` statements write their
+/// partials from slot `partial_base` on, one per warp of the launch.
 pub(crate) fn launch_statements(
     ctx: &QdpContext,
     stmts: &[(FieldRef, &Expr)],
+    reduce: usize,
     sel: SiteSel,
     stream: StreamId,
     remote: Option<&RemoteEnv>,
+    partial_base: usize,
 ) -> Result<EvalReport, CoreError> {
     let subset_mapped = !matches!(sel, SiteSel::Subset(Subset::All));
     let split = remote
         .and_then(|_| ctx.attached_rank())
         .map_or([false; 4], |mr| mr.split_dims());
-    let group = KeyedGroup::new(ctx, stmts, subset_mapped, split);
+    let group = KeyedGroup::new(ctx, stmts, reduce, subset_mapped, split);
     let sig = &group.sig;
     let tel = ctx.telemetry();
     let span_name = if stmts.len() == 1 { "eval" } else { "eval_fused" };
@@ -501,8 +530,9 @@ pub(crate) fn launch_statements(
     }
 
     // Marshal arguments in the declaration order of the generated kernel:
-    // destinations, leaves, each statement's scalars, n, site table,
-    // neighbour tables, one receive buffer per split shift.
+    // destinations, leaves, each statement's scalars, n, the first partial
+    // slot of a reduction, site table, neighbour tables, one receive buffer
+    // per split shift.
     let mut args: Vec<LaunchArg> = ptrs.iter().map(|p| LaunchArg::Ptr(*p)).collect();
     for (&(re, im), cplx) in sig.scalars.iter().zip(sig.scalar_complex.iter()) {
         match group.ft {
@@ -521,6 +551,9 @@ pub(crate) fn launch_statements(
         }
     }
     args.push(LaunchArg::U32(n_threads as u32));
+    if reduce > 0 {
+        args.push(LaunchArg::U32(partial_base as u32));
+    }
     if let Some(t) = site_tbl {
         args.push(LaunchArg::Ptr(t));
     }
@@ -564,6 +597,11 @@ pub(crate) fn launch_statements(
         threads: n_threads,
         bandwidth: outcome.timing.bandwidth,
         flops_rate: outcome.timing.flops_rate,
+        partials: if reduce > 0 {
+            n_threads.div_ceil(WARP)
+        } else {
+            0
+        },
     })
 }
 
@@ -683,53 +721,46 @@ pub fn eval_reference(
 // Reductions
 // ---------------------------------------------------------------------------
 
-/// Account one combined runtime tree-reduction pass over `temps`
-/// (`(temporary, real components)` pairs) as a second kernel on the issuing
-/// thread's stream (see the substitution note in DESIGN.md), then sum each
-/// temporary on the host side of the simulator in per-component lane order
-/// ([`lane_order_sums`]) — batching merges only the accounting, so values
-/// are bit-identical to reducing the temporaries one at a time. On a
+/// The second phase of a batch of reductions: `temps` holds each one's
+/// partial buffer, its real components and the partials its launches
+/// wrote. One pass over those partials is accounted as a second kernel on
+/// the issuing thread's stream (see the substitution note in DESIGN.md),
+/// then each buffer's partials are combined on the host side of the
+/// simulator ([`pairwise_sums`]) — batching merges only the accounting, so
+/// values are bit-identical to reducing the buffers one at a time. On a
 /// context with an attached rank the sums are then allreduced (once per
 /// batch): every rank returns the global sums, bit-identical across ranks.
 pub(crate) fn reduce_batch(
     ctx: &QdpContext,
-    temps: &[(FieldRef, usize)],
+    temps: &[(FieldRef, usize, usize)],
 ) -> Result<Vec<Vec<f64>>, CoreError> {
-    let vol = ctx.geometry().vol();
-    let ids: Vec<u64> = temps.iter().map(|(t, _)| t.id).collect();
+    let ids: Vec<u64> = temps.iter().map(|(t, ..)| t.id).collect();
     let ptrs = ctx.cache().assure_on_device(&ids)?;
-    let (t0, n0) = temps[0];
-    let layout0 = FieldLayout::new(ctx.layout(), vol, n0);
-    // Timing: one streaming pass over the temporaries.
-    let shape = KernelShape {
-        threads: vol,
-        read_bytes_per_thread: temps
-            .iter()
-            .map(|(t, n)| n * t.ft.size_bytes())
-            .sum(),
-        write_bytes_per_thread: 0,
-        flops_per_thread: temps.iter().map(|(_, n)| n).sum(),
-        regs_per_thread: 16,
-        access_bytes: t0.ft.size_bytes(),
-        site_stride: layout0.site_stride(),
-        double_precision: temps.iter().any(|(t, _)| t.ft == FloatType::F64),
-    };
-    ctx.device()
-        .account_launch_on(&shape, 128, ctx.device().current_stream())
-        .map_err(CoreError::Launch)?;
+    // Timing: one streaming pass over the partials, `f64` components
+    // interleaved.
+    let partials = temps.iter().map(|&(.., p)| p).max().unwrap_or(0);
+    if partials > 0 {
+        let shape = KernelShape {
+            threads: partials,
+            read_bytes_per_thread: temps.iter().map(|&(_, n, _)| n * 8).sum(),
+            write_bytes_per_thread: 0,
+            flops_per_thread: temps.iter().map(|&(_, n, _)| n).sum(),
+            regs_per_thread: 16,
+            access_bytes: 8,
+            site_stride: temps[0].1,
+            double_precision: true,
+        };
+        ctx.device()
+            .account_launch_on(&shape, 128, ctx.device().current_stream())
+            .map_err(CoreError::Launch)?;
+    }
 
     let mem = ctx.device().memory();
-    let layout = ctx.layout();
     let mut out: Vec<Vec<f64>> = temps
         .iter()
         .zip(&ptrs)
-        .map(|(&(t, n_comp), &ptr)| match t.ft {
-            FloatType::F32 => {
-                mem.with_f32s(ptr, vol * n_comp, |v| lane_order_sums(v, n_comp, layout))
-            }
-            FloatType::F64 => {
-                mem.with_f64s(ptr, vol * n_comp, |v| lane_order_sums(v, n_comp, layout))
-            }
+        .map(|(&(_, n_comp, written), &ptr)| {
+            mem.with_f64s(ptr, written * n_comp, |v| pairwise_sums(v, n_comp))
         })
         .collect();
     // On an attached context the batch's partial sums become global sums
@@ -744,57 +775,64 @@ pub(crate) fn reduce_batch(
     Ok(out)
 }
 
-/// Partial sums per component in [`lane_order_sums`]: the grid stride of
-/// the tree reduction it stands in for.
-const LANES: usize = 8;
-
-/// The per-component sums of one reduction temporary `v` (all its reals,
-/// stored in `layout`) in lane order: site `s` adds into partial
-/// `p[s mod 8]`, each partial starts from `+0.0` and adds its sites in
-/// increasing `s` in `f64`, and the partials combine as
-/// `((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))` — a grid-stride loop followed by
-/// a shared-memory tree. Temporaries are real (one component) or complex
-/// (re and im: contiguous halves under SoA, interleaved under AoS). The
-/// order fixes the bits whatever the layout, block size or thread count,
-/// and each sum takes at most ⌈n/8⌉+3 roundings instead of n.
-fn lane_order_sums<R: Copy + Into<f64>>(v: &[R], n_comp: usize, layout: LayoutKind) -> Vec<f64> {
-    match (n_comp, layout) {
-        (1, _) => lane_sums::<R, 1>(v).to_vec(),
-        (2, LayoutKind::SoA) => {
-            let (re, im) = v.split_at(v.len() / 2);
-            vec![lane_sums::<R, 1>(re)[0], lane_sums::<R, 1>(im)[0]]
-        }
-        (2, LayoutKind::AoS) => lane_sums::<R, 2>(v).to_vec(),
-        _ => unreachable!("reduction temporaries are real or complex, not {n_comp} reals"),
-    }
+/// The per-component sums of a partial buffer `v` (`n_comp` interleaved
+/// `f64` components per partial), each in one fixed pairwise order: adjacent
+/// partials add in pairs, level by level, an odd last one moving up as it
+/// is. With the warp butterfly before it, every sum is the pairwise tree
+/// over the launch's threads in thread order, split at powers of two —
+/// site order for the whole lattice, table order for a subset — with
+/// `+0.0` for threads past the last site; nothing in it depends on the
+/// block size, the tile, the thread count or payload execution. Each sum
+/// takes at most 5 + ⌈log₂⌈n/32⌉⌉ roundings per value. Which NaN an add of
+/// two NaNs returns is up to the compiled code, so a NaN sum is returned as
+/// the one canonical quiet NaN; no partials sum to `+0.0`.
+fn pairwise_sums(v: &[f64], n_comp: usize) -> Vec<f64> {
+    let sums = match n_comp {
+        1 => pairwise::<1>(v).to_vec(),
+        2 => pairwise::<2>(v).to_vec(),
+        _ => unreachable!("reductions are real or complex, not {n_comp} reals"),
+    };
+    sums.into_iter()
+        .map(|s| if s.is_nan() { f64::NAN } else { s })
+        .collect()
 }
 
-/// Lane-order sums of the `C` interleaved components of `v` (`C` reals per
-/// site), in one pass over the sites.
-fn lane_sums<R: Copy + Into<f64>, const C: usize>(v: &[R]) -> [f64; C] {
-    let mut p = [[0.0f64; C]; LANES];
-    let mut rows = v.chunks_exact(C * LANES);
-    for row in &mut rows {
-        for (lane, site) in p.iter_mut().zip(row.chunks_exact(C)) {
-            for (acc, &x) in lane.iter_mut().zip(site) {
-                *acc += x.into();
-            }
-        }
-    }
-    for (lane, site) in p.iter_mut().zip(rows.remainder().chunks_exact(C)) {
-        for (acc, &x) in lane.iter_mut().zip(site) {
-            *acc += x.into();
+/// The level-by-level pairing of the `C` interleaved components of `v`,
+/// computed as its subtrees: each aligned block of [`WARP`] partials is one
+/// unrolled tree ([`tree32`]), and the block sums — a short last block's
+/// by levels too — pair by levels.
+fn pairwise<const C: usize>(v: &[f64]) -> [f64; C] {
+    let blocks = v.chunks_exact(WARP * C);
+    let tail = blocks.remainder();
+    let mut sums: [Vec<f64>; C] = std::array::from_fn(|_| Vec::with_capacity(blocks.len() + 1));
+    for b in blocks {
+        for (c, sums) in sums.iter_mut().enumerate() {
+            sums.push(tree32(std::array::from_fn(|i| b[i * C + c])));
         }
     }
     std::array::from_fn(|c| {
-        let sum = ((p[0][c] + p[1][c]) + (p[2][c] + p[3][c]))
-            + ((p[4][c] + p[5][c]) + (p[6][c] + p[7][c]));
-        // Which NaN an add of two NaNs returns is up to the compiled code,
-        // so a NaN sum is returned as the one canonical quiet NaN.
-        if sum.is_nan() {
-            f64::NAN
-        } else {
-            sum
+        if !tail.is_empty() {
+            sums[c].push(by_levels(tail.iter().skip(c).step_by(C).copied().collect()));
         }
+        by_levels(std::mem::take(&mut sums[c]))
     })
+}
+
+/// Adjacent values added in pairs, level by level, an odd last one moving
+/// up as it is; no values sum to `+0.0`.
+fn by_levels(mut level: Vec<f64>) -> f64 {
+    while level.len() > 1 {
+        let pairs = level.chunks_exact(2);
+        let odd = pairs.remainder().first().copied();
+        level = pairs.map(|p| p[0] + p[1]).chain(odd).collect();
+    }
+    level.first().copied().unwrap_or(0.0)
+}
+
+/// [`by_levels`] of 32 values, unrolled.
+fn tree32(a: [f64; WARP]) -> f64 {
+    let l1: [f64; 16] = std::array::from_fn(|i| a[2 * i] + a[2 * i + 1]);
+    let l2: [f64; 8] = std::array::from_fn(|i| l1[2 * i] + l1[2 * i + 1]);
+    let l3: [f64; 4] = std::array::from_fn(|i| l2[2 * i] + l2[2 * i + 1]);
+    (l3[0] + l3[1]) + (l3[2] + l3[3])
 }

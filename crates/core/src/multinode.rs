@@ -216,6 +216,7 @@ impl MultiRank {
                     eval::eval_statements(
                         &self.ctx,
                         &[(tref, &c)],
+                        0,
                         Subset::All,
                         StreamId::DEFAULT,
                     )?;
@@ -273,10 +274,16 @@ impl MultiRank {
     /// issue the structurally identical group. Nested shifts are
     /// materialised into temporaries first and the rewritten group goes
     /// back through `eval_statements`, which finds out whether it still
-    /// needs the halo schedule.
-    pub(crate) fn eval_halo(&self, stmts: &[(FieldRef, &Expr)]) -> Result<EvalReport, CoreError> {
+    /// needs the halo schedule. The last `reduce` statements are
+    /// reductions: each launch of the schedule writes its own consecutive
+    /// range of their partials.
+    pub(crate) fn eval_halo(
+        &self,
+        stmts: &[(FieldRef, &Expr)],
+        reduce: usize,
+    ) -> Result<EvalReport, CoreError> {
         if !stmts.iter().any(|(_, e)| e.has_nested_shift()) {
-            return self.eval_flat(stmts);
+            return self.eval_flat(stmts, reduce);
         }
         let mut temps = Vec::new();
         let result = stmts
@@ -286,7 +293,7 @@ impl MultiRank {
             .and_then(|exprs| {
                 let flat: Vec<(FieldRef, &Expr)> =
                     stmts.iter().zip(&exprs).map(|(&(t, _), e)| (t, e)).collect();
-                eval::eval_statements(&self.ctx, &flat, Subset::All, StreamId::DEFAULT)
+                eval::eval_statements(&self.ctx, &flat, reduce, Subset::All, StreamId::DEFAULT)
             });
         for id in temps {
             self.ctx.cache().unregister(id);
@@ -297,7 +304,11 @@ impl MultiRank {
     /// The schedule proper, for a group without nested shifts: gather and
     /// send one message per split face, then run the site plan around the
     /// receives.
-    fn eval_flat(&self, stmts: &[(FieldRef, &Expr)]) -> Result<EvalReport, CoreError> {
+    fn eval_flat(
+        &self,
+        stmts: &[(FieldRef, &Expr)],
+        reduce: usize,
+    ) -> Result<EvalReport, CoreError> {
         let geom = self.ctx.geometry().clone();
         let mut sig = KernelSignature::default();
         for (_, e) in stmts {
@@ -432,8 +443,8 @@ impl MultiRank {
             let faces: Vec<(usize, Dir)> =
                 messages.iter().map(|m| (m.mu, to_dir(m.dir))).collect();
             // launch the group over a pinned site table, or over the whole
-            // lattice
-            let launch = |sites: Option<TableKey>| -> Result<EvalReport, CoreError> {
+            // lattice, its partials from slot `base` on
+            let launch = |sites: Option<TableKey>, base: usize| -> Result<EvalReport, CoreError> {
                 let sel = match sites {
                     Some(key) => {
                         let (ptr, len) = self.ctx.pinned_table(key, stream)?;
@@ -441,7 +452,8 @@ impl MultiRank {
                     }
                     None => SiteSel::Subset(Subset::All),
                 };
-                eval::launch_statements(&self.ctx, stmts, sel, stream, Some(&remote))
+                let ctx = &self.ctx;
+                eval::launch_statements(ctx, stmts, reduce, sel, stream, Some(&remote), base)
             };
 
             // The site plan. With overlap, the inner sites run on the compute
@@ -454,7 +466,9 @@ impl MultiRank {
             let tel = self.ctx.telemetry();
             let window = || tel.span("comm", "overlap_window").with_sim(t_start);
             let overlap_span = self.overlap.then(window);
-            let inner = self.overlap.then(|| launch(Some(TableKey::Inner(faces.clone()))));
+            let inner = self
+                .overlap
+                .then(|| launch(Some(TableKey::Inner(faces.clone())), 0));
             let inner = inner.transpose()?;
             // Host-side receives stay in deterministic split order (the
             // per-(from,to) channels are FIFO, so this keeps message matching
@@ -481,7 +495,8 @@ impl MultiRank {
             if let Some(span) = overlap_span {
                 span.end_with_sim(t_comm_end);
             }
-            let outer = launch(self.overlap.then_some(TableKey::Face(faces)))?;
+            let first = inner.as_ref().map_or(0, |r| r.partials);
+            let outer = launch(self.overlap.then_some(TableKey::Face(faces)), first)?;
             let Some(inner) = inner else {
                 return Ok(EvalReport {
                     sim_time: device.now() - t_start,
@@ -502,6 +517,7 @@ impl MultiRank {
                 threads: len_i + len_f,
                 bandwidth: weighted(inner.bandwidth, outer.bandwidth),
                 flops_rate: weighted(inner.flops_rate, outer.flops_rate),
+                partials: inner.partials + outer.partials,
                 ..ran.clone()
             })
         })();
@@ -577,9 +593,11 @@ mod tests {
                 eval::launch_statements(
                     &ctx,
                     &[(out.fref(), e.raw())],
+                    0,
                     SiteSel::List { ptr, len },
                     StreamId::DEFAULT,
                     Some(&remote),
+                    0,
                 )
                 .unwrap()
             };

@@ -13,14 +13,15 @@
 //! then commit the updated `.ptx` files with the change that caused them.
 
 use qdp_core::{
-    codegen_fused_ptx, codegen_ptx, eval_fused_sequence, plan_codegen, render_ptx, OptLevel,
-    QdpConfig, QdpContext,
+    codegen_fused_ptx, codegen_ptx, eval_fused_sequence, plan_codegen, reduce_sum_complex,
+    reduce_sum_real, render_ptx, OptLevel, QExpr, QdpConfig, QdpContext, SiteComplex, SiteReal,
 };
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
 use qdp_layout::{Geometry, LayoutKind, Subset};
 use qdp_rng::{Rng, SeedableRng, StdRng};
 use qdp_types::{ElemKind, FloatType, ProjSign, SpinProjector, TypeShape};
 use std::collections::BTreeSet;
+use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -173,8 +174,8 @@ fn check_snapshot(name: &str, ptx: &str) {
     );
 }
 
-/// The seven golden kernels: snapshot name and precision.
-const GOLDENS: [(&str, FloatType); 7] = [
+/// The eight golden kernels: snapshot name and precision.
+const GOLDENS: [(&str, FloatType); 8] = [
     ("wilson_dslash_dp", FloatType::F64),
     ("wilson_dslash_sp", FloatType::F32),
     ("su3_mul_dp", FloatType::F64),
@@ -182,37 +183,55 @@ const GOLDENS: [(&str, FloatType); 7] = [
     ("fused_axpy_norm2_dp", FloatType::F64),
     ("fused_force_accum_dp", FloatType::F64),
     ("shift_cm_even_dp", FloatType::F64),
+    ("inner_product_sp", FloatType::F32),
 ];
 
-/// The statements (one, or a fused group) and the subset of golden `name`
-/// on `e`.
-fn golden(e: &Env, name: &str) -> (Vec<(FieldRef, Expr)>, Subset) {
+/// One golden kernel: its assignments (one, or a fused group), the
+/// reductions that follow them in the same kernel, and its subset.
+struct Golden {
+    stmts: Vec<(FieldRef, Expr)>,
+    reductions: Vec<Expr>,
+    subset: Subset,
+}
+
+/// Golden `name` on `e`.
+fn golden(e: &Env, name: &str) -> Golden {
+    let assign = |stmts: Vec<(FieldRef, Expr)>, subset| Golden {
+        stmts,
+        reductions: Vec::new(),
+        subset,
+    };
     match name {
         "wilson_dslash_dp" | "wilson_dslash_sp" => {
-            (vec![(e.psi[1], wilson_dslash_expr(e))], Subset::All)
+            assign(vec![(e.psi[1], wilson_dslash_expr(e))], Subset::All)
         }
-        "su3_mul_dp" => (
+        "su3_mul_dp" => assign(
             vec![(e.u[2], mul(Expr::Field(e.u[0]), Expr::Field(e.u[1])))],
             Subset::All,
         ),
-        "axpy_fermion_dp" => (
+        "axpy_fermion_dp" => assign(
             vec![(
                 e.psi[0],
                 add(Expr::Field(e.psi[0]), mul(Expr::real(0.75), Expr::Field(e.psi[1]))),
             )],
             Subset::All,
         ),
-        // Fused producer→consumer group: an axpy writing `chi` and the
-        // local-norm temporary reading `chi` back **unshifted** in the same
-        // kernel — the canonical CG inner-loop fusion. Two `dst`
-        // parameters, one shared leaf set, stores interleaved per thread.
+        // Fused producer→reduction group: an axpy writing `chi` and `‖chi‖²`
+        // reading `chi` back **unshifted** in the same kernel — the
+        // canonical CG inner-loop fusion. Two `dst` parameters (the field
+        // and the partials), one shared leaf set; the kernel exits whole
+        // warps and ends with the warp butterfly.
         "fused_axpy_norm2_dp" => {
             let axpy = add(
                 Expr::Field(e.psi[0]),
                 mul(Expr::real(0.75), Expr::Field(e.psi[1])),
             );
             let n2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(Expr::Field(e.chi)));
-            (vec![(e.chi, axpy), (e.rho, n2)], Subset::All)
+            Golden {
+                stmts: vec![(e.chi, axpy)],
+                reductions: vec![n2],
+                subset: Subset::All,
+            }
         }
         // Fused independent-statement group: the HMC two-term force
         // accumulation, `F_µ ← F_µ + ε·G_µ` for two directions in one
@@ -222,15 +241,30 @@ fn golden(e: &Env, name: &str) -> (Vec<(FieldRef, Expr)>, Subset) {
             let accum = |f: FieldRef, g: FieldRef| {
                 (f, add(Expr::Field(f), mul(Expr::real(0.5), Expr::Field(g))))
             };
-            (vec![accum(e.u[0], e.u[2]), accum(e.u[1], e.u[3])], Subset::All)
+            assign(
+                vec![accum(e.u[0], e.u[2]), accum(e.u[1], e.u[3])],
+                Subset::All,
+            )
         }
         // Subset-mapped kernel: checkerboard evaluation routes sites
         // through the subset table, a different indexing prologue from the
         // dense case.
-        "shift_cm_even_dp" => (
+        "shift_cm_even_dp" => assign(
             vec![(e.u[1], shift(Expr::Field(e.u[0]), 0, ShiftDir::Forward))],
             Subset::Even,
         ),
+        // A reduction alone, in single precision: `⟨ψ₀, ψ₁⟩` computed in
+        // f32, converted to f64 before the butterfly, two components per
+        // partial.
+        "inner_product_sp" => Golden {
+            stmts: Vec::new(),
+            reductions: vec![Expr::Binary(
+                BinaryOp::LocalInnerProduct,
+                Box::new(Expr::Field(e.psi[0])),
+                Box::new(Expr::Field(e.psi[1])),
+            )],
+            subset: Subset::All,
+        },
         other => panic!("no golden named {other}"),
     }
 }
@@ -239,10 +273,10 @@ fn golden(e: &Env, name: &str) -> (Vec<(FieldRef, Expr)>, Subset) {
 fn check_golden(name: &str) {
     let (_, ft) = GOLDENS.iter().find(|(n, _)| *n == name).unwrap();
     let e = env(*ft);
-    let (stmts, subset) = golden(&e, name);
-    let ptx = match &stmts[..] {
-        [(target, expr)] => codegen_ptx(&e.ctx, *target, expr, subset, name),
-        group => codegen_fused_ptx(&e.ctx, group, subset, name),
+    let g = golden(&e, name);
+    let ptx = match (&g.stmts[..], &g.reductions[..]) {
+        ([(target, expr)], []) => codegen_ptx(&e.ctx, *target, expr, g.subset, name),
+        (stmts, reductions) => codegen_fused_ptx(&e.ctx, stmts, reductions, g.subset, name),
     };
     check_snapshot(name, &ptx.unwrap());
 }
@@ -269,8 +303,8 @@ fn dslash_flop_census_matches_its_credit() {
     for name in ["wilson_dslash_dp", "wilson_dslash_sp"] {
         let (_, ft) = GOLDENS.iter().find(|(n, _)| *n == name).unwrap();
         let e = env(*ft);
-        let (stmts, subset) = golden(&e, name);
-        let ptx = codegen_ptx(&e.ctx, stmts[0].0, &stmts[0].1, subset, name).unwrap();
+        let g = golden(&e, name);
+        let ptx = codegen_ptx(&e.ctx, g.stmts[0].0, &g.stmts[0].1, g.subset, name).unwrap();
         let flops: usize = opcodes(&ptx)
             .map(|op| match op.split('.').next() {
                 Some("mul" | "add" | "sub") if op.ends_with(".f32") || op.ends_with(".f64") => 1,
@@ -312,11 +346,17 @@ fn golden_shift_cm_even() {
     check_golden("shift_cm_even_dp");
 }
 
-/// Every golden statement leaves the same device bytes at `OptLevel::None`
-/// and at `OptLevel::Default` — the 0-ULP contract of the optimizer level,
-/// on the kernels the snapshots pin. Each level's context is filled with
-/// the same seeded values; the statements run through the pipeline, which
-/// renders them at the context's level.
+#[test]
+fn golden_inner_product_sp() {
+    check_golden("inner_product_sp");
+}
+
+/// Every golden statement leaves the same device bytes, and every golden
+/// reduction the same sum, at `OptLevel::None` and at `OptLevel::Default`
+/// — the 0-ULP contract of the optimizer level, on the kernels the
+/// snapshots pin. Each level's context is filled with the same seeded
+/// values; the statements, then the reductions, run through the pipeline,
+/// which renders them at the context's level.
 #[test]
 fn golden_kernels_store_the_same_bytes_at_both_levels() {
     for (name, ft) in GOLDENS {
@@ -338,16 +378,40 @@ fn golden_kernels_store_the_same_bytes_at_both_levels() {
                     .unwrap();
             }
             let read = |f: &FieldRef| e.ctx.cache().with_host(f.id, |h| h.to_vec()).unwrap();
-            let (stmts, subset) = golden(&e, name);
-            let before = read(&stmts[0].0);
-            match &stmts[..] {
-                [(target, expr)] => {
-                    qdp_core::eval(&e.ctx, *target, expr, subset).unwrap();
+            let Golden {
+                stmts,
+                reductions,
+                subset,
+            } = golden(&e, name);
+            if let Some((target, _)) = stmts.first() {
+                let before = read(target);
+                match &stmts[..] {
+                    [(target, expr)] => {
+                        qdp_core::eval(&e.ctx, *target, expr, subset).unwrap();
+                    }
+                    group => eval_fused_sequence(&e.ctx, group).unwrap(),
                 }
-                group => eval_fused_sequence(&e.ctx, group).unwrap(),
+                assert!(
+                    read(target) != before,
+                    "{name} at {level:?}: nothing stored"
+                );
             }
-            assert!(read(&stmts[0].0) != before, "{name} at {level:?}: nothing stored");
-            fields.iter().map(read).collect::<Vec<_>>()
+            // The expression fixes the precision; `f64` only types the call.
+            let sums: Vec<u64> = (reductions.iter())
+                .flat_map(|r| match r.kind().unwrap() {
+                    ElemKind::Real => {
+                        let q = QExpr::<SiteReal<f64>>(r.clone(), PhantomData);
+                        vec![reduce_sum_real(&e.ctx, &q, subset).unwrap()]
+                    }
+                    _ => {
+                        let q = QExpr::<SiteComplex<f64>>(r.clone(), PhantomData);
+                        let z = reduce_sum_complex(&e.ctx, &q, subset).unwrap();
+                        vec![z.re, z.im]
+                    }
+                })
+                .map(f64::to_bits)
+                .collect();
+            (fields.iter().map(read).collect::<Vec<_>>(), sums)
         });
         assert!(o0 == o1, "{name}: o0 and o1 leave different bytes");
     }
@@ -356,14 +420,15 @@ fn golden_kernels_store_the_same_bytes_at_both_levels() {
 /// The code generator's dialect, one opcode spelling each: the forms the
 /// parser, validation, optimizer, lowering and executor accept.
 #[rustfmt::skip]
-const DIALECT: [&str; 34] = [
+const DIALECT: [&str; 39] = [
     "ld.param.u32", "ld.param.u64", "ld.param.f32", "ld.param.f64",
     "ld.global.u32", "ld.global.f32", "ld.global.f64", "st.global.f32", "st.global.f64",
     "mov.u32", "mov.f32", "mov.f64", "cvt.f64.f32", "cvt.rn.f32.f64",
     "add.f32", "add.f64", "add.u32", "add.u64", "sub.f32", "sub.f64",
     "mul.f32", "mul.f64", "neg.f32", "neg.f64", "fma.rn.f32", "fma.rn.f64",
-    "and.b32", "mul.wide.u32", "mad.lo.u32",
-    "setp.ge.u32", "setp.ne.u32", "selp.u64", "bra", "ret",
+    "and.b32", "shr.u32", "mul.wide.u32", "mad.lo.u32",
+    "setp.ge.u32", "setp.ne.u32", "selp.u32", "selp.u64", "selp.f64", "bra", "ret",
+    "shfl.bfly.b32", "mov.b64",
 ];
 
 /// The opcode spelling of each instruction of a module (a guard predicate
@@ -383,8 +448,9 @@ fn opcodes(ptx: &str) -> impl Iterator<Item = &str> {
 
 /// Pins the dialect from the producer side: over SoA and AoS, both
 /// precisions, a checkerboard subset, a remote-shift plan, an f32 leaf in
-/// an f64 expression and a fused group, the generator emits exactly the
-/// dialect — a new form, or a kept form it no longer emits, fails here.
+/// an f64 expression, a fused group and a fused group ending in a
+/// reduction, the generator emits exactly the dialect — a new form, or a
+/// kept form it no longer emits, fails here.
 #[test]
 fn generator_emits_exactly_the_dialect() {
     let mut modules = Vec::new();
@@ -402,8 +468,13 @@ fn generator_emits_exactly_the_dialect() {
                 mul(Expr::real(0.75), Expr::Field(e.psi[1])),
             );
             let n2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(Expr::Field(e.chi)));
-            let fused = [(e.chi, axpy), (e.rho, n2)];
-            modules.push(codegen_fused_ptx(&e.ctx, &fused, Subset::All, "k").unwrap());
+            let fused = [(e.chi, axpy), (e.rho, n2.clone())];
+            modules.push(codegen_fused_ptx(&e.ctx, &fused, &[], Subset::All, "k").unwrap());
+            for subset in [Subset::All, Subset::Even] {
+                let n2 = std::slice::from_ref(&n2);
+                let ptx = codegen_fused_ptx(&e.ctx, &fused[..1], n2, subset, "k");
+                modules.push(ptx.unwrap());
+            }
         }
     }
     // Mixed precision: f32 leaves promoted into an f64 expression, stored

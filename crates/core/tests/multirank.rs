@@ -672,7 +672,8 @@ fn mixed_precision_message_on_an_odd_face_matches_single_rank() {
                 // the rendered group — without overlap, the launched kernel
                 // itself — reads one receive buffer: u (f64) at 0, r and r2
                 // (f32) behind it
-                let ptx = qdp_core::codegen_fused_ptx(&ctx, &stmts, Subset::All, &fused[0]).unwrap();
+                let ptx =
+                    qdp_core::codegen_fused_ptx(&ctx, &stmts, &[], Subset::All, &fused[0]).unwrap();
                 if !overlap {
                     let misses = ctx.kernels().stats().misses;
                     ctx.kernels().compile(qdp_jit::CompileRequest::new(&ptx)).unwrap();
@@ -709,48 +710,76 @@ fn mixed_precision_message_on_an_odd_face_matches_single_rank() {
 }
 
 #[test]
-fn inner_and_face_launches_walk_one_tuning_record() {
-    // On an 8⁴ lattice split in t (local 8³×4) a statement shifting along
-    // t runs the §V schedule: an inner launch and a face launch of the
-    // group's one kernel per statement. Both walk that kernel's one tuning
-    // record, so every trial launch of either kind is one of its probes.
+fn inner_and_face_launches_tune_at_one_width() {
+    // On an 8⁴ lattice split in t (local 8³×4) a statement shifting
+    // forward along t runs the §V schedule: an inner launch over the 1 536
+    // sites whose forward neighbour is local and a face launch over the 512
+    // whose neighbour is on the other rank, per statement, of the group's
+    // one kernel.
+    // The kernel's record tunes at the width of its first trial, the inner
+    // launch's: only inner launches probe, and a face launch runs at the
+    // record's block without reporting a time the 33 % rule would compare
+    // with an inner launch's.
     let global = [8usize; 4];
-    let results = qdp_comm::run_cluster(
-        2,
-        qdp_comm::LinkModel::infiniband_qdr(),
-        move |handle| {
-            let decomp = Decomposition::new(global, [1, 1, 1, 2]);
-            let tel = Arc::new(qdp_telemetry::Telemetry::new());
-            tel.enable();
-            let ctx = QdpContext::builder(decomp.local_geometry())
-                .device(DeviceConfig::k20m_ecc_on())
-                .telemetry(Arc::clone(&tel))
-                .build();
-            ctx.set_payload_execution(false);
-            let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, true);
-            let psi = LatticeFermion::<f64>::new(&ctx);
-            let out = LatticeFermion::<f64>::new(&ctx);
-            let e = shift(psi.q(), 3, ShiftDir::Forward);
-            let mut name = String::new();
-            for _ in 0..8 {
-                name = out.assign(e.clone()).unwrap().kernel_name;
-            }
-            // Re-render the launched kernel (over a site list, t faces
-            // only) and fetch it.
-            let mut plan = qdp_core::plan_codegen(&ctx, out.fref(), e.raw(), true, true).unwrap();
-            plan.env.faces.retain(|f| f.mu == 3);
-            let ptx = qdp_core::render_ptx(&plan, e.raw(), &name).unwrap();
-            let misses = ctx.kernels().stats().misses;
-            let k = ctx.kernels().compile(qdp_jit::CompileRequest::new(&ptx)).unwrap();
-            assert_eq!(ctx.kernels().stats().misses, misses, "{name} is not the launched kernel");
-            let st = k.tuning.lock().clone().expect("a launched kernel has a record");
-            let row = ctx.profile_report().kernel(&name).cloned().expect("kernel row");
-            (row.launches, row.trial_launches, st.probes as u64, st.settled)
-        },
-    );
-    for (launches, trials, probes, settled) in results {
+    let results = qdp_comm::run_cluster(2, qdp_comm::LinkModel::infiniband_qdr(), move |handle| {
+        let decomp = Decomposition::new(global, [1, 1, 1, 2]);
+        let tel = Arc::new(qdp_telemetry::Telemetry::new());
+        tel.enable();
+        let ctx = QdpContext::builder(decomp.local_geometry())
+            .device(DeviceConfig::k20m_ecc_on())
+            .telemetry(Arc::clone(&tel))
+            .build();
+        ctx.set_payload_execution(false);
+        let _rank = MultiRank::new(Arc::clone(&ctx), decomp, handle, true, true);
+        let psi = LatticeFermion::<f64>::new(&ctx);
+        let out = LatticeFermion::<f64>::new(&ctx);
+        let e = shift(psi.q(), 3, ShiftDir::Forward);
+        let mut name = String::new();
+        for _ in 0..8 {
+            name = out.assign(e.clone()).unwrap().kernel_name;
+        }
+        // Re-render the launched kernel (over a site list, t faces
+        // only) and fetch it.
+        let mut plan = qdp_core::plan_codegen(&ctx, out.fref(), e.raw(), true, true).unwrap();
+        plan.env.faces.retain(|f| f.mu == 3);
+        let ptx = qdp_core::render_ptx(&plan, e.raw(), &name).unwrap();
+        let misses = ctx.kernels().stats().misses;
+        let k = ctx
+            .kernels()
+            .compile(qdp_jit::CompileRequest::new(&ptx))
+            .unwrap();
+        assert_eq!(
+            ctx.kernels().stats().misses,
+            misses,
+            "{name} is not the launched kernel"
+        );
+        let st = k
+            .tuning
+            .lock()
+            .clone()
+            .expect("a launched kernel has a record");
+        let row = ctx
+            .profile_report()
+            .kernel(&name)
+            .cloned()
+            .expect("kernel row");
+        (row.launches, row.trial_launches, st)
+    });
+    for (launches, trials, st) in results {
         assert_eq!(launches, 16, "an inner and a face launch per statement");
-        assert_eq!(trials, probes, "one record saw every trial launch");
-        assert!(settled);
+        assert_eq!(
+            st.width,
+            Some(1536),
+            "the record tunes at the inner launches' width"
+        );
+        assert_eq!(
+            trials, st.probes as u64,
+            "every trial launch is one of its probes"
+        );
+        assert!(
+            trials <= 8,
+            "{trials} trials: only the 8 inner launches may probe"
+        );
+        assert!(st.settled);
     }
 }

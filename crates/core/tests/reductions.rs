@@ -1,12 +1,17 @@
 //! Reductions are bit-exact: `norm2`, `inner_product` and `sum_*` — immediate
 //! and through a `FusionScope` — must equal, bit for bit, a fold written
 //! here from scratch: assign the site-local quantity into a persistent
-//! field, read it back on the host and add its sites in lane order — site
-//! `s` into partial `s mod 8`, each partial from `+0.0` in `f64`, the
-//! partials combined as `((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))`. Covered:
-//! both precisions, both layouts, real and complex inputs, subsets
-//! All/Even/Odd, and inputs holding −0.0, subnormals, ±inf and NaN. Further
-//! tests pin the order against the serial fold it replaced, bound its
+//! field, read it back on the host in thread order (site order for the
+//! whole lattice, increasing site order for a checkerboard), then, as the
+//! kernel and the second phase do, sum each run of 32 values as a warp
+//! butterfly in `f64` — lane `l` adds lane `l ^ m` for `m` = 1, 2, 4, 8, 16,
+//! lanes past the last value holding `+0.0` — and add those warp sums in
+//! pairs, level by level, an odd last one moving up as it is. Covered: both
+//! precisions, both layouts, real and complex inputs, subsets All/Even/Odd
+//! on a 4⁴ lattice (whole warps), a 3⁴ one (81, 41 and 40 threads: a
+//! partial last warp) and an 8³×9 one (more than 32 partials), and inputs
+//! holding −0.0, subnormals, ±inf and NaN.
+//! Further tests pin the order against the orders it is not, bound its
 //! rounding error, and check that reduction scratch never reads junk.
 
 use qdp_core::prelude::*;
@@ -19,34 +24,72 @@ use std::sync::Arc;
 
 const SUBSETS: [Subset; 3] = [Subset::All, Subset::Even, Subset::Odd];
 
+const SOA_AOS: [LayoutKind; 2] = [LayoutKind::SoA, LayoutKind::AoS];
+
+/// The oracle's lattices: 4⁴ (8 and 4 whole warps), 3⁴ (81, 41 and 40
+/// threads: a partial last warp) and 8³×9 (144 and 72 partials: blocks of
+/// 32 partials and a shorter tail in the second phase).
+const LATTICES: [[usize; 4]; 3] = [[4; 4], [3; 4], [8, 8, 8, 9]];
+
+/// The butterfly's lane masks, in order.
+const MASKS: [usize; 5] = [1, 2, 4, 8, 16];
+
+fn ctx_on(geom: Geometry, layout: LayoutKind) -> Arc<QdpContext> {
+    QdpContext::builder(geom).layout(layout).build()
+}
+
 fn ctx(layout: LayoutKind) -> Arc<QdpContext> {
-    QdpContext::builder(Geometry::symmetric(4))
-        .layout(layout)
-        .build()
+    ctx_on(Geometry::symmetric(4), layout)
 }
 
 fn same_bits(what: &str, got: f64, want: f64) {
     assert_eq!(
         got.to_bits(),
         want.to_bits(),
-        "{what}: library {got:e} vs lane-order fold {want:e}"
+        "{what}: library {got:e} vs warp-order fold {want:e}"
     );
 }
 
-/// The lane-order fold of per-site values given in site order. Which NaN
-/// an add of two NaNs returns is up to the compiled code, so a NaN sum is
-/// the canonical quiet NaN here as in the library.
-fn lane_fold(sites: impl Iterator<Item = f64>) -> f64 {
-    let mut p = [0.0f64; 8];
-    for (s, x) in sites.enumerate() {
-        p[s % 8] += x;
+/// The sum of each warp of 32 values, the last warp padded with `+0.0`:
+/// after the butterfly every lane holds the same bits (IEEE addition
+/// commutes), so lane 0 speaks for the warp.
+fn warp_sums(values: &[f64]) -> Vec<f64> {
+    values
+        .chunks(32)
+        .map(|warp| {
+            let mut lane = [0.0f64; 32];
+            lane[..warp.len()].copy_from_slice(warp);
+            for m in MASKS {
+                lane = std::array::from_fn(|l| lane[l] + lane[l ^ m]);
+            }
+            lane[0]
+        })
+        .collect()
+}
+
+/// The warp-order fold of per-thread values given in thread order. Which
+/// NaN an add of two NaNs returns is up to the compiled code, so a NaN sum
+/// is the canonical quiet NaN here as in the library.
+fn warp_fold(values: impl Iterator<Item = f64>) -> f64 {
+    let mut level = warp_sums(&values.collect::<Vec<_>>());
+    while level.len() > 1 {
+        level = level.chunks(2).map(|p| p.iter().sum()).collect();
     }
-    let sum = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
+    let sum = level.first().copied().unwrap_or(0.0);
     if sum.is_nan() {
         f64::NAN
     } else {
         sum
     }
+}
+
+/// The sites of `subset` in thread order.
+fn threads(ctx: &QdpContext, subset: Subset) -> Vec<usize> {
+    subset
+        .sites(ctx.geometry())
+        .into_iter()
+        .map(|s| s as usize)
+        .collect()
 }
 
 /// Input values for field `field` at `site`: wide-range normals mixed with
@@ -99,7 +142,8 @@ where
 {
     let f = LatticeReal::<R>::new(ctx);
     f.assign_on(subset, q).unwrap();
-    lane_fold(f.to_vec().iter().map(|v| v.0 .0.to_f64()))
+    let v = f.to_vec();
+    warp_fold(threads(ctx, subset).iter().map(|&s| v[s].0 .0.to_f64()))
 }
 
 /// The oracle for a complex-valued site quantity: a re and an im fold.
@@ -114,9 +158,10 @@ where
     let f = LatticeComplex::<R>::new(ctx);
     f.assign_on(subset, q).unwrap();
     let v = f.to_vec();
+    let sites = threads(ctx, subset);
     (
-        lane_fold(v.iter().map(|z| z.0 .0.re.to_f64())),
-        lane_fold(v.iter().map(|z| z.0 .0.im.to_f64())),
+        warp_fold(sites.iter().map(|&s| v[s].0 .0.re.to_f64())),
+        warp_fold(sites.iter().map(|&s| v[s].0 .0.im.to_f64())),
     )
 }
 
@@ -191,11 +236,14 @@ where
     SiteReal<R>: SiteElem,
     SiteComplex<R>: SiteElem,
 {
-    for layout in [LayoutKind::SoA, LayoutKind::AoS] {
-        let ctx = ctx(layout);
+    for (dims, layout) in LATTICES.into_iter().flat_map(|d| SOA_AOS.map(|l| (d, l))) {
+        let ctx = ctx_on(Geometry::new(dims), layout);
         for nonfinite in [false, true] {
             let mut rng = StdRng::seed_from_u64(seed);
-            let tag = format!("{:?} {layout:?} nonfinite={nonfinite}", R::FLOAT_TYPE);
+            let tag = format!(
+                "{:?} {dims:?} {layout:?} nonfinite={nonfinite}",
+                R::FLOAT_TYPE
+            );
             let mut real_field = |field: usize| {
                 LatticeReal::<R>::from_fn(&ctx, |s| {
                     PScalar(PScalar(value(&mut rng, s, field, nonfinite)))
@@ -233,12 +281,12 @@ where
 }
 
 #[test]
-fn reductions_match_a_lane_order_fold_bit_for_bit_f64() {
+fn reductions_match_a_warp_order_fold_bit_for_bit_f64() {
     run_precision::<f64>(11);
 }
 
 #[test]
-fn reductions_match_a_lane_order_fold_bit_for_bit_f32() {
+fn reductions_match_a_warp_order_fold_bit_for_bit_f32() {
     run_precision::<f32>(12);
 }
 
@@ -284,51 +332,75 @@ fn subset_kernel_into_a_never_written_target_leaves_other_sites_zero() {
     }
 }
 
-/// The order is pinned, not just self-consistent: on this hand-built
-/// temporary the serial site-order chain, a four-partial tree and eight
-/// partials combined left to right all round `1 + 2⁻⁵²` back to `1`,
-/// while lane order keeps it (sites 4 and 5 meet in `p4 + p5` before
-/// they meet the `1` at site 0). The library returns the lane-order bits.
+/// The order is pinned, not just self-consistent. On the first field
+/// (1 at site 0, half an ulp of 1 at sites 8 and 9) the serial site-order
+/// chain, the eight-partial lane order it replaced and a `shfl.down` tree
+/// all round `1 + 2⁻⁵²` back to `1`: each adds a half ulp to `1` on its
+/// own. The butterfly adds sites 8 and 9 first and keeps it. On the second
+/// (1 in warp 0, half an ulp in warps 2 and 3) adding the warp sums left to
+/// right loses it too, while the pairwise level keeps it. The library
+/// returns the warp-order bits, immediate and deferred.
 #[test]
-fn the_library_sums_in_lane_order_not_site_order() {
+fn the_library_sums_in_warp_order() {
     let ctx = ctx(LayoutKind::SoA);
     let half_ulp = f64::EPSILON / 2.0;
-    let site_value = |s: usize| match s {
-        0 => 1.0,
-        4 | 5 => half_ulp,
-        _ => 0.0,
-    };
-    let x = LatticeReal::<f64>::from_fn(&ctx, |s| PScalar(PScalar(site_value(s))));
     let vol = ctx.geometry().vol();
-    let values: Vec<f64> = (0..vol).map(site_value).collect();
-
-    let serial = values.iter().fold(0.0f64, |acc, &v| acc + v);
-    let mut p4 = [0.0f64; 4];
-    let mut p8 = [0.0f64; 8];
-    for (s, &v) in values.iter().enumerate() {
-        p4[s % 4] += v;
-        p8[s % 8] += v;
+    let serial = |v: &[f64]| v.iter().fold(0.0f64, |acc, &x| acc + x);
+    let lane_order = |v: &[f64]| {
+        let mut p = [0.0f64; 8];
+        for (s, &x) in v.iter().enumerate() {
+            p[s % 8] += x;
+        }
+        ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+    };
+    let shfl_down = |v: &[f64]| {
+        let warps = v.chunks(32).map(|w| {
+            let mut lane = [0.0f64; 32];
+            lane.copy_from_slice(w);
+            for m in [16, 8, 4, 2, 1] {
+                lane = std::array::from_fn(|l| lane[l] + lane.get(l + m).copied().unwrap_or(0.0));
+            }
+            lane[0]
+        });
+        warps.fold(0.0f64, |acc, x| acc + x)
+    };
+    let left_to_right = |v: &[f64]| serial(&warp_sums(v));
+    // Each field: 1 at one site, half an ulp at two others.
+    let fields = [("inside a warp", 0, [8, 9]), ("across warps", 0, [64, 96])];
+    for (what, one, half) in fields {
+        let value = |s: usize| {
+            if s == one {
+                1.0
+            } else if half.contains(&s) {
+                half_ulp
+            } else {
+                0.0
+            }
+        };
+        let values: Vec<f64> = (0..vol).map(value).collect();
+        let want = warp_fold(values.iter().copied());
+        assert_eq!(want, 1.0 + f64::EPSILON, "{what}");
+        let others = match what {
+            "inside a warp" => vec![
+                ("serial", serial(&values)),
+                ("lane order", lane_order(&values)),
+                ("shfl.down tree", shfl_down(&values)),
+            ],
+            _ => vec![("warp sums left to right", left_to_right(&values))],
+        };
+        for (name, other) in others {
+            assert_eq!(other, 1.0, "{what}: {name}");
+        }
+        let x = LatticeReal::<f64>::from_fn(&ctx, |s| PScalar(PScalar(value(s))));
+        let got = reduce_sum_real(&ctx, &x.q(), Subset::All).unwrap();
+        same_bits(&format!("sum_real {what}"), got, want);
+        let mut scope = ctx.deferred();
+        same_bits(
+            &format!("deferred sum_real {what}"),
+            scope.sum_real(&x.q()).unwrap(),
+            want,
+        );
     }
-    let four_tree = (p4[0] + p4[1]) + (p4[2] + p4[3]);
-    let eight_left = p8.iter().fold(0.0f64, |acc, &v| acc + v);
-    let lane = lane_fold(values.iter().copied());
-    assert_eq!(lane, 1.0 + f64::EPSILON);
-    for (name, other) in [
-        ("serial", serial),
-        ("four-partial tree", four_tree),
-        ("left-to-right partials", eight_left),
-    ] {
-        assert_eq!(other, 1.0, "{name}");
-    }
-
-    let got = reduce_sum_real(&ctx, &x.q(), Subset::All).unwrap();
-    same_bits("sum_real of the pinning field", got, lane);
-    let mut scope = ctx.deferred();
-    same_bits(
-        "deferred sum_real of the pinning field",
-        scope.sum_real(&x.q()).unwrap(),
-        lane,
-    );
 }
 
 /// Neumaier-compensated sum: the accurate reference for the error bound.
@@ -346,99 +418,88 @@ fn compensated_sum(values: &[f64]) -> f64 {
     sum + c
 }
 
-/// Each lane-order sum of `n` values takes at most ⌈n/8⌉+3 roundings, so
-/// on an 8⁴ lattice of wide-range values `norm2` and `sum` sit within
-/// (⌈n/8⌉+3)·2⁻⁵³·Σ|x| of a compensated reference.
+/// Each warp-order sum of `n` values is a pairwise tree of depth
+/// 5 + ⌈log₂⌈n/32⌉⌉, so on an 8⁴ lattice of wide-range values `norm2` and
+/// `sum` — over the lattice and over a checkerboard — sit within
+/// (5 + ⌈log₂⌈n/32⌉⌉)·2⁻⁵³·Σ|x| of a compensated reference.
 #[test]
-fn lane_order_error_is_within_its_rounding_bound() {
+fn warp_order_error_is_within_its_rounding_bound() {
     let ctx = QdpContext::builder(Geometry::symmetric(8)).build();
     let mut rng = StdRng::seed_from_u64(40);
     let x = LatticeReal::<f64>::from_fn(&ctx, |s| {
         let scale = 10f64.powi((s % 13) as i32 - 6);
         PScalar(PScalar((rng.random::<f64>() - 0.5) * scale))
     });
-    let n = ctx.geometry().vol();
-    let bound = |abs_sum: f64| (n.div_ceil(8) + 3) as f64 * f64::EPSILON / 2.0 * abs_sum;
-
-    let sites: Vec<f64> = x.to_vec().iter().map(|v| v.0 .0).collect();
-    let got = reduce_sum_real(&ctx, &x.q(), Subset::All).unwrap();
-    let want = compensated_sum(&sites);
-    let abs_sum: f64 = sites.iter().map(|v| v.abs()).sum();
-    assert!(
-        (got - want).abs() <= bound(abs_sum),
-        "sum: {got:e} vs {want:e}, bound {:e}",
-        bound(abs_sum)
-    );
-
     let squares = LatticeReal::<f64>::new(&ctx);
     squares
         .assign(local_norm2::<SiteReal<f64>, f64>(&x.q()))
         .unwrap();
-    let squares: Vec<f64> = squares.to_vec().iter().map(|v| v.0 .0).collect();
-    let got = reduce_norm2(&ctx, &x.q(), Subset::All).unwrap();
-    let want = compensated_sum(&squares);
-    let abs_sum: f64 = squares.iter().sum();
-    assert!(
-        (got - want).abs() <= bound(abs_sum),
-        "norm2: {got:e} vs {want:e}, bound {:e}",
-        bound(abs_sum)
-    );
-}
-
-/// Leave a NaN-filled `f64` real field's worth of junk on the device and
-/// return the range it held, which the next field of that size lands on.
-fn leave_nan_junk(ctx: &Arc<QdpContext>) -> u64 {
-    let junk = LatticeReal::<f64>::from_fn(ctx, |_| PScalar(PScalar(f64::NAN)));
-    ctx.cache().assure_on_device(&[junk.id()]).unwrap()[0]
-}
-
-/// Full-lattice reduction scratch skips its zero fill: on a device range
-/// that held NaNs the sum still equals the oracle, because the kernel
-/// overwrites every site (the range then holds the per-site values). A
-/// subset reduction keeps the fill: an Even-subset sum over the same junk
-/// still reads `+0.0` at the Odd sites. Both temporaries are first touches.
-#[test]
-fn reduction_scratch_on_a_junk_range_reads_no_junk() {
-    let ctx = ctx(LayoutKind::SoA);
-    ctx.subset_table(Subset::Even).unwrap();
-    let x = LatticeReal::<f64>::from_fn(&ctx, |s| PScalar(PScalar(0.25 + s as f64)));
-    ctx.cache().assure_on_device(&[x.id()]).unwrap();
-    let vol = ctx.geometry().vol();
-    let read_range = |ptr: u64| ctx.device().memory().with_f64s(ptr, vol, |v| v.to_vec());
-
-    let want = fold_real(&ctx, local_norm2::<SiteReal<f64>, f64>(&x.q()), Subset::All);
-    let junk = leave_nan_junk(&ctx);
-    let touches = ctx.cache().stats().first_touches;
-    let got = reduce_norm2(&ctx, &x.q(), Subset::All).unwrap();
-    assert_eq!(ctx.cache().stats().first_touches, touches + 1);
-    let left: Vec<f64> = read_range(junk);
-    assert!(
-        left.iter()
-            .enumerate()
-            .all(|(s, &v)| v == (0.25 + s as f64) * (0.25 + s as f64)),
-        "the temporary landed on the junk range and its kernel wrote every site"
-    );
-    same_bits("norm2 All over junk", got, want);
-
-    let want = fold_real(
-        &ctx,
-        local_norm2::<SiteReal<f64>, f64>(&x.q()),
-        Subset::Even,
-    );
-    let junk = leave_nan_junk(&ctx);
-    let touches = ctx.cache().stats().first_touches;
-    let got = reduce_norm2(&ctx, &x.q(), Subset::Even).unwrap();
-    assert_eq!(ctx.cache().stats().first_touches, touches + 1);
-    let geom = ctx.geometry();
-    let left = read_range(junk);
-    for (s, &v) in left.iter().enumerate() {
-        if !Subset::Even.contains(geom, s) {
-            assert_eq!(
-                v.to_bits(),
-                0,
-                "odd site {s} of the Even temporary reads +0.0"
+    let (x_v, sq_v) = (x.to_vec(), squares.to_vec());
+    for subset in [Subset::All, Subset::Odd] {
+        let sites = threads(&ctx, subset);
+        let n = sites.len();
+        let depth = 5.0 + (n.div_ceil(32) as f64).log2().ceil();
+        let bound = |abs_sum: f64| depth * f64::EPSILON / 2.0 * abs_sum;
+        for (what, got, values) in [
+            ("sum", reduce_sum_real(&ctx, &x.q(), subset), &x_v),
+            ("norm2", reduce_norm2(&ctx, &x.q(), subset), &sq_v),
+        ] {
+            let values: Vec<f64> = sites.iter().map(|&s| values[s].0 .0).collect();
+            let (got, want) = (got.unwrap(), compensated_sum(&values));
+            let abs_sum: f64 = values.iter().map(|v| v.abs()).sum();
+            assert!(
+                (got - want).abs() <= bound(abs_sum),
+                "{what} {subset:?}: {got:e} vs {want:e}, bound {:e}",
+                bound(abs_sum)
             );
         }
     }
-    same_bits("norm2 Even over junk", got, want);
+}
+
+/// Leave `bytes` of NaNs on the device and return the range they held,
+/// which the next allocation of that size lands on.
+fn leave_nan_junk(ctx: &Arc<QdpContext>, bytes: usize) -> u64 {
+    let id = ctx.cache().register(bytes);
+    ctx.cache()
+        .with_host_mut(id, |b| {
+            b.chunks_exact_mut(8)
+                .for_each(|c| c.copy_from_slice(&f64::NAN.to_le_bytes()))
+        })
+        .unwrap();
+    let ptr = ctx.cache().assure_on_device(&[id]).unwrap()[0];
+    ctx.cache().unregister(id);
+    ptr
+}
+
+/// Reduction scratch skips its zero fill, over the lattice and over each
+/// checkerboard: on a device range that held NaNs the sum still equals the
+/// oracle, because the kernel writes every partial the second phase reads
+/// — the range then holds the warp sums. Each partial buffer is a first
+/// touch.
+#[test]
+fn reduction_scratch_on_a_junk_range_reads_no_junk() {
+    let ctx = ctx(LayoutKind::SoA);
+    let x = LatticeReal::<f64>::from_fn(&ctx, |s| PScalar(PScalar(0.25 + s as f64)));
+    ctx.cache().assure_on_device(&[x.id()]).unwrap();
+    for subset in SUBSETS {
+        ctx.subset_table(subset).unwrap();
+        let squares: Vec<f64> = (threads(&ctx, subset).iter())
+            .map(|&s| (0.25 + s as f64) * (0.25 + s as f64))
+            .collect();
+        let want = warp_fold(squares.iter().copied());
+        let partials = warp_sums(&squares);
+        let junk = leave_nan_junk(&ctx, partials.len() * 8);
+        let touches = ctx.cache().stats().first_touches;
+        let got = reduce_norm2(&ctx, &x.q(), subset).unwrap();
+        assert_eq!(ctx.cache().stats().first_touches, touches + 1, "{subset:?}");
+        let left = ctx
+            .device()
+            .memory()
+            .with_f64s(junk, partials.len(), |v| v.to_vec());
+        assert_eq!(
+            left, partials,
+            "{subset:?}: the partials landed on the junk range, and the kernel wrote each"
+        );
+        same_bits(&format!("norm2 {subset:?} over junk"), got, want);
+    }
 }

@@ -38,6 +38,11 @@ pub struct TuneState {
     pub launch_failures: u32,
     /// Number of payload launches used as probes.
     pub probes: u32,
+    /// Thread count the record tunes at, set by its first probing launch:
+    /// times are compared only between launches of one width, so a launch
+    /// of another width (a §V inner launch beside its face launch) runs at
+    /// [`TuneState::current`] and is no probe.
+    pub width: Option<usize>,
 }
 
 impl TuneState {
@@ -54,13 +59,16 @@ impl TuneState {
             settled: seed.is_some(),
             launch_failures: 0,
             probes: 0,
+            width: None,
         }
     }
 
-    /// Block size for the next payload launch, and whether that launch is
-    /// a trial (tuning not settled yet).
-    pub fn next(&self) -> (u32, bool) {
-        (self.current, !self.settled)
+    /// Block size for the next payload launch over `threads` threads, and
+    /// whether that launch is a trial: tuning is not settled yet, and the
+    /// record tunes at this width (the first trial sets it).
+    pub fn next(&mut self, threads: usize) -> (u32, bool) {
+        let trial = !self.settled && *self.width.get_or_insert(threads) == threads;
+        (self.current, trial)
     }
 
     /// The launch at the current block size failed (resource exhaustion):
@@ -121,6 +129,9 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Thread count of the synthetic trial launches.
+    const WIDTH: usize = 4096;
+
     /// Synthetic execution-time curve with a minimum at 128 threads.
     fn fake_time(block: u32) -> f64 {
         match block {
@@ -139,7 +150,7 @@ mod tests {
     fn settle(st: &mut TuneState) -> (u32, Option<(u32, f64)>) {
         let mut trials = 0;
         loop {
-            let (b, trial) = st.next();
+            let (b, trial) = st.next(WIDTH);
             if !trial {
                 return (trials, None);
             }
@@ -158,19 +169,32 @@ mod tests {
         // 64 is 25% slower than 128 (not "significant"); 32 is 2x slower →
         // probing stops there and the best (128) wins.
         assert_eq!(won, Some((128, fake_time(128))));
-        assert_eq!(st.next(), (128, false));
+        assert_eq!(st.next(WIDTH), (128, false));
         assert_eq!(st.best.unwrap().0, 128);
         // every probe was a payload launch; no extra launches
         assert_eq!(st.probes, trials);
     }
 
+    /// Only launches of the width the first trial set are probes: one of
+    /// another width runs at the current block and reports nothing.
+    #[test]
+    fn a_record_tunes_at_one_width() {
+        let mut st = TuneState::first("k", 1024, None);
+        assert_eq!(st.next(WIDTH), (1024, true));
+        st.report(1024, fake_time(1024));
+        assert_eq!(st.next(WIDTH / 2), (512, false));
+        assert_eq!(st.width, Some(WIDTH));
+        let (trials, won) = settle(&mut st);
+        assert_eq!((trials + 1, won), (st.probes, Some((128, fake_time(128)))));
+    }
+
     #[test]
     fn launch_failure_halves_until_fit() {
         let mut st = TuneState::first("big", 1024, None);
-        assert_eq!(st.next(), (1024, true));
+        assert_eq!(st.next(WIDTH), (1024, true));
         assert_eq!(st.failed(), Some(512));
         assert_eq!(st.failed(), Some(256));
-        assert_eq!(st.next(), (256, true));
+        assert_eq!(st.next(WIDTH), (256, true));
         assert_eq!(st.launch_failures, 2);
     }
 
@@ -211,11 +235,14 @@ mod tests {
         store.put_tuned("k", 128, fake_time(128));
         // Zero probes, zero trial launches: the first launch is at the
         // winner.
-        let st = TuneState::first("k", 1024, Some(&store));
-        assert_eq!(st.next(), (128, false));
+        let mut st = TuneState::first("k", 1024, Some(&store));
+        assert_eq!(st.next(WIDTH), (128, false));
         assert_eq!(st.probes, 0);
         // A block the device cannot launch is no seed.
-        assert_eq!(TuneState::first("k", 64, Some(&store)).next(), (64, true));
+        assert_eq!(
+            TuneState::first("k", 64, Some(&store)).next(WIDTH),
+            (64, true)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -224,14 +251,14 @@ mod tests {
         let (dir, store) = store_in("stale");
         store.put_tuned("k", 512, 1e-3);
         let mut st = TuneState::first("k", 1024, Some(&store));
-        assert_eq!(st.next(), (512, false));
+        assert_eq!(st.next(WIDTH), (512, false));
         // The seeded block fails (e.g. the kernel grew registers): the
         // state unsettles and probing resumes from the halved size.
         assert_eq!(st.failed(), Some(256));
-        assert_eq!(st.next(), (256, true));
+        assert_eq!(st.next(WIDTH), (256, true));
         // The re-settle hands back the winner that replaces the stale entry.
         assert_eq!(settle(&mut st).1, Some((128, fake_time(128))));
-        assert_eq!(st.next(), (128, false));
+        assert_eq!(st.next(WIDTH), (128, false));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -41,7 +41,13 @@
 //! communication", paper §VII): the fusion planner refuses a group whose
 //! statement reads an earlier target under a shift, and `eval` runs a
 //! single statement that reads its own target under a shift through a
-//! temporary. All arithmetic follows PTX semantics for the generator's
+//! temporary. The one read across lanes is a reduction's warp shuffle
+//! (`shfl.bfly`, or its folded 64-bit [`COp::Bfly`]): a register read, in
+//! lockstep, between lanes of one warp — 32 consecutive lanes of one tile,
+//! since blocks are whole warps and a tile is two — of the value its
+//! partner held just before the shuffle. Validation lets a kernel that
+//! shuffles exit whole warps only, so its tiles never re-run lane by lane.
+//! All arithmetic follows PTX semantics for the generator's
 //! dialect (IEEE-754, wrapping integer ops), one closure per (op, type)
 //! pair. Lowering validates every kernel against that dialect, so in each
 //! match below the last arm's `_` stands for the one remaining legal type.
@@ -469,6 +475,9 @@ fn tile(g: &Grid<'_>, mem: Arena<'_>, s: &mut Scratch, block: u32, t0: u32, lane
                     }
                     (BinOp::Mul, _) => map2(d, a, b, |a, b| (f64_of(a) * f64_of(b)).to_bits()),
                     (BinOp::And, _) => map2(d, a, b, |a, b| (a as u32 & b as u32) as u64),
+                    (BinOp::Shr, _) => map2(d, a, b, |a, b| {
+                        (a as u32).checked_shr(b as u32).unwrap_or(0) as u64
+                    }),
                 }
             }
             COp::MulWide { dst, a, b } => map2(r.col(dst), Src::Col(r.col(a)), r.src(b), |a, b| {
@@ -555,6 +564,37 @@ fn tile(g: &Grid<'_>, mem: Arena<'_>, s: &mut Scratch, block: u32, t0: u32, lane
                 Src::Col(r.col(pred)),
                 |a, b, p| if p != 0 { a } else { b },
             ),
+            COp::Shfl {
+                dst,
+                src,
+                lane_mask,
+            }
+            | COp::Bfly {
+                dst,
+                src,
+                lane_mask,
+            } => {
+                // Lane `l` reads lane `l ^ mask` as it was before this op,
+                // so the source is copied first (`dst` may be `src`); a
+                // lane whose partner is not active keeps its own value.
+                let mut before = [0u64; TILE];
+                for (b, s) in before.iter_mut().zip(r.col(src)) {
+                    *b = s.get();
+                }
+                let before = &before[..r.n];
+                for (l, d) in r.col(dst).iter().enumerate() {
+                    d.set(*before.get(l ^ lane_mask as usize).unwrap_or(&before[l]));
+                }
+            }
+            COp::Unpack { lo, hi, src } => {
+                let v = Src::Col(r.col(src));
+                map1(r.col(lo), v, |v| v & 0xffff_ffff);
+                map1(r.col(hi), v, |v| v >> 32);
+            }
+            COp::Pack { dst, lo, hi } => {
+                let (lo, hi) = (Src::Col(r.col(lo)), Src::Col(r.col(hi)));
+                map2(r.col(dst), lo, hi, |lo, hi| (lo & 0xffff_ffff) | (hi << 32));
+            }
             COp::Bra { pred: None, .. } | COp::Ret => return true,
             COp::Bra {
                 pred: Some((p, negated)),
@@ -778,7 +818,8 @@ mod tests {
     /// The golden kernels were generated on a 4·2·2·4 lattice and address
     /// real `c` of site `s` at `c·64 + s` — the only place the volume
     /// appears in them. Rescaling those offsets gives the same kernel over
-    /// `vol` sites.
+    /// `vol` sites. (A reduction's `n − 1`, the other `add.u32` of an
+    /// immediate, stays.)
     fn on_lattice(mut kernel: qdp_ptx::module::Kernel, vol: usize) -> qdp_ptx::module::Kernel {
         for inst in &mut kernel.body {
             if let Inst::Binary {
@@ -788,6 +829,9 @@ mod tests {
                 ..
             } = inst
             {
+                if *k == -1 {
+                    continue;
+                }
                 assert_eq!(*k % 64, 0, "{}: offset {k} is not a multiple of 64", kernel.name);
                 *k = *k / 64 * vol as i64;
             }
@@ -872,6 +916,8 @@ mod tests {
                     }
                     LaunchArg::Ptr(ptr)
                 }
+                // A reduction's partials start a few slots in.
+                PtxType::U32 if p.name == "partial_base" => LaunchArg::U32(3),
                 PtxType::U32 => LaunchArg::U32(n),
                 PtxType::F64 => LaunchArg::F64(unit(&mut rng).into()),
                 PtxType::F32 => LaunchArg::F32(unit(&mut rng)),
@@ -897,21 +943,29 @@ mod tests {
 
     /// Every golden kernel leaves the same device memory at every block
     /// size, on every ISA path of [`run_tile`], with coalesced runs and
-    /// lane by lane, and lowered with and without the product fold, from
-    /// the same seeded inputs — signed zeros, subnormals, infinities and
-    /// NaNs among them ([`same_reals`]): block 1 runs one-lane tiles (a
-    /// thread at a time); the others cover partial tiles, tile edges, the
-    /// guard falling mid-tile and (n = 300) blocks of several tiles, whose
-    /// tiles may run on different pool threads. (That the goldens'
+    /// lane by lane, and lowered with and without the product and
+    /// butterfly folds, from the same seeded inputs — signed zeros,
+    /// subnormals, infinities and NaNs among them ([`same_reals`]): block 1
+    /// runs one-lane tiles (a thread at a time); the others cover partial
+    /// tiles, tile edges, the guard falling mid-tile and (n = 300) blocks of
+    /// several tiles, whose tiles may run on different pool threads. A
+    /// kernel that shuffles runs in whole warps, at the block sizes the
+    /// tuner takes — powers of two from one warp — against one-warp
+    /// blocks; n = 61 and 300 end in a partial warp. (That the goldens'
     /// `OptLevel::None` renderings leave the same bytes is `qdp-core`'s
     /// `golden_ptx` test.)
     #[test]
     fn golden_kernels_leave_the_same_bytes_at_every_block_size() {
-        let blocks = [1, 7, 63, 64, 65, 128, 256, 1000, 1024];
         let isas = [Isa::Avx2Fma, Isa::Fma, Isa::Baseline];
         for (name, text) in crate::lower::GOLDEN_PTX {
             let golden = qdp_ptx::parse::parse_module(text).unwrap().kernels.remove(0);
-            let width = if is_dp(&golden) { 8 } else { 4 };
+            let shuffles = golden.body.iter().any(|i| matches!(i, Inst::Shfl { .. }));
+            let (reference, blocks): (u32, &[u32]) = if shuffles {
+                (32, &[32, 64, 128, 256, 512, 1024])
+            } else {
+                (1, &[1, 7, 63, 64, 65, 128, 256, 1000, 1024])
+            };
+            let width = if is_dp(&golden) || shuffles { 8 } else { 4 };
             for (n, vol) in [(61u32, 64), (64, 64), (300, 320)] {
                 let kernel = on_lattice(golden.clone(), vol);
                 let folded = lower_kernel(&kernel).unwrap();
@@ -935,12 +989,12 @@ mod tests {
                     isa: Isa::Baseline,
                     runs: false,
                 };
-                let one_lane = run(&unfolded, Some(1), plain);
+                let one_lane = run(&unfolded, Some(reference), plain);
                 assert!(
                     one_lane != run(&unfolded, None, plain),
                     "{name}: the kernel stored nothing"
                 );
-                for block in blocks {
+                for &block in blocks {
                     for (fold, k) in [("folded", &folded), ("unfolded", &unfolded)] {
                         for (isa, runs) in isas.into_iter().flat_map(|i| [(i, true), (i, false)]) {
                             assert!(
@@ -950,7 +1004,7 @@ mod tests {
                                     width
                                 ),
                                 "{name}, n = {n}: {fold}, block {block} on the {isa:?} path \
-                                 (runs {runs}) differs from unfolded one-lane tiles"
+                                 (runs {runs}) differs from unfolded blocks of {reference}"
                             );
                         }
                     }
@@ -1545,15 +1599,48 @@ mod tests {
         (0..n).map(|i| mem.read_u64(po + 8 * i as u64)).collect()
     }
 
+    /// A shuffle reads each partner's value from before the shuffle, even
+    /// when its destination is its source register (one column): lane `l`
+    /// ends with lane `l ^ mask`'s value, and a lane whose partner is not
+    /// active keeps its own. An `f64` butterfly — unpack, two shuffles,
+    /// pack, which lowering folds into one 64-bit permutation — moves whole
+    /// values the same way, bit for bit.
+    #[test]
+    fn a_shuffle_reads_the_values_from_before_it() {
+        let lanes = |n: u64, f: fn(u64) -> u64| (0..n).map(|l| (f(l), 0)).collect::<Vec<_>>();
+        let in_place = |k: &mut KernelBuilder, x: Reg, _| {
+            k.push(Inst::Shfl {
+                dst: x,
+                src: x,
+                lane_mask: 5,
+            });
+            x
+        };
+        let got = run_lanes(PtxType::U32, &lanes(64, |l| l), in_place);
+        assert_eq!(got, (0..64).map(|l| l ^ 5).collect::<Vec<_>>());
+        // 40 active lanes: lanes 32..40 pair with 37..40 and 32..35, and
+        // 35..37's partners (40..42) are not active.
+        let got = run_lanes(PtxType::U32, &lanes(40, |l| l), in_place);
+        let want = |l: u64| if l ^ 5 < 40 { l ^ 5 } else { l };
+        assert_eq!(got, (0..40).map(want).collect::<Vec<_>>());
+
+        let bits = |l: u64| (-(l as f64) - 0.25).to_bits();
+        let got = run_lanes(PtxType::F64, &lanes(64, bits), |k, x, _| k.bfly_f64(x, 9));
+        assert_eq!(got, (0..64).map(|l| bits(l ^ 9)).collect::<Vec<_>>());
+    }
+
     #[test]
     fn int_semantics() {
         for (op, ty, a, b, want) in [
             (BinOp::Add, PtxType::U32, 0xFFFF_FFFF, 1, 0),
             (BinOp::Add, PtxType::U64, u64::MAX, 2, 1),
+            (BinOp::Shr, PtxType::U32, 0x8000_0000, 31, 1),
+            (BinOp::Shr, PtxType::U32, 0xFFFF_FFFF, 32, 0),
         ] {
-            // In a tile: the case in lane 0, its operands swapped in lane 1
-            // (`add` commutes).
-            let lanes = run_lanes(ty, &[(a, b), (b, a)], |k, x, y| {
+            // In a tile: the case in lane 0, and for `add`, which
+            // commutes, its operands swapped in lane 1.
+            let swapped = if op == BinOp::Add { (b, a) } else { (a, b) };
+            let lanes = run_lanes(ty, &[(a, b), swapped], |k, x, y| {
                 k.bin(op, ty, x.into(), y.into())
             });
             assert_eq!(lanes, [want, want], "{op:?}.{ty:?} in a tile");

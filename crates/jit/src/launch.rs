@@ -37,7 +37,8 @@ pub fn kernel_shape(kernel: &CompiledKernel, threads: usize, site_stride: usize)
 /// Launch `kernel` over `threads` payload threads at the block size its
 /// tuning record ([`CompiledKernel::tuning`]) picks. The first launch fills
 /// the record, seeded from `store` when an earlier process settled this
-/// kernel on this device; a fresh settle is written back to `store`. The
+/// kernel on this device; a fresh settle is written back to `store`. Only
+/// launches of the width the record's first trial had are probes. The
 /// simulated execution time is accounted on `stream`'s timeline, so
 /// launches on different streams overlap. When `execute` is set, the
 /// payload is computed functionally in device memory, immediately (the
@@ -60,22 +61,27 @@ pub fn launch_tuned_on(
     let first = || TuneState::first(&kernel.name, max_block, store);
     let mut failed = 0u32;
     loop {
-        let (block, trial) = kernel.tuning.lock().get_or_insert_with(first).next();
+        let (block, trial, settled) = {
+            let mut record = kernel.tuning.lock();
+            let st = record.get_or_insert_with(first);
+            let (block, trial) = st.next(threads);
+            (block, trial, st.settled)
+        };
         match device.account_launch_on(&shape, block, stream) {
             Ok(timing) => {
                 if execute {
                     let n_blocks = threads.div_ceil(block as usize) as u32;
                     run_grid(kernel, args, device.memory(), n_blocks, block);
                 }
-                // A launch at the settled block leaves the record alone; a
-                // trial reports its time to it.
+                // A launch that is no trial (settled, or of another width)
+                // leaves the record alone; a trial reports its time to it.
                 let (settled, won) = if trial {
                     let mut record = kernel.tuning.lock();
                     let st = record.get_or_insert_with(first);
                     let won = st.report(block, timing.time);
                     (st.settled, won)
                 } else {
-                    (true, None)
+                    (settled, None)
                 };
                 if let Some((b, t)) = won {
                     // This launch settled the kernel's block size — a

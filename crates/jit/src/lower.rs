@@ -14,6 +14,10 @@
 //! from the program as written, before the fold, so the occupancy model
 //! sees the kernel the generator printed.
 //!
+//! A reduction's warp butterfly — an `f64` unpacked into halves, each
+//! shuffled, packed again — folds into one 64-bit lane permutation
+//! ([`COp::Bfly`]).
+//!
 //! Control flow is limited to what the generator emits: forward exits
 //! (`@p bra` to a `ret`, or `ret` itself), and conditional exits only
 //! before the first store — so a tile whose exits leave a ragged lane set
@@ -251,6 +255,45 @@ pub enum COp {
         /// Predicate slot.
         pred: u32,
     },
+    /// `shfl.bfly.b32`: lane `l` reads `src` of lane `l ^ lane_mask`.
+    Shfl {
+        /// 32-bit destination slot.
+        dst: u32,
+        /// 32-bit source slot.
+        src: u32,
+        /// Butterfly lane mask (below 32: a warp's lanes meet only each
+        /// other).
+        lane_mask: u32,
+    },
+    /// `mov.b64 {lo, hi}, src`: an `f64`'s two 32-bit halves.
+    Unpack {
+        /// Low-half slot.
+        lo: u32,
+        /// High-half slot.
+        hi: u32,
+        /// The `f64` slot.
+        src: u32,
+    },
+    /// `mov.b64 dst, {lo, hi}`: two 32-bit halves joined into an `f64`.
+    Pack {
+        /// The `f64` slot.
+        dst: u32,
+        /// Low-half slot.
+        lo: u32,
+        /// High-half slot.
+        hi: u32,
+    },
+    /// The butterfly fold's form ([`fold_chains`]): an `f64` unpacked,
+    /// both halves shuffled with one lane mask and packed again, as one
+    /// 64-bit lane permutation — it only moves bits, so the fold is exact.
+    Bfly {
+        /// Destination slot.
+        dst: u32,
+        /// Source slot.
+        src: u32,
+        /// Butterfly lane mask.
+        lane_mask: u32,
+    },
     /// Exit branch: the target is a later `Ret`, and no store precedes it.
     Bra {
         /// Target instruction index.
@@ -343,14 +386,14 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
     lower(kernel, true)
 }
 
-/// [`lower_kernel`] without the product fold, so a test can hold the two
-/// lowerings against each other.
+/// [`lower_kernel`] without the product and butterfly folds, so a test can
+/// hold the two lowerings against each other.
 #[cfg(test)]
 pub(crate) fn lower_kernel_unfolded(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
     lower(kernel, false)
 }
 
-fn lower(kernel: &Kernel, products: bool) -> Result<CompiledKernel, JitError> {
+fn lower(kernel: &Kernel, values: bool) -> Result<CompiledKernel, JitError> {
     let Translated {
         mut code,
         widths,
@@ -359,7 +402,7 @@ fn lower(kernel: &Kernel, products: bool) -> Result<CompiledKernel, JitError> {
     } = translate(kernel)?;
     let ptx_insts = code.len();
     let regs_per_thread = peak_live_regs(&mut code, &widths);
-    fold_chains(&mut code, widths.len(), products);
+    fold_chains(&mut code, widths.len(), values);
     let regs = allocate_registers(&mut code, widths.len());
 
     let (read_bytes, write_bytes) = kernel.thread_bytes();
@@ -543,6 +586,25 @@ fn translate(kernel: &Kernel) -> Result<Translated, JitError> {
                 b: aval(*ty, b)?,
                 pred: slot(pred),
             },
+            Inst::Shfl {
+                dst,
+                src,
+                lane_mask,
+            } => COp::Shfl {
+                dst: slot(dst),
+                src: slot(src),
+                lane_mask: *lane_mask,
+            },
+            Inst::Unpack { lo, hi, src } => COp::Unpack {
+                lo: slot(lo),
+                hi: slot(hi),
+                src: slot(src),
+            },
+            Inst::Pack { dst, lo, hi } => COp::Pack {
+                dst: slot(dst),
+                lo: slot(lo),
+                hi: slot(hi),
+            },
             Inst::Bra { target, pred } => {
                 let pc = code.len() as u32;
                 let index = *labels
@@ -624,8 +686,18 @@ fn visit_slots(op: &mut COp, f: &mut impl FnMut(&mut u32, bool)) {
             use_addr(addr, f);
             f(dst, true);
         }
-        COp::Cvt { dst, src, .. } => {
+        COp::Cvt { dst, src, .. } | COp::Shfl { dst, src, .. } | COp::Bfly { dst, src, .. } => {
             f(src, false);
+            f(dst, true);
+        }
+        COp::Unpack { lo, hi, src } => {
+            f(src, false);
+            f(lo, true);
+            f(hi, true);
+        }
+        COp::Pack { dst, lo, hi } => {
+            f(lo, false);
+            f(hi, false);
             f(dst, true);
         }
         COp::St { addr, src, .. } => {
@@ -823,6 +895,25 @@ impl Census {
         })
     }
 
+    /// The `f64` a `mov.b64 dst, {lo, hi}` at `at` rebuilds after both
+    /// halves went through one butterfly, and the lane mask: `lo` and `hi`
+    /// each the one-use `shfl.bfly` of the matching half of one unpack of
+    /// that `f64`, which holds its value at `at`.
+    fn butterfly(&self, code: &[COp], lo: u32, hi: u32, at: usize) -> Option<(u32, u32)> {
+        let shfl = |half: u32| match self.single(code, half, at)? {
+            (&COp::Shfl { src, lane_mask, .. }, shfl_at) => Some((src, lane_mask, shfl_at)),
+            _ => None,
+        };
+        let ((a, mask, a_at), (b, mask_b, b_at)) = (shfl(lo)?, shfl(hi)?);
+        let unpack = |half: u32, shfl_at: usize| match self.single(code, half, shfl_at)? {
+            (&COp::Unpack { lo, hi, src }, u_at) => Some((lo, hi, src, u_at)),
+            _ => None,
+        };
+        let (ulo, uhi, src, u_at) = unpack(a, a_at)?;
+        let same = unpack(b, b_at)?.3 == u_at && (ulo, uhi) == (a, b);
+        (same && mask == mask_b && self.stable(src, at)).then_some((src, mask))
+    }
+
     /// The product `(a, b)` and the form of the addend `w` of a `ty` fma at
     /// `at`, when `w` is a product chain the product fold takes.
     fn product(&self, code: &[COp], ty: PtxType, w: u32, at: usize) -> Option<(u32, u32, Acc)> {
@@ -875,8 +966,8 @@ impl Census {
 }
 
 /// Fold the generator's chains into the op that consumes them, then drop
-/// every definition a fold left without a use. Two folds, over one def/use
-/// census of the code:
+/// every definition a fold left without a use. Three folds, over one
+/// def/use census of the code:
 ///
 /// - **Addresses.** Each load's and store's address chain becomes
 ///   [`Addr::Indexed`] — ptxas' `[reg+imm]` addressing, widened to the
@@ -891,7 +982,11 @@ impl Census {
 ///   pointer's `ld.param` too. The u32 wrap of `site + K` is kept, so the
 ///   fold is exact at any volume. Any other address — a `selp` of a remote
 ///   and a local one, a hand-written `[reg+imm]` — stays [`Addr::Reg`].
-/// - **Products** (when `products`). Each `fma(c, d, w)` whose addend `w`
+/// - **Butterflies** (when `values`). Each `mov.b64 d, {lo, hi}` whose
+///   halves are the one-use `shfl.bfly`s, with one lane mask, of the halves
+///   of one `mov.b64 {lo, hi}, s` becomes one [`COp::Bfly`] of `s` — the
+///   reduction epilogue's 64-bit lane permutation, bit for bit.
+/// - **Products** (when `values`). Each `fma(c, d, w)` whose addend `w`
 ///   is `a·b`, `−(a·b)`, `acc + a·b` or `acc − a·b`, with `w` and the
 ///   product read by nothing else and every operand a register of the
 ///   fma's float type, becomes one [`COp::MulAcc`] — the value algebra's
@@ -904,7 +999,7 @@ impl Census {
 /// held in the chain (the program is straight-line but for exits). Each
 /// rewrite moves the census' use counts from the operands it stops reading
 /// to those it reads, so the sweep starts from them.
-fn fold_chains(code: &mut Vec<COp>, n: usize, products: bool) {
+fn fold_chains(code: &mut Vec<COp>, n: usize, values: bool) {
     let mut c = Census {
         defs: vec![0; n],
         def_at: vec![NONE; n],
@@ -947,13 +1042,26 @@ fn fold_chains(code: &mut Vec<COp>, n: usize, products: bool) {
                     *addr = folded;
                 }
             }
+            COp::Pack { dst, lo, hi } if values => {
+                let Some((src, lane_mask)) = c.butterfly(code, lo, hi, i) else {
+                    continue;
+                };
+                c.uses[lo as usize] -= 1;
+                c.uses[hi as usize] -= 1;
+                c.uses[src as usize] += 1;
+                code[i] = COp::Bfly {
+                    dst,
+                    src,
+                    lane_mask,
+                };
+            }
             COp::Fma {
                 ty,
                 dst,
                 a: AVal::Slot(x),
                 b: AVal::Slot(y),
                 c: AVal::Slot(w),
-            } if products => {
+            } if values => {
                 let Some((a, b, acc)) = c.product(code, ty, w, i) else {
                     continue;
                 };
@@ -982,9 +1090,14 @@ fn fold_chains(code: &mut Vec<COp>, n: usize, products: bool) {
         if matches!(op, COp::Ld { .. } | COp::St { .. } | COp::Bra { .. } | COp::Ret) {
             continue;
         }
-        let mut dead = false;
-        visit_slots(op, &mut |s, def| dead |= def && uses[*s as usize] == 0);
-        if dead {
+        // Dead when it defines something and nothing reads any of it (an
+        // unpack defines two halves).
+        let (mut defs, mut read) = (false, false);
+        visit_slots(op, &mut |s, def| {
+            defs |= def;
+            read |= def && uses[*s as usize] > 0;
+        });
+        if defs && !read {
             keep[i] = false;
             visit_slots(op, &mut |s, def| uses[*s as usize] -= u32::from(!def));
         }
@@ -1072,14 +1185,39 @@ pub fn compile_ptx(text: &str) -> Result<Vec<CompiledKernel>, JitError> {
 /// The code generator's golden kernels, pinned by `qdp-core`'s snapshot
 /// tests — the lowering and executor tests run them.
 #[cfg(test)]
-pub(crate) const GOLDEN_PTX: [(&str, &str); 7] = [
-    ("axpy_fermion_dp", include_str!("../../core/tests/snapshots/axpy_fermion_dp.ptx")),
-    ("fused_axpy_norm2_dp", include_str!("../../core/tests/snapshots/fused_axpy_norm2_dp.ptx")),
-    ("fused_force_accum_dp", include_str!("../../core/tests/snapshots/fused_force_accum_dp.ptx")),
-    ("shift_cm_even_dp", include_str!("../../core/tests/snapshots/shift_cm_even_dp.ptx")),
-    ("su3_mul_dp", include_str!("../../core/tests/snapshots/su3_mul_dp.ptx")),
-    ("wilson_dslash_dp", include_str!("../../core/tests/snapshots/wilson_dslash_dp.ptx")),
-    ("wilson_dslash_sp", include_str!("../../core/tests/snapshots/wilson_dslash_sp.ptx")),
+pub(crate) const GOLDEN_PTX: [(&str, &str); 8] = [
+    (
+        "axpy_fermion_dp",
+        include_str!("../../core/tests/snapshots/axpy_fermion_dp.ptx"),
+    ),
+    (
+        "fused_axpy_norm2_dp",
+        include_str!("../../core/tests/snapshots/fused_axpy_norm2_dp.ptx"),
+    ),
+    (
+        "fused_force_accum_dp",
+        include_str!("../../core/tests/snapshots/fused_force_accum_dp.ptx"),
+    ),
+    (
+        "shift_cm_even_dp",
+        include_str!("../../core/tests/snapshots/shift_cm_even_dp.ptx"),
+    ),
+    (
+        "su3_mul_dp",
+        include_str!("../../core/tests/snapshots/su3_mul_dp.ptx"),
+    ),
+    (
+        "wilson_dslash_dp",
+        include_str!("../../core/tests/snapshots/wilson_dslash_dp.ptx"),
+    ),
+    (
+        "wilson_dslash_sp",
+        include_str!("../../core/tests/snapshots/wilson_dslash_sp.ptx"),
+    ),
+    (
+        "inner_product_sp",
+        include_str!("../../core/tests/snapshots/inner_product_sp.ptx"),
+    ),
 ];
 
 #[cfg(test)]
@@ -1187,8 +1325,10 @@ mod tests {
     /// and it reads the chain's product and accumulator registers instead
     /// of the addend. Over those PTX-derived ranges of the folded program,
     /// every register keeps one column and a column's registers never
-    /// overlap. The goldens hold no `selp`, so a halo-shaped kernel whose
-    /// selected address stays `[reg+imm]` joins them.
+    /// overlap; each butterfly fold is the unpack → shuffles → pack chain
+    /// of its PTX, and it reads the unpacked `f64` instead of the shuffled
+    /// halves. No golden `selp` picks an address, so a halo-shaped kernel
+    /// whose selected address stays `[reg+imm]` joins them.
     #[test]
     fn live_registers_never_share_a_column() {
         for (name, text) in GOLDEN_PTX {
@@ -1280,13 +1420,14 @@ mod tests {
             inst.use_regs(&mut uses);
             let mut uses: Vec<u32> = uses.iter().map(slot).collect();
             uses.sort_unstable();
-            let def = inst.def_reg();
+            let def: Vec<Reg> = inst.def_regs().collect();
             let got = mentions(op);
-            let got_def = got.iter().find(|(_, d)| *d).map(|(s, _)| *s);
+            let got_def: Vec<u32> = got.iter().filter(|(_, d)| *d).map(|(s, _)| *s).collect();
             let mut got: Vec<u32> = got.iter().filter(|(_, d)| !d).map(|(s, _)| *s).collect();
             got.sort_unstable();
-            assert_eq!((got, got_def), (uses, def.map(|r| slot(&r))), "{name}: {inst:?}");
-            defs.extend(def.map(|r| (r, *inst)));
+            let def_slots: Vec<u32> = def.iter().map(slot).collect();
+            assert_eq!((got, got_def), (uses, def_slots), "{name}: {inst:?}");
+            defs.extend(def.into_iter().map(|r| (r, *inst)));
         }
 
         // What the PTX chain behind address register `a` computes, as
@@ -1389,6 +1530,43 @@ mod tests {
             (op, [a, b].into_iter().chain(acc.map(|(_, e)| e)).collect())
         };
 
+        // What the PTX chain behind `mov.b64 d, {lo, hi}` makes of it: the
+        // butterfly of the `f64` both halves were unpacked from, which the
+        // folded form reads instead of the shuffled halves.
+        let butterfly_chain = |inst: &Inst| -> (COp, Reg, [Reg; 2]) {
+            let &Inst::Pack { dst, lo, hi } = inst else {
+                panic!("{name}: {inst:?} is not a pack")
+            };
+            let (
+                &Inst::Shfl {
+                    src: a, lane_mask, ..
+                },
+                &Inst::Shfl {
+                    src: b,
+                    lane_mask: mask_b,
+                    ..
+                },
+            ) = (defs[&lo], defs[&hi])
+            else {
+                panic!("{name}: {inst:?} does not pack two shuffles")
+            };
+            let &Inst::Unpack {
+                lo: ulo,
+                hi: uhi,
+                src,
+            } = defs[&a]
+            else {
+                panic!("{name}: {a} is not an unpacked half")
+            };
+            assert_eq!((ulo, uhi, lane_mask), (a, b, mask_b), "{name}: {inst:?}");
+            let op = COp::Bfly {
+                dst: slot(&dst),
+                src: slot(&src),
+                lane_mask,
+            };
+            (op, src, [lo, hi])
+        };
+
         let mut folded = t.code.clone();
         fold_chains(&mut folded, t.widths.len(), true);
         let mut code = folded.clone();
@@ -1420,6 +1598,7 @@ mod tests {
                     ..
                 },
             ) => (ty, dst, a, b) == (t, s, AVal::Slot(c), AVal::Slot(d)),
+            (&COp::Pack { dst, .. }, &COp::Bfly { dst: d, .. }) => dst == d,
             _ => plain(unfolded) == plain(op),
         };
         let mut at = 0;
@@ -1434,7 +1613,7 @@ mod tests {
             at += 1;
             let mut regs = Vec::new();
             inst.use_regs(&mut regs);
-            regs.extend(inst.def_reg());
+            regs.extend(inst.def_regs());
             if let COp::Ld { addr: addr @ Addr::Indexed { .. }, .. }
             | COp::St { addr: addr @ Addr::Indexed { .. }, .. } = op
             {
@@ -1462,6 +1641,12 @@ mod tests {
                 };
                 regs.retain(|r| r != w);
                 regs.extend(read);
+            }
+            if let COp::Bfly { .. } = op {
+                let (want, src, halves) = butterfly_chain(inst);
+                assert_eq!(*op, want, "{name}: op {j}");
+                regs.retain(|r| !halves.contains(r));
+                regs.push(src);
             }
             for r in regs {
                 ranges.entry(r).or_insert((j, j)).1 = j;
@@ -1513,12 +1698,13 @@ mod tests {
     fn golden_kernels_reprint_and_optimize_to_pinned_bytes() {
         let pinned = [
             "30080e8062858004",
-            "14d968c4be81b2a0",
+            "0b8c1bfe8d2d3435",
             "86fbc370a06edb51",
             "71f596d956c9e4b3",
             "f74ca32216821b98",
             "c1db953840ff162b",
             "971b6acd4e12fc17",
+            "95b1a3c4377213a4",
         ];
         for ((name, text), o1) in GOLDEN_PTX.iter().zip(pinned) {
             let module = qdp_ptx::parse::parse_module(text).unwrap();
@@ -1536,7 +1722,7 @@ mod tests {
     /// register had its own slot.
     #[test]
     fn regs_per_thread_is_pinned() {
-        let pinned = [150, 154, 122, 43, 122, 193, 135];
+        let pinned = [150, 156, 122, 43, 122, 193, 135, 81];
         for ((name, text), want) in GOLDEN_PTX.iter().zip(pinned) {
             let c = lower_kernel(&parse_golden(text)).unwrap();
             assert_eq!(c.regs_per_thread, want, "{name}");
@@ -1544,12 +1730,13 @@ mod tests {
     }
 
     /// Lowered ops per golden after the folds: every address chain folds
-    /// into its load or store, the pointer-parameter loads go, and each
+    /// into its load or store, the pointer-parameter loads go, each
     /// complex multiply-accumulate of `su3_mul` and the dslashes becomes one
-    /// op (the streaming goldens hold none).
+    /// op (the streaming goldens hold none), and each step of a reduction's
+    /// butterfly becomes one 64-bit lane permutation.
     #[test]
     fn lowered_op_count_is_pinned() {
-        let pinned = [129, 179, 190, 46, 116, 970, 970];
+        let pinned = [129, 197, 190, 46, 116, 970, 970, 113];
         let got: Vec<usize> = GOLDEN_PTX
             .iter()
             .map(|(_, text)| lower_kernel(&parse_golden(text)).unwrap().code.len())
@@ -1562,6 +1749,10 @@ mod tests {
                     || matches!(op, COp::Bin { ty: PtxType::U64, .. })
             });
             assert_eq!(left.count(), 0, "{name}: address arithmetic left after the fold");
+            let halves = c.code.iter().filter(|op| {
+                matches!(op, COp::Unpack { .. } | COp::Shfl { .. } | COp::Pack { .. })
+            });
+            assert_eq!(halves.count(), 0, "{name}: a butterfly step left unfolded");
         }
     }
 
@@ -1583,6 +1774,10 @@ mod tests {
         assert!(compile_ptx(&module("", "")).is_ok());
         let invalid = [
             "and.f64 %fd1, %fd0, %fd0;",
+            "shr.u64 %rd1, %rd0, 1;",
+            "shfl.bfly.b32 %r1, %r0, 32, 0x1f;",
+            "mov.b64 {%r0, %r1}, %rd0;",
+            "mov.b64 %rd1, {%r0, %r1};",
             "neg.u32 %r1, %r0;",
             "sub.u32 %r1, %r0, %r0;",
             "cvt.u32.f64 %r1, %fd0;",
@@ -1598,6 +1793,9 @@ mod tests {
             "not.f32 %f1, %f0;",
             "sqrt.rn.u32 %r1, %r0;",
             "shl.f64 %fd1, %fd0, 1;",
+            "shl.b32 %r1, %r0, 1;",
+            "shfl.down.b32 %r1, %r0, 1, 0x1f;",
+            "shfl.idx.b32 %r1, %r0, 1, 0x1f;",
             "mul.wide.s32 %rd1, %r0, 8;",
             // Spelled in pieces, like the ci.sh guard that keeps them out.
             concat!("call", ".uni (%fd1), qdpjit_sin_f64, (%fd0);"),
@@ -1615,6 +1813,35 @@ mod tests {
                 Err(JitError::Ptx(PtxError::Parse { .. })) if !parses => {}
                 other => panic!("{text}\n{:?}", other.map(|_| ())),
             }
+        }
+    }
+
+    /// A kernel that shuffles exits whole warps or fails validation: an
+    /// exit on `tid ≥ n` would strand the partners of the lanes it takes,
+    /// and is never run lane by lane instead.
+    #[test]
+    fn a_per_lane_exit_before_a_shuffle_is_rejected() {
+        let build = |whole_warps: bool| {
+            let mut b = KernelBuilder::new("bfly");
+            let p_n = b.param("n", PtxType::U32);
+            let tid = b.global_tid();
+            let n = b.ld_param(&p_n, PtxType::U32);
+            let exit = if whole_warps {
+                b.warp_guard(tid, n)
+            } else {
+                b.guard(tid, n)
+            };
+            let v = b.mov(PtxType::F64, Operand::ImmF(1.0));
+            b.bfly_f64(v, 1);
+            b.bind_label(&exit);
+            emit_module(&Module::with_kernel(b.finish()))
+        };
+        assert!(compile_ptx(&build(true)).is_ok());
+        match compile_ptx(&build(false)) {
+            Err(JitError::Ptx(PtxError::Invalid(m))) => {
+                assert!(m.contains("part of a warp"), "{m}")
+            }
+            other => panic!("{:?}", other.map(|_| ())),
         }
     }
 

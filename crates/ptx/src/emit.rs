@@ -196,6 +196,23 @@ fn emit_inst(out: &mut String, inst: &Inst) {
                 pred
             );
         }
+        Inst::Shfl {
+            dst,
+            src,
+            lane_mask,
+        } => {
+            let _ = writeln!(
+                out,
+                "\tshfl.bfly.b32 {}, {}, {}, 0x1f;",
+                dst, src, lane_mask
+            );
+        }
+        Inst::Unpack { lo, hi, src } => {
+            let _ = writeln!(out, "\tmov.b64 {{{}, {}}}, {};", lo, hi, src);
+        }
+        Inst::Pack { dst, lo, hi } => {
+            let _ = writeln!(out, "\tmov.b64 {}, {{{}, {}}};", dst, lo, hi);
+        }
         Inst::Bra { target, pred } => match pred {
             None => {
                 let _ = writeln!(out, "\tbra {};", target);
@@ -352,6 +369,52 @@ mod tests {
             },
         );
         assert_eq!(s, "\tselp.u64 %rd3, %rd1, %rd2, %p0;\n");
+    }
+
+    #[test]
+    fn shuffle_and_halves_text() {
+        let [r1, r2, r3] = [1, 2, 3].map(|i| Reg::new(RegClass::B32, i));
+        let fd = Reg::new(RegClass::F64, 4);
+        let mut s = String::new();
+        emit_inst(
+            &mut s,
+            &Inst::Unpack {
+                lo: r1,
+                hi: r2,
+                src: fd,
+            },
+        );
+        emit_inst(
+            &mut s,
+            &Inst::Shfl {
+                dst: r3,
+                src: r1,
+                lane_mask: 16,
+            },
+        );
+        emit_inst(
+            &mut s,
+            &Inst::Pack {
+                dst: fd,
+                lo: r3,
+                hi: r2,
+            },
+        );
+        emit_inst(
+            &mut s,
+            &Inst::Binary {
+                op: BinOp::Shr,
+                ty: PtxType::U32,
+                dst: r1,
+                a: r2.into(),
+                b: Operand::ImmI(5),
+            },
+        );
+        assert_eq!(
+            s,
+            "\tmov.b64 {%r1, %r2}, %fd4;\n\tshfl.bfly.b32 %r3, %r1, 16, 0x1f;\n\
+             \tmov.b64 %fd4, {%r3, %r2};\n\tshr.u32 %r1, %r2, 5;\n"
+        );
     }
 
     #[test]

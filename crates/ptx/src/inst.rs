@@ -67,6 +67,8 @@ pub enum BinOp {
     Mul,
     /// `and.b32`
     And,
+    /// `shr.u32` (logical; a shift by 32 or more gives 0)
+    Shr,
 }
 
 impl BinOp {
@@ -78,6 +80,7 @@ impl BinOp {
             BinOp::Mul if ty.is_float() => "mul",
             BinOp::Mul => "mul.lo",
             BinOp::And => "and",
+            BinOp::Shr => "shr",
         }
     }
 }
@@ -252,6 +255,35 @@ pub enum Inst {
         /// Selector predicate.
         pred: Reg,
     },
+    /// `shfl.bfly.b32 dst, src, lane_mask, 0x1f;` — each lane of a warp
+    /// reads `src` from the lane whose index is its own XOR `lane_mask`
+    /// (a lane whose partner is not active reads its own `src`).
+    Shfl {
+        /// 32-bit destination.
+        dst: Reg,
+        /// 32-bit source.
+        src: Reg,
+        /// The butterfly's lane mask, below 32.
+        lane_mask: u32,
+    },
+    /// `mov.b64 {lo, hi}, src;` — split an `f64` into its two 32-bit halves.
+    Unpack {
+        /// Low half (32-bit).
+        lo: Reg,
+        /// High half (32-bit).
+        hi: Reg,
+        /// The `f64` register.
+        src: Reg,
+    },
+    /// `mov.b64 dst, {lo, hi};` — join two 32-bit halves into an `f64`.
+    Pack {
+        /// The `f64` register.
+        dst: Reg,
+        /// Low half (32-bit).
+        lo: Reg,
+        /// High half (32-bit).
+        hi: Reg,
+    },
     /// `[@[!]pred] bra target;`
     Bra {
         /// Branch target label.
@@ -269,9 +301,10 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// Registers this instruction writes (for validation / liveness).
-    pub fn def_reg(&self) -> Option<Reg> {
-        match self {
+    /// Registers this instruction writes (for validation / liveness): one,
+    /// or none, but two for the halves of an [`Inst::Unpack`].
+    pub fn def_regs(&self) -> impl Iterator<Item = Reg> {
+        let defs = match self {
             Inst::LdParam { dst, .. }
             | Inst::LdGlobal { dst, .. }
             | Inst::Mov { dst, .. }
@@ -283,9 +316,15 @@ impl Inst {
             | Inst::MadLo { dst, .. }
             | Inst::Fma { dst, .. }
             | Inst::Setp { dst, .. }
-            | Inst::Selp { dst, .. } => Some(*dst),
-            Inst::StGlobal { .. } | Inst::Bra { .. } | Inst::Label { .. } | Inst::Ret => None,
-        }
+            | Inst::Selp { dst, .. }
+            | Inst::Shfl { dst, .. }
+            | Inst::Pack { dst, .. } => [Some(*dst), None],
+            Inst::Unpack { lo, hi, .. } => [Some(*lo), Some(*hi)],
+            Inst::StGlobal { .. } | Inst::Bra { .. } | Inst::Label { .. } | Inst::Ret => {
+                [None, None]
+            }
+        };
+        defs.into_iter().flatten()
     }
 
     /// Registers this instruction reads, appended to `out` (for validation
@@ -305,7 +344,10 @@ impl Inst {
                 op(src, out);
             }
             Inst::Mov { src, .. } | Inst::Neg { src, .. } => op(src, out),
-            Inst::Cvt { src, .. } => out.push(*src),
+            Inst::Cvt { src, .. } | Inst::Shfl { src, .. } | Inst::Unpack { src, .. } => {
+                out.push(*src)
+            }
+            Inst::Pack { lo, hi, .. } => out.extend([*lo, *hi]),
             Inst::Binary { a, b, .. } => {
                 op(a, out);
                 op(b, out);
@@ -360,9 +402,19 @@ impl Inst {
                 f(dst);
                 op(src, f);
             }
-            Inst::Cvt { dst, src, .. } => {
+            Inst::Cvt { dst, src, .. } | Inst::Shfl { dst, src, .. } => {
                 f(dst);
                 f(src);
+            }
+            Inst::Unpack { lo, hi, src } => {
+                f(lo);
+                f(hi);
+                f(src);
+            }
+            Inst::Pack { dst, lo, hi } => {
+                f(dst);
+                f(lo);
+                f(hi);
             }
             Inst::Binary { dst, a, b, .. } | Inst::Setp { dst, a, b, .. } => {
                 f(dst);

@@ -9,11 +9,12 @@
 //! * a typed register-based IR ([`inst::Inst`]) covering exactly the
 //!   instructions the code generator emits — float arithmetic (`add`,
 //!   `sub`, `mul`, `neg`, `fma.rn`), the unsigned index and address
-//!   arithmetic (`add`, `and.b32`, `mul.wide.u32`, `mad.lo.u32`), the
-//!   guard (`setp.{ge,ne}.u32`, `selp`, `bra`, `ret`), loads, stores,
-//!   moves, and the f32 ↔ f64 `cvt` of mixed-precision expressions
-//!   (§III-D). [`module::Kernel::validate`] holds every kernel to that
-//!   dialect;
+//!   arithmetic (`add`, `and.b32`, `shr.u32`, `mul.wide.u32`,
+//!   `mad.lo.u32`), the guard (`setp.{ge,ne}.u32`, `selp`, `bra`, `ret`),
+//!   loads, stores, moves, the f32 ↔ f64 `cvt` of mixed-precision
+//!   expressions (§III-D), and a reduction's warp butterfly
+//!   (`shfl.bfly.b32` on the `mov.b64` halves of an `f64`).
+//!   [`module::Kernel::validate`] holds every kernel to that dialect;
 //! * a [`module::KernelBuilder`] used by the expression unparser to build
 //!   kernels (virtual register allocation, parameter declarations, special
 //!   registers, guard/label plumbing);

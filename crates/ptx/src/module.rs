@@ -4,7 +4,7 @@ use crate::emit::inst_text;
 use crate::inst::{BinOp, CmpOp, Inst, Operand, SpecialReg};
 use crate::types::{PtxType, Reg, RegClass};
 use crate::PtxError;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Upper bound on `.reg` declaration counts per class. Generated kernels
 /// stay in the hundreds; anything past this is a malformed module, and
@@ -75,8 +75,9 @@ impl Kernel {
 
     /// Validate internal consistency: parameters unique, labels resolve,
     /// registers within declared counts, every instruction in the
-    /// generator's dialect (`in_dialect`) and every destination register
-    /// of the class its instruction writes.
+    /// generator's dialect (`in_dialect`), every destination register of
+    /// the class its instruction writes, and, in a kernel that shuffles,
+    /// only exits that take whole warps.
     pub fn validate(&self) -> Result<(), PtxError> {
         let mut names = HashSet::new();
         for p in &self.params {
@@ -122,13 +123,19 @@ impl Kernel {
                     inst_text(inst)
                 )));
             }
-            if let Some((d, ty)) = typed_def(inst) {
+            for d in inst.def_regs() {
                 check_reg(&d)?;
-                if d.class != ty.reg_class() {
+                let class = def_class(inst);
+                if Some(d.class) != class {
                     return Err(PtxError::Invalid(format!(
                         "register {d} cannot hold {}",
-                        ty.suffix()
+                        class.map_or("a value", |c| &c.decl_type()[1..])
                     )));
+                }
+            }
+            if let Inst::Unpack { src, .. } = inst {
+                if src.class != RegClass::F64 {
+                    return Err(PtxError::Invalid(format!("{src} is not an f64 to split")));
                 }
             }
             uses.clear();
@@ -150,6 +157,60 @@ impl Kernel {
                 _ => {}
             }
         }
+        self.check_warp_uniform_exits()
+    }
+
+    /// A kernel that shuffles may exit only whole warps: a lane that left
+    /// early would leave its partners reading nothing, and the executor
+    /// could no longer run the warp's lanes in lockstep. So each of its
+    /// conditional exits tests a warp base against a bound every lane
+    /// shares — `setp.ge.u32 p, w, n` with `w = and.b32 x, -32` and `n`
+    /// a parameter or an immediate, each register defined once.
+    fn check_warp_uniform_exits(&self) -> Result<(), PtxError> {
+        if !self.body.iter().any(|i| matches!(i, Inst::Shfl { .. })) {
+            return Ok(());
+        }
+        let mut defs: HashMap<Reg, Option<&Inst>> = HashMap::new();
+        for inst in &self.body {
+            for d in inst.def_regs() {
+                defs.entry(d)
+                    .and_modify(|e| *e = None)
+                    .or_insert(Some(inst));
+            }
+        }
+        let def = |r: &Reg| defs.get(r).copied().flatten();
+        let warp_base = |o: &Operand| match o {
+            Operand::Reg(w) => matches!(
+                def(w),
+                Some(Inst::Binary { op: BinOp::And, b: Operand::ImmI(m), .. })
+                    if *m as u32 == !31u32
+            ),
+            _ => false,
+        };
+        let shared = |o: &Operand| match o {
+            Operand::Reg(n) => matches!(def(n), Some(Inst::LdParam { .. })),
+            Operand::ImmI(_) => true,
+            Operand::ImmF(_) => false,
+        };
+        for inst in &self.body {
+            let Inst::Bra {
+                pred: Some((p, _)),
+                target,
+            } = inst
+            else {
+                continue;
+            };
+            let uniform = matches!(
+                def(p),
+                Some(Inst::Setp { cmp: CmpOp::Ge, a, b, .. }) if warp_base(a) && shared(b)
+            );
+            if !uniform {
+                return Err(PtxError::Invalid(format!(
+                    "kernel {} shuffles, but its branch to {target} may exit part of a warp",
+                    self.name
+                )));
+            }
+        }
         Ok(())
     }
 }
@@ -162,8 +223,10 @@ impl Kernel {
 /// * `cvt` between `f32` and `f64`;
 /// * `add` on `f32`/`f64`/`u32`/`u64`; `sub`, `mul`, `neg` and `fma.rn` on
 ///   `f32`/`f64`;
-/// * `and.b32`, `mul.wide.u32`, `mad.lo.u32`;
-/// * `setp.{ge,ne}.u32`, `selp`, `bra`, `ret`.
+/// * `and.b32`, `shr.u32`, `mul.wide.u32`, `mad.lo.u32`;
+/// * `setp.{ge,ne}.u32`, `selp`, `bra`, `ret`;
+/// * the warp butterfly: `shfl.bfly.b32` with a lane mask below 32, and
+///   `mov.b64` between an `f64` and its `{lo, hi}` halves.
 ///
 /// The parser handles syntax only, so this is the one place a form outside
 /// the dialect — say `and.f64` in a hand-written kernel — is turned away,
@@ -180,35 +243,41 @@ fn in_dialect(inst: &Inst) -> bool {
         Inst::Binary { op, ty, .. } => match op {
             BinOp::Add => *ty != PtxType::Pred,
             BinOp::Sub | BinOp::Mul => ty.is_float(),
-            BinOp::And => *ty == PtxType::U32,
+            BinOp::And | BinOp::Shr => *ty == PtxType::U32,
         },
         Inst::Setp { ty, .. } => *ty == PtxType::U32,
+        Inst::Shfl { lane_mask, .. } => *lane_mask < 32,
         Inst::Mov { .. }
         | Inst::MovSpecial { .. }
         | Inst::MulWide { .. }
         | Inst::MadLo { .. }
         | Inst::Selp { .. }
+        | Inst::Unpack { .. }
+        | Inst::Pack { .. }
         | Inst::Bra { .. }
         | Inst::Label { .. }
         | Inst::Ret => true,
     }
 }
 
-/// The register an instruction writes and the type it writes there, which
-/// fixes the register's class.
-fn typed_def(inst: &Inst) -> Option<(Reg, PtxType)> {
+/// The register class every register an instruction writes must have:
+/// what its type puts there.
+fn def_class(inst: &Inst) -> Option<RegClass> {
     Some(match *inst {
-        Inst::LdParam { ty, dst, .. }
-        | Inst::LdGlobal { ty, dst, .. }
-        | Inst::Mov { ty, dst, .. }
-        | Inst::Neg { ty, dst, .. }
-        | Inst::Binary { ty, dst, .. }
-        | Inst::Fma { ty, dst, .. }
-        | Inst::Selp { ty, dst, .. } => (dst, ty),
-        Inst::Cvt { dst_ty, dst, .. } => (dst, dst_ty),
-        Inst::MovSpecial { dst, .. } | Inst::MadLo { dst, .. } => (dst, PtxType::U32),
-        Inst::MulWide { dst, .. } => (dst, PtxType::U64),
-        Inst::Setp { dst, .. } => (dst, PtxType::Pred),
+        Inst::LdParam { ty, .. }
+        | Inst::LdGlobal { ty, .. }
+        | Inst::Mov { ty, .. }
+        | Inst::Neg { ty, .. }
+        | Inst::Binary { ty, .. }
+        | Inst::Fma { ty, .. }
+        | Inst::Selp { ty, .. } => ty.reg_class(),
+        Inst::Cvt { dst_ty, .. } => dst_ty.reg_class(),
+        Inst::MovSpecial { .. } | Inst::MadLo { .. } | Inst::Shfl { .. } | Inst::Unpack { .. } => {
+            RegClass::B32
+        }
+        Inst::MulWide { .. } => RegClass::B64,
+        Inst::Setp { .. } => RegClass::Pred,
+        Inst::Pack { .. } => RegClass::F64,
         Inst::StGlobal { .. } | Inst::Bra { .. } | Inst::Label { .. } | Inst::Ret => return None,
     })
 }
@@ -417,6 +486,37 @@ impl KernelBuilder {
         exit
     }
 
+    /// Emit the warp guard of a kernel that shuffles: a warp whose first
+    /// thread `tid & !31` is at or past `n` jumps to the exit label, so
+    /// every warp runs whole or not at all. Returns the label.
+    pub fn warp_guard(&mut self, tid: Reg, n: Reg) -> String {
+        let base = self.bin(BinOp::And, PtxType::U32, tid.into(), Operand::ImmI(-32));
+        self.guard(base, n)
+    }
+
+    /// One butterfly step on an `f64`: its halves shuffled across lanes
+    /// `l` and `l ^ lane_mask` and joined again — the partner's value.
+    pub fn bfly_f64(&mut self, v: Reg, lane_mask: u32) -> Reg {
+        let [lo, hi] = [(); 2].map(|_| self.fresh(RegClass::B32));
+        self.push(Inst::Unpack { lo, hi, src: v });
+        let [slo, shi] = [lo, hi].map(|src| {
+            let dst = self.fresh(RegClass::B32);
+            self.push(Inst::Shfl {
+                dst,
+                src,
+                lane_mask,
+            });
+            dst
+        });
+        let dst = self.fresh(RegClass::F64);
+        self.push(Inst::Pack {
+            dst,
+            lo: slo,
+            hi: shi,
+        });
+        dst
+    }
+
     /// Finish: bind nothing further, seal the register counts.
     pub fn finish(mut self) -> Kernel {
         if !matches!(self.body.last(), Some(Inst::Ret)) {
@@ -559,6 +659,32 @@ mod tests {
         });
         let k = b.finish();
         assert!(k.validate().is_err());
+    }
+
+    /// A kernel that shuffles validates with a warp guard and fails with
+    /// a per-lane one, or with an exit whose bound a lane could compute
+    /// for itself.
+    #[test]
+    fn a_shuffling_kernel_exits_whole_warps() {
+        let build = |guard: &str| {
+            let mut b = KernelBuilder::new("k");
+            let p_n = b.param("n", PtxType::U32);
+            let tid = b.global_tid();
+            let n = b.ld_param(&p_n, PtxType::U32);
+            let exit = match guard {
+                "warp" => b.warp_guard(tid, n),
+                "lane" => b.guard(tid, n),
+                _ => b.warp_guard(tid, tid),
+            };
+            let v = b.mov(PtxType::F64, Operand::ImmF(2.0));
+            b.bfly_f64(v, 16);
+            b.bind_label(&exit);
+            b.finish()
+        };
+        build("warp").validate().unwrap();
+        for guard in ["lane", "own bound"] {
+            assert!(build(guard).validate().is_err(), "{guard}");
+        }
     }
 
     #[test]

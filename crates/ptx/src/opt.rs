@@ -114,7 +114,7 @@ impl RegIndex {
         for inst in &kernel.body {
             regs.clear();
             inst.use_regs(&mut regs);
-            regs.extend(inst.def_reg());
+            regs.extend(inst.def_regs());
             if regs.iter().any(|r| r.id >= self.counts[r.class.index()]) {
                 return false;
             }
@@ -128,13 +128,15 @@ impl RegIndex {
     }
 }
 
-/// Remove instructions whose defined register is never used, in one pass.
-/// Every def in this IR is pure (stores, branches, labels and `ret` define
-/// nothing), so an unused def is always removable, and removal is
-/// confluent: the worklist removes exactly what repeating "drop every
-/// unused def" until nothing changes would. Uses are counted over the whole
-/// body, so a use textually before its def still counts, and a def that
-/// feeds itself (directly or round a cycle) is never queued.
+/// Remove instructions whose defined registers are never used, in one
+/// pass. Every def in this IR is pure (stores, branches, labels and `ret`
+/// define nothing), so an instruction none of whose defs is read is always
+/// removable, and removal is confluent: the worklist removes exactly what
+/// repeating "drop every unread def" until nothing changes would. Uses are
+/// counted over the whole body, so a use textually before its def still
+/// counts, and a def that feeds itself (directly or round a cycle) is never
+/// queued. An instruction with two defs (an `f64`'s halves) goes when the
+/// last of them loses its last use.
 fn dce(kernel: &mut Kernel, regs: &RegIndex) {
     let body = &kernel.body;
     let mut count = vec![0u32; regs.len];
@@ -147,16 +149,22 @@ fn dce(kernel: &mut Kernel, regs: &RegIndex) {
         }
     }
     let mut def_at = vec![NONE; regs.len];
+    // Per instruction: how many of its defs are still read.
+    let mut read_defs = vec![0u32; body.len()];
     let mut work = Vec::new();
     for (i, inst) in body.iter().enumerate() {
-        if let Some(d) = inst.def_reg() {
+        let mut defs = 0;
+        for d in inst.def_regs() {
             def_at[regs.at(d)] = i as u32;
-            if count[regs.at(d)] == 0 {
-                work.push(i);
-            }
+            defs += 1;
+            read_defs[i] += u32::from(count[regs.at(d)] > 0);
+        }
+        if defs > 0 && read_defs[i] == 0 {
+            work.push(i);
         }
     }
-    // A def is queued only when its count reaches zero, which happens once.
+    // An instruction is queued only when its last read def loses its last
+    // use, which happens once.
     let mut dead = vec![false; body.len()];
     while let Some(i) = work.pop() {
         dead[i] = true;
@@ -166,7 +174,11 @@ fn dce(kernel: &mut Kernel, regs: &RegIndex) {
             let s = regs.at(u);
             count[s] -= 1;
             if count[s] == 0 && def_at[s] != NONE {
-                work.push(def_at[s] as usize);
+                let d = def_at[s] as usize;
+                read_defs[d] -= 1;
+                if read_defs[d] == 0 {
+                    work.push(d);
+                }
             }
         }
     }
@@ -237,6 +249,38 @@ mod tests {
             a: a.into(),
             b: Operand::ImmF(1.0),
         }
+    }
+
+    /// An unpack stays while either half is read and goes with the last
+    /// read of the two; the chain into it goes with it.
+    #[test]
+    fn dce_keeps_an_unpack_while_a_half_is_read() {
+        let build = |read_hi: bool| {
+            let mut kb = KernelBuilder::new("k");
+            kb.param("p", PtxType::U64);
+            let addr = kb.ld_param("p", PtxType::U64);
+            let x = ld(&mut kb, addr, 0);
+            let [lo, hi] = [(); 2].map(|_| kb.fresh(RegClass::B32));
+            kb.push(Inst::Unpack { lo, hi, src: x });
+            if read_hi {
+                kb.push(Inst::StGlobal {
+                    ty: PtxType::U32,
+                    addr,
+                    offset: 8,
+                    src: hi.into(),
+                });
+            }
+            let mut k = kb.finish();
+            k.validate().unwrap();
+            optimize_kernel(&mut k, OptLevel::Default);
+            k
+        };
+        let k = build(true);
+        assert!(k.body.iter().any(|i| matches!(i, Inst::Unpack { .. })));
+        assert_eq!(count_loads(&k), 1);
+        let k = build(false);
+        assert!(!k.body.iter().any(|i| matches!(i, Inst::Unpack { .. })));
+        assert_eq!(count_loads(&k), 0, "the unpacked load went with it");
     }
 
     #[test]

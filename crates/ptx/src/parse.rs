@@ -260,6 +260,47 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
                 _ => Err(err(line, "st.global needs an address")),
             }
         }
+        "mov" if opcode == "mov.b64" => {
+            // An f64 and its 32-bit halves: `{lo, hi}` on one side.
+            let half = |t: Option<&str>, open: bool| -> Result<Reg, PtxError> {
+                let t = t.ok_or_else(|| err(line, "missing operand"))?;
+                let bare = if open {
+                    t.strip_prefix('{')
+                } else {
+                    t.strip_suffix('}')
+                };
+                parse_reg(
+                    trim(bare.ok_or_else(|| err(line, "bad `{lo, hi}` pair"))?),
+                    line,
+                )
+            };
+            if tok(0).is_some_and(|t| t.starts_with('{')) {
+                Ok(Inst::Unpack {
+                    lo: half(tok(0), true)?,
+                    hi: half(tok(1), false)?,
+                    src: reg0(2)?,
+                })
+            } else {
+                Ok(Inst::Pack {
+                    dst: reg0(0)?,
+                    lo: half(tok(1), true)?,
+                    hi: half(tok(2), false)?,
+                })
+            }
+        }
+        "shfl" => {
+            if opcode != "shfl.bfly.b32" || tok(3) != Some("0x1f") {
+                return Err(err(line, "only shfl.bfly.b32 with clamp 0x1f supported"));
+            }
+            let lane_mask = tok(2)
+                .and_then(|t| t.parse::<u32>().ok())
+                .ok_or_else(|| err(line, "shfl lane mask must be an integer"))?;
+            Ok(Inst::Shfl {
+                dst: reg0(0)?,
+                src: reg0(1)?,
+                lane_mask,
+            })
+        }
         "mov" => {
             let ty = type_from(opcode, 1, line)?;
             let dst = reg0(0)?;
@@ -291,11 +332,12 @@ fn parse_plain_inst(text: &str, line: usize) -> Result<Inst, PtxError> {
             dst: reg0(0)?,
             src: opnd(1)?,
         }),
-        "add" | "sub" | "and" => {
+        "add" | "sub" | "and" | "shr" => {
             let op = match head {
                 "add" => BinOp::Add,
                 "sub" => BinOp::Sub,
-                _ => BinOp::And,
+                "and" => BinOp::And,
+                _ => BinOp::Shr,
             };
             let ty = part(opcode, 1)
                 .and_then(type_from_bits)
@@ -679,6 +721,63 @@ mod tests {
             .replace(", ", ",\u{2003}");
         assert!(spaced.contains("\x0badd.u64\u{a0}%rd"));
         assert_eq!(parse_module(&spaced).unwrap(), vadd_module());
+    }
+
+    /// The warp butterfly's forms read back as they print, and the
+    /// spellings around them that the generator never prints do not parse.
+    #[test]
+    fn shuffle_forms_roundtrip() {
+        let body = "\tmov.b64 {%r0, %r1}, %fd0;\n\tshfl.bfly.b32 %r2, %r0, 4, 0x1f;\n\
+                    \tshfl.bfly.b32 %r3, %r1, 4, 0x1f;\n\tmov.b64 %fd1, {%r2, %r3};\n\
+                    \tshr.u32 %r4, %r2, 5;\n";
+        let kernel = |body: &str| {
+            format!(
+                ".version 3.1\n.target sm_35\n.address_size 64\n\n\
+                 .visible .entry k(\n\t.param .u32 n\n)\n{{\n\
+                 \t.reg .f64 %fd<2>;\n\t.reg .b32 %r<5>;\n\n{body}\tret;\n}}\n\n"
+            )
+        };
+        let text = format!(
+            "//\n// Generated by QDP-JIT/PTX (Rust reproduction)\n//\n{}",
+            kernel(body)
+        );
+        let m = parse_module(&text).unwrap();
+        assert_eq!(emit_module(&m), text);
+        let [r0, r1, r2, r3] = [0, 1, 2, 3].map(|i| Reg::new(RegClass::B32, i));
+        let [fd0, fd1] = [0, 1].map(|i| Reg::new(RegClass::F64, i));
+        assert_eq!(
+            m.kernels[0].body[0],
+            Inst::Unpack {
+                lo: r0,
+                hi: r1,
+                src: fd0
+            }
+        );
+        assert_eq!(
+            m.kernels[0].body[2],
+            Inst::Shfl {
+                dst: r3,
+                src: r1,
+                lane_mask: 4
+            }
+        );
+        assert_eq!(
+            m.kernels[0].body[3],
+            Inst::Pack {
+                dst: fd1,
+                lo: r2,
+                hi: r3
+            }
+        );
+        for line in [
+            "\tshfl.down.b32 %r2, %r0, 4, 0x1f;\n",
+            "\tshfl.bfly.b32 %r2, %r0, 4, 0x0;\n",
+            "\tshfl.bfly.b32 %r2, %r0, %r1, 0x1f;\n",
+            "\tmov.b64 {%r0 %r1}, %fd0;\n",
+            "\tmov.b64 %fd1, {%r2, %r3;\n",
+        ] {
+            assert!(parse_module(&kernel(line)).is_err(), "{line}");
+        }
     }
 
     #[test]
