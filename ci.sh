@@ -481,24 +481,33 @@ echo "ok: one ISA dispatch (the tile body is picked per tile in run_tile, no per
 
 # ---- Guard: device memory is touched only in the arena -----------------------
 # Every load and store of device memory goes through `qdp_gpu_sim::Arena`,
-# whose checks (per access, or once for a consecutive run) live next to the
-# raw-pointer code in crates/gpu-sim/src/memory.rs. The interpreter holds no
-# raw-pointer access of its own: exec.rs says `unsafe` only inside
-# `run_tile`'s ISA dispatch, and nothing in crates/jit/src reads or writes
-# through a pointer.
+# whose checks (per access, once for a consecutive run, once for a gather's
+# span) live next to the raw-pointer code in crates/gpu-sim/src/memory.rs.
+# The interpreter holds no raw-pointer access of its own: exec.rs says
+# `unsafe` only inside `run_tile`'s ISA dispatch, and nothing in
+# crates/jit/src reads or writes through a pointer. A gather is memory-safe
+# whatever bound its caller passes: `Arena::gather` refuses a span whose top
+# index wraps and clamps every index to the bound before it reads.
 unsafe_outside=$(awk '
     /^fn run_tile\(/ { inside = 1 }
     /unsafe/ && !inside { print FILENAME ":" FNR ": " $0 }
     inside && /^}/ { inside = 0 }
 ' crates/jit/src/exec.rs)
 raw=$(grep -rnE 'read_unaligned|write_unaligned|ptr::' crates/jit/src || true)
-if [ -n "$unsafe_outside$raw" ]; then
+gather=$(awk '/^    fn gather</ { inside = 1 }
+    inside && /hi\.checked_add\(k\)/ { wrap = 1 }
+    inside && /\.min\(hi\)/ { clamp = 1 }
+    inside && /^    }/ { inside = 0 }
+    END { if (!wrap || !clamp) print "crates/gpu-sim/src/memory.rs: Arena::gather lost its wrap check or its clamp" }
+' crates/gpu-sim/src/memory.rs)
+if [ -n "$unsafe_outside$raw$gather" ]; then
     echo "FAIL: the interpreter touches device memory outside the arena:" >&2
     [ -z "$unsafe_outside" ] || echo "$unsafe_outside" >&2
     [ -z "$raw" ] || echo "$raw" >&2
+    [ -z "$gather" ] || echo "$gather" >&2
     exit 1
 fi
-echo "ok: device memory is touched only in the arena (no raw-pointer access in crates/jit/src)"
+echo "ok: device memory is touched only in the arena (no raw-pointer access in crates/jit/src; gathers checked and clamped in the arena)"
 
 # ---- Guard: one tuning record ------------------------------------------------
 # A compiled kernel holds its own §VII tuning record (`CompiledKernel::
@@ -515,29 +524,40 @@ fi
 echo "ok: one tuning record (each compiled kernel holds its own, no lookup by name)"
 
 # ---- Guard: one walk per statement ---------------------------------------------
-# A recorded statement is walked once for the fusion planner: its hazard
-# set and precision are computed where the `Stmt` is built (`impl Stmt`)
-# and every legality check reads those fields, so fuse.rs calls neither
-# walk anywhere else (its test module aside). The structural key is
-# written piece by piece: `KernelSignature`'s walk never goes through the
-# formatter. Comment lines are skipped.
-fuse=crates/core/src/codegen/fuse.rs
-rewalk=$(awk '/^#\[cfg\(test\)\]/ { exit }
-    /^impl Stmt \{/ { inside = 1 }
+# A statement is walked once, where it is recorded or where an immediate
+# `eval` builds it (`impl Stmt` in fuse.rs): its signature — key tokens,
+# leaf table, shifts, scalars, the leaves each shift reads — is read by the
+# planner's legality checks, the launch path (the group key and tables are
+# the signatures concatenated), the §V schedule and the kernel cache's
+# token probe. So eval.rs, multinode.rs and fuse.rs call no expression walk
+# anywhere else (test modules and eval.rs's CPU reference section aside):
+# no `KernelSignature::of`, no `float_type`,
+# `leaves_under_any_shift`, `reads_under_shift`, `has_shift` or
+# `has_nested_shift`. The text key is rendered from the tokens piece by
+# piece: `KernelSignature` never goes through the formatter. Comment lines
+# are skipped.
+rewalk=$(awk '
+    FNR == 1 { done = 0; inside = 0; reference = 0 }
+    /^#\[cfg\(test\)\]/ { done = 1 }
+    /^impl.* Stmt(<.*>)? \{/ { inside = 1 }
     inside && /^\}/ { inside = 0; next }
-    !inside && !/^[[:space:]]*\/\// && /\.(float_type|leaves_under_any_shift)\(\)/ {
-        print FILENAME ":" FNR ": " $0 }' "$fuse")
+    /^\/\/ Reference \(CPU\) evaluation/ { reference = 1 }
+    /^\/\/ Reductions/ { reference = 0 }
+    !done && !inside && !reference && !/^[[:space:]]*\/\// &&
+    /KernelSignature::of|\.(float_type|leaves_under_any_shift|reads_under_shift|has_shift|has_nested_shift)\(/ {
+        print FILENAME ":" FNR ": " $0 }' \
+    crates/core/src/codegen/fuse.rs crates/core/src/eval.rs crates/core/src/multinode.rs)
 formatted=$(awk '/^impl KernelSignature \{/ { inside = 1 }
     inside && /^\}/ { inside = 0 }
     inside && !/^[[:space:]]*\/\// && /:\?|write!|format!/ {
         print FILENAME ":" FNR ": " $0 }' crates/expr/src/lib.rs)
 if [ -n "$rewalk$formatted" ]; then
-    echo "FAIL: a statement is walked again by the planner, or the key walk formats:" >&2
+    echo "FAIL: a statement is walked again after it was recorded, or the key formats:" >&2
     [ -z "$rewalk" ] || echo "$rewalk" >&2
     [ -z "$formatted" ] || echo "$formatted" >&2
     exit 1
 fi
-echo "ok: one walk per statement (the planner reads each Stmt's summary, the key walk pushes fixed strings)"
+echo "ok: one walk per statement (launch, planner and §V schedule read each Stmt's signature; the text key is rendered from its tokens)"
 
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace

@@ -58,10 +58,11 @@ use crate::eval::{
     eval_statements, max_ft, reduce_batch, render_statements, CoreError, KeyedGroup,
 };
 use crate::field::{Lattice, QExpr, SiteElem, SiteReal};
-use qdp_expr::{BinaryOp, Expr, FieldRef, UnaryOp};
+use qdp_expr::{BinaryOp, Expr, FieldRef, KernelSignature, UnaryOp};
 use qdp_gpu_sim::StreamId;
 use qdp_layout::Subset;
 use qdp_types::{Complex, ElemKind, FloatType, Real, TypeShape};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Most statements a single fused kernel may hold (register pressure and
@@ -78,48 +79,123 @@ fn group_budget(ctx: &QdpContext) -> usize {
     }
 }
 
-/// One recorded deferred statement: `target ← expr` over `subset` on
-/// `stream`, with the planner's summary of it — walked once, when the
-/// statement is recorded, and read by every legality check after that.
+/// One statement: `target ← expr` over `subset` on `stream`, with its
+/// summary — walked once, where the statement is recorded (or an immediate
+/// [`crate::eval`] builds it), and read by every legality check, the launch
+/// path and the §V schedule after that. An immediate statement borrows its
+/// expression; a recorded one owns it.
 #[derive(Debug, Clone)]
-pub(crate) struct Stmt {
-    target: FieldRef,
-    expr: Expr,
-    subset: Subset,
-    stream: StreamId,
-    /// Ids of the fields `expr` reads under any shift, deduplicated — the
-    /// statement's hazard set.
-    shifted: Vec<u64>,
+pub(crate) struct Stmt<'e> {
+    pub(crate) target: FieldRef,
+    pub(crate) expr: Cow<'e, Expr>,
+    pub(crate) subset: Subset,
+    pub(crate) stream: StreamId,
+    /// The walk: key tokens, leaf table, shifts, scalars and the leaves
+    /// each shift reads — the statement's hazard set.
+    pub(crate) sig: KernelSignature,
     /// Compute precision: `expr`'s leaves promoted with the target's (a
     /// reduction's `f64` partials promote nothing).
-    ft: FloatType,
+    pub(crate) ft: FloatType,
     /// A reduction into the partial buffer `target`.
-    reduce: bool,
+    pub(crate) reduce: bool,
 }
 
-impl Stmt {
-    fn new(target: FieldRef, expr: Expr, subset: Subset, stream: StreamId) -> Stmt {
-        let shifted = expr.leaves_under_any_shift().iter().map(|r| r.id).collect();
-        let ft = max_ft(expr.float_type(), target.ft);
+impl<'e> Stmt<'e> {
+    pub(crate) fn new(
+        target: FieldRef,
+        expr: Cow<'e, Expr>,
+        subset: Subset,
+        stream: StreamId,
+    ) -> Stmt<'e> {
+        let sig = KernelSignature::of(&expr);
+        Stmt::summarised(target, expr, sig, subset, stream)
+    }
+
+    fn summarised(
+        target: FieldRef,
+        expr: Cow<'e, Expr>,
+        sig: KernelSignature,
+        subset: Subset,
+        stream: StreamId,
+    ) -> Stmt<'e> {
         Stmt {
             target,
             expr,
             subset,
             stream,
-            shifted,
-            ft,
+            ft: max_ft(sig.float_type(), target.ft),
+            sig,
             reduce: false,
         }
     }
 
     /// A reduction of `expr` into the partial buffer `target`.
-    fn reduction(target: FieldRef, expr: Expr, subset: Subset, stream: StreamId) -> Stmt {
-        let ft = expr.float_type();
+    fn reduction(
+        target: FieldRef,
+        expr: Cow<'e, Expr>,
+        subset: Subset,
+        stream: StreamId,
+    ) -> Stmt<'e> {
+        let s = Stmt::new(target, expr, subset, stream);
         Stmt {
-            ft,
+            ft: s.sig.float_type(),
             reduce: true,
-            ..Stmt::new(target, expr, subset, stream)
+            ..s
         }
+    }
+
+    /// `expr` into a new full-lattice temporary of its own kind and
+    /// precision on `stream` — the statement that materialises a nested
+    /// shift's child (§V). The caller unregisters the temporary.
+    pub(crate) fn temporary(
+        ctx: &QdpContext,
+        expr: Expr,
+        stream: StreamId,
+    ) -> Result<Stmt<'e>, CoreError> {
+        let kind = expr.kind()?;
+        let sig = KernelSignature::of(&expr);
+        let ft = sig.float_type();
+        let bytes = ctx.geometry().vol() * TypeShape::of(kind).n_reals() * ft.size_bytes();
+        let target = FieldRef {
+            id: ctx.cache().register(bytes),
+            kind,
+            ft,
+        };
+        Ok(Stmt::summarised(target, Cow::Owned(expr), sig, Subset::All, stream))
+    }
+
+    /// The same statement with its expression rewritten (the §V schedule's
+    /// nested shifts materialised), walked as a new statement.
+    pub(crate) fn with_expr<'f>(&self, expr: Expr) -> Stmt<'f> {
+        let make = if self.reduce { Stmt::reduction } else { Stmt::new };
+        make(self.target, Cow::Owned(expr), self.subset, self.stream)
+    }
+
+    /// The same statement into `target`, borrowing this one's expression and
+    /// summary: a self-shifting statement's evaluation into its temporary.
+    pub(crate) fn retargeted(&self, target: FieldRef) -> Stmt<'_> {
+        Stmt {
+            target,
+            expr: Cow::Borrowed(&*self.expr),
+            subset: self.subset,
+            stream: self.stream,
+            sig: self.sig.clone(),
+            ft: self.ft,
+            reduce: self.reduce,
+        }
+    }
+
+    /// Ids of the fields the statement reads under a shift (repeats
+    /// possible) — its hazard set.
+    fn shifted(&self) -> impl Iterator<Item = u64> + '_ {
+        let leaves = &self.sig.leaves;
+        self.sig.shifted.iter().map(|&(_, l)| leaves[l as usize].id)
+    }
+
+    /// Does the statement read its own target under a shift? Then it runs
+    /// alone, through a temporary.
+    pub(crate) fn self_shift(&self) -> bool {
+        self.shifted().any(|id| id == self.target.id)
     }
 }
 
@@ -153,8 +229,8 @@ impl GroupState {
             stream: s.stream,
             ft: s.ft,
             targets: vec![s.target.id],
-            self_shift: s.shifted.contains(&s.target.id),
-            hazards: s.shifted.clone(),
+            self_shift: s.self_shift(),
+            hazards: s.sig.hazards().map(|r| r.id).collect(),
             len: 1,
         }
     }
@@ -172,10 +248,10 @@ impl GroupState {
         if s.ft != self.ft {
             return Err(Split::Bailout("float-type"));
         }
-        if self.self_shift || s.shifted.contains(&s.target.id) {
+        if self.self_shift || s.self_shift() {
             return Err(Split::Bailout("self-shift"));
         }
-        if s.shifted.iter().any(|id| self.targets.contains(id)) {
+        if s.shifted().any(|id| self.targets.contains(&id)) {
             return Err(Split::Bailout("shift-of-group-target"));
         }
         if self.hazards.contains(&s.target.id) {
@@ -185,9 +261,9 @@ impl GroupState {
             return Err(Split::Bailout("aliased-target"));
         }
         self.targets.push(s.target.id);
-        for id in &s.shifted {
-            if !self.hazards.contains(id) {
-                self.hazards.push(*id);
+        for id in s.shifted() {
+            if !self.hazards.contains(&id) {
+                self.hazards.push(id);
             }
         }
         self.len += 1;
@@ -245,7 +321,11 @@ pub fn codegen_fused_ptx(
     subset: Subset,
     kernel_name: &str,
 ) -> Result<String, CoreError> {
-    let mut refs: Vec<(FieldRef, &Expr)> = stmts.iter().map(|(t, e)| (*t, e)).collect();
+    let stream = ctx.device().current_stream();
+    let mut group: Vec<Stmt> = stmts
+        .iter()
+        .map(|(t, e)| Stmt::new(*t, Cow::Borrowed(e), subset, stream))
+        .collect();
     for e in reductions {
         // Nothing is launched, so the partial buffer needs no field.
         let partials = FieldRef {
@@ -253,15 +333,15 @@ pub fn codegen_fused_ptx(
             kind: e.kind()?,
             ft: FloatType::F64,
         };
-        refs.push((partials, e));
+        group.push(Stmt::reduction(partials, Cow::Borrowed(e), subset, stream));
     }
     let split = ctx
         .attached_rank()
-        .filter(|mr| subset == Subset::All && refs.iter().any(|(_, e)| mr.crosses_ranks(e)))
+        .filter(|mr| subset == Subset::All && group.iter().any(|s| mr.crosses_ranks(&s.sig)))
         .map_or([false; 4], |mr| mr.split_dims());
-    let group = KeyedGroup::new(ctx, &refs, reductions.len(), subset != Subset::All, split);
-    let plan = group.plan(ctx, &refs)?;
-    let exprs: Vec<&Expr> = refs.iter().map(|(_, e)| *e).collect();
+    let keyed = KeyedGroup::new(ctx, &group, subset != Subset::All, split);
+    let plan = keyed.plan(ctx, &group)?;
+    let exprs: Vec<&Expr> = group.iter().map(|s| &*s.expr).collect();
     render_statements(&plan, &exprs, kernel_name)
 }
 
@@ -281,8 +361,7 @@ fn flush_stmts(ctx: &QdpContext, stmts: &[Stmt]) -> Result<Vec<usize>, CoreError
         }
         let reduce = group.iter().filter(|s| s.reduce).count();
         debug_assert!(group[group.len() - reduce..].iter().all(|s| s.reduce));
-        let refs: Vec<(FieldRef, &Expr)> = group.iter().map(|s| (s.target, &s.expr)).collect();
-        let report = eval_statements(ctx, &refs, reduce, group[0].subset, group[0].stream)?;
+        let report = eval_statements(ctx, group)?;
         partials[g.end - reduce..g.end].fill(report.partials);
     }
     Ok(partials)
@@ -302,7 +381,7 @@ pub fn eval_fused_sequence(
     let stream = ctx.device().current_stream();
     let stmts: Vec<Stmt> = stmts
         .iter()
-        .map(|(target, expr)| Stmt::new(*target, expr.clone(), Subset::All, stream))
+        .map(|(target, expr)| Stmt::new(*target, Cow::Borrowed(expr), Subset::All, stream))
         .collect();
     flush_stmts(ctx, &stmts).map(drop)
 }
@@ -315,7 +394,7 @@ pub fn eval_fused_sequence(
 /// one: nothing pending, one expression.
 pub(crate) fn reduce_recorded(
     ctx: &QdpContext,
-    mut pending: Vec<Stmt>,
+    mut pending: Vec<Stmt<'static>>,
     exprs: Vec<(Expr, ElemKind)>,
     subset: Subset,
 ) -> Result<Vec<Vec<f64>>, CoreError> {
@@ -337,7 +416,7 @@ pub(crate) fn reduce_recorded(
             ft: FloatType::F64,
         };
         temps.push((target, n_comp));
-        pending.push(Stmt::reduction(target, expr, subset, stream));
+        pending.push(Stmt::reduction(target, Cow::Owned(expr), subset, stream));
     }
     let r = (|| {
         let written = flush_stmts(ctx, &pending)?;
@@ -368,7 +447,7 @@ pub(crate) fn reduce_recorded(
 /// statement alone.
 pub struct FusionScope {
     ctx: Arc<QdpContext>,
-    pending: Vec<Stmt>,
+    pending: Vec<Stmt<'static>>,
 }
 
 impl FusionScope {
@@ -387,7 +466,7 @@ impl FusionScope {
 
     fn record(&mut self, target: FieldRef, expr: Expr, subset: Subset) {
         let stream = self.ctx.device().current_stream();
-        self.pending.push(Stmt::new(target, expr, subset, stream));
+        self.pending.push(Stmt::new(target, Cow::Owned(expr), subset, stream));
     }
 
     /// Deferred `target = rhs` over the whole lattice.
@@ -501,7 +580,9 @@ impl Drop for FusionScope {
 mod tests {
     use super::*;
     use qdp_expr::ShiftDir;
-    use qdp_layout::Geometry;
+    use qdp_layout::{Geometry, LayoutKind};
+    use qdp_ptx::opt::OptLevel;
+    use std::collections::HashMap;
     use qdp_telemetry::Telemetry;
     use qdp_types::{ProjSign, SpinProjector};
 
@@ -592,8 +673,8 @@ mod tests {
     /// The flushes of a deferred CG iteration (the `cg_model` body):
     /// `tmp = M p; ap = M† tmp; ⟨p, ap⟩ | x += αp; r −= α ap; ‖r‖² |`
     /// with `p = r + βp` pending into the next iteration's first flush.
-    fn cg_flushes(stream: StreamId) -> Vec<Vec<Stmt>> {
-        let stmt = |target, expr| Stmt::new(target, expr, Subset::All, stream);
+    fn cg_flushes(stream: StreamId) -> Vec<Vec<Stmt<'static>>> {
+        let stmt = |target, expr| Stmt::new(target, Cow::Owned(expr), Subset::All, stream);
         let f = |id| Expr::Field(fermion(id));
         let temp = |id, kind| FieldRef {
             id,
@@ -630,22 +711,83 @@ mod tests {
             ..fermion(30)
         };
         let (_, stream) = profiled();
-        let stmt = |target, expr| Stmt::new(target, expr, Subset::All, stream);
+        let stmt = |target, expr| Stmt::new(target, Cow::Owned(expr), Subset::All, stream);
         let mut stmts: Vec<Stmt> = cg_flushes(stream).concat();
         stmts.push(stmt(mixed, wilson(31, ProjSign::Minus)));
         stmts.push(stmt(fermion(P), wilson(P, ProjSign::Plus)));
         for s in &stmts {
-            let ids: Vec<u64> = s
-                .expr
-                .leaves_under_any_shift()
-                .iter()
-                .map(|r| r.id)
-                .collect();
-            assert_eq!(s.shifted, ids);
+            // the short-circuiting predicates are walks of their own
+            for leaf in s.sig.leaves.iter().chain([&s.target]) {
+                let shifted = s.shifted().any(|id| id == leaf.id);
+                assert_eq!(shifted, s.expr.reads_under_shift(leaf.id));
+            }
             assert_eq!(s.ft, max_ft(s.expr.float_type(), s.target.ft));
+            assert_eq!(s.sig.nested_shift, s.expr.has_nested_shift());
         }
-        assert_eq!(stmts[0].shifted, [P, U[0], U[1], U[2], U[3]]);
-        assert!(stmts.last().unwrap().shifted.contains(&P));
+        let hazards: Vec<u64> = stmts[0].sig.hazards().map(|r| r.id).collect();
+        assert_eq!(hazards, [P, U[0], U[1], U[2], U[3]]);
+        assert!(stmts.last().unwrap().self_shift());
+    }
+
+    /// The kernel cache compares a group's token key. Over the CG body's
+    /// statements alone and as flushed groups, an inner product as a
+    /// reduction, a single-precision target, every subset mapping and
+    /// several split masks, on contexts that differ in optimizer level,
+    /// layout or volume: equal tokens come exactly with equal text keys.
+    #[test]
+    fn group_token_keys_are_equal_exactly_when_text_keys_are() {
+        let mut by_tokens: HashMap<Vec<u32>, String> = HashMap::new();
+        let mut by_text: HashMap<String, Vec<u32>> = HashMap::new();
+        let geom = Geometry::symmetric;
+        let contexts = [
+            QdpContext::builder(geom(4)).build(),
+            QdpContext::builder(geom(4)).opt_level(OptLevel::None).build(),
+            QdpContext::builder(geom(4)).layout(LayoutKind::AoS).build(),
+            QdpContext::builder(geom(2)).build(),
+        ];
+        for ctx in &contexts {
+            let stream = ctx.device().current_stream();
+            let flushes = cg_flushes(stream);
+            let mut groups: Vec<Vec<Stmt>> =
+                flushes.iter().flatten().map(|s| vec![s.clone()]).collect();
+            groups.extend(flushes);
+            let ip = bin(
+                BinaryOp::LocalInnerProduct,
+                Expr::Field(fermion(P)),
+                Expr::Field(fermion(AP)),
+            );
+            let partials = FieldRef {
+                id: 0,
+                kind: ElemKind::Complex,
+                ft: FloatType::F64,
+            };
+            groups.push(vec![Stmt::reduction(partials, Cow::Owned(ip), Subset::All, stream)]);
+            let single = FieldRef {
+                ft: FloatType::F32,
+                ..fermion(30)
+            };
+            let dslash = Cow::Owned(wilson(P, ProjSign::Minus));
+            groups.push(vec![Stmt::new(single, dslash, Subset::All, stream)]);
+            let masks = [[false; 4], [true, false, false, false], [false, false, false, true]];
+            for group in &groups {
+                for subset_mapped in [false, true] {
+                    for split in masks {
+                        let keyed = KeyedGroup::new(ctx, group, subset_mapped, split);
+                        let text = keyed.plan(ctx, group).unwrap().key;
+                        let tokens = keyed.key;
+                        if let Some(seen) = by_tokens.insert(tokens.clone(), text.clone()) {
+                            assert_eq!(seen, text, "equal tokens, different text keys");
+                        }
+                        if let Some(seen) = by_text.insert(text, tokens.clone()) {
+                            assert_eq!(seen, tokens, "equal text keys, different tokens");
+                        }
+                    }
+                }
+            }
+        }
+        // Every context, mapping and mask is a kernel of its own; only the
+        // statements repeated across the CG flushes share keys.
+        assert!(by_text.len() > 4 * 2 * 3 * 10, "{} keys", by_text.len());
     }
 
     /// The planner's groups and bailouts over the CG body, pinned.

@@ -171,7 +171,11 @@ impl QdpContext {
 
     /// Whether kernel launches execute their payload functionally (true by
     /// default). Large benchmark sweeps may disable this after validating
-    /// once — the simulated clock advances either way.
+    /// once — the simulated clock advances either way. With payload off no
+    /// kernel writes a reduction's partials, so none is read: every
+    /// reduction (`norm2`, `inner_product`, `sum_*`, `norm2_batch`) returns
+    /// `+0.0` per component, while its second pass is still accounted and,
+    /// on an attached rank, its batch still allreduced once.
     pub fn payload_execution(&self) -> bool {
         self.execute_payload.load(Ordering::Relaxed)
     }

@@ -10,6 +10,7 @@
 use crate::codegen::backend::Backend;
 use crate::codegen::cpu_backend::CpuGen;
 use crate::codegen::cse::CseBackend;
+use crate::codegen::fuse::Stmt;
 use crate::codegen::ptx_backend::{KernelEnv, PtxGen, StmtMeta, WARP};
 use crate::codegen::value::{gen_expr, store_val, GenCtx};
 use crate::context::QdpContext;
@@ -23,6 +24,7 @@ use qdp_ptx::emit::emit_module;
 use qdp_ptx::module::Module;
 use qdp_ptx::opt::{optimize_kernel, OptLevel};
 use qdp_types::{FloatType, Real, TypeShape};
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -198,137 +200,176 @@ pub fn plan_codegen(
     subset_mapped: bool,
     remote_shifts: bool,
 ) -> Result<CodegenPlan, CoreError> {
-    let stmts = [(target, expr)];
-    KeyedGroup::new(ctx, &stmts, 0, subset_mapped, [remote_shifts; 4]).plan(ctx, &stmts)
+    let stream = ctx.device().current_stream();
+    let stmts = [Stmt::new(target, Cow::Borrowed(expr), Subset::All, stream)];
+    KeyedGroup::new(ctx, &stmts, subset_mapped, [remote_shifts; 4]).plan(ctx, &stmts)
 }
 
-/// One statement group, walked once and keyed once — all a warm launch
-/// needs, and the input of [`KeyedGroup::plan`] on a cold one.
-pub(crate) struct KeyedGroup {
-    /// The walk's output: leaf table, shift list, scalars.
-    sig: KernelSignature,
-    /// The kernel's identity. Per statement: the expression structure with
-    /// leaves numbered in the group's leaf table, the codegen environment,
-    /// the statement's compute precision, the target type (`|t…`, or `|r…`
-    /// for a reduction's partials) and the optimizer level; K ≥ 2
-    /// statements are wrapped as `fused[k1 ; k2 ; …]`.
-    key: String,
-    /// Compute precision after promotion over every statement and target.
-    ft: FloatType,
-    metas: Vec<StmtMeta>,
+/// What a statement's kernel key adds to its expression's: the launch
+/// environment, the same for every statement of a group, and the
+/// statement's compute precision, role and target type.
+struct KeyEnv {
+    vol: usize,
+    layout: LayoutKind,
     subset_mapped: bool,
-    /// The attached rank grid's split dimensions (none on one rank): a
-    /// shift along one of them reads its face message.
-    split: [bool; 4],
+    /// The split dimensions as a bit mask (`1 << mu`).
+    split: usize,
     opt: OptLevel,
 }
 
+impl KeyEnv {
+    /// The statement's environment as two token words.
+    fn words(&self, s: &Stmt) -> [u32; 2] {
+        let vol = u32::try_from(self.vol).expect("a lattice volume fits in 32 bits");
+        let flags = u32::from(self.layout == LayoutKind::AoS)
+            | (s.ft as u32) << 1
+            | u32::from(self.subset_mapped) << 2
+            | (self.split as u32) << 3
+            | u32::from(s.reduce) << 7
+            | (s.target.kind as u32) << 8
+            | (s.target.ft as u32) << 12
+            | (self.opt as u32) << 13;
+        [vol, flags]
+    }
+
+    /// The same as text: `|v{vol}|{layout:?}|{stmt_ft}|m{subset_mapped}
+    /// |r{split:x}|{t|r}{target kind:?}{target tag}|{opt tag}`, piece by
+    /// piece.
+    fn write(&self, s: &Stmt, key: &mut String) {
+        key.put("|v");
+        key.put_num(self.vol);
+        key.put(match self.layout {
+            LayoutKind::SoA => "|SoA|",
+            LayoutKind::AoS => "|AoS|",
+        });
+        key.put(s.ft.ptx_suffix());
+        key.put(match self.subset_mapped {
+            true => "|mtrue|r",
+            false => "|mfalse|r",
+        });
+        key.put(&"0123456789abcdef"[self.split..=self.split]);
+        key.put(if s.reduce { "|r" } else { "|t" });
+        key.put(s.target.kind.name());
+        key.put(s.target.ft.tag());
+        key.put("|");
+        key.put(self.opt.tag());
+    }
+}
+
+/// One statement group keyed by concatenating its statements' recorded
+/// signatures — no expression walk: all a warm launch needs, and the input
+/// of [`KeyedGroup::plan`] on a cold one.
+pub(crate) struct KeyedGroup {
+    /// The launch's leaf table, shift list and scalars: the statements'
+    /// signatures appended in order.
+    sig: KernelSignature,
+    /// The kernel's identity: per statement, its key tokens, its leaf map
+    /// into `sig`'s table and its environment words.
+    pub(crate) key: Vec<u32>,
+    env: KeyEnv,
+    /// Compute precision after promotion over every statement and target.
+    ft: FloatType,
+    /// The attached rank grid's split dimensions (none on one rank): a
+    /// shift along one of them reads its face message.
+    split: [bool; 4],
+}
+
 impl KeyedGroup {
-    /// Walk and key `stmts`, whose last `reduce` statements are reductions
-    /// (see [`StmtMeta::reduce`]): a reduction computes at its expression's
-    /// own precision, whatever its `f64` partials.
+    /// Key `stmts`, whose reductions (see [`StmtMeta::reduce`]) come last:
+    /// a reduction computes at its expression's own precision, whatever its
+    /// `f64` partials.
     pub(crate) fn new(
         ctx: &QdpContext,
-        stmts: &[(FieldRef, &Expr)],
-        reduce: usize,
+        stmts: &[Stmt],
         subset_mapped: bool,
         split: [bool; 4],
     ) -> KeyedGroup {
         assert!(!stmts.is_empty(), "a kernel needs at least one statement");
-        let (vol, layout, opt) = (ctx.geometry().vol(), ctx.layout(), ctx.opt_level());
-        let fused = stmts.len() > 1;
+        let env = KeyEnv {
+            vol: ctx.geometry().vol(),
+            layout: ctx.layout(),
+            subset_mapped,
+            split: (0..4).filter(|&mu| split[mu]).map(|mu| 1 << mu).sum(),
+            opt: ctx.opt_level(),
+        };
         let mut sig = KernelSignature::default();
-        let mut key = String::from(if fused { "fused[" } else { "" });
-        let mut ft = FloatType::F32;
-        let mut metas = Vec::with_capacity(stmts.len());
-        let split_mask: usize = (0..4).filter(|&mu| split[mu]).map(|mu| 1 << mu).sum();
-        for (i, &(target, expr)) in stmts.iter().enumerate() {
-            if i > 0 {
-                key.push_str(" ; ");
-            }
-            let n_before = sig.scalars.len();
-            let reduces = i >= stmts.len() - reduce;
-            let expr_ft = sig.push(expr, &mut key);
-            let stmt_ft = if reduces {
-                expr_ft
-            } else {
-                max_ft(expr_ft, target.ft)
-            };
-            ft = max_ft(ft, stmt_ft);
-            // `|v{vol}|{layout:?}|{stmt_ft}|m{subset_mapped}|r{split_mask:x}
-            // |{t|r}{target kind:?}{target tag}|{opt tag}`, piece by piece.
-            key.put("|v");
-            key.put_num(vol);
-            key.put(match layout {
-                LayoutKind::SoA => "|SoA|",
-                LayoutKind::AoS => "|AoS|",
-            });
-            key.put(stmt_ft.ptx_suffix());
-            key.put(match subset_mapped {
-                true => "|mtrue|r",
-                false => "|mfalse|r",
-            });
-            key.put(&"0123456789abcdef"[split_mask..=split_mask]);
-            key.put(if reduces { "|r" } else { "|t" });
-            key.put(target.kind.name());
-            key.put(target.ft.tag());
-            key.put("|");
-            key.put(opt.tag());
-            metas.push(StmtMeta {
-                target_ft: target.ft,
-                target_shape: TypeShape::of(target.kind),
-                n_scalars: sig.scalars.len() - n_before,
-                reduce: reduces,
-            });
+        for s in stmts {
+            sig.append(&s.sig);
+            sig.tokens.extend(env.words(s));
         }
-        if fused {
-            key.push(']');
-        }
+        let key = std::mem::take(&mut sig.tokens);
+        let ft = stmts.iter().fold(FloatType::F32, |ft, s| max_ft(ft, s.ft));
         KeyedGroup {
             sig,
             key,
+            env,
             ft,
-            metas,
-            subset_mapped,
             split,
-            opt,
         }
     }
 
-    /// The cold half: type-check the statements, name the kernel after its
-    /// key and assemble the codegen environment.
-    pub(crate) fn plan(
-        &self,
-        ctx: &QdpContext,
-        stmts: &[(FieldRef, &Expr)],
-    ) -> Result<CodegenPlan, CoreError> {
-        for &(target, expr) in stmts {
-            let kind = expr.kind()?;
-            if kind != target.kind {
+    /// The text key the tokens render to: per statement, the expression
+    /// structure with leaves numbered by the leaf map that follows its
+    /// tokens in `key`, then its environment; K ≥ 2 statements are wrapped
+    /// as `fused[k1 ; k2 ; …]`.
+    fn text_key(&self, stmts: &[Stmt]) -> String {
+        let fused = stmts.len() > 1;
+        let mut key = String::from(if fused { "fused[" } else { "" });
+        let mut at = 0;
+        for (i, s) in stmts.iter().enumerate() {
+            if i > 0 {
+                key.push_str(" ; ");
+            }
+            at += s.sig.tokens.len();
+            let map = &self.key[at..at + s.sig.leaves.len()];
+            s.sig.write_key(|slot| map[slot as usize], &mut key);
+            self.env.write(s, &mut key);
+            at += map.len() + 2;
+        }
+        debug_assert_eq!(at, self.key.len());
+        if fused {
+            key.push(']');
+        }
+        key
+    }
+
+    /// The cold half: type-check the statements, render the text key,
+    /// name the kernel after it and assemble the codegen environment.
+    pub(crate) fn plan(&self, ctx: &QdpContext, stmts: &[Stmt]) -> Result<CodegenPlan, CoreError> {
+        for s in stmts {
+            let kind = s.expr.kind()?;
+            if kind != s.target.kind {
                 return Err(CoreError::Msg(format!(
                     "cannot assign {kind:?} expression to {:?} field",
-                    target.kind
+                    s.target.kind
                 )));
             }
         }
+        let key = self.text_key(stmts);
         let mut h = DefaultHasher::new();
-        self.key.hash(&mut h);
+        key.hash(&mut h);
         let prefix = if stmts.len() == 1 { "qdp" } else { "qdpf" };
+        let metas = stmts.iter().map(|s| StmtMeta {
+            target_ft: s.target.ft,
+            target_shape: TypeShape::of(s.target.kind),
+            n_scalars: s.sig.scalars.len(),
+            reduce: s.reduce,
+        });
         Ok(CodegenPlan {
             env: KernelEnv {
-                n_sites: ctx.geometry().vol(),
-                layout: ctx.layout(),
+                n_sites: self.env.vol,
+                layout: self.env.layout,
                 ft: self.ft,
-                subset_mapped: self.subset_mapped,
-                faces: face_messages(stmts, &self.sig.shifts, self.split, ctx.geometry()),
+                subset_mapped: self.env.subset_mapped,
+                faces: face_messages(&self.sig, self.split, ctx.geometry()),
                 shifts: self.sig.shifts.clone(),
                 scalar_complex: self.sig.scalar_complex.clone(),
-                stmts: self.metas.clone(),
+                stmts: metas.collect(),
             },
             leaves: self.sig.leaves.clone(),
-            key: self.key.clone(),
+            key,
             name: format!("{prefix}_{:016x}", h.finish()),
-            opt: self.opt,
+            opt: self.env.opt,
         })
     }
 }
@@ -410,48 +451,39 @@ pub fn eval(
     expr: &Expr,
     subset: Subset,
 ) -> Result<EvalReport, CoreError> {
-    eval_statements(
-        ctx,
-        &[(target, expr)],
-        0,
-        subset,
-        ctx.device().current_stream(),
-    )
+    let stream = ctx.device().current_stream();
+    eval_statements(ctx, &[Stmt::new(target, Cow::Borrowed(expr), subset, stream)])
 }
 
-/// Evaluate a group of statements over `subset` on `stream` with one kernel
-/// launch; the last `reduce` of them are reductions into partial buffers
-/// ([`StmtMeta::reduce`]). The fusion planner guarantees a multi-statement
-/// group is legal to run per thread (see [`crate::codegen::fuse`]). On a
-/// context with an attached rank ([`QdpContext::attached_rank`]) a group
-/// that shifts along a split dimension runs the §V halo schedule instead of
-/// one launch; with a subset or a non-default stream that is an error.
+/// Evaluate a group of statements over their subset on their stream with
+/// one kernel launch; the reductions among them come last and write into
+/// partial buffers ([`StmtMeta::reduce`]). The fusion planner guarantees a
+/// multi-statement group is legal to run per thread and uniform in subset
+/// and stream (see [`crate::codegen::fuse`]). On a context with an attached
+/// rank ([`QdpContext::attached_rank`]) a group that shifts along a split
+/// dimension runs the §V halo schedule instead of one launch; with a
+/// subset or a non-default stream that is an error.
 ///
 /// A statement that reads its own target under a shift gets QDP++'s
 /// semantics — the right-hand side is evaluated in full before the
 /// assignment — by evaluating into a temporary and copying that into the
 /// target: in one kernel, threads would overwrite sites other threads still
 /// read. (The fusion planner never groups such a statement.)
-pub(crate) fn eval_statements(
-    ctx: &QdpContext,
-    stmts: &[(FieldRef, &Expr)],
-    reduce: usize,
-    subset: Subset,
-    stream: StreamId,
-) -> Result<EvalReport, CoreError> {
-    if let &[(target, expr)] = stmts {
-        if expr.reads_under_shift(target.id) {
+pub(crate) fn eval_statements(ctx: &QdpContext, stmts: &[Stmt]) -> Result<EvalReport, CoreError> {
+    let (subset, stream) = (stmts[0].subset, stmts[0].stream);
+    if let [stmt] = stmts {
+        if stmt.self_shift() {
+            let target = stmt.target;
             let temp = FieldRef {
                 id: ctx.cache().register(ctx.cache().field_bytes(target.id)?),
                 ..target
             };
-            let r =
-                eval_statements(ctx, &[(temp, expr)], 0, subset, stream).and_then(|mut report| {
-                    let copy =
-                        eval_statements(ctx, &[(target, &Expr::Field(temp))], 0, subset, stream)?;
-                    report.sim_time += copy.sim_time;
-                    Ok(report)
-                });
+            let r = eval_statements(ctx, &[stmt.retargeted(temp)]).and_then(|mut report| {
+                let from_temp = Cow::Owned(Expr::Field(temp));
+                let copy = eval_statements(ctx, &[Stmt::new(target, from_temp, subset, stream)])?;
+                report.sim_time += copy.sim_time;
+                Ok(report)
+            });
             ctx.cache().unregister(temp.id);
             return r;
         }
@@ -459,7 +491,9 @@ pub(crate) fn eval_statements(
     // The rank belongs to the context: a group that shifts along a split
     // dimension runs the §V halo schedule, which launches through
     // `launch_statements` itself.
-    let halo = ctx.attached_rank().filter(|mr| stmts.iter().any(|(_, e)| mr.crosses_ranks(e)));
+    let halo = ctx
+        .attached_rank()
+        .filter(|mr| stmts.iter().any(|s| mr.crosses_ranks(&s.sig)));
     if let Some(mr) = halo {
         if subset != Subset::All || stream != StreamId::DEFAULT {
             return Err(CoreError::Msg(
@@ -468,25 +502,26 @@ pub(crate) fn eval_statements(
                     .into(),
             ));
         }
-        return mr.eval_halo(stmts, reduce);
+        return mr.eval_halo(stmts);
     }
-    launch_statements(ctx, stmts, reduce, SiteSel::Subset(subset), stream, None, 0)
+    launch_statements(ctx, stmts, SiteSel::Subset(subset), stream, None, 0)
 }
 
-/// The one statement→kernel launch path: walk and key the group once →
-/// keyed kernel lookup → page-in → marshal → tuned launch → dirty marks.
-/// A warm key goes from the map probe straight to marshalling; planning,
-/// naming, PTX generation and the text-keyed JIT cache run on a miss only.
-/// The kernel is planned at the context's optimizer level; `remote` carries
-/// the §V receive buffers of a halo-schedule launch, whose kernel reads a
-/// face message for each shift along a split dimension of the attached
-/// rank grid (its group has no nested shifts: `MultiRank::eval_halo`
-/// materialises them first). The last `reduce` statements write their
-/// partials from slot `partial_base` on, one per warp of the launch.
+/// The one statement→kernel launch path: key the group by concatenating
+/// its statements' recorded signatures → keyed kernel lookup → page-in →
+/// marshal → tuned launch → dirty marks. No expression is walked: a warm
+/// key goes from the map probe straight to marshalling; the text key,
+/// planning, naming, PTX generation and the text-keyed JIT cache run on a
+/// miss only. The kernel is planned at the context's optimizer level;
+/// `remote` carries the §V receive buffers of a halo-schedule launch, whose
+/// kernel reads a face message for each shift along a split dimension of
+/// the attached rank grid (its group has no nested shifts:
+/// `MultiRank::eval_halo` materialises them first). The reductions, last
+/// in the group, write their partials from slot `partial_base` on, one per
+/// warp of the launch.
 pub(crate) fn launch_statements(
     ctx: &QdpContext,
-    stmts: &[(FieldRef, &Expr)],
-    reduce: usize,
+    stmts: &[Stmt],
     sel: SiteSel,
     stream: StreamId,
     remote: Option<&RemoteEnv>,
@@ -496,7 +531,8 @@ pub(crate) fn launch_statements(
     let split = remote
         .and_then(|_| ctx.attached_rank())
         .map_or([false; 4], |mr| mr.split_dims());
-    let group = KeyedGroup::new(ctx, stmts, reduce, subset_mapped, split);
+    let reduce = stmts.iter().any(|s| s.reduce);
+    let group = KeyedGroup::new(ctx, stmts, subset_mapped, split);
     let sig = &group.sig;
     let tel = ctx.telemetry();
     let span_name = if stmts.len() == 1 { "eval" } else { "eval_fused" };
@@ -508,7 +544,7 @@ pub(crate) fn launch_statements(
         let plan = group.plan(ctx, stmts)?;
         let ptx = {
             let _cg = tel.span("eval", "codegen");
-            let exprs: Vec<&Expr> = stmts.iter().map(|(_, e)| *e).collect();
+            let exprs: Vec<&Expr> = stmts.iter().map(|s| &*s.expr).collect();
             render_statements(&plan, &exprs, &plan.name)?
         };
         let req = CompileRequest::new(&ptx).name(&plan.name);
@@ -517,7 +553,7 @@ pub(crate) fn launch_statements(
 
     // Page in the working set (every target, then the leaves) — the §IV
     // walk.
-    let mut ids: Vec<u64> = stmts.iter().map(|(t, _)| t.id).collect();
+    let mut ids: Vec<u64> = stmts.iter().map(|s| s.target.id).collect();
     ids.extend(sig.leaves.iter().map(|l| l.id));
     let ptrs = ctx.cache().assure_on_device(&ids)?;
 
@@ -551,7 +587,7 @@ pub(crate) fn launch_statements(
         }
     }
     args.push(LaunchArg::U32(n_threads as u32));
-    if reduce > 0 {
+    if reduce {
         args.push(LaunchArg::U32(partial_base as u32));
     }
     if let Some(t) = site_tbl {
@@ -568,10 +604,8 @@ pub(crate) fn launch_statements(
 
     let site_stride = match ctx.layout() {
         LayoutKind::SoA => 1,
-        LayoutKind::AoS => group
-            .metas
-            .iter()
-            .map(|m| m.target_shape.n_reals())
+        LayoutKind::AoS => (stmts.iter())
+            .map(|s| TypeShape::of(s.target.kind).n_reals())
             .max()
             .unwrap_or(1),
     };
@@ -585,8 +619,8 @@ pub(crate) fn launch_statements(
         ctx.payload_execution(),
         stream,
     )?;
-    for (t, _) in stmts {
-        ctx.cache().mark_device_dirty(t.id)?;
+    for s in stmts {
+        ctx.cache().mark_device_dirty(s.target.id)?;
     }
     span.end_with_sim(ctx.device().stream_now(stream));
 
@@ -597,7 +631,7 @@ pub(crate) fn launch_statements(
         threads: n_threads,
         bandwidth: outcome.timing.bandwidth,
         flops_rate: outcome.timing.flops_rate,
-        partials: if reduce > 0 {
+        partials: if reduce {
             n_threads.div_ceil(WARP)
         } else {
             0
@@ -727,9 +761,11 @@ pub fn eval_reference(
 /// the issuing thread's stream (see the substitution note in DESIGN.md),
 /// then each buffer's partials are combined on the host side of the
 /// simulator ([`pairwise_sums`]) — batching merges only the accounting, so
-/// values are bit-identical to reducing the buffers one at a time. On a
-/// context with an attached rank the sums are then allreduced (once per
-/// batch): every rank returns the global sums, bit-identical across ranks.
+/// values are bit-identical to reducing the buffers one at a time. With
+/// payload execution off no kernel wrote the partials, so none is read:
+/// every sum is `+0.0`, with the same accounting. On a context with an
+/// attached rank the sums are then allreduced (once per batch): every rank
+/// returns the global sums, bit-identical across ranks.
 pub(crate) fn reduce_batch(
     ctx: &QdpContext,
     temps: &[(FieldRef, usize, usize)],
@@ -756,11 +792,13 @@ pub(crate) fn reduce_batch(
     }
 
     let mem = ctx.device().memory();
+    let payload = ctx.payload_execution();
     let mut out: Vec<Vec<f64>> = temps
         .iter()
         .zip(&ptrs)
-        .map(|(&(_, n_comp, written), &ptr)| {
-            mem.with_f64s(ptr, written * n_comp, |v| pairwise_sums(v, n_comp))
+        .map(|(&(_, n_comp, written), &ptr)| match payload {
+            true => mem.with_f64s(ptr, written * n_comp, |v| pairwise_sums(v, n_comp)),
+            false => vec![0.0; n_comp],
         })
         .collect();
     // On an attached context the batch's partial sums become global sums
@@ -782,7 +820,7 @@ pub(crate) fn reduce_batch(
 /// over the launch's threads in thread order, split at powers of two —
 /// site order for the whole lattice, table order for a subset — with
 /// `+0.0` for threads past the last site; nothing in it depends on the
-/// block size, the tile, the thread count or payload execution. Each sum
+/// block size, the tile or the thread count. Each sum
 /// takes at most 5 + ⌈log₂⌈n/32⌉⌉ roundings per value. Which NaN an add of
 /// two NaNs returns is up to the compiled code, so a NaN sum is returned as
 /// the one canonical quiet NaN; no partials sum to `+0.0`.

@@ -33,13 +33,14 @@
 //! the face kernel runs. All comm primitives return structured errors
 //! ([`CoreError::Comm`]) so an injected rank failure is recoverable.
 
+use crate::codegen::fuse::Stmt;
 use crate::context::{QdpContext, TableKey};
 use crate::eval::{self, CoreError, EvalReport, RemoteEnv, SiteSel};
 use qdp_comm::cluster::RankHandle;
 use qdp_expr::{Expr, FieldRef, KernelSignature, ShiftDir};
 use qdp_gpu_sim::StreamId;
 use qdp_layout::{Decomposition, Dir, FieldLayout, Geometry, RankGrid, Subset};
-use qdp_types::{FloatType, TypeShape};
+use qdp_types::FloatType;
 use std::sync::Arc;
 
 pub(crate) fn to_dir(d: ShiftDir) -> Dir {
@@ -69,23 +70,17 @@ pub struct FaceMessage {
     pub bytes: usize,
 }
 
-/// The halo messages of a statement group: one per shift of the group's
-/// shift list (`KernelSignature::shifts`) along a dimension `split` marks,
-/// in that order. Each leaf any statement reads under the shift has one
-/// slab.
+/// The halo messages of a statement group, read off its concatenated
+/// signature: one per shift of the group's shift list along a dimension
+/// `split` marks, in that order. Each leaf any statement reads under the
+/// shift has one slab.
 pub(crate) fn face_messages(
-    stmts: &[(FieldRef, &Expr)],
-    shifts: &[(usize, ShiftDir)],
+    sig: &KernelSignature,
     split: [bool; 4],
     geom: &Geometry,
 ) -> Vec<FaceMessage> {
     let message = |mu: usize, dir: ShiftDir| {
-        let mut leaves: Vec<FieldRef> = Vec::new();
-        for leaf in stmts.iter().flat_map(|(_, e)| e.leaves_under_shift(mu, dir)) {
-            if !leaves.iter().any(|l| l.id == leaf.id) {
-                leaves.push(leaf);
-            }
-        }
+        let mut leaves: Vec<FieldRef> = sig.leaves_under(mu, dir).collect();
         // stable: equal widths keep visiting order
         leaves.sort_by_key(|l| std::cmp::Reverse(l.ft.size_bytes()));
         let face_vol = geom.face_vol(mu);
@@ -106,7 +101,7 @@ pub(crate) fn face_messages(
             bytes,
         }
     };
-    shifts
+    sig.shifts
         .iter()
         .filter(|&&(mu, _)| split[mu])
         .map(|&(mu, dir)| message(mu, dir))
@@ -187,75 +182,70 @@ impl MultiRank {
         self.grid.split_dims()
     }
 
-    /// Does `expr` shift along a dimension split across ranks — i.e. does
-    /// evaluating it need the halo schedule?
-    pub(crate) fn crosses_ranks(&self, expr: &Expr) -> bool {
-        expr.has_shift(|mu, _| self.decomp().is_split(mu))
+    /// Does a statement with signature `sig` shift along a dimension split
+    /// across ranks — i.e. does evaluating it need the halo schedule?
+    pub(crate) fn crosses_ranks(&self, sig: &KernelSignature) -> bool {
+        sig.shifts.iter().any(|&(mu, _)| self.decomp().is_split(mu))
     }
 
-    /// Materialise nested shifts into temporaries (returns rewritten
-    /// expression and the temp field ids to free afterwards).
+    /// Materialise nested shifts into temporaries: the rewritten
+    /// expression, and whether it contains a shift. The temporaries' field
+    /// ids are pushed onto `temps`, to be freed afterwards.
     fn materialize_nested(
         &self,
         e: &Expr,
         temps: &mut Vec<u64>,
-    ) -> Result<Expr, CoreError> {
+    ) -> Result<(Expr, bool), CoreError> {
+        let mut under = |c: &Expr| self.materialize_nested(c, temps);
         Ok(match e {
             Expr::Shift { mu, dir, child } => {
-                let c = self.materialize_nested(child, temps)?;
-                let c = if c.has_shift(|_, _| true) {
+                let (c, shifted) = under(child)?;
+                let c = if shifted {
                     // evaluate the shifted subexpression into a temporary
-                    let kind = c.kind()?;
-                    let ft = c.float_type();
-                    let shape = TypeShape::of(kind);
-                    let bytes =
-                        self.ctx.geometry().vol() * shape.n_reals() * ft.size_bytes();
-                    let id = self.ctx.cache().register(bytes);
-                    temps.push(id);
-                    let tref = FieldRef { id, kind, ft };
-                    eval::eval_statements(
-                        &self.ctx,
-                        &[(tref, &c)],
-                        0,
-                        Subset::All,
-                        StreamId::DEFAULT,
-                    )?;
-                    Expr::Field(tref)
+                    let t = Stmt::temporary(&self.ctx, c, StreamId::DEFAULT)?;
+                    temps.push(t.target.id);
+                    eval::eval_statements(&self.ctx, std::slice::from_ref(&t))?;
+                    Expr::Field(t.target)
                 } else {
                     c
                 };
-                Expr::Shift {
+                let shift = Expr::Shift {
                     mu: *mu,
                     dir: *dir,
                     child: Box::new(c),
-                }
+                };
+                (shift, true)
             }
             Expr::Unary(op, c) => {
-                Expr::Unary(*op, Box::new(self.materialize_nested(c, temps)?))
+                let (c, shifted) = under(c)?;
+                (Expr::Unary(*op, Box::new(c)), shifted)
             }
-            Expr::Binary(op, a, b) => Expr::Binary(
-                *op,
-                Box::new(self.materialize_nested(a, temps)?),
-                Box::new(self.materialize_nested(b, temps)?),
-            ),
-            Expr::GammaMul { gamma, child } => Expr::GammaMul {
-                gamma: *gamma,
-                child: Box::new(self.materialize_nested(child, temps)?),
-            },
-            Expr::SpinProject { proj, child } => Expr::SpinProject {
-                proj: *proj,
-                child: Box::new(self.materialize_nested(child, temps)?),
-            },
-            Expr::SpinReconstruct { proj, child } => Expr::SpinReconstruct {
-                proj: *proj,
-                child: Box::new(self.materialize_nested(child, temps)?),
-            },
-            Expr::CloverApply { diag, tri, child } => Expr::CloverApply {
-                diag: *diag,
-                tri: *tri,
-                child: Box::new(self.materialize_nested(child, temps)?),
-            },
-            other => other.clone(),
+            Expr::Binary(op, a, b) => {
+                let (a, sa) = under(a)?;
+                let (b, sb) = under(b)?;
+                (Expr::Binary(*op, Box::new(a), Box::new(b)), sa || sb)
+            }
+            Expr::GammaMul { gamma, child } => {
+                let (c, shifted) = under(child)?;
+                let gamma = *gamma;
+                (Expr::GammaMul { gamma, child: Box::new(c) }, shifted)
+            }
+            Expr::SpinProject { proj, child } => {
+                let (c, shifted) = under(child)?;
+                let proj = *proj;
+                (Expr::SpinProject { proj, child: Box::new(c) }, shifted)
+            }
+            Expr::SpinReconstruct { proj, child } => {
+                let (c, shifted) = under(child)?;
+                let proj = *proj;
+                (Expr::SpinReconstruct { proj, child: Box::new(c) }, shifted)
+            }
+            Expr::CloverApply { diag, tri, child } => {
+                let (c, shifted) = under(child)?;
+                let (diag, tri) = (*diag, *tri);
+                (Expr::CloverApply { diag, tri, child: Box::new(c) }, shifted)
+            }
+            Expr::Field(_) | Expr::Scalar { .. } => (e.clone(), false),
         })
     }
 
@@ -274,27 +264,19 @@ impl MultiRank {
     /// issue the structurally identical group. Nested shifts are
     /// materialised into temporaries first and the rewritten group goes
     /// back through `eval_statements`, which finds out whether it still
-    /// needs the halo schedule. The last `reduce` statements are
-    /// reductions: each launch of the schedule writes its own consecutive
-    /// range of their partials.
-    pub(crate) fn eval_halo(
-        &self,
-        stmts: &[(FieldRef, &Expr)],
-        reduce: usize,
-    ) -> Result<EvalReport, CoreError> {
-        if !stmts.iter().any(|(_, e)| e.has_nested_shift()) {
-            return self.eval_flat(stmts, reduce);
+    /// needs the halo schedule. The group's reductions come last: each
+    /// launch of the schedule writes its own consecutive range of their
+    /// partials.
+    pub(crate) fn eval_halo(&self, stmts: &[Stmt]) -> Result<EvalReport, CoreError> {
+        if !stmts.iter().any(|s| s.sig.nested_shift) {
+            return self.eval_flat(stmts);
         }
         let mut temps = Vec::new();
         let result = stmts
             .iter()
-            .map(|(_, e)| self.materialize_nested(e, &mut temps))
-            .collect::<Result<Vec<Expr>, _>>()
-            .and_then(|exprs| {
-                let flat: Vec<(FieldRef, &Expr)> =
-                    stmts.iter().zip(&exprs).map(|(&(t, _), e)| (t, e)).collect();
-                eval::eval_statements(&self.ctx, &flat, reduce, Subset::All, StreamId::DEFAULT)
-            });
+            .map(|s| Ok(s.with_expr(self.materialize_nested(&s.expr, &mut temps)?.0)))
+            .collect::<Result<Vec<Stmt>, CoreError>>()
+            .and_then(|flat| eval::eval_statements(&self.ctx, &flat));
         for id in temps {
             self.ctx.cache().unregister(id);
         }
@@ -303,20 +285,17 @@ impl MultiRank {
 
     /// The schedule proper, for a group without nested shifts: gather and
     /// send one message per split face, then run the site plan around the
-    /// receives.
-    fn eval_flat(
-        &self,
-        stmts: &[(FieldRef, &Expr)],
-        reduce: usize,
-    ) -> Result<EvalReport, CoreError> {
+    /// receives. The group's tables are its statements' signatures
+    /// concatenated.
+    fn eval_flat(&self, stmts: &[Stmt]) -> Result<EvalReport, CoreError> {
         let geom = self.ctx.geometry().clone();
         let mut sig = KernelSignature::default();
-        for (_, e) in stmts {
-            sig.push(e, &mut ());
+        for s in stmts {
+            sig.append(&s.sig);
         }
-        let messages = face_messages(stmts, &sig.shifts, self.split_dims(), &geom);
+        let messages = face_messages(&sig, self.split_dims(), &geom);
         debug_assert!(
-            !messages.is_empty() && !stmts.iter().any(|(_, e)| e.has_nested_shift()),
+            !messages.is_empty() && !sig.nested_shift,
             "a flat halo group shifts along a split dimension and has no nested shift"
         );
 
@@ -340,7 +319,7 @@ impl MultiRank {
         // fork event below covers the whole working set.
         let mut ids: Vec<u64> = leaves.iter().map(|l| l.id).collect();
         if self.overlap {
-            ids.extend(stmts.iter().map(|(t, _)| t.id));
+            ids.extend(stmts.iter().map(|s| s.target.id));
         }
         let ptrs = self.ctx.cache().assure_on_device(&ids)?;
         let leaf_ptr = |leaf: &FieldRef| {
@@ -453,7 +432,7 @@ impl MultiRank {
                     None => SiteSel::Subset(Subset::All),
                 };
                 let ctx = &self.ctx;
-                eval::launch_statements(ctx, stmts, reduce, sel, stream, Some(&remote), base)
+                eval::launch_statements(ctx, stmts, sel, stream, Some(&remote), base)
             };
 
             // The site plan. With overlap, the inner sites run on the compute
@@ -590,10 +569,15 @@ mod tests {
             let remote: RemoteEnv = [((0, ShiftDir::Forward), halo)].into_iter().collect();
             let alone = |key: TableKey| {
                 let (ptr, len) = ctx.pinned_table(key, StreamId::DEFAULT).unwrap();
+                let stmt = Stmt::new(
+                    out.fref(),
+                    std::borrow::Cow::Borrowed(e.raw()),
+                    Subset::All,
+                    StreamId::DEFAULT,
+                );
                 eval::launch_statements(
                     &ctx,
-                    &[(out.fref(), e.raw())],
-                    0,
+                    &[stmt],
                     SiteSel::List { ptr, len },
                     StreamId::DEFAULT,
                     Some(&remote),

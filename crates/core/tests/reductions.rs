@@ -503,3 +503,84 @@ fn reduction_scratch_on_a_junk_range_reads_no_junk() {
         same_bits(&format!("norm2 {subset:?} over junk"), got, want);
     }
 }
+
+/// The sums, the simulated clock after them and the allreduces counted,
+/// of `norm2`, `inner_product` and a three-field `norm2_batch` — immediate
+/// and through a deferred scope — on a fresh context with telemetry on.
+fn payload_reductions(ctx: &Arc<QdpContext>, rank: usize) -> (Vec<f64>, f64, u64) {
+    let field = |k: f64| {
+        LatticeComplex::<f64>::from_fn(ctx, |s| {
+            let s = (s + 100 * rank) as f64;
+            PScalar(PScalar(Complex::new(0.5 + k * s, 1.0 - s / 7.0)))
+        })
+    };
+    let (a, b, c) = (field(0.25), field(-1.5), field(3.0));
+    let t0 = ctx.device().now();
+    let ip = reduce_inner_product(ctx, &a.q(), &b.q(), Subset::All).unwrap();
+    let mut sums = vec![a.norm2().unwrap(), ip.re, ip.im];
+    let mut scope = ctx.deferred();
+    sums.push(scope.norm2(&c).unwrap());
+    sums.extend(scope.norm2_batch(&[&a, &b, &c]).unwrap());
+    let ip = scope.inner_product(&a.q(), &c.q()).unwrap();
+    sums.extend([ip.re, ip.im]);
+    drop(scope);
+    ctx.device().sync();
+    let allreduces = ctx.profile_report().counter("comm.allreduces");
+    (sums, ctx.device().now() - t0, allreduces)
+}
+
+fn profiled(geom: Geometry, payload: bool) -> Arc<QdpContext> {
+    let tel = Arc::new(qdp_telemetry::Telemetry::new());
+    tel.enable();
+    let ctx = QdpContext::builder(geom).telemetry(tel).build();
+    ctx.set_payload_execution(payload);
+    ctx
+}
+
+/// With payload execution off no kernel writes a partial, so none is read:
+/// every sum is `+0.0`, while the simulated clock advances exactly as with
+/// payload on — the second pass is still accounted.
+#[test]
+fn payload_off_reductions_are_zero_on_the_same_clock() {
+    let (on, clock_on, _) = payload_reductions(&profiled(Geometry::symmetric(4), true), 0);
+    let (off, clock_off, _) = payload_reductions(&profiled(Geometry::symmetric(4), false), 0);
+    assert!(on.iter().all(|s| *s != 0.0), "{on:?}");
+    assert!(off.iter().all(|s| s.to_bits() == 0), "{off:?}");
+    assert_eq!(off.len(), on.len());
+    assert_eq!(clock_off.to_bits(), clock_on.to_bits());
+}
+
+/// On a `[2,1,1,1]` rank grid a payload-off batch still allreduces once,
+/// as with payload on, and every rank returns `+0.0`.
+#[test]
+fn payload_off_reductions_allreduce_once_per_batch() {
+    let global = [8usize, 4, 4, 4];
+    let runs = qdp_comm::run_cluster(2, qdp_comm::LinkModel::infiniband_qdr(), move |handle| {
+        let decomp = qdp_layout::Decomposition::new(global, [2, 1, 1, 1]);
+        let rank = handle.rank;
+        let (on, off) = (true, false);
+        let ctx = profiled(decomp.local_geometry(), on);
+        let _rank = qdp_core::multinode::MultiRank::new(
+            Arc::clone(&ctx),
+            decomp.clone(),
+            handle,
+            true,
+            true,
+        );
+        let with = payload_reductions(&ctx, rank);
+        ctx.set_payload_execution(off);
+        let before = ctx.profile_report().counter("comm.allreduces");
+        let (sums, clock, count) = payload_reductions(&ctx, rank);
+        (with, (sums, clock, count - before))
+    });
+    for ((on, clock_on, count_on), (off, clock_off, count_off)) in runs {
+        assert_eq!(
+            count_on, 5,
+            "one allreduce per batch: norm2, ⟨a,b⟩, three scope flushes"
+        );
+        assert_eq!(count_off, count_on);
+        assert!(on.iter().all(|s| *s != 0.0), "{on:?}");
+        assert!(off.iter().all(|s| s.to_bits() == 0), "{off:?}");
+        assert!(clock_off > 0.0 && clock_on > 0.0);
+    }
+}

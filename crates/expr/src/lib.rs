@@ -19,15 +19,19 @@
 //! * **structural keys** ([`Expr::kernel_key`]) — two expressions with the
 //!   same structure share one generated kernel (scalar values are kernel
 //!   *parameters*, so CG iterations with changing α, β reuse kernels);
-//! * all of the above from **one traversal** ([`KernelSignature`]) — a
-//!   kernel's statement group is walked once, and the walk yields the key
-//!   together with the leaf table, shift list and scalars of the launch.
-//!   The key goes to a [`KeySink`]: a `String` when keying, `()` when only
-//!   the tables are wanted, so a plain query builds no key;
+//! * all of the above from **one traversal** ([`KernelSignature::of`]) — a
+//!   statement is walked once, when it is recorded, and the walk yields the
+//!   key as an exact token sequence together with the leaf table, shift
+//!   list, scalars and the leaves each shift reads. A group's signature is
+//!   its statements' signatures concatenated ([`KernelSignature::append`]),
+//!   with no walk; the text key is a rendering of the tokens
+//!   ([`KernelSignature::write_key`] into a [`KeySink`]), written only when
+//!   a kernel is built;
 //! * short-circuiting **predicates** ([`Expr::float_type`],
 //!   [`Expr::has_shift`], [`Expr::reads_under_shift`],
 //!   [`Expr::has_nested_shift`]) — one walk each that allocates nothing and
-//!   stops at the first hit;
+//!   stops at the first hit; the last three are independent references the
+//!   signature tests check a recorded [`KernelSignature`] against;
 //! * **type inference** ([`Expr::shape`]) — result kinds follow the QDP++
 //!   multiplication rules for the nested spin ⊗ color ⊗ complex types.
 
@@ -386,46 +390,13 @@ impl Expr {
         self.any_node(&mut |e, shifts| shifts > 0 && e.reads().any(|r| r.id == id))
     }
 
-    /// The field leaves read under a shift that `pick` selects —
-    /// deduplicated, in visiting order.
-    fn leaves_under(&self, pick: &dyn Fn(usize, ShiftDir) -> bool) -> Vec<FieldRef> {
-        fn walk(
-            e: &Expr,
-            under: bool,
-            pick: &dyn Fn(usize, ShiftDir) -> bool,
-            out: &mut Vec<FieldRef>,
-        ) {
-            if under {
-                for r in e.reads() {
-                    if !out.iter().any(|x| x.id == r.id) {
-                        out.push(*r);
-                    }
-                }
-            }
-            let under = under || matches!(e, Expr::Shift { mu, dir, .. } if pick(*mu, *dir));
-            for c in e.children().into_iter().flatten() {
-                walk(c, under, pick, out);
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, false, pick, &mut out);
-        out
-    }
-
-    /// The field leaves referenced *under* shifts in `(mu, dir)` — the only
-    /// data a halo exchange for that shift must move (§V). Deduplicated, in
-    /// visiting order.
-    pub fn leaves_under_shift(&self, mu: usize, dir: ShiftDir) -> Vec<FieldRef> {
-        self.leaves_under(&|m, d| m == mu && d == dir)
-    }
-
     /// The field leaves read under *any* shift, whatever its direction —
     /// deduplicated, in visiting order. The fusion planner's hazard set: a
     /// shifted read observes neighbouring sites, so it must never read a
     /// field written earlier in the same fused kernel (another thread may
     /// not have produced that site yet).
     pub fn leaves_under_any_shift(&self) -> Vec<FieldRef> {
-        self.leaves_under(&|_, _| true)
+        KernelSignature::of(self).hazards().collect()
     }
 
     /// All shift `(mu, dir)` pairs in the expression, deduplicated — what
@@ -448,19 +419,24 @@ impl Expr {
     /// `r = r - alpha*v` maps to one kernel.
     pub fn kernel_key(&self) -> String {
         let mut key = String::new();
-        KernelSignature::default().push(self, &mut key);
+        KernelSignature::of(self).write_key(|slot| slot, &mut key);
         key
     }
 }
 
-/// What one kernel's statement group contributes to the kernel's identity
-/// and to its launch, derived by **one** traversal per statement: push the
-/// statements in order and the walk writes each structural key while it
-/// fills the group's leaf table, shift list and scalar list. Field leaves
-/// are numbered by their slot in the *group's* leaf table, so two groups
-/// share a key only when every statement reads the same slots —
-/// `{r = a+b; t = 2*a}` and `{r = a+b; t = 2*b}` differ. The per-expression
-/// walkers of [`Expr`] are views of a group of one.
+/// What a statement — or a kernel's group of statements — contributes to
+/// the kernel's identity and to its launch, derived by **one** traversal
+/// per statement ([`KernelSignature::of`]): the structural key as tokens,
+/// with field leaves numbered in the statement's own leaf table, and in
+/// the same pass the leaf table, shift list, scalars, the leaves each
+/// shift reads and whether any shift nests. A group is the concatenation
+/// of its statements' signatures ([`KernelSignature::append`]): tables
+/// merge, and each statement's tokens are followed by the map from its
+/// leaf slots to the group's, so two groups share a key only when every
+/// statement reads the same group slots — `{r = a+b; t = 2*a}` and
+/// `{r = a+b; t = 2*b}` differ. The text key ([`KernelSignature::write_key`])
+/// is a rendering of the tokens; the per-expression walkers of [`Expr`]
+/// are views of a group of one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelSignature {
     /// Field leaves in first-visit order over all statements, deduplicated
@@ -473,116 +449,331 @@ pub struct KernelSignature {
     pub scalars: Vec<(f64, f64)>,
     /// For each entry of `scalars`: is it complex?
     pub scalar_complex: Vec<bool>,
+    /// The structural key, exactly: each statement's nodes in preorder, a
+    /// tag word per node followed by its operand words (leaf slots, `mu`,
+    /// gamma columns), leaves numbered in the statement's own table — and,
+    /// in a group built by [`KernelSignature::append`], each statement's
+    /// nodes followed by its leaf map into [`KernelSignature::leaves`].
+    /// Equal tokens ⇔ equal text keys.
+    pub tokens: Vec<u32>,
+    /// `(shift, leaf)` index pairs into `shifts` and `leaves`: every leaf
+    /// read below each shift, deduplicated per shift, in visiting order —
+    /// the slabs of a face message (§V) and the fusion planner's hazards.
+    pub shifted: Vec<(u32, u32)>,
+    /// Some shift lies below another ("next-to-nearest neighbour"), which
+    /// the halo schedule materialises first (§V).
+    pub nested_shift: bool,
 }
 
 impl KernelSignature {
-    /// The signature of the single statement `expr`, without its key.
+    /// The signature of the single statement `expr`: the one walk.
     pub fn of(expr: &Expr) -> KernelSignature {
-        let mut sig = KernelSignature::default();
-        sig.push(expr, &mut ());
+        // Sized for a Wilson dslash (106 tokens, 5 leaves, 8 shifts), so
+        // the walk allocates each table it needs once; a statement without
+        // shifts or scalars allocates no table for them.
+        let mut sig = KernelSignature {
+            tokens: Vec::with_capacity(128),
+            leaves: Vec::with_capacity(8),
+            ..KernelSignature::default()
+        };
+        sig.walk(expr, &mut Vec::new());
         sig
     }
 
-    /// Walk the next statement of the group: append its structural key to
-    /// `key` (`&mut ()` for none), extend the tables, and return the
-    /// precision its leaves promote to (F64 if any is F64, §III-D; scalars
-    /// don't promote).
-    pub fn push(&mut self, expr: &Expr, key: &mut impl KeySink) -> FloatType {
-        let mut ft = FloatType::F32;
-        self.walk(expr, key, &mut ft);
-        ft
+    /// Append one statement's signature (from [`KernelSignature::of`]) to
+    /// this group without walking anything: leaves and shifts merge, scalars
+    /// concatenate, and the tokens gain the statement's tokens and its leaf
+    /// map, which is returned — for each statement slot, the group slot.
+    pub fn append(&mut self, stmt: &KernelSignature) -> &[u32] {
+        self.tokens.reserve(stmt.tokens.len() + stmt.leaves.len());
+        self.leaves.reserve(stmt.leaves.len());
+        self.shifts.reserve(stmt.shifts.len());
+        self.shifted.reserve(stmt.shifted.len());
+        self.scalars.reserve(stmt.scalars.len());
+        self.scalar_complex.reserve(stmt.scalar_complex.len());
+        self.tokens.extend_from_slice(&stmt.tokens);
+        let map_at = self.tokens.len();
+        for leaf in &stmt.leaves {
+            let slot = self.slot(leaf);
+            self.tokens.push(slot);
+        }
+        for sh in &stmt.shifts {
+            if !self.shifts.contains(sh) {
+                self.shifts.push(*sh);
+            }
+        }
+        for &(s, l) in &stmt.shifted {
+            let sh = stmt.shifts[s as usize];
+            let s = self.shifts.iter().position(|&x| x == sh);
+            let pair = (word(s.expect("merged above")), self.tokens[map_at + l as usize]);
+            if !self.shifted.contains(&pair) {
+                self.shifted.push(pair);
+            }
+        }
+        self.nested_shift |= stmt.nested_shift;
+        self.scalars.extend_from_slice(&stmt.scalars);
+        self.scalar_complex.extend_from_slice(&stmt.scalar_complex);
+        &self.tokens[map_at..]
     }
 
-    fn slot(&mut self, r: &FieldRef, ft: &mut FloatType) -> usize {
-        if r.ft == FloatType::F64 {
-            *ft = FloatType::F64;
+    /// The precision the leaves promote to: F64 if any is F64 (§III-D);
+    /// scalars don't promote.
+    pub fn float_type(&self) -> FloatType {
+        if self.leaves.iter().any(|l| l.ft == FloatType::F64) {
+            FloatType::F64
+        } else {
+            FloatType::F32
         }
+    }
+
+    /// The leaves read under any shift, deduplicated, in visiting order.
+    pub fn hazards(&self) -> impl Iterator<Item = FieldRef> + '_ {
+        let seen = |i: usize, l: u32| self.shifted[..i].iter().any(|&(_, m)| m == l);
+        self.shifted
+            .iter()
+            .enumerate()
+            .filter(move |&(i, &(_, l))| !seen(i, l))
+            .map(|(_, &(_, l))| self.leaves[l as usize])
+    }
+
+    /// The leaves read under shift `(mu, dir)`, deduplicated, in visiting
+    /// order — what a halo exchange for that shift must move (§V).
+    pub fn leaves_under(&self, mu: usize, dir: ShiftDir) -> impl Iterator<Item = FieldRef> + '_ {
+        let s = self.shifts.iter().position(|&x| x == (mu, dir)).map(word);
+        self.shifted
+            .iter()
+            .filter(move |&&(t, _)| Some(t) == s)
+            .map(|&(_, l)| self.leaves[l as usize])
+    }
+
+    /// Render a statement's key (a signature from [`KernelSignature::of`])
+    /// as text, leaf slot `i` printed as `slot(i)`: every piece a fixed
+    /// string or a decimal number, in the spelling `Debug` gives the node's
+    /// parts (the key bytes are what kernel names and persisted stores
+    /// hang on).
+    pub fn write_key(&self, slot: impl Fn(u32) -> u32, key: &mut impl KeySink) {
+        let mut at = 0;
+        while at < self.tokens.len() {
+            self.write_node(&mut at, &slot, key);
+        }
+    }
+
+    fn write_node(&self, at: &mut usize, slot: &impl Fn(u32) -> u32, key: &mut impl KeySink) {
+        let t = &self.tokens;
+        let (tag, arg) = (t[*at] & 0xff, t[*at] >> 8);
+        let operand = |k: usize| t[*at + k] as usize;
+        match tag {
+            tag::FIELD => {
+                key.put("f");
+                key.put_num(slot(t[*at + 1]) as usize);
+                key.put(field_suffix(KINDS[arg as usize & 0xf], FTS[arg as usize >> 4]));
+                *at += 2;
+            }
+            tag::SCALAR => {
+                key.put(if arg == 1 { "sc" } else { "sr" });
+                *at += 1;
+            }
+            tag::UNARY => {
+                key.put(unary_name(UNARY[arg as usize]));
+                *at += 1;
+                self.write_node(at, slot, key);
+                key.put(")");
+            }
+            tag::BINARY => {
+                key.put(binary_name(BINARY[arg as usize]));
+                *at += 1;
+                self.write_node(at, slot, key);
+                key.put(",");
+                self.write_node(at, slot, key);
+                key.put(")");
+            }
+            tag::SHIFT => {
+                key.put("Shift");
+                key.put_num(operand(1));
+                key.put(if arg == ShiftDir::Forward as u32 {
+                    "Forward("
+                } else {
+                    "Backward("
+                });
+                *at += 2;
+                self.write_node(at, slot, key);
+                key.put(")");
+            }
+            tag::GAMMA => {
+                let cols = t[*at + 1].to_le_bytes();
+                key.put("G");
+                let phases = std::array::from_fn(|r| PHASES[(arg as usize >> (2 * r)) & 3]);
+                put_gamma(key, cols, phases);
+                key.put("(");
+                *at += 2;
+                self.write_node(at, slot, key);
+                key.put(")");
+            }
+            tag::PROJECT | tag::RECONSTRUCT => {
+                key.put(if tag == tag::PROJECT { "P" } else { "R" });
+                key.put_num(operand(1));
+                key.put(if arg == ProjSign::Plus as u32 {
+                    "Plus("
+                } else {
+                    "Minus("
+                });
+                *at += 2;
+                self.write_node(at, slot, key);
+                key.put(")");
+            }
+            _ => {
+                debug_assert_eq!(tag, tag::CLOVER);
+                key.put("Clov(f");
+                key.put_num(slot(t[*at + 1]) as usize);
+                key.put(",f");
+                key.put_num(slot(t[*at + 2]) as usize);
+                key.put(",");
+                *at += 3;
+                self.write_node(at, slot, key);
+                key.put(")");
+            }
+        }
+    }
+
+    /// `r`'s slot in the leaf table, appending it on first sight.
+    fn slot(&mut self, r: &FieldRef) -> u32 {
         let known = self.leaves.iter().position(|l| l.id == r.id);
-        known.unwrap_or_else(|| {
+        word(known.unwrap_or_else(|| {
             self.leaves.push(*r);
             self.leaves.len() - 1
-        })
+        }))
     }
 
-    /// The one walker: every key piece is a fixed string or a decimal
-    /// number, written in the spelling `Debug` gives the node's parts (the
-    /// key bytes are what kernel names and persisted stores hang on).
-    fn walk(&mut self, e: &Expr, key: &mut impl KeySink, ft: &mut FloatType) {
+    /// Read `r` below the shifts `above` (indices into `shifts`): its slot.
+    fn read(&mut self, r: &FieldRef, above: &[u32]) -> u32 {
+        let slot = self.slot(r);
+        for &s in above {
+            if !self.shifted.contains(&(s, slot)) {
+                self.shifted.push((s, slot));
+            }
+        }
+        slot
+    }
+
+    /// The one walker: a tag word per node, then its operand words.
+    fn walk(&mut self, e: &Expr, above: &mut Vec<u32>) {
         match e {
             Expr::Field(r) => {
-                let s = self.slot(r, ft);
-                key.put("f");
-                key.put_num(s);
-                key.put(field_suffix(r.kind, r.ft));
+                let slot = self.read(r, above);
+                let kind_ft = r.kind as u32 | (r.ft as u32) << 4;
+                self.tokens.extend([tag::FIELD | kind_ft << 8, slot]);
             }
             Expr::Scalar { re, im, complex } => {
                 self.scalars.push((*re, *im));
                 self.scalar_complex.push(*complex);
-                key.put(if *complex { "sc" } else { "sr" });
+                self.tokens.push(tag::SCALAR | u32::from(*complex) << 8);
             }
             Expr::Unary(op, c) => {
-                key.put(unary_name(*op));
-                self.walk(c, key, ft);
-                key.put(")");
+                self.tokens.push(tag::UNARY | (*op as u32) << 8);
+                self.walk(c, above);
             }
             Expr::Binary(op, a, b) => {
-                key.put(binary_name(*op));
-                self.walk(a, key, ft);
-                key.put(",");
-                self.walk(b, key, ft);
-                key.put(")");
+                self.tokens.push(tag::BINARY | (*op as u32) << 8);
+                self.walk(a, above);
+                self.walk(b, above);
             }
             Expr::Shift { mu, dir, child } => {
-                if !self.shifts.contains(&(*mu, *dir)) {
-                    self.shifts.push((*mu, *dir));
+                if self.shifts.is_empty() {
+                    self.shifts.reserve(8);
+                    self.shifted.reserve(16);
+                    above.reserve(4);
                 }
-                key.put("Shift");
-                key.put_num(*mu);
-                key.put(match dir {
-                    ShiftDir::Forward => "Forward(",
-                    ShiftDir::Backward => "Backward(",
-                });
-                self.walk(child, key, ft);
-                key.put(")");
+                self.nested_shift |= !above.is_empty();
+                let s = self.shifts.iter().position(|&x| x == (*mu, *dir));
+                let s = word(s.unwrap_or_else(|| {
+                    self.shifts.push((*mu, *dir));
+                    self.shifts.len() - 1
+                }));
+                self.tokens.extend([tag::SHIFT | (*dir as u32) << 8, word(*mu)]);
+                above.push(s);
+                self.walk(child, above);
+                above.pop();
             }
             Expr::GammaMul { gamma, child } => {
-                key.put("G");
-                put_gamma(key, gamma);
-                key.put("(");
-                self.walk(child, key, ft);
-                key.put(")");
+                let phases = (0..4).map(|r| (gamma.phase[r] as u32) << (2 * r)).sum::<u32>();
+                let cols = u32::from_le_bytes(gamma.col);
+                self.tokens.extend([tag::GAMMA | phases << 8, cols]);
+                self.walk(child, above);
             }
             Expr::SpinProject { proj, child } | Expr::SpinReconstruct { proj, child } => {
-                key.put(match e {
-                    Expr::SpinProject { .. } => "P",
-                    _ => "R",
-                });
-                key.put_num(proj.mu);
-                key.put(match proj.sign {
-                    ProjSign::Plus => "Plus(",
-                    ProjSign::Minus => "Minus(",
-                });
-                self.walk(child, key, ft);
-                key.put(")");
+                let tag = match e {
+                    Expr::SpinProject { .. } => tag::PROJECT,
+                    _ => tag::RECONSTRUCT,
+                };
+                self.tokens.extend([tag | (proj.sign as u32) << 8, word(proj.mu)]);
+                self.walk(child, above);
             }
             Expr::CloverApply { diag, tri, child } => {
-                let (d, t) = (self.slot(diag, ft), self.slot(tri, ft));
-                key.put("Clov(f");
-                key.put_num(d);
-                key.put(",f");
-                key.put_num(t);
-                key.put(",");
-                self.walk(child, key, ft);
-                key.put(")");
+                let (d, t) = (self.read(diag, above), self.read(tri, above));
+                self.tokens.extend([tag::CLOVER, d, t]);
+                self.walk(child, above);
             }
         }
     }
 }
 
-/// Where [`KernelSignature::push`] writes a statement's structural key: a
-/// `String` appends it, `()` drops it — so the one walker also serves the
-/// key-less queries ([`Expr::leaves`], [`Expr::shifts`]) without building
-/// a key.
+/// The tag in the low byte of a node's first token word; the rest of the
+/// word holds the node's small operands (kind and precision, op, direction,
+/// sign, phases).
+mod tag {
+    pub const FIELD: u32 = 0;
+    pub const SCALAR: u32 = 1;
+    pub const UNARY: u32 = 2;
+    pub const BINARY: u32 = 3;
+    pub const SHIFT: u32 = 4;
+    pub const GAMMA: u32 = 5;
+    pub const PROJECT: u32 = 6;
+    pub const RECONSTRUCT: u32 = 7;
+    pub const CLOVER: u32 = 8;
+}
+
+/// A slot, `mu` or index as one token word.
+fn word(n: usize) -> u32 {
+    u32::try_from(n).expect("a key number fits in 32 bits")
+}
+
+/// The enums a token word stores by discriminant, in declaration order.
+const KINDS: [ElemKind; 8] = [
+    ElemKind::Real,
+    ElemKind::Complex,
+    ElemKind::Fermion,
+    ElemKind::HalfFermion,
+    ElemKind::ColorMatrix,
+    ElemKind::SpinMatrix,
+    ElemKind::CloverDiag,
+    ElemKind::CloverTriang,
+];
+const FTS: [FloatType; 2] = [FloatType::F32, FloatType::F64];
+const PHASES: [Phase; 4] = [Phase::One, Phase::I, Phase::MinusOne, Phase::MinusI];
+const UNARY: [UnaryOp; 12] = [
+    UnaryOp::Neg,
+    UnaryOp::Adj,
+    UnaryOp::Conj,
+    UnaryOp::Transpose,
+    UnaryOp::Trace,
+    UnaryOp::RealPart,
+    UnaryOp::ImagPart,
+    UnaryOp::TimesI,
+    UnaryOp::TimesMinusI,
+    UnaryOp::LocalNorm2,
+    UnaryOp::DiagFill,
+    UnaryOp::ExpM,
+];
+const BINARY: [BinaryOp; 5] = [
+    BinaryOp::Add,
+    BinaryOp::Sub,
+    BinaryOp::Mul,
+    BinaryOp::LocalInnerProduct,
+    BinaryOp::ColorOuter,
+];
+
+/// Where [`KernelSignature::write_key`] writes a statement's text key: a
+/// `String` appends it.
 pub trait KeySink {
     /// Append a fixed piece of the key.
     fn put(&mut self, s: &'static str);
@@ -603,14 +794,6 @@ impl KeySink for String {
         }
         self.push_str(DIGITS[n % 10]);
     }
-}
-
-impl KeySink for () {
-    #[inline]
-    fn put(&mut self, _: &'static str) {}
-
-    #[inline]
-    fn put_num(&mut self, _: usize) {}
 }
 
 /// `:{kind:?}:{precision tag}` — what follows a field leaf's slot.
@@ -664,14 +847,14 @@ fn binary_name(op: BinaryOp) -> &'static str {
     }
 }
 
-/// `[c0, c1, c2, c3][p0, p1, p2, p3]`: the gamma's columns and phases as
+/// `[c0, c1, c2, c3][p0, p1, p2, p3]`: a gamma's columns and phases as
 /// their arrays print.
-fn put_gamma(key: &mut impl KeySink, gamma: &Gamma) {
-    for (i, &c) in gamma.col.iter().enumerate() {
+fn put_gamma(key: &mut impl KeySink, col: [u8; 4], phase: [Phase; 4]) {
+    for (i, &c) in col.iter().enumerate() {
         key.put(if i == 0 { "[" } else { ", " });
         key.put_num(usize::from(c));
     }
-    for (i, p) in gamma.phase.iter().enumerate() {
+    for (i, p) in phase.iter().enumerate() {
         key.put(if i == 0 { "][" } else { ", " });
         key.put(match p {
             Phase::One => "One",
@@ -987,6 +1170,15 @@ mod tests {
     }
 
     #[test]
+    fn token_tables_follow_the_discriminants() {
+        assert!(KINDS.iter().enumerate().all(|(i, &k)| k as usize == i));
+        assert!(FTS.iter().enumerate().all(|(i, &f)| f as usize == i));
+        assert!(PHASES.iter().enumerate().all(|(i, &p)| p as usize == i));
+        assert!(UNARY.iter().enumerate().all(|(i, &op)| op as usize == i));
+        assert!(BINARY.iter().enumerate().all(|(i, &op)| op as usize == i));
+    }
+
+    #[test]
     fn key_numbers_are_decimal() {
         let mut key = String::new();
         for n in [0, 7, 10, 42, 1234] {
@@ -994,9 +1186,6 @@ mod tests {
             key.put(",");
         }
         assert_eq!(key, "0,7,10,42,1234,");
-        let mut none = ();
-        none.put_num(12);
-        none.put("dropped");
     }
 
     #[test]

@@ -75,9 +75,10 @@ fn single_statement_group_keys_are_pinned() {
         term(3)
     );
     let dslash = wilson_dslash_expr();
-    let mut sig = KernelSignature::default();
+    let sig = KernelSignature::of(&dslash);
     let mut key = String::new();
-    assert_eq!(sig.push(&dslash, &mut key), FloatType::F64);
+    sig.write_key(|slot| slot, &mut key);
+    assert_eq!(sig.float_type(), FloatType::F64);
     assert_eq!(key, dslash_key);
     assert_eq!(dslash.kernel_key(), dslash_key);
     let ids: Vec<u64> = sig.leaves.iter().map(|l| l.id).collect();
@@ -106,9 +107,13 @@ fn group_keys_number_leaves_in_the_group_table() {
     let twice = |id| Expr::Binary(BinaryOp::Mul, Box::new(Expr::real(2.0)), Box::new(u(id)));
     let group = |second: &Expr| {
         let mut sig = KernelSignature::default();
-        let mut keys = [String::new(), String::new()];
-        sig.push(&sum, &mut keys[0]);
-        sig.push(second, &mut keys[1]);
+        let keys = [&sum, second].map(|e| {
+            let stmt = KernelSignature::of(e);
+            let map = sig.append(&stmt);
+            let mut key = String::new();
+            stmt.write_key(|slot| map[slot as usize], &mut key);
+            key
+        });
         (sig, keys)
     };
     let (sig_a, keys_a) = group(&twice(1));

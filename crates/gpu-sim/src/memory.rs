@@ -27,8 +27,16 @@
 //! siblings) is checked once, from its first access to the end of its last
 //! (computed without wrapping), and then copied with no per-access check;
 //! a failed run panics with the message of its first access out of range,
-//! before it writes anything. Every raw-pointer access to device memory is
-//! in this module.
+//! before it writes anything. A gather through a column of site indices
+//! ([`Arena::gather_u64`], [`Arena::gather_u32`]) is checked once too: the
+//! caller passes an upper bound `hi` on the column, the span from the
+//! lowest to the end of the highest element the bound allows is checked
+//! (its top index computed without wrapping), and every index is clamped to
+//! `hi` before it is read — so the reads stay inside the checked span
+//! whatever the caller's bound, and memory safety never rests on the
+//! caller. A failed gather check reads nothing and reports it; the caller
+//! then takes the accesses one by one, through the per-access check. Every
+//! raw-pointer access to device memory is in this module.
 
 use crate::DeviceError;
 use crate::sync::Mutex;
@@ -450,6 +458,75 @@ impl Arena<'_> {
     pub fn write_run_u64(self, addr: u64, stride: u64, vals: impl ExactSizeIterator<Item = u64>) {
         self.write_run(addr, stride, vals.map(u64::to_le_bytes))
     }
+
+    /// `dst[l] = f(the N bytes of element min(sites[l] as u32, hi) + k)` of
+    /// the array of `N`-byte elements at `base`, for every `l`: a gather
+    /// through a site column whose entries are at most `hi`. It checks once
+    /// that `hi + k` does not wrap in u32 and that the span from element
+    /// `k` to the end of element `hi + k` lies in the arena, then reads
+    /// with no per-lane check; the clamp keeps every read inside that span
+    /// whatever the column holds. A failed check reads nothing and returns
+    /// false, and the caller takes the accesses one by one.
+    #[inline(always)]
+    fn gather<const N: usize>(
+        self,
+        base: u64,
+        k: u32,
+        hi: u32,
+        sites: &[Cell<u64>],
+        dst: &[Cell<u64>],
+        f: impl Fn([u8; N]) -> u64,
+    ) -> bool {
+        let Some(top) = hi.checked_add(k) else {
+            return false;
+        };
+        let size = N as u64;
+        let first = base.checked_add(u64::from(k) * size);
+        let end = base.checked_add(u64::from(top) * size + size);
+        match (first, end) {
+            (Some(first), Some(end)) if first != 0 && end <= self.len as u64 => {}
+            _ => return false,
+        }
+        let p = self.ptr.wrapping_add(base as usize);
+        for (d, s) in dst.iter().zip(sites) {
+            let i = (s.get() as u32).min(hi) + k;
+            // SAFETY: `k <= i <= hi + k`, and the span of elements `k ..=
+            // hi + k` at `base` was checked above to lie inside the arena;
+            // see the module safety model for concurrent access.
+            d.set(f(unsafe { read_at(p.add(i as usize * N)) }));
+        }
+        true
+    }
+
+    /// [`Arena::gather`] of `u32`s, zero-extended: `dst[l]` is the `u32` at
+    /// `base + (min(sites[l] as u32, hi) + k)·4`. False, with nothing read,
+    /// when the span is not in the arena or `hi + k` wraps.
+    #[inline(always)]
+    pub fn gather_u32(
+        self,
+        base: u64,
+        k: u32,
+        hi: u32,
+        sites: &[Cell<u64>],
+        dst: &[Cell<u64>],
+    ) -> bool {
+        self.gather(base, k, hi, sites, dst, |b| u32::from_le_bytes(b).into())
+    }
+
+    /// [`Arena::gather`] of `u64`s: `dst[l]` is the `u64` at
+    /// `base + (min(sites[l] as u32, hi) + k)·8`. False, with nothing read,
+    /// when the span is not in the arena or `hi + k` wraps.
+    #[inline(always)]
+    pub fn gather_u64(
+        self,
+        base: u64,
+        k: u32,
+        hi: u32,
+        sites: &[Cell<u64>],
+        dst: &[Cell<u64>],
+    ) -> bool {
+        self.gather(base, k, hi, sites, dst, u64::from_le_bytes)
+    }
 }
 
 /// The `N` bytes at `p`.
@@ -677,6 +754,50 @@ mod tests {
     /// past the end, or whose end overflows u64 panics with the message of
     /// its first access out of range — the one that access alone panics
     /// with — and a store run out of range writes nothing.
+    #[test]
+    fn arena_gathers_check_their_span_and_clamp() {
+        let m = DeviceMemory::new(1024);
+        let cap = m.capacity() as u64;
+        for i in 0..32 {
+            m.write_u64(256 + 8 * i, 1000 + i);
+        }
+        let a = m.arena();
+        let cells = |v: &[u64]| v.iter().map(|&x| Cell::new(x)).collect::<Vec<_>>();
+        let got = |d: &[Cell<u64>]| d.iter().map(Cell::get).collect::<Vec<_>>();
+        let sites = cells(&[5, 0, 3, 9]);
+        let dst = cells(&[0; 4]);
+        assert!(a.gather_u64(256, 2, 9, &sites, &dst));
+        assert_eq!(got(&dst), [1007, 1002, 1005, 1011]);
+        // An entry above the bound reads element `hi + k`: the clamp keeps
+        // every read inside the checked span.
+        assert!(a.gather_u64(256, 2, 3, &sites, &dst));
+        assert_eq!(got(&dst), [1005, 1002, 1005, 1005]);
+        // u32 elements, zero-extended: the halves of the u64s above.
+        assert!(a.gather_u32(256, 5, 9, &sites, &dst));
+        assert_eq!(got(&dst), [1005, 0, 1004, 1007]);
+        // The span ends at the arena's end, or one element past it; it
+        // starts at the null pointer; `hi + k` wraps; the end wraps round
+        // the address space. A failed check reads nothing.
+        let last = u32::try_from((cap - 256) / 8 - 1).unwrap();
+        assert!(a.gather_u64(256, 0, last, &sites, &dst));
+        let untouched = cells(&[7; 4]);
+        for (base, k, hi) in [
+            (256, 0, last + 1),
+            (256, 1, last),
+            (0, 0, 9),
+            (256, 1, u32::MAX),
+            (u64::MAX - 64, 0, 9),
+        ] {
+            assert!(!a.gather_u64(base, k, hi, &sites, &untouched), "{base:#x} {k} {hi}");
+            assert_eq!(got(&untouched), [7; 4]);
+        }
+        assert!(a.gather_u64(0, 1, 9, &sites, &dst), "only element 0 would be null");
+        let last32 = u32::try_from((cap - 256) / 4 - 1).unwrap();
+        assert!(a.gather_u32(256, 0, last32, &sites, &dst));
+        assert!(!a.gather_u32(256, 1, last32, &sites, &untouched));
+        assert_eq!(got(&untouched), [7; 4]);
+    }
+
     #[test]
     fn arena_runs_check_their_ends() {
         let m = DeviceMemory::new(1024);

@@ -5,9 +5,11 @@
 //! overhead of an HMC trajectory as "number of distinct kernels × 0.05–0.22
 //! seconds" (§III-D, §VIII-D).
 //!
-//! A kernel has one identity, the structural key of its statement group:
-//! [`KernelCache::compile_keyed`] is the front door the launch path uses,
-//! and a warm key is one map probe. The paper's cache "keyed on PTX text"
+//! A kernel has one identity, the structural key of its statement group as
+//! a token sequence: [`KernelCache::compile_keyed`] is the front door the
+//! launch path uses, and a warm key is one map probe — a hash of the tokens
+//! picks the bucket, an exact comparison of the tokens decides the hit. No
+//! text is rendered for a warm key. The paper's cache "keyed on PTX text"
 //! ([`KernelCache::compile`]) is the miss path behind it: it runs once per
 //! key, deduplicates identical programs and feeds the persistent store.
 //! Every request is lowered from its own text as written: the code
@@ -110,8 +112,8 @@ pub struct KernelCache {
 struct Inner {
     /// Hash of the PTX text → kernel.
     map: HashMap<u64, Arc<CompiledKernel>>,
-    /// Structural key → kernel (the front door over `map`).
-    keyed: HashMap<String, Arc<CompiledKernel>>,
+    /// Structural key tokens → kernel (the front door over `map`).
+    keyed: HashMap<Box<[u32]>, Arc<CompiledKernel>>,
     stats: KernelCacheStats,
 }
 
@@ -150,15 +152,16 @@ impl KernelCache {
         self.store.as_ref()
     }
 
-    /// The kernel cached under the structural `key`, or — the first time a
-    /// key is seen — the one `miss` produces, normally by generating the
-    /// PTX and handing it to [`KernelCache::compile`]. A hit is one map
-    /// probe and counts in [`KernelCacheStats::hits`] like a text-keyed
-    /// hit; `miss` does its own counting. A failed `miss` caches nothing.
-    /// The key must determine the program (so its optimizer level too).
+    /// The kernel cached under the structural `key` tokens, or — the first
+    /// time a key is seen — the one `miss` produces, normally by rendering
+    /// the PTX and handing it to [`KernelCache::compile`]. A hit is one map
+    /// probe, keys compared exactly, and counts in
+    /// [`KernelCacheStats::hits`] like a text-keyed hit; `miss` does its own
+    /// counting. A failed `miss` caches nothing. The key must determine the
+    /// program (so its optimizer level too).
     pub fn compile_keyed<E>(
         &self,
-        key: &str,
+        key: &[u32],
         miss: impl FnOnce() -> Result<Arc<CompiledKernel>, E>,
     ) -> Result<Arc<CompiledKernel>, E> {
         let mut inner = self.inner.lock();
@@ -174,7 +177,7 @@ impl KernelCache {
         // cold key all return the first one's kernel. Each already counted
         // its own lookup in `miss`, so nothing more is counted here.
         let mut inner = self.inner.lock();
-        let kept = inner.keyed.entry(key.to_string()).or_insert(kernel);
+        let kept = inner.keyed.entry(key.into()).or_insert(kernel);
         Ok(Arc::clone(kept))
     }
 
@@ -317,22 +320,22 @@ mod tests {
         let cache = KernelCache::new();
         let text = tiny_ptx("k_keyed");
         let mut misses = 0;
-        let mut get = |key: &str| {
+        let mut get = |key: &[u32]| {
             cache.compile_keyed(key, || {
                 misses += 1;
                 cache.compile(CompileRequest::new(&text))
             })
         };
-        let a = get("key-a").unwrap();
-        assert!(Arc::ptr_eq(&a, &get("key-a").unwrap()));
+        let a = get(&[1, 2]).unwrap();
+        assert!(Arc::ptr_eq(&a, &get(&[1, 2]).unwrap()));
         // A second key for the same program runs its miss path; the
         // text-keyed cache behind it dedups.
-        assert!(Arc::ptr_eq(&a, &get("key-b").unwrap()));
+        assert!(Arc::ptr_eq(&a, &get(&[1, 2, 0]).unwrap()));
         assert_eq!(misses, 2);
         let s = cache.stats();
         assert_eq!((s.misses, s.hits, cache.len()), (1, 2, 1));
 
-        let bad = || cache.compile_keyed("key-c", || cache.compile(CompileRequest::new("nonsense")));
+        let bad = || cache.compile_keyed(&[3], || cache.compile(CompileRequest::new("nonsense")));
         assert!(bad().is_err());
         assert!(bad().is_err(), "the failure was not cached");
         assert_eq!(cache.stats().compile_errors, 2);
@@ -368,7 +371,7 @@ mod tests {
             race(move |c| c.compile(CompileRequest::new(&text)).unwrap())
         };
         let by_key = race(move |c| {
-            c.compile_keyed("key-race", || c.compile(CompileRequest::new(&text)))
+            c.compile_keyed(&[4], || c.compile(CompileRequest::new(&text)))
                 .unwrap()
         });
         for (kernels, stats) in [by_text, by_key] {

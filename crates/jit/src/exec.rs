@@ -24,13 +24,20 @@
 //! (SoA fields read at the thread id, or through a neighbour column that
 //! happens to be consecutive in this tile) is one coalesced run: its
 //! first and last access are checked once and the run is copied with no
-//! per-lane check ([`run`]). A site register's first access tests its
-//! column; its later accesses in the tile reuse the answer. Every other
-//! access checks lane by lane. The two differ only when an access is out
-//! of range: both panic with the first bad lane's message, but a store
-//! run panics before any lane writes, while lane by lane the lanes before
-//! the bad one have written. All raw-pointer access to device memory is
-//! in `qdp_gpu_sim`'s arena; this module has none.
+//! per-lane check. Any other indexed load at the scale of its width — a
+//! gather through a neighbour column — is checked once too: a site
+//! register's first access scans its column for both answers, consecutive
+//! or not and its largest site `hi`, and its later accesses in the tile
+//! reuse them ([`access`]); the arena checks the span of elements
+//! `k ..= hi + k` and reads each lane's element with no per-lane check,
+//! clamping each index to `hi`, so memory safety never rests on this
+//! module. A gather whose check fails, a store that is not a run and any
+//! other access check lane by lane. The paths differ only when an access
+//! is out of range: all panic with the first bad lane's message (a failed
+//! gather check reads nothing and goes lane by lane), but a store run
+//! panics before any lane writes, while lane by lane the lanes before the
+//! bad one have written. All raw-pointer access to device memory is in
+//! `qdp_gpu_sim`'s arena; this module has none.
 //!
 //! Each lane runs the same scalar operations in the same order as a thread
 //! run alone; only the interleaving between lanes (and between tiles,
@@ -121,9 +128,9 @@ enum Isa {
 }
 
 /// How a launch runs its tiles: the best tile-body compilation it may take
-/// where the host has it, and whether consecutive accesses go as one
-/// checked run ([`run`]). [`run_grid`] takes the best of both; tests pick
-/// less, to hold the paths against each other.
+/// where the host has it, and whether indexed accesses go as one checked
+/// run or gather ([`access`]) or lane by lane. [`run_grid`] takes the best
+/// of both; tests pick less, to hold the paths against each other.
 #[derive(Debug, Clone, Copy)]
 struct Mode {
     isa: Isa,
@@ -138,11 +145,39 @@ impl Mode {
 }
 
 /// What a pool thread keeps for the tiles it runs: a register file (column
-/// `c` holds lanes `c * TILE ..`) and, per column, whether a site register
-/// in it holds a consecutive run ([`run`]).
+/// `c` holds lanes `c * TILE ..`) and, per column, what a site register's
+/// first access found in it ([`access`]).
 struct Scratch {
     regs: Vec<u64>,
-    consecutive: Vec<bool>,
+    sites: Vec<SiteCol>,
+}
+
+/// What a site register's first access in a tile found in its column.
+#[derive(Debug, Clone, Copy, Default)]
+struct SiteCol {
+    /// The active lanes' sites are consecutive: accesses through the
+    /// register are runs.
+    consecutive: bool,
+    /// The largest active lane's site, as a u32: the bound a gather through
+    /// the register checks its span with.
+    hi: u32,
+}
+
+/// How one [`Addr`] access goes across the tile's active lanes.
+enum Access<'a> {
+    /// Lane `l` at `a0 + l·stride`: one checked run.
+    Run { a0: u64, stride: u64 },
+    /// Lane `l` at `base + (sites[l] as u32 + k)·scale`, every site at most
+    /// `hi`: one checked gather when the scale is the access width.
+    Gather {
+        base: u64,
+        k: u32,
+        hi: u32,
+        scale: u32,
+        sites: &'a [Cell<u64>],
+    },
+    /// One checked access per lane.
+    Lanes,
 }
 
 /// A tile's register file, viewed at its `n` active lanes.
@@ -242,17 +277,18 @@ fn map5(
     }
 }
 
-/// The first lane's byte address and the stride, when the launch takes
-/// runs and `a` addresses one — an [`Addr::Indexed`] form whose active lanes' sites are
-/// consecutive (as u64s, so as u32s too), with `site +₃₂ k` not wrapping
-/// across them — so lane `l` accesses `a0 + l·scale`, the address
-/// [`each_addr`] computes for it. A site register's first access tests its
-/// column and notes the answer in `consecutive` (a flag per column), which
+/// How an access goes when the launch takes runs and gathers: an
+/// [`Addr::Indexed`] form whose active lanes' sites are consecutive (as
+/// u64s, so as u32s too), with `site +₃₂ k` not wrapping across them, is a
+/// run — lane `l` accesses `a0 + l·scale`, the address [`each_addr`]
+/// computes for it — and any other indexed form is a gather. A site
+/// register's first access scans its column once and notes in `cols` (an
+/// entry per column) whether it is consecutive and its largest site, which
 /// the register's later accesses read: the register is defined once,
 /// before its first access, and an exit only shrinks the active lanes to a
 /// prefix.
 #[inline(always)]
-fn run(g: &Grid<'_>, r: Lanes<'_>, a: Addr, consecutive: &mut [bool]) -> Option<(u64, u64)> {
+fn access<'a>(g: &Grid<'_>, r: Lanes<'a>, a: Addr, cols: &mut [SiteCol]) -> Access<'a> {
     let (
         true,
         Addr::Indexed {
@@ -265,23 +301,37 @@ fn run(g: &Grid<'_>, r: Lanes<'_>, a: Addr, consecutive: &mut [bool]) -> Option<
         },
     ) = (g.mode.runs, a)
     else {
-        return None;
+        return Access::Lanes;
     };
     let sites = r.col(site);
-    let s0 = sites.first()?.get();
+    let Some(s0) = sites.first().map(Cell::get) else {
+        return Access::Lanes;
+    };
     if first {
-        consecutive[site as usize] = (sites.iter().zip(0u64..))
-            .fold(true, |ok, (s, l)| ok & (s.get().wrapping_sub(s0) == l));
+        let (mut consecutive, mut hi) = (true, 0u32);
+        for (s, l) in sites.iter().zip(0u64..) {
+            consecutive &= s.get().wrapping_sub(s0) == l;
+            hi = hi.max(s.get() as u32);
+        }
+        cols[site as usize] = SiteCol { consecutive, hi };
     }
+    let SiteCol { consecutive, hi } = cols[site as usize];
+    let base = g.args[arg as usize].wrapping_add(offset as u64);
     let i0 = (s0 as u32).wrapping_add(k);
-    let fits = i0.checked_add(sites.len() as u32 - 1).is_some();
-    (consecutive[site as usize] && fits).then(|| {
-        let base = g.args[arg as usize].wrapping_add(offset as u64);
-        (
-            base.wrapping_add(u64::from(i0) * u64::from(scale)),
-            u64::from(scale),
-        )
-    })
+    if consecutive && i0.checked_add(sites.len() as u32 - 1).is_some() {
+        let stride = u64::from(scale);
+        return Access::Run {
+            a0: base.wrapping_add(u64::from(i0) * stride),
+            stride,
+        };
+    }
+    Access::Gather {
+        base,
+        k,
+        hi,
+        scale,
+        sites,
+    }
 }
 
 /// `f(x, byte address)` for every active lane, zipped with that lane's `x`
@@ -377,7 +427,7 @@ fn run_tile(g: &Grid<'_>, s: &mut Scratch, block: u32, t0: u32, lanes: usize) ->
 #[inline(always)]
 fn tile(g: &Grid<'_>, mem: Arena<'_>, s: &mut Scratch, block: u32, t0: u32, lanes: usize) -> bool {
     let regs = Cell::from_mut(s.regs.as_mut_slice()).as_slice_of_cells();
-    let consecutive = s.consecutive.as_mut_slice();
+    let cols = s.sites.as_mut_slice();
     fill(&regs[..g.k.n_zeroed as usize * TILE], 0);
     let mut n = lanes;
     for op in &g.k.code {
@@ -387,18 +437,44 @@ fn tile(g: &Grid<'_>, mem: Arena<'_>, s: &mut Scratch, block: u32, t0: u32, lane
             COp::Ld { ty, dst, addr } => {
                 let d = r.col(dst);
                 let narrow = matches!(ty, PtxType::F32 | PtxType::U32);
-                match run(g, r, addr, consecutive) {
-                    Some((a0, stride)) if narrow => mem.read_run_u32(a0, stride, d),
-                    Some((a0, stride)) => mem.read_run_u64(a0, stride, d),
-                    None if narrow => {
+                let done = match access(g, r, addr, cols) {
+                    Access::Run { a0, stride } if narrow => {
+                        mem.read_run_u32(a0, stride, d);
+                        true
+                    }
+                    Access::Run { a0, stride } => {
+                        mem.read_run_u64(a0, stride, d);
+                        true
+                    }
+                    // A gather whose span check fails reads nothing, and
+                    // the lanes go one by one.
+                    Access::Gather {
+                        base,
+                        k,
+                        hi,
+                        scale: 4,
+                        sites,
+                    } if narrow => mem.gather_u32(base, k, hi, sites, d),
+                    Access::Gather {
+                        base,
+                        k,
+                        hi,
+                        scale: 8,
+                        sites,
+                    } if !narrow => mem.gather_u64(base, k, hi, sites, d),
+                    Access::Gather { .. } | Access::Lanes => false,
+                };
+                match done {
+                    true => {}
+                    false if narrow => {
                         each_addr(r, g.args, addr, d, |d, a| d.set(mem.read_u32(a) as u64))
                     }
-                    None => each_addr(r, g.args, addr, d, |d, a| d.set(mem.read_u64(a))),
+                    false => each_addr(r, g.args, addr, d, |d, a| d.set(mem.read_u64(a))),
                 }
             }
             COp::St { ty, addr, src } => {
                 let narrow = matches!(ty, PtxType::F32 | PtxType::U32);
-                if let Some((a0, stride)) = run(g, r, addr, consecutive) {
+                if let Access::Run { a0, stride } = access(g, r, addr, cols) {
                     let n = r.n;
                     match r.src(src) {
                         Src::Col(v) if narrow => {
@@ -663,7 +739,7 @@ fn launch(
         n_blocks as usize * tiles,
         || Scratch {
             regs: vec![0u64; k.n_cols as usize * TILE],
-            consecutive: vec![false; k.n_cols as usize],
+            sites: vec![SiteCol::default(); k.n_cols as usize],
         },
         |s, i| {
             let block = (i / tiles) as u32;
@@ -867,11 +943,17 @@ mod tests {
     /// `vol` sites — a buffer per pointer parameter, reals among them
     /// including [`special_real`]s at the kernel's precision if `specials`
     /// (leave them out to time a kernel) — and the launch arguments.
+    /// Launch inputs for a golden kernel over `vol` sites: random data
+    /// (with the special values when `specials`), a random permutation for
+    /// a site list, and neighbour tables that are random — or, when
+    /// `lattice`, the tables of a 4⁴ lattice in lexicographic order (x
+    /// fastest), as the library builds them (`vol` must be 256).
     fn golden_inputs(
         kernel: &qdp_ptx::module::Kernel,
         n: u32,
         vol: usize,
         specials: bool,
+        lattice: bool,
     ) -> (DeviceMemory, Vec<u64>, Vec<LaunchArg>) {
         let mut rng = StdRng::seed_from_u64(u64::from(n));
         let unit = |rng: &mut StdRng| rng.random::<f32>() * 2.0 - 1.0;
@@ -892,9 +974,19 @@ mod tests {
                         for (i, s) in perm.into_iter().enumerate() {
                             mem.write_u32(ptr + 4 * i as u64, s);
                         }
-                    } else if p.name.starts_with("tbl_") {
+                    } else if let Some(shift) = p.name.strip_prefix("tbl_") {
+                        // `tbl_{mu}_{f|b}`
+                        let mu = u32::from(shift.as_bytes()[0] - b'0');
+                        let forward = shift.ends_with('f');
+                        assert!(!lattice || vol == 256, "a lattice table is 4⁴");
                         for i in 0..vol as u64 {
-                            mem.write_u32(ptr + 4 * i, rng.random_range(0..vol as u64) as u32);
+                            let (stride, c) = (4u64.pow(mu), i / 4u64.pow(mu) % 4);
+                            let next = if forward { (c + 1) % 4 } else { (c + 3) % 4 };
+                            let entry = match lattice {
+                                true => i - c * stride + next * stride,
+                                false => rng.random_range(0..vol as u64),
+                            };
+                            mem.write_u32(ptr + 4 * i, entry as u32);
                         }
                     } else {
                         for i in 0..(buf_bytes(vol) / 4) as u64 {
@@ -943,7 +1035,7 @@ mod tests {
 
     /// Every golden kernel leaves the same device memory at every block
     /// size, on every ISA path of [`run_tile`], with coalesced runs and
-    /// lane by lane, and lowered with and without the product and
+    /// gathers and lane by lane, and lowered with and without the product and
     /// butterfly folds, from the same seeded inputs — signed zeros,
     /// subnormals, infinities and NaNs among them ([`same_reals`]): block 1
     /// runs one-lane tiles (a thread at a time); the others cover partial
@@ -975,7 +1067,7 @@ mod tests {
                 // Device memory after a launch of `k` at `block` (or none)
                 // in `mode`.
                 let run = |k: &CompiledKernel, block: Option<u32>, mode: Mode| {
-                    let (mem, bufs, args) = golden_inputs(&kernel, n, vol, true);
+                    let (mem, bufs, args) = golden_inputs(&kernel, n, vol, true, false);
                     if let Some(block) = block {
                         launch(k, &args, &mem, n.div_ceil(block), block, mode);
                     }
@@ -1016,7 +1108,8 @@ mod tests {
     /// Interpreter time of each golden kernel on each path, p50 µs of a
     /// 256-site launch, the paths interleaved round by round: lowered
     /// without and with the product fold, accesses lane by lane and in
-    /// runs, and the tile body forced to each ISA. The inputs hold no
+    /// runs and gathers, and the tile body forced to each ISA — over random
+    /// neighbour tables and over a 4⁴ lattice's own. The inputs hold no
     /// special reals: subnormals turn a timing into microcode assists.
     /// `taskset -c 0 cargo test --release -p qdp-jit tile_paths_timing --
     /// --ignored --nocapture` runs it on one thread (a pinned thread runs
@@ -1061,19 +1154,23 @@ mod tests {
                 lower_kernel_unfolded(&kernel).unwrap(),
                 lower_kernel(&kernel).unwrap(),
             ];
-            let (mem, _, args) = golden_inputs(&kernel, vol as u32, vol, false);
-            let mut times = vec![Vec::new(); paths.len()];
-            for _ in 0..1000 {
-                for ((_, fold, mode), t) in paths.iter().zip(&mut times) {
-                    let start = std::time::Instant::now();
-                    launch(&ks[usize::from(*fold)], &args, &mem, 1, vol as u32, *mode);
-                    t.push(start.elapsed().as_secs_f64() * 1e6);
+            // Random tables make every neighbour column a gather; a real
+            // lattice's tables are runs in some directions and tiles.
+            for (tables, lattice) in [("random tables", false), ("lattice tables", true)] {
+                let (mem, _, args) = golden_inputs(&kernel, vol as u32, vol, false, lattice);
+                let mut times = vec![Vec::new(); paths.len()];
+                for _ in 0..1000 {
+                    for ((_, fold, mode), t) in paths.iter().zip(&mut times) {
+                        let start = std::time::Instant::now();
+                        launch(&ks[usize::from(*fold)], &args, &mem, 1, vol as u32, *mode);
+                        t.push(start.elapsed().as_secs_f64() * 1e6);
+                    }
                 }
-            }
-            for ((path, ..), mut t) in paths.iter().zip(times) {
-                t.sort_by(f64::total_cmp);
-                let (min, p50) = (t[0], t[t.len() / 2]);
-                println!("{name:>20} {path:<24} p50 {p50:8.1} µs (min {min:.1})");
+                for ((path, ..), mut t) in paths.iter().zip(times) {
+                    t.sort_by(f64::total_cmp);
+                    let (min, p50) = (t[0], t[t.len() / 2]);
+                    println!("{name:>20} {tables:<14} {path:<24} p50 {p50:8.1} µs (min {min:.1})");
+                }
             }
         }
     }
@@ -1361,6 +1458,62 @@ mod tests {
                 .filter(|l| mem.read_f64(po + 8 * (440 + l)) == 1.5)
                 .count();
             assert_eq!(written, if runs { 0 } else { 40 }, "runs {runs}");
+        }
+    }
+
+    /// `out[tid] = in[tbl[tid]]` through a column that is no run, whose
+    /// lanes 10 and 20 point past the arena: the gather's span check fails,
+    /// the lanes go one by one, and the launch panics with lane 10's
+    /// message — as it does with runs and gathers off.
+    #[test]
+    fn an_out_of_range_gather_panics_at_its_first_bad_lane() {
+        let mut b = KernelBuilder::new("gather_overrun");
+        let [p_out, p_in, p_tbl] = ["out", "in", "tbl"].map(|p| b.param(p, PtxType::U64));
+        let tid = b.global_tid();
+        let a_tbl = index(&mut b, &p_tbl, tid, 4);
+        let site = b.fresh(RegClass::B32);
+        b.push(Inst::LdGlobal {
+            ty: PtxType::U32,
+            dst: site,
+            addr: a_tbl,
+            offset: 0,
+        });
+        let a_in = index(&mut b, &p_in, site, 8);
+        let v = b.fresh(RegClass::F64);
+        b.push(Inst::LdGlobal {
+            ty: PtxType::F64,
+            dst: v,
+            addr: a_in,
+            offset: 0,
+        });
+        let a_out = index(&mut b, &p_out, tid, 8);
+        b.push(Inst::StGlobal {
+            ty: PtxType::F64,
+            addr: a_out,
+            offset: 0,
+            src: v.into(),
+        });
+        let k = lower_kernel(&b.finish()).unwrap();
+        for runs in [true, false] {
+            let mem = DeviceMemory::new(1 << 14);
+            let [po, pi, pt] = [8 * 64, 8 * 64, 4 * 64].map(|b| mem.alloc(b).unwrap());
+            let past = (mem.capacity() as u64 - pi) / 8;
+            let mut table: Vec<u64> = (0..64).map(|l| l * 37 % 64).collect();
+            (table[10], table[20]) = (past + 3, past);
+            for (i, &t) in table.iter().enumerate() {
+                mem.write_u32(pt + 4 * i as u64, t as u32);
+            }
+            let launched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let args = [po, pi, pt].map(LaunchArg::Ptr);
+                launch(&k, &args, &mem, 1, 64, Mode { runs, ..Mode::BEST })
+            }));
+            let msg = launched
+                .unwrap_err()
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            let want = format!("device access out of range: addr={:#x} len=8", pi + 8 * (past + 3));
+            assert!(msg.starts_with(&want), "runs {runs}: {msg}");
         }
     }
 
