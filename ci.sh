@@ -559,6 +559,29 @@ if [ -n "$rewalk$formatted" ]; then
 fi
 echo "ok: one walk per statement (launch, planner and §V schedule read each Stmt's signature; the text key is rendered from its tokens)"
 
+# ---- Guard: a launch prints and parses no PTX -----------------------------------
+# A cold launch hands the kernel the generator built to the JIT
+# (`KernelCache::compile_keyed`), which lowers it as built: the launch path
+# (eval.rs, the §V schedule in multinode.rs, the fusion planner in fuse.rs)
+# prints, parses and compiles no PTX text. Only the functions that print a
+# kernel for a reader (`render_ptx`, `codegen_ptx`, `codegen_fused_ptx`),
+# `use` lines, comment lines and test modules may name the text path.
+printed=$(awk '
+    FNR == 1 { done = 0; exempt = 0 }
+    /^#\[cfg\(test\)\]/ { done = 1 }
+    /^pub(\(crate\))? fn (render_ptx|codegen_ptx|codegen_fused_ptx)\(/ { exempt = 1 }
+    exempt && /^\}/ { exempt = 0; next }
+    !done && !exempt && !/^[[:space:]]*(\/\/|use )/ &&
+    /emit_module|parse_module|compile_ptx|CompileRequest/ {
+        print FILENAME ":" FNR ": " $0 }' \
+    crates/core/src/eval.rs crates/core/src/multinode.rs crates/core/src/codegen/fuse.rs)
+if [ -n "$printed" ]; then
+    echo "FAIL: the launch path prints, parses or compiles PTX text:" >&2
+    echo "$printed" >&2
+    exit 1
+fi
+echo "ok: a launch prints and parses no PTX (the JIT lowers the kernel the generator built)"
+
 # ---- Tier-1 gate, offline --------------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
@@ -691,9 +714,9 @@ echo "ok: kernel fusion (fuse-diff 0-ULP sweep + launch-count guard + budget-1 b
 # (nothing records one), zero tuner trials, >=1 persisted-kernel hit — and
 # pay less modelled translation time than the cold run: none, since the
 # store's saving is the driver-JIT cost on the simulated clock. The store
-# keeps digests, not programs, so a warm start still renders, parses and
-# lowers; its first-eval wall time is reported, not compared
-# (DESIGN.md "Persistent kernel cache").
+# keeps digests, not programs, so a warm start still generates, prints (for
+# the digest) and lowers each kernel; its first-eval wall time is reported,
+# not compared (DESIGN.md "Persistent kernel cache").
 cache_dir=$(mktemp -d)
 cold_out=$(QDP_CACHE_DIR="$cache_dir" \
     cargo run --release --offline -p qdp-bench --bin persist_probe)

@@ -48,7 +48,7 @@ fn main() {
         stats.modeled_compile_time / n as f64
     );
     println!(
-        "actual wall-clock parse+lower time: {:.3} s total, {:.1} ms/kernel",
+        "actual wall-clock validate+lower time: {:.3} s total, {:.1} ms/kernel",
         stats.wall_compile_time,
         1e3 * stats.wall_compile_time / n as f64
     );

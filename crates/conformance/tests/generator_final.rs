@@ -7,13 +7,19 @@
 //! * comes back byte for byte from parse → `optimize_module` → emit, and
 //! * holds no two pure integer instructions with the same opcode, type and
 //!   operands (address arithmetic is computed once per kernel).
+//!
+//! A launch lowers the kernel the generator built, never its text: every
+//! random kernel, as built, is also the kernel its printed text parses
+//! back to, and that text is what `codegen_ptx` / `codegen_fused_ptx`
+//! print (the goldens' half is `golden_ptx.rs`).
 
 use qdp_conformance::{gen_stmt_sequence, gen_typed_expr, random_target_kind, Fixture};
-use qdp_core::{codegen_fused_ptx, codegen_ptx, OptLevel, QdpContext};
+use qdp_core::{codegen_fused_kernel, codegen_fused_ptx, codegen_ptx, OptLevel, QdpContext};
 use qdp_expr::{Expr, UnaryOp};
 use qdp_layout::{LayoutKind, Subset};
 use qdp_proptest::Gen;
 use qdp_ptx::emit::emit_module;
+use qdp_ptx::module::{Kernel, Module};
 use qdp_ptx::opt::optimize_module;
 use qdp_ptx::parse::parse_module;
 use qdp_types::FloatType;
@@ -48,6 +54,19 @@ fn check_final(what: &str, ptx: &str) {
             );
         }
     }
+}
+
+/// Print `kernel` and require the text to parse back to it; returns the
+/// text.
+fn check_reprints(what: &str, kernel: Kernel) -> String {
+    let module = Module::with_kernel(kernel);
+    let ptx = emit_module(&module);
+    let parsed = parse_module(&ptx).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(
+        parsed == module,
+        "{what}: the built kernel is not the one its text parses to:\n{ptx}"
+    );
+    ptx
 }
 
 #[test]
@@ -87,13 +106,19 @@ fn generated_kernels_are_final() {
             let norm2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(expr.clone()));
             for ctx in &contexts {
                 let what = format!("{ft:?} {:?} case {case}", ctx.layout());
-                let ptx = codegen_ptx(ctx, target, &expr, subset, "k").unwrap();
+                let single = [(target, expr.clone())];
+                let built = codegen_fused_kernel(ctx, &single, &[], subset, "k").unwrap();
+                let ptx = check_reprints(&what, built);
+                assert!(ptx == codegen_ptx(ctx, target, &expr, subset, "k").unwrap());
                 check_final(&what, &ptx);
-                let fused = codegen_fused_ptx(ctx, &stmts, &[], Subset::All, "k").unwrap();
+                let fused = codegen_fused_kernel(ctx, &stmts, &[], Subset::All, "k").unwrap();
+                let fused = check_reprints(&format!("{what}, fused"), fused);
+                assert!(fused == codegen_fused_ptx(ctx, &stmts, &[], Subset::All, "k").unwrap());
                 check_final(&format!("{what}, fused"), &fused);
                 let norm2 = std::slice::from_ref(&norm2);
-                let reduced = codegen_fused_ptx(ctx, &stmts, norm2, subset, "k");
-                check_final(&format!("{what}, reduced"), &reduced.unwrap());
+                let reduced = codegen_fused_kernel(ctx, &stmts, norm2, subset, "k").unwrap();
+                let reduced = check_reprints(&format!("{what}, reduced"), reduced);
+                check_final(&format!("{what}, reduced"), &reduced);
             }
             fx.release(target);
             let mut released = HashSet::new();

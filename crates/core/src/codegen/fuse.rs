@@ -54,13 +54,13 @@
 
 use crate::codegen::ptx_backend::WARP;
 use crate::context::QdpContext;
-use crate::eval::{
-    eval_statements, max_ft, reduce_batch, render_statements, CoreError, KeyedGroup,
-};
+use crate::eval::{build_statements, eval_statements, max_ft, reduce_batch, CoreError, KeyedGroup};
 use crate::field::{Lattice, QExpr, SiteElem, SiteReal};
 use qdp_expr::{BinaryOp, Expr, FieldRef, KernelSignature, UnaryOp};
 use qdp_gpu_sim::StreamId;
 use qdp_layout::Subset;
+use qdp_ptx::emit::emit_module;
+use qdp_ptx::module::{Kernel, Module};
 use qdp_types::{Complex, ElemKind, FloatType, Real, TypeShape};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -313,7 +313,7 @@ fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> 
 /// split dimension, as the schedule without overlap launches it over the
 /// whole lattice. Pure codegen (nothing is compiled, cached or launched) —
 /// the multi-statement twin of [`crate::codegen_ptx`], used by the
-/// golden-snapshot tests.
+/// golden-snapshot tests: the printed [`codegen_fused_kernel`].
 pub fn codegen_fused_ptx(
     ctx: &QdpContext,
     stmts: &[(FieldRef, Expr)],
@@ -321,6 +321,20 @@ pub fn codegen_fused_ptx(
     subset: Subset,
     kernel_name: &str,
 ) -> Result<String, CoreError> {
+    let kernel = codegen_fused_kernel(ctx, stmts, reductions, subset, kernel_name)?;
+    Ok(emit_module(&Module::with_kernel(kernel)))
+}
+
+/// The kernel [`codegen_fused_ptx`] prints, as the code generator builds it
+/// and a launch lowers it — with one statement and no reduction, the kernel
+/// of [`crate::codegen_ptx`]. Pure codegen, like its printed twin.
+pub fn codegen_fused_kernel(
+    ctx: &QdpContext,
+    stmts: &[(FieldRef, Expr)],
+    reductions: &[Expr],
+    subset: Subset,
+    kernel_name: &str,
+) -> Result<Kernel, CoreError> {
     let stream = ctx.device().current_stream();
     let mut group: Vec<Stmt> = stmts
         .iter()
@@ -342,7 +356,7 @@ pub fn codegen_fused_ptx(
     let keyed = KeyedGroup::new(ctx, &group, subset != Subset::All, split);
     let plan = keyed.plan(ctx, &group)?;
     let exprs: Vec<&Expr> = group.iter().map(|s| &*s.expr).collect();
-    render_statements(&plan, &exprs, kernel_name)
+    build_statements(&plan, &exprs, kernel_name)
 }
 
 /// Plan `stmts` into groups and launch each group as one kernel, in record

@@ -567,7 +567,7 @@ impl<'a> Backend for PtxGen<'a> {
         if let Some(r) = self.const_cache.get(&key) {
             return *r;
         }
-        let r = self.kb.mov(self.ty, Operand::ImmF(v));
+        let r = self.kb.mov(self.ty, Operand::imm_f(self.ty, v));
         self.const_cache.insert(key, r);
         r
     }

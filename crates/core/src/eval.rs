@@ -18,10 +18,10 @@ use crate::multinode::face_messages;
 use qdp_cache::CacheError;
 use qdp_expr::{Expr, FieldRef, KernelSignature, KeySink, TypeError};
 use qdp_gpu_sim::{KernelShape, LaunchError, StreamId};
-use qdp_jit::{launch_tuned_on, CompileRequest, JitError, LaunchArg};
+use qdp_jit::{launch_tuned_on, JitError, LaunchArg};
 use qdp_layout::{FieldLayout, LayoutKind, Subset};
 use qdp_ptx::emit::emit_module;
-use qdp_ptx::module::Module;
+use qdp_ptx::module::{Kernel, Module};
 use qdp_ptx::opt::{optimize_kernel, OptLevel};
 use qdp_types::{FloatType, Real, TypeShape};
 use std::borrow::Cow;
@@ -377,14 +377,17 @@ impl KeyedGroup {
 /// Unparse `expr` into a complete PTX module under `plan`, with an explicit
 /// kernel name (the launch path uses the structural-hash name; snapshot
 /// tests pass stable human-chosen names since hash output is not guaranteed
-/// stable across toolchains).
+/// stable across toolchains): the printed form of the kernel a launch
+/// builds and lowers ([`build_statements`]).
 pub fn render_ptx(plan: &CodegenPlan, expr: &Expr, kernel_name: &str) -> Result<String, CoreError> {
-    render_statements(plan, &[expr], kernel_name)
+    let kernel = build_statements(plan, &[expr], kernel_name)?;
+    Ok(emit_module(&Module::with_kernel(kernel)))
 }
 
-/// Unparse the statements of `plan` into one PTX module. Each statement's
-/// walk runs over the shared leaf table; the backend's `begin_stmt`
-/// switches the destination and scalar window between statements.
+/// Build the kernel of the statements of `plan`: the one code generator.
+/// Each statement's walk runs over the shared leaf table; the backend's
+/// `begin_stmt` switches the destination and scalar window between
+/// statements.
 ///
 /// When the plan's optimizer level enables it, the walks run through the
 /// DAG-level CSE wrapper, so repeated subexpressions are loaded and
@@ -392,15 +395,15 @@ pub fn render_ptx(plan: &CodegenPlan, expr: &Expr, kernel_name: &str) -> Result<
 /// store invalidates memoised loads of the stored field; the reset keeps
 /// producer→consumer loads exact) — the backend computes each address
 /// once per kernel, and the built kernel is swept of dead defs and
-/// renumbered densely ([`optimize_kernel`]) before it is printed. The text
-/// is the program the JIT lowers; nothing downstream rewrites it.
-/// Malformed DAGs (unbalanced shift pops) surface as [`CoreError::Codegen`]
-/// instead of panicking.
-pub(crate) fn render_statements(
+/// renumbered densely ([`optimize_kernel`]). The result is the program the
+/// JIT lowers, as built on a launch and as printed by [`render_ptx`];
+/// nothing downstream rewrites it. Malformed DAGs (unbalanced shift pops)
+/// surface as [`CoreError::Codegen`] instead of panicking.
+pub(crate) fn build_statements(
     plan: &CodegenPlan,
     exprs: &[&Expr],
     kernel_name: &str,
-) -> Result<String, CoreError> {
+) -> Result<Kernel, CoreError> {
     fn walk<B: Backend>(b: &mut B, expr: &Expr, leaves: &[FieldRef]) -> Result<(), CoreError> {
         let v = gen_expr(expr, b, &mut GenCtx::new(leaves));
         store_val(b, &v);
@@ -422,7 +425,7 @@ pub(crate) fn render_statements(
     }
     let mut kernel = g.finish();
     optimize_kernel(&mut kernel, plan.opt);
-    Ok(emit_module(&Module::with_kernel(kernel)))
+    Ok(kernel)
 }
 
 /// Generate the PTX text the pipeline would run for `expr` into `target`
@@ -511,8 +514,9 @@ pub(crate) fn eval_statements(ctx: &QdpContext, stmts: &[Stmt]) -> Result<EvalRe
 /// its statements' recorded signatures → keyed kernel lookup → page-in →
 /// marshal → tuned launch → dirty marks. No expression is walked: a warm
 /// key goes from the map probe straight to marshalling; the text key,
-/// planning, naming, PTX generation and the text-keyed JIT cache run on a
-/// miss only. The kernel is planned at the context's optimizer level;
+/// planning, naming, kernel generation and lowering run on a miss only, and
+/// the JIT lowers the kernel the generator built (no PTX text is printed or
+/// parsed). The kernel is planned at the context's optimizer level;
 /// `remote` carries the §V receive buffers of a halo-schedule launch, whose
 /// kernel reads a face message for each shift along a split dimension of
 /// the attached rank grid (its group has no nested shifts:
@@ -542,13 +546,9 @@ pub(crate) fn launch_statements(
 
     let kernel = ctx.kernels().compile_keyed(&group.key, || {
         let plan = group.plan(ctx, stmts)?;
-        let ptx = {
-            let _cg = tel.span("eval", "codegen");
-            let exprs: Vec<&Expr> = stmts.iter().map(|s| &*s.expr).collect();
-            render_statements(&plan, &exprs, &plan.name)?
-        };
-        let req = CompileRequest::new(&ptx).name(&plan.name);
-        Ok::<_, CoreError>(ctx.kernels().compile(req)?)
+        let _cg = tel.span("eval", "codegen");
+        let exprs: Vec<&Expr> = stmts.iter().map(|s| &*s.expr).collect();
+        build_statements(&plan, &exprs, &plan.name)
     })?;
 
     // Page in the working set (every target, then the leaves) — the §IV

@@ -26,7 +26,9 @@ pub mod eval;
 pub mod field;
 pub mod multinode;
 
-pub use codegen::fuse::{codegen_fused_ptx, eval_fused_sequence, FusionScope};
+pub use codegen::fuse::{
+    codegen_fused_kernel, codegen_fused_ptx, eval_fused_sequence, FusionScope,
+};
 pub use config::{QdpConfig, QdpContextBuilder};
 pub use context::QdpContext;
 pub use qdp_gpu_sim::{Event, StreamId};

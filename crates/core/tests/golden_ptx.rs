@@ -13,8 +13,9 @@
 //! then commit the updated `.ptx` files with the change that caused them.
 
 use qdp_core::{
-    codegen_fused_ptx, codegen_ptx, eval_fused_sequence, plan_codegen, reduce_sum_complex,
-    reduce_sum_real, render_ptx, OptLevel, QExpr, QdpConfig, QdpContext, SiteComplex, SiteReal,
+    codegen_fused_kernel, codegen_fused_ptx, codegen_ptx, eval_fused_sequence, plan_codegen,
+    reduce_sum_complex, reduce_sum_real, render_ptx, OptLevel, QExpr, QdpConfig, QdpContext,
+    SiteComplex, SiteReal,
 };
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
 use qdp_layout::{Geometry, LayoutKind, Subset};
@@ -279,6 +280,24 @@ fn check_golden(name: &str) {
         (stmts, reductions) => codegen_fused_ptx(&e.ctx, stmts, reductions, g.subset, name),
     };
     check_snapshot(name, &ptx.unwrap());
+}
+
+/// A launch lowers the kernel the generator built, not its text: each
+/// golden kernel, as built, is the kernel its snapshot parses to — so the
+/// two lower alike and the snapshot pins what runs.
+#[test]
+fn built_golden_kernels_are_their_parsed_snapshots() {
+    for (name, ft) in GOLDENS {
+        let e = env(ft);
+        let g = golden(&e, name);
+        let built = codegen_fused_kernel(&e.ctx, &g.stmts, &g.reductions, g.subset, name).unwrap();
+        let snapshot = std::fs::read_to_string(snapshot_path(name)).unwrap();
+        let parsed = qdp_ptx::parse::parse_module(&snapshot).unwrap();
+        assert!(
+            parsed.kernels == [built],
+            "{name}: built kernel differs from its snapshot"
+        );
+    }
 }
 
 #[test]

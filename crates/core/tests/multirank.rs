@@ -545,18 +545,15 @@ fn halo_kernel_decodes_only_split_shifts_from_one_buffer_per_face() {
             let hopping_ran = hopping_out.assign(hopping.clone()).unwrap();
 
             // Re-render the launched kernel from a plan that keeps only the
-            // x faces; compiling that text must hit the kernel the launch
-            // compiled, and that kernel is what is counted.
+            // x faces: the launched kernel, fetched by name, must be that
+            // text's lowering, and that kernel is what is counted.
             let census = |target, e: &qdp_expr::Expr, name: &str| {
                 let mut plan = qdp_core::plan_codegen(&ctx, target, e, false, true).unwrap();
                 plan.env.faces.retain(|f| f.mu == 0);
                 let ptx = qdp_core::render_ptx(&plan, e, name).unwrap();
-                let misses = ctx.kernels().stats().misses;
-                let k = ctx
-                    .kernels()
-                    .compile(qdp_jit::CompileRequest::new(&ptx))
-                    .unwrap();
-                assert_eq!(ctx.kernels().stats().misses, misses, "{name} is not the launched kernel");
+                let k = ctx.kernels().by_name(name).expect("the launched kernel");
+                let text = qdp_jit::compile_ptx(&ptx).unwrap();
+                assert_eq!(k.code, text[0].code, "{name} is not the launched kernel");
                 let selps = ptx.lines().filter(|l| l.trim_start().starts_with("selp")).count();
                 (k.param_types.len(), selps, k.code.len())
             };
@@ -675,9 +672,9 @@ fn mixed_precision_message_on_an_odd_face_matches_single_rank() {
                 let ptx =
                     qdp_core::codegen_fused_ptx(&ctx, &stmts, &[], Subset::All, &fused[0]).unwrap();
                 if !overlap {
-                    let misses = ctx.kernels().stats().misses;
-                    ctx.kernels().compile(qdp_jit::CompileRequest::new(&ptx)).unwrap();
-                    assert_eq!(ctx.kernels().stats().misses, misses, "not the launched kernel");
+                    let k = ctx.kernels().by_name(&fused[0]).expect("the launched kernel");
+                    let text = qdp_jit::compile_ptx(&ptx).unwrap();
+                    assert_eq!(k.code, text[0].code, "not the launched kernel");
                 }
                 let recv: Vec<&str> = ptx.lines().filter(|l| l.contains(".param .u64 recv_")).collect();
                 assert_eq!(recv.len(), 1, "{recv:?}");
@@ -738,21 +735,14 @@ fn inner_and_face_launches_tune_at_one_width() {
         for _ in 0..8 {
             name = out.assign(e.clone()).unwrap().kernel_name;
         }
-        // Re-render the launched kernel (over a site list, t faces
-        // only) and fetch it.
+        // Fetch the launched kernel by name; re-rendered (over a site list,
+        // t faces only), its text lowers to the same code.
         let mut plan = qdp_core::plan_codegen(&ctx, out.fref(), e.raw(), true, true).unwrap();
         plan.env.faces.retain(|f| f.mu == 3);
         let ptx = qdp_core::render_ptx(&plan, e.raw(), &name).unwrap();
-        let misses = ctx.kernels().stats().misses;
-        let k = ctx
-            .kernels()
-            .compile(qdp_jit::CompileRequest::new(&ptx))
-            .unwrap();
-        assert_eq!(
-            ctx.kernels().stats().misses,
-            misses,
-            "{name} is not the launched kernel"
-        );
+        let k = ctx.kernels().by_name(&name).expect("the launched kernel");
+        let text = qdp_jit::compile_ptx(&ptx).unwrap();
+        assert_eq!(k.code, text[0].code, "{name} is not the launched kernel");
         let st = k
             .tuning
             .lock()

@@ -7,7 +7,7 @@ use qdp_core::prelude::*;
 use qdp_core::SiteElem;
 use qdp_gpu_sim::Device;
 use qdp_jit::autotune::TuneState;
-use qdp_jit::{launch_tuned_on, CompileRequest, CompiledKernel, KernelCache, LaunchArg};
+use qdp_jit::{launch_tuned_on, CompiledKernel, KernelCache, LaunchArg};
 use qdp_ptx::emit::emit_module;
 use qdp_ptx::inst::{BinOp, Inst, Operand};
 use qdp_ptx::module::{KernelBuilder, Module};
@@ -52,9 +52,11 @@ fn launched_ptx<E: SiteElem>(ctx: &QdpContext, target: &Lattice<E>, e: &QExpr<E>
     qdp_core::render_ptx(&plan, e.raw(), &plan.name).unwrap()
 }
 
-/// The kernel `ptx` names, fetched from the context's kernel cache.
-fn cached_kernel(ctx: &QdpContext, ptx: &str) -> Arc<CompiledKernel> {
-    ctx.kernels().compile(CompileRequest::new(ptx)).unwrap()
+/// The launched kernel `name`, fetched from the context's kernel cache.
+fn cached_kernel(ctx: &QdpContext, name: &str) -> Arc<CompiledKernel> {
+    ctx.kernels()
+        .by_name(name)
+        .expect("the launched kernel is cached")
 }
 
 /// A launched kernel's tuning record.
@@ -65,7 +67,7 @@ fn record(k: &CompiledKernel) -> TuneState {
 #[test]
 fn profile_report_shows_tuner_settling() {
     let (ctx, _tel) = profiled_ctx();
-    let (name, ptx) = run_settling_workload(&ctx);
+    let (name, _) = run_settling_workload(&ctx);
     let report = ctx.profile_report();
     let row = report.kernel(&name).expect("kernel row");
 
@@ -79,7 +81,7 @@ fn profile_report_shows_tuner_settling() {
     assert!(row.settled, "tuner should settle within 16 launches");
 
     // The report's block size is the tuner's settled choice, verbatim.
-    let st = record(&cached_kernel(&ctx, &ptx));
+    let st = record(&cached_kernel(&ctx, &name));
     assert!(st.settled);
     assert_eq!(row.block_size, st.current);
     assert_eq!(row.trial_launches, st.probes as u64);
@@ -96,16 +98,20 @@ fn profile_report_shows_tuner_settling() {
 }
 
 /// A kernel launched through `Lattice::assign` and fetched again by its
-/// text is one kernel: the fetch is a cache hit, and its record is the one
-/// the launches settled.
+/// name is the launched kernel: its code is the lowering of the text the
+/// statement renders to, the fetch translates nothing, and its record is
+/// the one the launches settled.
 #[test]
-fn a_kernel_fetched_by_its_text_carries_its_launches_record() {
+fn a_kernel_fetched_by_name_carries_its_launches_record() {
     let (ctx, _tel) = profiled_ctx();
     let (name, ptx) = run_settling_workload(&ctx);
-    let misses = ctx.kernels().stats().misses;
-    let k = cached_kernel(&ctx, &ptx);
-    assert_eq!(k.name, name);
-    assert_eq!(ctx.kernels().stats().misses, misses, "the fetch must hit");
+    let (misses, len) = (ctx.kernels().stats().misses, ctx.kernels().len());
+    let k = cached_kernel(&ctx, &name);
+    assert_eq!(k.code, qdp_jit::compile_ptx(&ptx).unwrap()[0].code);
+    assert_eq!(
+        (ctx.kernels().stats().misses, ctx.kernels().len()),
+        (misses, len)
+    );
     let st = record(&k);
     assert!(st.settled);
     let report = ctx.profile_report();
@@ -136,7 +142,7 @@ fn threads_sharing_a_kernel_share_one_record() {
     assert_eq!(report.kernels.len(), 1, "one expression → one kernel");
     let row = &report.kernels[0];
     assert_eq!(row.launches, 16);
-    let st = record(&cached_kernel(&ctx, &launched_ptx(&ctx, &outs[0], &(u2.q() * u3.q()))));
+    let st = record(&cached_kernel(&ctx, &row.name));
     assert!(st.settled, "the shared record settles within 16 launches");
     assert_eq!(st.probes as u64, row.trial_launches);
 }

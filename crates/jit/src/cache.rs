@@ -1,25 +1,30 @@
 //! The compiled-kernel cache.
 //!
-//! Each distinct PTX program is JIT-translated once per process — exactly
-//! the behaviour the paper relies on when it estimates the translation
-//! overhead of an HMC trajectory as "number of distinct kernels × 0.05–0.22
-//! seconds" (§III-D, §VIII-D).
+//! Each distinct kernel is JIT-translated once per process — exactly the
+//! behaviour the paper relies on when it estimates the translation overhead
+//! of an HMC trajectory as "number of distinct kernels × 0.05–0.22 seconds"
+//! (§III-D, §VIII-D).
 //!
-//! A kernel has one identity, the structural key of its statement group as
-//! a token sequence: [`KernelCache::compile_keyed`] is the front door the
-//! launch path uses, and a warm key is one map probe — a hash of the tokens
-//! picks the bucket, an exact comparison of the tokens decides the hit. No
-//! text is rendered for a warm key. The paper's cache "keyed on PTX text"
-//! ([`KernelCache::compile`]) is the miss path behind it: it runs once per
-//! key, deduplicates identical programs and feeds the persistent store.
-//! Every request is lowered from its own text as written: the code
-//! generator prints its final program, and nothing here rewrites it.
+//! A generated kernel has one identity, the structural key of its statement
+//! group as a token sequence: [`KernelCache::compile_keyed`] is the front
+//! door the launch path uses, and a warm key is one map probe — a hash of
+//! the tokens picks the bucket, an exact comparison of the tokens decides
+//! the hit. A cold key lowers the module the code generator built, as
+//! built: nothing prints or parses it, unless a persistent store is
+//! attached, whose digests are of the printed text. The text stays the
+//! kernel's canonical form — the goldens, the store and hand-written PTX
+//! read it — and [`KernelCache::compile`] is the cache "keyed on PTX text"
+//! for callers that hold PTX: it parses the text and shares the lowering
+//! and counting with the keyed path. Nothing here rewrites a program.
 
-use crate::lower::{compile_ptx, CompiledKernel, JitError};
+use crate::lower::{lower_kernel, CompiledKernel, JitError};
 use crate::persist::KernelStore;
 use qdp_gpu_sim::sync::Mutex;
-use qdp_ptx::hash::stable_text_digest;
+use qdp_ptx::emit::emit_module;
+use qdp_ptx::hash::{stable_module_digest, stable_text_digest};
+use qdp_ptx::module::{Kernel, Module};
 use qdp_ptx::opt::OptLevel;
+use qdp_ptx::parse::parse_module;
 use qdp_telemetry::Telemetry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -35,18 +40,19 @@ pub struct KernelCacheStats {
     /// Number of misses (fresh JIT translations).
     pub misses: u64,
     /// Number of failed translations (bad PTX, lowering error). Failures
-    /// are never cached, so each failing text counts on every attempt.
+    /// are never cached, so each failing program counts on every attempt.
     pub compile_errors: u64,
-    /// Wall-clock seconds spent in translations: parse, validate and
-    /// lower, for misses and persist hits alike.
+    /// Wall-clock seconds spent in translations, for misses and persist
+    /// hits alike: validate and lower — and, for a text request, parse
+    /// first.
     pub wall_compile_time: f64,
     /// *Modelled* translation seconds — the paper's 0.05–0.22 s per kernel
     /// figure, scaled by program size. Benchmark harnesses report this.
     pub modeled_compile_time: f64,
     /// In-memory misses whose program the persistent kernel store records
     /// as translated on this device before (the driver's binary cache):
-    /// the request's own text is lowered, with no modelled translation
-    /// cost and no `misses` increment.
+    /// the program is lowered, with no modelled translation cost and no
+    /// `misses` increment.
     pub persist_hits: u64,
 }
 
@@ -100,7 +106,8 @@ impl<'a> CompileRequest<'a> {
     }
 }
 
-/// A cache of JIT-translated kernels keyed on PTX text.
+/// A cache of JIT-translated kernels: generated kernels filed under their
+/// statement group's structural key tokens, requested PTX under its text.
 #[derive(Default)]
 pub struct KernelCache {
     inner: Mutex<Inner>,
@@ -110,11 +117,35 @@ pub struct KernelCache {
 
 #[derive(Default)]
 struct Inner {
-    /// Hash of the PTX text → kernel.
+    /// Hash of a requested PTX text → kernel.
     map: HashMap<u64, Arc<CompiledKernel>>,
-    /// Structural key tokens → kernel (the front door over `map`).
+    /// Structural key tokens → generated kernel.
     keyed: HashMap<Box<[u32]>, Arc<CompiledKernel>>,
     stats: KernelCacheStats,
+}
+
+/// Where a kernel is filed: under its requested text's hash, or under its
+/// structural key.
+#[derive(Clone, Copy)]
+enum Slot<'a> {
+    Text(u64),
+    Key(&'a [u32]),
+}
+
+impl Inner {
+    fn get(&self, slot: Slot<'_>) -> Option<&Arc<CompiledKernel>> {
+        match slot {
+            Slot::Text(hash) => self.map.get(&hash),
+            Slot::Key(key) => self.keyed.get(key),
+        }
+    }
+}
+
+/// Does `module` come back from its own text? A generated kernel must: the
+/// goldens and the store's digests read its text, and a launch lowers the
+/// module itself.
+fn reprints(module: &Module) -> bool {
+    parse_module(&emit_module(module)).is_ok_and(|m| m == *module)
 }
 
 impl KernelCache {
@@ -152,33 +183,33 @@ impl KernelCache {
         self.store.as_ref()
     }
 
-    /// The kernel cached under the structural `key` tokens, or — the first
-    /// time a key is seen — the one `miss` produces, normally by rendering
-    /// the PTX and handing it to [`KernelCache::compile`]. A hit is one map
-    /// probe, keys compared exactly, and counts in
-    /// [`KernelCacheStats::hits`] like a text-keyed hit; `miss` does its own
-    /// counting. A failed `miss` caches nothing. The key must determine the
-    /// program (so its optimizer level too).
-    pub fn compile_keyed<E>(
+    /// The kernel filed under the structural `key` tokens, or — the first
+    /// time a key is seen — the lowering of the kernel `build` generates.
+    /// A hit is one map probe, keys compared exactly, and counts in
+    /// [`KernelCacheStats::hits`]. A miss lowers the built module as it is
+    /// (no text is printed or parsed, except to digest it for an attached
+    /// store) and counts like a text-keyed miss. A failed `build` counts
+    /// nothing; a failed lowering counts one
+    /// [`KernelCacheStats::compile_errors`]; neither caches anything. The
+    /// key must determine the program (so its optimizer level too).
+    pub fn compile_keyed<E: From<JitError>>(
         &self,
         key: &[u32],
-        miss: impl FnOnce() -> Result<Arc<CompiledKernel>, E>,
+        build: impl FnOnce() -> Result<Kernel, E>,
     ) -> Result<Arc<CompiledKernel>, E> {
-        let mut inner = self.inner.lock();
-        if let Some(k) = inner.keyed.get(key).cloned() {
-            inner.stats.hits += 1;
-            drop(inner);
-            self.telemetry.record_compile(&k.name, true, 0.0, 0.0);
+        let slot = Slot::Key(key);
+        if let Some(k) = self.hit(slot) {
             return Ok(k);
         }
-        drop(inner);
-        let kernel = miss()?;
-        // Insert only if the key is still absent: threads that raced on a
-        // cold key all return the first one's kernel. Each already counted
-        // its own lookup in `miss`, so nothing more is counted here.
-        let mut inner = self.inner.lock();
-        let kept = inner.keyed.entry(key.into()).or_insert(kernel);
-        Ok(Arc::clone(kept))
+        let module = Module::with_kernel(build()?);
+        let digest = || stable_module_digest(&module);
+        let kernel = self.translate(slot, Instant::now(), &module.kernels[0], digest)?;
+        debug_assert!(
+            reprints(&module),
+            "kernel {} does not parse back as itself from its own text",
+            kernel.name
+        );
+        Ok(kernel)
     }
 
     /// Translate (or fetch) the single kernel described by `req` — the
@@ -187,73 +218,90 @@ impl KernelCache {
     /// The text must contain exactly one `.entry` — the code generator
     /// emits one module per expression, like the paper's.
     pub fn compile(&self, req: CompileRequest<'_>) -> Result<Arc<CompiledKernel>, JitError> {
-        let mut h = DefaultHasher::new();
-        req.ptx.hash(&mut h);
-        let key = h.finish();
-
-        let check_name = |k: &CompiledKernel| -> Result<(), JitError> {
+        let check_name = |name: &str| -> Result<(), JitError> {
             match req.name {
-                Some(want) if k.name != want => Err(JitError::Lower(format!(
-                    "compile request expected kernel `{want}`, module defines `{}`",
-                    k.name
+                Some(want) if name != want => Err(JitError::Lower(format!(
+                    "compile request expected kernel `{want}`, module defines `{name}`"
                 ))),
                 _ => Ok(()),
             }
         };
-
-        let mut inner = self.inner.lock();
-        if let Some(k) = inner.map.get(&key).cloned() {
-            inner.stats.hits += 1;
-            drop(inner);
-            check_name(&k)?;
-            self.telemetry.record_compile(&k.name, true, 0.0, 0.0);
+        let mut h = DefaultHasher::new();
+        req.ptx.hash(&mut h);
+        let slot = Slot::Text(h.finish());
+        if let Some(k) = self.hit(slot) {
+            check_name(&k.name)?;
             return Ok(k);
         }
-        drop(inner);
 
-        // In-memory miss: translate outside the lock, so one thread's cold
-        // translation never blocks another thread's lookup.
         let t0 = Instant::now();
-        let translated = compile_ptx(req.ptx).and_then(|mut kernels| match kernels.len() {
-            1 => Ok(kernels.remove(0)),
-            n => Err(JitError::Lower(format!(
-                "expected exactly one kernel per module, got {n}"
-            ))),
-        });
-        let kernel = match translated {
-            Ok(k) => Arc::new(k),
-            Err(e) => {
-                self.inner.lock().stats.compile_errors += 1;
-                self.telemetry.record_compile_error();
-                return Err(e);
-            }
-        };
-        let wall = t0.elapsed().as_secs_f64();
-        check_name(&kernel)?;
+        let parsed = parse_module(req.ptx)
+            .map_err(JitError::from)
+            .and_then(|mut module| match module.kernels.len() {
+                1 => Ok(module.kernels.remove(0)),
+                n => Err(JitError::Lower(format!(
+                    "expected exactly one kernel per module, got {n}"
+                ))),
+            });
+        let kernel = parsed.inspect_err(|_| self.count_error())?;
+        check_name(&kernel.name)?;
+        self.translate(slot, t0, &kernel, || stable_text_digest(req.ptx))
+    }
 
-        // Insert only if the text is still absent. A thread that lost the
-        // race to translate it returns the winner's kernel — one text, one
-        // `CompiledKernel`, one tuning record — and counts the hit it would
-        // have counted had it waited for the lock.
+    /// A probe of `slot`: the kernel filed there, counted as a hit.
+    fn hit(&self, slot: Slot<'_>) -> Option<Arc<CompiledKernel>> {
         let mut inner = self.inner.lock();
-        if let Some(winner) = inner.map.get(&key).cloned() {
+        let k = inner.get(slot).cloned()?;
+        inner.stats.hits += 1;
+        drop(inner);
+        self.telemetry.record_compile(&k.name, true, 0.0, 0.0);
+        Some(k)
+    }
+
+    fn count_error(&self) {
+        self.inner.lock().stats.compile_errors += 1;
+        self.telemetry.record_compile_error();
+    }
+
+    /// The miss path of both doors: lower `kernel` outside the lock, so one
+    /// thread's cold translation never blocks another thread's lookup, and
+    /// charge the wall time since `t0`. The kernel is filed under `slot`
+    /// only if the slot is still empty. A thread that lost the race to
+    /// translate it returns the winner's kernel — one program, one
+    /// `CompiledKernel`, one tuning record — and counts the hit it would
+    /// have counted had it waited for the lock; only the winner counts its
+    /// translation. `digest` digests the program's text, and runs only
+    /// when a store is attached.
+    fn translate(
+        &self,
+        slot: Slot<'_>,
+        t0: Instant,
+        kernel: &Kernel,
+        digest: impl FnOnce() -> String,
+    ) -> Result<Arc<CompiledKernel>, JitError> {
+        let kernel = Arc::new(lower_kernel(kernel).inspect_err(|_| self.count_error())?);
+        let wall = t0.elapsed().as_secs_f64();
+
+        let mut inner = self.inner.lock();
+        if let Some(winner) = inner.get(slot).cloned() {
             inner.stats.hits += 1;
             drop(inner);
             self.telemetry.record_compile(&winner.name, true, 0.0, 0.0);
             return Ok(winner);
         }
-        inner.map.insert(key, Arc::clone(&kernel));
+        let filed = Arc::clone(&kernel);
+        match slot {
+            Slot::Text(hash) => inner.map.insert(hash, filed),
+            Slot::Key(key) => inner.keyed.insert(key.into(), filed),
+        };
         inner.stats.wall_compile_time += wall;
         drop(inner);
 
-        // A text whose digest the store holds was translated on this device
-        // by an earlier process: it was lowered like any other, but with no
-        // modelled translation cost (driver binary-cache semantics), and
-        // counts as a hit, not a miss.
-        let digest = self
-            .store
-            .as_ref()
-            .map(|s| (s, stable_text_digest(req.ptx)));
+        // A program whose digest the store holds was translated on this
+        // device by an earlier process: it was lowered like any other, but
+        // with no modelled translation cost (driver binary-cache
+        // semantics), and counts as a hit, not a miss.
+        let digest = self.store.as_ref().map(|s| (s, digest()));
         if digest.as_ref().is_some_and(|(s, d)| s.lookup_kernel(d)) {
             self.inner.lock().stats.persist_hits += 1;
             self.telemetry.record_compile(&kernel.name, true, wall, 0.0);
@@ -273,9 +321,20 @@ impl KernelCache {
         Ok(kernel)
     }
 
-    /// Number of distinct kernels translated so far.
+    /// The cached kernel named `name`, generated or requested, if any: how
+    /// a test or a tool reads a launched kernel's code and tuning record.
+    /// A scan of the whole cache, never on the launch path.
+    pub fn by_name(&self, name: &str) -> Option<Arc<CompiledKernel>> {
+        let inner = self.inner.lock();
+        let mut all = inner.keyed.values().chain(inner.map.values());
+        all.find(|k| k.name == name).cloned()
+    }
+
+    /// Number of distinct kernels translated so far: each generated key and
+    /// each requested text once.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        let inner = self.inner.lock();
+        inner.keyed.len() + inner.map.len()
     }
 
     /// Is the cache empty?
@@ -292,14 +351,19 @@ impl KernelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdp_ptx::emit::emit_module;
-    use qdp_ptx::module::{KernelBuilder, Module};
+    use crate::lower::compile_ptx;
+    use qdp_ptx::module::KernelBuilder;
     use qdp_ptx::types::PtxType;
+    use qdp_ptx::{BinOp, Operand};
 
-    fn tiny_ptx(name: &str) -> String {
+    fn tiny_kernel(name: &str) -> Kernel {
         let mut b = KernelBuilder::new(name);
         b.param("n", PtxType::U32);
-        emit_module(&Module::with_kernel(b.finish()))
+        b.finish()
+    }
+
+    fn tiny_ptx(name: &str) -> String {
+        emit_module(&Module::with_kernel(tiny_kernel(name)))
     }
 
     #[test]
@@ -316,29 +380,44 @@ mod tests {
     }
 
     #[test]
-    fn keyed_hit_is_a_probe_and_a_failed_miss_caches_nothing() {
+    fn keyed_hit_is_a_probe_and_a_failed_build_caches_nothing() {
         let cache = KernelCache::new();
-        let text = tiny_ptx("k_keyed");
-        let mut misses = 0;
-        let mut get = |key: &[u32]| {
+        let builds = std::cell::Cell::new(0);
+        let get = |key: &[u32]| {
             cache.compile_keyed(key, || {
-                misses += 1;
-                cache.compile(CompileRequest::new(&text))
+                builds.set(builds.get() + 1);
+                Ok::<_, JitError>(tiny_kernel("k_keyed"))
             })
         };
         let a = get(&[1, 2]).unwrap();
         assert!(Arc::ptr_eq(&a, &get(&[1, 2]).unwrap()));
-        // A second key for the same program runs its miss path; the
-        // text-keyed cache behind it dedups.
-        assert!(Arc::ptr_eq(&a, &get(&[1, 2, 0]).unwrap()));
-        assert_eq!(misses, 2);
+        assert_eq!(builds.get(), 1, "a warm key builds nothing");
         let s = cache.stats();
-        assert_eq!((s.misses, s.hits, cache.len()), (1, 2, 1));
+        assert_eq!((s.misses, s.hits, cache.len()), (1, 1, 1));
+        assert!(Arc::ptr_eq(&a, &cache.by_name("k_keyed").unwrap()));
+        assert!(cache.by_name("k_other").is_none());
+        // The module is lowered as its text would be.
+        let text = compile_ptx(&tiny_ptx("k_keyed")).unwrap();
+        assert_eq!(format!("{a:?}"), format!("{:?}", text[0]));
 
-        let bad = || cache.compile_keyed(&[3], || cache.compile(CompileRequest::new("nonsense")));
-        assert!(bad().is_err());
-        assert!(bad().is_err(), "the failure was not cached");
-        assert_eq!(cache.stats().compile_errors, 2);
+        // `and.f64` parses but is outside the dialect: validation turns the
+        // lowering away on every attempt, and nothing is filed.
+        let invalid = || {
+            let mut b = KernelBuilder::new("k_invalid");
+            let x = b.mov(PtxType::F64, Operand::ImmF(1.0));
+            b.bin(BinOp::And, PtxType::F64, x.into(), x.into());
+            Ok::<_, JitError>(b.finish())
+        };
+        assert!(cache.compile_keyed(&[3], invalid).is_err());
+        assert!(
+            cache.compile_keyed(&[3], invalid).is_err(),
+            "the failure was not cached"
+        );
+        // A build that fails never reaches the JIT.
+        let no_kernel = || Err(JitError::Lower("no kernel".into()));
+        assert!(cache.compile_keyed(&[4], no_kernel).is_err());
+        let s = cache.stats();
+        assert_eq!((s.compile_errors, s.misses, cache.len()), (2, 1, 1));
     }
 
     /// Four threads released together onto one cold text, then onto one
@@ -366,18 +445,53 @@ mod tests {
             (kernels, cache.stats())
         }
         let text = Arc::new(tiny_ptx("k_race"));
-        let by_text = {
-            let text = Arc::clone(&text);
-            race(move |c| c.compile(CompileRequest::new(&text)).unwrap())
-        };
-        let by_key = race(move |c| {
-            c.compile_keyed(&[4], || c.compile(CompileRequest::new(&text)))
+        let by_text = race(move |c| c.compile(CompileRequest::new(&text)).unwrap());
+        let by_key = race(|c| {
+            c.compile_keyed(&[4], || Ok::<_, JitError>(tiny_kernel("k_race")))
                 .unwrap()
         });
         for (kernels, stats) in [by_text, by_key] {
             assert!(kernels.iter().all(|k| Arc::ptr_eq(k, &kernels[0])));
             assert_eq!((stats.misses, stats.hits), (1, 3));
         }
+    }
+
+    /// Two threads that both missed one cold key — each builds and lowers,
+    /// since both wait for the other inside `build` — get one kernel: the
+    /// winner counts the miss and writes the store's one digest, the loser
+    /// counts a hit.
+    #[test]
+    fn a_cold_key_both_threads_missed_is_counted_once() {
+        let dir = std::env::temp_dir().join(format!("qdp_cache_race_{}", std::process::id()));
+        let store = KernelStore::open(&dir, "dev", Arc::new(Telemetry::new()));
+        let cache = Arc::new(KernelCache::with_store(
+            Arc::new(Telemetry::new()),
+            Some(Arc::clone(&store)),
+        ));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let (cache, barrier) = (Arc::clone(&cache), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    cache
+                        .compile_keyed(&[5], || {
+                            barrier.wait();
+                            Ok::<_, JitError>(tiny_kernel("k_both_missed"))
+                        })
+                        .unwrap()
+                })
+            })
+            .collect();
+        let kernels: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        let s = cache.stats();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(Arc::ptr_eq(&kernels[0], &kernels[1]));
+        assert_eq!(
+            (s.misses, s.hits, s.persist_hits, cache.len()),
+            (1, 1, 0, 1)
+        );
+        assert_eq!(store.n_kernels(), 1);
+        assert!(store.lookup_kernel(&stable_text_digest(&tiny_ptx("k_both_missed"))));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! compiler inside the NVIDIA Linux kernel driver (Fig. 2). This crate plays
 //! that role for the simulated device:
 //!
-//! * [`lower`] parses **PTX text** (via `qdp-ptx`'s parser) and lowers it —
-//!   as written: the code generator prints its final program — to a
+//! * [`lower`] lowers a **PTX module** — the one the code generator built,
+//!   or one parsed from PTX text by `qdp-ptx`'s parser — as written to a
 //!   compact register-machine program ([`CompiledKernel`]) with registers
 //!   allocated by live range onto columns, resolved exit branches and
 //!   parameter indices — the "GPU code" stage;
@@ -16,7 +16,7 @@
 //!   persistent pool like blocks across SMs — the calling thread takes
 //!   part, a busy pool runs them inline, and a thread's CPU set is read at
 //!   its first region;
-//! * [`cache`] is the compiled-kernel cache: each distinct PTX program is
+//! * [`cache`] is the compiled-kernel cache: each distinct kernel is
 //!   translated once (the paper measures 0.05–0.22 s per kernel, §III-D,
 //!   and ~200 kernels ≈ 10–30 s per HMC trajectory, §VIII-D);
 //! * [`autotune`] implements the paper's thread-block auto-tuner (§VII):

@@ -1173,10 +1173,11 @@ fn allocate_registers(code: &mut [COp], n: usize) -> Registers {
     }
 }
 
-/// The "driver JIT" entry point used by [`crate::cache::KernelCache`]:
-/// parse PTX text and lower every kernel (Fig. 2), which validates it
-/// first. The text is lowered as written — the code generator prints its
-/// final program, so nothing here rewrites it.
+/// The "driver JIT" for PTX text (Fig. 2): parse it and lower every kernel
+/// with [`lower_kernel`], which validates it first. The text is lowered as
+/// written. [`crate::cache::KernelCache::compile`] takes this path for a
+/// text request; a launch hands `lower_kernel` the module the generator
+/// built, with no text in between.
 pub fn compile_ptx(text: &str) -> Result<Vec<CompiledKernel>, JitError> {
     let module = qdp_ptx::parse::parse_module(text)?;
     module.kernels.iter().map(lower_kernel).collect()

@@ -14,6 +14,19 @@ pub enum Operand {
     ImmI(i64),
 }
 
+impl Operand {
+    /// The floating-point immediate `v` of an instruction of type `ty`,
+    /// holding the value its text carries: an `f32` instruction's immediate
+    /// is rounded to `f32` here, so a kernel built in memory is the kernel
+    /// its printed text parses back to.
+    pub fn imm_f(ty: PtxType, v: f64) -> Operand {
+        Operand::ImmF(match ty {
+            PtxType::F32 => v as f32 as f64,
+            _ => v,
+        })
+    }
+}
+
 impl From<Reg> for Operand {
     fn from(r: Reg) -> Operand {
         Operand::Reg(r)
