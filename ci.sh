@@ -144,15 +144,20 @@ echo "ok: one application path (no dist_* twin, no MultiRank reductions, ranks n
 # A statement group is walked once, keyed once and looked up once: the
 # context's key -> PTX-text map, the per-statement flag walker and the
 # persistence master switch (on iff a directory is given) stay deleted.
-# (Spelled in pieces, as above.)
+# The token key is a kernel's only key and its name a hash of the tokens:
+# the text rendering of the key (its sink trait, its decimal writer, the
+# group's text key) and the one-statement twin of `codegen_fused_ptx`
+# stay deleted from the library. (Spelled in pieces, as above.)
 twins="ptx_""for_key|try_ptx_""for_key|ptx_""texts|fn scalar_""flags|QDP_""CACHE([^_A-Z]|\$)"
 stale=$(grep -rnE "$twins" crates src examples README.md DESIGN.md || true)
+text_key="write_""key|Key""Sink|text_""key|put_""num|codegen_""ptx"
+stale+=$(grep -rnE "$text_key" crates/*/src src examples || true)
 if [ -n "$stale" ]; then
     echo "FAIL: a second kernel identity or the persistence master switch is back:" >&2
     echo "$stale" >&2
     exit 1
 fi
-echo "ok: one kernel identity (no key -> text map, no second traversal, no persistence master switch)"
+echo "ok: one kernel identity (no key -> text map, no text key, no second traversal, no persistence master switch)"
 
 # ---- Guard: one executor ------------------------------------------------------
 # Kernels run in lane tiles over live-range-allocated register columns: the
@@ -533,9 +538,9 @@ echo "ok: one tuning record (each compiled kernel holds its own, no lookup by na
 # anywhere else (test modules and eval.rs's CPU reference section aside):
 # no `KernelSignature::of`, no `float_type`,
 # `leaves_under_any_shift`, `reads_under_shift`, `has_shift` or
-# `has_nested_shift`. The text key is rendered from the tokens piece by
-# piece: `KernelSignature` never goes through the formatter. Comment lines
-# are skipped.
+# `has_nested_shift`. The key is the tokens and has no text form:
+# `KernelSignature` never goes through the formatter. Comment lines are
+# skipped.
 rewalk=$(awk '
     FNR == 1 { done = 0; inside = 0; reference = 0 }
     /^#\[cfg\(test\)\]/ { done = 1 }
@@ -557,19 +562,19 @@ if [ -n "$rewalk$formatted" ]; then
     [ -z "$formatted" ] || echo "$formatted" >&2
     exit 1
 fi
-echo "ok: one walk per statement (launch, planner and §V schedule read each Stmt's signature; the text key is rendered from its tokens)"
+echo "ok: one walk per statement (launch, planner and §V schedule read each Stmt's signature; the key is never formatted)"
 
 # ---- Guard: a launch prints and parses no PTX -----------------------------------
 # A cold launch hands the kernel the generator built to the JIT
 # (`KernelCache::compile_keyed`), which lowers it as built: the launch path
 # (eval.rs, the §V schedule in multinode.rs, the fusion planner in fuse.rs)
 # prints, parses and compiles no PTX text. Only the functions that print a
-# kernel for a reader (`render_ptx`, `codegen_ptx`, `codegen_fused_ptx`),
+# kernel for a reader (`render_ptx`, `codegen_fused_ptx`),
 # `use` lines, comment lines and test modules may name the text path.
 printed=$(awk '
     FNR == 1 { done = 0; exempt = 0 }
     /^#\[cfg\(test\)\]/ { done = 1 }
-    /^pub(\(crate\))? fn (render_ptx|codegen_ptx|codegen_fused_ptx)\(/ { exempt = 1 }
+    /^pub(\(crate\))? fn (render_ptx|codegen_fused_ptx)\(/ { exempt = 1 }
     exempt && /^\}/ { exempt = 0; next }
     !done && !exempt && !/^[[:space:]]*(\/\/|use )/ &&
     /emit_module|parse_module|compile_ptx|CompileRequest/ {

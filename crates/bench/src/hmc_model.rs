@@ -33,7 +33,7 @@ impl Config {
 
 /// Factor `n` into 4 near-equal factors ordered to match the global dims,
 /// minimising the communication surface (greedy prime assignment).
-pub fn decompose(n: usize, global: [usize; 4]) -> [usize; 4] {
+fn decompose(n: usize, global: [usize; 4]) -> [usize; 4] {
     let mut dims = [1usize; 4];
     let mut primes = Vec::new();
     let mut m = n;

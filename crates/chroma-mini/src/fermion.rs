@@ -205,7 +205,7 @@ fn sigma_munu(mu: usize, nu: usize) -> [[Complex<f64>; 4]; 4] {
 /// The field strength from the four clover leaves:
 /// `F_µν = (Q_µν − Q_µν†)/8` with `Q` the sum of the four plaquette leaves
 /// around `x` in the `(µ,ν)` plane.
-pub fn field_strength(
+fn field_strength(
     g: &GaugeField,
     mu: usize,
     nu: usize,

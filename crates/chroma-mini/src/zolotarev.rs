@@ -44,7 +44,7 @@ impl PartialFraction {
 // --- elliptic functions ------------------------------------------------------
 
 /// Complete elliptic integral `K(m)` with parameter `m = k²`, by AGM.
-pub fn ellip_k(m: f64) -> f64 {
+fn ellip_k(m: f64) -> f64 {
     assert!((0.0..1.0).contains(&m), "parameter out of range");
     let mut a = 1.0f64;
     let mut b = (1.0 - m).sqrt();
@@ -62,7 +62,7 @@ pub fn ellip_k(m: f64) -> f64 {
 
 /// Jacobi elliptic `sn(u | m)` by the AGM / descending-amplitude method
 /// (Abramowitz & Stegun 16.4).
-pub fn jacobi_sn(u: f64, m: f64) -> f64 {
+fn jacobi_sn(u: f64, m: f64) -> f64 {
     assert!((0.0..1.0).contains(&m));
     if m < 1e-14 {
         return u.sin();
@@ -219,7 +219,7 @@ pub fn fit_power(p: f64, a: f64, b: f64, n: usize) -> PartialFraction {
 }
 
 /// Max relative error of `pf` against `x^p` on a dense log grid.
-pub fn measure_error(pf: &PartialFraction, a: f64, b: f64, p: f64) -> f64 {
+fn measure_error(pf: &PartialFraction, a: f64, b: f64, p: f64) -> f64 {
     let mut worst: f64 = 0.0;
     for i in 0..5000 {
         let x = a * (b / a).powf(i as f64 / 4999.0);

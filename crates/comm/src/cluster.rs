@@ -153,7 +153,8 @@ impl RankHandle {
     }
 
     /// Shared liveness/injection state for this cluster run.
-    pub fn fault_state(&self) -> &Arc<FaultState> {
+    #[cfg(test)]
+    fn fault_state(&self) -> &Arc<FaultState> {
         &self.faults
     }
 

@@ -40,7 +40,7 @@ impl NodeModel {
     /// One AMD 6276 Interlagos socket of a Blue Waters XE node: ~8 Bulldozer
     /// modules, DDR3 stream ≈ 18 GB/s effective, ≈ 60 GF DP effective on
     /// lattice kernels.
-    pub fn xe_socket() -> NodeModel {
+    fn xe_socket() -> NodeModel {
         NodeModel {
             name: "XE socket (Interlagos)".into(),
             cpu_bandwidth: 12.0e9,
@@ -56,7 +56,7 @@ impl NodeModel {
 
     /// One Blue Waters / Titan XK node: 1 Interlagos socket + 1 GK110 with
     /// ECC on (≈ 150 GB/s sustained, matching the paper's 75 % of 200 GB/s).
-    pub fn xk_node() -> NodeModel {
+    fn xk_node() -> NodeModel {
         NodeModel {
             name: "XK node (Interlagos + GK110)".into(),
             cpu_bandwidth: 12.0e9,

@@ -17,7 +17,7 @@
 
 use crate::fixture::Fixture;
 use crate::gen::gen_typed_expr;
-use qdp_core::codegen_ptx;
+use qdp_core::codegen_fused_ptx;
 use qdp_layout::Subset;
 use qdp_proptest::Gen;
 use qdp_ptx::emit::emit_module;
@@ -59,7 +59,8 @@ pub fn seed_corpus() -> Vec<String> {
     {
         let expr = gen_typed_expr(&mut g, &fx, kind, 3);
         let target = fx.fresh_target(kind);
-        let ptx = codegen_ptx(&fx.ctx, target, &expr, subset, &format!("fuzz_seed_{i}"))
+        let name = format!("fuzz_seed_{i}");
+        let ptx = codegen_fused_ptx(&fx.ctx, &[(target, expr)], &[], subset, &name)
             .expect("seed corpus codegen");
         fx.release(target);
         out.push(ptx);

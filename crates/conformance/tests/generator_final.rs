@@ -10,11 +10,11 @@
 //!
 //! A launch lowers the kernel the generator built, never its text: every
 //! random kernel, as built, is also the kernel its printed text parses
-//! back to, and that text is what `codegen_ptx` / `codegen_fused_ptx`
-//! print (the goldens' half is `golden_ptx.rs`).
+//! back to, and that text is what `codegen_fused_ptx` prints (the goldens'
+//! half is `golden_ptx.rs`).
 
 use qdp_conformance::{gen_stmt_sequence, gen_typed_expr, random_target_kind, Fixture};
-use qdp_core::{codegen_fused_kernel, codegen_fused_ptx, codegen_ptx, OptLevel, QdpContext};
+use qdp_core::{codegen_fused_kernel, codegen_fused_ptx, OptLevel, QdpContext};
 use qdp_expr::{Expr, UnaryOp};
 use qdp_layout::{LayoutKind, Subset};
 use qdp_proptest::Gen;
@@ -109,7 +109,7 @@ fn generated_kernels_are_final() {
                 let single = [(target, expr.clone())];
                 let built = codegen_fused_kernel(ctx, &single, &[], subset, "k").unwrap();
                 let ptx = check_reprints(&what, built);
-                assert!(ptx == codegen_ptx(ctx, target, &expr, subset, "k").unwrap());
+                assert!(ptx == codegen_fused_ptx(ctx, &single, &[], subset, "k").unwrap());
                 check_final(&what, &ptx);
                 let fused = codegen_fused_kernel(ctx, &stmts, &[], Subset::All, "k").unwrap();
                 let fused = check_reprints(&format!("{what}, fused"), fused);

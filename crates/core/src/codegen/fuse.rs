@@ -311,9 +311,10 @@ fn plan_groups(ctx: &QdpContext, stmts: &[Stmt]) -> Vec<std::ops::Range<usize>> 
 /// record them), under a caller-chosen kernel name — on an attached
 /// context, the §V halo kernel of a full-lattice group that shifts along a
 /// split dimension, as the schedule without overlap launches it over the
-/// whole lattice. Pure codegen (nothing is compiled, cached or launched) —
-/// the multi-statement twin of [`crate::codegen_ptx`], used by the
-/// golden-snapshot tests: the printed [`codegen_fused_kernel`].
+/// whole lattice. Pure codegen (nothing is compiled, cached or launched),
+/// used by the golden-snapshot tests, the optimizer tests and the
+/// conformance fuzzer — one statement is a group of one: the printed
+/// [`codegen_fused_kernel`].
 pub fn codegen_fused_ptx(
     ctx: &QdpContext,
     stmts: &[(FieldRef, Expr)],
@@ -326,8 +327,7 @@ pub fn codegen_fused_ptx(
 }
 
 /// The kernel [`codegen_fused_ptx`] prints, as the code generator builds it
-/// and a launch lowers it — with one statement and no reduction, the kernel
-/// of [`crate::codegen_ptx`]. Pure codegen, like its printed twin.
+/// and a launch lowers it. Pure codegen, like its printed twin.
 pub fn codegen_fused_kernel(
     ctx: &QdpContext,
     stmts: &[(FieldRef, Expr)],
@@ -513,7 +513,7 @@ impl FusionScope {
 
     /// `‖expr‖²` as a deferred reduction: the local-norm temporary fuses
     /// with pending producers, then one reduction pass runs.
-    pub fn norm2_of<E: SiteElem>(&mut self, q: &QExpr<E>) -> Result<f64, CoreError> {
+    fn norm2_of<E: SiteElem>(&mut self, q: &QExpr<E>) -> Result<f64, CoreError> {
         let n2 = Expr::Unary(UnaryOp::LocalNorm2, Box::new(q.raw().clone()));
         Ok(self.reduce(vec![(n2, ElemKind::Real)])?[0][0])
     }
@@ -743,15 +743,86 @@ mod tests {
         assert!(stmts.last().unwrap().self_shift());
     }
 
-    /// The kernel cache compares a group's token key. Over the CG body's
-    /// statements alone and as flushed groups, an inner product as a
-    /// reduction, a single-precision target, every subset mapping and
-    /// several split masks, on contexts that differ in optimizer level,
-    /// layout or volume: equal tokens come exactly with equal text keys.
+    /// `e` with every field leaf renumbered by its slot in the group table
+    /// `leaves` (ids in first-visit order) and every scalar value zeroed:
+    /// what a kernel key keeps of a statement.
+    fn canonical(e: &Expr, leaves: &mut Vec<u64>) -> Expr {
+        let mut field = |r: &FieldRef| {
+            let slot = leaves.iter().position(|&id| id == r.id).unwrap_or_else(|| {
+                leaves.push(r.id);
+                leaves.len() - 1
+            });
+            FieldRef { id: slot as u64, ..*r }
+        };
+        match e {
+            Expr::Field(r) => Expr::Field(field(r)),
+            Expr::Scalar { complex, .. } => Expr::Scalar {
+                re: 0.0,
+                im: 0.0,
+                complex: *complex,
+            },
+            Expr::CloverApply { diag, tri, child } => {
+                let (diag, tri) = (field(diag), field(tri));
+                Expr::CloverApply {
+                    diag,
+                    tri,
+                    child: Box::new(canonical(child, leaves)),
+                }
+            }
+            Expr::Unary(op, c) => Expr::Unary(*op, Box::new(canonical(c, leaves))),
+            Expr::Binary(op, a, b) => {
+                let a = Box::new(canonical(a, leaves));
+                Expr::Binary(*op, a, Box::new(canonical(b, leaves)))
+            }
+            Expr::Shift { mu, dir, child } => Expr::Shift {
+                mu: *mu,
+                dir: *dir,
+                child: Box::new(canonical(child, leaves)),
+            },
+            Expr::GammaMul { gamma, child } => Expr::GammaMul {
+                gamma: *gamma,
+                child: Box::new(canonical(child, leaves)),
+            },
+            Expr::SpinProject { proj, child } => Expr::SpinProject {
+                proj: *proj,
+                child: Box::new(canonical(child, leaves)),
+            },
+            Expr::SpinReconstruct { proj, child } => Expr::SpinReconstruct {
+                proj: *proj,
+                child: Box::new(canonical(child, leaves)),
+            },
+        }
+    }
+
+    /// A test-side rendering of a group's kernel key through the formatter:
+    /// the launch environment, then per statement its canonical expression,
+    /// target type, role and compute precision.
+    fn reference_key(ctx: &QdpContext, group: &[Stmt], mapped: bool, split: [bool; 4]) -> String {
+        let env = (ctx.geometry().vol(), ctx.layout(), mapped, split, ctx.opt_level());
+        let mut leaves = Vec::new();
+        let stmts: Vec<String> = group
+            .iter()
+            .map(|s| {
+                let e = canonical(&s.expr, &mut leaves);
+                let (t, role) = (s.target, if s.reduce { "reduce" } else { "assign" });
+                format!("{e:?} -> {:?}:{:?} {role} at {:?}", t.kind, t.ft, s.ft)
+            })
+            .collect();
+        format!("{env:?} [{}]", stmts.join(" ; "))
+    }
+
+    /// The kernel cache compares a group's token key and names the kernel
+    /// after its hash. Over the CG body's statements alone and as flushed
+    /// groups, an inner product as a reduction, a single-precision target,
+    /// two groups that differ only in which earlier leaf a statement reads,
+    /// every subset mapping and several split masks, on contexts that
+    /// differ in optimizer level, layout or volume: equal tokens come
+    /// exactly with equal reference keys, and with equal names.
     #[test]
-    fn group_token_keys_are_equal_exactly_when_text_keys_are() {
-        let mut by_tokens: HashMap<Vec<u32>, String> = HashMap::new();
-        let mut by_text: HashMap<String, Vec<u32>> = HashMap::new();
+    fn group_token_keys_are_equal_exactly_when_reference_keys_are() {
+        let mut by_tokens: HashMap<Vec<u32>, (String, String)> = HashMap::new();
+        let mut by_reference: HashMap<String, Vec<u32>> = HashMap::new();
+        let mut by_name: HashMap<String, Vec<u32>> = HashMap::new();
         let geom = Geometry::symmetric;
         let contexts = [
             QdpContext::builder(geom(4)).build(),
@@ -782,18 +853,33 @@ mod tests {
             };
             let dslash = Cow::Owned(wilson(P, ProjSign::Minus));
             groups.push(vec![Stmt::new(single, dslash, Subset::All, stream)]);
+            // `{r = p+ap; tmp = 2*p}` and `{r = p+ap; tmp = 2*ap}`: only the
+            // second statement's leaf map tells them apart.
+            for read in [P, AP] {
+                let sum = bin(BinaryOp::Add, Expr::Field(fermion(P)), Expr::Field(fermion(AP)));
+                let twice = bin(BinaryOp::Mul, Expr::real(2.0), Expr::Field(fermion(read)));
+                groups.push(vec![
+                    Stmt::new(fermion(R), Cow::Owned(sum), Subset::All, stream),
+                    Stmt::new(fermion(TMP), Cow::Owned(twice), Subset::All, stream),
+                ]);
+            }
             let masks = [[false; 4], [true, false, false, false], [false, false, false, true]];
             for group in &groups {
                 for subset_mapped in [false, true] {
                     for split in masks {
                         let keyed = KeyedGroup::new(ctx, group, subset_mapped, split);
-                        let text = keyed.plan(ctx, group).unwrap().key;
+                        let reference = reference_key(ctx, group, subset_mapped, split);
+                        let name = keyed.plan(ctx, group).unwrap().name;
                         let tokens = keyed.key;
-                        if let Some(seen) = by_tokens.insert(tokens.clone(), text.clone()) {
-                            assert_eq!(seen, text, "equal tokens, different text keys");
+                        let pair = (reference.clone(), name.clone());
+                        if let Some(seen) = by_tokens.insert(tokens.clone(), pair.clone()) {
+                            assert_eq!(seen, pair, "equal tokens");
                         }
-                        if let Some(seen) = by_text.insert(text, tokens.clone()) {
-                            assert_eq!(seen, tokens, "equal text keys, different tokens");
+                        if let Some(seen) = by_reference.insert(reference, tokens.clone()) {
+                            assert_eq!(seen, tokens, "equal reference keys, different tokens");
+                        }
+                        if let Some(seen) = by_name.insert(name, tokens.clone()) {
+                            assert_eq!(seen, tokens, "equal names, different tokens");
                         }
                     }
                 }
@@ -801,7 +887,7 @@ mod tests {
         }
         // Every context, mapping and mask is a kernel of its own; only the
         // statements repeated across the CG flushes share keys.
-        assert!(by_text.len() > 4 * 2 * 3 * 10, "{} keys", by_text.len());
+        assert!(by_reference.len() > 4 * 2 * 3 * 10, "{} keys", by_reference.len());
     }
 
     /// The planner's groups and bailouts over the CG body, pinned.

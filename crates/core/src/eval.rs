@@ -16,7 +16,7 @@ use crate::codegen::value::{gen_expr, store_val, GenCtx};
 use crate::context::QdpContext;
 use crate::multinode::face_messages;
 use qdp_cache::CacheError;
-use qdp_expr::{Expr, FieldRef, KernelSignature, KeySink, TypeError};
+use qdp_expr::{Expr, FieldRef, KernelSignature, TypeError};
 use qdp_gpu_sim::{KernelShape, LaunchError, StreamId};
 use qdp_jit::{launch_tuned_on, JitError, LaunchArg};
 use qdp_layout::{FieldLayout, LayoutKind, Subset};
@@ -170,7 +170,7 @@ pub(crate) type RemoteEnv =
     std::collections::HashMap<(usize, qdp_expr::ShiftDir), qdp_gpu_sim::DevicePtr>;
 
 /// The codegen-facing description of one kernel — a group of K ≥ 1
-/// statements evaluated per site: environment, leaf table, key and name.
+/// statements evaluated per site: environment, leaf table and name.
 /// Built on a kernel-cache miss, and by the golden-PTX snapshot tests and
 /// the conformance fuzzer so that every consumer sees *exactly* the kernel
 /// the pipeline would run.
@@ -180,12 +180,10 @@ pub struct CodegenPlan {
     /// Field leaves in visiting order (kernel parameter order; the
     /// deduplicated union over all statements).
     pub leaves: Vec<FieldRef>,
-    /// The kernel's identity: the structural key of its statement group.
-    pub key: String,
-    /// Kernel name derived from `key` (`qdp_<hash>`; `qdpf_<hash>` for a
-    /// multi-statement group).
+    /// Kernel name: a hash of the group's token key (`qdp_<hash>`;
+    /// `qdpf_<hash>` for a multi-statement group).
     pub name: String,
-    /// Optimizer level the kernel is planned for (part of `key`).
+    /// Optimizer level the kernel is planned for (part of the key).
     pub opt: OptLevel,
 }
 
@@ -230,29 +228,6 @@ impl KeyEnv {
             | (s.target.ft as u32) << 12
             | (self.opt as u32) << 13;
         [vol, flags]
-    }
-
-    /// The same as text: `|v{vol}|{layout:?}|{stmt_ft}|m{subset_mapped}
-    /// |r{split:x}|{t|r}{target kind:?}{target tag}|{opt tag}`, piece by
-    /// piece.
-    fn write(&self, s: &Stmt, key: &mut String) {
-        key.put("|v");
-        key.put_num(self.vol);
-        key.put(match self.layout {
-            LayoutKind::SoA => "|SoA|",
-            LayoutKind::AoS => "|AoS|",
-        });
-        key.put(s.ft.ptx_suffix());
-        key.put(match self.subset_mapped {
-            true => "|mtrue|r",
-            false => "|mfalse|r",
-        });
-        key.put(&"0123456789abcdef"[self.split..=self.split]);
-        key.put(if s.reduce { "|r" } else { "|t" });
-        key.put(s.target.kind.name());
-        key.put(s.target.ft.tag());
-        key.put("|");
-        key.put(self.opt.tag());
     }
 }
 
@@ -308,33 +283,8 @@ impl KeyedGroup {
         }
     }
 
-    /// The text key the tokens render to: per statement, the expression
-    /// structure with leaves numbered by the leaf map that follows its
-    /// tokens in `key`, then its environment; K ≥ 2 statements are wrapped
-    /// as `fused[k1 ; k2 ; …]`.
-    fn text_key(&self, stmts: &[Stmt]) -> String {
-        let fused = stmts.len() > 1;
-        let mut key = String::from(if fused { "fused[" } else { "" });
-        let mut at = 0;
-        for (i, s) in stmts.iter().enumerate() {
-            if i > 0 {
-                key.push_str(" ; ");
-            }
-            at += s.sig.tokens.len();
-            let map = &self.key[at..at + s.sig.leaves.len()];
-            s.sig.write_key(|slot| map[slot as usize], &mut key);
-            self.env.write(s, &mut key);
-            at += map.len() + 2;
-        }
-        debug_assert_eq!(at, self.key.len());
-        if fused {
-            key.push(']');
-        }
-        key
-    }
-
-    /// The cold half: type-check the statements, render the text key,
-    /// name the kernel after it and assemble the codegen environment.
+    /// The cold half: type-check the statements, name the kernel after a
+    /// hash of the token key and assemble the codegen environment.
     pub(crate) fn plan(&self, ctx: &QdpContext, stmts: &[Stmt]) -> Result<CodegenPlan, CoreError> {
         for s in stmts {
             let kind = s.expr.kind()?;
@@ -345,9 +295,8 @@ impl KeyedGroup {
                 )));
             }
         }
-        let key = self.text_key(stmts);
         let mut h = DefaultHasher::new();
-        key.hash(&mut h);
+        self.key.hash(&mut h);
         let prefix = if stmts.len() == 1 { "qdp" } else { "qdpf" };
         let metas = stmts.iter().map(|s| StmtMeta {
             target_ft: s.target.ft,
@@ -367,7 +316,6 @@ impl KeyedGroup {
                 stmts: metas.collect(),
             },
             leaves: self.sig.leaves.clone(),
-            key,
             name: format!("{prefix}_{:016x}", h.finish()),
             opt: self.env.opt,
         })
@@ -426,20 +374,6 @@ pub(crate) fn build_statements(
     let mut kernel = g.finish();
     optimize_kernel(&mut kernel, plan.opt);
     Ok(kernel)
-}
-
-/// Generate the PTX text the pipeline would run for `expr` into `target`
-/// over `subset`, under a caller-chosen kernel name. Pure codegen: nothing
-/// is compiled, cached or launched.
-pub fn codegen_ptx(
-    ctx: &QdpContext,
-    target: FieldRef,
-    expr: &Expr,
-    subset: Subset,
-    kernel_name: &str,
-) -> Result<String, CoreError> {
-    let plan = plan_codegen(ctx, target, expr, subset != Subset::All, false)?;
-    render_ptx(&plan, expr, kernel_name)
 }
 
 /// Evaluate `expr` into `target` over `subset` through the full QDP-JIT
@@ -513,10 +447,9 @@ pub(crate) fn eval_statements(ctx: &QdpContext, stmts: &[Stmt]) -> Result<EvalRe
 /// The one statement→kernel launch path: key the group by concatenating
 /// its statements' recorded signatures → keyed kernel lookup → page-in →
 /// marshal → tuned launch → dirty marks. No expression is walked: a warm
-/// key goes from the map probe straight to marshalling; the text key,
-/// planning, naming, kernel generation and lowering run on a miss only, and
-/// the JIT lowers the kernel the generator built (no PTX text is printed or
-/// parsed). The kernel is planned at the context's optimizer level;
+/// key goes from the map probe straight to marshalling; planning, naming,
+/// kernel generation and lowering run on a miss only, and the JIT lowers
+/// the kernel the generator built (no PTX text is printed or parsed). The kernel is planned at the context's optimizer level;
 /// `remote` carries the §V receive buffers of a halo-schedule launch, whose
 /// kernel reads a face message for each shift along a split dimension of
 /// the attached rank grid (its group has no nested shifts:

@@ -33,10 +33,7 @@ pub use config::{QdpConfig, QdpContextBuilder};
 pub use context::QdpContext;
 pub use qdp_gpu_sim::{Event, StreamId};
 pub use qdp_ptx::opt::OptLevel;
-pub use eval::{
-    codegen_ptx, eval, eval_reference, plan_codegen, render_ptx, CodegenPlan, CoreError,
-    EvalReport,
-};
+pub use eval::{eval, eval_reference, plan_codegen, render_ptx, CodegenPlan, CoreError, EvalReport};
 pub use field::{
     adj, clover_mul, conj, cscale, diag_fill, expm, gamma, gamma_mu, imag, outer_color, real,
     reduce_inner_product, reduce_norm2, reduce_sum_complex, reduce_sum_real, shift,

@@ -13,7 +13,7 @@
 //! then commit the updated `.ptx` files with the change that caused them.
 
 use qdp_core::{
-    codegen_fused_kernel, codegen_fused_ptx, codegen_ptx, eval_fused_sequence, plan_codegen,
+    codegen_fused_kernel, codegen_fused_ptx, eval_fused_sequence, plan_codegen,
     reduce_sum_complex, reduce_sum_real, render_ptx, OptLevel, QExpr, QdpConfig, QdpContext,
     SiteComplex, SiteReal,
 };
@@ -275,10 +275,7 @@ fn check_golden(name: &str) {
     let (_, ft) = GOLDENS.iter().find(|(n, _)| *n == name).unwrap();
     let e = env(*ft);
     let g = golden(&e, name);
-    let ptx = match (&g.stmts[..], &g.reductions[..]) {
-        ([(target, expr)], []) => codegen_ptx(&e.ctx, *target, expr, g.subset, name),
-        (stmts, reductions) => codegen_fused_ptx(&e.ctx, stmts, reductions, g.subset, name),
-    };
+    let ptx = codegen_fused_ptx(&e.ctx, &g.stmts, &g.reductions, g.subset, name);
     check_snapshot(name, &ptx.unwrap());
 }
 
@@ -323,7 +320,7 @@ fn dslash_flop_census_matches_its_credit() {
         let (_, ft) = GOLDENS.iter().find(|(n, _)| *n == name).unwrap();
         let e = env(*ft);
         let g = golden(&e, name);
-        let ptx = codegen_ptx(&e.ctx, g.stmts[0].0, &g.stmts[0].1, g.subset, name).unwrap();
+        let ptx = codegen_fused_ptx(&e.ctx, &g.stmts, &g.reductions, g.subset, name).unwrap();
         let flops: usize = opcodes(&ptx)
             .map(|op| match op.split('.').next() {
                 Some("mul" | "add" | "sub") if op.ends_with(".f32") || op.ends_with(".f64") => 1,
@@ -478,7 +475,8 @@ fn generator_emits_exactly_the_dialect() {
             let e = env_in(layout, ft, OptLevel::Default);
             let dslash = wilson_dslash_expr(&e);
             for subset in [Subset::All, Subset::Even] {
-                modules.push(codegen_ptx(&e.ctx, e.chi, &dslash, subset, "k").unwrap());
+                let stmt = [(e.chi, dslash.clone())];
+                modules.push(codegen_fused_ptx(&e.ctx, &stmt, &[], subset, "k").unwrap());
             }
             let remote = plan_codegen(&e.ctx, e.chi, &dslash, false, true).unwrap();
             modules.push(render_ptx(&remote, &dslash, "k").unwrap());
@@ -504,7 +502,8 @@ fn generator_emits_exactly_the_dialect() {
         Expr::Field(e.psi[0]),
         mul(Expr::Field(e.u[0]), Expr::Field(dp)),
     );
-    modules.push(codegen_ptx(&e.ctx, e.chi, &mixed, Subset::All, "k").unwrap());
+    let stmt = [(e.chi, mixed)];
+    modules.push(codegen_fused_ptx(&e.ctx, &stmt, &[], Subset::All, "k").unwrap());
 
     let seen: BTreeSet<&str> = modules.iter().flat_map(|m| opcodes(m)).collect();
     assert_eq!(seen, BTreeSet::from(DIALECT));

@@ -11,7 +11,7 @@
 //!   work shook out of `cpu_backend::pop_shift`.
 
 use qdp_core::codegen::{Backend, CpuGen, PtxGen};
-use qdp_core::{codegen_ptx, OptLevel, QdpContext};
+use qdp_core::{codegen_fused_ptx, OptLevel, QdpContext};
 use qdp_expr::{BinaryOp, Expr, FieldRef, ShiftDir, UnaryOp};
 use qdp_layout::{Geometry, Subset};
 use qdp_types::{ElemKind, FloatType, Gamma, TypeShape};
@@ -116,7 +116,8 @@ fn dslash_sp_loads_drop_at_least_30_percent() {
     ]
     .map(|(level, name)| {
         let e = env_at(FloatType::F32, level);
-        codegen_ptx(&e.ctx, e.psi[1], &wilson_dslash_expr(&e), Subset::All, name).unwrap()
+        let stmt = [(e.psi[1], wilson_dslash_expr(&e))];
+        codegen_fused_ptx(&e.ctx, &stmt, &[], Subset::All, name).unwrap()
     });
 
     let before = count(&plain, "ld.global");
@@ -140,8 +141,8 @@ fn optimized_kernel_models_less_memory_traffic() {
     // the optimized body, so the CSE win reaches the simulated bandwidth.
     let [k0, k1] = [OptLevel::None, OptLevel::Default].map(|level| {
         let e = env_at(FloatType::F32, level);
-        let expr = wilson_dslash_expr(&e);
-        let ptx = codegen_ptx(&e.ctx, e.psi[1], &expr, Subset::All, "dslash_traffic").unwrap();
+        let stmt = [(e.psi[1], wilson_dslash_expr(&e))];
+        let ptx = codegen_fused_ptx(&e.ctx, &stmt, &[], Subset::All, "dslash_traffic").unwrap();
         qdp_jit::compile_ptx(&ptx).unwrap().remove(0)
     });
     assert!(
@@ -212,13 +213,12 @@ fn optimizer_never_pessimizes_reported_dslash_bandwidth() {
 }
 
 #[test]
-fn plan_key_carries_the_opt_level() {
+fn kernel_name_carries_the_opt_level() {
     let [p0, p1] = [OptLevel::None, OptLevel::Default].map(|level| {
         let e = env_at(FloatType::F32, level);
         qdp_core::plan_codegen(&e.ctx, e.psi[1], &wilson_dslash_expr(&e), false, false).unwrap()
     });
-    assert_ne!(p0.key, p1.key, "opt level must be part of the plan key");
-    assert_ne!(p0.name, p1.name);
+    assert_ne!(p0.name, p1.name, "opt level must be part of the kernel's key");
 }
 
 #[test]

@@ -24,9 +24,8 @@
 //!   key as an exact token sequence together with the leaf table, shift
 //!   list, scalars and the leaves each shift reads. A group's signature is
 //!   its statements' signatures concatenated ([`KernelSignature::append`]),
-//!   with no walk; the text key is a rendering of the tokens
-//!   ([`KernelSignature::write_key`] into a [`KeySink`]), written only when
-//!   a kernel is built;
+//!   with no walk. The tokens are the key's only form: the kernel cache
+//!   compares them and a kernel is named after their hash;
 //! * short-circuiting **predicates** ([`Expr::float_type`],
 //!   [`Expr::has_shift`], [`Expr::reads_under_shift`],
 //!   [`Expr::has_nested_shift`]) — one walk each that allocates nothing and
@@ -35,7 +34,7 @@
 //! * **type inference** ([`Expr::shape`]) — result kinds follow the QDP++
 //!   multiplication rules for the nested spin ⊗ color ⊗ complex types.
 
-use qdp_types::{ElemKind, FloatType, Gamma, Phase, ProjSign, SpinProjector, TypeShape};
+use qdp_types::{ElemKind, FloatType, Gamma, SpinProjector, TypeShape};
 
 /// Reference to a lattice field stored in the memory cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -413,14 +412,13 @@ impl Expr {
         self.any_node(&mut |e, shifts| shifts > 0 && matches!(e, Expr::Shift { .. }))
     }
 
-    /// Structural key: identical keys ⇒ identical generated kernels. Field
-    /// identities are replaced by their position in visiting order, scalar
-    /// values are elided (they are parameters), so e.g. every CG iteration's
-    /// `r = r - alpha*v` maps to one kernel.
-    pub fn kernel_key(&self) -> String {
-        let mut key = String::new();
-        KernelSignature::of(self).write_key(|slot| slot, &mut key);
-        key
+    /// Structural key, the tokens of [`KernelSignature::of`]: identical
+    /// keys ⇒ identical generated kernels. Field identities are replaced by
+    /// their position in visiting order, scalar values are elided (they are
+    /// parameters), so e.g. every CG iteration's `r = r - alpha*v` maps to
+    /// one kernel.
+    pub fn kernel_key(&self) -> Vec<u32> {
+        KernelSignature::of(self).tokens
     }
 }
 
@@ -434,9 +432,8 @@ impl Expr {
 /// merge, and each statement's tokens are followed by the map from its
 /// leaf slots to the group's, so two groups share a key only when every
 /// statement reads the same group slots — `{r = a+b; t = 2*a}` and
-/// `{r = a+b; t = 2*b}` differ. The text key ([`KernelSignature::write_key`])
-/// is a rendering of the tokens; the per-expression walkers of [`Expr`]
-/// are views of a group of one.
+/// `{r = a+b; t = 2*b}` differ. The tokens are the key's only form; the
+/// per-expression walkers of [`Expr`] are views of a group of one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelSignature {
     /// Field leaves in first-visit order over all statements, deduplicated
@@ -454,7 +451,7 @@ pub struct KernelSignature {
     /// gamma columns), leaves numbered in the statement's own table — and,
     /// in a group built by [`KernelSignature::append`], each statement's
     /// nodes followed by its leaf map into [`KernelSignature::leaves`].
-    /// Equal tokens ⇔ equal text keys.
+    /// Equal tokens ⇔ equal structure, leaf for leaf.
     pub tokens: Vec<u32>,
     /// `(shift, leaf)` index pairs into `shifts` and `leaves`: every leaf
     /// read below each shift, deduplicated per shift, in visiting order —
@@ -544,95 +541,6 @@ impl KernelSignature {
             .iter()
             .filter(move |&&(t, _)| Some(t) == s)
             .map(|&(_, l)| self.leaves[l as usize])
-    }
-
-    /// Render a statement's key (a signature from [`KernelSignature::of`])
-    /// as text, leaf slot `i` printed as `slot(i)`: every piece a fixed
-    /// string or a decimal number, in the spelling `Debug` gives the node's
-    /// parts (the key bytes are what kernel names and persisted stores
-    /// hang on).
-    pub fn write_key(&self, slot: impl Fn(u32) -> u32, key: &mut impl KeySink) {
-        let mut at = 0;
-        while at < self.tokens.len() {
-            self.write_node(&mut at, &slot, key);
-        }
-    }
-
-    fn write_node(&self, at: &mut usize, slot: &impl Fn(u32) -> u32, key: &mut impl KeySink) {
-        let t = &self.tokens;
-        let (tag, arg) = (t[*at] & 0xff, t[*at] >> 8);
-        let operand = |k: usize| t[*at + k] as usize;
-        match tag {
-            tag::FIELD => {
-                key.put("f");
-                key.put_num(slot(t[*at + 1]) as usize);
-                key.put(field_suffix(KINDS[arg as usize & 0xf], FTS[arg as usize >> 4]));
-                *at += 2;
-            }
-            tag::SCALAR => {
-                key.put(if arg == 1 { "sc" } else { "sr" });
-                *at += 1;
-            }
-            tag::UNARY => {
-                key.put(unary_name(UNARY[arg as usize]));
-                *at += 1;
-                self.write_node(at, slot, key);
-                key.put(")");
-            }
-            tag::BINARY => {
-                key.put(binary_name(BINARY[arg as usize]));
-                *at += 1;
-                self.write_node(at, slot, key);
-                key.put(",");
-                self.write_node(at, slot, key);
-                key.put(")");
-            }
-            tag::SHIFT => {
-                key.put("Shift");
-                key.put_num(operand(1));
-                key.put(if arg == ShiftDir::Forward as u32 {
-                    "Forward("
-                } else {
-                    "Backward("
-                });
-                *at += 2;
-                self.write_node(at, slot, key);
-                key.put(")");
-            }
-            tag::GAMMA => {
-                let cols = t[*at + 1].to_le_bytes();
-                key.put("G");
-                let phases = std::array::from_fn(|r| PHASES[(arg as usize >> (2 * r)) & 3]);
-                put_gamma(key, cols, phases);
-                key.put("(");
-                *at += 2;
-                self.write_node(at, slot, key);
-                key.put(")");
-            }
-            tag::PROJECT | tag::RECONSTRUCT => {
-                key.put(if tag == tag::PROJECT { "P" } else { "R" });
-                key.put_num(operand(1));
-                key.put(if arg == ProjSign::Plus as u32 {
-                    "Plus("
-                } else {
-                    "Minus("
-                });
-                *at += 2;
-                self.write_node(at, slot, key);
-                key.put(")");
-            }
-            _ => {
-                debug_assert_eq!(tag, tag::CLOVER);
-                key.put("Clov(f");
-                key.put_num(slot(t[*at + 1]) as usize);
-                key.put(",f");
-                key.put_num(slot(t[*at + 2]) as usize);
-                key.put(",");
-                *at += 3;
-                self.write_node(at, slot, key);
-                key.put(")");
-            }
-        }
     }
 
     /// `r`'s slot in the leaf table, appending it on first sight.
@@ -735,135 +643,6 @@ mod tag {
 /// A slot, `mu` or index as one token word.
 fn word(n: usize) -> u32 {
     u32::try_from(n).expect("a key number fits in 32 bits")
-}
-
-/// The enums a token word stores by discriminant, in declaration order.
-const KINDS: [ElemKind; 8] = [
-    ElemKind::Real,
-    ElemKind::Complex,
-    ElemKind::Fermion,
-    ElemKind::HalfFermion,
-    ElemKind::ColorMatrix,
-    ElemKind::SpinMatrix,
-    ElemKind::CloverDiag,
-    ElemKind::CloverTriang,
-];
-const FTS: [FloatType; 2] = [FloatType::F32, FloatType::F64];
-const PHASES: [Phase; 4] = [Phase::One, Phase::I, Phase::MinusOne, Phase::MinusI];
-const UNARY: [UnaryOp; 12] = [
-    UnaryOp::Neg,
-    UnaryOp::Adj,
-    UnaryOp::Conj,
-    UnaryOp::Transpose,
-    UnaryOp::Trace,
-    UnaryOp::RealPart,
-    UnaryOp::ImagPart,
-    UnaryOp::TimesI,
-    UnaryOp::TimesMinusI,
-    UnaryOp::LocalNorm2,
-    UnaryOp::DiagFill,
-    UnaryOp::ExpM,
-];
-const BINARY: [BinaryOp; 5] = [
-    BinaryOp::Add,
-    BinaryOp::Sub,
-    BinaryOp::Mul,
-    BinaryOp::LocalInnerProduct,
-    BinaryOp::ColorOuter,
-];
-
-/// Where [`KernelSignature::write_key`] writes a statement's text key: a
-/// `String` appends it.
-pub trait KeySink {
-    /// Append a fixed piece of the key.
-    fn put(&mut self, s: &'static str);
-    /// Append `n` in decimal.
-    fn put_num(&mut self, n: usize);
-}
-
-impl KeySink for String {
-    #[inline]
-    fn put(&mut self, s: &'static str) {
-        self.push_str(s);
-    }
-
-    fn put_num(&mut self, n: usize) {
-        const DIGITS: [&str; 10] = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9"];
-        if n >= 10 {
-            self.put_num(n / 10);
-        }
-        self.push_str(DIGITS[n % 10]);
-    }
-}
-
-/// `:{kind:?}:{precision tag}` — what follows a field leaf's slot.
-fn field_suffix(kind: ElemKind, ft: FloatType) -> &'static str {
-    match (kind, ft) {
-        (ElemKind::Real, FloatType::F32) => ":Real:sp",
-        (ElemKind::Real, FloatType::F64) => ":Real:dp",
-        (ElemKind::Complex, FloatType::F32) => ":Complex:sp",
-        (ElemKind::Complex, FloatType::F64) => ":Complex:dp",
-        (ElemKind::Fermion, FloatType::F32) => ":Fermion:sp",
-        (ElemKind::Fermion, FloatType::F64) => ":Fermion:dp",
-        (ElemKind::HalfFermion, FloatType::F32) => ":HalfFermion:sp",
-        (ElemKind::HalfFermion, FloatType::F64) => ":HalfFermion:dp",
-        (ElemKind::ColorMatrix, FloatType::F32) => ":ColorMatrix:sp",
-        (ElemKind::ColorMatrix, FloatType::F64) => ":ColorMatrix:dp",
-        (ElemKind::SpinMatrix, FloatType::F32) => ":SpinMatrix:sp",
-        (ElemKind::SpinMatrix, FloatType::F64) => ":SpinMatrix:dp",
-        (ElemKind::CloverDiag, FloatType::F32) => ":CloverDiag:sp",
-        (ElemKind::CloverDiag, FloatType::F64) => ":CloverDiag:dp",
-        (ElemKind::CloverTriang, FloatType::F32) => ":CloverTriang:sp",
-        (ElemKind::CloverTriang, FloatType::F64) => ":CloverTriang:dp",
-    }
-}
-
-/// The op's name, as `Debug` prints it, opening its operands.
-fn unary_name(op: UnaryOp) -> &'static str {
-    match op {
-        UnaryOp::Neg => "Neg(",
-        UnaryOp::Adj => "Adj(",
-        UnaryOp::Conj => "Conj(",
-        UnaryOp::Transpose => "Transpose(",
-        UnaryOp::Trace => "Trace(",
-        UnaryOp::RealPart => "RealPart(",
-        UnaryOp::ImagPart => "ImagPart(",
-        UnaryOp::TimesI => "TimesI(",
-        UnaryOp::TimesMinusI => "TimesMinusI(",
-        UnaryOp::LocalNorm2 => "LocalNorm2(",
-        UnaryOp::DiagFill => "DiagFill(",
-        UnaryOp::ExpM => "ExpM(",
-    }
-}
-
-/// The op's name, as `Debug` prints it, opening its operands.
-fn binary_name(op: BinaryOp) -> &'static str {
-    match op {
-        BinaryOp::Add => "Add(",
-        BinaryOp::Sub => "Sub(",
-        BinaryOp::Mul => "Mul(",
-        BinaryOp::LocalInnerProduct => "LocalInnerProduct(",
-        BinaryOp::ColorOuter => "ColorOuter(",
-    }
-}
-
-/// `[c0, c1, c2, c3][p0, p1, p2, p3]`: a gamma's columns and phases as
-/// their arrays print.
-fn put_gamma(key: &mut impl KeySink, col: [u8; 4], phase: [Phase; 4]) {
-    for (i, &c) in col.iter().enumerate() {
-        key.put(if i == 0 { "[" } else { ", " });
-        key.put_num(usize::from(c));
-    }
-    for (i, p) in phase.iter().enumerate() {
-        key.put(if i == 0 { "][" } else { ", " });
-        key.put(match p {
-            Phase::One => "One",
-            Phase::I => "I",
-            Phase::MinusOne => "MinusOne",
-            Phase::MinusI => "MinusI",
-        });
-    }
-    key.put("]");
 }
 
 /// QDP++'s nested multiplication dispatch for the supported kinds.
@@ -1101,7 +880,12 @@ mod tests {
             Box::new(Expr::Binary(BinaryOp::Mul, Box::new(u(5)), Box::new(psi(7)))),
         );
         assert_eq!(e.leaves().len(), 3);
-        assert!(e.kernel_key().contains("f0"));
+        let other = Expr::Binary(
+            BinaryOp::Add,
+            Box::new(Expr::Binary(BinaryOp::Mul, Box::new(u(5)), Box::new(psi(6)))),
+            Box::new(Expr::Binary(BinaryOp::Mul, Box::new(u(8)), Box::new(psi(7)))),
+        );
+        assert_ne!(e.kernel_key(), other.kernel_key());
     }
 
     #[test]
@@ -1167,25 +951,6 @@ mod tests {
         assert!(!flat.reads_under_shift(1) && !flat.has_shift(|_, _| true));
         let sp = Expr::field(4, ElemKind::Fermion, FloatType::F32);
         assert_eq!(sp.float_type(), FloatType::F32);
-    }
-
-    #[test]
-    fn token_tables_follow_the_discriminants() {
-        assert!(KINDS.iter().enumerate().all(|(i, &k)| k as usize == i));
-        assert!(FTS.iter().enumerate().all(|(i, &f)| f as usize == i));
-        assert!(PHASES.iter().enumerate().all(|(i, &p)| p as usize == i));
-        assert!(UNARY.iter().enumerate().all(|(i, &op)| op as usize == i));
-        assert!(BINARY.iter().enumerate().all(|(i, &op)| op as usize == i));
-    }
-
-    #[test]
-    fn key_numbers_are_decimal() {
-        let mut key = String::new();
-        for n in [0, 7, 10, 42, 1234] {
-            key.put_num(n);
-            key.put(",");
-        }
-        assert_eq!(key, "0,7,10,42,1234,");
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl Device {
     /// current front. `name` labels the stream's Perfetto track in
     /// `QDP_TRACE` output.
     pub fn create_stream(&self, name: &str) -> StreamId {
-        let id = self.streams.lock().create(name);
+        let id = self.streams.lock().create();
         self.telemetry
             .set_sim_thread_name(Track::Device, id.0, name);
         self.telemetry.count("stream.created", 1);
@@ -160,13 +160,9 @@ impl Device {
     }
 
     /// Number of streams on this device (including the default stream).
-    pub fn stream_count(&self) -> usize {
+    #[cfg(test)]
+    fn stream_count(&self) -> usize {
         self.streams.lock().len()
-    }
-
-    /// Display name of a stream.
-    pub fn stream_name(&self, s: StreamId) -> String {
-        self.streams.lock().name(s).to_string()
     }
 
     /// Current front (simulated seconds) of stream `s` — the time its last

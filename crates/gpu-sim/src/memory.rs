@@ -160,7 +160,8 @@ impl DeviceMemory {
     }
 
     /// Number of live allocations.
-    pub fn n_allocations(&self) -> usize {
+    #[cfg(test)]
+    fn n_allocations(&self) -> usize {
         self.inner.lock().live.len()
     }
 
@@ -267,7 +268,8 @@ impl DeviceMemory {
     }
 
     /// Run `f` over the `n` `f32`s stored at `addr`.
-    pub fn with_f32s<T>(&self, addr: DevicePtr, n: usize, f: impl FnOnce(&[f32]) -> T) -> T {
+    #[cfg(test)]
+    fn with_f32s<T>(&self, addr: DevicePtr, n: usize, f: impl FnOnce(&[f32]) -> T) -> T {
         // SAFETY: every bit pattern is a valid `f32`.
         unsafe { self.with_view(addr, n, f) }
     }

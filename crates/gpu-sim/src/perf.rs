@@ -52,7 +52,7 @@ pub struct KernelShape {
 
 impl KernelShape {
     /// Total global-memory traffic in bytes.
-    pub fn total_bytes(&self) -> usize {
+    fn total_bytes(&self) -> usize {
         self.threads * (self.read_bytes_per_thread + self.write_bytes_per_thread)
     }
 
@@ -146,7 +146,7 @@ pub fn blocks_per_sm(cfg: &DeviceConfig, regs_per_thread: u32, block_size: u32) 
 }
 
 /// Validate a launch configuration, mirroring `cudaLaunchKernel` errors.
-pub fn validate_launch(
+fn validate_launch(
     cfg: &DeviceConfig,
     shape: &KernelShape,
     block_size: u32,

@@ -59,28 +59,25 @@ impl Event {
     }
 }
 
-/// The per-device stream table: front times plus display names (the names
-/// become Perfetto track names in `QDP_TRACE` output).
+/// The per-device stream table: each stream's front time (its display
+/// name goes to telemetry, as a Perfetto track name in `QDP_TRACE` output).
 #[derive(Debug)]
 pub(crate) struct StreamTable {
     fronts: Vec<f64>,
-    names: Vec<String>,
 }
 
 impl StreamTable {
     pub(crate) fn new() -> StreamTable {
         StreamTable {
             fronts: vec![0.0],
-            names: vec!["stream0 (default)".to_string()],
         }
     }
 
-    pub(crate) fn create(&mut self, name: &str) -> StreamId {
+    pub(crate) fn create(&mut self) -> StreamId {
         let id = self.fronts.len() as u32;
         // A new stream's timeline begins at the default stream's front:
         // host-issued work on it can start no earlier than "now".
         self.fronts.push(self.fronts[0]);
-        self.names.push(name.to_string());
         StreamId(id)
     }
 
@@ -88,10 +85,7 @@ impl StreamTable {
         self.fronts[s.0 as usize]
     }
 
-    pub(crate) fn name(&self, s: StreamId) -> &str {
-        &self.names[s.0 as usize]
-    }
-
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.fronts.len()
     }
@@ -171,8 +165,8 @@ mod tests {
     #[test]
     fn independent_streams_overlap() {
         let mut st = StreamTable::new();
-        let a = st.create("a");
-        let b = st.create("b");
+        let a = st.create();
+        let b = st.create();
         st.advance(a, 2e-3);
         st.advance(b, 3e-3);
         assert_eq!(st.front(a), 2e-3);
@@ -185,7 +179,7 @@ mod tests {
     #[test]
     fn default_stream_work_synchronises_all() {
         let mut st = StreamTable::new();
-        let a = st.create("a");
+        let a = st.create();
         st.advance(a, 5e-3);
         // Legacy-sync: default-stream work starts after stream a's backlog.
         let end = st.advance(StreamId::DEFAULT, 1e-3);
@@ -197,7 +191,7 @@ mod tests {
     fn new_stream_starts_at_default_front() {
         let mut st = StreamTable::new();
         st.advance(StreamId::DEFAULT, 4e-3);
-        let a = st.create("a");
+        let a = st.create();
         assert_eq!(st.front(a), 4e-3);
     }
 }

@@ -6,7 +6,8 @@
 //! (§III-D, §VIII-D).
 //!
 //! A generated kernel has one identity, the structural key of its statement
-//! group as a token sequence: [`KernelCache::compile_keyed`] is the front
+//! group as a token sequence, which has no text form (the caller names the
+//! kernel after a hash of it): [`KernelCache::compile_keyed`] is the front
 //! door the launch path uses, and a warm key is one map probe — a hash of
 //! the tokens picks the bucket, an exact comparison of the tokens decides
 //! the hit. A cold key lowers the module the code generator built, as

@@ -21,7 +21,7 @@ pub struct LaunchOutcome {
 }
 
 /// Build the performance-model shape of a kernel launch.
-pub fn kernel_shape(kernel: &CompiledKernel, threads: usize, site_stride: usize) -> KernelShape {
+fn kernel_shape(kernel: &CompiledKernel, threads: usize, site_stride: usize) -> KernelShape {
     KernelShape {
         threads,
         read_bytes_per_thread: kernel.read_bytes,

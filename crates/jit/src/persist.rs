@@ -31,9 +31,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// On-disk cache format version. Bump on any schema change: a mismatched
-/// file is ignored wholesale (clean recompile), never reinterpreted.
-pub const FORMAT_VERSION: u32 = 2;
+/// On-disk cache format version. Bump on any schema change, or when the
+/// digests or kernel names an older file keys on can no longer match: a
+/// mismatched file is ignored wholesale (clean recompile), never
+/// reinterpreted. Version 3 names kernels after a hash of their token key.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File name inside `QDP_CACHE_DIR`.
 pub const STORE_FILE: &str = "qdp-kernel-store.json";
@@ -400,36 +402,37 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_ignored_wholesale() {
-        let dir = tmpdir("version");
-        let t = tel();
-        std::fs::write(
-            dir.join(STORE_FILE),
-            r#"{"version": 1, "kernels": [{"device":"dev","src":"aaaa","opt":"o1","name":"k","ptx":"stale"}], "tuned": []}"#,
-        )
-        .unwrap();
-        let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
-        assert!(!s.lookup_kernel("aaaa"));
-        assert_eq!(t.profile_report().counter("persist.corrupt"), 1);
-        let _ = std::fs::remove_dir_all(&dir);
+        let v1 = r#"{"version": 1, "kernels": [{"device":"dev","src":"aaaa","opt":"o1","name":"k","ptx":"stale"}], "tuned": []}"#;
+        let v2 = r#"{"version": 2, "kernels": [{"device":"dev","src":"aaaa"}],
+            "tuned": [{"device":"dev","kernel":"k","block":256,"time":1e-4}]}"#;
+        for (i, old) in [v1, v2].into_iter().enumerate() {
+            let dir = tmpdir(&format!("version{}", i + 1));
+            let t = tel();
+            std::fs::write(dir.join(STORE_FILE), old).unwrap();
+            let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
+            assert!(!s.lookup_kernel("aaaa"));
+            assert_eq!(s.lookup_tuned("k", 1024), None);
+            assert_eq!(t.profile_report().counter("persist.corrupt"), 1);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn malformed_entries_are_skipped_not_fatal() {
         let dir = tmpdir("badentry");
         let t = tel();
-        std::fs::write(
-            dir.join(STORE_FILE),
-            r#"{"version": 2,
+        let store = format!(
+            r#"{{"version": {FORMAT_VERSION},
                 "kernels": [
-                  {"device":"dev","src":"good"},
-                  {"device":"dev"}
+                  {{"device":"dev","src":"good"}},
+                  {{"device":"dev"}}
                 ],
                 "tuned": [
-                  {"device":"dev","kernel":"k","block":256,"time":1e-4},
-                  {"device":"dev","kernel":"bad","block":2.5,"time":1e-4}
-                ]}"#,
-        )
-        .unwrap();
+                  {{"device":"dev","kernel":"k","block":256,"time":1e-4}},
+                  {{"device":"dev","kernel":"bad","block":2.5,"time":1e-4}}
+                ]}}"#
+        );
+        std::fs::write(dir.join(STORE_FILE), store).unwrap();
         let s = KernelStore::open(&dir, "dev", Arc::clone(&t));
         assert!(s.lookup_kernel("good"));
         assert_eq!(s.lookup_tuned("k", 1024), Some((256, 1e-4)));

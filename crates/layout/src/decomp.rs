@@ -61,7 +61,7 @@ impl Decomposition {
     }
 
     /// Cartesian coordinate of a rank (lexicographic, dim 0 fastest).
-    pub fn rank_coord(&self, mut rank: usize) -> [usize; ND] {
+    fn rank_coord(&self, mut rank: usize) -> [usize; ND] {
         debug_assert!(rank < self.n_ranks());
         let mut c = [0usize; ND];
         for mu in 0..ND {
@@ -72,7 +72,7 @@ impl Decomposition {
     }
 
     /// Rank id of a rank-grid coordinate.
-    pub fn rank_of_coord(&self, c: [usize; ND]) -> usize {
+    fn rank_of_coord(&self, c: [usize; ND]) -> usize {
         let mut r = 0usize;
         for mu in (0..ND).rev() {
             debug_assert!(c[mu] < self.ranks[mu]);
@@ -82,7 +82,7 @@ impl Decomposition {
     }
 
     /// Neighbouring rank one step in `(mu, dir)` with periodic wrap.
-    pub fn neighbor_rank(&self, rank: usize, mu: usize, dir: Dir) -> usize {
+    fn neighbor_rank(&self, rank: usize, mu: usize, dir: Dir) -> usize {
         let mut c = self.rank_coord(rank);
         let l = self.ranks[mu];
         c[mu] = match dir {
@@ -107,7 +107,8 @@ impl Decomposition {
 
     /// Global checkerboard parity of a local site on a rank — needed so
     /// that even/odd subsets agree across rank boundaries.
-    pub fn global_parity(&self, rank: usize, local_site: usize) -> usize {
+    #[cfg(test)]
+    fn global_parity(&self, rank: usize, local_site: usize) -> usize {
         self.global_coord(rank, local_site).iter().sum::<usize>() % 2
     }
 }
@@ -148,11 +149,6 @@ impl RankGrid {
 
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// This rank's Cartesian coordinate in the rank grid.
-    pub fn coord(&self) -> [usize; ND] {
-        self.coord
     }
 
     /// Precomputed face neighbour one step in `(mu, dir)` (self when `mu`
@@ -221,7 +217,7 @@ mod tests {
         let d = Decomposition::new([8, 8, 8, 8], [2, 2, 2, 2]);
         for r in 0..d.n_ranks() {
             let g = RankGrid::new(d.clone(), r);
-            assert_eq!(g.coord(), d.rank_coord(r));
+            assert_eq!(g.coord, d.rank_coord(r));
             for mu in 0..ND {
                 for dir in [Dir::Forward, Dir::Backward] {
                     assert_eq!(g.face_neighbor(mu, dir), d.neighbor_rank(r, mu, dir));

@@ -55,7 +55,8 @@ impl NeighborEntry {
     }
 
     /// Is this entry off-node?
-    pub fn is_remote(self) -> bool {
+    #[cfg(test)]
+    fn is_remote(self) -> bool {
         self.0 & Self::REMOTE_FLAG != 0
     }
 

@@ -66,7 +66,8 @@ impl FieldLayout {
 
     /// Stride in reals between consecutive components at fixed site.
     #[inline]
-    pub fn comp_stride(&self) -> usize {
+    #[cfg(test)]
+    fn comp_stride(&self) -> usize {
         match self.kind {
             LayoutKind::SoA => self.n_sites,
             LayoutKind::AoS => 1,

@@ -179,7 +179,7 @@ impl Gen {
 
     /// A collection length in `[min, max)`, scaled down by the current
     /// size — this is what makes shrinking produce smaller cases.
-    pub fn len_in(&mut self, r: std::ops::Range<usize>) -> usize {
+    fn len_in(&mut self, r: std::ops::Range<usize>) -> usize {
         debug_assert!(r.start < r.end);
         let max = r.start + (((r.end - r.start) as f64 * self.size).ceil() as usize).max(1);
         self.usize_in(r.start..max)

@@ -234,7 +234,8 @@ fn emit_inst(out: &mut String, inst: &Inst) {
 }
 
 /// Emit one kernel body (without module directives).
-pub fn emit_kernel(kernel: &Kernel) -> String {
+#[cfg(test)]
+fn emit_kernel(kernel: &Kernel) -> String {
     let mut out = String::new();
     write_kernel(&mut out, kernel);
     out

@@ -46,16 +46,6 @@ pub enum OptLevel {
     Default,
 }
 
-impl OptLevel {
-    /// Short tag for cache keys and kernel-name salts.
-    pub fn tag(self) -> &'static str {
-        match self {
-            OptLevel::None => "o0",
-            OptLevel::Default => "o1",
-        }
-    }
-}
-
 /// Sweep every kernel of a (validated) module in place.
 pub fn optimize_module(module: &mut Module, level: OptLevel) {
     for k in &mut module.kernels {
@@ -434,11 +424,5 @@ mod tests {
         let before = k.clone();
         optimize_kernel(&mut k, OptLevel::None);
         assert_eq!(k, before);
-    }
-
-    #[test]
-    fn levels_from_tags() {
-        assert_eq!(OptLevel::None.tag(), "o0");
-        assert_eq!(OptLevel::Default.tag(), "o1");
     }
 }

@@ -7,7 +7,7 @@
 //!   90 — 1.9×). The headroom comes from hand optimisations the generator
 //!   does not perform — chiefly on-chip reuse of neighbouring spinors,
 //!   which cuts the dslash's global traffic roughly in half. The
-//!   [`perf::quda_dslash_time`] model implements exactly that: same
+//!   [`perf::quda_dslash_bytes`] model implements exactly that: same
 //!   sustained bandwidth as the device, *reduced* bytes.
 //! * §VIII-D's "CPU+QUDA" configuration calls the solvers through the
 //!   **legacy interface** — every solve copies the gauge/spinor/clover
@@ -55,14 +55,16 @@ pub mod perf {
     pub const DSLASH_FLOPS: f64 = 1320.0;
 
     /// Hand-tuned dslash execution time for a local volume.
-    pub fn quda_dslash_time(cfg: &DeviceConfig, vol: usize, dp: bool) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn quda_dslash_time(cfg: &DeviceConfig, vol: usize, dp: bool) -> f64 {
         let bytes = vol as f64 * quda_dslash_bytes(dp);
         let bw = cfg.peak_bandwidth * cfg.sustained_fraction;
         cfg.launch_overhead + bytes / bw
     }
 
     /// Achieved GFLOPS of the hand-tuned dslash.
-    pub fn quda_dslash_gflops(cfg: &DeviceConfig, vol: usize, dp: bool) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn quda_dslash_gflops(cfg: &DeviceConfig, vol: usize, dp: bool) -> f64 {
         vol as f64 * DSLASH_FLOPS / quda_dslash_time(cfg, vol, dp) / 1e9
     }
 
@@ -134,7 +136,7 @@ pub fn host_dslash(g: &HostGauge, psi: &[Fermion<f64>]) -> Vec<Fermion<f64>> {
 }
 
 /// Hand-written host Wilson operator `M ψ = (m+4)ψ − ½ H ψ`.
-pub fn host_wilson(g: &HostGauge, mass: f64, psi: &[Fermion<f64>]) -> Vec<Fermion<f64>> {
+fn host_wilson(g: &HostGauge, mass: f64, psi: &[Fermion<f64>]) -> Vec<Fermion<f64>> {
     let h = host_dslash(g, psi);
     psi.iter()
         .zip(h.iter())

@@ -396,7 +396,7 @@ impl Telemetry {
 
     /// Is trace recording active?
     #[inline]
-    pub fn is_tracing(&self) -> bool {
+    fn is_tracing(&self) -> bool {
         self.tracing.load(Ordering::Relaxed)
     }
 

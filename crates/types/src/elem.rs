@@ -16,7 +16,7 @@
 use crate::clover_block::{CloverDiag, CloverTriang};
 use crate::complex::Complex;
 use crate::inner::{PMatrix, PScalar, PVector};
-use crate::real::{FloatType, Real};
+use crate::real::Real;
 use crate::{ColorMatrix, Fermion, HalfFermion, SpinMatrix};
 
 /// Semantic kind of a site element, used by codegen to pick the right
@@ -41,23 +41,6 @@ pub enum ElemKind {
     CloverDiag,
     /// Table I (lower part) — clover lower-triangular: 2 blocks × 15 complex.
     CloverTriang,
-}
-
-impl ElemKind {
-    /// The variant's name, as `Debug` prints it — the spelling structural
-    /// kernel keys use, without going through the formatter.
-    pub fn name(self) -> &'static str {
-        match self {
-            ElemKind::Real => "Real",
-            ElemKind::Complex => "Complex",
-            ElemKind::Fermion => "Fermion",
-            ElemKind::HalfFermion => "HalfFermion",
-            ElemKind::ColorMatrix => "ColorMatrix",
-            ElemKind::SpinMatrix => "SpinMatrix",
-            ElemKind::CloverDiag => "CloverDiag",
-            ElemKind::CloverTriang => "CloverTriang",
-        }
-    }
 }
 
 /// Shape of a site element: its index-domain sizes and semantic kind.
@@ -107,7 +90,8 @@ impl TypeShape {
 
     /// Bytes per site at a given precision.
     #[inline]
-    pub fn site_bytes(&self, ft: FloatType) -> usize {
+    #[cfg(test)]
+    fn site_bytes(&self, ft: crate::real::FloatType) -> usize {
         self.n_reals() * ft.size_bytes()
     }
 }
@@ -336,6 +320,7 @@ impl<R: Real> LatticeElem<R> for CloverTriang<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::real::FloatType;
 
     #[test]
     fn shapes_match_table_one() {

@@ -45,7 +45,7 @@ impl Phase {
 
     /// Phase from a power of `i`.
     #[inline]
-    pub fn from_pow(p: u8) -> Phase {
+    fn from_pow(p: u8) -> Phase {
         match p % 4 {
             0 => Phase::One,
             1 => Phase::I,
@@ -67,7 +67,7 @@ impl Phase {
 
     /// The phase as a complex number.
     #[inline]
-    pub fn to_complex<R: Real>(self) -> Complex<R> {
+    fn to_complex<R: Real>(self) -> Complex<R> {
         self.apply(Complex::one())
     }
 }

@@ -26,7 +26,7 @@ impl FloatType {
 
     /// PTX type suffix (e.g. `f32` in `add.f32`).
     #[inline]
-    pub fn ptx_suffix(self) -> &'static str {
+    fn ptx_suffix(self) -> &'static str {
         match self {
             FloatType::F32 => "f32",
             FloatType::F64 => "f64",
