@@ -212,17 +212,26 @@ echo "ok: one benchmark referee (no stored-baseline gate, no timing harness, no 
 # tables are flat vectors indexed by class offset + id (no hash map keyed on
 # a register or a register id — dead-code elimination is one worklist pass,
 # not a rebuilt map per round), and the parser borrows its lines and
-# operands instead of copying each into a String. (Spelled in pieces, as
-# above.)
+# operands instead of copying each into a String. The generator's memo
+# tables (CSE value numbers and shift paths, sites, constants, address
+# arithmetic) are `MemoMap`s, never SipHash-keyed std maps; the warp-exit
+# check's def table is flat too; and kernel names hash with FNV-1a, never
+# the unstable `DefaultHasher`. (Spelled in pieces, as above.)
 stale=$(grep -nE "HashMap<""Reg|HashMap<u32, ""u32>" crates/ptx/src/opt.rs || true)
+stale="$stale$(grep -nE "HashMap<""Reg" crates/ptx/src/module.rs || true)"
 copied=$(grep -nF "Vec<""String>" crates/ptx/src/parse.rs || true)
-if [ -n "$stale$copied" ]; then
-    echo "FAIL: a hash-keyed register table or a per-line String copy is back in the compile path:" >&2
+sip=$(grep -nE "Hash""Map|Hash""Set" crates/core/src/codegen/cse.rs \
+    crates/core/src/codegen/ptx_backend.rs || true)
+unstable=$(grep -nF "Default""Hasher" crates/core/src/eval.rs || true)
+if [ -n "$stale$copied$sip$unstable" ]; then
+    echo "FAIL: a hash-keyed register table, a per-line String copy, a SipHash memo or an unstable kernel name is back in the compile path:" >&2
     [ -z "$stale" ] || echo "$stale" >&2
     [ -z "$copied" ] || echo "$copied" >&2
+    [ -z "$sip" ] || echo "$sip" >&2
+    [ -z "$unstable" ] || echo "crates/core/src/eval.rs: $unstable" >&2
     exit 1
 fi
-echo "ok: linear compile path (dense register tables in opt.rs, borrowed lines and operands in parse.rs)"
+echo "ok: linear compile path (dense register tables in opt.rs and module.rs, borrowed lines and operands in parse.rs, memo-hashed generator tables, FNV-1a kernel names)"
 
 # ---- Guard: one tenant transport ----------------------------------------------
 # A tenant reaches the server in process (`Server::submit` -> `JobTicket`):

@@ -19,13 +19,16 @@
 //!   which NaN payload propagates, and the conformance contract is
 //!   bit-exactness.
 //! * **Scalar parameters key on their index, not their value** — kernels
-//!   are reused across scalar values (`Expr::kernel_key` elides them), so
-//!   two structurally equal subtrees referencing different scalar slots
-//!   must never merge.
+//!   are reused across scalar values (a statement's key tokens name a
+//!   scalar's slot, never its value), so two structurally equal subtrees
+//!   referencing different scalar slots must never merge.
+//!
+//! Both tables are [`MemoMap`]s: they decide by exact key equality and are
+//! never iterated, so the hasher changes only how fast a probe is.
 
 use crate::codegen::backend::Backend;
 use qdp_expr::ShiftDir;
-use std::collections::HashMap;
+use qdp_ptx::MemoMap;
 
 /// Value-numbering key: opcodes over operand value numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,11 +52,11 @@ pub struct CseBackend<B: Backend> {
     inner: B,
     /// Value-number → inner value.
     vals: Vec<B::V>,
-    memo: HashMap<CseKey, u32>,
+    memo: MemoMap<CseKey, u32>,
     /// Current shift path (outermost first), mirrored from the walk.
     path: Vec<(usize, ShiftDir)>,
     /// Interned shift paths for load keys.
-    path_ids: HashMap<Vec<(usize, ShiftDir)>, u32>,
+    path_ids: MemoMap<Vec<(usize, ShiftDir)>, u32>,
     /// Ops answered from the memo table.
     pub hits: u64,
     /// Ops actually run on the inner backend.
@@ -64,12 +67,12 @@ pub struct CseBackend<B: Backend> {
 impl<B: Backend> CseBackend<B> {
     /// Wrap `inner` with an empty value table.
     pub fn new(inner: B) -> CseBackend<B> {
-        let mut path_ids = HashMap::new();
+        let mut path_ids = MemoMap::default();
         path_ids.insert(Vec::new(), 0);
         CseBackend {
             inner,
             vals: Vec::new(),
-            memo: HashMap::new(),
+            memo: MemoMap::default(),
             path: Vec::new(),
             path_ids,
             hits: 0,
@@ -84,9 +87,15 @@ impl<B: Backend> CseBackend<B> {
         self.inner
     }
 
+    /// The interned id of the current shift path: probed by slice, so the
+    /// path is copied only when it is new.
     fn current_path_id(&mut self) -> u32 {
-        let next = self.path_ids.len() as u32;
-        *self.path_ids.entry(self.path.clone()).or_insert(next)
+        if let Some(&id) = self.path_ids.get(&self.path[..]) {
+            return id;
+        }
+        let id = self.path_ids.len() as u32;
+        self.path_ids.insert(self.path.clone(), id);
+        id
     }
 
     fn intern(&mut self, key: CseKey, compute: impl FnOnce(&mut B, &[B::V]) -> B::V) -> u32 {

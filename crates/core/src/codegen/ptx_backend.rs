@@ -18,8 +18,8 @@ use qdp_ptx::inst::{BinOp, CmpOp, Inst, Operand};
 use qdp_ptx::module::KernelBuilder;
 use qdp_ptx::opt::OptLevel;
 use qdp_ptx::types::{PtxType, Reg, RegClass};
+use qdp_ptx::MemoMap;
 use qdp_types::{FloatType, TypeShape};
-use std::collections::HashMap;
 
 /// Environment of one kernel generation: everything about geometry, layout
 /// and subsets that is fixed at code-generation time.
@@ -142,18 +142,18 @@ pub struct PtxGen<'a> {
     ty: PtxType,
     /// current shift path (outermost first)
     path: Vec<(usize, ShiftDir)>,
-    site_cache: HashMap<Vec<(usize, ShiftDir)>, PathSite>,
+    site_cache: MemoMap<Vec<(usize, ShiftDir)>, PathSite>,
     leaf_bases: Vec<Reg>,
     base_site: Reg,
     scalar_regs: Vec<(Reg, Option<Reg>)>,
-    table_bases: HashMap<(usize, ShiftDir), Reg>,
+    table_bases: MemoMap<(usize, ShiftDir), Reg>,
     /// Slab base per `(face index, leaf index)`.
-    slab_bases: HashMap<(usize, usize), Reg>,
+    slab_bases: MemoMap<(usize, usize), Reg>,
     exit_label: String,
-    const_cache: HashMap<u64, Reg>,
+    const_cache: MemoMap<u64, Reg>,
     /// Address arithmetic already emitted; `None` at `OptLevel::None`,
     /// which prints every computation where the walk asks for it.
-    int_memo: Option<HashMap<IntOp, Reg>>,
+    int_memo: Option<MemoMap<IntOp, Reg>>,
     /// One destination per statement of `env.stmts`.
     dsts: Vec<StmtDst>,
     /// Index of the statement currently being generated.
@@ -312,11 +312,11 @@ impl<'a> PtxGen<'a> {
                 (r, i)
             })
             .collect();
-        let table_bases: HashMap<(usize, ShiftDir), Reg> = p_tables
+        let table_bases: MemoMap<(usize, ShiftDir), Reg> = p_tables
             .iter()
             .map(|(k, p)| (*k, kb.ld_param(p, PtxType::U64)))
             .collect();
-        let mut slab_bases = HashMap::new();
+        let mut slab_bases = MemoMap::default();
         for (fi, (face, p)) in env.faces.iter().zip(&p_recv).enumerate() {
             let buf = kb.ld_param(p, PtxType::U64);
             for (leaf, offset) in &face.slabs {
@@ -332,7 +332,7 @@ impl<'a> PtxGen<'a> {
             }
         }
 
-        let mut site_cache = HashMap::new();
+        let mut site_cache = MemoMap::default();
         site_cache.insert(
             Vec::new(),
             PathSite {
@@ -354,8 +354,8 @@ impl<'a> PtxGen<'a> {
             table_bases,
             slab_bases,
             exit_label,
-            const_cache: HashMap::new(),
-            int_memo: (opt != OptLevel::None).then(HashMap::new),
+            const_cache: MemoMap::default(),
+            int_memo: (opt != OptLevel::None).then(MemoMap::default),
             dsts,
             cur_stmt: 0,
             fault: None,
@@ -380,22 +380,21 @@ impl<'a> PtxGen<'a> {
 
     /// Resolve (and cache) the site register for the current shift path.
     fn resolve_path(&mut self) -> (Reg, Option<(Reg, usize)>) {
-        if let Some(ps) = self.site_cache.get(&self.path) {
+        if let Some(ps) = self.site_cache.get(&self.path[..]) {
             return (ps.off, ps.remote);
         }
-        // Build incrementally from the longest cached prefix.
+        // Build incrementally from the longest cached prefix; the table is
+        // probed by slice, so no prefix is copied just to look it up.
         let full = self.path.clone();
         let mut depth = full.len() - 1;
-        while depth > 0 && !self.site_cache.contains_key(&full[..depth].to_vec()) {
+        while depth > 0 && !self.site_cache.contains_key(&full[..depth]) {
             depth -= 1;
         }
         for d in depth..full.len() {
-            let prefix: Vec<_> = full[..d].to_vec();
-            let next: Vec<_> = full[..=d].to_vec();
-            if self.site_cache.contains_key(&next) {
+            if self.site_cache.contains_key(&full[..=d]) {
                 continue;
             }
-            let parent = &self.site_cache[&prefix];
+            let parent = &self.site_cache[&full[..d]];
             assert!(
                 parent.remote.is_none(),
                 "nested shift across a rank boundary is unsupported \
@@ -451,9 +450,9 @@ impl<'a> PtxGen<'a> {
                     remote: None,
                 }
             };
-            self.site_cache.insert(next, ps);
+            self.site_cache.insert(full[..=d].to_vec(), ps);
         }
-        let ps = &self.site_cache[&full];
+        let ps = &self.site_cache[&full[..]];
         (ps.off, ps.remote)
     }
 

@@ -21,12 +21,11 @@ use qdp_gpu_sim::{KernelShape, LaunchError, StreamId};
 use qdp_jit::{launch_tuned_on, JitError, LaunchArg};
 use qdp_layout::{FieldLayout, LayoutKind, Subset};
 use qdp_ptx::emit::emit_module;
+use qdp_ptx::hash::fnv1a;
 use qdp_ptx::module::{Kernel, Module};
 use qdp_ptx::opt::{optimize_kernel, OptLevel};
 use qdp_types::{FloatType, Real, TypeShape};
 use std::borrow::Cow;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 /// Errors from expression evaluation.
 #[derive(Debug)]
@@ -283,6 +282,15 @@ impl KeyedGroup {
         }
     }
 
+    /// The kernel name's hash: FNV-1a over the token key's words as
+    /// little-endian bytes. It is specified byte for byte, so a kernel
+    /// keeps its name across builds and toolchains — the kernel store keys
+    /// tuned entries by it.
+    fn name_hash(&self) -> u64 {
+        let bytes: Vec<u8> = self.key.iter().flat_map(|w| w.to_le_bytes()).collect();
+        fnv1a(&bytes)
+    }
+
     /// The cold half: type-check the statements, name the kernel after a
     /// hash of the token key and assemble the codegen environment.
     pub(crate) fn plan(&self, ctx: &QdpContext, stmts: &[Stmt]) -> Result<CodegenPlan, CoreError> {
@@ -295,8 +303,6 @@ impl KeyedGroup {
                 )));
             }
         }
-        let mut h = DefaultHasher::new();
-        self.key.hash(&mut h);
         let prefix = if stmts.len() == 1 { "qdp" } else { "qdpf" };
         let metas = stmts.iter().map(|s| StmtMeta {
             target_ft: s.target.ft,
@@ -316,7 +322,7 @@ impl KeyedGroup {
                 stmts: metas.collect(),
             },
             leaves: self.sig.leaves.clone(),
-            name: format!("{prefix}_{:016x}", h.finish()),
+            name: format!("{prefix}_{:016x}", self.name_hash()),
             opt: self.env.opt,
         })
     }
@@ -324,8 +330,7 @@ impl KeyedGroup {
 
 /// Unparse `expr` into a complete PTX module under `plan`, with an explicit
 /// kernel name (the launch path uses the structural-hash name; snapshot
-/// tests pass stable human-chosen names since hash output is not guaranteed
-/// stable across toolchains): the printed form of the kernel a launch
+/// tests pass human-chosen names): the printed form of the kernel a launch
 /// builds and lowers ([`build_statements`]).
 pub fn render_ptx(plan: &CodegenPlan, expr: &Expr, kernel_name: &str) -> Result<String, CoreError> {
     let kernel = build_statements(plan, &[expr], kernel_name)?;
@@ -806,4 +811,59 @@ fn tree32(a: [f64; WARP]) -> f64 {
     let l2: [f64; 8] = std::array::from_fn(|i| l1[2 * i] + l1[2 * i + 1]);
     let l3: [f64; 4] = std::array::from_fn(|i| l2[2 * i] + l2[2 * i + 1]);
     (l3[0] + l3[1]) + (l3[2] + l3[3])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qdp_expr::{BinaryOp, ShiftDir};
+    use qdp_layout::Geometry;
+    use qdp_types::ElemKind;
+
+    fn fermion(id: u64) -> FieldRef {
+        FieldRef {
+            id,
+            kind: ElemKind::Fermion,
+            ft: FloatType::F64,
+        }
+    }
+
+    /// `x + 0.5·y`, with `y` read under `shifts` (innermost first).
+    fn axpy(shifts: &[(usize, ShiftDir)]) -> Expr {
+        let y = shifts.iter().fold(Expr::Field(fermion(2)), |y, &(mu, dir)| Expr::Shift {
+            mu,
+            dir,
+            child: Box::new(y),
+        });
+        let scaled = Expr::Binary(BinaryOp::Mul, Box::new(Expr::real(0.5)), Box::new(y));
+        Expr::Binary(BinaryOp::Add, Box::new(Expr::Field(fermion(1))), Box::new(scaled))
+    }
+
+    #[test]
+    fn kernel_names_are_pinned() {
+        // FNV-1a over the token key: a name is the same in every process,
+        // build and toolchain, so a store's tuned entries keep matching.
+        let ctx = QdpContext::builder(Geometry::symmetric(4)).build();
+        let plan = plan_codegen(&ctx, fermion(3), &axpy(&[]), false, false).unwrap();
+        assert_eq!(plan.name, "qdp_5371b585a2ab4cb1");
+    }
+
+    #[test]
+    fn a_plan_builds_the_same_kernel_twice() {
+        // The generator's memo tables decide by exact equality and are never
+        // iterated into the kernel, so their hasher cannot show in it.
+        for opt in [OptLevel::None, OptLevel::Default] {
+            let ctx = QdpContext::builder(Geometry::symmetric(4))
+                .opt_level(opt)
+                .build();
+            let (f1, b3) = ((1, ShiftDir::Forward), (3, ShiftDir::Backward));
+            for shifts in [&[][..], &[f1], &[f1, b3], &[b3, f1, f1]] {
+                let e = axpy(shifts);
+                let plan = plan_codegen(&ctx, fermion(3), &e, false, false).unwrap();
+                let first = build_statements(&plan, &[&e], &plan.name).unwrap();
+                let again = build_statements(&plan, &[&e], &plan.name).unwrap();
+                assert_eq!(first, again, "{opt:?} {shifts:?}");
+            }
+        }
+    }
 }

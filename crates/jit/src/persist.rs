@@ -34,8 +34,10 @@ use std::sync::Arc;
 /// On-disk cache format version. Bump on any schema change, or when the
 /// digests or kernel names an older file keys on can no longer match: a
 /// mismatched file is ignored wholesale (clean recompile), never
-/// reinterpreted. Version 3 names kernels after a hash of their token key.
-pub const FORMAT_VERSION: u32 = 3;
+/// reinterpreted. Version 4 names kernels after the FNV-1a hash of their
+/// token key (version 3 used std's `DefaultHasher`, which a toolchain
+/// update may change).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// File name inside `QDP_CACHE_DIR`.
 pub const STORE_FILE: &str = "qdp-kernel-store.json";
@@ -405,7 +407,8 @@ mod tests {
         let v1 = r#"{"version": 1, "kernels": [{"device":"dev","src":"aaaa","opt":"o1","name":"k","ptx":"stale"}], "tuned": []}"#;
         let v2 = r#"{"version": 2, "kernels": [{"device":"dev","src":"aaaa"}],
             "tuned": [{"device":"dev","kernel":"k","block":256,"time":1e-4}]}"#;
-        for (i, old) in [v1, v2].into_iter().enumerate() {
+        let v3 = v2.replace("\"version\": 2", "\"version\": 3");
+        for (i, old) in [v1, v2, &v3].into_iter().enumerate() {
             let dir = tmpdir(&format!("version{}", i + 1));
             let t = tel();
             std::fs::write(dir.join(STORE_FILE), old).unwrap();

@@ -35,7 +35,7 @@ pub mod opt;
 pub mod parse;
 pub mod types;
 
-pub use hash::{fnv1a, stable_module_digest, stable_text_digest};
+pub use hash::{fnv1a, stable_module_digest, stable_text_digest, MemoHasher, MemoMap};
 pub use inst::{BinOp, CmpOp, Inst, Operand, SpecialReg};
 pub use module::{Kernel, KernelBuilder, Module, Param};
 pub use opt::{optimize_kernel, optimize_module, OptLevel};

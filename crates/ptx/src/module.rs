@@ -4,13 +4,60 @@ use crate::emit::inst_text;
 use crate::inst::{BinOp, CmpOp, Inst, Operand, SpecialReg};
 use crate::types::{PtxType, Reg, RegClass};
 use crate::PtxError;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Upper bound on `.reg` declaration counts per class. Generated kernels
 /// stay in the hundreds; anything past this is a malformed module, and
 /// capping it keeps the lowering pass's per-register tables (slot maps,
 /// pressure vectors) from attempting multi-gigabyte allocations.
 pub const MAX_REGS_PER_CLASS: u32 = 1 << 16;
+
+/// Flat numbering of a kernel's registers — class offset + id over the
+/// declared `.reg` counts — so every per-register table is a `Vec`.
+pub(crate) struct RegIndex {
+    base: [usize; 5],
+    counts: [u32; 5],
+    /// Registers declared over all classes: the length of a table.
+    pub(crate) len: usize,
+}
+
+impl RegIndex {
+    /// `None` when a count exceeds [`MAX_REGS_PER_CLASS`] (the tables would
+    /// be unboundedly large; such a kernel does not validate anyway).
+    pub(crate) fn new(counts: [u32; 5]) -> Option<RegIndex> {
+        let mut base = [0; 5];
+        let mut len = 0;
+        for (b, &n) in base.iter_mut().zip(&counts) {
+            if n > MAX_REGS_PER_CLASS {
+                return None;
+            }
+            *b = len;
+            len += n as usize;
+        }
+        Some(RegIndex { base, counts, len })
+    }
+
+    /// Does every register `kernel` mentions lie within its class's
+    /// declared count?
+    pub(crate) fn covers(&self, kernel: &Kernel) -> bool {
+        let mut regs = Vec::new();
+        for inst in &kernel.body {
+            regs.clear();
+            inst.use_regs(&mut regs);
+            regs.extend(inst.def_regs());
+            if regs.iter().any(|r| r.id >= self.counts[r.class.index()]) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Slot of a register [`RegIndex::covers`] (or [`Kernel::validate`])
+    /// has checked.
+    pub(crate) fn at(&self, r: Reg) -> usize {
+        self.base[r.class.index()] + r.id as usize
+    }
+}
 
 /// A kernel parameter (`.param` space).
 #[derive(Debug, Clone, PartialEq)]
@@ -170,15 +217,18 @@ impl Kernel {
         if !self.body.iter().any(|i| matches!(i, Inst::Shfl { .. })) {
             return Ok(());
         }
-        let mut defs: HashMap<Reg, Option<&Inst>> = HashMap::new();
+        // `validate` has checked every register against its class's count.
+        let regs = RegIndex::new(self.reg_counts).expect("validated register counts");
+        // Per register: `None` never defined, `Some(None)` defined twice or
+        // more, `Some(Some(inst))` defined once, by `inst`.
+        let mut defs: Vec<Option<Option<&Inst>>> = vec![None; regs.len];
         for inst in &self.body {
             for d in inst.def_regs() {
-                defs.entry(d)
-                    .and_modify(|e| *e = None)
-                    .or_insert(Some(inst));
+                let e = &mut defs[regs.at(d)];
+                *e = Some(if e.is_none() { Some(inst) } else { None });
             }
         }
-        let def = |r: &Reg| defs.get(r).copied().flatten();
+        let def = |r: &Reg| defs[regs.at(*r)].flatten();
         let warp_base = |o: &Operand| match o {
             Operand::Reg(w) => matches!(
                 def(w),
@@ -622,6 +672,43 @@ mod tests {
         assert!(k.regs_per_thread() > 0);
         // three f32 registers were allocated
         assert_eq!(k.reg_counts[0], 3);
+    }
+
+    #[test]
+    fn a_warp_exit_tests_registers_defined_once() {
+        // A shuffling kernel exits whole warps only through a warp base and
+        // a bound each defined once; a second def of either is rejected.
+        let build = |redefine: Option<bool>| {
+            let mut b = KernelBuilder::new("bfly");
+            let p_n = b.param("n", PtxType::U32);
+            let tid = b.global_tid();
+            let n = b.ld_param(&p_n, PtxType::U32);
+            let exit = b.warp_guard(tid, n);
+            let v = b.mov(PtxType::F64, Operand::ImmF(1.0));
+            b.bfly_f64(v, 1);
+            b.bind_label(&exit);
+            let mut k = b.finish();
+            if let Some(base) = redefine {
+                let at = k.body.iter().position(|i| matches!(i, Inst::Setp { .. })).unwrap();
+                let Inst::Setp { a: Operand::Reg(w), .. } = k.body[at] else {
+                    unreachable!("the guard tests a register")
+                };
+                let dst = if base { w } else { n };
+                // Before the def the check would see, so a table that kept
+                // the last def of a register would still accept it.
+                let def = k.body.iter().position(|i| i.def_regs().any(|d| d == dst)).unwrap();
+                let src = Operand::Reg(tid);
+                k.body.insert(def, Inst::Mov { ty: PtxType::U32, dst, src });
+            }
+            k
+        };
+        build(None).validate().unwrap();
+        for base in [true, false] {
+            match build(Some(base)).validate() {
+                Err(PtxError::Invalid(m)) => assert!(m.contains("part of a warp"), "{m}"),
+                other => panic!("redefined {}: {other:?}", if base { "base" } else { "bound" }),
+            }
+        }
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //! longer validates is reverted to its original body; `optimize_module`
 //! therefore never turns a valid module into an invalid one.
 
-use crate::module::{Kernel, Module, MAX_REGS_PER_CLASS};
-use crate::types::Reg;
+use crate::module::{Kernel, Module, RegIndex};
 
 /// Optimizer configuration (the `QDP_OPT` knob of `QdpConfig::from_env`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,51 +71,6 @@ pub fn optimize_kernel(kernel: &mut Kernel, level: OptLevel) {
 
 /// Sentinel for "no entry" in the `u32` tables below.
 const NONE: u32 = u32::MAX;
-
-/// Flat numbering of a kernel's registers — class offset + id over the
-/// declared `.reg` counts — so every per-register table is a `Vec`.
-struct RegIndex {
-    base: [usize; 5],
-    counts: [u32; 5],
-    len: usize,
-}
-
-impl RegIndex {
-    /// `None` when a count exceeds [`MAX_REGS_PER_CLASS`] (the tables would
-    /// be unboundedly large; such a kernel does not validate anyway).
-    fn new(counts: [u32; 5]) -> Option<RegIndex> {
-        let mut base = [0; 5];
-        let mut len = 0;
-        for (b, &n) in base.iter_mut().zip(&counts) {
-            if n > MAX_REGS_PER_CLASS {
-                return None;
-            }
-            *b = len;
-            len += n as usize;
-        }
-        Some(RegIndex { base, counts, len })
-    }
-
-    /// Does every register `kernel` mentions lie within its class's
-    /// declared count?
-    fn covers(&self, kernel: &Kernel) -> bool {
-        let mut regs = Vec::new();
-        for inst in &kernel.body {
-            regs.clear();
-            inst.use_regs(&mut regs);
-            regs.extend(inst.def_regs());
-            if regs.iter().any(|r| r.id >= self.counts[r.class.index()]) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Slot of a register [`RegIndex::covers`] has checked.
-    fn at(&self, r: Reg) -> usize {
-        self.base[r.class.index()] + r.id as usize
-    }
-}
 
 /// Remove instructions whose defined registers are never used, in one
 /// pass. Every def in this IR is pure (stores, branches, labels and `ret`
@@ -202,7 +156,7 @@ mod tests {
     use super::*;
     use crate::inst::{BinOp, Inst, Operand};
     use crate::module::KernelBuilder;
-    use crate::types::{PtxType, RegClass};
+    use crate::types::{PtxType, Reg, RegClass};
 
     fn ld(kb: &mut KernelBuilder, addr: Reg, offset: i64) -> Reg {
         let dst = kb.fresh(RegClass::F64);
